@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build test race fuzz-smoke bench bench-smoke bench-json bench-diff scale-smoke serve-smoke lint-panics lint-paths
+.PHONY: check build test race fuzz-smoke bench bench-smoke bench-json bench-diff scale-smoke serve-smoke lint-panics lint-paths lint-fmt loc
 
 # Tier-1 matrix: everything CI gates on. The conservation differential
 # re-runs explicitly so a counter-attribution regression names itself in
 # the CI log instead of hiding inside the package sweep.
-check: lint-panics lint-paths
+check: lint-panics lint-paths lint-fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -38,6 +38,25 @@ lint-paths:
 		echo "path allocations in arena-backed hot paths (use routing.PathArena spans; see DESIGN.md 5c):"; \
 		echo "$$bad"; exit 1; \
 	fi
+
+# Every Go file is gofmt-clean (build outputs under bench/out and
+# .bench_build are not source).
+lint-fmt:
+	@bad=$$(gofmt -l . | grep -v -e '^bench/out/' -e '^\.bench_build/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "gofmt -l reports unformatted files (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# Non-test Go lines of the packages ROADMAP item 2 wants smaller (target:
+# routing + core + experiment net -1,500): total lines, and lines that are
+# neither blank nor comment-only. CI prints it so the trend is in the log.
+loc:
+	@count() { awk -v p="$$1" '{t++} !/^[[:space:]]*($$|\/\/)/{c++} END{printf "%-20s %5d lines %5d code\n", p, t, c}'; }; \
+	for p in internal/routing internal/core internal/experiment; do \
+		ls $$p/*.go | grep -v _test.go | xargs cat | count $$p; \
+	done; \
+	count aspp.go < aspp.go
 
 build:
 	$(GO) build ./...

@@ -115,7 +115,7 @@ type (
 	Counters = obs.Counters
 	// CountersSnapshot is a consistent point-in-time read of Counters.
 	CountersSnapshot = obs.Snapshot
-	// SweepConfig drives counter-aware prepend sweeps (Figs. 9-12).
+	// SweepConfig drives the prepend sweeps (Figs. 9-12).
 	SweepConfig = experiment.SweepConfig
 )
 
@@ -279,15 +279,15 @@ func (in *Internet) Tier1s() []ASN { return in.g.Tier1s() }
 // TopByDegree returns the n best-connected ASes.
 func (in *Internet) TopByDegree(n int) []ASN { return in.g.TopByDegree(n) }
 
-// SimulateAttackObs is SimulateAttack recording propagation telemetry
-// into the optional counters (nil disables recording).
-func (in *Internet) SimulateAttackObs(sc Scenario, c *Counters) (*Impact, error) {
-	return core.SimulateObs(in.g, sc, c)
-}
-
 // SimulateAttack runs one interception attack (see core.Simulate).
 func (in *Internet) SimulateAttack(sc Scenario) (*Impact, error) {
 	return core.Simulate(in.g, sc)
+}
+
+// SimulateAttackObs is SimulateAttack recording propagation telemetry
+// into the optional counters (nil disables recording).
+func (in *Internet) SimulateAttackObs(sc Scenario, c *Counters) (*Impact, error) {
+	return core.SimulateWithBaseline(in.g, sc, nil, c)
 }
 
 // Propagate computes baseline routing for an announcement.
@@ -295,46 +295,21 @@ func (in *Internet) Propagate(ann Announcement) (*RoutingResult, error) {
 	return routing.Propagate(in.g, ann)
 }
 
-// SamplePairs runs the ranked pair experiments (paper Figs. 7-8).
-func (in *Internet) SamplePairs(cfg PairConfig) ([]PairImpact, error) {
-	return experiment.SamplePairs(in.g, cfg)
-}
-
-// SamplePairsCtx is SamplePairs with cooperative cancellation: once ctx is
-// cancelled no further instance is simulated, in-flight work drains, and
-// ctx.Err() is returned.
+// SamplePairsCtx runs the ranked pair experiments (paper Figs. 7-8). Once
+// ctx is cancelled no further instance is simulated, in-flight work
+// drains, and ctx.Err() is returned.
 func (in *Internet) SamplePairsCtx(ctx context.Context, cfg PairConfig) ([]PairImpact, error) {
 	return experiment.SamplePairsCtx(ctx, in.g, cfg)
 }
 
-// SweepPrepend runs a λ sweep for one pair (paper Figs. 9-12).
-func (in *Internet) SweepPrepend(victim, attacker ASN, maxLambda int, violate bool) ([]SweepPoint, error) {
-	return experiment.SweepPrepend(in.g, victim, attacker, maxLambda, violate, 0)
-}
-
-// SweepPrependCtx is SweepPrepend with cooperative cancellation.
-func (in *Internet) SweepPrependCtx(ctx context.Context, victim, attacker ASN, maxLambda int, violate bool) ([]SweepPoint, error) {
-	return experiment.SweepPrependCtx(ctx, in.g, victim, attacker, maxLambda, violate, 0)
-}
-
-// SweepPrependEngineCtx is SweepPrependCtx with an explicit engine choice
-// (full recomputation vs incremental delta propagation).
-func (in *Internet) SweepPrependEngineCtx(ctx context.Context, victim, attacker ASN, maxLambda int, violate bool, engine EngineKind) ([]SweepPoint, error) {
-	return experiment.SweepPrependEngineCtx(ctx, in.g, victim, attacker, maxLambda, violate, 0, engine)
-}
-
-// SweepPrependCfgCtx is the config-struct form of the prepend sweep,
-// exposing the engine choice and optional telemetry counters.
+// SweepPrependCfgCtx runs a λ sweep for one pair (paper Figs. 9-12), with
+// cooperative cancellation.
 func (in *Internet) SweepPrependCfgCtx(ctx context.Context, cfg SweepConfig) ([]SweepPoint, error) {
 	return experiment.SweepPrependCfgCtx(ctx, in.g, cfg)
 }
 
-// RunDetection evaluates the detection algorithm (paper Figs. 13-14).
-func (in *Internet) RunDetection(cfg DetectionConfig) (*DetectionOutcome, error) {
-	return experiment.RunDetection(in.g, cfg)
-}
-
-// RunDetectionCtx is RunDetection with cooperative cancellation.
+// RunDetectionCtx evaluates the detection algorithm (paper Figs. 13-14),
+// with cooperative cancellation.
 func (in *Internet) RunDetectionCtx(ctx context.Context, cfg DetectionConfig) (*DetectionOutcome, error) {
 	return experiment.RunDetectionCtx(ctx, in.g, cfg)
 }
@@ -394,14 +369,9 @@ func (in *Internet) InferRelationships(originSample, nTopMonitors int) (*relinfe
 	return cons, relinfer.Score(cons, in.g), nil
 }
 
-// SusceptibilityMatrix answers §VI-B's "what type of ASes are likely to
-// be hijacked" as a (victim tier × attacker tier) pollution matrix.
-func (in *Internet) SusceptibilityMatrix(cfg SusceptibilityConfig) ([]TierCell, error) {
-	return experiment.SusceptibilityMatrix(in.g, cfg)
-}
-
-// SusceptibilityMatrixCtx is SusceptibilityMatrix with cooperative
-// cancellation.
+// SusceptibilityMatrixCtx answers §VI-B's "what type of ASes are likely
+// to be hijacked" as a (victim tier × attacker tier) pollution matrix,
+// with cooperative cancellation.
 func (in *Internet) SusceptibilityMatrixCtx(ctx context.Context, cfg SusceptibilityConfig) ([]TierCell, error) {
 	return experiment.SusceptibilityMatrixCtx(ctx, in.g, cfg)
 }

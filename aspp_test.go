@@ -1,6 +1,7 @@
 package aspp
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -83,7 +84,7 @@ func TestInternetSimulateAttack(t *testing.T) {
 		t.Errorf("attack reduced pollution: %.3f -> %.3f", im.Before(), im.After())
 	}
 	// The sweep API agrees with single simulations.
-	sweep, err := in.SweepPrepend(t1[0], t1[1], 3, false)
+	sweep, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 3})
 	if err != nil {
 		t.Fatalf("SweepPrepend: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestInternetRunDetection(t *testing.T) {
 	cfg := DefaultDetectionConfig()
 	cfg.MonitorCounts = []int{20, 200}
 	cfg.Pairs = 25
-	out, err := in.RunDetection(cfg)
+	out, err := in.RunDetectionCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("RunDetection: %v", err)
 	}

@@ -6,6 +6,7 @@ package aspp
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -24,7 +25,7 @@ func BenchmarkCompareAttackTypes(b *testing.B) {
 	cfg.Monitors = 50
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CompareAttackTypes(in.Graph(), cfg); err != nil {
+		if _, err := experiment.CompareAttackTypesCtx(context.Background(), in.Graph(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func BenchmarkSusceptibilityMatrix(b *testing.B) {
 	cfg.PairsPerCell = 6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.SusceptibilityMatrix(in.Graph(), cfg); err != nil {
+		if _, err := experiment.SusceptibilityMatrixCtx(context.Background(), in.Graph(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ package aspp
 // cmd/asppbench regenerates the figures at full scale.
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func BenchmarkFig5MemoOnOff(b *testing.B) {
 func BenchmarkFig7Tier1Pairs(b *testing.B) {
 	in := benchInternet(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SamplePairs(PairConfig{
+		if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
 			Kind: PairsTier1, N: 40, Prepend: 3, Seed: int64(i + 1),
 		}); err != nil {
 			b.Fatal(err)
@@ -129,7 +130,7 @@ func BenchmarkFig7Tier1Pairs(b *testing.B) {
 func BenchmarkFig8RandomPairs(b *testing.B) {
 	in := benchInternet(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SamplePairs(PairConfig{
+		if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
 			Kind: PairsRandom, N: 27, Prepend: 3, Seed: int64(i + 1),
 		}); err != nil {
 			b.Fatal(err)
@@ -143,7 +144,7 @@ func BenchmarkFig9Sweep(b *testing.B) {
 	v, m := benchTier1Pair(b, in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SweepPrepend(v, m, 8, false); err != nil {
+		if _, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{Victim: v, Attacker: m, MaxLambda: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,7 +165,7 @@ func BenchmarkFig10SweepTier1VsStub(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SweepPrepend(victim, attacker, 8, false); err != nil {
+		if _, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +187,7 @@ func BenchmarkFig11Violate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SweepPrepend(victim, attacker, 8, true); err != nil {
+		if _, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +207,7 @@ func BenchmarkFig12SmallPair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SweepPrepend(victim, attacker, 8, true); err != nil {
+		if _, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +221,7 @@ func BenchmarkFig13Detection(b *testing.B) {
 	cfg.Pairs = 50
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.RunDetection(cfg); err != nil {
+		if _, err := in.RunDetectionCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +243,7 @@ func BenchmarkFig13MonitorPolicy(b *testing.B) {
 			cfg.Pairs = 40
 			cfg.Policy = policy.p
 			for i := 0; i < b.N; i++ {
-				if _, err := in.RunDetection(cfg); err != nil {
+				if _, err := in.RunDetectionCtx(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -259,7 +260,7 @@ func BenchmarkFig14DetectionLatency(b *testing.B) {
 	cfg.Pairs = 40
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := in.RunDetection(cfg)
+		out, err := in.RunDetectionCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,7 +325,7 @@ func BenchmarkPairFanout(b *testing.B) {
 		b.Run(cs.name, func(b *testing.B) {
 			b.ReportMetric(float64(maxProcs), "maxprocs")
 			for i := 0; i < b.N; i++ {
-				if _, err := in.SamplePairs(PairConfig{
+				if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
 					Kind: PairsRandom, N: 20, Prepend: 3, Seed: 3, Workers: cs.workers,
 				}); err != nil {
 					b.Fatal(err)

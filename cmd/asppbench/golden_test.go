@@ -28,19 +28,23 @@ func goldenRun(t *testing.T, args ...string) []byte {
 // fig13 (detection accuracy) experiments at a fixed topology and seed. Any
 // engine or model change that shifts a single pollution count, rank or
 // percentage shows up as a byte diff here; intentional changes are
-// re-pinned with -update.
+// re-pinned with -update. The sharded fig9 cases hold the shard-invariance
+// differentials to the committed file, not just to each other.
 func TestGoldenFigures(t *testing.T) {
+	fig9 := []string{"-exp", "fig9", "-n", "400", "-seed", "1"}
 	cases := []struct {
-		name string
-		args []string
+		name, golden string
+		args         []string
 	}{
-		{name: "fig9", args: []string{"-exp", "fig9", "-n", "400", "-seed", "1"}},
-		{name: "fig13", args: []string{"-exp", "fig13", "-n", "400", "-seed", "1", "-pairs", "20"}},
+		{name: "fig9", golden: "fig9", args: fig9},
+		{name: "fig9-shards1", golden: "fig9", args: append([]string{"-shards", "1"}, fig9...)},
+		{name: "fig9-shards7-batch8-budget", golden: "fig9", args: append([]string{"-shards", "7", "-batch", "8", "-mem-budget", "64k"}, fig9...)},
+		{name: "fig13", golden: "fig13", args: []string{"-exp", "fig13", "-n", "400", "-seed", "1", "-pairs", "20"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := goldenRun(t, tc.args...)
-			path := filepath.Join("testdata", "golden", tc.name+".golden")
+			path := filepath.Join("testdata", "golden", tc.golden+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)

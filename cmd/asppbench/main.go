@@ -57,10 +57,10 @@ type benchContext struct {
 	pairs    int
 	engine   aspp.EngineKind
 	batch    int
-	// shards/memBudget select the sharded sweep layer (DESIGN §5f): the
-	// pair/sweep/susceptibility drivers partition their candidate spaces
-	// into victim-keyed shards, each with a private baseline cache capped
-	// at memBudget bytes. Output is byte-identical to the unsharded path.
+	// shards/memBudget tune the sweep runner (DESIGN §5f): the
+	// pair/sweep/susceptibility drivers partition their legs into shards
+	// (0: one per worker), each with a private baseline cache capped at
+	// memBudget bytes. Output is byte-identical at every setting.
 	shards    int
 	memBudget int64
 	out       io.Writer
@@ -145,7 +145,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
 		engine   = fs.String("engine", "delta", "attack-propagation engine for the sweeps: full or delta")
 		batch    = fs.String("batch", "1", "lane width K (1..64) for batched baseline and attack propagation, or 'auto' to size lanes to the topology; 1: serial")
-		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many victim-keyed shards, each with a private baseline cache; 0: unsharded")
+		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many shards, each with a private baseline cache; 0: one shard per worker")
 		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
 		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -438,9 +438,7 @@ func runFig5(bc *benchContext) error {
 		{name: "tier1_table", cdf: res.Tier1CDF},
 		{name: "all_updates", cdf: res.UpdateCDF},
 	}
-	var rows [][]float64
-	header := []string{"series", "frac_prefixes_with_prepending", "cdf"}
-	fmt.Fprintln(bc.out, strings.Join(header, "\t"))
+	fmt.Fprintln(bc.out, "series\tfrac_prefixes_with_prepending\tcdf")
 	for i, s := range series {
 		cdf, err := s.cdf()
 		if err != nil {
@@ -453,7 +451,6 @@ func runFig5(bc *benchContext) error {
 			fmt.Fprintf(bc.out, "# mean fraction of prepended table routes: %.3f (paper: ~0.13, up to 0.30)\n", cdf.Mean())
 		}
 	}
-	_ = rows
 	return nil
 }
 
@@ -527,8 +524,10 @@ func runFig8(bc *benchContext) error {
 	return runPairFig(bc, aspp.PairsRandom, 27, true, "random pairs (propagating attacker)")
 }
 
-func (bc *benchContext) sweep(victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
-	return bc.internet.SweepPrependCfgCtx(bc.ctx, aspp.SweepConfig{
+// sweepOn runs the λ = 1..8 sweep on g — the generated topology, or
+// fig11's sibling-extended copy of it.
+func (bc *benchContext) sweepOn(g *aspp.Graph, victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
+	return experiment.SweepPrependCfgCtx(bc.ctx, g, aspp.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
 		Engine: bc.engine, Counters: bc.counters, Batch: bc.batch,
 		Shards: bc.shards, MemBudget: bc.memBudget,
@@ -536,7 +535,8 @@ func (bc *benchContext) sweep(victim, attacker aspp.ASN, violate bool) ([]aspp.S
 }
 
 func runSweepFig(bc *benchContext, victim, attacker aspp.ASN, both bool, label string) error {
-	follow, err := bc.sweep(victim, attacker, false)
+	g := bc.internet.Graph()
+	follow, err := bc.sweepOn(g, victim, attacker, false)
 	if err != nil {
 		return err
 	}
@@ -546,7 +546,7 @@ func runSweepFig(bc *benchContext, victim, attacker aspp.ASN, both bool, label s
 			fmt.Fprintf(bc.out, "%d\t%.2f\t%.2f\n", p.Lambda, 100*p.After, 100*p.Before)
 		}
 	} else {
-		violate, err := bc.sweep(victim, attacker, true)
+		violate, err := bc.sweepOn(g, victim, attacker, true)
 		if err != nil {
 			return err
 		}
@@ -596,11 +596,11 @@ func runFig11(bc *benchContext) error {
 	if err != nil {
 		return err
 	}
-	follow, err := bc.sweep(victim, attacker, false)
+	follow, err := bc.sweepOn(g, victim, attacker, false)
 	if err != nil {
 		return err
 	}
-	violate, err := bc.sweep(victim, attacker, true)
+	violate, err := bc.sweepOn(g, victim, attacker, true)
 	if err != nil {
 		return err
 	}
@@ -611,7 +611,7 @@ func runFig11(bc *benchContext) error {
 	if err != nil {
 		return err
 	}
-	sibPoints, err := sib.Sweep(8)
+	sibPoints, err := bc.sweepOn(sib.Graph, victim, attacker, false)
 	if err != nil {
 		return err
 	}

@@ -165,27 +165,38 @@ func TestRunShardFlagValidation(t *testing.T) {
 	}
 }
 
+// sweepExps are the experiments whose TSV the runner's tuning flags must
+// never move: a pair sweep, a λ sweep, fig11 (two λ sweeps plus the
+// sibling leg on the reference engine) and the tier matrix.
+const sweepExps = "fig7,fig9,fig11,susceptibility"
+
+func runSweepExps(t *testing.T, extra ...string) string {
+	t.Helper()
+	var sb strings.Builder
+	args := append([]string{"-exp", sweepExps, "-n", "400"}, extra...)
+	if err := run(context.Background(), args, &sb); err != nil {
+		t.Fatalf("%v: %v", extra, err)
+	}
+	return sb.String()
+}
+
 // TestRunShardByteIdentical pins the tentpole acceptance contract at the
-// CLI boundary: sweep TSVs must be byte-identical at any shard count and
-// under a per-shard memory budget.
+// CLI boundary: sweep TSVs must be byte-identical to the default-flag run
+// at any shard count, under a per-shard memory budget, and on either
+// engine.
 func TestRunShardByteIdentical(t *testing.T) {
-	const exps = "fig7,fig9,susceptibility"
-	runWith := func(extra ...string) string {
-		var sb strings.Builder
-		args := append([]string{"-exp", exps, "-n", "400", "-batch", "8"}, extra...)
-		if err := run(context.Background(), args, &sb); err != nil {
-			t.Fatalf("%v: %v", extra, err)
+	want := runSweepExps(t)
+	for _, extra := range [][]string{
+		{"-shards", "1"}, {"-shards", "2"}, {"-shards", "7"},
+		{"-engine", "full"}, {"-engine", "full", "-batch", "8"},
+		{"-batch", "8", "-shards", "1", "-mem-budget", "64k"},
+		{"-batch", "8", "-shards", "7", "-mem-budget", "64k"},
+		{"-batch", "8", "-shards", "32", "-mem-budget", "64k"},
+		{"-batch", "8", "-mem-budget", "512M"},
+	} {
+		if got := runSweepExps(t, extra...); got != want {
+			t.Errorf("%v output differs from default flags:\n got: %s\nwant: %s", extra, got, want)
 		}
-		return sb.String()
-	}
-	unsharded := runWith()
-	for _, shards := range []string{"1", "2", "7", "32"} {
-		if got := runWith("-shards", shards, "-mem-budget", "64k"); got != unsharded {
-			t.Errorf("-shards %s output differs from unsharded:\n got: %s\nwant: %s", shards, got, unsharded)
-		}
-	}
-	if got := runWith("-mem-budget", "512M"); got != unsharded {
-		t.Errorf("-mem-budget alone differs from unsharded:\n got: %s\nwant: %s", got, unsharded)
 	}
 }
 
@@ -193,18 +204,40 @@ func TestRunShardByteIdentical(t *testing.T) {
 // boundary: the sweep TSVs must be byte-identical whether the attack
 // legs run serially or K lanes at a time.
 func TestRunBatchByteIdentical(t *testing.T) {
-	const exps = "fig7,fig9,susceptibility"
-	runWith := func(batch string) string {
-		var sb strings.Builder
-		if err := run(context.Background(), []string{"-exp", exps, "-n", "400", "-batch", batch}, &sb); err != nil {
-			t.Fatalf("-batch %s: %v", batch, err)
-		}
-		return sb.String()
-	}
-	serial := runWith("1")
+	serial := runSweepExps(t, "-batch", "1")
 	for _, batch := range []string{"8", "64", "auto"} {
-		if got := runWith(batch); got != serial {
+		if got := runSweepExps(t, "-batch", batch); got != serial {
 			t.Errorf("-batch %s output differs from serial:\n got: %s\nwant: %s", batch, got, serial)
+		}
+	}
+}
+
+// TestRunCountersOnDefaultFlags: -counters reports the memory gauges on a
+// default-flag run (they used to read 0 unless -shards was set), and
+// fig11's counters include the sibling leg's 8 baseline + 8 attack
+// reference propagations on top of the two plain sweeps' 16 + 16.
+func TestRunCountersOnDefaultFlags(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-exp", "fig7,fig11", "-n", "400", "-counters"}, &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var lines []string
+	for _, l := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(l, "# counters: ") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("got %d counter lines, want 2:\n%s", len(lines), sb.String())
+	}
+	for _, gauge := range []string{"scratch_bytes", "cache_bytes", "csr_bytes"} {
+		if strings.Contains(lines[0], " "+gauge+"=0 ") {
+			t.Errorf("fig7: %s reads 0 on default flags: %s", gauge, lines[0])
+		}
+	}
+	for _, want := range []string{"prop_base=24 ", "prop_full=8 ", "prop_delta=16 "} {
+		if !strings.Contains(lines[1], want) {
+			t.Errorf("fig11 counters miss %q (sibling leg uncounted?): %s", want, lines[1])
 		}
 	}
 }

@@ -112,7 +112,7 @@ func FuzzStreamDecoder(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(stream)                  // valid multi-frame stream
+	f.Add(stream)                 // valid multi-frame stream
 	f.Add(stream[:len(stream)-3]) // truncated mid-frame
 	f.Add(stream[:1])             // truncated mid-magic
 	f.Add([]byte{})

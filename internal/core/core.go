@@ -229,13 +229,7 @@ func simulateReference(g *topology.Graph, ann routing.Announcement, sc Scenario,
 // never learns the victim's route. Topologies with sibling links are
 // routed by the message-level Reference engine automatically.
 func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
-	return SimulateWithBaseline(g, sc, nil)
-}
-
-// SimulateObs is Simulate recording propagation telemetry into the
-// optional counters (the asppsim -counters path).
-func SimulateObs(g *topology.Graph, sc Scenario, c *obs.Counters) (*Impact, error) {
-	return SimulateWithBaselineObs(g, sc, nil, c)
+	return SimulateWithBaseline(g, sc, nil, nil)
 }
 
 // SimulateWithBaseline is Simulate with an optional precomputed no-attack
@@ -244,15 +238,11 @@ func SimulateObs(g *topology.Graph, sc Scenario, c *obs.Counters) (*Impact, erro
 // and may be shared across concurrent simulations; it MUST match the
 // scenario's announcement exactly (same origin, λ, per-neighbor prepends
 // and withholds) — callers own that invariant. Pass nil to compute it.
-func SimulateWithBaseline(g *topology.Graph, sc Scenario, baseline *routing.Result) (*Impact, error) {
-	return SimulateWithBaselineObs(g, sc, baseline, nil)
-}
-
-// SimulateWithBaselineObs is SimulateWithBaseline recording propagation
-// telemetry into the optional counters (nil disables recording). Both
-// propagation legs of the message-level fallback count as full
-// propagations — the delta engine never runs on this path.
-func SimulateWithBaselineObs(g *topology.Graph, sc Scenario, baseline *routing.Result, c *obs.Counters) (*Impact, error) {
+// Propagation telemetry is recorded into the optional counters (nil
+// disables recording). Both propagation legs of the message-level
+// fallback count as full propagations — the delta engine never runs on
+// this path.
+func SimulateWithBaseline(g *topology.Graph, sc Scenario, baseline *routing.Result, c *obs.Counters) (*Impact, error) {
 	if sc.Victim == sc.Attacker {
 		return nil, errors.New("core: victim and attacker must differ")
 	}
@@ -318,7 +308,7 @@ func (c Counts) Before() float64 { return frac(c.PollutedBefore, c.Eligible) }
 func (c Counts) After() float64 { return frac(c.PollutedAfter, c.Eligible) }
 
 // EngineKind selects the attack-propagation engine for the scratch-based
-// sweep hot path (SimulateCountsEngine). It is an ablation knob: every
+// sweep hot path (SimulateCounts). It is an ablation knob: every
 // engine computes the identical stable outcome (pinned by the routing
 // package's differential suite), they differ only in cost.
 type EngineKind uint8
@@ -365,28 +355,15 @@ func ParseEngineKind(s string) (EngineKind, error) {
 // propagation state and the transient routing results are borrowed from s
 // (one Scratch per goroutine — see the routing.Scratch ownership
 // contract), and only the pollution counts survive the call. baseline is
-// optional exactly as in SimulateWithBaseline. Sibling-bearing topologies
-// fall back to the message-level engine, which allocates. The attack leg
-// runs on the EngineAuto policy: incremental delta propagation when a
-// baseline is supplied, full propagation otherwise.
-func SimulateCounts(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch) (Counts, error) {
-	return SimulateCountsEngine(g, sc, baseline, s, EngineAuto)
-}
-
-// SimulateCountsEngine is SimulateCounts with an explicit engine choice
-// (the asppbench -engine ablation). Sibling-bearing topologies and nil
-// Scratches ignore the choice — they run the message-level fallback.
-func SimulateCountsEngine(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, engine EngineKind) (Counts, error) {
-	return SimulateCountsEngineObs(g, sc, baseline, s, engine, nil)
-}
-
-// SimulateCountsEngineObs is SimulateCountsEngine recording propagation
-// telemetry into the optional counters (nil disables recording): one base
-// propagation when the baseline is computed here, and one full or delta
-// propagation for the attack leg depending on which engine actually ran.
-func SimulateCountsEngineObs(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, engine EngineKind, c *obs.Counters) (Counts, error) {
+// optional exactly as in SimulateWithBaseline. engine picks the attack
+// leg (the asppbench -engine ablation); sibling-bearing topologies and
+// nil Scratches ignore the choice — they run the message-level fallback,
+// which allocates. The optional counters record one base propagation when
+// the baseline is computed here, and one full or delta propagation for
+// the attack leg depending on which engine actually ran.
+func SimulateCounts(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, engine EngineKind, c *obs.Counters) (Counts, error) {
 	if g.HasSiblings() || s == nil {
-		im, err := SimulateWithBaselineObs(g, sc, baseline, c)
+		im, err := SimulateWithBaseline(g, sc, baseline, c)
 		if err != nil {
 			return Counts{}, err
 		}

@@ -129,7 +129,7 @@ func drawAttacks(g *topology.Graph, cfg Config, n int, rng *rand.Rand) (*attackS
 			Attacker:          candidates[i],
 			Prepend:           cfg.Prepend,
 			ViolateValleyFree: cfg.Violate,
-		}, base)
+		}, base, nil)
 		if routing.Skippable(err) {
 			return nil, nil // skippable draw: this attacker never hears the route
 		}

@@ -17,14 +17,14 @@ func TestSamplePairsBatchedLegsIdentical(t *testing.T) {
 	g := expGraph(t, 260, 11)
 	for _, kind := range []PairKind{PairsTier1, PairsRandom} {
 		base := PairConfig{Kind: kind, N: 40, Prepend: 3, Seed: 7, Workers: 2}
-		serial, err := SamplePairs(g, base)
+		serial, err := SamplePairsCtx(context.Background(), g, base)
 		if err != nil {
 			t.Fatalf("kind %d serial: %v", kind, err)
 		}
 		for _, k := range []int{8, 64} {
 			cfg := base
 			cfg.Batch = k
-			batched, err := SamplePairs(g, cfg)
+			batched, err := SamplePairsCtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("kind %d K=%d: %v", kind, k, err)
 			}
@@ -73,14 +73,14 @@ func TestSusceptibilityBatchedLegsIdentical(t *testing.T) {
 	g := expGraph(t, 220, 19)
 	base := DefaultSusceptibilityConfig()
 	base.PairsPerCell = 6
-	serial, err := SusceptibilityMatrix(g, base)
+	serial, err := SusceptibilityMatrixCtx(context.Background(), g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{8, 64} {
 		cfg := base
 		cfg.Batch = k
-		batched, err := SusceptibilityMatrix(g, cfg)
+		batched, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -102,7 +102,7 @@ func TestBatchedSweepPropagationConservation(t *testing.T) {
 		c := &obs.Counters{}
 		cfg := PairConfig{Kind: PairsRandom, N: 60, Prepend: 3, Seed: 21, Workers: 2,
 			Counters: c, Batch: batch}
-		if _, err := SamplePairs(g, cfg); err != nil {
+		if _, err := SamplePairsCtx(context.Background(), g, cfg); err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
 		return c.Snapshot()
@@ -162,7 +162,7 @@ func TestBatchedLegsEngineFullStaysSerial(t *testing.T) {
 	c := &obs.Counters{}
 	cfg := PairConfig{Kind: PairsRandom, N: 20, Prepend: 2, Seed: 3, Workers: 2,
 		Engine: core.EngineFull, Counters: c, Batch: 8}
-	if _, err := SamplePairs(g, cfg); err != nil {
+	if _, err := SamplePairsCtx(context.Background(), g, cfg); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Snapshot()

@@ -37,17 +37,16 @@ type BaselineCache struct {
 	mu  sync.Mutex
 	m   map[baselineKey]*baselineEntry
 
-	// Byte-budgeted mode (sharded sweeps, DESIGN §5f). budget == 0 means
-	// unbounded — the legacy shared cache. In budgeted mode the cache
-	// tracks the bytes of successfully installed Results (order records
-	// insertion order) and evicts FIFO down to budget whenever an insert
-	// exceeds it, always retaining at least the keep newest entries (the
-	// warm group's lane width — evicting those would thrash the group
-	// mid-use). Eviction deletes the map entry only: outstanding *Result
-	// pointers held by callers stay valid (a Result is immutable), the
-	// victim is merely recomputed — and re-counted as a miss — if
-	// requested again. peak is the high-watermark the cache_bytes gauge
-	// reports; it survives Release.
+	// Byte accounting (DESIGN §5f). The cache always tracks the bytes of
+	// successfully installed Results. budget == 0 means unbounded; in
+	// budgeted mode order records insertion order and an insert that
+	// exceeds budget evicts FIFO down to it, always retaining at least
+	// the keep newest entries (the warm group's lane width — evicting
+	// those would thrash the group mid-use). Eviction deletes the map
+	// entry only: outstanding *Result pointers held by callers stay valid
+	// (a Result is immutable), the victim is merely recomputed — and
+	// re-counted as a miss — if requested again. peak is the
+	// high-watermark the cache_bytes gauge reports; it survives Release.
 	//
 	// A budgeted cache is meant for single-goroutine (shard-local) use:
 	// the accounting assumes the goroutine that creates an entry is the
@@ -86,53 +85,41 @@ type baselineEntry struct {
 	err  error
 }
 
-// NewBaselineCache returns an empty cache bound to g.
-func NewBaselineCache(g *topology.Graph) *BaselineCache {
-	return NewBaselineCacheObs(g, nil)
-}
-
-// NewBaselineCacheObs is NewBaselineCache recording cache hits/misses and
-// baseline propagations into the optional counters (nil disables
-// recording). A miss is the Get that creates an entry; concurrent Gets for
-// the same key that arrive while the single computation runs count as
-// hits, so hits+misses always equals the number of Get calls and misses
-// equals the number of distinct keys — both deterministic.
-func NewBaselineCacheObs(g *topology.Graph, c *obs.Counters) *BaselineCache {
-	return &BaselineCache{g: g, obs: c, m: make(map[baselineKey]*baselineEntry)}
-}
-
-// NewBaselineCacheBudget returns a byte-budgeted cache for shard-local
-// use: once the installed Results exceed budget bytes the oldest entries
-// are evicted FIFO, always retaining at least the keep newest (keep is
-// clamped to >= 1). budget <= 0 means unbounded, identical to
-// NewBaselineCacheObs.
-func NewBaselineCacheBudget(g *topology.Graph, c *obs.Counters, budget int64, keep int) *BaselineCache {
-	cc := NewBaselineCacheObs(g, c)
+// NewBaselineCache returns an empty cache bound to g, recording cache
+// hits/misses and baseline propagations into the optional counters (nil
+// disables recording). A miss is the Get that creates an entry; concurrent
+// Gets for the same key that arrive while the single computation runs
+// count as hits, so hits+misses always equals the number of Get calls and
+// misses equals the number of distinct keys — both deterministic.
+//
+// budget > 0 makes the cache byte-budgeted for shard-local use: once the
+// installed Results exceed budget bytes the oldest entries are evicted
+// FIFO, always retaining at least the keep newest (keep is clamped to
+// >= 1). budget <= 0 means unbounded, and keep is ignored.
+func NewBaselineCache(g *topology.Graph, c *obs.Counters, budget int64, keep int) *BaselineCache {
+	cc := &BaselineCache{g: g, obs: c, m: make(map[baselineKey]*baselineEntry)}
 	if budget > 0 {
-		if keep < 1 {
-			keep = 1
-		}
-		cc.budget, cc.keep = budget, keep
+		cc.budget, cc.keep = budget, max(keep, 1)
 	}
 	return cc
 }
 
-// account records one successfully installed Result against the budget
-// and evicts FIFO past it. Error entries are never accounted (they hold
-// no Result) and therefore never evicted — a poisoned key stays poisoned.
+// account records one successfully installed Result — always, so the
+// cache_bytes gauge reads on every sweep — and, under a budget, evicts
+// FIFO past it. Error entries are never accounted (they hold no Result)
+// and therefore never evicted — a poisoned key stays poisoned.
 func (c *BaselineCache) account(key baselineKey, res *routing.Result) {
-	if c.budget <= 0 {
-		return
-	}
 	c.mu.Lock()
 	c.bytes += res.MemoryBytes()
-	c.order = append(c.order, key)
-	for c.bytes > c.budget && len(c.order) > c.keep {
-		old := c.order[0]
-		c.order = c.order[1:]
-		if e := c.m[old]; e != nil && e.res != nil {
-			c.bytes -= e.res.MemoryBytes()
-			delete(c.m, old)
+	if c.budget > 0 {
+		c.order = append(c.order, key)
+		for c.bytes > c.budget && len(c.order) > c.keep {
+			old := c.order[0]
+			c.order = c.order[1:]
+			if e := c.m[old]; e != nil && e.res != nil {
+				c.bytes -= e.res.MemoryBytes()
+				delete(c.m, old)
+			}
 		}
 	}
 	// Peak is sampled post-eviction: the resident footprint the budget
@@ -144,8 +131,7 @@ func (c *BaselineCache) account(key baselineKey, res *routing.Result) {
 	c.mu.Unlock()
 }
 
-// Bytes reports the bytes currently held by installed Results (budgeted
-// caches only; 0 otherwise).
+// Bytes reports the bytes currently held by installed Results.
 func (c *BaselineCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

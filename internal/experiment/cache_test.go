@@ -12,7 +12,7 @@ import (
 
 func TestBaselineCacheSharesOneResult(t *testing.T) {
 	g := expGraph(t, 300, 7)
-	cache := NewBaselineCache(g)
+	cache := NewBaselineCache(g, nil, 0, 0)
 	victim := g.Tier1s()[0]
 
 	const goroutines = 16
@@ -54,7 +54,7 @@ func TestBaselineCacheSharesOneResult(t *testing.T) {
 
 func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 	g := expGraph(t, 300, 7)
-	cache := NewBaselineCache(g)
+	cache := NewBaselineCache(g, nil, 0, 0)
 	for _, victim := range g.Tier1s()[:2] {
 		cached, err := cache.Get(victim, 3)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 // to the plain per-call core.Simulate results.
 func TestSamplePairsCachedMatchesSimulate(t *testing.T) {
 	g := expGraph(t, 400, 11)
-	pairs, err := SamplePairs(g, PairConfig{Kind: PairsTier1, N: 20, Prepend: 3, Seed: 5})
+	pairs, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsTier1, N: 20, Prepend: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDriversReturnCtxErrWhenCancelled(t *testing.T) {
 	if _, err := SamplePairsCtx(ctx, g, PairConfig{Kind: PairsTier1, N: 10, Prepend: 3, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SamplePairsCtx: %v, want context.Canceled", err)
 	}
-	if _, err := SweepPrependCtx(ctx, g, t1[0], t1[1], 6, false, 0); !errors.Is(err, context.Canceled) {
+	if _, err := SweepPrependCfgCtx(ctx, g, SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 6}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SweepPrependCtx: %v, want context.Canceled", err)
 	}
 	if _, err := SusceptibilityMatrixCtx(ctx, g, DefaultSusceptibilityConfig()); !errors.Is(err, context.Canceled) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/netip"
 
 	"aspp/internal/bgp"
@@ -12,7 +11,6 @@ import (
 	"aspp/internal/detect"
 	"aspp/internal/obs"
 	"aspp/internal/parallel"
-	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -46,93 +44,27 @@ func DefaultCompareConfig() CompareConfig {
 	return CompareConfig{Pairs: 30, Prepend: 3, Monitors: 100, Seed: 1}
 }
 
-// CompareAttackTypes runs all three attack families over shared random
+// CompareAttackTypesCtx runs all three attack families over shared random
 // pairs and evaluates all three detector classes on each, quantifying the
 // paper's claim that ASPP interception evades MOAS and fake-link
 // detection while remaining catchable by prepend-consistency checking.
-func CompareAttackTypes(g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
-	return CompareAttackTypesCtx(context.Background(), g, cfg)
-}
-
-// CompareAttackTypesCtx is CompareAttackTypes with cooperative
-// cancellation, checked in every simulation fan-out. Baselines for the
-// ASPP family are memoized per victim in a BaselineCache. Returns
+// Cancellation is checked in every simulation fan-out; returns
 // (nil, ctx.Err()) when cancelled.
 func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
 	if cfg.Pairs <= 0 || cfg.Prepend < 2 || cfg.Monitors <= 0 {
 		return nil, errors.New("experiment: bad comparison config")
 	}
 	monitors := g.TopByDegree(cfg.Monitors)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	asns := g.ASNs()
 
 	// Shared pairs: each must make the ASPP attack effective so all three
-	// families face the same instances. Drawn in chunks of cfg.Pairs from
-	// one rng stream — the k-th candidate is chunking-independent, so the
-	// usable set matches a draw-everything-upfront sweep while stopping
-	// after ≈Pairs simulations instead of the full 30× retry budget.
-	type pair struct{ v, m bgp.ASN }
-	var pairs []pair
-	budget := cfg.Pairs * 30
-	drawn := 0
-	nextChunk := func(size int) []pair {
-		chunk := make([]pair, 0, size)
-		for len(chunk) < size && drawn < budget {
-			v := asns[rng.Intn(len(asns))]
-			m := asns[rng.Intn(len(asns))]
-			if v != m {
-				chunk = append(chunk, pair{v, m})
-				drawn++
-			}
-		}
-		return chunk
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	var impacts []*core.Impact
-	for len(impacts) < cfg.Pairs {
-		chunk := nextChunk(cfg.Pairs)
-		if len(chunk) == 0 {
-			break // retry budget exhausted
-		}
-		aspp, cerr := parallel.MapErr(ctx, len(chunk), cfg.Workers, func(i int) (*core.Impact, error) {
-			base, err := cache.Get(chunk[i].v, cfg.Prepend)
-			if err != nil {
-				return nil, baselineError(chunk[i].v, cfg.Prepend, err)
-			}
-			im, err := core.SimulateWithBaselineObs(g, core.Scenario{
-				Victim:            chunk[i].v,
-				Attacker:          chunk[i].m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: true,
-			}, base, cfg.Counters)
-			if routing.Skippable(err) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				return nil, nil // skippable draw; redrawn from the stream
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pair %v/%v: %w", chunk[i].v, chunk[i].m, err)
-			}
-			if len(im.NewlyPolluted()) == 0 {
-				cfg.Counters.AddSkippedIneffective(1)
-				return nil, nil // no-op attack: nothing to compare or detect
-			}
-			return im, nil
-		})
-		if cerr != nil {
-			return nil, sweepError("comparison sweep", cerr)
-		}
-		for i, im := range aspp {
-			if im != nil {
-				impacts = append(impacts, im)
-				pairs = append(pairs, chunk[i])
-				if len(impacts) == cfg.Pairs {
-					break
-				}
-			}
-		}
-	}
-	if len(impacts) < cfg.Pairs/2 {
-		return nil, fmt.Errorf("experiment: only %d usable pairs", len(impacts))
+	// families face the same instances.
+	impacts, err := drawEffectiveAttacks(ctx, g, attackDraw{
+		what: "comparison sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 30,
+		prepend: cfg.Prepend, violate: true, seed: cfg.Seed,
+		workers: cfg.Workers, counters: cfg.Counters,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]AttackComparison, 0, 3)
@@ -161,10 +93,11 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 	// usable for ASPP, so there is nothing left to redraw: any failure
 	// here is a propagation bug and aborts the comparison.
 	for _, typ := range []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception} {
-		results, cerr := parallel.MapErr(ctx, len(pairs), cfg.Workers, func(i int) (*core.BaselineImpact, error) {
-			bi, err := core.SimulateBaseline(g, typ, pairs[i].v, pairs[i].m, cfg.Prepend)
+		results, cerr := parallel.MapErr(ctx, len(impacts), cfg.Workers, func(i int) (*core.BaselineImpact, error) {
+			sc := impacts[i].Scenario
+			bi, err := core.SimulateBaseline(g, typ, sc.Victim, sc.Attacker, cfg.Prepend)
 			if err != nil {
-				return nil, fmt.Errorf("%v pair %v/%v: %w", typ, pairs[i].v, pairs[i].m, err)
+				return nil, fmt.Errorf("%v pair %v/%v: %w", typ, sc.Victim, sc.Attacker, err)
 			}
 			return bi, nil
 		})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
@@ -95,18 +96,13 @@ type DetectionOutcome struct {
 	UsablePairs int
 }
 
-// RunDetection simulates cfg.Pairs random interception attacks once, then
-// evaluates the detection algorithm under every monitor-set size.
-func RunDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
-	return RunDetectionCtx(context.Background(), g, cfg)
-}
-
-// RunDetectionCtx is RunDetection with cooperative cancellation, checked
-// between attack simulation and every per-monitor-count evaluation pass.
-// Detection needs the full Impact (monitor paths), so the attack results
-// are freshly allocated — but the per-victim baselines are still memoized
-// in a BaselineCache and shared read-only. Returns (nil, ctx.Err()) when
-// cancelled.
+// RunDetectionCtx simulates cfg.Pairs random interception attacks once,
+// then evaluates the detection algorithm under every monitor-set size
+// (paper Figs. 13-14). Cancellation is checked during attack simulation
+// and in every per-monitor-count evaluation pass. Detection needs the full
+// Impact (monitor paths), so the attack results are freshly allocated —
+// but the per-victim baselines are still memoized in a BaselineCache and
+// shared read-only. Returns (nil, ctx.Err()) when cancelled.
 func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
 	if len(cfg.MonitorCounts) == 0 || cfg.Pairs <= 0 {
 		return nil, errors.New("experiment: empty detection config")
@@ -118,90 +114,29 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	if rels == nil {
 		rels = g
 	}
-
-	// Draw pairs — victims and attackers uniform over all ASes — in chunks
-	// of cfg.Pairs from one rng stream, stopping once cfg.Pairs usable
-	// attacks exist. The k-th candidate is identical regardless of the
-	// chunking, so the usable set matches a draw-everything-upfront sweep;
-	// the 20× budget only bounds how far redraws may reach.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	asns := g.ASNs()
-	type pair struct{ v, m bgp.ASN }
-	budget := cfg.Pairs * 20
-	drawn := 0
-	nextChunk := func(size int) []pair {
-		chunk := make([]pair, 0, size)
-		for len(chunk) < size && drawn < budget {
-			v := asns[rng.Intn(len(asns))]
-			m := asns[rng.Intn(len(asns))]
-			if v != m {
-				chunk = append(chunk, pair{v, m})
-				drawn++
-			}
-		}
-		return chunk
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	// Usable attacks must actually capture someone: an attack that
-	// changes no routes is a no-op — unobservable and harmless — and
-	// would only dilute the accuracy denominator.
-	usable := make([]*core.Impact, 0, cfg.Pairs)
-	for len(usable) < cfg.Pairs {
-		chunk := nextChunk(cfg.Pairs)
-		if len(chunk) == 0 {
-			break // retry budget exhausted
-		}
-		impacts, cerr := parallel.MapErr(ctx, len(chunk), cfg.Workers, func(i int) (*core.Impact, error) {
-			base, err := cache.Get(chunk[i].v, cfg.Prepend)
-			if err != nil {
-				return nil, baselineError(chunk[i].v, cfg.Prepend, err)
-			}
-			im, err := core.SimulateWithBaselineObs(g, core.Scenario{
-				Victim:            chunk[i].v,
-				Attacker:          chunk[i].m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			}, base, cfg.Counters)
-			if routing.Skippable(err) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				return nil, nil // skippable draw; redrawn from the stream
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pair %v/%v: %w", chunk[i].v, chunk[i].m, err)
-			}
-			return im, nil
-		})
-		if cerr != nil {
-			return nil, sweepError("detection sweep", cerr)
-		}
-		for _, im := range impacts {
-			if im == nil {
-				continue
-			}
-			if len(im.NewlyPolluted()) == 0 {
-				cfg.Counters.AddSkippedIneffective(1)
-				continue
-			}
-			usable = append(usable, im)
-			if len(usable) == cfg.Pairs {
-				break
-			}
-		}
-	}
-	if len(usable) < cfg.Pairs/2 {
-		return nil, fmt.Errorf("experiment: only %d usable attack pairs", len(usable))
+	usable, err := drawEffectiveAttacks(ctx, g, attackDraw{
+		what: "detection sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 20,
+		prepend: cfg.Prepend, violate: cfg.Violate, seed: cfg.Seed,
+		workers: cfg.Workers, counters: cfg.Counters,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &DetectionOutcome{UsablePairs: len(usable)}
 	latencyCount := cfg.LatencyMonitors
 	if latencyCount <= 0 {
 		for _, d := range cfg.MonitorCounts {
-			if d > latencyCount {
-				latencyCount = d
-			}
+			latencyCount = max(latencyCount, d)
 		}
 	}
-	for _, d := range cfg.MonitorCounts {
+	// A latency count outside MonitorCounts gets its own evaluation pass,
+	// which contributes no accuracy point.
+	counts := cfg.MonitorCounts
+	if !slices.Contains(counts, latencyCount) {
+		counts = append(slices.Clone(counts), latencyCount)
+	}
+	for ci, d := range counts {
 		monitors, err := pickMonitors(g, d, cfg.Policy, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -213,24 +148,25 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		if cerr != nil {
 			return nil, fmt.Errorf("experiment: detection evaluation cancelled: %w", cerr)
 		}
-		pt := AccuracyPoint{Monitors: d}
-		for _, ev := range evals {
-			if ev.Detected {
-				pt.Detected++
+		if ci < len(cfg.MonitorCounts) {
+			pt := AccuracyPoint{Monitors: d}
+			for _, ev := range evals {
+				if ev.Detected {
+					pt.Detected++
+				}
+				if ev.DetectedHigh {
+					pt.High++
+				}
+				if ev.Attributed {
+					pt.Attributed++
+				}
 			}
-			if ev.DetectedHigh {
-				pt.High++
-			}
-			if ev.Attributed {
-				pt.Attributed++
-			}
+			n := float64(len(usable))
+			pt.Detected /= n
+			pt.High /= n
+			pt.Attributed /= n
+			out.Accuracy = append(out.Accuracy, pt)
 		}
-		n := float64(len(usable))
-		pt.Detected /= n
-		pt.High /= n
-		pt.Attributed /= n
-		out.Accuracy = append(out.Accuracy, pt)
-
 		if d == latencyCount {
 			out.PollutedBeforeDetection = make([]float64, len(evals))
 			out.LatencyDetected = make([]bool, len(evals))
@@ -240,27 +176,81 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 			}
 		}
 	}
-	// A latency count outside MonitorCounts gets its own evaluation pass.
-	if out.PollutedBeforeDetection == nil {
-		monitors, err := pickMonitors(g, latencyCount, cfg.Policy, cfg.Seed)
+	return out, nil
+}
+
+// attackDraw parameterizes drawEffectiveAttacks.
+type attackDraw struct {
+	what     string // names the sweep in errors ("detection sweep")
+	pairs    int    // effective attacks wanted
+	budget   int    // candidate draws allowed in total
+	prepend  int
+	violate  bool
+	seed     int64
+	workers  int
+	counters *obs.Counters
+}
+
+// drawEffectiveAttacks simulates random interception attacks — victim and
+// attacker uniform over all ASes — until d.pairs of them are effective,
+// and returns those in draw order. Candidates are drawn in chunks of
+// d.pairs from one rng stream, so the k-th candidate is identical
+// regardless of the chunking and the usable set matches a
+// draw-everything-upfront sweep, while stopping after ≈pairs simulations;
+// d.budget only bounds how far redraws may reach. An attack must actually
+// capture someone to count: one that changes no routes is a no-op —
+// unobservable and harmless — and would only dilute a detection
+// denominator. Unreachable attackers and no-op attacks are skipped and
+// counted; anything else is fatal. Fewer than pairs/2 effective attacks
+// within the budget is an error.
+func drawEffectiveAttacks(ctx context.Context, g *topology.Graph, d attackDraw) ([]*core.Impact, error) {
+	rng := rand.New(rand.NewSource(d.seed))
+	asns := g.ASNs()
+	cache := NewBaselineCache(g, d.counters, 0, 0)
+	usable := make([]*core.Impact, 0, d.pairs)
+	for drawn := 0; len(usable) < d.pairs && drawn < d.budget; {
+		chunk := make([]core.Scenario, 0, d.pairs)
+		for len(chunk) < d.pairs && drawn < d.budget {
+			v := asns[rng.Intn(len(asns))]
+			m := asns[rng.Intn(len(asns))]
+			if v != m {
+				chunk = append(chunk, core.Scenario{Victim: v, Attacker: m, Prepend: d.prepend, ViolateValleyFree: d.violate})
+				drawn++
+			}
+		}
+		impacts, err := parallel.MapErr(ctx, len(chunk), d.workers, func(i int) (*core.Impact, error) {
+			sc := chunk[i]
+			base, err := cache.Get(sc.Victim, sc.Prepend)
+			if err != nil {
+				return nil, baselineError(sc.Victim, sc.Prepend, err)
+			}
+			im, err := core.SimulateWithBaseline(g, sc, base, d.counters)
+			if routing.Skippable(err) {
+				d.counters.AddSkippedUnreachable(1)
+				return nil, nil // skippable draw; redrawn from the stream
+			}
+			if err != nil {
+				return nil, fmt.Errorf("pair %v/%v: %w", sc.Victim, sc.Attacker, err)
+			}
+			if len(im.NewlyPolluted()) == 0 {
+				d.counters.AddSkippedIneffective(1)
+				return nil, nil
+			}
+			return im, nil
+		})
 		if err != nil {
-			return nil, err
+			return nil, sweepError(d.what, err)
 		}
-		evals, cerr := parallel.MapScratchErr(ctx, len(usable), cfg.Workers, detect.NewEvalScratch,
-			func(sc *detect.EvalScratch, i int) (detect.EvalResult, error) {
-				return detect.EvaluateScratch(usable[i], monitors, rels, sc), nil
-			})
-		if cerr != nil {
-			return nil, fmt.Errorf("experiment: latency evaluation cancelled: %w", cerr)
-		}
-		out.PollutedBeforeDetection = make([]float64, len(evals))
-		out.LatencyDetected = make([]bool, len(evals))
-		for i, ev := range evals {
-			out.PollutedBeforeDetection[i] = ev.PollutedBeforeDetection
-			out.LatencyDetected[i] = ev.Detected
+		for _, im := range impacts {
+			if im != nil && len(usable) < d.pairs {
+				usable = append(usable, im)
+			}
 		}
 	}
-	return out, nil
+	if len(usable) < d.pairs/2 {
+		return nil, fmt.Errorf("experiment: %s: only %d usable attack pairs", d.what, len(usable))
+	}
+	return usable, nil
 }
 
 func pickMonitors(g *topology.Graph, d int, policy MonitorPolicy, seed int64) ([]bgp.ASN, error) {

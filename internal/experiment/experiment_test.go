@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func expGraph(t testing.TB, n int, seed int64) *topology.Graph {
 
 func TestSamplePairsTier1(t *testing.T) {
 	g := expGraph(t, 500, 31)
-	pairs, err := SamplePairs(g, PairConfig{
+	pairs, err := SamplePairsCtx(context.Background(), g, PairConfig{
 		Kind: PairsTier1, N: 30, Prepend: 3, Seed: 1,
 	})
 	if err != nil {
@@ -54,11 +55,11 @@ func TestSamplePairsRandomWeakerThanTier1(t *testing.T) {
 	// Paper Figs. 7 vs 8: random (mostly edge) attacker/victim pairs are
 	// less effective than tier-1 pairs on average.
 	g := expGraph(t, 500, 31)
-	t1, err := SamplePairs(g, PairConfig{Kind: PairsTier1, N: 25, Prepend: 3, Seed: 2})
+	t1, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsTier1, N: 25, Prepend: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 2})
+	rnd, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestSamplePairsRandomWeakerThanTier1(t *testing.T) {
 func TestSamplePairsDeterministic(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	cfg := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 4}
-	a, err := SamplePairs(g, cfg)
+	a, err := SamplePairsCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SamplePairs(g, cfg)
+	b, err := SamplePairsCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +95,13 @@ func TestSamplePairsDeterministic(t *testing.T) {
 
 func TestSamplePairsValidation(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	if _, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: 0, Prepend: 3}); err == nil {
+	if _, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 0, Prepend: 3}); err == nil {
 		t.Error("N=0 accepted")
 	}
-	if _, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: 5, Prepend: 0}); err == nil {
+	if _, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 5, Prepend: 0}); err == nil {
 		t.Error("λ=0 accepted")
 	}
-	if _, err := SamplePairs(g, PairConfig{Kind: 99, N: 5, Prepend: 3}); err == nil {
+	if _, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: 99, N: 5, Prepend: 3}); err == nil {
 		t.Error("bad kind accepted")
 	}
 }
@@ -117,7 +118,7 @@ func TestSweepPrependMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := SweepPrepend(g, victim, attacker, 8, false, 0)
+	points, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 8})
 	if err != nil {
 		t.Fatalf("SweepPrepend: %v", err)
 	}
@@ -157,11 +158,11 @@ func TestSweepViolateBeatsFollowForStubAttacker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follow, err := SweepPrepend(g, victim, attacker, 8, false, 0)
+	follow, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	violate, err := SweepPrepend(g, victim, attacker, 8, true, 0)
+	violate, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestRunDetectionAccuracyGrowsWithMonitors(t *testing.T) {
 		Policy:        MonitorsTopDegree,
 		Seed:          1,
 	}
-	out, err := RunDetection(g, cfg)
+	out, err := RunDetectionCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("RunDetection: %v", err)
 	}
@@ -267,11 +268,11 @@ func TestRunDetectionRandomMonitorsWeaker(t *testing.T) {
 	top.Policy = MonitorsTopDegree
 	rnd := base
 	rnd.Policy = MonitorsRandom
-	outTop, err := RunDetection(g, top)
+	outTop, err := RunDetectionCtx(context.Background(), g, top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outRnd, err := RunDetection(g, rnd)
+	outRnd, err := RunDetectionCtx(context.Background(), g, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +284,10 @@ func TestRunDetectionRandomMonitorsWeaker(t *testing.T) {
 
 func TestRunDetectionValidation(t *testing.T) {
 	g := expGraph(t, 300, 38)
-	if _, err := RunDetection(g, DetectionConfig{Pairs: 10, Prepend: 3}); err == nil {
+	if _, err := RunDetectionCtx(context.Background(), g, DetectionConfig{Pairs: 10, Prepend: 3}); err == nil {
 		t.Error("empty monitor counts accepted")
 	}
-	if _, err := RunDetection(g, DetectionConfig{MonitorCounts: []int{10}, Pairs: 10, Prepend: 1}); err == nil {
+	if _, err := RunDetectionCtx(context.Background(), g, DetectionConfig{MonitorCounts: []int{10}, Pairs: 10, Prepend: 1}); err == nil {
 		t.Error("λ=1 accepted (nothing to strip)")
 	}
 }
@@ -390,7 +391,7 @@ func TestCompareAttackTypes(t *testing.T) {
 	cfg := DefaultCompareConfig()
 	cfg.Pairs = 15
 	cfg.Monitors = 60
-	out, err := CompareAttackTypes(g, cfg)
+	out, err := CompareAttackTypesCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("CompareAttackTypes: %v", err)
 	}
@@ -440,10 +441,10 @@ func TestCompareAttackTypes(t *testing.T) {
 
 func TestCompareAttackTypesValidation(t *testing.T) {
 	g := expGraph(t, 300, 62)
-	if _, err := CompareAttackTypes(g, CompareConfig{Pairs: 0, Prepend: 3, Monitors: 10}); err == nil {
+	if _, err := CompareAttackTypesCtx(context.Background(), g, CompareConfig{Pairs: 0, Prepend: 3, Monitors: 10}); err == nil {
 		t.Error("zero pairs accepted")
 	}
-	if _, err := CompareAttackTypes(g, CompareConfig{Pairs: 5, Prepend: 1, Monitors: 10}); err == nil {
+	if _, err := CompareAttackTypesCtx(context.Background(), g, CompareConfig{Pairs: 5, Prepend: 1, Monitors: 10}); err == nil {
 		t.Error("λ=1 accepted")
 	}
 }
@@ -452,7 +453,7 @@ func TestSusceptibilityMatrix(t *testing.T) {
 	g := expGraph(t, 500, 63)
 	cfg := DefaultSusceptibilityConfig()
 	cfg.PairsPerCell = 8
-	cells, err := SusceptibilityMatrix(g, cfg)
+	cells, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("SusceptibilityMatrix: %v", err)
 	}
@@ -492,10 +493,10 @@ func TestSusceptibilityMatrix(t *testing.T) {
 
 func TestSusceptibilityValidation(t *testing.T) {
 	g := expGraph(t, 300, 64)
-	if _, err := SusceptibilityMatrix(g, SusceptibilityConfig{PairsPerCell: 0, MaxTier: 3, Prepend: 3}); err == nil {
+	if _, err := SusceptibilityMatrixCtx(context.Background(), g, SusceptibilityConfig{PairsPerCell: 0, MaxTier: 3, Prepend: 3}); err == nil {
 		t.Error("zero pairs accepted")
 	}
-	if _, err := SusceptibilityMatrix(g, SusceptibilityConfig{PairsPerCell: 3, MaxTier: 1, Prepend: 3}); err == nil {
+	if _, err := SusceptibilityMatrixCtx(context.Background(), g, SusceptibilityConfig{PairsPerCell: 3, MaxTier: 1, Prepend: 3}); err == nil {
 		t.Error("MaxTier=1 accepted")
 	}
 }

@@ -16,8 +16,6 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
-	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -42,7 +40,7 @@ type PairImpact struct {
 	Before, After float64
 }
 
-// PairConfig parameterizes SamplePairs.
+// PairConfig parameterizes SamplePairsCtx.
 type PairConfig struct {
 	Kind    PairKind
 	N       int // number of hijack instances
@@ -55,45 +53,34 @@ type PairConfig struct {
 	// delta propagation against the cached baselines.
 	Engine core.EngineKind
 	// Counters optionally collects sweep telemetry (propagations per
-	// engine, cache hits, skipped draws). One Counters per sweep; nil
-	// disables recording.
+	// engine, cache hits, skipped draws, memory gauges). One Counters per
+	// sweep; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 warms each chunk's baselines through the lane-batched
-	// engine (BaselineCache.WarmBatch) in groups of Batch before the
-	// workers fan out, and runs the attack legs Batch lanes at a time on
-	// the batched delta engine (core.DeltaBatchRunner) — draws grouped
-	// by their shared (victim, λ) baseline, output byte-identical to the
-	// serial path. EngineFull keeps the attack legs serial (the
-	// ablation), as do sibling topologies. 0 or 1 keeps everything
-	// lazy/serial.
+	// Batch > 1 warms each lane window's baselines through the
+	// lane-batched engine (BaselineCache.WarmBatch) and runs the attack
+	// legs Batch lanes at a time on the batched delta engine
+	// (core.DeltaBatchRunner) — draws grouped by their shared (victim, λ)
+	// baseline, output byte-identical to the serial legs. EngineFull
+	// keeps the attack legs serial (the ablation), as do sibling
+	// topologies. 0 or 1 keeps everything lazy/serial.
 	Batch int
-	// Shards > 0 partitions the candidate space by victim into that many
-	// shards, each owning a private byte-budgeted BaselineCache, and
-	// dispatches shards across the worker pool (DESIGN §5f). Output is
-	// byte-identical to the unsharded path at any shard count. 0 with no
-	// MemBudget keeps the legacy shared-cache path.
+	// Shards partitions the candidate space by victim into that many
+	// shards, each owning a private BaselineCache, dispatched across the
+	// worker pool (DESIGN §5f). Output is byte-identical at every shard
+	// count. 0 selects one shard per worker.
 	Shards int
 	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction)
 	// and adaptively narrows the attack-leg lane width to fit
-	// (routing.AdaptiveLaneWidthBudget). MemBudget alone implies one
-	// budgeted shard; 0 means unbounded.
+	// (routing.AdaptiveLaneWidthBudget). MemBudget with Shards == 0
+	// implies one budgeted shard; 0 means unbounded.
 	MemBudget int64
 }
 
-// SamplePairs simulates cfg.N interception instances with independently
+// SamplePairsCtx simulates cfg.N interception instances with independently
 // drawn pairs and returns them ranked by pollution (the paper's Figs. 7-8
-// presentation). Pairs where the attacker never receives the route are
-// redrawn, up to a generous retry budget.
-func SamplePairs(g *topology.Graph, cfg PairConfig) ([]PairImpact, error) {
-	return SamplePairsCtx(context.Background(), g, cfg)
-}
-
-// SamplePairsCtx is SamplePairs with cooperative cancellation. The sweep
-// runs on the allocation-free path: each worker owns one routing.Scratch
-// for its whole share of the instances, and baselines are memoized per
-// (victim, λ) in a BaselineCache shared read-only across workers. On
-// cancellation it returns (nil, ctx.Err()): in-flight instances drain
-// deterministically but no partial ranking is produced.
+// presentation). Baselines are memoized per (victim, λ) and the attack
+// legs run on per-shard scratch state (see legRunner). On cancellation it
+// returns (nil, ctx.Err()): no partial ranking is produced.
 //
 // Candidates are drained in chunks of N from one deterministic draw
 // stream, stopping as soon as N usable instances exist — with no skipped
@@ -129,24 +116,29 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 	budget := cfg.N * 20
 	var (
 		drawn      int
-		seen       = make(map[pairDraw]bool, cfg.N)
+		seen       = make(map[[2]bgp.ASN]bool, cfg.N)
 		maxOrdered = len(pool) * (len(pool) - 1)
 		exhausted  bool
 	)
-	nextChunk := func(size int) []pairDraw {
-		chunk := make([]pairDraw, 0, size)
+	nextChunk := func(size int) []core.Scenario {
+		chunk := make([]core.Scenario, 0, size)
 		for len(chunk) < size && drawn < budget && !exhausted {
 			v := pool[rng.Intn(len(pool))]
 			m := pool[rng.Intn(len(pool))]
 			if v == m {
 				continue
 			}
-			p := pairDraw{v, m}
+			p := [2]bgp.ASN{v, m}
 			if cfg.Kind == PairsTier1 && seen[p] {
 				continue // tier-1 pool is small; avoid duplicate instances
 			}
 			seen[p] = true
-			chunk = append(chunk, p)
+			chunk = append(chunk, core.Scenario{
+				Victim:            v,
+				Attacker:          m,
+				Prepend:           cfg.Prepend,
+				ViolateValleyFree: cfg.Violate,
+			})
 			drawn++
 			if cfg.Kind == PairsTier1 && len(seen) == maxOrdered {
 				exhausted = true // all ordered tier-1 pairs drawn
@@ -155,26 +147,14 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		return chunk
 	}
 
-	nShards, err := normalizeShards(cfg.Shards, cfg.MemBudget)
+	// Shard states (and their caches) persist across chunks, so repeated
+	// victims stay warm.
+	r, err := newLegRunner(g, legOptions{
+		what: "pair sweep", engine: cfg.Engine, batch: cfg.Batch, shards: cfg.Shards,
+		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
+	})
 	if err != nil {
 		return nil, err
-	}
-	var (
-		ss       *shardSet
-		cache    *BaselineCache
-		warmBS   *routing.BatchScratch
-		warmKeys []BaselineKey
-	)
-	if nShards > 0 {
-		// Sharded path: shard states (and their caches) persist across
-		// chunks so repeated victims stay warm; gauges are recorded and
-		// caches released when the sweep completes.
-		ss = newShardSet(g, nShards, cfg.MemBudget, cfg.Batch, cfg.Counters)
-	} else {
-		cache = NewBaselineCacheObs(g, cfg.Counters)
-		if cfg.Batch > 1 {
-			warmBS = routing.NewBatchScratch()
-		}
 	}
 	out := make([]PairImpact, 0, cfg.N)
 	for len(out) < cfg.N {
@@ -182,131 +162,26 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		if len(chunk) == 0 {
 			break // retry budget or pair space exhausted
 		}
-		if ss != nil {
-			results, serr := ss.runPairChunk(ctx, cfg, chunk)
-			if serr != nil {
-				return nil, sweepError("pair sweep", serr)
-			}
-			for _, r := range results {
-				if r == nil {
-					continue
-				}
-				out = append(out, *r)
-				if len(out) == cfg.N {
-					break
-				}
-			}
-			continue
+		counts, done, err := r.run(ctx, chunk, true)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.Batch > 1 {
-			// Warm the chunk's baselines in lane groups. WarmBatch skips
-			// keys already cached, so repeated victims across chunks cost
-			// nothing and duplicates within a group collapse.
-			warmKeys = warmKeys[:0]
-			for _, p := range chunk {
-				warmKeys = append(warmKeys, BaselineKey{Origin: p.v, Lambda: cfg.Prepend})
+		for i, sc := range chunk {
+			if !done[i] {
+				continue // skippable draw; redrawn from the stream
 			}
-			for start := 0; start < len(warmKeys); start += cfg.Batch {
-				end := min(start+cfg.Batch, len(warmKeys))
-				if err := cache.WarmBatch(warmKeys[start:end], warmBS); err != nil {
-					return nil, err
-				}
-			}
-		}
-		var results []*PairImpact
-		if useBatchLegs(g, cfg.Batch, cfg.Engine) {
-			// Batched attack legs: resolve the chunk's (warmed) baselines
-			// and pre-filter unreachable attackers here — the same draws
-			// the serial path skips, counted identically — then run the
-			// usable draws as lane groups sharing their victims' baselines.
-			results = make([]*PairImpact, len(chunk))
-			scs := make([]core.Scenario, 0, len(chunk))
-			bases := make([]*routing.Result, 0, len(chunk))
-			idxs := make([]int, 0, len(chunk))
-			for ci, p := range chunk {
-				base, err := cache.Get(p.v, cfg.Prepend)
-				if err != nil {
-					// Fatal: the failure is per-victim and memoized — it
-					// would repeat for every pair sharing this victim.
-					return nil, baselineError(p.v, cfg.Prepend, err)
-				}
-				if !base.Reachable(p.m) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					continue // skippable draw; redrawn from the stream
-				}
-				scs = append(scs, core.Scenario{
-					Victim:            p.v,
-					Attacker:          p.m,
-					Prepend:           cfg.Prepend,
-					ViolateValleyFree: cfg.Violate,
-				})
-				bases = append(bases, base)
-				idxs = append(idxs, ci)
-			}
-			counts, err := runBatchedAttackLegs(ctx, g, scs, bases, cfg.Batch, cfg.Workers, cfg.Counters)
-			if err != nil {
-				return nil, sweepError("pair sweep", err)
-			}
-			for j, ci := range idxs {
-				p := chunk[ci]
-				results[ci] = &PairImpact{
-					Victim:     p.v,
-					Attacker:   p.m,
-					VictimTier: g.Tier(p.v),
-					AttackTier: g.Tier(p.m),
-					Before:     counts[j].Before(),
-					After:      counts[j].After(),
-				}
-			}
-		} else {
-			var cerr error
-			results, cerr = parallel.MapScratchErr(ctx, len(chunk), cfg.Workers, routing.NewScratch,
-				func(s *routing.Scratch, i int) (*PairImpact, error) {
-					p := chunk[i]
-					base, err := cache.Get(p.v, cfg.Prepend)
-					if err != nil {
-						// Fatal: the failure is per-victim and memoized — it
-						// would repeat for every pair sharing this victim.
-						return nil, baselineError(p.v, cfg.Prepend, err)
-					}
-					c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-						Victim:            p.v,
-						Attacker:          p.m,
-						Prepend:           cfg.Prepend,
-						ViolateValleyFree: cfg.Violate,
-					}, base, s, cfg.Engine, cfg.Counters)
-					if routing.Skippable(err) {
-						cfg.Counters.AddSkippedUnreachable(1)
-						return nil, nil // skippable draw; redrawn from the stream
-					}
-					if err != nil {
-						return nil, fmt.Errorf("pair %v/%v: %w", p.v, p.m, err)
-					}
-					return &PairImpact{
-						Victim:     p.v,
-						Attacker:   p.m,
-						VictimTier: g.Tier(p.v),
-						AttackTier: g.Tier(p.m),
-						Before:     c.Before(),
-						After:      c.After(),
-					}, nil
-				})
-			if cerr != nil {
-				return nil, sweepError("pair sweep", cerr)
-			}
-		}
-		for _, r := range results {
-			if r == nil {
-				continue
-			}
-			out = append(out, *r)
+			out = append(out, PairImpact{
+				Victim:     sc.Victim,
+				Attacker:   sc.Attacker,
+				VictimTier: g.Tier(sc.Victim),
+				AttackTier: g.Tier(sc.Attacker),
+				Before:     counts[i].Before(),
+				After:      counts[i].After(),
+			})
 			if len(out) == cfg.N {
 				break
 			}
 		}
-	}
-	if ss != nil {
-		ss.finish(cfg.Counters)
 	}
 	if len(out) < cfg.N {
 		return out, fmt.Errorf("experiment: only %d of %d instances usable", len(out), cfg.N)
@@ -330,32 +205,6 @@ type SweepPoint struct {
 	Before, After float64
 }
 
-// SweepPrepend simulates one victim/attacker pair for λ = 1..maxLambda
-// (paper Figs. 9-12). Steps run concurrently; results are index-ordered.
-func SweepPrepend(g *topology.Graph, victim, attacker bgp.ASN, maxLambda int, violate bool, workers int) ([]SweepPoint, error) {
-	return SweepPrependCtx(context.Background(), g, victim, attacker, maxLambda, violate, workers)
-}
-
-// SweepPrependCtx is SweepPrepend with cooperative cancellation, running
-// each λ step on a worker-owned routing.Scratch with the default engine
-// policy. Returns (nil, ctx.Err()) when cancelled.
-func SweepPrependCtx(ctx context.Context, g *topology.Graph, victim, attacker bgp.ASN, maxLambda int, violate bool, workers int) ([]SweepPoint, error) {
-	return SweepPrependEngineCtx(ctx, g, victim, attacker, maxLambda, violate, workers, core.EngineAuto)
-}
-
-// SweepPrependEngineCtx is SweepPrependCtx with an explicit engine choice
-// (the asppbench -engine ablation).
-func SweepPrependEngineCtx(ctx context.Context, g *topology.Graph, victim, attacker bgp.ASN, maxLambda int, violate bool, workers int, engine core.EngineKind) ([]SweepPoint, error) {
-	return SweepPrependCfgCtx(ctx, g, SweepConfig{
-		Victim:    victim,
-		Attacker:  attacker,
-		MaxLambda: maxLambda,
-		Violate:   violate,
-		Workers:   workers,
-		Engine:    engine,
-	})
-}
-
 // SweepConfig parameterizes SweepPrependCfgCtx.
 type SweepConfig struct {
 	Victim, Attacker bgp.ASN
@@ -365,105 +214,59 @@ type SweepConfig struct {
 	Engine           core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 precomputes the victim's λ = 1..MaxLambda baselines as
-	// lanes of batched propagations (groups of Batch) before the λ steps
-	// fan out, and runs the λ steps' attack legs Batch lanes at a time
-	// on the batched delta engine — each lane reading its own λ's
-	// baseline, output identical to the serial path. EngineFull and
+	// Batch > 1 computes the victim's baselines as lanes of batched
+	// propagations and runs the λ steps' attack legs Batch lanes at a
+	// time on the batched delta engine — each lane reading its own λ's
+	// baseline, output identical to the serial legs. EngineFull and
 	// sibling topologies keep the attack legs serial. 0 or 1 keeps
 	// everything lazy/serial.
 	Batch int
-	// Shards > 0 splits λ = 1..MaxLambda into contiguous blocks, one
-	// budgeted shard cache per block (DESIGN §5f); output byte-identical
-	// at any shard count. MemBudget caps each shard's cache bytes and
-	// narrows the lane width to fit; MemBudget alone implies one budgeted
-	// shard.
+	// Shards splits λ = 1..MaxLambda into that many contiguous blocks,
+	// one shard cache per block (DESIGN §5f); output byte-identical at
+	// every shard count, 0 selects one shard per worker. MemBudget caps
+	// each shard's cache bytes and narrows the lane width to fit;
+	// MemBudget with Shards == 0 implies one budgeted shard.
 	Shards    int
 	MemBudget int64
 }
 
 // SweepPrependCfgCtx simulates one victim/attacker pair for
-// λ = 1..MaxLambda. Each λ step's no-attack baseline is memoized per
-// (victim, λ) in a BaselineCache and the attack leg is recomputed against
-// it — incrementally under the delta engine, which only re-walks the
+// λ = 1..MaxLambda (paper Figs. 9-12). Each λ step's no-attack baseline is
+// memoized per (victim, λ) and the attack leg is recomputed against it —
+// incrementally under the delta engine, which only re-walks the
 // attacker's cone. For a single fixed pair there is nothing to redraw, so
 // the error contract is all-fatal: any step failing (even an unreachable
-// attacker) aborts the sweep with the lowest-λ error.
+// attacker) aborts the sweep with the lowest-λ error. Returns
+// (nil, ctx.Err()) when cancelled.
 func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig) ([]SweepPoint, error) {
 	if cfg.MaxLambda < 1 {
 		return nil, errors.New("experiment: maxLambda must be >= 1")
 	}
-	if nShards, err := normalizeShards(cfg.Shards, cfg.MemBudget); err != nil {
+	r, err := newLegRunner(g, legOptions{
+		what:   fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
+		engine: cfg.Engine, batch: cfg.Batch, shards: cfg.Shards,
+		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
+		allFatal: true,
+	})
+	if err != nil {
 		return nil, err
-	} else if nShards > 0 {
-		return runShardedSweep(ctx, g, cfg, nShards)
 	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	if cfg.Batch > 1 {
-		keys := make([]BaselineKey, cfg.MaxLambda)
-		for i := range keys {
-			keys[i] = BaselineKey{Origin: cfg.Victim, Lambda: i + 1}
-		}
-		bs := routing.NewBatchScratch()
-		for start := 0; start < len(keys); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(keys))
-			if err := cache.WarmBatch(keys[start:end], bs); err != nil {
-				return nil, err
-			}
+	legs := make([]core.Scenario, cfg.MaxLambda)
+	for i := range legs {
+		legs[i] = core.Scenario{
+			Victim:            cfg.Victim,
+			Attacker:          cfg.Attacker,
+			Prepend:           i + 1,
+			ViolateValleyFree: cfg.Violate,
 		}
 	}
-	if useBatchLegs(g, cfg.Batch, cfg.Engine) {
-		// Resolve baselines and check attacker reachability in ascending
-		// λ order, preserving the all-fatal lowest-λ-first error contract
-		// before the lanes fan out.
-		scs := make([]core.Scenario, cfg.MaxLambda)
-		bases := make([]*routing.Result, cfg.MaxLambda)
-		for i := 0; i < cfg.MaxLambda; i++ {
-			base, err := cache.Get(cfg.Victim, i+1)
-			if err != nil {
-				return nil, baselineError(cfg.Victim, i+1, err)
-			}
-			if !base.Reachable(cfg.Attacker) {
-				return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
-					fmt.Errorf("λ=%d: %w", i+1, core.ErrAttackerSeesNoRoute))
-			}
-			scs[i] = core.Scenario{
-				Victim:            cfg.Victim,
-				Attacker:          cfg.Attacker,
-				Prepend:           i + 1,
-				ViolateValleyFree: cfg.Violate,
-			}
-			bases[i] = base
-		}
-		counts, err := runBatchedAttackLegs(ctx, g, scs, bases, cfg.Batch, cfg.Workers, cfg.Counters)
-		if err != nil {
-			return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker), err)
-		}
-		points := make([]SweepPoint, cfg.MaxLambda)
-		for i, c := range counts {
-			points[i] = SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}
-		}
-		return points, nil
+	counts, _, err := r.run(ctx, legs, false)
+	if err != nil {
+		return nil, err
 	}
-	points, cerr := parallel.MapScratchErr(ctx, cfg.MaxLambda, cfg.Workers, routing.NewScratch,
-		func(s *routing.Scratch, i int) (SweepPoint, error) {
-			base, err := cache.Get(cfg.Victim, i+1)
-			if err != nil {
-				return SweepPoint{}, baselineError(cfg.Victim, i+1, err)
-			}
-			c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-				Victim:            cfg.Victim,
-				Attacker:          cfg.Attacker,
-				Prepend:           i + 1,
-				ViolateValleyFree: cfg.Violate,
-			}, base, s, cfg.Engine, cfg.Counters)
-			if err != nil {
-				return SweepPoint{}, fmt.Errorf("λ=%d: %w", i+1, err)
-			}
-			return SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}, nil
-		})
-	if cerr != nil {
-		return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker), cerr)
+	points := make([]SweepPoint, len(counts))
+	for i, c := range counts {
+		points[i] = SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}
 	}
 	return points, nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"aspp/internal/bgp"
@@ -13,46 +14,69 @@ import (
 	"aspp/internal/topology"
 )
 
-// Sharded sweeps (DESIGN §5f). At Internet scale (n ≈ 80k) the sweep
-// working set, not propagation speed, is the binding constraint: a shared
-// BaselineCache holds one ~0.9 MB Result per distinct (victim, λ) for the
-// whole sweep — O(victims × n) bytes. The shard layer partitions the
-// candidate space by VICTIM (every candidate of a victim lands in one
-// shard, so each baseline is still computed once), gives each shard a
-// private byte-budgeted BaselineCache plus persistent scratch state, and
-// dispatches shards across the worker pool with parallel.ForEachErr.
-// Results are written index-addressed into the caller's candidate-order
-// storage, so the merged output — and therefore the TSV — is
-// byte-identical to the unsharded path (pinned by the shard-count
-// invariance differential).
+// The leg runner (DESIGN §5f): the one sweep path. Every attack-leg driver
+// — pair sweeps, λ sweeps, the tier matrix, the sibling sweep — generates
+// legs (one core.Scenario per result slot) and hands them to a legRunner,
+// which partitions them into shards so each (victim, λ) baseline lives in
+// exactly one shard, gives each shard a private byte-budgeted
+// BaselineCache plus persistent scratch state, and dispatches shards
+// across the worker pool with parallel.ForEachErr. Results are written
+// index-addressed into leg-order storage, so the merged output — and
+// therefore the TSV — is byte-identical at every shard count (pinned by
+// the shard-count invariance differential).
 //
-// Error contract: within a shard, candidates run in deterministic order
-// and the first failure aborts the shard; across shards ForEachErr
-// returns the lowest-SHARD-INDEX error. This differs from the unsharded
-// path's lowest-candidate-index error only in which of several
-// concurrent failures is reported — both are deterministic under any
-// scheduling. Cancellation is checked between candidates, so a shard
-// abandons mid-work (the mid-shard cancellation test).
+// At Internet scale (n ≈ 80k) the sweep working set, not propagation
+// speed, is the binding constraint: one ~0.9 MB Result per distinct
+// (victim, λ). One sweep's resident set ≈ CSR graph (shared read-only) +
+// shards × (cache + scratch); MemBudget caps the cache term. The
+// cache_bytes gauge records the largest single shard's cache peak,
+// scratch_bytes the largest shard's scratch state. The scale-smoke gate
+// asserts cache_bytes <= MemBudget.
 //
-// Memory model: one sweep resident set ≈ CSR graph (shared read-only) +
-// shards × (cache budget + scratch). The cache_bytes gauge records the
-// largest single shard's cache peak; scratch_bytes the largest shard's
-// scratch state. The scale-smoke gate asserts cache_bytes <= MemBudget.
+// Error contract (DESIGN §6): within a shard, legs run in deterministic
+// order and the first failure aborts the shard; across shards ForEachErr
+// returns the lowest-SHARD-INDEX error — deterministic under any
+// scheduling. Cancellation is checked between lane windows, so a shard
+// abandons mid-work.
 
-// normalizeShards resolves the (Shards, MemBudget) configuration pair:
-// Shards > 0 turns sharding on; MemBudget alone implies one budgeted
-// shard; both zero selects the legacy unsharded path.
-func normalizeShards(shards int, memBudget int64) (int, error) {
+// legOptions is everything a driver tells the runner besides the legs.
+type legOptions struct {
+	what      string // names the sweep in errors ("pair sweep")
+	engine    core.EngineKind
+	batch     int
+	shards    int
+	memBudget int64
+	workers   int
+	counters  *obs.Counters
+	// allFatal marks a fixed-pair sweep with nothing to redraw: an
+	// unreachable attacker fails the sweep instead of skipping the leg,
+	// and legs are partitioned into contiguous index blocks (shard 0 the
+	// lowest), so the lowest-shard error is the lowest-leg error.
+	// Otherwise legs partition by victim hash and unreachable attackers
+	// are skipped and counted.
+	allFatal bool
+}
+
+// normalizeShards resolves the (Shards, MemBudget, Workers) configuration
+// triple to a shard count: an explicit Shards > 0 stands; MemBudget alone
+// implies one budgeted shard; otherwise one shard per effective worker —
+// one shard would serialize the sweep, more only split the caches further.
+func normalizeShards(shards int, memBudget int64, workers int) (int, error) {
 	if shards < 0 {
 		return 0, fmt.Errorf("experiment: shards must be >= 0, got %d", shards)
 	}
 	if memBudget < 0 {
 		return 0, fmt.Errorf("experiment: mem budget must be >= 0, got %d", memBudget)
 	}
-	if shards == 0 && memBudget > 0 {
+	switch {
+	case shards > 0:
+		return shards, nil
+	case memBudget > 0:
 		return 1, nil
+	case workers > 0:
+		return workers, nil
 	}
-	return shards, nil
+	return runtime.GOMAXPROCS(0), nil
 }
 
 // shardOf assigns a victim to a shard by FNV-1a hash — stable across
@@ -75,12 +99,11 @@ func shardOf(v bgp.ASN, nShards int) int {
 // byte-budgeted baseline cache and a DeltaBatchRunner whose BatchScratch
 // doubles as the warm scratch and whose Scratch runs the serial-engine
 // legs. Single-goroutine by construction — ForEachErr hands each shard
-// index to exactly one worker, and successive chunks reusing the state
-// are ordered by the fan-out's completion barrier.
+// index to exactly one worker, and successive runs reusing the state are
+// ordered by the fan-out's completion barrier.
 type shardState struct {
 	cache  *BaselineCache
 	runner *core.DeltaBatchRunner
-	kEff   int // attack-leg lane width / warm group size
 
 	warm  []BaselineKey
 	scs   []core.Scenario
@@ -89,384 +112,147 @@ type shardState struct {
 	outs  []core.Counts
 }
 
-// shardSet is the per-sweep collection of shard states.
-type shardSet struct {
-	g      *topology.Graph
-	states []*shardState
+// legRunner is one sweep's shard states plus the options they run under.
+type legRunner struct {
+	g       *topology.Graph
+	o       legOptions
+	kEff    int  // attack-leg lane width / warm window size
+	batched bool // attack legs ride the batched delta engine
+	shards  []*shardState
 }
 
-// newShardSet builds nShards shard states for a sweep over g. The
-// attack-leg lane width is min(batch, AdaptiveLaneWidthBudget): with a
-// byte budget the lanes narrow so the lane tables plus the warm group's
-// pinned baselines fit it (ROADMAP item 5's adaptive sizing); without
-// one the configured batch width stands. Lane width never changes sweep
-// output — only grouping — so the shard invariance differential holds at
-// any width.
-func newShardSet(g *topology.Graph, nShards int, memBudget int64, batch int, c *obs.Counters) *shardSet {
-	kEff := batch
-	if memBudget > 0 && batch > 1 {
-		if adaptive := routing.AdaptiveLaneWidthBudget(g.NumASes(), memBudget); adaptive < kEff {
-			kEff = adaptive
-		}
-	}
-	if kEff < 1 {
-		kEff = 1
-	}
-	ss := &shardSet{g: g, states: make([]*shardState, nShards)}
-	for i := range ss.states {
-		ss.states[i] = &shardState{
-			cache:  NewBaselineCacheBudget(g, c, memBudget, kEff),
-			runner: core.NewDeltaBatchRunner(),
-			kEff:   kEff,
-		}
-	}
-	c.RecordCSRBytes(g.MemoryBytes())
-	return ss
-}
-
-// recordGauges samples this shard's high-watermarks into the sweep
-// counters: sampled at shard completion, a deterministic point, so the
-// reported values do not depend on scheduling.
-func (st *shardState) recordGauges(c *obs.Counters) {
-	c.RecordCacheBytes(st.cache.PeakBytes())
-	c.RecordScratchBytes(st.runner.BS.MemoryBytes() + st.runner.S.MemoryBytes())
-}
-
-// finish releases every shard cache (recording gauges first) — the
-// end-of-sweep half of the release-after-shard lifecycle for drivers
-// whose shards persist across chunks.
-func (ss *shardSet) finish(c *obs.Counters) {
-	for _, st := range ss.states {
-		st.recordGauges(c)
-		st.cache.Release()
-	}
-}
-
-// warmGroup batch-warms up to kEff keys on the shard's BatchScratch.
-func (st *shardState) warmGroup(keys []BaselineKey) error {
-	for start := 0; start < len(keys); start += st.kEff {
-		end := min(start+st.kEff, len(keys))
-		if err := st.cache.WarmBatch(keys[start:end], st.runner.BS); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushLegs runs the collected scenarios as lanes of one batched delta
-// call and hands (scenario index, counts) pairs to emit. The caller
-// collects at most kEff scenarios between flushes, so the baselines
-// pinned by a flush never exceed one lane group.
-func (st *shardState) flushLegs(g *topology.Graph, c *obs.Counters, emit func(i int, counts core.Counts)) error {
-	if len(st.scs) == 0 {
-		return nil
-	}
-	if cap(st.outs) < len(st.scs) {
-		st.outs = make([]core.Counts, len(st.scs))
-	}
-	outs := st.outs[:len(st.scs)]
-	if err := st.runner.Simulate(g, st.scs, st.bases, outs, c); err != nil {
-		return err
-	}
-	for j, idx := range st.idxs {
-		emit(idx, outs[j])
-	}
-	st.scs, st.bases, st.idxs = st.scs[:0], st.bases[:0], st.idxs[:0]
-	return nil
-}
-
-// pairDraw is one (victim, attacker) candidate of a pair sweep.
-type pairDraw struct{ v, m bgp.ASN }
-
-// runPairChunk executes one candidate chunk of a sharded pair sweep:
-// candidates partition by victim shard, shards fan out across the
-// worker pool, and results land index-addressed in candidate order —
-// exactly the slots the unsharded paths fill.
-func (ss *shardSet) runPairChunk(ctx context.Context, cfg PairConfig, chunk []pairDraw) ([]*PairImpact, error) {
-	results := make([]*PairImpact, len(chunk))
-	perShard := make([][]int, len(ss.states))
-	for ci, p := range chunk {
-		si := shardOf(p.v, len(ss.states))
-		perShard[si] = append(perShard[si], ci)
-	}
-	err := parallel.ForEachErr(ctx, len(ss.states), cfg.Workers, func(si int) error {
-		return ss.states[si].pairShard(ctx, ss.g, cfg, chunk, perShard[si], results)
-	})
+// newLegRunner builds the shard states for a sweep over g. The lane width
+// is min(batch, AdaptiveLaneWidthBudget): with a byte budget the lanes
+// narrow so the lane tables plus the warm window's pinned baselines fit
+// it; without one the configured batch width stands. Lane width never
+// changes sweep output — only grouping. Attack legs batch when the width
+// allows it, except under EngineFull (the serial full-recompute ablation)
+// and on sibling-bearing topologies (which need the message-level
+// Reference engine).
+func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
+	nShards, err := normalizeShards(o.shards, o.memBudget, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	kEff := max(o.batch, 1)
+	if o.memBudget > 0 && kEff > 1 {
+		kEff = max(min(kEff, routing.AdaptiveLaneWidthBudget(g.NumASes(), o.memBudget)), 1)
+	}
+	r := &legRunner{
+		g: g, o: o, kEff: kEff,
+		batched: o.batch > 1 && o.engine != core.EngineFull && !g.HasSiblings(),
+		shards:  make([]*shardState, nShards),
+	}
+	for i := range r.shards {
+		r.shards[i] = &shardState{
+			cache:  NewBaselineCache(g, o.counters, o.memBudget, kEff),
+			runner: core.NewDeltaBatchRunner(),
+		}
+	}
+	o.counters.RecordCSRBytes(g.MemoryBytes())
+	return r, nil
 }
 
-// pairShard runs one shard's share of a chunk. Candidates are grouped by
-// victim (stably, so equal victims keep their draw order) — the FIFO
-// cache then evicts a victim's baseline only after all its candidates
-// ran, and lane groups share baselines maximally. Processing windows of
-// kEff candidates bounds the pinned working set: warm the window's
-// baselines, resolve and pre-filter, flush the accumulated lane group.
-func (st *shardState) pairShard(ctx context.Context, g *topology.Graph, cfg PairConfig, chunk []pairDraw, cis []int, results []*PairImpact) error {
-	if len(cis) == 0 {
-		return nil
-	}
-	sort.SliceStable(cis, func(a, b int) bool { return chunk[cis[a]].v < chunk[cis[b]].v })
-	batched := useBatchLegs(g, cfg.Batch, cfg.Engine)
-	emit := func(ci int, c core.Counts) {
-		p := chunk[ci]
-		results[ci] = &PairImpact{
-			Victim:     p.v,
-			Attacker:   p.m,
-			VictimTier: g.Tier(p.v),
-			AttackTier: g.Tier(p.m),
-			Before:     c.Before(),
-			After:      c.After(),
+// run simulates legs and returns their pollution counts in leg order;
+// done[i] is false for a leg skipped because its attacker never receives
+// the route. Each shard samples its memory high-watermarks into the
+// counters when it completes — a deterministic point, so the reported
+// gauges do not depend on scheduling — and then releases its cache,
+// unless keepWarm says another run over overlapping victims follows.
+func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool) (counts []core.Counts, done []bool, err error) {
+	counts = make([]core.Counts, len(legs))
+	done = make([]bool, len(legs))
+	perShard := make([][]int, len(r.shards))
+	for i, sc := range legs {
+		si := shardOf(sc.Victim, len(r.shards))
+		if r.o.allFatal {
+			si = i * len(r.shards) / len(legs) // contiguous blocks
 		}
-	}
-	for lo := 0; lo < len(cis); lo += st.kEff {
-		window := cis[lo:min(lo+st.kEff, len(cis))]
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cfg.Batch > 1 {
-			st.warm = st.warm[:0]
-			for _, ci := range window {
-				st.warm = append(st.warm, BaselineKey{Origin: chunk[ci].v, Lambda: cfg.Prepend})
-			}
-			if err := st.warmGroup(st.warm); err != nil {
-				return err
-			}
-		}
-		for _, ci := range window {
-			p := chunk[ci]
-			base, err := st.cache.Get(p.v, cfg.Prepend)
-			if err != nil {
-				// Fatal: the failure is per-victim and memoized — it would
-				// repeat for every pair sharing this victim.
-				return baselineError(p.v, cfg.Prepend, err)
-			}
-			if !batched {
-				c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-					Victim:            p.v,
-					Attacker:          p.m,
-					Prepend:           cfg.Prepend,
-					ViolateValleyFree: cfg.Violate,
-				}, base, st.runner.S, cfg.Engine, cfg.Counters)
-				if routing.Skippable(err) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					continue // skippable draw; redrawn from the stream
-				}
-				if err != nil {
-					return fmt.Errorf("pair %v/%v: %w", p.v, p.m, err)
-				}
-				emit(ci, c)
-				continue
-			}
-			if !base.Reachable(p.m) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				continue
-			}
-			st.scs = append(st.scs, core.Scenario{
-				Victim:            p.v,
-				Attacker:          p.m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			})
-			st.bases = append(st.bases, base)
-			st.idxs = append(st.idxs, ci)
-			if len(st.scs) == st.kEff {
-				if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-					return err
-				}
-			}
-		}
-		if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runShardedSweep executes a sharded λ sweep: shards own contiguous λ
-// blocks (shard 0 the lowest), preserving the all-fatal contract's
-// lowest-λ flavor — the lowest shard's error is the lowest-λ error when
-// several fail. Points land index-addressed, so output is byte-identical
-// to the unsharded path.
-func runShardedSweep(ctx context.Context, g *topology.Graph, cfg SweepConfig, nShards int) ([]SweepPoint, error) {
-	if nShards > cfg.MaxLambda {
-		nShards = cfg.MaxLambda
-	}
-	ss := newShardSet(g, nShards, cfg.MemBudget, cfg.Batch, cfg.Counters)
-	block := (cfg.MaxLambda + nShards - 1) / nShards
-	points := make([]SweepPoint, cfg.MaxLambda)
-	err := parallel.ForEachErr(ctx, nShards, cfg.Workers, func(si int) error {
-		loLambda := si*block + 1
-		hiLambda := min(loLambda+block-1, cfg.MaxLambda)
-		if loLambda > hiLambda {
-			return nil
-		}
-		return ss.states[si].sweepShard(ctx, g, cfg, loLambda, hiLambda, points)
-	})
-	ss.finish(cfg.Counters)
-	if err != nil {
-		return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker), err)
-	}
-	return points, nil
-}
-
-// sweepShard runs λ = lo..hi of a sharded prepend sweep in ascending
-// order (all-fatal: the first failing λ aborts the shard).
-func (st *shardState) sweepShard(ctx context.Context, g *topology.Graph, cfg SweepConfig, lo, hi int, points []SweepPoint) error {
-	batched := useBatchLegs(g, cfg.Batch, cfg.Engine)
-	emit := func(i int, c core.Counts) {
-		points[i] = SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}
-	}
-	for wlo := lo; wlo <= hi; wlo += st.kEff {
-		whi := min(wlo+st.kEff-1, hi)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cfg.Batch > 1 {
-			st.warm = st.warm[:0]
-			for l := wlo; l <= whi; l++ {
-				st.warm = append(st.warm, BaselineKey{Origin: cfg.Victim, Lambda: l})
-			}
-			if err := st.warmGroup(st.warm); err != nil {
-				return err
-			}
-		}
-		for l := wlo; l <= whi; l++ {
-			base, err := st.cache.Get(cfg.Victim, l)
-			if err != nil {
-				return baselineError(cfg.Victim, l, err)
-			}
-			sc := core.Scenario{
-				Victim:            cfg.Victim,
-				Attacker:          cfg.Attacker,
-				Prepend:           l,
-				ViolateValleyFree: cfg.Violate,
-			}
-			if !batched {
-				c, err := core.SimulateCountsEngineObs(g, sc, base, st.runner.S, cfg.Engine, cfg.Counters)
-				if err != nil {
-					return fmt.Errorf("λ=%d: %w", l, err)
-				}
-				emit(l-1, c)
-				continue
-			}
-			if !base.Reachable(cfg.Attacker) {
-				return fmt.Errorf("λ=%d: %w", l, core.ErrAttackerSeesNoRoute)
-			}
-			st.scs = append(st.scs, sc)
-			st.bases = append(st.bases, base)
-			st.idxs = append(st.idxs, l-1)
-			if len(st.scs) == st.kEff {
-				if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-					return err
-				}
-			}
-		}
-		if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// susJob is one pre-drawn susceptibility instance.
-type susJob struct {
-	vTier, aTier int
-	v, m         bgp.ASN
-}
-
-// runShardedSusceptibility fills fractions (index-addressed, -1 = skip)
-// for the pre-drawn jobs: jobs partition by victim shard, and each
-// shard's cache is released as soon as the shard completes — the full
-// release-after-shard lifecycle, since every job runs exactly once.
-func runShardedSusceptibility(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig, nShards int, jobs []susJob) ([]float64, error) {
-	ss := newShardSet(g, nShards, cfg.MemBudget, cfg.Batch, cfg.Counters)
-	fractions := make([]float64, len(jobs))
-	for i := range fractions {
-		fractions[i] = -1
-	}
-	perShard := make([][]int, nShards)
-	for i, j := range jobs {
-		si := shardOf(j.v, nShards)
 		perShard[si] = append(perShard[si], i)
 	}
-	err := parallel.ForEachErr(ctx, nShards, cfg.Workers, func(si int) error {
-		st := ss.states[si]
-		serr := st.susShard(ctx, g, cfg, jobs, perShard[si], fractions)
-		st.recordGauges(cfg.Counters)
-		st.cache.Release()
+	err = parallel.ForEachErr(ctx, len(r.shards), r.o.workers, func(si int) error {
+		st := r.shards[si]
+		serr := r.runShard(ctx, st, legs, perShard[si], counts, done)
+		r.o.counters.RecordCacheBytes(st.cache.PeakBytes())
+		r.o.counters.RecordScratchBytes(st.runner.BS.MemoryBytes() + st.runner.S.MemoryBytes())
+		if !keepWarm {
+			st.cache.Release()
+		}
 		return serr
 	})
 	if err != nil {
-		return nil, sweepError("susceptibility sweep", err)
+		return nil, nil, sweepError(r.o.what, err)
 	}
-	return fractions, nil
+	return counts, done, nil
 }
 
-// susShard runs one shard's share of the susceptibility jobs, grouped by
-// victim exactly as pairShard groups candidates.
-func (st *shardState) susShard(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig, jobs []susJob, jis []int, fractions []float64) error {
-	if len(jis) == 0 {
-		return nil
-	}
-	sort.SliceStable(jis, func(a, b int) bool { return jobs[jis[a]].v < jobs[jis[b]].v })
-	batched := useBatchLegs(g, cfg.Batch, cfg.Engine)
-	emit := func(ji int, c core.Counts) { fractions[ji] = c.After() }
-	for lo := 0; lo < len(jis); lo += st.kEff {
-		window := jis[lo:min(lo+st.kEff, len(jis))]
+// runShard runs one shard's share of the legs. They are grouped by
+// (victim, λ) — the FIFO cache then evicts a baseline only after all its
+// legs ran, and lane groups share baselines maximally — and processed in
+// windows of kEff, which bounds the pinned working set: warm the window's
+// baselines, resolve them and pre-filter unreachable attackers, run the
+// legs (serially, or as the lanes of one batched delta call).
+func (r *legRunner) runShard(ctx context.Context, st *shardState, legs []core.Scenario, idx []int, counts []core.Counts, done []bool) error {
+	sort.SliceStable(idx, func(a, b int) bool {
+		la, lb := legs[idx[a]], legs[idx[b]]
+		if la.Victim != lb.Victim {
+			return la.Victim < lb.Victim
+		}
+		return la.Prepend < lb.Prepend
+	})
+	for lo := 0; lo < len(idx); lo += r.kEff {
+		window := idx[lo:min(lo+r.kEff, len(idx))]
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if cfg.Batch > 1 {
+		if r.o.batch > 1 {
 			st.warm = st.warm[:0]
-			for _, ji := range window {
-				st.warm = append(st.warm, BaselineKey{Origin: jobs[ji].v, Lambda: cfg.Prepend})
+			for _, i := range window {
+				st.warm = append(st.warm, BaselineKey{Origin: legs[i].Victim, Lambda: legs[i].Prepend})
 			}
-			if err := st.warmGroup(st.warm); err != nil {
+			if err := st.cache.WarmBatch(st.warm, st.runner.BS); err != nil {
 				return err
 			}
 		}
-		for _, ji := range window {
-			j := jobs[ji]
-			base, err := st.cache.Get(j.v, cfg.Prepend)
+		st.scs, st.bases, st.idxs = st.scs[:0], st.bases[:0], st.idxs[:0]
+		for _, i := range window {
+			sc := legs[i]
+			base, err := st.cache.Get(sc.Victim, sc.Prepend)
 			if err != nil {
-				return baselineError(j.v, cfg.Prepend, err)
+				// Fatal: the failure is per-victim and memoized — it would
+				// repeat for every leg sharing this baseline.
+				return baselineError(sc.Victim, sc.Prepend, err)
 			}
-			sc := core.Scenario{
-				Victim:            j.v,
-				Attacker:          j.m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			}
-			if !batched {
-				c, err := core.SimulateCountsEngineObs(g, sc, base, st.runner.S, cfg.Engine, cfg.Counters)
-				if routing.Skippable(err) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					continue // skippable draw; the cell oversamples
+			if !base.Reachable(sc.Attacker) {
+				if r.o.allFatal {
+					return fmt.Errorf("%v: %w", sc, core.ErrAttackerSeesNoRoute)
 				}
-				if err != nil {
-					return fmt.Errorf("pair %v/%v: %w", j.v, j.m, err)
-				}
-				emit(ji, c)
+				r.o.counters.AddSkippedUnreachable(1)
 				continue
 			}
-			if !base.Reachable(j.m) {
-				cfg.Counters.AddSkippedUnreachable(1)
+			if r.batched {
+				st.scs = append(st.scs, sc)
+				st.bases = append(st.bases, base)
+				st.idxs = append(st.idxs, i)
 				continue
 			}
-			st.scs = append(st.scs, sc)
-			st.bases = append(st.bases, base)
-			st.idxs = append(st.idxs, ji)
-			if len(st.scs) == st.kEff {
-				if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-					return err
-				}
+			c, err := core.SimulateCounts(r.g, sc, base, st.runner.S, r.o.engine, r.o.counters)
+			if err != nil {
+				return fmt.Errorf("%v: %w", sc, err)
 			}
+			counts[i], done[i] = c, true
 		}
-		if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
+		// A window holds at most kEff legs, so the baselines one batched
+		// call pins never exceed one lane group.
+		if cap(st.outs) < len(st.scs) {
+			st.outs = make([]core.Counts, len(st.scs))
+		}
+		outs := st.outs[:len(st.scs)]
+		if err := st.runner.Simulate(r.g, st.scs, st.bases, outs, r.o.counters); err != nil {
 			return err
+		}
+		for j, i := range st.idxs {
+			counts[i], done[i] = outs[j], true
 		}
 	}
 	return nil

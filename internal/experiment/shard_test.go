@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"aspp/internal/core"
@@ -18,54 +20,61 @@ import (
 // sweeps have victims (32) — empty shards must be harmless.
 var shardCounts = []int{1, 2, 7, 32}
 
+// TestNormalizeShards pins the shard-count rule end to end, on the shard
+// states newLegRunner actually builds: explicit Shards stands, MemBudget
+// alone implies one budgeted shard, and Shards == 0 derives one shard per
+// effective worker.
 func TestNormalizeShards(t *testing.T) {
+	g := expGraph(t, 300, 32)
 	cases := []struct {
 		shards  int
 		budget  int64
+		workers int
 		want    int
 		wantErr bool
 	}{
-		{0, 0, 0, false},  // legacy path
-		{3, 0, 3, false},  // explicit shards, unbounded caches
-		{0, 1 << 20, 1, false}, // budget alone implies one budgeted shard
-		{5, 1 << 20, 5, false},
-		{-1, 0, 0, true},
-		{0, -1, 0, true},
+		{0, 0, 3, 3, false}, // default: one shard per worker
+		{0, 0, 0, runtime.GOMAXPROCS(0), false},
+		{3, 0, 8, 3, false},       // explicit shards, unbounded caches
+		{0, 1 << 20, 8, 1, false}, // budget alone implies one budgeted shard
+		{5, 1 << 20, 2, 5, false},
+		{-1, 0, 1, 0, true},
+		{0, -1, 1, 0, true},
 	}
 	for _, c := range cases {
-		got, err := normalizeShards(c.shards, c.budget)
+		r, err := newLegRunner(g, legOptions{shards: c.shards, memBudget: c.budget, workers: c.workers})
 		if (err != nil) != c.wantErr {
-			t.Fatalf("normalizeShards(%d, %d) err=%v, wantErr=%v", c.shards, c.budget, err, c.wantErr)
+			t.Fatalf("shards=%d budget=%d workers=%d: err=%v, wantErr=%v", c.shards, c.budget, c.workers, err, c.wantErr)
 		}
-		if err == nil && got != c.want {
-			t.Fatalf("normalizeShards(%d, %d) = %d, want %d", c.shards, c.budget, got, c.want)
+		if err == nil && len(r.shards) != c.want {
+			t.Fatalf("shards=%d budget=%d workers=%d built %d shards, want %d", c.shards, c.budget, c.workers, len(r.shards), c.want)
 		}
 	}
 }
 
 // TestShardInvarianceSamplePairs is the tentpole differential: for every
 // shard count, at serial and batched lane widths, with and without a
-// tight eviction-heavy byte budget, the sharded pair sweep must be
-// DeepEqual to the unsharded one — the TSV downstream is then
-// byte-identical by construction.
+// tight eviction-heavy byte budget, the pair sweep must be DeepEqual to
+// the default (Shards: 0, one shard per worker) run — the TSV downstream
+// is then byte-identical by construction.
 func TestShardInvarianceSamplePairs(t *testing.T) {
 	g := expGraph(t, 400, 31)
 	for _, batch := range []int{1, 8} {
 		base := PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3, Batch: batch}
-		want, err := SamplePairs(g, base)
+		want, err := SamplePairsCtx(context.Background(), g, base)
 		if err != nil {
-			t.Fatalf("unsharded batch=%d: %v", batch, err)
+			t.Fatalf("default batch=%d: %v", batch, err)
 		}
 		for _, shards := range shardCounts {
 			for _, budget := range []int64{0, 8 << 10} { // unbounded and eviction-heavy
 				cfg := base
 				cfg.Shards, cfg.MemBudget = shards, budget
-				got, err := SamplePairs(g, cfg)
+				got, err := SamplePairsCtx(context.Background(), g, cfg)
 				if err != nil {
 					t.Fatalf("shards=%d budget=%d batch=%d: %v", shards, budget, batch, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d budget=%d batch=%d diverges from unsharded", shards, budget, batch)
+					t.Fatalf("shards=%d budget=%d batch=%d diverges from default", shards, budget, batch)
 				}
 			}
 		}
@@ -84,7 +93,7 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 		base := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12, Workers: 3, Batch: batch}
 		want, err := SweepPrependCfgCtx(context.Background(), g, base)
 		if err != nil {
-			t.Fatalf("unsharded batch=%d: %v", batch, err)
+			t.Fatalf("default batch=%d: %v", batch, err)
 		}
 		for _, shards := range shardCounts {
 			cfg := base
@@ -94,7 +103,7 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d batch=%d diverges from unsharded", shards, batch)
+				t.Fatalf("shards=%d batch=%d diverges from default", shards, batch)
 			}
 		}
 	}
@@ -107,49 +116,49 @@ func TestShardInvarianceSusceptibility(t *testing.T) {
 	for _, batch := range []int{1, 8} {
 		base := DefaultSusceptibilityConfig()
 		base.PairsPerCell, base.Workers, base.Batch = 6, 3, batch
-		want, err := SusceptibilityMatrix(g, base)
+		want, err := SusceptibilityMatrixCtx(context.Background(), g, base)
 		if err != nil {
-			t.Fatalf("unsharded batch=%d: %v", batch, err)
+			t.Fatalf("default batch=%d: %v", batch, err)
 		}
 		for _, shards := range shardCounts {
 			cfg := base
 			cfg.Shards, cfg.MemBudget = shards, 8<<10
-			got, err := SusceptibilityMatrix(g, cfg)
+			got, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d batch=%d diverges from unsharded", shards, batch)
+				t.Fatalf("shards=%d batch=%d diverges from default", shards, batch)
 			}
 		}
 	}
 }
 
 // TestShardMemBudgetImpliesSharding: MemBudget alone routes through one
-// budgeted shard and still matches the legacy path.
+// budgeted shard and still matches the default run.
 func TestShardMemBudgetImpliesSharding(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	base := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 2, Batch: 4}
-	want, err := SamplePairs(g, base)
+	want, err := SamplePairsCtx(context.Background(), g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := base
 	cfg.MemBudget = 16 << 10
-	got, err := SamplePairs(g, cfg)
+	got, err := SamplePairsCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MemBudget-only run diverges from legacy path")
+		t.Fatal("MemBudget-only run diverges from the default run")
 	}
 }
 
 // TestShardConfigValidation: negative shard counts and budgets are
-// rejected by every sharded driver.
+// rejected by every leg-running driver.
 func TestShardConfigValidation(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	if _, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: 5, Prepend: 3, Seed: 1, Shards: -1}); err == nil {
+	if _, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 5, Prepend: 3, Seed: 1, Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted by SamplePairs")
 	}
 	if _, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{
@@ -159,13 +168,13 @@ func TestShardConfigValidation(t *testing.T) {
 	}
 	cfg := DefaultSusceptibilityConfig()
 	cfg.Shards = -2
-	if _, err := SusceptibilityMatrix(g, cfg); err == nil {
+	if _, err := SusceptibilityMatrixCtx(context.Background(), g, cfg); err == nil {
 		t.Fatal("negative Shards accepted by SusceptibilityMatrix")
 	}
 }
 
 // TestShardFirstErrorDeterministic: with an injected per-victim baseline
-// fault, two identical sharded runs report the identical error — the
+// fault, two identical runs report the identical error — the
 // lowest-shard-index failure, independent of worker scheduling.
 func TestShardFirstErrorDeterministic(t *testing.T) {
 	g := expGraph(t, 300, 32)
@@ -175,8 +184,8 @@ func TestShardFirstErrorDeterministic(t *testing.T) {
 		return nil, fmt.Errorf("injected fault for victim %v", sc.Victim)
 	}
 	cfg := PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 4, Shards: 7}
-	_, err1 := SamplePairs(g, cfg)
-	_, err2 := SamplePairs(g, cfg)
+	_, err1 := SamplePairsCtx(context.Background(), g, cfg)
+	_, err2 := SamplePairsCtx(context.Background(), g, cfg)
 	if err1 == nil || err2 == nil {
 		t.Fatal("injected baseline fault swallowed")
 	}
@@ -185,6 +194,30 @@ func TestShardFirstErrorDeterministic(t *testing.T) {
 	}
 	if err1.Error() != err2.Error() {
 		t.Fatalf("first error nondeterministic:\n  %v\n  %v", err1, err2)
+	}
+}
+
+// TestSweepLowestLambdaErrorWins pins the λ sweep's all-fatal contract on
+// top of the lowest-shard rule: shards own contiguous λ blocks, so when two
+// λ steps in different shards fail, the lower λ is the one reported.
+func TestSweepLowestLambdaErrorWins(t *testing.T) {
+	g := expGraph(t, 300, 32)
+	orig := baselineOnly
+	defer func() { baselineOnly = orig }()
+	baselineOnly = func(gg *topology.Graph, sc core.Scenario) (*routing.Result, error) {
+		if sc.Prepend == 3 || sc.Prepend == 7 {
+			return nil, fmt.Errorf("injected fault at λ=%d", sc.Prepend)
+		}
+		return orig(gg, sc)
+	}
+	t1 := g.Tier1s()
+	for run := 0; run < 5; run++ {
+		_, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{
+			Victim: t1[0], Attacker: t1[1], MaxLambda: 8, Workers: 4, Shards: 4,
+		})
+		if !errors.Is(err, ErrBaselineFailed) || !strings.Contains(err.Error(), "injected fault at λ=3") {
+			t.Fatalf("run %d: err=%v, want the λ=3 baseline failure", run, err)
+		}
 	}
 }
 
@@ -215,30 +248,33 @@ func TestShardMidShardCancellation(t *testing.T) {
 	}
 }
 
-// TestShardGaugesWithinBudget: a budgeted sharded sweep records the
-// memory gauges, and the cache high-watermark respects the per-shard
-// budget (the scale-smoke invariant, here at test scale).
+// TestShardGaugesWithinBudget: every sweep records the memory gauges —
+// on the default config too, where the cache is unbudgeted (the gauges
+// used to read 0 there) — and under a budget the cache high-watermark
+// respects the per-shard cap (the scale-smoke invariant, at test scale).
 func TestShardGaugesWithinBudget(t *testing.T) {
 	g := expGraph(t, 400, 31)
 	const budget = 1 << 20
-	c := new(obs.Counters)
-	_, err := SamplePairs(g, PairConfig{
-		Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3,
-		Batch: 8, Shards: 2, MemBudget: budget, Counters: c,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
-	if s.CacheBytes <= 0 || s.ScratchBytes <= 0 || s.CSRBytes <= 0 {
-		t.Fatalf("gauges not recorded: cache=%d scratch=%d csr=%d",
-			s.CacheBytes, s.ScratchBytes, s.CSRBytes)
-	}
-	if s.CacheBytes > budget {
-		t.Fatalf("cache_bytes %d exceeds per-shard budget %d", s.CacheBytes, budget)
-	}
-	if s.CSRBytes != g.MemoryBytes() {
-		t.Fatalf("csr_bytes = %d, want graph footprint %d", s.CSRBytes, g.MemoryBytes())
+	for _, cfg := range []PairConfig{
+		{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7},
+		{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3, Batch: 8, Shards: 2, MemBudget: budget},
+	} {
+		c := new(obs.Counters)
+		cfg.Counters = c
+		if _, err := SamplePairsCtx(context.Background(), g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		s := c.Snapshot()
+		if s.CacheBytes <= 0 || s.ScratchBytes <= 0 || s.CSRBytes <= 0 {
+			t.Fatalf("budget=%d: gauges not recorded: cache=%d scratch=%d csr=%d",
+				cfg.MemBudget, s.CacheBytes, s.ScratchBytes, s.CSRBytes)
+		}
+		if cfg.MemBudget > 0 && s.CacheBytes > cfg.MemBudget {
+			t.Fatalf("cache_bytes %d exceeds per-shard budget %d", s.CacheBytes, cfg.MemBudget)
+		}
+		if s.CSRBytes != g.MemoryBytes() {
+			t.Fatalf("csr_bytes = %d, want graph footprint %d", s.CSRBytes, g.MemoryBytes())
+		}
 	}
 }
 
@@ -255,7 +291,7 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 	entry := one.MemoryBytes()
 	c := new(obs.Counters)
 	// Budget fits ~3 entries; keep floor of 2.
-	cache := NewBaselineCacheBudget(g, c, 3*entry+entry/2, 2)
+	cache := NewBaselineCache(g, c, 3*entry+entry/2, 2)
 	for i := 0; i < 8; i++ {
 		if _, err := cache.Get(asns[i], 1); err != nil {
 			t.Fatalf("Get %d: %v", i, err)
@@ -297,7 +333,7 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 func TestBaselineCacheKeepFloor(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
-	cache := NewBaselineCacheBudget(g, nil, 1, 4) // budget of one byte, keep 4
+	cache := NewBaselineCache(g, nil, 1, 4) // budget of one byte, keep 4
 	for i := 0; i < 6; i++ {
 		if _, err := cache.Get(asns[i], 1); err != nil {
 			t.Fatal(err)
@@ -325,12 +361,18 @@ func TestAdaptiveShardLaneWidth(t *testing.T) {
 	g := expGraph(t, 400, 31)
 	n := g.NumASes()
 	tight := routing.BaselineResultBytes(n) * 3
-	ss := newShardSet(g, 2, tight, 64, nil)
-	if got := ss.states[0].kEff; got >= 64 || got < 1 {
+	narrow, err := newLegRunner(g, legOptions{shards: 2, memBudget: tight, batch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := narrow.kEff; got >= 64 || got < 1 {
 		t.Fatalf("kEff = %d, want narrowed into [1, 64)", got)
 	}
-	wide := newShardSet(g, 2, 1<<30, 8, nil)
-	if got := wide.states[0].kEff; got != 8 {
+	wide, err := newLegRunner(g, legOptions{shards: 2, memBudget: 1 << 30, batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wide.kEff; got != 8 {
 		t.Fatalf("kEff = %d, want configured batch 8 under a loose budget", got)
 	}
 }

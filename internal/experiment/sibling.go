@@ -1,10 +1,10 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"aspp/internal/bgp"
-	"aspp/internal/core"
 	"aspp/internal/topology"
 )
 
@@ -55,26 +55,10 @@ func BuildSiblingScenario(g *topology.Graph, victim, attacker, siblingASN bgp.AS
 
 // Sweep runs the λ sweep with the valley-free-*following* attacker over
 // the sibling-extended topology (the paper's Fig. 11 "follow valley-free
-// rule" curve).
+// rule" curve). It is SweepPrependCfgCtx on s.Graph with default options;
+// call that directly for cancellation, counters or engine knobs.
 func (s *SiblingScenario) Sweep(maxLambda int) ([]SweepPoint, error) {
-	if maxLambda < 1 {
-		return nil, fmt.Errorf("experiment: maxLambda %d < 1", maxLambda)
-	}
-	points := make([]SweepPoint, 0, maxLambda)
-	for lambda := 1; lambda <= maxLambda; lambda++ {
-		im, err := core.Simulate(s.Graph, core.Scenario{
-			Victim:   s.Victim,
-			Attacker: s.Attacker,
-			Prepend:  lambda,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sibling sweep λ=%d: %w", lambda, err)
-		}
-		points = append(points, SweepPoint{
-			Lambda: lambda,
-			Before: im.Before(),
-			After:  im.After(),
-		})
-	}
-	return points, nil
+	return SweepPrependCfgCtx(context.Background(), s.Graph, SweepConfig{
+		Victim: s.Victim, Attacker: s.Attacker, MaxLambda: maxLambda,
+	})
 }

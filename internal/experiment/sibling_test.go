@@ -1,7 +1,11 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"testing"
+
+	"aspp/internal/obs"
 )
 
 func TestSiblingScenarioEnablesValleyFreeInterception(t *testing.T) {
@@ -16,7 +20,7 @@ func TestSiblingScenarioEnablesValleyFreeInterception(t *testing.T) {
 	}
 
 	// Without the sibling, a rule-following stub attacker captures nobody.
-	follow, err := SweepPrepend(g, victim, attacker, 6, false, 0)
+	follow, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: victim, Attacker: attacker, MaxLambda: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,5 +78,48 @@ func TestBuildSiblingScenarioValidation(t *testing.T) {
 	}
 	if _, err := sc.Sweep(0); err == nil {
 		t.Error("Sweep(0) accepted")
+	}
+}
+
+// TestSiblingSweepCountedAndCancellable: the sibling leg runs through the
+// one sweep entry point, so its reference propagations — one baseline and
+// one attack per λ — land in the caller's counters and a cancelled context
+// stops it. (It used to be a private loop that did neither.)
+func TestSiblingSweepCountedAndCancellable(t *testing.T) {
+	g := expGraph(t, 300, 42)
+	attacker, err := PickContentStub(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := PickTier1ByDegree(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := BuildSiblingScenario(g, victim, attacker, 65530)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := new(obs.Counters)
+	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Counters: c}
+	counted, err := SweepPrependCfgCtx(context.Background(), sib.Graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s.BasePropagations != 6 || s.FullPropagations != 6 {
+		t.Fatalf("sibling sweep counted prop_base=%d prop_full=%d, want 6 and 6", s.BasePropagations, s.FullPropagations)
+	}
+	thin, err := sib.Sweep(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range thin {
+		if thin[i] != counted[i] {
+			t.Fatalf("Sweep(6)[%d] = %+v, entry point gives %+v", i, thin[i], counted[i])
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SweepPrependCfgCtx(ctx, sib.Graph, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sibling sweep: err=%v, want context.Canceled", err)
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
-	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -40,18 +38,19 @@ type SusceptibilityConfig struct {
 	Engine core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 warms the distinct victims' baselines through the
-	// lane-batched engine in groups of Batch before the pair jobs fan
-	// out, and runs the attack legs Batch lanes at a time on the batched
-	// delta engine — jobs grouped by shared (victim, λ) baseline, output
-	// identical to the serial path. EngineFull and sibling topologies
-	// keep the attack legs serial. 0 or 1 keeps everything lazy/serial.
+	// Batch > 1 warms the victims' baselines through the lane-batched
+	// engine and runs the attack legs Batch lanes at a time on the
+	// batched delta engine — jobs grouped by shared (victim, λ) baseline,
+	// output identical to the serial legs. EngineFull and sibling
+	// topologies keep the attack legs serial. 0 or 1 keeps everything
+	// lazy/serial.
 	Batch int
-	// Shards > 0 partitions the jobs by victim into that many shards,
-	// each owning a private byte-budgeted BaselineCache released as soon
-	// as its shard completes (DESIGN §5f); output byte-identical at any
-	// shard count. MemBudget caps each shard's cache bytes and narrows
-	// the lane width to fit; MemBudget alone implies one budgeted shard.
+	// Shards partitions the jobs by victim into that many shards, each
+	// owning a private BaselineCache released as soon as its shard
+	// completes (DESIGN §5f); output byte-identical at every shard
+	// count, 0 selects one shard per worker. MemBudget caps each shard's
+	// cache bytes and narrows the lane width to fit; MemBudget with
+	// Shards == 0 implies one budgeted shard.
 	Shards    int
 	MemBudget int64
 }
@@ -71,19 +70,13 @@ func DefaultSusceptibilityConfig() SusceptibilityConfig {
 	}
 }
 
-// SusceptibilityMatrix samples attacker/victim pairs for every tier
+// SusceptibilityMatrixCtx samples attacker/victim pairs for every tier
 // combination and reports pollution statistics per cell, sorted by
 // (victim tier, attacker tier). Victims closer to the core prove more
 // resilient; attackers closer to the core prove more effective — the
-// paper's §VI-B findings.
-func SusceptibilityMatrix(g *topology.Graph, cfg SusceptibilityConfig) ([]TierCell, error) {
-	return SusceptibilityMatrixCtx(context.Background(), g, cfg)
-}
-
-// SusceptibilityMatrixCtx is SusceptibilityMatrix with cooperative
-// cancellation, running on worker-owned routing.Scratch state with
-// (victim, λ) baselines memoized in a shared BaselineCache (victims repeat
-// heavily across cells). Returns (nil, ctx.Err()) when cancelled.
+// paper's §VI-B findings. Unreachable-attacker draws are skipped and
+// counted (each cell oversamples). Returns (nil, ctx.Err()) when
+// cancelled.
 func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig) ([]TierCell, error) {
 	if cfg.PairsPerCell <= 0 || cfg.MaxTier < 2 || cfg.Prepend < 1 {
 		return nil, errors.New("experiment: bad susceptibility config")
@@ -104,7 +97,10 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 	sort.Ints(tiers)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var jobs []susJob
+	var (
+		legs   []core.Scenario
+		cellOf [][2]int // (victim tier, attacker tier) of each leg
+	)
 	for _, vt := range tiers {
 		for _, at := range tiers {
 			vPool, aPool := byTier[vt], byTier[at]
@@ -116,115 +112,36 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 				v := vPool[rng.Intn(len(vPool))]
 				m := aPool[rng.Intn(len(aPool))]
 				if v != m {
-					jobs = append(jobs, susJob{vTier: vt, aTier: at, v: v, m: m})
+					legs = append(legs, core.Scenario{
+						Victim:            v,
+						Attacker:          m,
+						Prepend:           cfg.Prepend,
+						ViolateValleyFree: cfg.Violate,
+					})
+					cellOf = append(cellOf, [2]int{vt, at})
 				}
 			}
 		}
 	}
-	nShards, err := normalizeShards(cfg.Shards, cfg.MemBudget)
+	r, err := newLegRunner(g, legOptions{
+		what: "susceptibility sweep", engine: cfg.Engine, batch: cfg.Batch, shards: cfg.Shards,
+		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if nShards > 0 {
-		fractions, err := runShardedSusceptibility(ctx, g, cfg, nShards, jobs)
-		if err != nil {
-			return nil, err
-		}
-		return susCells(cfg, jobs, fractions)
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	if cfg.Batch > 1 {
-		// Victims repeat heavily across cells; WarmBatch skips keys
-		// already cached, so no dedup pass is needed here.
-		keys := make([]BaselineKey, len(jobs))
-		for i, j := range jobs {
-			keys[i] = BaselineKey{Origin: j.v, Lambda: cfg.Prepend}
-		}
-		bs := routing.NewBatchScratch()
-		for start := 0; start < len(keys); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(keys))
-			if err := cache.WarmBatch(keys[start:end], bs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var fractions []float64
-	if useBatchLegs(g, cfg.Batch, cfg.Engine) {
-		// Batched attack legs: resolve the warmed baselines, pre-filter
-		// unreachable attackers (counted as on the serial path; the cell
-		// oversamples), and run the usable jobs as lane groups.
-		fractions = make([]float64, len(jobs))
-		scs := make([]core.Scenario, 0, len(jobs))
-		bases := make([]*routing.Result, 0, len(jobs))
-		idxs := make([]int, 0, len(jobs))
-		for i, j := range jobs {
-			fractions[i] = -1
-			base, err := cache.Get(j.v, cfg.Prepend)
-			if err != nil {
-				return nil, baselineError(j.v, cfg.Prepend, err)
-			}
-			if !base.Reachable(j.m) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				continue
-			}
-			scs = append(scs, core.Scenario{
-				Victim:            j.v,
-				Attacker:          j.m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			})
-			bases = append(bases, base)
-			idxs = append(idxs, i)
-		}
-		counts, err := runBatchedAttackLegs(ctx, g, scs, bases, cfg.Batch, cfg.Workers, cfg.Counters)
-		if err != nil {
-			return nil, sweepError("susceptibility sweep", err)
-		}
-		for k, i := range idxs {
-			fractions[i] = counts[k].After()
-		}
-	} else {
-		var cerr error
-		fractions, cerr = parallel.MapScratchErr(ctx, len(jobs), cfg.Workers, routing.NewScratch,
-			func(s *routing.Scratch, i int) (float64, error) {
-				base, err := cache.Get(jobs[i].v, cfg.Prepend)
-				if err != nil {
-					return -1, baselineError(jobs[i].v, cfg.Prepend, err)
-				}
-				c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-					Victim:            jobs[i].v,
-					Attacker:          jobs[i].m,
-					Prepend:           cfg.Prepend,
-					ViolateValleyFree: cfg.Violate,
-				}, base, s, cfg.Engine, cfg.Counters)
-				if routing.Skippable(err) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					return -1, nil // skippable draw; the cell oversamples
-				}
-				if err != nil {
-					return -1, fmt.Errorf("pair %v/%v: %w", jobs[i].v, jobs[i].m, err)
-				}
-				return c.After(), nil
-			})
-		if cerr != nil {
-			return nil, sweepError("susceptibility sweep", cerr)
-		}
+	counts, done, err := r.run(ctx, legs, false)
+	if err != nil {
+		return nil, err
 	}
 
-	return susCells(cfg, jobs, fractions)
-}
-
-// susCells aggregates per-job pollution fractions (-1 = unusable draw)
-// into the sorted tier matrix, capping each cell at PairsPerCell in job
-// order — shared by the sharded and unsharded paths, so the aggregation
-// cannot drift between them.
-func susCells(cfg SusceptibilityConfig, jobs []susJob, fractions []float64) ([]TierCell, error) {
+	// Aggregate into the sorted tier matrix, capping each cell at
+	// PairsPerCell in draw order.
 	cells := make(map[[2]int]*TierCell)
-	for i, f := range fractions {
-		if f < 0 {
+	for i, key := range cellOf {
+		if !done[i] {
 			continue
 		}
-		key := [2]int{jobs[i].vTier, jobs[i].aTier}
 		c := cells[key]
 		if c == nil {
 			c = &TierCell{VictimTier: key[0], AttackerTier: key[1]}
@@ -233,6 +150,7 @@ func susCells(cfg SusceptibilityConfig, jobs []susJob, fractions []float64) ([]T
 		if c.Instances >= cfg.PairsPerCell {
 			continue
 		}
+		f := counts[i].After()
 		c.Instances++
 		c.MeanPollution += f
 		if f > c.MaxPollution {

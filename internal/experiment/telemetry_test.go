@@ -21,7 +21,7 @@ func TestSamplePairsPropagationBudget(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	c := new(obs.Counters)
 	cfg := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 4, Counters: c}
-	pairs, err := SamplePairs(g, cfg)
+	pairs, err := SamplePairsCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("SamplePairs: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestSamplePairsBaselineFailureFatal(t *testing.T) {
 	baselineOnly = func(*topology.Graph, core.Scenario) (*routing.Result, error) {
 		return nil, fmt.Errorf("injected baseline fault")
 	}
-	_, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 4})
+	_, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 4})
 	if err == nil {
 		t.Fatal("baseline failure silently swallowed")
 	}
@@ -116,7 +116,7 @@ func TestSweepPrependBaselineFailureFatal(t *testing.T) {
 	if len(t1) < 2 {
 		t.Skip("need two tier-1 ASes")
 	}
-	_, err := SweepPrepend(g, t1[0], t1[1], 4, false, 2)
+	_, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 4, Workers: 2})
 	if !errors.Is(err, ErrBaselineFailed) {
 		t.Fatalf("err=%v, want errors.Is(..., ErrBaselineFailed)", err)
 	}
@@ -151,7 +151,7 @@ func TestSamplePairsSkippableRedrawn(t *testing.T) {
 	}
 	c := new(obs.Counters)
 	const n = 12
-	pairs, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: n, Prepend: 2, Seed: 3, Workers: 4, Counters: c})
+	pairs, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: n, Prepend: 2, Seed: 3, Workers: 4, Counters: c})
 	if err != nil {
 		t.Fatalf("SamplePairs: %v", err)
 	}

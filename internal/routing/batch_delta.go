@@ -862,7 +862,7 @@ func (st *batchDeltaState) finish(out []*Result, touched []int32) {
 			continue
 		}
 		st.selMask(u, m, &sels, &classes)
-		for ; m != 0; {
+		for m != 0 {
 			l := bits.TrailingZeros64(m)
 			m &^= 1 << uint(l)
 			res := out[l]

@@ -120,10 +120,10 @@ func TestPropagateBatchSingleLane(t *testing.T) {
 // announcement mixes: it must never panic and every lane must agree with
 // the serial engine. Wired into `make fuzz-smoke`.
 func FuzzPropagateBatch(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0))     // K=1
-	f.Add(int64(42), uint8(16), uint8(3))   // K=17
-	f.Add(int64(7), uint8(63), uint8(1))    // K=64: full chunk
-	f.Add(int64(99), uint8(64), uint8(7))   // K=65: ragged second chunk
+	f.Add(int64(1), uint8(0), uint8(0))   // K=1
+	f.Add(int64(42), uint8(16), uint8(3)) // K=17
+	f.Add(int64(7), uint8(63), uint8(1))  // K=64: full chunk
+	f.Add(int64(99), uint8(64), uint8(7)) // K=65: ragged second chunk
 	f.Add(int64(-3), uint8(200), uint8(255))
 	f.Fuzz(func(t *testing.T, seed int64, kSel, nSel uint8) {
 		k := 1 + int(kSel)%66

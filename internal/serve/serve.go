@@ -369,10 +369,10 @@ func (p *Pipeline) worker(si int) {
 // Stats is a point-in-time view of the pipeline, also pushed into the
 // obs gauges so -counters output and /metrics agree.
 type Stats struct {
-	Shards, Depth                                  int
-	Enqueued, Processed, Dropped, Alarms, Batches  int64
+	Shards, Depth                                    int
+	Enqueued, Processed, Dropped, Alarms, Batches    int64
 	QueuePeak, QueueDepth, P50Ns, P99Ns, MemoryBytes int64
-	Uptime                                         time.Duration
+	Uptime                                           time.Duration
 }
 
 // Stats snapshots the pipeline counters, latency quantiles and memory

@@ -204,11 +204,11 @@ func TestHistBuckets(t *testing.T) {
 func TestNewPipelineValidation(t *testing.T) {
 	mons := []bgp.ASN{1}
 	cases := []Config{
-		{},                                     // no monitors
-		{Monitors: mons, Shards: -1},           // negative
-		{Monitors: mons, Depth: 8, Batch: 64},  // batch > depth
-		{Monitors: mons, Policy: Policy(9)},    // bad policy
-		{Monitors: mons, AlarmLog: -1},         // negative feed capacity
+		{},                                    // no monitors
+		{Monitors: mons, Shards: -1},          // negative
+		{Monitors: mons, Depth: 8, Batch: 64}, // batch > depth
+		{Monitors: mons, Policy: Policy(9)},   // bad policy
+		{Monitors: mons, AlarmLog: -1},        // negative feed capacity
 	}
 	for i, cfg := range cases {
 		if _, err := NewPipeline(cfg); err == nil {

@@ -7,6 +7,7 @@ package aspp
 // runs them; a plain `go test ./...` skips them to stay fast.
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"testing"
@@ -42,7 +43,7 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 	in := internet80k(t)
 	c := new(Counters)
 	start := time.Now()
-	pairs, err := in.SamplePairs(PairConfig{
+	pairs, err := in.SamplePairsCtx(context.Background(), PairConfig{
 		Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
 		Workers: runtime.NumCPU(), Batch: 16,
 		Shards: 4, MemBudget: budget, Counters: c,
@@ -85,7 +86,7 @@ func BenchmarkShardedPairSweep(b *testing.B) {
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := in.SamplePairs(PairConfig{
+				if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
 					Kind: PairsTier1, N: 40, Prepend: 3, Seed: 1,
 					Workers: bc.workers, Batch: 16,
 					Shards: bc.shards, MemBudget: 32 << 20,
@@ -104,7 +105,7 @@ func BenchmarkScale80kPairSweep(b *testing.B) {
 	in := internet80k(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SamplePairs(PairConfig{
+		if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
 			Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
 			Workers: runtime.NumCPU(), Batch: 16,
 			Shards: 4, MemBudget: 64 << 20,

@@ -4,6 +4,7 @@ package aspp
 // Skipped under -short.
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -56,7 +57,7 @@ func TestLargeScaleDetectionSweep(t *testing.T) {
 	cfg.MonitorCounts = []int{70, 150}
 	cfg.Pairs = 40
 	start := time.Now()
-	out, err := in.RunDetection(cfg)
+	out, err := in.RunDetectionCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("RunDetection: %v", err)
 	}
