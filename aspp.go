@@ -106,8 +106,6 @@ type (
 	SusceptibilityConfig = experiment.SusceptibilityConfig
 	// TierCell is one (victim tier, attacker tier) aggregate.
 	TierCell = experiment.TierCell
-	// EngineKind selects the attack-propagation engine for sweeps.
-	EngineKind = core.EngineKind
 	// Counters collects optional per-sweep telemetry (propagations per
 	// engine, baseline-cache hits/misses, skipped draws, churn updates).
 	// The zero value is ready to use; nil disables recording. Use one
@@ -118,19 +116,6 @@ type (
 	// SweepConfig drives the prepend sweeps (Figs. 9-12).
 	SweepConfig = experiment.SweepConfig
 )
-
-// Attack-propagation engine kinds (the asppbench -engine ablation).
-const (
-	// EngineAuto picks delta propagation when a baseline is available.
-	EngineAuto = core.EngineAuto
-	// EngineFull recomputes every attack from scratch.
-	EngineFull = core.EngineFull
-	// EngineDelta forces incremental recomputation of the attacker's cone.
-	EngineDelta = core.EngineDelta
-)
-
-// ParseEngineKind parses "auto", "full" or "delta".
-var ParseEngineKind = core.ParseEngineKind
 
 // Re-exported constructors and helpers.
 var (
@@ -279,7 +264,8 @@ func (in *Internet) Tier1s() []ASN { return in.g.Tier1s() }
 // TopByDegree returns the n best-connected ASes.
 func (in *Internet) TopByDegree(n int) []ASN { return in.g.TopByDegree(n) }
 
-// SimulateAttack runs one interception attack (see core.Simulate).
+// SimulateAttack runs one attack — ASPP interception, or the hijack
+// family sc.Type names (see core.Simulate).
 func (in *Internet) SimulateAttack(sc Scenario) (*Impact, error) {
 	return core.Simulate(in.g, sc)
 }
@@ -331,7 +317,6 @@ func (in *Internet) UsageSurvey(policy PolicyConfig, survey SurveyConfig) (*Surv
 		def.Workers = survey.Workers
 		def.Seed = survey.Seed
 		def.Counters = survey.Counters
-		def.Batch = survey.Batch
 		if def.Seed == 0 {
 			def.Seed = 1
 		}

@@ -3,8 +3,11 @@ package aspp
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"aspp/internal/measure"
 )
 
 func testInternet(t testing.TB, n int, seed int64) *Internet {
@@ -122,6 +125,26 @@ func TestInternetUsageSurveyDefaults(t *testing.T) {
 	}
 	if cdf.Mean() <= 0 {
 		t.Error("no prepending observed at all")
+	}
+
+	// A config with only Monitors set skips the defaults branch. Its table
+	// leg must still propagate once per origin — it used to fall back to
+	// once per prefix — and, given the default monitor set, reproduce the
+	// default run's tables.
+	c := new(Counters)
+	custom, err := in.UsageSurvey(PolicyConfig{}, SurveyConfig{
+		Monitors: measure.DefaultMonitors(in.Graph(), 30, 10, 1), Counters: c,
+	})
+	if err != nil {
+		t.Fatalf("UsageSurvey(custom monitors): %v", err)
+	}
+	if s := c.Snapshot(); s.BatchPropagations != int64(res.Origins) || s.BasePropagations != 0 {
+		t.Errorf("custom monitors: prop_batch=%d prop_base=%d, want one table lane per origin (%d) and nothing else",
+			s.BatchPropagations, s.BasePropagations, res.Origins)
+	}
+	if !reflect.DeepEqual(custom.TableFracs, res.TableFracs) || !reflect.DeepEqual(custom.Tier1TableFracs, res.Tier1TableFracs) ||
+		!reflect.DeepEqual(custom.TablePrependDist, res.TablePrependDist) || custom.Prefixes != res.Prefixes {
+		t.Error("custom-monitor tables differ from the default-config run")
 	}
 }
 

@@ -78,19 +78,17 @@ func BenchmarkSiblingSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiSeedPropagate measures the multi-origin engine used by
-// the baseline attacks.
-func BenchmarkMultiSeedPropagate(b *testing.B) {
+// benchForgedHijack measures one forged-claim simulation (honest baseline
+// plus the attack on the full kernel). The allocations are the two
+// private Results Simulate hands back and the Impact's via set.
+func benchForgedHijack(b *testing.B, typ core.AttackType) {
 	in := benchInternet(b)
-	g := in.Graph()
-	t1 := g.Tier1s()
-	seeds := []routing.Seed{
-		{AS: t1[0], Path: bgp.Path{t1[0], t1[0], t1[0]}},
-		{AS: t1[1], Path: bgp.Path{t1[1]}},
-	}
+	t1 := in.Tier1s()
+	sc := core.Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3, Type: typ}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := routing.PropagateSeeds(g, seeds); err != nil {
+		if _, err := core.Simulate(in.Graph(), sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,14 +96,12 @@ func BenchmarkMultiSeedPropagate(b *testing.B) {
 
 // BenchmarkBaselineOriginHijack measures one origin-hijack simulation.
 func BenchmarkBaselineOriginHijack(b *testing.B) {
-	in := benchInternet(b)
-	t1 := in.Tier1s()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SimulateBaseline(in.Graph(), core.AttackOriginHijack, t1[0], t1[1], 3); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchForgedHijack(b, core.AttackOriginHijack)
+}
+
+// BenchmarkBaselineNextHop measures one invalid-next-hop simulation.
+func BenchmarkBaselineNextHop(b *testing.B) {
+	benchForgedHijack(b, core.AttackNextHopInterception)
 }
 
 // BenchmarkUpdateCodec round-trips update records in both formats.

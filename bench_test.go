@@ -89,28 +89,21 @@ func BenchmarkFig5Usage(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5MemoOnOff is the (origin, policy) memoization ablation.
-func BenchmarkFig5MemoOnOff(b *testing.B) {
+// BenchmarkFig5TableLeg is the survey's steady-state table leg alone (no
+// churn events): one batched propagation lane per origin.
+func BenchmarkFig5TableLeg(b *testing.B) {
 	in := benchInternet(b)
 	origins, err := collector.AssignOrigins(in.Graph(), collector.DefaultPolicyConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, memo := range []bool{true, false} {
-		name := "memo=off"
-		if memo {
-			name = "memo=on"
+	cfg := measure.DefaultSurveyConfig()
+	cfg.ChurnEvents = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := measure.RunSurvey(in.Graph(), origins, cfg); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := measure.DefaultSurveyConfig()
-			cfg.ChurnEvents = 0
-			cfg.Memoize = memo
-			for i := 0; i < b.N; i++ {
-				if _, err := measure.RunSurvey(in.Graph(), origins, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -290,7 +283,7 @@ func BenchmarkEngineFastVsReference(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := routing.PropagateAttack(g, ann, atk, base); err != nil {
+			if _, err := routing.PropagateAttackScratch(g, ann, atk, base, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -358,7 +351,7 @@ func BenchmarkPropagateReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := routing.PropagateAttack(g, ann, atk, base); err != nil {
+			if _, err := routing.PropagateAttackScratch(g, ann, atk, base, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -66,14 +66,12 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenEngineAgreement: the -engine ablation flag must not change any
-// emitted number — full recomputation and delta propagation produce
-// byte-identical figures.
-func TestGoldenEngineAgreement(t *testing.T) {
-	base := []string{"-exp", "fig9", "-n", "400", "-seed", "1"}
-	full := goldenRun(t, append([]string{"-engine", "full"}, base...)...)
-	delta := goldenRun(t, append([]string{"-engine", "delta"}, base...)...)
-	if !bytes.Equal(full, delta) {
-		t.Errorf("-engine full and -engine delta disagree\nfull:\n%s\ndelta:\n%s", full, delta)
-	}
-}
+// There is no -engine flag to hold to these files any more: core picks
+// the engine (ASPP legs run delta, forged claims the full kernel, sibling
+// graphs the reference engine). The property TestGoldenEngineAgreement
+// held — full recomputation and delta propagation emit the same figures —
+// stays pinned by the routing package's Delta-vs-Fast-vs-Reference
+// differential suite and, since core.Simulate now runs delta where it ran
+// the full kernel when they were recorded, by the unchanged fig13 golden
+// above and the unchanged fig13, fig14 and compare digests in
+// bench/testdata/digests.json.

@@ -55,7 +55,6 @@ type benchContext struct {
 	internet *aspp.Internet
 	seed     int64
 	pairs    int
-	engine   aspp.EngineKind
 	batch    int
 	// shards/memBudget tune the sweep runner (DESIGN §5f): the
 	// pair/sweep/susceptibility drivers partition their legs into shards
@@ -143,8 +142,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pairs    = fs.Int("pairs", 200, "attacker/victim pairs for the detection experiments")
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
-		engine   = fs.String("engine", "delta", "attack-propagation engine for the sweeps: full or delta")
-		batch    = fs.String("batch", "1", "lane width K (1..64) for batched baseline and attack propagation, or 'auto' to size lanes to the topology; 1: serial")
+		batch    = fs.String("batch", "1", "attack-leg sweeps only (fig7-fig12, susceptibility): lane width K (1..64) for batched baseline warming and attack legs, or 'auto' to size lanes to the topology; 1: serial")
 		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many shards, each with a private baseline cache; 0: one shard per worker")
 		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
 		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges)")
@@ -153,10 +151,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	engineKind, err := aspp.ParseEngineKind(*engine)
-	if err != nil {
 		return err
 	}
 	if *shards < 0 {
@@ -243,7 +237,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		var tee bytes.Buffer
 		bc := &benchContext{
 			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
-			engine: engineKind, batch: laneWidth,
+			batch:  laneWidth,
 			shards: *shards, memBudget: budgetBytes,
 			out: io.MultiWriter(out, &tee),
 		}
@@ -359,7 +353,6 @@ func runMitigation(bc *benchContext) error {
 func runSusceptibility(bc *benchContext) error {
 	cfg := experiment.DefaultSusceptibilityConfig()
 	cfg.Seed = bc.seed
-	cfg.Engine = bc.engine
 	cfg.Counters = bc.counters
 	cfg.Batch = bc.batch
 	cfg.Shards = bc.shards
@@ -422,7 +415,7 @@ func runTable1(bc *benchContext) error {
 }
 
 func (bc *benchContext) survey() (*aspp.SurveyResult, error) {
-	return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters, Batch: bc.batch})
+	return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters})
 }
 
 func runFig5(bc *benchContext) error {
@@ -494,7 +487,7 @@ func tailAbove(h *stats.Histogram, k int) float64 {
 func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool, label string) error {
 	pairsResult, err := bc.internet.SamplePairsCtx(bc.ctx, aspp.PairConfig{
 		Kind: kind, N: n, Prepend: 3, Violate: violate, Seed: bc.seed,
-		Engine: bc.engine, Counters: bc.counters, Batch: bc.batch,
+		Counters: bc.counters, Batch: bc.batch,
 		Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 	if err != nil {
@@ -529,7 +522,7 @@ func runFig8(bc *benchContext) error {
 func (bc *benchContext) sweepOn(g *aspp.Graph, victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
 	return experiment.SweepPrependCfgCtx(bc.ctx, g, aspp.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
-		Engine: bc.engine, Counters: bc.counters, Batch: bc.batch,
+		Counters: bc.counters, Batch: bc.batch,
 		Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 }

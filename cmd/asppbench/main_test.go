@@ -134,6 +134,12 @@ func TestRunBatchFlagValidation(t *testing.T) {
 			t.Errorf("-batch %q: want a lane-width error, got %v", bad, err)
 		}
 	}
+	// The engine is no longer a caller's choice.
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-engine", "full"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine full: want an unknown-flag error, got %v", err)
+	}
 	if k, err := resolveBatch("auto", 400); err != nil || k < 1 || k > 64 {
 		t.Errorf("resolveBatch(auto, 400) = %d, %v", k, err)
 	}
@@ -182,13 +188,11 @@ func runSweepExps(t *testing.T, extra ...string) string {
 
 // TestRunShardByteIdentical pins the tentpole acceptance contract at the
 // CLI boundary: sweep TSVs must be byte-identical to the default-flag run
-// at any shard count, under a per-shard memory budget, and on either
-// engine.
+// at any shard count and under a per-shard memory budget.
 func TestRunShardByteIdentical(t *testing.T) {
 	want := runSweepExps(t)
 	for _, extra := range [][]string{
 		{"-shards", "1"}, {"-shards", "2"}, {"-shards", "7"},
-		{"-engine", "full"}, {"-engine", "full", "-batch", "8"},
 		{"-batch", "8", "-shards", "1", "-mem-budget", "64k"},
 		{"-batch", "8", "-shards", "7", "-mem-budget", "64k"},
 		{"-batch", "8", "-shards", "32", "-mem-budget", "64k"},

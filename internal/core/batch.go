@@ -53,7 +53,7 @@ func (r *DeltaBatchRunner) Simulate(g *topology.Graph, scs []Scenario, bases []*
 		if sc.Victim == sc.Attacker {
 			return errors.New("core: victim and attacker must differ")
 		}
-		lanes[i] = routing.AttackLane{Ann: sc.announcement(), Atk: sc.attacker(), Baseline: bases[i]}
+		lanes[i] = routing.AttackLane{Ann: sc.Announcement(), Atk: sc.AttackerConfig(), Baseline: bases[i]}
 	}
 	br, err := routing.PropagateAttackDeltaBatch(g, lanes, r.BS)
 	if errors.Is(err, routing.ErrUnreachableAttacker) {

@@ -11,7 +11,14 @@
 //
 // Simulate quantifies the attack on a given topology: which ASes adopt the
 // bogus route ("polluted"), compared against how many traversed M before
-// the attack.
+// the attack. The same call quantifies the two classic hijacks the paper
+// sets the attack against (Scenario.Type), so the three families are
+// directly comparable.
+//
+// Which routing engine runs a leg is decided here, from the scenario and
+// the graph (DESIGN §5.7): sibling-bearing topologies run the message-level
+// reference engine, ASPP attacks the incremental delta engine, forged
+// claims the full kernel.
 package core
 
 import (
@@ -25,12 +32,28 @@ import (
 	"aspp/internal/topology"
 )
 
-// Scenario is one interception-attack instance.
+// AttackType enumerates the prefix-hijack families the paper contrasts
+// (§II.B): the ASPP-based interception that is its contribution (the zero
+// value) and the two classic forged-announcement hijacks.
+type AttackType = routing.AttackKind
+
+// The attack families (see routing.AttackKind).
+const (
+	AttackASPP                = routing.AttackASPP
+	AttackOriginHijack        = routing.AttackOriginHijack
+	AttackNextHopInterception = routing.AttackNextHopInterception
+)
+
+// Scenario is one attack instance.
 type Scenario struct {
 	// Victim is the prefix owner (origin AS).
 	Victim bgp.ASN
 	// Attacker is the intercepting AS.
 	Attacker bgp.ASN
+	// Type is the attack family (zero value: AttackASPP). The forged
+	// families ignore KeepPrepend and ViolateValleyFree, need no route
+	// from the attacker to the victim, and need a sibling-free topology.
+	Type AttackType
 	// Prepend λ is the victim's origin-prepend count (>= 1).
 	Prepend int
 	// PerNeighborPrepend optionally varies λ per victim neighbor.
@@ -50,8 +73,8 @@ func (s Scenario) String() string {
 		s.Attacker, s.Victim, s.Prepend, s.ViolateValleyFree)
 }
 
-// announcement converts the scenario into the routing-layer announcement.
-func (s Scenario) announcement() routing.Announcement {
+// Announcement converts the scenario into the routing-layer announcement.
+func (s Scenario) Announcement() routing.Announcement {
 	ann := routing.Announcement{
 		Origin:      s.Victim,
 		Prepend:     s.Prepend,
@@ -66,10 +89,11 @@ func (s Scenario) announcement() routing.Announcement {
 	return ann
 }
 
-// attacker converts the scenario into the routing-layer attacker.
-func (s Scenario) attacker() routing.Attacker {
+// AttackerConfig converts the scenario into the routing-layer attacker.
+func (s Scenario) AttackerConfig() routing.Attacker {
 	return routing.Attacker{
 		AS:                s.Attacker,
+		Kind:              s.Type,
 		KeepPrepend:       s.KeepPrepend,
 		ViolateValleyFree: s.ViolateValleyFree,
 	}
@@ -198,36 +222,72 @@ func mustIdx(g *topology.Graph, asn bgp.ASN) int32 {
 // active (used by mitigation analysis to measure reachability costs of a
 // response that cuts the attacker off).
 func BaselineOnly(g *topology.Graph, sc Scenario) (*routing.Result, error) {
-	ann := sc.announcement()
+	return baselineLeg(g, sc.Announcement(), nil)
+}
+
+// baselineLeg propagates ann with no attacker: on the message-level engine
+// when the topology has sibling links, else on the fast kernel over s (nil:
+// a pooled Scratch and a private Result).
+func baselineLeg(g *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
 	if g.HasSiblings() {
 		return routing.PropagateReference(g, ann, nil)
 	}
-	return routing.Propagate(g, ann)
+	return routing.PropagateScratch(g, ann, s)
 }
 
-// simulateReference runs both propagations on the message-level engine,
-// which handles sibling links. The reference engine degrades an
-// unreachable attacker to a no-op, so reachability is checked explicitly
-// to preserve ErrAttackerSeesNoRoute semantics.
-func simulateReference(g *topology.Graph, ann routing.Announcement, sc Scenario, c *obs.Counters) (baseline, attacked *routing.Result, err error) {
-	baseline, err = routing.PropagateReference(g, ann, nil)
+// simulate runs sc's two legs on the engines the scenario and the graph
+// call for, computing the baseline when none is given, and records each
+// leg in the optional counters: the attack leg counts as a delta
+// propagation when the delta engine ran it and as a full one otherwise.
+// Scratch-borrowed results (s != nil) follow the routing.Scratch
+// ownership contract.
+func simulate(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (base, attacked *routing.Result, err error) {
+	if sc.Victim == sc.Attacker {
+		return nil, nil, errors.New("core: victim and attacker must differ")
+	}
+	siblings := g.HasSiblings()
+	if siblings && sc.Type != AttackASPP {
+		return nil, nil, fmt.Errorf("core: %v needs a sibling-free topology", sc.Type)
+	}
+	ann, atk := sc.Announcement(), sc.AttackerConfig()
+	if baseline == nil {
+		if baseline, err = baselineLeg(g, ann, s); err != nil {
+			return nil, nil, fmt.Errorf("core: baseline: %w", err)
+		}
+		c.AddBasePropagations(1)
+	}
+	delta := !siblings && sc.Type == AttackASPP
+	switch {
+	case siblings:
+		// The reference engine degrades an unreachable attacker to a no-op,
+		// so reachability is checked here to keep ErrAttackerSeesNoRoute.
+		if !baseline.Reachable(sc.Attacker) {
+			return nil, nil, ErrAttackerSeesNoRoute
+		}
+		attacked, err = routing.PropagateReference(g, ann, &atk)
+	case delta:
+		attacked, err = routing.PropagateAttackDelta(g, ann, atk, baseline, s)
+	default:
+		attacked, err = routing.PropagateAttackScratch(g, ann, atk, baseline, s)
+	}
+	if errors.Is(err, routing.ErrUnreachableAttacker) {
+		return nil, nil, ErrAttackerSeesNoRoute
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: baseline: %w", err)
+		return nil, nil, fmt.Errorf("core: attack: %w", err)
 	}
-	c.AddBasePropagations(1)
-	if !baseline.Reachable(sc.Attacker) {
-		return nil, nil, routing.ErrUnreachableAttacker
+	if delta {
+		c.AddDeltaPropagations(1)
+	} else {
+		c.AddFullPropagations(1)
 	}
-	atk := sc.attacker()
-	attacked, err = routing.PropagateReference(g, ann, &atk)
-	return baseline, attacked, err
+	return baseline, attacked, nil
 }
 
-// Simulate runs one interception attack: a baseline propagation of the
-// victim's announcement, then the attack propagation, and derives the
-// pollution metrics. Returns ErrAttackerSeesNoRoute when the attacker
-// never learns the victim's route. Topologies with sibling links are
-// routed by the message-level Reference engine automatically.
+// Simulate runs one attack: a baseline propagation of the victim's
+// announcement, then the attack propagation, and derives the pollution
+// metrics. Returns ErrAttackerSeesNoRoute when an ASPP attacker never
+// learns the victim's route.
 func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
 	return SimulateWithBaseline(g, sc, nil, nil)
 }
@@ -239,46 +299,12 @@ func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
 // scenario's announcement exactly (same origin, λ, per-neighbor prepends
 // and withholds) — callers own that invariant. Pass nil to compute it.
 // Propagation telemetry is recorded into the optional counters (nil
-// disables recording). Both propagation legs of the message-level
-// fallback count as full propagations — the delta engine never runs on
-// this path.
+// disables recording).
 func SimulateWithBaseline(g *topology.Graph, sc Scenario, baseline *routing.Result, c *obs.Counters) (*Impact, error) {
-	if sc.Victim == sc.Attacker {
-		return nil, errors.New("core: victim and attacker must differ")
-	}
-	ann := sc.announcement()
-	var (
-		attacked *routing.Result
-		err      error
-	)
-	if g.HasSiblings() {
-		if baseline == nil {
-			baseline, attacked, err = simulateReference(g, ann, sc, c)
-		} else {
-			if !baseline.Reachable(sc.Attacker) {
-				return nil, ErrAttackerSeesNoRoute
-			}
-			atk := sc.attacker()
-			attacked, err = routing.PropagateReference(g, ann, &atk)
-		}
-	} else {
-		if baseline == nil {
-			baseline, err = routing.Propagate(g, ann)
-			if err != nil {
-				return nil, fmt.Errorf("core: baseline: %w", err)
-			}
-			c.AddBasePropagations(1)
-		}
-		attacked, err = routing.PropagateAttack(g, ann, sc.attacker(), baseline)
-	}
-	if errors.Is(err, routing.ErrUnreachableAttacker) {
-		return nil, ErrAttackerSeesNoRoute
-	}
+	baseline, attacked, err := simulate(g, sc, baseline, nil, c)
 	if err != nil {
-		return nil, fmt.Errorf("core: attack: %w", err)
+		return nil, err
 	}
-	c.AddFullPropagations(1)
-
 	im := &Impact{
 		Scenario: sc,
 		baseline: baseline,
@@ -307,97 +333,19 @@ func (c Counts) Before() float64 { return frac(c.PollutedBefore, c.Eligible) }
 // After returns the under-attack polluted fraction.
 func (c Counts) After() float64 { return frac(c.PollutedAfter, c.Eligible) }
 
-// EngineKind selects the attack-propagation engine for the scratch-based
-// sweep hot path (SimulateCounts). It is an ablation knob: every
-// engine computes the identical stable outcome (pinned by the routing
-// package's differential suite), they differ only in cost.
-type EngineKind uint8
-
-const (
-	// EngineAuto (the zero value) uses the Delta engine whenever a
-	// precomputed baseline is supplied — the sweep-driver case, where
-	// the BaselineCache already paid for it — and the Full engine
-	// otherwise.
-	EngineAuto EngineKind = iota
-	// EngineFull always runs the full three-phase attack propagation.
-	EngineFull
-	// EngineDelta always runs the incremental delta propagation,
-	// computing the baseline into the Scratch first when none is given.
-	EngineDelta
-)
-
-// String names the engine kind (the asppbench -engine flag values).
-func (e EngineKind) String() string {
-	switch e {
-	case EngineFull:
-		return "full"
-	case EngineDelta:
-		return "delta"
-	default:
-		return "auto"
+// SimulateCounts runs one attack on the allocation-free path: propagation
+// state and the transient routing results are borrowed from s (one
+// Scratch per goroutine — see the routing.Scratch ownership contract),
+// and only the pollution counts survive the call. baseline and the
+// counters are as in SimulateWithBaseline. A nil Scratch, and the
+// message-level engine on sibling-bearing topologies, allocate.
+func SimulateCounts(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Counts, error) {
+	if s == nil {
+		s = routing.NewScratch()
 	}
-}
-
-// ParseEngineKind parses an -engine flag value.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "full":
-		return EngineFull, nil
-	case "delta":
-		return EngineDelta, nil
-	}
-	return EngineAuto, fmt.Errorf("core: unknown engine %q (want full or delta)", s)
-}
-
-// SimulateCounts runs one interception attack on the allocation-free path:
-// propagation state and the transient routing results are borrowed from s
-// (one Scratch per goroutine — see the routing.Scratch ownership
-// contract), and only the pollution counts survive the call. baseline is
-// optional exactly as in SimulateWithBaseline. engine picks the attack
-// leg (the asppbench -engine ablation); sibling-bearing topologies and
-// nil Scratches ignore the choice — they run the message-level fallback,
-// which allocates. The optional counters record one base propagation when
-// the baseline is computed here, and one full or delta propagation for
-// the attack leg depending on which engine actually ran.
-func SimulateCounts(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, engine EngineKind, c *obs.Counters) (Counts, error) {
-	if g.HasSiblings() || s == nil {
-		im, err := SimulateWithBaseline(g, sc, baseline, c)
-		if err != nil {
-			return Counts{}, err
-		}
-		return Counts{Eligible: im.Eligible, PollutedBefore: im.PollutedBefore, PollutedAfter: im.PollutedAfter}, nil
-	}
-	if sc.Victim == sc.Attacker {
-		return Counts{}, errors.New("core: victim and attacker must differ")
-	}
-	ann := sc.announcement()
-	useDelta := engine == EngineDelta || (engine == EngineAuto && baseline != nil)
-	var err error
-	if baseline == nil {
-		baseline, err = routing.PropagateScratch(g, ann, s)
-		if err != nil {
-			return Counts{}, fmt.Errorf("core: baseline: %w", err)
-		}
-		c.AddBasePropagations(1)
-	}
-	var attacked *routing.Result
-	if useDelta {
-		attacked, err = routing.PropagateAttackDelta(g, ann, sc.attacker(), baseline, s)
-	} else {
-		attacked, err = routing.PropagateAttackScratch(g, ann, sc.attacker(), baseline, s)
-	}
-	if errors.Is(err, routing.ErrUnreachableAttacker) {
-		return Counts{}, ErrAttackerSeesNoRoute
-	}
+	baseline, attacked, err := simulate(g, sc, baseline, s, c)
 	if err != nil {
-		return Counts{}, fmt.Errorf("core: attack: %w", err)
-	}
-	if useDelta {
-		c.AddDeltaPropagations(1)
-	} else {
-		c.AddFullPropagations(1)
+		return Counts{}, err
 	}
 	via, state, stack := s.ViaBuffers(g)
 	viaBase := baseline.ViaSetInto(sc.Attacker, via, state, stack)

@@ -54,6 +54,10 @@ func (p DeployPolicy) String() string {
 // CautiousAdoptionSweep measures the attack's pollution as cautious
 // adoption spreads across the Internet, for deployment fractions fracs.
 // Deployers' historical prepend counts come from the honest baseline.
+// Returns core.ErrAttackerSeesNoRoute when the attacker never hears the
+// victim's route. The sweep runs on the message-level reference engine:
+// quarantine ranks above the policy class, which the three-phase kernels
+// cannot express.
 func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64, policy DeployPolicy, seed int64) ([]CautiousOutcome, error) {
 	if len(fracs) == 0 {
 		return nil, errors.New("defense: no deployment fractions")
@@ -61,19 +65,16 @@ func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64,
 	if g.HasSiblings() {
 		return nil, errors.New("defense: cautious sweep does not support sibling graphs")
 	}
-	ann := routing.Announcement{
-		Origin:      sc.Victim,
-		Prepend:     sc.Prepend,
-		PerNeighbor: sc.PerNeighborPrepend,
-	}
+	ann, atk := sc.Announcement(), sc.AttackerConfig()
 	baseline, err := routing.Propagate(g, ann)
 	if err != nil {
 		return nil, fmt.Errorf("defense: baseline: %w", err)
 	}
-	atk := routing.Attacker{
-		AS:                sc.Attacker,
-		KeepPrepend:       sc.KeepPrepend,
-		ViolateValleyFree: sc.ViolateValleyFree,
+	if err := atk.Validate(g, ann); err != nil {
+		return nil, fmt.Errorf("defense: %w", err)
+	}
+	if !baseline.Reachable(sc.Attacker) {
+		return nil, core.ErrAttackerSeesNoRoute
 	}
 
 	// Deployment order: fixed once, then prefixes of it per fraction, so

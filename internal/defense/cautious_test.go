@@ -1,8 +1,10 @@
 package defense
 
 import (
+	"errors"
 	"testing"
 
+	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/routing"
 )
@@ -107,5 +109,59 @@ func TestCautiousQuarantineUsedOnlyAsLastResort(t *testing.T) {
 	// only way), so pollution stays total rather than traffic being lost.
 	if out[0].Pollution < 0.95 {
 		t.Errorf("quarantine blackholed traffic: pollution %.3f, want ~1 (only path)", out[0].Pollution)
+	}
+}
+
+// TestCautiousSweepHonorsWithholdAndUnreachableAttacker: the sweep takes
+// its announcement and attacker from the scenario the way core.Simulate
+// does. A withheld session must shape the attack (zero deployment equals
+// the plain attack on the same scenario — it used to be dropped
+// silently), and an attacker that never hears the route is
+// ErrAttackerSeesNoRoute, not a 0 % row.
+func TestCautiousSweepHonorsWithholdAndUnreachableAttacker(t *testing.T) {
+	g := defGraph(t, 600, 71)
+	// A multihomed stub victim; withholding from one provider moves routes.
+	var sc core.Scenario
+	for _, asn := range g.ASNs() {
+		if !g.IsStub(asn) || len(g.Providers(asn)) < 2 {
+			continue
+		}
+		cand := core.Scenario{Victim: asn, Attacker: g.Tier1s()[0], Prepend: 4, ViolateValleyFree: true}
+		open, err := core.Simulate(g, cand)
+		if err != nil {
+			continue
+		}
+		cand.WithholdFrom = []bgp.ASN{g.Providers(asn)[0]}
+		held, err := core.Simulate(g, cand)
+		if err == nil && held.PollutedAfter != open.PollutedAfter {
+			sc = cand
+			break
+		}
+	}
+	if sc.Victim == 0 {
+		t.Fatal("no victim whose withheld session changes the attack")
+	}
+	plain, err := core.Simulate(g, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := CautiousAdoptionSweep(g, sc, []float64{0}, DeployRandom, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Pollution != plain.After() {
+		t.Errorf("zero-deployment pollution %.4f, plain attack with the same withheld session %.4f", out[0].Pollution, plain.After())
+	}
+
+	// Withhold from every neighbor: nobody, the attacker included, hears
+	// the route.
+	dark := sc
+	dark.WithholdFrom = append(append(g.Providers(sc.Victim), g.Peers(sc.Victim)...), g.Customers(sc.Victim)...)
+	if _, err := CautiousAdoptionSweep(g, dark, []float64{0, 1}, DeployRandom, 1); !errors.Is(err, core.ErrAttackerSeesNoRoute) {
+		t.Errorf("attacker that hears nothing: err = %v, want ErrAttackerSeesNoRoute", err)
+	}
+	dark.Attacker = 4242424
+	if _, err := CautiousAdoptionSweep(g, dark, []float64{0}, DeployRandom, 1); err == nil || errors.Is(err, core.ErrAttackerSeesNoRoute) {
+		t.Errorf("unknown attacker: err = %v, want a validation error", err)
 	}
 }

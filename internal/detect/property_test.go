@@ -158,7 +158,7 @@ func TestDetectChangeAlwaysFindsEffectiveStrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := routing.PropagateAttack(g, ann, routing.Attacker{AS: attacker, ViolateValleyFree: true}, base)
+		res, err := routing.PropagateAttackScratch(g, ann, routing.Attacker{AS: attacker, ViolateValleyFree: true}, base, nil)
 		if err != nil {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"aspp/internal/core"
 	"aspp/internal/obs"
 )
 
@@ -151,28 +150,5 @@ func TestBatchedSweepPropagationConservation(t *testing.T) {
 		batched.DeltaBatchPropagations/batched.DeltaBatchCalls < 2 {
 		t.Errorf("batched run mean lane width %d/%d too low",
 			batched.DeltaBatchPropagations, batched.DeltaBatchCalls)
-	}
-}
-
-// TestBatchedLegsEngineFullStaysSerial: the -engine full ablation must
-// opt out of batched attack legs even when -batch is set (batched lanes
-// are delta propagations by construction).
-func TestBatchedLegsEngineFullStaysSerial(t *testing.T) {
-	g := expGraph(t, 200, 5)
-	c := &obs.Counters{}
-	cfg := PairConfig{Kind: PairsRandom, N: 20, Prepend: 2, Seed: 3, Workers: 2,
-		Engine: core.EngineFull, Counters: c, Batch: 8}
-	if _, err := SamplePairsCtx(context.Background(), g, cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
-	if s.DeltaBatchPropagations != 0 {
-		t.Errorf("EngineFull ran batched delta legs: %v", s)
-	}
-	if s.FullPropagations == 0 {
-		t.Errorf("EngineFull ran no full propagations: %v", s)
-	}
-	if s.BatchPropagations == 0 {
-		t.Errorf("baseline warming should still batch under EngineFull: %v", s)
 	}
 }

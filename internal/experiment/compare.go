@@ -67,66 +67,53 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		return nil, err
 	}
 
-	out := make([]AttackComparison, 0, 3)
-
-	// ASPP interception. The prepend-consistency evaluation reuses one
-	// arena-backed scratch across instances (the loop is serial).
-	sc := detect.NewEvalScratch()
-	asppCmp := AttackComparison{Type: core.AttackASPP, Instances: len(impacts)}
-	for _, im := range impacts {
-		asppCmp.MeanPollution += im.After()
-		routes := monitorRoutesFromImpact(im, monitors)
-		if _, moas := detect.DetectMOAS(routes); moas {
-			asppCmp.DetectedByMOAS++
-		}
-		if len(detect.DetectFakeLinks(g, routes)) > 0 {
-			asppCmp.DetectedByFakeLink++
-		}
-		if detect.EvaluateScratch(im, monitors, g, sc).Detected {
-			asppCmp.DetectedByASPP++
-		}
-	}
-	finishComparison(&asppCmp)
-	out = append(out, asppCmp)
-
-	// The two forged-announcement baselines. The pairs already proved
-	// usable for ASPP, so there is nothing left to redraw: any failure
-	// here is a propagation bug and aborts the comparison.
-	for _, typ := range []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception} {
-		results, cerr := parallel.MapErr(ctx, len(impacts), cfg.Workers, func(i int) (*core.BaselineImpact, error) {
-			sc := impacts[i].Scenario
-			bi, err := core.SimulateBaseline(g, typ, sc.Victim, sc.Attacker, cfg.Prepend)
-			if err != nil {
-				return nil, fmt.Errorf("%v pair %v/%v: %w", typ, sc.Victim, sc.Attacker, err)
-			}
-			return bi, nil
-		})
-		if cerr != nil {
-			return nil, sweepError("comparison sweep", cerr)
-		}
-		cmp := AttackComparison{Type: typ}
-		for _, bi := range results {
-			if bi == nil {
-				continue
-			}
-			cmp.Instances++
-			cmp.MeanPollution += bi.After()
-			routes := monitorRoutesFromMulti(bi, monitors)
+	// Every family is scored the same way: captured share, then the three
+	// detector classes over the monitors' under-attack routes. The
+	// prepend-consistency evaluation reuses one arena-backed scratch across
+	// instances (the loop is serial); its trigger is a prepend-count
+	// decrease, which a forged [M V] also causes at polluted monitors (the
+	// forged path carries one origin copy).
+	evalScratch := detect.NewEvalScratch()
+	score := func(typ core.AttackType, ims []*core.Impact) AttackComparison {
+		cmp := AttackComparison{Type: typ, Instances: len(ims)}
+		for _, im := range ims {
+			cmp.MeanPollution += im.After()
+			routes := monitorRoutesFromImpact(im, monitors)
 			if _, moas := detect.DetectMOAS(routes); moas {
 				cmp.DetectedByMOAS++
 			}
 			if len(detect.DetectFakeLinks(g, routes)) > 0 {
 				cmp.DetectedByFakeLink++
 			}
-			// The ASPP detector's trigger is a prepend-count decrease,
-			// which the forged announcements also cause at polluted
-			// monitors (the forged path carries one origin copy).
-			if asppDetectsBaseline(bi, monitors, g) {
+			if detect.EvaluateScratch(im, monitors, g, evalScratch).Detected {
 				cmp.DetectedByASPP++
 			}
 		}
 		finishComparison(&cmp)
-		out = append(out, cmp)
+		return cmp
+	}
+	out := []AttackComparison{score(core.AttackASPP, impacts)}
+
+	// The two forged-announcement families on the same pairs, against the
+	// honest baseline each ASPP instance already holds. The pairs already
+	// proved usable for ASPP, so there is nothing left to redraw: any
+	// failure here is a propagation bug and aborts the comparison.
+	for _, typ := range []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception} {
+		forged, cerr := parallel.MapErr(ctx, len(impacts), cfg.Workers, func(i int) (*core.Impact, error) {
+			sc := core.Scenario{
+				Victim: impacts[i].Scenario.Victim, Attacker: impacts[i].Scenario.Attacker,
+				Prepend: cfg.Prepend, Type: typ,
+			}
+			im, err := core.SimulateWithBaseline(g, sc, impacts[i].Baseline(), cfg.Counters)
+			if err != nil {
+				return nil, fmt.Errorf("%v pair %v/%v: %w", typ, sc.Victim, sc.Attacker, err)
+			}
+			return im, nil
+		})
+		if cerr != nil {
+			return nil, sweepError("comparison sweep", cerr)
+		}
+		out = append(out, score(typ, forged))
 	}
 	return out, nil
 }
@@ -152,33 +139,6 @@ func monitorRoutesFromImpact(im *core.Impact, monitors []bgp.ASN) []detect.Monit
 		}
 	}
 	return out
-}
-
-func monitorRoutesFromMulti(bi *core.BaselineImpact, monitors []bgp.ASN) []detect.MonitorRoute {
-	out := make([]detect.MonitorRoute, 0, len(monitors))
-	for _, m := range monitors {
-		if p := bi.Attacked().PathOf(m); p != nil {
-			out = append(out, detect.MonitorRoute{Monitor: m, Path: p})
-		}
-	}
-	return out
-}
-
-// asppDetectsBaseline runs the prepend-consistency detector against a
-// baseline attack's before/after monitor views.
-func asppDetectsBaseline(bi *core.BaselineImpact, monitors []bgp.ASN, rels detect.RelQuerier) bool {
-	witnesses := monitorRoutesFromMulti(bi, monitors)
-	for _, m := range monitors {
-		prev := bi.Honest().PathOf(m)
-		cur := bi.Attacked().PathOf(m)
-		if prev == nil || cur == nil {
-			continue
-		}
-		if len(detect.DetectChange(m, prev, cur, witnesses, rels)) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ComparisonPrefix is the synthetic prefix label used when rendering

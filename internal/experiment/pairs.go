@@ -48,10 +48,6 @@ type PairConfig struct {
 	Violate bool
 	Seed    int64
 	Workers int
-	// Engine selects the attack-propagation engine (the asppbench
-	// -engine ablation). The zero value EngineAuto runs incremental
-	// delta propagation against the cached baselines.
-	Engine core.EngineKind
 	// Counters optionally collects sweep telemetry (propagations per
 	// engine, cache hits, skipped draws, memory gauges). One Counters per
 	// sweep; nil disables recording.
@@ -60,9 +56,9 @@ type PairConfig struct {
 	// lane-batched engine (BaselineCache.WarmBatch) and runs the attack
 	// legs Batch lanes at a time on the batched delta engine
 	// (core.DeltaBatchRunner) — draws grouped by their shared (victim, λ)
-	// baseline, output byte-identical to the serial legs. EngineFull
-	// keeps the attack legs serial (the ablation), as do sibling
-	// topologies. 0 or 1 keeps everything lazy/serial.
+	// baseline, output byte-identical to the serial legs. Sibling
+	// topologies keep the attack legs serial. 0 or 1 keeps everything
+	// lazy/serial.
 	Batch int
 	// Shards partitions the candidate space by victim into that many
 	// shards, each owning a private BaselineCache, dispatched across the
@@ -150,7 +146,7 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 	// Shard states (and their caches) persist across chunks, so repeated
 	// victims stay warm.
 	r, err := newLegRunner(g, legOptions{
-		what: "pair sweep", engine: cfg.Engine, batch: cfg.Batch, shards: cfg.Shards,
+		what: "pair sweep", batch: cfg.Batch, shards: cfg.Shards,
 		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
 	})
 	if err != nil {
@@ -211,15 +207,13 @@ type SweepConfig struct {
 	MaxLambda        int
 	Violate          bool
 	Workers          int
-	Engine           core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
 	// Batch > 1 computes the victim's baselines as lanes of batched
 	// propagations and runs the λ steps' attack legs Batch lanes at a
 	// time on the batched delta engine — each lane reading its own λ's
-	// baseline, output identical to the serial legs. EngineFull and
-	// sibling topologies keep the attack legs serial. 0 or 1 keeps
-	// everything lazy/serial.
+	// baseline, output identical to the serial legs. Sibling topologies
+	// keep the attack legs serial. 0 or 1 keeps everything lazy/serial.
 	Batch int
 	// Shards splits λ = 1..MaxLambda into that many contiguous blocks,
 	// one shard cache per block (DESIGN §5f); output byte-identical at
@@ -243,8 +237,8 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 		return nil, errors.New("experiment: maxLambda must be >= 1")
 	}
 	r, err := newLegRunner(g, legOptions{
-		what:   fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
-		engine: cfg.Engine, batch: cfg.Batch, shards: cfg.Shards,
+		what:  fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
+		batch: cfg.Batch, shards: cfg.Shards,
 		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
 		allFatal: true,
 	})

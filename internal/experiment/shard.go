@@ -42,7 +42,6 @@ import (
 // legOptions is everything a driver tells the runner besides the legs.
 type legOptions struct {
 	what      string // names the sweep in errors ("pair sweep")
-	engine    core.EngineKind
 	batch     int
 	shards    int
 	memBudget int64
@@ -126,9 +125,9 @@ type legRunner struct {
 // narrow so the lane tables plus the warm window's pinned baselines fit
 // it; without one the configured batch width stands. Lane width never
 // changes sweep output — only grouping. Attack legs batch when the width
-// allows it, except under EngineFull (the serial full-recompute ablation)
-// and on sibling-bearing topologies (which need the message-level
-// Reference engine).
+// allows it, except on sibling-bearing topologies (which need the
+// message-level Reference engine); serial legs run on the engine
+// core.SimulateCounts picks.
 func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 	nShards, err := normalizeShards(o.shards, o.memBudget, o.workers)
 	if err != nil {
@@ -140,7 +139,7 @@ func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 	}
 	r := &legRunner{
 		g: g, o: o, kEff: kEff,
-		batched: o.batch > 1 && o.engine != core.EngineFull && !g.HasSiblings(),
+		batched: o.batch > 1 && !g.HasSiblings(),
 		shards:  make([]*shardState, nShards),
 	}
 	for i := range r.shards {
@@ -236,7 +235,7 @@ func (r *legRunner) runShard(ctx context.Context, st *shardState, legs []core.Sc
 				st.idxs = append(st.idxs, i)
 				continue
 			}
-			c, err := core.SimulateCounts(r.g, sc, base, st.runner.S, r.o.engine, r.o.counters)
+			c, err := core.SimulateCounts(r.g, sc, base, st.runner.S, r.o.counters)
 			if err != nil {
 				return fmt.Errorf("%v: %w", sc, err)
 			}

@@ -56,7 +56,7 @@ func BuildSiblingScenario(g *topology.Graph, victim, attacker, siblingASN bgp.AS
 // Sweep runs the λ sweep with the valley-free-*following* attacker over
 // the sibling-extended topology (the paper's Fig. 11 "follow valley-free
 // rule" curve). It is SweepPrependCfgCtx on s.Graph with default options;
-// call that directly for cancellation, counters or engine knobs.
+// call that directly for cancellation, counters or the sweep-runner knobs.
 func (s *SiblingScenario) Sweep(maxLambda int) ([]SweepPoint, error) {
 	return SweepPrependCfgCtx(context.Background(), s.Graph, SweepConfig{
 		Victim: s.Victim, Attacker: s.Attacker, MaxLambda: maxLambda,

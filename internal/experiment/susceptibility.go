@@ -33,17 +33,13 @@ type SusceptibilityConfig struct {
 	Violate bool
 	Seed    int64
 	Workers int
-	// Engine selects the attack-propagation engine; the zero value
-	// EngineAuto runs delta propagation against the cached baselines.
-	Engine core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
 	// Batch > 1 warms the victims' baselines through the lane-batched
 	// engine and runs the attack legs Batch lanes at a time on the
 	// batched delta engine — jobs grouped by shared (victim, λ) baseline,
-	// output identical to the serial legs. EngineFull and sibling
-	// topologies keep the attack legs serial. 0 or 1 keeps everything
-	// lazy/serial.
+	// output identical to the serial legs. Sibling topologies keep the
+	// attack legs serial. 0 or 1 keeps everything lazy/serial.
 	Batch int
 	// Shards partitions the jobs by victim into that many shards, each
 	// owning a private BaselineCache released as soon as its shard
@@ -124,7 +120,7 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 		}
 	}
 	r, err := newLegRunner(g, legOptions{
-		what: "susceptibility sweep", engine: cfg.Engine, batch: cfg.Batch, shards: cfg.Shards,
+		what: "susceptibility sweep", batch: cfg.Batch, shards: cfg.Shards,
 		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
 	})
 	if err != nil {

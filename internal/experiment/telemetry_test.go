@@ -38,9 +38,9 @@ func TestSamplePairsPropagationBudget(t *testing.T) {
 	if total := attacks + s.SkippedUnreachable; total > int64(2*cfg.N) {
 		t.Fatalf("attacks+skips=%d, want <= 2N=%d (overcompute regression)", total, 2*cfg.N)
 	}
-	// The default engine runs delta propagation against cached baselines.
-	if s.DeltaPropagations == 0 {
-		t.Fatal("DeltaPropagations=0, want delta engine active under EngineAuto")
+	// ASPP legs run delta propagation against the cached baselines.
+	if s.DeltaPropagations == 0 || s.FullPropagations != 0 {
+		t.Fatalf("prop_delta=%d prop_full=%d, want every ASPP leg on the delta engine", s.DeltaPropagations, s.FullPropagations)
 	}
 	if s.BaselineMisses == 0 {
 		t.Fatal("BaselineMisses=0, want at least one baseline computed")

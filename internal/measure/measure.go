@@ -32,25 +32,14 @@ type SurveyConfig struct {
 	Workers int
 	// Seed drives churn sampling.
 	Seed int64
-	// Memoize shares one propagation across all prefixes of an origin
-	// with identical announcements (on by default in DefaultSurveyConfig;
-	// the ablation benchmark turns it off).
-	Memoize bool
 	// Counters optionally collects survey telemetry (propagations, churn
 	// updates emitted); nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 computes the steady-state table leg as lane-batched
-	// propagations (groups of Batch origins per routing.PropagateBatch
-	// call). Requires Memoize — the non-memoized ablation repeats runs per
-	// prefix and stays serial. The churn leg is serial either way: each
-	// event's withheld-session announcement is unique. 0 or 1 keeps the
-	// table leg serial.
-	Batch int
 }
 
 // DefaultSurveyConfig returns the standard survey setup.
 func DefaultSurveyConfig() SurveyConfig {
-	return SurveyConfig{ChurnEvents: 200, Seed: 1, Memoize: true}
+	return SurveyConfig{ChurnEvents: 200, Seed: 1}
 }
 
 // DefaultMonitors mimics the public route-monitor deployment: every
@@ -155,83 +144,51 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	}
 
 	// Steady-state tables: one propagation per origin (all its prefixes
-	// share the announcement); weight per-prefix afterwards. Without
-	// memoization, propagate once per prefix (ablation only). Each worker
-	// owns a routing.Scratch reused across its origins, so the fan-out
-	// does not clone a fresh Result per propagation, and the per-origin
-	// prepend observations land in one flat matrix: prepMat[i*nMon+mi]
-	// is the origin-prepend run monitor mi sees for origin i (-1 when the
-	// monitor has no route or is the origin itself). The prepend run a
-	// monitor receives is also the path's maximum run here — only origins
-	// prepend in this survey — so the table distribution reads the same
-	// cell.
+	// share the announcement); weight per-prefix afterwards. The leg runs
+	// lane-batched — each worker owns a BatchScratch and carries a lane
+	// group of origins per shared frontier walk, the width sized to keep
+	// the lane state cache-resident on this topology. Lanes are
+	// bitwise-equal to the serial engine. The per-origin prepend
+	// observations land in one flat matrix: prepMat[i*nMon+mi] is the
+	// origin-prepend run monitor mi sees for origin i (-1 when the monitor
+	// has no route or is the origin itself). The prepend run a monitor
+	// receives is also the path's maximum run here — only origins prepend
+	// in this survey — so the table distribution reads the same cell. The
+	// churn leg below is serial: each event's withheld-session
+	// announcement is unique.
 	nMon := len(monIdx)
 	prepMat := make([]int16, len(origins)*nMon)
-	fillRow := func(i int, rt *routing.Result) {
-		row := prepMat[i*nMon : (i+1)*nMon]
-		for j := range row {
-			row[j] = -1
-		}
-		for mi, idx := range monIdx {
-			if !rt.ReachableIdx(idx) || idx == rt.OriginIdx() {
-				continue
+	anns := make([]routing.Announcement, len(origins))
+	for i, oc := range origins {
+		anns[i] = oc.Announcement
+	}
+	width := routing.AdaptiveLaneWidth(g.NumASes())
+	groups := (len(origins) + width - 1) / width
+	perr := parallel.ForEachScratchErr(context.Background(), groups, cfg.Workers,
+		routing.NewBatchScratch,
+		func(bs *routing.BatchScratch, gi int) error {
+			lo := gi * width
+			hi := min(lo+width, len(origins))
+			br, err := routing.PropagateBatch(g, anns[lo:hi], bs)
+			if err != nil {
+				// Origins are validated at assignment, so this indicates a
+				// propagation bug; fail the survey instead of panicking the
+				// worker pool.
+				return fmt.Errorf("measure: batch propagate origins [%d:%d): %w", lo, hi, err)
 			}
-			row[mi] = rt.Prep[idx]
-		}
-	}
-	var perr error
-	if cfg.Memoize && cfg.Batch > 1 {
-		// Batched table leg: each worker owns a BatchScratch and carries
-		// Batch origins per shared frontier walk. Lanes are bitwise-equal
-		// to the serial engine, so the matrix — and every downstream
-		// figure — is identical to the serial leg's.
-		anns := make([]routing.Announcement, len(origins))
-		for i, oc := range origins {
-			anns[i] = oc.Announcement
-		}
-		groups := (len(origins) + cfg.Batch - 1) / cfg.Batch
-		perr = parallel.ForEachScratchErr(context.Background(), groups, cfg.Workers,
-			routing.NewBatchScratch,
-			func(bs *routing.BatchScratch, gi int) error {
-				lo := gi * cfg.Batch
-				hi := min(lo+cfg.Batch, len(origins))
-				br, err := routing.PropagateBatch(g, anns[lo:hi], bs)
-				if err != nil {
-					return fmt.Errorf("measure: batch propagate origins [%d:%d): %w", lo, hi, err)
-				}
-				cfg.Counters.AddBatchPropagations(int64(hi - lo))
-				cfg.Counters.AddBatchCalls(1)
-				for l, rt := range br.Lanes {
-					fillRow(lo+l, rt)
-				}
-				return nil
-			})
-	} else {
-		perr = parallel.ForEachScratchErr(context.Background(), len(origins), cfg.Workers,
-			routing.NewScratch,
-			func(s *routing.Scratch, i int) error {
-				oc := origins[i]
-				runs := 1
-				if !cfg.Memoize {
-					runs = len(oc.Prefixes)
-				}
-				for r := 0; r < runs; r++ {
-					rt, err := routing.PropagateScratch(g, oc.Announcement, s)
-					if err != nil {
-						// Origins are validated at assignment, so this indicates a
-						// propagation bug; fail the survey instead of panicking the
-						// worker pool.
-						return fmt.Errorf("measure: propagate %v: %w", oc.AS, err)
+			cfg.Counters.AddBatchPropagations(int64(hi - lo))
+			cfg.Counters.AddBatchCalls(1)
+			for l, rt := range br.Lanes {
+				row := prepMat[(lo+l)*nMon : (lo+l+1)*nMon]
+				for mi, idx := range monIdx {
+					row[mi] = -1
+					if rt.ReachableIdx(idx) && idx != rt.OriginIdx() {
+						row[mi] = rt.Prep[idx]
 					}
-					cfg.Counters.AddBasePropagations(1)
-					if r > 0 {
-						continue // identical result; the extra runs are the ablation cost
-					}
-					fillRow(i, rt)
 				}
-				return nil
-			})
-	}
+			}
+			return nil
+		})
 	if perr != nil {
 		return nil, perr
 	}

@@ -7,6 +7,7 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
 	"aspp/internal/obs"
+	"aspp/internal/routing"
 )
 
 // TestRunSurveyTablePropagationErrorReturned injects an origin whose AS is
@@ -63,9 +64,10 @@ func TestRunSurveyChurnPropagationErrorReturned(t *testing.T) {
 	}
 }
 
-// TestRunSurveyCounters checks the telemetry plumbing: base propagations
-// cover one table run per origin plus one churn run per event, and the
-// churn-update counter matches the result's own total.
+// TestRunSurveyCounters checks the telemetry plumbing: the table leg is
+// one batch lane per origin in full-width calls, the churn leg one serial
+// propagation per event, and the churn-update counter matches the
+// result's own total.
 func TestRunSurveyCounters(t *testing.T) {
 	g, origins := surveySetup(t, 300, 12)
 	cfg := DefaultSurveyConfig()
@@ -77,8 +79,12 @@ func TestRunSurveyCounters(t *testing.T) {
 	}
 	events := collector.PlanChurn(origins, cfg.ChurnEvents, cfg.Seed)
 	s := cfg.Counters.Snapshot()
-	if want := int64(len(origins) + len(events)); s.BasePropagations != want {
-		t.Fatalf("BasePropagations=%d, want %d (origins + churn events)", s.BasePropagations, want)
+	width := routing.AdaptiveLaneWidth(g.NumASes())
+	if s.BatchPropagations != int64(len(origins)) || s.BatchCalls != int64((len(origins)+width-1)/width) {
+		t.Fatalf("prop_batch=%d batch_calls=%d, want %d lanes (one per origin) at width %d", s.BatchPropagations, s.BatchCalls, len(origins), width)
+	}
+	if s.BasePropagations != int64(len(events)) {
+		t.Fatalf("BasePropagations=%d, want %d (churn events)", s.BasePropagations, len(events))
 	}
 	if s.ChurnUpdates != int64(res.Updates) {
 		t.Fatalf("ChurnUpdates=%d, want %d (res.Updates)", s.ChurnUpdates, res.Updates)

@@ -5,6 +5,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -141,26 +142,40 @@ func TestRunSurveyTier1SeesMore(t *testing.T) {
 	}
 }
 
+// TestRunSurveyMemoizationEquivalence: the table leg propagates once per
+// origin, as one lane of a batched call, and weights the outcome by the
+// origin's prefix count. That must equal a tally that propagates every
+// prefix on its own through the serial engine.
 func TestRunSurveyMemoizationEquivalence(t *testing.T) {
 	g, origins := surveySetup(t, 300, 13)
 	cfg := DefaultSurveyConfig()
 	cfg.ChurnEvents = 30
-	withMemo, err := RunSurvey(g, origins, cfg)
+	res, err := RunSurvey(g, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Memoize = false
-	without, err := RunSurvey(g, origins, cfg)
-	if err != nil {
-		t.Fatal(err)
+	total := map[bgp.ASN]int{}
+	prepended := map[bgp.ASN]int{}
+	for _, oc := range origins {
+		for range oc.Prefixes {
+			rt, err := routing.Propagate(g, oc.Announcement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range res.TableFracs {
+				if f.Monitor == oc.AS || !rt.Reachable(f.Monitor) {
+					continue
+				}
+				total[f.Monitor]++
+				if rt.PathOf(f.Monitor).OriginPrepend() >= 2 {
+					prepended[f.Monitor]++
+				}
+			}
+		}
 	}
-	if len(withMemo.TableFracs) != len(without.TableFracs) {
-		t.Fatalf("series lengths differ")
-	}
-	for i := range withMemo.TableFracs {
-		a, b := withMemo.TableFracs[i], without.TableFracs[i]
-		if a.Monitor != b.Monitor || a.Frac != b.Frac {
-			t.Fatalf("memoization changed results at %d: %+v vs %+v", i, a, b)
+	for _, f := range res.TableFracs {
+		if want := float64(prepended[f.Monitor]) / float64(total[f.Monitor]); f.Frac != want {
+			t.Fatalf("monitor %v: table fraction %v, per-prefix tally %v", f.Monitor, f.Frac, want)
 		}
 	}
 }

@@ -10,76 +10,25 @@ import (
 	"sync"
 )
 
-// ForEach runs fn(i) for every i in [0, n) using at most workers
+// ForEachErr runs fn(i) for every i in [0, n) using at most workers
 // goroutines (workers <= 0 selects GOMAXPROCS). It blocks until all calls
 // complete; no goroutine outlives the call. Results must be written to
 // index-addressed storage by the callers (out[i] = ...), which keeps the
 // merge deterministic regardless of scheduling.
-func ForEach(n, workers int, fn func(i int)) {
-	_ = ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// Map runs fn over [0, n) with bounded fan-out and collects the results
-// in index order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out, _ := MapCtx(context.Background(), n, workers, fn)
-	return out
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is
-// cancelled no new index is dispatched, in-flight calls drain to
-// completion, and the first non-nil ctx.Err() is returned. Indices are
-// dispatched strictly in order, so on early exit the set of processed
-// indices is exactly [0, k) for some k — callers that collect into
-// index-addressed storage can treat a non-nil error as "a prefix of the
-// work is done, the tail is untouched zero values".
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForEachScratch(ctx, n, workers,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) { fn(i) })
-}
-
-// MapCtx runs fn over [0, n) with bounded fan-out and cancellation,
-// collecting results in index order. The returned slice always has n
-// entries; when err is non-nil only a prefix was computed and the rest
-// hold zero values.
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachCtx(ctx, n, workers, func(i int) {
-		out[i] = fn(i)
-	})
-	return out, err
-}
-
-// ForEachScratch is ForEachCtx with per-worker reusable state: every
-// worker goroutine calls newState once and passes its state to each fn
-// call it executes, so a sweep worker reuses one routing.Scratch (or any
-// other scratch object) across its whole share of the work. fn never sees
-// a state concurrently with another call using the same state.
-func ForEachScratch[S any](ctx context.Context, n, workers int, newState func() S, fn func(st S, i int)) error {
-	return ForEachScratchErr(ctx, n, workers, newState, func(st S, i int) error {
-		fn(st, i)
-		return nil
-	})
-}
-
-// MapScratch is MapCtx with per-worker reusable state (see ForEachScratch).
-func MapScratch[S, T any](ctx context.Context, n, workers int, newState func() S, fn func(st S, i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachScratch(ctx, n, workers, newState, func(st S, i int) {
-		out[i] = fn(st, i)
-	})
-	return out, err
-}
-
-// ForEachErr is ForEachCtx with error-returning workers: the first failure
-// (the one at the lowest index, so the returned error is deterministic
-// under any scheduling) stops dispatch of further indices, in-flight calls
-// drain to completion, and that error is returned. Cancellation keeps its
-// usual meaning; when both happen, the worker error wins — it is the more
-// specific report. The early-exit prefix contract is unchanged: processed
-// indices are exactly [0, k) for some k, with the failing index inside the
-// prefix.
+//
+// Cancellation is cooperative: once ctx is cancelled no new index is
+// dispatched, in-flight calls drain to completion, and ctx.Err() is
+// returned. Indices are dispatched strictly in order, so on early exit the
+// set of processed indices is exactly [0, k) for some k — callers that
+// collect into index-addressed storage can treat a non-nil error as "a
+// prefix of the work is done, the tail is untouched zero values".
+//
+// A failing call does the same: the first failure (the one at the lowest
+// index, so the returned error is deterministic under any scheduling)
+// stops dispatch of further indices, in-flight calls drain to completion,
+// and that error is returned, with the failing index inside the prefix.
+// When a failure and a cancellation both happen, the worker error wins —
+// it is the more specific report.
 func ForEachErr(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return ForEachScratchErr(ctx, n, workers,
 		func() struct{} { return struct{}{} },
@@ -103,9 +52,13 @@ func MapErr[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 	return out, err
 }
 
-// ForEachScratchErr is ForEachScratch with error-returning workers (see
-// ForEachErr for the first-error and prefix semantics). It is the single
-// underlying engine: every other helper in this package delegates here.
+// ForEachScratchErr is ForEachErr with per-worker reusable state: every
+// worker goroutine calls newState once and passes its state to each fn
+// call it executes, so a sweep worker reuses one routing.Scratch (or any
+// other scratch object) across its whole share of the work. fn never sees
+// a state concurrently with another call using the same state. It is the
+// single underlying engine: every other helper in this package delegates
+// here.
 func ForEachScratchErr[S any](ctx context.Context, n, workers int, newState func() S, fn func(st S, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -184,7 +137,7 @@ feed:
 }
 
 // MapScratchErr is MapErr with per-worker reusable state (see
-// ForEachScratch). The failing index's slot keeps its zero value.
+// ForEachScratchErr). The failing index's slot keeps its zero value.
 func MapScratchErr[S, T any](ctx context.Context, n, workers int, newState func() S, fn func(st S, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachScratchErr(ctx, n, workers, newState, func(st S, i int) error {

@@ -38,11 +38,12 @@ func TestForEachCtxCancelLeavesPrefix(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		processed := make([]int32, n)
 		var calls atomic.Int32
-		err := ForEachCtx(ctx, n, workers, func(i int) {
+		err := ForEachErr(ctx, n, workers, func(i int) error {
 			processed[i] = 1
 			if calls.Add(1) == 40 {
 				cancel()
 			}
+			return nil
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -67,8 +68,9 @@ func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
 	const n = 200
 	for _, workers := range []int{0, 1, 3, n, n * 2} {
 		counts := make([]int32, n)
-		if err := ForEachCtx(context.Background(), n, workers, func(i int) {
+		if err := ForEachErr(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
+			return nil
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -80,17 +82,17 @@ func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
 	}
 }
 
-// TestMapCtxPartialTailIsZero pins MapCtx's shape on early exit: always n
-// entries, computed prefix, untouched zero-value tail.
+// TestMapCtxPartialTailIsZero pins MapErr's shape on cancellation: always
+// n entries, computed prefix, untouched zero-value tail.
 func TestMapCtxPartialTailIsZero(t *testing.T) {
 	const n = 300
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int32
-	out, err := MapCtx(ctx, n, 4, func(i int) int {
+	out, err := MapErr(ctx, n, 4, func(i int) (int, error) {
 		if calls.Add(1) == 25 {
 			cancel()
 		}
-		return i + 1 // never zero, so zero marks "not computed"
+		return i + 1, nil // never zero, so zero marks "not computed"
 	})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
@@ -118,7 +120,7 @@ func TestMapCtxPartialTailIsZero(t *testing.T) {
 	// Pre-cancelled context: nothing runs, full zero-value slice.
 	pre, precancel := context.WithCancel(context.Background())
 	precancel()
-	out, err = MapCtx(pre, n, 4, func(i int) int { return i + 1 })
+	out, err = MapErr(pre, n, 4, func(i int) (int, error) { return i + 1, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled err=%v, want context.Canceled", err)
 	}
@@ -146,7 +148,7 @@ func TestForEachScratchStateOwnership(t *testing.T) {
 			created []*scratchProbe
 		)
 		counts := make([]int32, n)
-		err := ForEachScratch(context.Background(), n, workers,
+		err := ForEachScratchErr(context.Background(), n, workers,
 			func() *scratchProbe {
 				states.Add(1)
 				p := &scratchProbe{}
@@ -155,13 +157,14 @@ func TestForEachScratchStateOwnership(t *testing.T) {
 				mu.Unlock()
 				return p
 			},
-			func(p *scratchProbe, i int) {
+			func(p *scratchProbe, i int) error {
 				if !p.busy.CompareAndSwap(0, 1) {
 					t.Errorf("workers=%d: state used concurrently at index %d", workers, i)
 				}
 				p.calls++
 				atomic.AddInt32(&counts[i], 1)
 				p.busy.Store(0)
+				return nil
 			})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -205,13 +208,14 @@ func TestForEachScratchConcurrentCancelStress(t *testing.T) {
 			time.Sleep(time.Duration(round%7) * 10 * time.Microsecond)
 			cancel()
 		}()
-		err := ForEachScratch(ctx, n, 6,
+		err := ForEachScratchErr(ctx, n, 6,
 			func() int { return 0 },
-			func(_ int, i int) {
+			func(_ int, i int) error {
 				if returned.Load() {
 					t.Errorf("round %d: call for index %d after return", round, i)
 				}
 				processed[i] = 1
+				return nil
 			})
 		returned.Store(true)
 		if err != nil && !errors.Is(err, context.Canceled) {

@@ -78,7 +78,7 @@ func TestMapErrWorkerErrorLeavesPrefix(t *testing.T) {
 	}
 }
 
-// TestMapErrCancelLeavesPrefix mirrors the ForEachCtx cancel suite: an
+// TestMapErrCancelLeavesPrefix mirrors the ForEachErr cancel suite: an
 // external cancel returns ctx.Err() and preserves the prefix contract.
 func TestMapErrCancelLeavesPrefix(t *testing.T) {
 	const n = 500

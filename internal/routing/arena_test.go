@@ -45,7 +45,7 @@ func TestPathsIntoDecodesToPathOf(t *testing.T) {
 		}
 		results := []*Result{base}
 		if lambda >= 2 {
-			atk, err := PropagateAttack(g, ann, Attacker{AS: attacker}, base)
+			atk, err := PropagateAttackScratch(g, ann, Attacker{AS: attacker}, base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

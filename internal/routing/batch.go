@@ -666,9 +666,7 @@ func (st *batchState) transpose(out []*Result) {
 // lane width within capacity — are allocation-free at every lane width
 // (TestPropagateBatchZeroAlloc).
 //
-// Distinct from PropagateSeeds (multi.go), which propagates several
-// competing seeds of ONE prefix announcement; PropagateBatch's K lanes
-// never interact.
+// The K lanes never interact: each is its own prefix.
 func PropagateBatch(g *topology.Graph, anns []Announcement, s *BatchScratch) (*BatchResult, error) {
 	if len(anns) == 0 {
 		return nil, errors.New("routing: PropagateBatch needs at least one announcement")

@@ -921,6 +921,9 @@ func PropagateAttackDeltaBatch(g *topology.Graph, lanes []AttackLane, s *BatchSc
 		if err := lanes[i].Atk.Validate(g, lanes[i].Ann); err != nil {
 			return nil, fmt.Errorf("routing: delta batch lane %d: %w", i, err)
 		}
+		if lanes[i].Atk.Kind != AttackASPP {
+			return nil, fmt.Errorf("routing: delta batch lane %d: %w", i, errNeedsStrip)
+		}
 		b := lanes[i].Baseline
 		if b == nil {
 			return nil, fmt.Errorf("routing: delta batch lane %d: nil baseline (warm it via PropagateBatch or the BaselineCache first)", i)

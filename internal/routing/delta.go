@@ -405,7 +405,7 @@ func deltaResultInto(r *Result, baseline *Result, via []bool) *Result {
 }
 
 // PropagateAttackDelta computes the same stable attack outcome as
-// PropagateAttack by incremental recomputation against the no-attack
+// PropagateAttackScratch by incremental recomputation against the no-attack
 // baseline, visiting only the cone of ASes the attack can affect. baseline
 // must be the no-attack Result for the same graph and announcement (a
 // cached one shared read-only across goroutines is fine); nil recomputes
@@ -422,6 +422,9 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 	}
 	if err := atk.Validate(g, ann); err != nil {
 		return nil, err
+	}
+	if atk.Kind != AttackASPP {
+		return nil, errNeedsStrip
 	}
 	if g.HasSiblings() {
 		return nil, ErrSiblingsNeedReference

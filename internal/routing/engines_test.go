@@ -211,7 +211,7 @@ func TestEnginesAgreeUnderAttack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", label, err)
 		}
-		fast, err := PropagateAttack(g, ann, atk, base)
+		fast, err := PropagateAttackScratch(g, ann, atk, base, nil)
 		if err == ErrUnreachableAttacker {
 			continue
 		}
@@ -629,7 +629,7 @@ func TestEnginesAgreeOnHandGraph(t *testing.T) {
 				ann := Announcement{Origin: 100, Prepend: lambda}
 				atk := Attacker{AS: attacker, ViolateValleyFree: violate}
 				label := fmt.Sprintf("M=%v λ=%d violate=%v", attacker, lambda, violate)
-				fast, err := PropagateAttack(g, ann, atk, nil)
+				fast, err := PropagateAttackScratch(g, ann, atk, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

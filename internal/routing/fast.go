@@ -66,9 +66,16 @@ type fastState struct {
 	peerSet []uint64
 
 	// attack state (atkIdx < 0 when no attacker)
-	atkIdx  int32
-	keep    int16
-	violate bool
+	atkIdx int32
+	keep   int16
+
+	// forger is atkIdx when the attacker originates a forged claim
+	// (AttackOriginHijack, AttackNextHopInterception) and -1 otherwise.
+	// A forger is a second announcer: like the origin it never adopts a
+	// route, and claim — the forged tail it pretends to hold, [] or [V] —
+	// stands in for its route wherever it exports.
+	forger int32
+	claim  cand
 }
 
 // Propagate computes the stable routing outcome for ann with no attacker.
@@ -84,17 +91,6 @@ func Propagate(g *topology.Graph, ann Announcement) (*Result, error) {
 // break the provider-DAG phase structure.
 var ErrSiblingsNeedReference = errors.New("routing: sibling links require the Reference engine")
 
-// PropagateAttack computes the stable outcome with the ASPP interception
-// attacker active. baseline must be the no-attack Result for the same
-// announcement (computed with Propagate); it supplies the attacker's own
-// route, which the attack provably cannot change (every bogus route
-// contains the attacker's path and is loop-rejected along it).
-// Returns ErrUnreachableAttacker if the attacker never receives the route.
-// Sweeps should prefer PropagateAttackScratch, which reuses per-call state.
-func PropagateAttack(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result) (*Result, error) {
-	return PropagateAttackScratch(g, ann, atk, baseline, nil)
-}
-
 // init prepares st for one propagation on s's record table, opening a
 // fresh epoch.
 func (st *fastState) init(g *topology.Graph, ann Announcement, s *Scratch) {
@@ -104,6 +100,7 @@ func (st *fastState) init(g *topology.Graph, ann Announcement, s *Scratch) {
 	st.origin = origin
 	st.ann = ann
 	st.atkIdx = -1
+	st.forger = -1
 	st.recs, st.epoch = s.beginPropagation(n)
 	st.reject = s.reject[:n]
 	st.exps = s.exps[:n]
@@ -132,11 +129,12 @@ func (st *fastState) better(a, b cand) bool {
 	return betterCand(st.g, a, b)
 }
 
-// admissible applies the receiver-side checks of an offer to AS at: the
-// origin never adopts a route to itself, and a via-marked route already
-// contains every AS on the attacker's own path (AS-path loop).
+// admissible applies the receiver-side checks of an offer to AS at: an
+// announcer (the origin, a forging attacker) never adopts a route for its
+// own prefix, and a via-marked route already contains every AS on the
+// attacker's own path (AS-path loop).
 func (st *fastState) admissible(at int32, c cand) bool {
-	if at == st.origin {
+	if at == st.origin || at == st.forger {
 		return false
 	}
 	return !c.via || (at != st.atkIdx && !st.reject[at])
@@ -220,19 +218,13 @@ func (st *fastState) exportKey(u int32, c cand) expCand {
 	return expCand{key: expKey(ln, st.g.ASNAt(u)), parent: u, prep: prep, via: via}
 }
 
-// seedViolation injects the attacker's export to its providers and peers,
-// which valley-free rules would forbid when its best route is peer- or
-// provider-learned. The attacker's own route equals its baseline route, so
-// the seed is known before relaxation starts.
-func (st *fastState) seedViolation(baseline *Result) {
+// seedUpward injects the attacker's export of route c to its providers
+// and peers before relaxation starts: the valley-free violation (c is its
+// baseline route, which the attack cannot change, exported where policy
+// would forbid a peer- or provider-learned route), or a forger's claim.
+func (st *fastState) seedUpward(c cand) {
 	a := st.atkIdx
-	base := cand{
-		len:    baseline.Len[a],
-		prep:   baseline.Prep[a],
-		parent: baseline.Parent[a],
-		via:    false,
-	}
-	exp := st.export(a, base)
+	exp := st.export(a, c)
 	for _, p := range st.g.ProvidersIdx(a) {
 		st.considerCust(p, exp)
 	}
@@ -339,6 +331,18 @@ func (st *fastState) run(res *Result, via []bool) *Result {
 			if via != nil {
 				via[u] = false
 			}
+			continue
+		}
+		if u == st.forger {
+			// No selection: the row records the forged tail (Parent is the
+			// origin, so a capturing AS's parent chain ends [... M] plus
+			// Prep origin copies) and the claim goes down like any export.
+			exps[u] = st.exportKey(u, st.claim)
+			res.Class[u] = ClassNone
+			res.Len[u] = st.claim.len
+			res.Prep[u] = st.claim.prep
+			res.Parent[u] = o
+			via[u] = false
 			continue
 		}
 		// The bitsets say which table u's selection comes from without

@@ -191,7 +191,7 @@ func TestAttackStripViaPeerProvider(t *testing.T) {
 	g := testGraph(t)
 	ann := Announcement{Origin: 100, Prepend: 3}
 	base := mustPropagate(t, g, ann)
-	res, err := PropagateAttack(g, ann, Attacker{AS: 50}, base)
+	res, err := PropagateAttackScratch(g, ann, Attacker{AS: 50}, base, nil)
 	if err != nil {
 		t.Fatalf("PropagateAttack: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestAttackCustomerRouteStripsUpward(t *testing.T) {
 	// shortens everyone's path; prepends collapse to 1 everywhere beyond.
 	g := testGraph(t)
 	ann := Announcement{Origin: 100, Prepend: 3}
-	res, err := PropagateAttack(g, ann, Attacker{AS: 30}, nil)
+	res, err := PropagateAttackScratch(g, ann, Attacker{AS: 30}, nil, nil)
 	if err != nil {
 		t.Fatalf("PropagateAttack: %v", err)
 	}
@@ -253,17 +253,17 @@ func TestAttackValleyFreeFollowVsViolate(t *testing.T) {
 	ann := Announcement{Origin: 100, Prepend: 3}
 	base := mustPropagate(t, g, ann)
 
-	follow, err := PropagateAttack(g, ann, Attacker{AS: 200}, base)
+	follow, err := PropagateAttackScratch(g, ann, Attacker{AS: 200}, base, nil)
 	if err != nil {
-		t.Fatalf("PropagateAttack(follow): %v", err)
+		t.Fatalf("PropagateAttackScratch(follow, nil): %v", err)
 	}
 	if got := follow.PollutedCount(); got != 0 {
 		t.Errorf("follow PollutedCount = %d, want 0", got)
 	}
 
-	violate, err := PropagateAttack(g, ann, Attacker{AS: 200, ViolateValleyFree: true}, base)
+	violate, err := PropagateAttackScratch(g, ann, Attacker{AS: 200, ViolateValleyFree: true}, base, nil)
 	if err != nil {
-		t.Fatalf("PropagateAttack(violate): %v", err)
+		t.Fatalf("PropagateAttackScratch(violate, nil): %v", err)
 	}
 	if got := pathString(t, violate, 65); got != "200 60 20 10 30 100" {
 		t.Errorf("PathOf(65) = %q, want injected route via 200", got)
@@ -294,7 +294,7 @@ func TestAttackUnreachableAttacker(t *testing.T) {
 		t.Fatal(err)
 	}
 	ann := Announcement{Origin: 100, Prepend: 3}
-	if _, err := PropagateAttack(g, ann, Attacker{AS: 999}, nil); err != ErrUnreachableAttacker {
+	if _, err := PropagateAttackScratch(g, ann, Attacker{AS: 999}, nil, nil); err != ErrUnreachableAttacker {
 		t.Errorf("err = %v, want ErrUnreachableAttacker", err)
 	}
 }
@@ -302,13 +302,13 @@ func TestAttackUnreachableAttacker(t *testing.T) {
 func TestAttackValidation(t *testing.T) {
 	g := testGraph(t)
 	ann := Announcement{Origin: 100, Prepend: 3}
-	if _, err := PropagateAttack(g, ann, Attacker{AS: 100}, nil); err == nil {
+	if _, err := PropagateAttackScratch(g, ann, Attacker{AS: 100}, nil, nil); err == nil {
 		t.Error("attacker == origin accepted")
 	}
-	if _, err := PropagateAttack(g, ann, Attacker{AS: 4242}, nil); err == nil {
+	if _, err := PropagateAttackScratch(g, ann, Attacker{AS: 4242}, nil, nil); err == nil {
 		t.Error("unknown attacker accepted")
 	}
-	if _, err := PropagateAttack(g, ann, Attacker{AS: 50, KeepPrepend: -1}, nil); err == nil {
+	if _, err := PropagateAttackScratch(g, ann, Attacker{AS: 50, KeepPrepend: -1}, nil, nil); err == nil {
 		t.Error("negative KeepPrepend accepted")
 	}
 }
@@ -317,7 +317,7 @@ func TestAttackKeepPrepend(t *testing.T) {
 	// KeepPrepend=2 leaves two origin copies after stripping.
 	g := testGraph(t)
 	ann := Announcement{Origin: 100, Prepend: 4}
-	res, err := PropagateAttack(g, ann, Attacker{AS: 30, KeepPrepend: 2}, nil)
+	res, err := PropagateAttackScratch(g, ann, Attacker{AS: 30, KeepPrepend: 2}, nil, nil)
 	if err != nil {
 		t.Fatalf("PropagateAttack: %v", err)
 	}
@@ -332,7 +332,7 @@ func TestAttackNoOpWhenLambdaOne(t *testing.T) {
 	g := testGraph(t)
 	ann := Announcement{Origin: 100, Prepend: 1}
 	base := mustPropagate(t, g, ann)
-	res, err := PropagateAttack(g, ann, Attacker{AS: 50}, base)
+	res, err := PropagateAttackScratch(g, ann, Attacker{AS: 50}, base, nil)
 	if err != nil {
 		t.Fatalf("PropagateAttack: %v", err)
 	}

@@ -47,7 +47,8 @@ type refEngine struct {
 	violate bool
 
 	// noAdopt marks ASes that never adopt a route for the prefix: the
-	// multi-seed propagation's announcers (see PropagateSeeds).
+	// announcers of the multi-announcer oracle the forged attack kinds are
+	// tested against (seeds_test.go). Nil in every non-test propagation.
 	noAdopt map[int32]bool
 
 	// minPrep, when non-nil, holds per-AS historical origin-prepend
@@ -62,7 +63,7 @@ type refEngine struct {
 }
 
 // PropagateReference computes the stable outcome using the message-level
-// engine. atk may be nil for a plain propagation. Unlike PropagateAttack it
+// engine. atk may be nil for a plain propagation. Unlike PropagateAttackScratch it
 // does not need a baseline: the attacker's behavior emerges from message
 // processing. An unreachable attacker degrades to a no-op (matching BGP).
 func PropagateReference(g *topology.Graph, ann Announcement, atk *Attacker) (*Result, error) {
@@ -90,6 +91,9 @@ func PropagateReferenceCautious(g *topology.Graph, ann Announcement, atk *Attack
 	if atk != nil {
 		if err := atk.Validate(g, ann); err != nil {
 			return nil, err
+		}
+		if atk.Kind != AttackASPP {
+			return nil, errNeedsStrip
 		}
 		e.hasAtk = true
 		e.atkIdx, _ = g.Index(atk.AS)

@@ -18,10 +18,16 @@ type Result struct {
 	// Len[i] is the received AS-path length, counting prepends. The
 	// origin's own entry is 0.
 	Len []int32
-	// Prep[i] is the number of origin copies visible in i's path.
+	// Prep[i] is the number of origin copies visible in i's path — zero
+	// for a route captured by an origin hijack, whose path ends at the
+	// attacker instead.
 	Prep []int16
 	// Parent[i] is the graph index of the neighbor i learned its route
-	// from (-1 for the origin and unreachable ASes).
+	// from (-1 for the origin and unreachable ASes). A forging attacker
+	// (AttackOriginHijack, AttackNextHopInterception) has no route either,
+	// but its row carries the tail it claims — Parent the origin, Prep and
+	// Len those of [] or [V] — so the parent chain of every AS it captures
+	// runs through it and reconstructs the forged path.
 	Parent []int32
 	// Via[i] reports whether i's route traverses the attacker. Computed
 	// during attack propagation; for plain propagation use ViaSet.
@@ -159,14 +165,22 @@ func (r *Result) PathsInto(a *PathArena, monitors []int32, spans []PathSpan) []P
 		for j := r.Parent[i]; j != r.origin; j = r.Parent[j] {
 			a.buf = append(a.buf, r.g.ASNAt(j))
 		}
+		prep, pathOrigin := r.Prep[i], originASN
+		if prep == 0 {
+			// Captured by an origin hijack: the chain's last AS is the
+			// forger, which the path names as its origin, once.
+			last := len(a.buf) - 1
+			prep, pathOrigin = 1, a.buf[last]
+			a.buf = a.buf[:last]
+		}
 		body := a.buf[off:]
 		// The parent-chain walk yields each AS once, so the body IS the
 		// unique transit chain — intern it directly, no collapsing pass.
 		spans = append(spans, PathSpan{
 			Off:    off,
 			Len:    int32(len(body)),
-			Prep:   r.Prep[i],
-			Origin: originASN,
+			Prep:   prep,
+			Origin: pathOrigin,
 			Seg:    a.Intern(body),
 		})
 	}

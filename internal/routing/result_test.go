@@ -91,30 +91,6 @@ func TestAnnouncementHelpers(t *testing.T) {
 	}
 }
 
-func TestMultiResultAccessors(t *testing.T) {
-	g := testGraph(t)
-	res, err := PropagateSeeds(g, []Seed{{AS: 100, Path: bgp.Path{100, 100}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph() != g {
-		t.Error("Graph mismatch")
-	}
-	if res.PathOf(424242) != nil {
-		t.Error("unknown AS has a path")
-	}
-	if res.PathOf(100) != nil {
-		t.Error("seeder has a path to itself")
-	}
-	if got := res.CountVia(30); got < 1 {
-		t.Errorf("CountVia(30) = %d, want >= 1 (everyone passes the sole provider)", got)
-	}
-	origins := res.CountByOrigin()
-	if len(origins) != 1 || origins[100] == 0 {
-		t.Errorf("CountByOrigin = %v", origins)
-	}
-}
-
 func TestGraphLinksIncludeSiblings(t *testing.T) {
 	b := topology.NewBuilder()
 	if err := b.AddP2C(1, 2); err != nil {

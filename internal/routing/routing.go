@@ -4,19 +4,35 @@
 // provider-learned, breaks ties by shortest AS-path (counting prepends),
 // and exports peer/provider-learned routes only to its customers.
 //
-// Two engines compute the same unique stable outcome:
+// Four engines compute the same unique stable outcome. Which one runs a
+// leg is decided by the callers in core and measure from the scenario and
+// the graph, never by a user-set option:
 //
-//   - Fast: a three-phase algorithm over the provider-customer DAG
-//     (customer routes in topological order, one peer hop, provider routes
-//     in reverse topological order), extended with exact handling of the
-//     paper's ASPP interception attacker — prepend stripping at the
-//     attacker and, optionally, valley-free-violating export — via loop
-//     rejection on the attacker's own path.
-//   - Reference: a message-level BGP simulation with per-neighbor Adj-RIB-In
-//     state, implicit withdrawals and full AS-path loop detection. It is
-//     the ground truth the Fast engine is property-tested against.
+//   - Fast (fast.go): the full kernel — a three-phase algorithm over the
+//     provider-customer DAG (customer routes in topological order, one
+//     peer hop, provider routes in reverse topological order). It serves
+//     the no-attacker baseline and every attacker kind: the paper's ASPP
+//     interception (prepend stripping at the attacker and, optionally,
+//     valley-free-violating export, via loop rejection on the attacker's
+//     own path) and the two forged-claim hijacks it is contrasted with
+//     (AttackOriginHijack, AttackNextHopInterception), where the attacker
+//     is a second announcer that never adopts a route. Forged kinds run
+//     here.
+//   - Delta (delta.go): the same ASPP attack as an incremental
+//     recomputation of the attacker's cone against a memoized baseline.
+//     ASPP legs run here whenever the topology is sibling-free.
+//   - Batch (batch.go, batch_delta.go): Fast and Delta carrying up to 64
+//     announcements (lanes) per frontier walk. The usage survey's table
+//     leg runs PropagateBatch; the -batch attack-leg sweeps run both.
+//   - Reference (reference.go): a message-level BGP simulation with
+//     per-neighbor Adj-RIB-In state, implicit withdrawals and full AS-path
+//     loop detection. It is the ground truth the others are
+//     property-tested against, and the only engine that routes sibling
+//     links (mutual transit breaks the DAG phase order) and the
+//     cautious-adoption defence (its quarantine ranks above the policy
+//     class, which breaks the three-phase order too).
 //
-// Both engines use the identical total preference order
+// All engines use the identical total preference order
 // (class, path length, lowest next-hop ASN), so results are deterministic
 // and directly comparable.
 package routing
@@ -117,12 +133,50 @@ func (a Announcement) Validate(g *topology.Graph) error {
 	return nil
 }
 
-// Attacker configures the ASPP interception attacker: an AS that, when
-// re-exporting its route toward the origin, removes prepended origin
-// copies down to KeepPrepend (the paper's [M * V...V] -> [M * V] rewrite).
+// AttackKind is the claim an attacker makes for the victim's prefix: the
+// paper's ASPP interception, or one of the two classic hijacks it is
+// contrasted with (§II.B).
+type AttackKind uint8
+
+const (
+	// AttackASPP (the zero value) is the paper's attack: re-export the
+	// received route with the victim's prepends stripped. No false origin,
+	// no fabricated link.
+	AttackASPP AttackKind = iota
+	// AttackOriginHijack: the attacker announces the prefix as its own
+	// ([M]). Blackholes traffic; trips MOAS detectors.
+	AttackOriginHijack
+	// AttackNextHopInterception (Ballani et al.): the attacker announces
+	// [M V], keeping the true origin but fabricating the M–V adjacency.
+	// Intercepts traffic; trips topology-anomaly detectors.
+	AttackNextHopInterception
+)
+
+// String names the attack kind.
+func (k AttackKind) String() string {
+	switch k {
+	case AttackASPP:
+		return "aspp-interception"
+	case AttackOriginHijack:
+		return "origin-hijack"
+	case AttackNextHopInterception:
+		return "next-hop-interception"
+	default:
+		return fmt.Sprintf("AttackKind(%d)", uint8(k))
+	}
+}
+
+// Attacker configures the attacking AS. Under AttackASPP it re-exports its
+// route toward the origin with prepended origin copies removed down to
+// KeepPrepend (the paper's [M * V...V] -> [M * V] rewrite). Under the
+// forged kinds it originates its claim itself: it never adopts a route
+// for the prefix, announces the claim to every neighbor, and needs no
+// route to the origin; KeepPrepend and ViolateValleyFree do not apply.
 type Attacker struct {
 	// AS is the attacking autonomous system.
 	AS bgp.ASN
+	// Kind is the claim the attacker makes (zero value: AttackASPP).
+	Kind AttackKind
 	// KeepPrepend is how many origin copies survive stripping (>= 1).
 	// The paper's attacker keeps exactly one.
 	KeepPrepend int
@@ -140,6 +194,9 @@ func (atk Attacker) Validate(g *topology.Graph, ann Announcement) error {
 	if atk.AS == ann.Origin {
 		return errors.New("routing: attacker cannot be the origin")
 	}
+	if atk.Kind > AttackNextHopInterception {
+		return fmt.Errorf("routing: unknown attack kind %d", atk.Kind)
+	}
 	if atk.KeepPrepend < 0 {
 		return errors.New("routing: negative KeepPrepend")
 	}
@@ -153,7 +210,11 @@ func (atk Attacker) keep() int16 {
 	return int16(atk.KeepPrepend)
 }
 
-// errUnreachableAttacker is returned by PropagateAttack when the attacker
+// errNeedsStrip is returned by the engines that model only the
+// prepend-stripping attacker when handed a forged claim.
+var errNeedsStrip = errors.New("routing: this engine serves AttackASPP only; forged claims run PropagateAttackScratch")
+
+// ErrUnreachableAttacker is returned by PropagateAttackScratch when the attacker
 // has no route to the origin and therefore nothing to strip.
 var ErrUnreachableAttacker = errors.New("routing: attacker has no route to origin")
 

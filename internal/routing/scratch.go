@@ -25,7 +25,7 @@ type nodeRec struct {
 
 // Scratch is reusable propagation state for the Fast and Delta engines'
 // hot paths. A sweep that runs tens of thousands of Propagate/
-// PropagateAttack calls allocates the same candidate tables, rejection
+// PropagateAttackScratch calls allocates the same candidate tables, rejection
 // state and result arrays over and over; borrowing them from a Scratch
 // instead makes a warmed-up baseline propagation allocation-free (asserted
 // by TestPropagateScratchZeroAlloc).
@@ -33,7 +33,7 @@ type nodeRec struct {
 // Ownership contract:
 //
 //   - A Scratch may be used by ONE goroutine at a time. Sweeps give each
-//     worker its own Scratch (see parallel.ForEachScratch) and reuse it
+//     worker its own Scratch (see parallel.ForEachScratchErr) and reuse it
 //     across that worker's whole share of the work.
 //   - The *Result returned by PropagateScratch is owned by the Scratch's
 //     baseline slot: it stays valid until the next PropagateScratch call
@@ -274,12 +274,19 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 	return st.run(resultInto(&s.base, g, st.origin), nil), nil
 }
 
-// PropagateAttackScratch is PropagateAttack with scratch reuse. baseline
-// may be a cached no-attack Result for the same announcement (shared
-// read-only across goroutines is safe); nil recomputes it into the
-// Scratch's baseline slot. The returned Result is borrowed from the
-// Scratch's attack slot. With s == nil the propagation runs on a pooled
-// Scratch and the returned Result is a private copy.
+// PropagateAttackScratch computes the stable outcome with the attacker
+// active — on the full kernel, for every attack kind. Under AttackASPP
+// baseline must be the no-attack Result for the same announcement (a
+// cached one shared read-only across goroutines is fine; nil recomputes
+// it into the Scratch's baseline slot): it supplies the attacker's own
+// route, which the attack provably cannot change (every bogus route
+// contains the attacker's path and is loop-rejected along it), and
+// ErrUnreachableAttacker is returned if the attacker never receives the
+// route. A forged claim does not depend on the attacker's own route, so
+// the forged kinds neither read nor compute a baseline. The returned
+// Result is borrowed from the Scratch's attack slot. With s == nil the
+// propagation runs on a pooled Scratch and the returned Result is a
+// private copy.
 func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, s *Scratch) (*Result, error) {
 	if s == nil {
 		ps := scratchPool.Get().(*Scratch)
@@ -296,34 +303,50 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 	if err := atk.Validate(g, ann); err != nil {
 		return nil, err
 	}
-	if baseline == nil {
-		var err error
-		baseline, err = PropagateScratch(g, ann, s)
-		if err != nil {
-			return nil, err
-		}
-	}
 	atkIdx, _ := g.Index(atk.AS)
-	if baseline.Class[atkIdx] == ClassNone {
-		return nil, ErrUnreachableAttacker
+	forged := atk.Kind != AttackASPP
+	if forged {
+		if g.HasSiblings() {
+			return nil, ErrSiblingsNeedReference
+		}
+	} else {
+		if baseline == nil {
+			var err error
+			baseline, err = PropagateScratch(g, ann, s)
+			if err != nil {
+				return nil, err
+			}
+		}
+		if baseline.Class[atkIdx] == ClassNone {
+			return nil, ErrUnreachableAttacker
+		}
 	}
 
 	var st fastState
 	st.init(g, ann, s)
 	st.atkIdx = atkIdx
 	st.keep = atk.keep()
-	st.violate = atk.ViolateValleyFree
 
-	// Loop rejection: every route that traverses the attacker carries the
-	// attacker's full (baseline) path as its suffix, so exactly the ASes on
-	// that path must reject it, as real BGP loop detection would.
 	s.clearRejects()
-	for j := baseline.Parent[atkIdx]; j != st.origin; j = baseline.Parent[j] {
-		s.setReject(j)
-	}
-
-	if st.violate {
-		st.seedViolation(baseline)
+	if forged {
+		// The forged path names only the attacker and the origin, and
+		// neither adopts a route: nobody loop-rejects.
+		st.forger = atkIdx
+		st.claim = cand{parent: st.origin}
+		if atk.Kind == AttackNextHopInterception {
+			st.claim.len, st.claim.prep = 1, 1
+		}
+		st.seedUpward(st.claim)
+	} else {
+		// Loop rejection: every route that traverses the attacker carries
+		// the attacker's full (baseline) path as its suffix, so exactly the
+		// ASes on that path must reject it, as real BGP loop detection would.
+		for j := baseline.Parent[atkIdx]; j != st.origin; j = baseline.Parent[j] {
+			s.setReject(j)
+		}
+		if atk.ViolateValleyFree {
+			st.seedUpward(cand{len: baseline.Len[atkIdx], prep: baseline.Prep[atkIdx], parent: baseline.Parent[atkIdx]})
+		}
 	}
 
 	s.ensureVia(g.NumASes())

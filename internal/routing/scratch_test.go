@@ -154,7 +154,7 @@ func TestEpochResetNoStaleLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := PropagateAttack(g, Announcement{Origin: g.Tier1s()[0], Prepend: 2}, atk, nil)
+	fresh, err := PropagateAttackScratch(g, Announcement{Origin: g.Tier1s()[0], Prepend: 2}, atk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestScratchPoolPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PropagateAttack(g, ann, atk, nil)
+	want, err := PropagateAttackScratch(g, ann, atk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,15 @@ import (
 	"aspp/internal/topology"
 )
 
+// This file is the test-side oracle for the forged attack kinds: several
+// ASes announcing one prefix with explicit AS-paths, run on the
+// message-level refEngine. The Fast engine's AttackOriginHijack and
+// AttackNextHopInterception are differentially tested against it
+// (forged_test.go); no non-test code calls it.
+
 // Seed is one AS's announcement of the watched prefix, with the AS-path
-// it claims. Honest origination claims [AS × λ]; the classic hijack
-// baselines the paper contrasts with (§II.B) claim forged paths:
+// it claims. Honest origination claims [AS × λ]; the classic hijacks the
+// paper contrasts with (§II.B) claim forged paths:
 //
 //   - origin hijack (MOAS): the attacker claims [M] — it owns the prefix;
 //   - invalid-next-hop interception: the attacker claims [M V], keeping
@@ -37,22 +43,18 @@ func (s Seed) Validate(g *topology.Graph) error {
 	return nil
 }
 
-// MultiResult is the stable outcome of propagating several (possibly
-// conflicting) announcements of one prefix: per AS, the chosen path and
-// its policy class. Unlike Result it stores explicit paths, because with
-// multiple origins parent chains are ambiguous.
-type MultiResult struct {
-	g *topology.Graph
-	// Paths[i] is AS i's best path (nil if none). Class[i] its class.
+// seedRoutes is the stable outcome of PropagateSeeds: per AS (dense
+// index), the chosen path (nil if none, or for an announcer) and its
+// policy class. Paths are explicit because with several announcers a
+// parent chain alone does not say whose tail it ends in.
+type seedRoutes struct {
+	g     *topology.Graph
 	Paths []bgp.Path
 	Class []Class
 }
 
-// Graph returns the topology.
-func (m *MultiResult) Graph() *topology.Graph { return m.g }
-
 // PathOf returns asn's chosen path (nil if it has none or is a seeder).
-func (m *MultiResult) PathOf(asn bgp.ASN) bgp.Path {
+func (m *seedRoutes) PathOf(asn bgp.ASN) bgp.Path {
 	i, ok := m.g.Index(asn)
 	if !ok {
 		return nil
@@ -60,39 +62,12 @@ func (m *MultiResult) PathOf(asn bgp.ASN) bgp.Path {
 	return m.Paths[i]
 }
 
-// CountVia returns how many ASes' chosen paths include asn (excluding
-// asn itself).
-func (m *MultiResult) CountVia(asn bgp.ASN) int {
-	n := 0
-	for i, p := range m.Paths {
-		if m.g.ASNAt(int32(i)) == asn {
-			continue
-		}
-		if p.Contains(asn) {
-			n++
-		}
-	}
-	return n
-}
-
-// CountByOrigin tallies chosen paths by their origin AS — the MOAS view
-// a route collector would compute.
-func (m *MultiResult) CountByOrigin() map[bgp.ASN]int {
-	out := make(map[bgp.ASN]int)
-	for _, p := range m.Paths {
-		if o, ok := p.Origin(); ok {
-			out[o]++
-		}
-	}
-	return out
-}
-
 // PropagateSeeds runs the message-level engine with several announcements
 // of the same prefix competing under standard valley-free policy. Seeding
 // ASes never adopt a competing route for the prefix (an origin hijacker
 // believes — or pretends — the prefix is its own; an honest origin has no
 // use for another's route to itself).
-func PropagateSeeds(g *topology.Graph, seeds []Seed) (*MultiResult, error) {
+func PropagateSeeds(g *topology.Graph, seeds []Seed) (*seedRoutes, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("routing: no seeds")
 	}
@@ -146,7 +121,7 @@ func PropagateSeeds(g *topology.Graph, seeds []Seed) (*MultiResult, error) {
 		e.exportFrom(u)
 	}
 
-	out := &MultiResult{
+	out := &seedRoutes{
 		g:     g,
 		Paths: make([]bgp.Path, g.NumASes()),
 		Class: make([]Class, g.NumASes()),
