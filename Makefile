@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPropagateBatch$$' -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzPropagateAttackDeltaBatch -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzForgedAttack -fuzztime=10s ./internal/routing/
+	$(GO) test -run='^$$' -fuzz=FuzzSiblingPropagate -fuzztime=10s ./internal/routing/
 
 # Serving-path smoke (DESIGN §5g): a short self-test replay through the
 # sharded pipeline at the default ring depth must lose nothing under the
@@ -98,9 +99,11 @@ bench-smoke:
 # Internet-scale smoke (DESIGN §5f): a reduced tier-1 pair sweep over the
 # canonical internet80k topology through the sharded path, under an
 # explicit per-shard cache budget. The test fails if the recorded memory
-# gauges exceed the budget, so a working-set regression gates CI.
+# gauges exceed the budget, so a working-set regression gates CI. The
+# sibling test checks the 80k answers themselves: the kernel on fig11's
+# sibling graph against the reference engine, row for row.
 scale-smoke:
-	ASPP_SCALE=1 $(GO) test -run=TestScale80kPairSweepWithinBudget -count=1 .
+	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference' -count=1 .
 
 # Machine-readable record of the tier-1 benchmark suite: run the root
 # package benchmarks with -benchmem and parse the output into

@@ -393,7 +393,7 @@ const (
 
 // BuildSiblingScenario grafts a sibling of victim (as a customer of
 // attacker) onto the topology, enabling the paper's Fig. 11 valley-free
-// interception. The returned scenario routes via the Reference engine.
+// interception. The full kernel routes the returned scenario.
 func (in *Internet) BuildSiblingScenario(victim, attacker, siblingASN ASN) (*SiblingScenario, error) {
 	return experiment.BuildSiblingScenario(in.g, victim, attacker, siblingASN)
 }

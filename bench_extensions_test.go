@@ -53,8 +53,8 @@ func BenchmarkDefenseCompare(b *testing.B) {
 	}
 }
 
-// BenchmarkSiblingSweep runs the Fig. 11 sibling scenario (which must use
-// the message-level engine end to end).
+// BenchmarkSiblingSweep runs the Fig. 11 sibling scenario (every leg on
+// the full kernel's sibling pass loop).
 func BenchmarkSiblingSweep(b *testing.B) {
 	in := benchInternet(b)
 	g := in.Graph()
@@ -143,7 +143,8 @@ func BenchmarkUpdateCodec(b *testing.B) {
 }
 
 // BenchmarkReferenceEngineSiblings measures the reference engine on a
-// sibling-bearing graph (no fast-engine fallback available).
+// sibling-bearing graph, the oracle the full kernel is tested against
+// there.
 func BenchmarkReferenceEngineSiblings(b *testing.B) {
 	in := benchInternet(b)
 	g := in.Graph()

@@ -85,11 +85,10 @@ func TestSimulateForgedValidation(t *testing.T) {
 	}
 }
 
-// TestSimulateForgedNeedsNoRouteButNoSiblings: a forger that never hears
-// the victim's route still attacks (the ASPP attacker cannot), and a
-// sibling-bearing topology — which only the message-level engine routes —
-// refuses the forged families instead of silently running something else.
-func TestSimulateForgedNeedsNoRouteButNoSiblings(t *testing.T) {
+// TestSimulateForgedNeedsNoRoute: a forger that never hears the victim's
+// route still attacks (the ASPP attacker cannot), on sibling-bearing
+// topologies too — every family runs there, on both entry points.
+func TestSimulateForgedNeedsNoRoute(t *testing.T) {
 	g := coreGraph(t)
 	dark := Scenario{Victim: 100, Attacker: 200, Prepend: 3, WithholdFrom: []bgp.ASN{30}}
 	if _, err := Simulate(g, dark); !errors.Is(err, ErrAttackerSeesNoRoute) {
@@ -119,11 +118,20 @@ func TestSimulateForgedNeedsNoRouteButNoSiblings(t *testing.T) {
 	}
 	for _, typ := range []AttackType{AttackOriginHijack, AttackNextHopInterception} {
 		sc.Type = typ
-		if _, err := Simulate(sib, sc); err == nil {
-			t.Errorf("%v accepted on a sibling graph", typ)
+		im, err := Simulate(sib, sc)
+		if err != nil {
+			t.Fatalf("%v on the sibling graph: %v", typ, err)
 		}
-		if _, err := SimulateCounts(sib, sc, nil, routing.NewScratch(), nil); err == nil {
-			t.Errorf("%v accepted on a sibling graph (counts path)", typ)
+		// The victim's sibling has no other link: the claim cannot reach it.
+		if im.PollutedAfter == 0 || im.IsPolluted(4242) {
+			t.Errorf("%v: polluted %d, sibling polluted %v", typ, im.PollutedAfter, im.IsPolluted(4242))
+		}
+		cnt, err := SimulateCounts(sib, sc, nil, routing.NewScratch(), nil)
+		if err != nil {
+			t.Fatalf("%v on the sibling graph (counts path): %v", typ, err)
+		}
+		if want := (Counts{im.Eligible, im.PollutedBefore, im.PollutedAfter}); cnt != want {
+			t.Errorf("%v: counts path %+v, Simulate %+v", typ, cnt, want)
 		}
 	}
 }

@@ -16,9 +16,9 @@
 // directly comparable.
 //
 // Which routing engine runs a leg is decided here, from the scenario and
-// the graph (DESIGN §5.7): sibling-bearing topologies run the message-level
-// reference engine, ASPP attacks the incremental delta engine, forged
-// claims the full kernel.
+// the graph (DESIGN §5.7): ASPP attacks on a sibling-free topology run the
+// incremental delta engine, everything else — forged claims, and every
+// attack on a topology with sibling links — the full kernel.
 package core
 
 import (
@@ -51,8 +51,8 @@ type Scenario struct {
 	// Attacker is the intercepting AS.
 	Attacker bgp.ASN
 	// Type is the attack family (zero value: AttackASPP). The forged
-	// families ignore KeepPrepend and ViolateValleyFree, need no route
-	// from the attacker to the victim, and need a sibling-free topology.
+	// families ignore KeepPrepend and ViolateValleyFree and need no route
+	// from the attacker to the victim.
 	Type AttackType
 	// Prepend λ is the victim's origin-prepend count (>= 1).
 	Prepend int
@@ -222,17 +222,7 @@ func mustIdx(g *topology.Graph, asn bgp.ASN) int32 {
 // active (used by mitigation analysis to measure reachability costs of a
 // response that cuts the attacker off).
 func BaselineOnly(g *topology.Graph, sc Scenario) (*routing.Result, error) {
-	return baselineLeg(g, sc.Announcement(), nil)
-}
-
-// baselineLeg propagates ann with no attacker: on the message-level engine
-// when the topology has sibling links, else on the fast kernel over s (nil:
-// a pooled Scratch and a private Result).
-func baselineLeg(g *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
-	if g.HasSiblings() {
-		return routing.PropagateReference(g, ann, nil)
-	}
-	return routing.PropagateScratch(g, ann, s)
+	return routing.Propagate(g, sc.Announcement())
 }
 
 // simulate runs sc's two legs on the engines the scenario and the graph
@@ -245,29 +235,17 @@ func simulate(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routi
 	if sc.Victim == sc.Attacker {
 		return nil, nil, errors.New("core: victim and attacker must differ")
 	}
-	siblings := g.HasSiblings()
-	if siblings && sc.Type != AttackASPP {
-		return nil, nil, fmt.Errorf("core: %v needs a sibling-free topology", sc.Type)
-	}
 	ann, atk := sc.Announcement(), sc.AttackerConfig()
 	if baseline == nil {
-		if baseline, err = baselineLeg(g, ann, s); err != nil {
+		if baseline, err = routing.PropagateScratch(g, ann, s); err != nil {
 			return nil, nil, fmt.Errorf("core: baseline: %w", err)
 		}
 		c.AddBasePropagations(1)
 	}
-	delta := !siblings && sc.Type == AttackASPP
-	switch {
-	case siblings:
-		// The reference engine degrades an unreachable attacker to a no-op,
-		// so reachability is checked here to keep ErrAttackerSeesNoRoute.
-		if !baseline.Reachable(sc.Attacker) {
-			return nil, nil, ErrAttackerSeesNoRoute
-		}
-		attacked, err = routing.PropagateReference(g, ann, &atk)
-	case delta:
+	delta := sc.Type == AttackASPP && !g.HasSiblings()
+	if delta {
 		attacked, err = routing.PropagateAttackDelta(g, ann, atk, baseline, s)
-	default:
+	} else {
 		attacked, err = routing.PropagateAttackScratch(g, ann, atk, baseline, s)
 	}
 	if errors.Is(err, routing.ErrUnreachableAttacker) {
@@ -337,8 +315,7 @@ func (c Counts) After() float64 { return frac(c.PollutedAfter, c.Eligible) }
 // state and the transient routing results are borrowed from s (one
 // Scratch per goroutine — see the routing.Scratch ownership contract),
 // and only the pollution counts survive the call. baseline and the
-// counters are as in SimulateWithBaseline. A nil Scratch, and the
-// message-level engine on sibling-bearing topologies, allocate.
+// counters are as in SimulateWithBaseline. A nil Scratch allocates one.
 func SimulateCounts(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Counts, error) {
 	if s == nil {
 		s = routing.NewScratch()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aspp/internal/bgp"
+	"aspp/internal/obs"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
@@ -206,9 +207,9 @@ func TestSimulateAgainstReferenceEngine(t *testing.T) {
 	}
 }
 
-func TestSimulateOnSiblingGraphUsesReferenceEngine(t *testing.T) {
-	// A sibling-bearing topology must route through the message-level
-	// engine transparently (the Fast engine rejects sibling graphs).
+func TestSimulateOnSiblingGraph(t *testing.T) {
+	// A sibling-bearing topology runs both legs on the full kernel and
+	// lands on the message-level engine's routes.
 	b := topology.NewBuilder()
 	for _, e := range [][2]bgp.ASN{
 		{10, 40}, {20, 50}, {40, 60}, {50, 70}, {60, 90},
@@ -243,6 +244,22 @@ func TestSimulateOnSiblingGraphUsesReferenceEngine(t *testing.T) {
 	}
 	if b, a := im.PathsAt(40); b.Equal(a) {
 		t.Error("40's path unchanged under attack")
+	}
+	ref, err := routing.PropagateReference(g, im.Scenario.Announcement(), &routing.Attacker{AS: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, asn := range g.ASNs() {
+		if got, want := im.Attacked().PathOf(asn), ref.PathOf(asn); !got.Equal(want) {
+			t.Errorf("AS %v: path %v, reference engine %v", asn, got, want)
+		}
+	}
+	var c obs.Counters
+	if _, err := SimulateCounts(g, im.Scenario, nil, routing.NewScratch(), &c); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s.BasePropagations != 1 || s.FullPropagations != 1 || s.DeltaPropagations != 0 {
+		t.Errorf("sibling legs counted as %+v, want one baseline and one full propagation", s)
 	}
 	// Unreachable attacker on a sibling graph maps to the sentinel.
 	if err := b2(t, g); err != nil {

@@ -198,12 +198,12 @@ func (c *BaselineCache) Get(origin bgp.ASN, lambda int) (*routing.Result, error)
 //
 // Equivalence: a batch lane is bitwise-equal to the serial engine, so a
 // warmed entry is indistinguishable from one computed by Get. Sibling
-// topologies, which the batch engine rejects, warm through the serial Get
-// path instead. A key whose announcement fails validation gets the error
-// memoized, exactly as Get would. Errors of individual keys never abort
-// the warm; only a batch-level engine failure is returned, and in that
-// case the created entries stay lazily computable — the next Get on one
-// falls back to the serial path.
+// topologies, which the batch engine refuses, warm through the serial Get
+// path — the full kernel — instead. A key whose announcement fails
+// validation gets the error memoized, exactly as Get would. Errors of
+// individual keys never abort the warm; only a batch-level engine failure
+// is returned, and in that case the created entries stay lazily
+// computable — the next Get on one falls back to the serial path.
 //
 // bs may be nil (PropagateBatch then uses private scratch); like the
 // cache's Gets, WarmBatch is safe for concurrent use, but a BatchScratch

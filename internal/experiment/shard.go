@@ -125,9 +125,8 @@ type legRunner struct {
 // narrow so the lane tables plus the warm window's pinned baselines fit
 // it; without one the configured batch width stands. Lane width never
 // changes sweep output — only grouping. Attack legs batch when the width
-// allows it, except on sibling-bearing topologies (which need the
-// message-level Reference engine); serial legs run on the engine
-// core.SimulateCounts picks.
+// allows it, except on sibling-bearing topologies (the lane engines refuse
+// them); serial legs run on the engine core.SimulateCounts picks.
 func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 	nShards, err := normalizeShards(o.shards, o.memBudget, o.workers)
 	if err != nil {

@@ -97,8 +97,7 @@ func (c *Counters) AddBasePropagations(n int64) {
 	}
 }
 
-// AddFullPropagations records n full (or message-level reference) attack
-// propagations.
+// AddFullPropagations records n full-kernel attack propagations.
 func (c *Counters) AddFullPropagations(n int64) {
 	if c != nil {
 		c.fullPropagations.Add(n)

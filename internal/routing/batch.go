@@ -657,8 +657,8 @@ func (st *batchState) transpose(out []*Result) {
 // PropagateScratch(g, anns[i], ...) — batching changes the schedule, never
 // the outcome (pinned by the batched-vs-serial differential suite).
 // Announcements may repeat and may carry per-neighbor λ or withheld
-// sessions; sibling-bearing topologies need the Reference engine, exactly
-// as for the serial Fast engine.
+// sessions; sibling-bearing topologies are refused
+// (ErrSiblingsNeedFullKernel) — the serial Fast engine routes those.
 //
 // The returned BatchResult borrows its Results from s (see the
 // BatchScratch ownership contract). With s == nil the batch runs on a
@@ -672,7 +672,7 @@ func PropagateBatch(g *topology.Graph, anns []Announcement, s *BatchScratch) (*B
 		return nil, errors.New("routing: PropagateBatch needs at least one announcement")
 	}
 	if g.HasSiblings() {
-		return nil, ErrSiblingsNeedReference
+		return nil, ErrSiblingsNeedFullKernel
 	}
 	for i := range anns {
 		if err := anns[i].Validate(g); err != nil {

@@ -899,7 +899,7 @@ func (st *batchDeltaState) finish(out []*Result, touched []int32) {
 // Baseline.Reachable, so a batch never mixes skippable and fatal
 // cases). Baselines must not be borrowed from s's own result slots
 // (those are invalidated by this very call). Sibling-bearing topologies
-// need the Reference engine.
+// are refused (ErrSiblingsNeedFullKernel).
 //
 // The returned BatchResult borrows its Results from s (BatchScratch
 // ownership contract); with s == nil a private scratch is allocated and
@@ -912,7 +912,7 @@ func PropagateAttackDeltaBatch(g *topology.Graph, lanes []AttackLane, s *BatchSc
 		return nil, errors.New("routing: PropagateAttackDeltaBatch needs at least one lane")
 	}
 	if g.HasSiblings() {
-		return nil, ErrSiblingsNeedReference
+		return nil, ErrSiblingsNeedFullKernel
 	}
 	for i := range lanes {
 		if err := lanes[i].Ann.Validate(g); err != nil {

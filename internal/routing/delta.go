@@ -427,7 +427,7 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 		return nil, errNeedsStrip
 	}
 	if g.HasSiblings() {
-		return nil, ErrSiblingsNeedReference
+		return nil, ErrSiblingsNeedFullKernel
 	}
 	if s == nil {
 		ps := scratchPool.Get().(*Scratch)

@@ -56,7 +56,7 @@ func randomScenario(t *testing.T, rng *rand.Rand) (*topology.Graph, Announcement
 	return g, ann, atk
 }
 
-func compareResults(t *testing.T, g *topology.Graph, fast, ref *Result, label string) {
+func compareResults(t testing.TB, g *topology.Graph, fast, ref *Result, label string) {
 	t.Helper()
 	for i := int32(0); i < int32(g.NumASes()); i++ {
 		asn := g.ASNAt(i)
@@ -516,47 +516,21 @@ func TestDeltaEngineDifferential(t *testing.T) {
 	}
 }
 
-// graftSibling adds one sibling link between two previously unrelated ASes.
-func graftSibling(t *testing.T, g *topology.Graph, rng *rand.Rand) *topology.Graph {
-	t.Helper()
-	asns := g.ASNs()
-	for tries := 0; tries < 200; tries++ {
-		x := asns[rng.Intn(len(asns))]
-		y := asns[rng.Intn(len(asns))]
-		if x == y || g.RelOf(x, y) != topology.RelNone {
-			continue
-		}
-		b := topology.Rebuild(g)
-		if err := b.AddS2S(x, y); err != nil {
-			t.Fatalf("AddS2S(%v,%v): %v", x, y, err)
-		}
-		g2, err := b.Build()
-		if err != nil {
-			continue // sibling link closed a cycle elsewhere; redraw
-		}
-		return g2
-	}
-	t.Fatal("no sibling-graftable pair found")
-	return nil
-}
-
 // TestDeltaEngineSiblingContract covers the sibling-link slice of the
-// differential suite: on sibling-bearing graphs both DAG engines must
-// refuse with ErrSiblingsNeedReference while the Reference engine routes
-// them deterministically and loop-free.
+// differential suite: on sibling-bearing graphs the incremental engine
+// must refuse with ErrSiblingsNeedFullKernel while the Reference engine
+// routes them deterministically and loop-free (the full kernel's agreement
+// with it is sibling_diff_test.go's subject).
 func TestDeltaEngineSiblingContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	s := NewScratch()
 	for trial := 0; trial < 12; trial++ {
 		plain, ann, atk := randomDeltaScenario(t, rng)
-		g := graftSibling(t, plain, rng)
+		g, _ := graftSiblings(t, plain, rng)
 		label := fmt.Sprintf("sibling trial %d (V=%v M=%v λ=%d)", trial, ann.Origin, atk.AS, ann.Prepend)
 
-		if _, err := PropagateScratch(g, ann, s); !errors.Is(err, ErrSiblingsNeedReference) {
-			t.Fatalf("%s: PropagateScratch err = %v, want ErrSiblingsNeedReference", label, err)
-		}
-		if _, err := PropagateAttackDelta(g, ann, atk, nil, s); !errors.Is(err, ErrSiblingsNeedReference) {
-			t.Fatalf("%s: PropagateAttackDelta err = %v, want ErrSiblingsNeedReference", label, err)
+		if _, err := PropagateAttackDelta(g, ann, atk, nil, s); !errors.Is(err, ErrSiblingsNeedFullKernel) {
+			t.Fatalf("%s: PropagateAttackDelta err = %v, want ErrSiblingsNeedFullKernel", label, err)
 		}
 
 		refBase, err := PropagateReference(g, ann, nil)

@@ -45,6 +45,7 @@ func expKey(length int32, asn bgp.ASN) uint64 {
 // propagation O(1).
 type fastState struct {
 	g      *topology.Graph
+	s      *Scratch
 	origin int32
 	ann    Announcement
 
@@ -76,36 +77,75 @@ type fastState struct {
 	// stands in for its route wherever it exports.
 	forger int32
 	claim  cand
+
+	// upward, when seedUp is set, is the route the attacker exports to its
+	// providers and peers before relaxation starts (see seedUpward).
+	upward cand
+	seedUp bool
+
+	// Sibling state, nil on sibling-free graphs (see runSiblings). sibOff
+	// holds the offer every AS currently makes to each of its siblings, one
+	// entry per directed sibling adjacency in SiblingASes order. sibProv is
+	// the best provider-class sibling offer each AS holds this pass; only
+	// the entries of ASes with a sibling are ever written or read.
+	sibOff  []sibOffer
+	sibProv []expCand
+}
+
+// sibOffer is what an AS advertises to one sibling: its selected route as
+// exported, with the policy class preserved — the organization learned the
+// route as a whole. ClassNone means nothing is on offer.
+type sibOffer struct {
+	c   cand
+	cls Class
 }
 
 // Propagate computes the stable routing outcome for ann with no attacker.
-// Topologies with sibling links need the message-level engine
-// (PropagateReference), which the core package dispatches to automatically.
 // Sweeps should prefer PropagateScratch, which reuses per-call state.
 func Propagate(g *topology.Graph, ann Announcement) (*Result, error) {
 	return PropagateScratch(g, ann, nil)
 }
 
-// ErrSiblingsNeedReference reports that the three-phase engine cannot
-// route a sibling-bearing topology: sibling links are mutual transit and
-// break the provider-DAG phase structure.
-var ErrSiblingsNeedReference = errors.New("routing: sibling links require the Reference engine")
+// ErrSiblingsNeedFullKernel reports that an incremental or lane-batched
+// engine was handed a sibling-bearing topology. Sibling links are mutual
+// transit: they cut across the provider DAG those engines walk once, so
+// only the full kernel (PropagateScratch, PropagateAttackScratch), which
+// repeats its pass until the sibling offers settle, routes them.
+var ErrSiblingsNeedFullKernel = errors.New("routing: sibling links need the full kernel (PropagateScratch, PropagateAttackScratch)")
 
-// init prepares st for one propagation on s's record table, opening a
-// fresh epoch.
+// ErrSiblingsUnsettled reports that the sibling offers were still changing
+// after maxSiblingPasses passes: a route that crosses more sibling links
+// than that, or offers that never settle (the reference engine's
+// errOscillation).
+var ErrSiblingsUnsettled = errors.New("routing: sibling offers did not settle")
+
+// maxSiblingPasses bounds runSiblings. A pass settles every route that
+// crosses one more sibling link than the pass before, so real
+// organizations need a handful.
+const maxSiblingPasses = 64
+
+// init prepares st for a propagation on s's tables; each pass opens its
+// own epoch (see begin).
 func (st *fastState) init(g *topology.Graph, ann Announcement, s *Scratch) {
 	n := g.NumASes()
 	origin, _ := g.Index(ann.Origin)
+	s.grow(n)
 	st.g = g
+	st.s = s
 	st.origin = origin
 	st.ann = ann
 	st.atkIdx = -1
 	st.forger = -1
-	st.recs, st.epoch = s.beginPropagation(n)
 	st.reject = s.reject[:n]
 	st.exps = s.exps[:n]
 	st.custSet = s.custSet[:(n+63)>>6]
 	st.peerSet = s.peerSet[:(n+63)>>6]
+}
+
+// begin opens a fresh epoch on the record table and empties the class
+// bitsets: the state one pass starts from.
+func (st *fastState) begin() {
+	st.recs, st.epoch = st.s.beginPropagation(len(st.reject))
 	for i := range st.custSet {
 		st.custSet[i] = 0
 		st.peerSet[i] = 0
@@ -233,10 +273,125 @@ func (st *fastState) seedUpward(c cand) {
 	}
 }
 
-// run executes the three phases and writes the outcome into res (which
-// must already be sized for the graph; rows need not be cleared — every
-// row is written). When via is non-nil it receives the per-AS via flags
-// in the same pass (the attack path's Via storage).
+// originSeed is the origin's announcement to neighbor nbr: λ copies of
+// its ASN, per neighbor, or nothing on a withheld (failed) session.
+func (st *fastState) originSeed(nbr int32) (cand, bool) {
+	asn := st.g.ASNAt(nbr)
+	if st.ann.Withhold[asn] {
+		return cand{}, false
+	}
+	lam := int32(st.ann.lambdaFor(asn))
+	return cand{len: lam, prep: int16(lam), parent: st.origin}, true
+}
+
+// run computes the stable outcome into res (which must already be sized
+// for the graph; rows need not be cleared — every row is written). When
+// via is non-nil it receives the per-AS via flags (the attack path's Via
+// storage). A sibling-free graph is one pass.
+func (st *fastState) run(res *Result, via []bool) (*Result, error) {
+	if st.g.HasSiblings() {
+		return st.runSiblings(res, via)
+	}
+	st.pass(res, via)
+	return res, nil
+}
+
+// runSiblings routes a sibling-bearing graph. A sibling export preserves
+// the policy class, so the customer / peer / provider strata of the three
+// phases stay intact and a sibling's offer is one more seed into the
+// matching table. The pass is repeated, each time seeded with the offers
+// the previous pass's selections produce, until no offer changes: every
+// AS then holds the best of its neighbors' current exports, a stable
+// state. As an activation order this delivers sibling messages in rounds
+// and lets the rest of the graph converge in between; under Gao-Rexford
+// preferences every fair order reaches the same state (Chiesa et al.;
+// PropagateAttackScratch notes the one exception). A re-announcing sibling
+// replaces its earlier offer, as an Adj-RIB-In entry would be replaced:
+// every pass rebuilds the tables from the current offers alone.
+func (st *fastState) runSiblings(res *Result, via []bool) (*Result, error) {
+	st.sibOff, st.sibProv = st.s.siblingTables(st.g)
+	st.exchangeSiblings(nil, nil) // only the announcers have something to offer yet
+	for i := 0; i < maxSiblingPasses; i++ {
+		st.pass(res, via)
+		if !st.exchangeSiblings(res, via) {
+			return res, nil
+		}
+	}
+	return nil, ErrSiblingsUnsettled
+}
+
+// siblingOffer is what u advertises to its sibling s given the selections
+// in res (nil: nobody has selected yet). An announcer's sibling hears the
+// prefix as a customer route and re-exports it everywhere. A route learned
+// from s itself names s in its path, so s would loop-reject it: nothing is
+// on offer.
+func (st *fastState) siblingOffer(u, s int32, res *Result, via []bool) sibOffer {
+	switch {
+	case u == st.origin:
+		c, ok := st.originSeed(s)
+		if !ok {
+			return sibOffer{}
+		}
+		return sibOffer{c: c, cls: ClassCustomer}
+	case u == st.forger:
+		return sibOffer{c: st.export(u, st.claim), cls: ClassCustomer}
+	case res == nil || res.Class[u] == ClassNone || res.Parent[u] == s:
+		return sibOffer{}
+	}
+	c := cand{len: res.Len[u], prep: res.Prep[u], parent: res.Parent[u], via: via != nil && via[u]}
+	return sibOffer{c: st.export(u, c), cls: res.Class[u]}
+}
+
+// exchangeSiblings replaces every sibling offer with the one res's
+// selections produce and reports whether any changed.
+func (st *fastState) exchangeSiblings(res *Result, via []bool) bool {
+	changed := false
+	k := 0
+	for _, u := range st.g.SiblingASes() {
+		for _, s := range st.g.SiblingsIdx(u) {
+			off := st.siblingOffer(u, s, res, via)
+			if off != st.sibOff[k] {
+				st.sibOff[k] = off
+				changed = true
+			}
+			k++
+		}
+	}
+	return changed
+}
+
+// seedSiblings enters the current sibling offers into the receivers'
+// tables by class. Customer and peer offers are ordinary table entries;
+// provider offers wait in sibProv, keyed like any provider's export, for
+// phase 3 to reach the receiver (see adoptSiblingProvider).
+func (st *fastState) seedSiblings() {
+	for _, u := range st.g.SiblingASes() {
+		st.sibProv[u].key = noExport
+	}
+	k := 0
+	for _, u := range st.g.SiblingASes() {
+		for _, s := range st.g.SiblingsIdx(u) {
+			off := st.sibOff[k]
+			k++
+			switch off.cls {
+			case ClassCustomer:
+				st.considerCust(s, off.c)
+			case ClassPeer:
+				st.considerPeer(s, off.c)
+			case ClassProvider:
+				if !st.admissible(s, off.c) {
+					continue
+				}
+				if key := expKey(off.c.len, st.g.ASNAt(u)); key < st.sibProv[s].key {
+					st.sibProv[s] = expCand{key: key, parent: u, prep: off.c.prep, via: off.c.via}
+				}
+			}
+		}
+	}
+}
+
+// pass executes the three phases once, from a fresh epoch, and writes the
+// outcome into res and via.
 //
 // Dense AS indices are up-topological (a topology.Graph build invariant),
 // so the DAG phases need no permutation table: the worklist walk processes
@@ -248,31 +403,32 @@ func (st *fastState) seedUpward(c cand) {
 // route wins structurally skip the provider sweep entirely. Result
 // emission is fused into the same scan, since u's selection is final
 // exactly when the scan needs it to fill exps[u].
-func (st *fastState) run(res *Result, via []bool) *Result {
+func (st *fastState) pass(res *Result, via []bool) {
+	st.begin()
 	g, o := st.g, st.origin
 	n := int32(len(st.recs))
 
 	// Phase 0: the origin announces to every neighbor with per-neighbor λ,
-	// skipping withheld (failed) sessions.
-	seed := func(nbr int32) (cand, bool) {
-		if st.ann.Withhold[g.ASNAt(nbr)] {
-			return cand{}, false
-		}
-		lam := int32(st.ann.lambdaFor(g.ASNAt(nbr)))
-		return cand{len: lam, prep: int16(lam), parent: o}, true
-	}
+	// skipping withheld (failed) sessions; the attacker's pre-seeded export
+	// and the siblings' offers join it.
 	for _, p := range g.ProvidersIdx(o) {
-		if c, ok := seed(p); ok {
+		if c, ok := st.originSeed(p); ok {
 			st.considerCust(p, c)
 		}
 	}
 	for _, w := range g.PeersIdx(o) {
-		if c, ok := seed(w); ok {
+		if c, ok := st.originSeed(w); ok {
 			st.considerPeer(w, c)
 		}
 	}
 	// The origin's downward seeds are folded into the phase-3 pull: a
 	// customer of the origin computes the seed when it sweeps its providers.
+	if st.seedUp {
+		st.seedUpward(st.upward)
+	}
+	if st.sibOff != nil {
+		st.seedSiblings()
+	}
 
 	// Phases 1+2, fused over the customer-route worklist. Phase 1 (up):
 	// customer-learned routes climb the provider DAG in ascending index
@@ -311,18 +467,66 @@ func (st *fastState) run(res *Result, via []bool) *Result {
 	// (customer > peer > provider, regardless of length), emits its result
 	// row, and records what it exports to customers in exps — consumed by
 	// the pull sweep of each (lower-indexed) customer later in the scan.
-	//
-	// Uniform announcements (no per-neighbor λ, no withheld sessions — the
-	// overwhelmingly common case) pre-store the origin's downward seed in
-	// exps[o], so the sweep reads the origin like any other provider;
-	// otherwise each origin edge computes its own seed.
+	// An AS holding a provider-class sibling offer ends a stretch of the
+	// scan: the offer is weighed against the row the scan just gave it,
+	// before any of its customers reads its export. That keeps sibling
+	// graphs out of the scan's inner loops altogether.
+	hi := n - 1
+	if st.sibOff != nil {
+		sibs := g.SiblingASes()
+		for i := len(sibs) - 1; i >= 0; i-- {
+			if u := sibs[i]; st.sibProv[u].key != noExport {
+				st.down(res, via, hi, u)
+				st.adoptSiblingProvider(u, res, via)
+				hi = u - 1
+			}
+		}
+	}
+	st.down(res, via, hi, 0)
+}
+
+// adoptSiblingProvider lets u's provider-class sibling offer compete with
+// the row phase 3 gave u: it loses to a customer or peer route by class
+// and to a provider route by the export key, and otherwise becomes u's
+// selection and export.
+func (st *fastState) adoptSiblingProvider(u int32, res *Result, via []bool) {
+	e := st.sibProv[u]
+	cur := noExport
+	switch res.Class[u] {
+	case ClassCustomer, ClassPeer:
+		return
+	case ClassProvider:
+		cur = expKey(res.Len[u], st.g.ASNAt(res.Parent[u]))
+	}
+	if e.key >= cur {
+		return
+	}
+	sel := cand{len: int32(e.key >> 32), parent: e.parent, prep: e.prep, via: e.via}
+	st.exps[u] = st.exportKey(u, sel)
+	res.Class[u] = ClassProvider
+	res.Len[u] = sel.len
+	res.Prep[u] = sel.prep
+	res.Parent[u] = sel.parent
+	if via != nil {
+		via[u] = sel.via
+	}
+}
+
+// down runs the phase-3 scan over the AS indices hi down to lo.
+//
+// Uniform announcements (no per-neighbor λ, no withheld sessions — the
+// overwhelmingly common case) pre-store the origin's downward seed in
+// exps[o], so the sweep reads the origin like any other provider;
+// otherwise each origin edge computes its own seed.
+func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
+	g, o := st.g, st.origin
 	exps := st.exps
 	uniform := len(st.ann.PerNeighbor) == 0 && len(st.ann.Withhold) == 0
 	if uniform {
 		lam := int32(st.ann.Prepend)
 		exps[o] = expCand{key: expKey(lam, g.ASNAt(o)), parent: o, prep: int16(lam)}
 	}
-	for u := n - 1; u >= 0; u-- {
+	for u := hi; u >= lo; u-- {
 		if u == o {
 			res.Class[u] = ClassNone
 			res.Len[u] = 0 // the origin's own row: reachable at length 0
@@ -373,7 +577,7 @@ func (st *fastState) run(res *Result, via []bool) *Result {
 				for _, p := range g.ProvidersIdx(u) {
 					var e expCand
 					if p == o {
-						c, ok := seed(u)
+						c, ok := st.originSeed(u)
 						if !ok {
 							continue
 						}
@@ -411,5 +615,4 @@ func (st *fastState) run(res *Result, via []bool) *Result {
 			via[u] = sel.via
 		}
 	}
-	return res
 }

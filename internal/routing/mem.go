@@ -67,6 +67,7 @@ func (s *Scratch) MemoryBytes() int64 {
 	return int64(unsafe.Sizeof(*s)) +
 		sliceBytes(s.recs) + sliceBytes(s.reject) + sliceBytes(s.rejectList) +
 		sliceBytes(s.custSet) + sliceBytes(s.peerSet) + sliceBytes(s.exps) +
+		sliceBytes(s.sibOff) + sliceBytes(s.sibProv) +
 		sliceBytes(s.dflags) + sliceBytes(s.touched) + sliceBytes(s.dprov) +
 		sliceBytes(s.via) + sliceBytes(s.viaBase) +
 		sliceBytes(s.viaState) + sliceBytes(s.viaStack) +

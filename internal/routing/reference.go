@@ -76,6 +76,20 @@ func PropagateReference(g *topology.Graph, ann Announcement, atk *Attacker) (*Re
 // carrying fewer copies is quarantined — used only when no normal route
 // exists. Pass nil to disable.
 func PropagateReferenceCautious(g *topology.Graph, ann Announcement, atk *Attacker, minPrep map[bgp.ASN]int) (*Result, error) {
+	e, err := newRefEngine(g, ann, atk, minPrep)
+	if err != nil {
+		return nil, err
+	}
+	e.announce()
+	if err := e.drain(); err != nil {
+		return nil, err
+	}
+	return e.finish(), nil
+}
+
+// newRefEngine validates the inputs and returns an engine in which nobody
+// has announced anything yet.
+func newRefEngine(g *topology.Graph, ann Announcement, atk *Attacker, minPrep map[bgp.ASN]int) (*refEngine, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
 	}
@@ -117,8 +131,13 @@ func PropagateReferenceCautious(g *topology.Graph, ann Announcement, atk *Attack
 		e.nodes[i].ribIn = make(map[int32]refRoute)
 		e.nodes[i].from = -1
 	}
+	return e, nil
+}
 
-	// The origin announces to all neighbors (except withheld sessions).
+// announce sends the origin's announcement to all its neighbors (except
+// withheld sessions).
+func (e *refEngine) announce() {
+	g, ann, origin := e.g, e.ann, e.origin
 	originASN := g.ASNAt(origin)
 	announce := func(nbr int32, class Class) {
 		if ann.Withhold[g.ASNAt(nbr)] {
@@ -145,22 +164,26 @@ func PropagateReferenceCautious(g *topology.Graph, ann Announcement, atk *Attack
 	for _, s := range g.SiblingsIdx(origin) {
 		announce(s, ClassCustomer)
 	}
+}
 
-	// Gao-Rexford-compliant policies are guaranteed to converge; the
-	// violating attacker adds a fixed extra announcement, which preserves
-	// convergence. The budget is a defensive backstop against protocol
-	// bugs, far above any legitimate activation count.
-	budget := 1000 * (g.NumASes() + 16)
+// drain processes queued re-exports until no selection changes.
+//
+// Gao-Rexford-compliant policies are guaranteed to converge; the
+// violating attacker adds a fixed extra announcement, which preserves
+// convergence. The budget is a defensive backstop against protocol
+// bugs, far above any legitimate activation count.
+func (e *refEngine) drain() error {
+	budget := 1000 * (e.g.NumASes() + 16)
 	for len(e.queue) > 0 {
 		if budget--; budget < 0 {
-			return nil, errOscillation
+			return errOscillation
 		}
 		u := e.queue[0]
 		e.queue = e.queue[1:]
 		e.inQ[u] = false
 		e.exportFrom(u)
 	}
-	return e.finish(), nil
+	return nil
 }
 
 // receive installs a new Adj-RIB-In entry at node i from neighbor nbr

@@ -4,9 +4,9 @@
 // provider-learned, breaks ties by shortest AS-path (counting prepends),
 // and exports peer/provider-learned routes only to its customers.
 //
-// Four engines compute the same unique stable outcome. Which one runs a
-// leg is decided by the callers in core and measure from the scenario and
-// the graph, never by a user-set option:
+// Four engines compute the same stable outcome. Which one runs a leg is
+// decided by the callers in core and measure from the scenario and the
+// graph, never by a user-set option:
 //
 //   - Fast (fast.go): the full kernel — a three-phase algorithm over the
 //     provider-customer DAG (customer routes in topological order, one
@@ -16,25 +16,30 @@
 //     valley-free-violating export, via loop rejection on the attacker's
 //     own path) and the two forged-claim hijacks it is contrasted with
 //     (AttackOriginHijack, AttackNextHopInterception), where the attacker
-//     is a second announcer that never adopts a route. Forged kinds run
-//     here.
+//     is a second announcer that never adopts a route. Sibling links
+//     (mutual transit, policy class preserved) cut across the DAG; the
+//     kernel repeats its pass, seeded with the siblings' offers, until
+//     they settle. Forged kinds and every leg on a sibling-bearing
+//     topology run here.
 //   - Delta (delta.go): the same ASPP attack as an incremental
 //     recomputation of the attacker's cone against a memoized baseline.
 //     ASPP legs run here whenever the topology is sibling-free.
 //   - Batch (batch.go, batch_delta.go): Fast and Delta carrying up to 64
-//     announcements (lanes) per frontier walk. The usage survey's table
-//     leg runs PropagateBatch; the -batch attack-leg sweeps run both.
+//     announcements (lanes) per frontier walk, sibling-free topologies
+//     only. The usage survey's table leg runs PropagateBatch; the -batch
+//     attack-leg sweeps run both.
 //   - Reference (reference.go): a message-level BGP simulation with
 //     per-neighbor Adj-RIB-In state, implicit withdrawals and full AS-path
 //     loop detection. It is the ground truth the others are
-//     property-tested against, and the only engine that routes sibling
-//     links (mutual transit breaks the DAG phase order) and the
+//     property-tested against, and the only engine that runs the
 //     cautious-adoption defence (its quarantine ranks above the policy
-//     class, which breaks the three-phase order too).
+//     class, which breaks the three-phase order).
 //
 // All engines use the identical total preference order
 // (class, path length, lowest next-hop ASN), so results are deterministic
-// and directly comparable.
+// and directly comparable. The stable outcome is unique except where a
+// stripping attacker meets sibling links; PropagateAttackScratch documents
+// which one the kernels return there.
 package routing
 
 import (

@@ -81,6 +81,11 @@ type Scratch struct {
 	// at all.
 	exps []expCand
 
+	// sibOff and sibProv are the Fast engine's sibling-offer tables (see
+	// fastState); only sibling-bearing graphs allocate them.
+	sibOff  []sibOffer
+	sibProv []expCand
+
 	// dflags holds the Delta engine's per-AS dirty/touched bits, packed
 	// for the same reason; touched lists every AS whose flags are nonzero,
 	// so reset is O(cone), not O(n).
@@ -160,6 +165,23 @@ func (s *Scratch) grow(n int) {
 	s.peerSet = make([]uint64, (n+63)>>6)
 	s.exps = make([]expCand, n)
 	s.n = n
+}
+
+// siblingTables sizes the sibling-offer tables for g and returns their
+// windows: one offer per directed sibling adjacency and one provider-class
+// slot per AS.
+func (s *Scratch) siblingTables(g *topology.Graph) ([]sibOffer, []expCand) {
+	n, m := g.NumASes(), 0
+	for _, u := range g.SiblingASes() {
+		m += len(g.SiblingsIdx(u))
+	}
+	if len(s.sibOff) < m {
+		s.sibOff = make([]sibOffer, growCap(m, len(s.sibOff)))
+	}
+	if len(s.sibProv) < n {
+		s.sibProv = make([]expCand, growCap(n, len(s.sibProv)))
+	}
+	return s.sibOff[:m], s.sibProv[:n]
 }
 
 // ensureVia sizes the attack slot's Via storage.
@@ -266,12 +288,9 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 	if err := ann.Validate(g); err != nil {
 		return nil, err
 	}
-	if g.HasSiblings() {
-		return nil, ErrSiblingsNeedReference
-	}
 	var st fastState
 	st.init(g, ann, s)
-	return st.run(resultInto(&s.base, g, st.origin), nil), nil
+	return st.run(resultInto(&s.base, g, st.origin), nil)
 }
 
 // PropagateAttackScratch computes the stable outcome with the attacker
@@ -279,14 +298,19 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 // baseline must be the no-attack Result for the same announcement (a
 // cached one shared read-only across goroutines is fine; nil recomputes
 // it into the Scratch's baseline slot): it supplies the attacker's own
-// route, which the attack provably cannot change (every bogus route
-// contains the attacker's path and is loop-rejected along it), and
+// route, which the attack cannot change (every bogus route contains the
+// attacker's path and is loop-rejected along it), and
 // ErrUnreachableAttacker is returned if the attacker never receives the
-// route. A forged claim does not depend on the attacker's own route, so
-// the forged kinds neither read nor compute a baseline. The returned
-// Result is borrowed from the Scratch's attack slot. With s == nil the
-// propagation runs on a pooled Scratch and the returned Result is a
-// private copy.
+// route. That is the outcome of an attack launched on the converged
+// network. On a sibling-free topology it is the only stable outcome; with
+// sibling links a strip can make the route through the attacker attractive
+// to an AS on the attacker's own path, and an attacker that strips from
+// its first message on may then settle elsewhere or not at all (see
+// referenceOnConverged in sibling_diff_test.go). A forged claim does not
+// depend on the attacker's own route, so the forged kinds neither read nor
+// compute a baseline. The returned Result is borrowed from the Scratch's
+// attack slot. With s == nil the propagation runs on a pooled Scratch and
+// the returned Result is a private copy.
 func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, s *Scratch) (*Result, error) {
 	if s == nil {
 		ps := scratchPool.Get().(*Scratch)
@@ -305,11 +329,7 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 	}
 	atkIdx, _ := g.Index(atk.AS)
 	forged := atk.Kind != AttackASPP
-	if forged {
-		if g.HasSiblings() {
-			return nil, ErrSiblingsNeedReference
-		}
-	} else {
+	if !forged {
 		if baseline == nil {
 			var err error
 			baseline, err = PropagateScratch(g, ann, s)
@@ -336,7 +356,7 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 		if atk.Kind == AttackNextHopInterception {
 			st.claim.len, st.claim.prep = 1, 1
 		}
-		st.seedUpward(st.claim)
+		st.upward, st.seedUp = st.claim, true
 	} else {
 		// Loop rejection: every route that traverses the attacker carries
 		// the attacker's full (baseline) path as its suffix, so exactly the
@@ -345,12 +365,12 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 			s.setReject(j)
 		}
 		if atk.ViolateValleyFree {
-			st.seedUpward(cand{len: baseline.Len[atkIdx], prep: baseline.Prep[atkIdx], parent: baseline.Parent[atkIdx]})
+			st.upward, st.seedUp = cand{len: baseline.Len[atkIdx], prep: baseline.Prep[atkIdx], parent: baseline.Parent[atkIdx]}, true
 		}
 	}
 
 	s.ensureVia(g.NumASes())
 	res := resultInto(&s.atk, g, st.origin)
 	res.Via = s.via[:g.NumASes()]
-	return st.run(res, res.Via), nil
+	return st.run(res, res.Via)
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"aspp/internal/topology"
@@ -85,6 +86,33 @@ func TestPropagateScratchZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("warmed PropagateScratch with varying λ allocates %.1f objects per run, want 0", avg)
+	}
+	if allocSinkErr != nil {
+		t.Fatal(allocSinkErr)
+	}
+
+	// Sibling links make both entry points repeat their pass; the offer
+	// tables are Scratch-owned like everything else.
+	gs, _ := graftSiblings(t, g, rand.New(rand.NewSource(5)))
+	if base, err = PropagateScratch(gs, ann, s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PropagateAttackScratch(gs, ann, atk, base, s); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		allocSinkResult, allocSinkErr = PropagateScratch(gs, ann, s)
+	}); avg != 0 {
+		t.Errorf("warmed PropagateScratch on a sibling graph allocates %.1f objects per run, want 0", avg)
+	}
+	if allocSinkErr != nil {
+		t.Fatal(allocSinkErr)
+	}
+	base = allocSinkResult
+	if avg := testing.AllocsPerRun(20, func() {
+		allocSinkResult, allocSinkErr = PropagateAttackScratch(gs, ann, atk, base, s)
+	}); avg != 0 {
+		t.Errorf("warmed PropagateAttackScratch on a sibling graph allocates %.1f objects per run, want 0", avg)
 	}
 	if allocSinkErr != nil {
 		t.Fatal(allocSinkErr)

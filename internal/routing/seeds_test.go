@@ -110,15 +110,8 @@ func PropagateSeeds(g *topology.Graph, seeds []Seed) (*seedRoutes, error) {
 		}
 	}
 
-	budget := 1000 * (g.NumASes() + 16)
-	for len(e.queue) > 0 {
-		if budget--; budget < 0 {
-			return nil, errOscillation
-		}
-		u := e.queue[0]
-		e.queue = e.queue[1:]
-		e.inQ[u] = false
-		e.exportFrom(u)
+	if err := e.drain(); err != nil {
+		return nil, err
 	}
 
 	out := &seedRoutes{

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -55,11 +56,38 @@ func TestSiblingTopology(t *testing.T) {
 	}
 }
 
-func TestFastEngineRejectsSiblings(t *testing.T) {
+// TestFastEngineRoutesSiblings: on the Fig. 11 miniature the full kernel
+// agrees with the reference engine row for row, baseline and attack, and
+// the incremental engine keeps refusing the graph.
+func TestFastEngineRoutesSiblings(t *testing.T) {
 	g := siblingGraph(t)
-	_, err := Propagate(g, Announcement{Origin: 30, Prepend: 2})
-	if !errors.Is(err, ErrSiblingsNeedReference) {
-		t.Errorf("err = %v, want ErrSiblingsNeedReference", err)
+	s := NewScratch()
+	for lambda := 1; lambda <= 6; lambda++ {
+		ann := Announcement{Origin: 30, Prepend: lambda}
+		base, err := PropagateScratch(g, ann, s)
+		if err != nil {
+			t.Fatalf("λ=%d: PropagateScratch: %v", lambda, err)
+		}
+		want, err := PropagateReference(g, ann, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareResults(t, g, base, want, fmt.Sprintf("λ=%d baseline", lambda))
+		for _, violate := range []bool{false, true} {
+			atk := Attacker{AS: 60, ViolateValleyFree: violate}
+			got, err := PropagateAttackScratch(g, ann, atk, base, s)
+			if err != nil {
+				t.Fatalf("λ=%d: PropagateAttackScratch: %v", lambda, err)
+			}
+			want, err := PropagateReference(g, ann, &atk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, g, got, want, fmt.Sprintf("λ=%d violate=%v", lambda, violate))
+		}
+	}
+	if _, err := PropagateAttackDelta(g, Announcement{Origin: 30, Prepend: 2}, Attacker{AS: 60}, nil, s); !errors.Is(err, ErrSiblingsNeedFullKernel) {
+		t.Errorf("PropagateAttackDelta err = %v, want ErrSiblingsNeedFullKernel", err)
 	}
 }
 

@@ -1,9 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"aspp/internal/bgp"
 )
@@ -85,8 +86,7 @@ func (b *Builder) AddP2P(x, y bgp.ASN) error {
 }
 
 // AddS2S adds a sibling (same-organization, mutual-transit) link. Both
-// ASes are auto-registered. Sibling-bearing topologies are routed by the
-// message-level Reference engine.
+// ASes are auto-registered.
 func (b *Builder) AddS2S(x, y bgp.ASN) error {
 	return b.addSymmetric(x, y, SiblingToSibling)
 }
@@ -172,11 +172,11 @@ func (b *Builder) Build() (*Graph, error) {
 	for k := range b.links {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	slices.SortFunc(keys, func(a, b [2]bgp.ASN) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return keys[i][1] < keys[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	for _, k := range keys {
 		i0, i1 := b.index[k[0]], b.index[k[1]]
@@ -236,12 +236,20 @@ func (b *Builder) Build() (*Graph, error) {
 			for t, o := range lst {
 				span[t] = perm[o]
 			}
-			sort.Slice(span, func(x, y int) bool { return span[x] < span[y] })
+			slices.Sort(span)
 			aspan := g.asnAdj[lo : lo+len(lst)]
 			for t, ni := range span {
 				aspan[t] = g.asns[ni]
 			}
-			sort.Slice(aspan, func(x, y int) bool { return aspan[x] < aspan[y] })
+			slices.Sort(aspan)
+		}
+	}
+
+	if nSiblings > 0 {
+		for i := int32(0); i < int32(n); i++ {
+			if len(g.idxSpan(i, spanSib)) > 0 {
+				g.sibASes = append(g.sibASes, i)
+			}
 		}
 	}
 
@@ -256,7 +264,7 @@ func (b *Builder) Build() (*Graph, error) {
 			g.tier1 = append(g.tier1, g.asns[i])
 		}
 	}
-	sort.Slice(g.tier1, func(x, y int) bool { return g.tier1[x] < g.tier1[y] })
+	slices.Sort(g.tier1)
 	return g, nil
 }
 

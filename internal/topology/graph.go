@@ -24,7 +24,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"aspp/internal/bgp"
@@ -119,7 +121,8 @@ type Graph struct {
 	asnAdj []bgp.ASN
 	off    []int32 // len 4n+1
 
-	nSiblings int // total sibling adjacencies (2 per link)
+	nSiblings int     // total sibling adjacencies (2 per link)
+	sibASes   []int32 // indices of the ASes with a sibling, ascending
 
 	tier   []uint8   // 1 = top of hierarchy, increasing downward
 	upTopo []int32   // identity permutation (indices ARE up-topological)
@@ -194,8 +197,12 @@ func (g *Graph) PeersIdx(i int32) []int32 { return g.idxSpan(i, spanPeer) }
 func (g *Graph) SiblingsIdx(i int32) []int32 { return g.idxSpan(i, spanSib) }
 
 // HasSiblings reports whether the topology contains any sibling links.
-// Sibling-bearing topologies require the message-level routing engine.
 func (g *Graph) HasSiblings() bool { return g.nSiblings > 0 }
+
+// SiblingASes returns the indices of the ASes that have at least one
+// sibling, ascending (read-only). The routing kernel exchanges sibling
+// offers over this list instead of scanning every AS for a sibling span.
+func (g *Graph) SiblingASes() []int32 { return g.sibASes }
 
 // Providers returns the providers of asn, sorted by ASN; nil if asn is
 // unknown or has none. The returned slice is shared read-only storage,
@@ -440,14 +447,14 @@ func (g *Graph) Links() []Link {
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].A != out[b].A {
-			return out[a].A < out[b].A
+	slices.SortFunc(out, func(a, b Link) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		if out[a].B != out[b].B {
-			return out[a].B < out[b].B
+		if c := cmp.Compare(a.B, b.B); c != 0 {
+			return c
 		}
-		return out[a].Rel < out[b].Rel
+		return cmp.Compare(a.Rel, b.Rel)
 	})
 	return out
 }
