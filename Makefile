@@ -54,7 +54,7 @@ lint-fmt:
 # blank nor comment-only. CI prints it so the trend is in the log.
 loc:
 	@count() { awk -v p="$$1" '{t++} !/^[[:space:]]*($$|\/\/)/{c++} END{printf "%-20s %5d lines %5d code\n", p, t, c}'; }; \
-	for p in internal/routing internal/core internal/experiment internal/measure internal/parallel internal/defense cmd/asppbench; do \
+	for p in internal/routing internal/core internal/experiment internal/topology internal/measure internal/parallel internal/defense cmd/asppbench; do \
 		ls $$p/*.go | grep -v _test.go | xargs cat | count $$p; \
 	done; \
 	count aspp.go < aspp.go
@@ -101,9 +101,11 @@ bench-smoke:
 # explicit per-shard cache budget. The test fails if the recorded memory
 # gauges exceed the budget, so a working-set regression gates CI. The
 # sibling test checks the 80k answers themselves: the kernel on fig11's
-# sibling graph against the reference engine, row for row.
+# sibling graph against the reference engine, row for row. The
+# susceptibility test is a count gate: the default tier matrix simulates
+# the 108 legs it prints, at most 108 baselines, under 128 MB of cache.
 scale-smoke:
-	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference' -count=1 .
+	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork' -count=1 .
 
 # Machine-readable record of the tier-1 benchmark suite: run the root
 # package benchmarks with -benchmem and parse the output into

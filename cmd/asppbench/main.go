@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -30,6 +31,7 @@ import (
 	"aspp"
 	"aspp/internal/defense"
 	"aspp/internal/experiment"
+	"aspp/internal/relinfer"
 	"aspp/internal/routing"
 	"aspp/internal/stats"
 )
@@ -67,6 +69,39 @@ type benchContext struct {
 	// experiment, reported after the experiment's data (outside the TSV
 	// tee, so counter lines never land in -out files or goldens).
 	counters *aspp.Counters
+	// memo is the run's, not the experiment's: every benchContext of one
+	// run points at the same one.
+	memo *runMemo
+}
+
+// runMemo holds what several experiments of one run compute identically —
+// same topology, same seed, same configuration. The first experiment to
+// ask does the work and the rest reuse the result, so with -counters the
+// work is reported under the experiment that ran it and a reusing
+// experiment's line shows none.
+type runMemo struct {
+	survey    *aspp.SurveyResult     // fig5, fig6
+	detection *aspp.DetectionOutcome // fig13's ground-truth run, fig14
+	inference *inference             // fig13, inference
+}
+
+// inference is InferRelationships(200, 30)'s two results.
+type inference struct {
+	rels *relinfer.Inferred
+	acc  relinfer.Accuracy
+}
+
+// memoized returns *slot, computing it on first use. Errors are not
+// remembered: one ends the run.
+func memoized[T any](slot **T, compute func() (*T, error)) (*T, error) {
+	if *slot == nil {
+		v, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		*slot = v
+	}
+	return *slot, nil
 }
 
 type experimentFunc func(*benchContext) error
@@ -145,7 +180,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		batch    = fs.String("batch", "1", "attack-leg sweeps only (fig7-fig12, susceptibility): lane width K (1..64) for batched baseline warming and attack legs, or 'auto' to size lanes to the topology; 1: serial")
 		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many shards, each with a private baseline cache; 0: one shard per worker")
 		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
-		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges)")
+		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -229,6 +264,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
+	memo := new(runMemo)
 	for _, name := range names {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -239,7 +275,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
 			batch:  laneWidth,
 			shards: *shards, memBudget: budgetBytes,
-			out: io.MultiWriter(out, &tee),
+			out:  io.MultiWriter(out, &tee),
+			memo: memo,
 		}
 		if *counters {
 			bc.counters = new(aspp.Counters)
@@ -372,11 +409,19 @@ func runSusceptibility(bc *benchContext) error {
 	return nil
 }
 
+func (bc *benchContext) inference() (*inference, error) {
+	return memoized(&bc.memo.inference, func() (*inference, error) {
+		rels, acc, err := bc.internet.InferRelationships(200, 30)
+		return &inference{rels: rels, acc: acc}, err
+	})
+}
+
 func runInference(bc *benchContext) error {
-	_, acc, err := bc.internet.InferRelationships(200, 30)
+	inf, err := bc.inference()
 	if err != nil {
 		return err
 	}
+	acc := inf.acc
 	fmt.Fprintln(bc.out, "metric\tvalue")
 	fmt.Fprintf(bc.out, "classified_links\t%d\n", acc.Links)
 	fmt.Fprintf(bc.out, "pct_exact\t%.1f\n", 100*acc.Overall())
@@ -415,7 +460,9 @@ func runTable1(bc *benchContext) error {
 }
 
 func (bc *benchContext) survey() (*aspp.SurveyResult, error) {
-	return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters})
+	return memoized(&bc.memo.survey, func() (*aspp.SurveyResult, error) {
+		return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters})
+	})
 }
 
 func runFig5(bc *benchContext) error {
@@ -620,35 +667,40 @@ func runFig11(bc *benchContext) error {
 
 func runFig12(bc *benchContext) error {
 	g := bc.internet.Graph()
-	attacker, err := experiment.PickStub(g, bc.seed)
+	stubs, err := experiment.MultihomedStubs(g)
 	if err != nil {
 		return err
 	}
-	victim, err := experiment.PickStub(g, stats.DeriveSeed(bc.seed, "fig12.victim"))
-	if err != nil {
-		return err
+	if len(stubs) < 2 {
+		return fmt.Errorf("small-vs-small needs two multihomed stubs besides the content stub, the topology has %d", len(stubs))
 	}
-	if victim == attacker {
-		victim, err = experiment.PickStub(g, stats.DeriveSeed(bc.seed, "fig12.victim.retry"))
-		if err != nil {
-			return err
-		}
+	// experiment.PickStub's draw, over the pool computed once.
+	pick := func(seed int64) aspp.ASN {
+		return stubs[rand.New(rand.NewSource(seed)).Intn(len(stubs))]
+	}
+	attacker := pick(bc.seed)
+	victim := pick(stats.DeriveSeed(bc.seed, "fig12.victim"))
+	// Two stubs exist, so redrawing ends: each redraw is an unrelated stream.
+	for k := 0; victim == attacker; k++ {
+		victim = pick(stats.DeriveSeedIndexed(bc.seed, "fig12.victim.retry", k))
 	}
 	return runSweepFig(bc, victim, attacker, true, "small AS hijacks small AS")
 }
 
 func (bc *benchContext) detection() (*aspp.DetectionOutcome, error) {
-	cfg := aspp.DefaultDetectionConfig()
-	cfg.Pairs = bc.pairs
-	cfg.Seed = bc.seed
-	cfg.Counters = bc.counters
-	// Latency series (Fig. 14) at a coverage-matched monitor count: the
-	// paper's 150 monitors cover ~0.5-0.75% of the 2011 Internet.
-	cfg.LatencyMonitors = bc.internet.Graph().NumASes() * 3 / 400
-	if cfg.LatencyMonitors < 10 {
-		cfg.LatencyMonitors = 10
-	}
-	return bc.internet.RunDetectionCtx(bc.ctx, cfg)
+	return memoized(&bc.memo.detection, func() (*aspp.DetectionOutcome, error) {
+		cfg := aspp.DefaultDetectionConfig()
+		cfg.Pairs = bc.pairs
+		cfg.Seed = bc.seed
+		cfg.Counters = bc.counters
+		// Latency series (Fig. 14) at a coverage-matched monitor count: the
+		// paper's 150 monitors cover ~0.5-0.75% of the 2011 Internet.
+		cfg.LatencyMonitors = bc.internet.Graph().NumASes() * 3 / 400
+		if cfg.LatencyMonitors < 10 {
+			cfg.LatencyMonitors = 10
+		}
+		return bc.internet.RunDetectionCtx(bc.ctx, cfg)
+	})
 }
 
 func runFig13(bc *benchContext) error {
@@ -667,14 +719,14 @@ func runFig13(bc *benchContext) error {
 	}
 	// Ablation 2: the hint rules fed with *inferred* relationships, as a
 	// real deployment without ground truth must run.
-	inferred, _, err := bc.internet.InferRelationships(200, 30)
+	inferred, err := bc.inference()
 	if err != nil {
 		return err
 	}
 	cfg = aspp.DefaultDetectionConfig()
 	cfg.Pairs = bc.pairs
 	cfg.Seed = bc.seed
-	cfg.Rels = inferred
+	cfg.Rels = inferred.rels
 	inf, err := bc.internet.RunDetectionCtx(bc.ctx, cfg)
 	if err != nil {
 		return err

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aspp"
 )
 
 func TestRunSingleExperiments(t *testing.T) {
@@ -243,5 +246,91 @@ func TestRunCountersOnDefaultFlags(t *testing.T) {
 		if !strings.Contains(lines[1], want) {
 			t.Errorf("fig11 counters miss %q (sibling leg uncounted?): %s", want, lines[1])
 		}
+	}
+}
+
+// sections splits asppbench output into its "### name" sections.
+func sections(out string) map[string]string {
+	m := make(map[string]string)
+	for _, sec := range strings.Split(out, "### ")[1:] {
+		name, body, _ := strings.Cut(sec, "\n")
+		m[name] = body
+	}
+	return m
+}
+
+// TestRunSharesIdenticalWork: fig5/fig6 share one survey, fig13/fig14 one
+// detection run and fig13/inference one relationship inference. A section
+// reads the same whether its experiment ran the work or reused it, and
+// with -counters the reusing experiment reports none.
+func TestRunSharesIdenticalWork(t *testing.T) {
+	const exps = "fig5,fig6,fig13,fig14,inference"
+	base := []string{"-n", "400", "-pairs", "15", "-counters"}
+	var together strings.Builder
+	if err := run(context.Background(), append([]string{"-exp", exps}, base...), &together); err != nil {
+		t.Fatalf("run(%s): %v", exps, err)
+	}
+	got := sections(together.String())
+	noWork := new(aspp.Counters).Snapshot().String()
+	for _, exp := range strings.Split(exps, ",") {
+		var alone strings.Builder
+		if err := run(context.Background(), append([]string{"-exp", exp}, base...), &alone); err != nil {
+			t.Fatalf("run(%s): %v", exp, err)
+		}
+		wantData, wantCounters, _ := strings.Cut(sections(alone.String())[exp], "# counters: ")
+		data, counters, _ := strings.Cut(got[exp], "# counters: ")
+		if data != wantData {
+			t.Errorf("%s differs between -exp %s and -exp %s:\n got: %s\nwant: %s", exp, exps, exp, data, wantData)
+		}
+		if exp == "fig6" || exp == "fig14" { // all they compute was computed before them
+			if strings.TrimSpace(wantCounters) == noWork {
+				t.Errorf("%s alone reports no work", exp)
+			}
+			wantCounters = noWork + "\n\n"
+		}
+		if counters != wantCounters {
+			t.Errorf("%s counters in -exp %s: %swant: %s", exp, exps, counters, wantCounters)
+		}
+	}
+}
+
+// fig12Topo is a hand graph with three multihomed stubs: 100 (the lowest
+// ASN, so the content stub) and the small-vs-small pool {101, 102}.
+const fig12Topo = "1|2|0\n1|10|-1\n2|11|-1\n10|100|-1\n11|100|-1\n10|101|-1\n11|101|-1\n10|102|-1\n11|102|-1\n"
+
+func writeTopo(t *testing.T, serial2 string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "topo.serial2")
+	if err := os.WriteFile(path, []byte(serial2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFig12RedrawsUntilDistinct: with a pool of two, half the seeds draw
+// the attacker again as victim and a quarter used to draw it a third time
+// on the single retry, killing the sweep with "victim and attacker must
+// differ". Every seed must now run.
+func TestFig12RedrawsUntilDistinct(t *testing.T) {
+	path := writeTopo(t, fig12Topo)
+	for seed := 1; seed <= 40; seed++ {
+		var sb strings.Builder
+		if err := run(context.Background(), []string{"-exp", "fig12", "-topo", path, "-seed", fmt.Sprint(seed)}, &sb); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !strings.Contains(sb.String(), "(victim AS101, attacker AS102)") && !strings.Contains(sb.String(), "(victim AS102, attacker AS101)") {
+			t.Fatalf("seed %d: pair not drawn from the pool:\n%s", seed, sb.String())
+		}
+	}
+}
+
+// TestFig12NeedsTwoStubs: one multihomed stub besides the content stub is
+// a named error, not an endless redraw.
+func TestFig12NeedsTwoStubs(t *testing.T) {
+	path := writeTopo(t, strings.Replace(fig12Topo, "10|102|-1\n11|102|-1\n", "", 1))
+	var sb strings.Builder
+	err := run(context.Background(), []string{"-exp", "fig12", "-topo", path}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "needs two multihomed stubs") {
+		t.Fatalf("got %v, want the two-stubs error", err)
 	}
 }

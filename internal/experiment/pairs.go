@@ -78,10 +78,10 @@ type PairConfig struct {
 // legs run on per-shard scratch state (see legRunner). On cancellation it
 // returns (nil, ctx.Err()): no partial ranking is produced.
 //
-// Candidates are drained in chunks of N from one deterministic draw
-// stream, stopping as soon as N usable instances exist — with no skipped
-// draws the sweep runs ≈N propagations, not the full 20N retry budget
-// (the budget only bounds how far redraws may reach). Error contract
+// Candidates come from one deterministic draw stream and each round
+// simulates only as many as the quota still needs (legRunner.drain) — with
+// no skipped draws the sweep runs N propagations, not the full 20N retry
+// budget (the budget only bounds how far redraws may reach). Error contract
 // (DESIGN §6): an unreachable attacker is a skippable draw, redrawn from
 // the stream and counted; a baseline failure (ErrBaselineFailed) or any
 // other propagation error aborts the sweep.
@@ -105,9 +105,9 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		return nil, fmt.Errorf("experiment: unknown pair kind %d", cfg.Kind)
 	}
 
-	// Candidates come from one rng stream regardless of chunking, so the
-	// k-th candidate is identical whether the sweep simulates one chunk or
-	// the whole budget — determinism is in the stream, not the batching.
+	// Candidates come from one rng stream regardless of how rounds cut it,
+	// so the k-th candidate is identical whether the sweep simulates one
+	// round or the whole budget — determinism is in the stream.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	budget := cfg.N * 20
 	var (
@@ -143,7 +143,7 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		return chunk
 	}
 
-	// Shard states (and their caches) persist across chunks, so repeated
+	// Shard states (and their caches) persist across rounds, so repeated
 	// victims stay warm.
 	r, err := newLegRunner(g, legOptions{
 		what: "pair sweep", batch: cfg.Batch, shards: cfg.Shards,
@@ -153,31 +153,23 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		return nil, err
 	}
 	out := make([]PairImpact, 0, cfg.N)
-	for len(out) < cfg.N {
-		chunk := nextChunk(cfg.N)
-		if len(chunk) == 0 {
-			break // retry budget or pair space exhausted
-		}
-		counts, done, err := r.run(ctx, chunk, true)
-		if err != nil {
-			return nil, err
-		}
-		for i, sc := range chunk {
-			if !done[i] {
-				continue // skippable draw; redrawn from the stream
-			}
-			out = append(out, PairImpact{
-				Victim:     sc.Victim,
-				Attacker:   sc.Attacker,
-				VictimTier: g.Tier(sc.Victim),
-				AttackTier: g.Tier(sc.Attacker),
-				Before:     counts[i].Before(),
-				After:      counts[i].After(),
-			})
-			if len(out) == cfg.N {
-				break
-			}
-		}
+	var chunk []core.Scenario
+	err = r.drain(ctx, func() []core.Scenario {
+		chunk = nextChunk(cfg.N - len(out)) // empty: quota met, or retry budget or pair space exhausted
+		return chunk
+	}, func(i int, c core.Counts) {
+		sc := chunk[i]
+		out = append(out, PairImpact{
+			Victim:     sc.Victim,
+			Attacker:   sc.Attacker,
+			VictimTier: g.Tier(sc.Victim),
+			AttackTier: g.Tier(sc.Attacker),
+			Before:     c.Before(),
+			After:      c.After(),
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(out) < cfg.N {
 		return out, fmt.Errorf("experiment: only %d of %d instances usable", len(out), cfg.N)
@@ -314,23 +306,33 @@ func PickContentStub(g *topology.Graph) (bgp.ASN, error) {
 	return best, nil
 }
 
-// PickStub returns a deterministic pseudo-random multi-provider stub,
-// skipping the content stub, for the small-vs-small scenario (Fig. 12).
-func PickStub(g *topology.Graph, seed int64) (bgp.ASN, error) {
-	var stubs []bgp.ASN
+// MultihomedStubs returns PickStub's pool: the multi-provider stubs below
+// tier 1 other than the content stub, in ASNs() order.
+func MultihomedStubs(g *topology.Graph) ([]bgp.ASN, error) {
 	content, err := PickContentStub(g)
 	if err != nil {
-		// No stub exists at all, so the filtered pool below is empty too;
-		// fail with the cause instead of masking it.
-		return 0, fmt.Errorf("experiment: picking stub: %w", err)
+		// No stub exists at all, so the filtered pool is empty too; fail
+		// with the cause instead of masking it.
+		return nil, fmt.Errorf("experiment: picking stub: %w", err)
 	}
+	var stubs []bgp.ASN
 	for _, asn := range g.ASNs() {
 		if g.IsStub(asn) && g.Tier(asn) > 1 && asn != content && len(g.Providers(asn)) >= 2 {
 			stubs = append(stubs, asn)
 		}
 	}
 	if len(stubs) == 0 {
-		return 0, errors.New("experiment: no multihomed stubs")
+		return nil, errors.New("experiment: no multihomed stubs")
+	}
+	return stubs, nil
+}
+
+// PickStub returns a deterministic pseudo-random multi-provider stub,
+// skipping the content stub, for the small-vs-small scenario (Fig. 12).
+func PickStub(g *topology.Graph, seed int64) (bgp.ASN, error) {
+	stubs, err := MultihomedStubs(g)
+	if err != nil {
+		return 0, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	return stubs[rng.Intn(len(stubs))], nil

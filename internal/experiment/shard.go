@@ -184,6 +184,28 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 	return counts, done, nil
 }
 
+// drain is the package's one oversample-and-stop loop (DESIGN §5f: draw the
+// stream up front, simulate only until the quota is met). Each round it
+// asks next for the candidates the caller's quota still needs, simulates
+// them with the shard caches kept warm — later rounds redraw over the same
+// victims — and hands every usable leg's counts to take, in leg order; a
+// leg whose attacker never receives the route is skipped, for next to
+// replace from further down the stream. It stops when next submits nothing.
+func (r *legRunner) drain(ctx context.Context, next func() []core.Scenario, take func(i int, c core.Counts)) error {
+	for legs := next(); len(legs) > 0; legs = next() {
+		counts, done, err := r.run(ctx, legs, true)
+		if err != nil {
+			return err
+		}
+		for i := range legs {
+			if done[i] {
+				take(i, counts[i])
+			}
+		}
+	}
+	return nil
+}
+
 // runShard runs one shard's share of the legs. They are grouped by
 // (victim, λ) — the FIFO cache then evicts a baseline only after all its
 // legs ran, and lane groups share baselines maximally — and processed in

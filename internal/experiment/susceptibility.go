@@ -66,13 +66,25 @@ func DefaultSusceptibilityConfig() SusceptibilityConfig {
 	}
 }
 
+// oversample is how many candidates each matrix cell may draw per instance
+// it reports: some draws are unusable (victim == attacker, unreachable
+// attacker).
+const oversample = 4
+
 // SusceptibilityMatrixCtx samples attacker/victim pairs for every tier
 // combination and reports pollution statistics per cell, sorted by
 // (victim tier, attacker tier). Victims closer to the core prove more
 // resilient; attackers closer to the core prove more effective — the
-// paper's §VI-B findings. Unreachable-attacker draws are skipped and
-// counted (each cell oversamples). Returns (nil, ctx.Err()) when
-// cancelled.
+// paper's §VI-B findings.
+//
+// Each cell aggregates its first PairsPerCell usable draws in draw order.
+// The whole candidate stream — oversample × PairsPerCell draws per cell —
+// comes from the one rng up front, so the k-th candidate never moves; the
+// sweep then simulates only what the quota still needs (legRunner.drain):
+// every round each cell submits its next PairsPerCell − Instances
+// candidates, until all cells are full or out of draws. Unreachable-attacker
+// draws are skipped and counted, and a cell whose draws run out ends short.
+// Returns (nil, ctx.Err()) when cancelled.
 func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig) ([]TierCell, error) {
 	if cfg.PairsPerCell <= 0 || cfg.MaxTier < 2 || cfg.Prepend < 1 {
 		return nil, errors.New("experiment: bad susceptibility config")
@@ -92,31 +104,31 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 	}
 	sort.Ints(tiers)
 
+	// Cells are generated, and therefore reported, in (victim tier,
+	// attacker tier) order.
+	type cell struct {
+		TierCell
+		cands []core.Scenario // the cell's draw stream, minus victim == attacker
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var (
-		legs   []core.Scenario
-		cellOf [][2]int // (victim tier, attacker tier) of each leg
-	)
+	var cells []*cell
 	for _, vt := range tiers {
 		for _, at := range tiers {
 			vPool, aPool := byTier[vt], byTier[at]
-			if len(vPool) == 0 || len(aPool) == 0 {
-				continue
-			}
-			// Oversample: some draws are unusable (unreachable attacker).
-			for k := 0; k < cfg.PairsPerCell*4; k++ {
+			c := &cell{TierCell: TierCell{VictimTier: vt, AttackerTier: at}}
+			for k := 0; k < cfg.PairsPerCell*oversample; k++ {
 				v := vPool[rng.Intn(len(vPool))]
 				m := aPool[rng.Intn(len(aPool))]
 				if v != m {
-					legs = append(legs, core.Scenario{
+					c.cands = append(c.cands, core.Scenario{
 						Victim:            v,
 						Attacker:          m,
 						Prepend:           cfg.Prepend,
 						ViolateValleyFree: cfg.Violate,
 					})
-					cellOf = append(cellOf, [2]int{vt, at})
 				}
 			}
+			cells = append(cells, c)
 		}
 	}
 	r, err := newLegRunner(g, legOptions{
@@ -126,46 +138,35 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 	if err != nil {
 		return nil, err
 	}
-	counts, done, err := r.run(ctx, legs, false)
-	if err != nil {
-		return nil, err
-	}
-
-	// Aggregate into the sorted tier matrix, capping each cell at
-	// PairsPerCell in draw order.
-	cells := make(map[[2]int]*TierCell)
-	for i, key := range cellOf {
-		if !done[i] {
-			continue
+	var cellOf []*cell // the cell of each leg of the current round
+	err = r.drain(ctx, func() []core.Scenario {
+		var legs []core.Scenario
+		cellOf = cellOf[:0]
+		for _, c := range cells {
+			k := min(cfg.PairsPerCell-c.Instances, len(c.cands))
+			legs = append(legs, c.cands[:k]...)
+			c.cands = c.cands[k:]
+			for ; k > 0; k-- {
+				cellOf = append(cellOf, c)
+			}
 		}
-		c := cells[key]
-		if c == nil {
-			c = &TierCell{VictimTier: key[0], AttackerTier: key[1]}
-			cells[key] = c
-		}
-		if c.Instances >= cfg.PairsPerCell {
-			continue
-		}
-		f := counts[i].After()
+		return legs
+	}, func(i int, counts core.Counts) {
+		c, f := cellOf[i], counts.After()
 		c.Instances++
 		c.MeanPollution += f
-		if f > c.MaxPollution {
-			c.MaxPollution = f
-		}
+		c.MaxPollution = max(c.MaxPollution, f)
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]TierCell, 0, len(cells))
 	for _, c := range cells {
 		if c.Instances > 0 {
 			c.MeanPollution /= float64(c.Instances)
+			out = append(out, c.TierCell)
 		}
-		out = append(out, *c)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].VictimTier != out[b].VictimTier {
-			return out[a].VictimTier < out[b].VictimTier
-		}
-		return out[a].AttackerTier < out[b].AttackerTier
-	})
 	if len(out) == 0 {
 		return nil, fmt.Errorf("experiment: no usable susceptibility instances")
 	}

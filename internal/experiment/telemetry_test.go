@@ -122,14 +122,11 @@ func TestSweepPrependBaselineFailureFatal(t *testing.T) {
 	}
 }
 
-// TestSamplePairsSkippableRedrawn: an unreachable-attacker draw is skipped
-// and redrawn from the stream rather than failing the sweep, and the sweep
-// still fills its full quota. Generated topologies are too well-connected
-// to hit the skip path, so this builds a graph with AS 900 hanging off
-// stub 100 by a peer link only: valley-free export rules mean 900 never
-// learns any route except 100's own, so every draw with 900 as the
-// attacker (and victim != 100) is skippable.
-func TestSamplePairsSkippableRedrawn(t *testing.T) {
+// unreachableAttackerGraph is a small hierarchy with AS 900 hanging off
+// stub 100 by a peer link only, so 900 learns no route but 100's own (and
+// nobody but 100 learns 900's).
+func unreachableAttackerGraph(t *testing.T) *topology.Graph {
+	t.Helper()
 	b := topology.NewBuilder()
 	for _, e := range [][2]bgp.ASN{
 		{10, 30}, {10, 40}, {20, 50}, {20, 60},
@@ -149,6 +146,16 @@ func TestSamplePairsSkippableRedrawn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	return g
+}
+
+// TestSamplePairsSkippableRedrawn: an unreachable-attacker draw is skipped
+// and redrawn from the stream rather than failing the sweep, and the sweep
+// still fills its full quota. Generated topologies are too well-connected
+// to hit the skip path, so this runs on unreachableAttackerGraph: every
+// draw with 900 as the attacker (and victim != 100) is skippable.
+func TestSamplePairsSkippableRedrawn(t *testing.T) {
+	g := unreachableAttackerGraph(t)
 	c := new(obs.Counters)
 	const n = 12
 	pairs, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: n, Prepend: 2, Seed: 3, Workers: 4, Counters: c})

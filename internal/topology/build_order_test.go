@@ -1,0 +1,208 @@
+package topology
+
+import (
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"aspp/internal/bgp"
+)
+
+// Build reads the Builder's link list in insertion order and never sorts
+// it; that is sound only because the dense numbering is canonical in the
+// AS set and links and every span is sorted after renumbering. These tests
+// hold it to that: whatever order the links arrive in, the graph is the
+// same graph, array for array.
+
+// requireSameGraph compares everything a Graph stores.
+func requireSameGraph(t *testing.T, what string, want, got *Graph) {
+	t.Helper()
+	if Digest(got) != Digest(want) {
+		t.Fatalf("%s: digest %#x, want %#x", what, Digest(got), Digest(want))
+	}
+	if !slices.Equal(got.ASNs(), want.ASNs()) {
+		t.Fatalf("%s: ASNs() order differs", what)
+	}
+	if !slices.Equal(got.asns, want.asns) {
+		t.Fatalf("%s: dense numbering differs", what)
+	}
+	if !slices.Equal(got.tier, want.tier) || !slices.Equal(got.tier1, want.tier1) {
+		t.Fatalf("%s: tiers differ", what)
+	}
+	if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || !slices.Equal(got.asnAdj, want.asnAdj) {
+		t.Fatalf("%s: adjacency spans differ", what)
+	}
+	if got.nSiblings != want.nSiblings || !slices.Equal(got.sibASes, want.sibASes) {
+		t.Fatalf("%s: sibling tables differ", what)
+	}
+}
+
+// addLink adds l, naming a symmetric link's endpoints either way round.
+func addLink(t *testing.T, b *Builder, l Link, flip bool) {
+	t.Helper()
+	x, y := l.A, l.B
+	if flip && l.Rel != ProviderToCustomer {
+		x, y = y, x
+	}
+	var err error
+	switch l.Rel {
+	case ProviderToCustomer:
+		err = b.AddP2C(x, y)
+	case PeerToPeer:
+		err = b.AddP2P(x, y)
+	case SiblingToSibling:
+		err = b.AddS2S(x, y)
+	}
+	if err != nil {
+		t.Fatalf("add %v: %v", l, err)
+	}
+}
+
+func TestBuildIndependentOfLinkInsertionOrder(t *testing.T) {
+	plain := genTestGraph(t, 2000, 17)
+	// The same graph with sibling links grafted on: between random
+	// non-adjacent pairs, and from an AS to one of its providers' providers
+	// (fig11's provider cycle through an organization).
+	rng := rand.New(rand.NewSource(5))
+	b := Rebuild(plain)
+	asns := plain.ASNs()
+	for grafted := 0; grafted < 12; {
+		x, y := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
+		if grafted%3 == 0 {
+			if up := plain.Providers(x); len(up) > 0 && len(plain.Providers(up[0])) > 0 {
+				y = plain.Providers(up[0])[0]
+			}
+		}
+		if x == y || b.HasLink(x, y) {
+			continue
+		}
+		if err := b.AddS2S(x, y); err != nil {
+			t.Fatal(err)
+		}
+		grafted++
+	}
+	withSiblings, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !withSiblings.HasSiblings() {
+		t.Fatal("no sibling link grafted")
+	}
+
+	for name, want := range map[string]*Graph{"generated": plain, "sibling-grafted": withSiblings} {
+		links := want.Links()
+		for round := 0; round < 20; round++ {
+			rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+			b := NewBuilder()
+			for _, a := range want.ASNs() { // registration order is ASNs() order, by contract
+				if err := b.AddAS(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, l := range links {
+				addLink(t, b, l, rng.Intn(2) == 0)
+			}
+			got, err := b.Build()
+			if err != nil {
+				t.Fatalf("%s round %d: %v", name, round, err)
+			}
+			requireSameGraph(t, name+" shuffled", want, got)
+		}
+		again, err := Rebuild(want).Build()
+		if err != nil {
+			t.Fatalf("%s: Rebuild+Build: %v", name, err)
+		}
+		requireSameGraph(t, name+" rebuilt", want, again)
+	}
+}
+
+// TestBuilderAddContracts: the Add-time answers the insertion-ordered list
+// must keep giving — repeats are no-ops (either way round for symmetric
+// links), and a second relationship on a pair, or the opposite p2c
+// direction, fails at the Add that brings it.
+func TestBuilderAddContracts(t *testing.T) {
+	b := NewBuilder()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(b.AddP2C(1, 2))
+	must(b.AddP2C(1, 2))
+	must(b.AddP2P(2, 3))
+	must(b.AddP2P(3, 2))
+	must(b.AddS2S(4, 1))
+	must(b.AddS2S(1, 4))
+	for what, err := range map[string]error{
+		"reversed p2c":    b.AddP2C(2, 1),
+		"p2p over p2c":    b.AddP2P(1, 2),
+		"p2c over p2p":    b.AddP2C(3, 2),
+		"s2s over p2p":    b.AddS2S(2, 3),
+		"p2c over s2s":    b.AddP2C(4, 1),
+		"self link":       b.AddP2P(5, 5),
+		"reserved ASN":    b.AddP2C(0, 1),
+		"reserved ASN as": b.AddAS(0),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted", what)
+		}
+	}
+	if !b.HasLink(2, 1) || !b.HasLink(1, 4) || b.HasLink(1, 3) || b.HasLink(1, 99) {
+		t.Error("HasLink wrong")
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumLinks() != 3 || g.NumASes() != 4 {
+		t.Errorf("%d links over %d ASes, want 3 over 4 (repeats and refused links add nothing)", g.NumLinks(), g.NumASes())
+	}
+}
+
+// TestReadSerial2InPlaceParsing: the loader parses fields in the scanner's
+// buffer; what it accepts and how it names a bad line must not have moved.
+func TestReadSerial2InPlaceParsing(t *testing.T) {
+	g, err := ReadSerial2(strings.NewReader(
+		"# header comment\r\n\r\n  7018|3356|0  \r\n\t3356 | 33652 |-1\n   # indented comment\nAS7018|AS33652| -1 |bgp\n\n174|3356|2"))
+	if err != nil {
+		t.Fatalf("comments, blank lines, padding, CRLF, AS prefixes and a source field: %v", err)
+	}
+	want := []Link{
+		{A: 174, B: 3356, Rel: SiblingToSibling},
+		{A: 3356, B: 7018, Rel: PeerToPeer},
+		{A: 3356, B: 33652, Rel: ProviderToCustomer},
+		{A: 7018, B: 33652, Rel: ProviderToCustomer},
+	}
+	if !slices.Equal(g.Links(), want) {
+		t.Errorf("links %v, want %v", g.Links(), want)
+	}
+	if !slices.Equal(g.ASNs(), []bgp.ASN{7018, 3356, 33652, 174}) {
+		t.Errorf("ASNs() = %v, want first-appearance order", g.ASNs())
+	}
+
+	for in, wantErr := range map[string]string{
+		"1|2|-1\n# c\n2|1|-1\n":      "line 3: topology: conflicting relationship for AS2-AS1",
+		"1|2|-1\n\n1|2|0\n":          "line 3: topology: conflicting relationship for AS1-AS2",
+		"1|2|-1\n3|4|7\n":            `line 2: unknown relationship code "7"`,
+		"1|2|-1\n3|4| x \n":          `line 2: unknown relationship code " x"`,
+		"1|2|-1\n3|4|\n":             `line 2: unknown relationship code ""`,
+		"\n1|x2|-1\n":                `line 2: parse ASN "x2"`,
+		"1|2|-1\n|2|-1\n":            `line 2: parse ASN ""`,
+		"4294967296|2|-1\n":          `line 1: parse ASN "4294967296"`,
+		"99999999999999999999|2|0\n": `line 1: parse ASN "99999999999999999999"`,
+		"1|0|-1\n":                   "line 1: parse ASN: 0 is reserved",
+		"1|00|-1\n":                  "line 1: parse ASN: 0 is reserved",
+		"1|2|-1\n\n7|8\n":            `line 3: want a|b|rel, got "7|8"`,
+		"5|5|0\n":                    "line 1: topology: self link AS5",
+	} {
+		_, err := ReadSerial2(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("ReadSerial2(%q): %v, want an error containing %q", in, err, wantErr)
+		}
+	}
+	if g, err := ReadSerial2(strings.NewReader("4294967295|007|-1\n")); err != nil || !g.Has(4294967295) || !g.Has(7) {
+		t.Errorf("largest ASN and leading zeros: %v", err)
+	}
+}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -16,106 +15,117 @@ import (
 type Builder struct {
 	asns  []bgp.ASN
 	index map[bgp.ASN]int32
-	links map[[2]bgp.ASN]Relationship // key sorted ascending
+	// links holds every accepted link once, in insertion order, endpoints
+	// resolved to registration indices at Add time — all Build reads. seen
+	// maps an endpoint pair to its entry in links and answers the Add-time
+	// questions: duplicate, conflict, HasLink.
+	links []builderLink
+	seen  map[uint64]int32
+}
+
+// builderLink is one accepted link between registration indices a and b;
+// for ProviderToCustomer, a is the provider.
+type builderLink struct {
+	a, b int32
+	rel  Relationship
+}
+
+// pairKey is the seen key of the unordered index pair {i, j}.
+func pairKey(i, j int32) uint64 {
+	if i > j {
+		i, j = j, i
+	}
+	return uint64(i)<<32 | uint64(j)
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{
 		index: make(map[bgp.ASN]int32),
-		links: make(map[[2]bgp.ASN]Relationship),
+		seen:  make(map[uint64]int32),
 	}
 }
 
 // AddAS registers an AS. Adding the same AS twice is a no-op.
 func (b *Builder) AddAS(asn bgp.ASN) error {
+	_, err := b.register(asn)
+	return err
+}
+
+// register returns asn's registration index, adding the AS if it is new.
+func (b *Builder) register(asn bgp.ASN) (int32, error) {
 	if asn == 0 {
-		return errors.New("topology: ASN 0 is reserved")
+		return 0, errors.New("topology: ASN 0 is reserved")
 	}
-	if _, ok := b.index[asn]; ok {
-		return nil
+	if i, ok := b.index[asn]; ok {
+		return i, nil
 	}
-	b.index[asn] = int32(len(b.asns))
+	i := int32(len(b.asns))
+	b.index[asn] = i
 	b.asns = append(b.asns, asn)
-	return nil
+	return i, nil
 }
-
-// key returns the canonical (sorted) map key for a link, plus whether the
-// pair was swapped to canonicalize it.
-func linkKey(a, c bgp.ASN) ([2]bgp.ASN, bool) {
-	if a <= c {
-		return [2]bgp.ASN{a, c}, false
-	}
-	return [2]bgp.ASN{c, a}, true
-}
-
-// relDir encodes a directed p2c relationship in the canonical key frame.
-// We store ProviderToCustomer when key[0] is the provider, and the private
-// sentinel below when key[1] is the provider.
-const relC2P Relationship = 200
 
 // AddP2C adds a provider-to-customer link. Both ASes are auto-registered.
 func (b *Builder) AddP2C(provider, customer bgp.ASN) error {
-	if provider == customer {
-		return fmt.Errorf("topology: self link %v", provider)
-	}
-	if err := b.AddAS(provider); err != nil {
-		return err
-	}
-	if err := b.AddAS(customer); err != nil {
-		return err
-	}
-	key, swapped := linkKey(provider, customer)
-	want := ProviderToCustomer
-	if swapped {
-		want = relC2P
-	}
-	if have, ok := b.links[key]; ok {
-		if have == want {
-			return nil
-		}
-		return fmt.Errorf("topology: conflicting relationship for %v-%v", provider, customer)
-	}
-	b.links[key] = want
-	return nil
+	return b.add(provider, customer, ProviderToCustomer)
 }
 
 // AddP2P adds a settlement-free peering link. Both ASes are auto-registered.
 func (b *Builder) AddP2P(x, y bgp.ASN) error {
-	return b.addSymmetric(x, y, PeerToPeer)
+	return b.add(x, y, PeerToPeer)
 }
 
 // AddS2S adds a sibling (same-organization, mutual-transit) link. Both
 // ASes are auto-registered.
 func (b *Builder) AddS2S(x, y bgp.ASN) error {
-	return b.addSymmetric(x, y, SiblingToSibling)
+	return b.add(x, y, SiblingToSibling)
 }
 
-func (b *Builder) addSymmetric(x, y bgp.ASN, rel Relationship) error {
+// add records the link x-y (x the provider of a p2c link). Repeating a
+// link is a no-op; a different relationship — or the opposite p2c
+// direction — on the same pair is an error.
+func (b *Builder) add(x, y bgp.ASN, rel Relationship) error {
 	if x == y {
 		return fmt.Errorf("topology: self link %v", x)
 	}
-	if err := b.AddAS(x); err != nil {
+	ix, err := b.register(x)
+	if err != nil {
 		return err
 	}
-	if err := b.AddAS(y); err != nil {
+	iy, err := b.register(y)
+	if err != nil {
 		return err
 	}
-	key, _ := linkKey(x, y)
-	if have, ok := b.links[key]; ok {
-		if have == rel {
+	if j, ok := b.seen[pairKey(ix, iy)]; ok {
+		have := b.links[j]
+		if have.rel == rel && (rel != ProviderToCustomer || have.a == ix) {
 			return nil
 		}
 		return fmt.Errorf("topology: conflicting relationship for %v-%v", x, y)
 	}
-	b.links[key] = rel
+	b.record(ix, iy, rel)
 	return nil
+}
+
+// record appends a link between two registration indices that seen does
+// not hold yet.
+func (b *Builder) record(ia, ib int32, rel Relationship) {
+	b.seen[pairKey(ia, ib)] = int32(len(b.links))
+	b.links = append(b.links, builderLink{a: ia, b: ib, rel: rel})
 }
 
 // HasLink reports whether any relationship already exists between a and c.
 func (b *Builder) HasLink(a, c bgp.ASN) bool {
-	key, _ := linkKey(a, c)
-	_, ok := b.links[key]
+	ia, ok := b.index[a]
+	if !ok {
+		return false
+	}
+	ic, ok := b.index[c]
+	if !ok {
+		return false
+	}
+	_, ok = b.seen[pairKey(ia, ic)]
 	return ok
 }
 
@@ -129,25 +139,33 @@ func (b *Builder) NumASes() int { return len(b.asns) }
 // long as their link structure is unchanged, because the topological
 // numbering is canonical in the AS set and links (see Build).
 func Rebuild(g *Graph) *Builder {
-	b := NewBuilder()
-	for _, a := range g.enum {
+	n, nLinks := len(g.enum), g.NumLinks()
+	b := &Builder{
 		// Registration order preserves the ASNs() enumeration order.
-		if err := b.AddAS(a); err != nil {
-			panic("topology: rebuild: " + err.Error()) // ASNs come from a valid graph
-		}
+		asns:  slices.Clone(g.enum),
+		index: make(map[bgp.ASN]int32, n),
+		links: make([]builderLink, 0, nLinks),
+		seen:  make(map[uint64]int32, nLinks),
 	}
-	for _, l := range g.Links() {
-		var err error
-		switch l.Rel {
-		case ProviderToCustomer:
-			err = b.AddP2C(l.A, l.B)
-		case PeerToPeer:
-			err = b.AddP2P(l.A, l.B)
-		case SiblingToSibling:
-			err = b.AddS2S(l.A, l.B)
+	reg := make([]int32, n) // dense index -> registration index
+	for ri, a := range g.enum {
+		b.index[a] = int32(ri)
+		reg[g.index[a]] = int32(ri)
+	}
+	// A valid graph holds every link once per endpoint: no Add-time checks.
+	for i := int32(0); i < int32(n); i++ {
+		for _, c := range g.idxSpan(i, spanCust) {
+			b.record(reg[i], reg[c], ProviderToCustomer)
 		}
-		if err != nil {
-			panic("topology: rebuild: " + err.Error())
+		for _, p := range g.idxSpan(i, spanPeer) {
+			if i < p {
+				b.record(reg[i], reg[p], PeerToPeer)
+			}
+		}
+		for _, s := range g.idxSpan(i, spanSib) {
+			if i < s {
+				b.record(reg[i], reg[s], SiblingToSibling)
+			}
 		}
 	}
 	return b
@@ -155,48 +173,36 @@ func Rebuild(g *Graph) *Builder {
 
 // Build validates and freezes the topology: it assigns canonical
 // up-topological dense indices and lays adjacency out in CSR form (see the
-// package doc's memory layout notes).
+// package doc's memory layout notes). The link list is read in insertion
+// order and never sorted: the numbering depends only on the AS set and the
+// links, and every span is sorted once it holds dense indices.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.asns)
 	if n == 0 {
 		return nil, errors.New("topology: no ASes")
 	}
-	// Assemble per-AS adjacency in registration numbering first, with
-	// deterministic link insertion order.
-	prov := make([][]int32, n)
-	cust := make([][]int32, n)
-	peer := make([][]int32, n)
-	sib := make([][]int32, n)
-	nSiblings := 0
-	keys := make([][2]bgp.ASN, 0, len(b.links))
-	for k := range b.links {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b [2]bgp.ASN) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
-	for _, k := range keys {
-		i0, i1 := b.index[k[0]], b.index[k[1]]
-		switch b.links[k] {
-		case ProviderToCustomer: // k[0] provider of k[1]
-			cust[i0] = append(cust[i0], i1)
-			prov[i1] = append(prov[i1], i0)
-		case relC2P: // k[1] provider of k[0]
-			cust[i1] = append(cust[i1], i0)
-			prov[i0] = append(prov[i0], i1)
-		case PeerToPeer:
-			peer[i0] = append(peer[i0], i1)
-			peer[i1] = append(peer[i1], i0)
-		case SiblingToSibling:
-			sib[i0] = append(sib[i0], i1)
-			sib[i1] = append(sib[i1], i0)
-			nSiblings += 2
+	// The customer->provider DAG in registration numbering, as one CSR of
+	// provider lists plus customer counts — all the numbering reads.
+	provOff := make([]int32, n+1)
+	nCust := make([]int32, n)
+	for _, l := range b.links {
+		if l.rel == ProviderToCustomer {
+			provOff[l.b+1]++
+			nCust[l.a]++
 		}
 	}
-	order, err := upTopoNumbering(b.asns, prov, cust)
+	for i := 0; i < n; i++ {
+		provOff[i+1] += provOff[i]
+	}
+	provAdj := make([]int32, provOff[n])
+	fill := slices.Clone(provOff[:n])
+	for _, l := range b.links {
+		if l.rel == ProviderToCustomer {
+			provAdj[fill[l.b]] = l.a
+			fill[l.b]++
+		}
+	}
+	order, err := upTopoNumbering(b.asns, provOff, provAdj, nCust)
 	if err != nil {
 		return nil, err
 	}
@@ -206,46 +212,63 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	g := &Graph{
-		asns:      make([]bgp.ASN, n),
-		enum:      append([]bgp.ASN(nil), b.asns...),
-		index:     make(map[bgp.ASN]int32, n),
-		nSiblings: nSiblings,
+		asns:  make([]bgp.ASN, n),
+		enum:  slices.Clone(b.asns),
+		index: make(map[bgp.ASN]int32, n),
 	}
 	for newI, old := range order {
 		g.asns[newI] = b.asns[old]
 		g.index[b.asns[old]] = int32(newI)
 	}
 
-	// CSR offsets, then both backing arrays in one pass each.
-	g.off = make([]int32, 4*n+1)
-	total := int32(0)
-	for newI := 0; newI < n; newI++ {
-		old := order[newI]
-		for c, lst := range [4][]int32{prov[old], cust[old], peer[old], sib[old]} {
-			total += int32(len(lst))
-			g.off[4*newI+c+1] = total
+	// CSR by degree counting: span sizes, offsets, then every link written
+	// at its two endpoints' cursors.
+	spans := func(l builderLink) (sa, sb int32) { // a's span for b, b's span for a
+		switch l.rel {
+		case ProviderToCustomer:
+			return 4*perm[l.a] + spanCust, 4*perm[l.b] + spanProv
+		case PeerToPeer:
+			return 4*perm[l.a] + spanPeer, 4*perm[l.b] + spanPeer
+		default:
+			return 4*perm[l.a] + spanSib, 4*perm[l.b] + spanSib
 		}
 	}
-	g.adj = make([]int32, total)
-	g.asnAdj = make([]bgp.ASN, total)
-	for newI := 0; newI < n; newI++ {
-		old := order[newI]
-		for c, lst := range [4][]int32{prov[old], cust[old], peer[old], sib[old]} {
-			lo := int(g.off[4*newI+c])
-			span := g.adj[lo : lo+len(lst)]
-			for t, o := range lst {
-				span[t] = perm[o]
-			}
-			slices.Sort(span)
-			aspan := g.asnAdj[lo : lo+len(lst)]
-			for t, ni := range span {
-				aspan[t] = g.asns[ni]
-			}
-			slices.Sort(aspan)
+	g.off = make([]int32, 4*n+1)
+	for _, l := range b.links {
+		sa, sb := spans(l)
+		g.off[sa+1]++
+		g.off[sb+1]++
+		if l.rel == SiblingToSibling {
+			g.nSiblings += 2
 		}
+	}
+	for s := 0; s < 4*n; s++ {
+		g.off[s+1] += g.off[s]
+	}
+	g.adj = make([]int32, g.off[4*n])
+	g.asnAdj = make([]bgp.ASN, g.off[4*n])
+	fill = slices.Clone(g.off[:4*n])
+	for _, l := range b.links {
+		sa, sb := spans(l)
+		g.adj[fill[sa]] = perm[l.b]
+		fill[sa]++
+		g.adj[fill[sb]] = perm[l.a]
+		fill[sb]++
+	}
+	for s := 0; s < 4*n; s++ {
+		lo, hi := g.off[s], g.off[s+1]
+		if lo == hi {
+			continue
+		}
+		span, aspan := g.adj[lo:hi], g.asnAdj[lo:hi]
+		slices.Sort(span)
+		for t, ni := range span {
+			aspan[t] = g.asns[ni]
+		}
+		slices.Sort(aspan)
 	}
 
-	if nSiblings > 0 {
+	if g.nSiblings > 0 {
 		for i := int32(0); i < int32(n); i++ {
 			if len(g.idxSpan(i, spanSib)) > 0 {
 				g.sibASes = append(g.sibASes, i)
@@ -274,12 +297,12 @@ func (b *Builder) Build() (*Graph, error) {
 // the AS set and link structure — never on registration order — so
 // rebuilding a graph reproduces its dense numbering (Rebuild relies on
 // this). Fails if the provider hierarchy has a cycle.
-func upTopoNumbering(asns []bgp.ASN, prov, cust [][]int32) ([]int32, error) {
+//
+// The DAG arrives in registration numbering: AS u's providers are
+// provAdj[provOff[u]:provOff[u+1]], and indeg[u] counts its customers
+// (the count is consumed).
+func upTopoNumbering(asns []bgp.ASN, provOff, provAdj, indeg []int32) ([]int32, error) {
 	n := len(asns)
-	indeg := make([]int32, n) // number of customers not yet emitted
-	for i := range cust {
-		indeg[i] = int32(len(cust[i]))
-	}
 	heap := make([]int32, 0, n)
 	push := func(u int32) {
 		heap = append(heap, u)
@@ -322,7 +345,7 @@ func upTopoNumbering(asns []bgp.ASN, prov, cust [][]int32) ([]int32, error) {
 	for len(heap) > 0 {
 		u := pop()
 		order = append(order, u)
-		for _, p := range prov[u] {
+		for _, p := range provAdj[provOff[u]:provOff[u+1]] {
 			if indeg[p]--; indeg[p] == 0 {
 				push(p)
 			}

@@ -21,6 +21,15 @@
 // order instead — every seeded sampling stream in the experiment drivers
 // draws from it, and those streams must not shift when the internal
 // numbering does.
+//
+// The Builder holds every accepted link once, in insertion order, with the
+// endpoints resolved to registration indices when the link is added (a map
+// from the index pair to the link's place in the list answers duplicate,
+// conflict and HasLink at Add time). Build lays the CSR out from that list
+// by degree counting — count each span, prefix-sum the offsets, write every
+// link at its two endpoints' cursors — and needs no sort of the links:
+// the numbering is canonical in the link set, and every span is sorted
+// after renumbering, so the order links arrived in cannot show.
 package topology
 
 import (

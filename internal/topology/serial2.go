@@ -2,9 +2,10 @@ package topology
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"math"
 
 	"aspp/internal/bgp"
 )
@@ -18,7 +19,29 @@ import (
 //
 // so real inferred topologies can be dropped in for the generated ones.
 
-// ReadSerial2 parses a relationship file into a Graph.
+var sep = []byte{'|'}
+
+// asnField parses one AS-number field. The bare decimal every dataset
+// writes is read in place; anything else — an "AS" prefix, inner padding,
+// a malformed number to report — goes through bgp.ParseASN.
+func asnField(f []byte) (bgp.ASN, error) {
+	var n uint64
+	for _, ch := range f {
+		if ch < '0' || ch > '9' || n > math.MaxUint32 {
+			return bgp.ParseASN(string(f))
+		}
+		n = n*10 + uint64(ch-'0')
+	}
+	if n == 0 || n > math.MaxUint32 {
+		return bgp.ParseASN(string(f))
+	}
+	return bgp.ASN(n), nil
+}
+
+// ReadSerial2 parses a relationship file into a Graph. Lines are parsed
+// in place from the scanner's buffer: at Internet scale the file is a few
+// hundred thousand lines, and a string plus a field slice for each were
+// all but 3,000 of the load's 790,000 allocations.
 func ReadSerial2(r io.Reader) (*Graph, error) {
 	b := NewBuilder()
 	sc := bufio.NewScanner(r)
@@ -26,23 +49,25 @@ func ReadSerial2(r io.Reader) (*Graph, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := strings.Split(line, "|")
-		if len(fields) < 3 {
+		fa, rest, _ := bytes.Cut(line, sep)
+		fc, rest, ok := bytes.Cut(rest, sep)
+		if !ok {
 			return nil, fmt.Errorf("topology: line %d: want a|b|rel, got %q", lineno, line)
 		}
-		a, err := bgp.ParseASN(fields[0])
+		code, _, _ := bytes.Cut(rest, sep) // a fourth field (the source) is ignored
+		a, err := asnField(fa)
 		if err != nil {
 			return nil, fmt.Errorf("topology: line %d: %w", lineno, err)
 		}
-		c, err := bgp.ParseASN(fields[1])
+		c, err := asnField(fc)
 		if err != nil {
 			return nil, fmt.Errorf("topology: line %d: %w", lineno, err)
 		}
-		switch strings.TrimSpace(fields[2]) {
+		switch string(bytes.TrimSpace(code)) {
 		case "-1":
 			err = b.AddP2C(a, c)
 		case "0":
@@ -50,7 +75,7 @@ func ReadSerial2(r io.Reader) (*Graph, error) {
 		case "2":
 			err = b.AddS2S(a, c)
 		default:
-			err = fmt.Errorf("unknown relationship code %q", fields[2])
+			err = fmt.Errorf("unknown relationship code %q", code)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("topology: line %d: %w", lineno, err)

@@ -7,12 +7,14 @@ package aspp
 // runs them; a plain `go test ./...` skips them to stay fast.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"aspp/internal/experiment"
 	"aspp/internal/topology"
 )
 
@@ -110,6 +112,74 @@ func BenchmarkScale80kPairSweep(b *testing.B) {
 			Workers: runtime.NumCPU(), Batch: 16,
 			Shards: 4, MemBudget: 64 << 20,
 		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestScale80kSusceptibilityWork is a count gate, not a time gate: the
+// default tier matrix on internet80k simulates exactly the 9 cells × 12
+// instances it prints — no oversampled leg, no baseline nobody reads — and
+// the baselines it keeps warm across its rounds stay under 128 MB.
+func TestScale80kSusceptibilityWork(t *testing.T) {
+	scaleGate(t)
+	in := internet80k(t)
+	c := new(Counters)
+	cfg := DefaultSusceptibilityConfig()
+	cfg.Counters = c
+	cells, err := in.SusceptibilityMatrixCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("80k susceptibility matrix: %v", err)
+	}
+	want := int64(len(cells) * cfg.PairsPerCell)
+	s := c.Snapshot()
+	t.Logf("80k matrix: %d cells, prop_delta=%d prop_base=%d skip_unreachable=%d cache_bytes=%d",
+		len(cells), s.DeltaPropagations, s.BasePropagations, s.SkippedUnreachable, s.CacheBytes)
+	if len(cells) != 9 || s.DeltaPropagations != want || s.AttackPropagations() != want {
+		t.Errorf("%d cells, prop_delta=%d of %d attack legs, want 9 cells and %d delta legs", len(cells), s.DeltaPropagations, s.AttackPropagations(), want)
+	}
+	if s.BasePropagations > want || s.SkippedUnreachable != 0 {
+		t.Errorf("prop_base=%d skip_unreachable=%d, want <= %d baselines and no skips", s.BasePropagations, s.SkippedUnreachable, want)
+	}
+	if s.CacheBytes <= 0 || s.CacheBytes >= 128<<20 {
+		t.Errorf("cache_bytes=%d, want a recorded peak under 128 MB", s.CacheBytes)
+	}
+}
+
+// BenchmarkLoad80k is asppbench -topo's start-up on the canonical graph:
+// ReadSerial2 over the written internet80k file.
+func BenchmarkLoad80k(b *testing.B) {
+	scaleGate(b)
+	var file bytes.Buffer
+	if err := internet80k(b).WriteTopology(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadInternet(bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSiblingGraft80k is fig11's graph construction at scale:
+// Rebuild internet80k, graft the sibling, Build.
+func BenchmarkSiblingGraft80k(b *testing.B) {
+	scaleGate(b)
+	g := internet80k(b).Graph()
+	attacker, err := experiment.PickContentStub(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	victim, err := experiment.PickTier1ByDegree(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiment.BuildSiblingScenario(g, victim, attacker, 65530); err != nil {
 			b.Fatal(err)
 		}
 	}
