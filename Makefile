@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race fuzz-smoke bench bench-smoke bench-json bench-diff scale-smoke serve-smoke lint-panics lint-paths lint-fmt loc
+.PHONY: check build test race fuzz-smoke bench bench-smoke scale-smoke serve-smoke lint-panics lint-paths lint-fmt loc
 
 # Tier-1 matrix: everything CI gates on. The conservation differential
 # re-runs explicitly so a counter-attribution regression names itself in
@@ -48,13 +48,13 @@ lint-fmt:
 		echo "$$bad"; exit 1; \
 	fi
 
-# Non-test Go lines of the packages ROADMAP item 2 wants smaller (target:
+# Non-test Go lines of the packages ROADMAP item 1 wants smaller (target:
 # routing + core + experiment net -1,500) and of the layers above and
 # beside them that its cuts reach: total lines, and lines that are neither
 # blank nor comment-only. CI prints it so the trend is in the log.
 loc:
 	@count() { awk -v p="$$1" '{t++} !/^[[:space:]]*($$|\/\/)/{c++} END{printf "%-20s %5d lines %5d code\n", p, t, c}'; }; \
-	for p in internal/routing internal/core internal/experiment internal/topology internal/measure internal/parallel internal/defense cmd/asppbench; do \
+	for p in internal/routing internal/core internal/experiment internal/topology internal/measure internal/parallel internal/defense internal/detect cmd/asppbench; do \
 		ls $$p/*.go | grep -v _test.go | xargs cat | count $$p; \
 	done; \
 	count aspp.go < aspp.go
@@ -66,7 +66,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/measure/ ./internal/serve/
+	$(GO) test -race ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/defense/ ./internal/detect/ ./internal/measure/ ./internal/serve/
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
@@ -106,22 +106,3 @@ bench-smoke:
 # the 108 legs it prints, at most 108 baselines, under 128 MB of cache.
 scale-smoke:
 	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork' -count=1 .
-
-# Machine-readable record of the tier-1 benchmark suite: run the root
-# package benchmarks with -benchmem and parse the output into
-# BENCH_pr10.json (benchmark name -> ns/op, B/op, allocs/op, plus custom
-# units like p99_ns under "extra"; schema in EXPERIMENTS.md). ASPP_SCALE=1
-# ungates the 80k sweep benchmark so the committed record carries the
-# Internet-scale entry. The committed file is the baseline future PRs
-# diff against, via `benchjson -diff` or benchstat (see README).
-bench-json:
-	ASPP_SCALE=1 $(GO) test -run='^$$' -bench=. -benchmem . > .bench.out.tmp
-	$(GO) run ./tools/benchjson < .bench.out.tmp > BENCH_pr10.json
-	@rm -f .bench.out.tmp
-	@echo wrote BENCH_pr10.json
-
-# Per-benchmark before/after table plus geomean for the PR 10 record
-# (the serving-pipeline benchmarks are new in PR 10, so they appear only
-# on the "after" side; the shared rows gate against regressions).
-bench-diff:
-	$(GO) run ./tools/benchjson -diff BENCH_pr9.json BENCH_pr10.json

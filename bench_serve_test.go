@@ -44,7 +44,7 @@ func serveBenchCorpus(b *testing.B, nAS int, seed int64, nMon, events int) ([]bg
 // feed) over the churn corpus, swept across shard counts. ns/op is the
 // per-update pipeline cost, so ≥1M updates/sec means ns/op < 1000 at the
 // best shard count; the enqueue-to-alarm p99 is attached as a custom
-// "p99_ns" metric (captured into BENCH_pr10.json by tools/benchjson).
+// "p99_ns" metric (the measured record is bench/'s serve workloads).
 func BenchmarkServeThroughput(b *testing.B) {
 	updates, monitors, g := serveBenchCorpus(b, 1000, 42, 30, 80)
 	for _, shards := range []int{1, 2, 4} {

@@ -126,12 +126,12 @@ func TestSimulateForgedNeedsNoRoute(t *testing.T) {
 		if im.PollutedAfter == 0 || im.IsPolluted(4242) {
 			t.Errorf("%v: polluted %d, sibling polluted %v", typ, im.PollutedAfter, im.IsPolluted(4242))
 		}
-		cnt, err := SimulateCounts(sib, sc, nil, routing.NewScratch(), nil)
+		borrowed, err := SimulateScratch(sib, sc, nil, routing.NewScratch(), nil)
 		if err != nil {
-			t.Fatalf("%v on the sibling graph (counts path): %v", typ, err)
+			t.Fatalf("%v on the sibling graph (scratch path): %v", typ, err)
 		}
-		if want := (Counts{im.Eligible, im.PollutedBefore, im.PollutedAfter}); cnt != want {
-			t.Errorf("%v: counts path %+v, Simulate %+v", typ, cnt, want)
+		if borrowed.Counts != im.Counts {
+			t.Errorf("%v: scratch path %+v, Simulate %+v", typ, borrowed.Counts, im.Counts)
 		}
 	}
 }
@@ -196,12 +196,12 @@ func TestSimulateForgedPinnedCounts(t *testing.T) {
 		if snap := c.Snapshot(); snap.BasePropagations != 1 || snap.FullPropagations != 1 || snap.DeltaPropagations != 0 {
 			t.Errorf("%v %v: legs counted as %v, want 1 base + 1 full", sc, p.typ, snap)
 		}
-		cnt, err := SimulateCounts(g, sc, im.Baseline(), s, nil)
+		borrowed, err := SimulateScratch(g, sc, im.Baseline(), s, nil)
 		if err != nil {
-			t.Fatalf("%v %v: SimulateCounts: %v", sc, p.typ, err)
+			t.Fatalf("%v %v: SimulateScratch: %v", sc, p.typ, err)
 		}
-		if cnt.Eligible != p.eligible || cnt.PollutedBefore != p.before || cnt.PollutedAfter != p.after {
-			t.Errorf("%v %v: SimulateCounts = %+v", sc, p.typ, cnt)
+		if borrowed.Counts != im.Counts {
+			t.Errorf("%v %v: SimulateScratch = %+v", sc, p.typ, borrowed.Counts)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func NewDeltaBatchRunner() *DeltaBatchRunner {
 // lanes share copy-on-write reads. The attacker must be reachable in
 // its baseline — drivers pre-filter draws with Baseline.Reachable and
 // count the skip, exactly as on the serial path — so an unreachable
-// attacker here surfaces as ErrAttackerSeesNoRoute (Skippable, but a
+// attacker here surfaces as ErrAttackerSeesNoRoute (skippable, but a
 // driver bug rather than a redraw). Counter attribution is exclusive:
 // the lanes count as prop_delta_batch, never prop_delta or prop_full.
 func (r *DeltaBatchRunner) Simulate(g *topology.Graph, scs []Scenario, bases []*routing.Result, out []Counts, c *obs.Counters) error {
@@ -70,9 +70,7 @@ func (r *DeltaBatchRunner) Simulate(g *topology.Graph, scs []Scenario, bases []*
 		// next lane overwrites it; the attacked Results live in distinct
 		// BatchScratch slots and stay valid for the whole loop.
 		viaBase := bases[i].ViaSetInto(sc.Attacker, via, state, stack)
-		out[i] = Counts{}
-		countPollution(g, sc, bases[i], br.Lanes[i], viaBase,
-			&out[i].Eligible, &out[i].PollutedBefore, &out[i].PollutedAfter)
+		out[i] = countPollution(g, sc, bases[i], br.Lanes[i], viaBase)
 	}
 	return nil
 }

@@ -107,35 +107,41 @@ func (s Scenario) AttackerConfig() routing.Attacker {
 // machinery — drivers redraw such instances and abort on anything else.
 var ErrAttackerSeesNoRoute = fmt.Errorf("core: attacker receives no route for the victim prefix: %w", routing.ErrUnreachableAttacker)
 
-// Impact is the outcome of one simulated attack.
-type Impact struct {
-	Scenario Scenario
-
+// Counts is the value-only pollution summary of one attack — all a sweep
+// that aggregates fractions keeps of an Impact.
+type Counts struct {
 	// Eligible is the number of ASes that could be polluted: every AS
 	// with a route, excluding the victim and the attacker.
 	Eligible int
 	// PollutedAfter is how many eligible ASes route via the attacker
 	// under the attack; PollutedBefore is the same count beforehand.
 	PollutedBefore, PollutedAfter int
-
-	baseline *routing.Result
-	attacked *routing.Result
-	viaBase  []bool
 }
 
 // Before returns the fraction of eligible ASes whose traffic to the victim
 // traversed the attacker before the attack.
-func (im *Impact) Before() float64 { return frac(im.PollutedBefore, im.Eligible) }
+func (c Counts) Before() float64 { return frac(c.PollutedBefore, c.Eligible) }
 
 // After returns the fraction polluted by the attack — the paper's
 // "% of paths traversing attacker" metric.
-func (im *Impact) After() float64 { return frac(im.PollutedAfter, im.Eligible) }
+func (c Counts) After() float64 { return frac(c.PollutedAfter, c.Eligible) }
 
 func frac(n, d int) float64 {
 	if d == 0 {
 		return 0
 	}
 	return float64(n) / float64(d)
+}
+
+// Impact is the outcome of one simulated attack: its Counts plus the two
+// routing outcomes they were read off.
+type Impact struct {
+	Scenario Scenario
+	Counts
+
+	baseline *routing.Result
+	attacked *routing.Result
+	viaBase  []bool
 }
 
 // Baseline exposes the pre-attack routing outcome.
@@ -169,6 +175,17 @@ func (im *Impact) NewlyPolluted() []bgp.ASN {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
+}
+
+// Effective reports whether the attack captured anyone: NewlyPolluted is
+// non-empty. It allocates nothing — the draw loops call it once per leg.
+func (im *Impact) Effective() bool {
+	for i, v := range im.attacked.Via {
+		if v && !im.viaBase[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // PathsAt returns an AS's best path before and after the attack.
@@ -225,23 +242,30 @@ func BaselineOnly(g *topology.Graph, sc Scenario) (*routing.Result, error) {
 	return routing.Propagate(g, sc.Announcement())
 }
 
-// simulate runs sc's two legs on the engines the scenario and the graph
-// call for, computing the baseline when none is given, and records each
-// leg in the optional counters: the attack leg counts as a delta
-// propagation when the delta engine ran it and as a full one otherwise.
-// Scratch-borrowed results (s != nil) follow the routing.Scratch
-// ownership contract.
-func simulate(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (base, attacked *routing.Result, err error) {
+// SimulateScratch runs sc's two legs on the engines the scenario and the
+// graph call for, computing the baseline when none is given (baseline and
+// the counters are as in SimulateWithBaseline; the attack leg counts as a
+// delta propagation when the delta engine ran it and as a full one
+// otherwise), and derives the pollution counts. It is the allocation-free
+// path: propagation state, the attacked result and the via set are borrowed
+// from s (one Scratch per goroutine — see the routing.Scratch ownership
+// contract), so the returned Impact is itself borrowed: valid until the
+// next call on s. Its Counts are plain values; anything else a caller keeps
+// it must copy out first. With a nil Scratch everything is freshly
+// allocated and the Impact owns its results.
+func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Impact, error) {
 	if sc.Victim == sc.Attacker {
-		return nil, nil, errors.New("core: victim and attacker must differ")
+		return Impact{}, errors.New("core: victim and attacker must differ")
 	}
 	ann, atk := sc.Announcement(), sc.AttackerConfig()
+	var err error
 	if baseline == nil {
 		if baseline, err = routing.PropagateScratch(g, ann, s); err != nil {
-			return nil, nil, fmt.Errorf("core: baseline: %w", err)
+			return Impact{}, fmt.Errorf("core: baseline: %w", err)
 		}
 		c.AddBasePropagations(1)
 	}
+	var attacked *routing.Result
 	delta := sc.Type == AttackASPP && !g.HasSiblings()
 	if delta {
 		attacked, err = routing.PropagateAttackDelta(g, ann, atk, baseline, s)
@@ -249,17 +273,30 @@ func simulate(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routi
 		attacked, err = routing.PropagateAttackScratch(g, ann, atk, baseline, s)
 	}
 	if errors.Is(err, routing.ErrUnreachableAttacker) {
-		return nil, nil, ErrAttackerSeesNoRoute
+		return Impact{}, ErrAttackerSeesNoRoute
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: attack: %w", err)
+		return Impact{}, fmt.Errorf("core: attack: %w", err)
 	}
 	if delta {
 		c.AddDeltaPropagations(1)
 	} else {
 		c.AddFullPropagations(1)
 	}
-	return baseline, attacked, nil
+	var viaBase []bool
+	if s != nil {
+		via, state, stack := s.ViaBuffers(g)
+		viaBase = baseline.ViaSetInto(sc.Attacker, via, state, stack)
+	} else {
+		viaBase = baseline.ViaSet(sc.Attacker)
+	}
+	return Impact{
+		Scenario: sc,
+		Counts:   countPollution(g, sc, baseline, attacked, viaBase),
+		baseline: baseline,
+		attacked: attacked,
+		viaBase:  viaBase,
+	}, nil
 }
 
 // Simulate runs one attack: a baseline propagation of the victim's
@@ -279,74 +316,29 @@ func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
 // Propagation telemetry is recorded into the optional counters (nil
 // disables recording).
 func SimulateWithBaseline(g *topology.Graph, sc Scenario, baseline *routing.Result, c *obs.Counters) (*Impact, error) {
-	baseline, attacked, err := simulate(g, sc, baseline, nil, c)
+	im, err := SimulateScratch(g, sc, baseline, nil, c)
 	if err != nil {
 		return nil, err
 	}
-	im := &Impact{
-		Scenario: sc,
-		baseline: baseline,
-		attacked: attacked,
-		viaBase:  baseline.ViaSet(sc.Attacker),
-	}
-	countPollution(g, sc, baseline, attacked, im.viaBase,
-		&im.Eligible, &im.PollutedBefore, &im.PollutedAfter)
-	return im, nil
+	return &im, nil
 }
 
-// Counts is the value-only pollution summary of one attack: what Impact
-// reports, without retaining the routing results. The sweep drivers use it
-// with reusable scratch state so a pair sweep does not allocate per
-// instance.
-type Counts struct {
-	// Eligible, PollutedBefore, PollutedAfter: as in Impact.
-	Eligible       int
-	PollutedBefore int
-	PollutedAfter  int
-}
-
-// Before returns the pre-attack polluted fraction.
-func (c Counts) Before() float64 { return frac(c.PollutedBefore, c.Eligible) }
-
-// After returns the under-attack polluted fraction.
-func (c Counts) After() float64 { return frac(c.PollutedAfter, c.Eligible) }
-
-// SimulateCounts runs one attack on the allocation-free path: propagation
-// state and the transient routing results are borrowed from s (one
-// Scratch per goroutine — see the routing.Scratch ownership contract),
-// and only the pollution counts survive the call. baseline and the
-// counters are as in SimulateWithBaseline. A nil Scratch allocates one.
-func SimulateCounts(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Counts, error) {
-	if s == nil {
-		s = routing.NewScratch()
-	}
-	baseline, attacked, err := simulate(g, sc, baseline, s, c)
-	if err != nil {
-		return Counts{}, err
-	}
-	via, state, stack := s.ViaBuffers(g)
-	viaBase := baseline.ViaSetInto(sc.Attacker, via, state, stack)
+// countPollution tallies an attack's pollution counts.
+func countPollution(g *topology.Graph, sc Scenario, baseline, attacked *routing.Result, viaBase []bool) Counts {
 	var cnt Counts
-	countPollution(g, sc, baseline, attacked, viaBase,
-		&cnt.Eligible, &cnt.PollutedBefore, &cnt.PollutedAfter)
-	return cnt, nil
-}
-
-// countPollution tallies the three pollution counters shared by Impact and
-// Counts.
-func countPollution(g *topology.Graph, sc Scenario, baseline, attacked *routing.Result, viaBase []bool, eligible, before, after *int) {
 	vIdx := mustIdx(g, sc.Victim)
 	aIdx := mustIdx(g, sc.Attacker)
 	for i := int32(0); i < int32(g.NumASes()); i++ {
 		if i == vIdx || i == aIdx || !baseline.ReachableIdx(i) {
 			continue
 		}
-		*eligible++
+		cnt.Eligible++
 		if viaBase[i] {
-			*before++
+			cnt.PollutedBefore++
 		}
 		if attacked.Via[i] {
-			*after++
+			cnt.PollutedAfter++
 		}
 	}
+	return cnt
 }

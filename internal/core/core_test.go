@@ -255,7 +255,7 @@ func TestSimulateOnSiblingGraph(t *testing.T) {
 		}
 	}
 	var c obs.Counters
-	if _, err := SimulateCounts(g, im.Scenario, nil, routing.NewScratch(), &c); err != nil {
+	if _, err := SimulateScratch(g, im.Scenario, nil, routing.NewScratch(), &c); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Snapshot(); s.BasePropagations != 1 || s.FullPropagations != 1 || s.DeltaPropagations != 0 {

@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"aspp/internal/bgp"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -189,5 +192,56 @@ func TestLambdaOneAttackIsBaseline(t *testing.T) {
 		if len(im.NewlyPolluted()) != 0 {
 			t.Errorf("%s: λ=1 newly polluted %v, want none", label, im.NewlyPolluted())
 		}
+	}
+}
+
+// TestSimulateScratchIsSimulateBorrowed: the scratch path lends out the
+// very Impact Simulate allocates — counts, both routing outcomes row for
+// row, the pollution sets — for every attack family, on one reused Scratch
+// so a stale row from the previous leg would show. Effective is
+// len(NewlyPolluted()) > 0 without the allocation, and the sample holds
+// both answers.
+func TestSimulateScratchIsSimulateBorrowed(t *testing.T) {
+	g := metamorphicGraph(t, 400, 9)
+	rng := rand.New(rand.NewSource(9))
+	asns := g.ASNs()
+	s := routing.NewScratch()
+	effective := map[bool]int{}
+	for trial := 0; trial < 120; trial++ {
+		sc := Scenario{
+			Victim: asns[rng.Intn(len(asns))], Attacker: asns[rng.Intn(len(asns))],
+			Prepend: 1 + rng.Intn(4), ViolateValleyFree: rng.Intn(2) == 0,
+			Type: AttackType(trial % 3),
+		}
+		want, err := Simulate(g, sc)
+		borrowed, berr := SimulateScratch(g, sc, nil, s, nil)
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("%v: Simulate err=%v, SimulateScratch err=%v", sc, err, berr)
+		}
+		if err != nil {
+			continue
+		}
+		if borrowed.Counts != want.Counts || borrowed.Before() != want.Before() || borrowed.After() != want.After() {
+			t.Errorf("%v: borrowed counts %+v, Simulate %+v", sc, borrowed.Counts, want.Counts)
+		}
+		if !slices.Equal(borrowed.NewlyPolluted(), want.NewlyPolluted()) || !slices.Equal(borrowed.PollutedASes(), want.PollutedASes()) {
+			t.Errorf("%v: borrowed pollution sets differ from Simulate's", sc)
+		}
+		for _, asn := range asns {
+			wb, wa := want.PathsAt(asn)
+			if gb, ga := borrowed.PathsAt(asn); !gb.Equal(wb) || !ga.Equal(wa) {
+				t.Fatalf("%v: AS %v borrowed paths %v / %v, Simulate %v / %v", sc, asn, gb, ga, wb, wa)
+			}
+			if borrowed.HopsFromAttacker(asn) != want.HopsFromAttacker(asn) {
+				t.Errorf("%v: AS %v hops from attacker differ", sc, asn)
+			}
+		}
+		if borrowed.Effective() != (len(want.NewlyPolluted()) > 0) || want.Effective() != borrowed.Effective() {
+			t.Errorf("%v: Effective=%v with %d newly polluted", sc, borrowed.Effective(), len(want.NewlyPolluted()))
+		}
+		effective[borrowed.Effective()]++
+	}
+	if effective[true] < 10 || effective[false] < 10 {
+		t.Errorf("sample has %d effective and %d no-op attacks; want both", effective[true], effective[false])
 	}
 }

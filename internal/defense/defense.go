@@ -17,12 +17,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
-	"aspp/internal/parallel"
-	"aspp/internal/routing"
+	"aspp/internal/experiment"
+	"aspp/internal/obs"
 	"aspp/internal/stats"
 	"aspp/internal/topology"
 )
@@ -100,89 +101,71 @@ type Outcome struct {
 	DetectedFrac float64
 }
 
-// attackSet simulates attacks by distinct random attackers against the
-// victim and returns each attack's pollution set as monitor indices.
-type attackSet struct {
-	impacts []*core.Impact
+// pollution is one usable attack's pollution set, a bitset over dense AS
+// indices copied out of the leg's borrowed Impact: bit i is set when AS i
+// routes via the attacker under the attack (what Impact.IsPolluted reports).
+type pollution struct {
+	attacker int32
+	via      []uint64
 }
 
-func drawAttacks(g *topology.Graph, cfg Config, n int, rng *rand.Rand) (*attackSet, error) {
+func (p pollution) has(i int32) bool { return p.via[i>>6]>>(uint(i)&63)&1 != 0 }
+
+// drawPollution simulates attacks by random attackers against the victim,
+// drawn from the seed stream named by label, until n of them are effective
+// (experiment.EffectiveAttacks: the first n usable candidates in draw
+// order, and no candidate past the n-th is simulated), and returns each
+// one's pollution set. A no-op attack is undetectable by construction and
+// an attacker that never hears the route cannot attack; both are redrawn.
+func drawPollution(g *topology.Graph, cfg Config, n int, label string, counters *obs.Counters) ([]pollution, error) {
+	rng := rand.New(rand.NewSource(stats.DeriveSeed(cfg.Seed, label)))
 	asns := g.ASNs()
-	budget := n * 20
-	candidates := make([]bgp.ASN, 0, budget)
-	for len(candidates) < budget {
-		m := asns[rng.Intn(len(asns))]
-		if m != cfg.Victim {
-			candidates = append(candidates, m)
+	stream := make([]core.Scenario, 0, n*20)
+	for len(stream) < cap(stream) {
+		if m := asns[rng.Intn(len(asns))]; m != cfg.Victim {
+			stream = append(stream, core.Scenario{
+				Victim:            cfg.Victim,
+				Attacker:          m,
+				Prepend:           cfg.Prepend,
+				ViolateValleyFree: cfg.Violate,
+			})
 		}
 	}
-	// Every candidate attacks the same victim announcement, so one
-	// baseline propagation serves the whole draw (shared read-only, per
-	// the SimulateWithBaseline contract) instead of one per candidate.
-	base, err := core.BaselineOnly(g, core.Scenario{Victim: cfg.Victim, Prepend: cfg.Prepend})
+	attacks, err := experiment.EffectiveAttacks(context.Background(), g, stream, n, cfg.Workers, counters,
+		func(im *core.Impact) pollution {
+			via := im.Attacked().Via
+			p := pollution{via: make([]uint64, (len(via)+63)/64)}
+			p.attacker, _ = g.Index(im.Scenario.Attacker)
+			for i, v := range via {
+				if v {
+					p.via[i>>6] |= 1 << (uint(i) & 63)
+				}
+			}
+			return p
+		})
 	if err != nil {
-		return nil, fmt.Errorf("defense: baseline for %v: %w", cfg.Victim, err)
+		return nil, fmt.Errorf("defense: attacks against %v: %w", cfg.Victim, err)
 	}
-	sims, serr := parallel.MapErr(context.Background(), len(candidates), cfg.Workers, func(i int) (*core.Impact, error) {
-		im, err := core.SimulateWithBaseline(g, core.Scenario{
-			Victim:            cfg.Victim,
-			Attacker:          candidates[i],
-			Prepend:           cfg.Prepend,
-			ViolateValleyFree: cfg.Violate,
-		}, base, nil)
-		if routing.Skippable(err) {
-			return nil, nil // skippable draw: this attacker never hears the route
-		}
-		if err != nil {
-			return nil, fmt.Errorf("defense: attack %v against %v: %w", candidates[i], cfg.Victim, err)
-		}
-		if len(im.NewlyPolluted()) == 0 {
-			return nil, nil // no-op attack: undetectable by construction
-		}
-		return im, nil
-	})
-	if serr != nil {
-		return nil, serr
+	return attacks, nil
+}
+
+// detectedFrac scores a monitor set against the attacks under the
+// owner-policy check: an attack is caught when some monitor's best route
+// lost prepends, i.e. some monitor is polluted.
+func detectedFrac(g *topology.Graph, attacks []pollution, monitors []bgp.ASN) float64 {
+	if len(attacks) == 0 {
+		return 0
 	}
-	set := &attackSet{}
-	for _, im := range sims {
-		if im != nil {
-			set.impacts = append(set.impacts, im)
-			if len(set.impacts) == n {
+	hit := 0
+	for _, a := range attacks {
+		for _, m := range monitors {
+			if i, ok := g.Index(m); ok && a.has(i) {
+				hit++
 				break
 			}
 		}
 	}
-	if len(set.impacts) < n/2 {
-		return nil, fmt.Errorf("defense: only %d usable attacks against %v", len(set.impacts), cfg.Victim)
-	}
-	return set, nil
-}
-
-// detects reports whether the monitor set catches the attack under the
-// owner-policy check: some monitor's best route lost prepends, i.e. the
-// monitor is polluted.
-func (a *attackSet) detects(im *core.Impact, monitors []bgp.ASN) bool {
-	for _, m := range monitors {
-		if im.IsPolluted(m) {
-			return true
-		}
-	}
-	return false
-}
-
-// evaluate scores a monitor set against all attacks in the set.
-func (a *attackSet) evaluate(monitors []bgp.ASN) float64 {
-	if len(a.impacts) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, im := range a.impacts {
-		if a.detects(im, monitors) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(a.impacts))
+	return float64(hit) / float64(len(attacks))
 }
 
 // SelectMonitors places cfg.Budget monitors for the victim under the
@@ -206,8 +189,7 @@ func SelectMonitors(g *topology.Graph, cfg Config, strategy Strategy) ([]bgp.ASN
 	case StrategyVictimCone:
 		return victimCone(g, cfg.Victim, cfg.Budget)
 	case StrategyGreedy:
-		rng := rand.New(rand.NewSource(stats.DeriveSeed(cfg.Seed, "defense.greedy.training")))
-		training, err := drawAttacks(g, cfg, cfg.TrainingAttacks, rng)
+		training, err := drawPollution(g, cfg, cfg.TrainingAttacks, "defense.greedy.training", nil)
 		if err != nil {
 			return nil, err
 		}
@@ -252,58 +234,52 @@ func victimCone(g *topology.Graph, victim bgp.ASN, budget int) ([]bgp.ASN, error
 
 // greedySelect runs greedy max-coverage over the training attacks'
 // pollution sets.
-func greedySelect(g *topology.Graph, training *attackSet, budget int) []bgp.ASN {
+func greedySelect(g *topology.Graph, training []pollution, budget int) []bgp.ASN {
 	// Candidate pool: every AS polluted by at least one training attack
-	// (anything else can never detect).
-	counts := make(map[bgp.ASN]int)
-	for _, im := range training.impacts {
-		for _, asn := range im.PollutedASes() {
-			counts[asn]++
+	// other than as its attacker (anything else can never detect), in ASN
+	// order so ties go to the lowest ASN.
+	var candidates []int32
+	for i := int32(0); i < int32(g.NumASes()); i++ {
+		for _, a := range training {
+			if i != a.attacker && a.has(i) {
+				candidates = append(candidates, i)
+				break
+			}
 		}
 	}
-	candidates := make([]bgp.ASN, 0, len(counts))
-	for asn := range counts {
-		candidates = append(candidates, asn)
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	sort.Slice(candidates, func(i, j int) bool { return g.ASNAt(candidates[i]) < g.ASNAt(candidates[j]) })
 
-	covered := make([]bool, len(training.impacts))
+	covered := make([]bool, len(training))
 	var chosen []bgp.ASN
 	for len(chosen) < budget {
-		best := bgp.ASN(0)
-		bestGain := 0
+		best, bestGain := int32(-1), 0
 		for _, c := range candidates {
 			gain := 0
-			for i, im := range training.impacts {
-				if !covered[i] && im.IsPolluted(c) {
+			for k, a := range training {
+				if !covered[k] && a.has(c) {
 					gain++
 				}
 			}
-			if gain > bestGain || (gain == bestGain && gain > 0 && c < best) {
+			if gain > bestGain {
 				best, bestGain = c, gain
 			}
 		}
 		if bestGain == 0 {
 			break // remaining attacks are uncoverable; stop early
 		}
-		chosen = append(chosen, best)
-		for i, im := range training.impacts {
-			if im.IsPolluted(best) {
-				covered[i] = true
+		chosen = append(chosen, g.ASNAt(best))
+		for k, a := range training {
+			if a.has(best) {
+				covered[k] = true
 			}
 		}
 	}
 	// Spend leftover budget on top-degree ASes for generalization.
-	have := make(map[bgp.ASN]bool, len(chosen))
-	for _, c := range chosen {
-		have[c] = true
-	}
 	for _, t := range g.TopByDegree(budget) {
 		if len(chosen) >= budget {
 			break
 		}
-		if !have[t] {
-			have[t] = true
+		if !slices.Contains(chosen, t) {
 			chosen = append(chosen, t)
 		}
 	}
@@ -316,8 +292,7 @@ func Compare(g *topology.Graph, cfg Config) ([]Outcome, error) {
 	if cfg.Prepend < 2 {
 		return nil, errors.New("defense: prepend must be >= 2")
 	}
-	rng := rand.New(rand.NewSource(stats.DeriveSeed(cfg.Seed, "defense.compare.eval")))
-	eval, err := drawAttacks(g, cfg, cfg.EvalAttacks, rng)
+	eval, err := drawPollution(g, cfg, cfg.EvalAttacks, "defense.compare.eval", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +306,7 @@ func Compare(g *topology.Graph, cfg Config) ([]Outcome, error) {
 		out = append(out, Outcome{
 			Strategy:     s,
 			Monitors:     monitors,
-			DetectedFrac: eval.evaluate(monitors),
+			DetectedFrac: detectedFrac(g, eval, monitors),
 		})
 	}
 	return out, nil

@@ -29,8 +29,9 @@ type EvalResult struct {
 // EvalScratch is per-goroutine reusable state for EvaluateScratch: the
 // path arena both routing results extract into, the span tables, the
 // witness views and the monitor-index resolution cache. One scratch per
-// goroutine (thread it through parallel.MapScratchErr worker state); the
-// zero cost of reuse is what makes the detection sweeps allocation-light.
+// goroutine and, where a sweep alternates monitor sets, per set (the
+// detection sweep keeps one per shard and monitor count); the zero cost of
+// reuse is what makes the detection sweeps allocation-light.
 type EvalScratch struct {
 	arena     *routing.PathArena
 	baseSpans []routing.PathSpan
@@ -40,7 +41,7 @@ type EvalScratch struct {
 	// Monitor-index cache: monIdx is valid for exactly this (graph,
 	// monitors-slice) pair, compared by identity. The sweep drivers call
 	// EvaluateScratch with one monitor slice across many impacts, so the
-	// resolution runs once per fan-out, not once per instance.
+	// resolution runs once per scratch, not once per instance.
 	monIdx []int32
 	mons   []bgp.ASN
 	g      *topology.Graph

@@ -8,6 +8,7 @@ package detect
 // can keep evolving while the verdict semantics stay pinned.
 
 import (
+	"errors"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -241,7 +242,7 @@ func diffScenarios(t *testing.T, g *topology.Graph, perCombo int) []*core.Impact
 						Prepend:           lambda,
 						ViolateValleyFree: violate,
 					})
-					if routing.Skippable(err) {
+					if errors.Is(err, routing.ErrUnreachableAttacker) {
 						continue
 					}
 					if err != nil {
@@ -445,7 +446,7 @@ func BenchmarkDetectorObserve(b *testing.B) {
 			continue
 		}
 		im, err := core.Simulate(g, core.Scenario{Victim: v, Attacker: m, Prepend: 3, ViolateValleyFree: true})
-		if routing.Skippable(err) {
+		if errors.Is(err, routing.ErrUnreachableAttacker) {
 			continue
 		}
 		if err != nil {

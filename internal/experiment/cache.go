@@ -26,7 +26,7 @@ import (
 // The cached Results are shared: callers must treat them as read-only and
 // must not attach them to anything that mutates them (attack propagation
 // writes only to its own result slot, so SimulateWithBaseline and
-// SimulateCounts are safe consumers).
+// SimulateScratch are safe consumers).
 //
 // Only plain scenarios are cacheable: the key cannot represent
 // per-neighbor prepending or withheld sessions, so callers with such

@@ -3,14 +3,11 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net/netip"
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/detect"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
 	"aspp/internal/topology"
 )
 
@@ -48,85 +45,100 @@ func DefaultCompareConfig() CompareConfig {
 // pairs and evaluates all three detector classes on each, quantifying the
 // paper's claim that ASPP interception evades MOAS and fake-link
 // detection while remaining catchable by prepend-consistency checking.
-// Cancellation is checked in every simulation fan-out; returns
+// Every instance is scored inside its leg (legVisitor); returns
 // (nil, ctx.Err()) when cancelled.
 func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
 	if cfg.Pairs <= 0 || cfg.Prepend < 2 || cfg.Monitors <= 0 {
 		return nil, errors.New("experiment: bad comparison config")
 	}
 	monitors := g.TopByDegree(cfg.Monitors)
-
-	// Shared pairs: each must make the ASPP attack effective so all three
-	// families face the same instances.
-	impacts, err := drawEffectiveAttacks(ctx, g, attackDraw{
-		what: "comparison sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 30,
-		prepend: cfg.Prepend, violate: true, seed: cfg.Seed,
-		workers: cfg.Workers, counters: cfg.Counters,
-	})
+	r, err := newLegRunner(g, legOptions{what: "comparison sweep", workers: cfg.Workers, counters: cfg.Counters})
 	if err != nil {
 		return nil, err
 	}
 
 	// Every family is scored the same way: captured share, then the three
 	// detector classes over the monitors' under-attack routes. The
-	// prepend-consistency evaluation reuses one arena-backed scratch across
-	// instances (the loop is serial); its trigger is a prepend-count
-	// decrease, which a forged [M V] also causes at polluted monitors (the
-	// forged path carries one origin copy).
-	evalScratch := detect.NewEvalScratch()
-	score := func(typ core.AttackType, ims []*core.Impact) AttackComparison {
-		cmp := AttackComparison{Type: typ, Instances: len(ims)}
-		for _, im := range ims {
-			cmp.MeanPollution += im.After()
-			routes := monitorRoutesFromImpact(im, monitors)
-			if _, moas := detect.DetectMOAS(routes); moas {
+	// prepend-consistency trigger is a prepend-count decrease, which a
+	// forged [M V] also causes at polluted monitors (the forged path
+	// carries one origin copy).
+	type instance struct {
+		victim, attacker     bgp.ASN
+		pollution            float64
+		moas, fakeLink, aspp bool
+	}
+	scratch := make([]*detect.EvalScratch, len(r.shards))
+	for si := range scratch {
+		scratch[si] = detect.NewEvalScratch()
+	}
+	score := func(shard int, im *core.Impact) instance {
+		routes := monitorRoutesFromImpact(im, monitors)
+		_, moas := detect.DetectMOAS(routes)
+		return instance{
+			victim: im.Scenario.Victim, attacker: im.Scenario.Attacker,
+			pollution: im.After(),
+			moas:      moas,
+			fakeLink:  len(detect.DetectFakeLinks(g, routes)) > 0,
+			aspp:      detect.EvaluateScratch(im, monitors, g, scratch[shard]).Detected,
+		}
+	}
+	// Instances are summed in draw order, so the means do not depend on
+	// which shard scored what.
+	summarize := func(typ core.AttackType, ins []instance) AttackComparison {
+		cmp := AttackComparison{Type: typ, Instances: len(ins)}
+		for _, in := range ins {
+			cmp.MeanPollution += in.pollution
+			if in.moas {
 				cmp.DetectedByMOAS++
 			}
-			if len(detect.DetectFakeLinks(g, routes)) > 0 {
+			if in.fakeLink {
 				cmp.DetectedByFakeLink++
 			}
-			if detect.EvaluateScratch(im, monitors, g, evalScratch).Detected {
+			if in.aspp {
 				cmp.DetectedByASPP++
 			}
 		}
-		finishComparison(&cmp)
+		if n := float64(len(ins)); n > 0 {
+			cmp.MeanPollution /= n
+			cmp.DetectedByMOAS /= n
+			cmp.DetectedByFakeLink /= n
+			cmp.DetectedByASPP /= n
+		}
 		return cmp
 	}
-	out := []AttackComparison{score(core.AttackASPP, impacts)}
 
-	// The two forged-announcement families on the same pairs, against the
-	// honest baseline each ASPP instance already holds. The pairs already
-	// proved usable for ASPP, so there is nothing left to redraw: any
-	// failure here is a propagation bug and aborts the comparison.
-	for _, typ := range []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception} {
-		forged, cerr := parallel.MapErr(ctx, len(impacts), cfg.Workers, func(i int) (*core.Impact, error) {
-			sc := core.Scenario{
-				Victim: impacts[i].Scenario.Victim, Attacker: impacts[i].Scenario.Attacker,
-				Prepend: cfg.Prepend, Type: typ,
-			}
-			im, err := core.SimulateWithBaseline(g, sc, impacts[i].Baseline(), cfg.Counters)
-			if err != nil {
-				return nil, fmt.Errorf("%v pair %v/%v: %w", typ, sc.Victim, sc.Attacker, err)
-			}
-			return im, nil
-		})
-		if cerr != nil {
-			return nil, sweepError("comparison sweep", cerr)
+	// Shared pairs: each must make the ASPP attack effective so all three
+	// families face the same instances.
+	stream := randomAttackStream(g, cfg.Seed, cfg.Pairs*30, cfg.Prepend, true)
+	aspp, err := firstEffective(ctx, r, stream, cfg.Pairs, score)
+	if err != nil {
+		return nil, err
+	}
+	n := len(aspp)
+	out := []AttackComparison{summarize(core.AttackASPP, aspp)}
+
+	// The two forged-announcement families on the same pairs, as one more
+	// run on the shard caches the draw left warm. A forged claim needs no
+	// route, so nothing is skipped: any failure here is a propagation bug
+	// and aborts the comparison.
+	families := []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception}
+	legs := make([]core.Scenario, 0, len(families)*n)
+	for _, typ := range families {
+		for _, in := range aspp {
+			legs = append(legs, core.Scenario{Victim: in.victim, Attacker: in.attacker, Prepend: cfg.Prepend, Type: typ})
 		}
-		out = append(out, score(typ, forged))
+	}
+	forged := make([]instance, len(legs))
+	if _, _, err := r.run(ctx, legs, false, func(shard, i int, im *core.Impact) bool {
+		forged[i] = score(shard, im)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	for f, typ := range families {
+		out = append(out, summarize(typ, forged[f*n:(f+1)*n]))
 	}
 	return out, nil
-}
-
-func finishComparison(c *AttackComparison) {
-	if c.Instances == 0 {
-		return
-	}
-	n := float64(c.Instances)
-	c.MeanPollution /= n
-	c.DetectedByMOAS /= n
-	c.DetectedByFakeLink /= n
-	c.DetectedByASPP /= n
 }
 
 // monitorRoutesFromImpact extracts the under-attack monitor routes.
@@ -140,7 +152,3 @@ func monitorRoutesFromImpact(im *core.Impact, monitors []bgp.ASN) []detect.Monit
 	}
 	return out
 }
-
-// ComparisonPrefix is the synthetic prefix label used when rendering
-// comparison update streams.
-var ComparisonPrefix = netip.MustParsePrefix("10.0.0.0/16")

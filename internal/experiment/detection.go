@@ -11,8 +11,6 @@ import (
 	"aspp/internal/core"
 	"aspp/internal/detect"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
-	"aspp/internal/routing"
 	"aspp/internal/stats"
 	"aspp/internal/topology"
 )
@@ -96,13 +94,13 @@ type DetectionOutcome struct {
 	UsablePairs int
 }
 
-// RunDetectionCtx simulates cfg.Pairs random interception attacks once,
-// then evaluates the detection algorithm under every monitor-set size
-// (paper Figs. 13-14). Cancellation is checked during attack simulation
-// and in every per-monitor-count evaluation pass. Detection needs the full
-// Impact (monitor paths), so the attack results are freshly allocated —
-// but the per-victim baselines are still memoized in a BaselineCache and
-// shared read-only. Returns (nil, ctx.Err()) when cancelled.
+// RunDetectionCtx draws random interception attacks until cfg.Pairs of them
+// are effective and evaluates the detection algorithm under every
+// monitor-set size (paper Figs. 13-14). Each attack is evaluated inside its
+// leg (legVisitor), while its routing results are live in the shard's
+// Scratch: every shard owns one detect.EvalScratch per monitor set, so each
+// set's indices resolve once, and only the EvalResults outlive the leg.
+// Returns (nil, ctx.Err()) when cancelled.
 func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
 	if len(cfg.MonitorCounts) == 0 || cfg.Pairs <= 0 {
 		return nil, errors.New("experiment: empty detection config")
@@ -114,43 +112,51 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	if rels == nil {
 		rels = g
 	}
-	usable, err := drawEffectiveAttacks(ctx, g, attackDraw{
-		what: "detection sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 20,
-		prepend: cfg.Prepend, violate: cfg.Violate, seed: cfg.Seed,
-		workers: cfg.Workers, counters: cfg.Counters,
+	latencyCount := cfg.LatencyMonitors
+	if latencyCount <= 0 {
+		latencyCount = slices.Max(cfg.MonitorCounts)
+	}
+	// A latency count outside MonitorCounts gets its own evaluation, which
+	// contributes no accuracy point.
+	counts := cfg.MonitorCounts
+	if !slices.Contains(counts, latencyCount) {
+		counts = append(slices.Clone(counts), latencyCount)
+	}
+	monitors := make([][]bgp.ASN, len(counts))
+	for ci, d := range counts {
+		var err error
+		if monitors[ci], err = pickMonitors(g, d, cfg.Policy, cfg.Seed); err != nil {
+			return nil, err
+		}
+	}
+
+	r, err := newLegRunner(g, legOptions{what: "detection sweep", workers: cfg.Workers, counters: cfg.Counters})
+	if err != nil {
+		return nil, err
+	}
+	scratch := make([]*detect.EvalScratch, len(r.shards)*len(counts)) // [shard][monitor set]
+	for i := range scratch {
+		scratch[i] = detect.NewEvalScratch()
+	}
+	stream := randomAttackStream(g, cfg.Seed, cfg.Pairs*20, cfg.Prepend, cfg.Violate)
+	usable, err := firstEffective(ctx, r, stream, cfg.Pairs, func(shard int, im *core.Impact) []detect.EvalResult {
+		evals := make([]detect.EvalResult, len(counts)) // one per monitor set
+		for ci := range counts {
+			evals[ci] = detect.EvaluateScratch(im, monitors[ci], rels, scratch[shard*len(counts)+ci])
+			evals[ci].Alarms = nil // the verdicts are all the figures read
+		}
+		return evals
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &DetectionOutcome{UsablePairs: len(usable)}
-	latencyCount := cfg.LatencyMonitors
-	if latencyCount <= 0 {
-		for _, d := range cfg.MonitorCounts {
-			latencyCount = max(latencyCount, d)
-		}
-	}
-	// A latency count outside MonitorCounts gets its own evaluation pass,
-	// which contributes no accuracy point.
-	counts := cfg.MonitorCounts
-	if !slices.Contains(counts, latencyCount) {
-		counts = append(slices.Clone(counts), latencyCount)
-	}
 	for ci, d := range counts {
-		monitors, err := pickMonitors(g, d, cfg.Policy, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		evals, cerr := parallel.MapScratchErr(ctx, len(usable), cfg.Workers, detect.NewEvalScratch,
-			func(sc *detect.EvalScratch, i int) (detect.EvalResult, error) {
-				return detect.EvaluateScratch(usable[i], monitors, rels, sc), nil
-			})
-		if cerr != nil {
-			return nil, fmt.Errorf("experiment: detection evaluation cancelled: %w", cerr)
-		}
 		if ci < len(cfg.MonitorCounts) {
 			pt := AccuracyPoint{Monitors: d}
-			for _, ev := range evals {
+			for _, evals := range usable {
+				ev := evals[ci]
 				if ev.Detected {
 					pt.Detected++
 				}
@@ -168,89 +174,33 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 			out.Accuracy = append(out.Accuracy, pt)
 		}
 		if d == latencyCount {
-			out.PollutedBeforeDetection = make([]float64, len(evals))
-			out.LatencyDetected = make([]bool, len(evals))
-			for i, ev := range evals {
-				out.PollutedBeforeDetection[i] = ev.PollutedBeforeDetection
-				out.LatencyDetected[i] = ev.Detected
+			out.PollutedBeforeDetection = make([]float64, len(usable))
+			out.LatencyDetected = make([]bool, len(usable))
+			for k, evals := range usable {
+				out.PollutedBeforeDetection[k] = evals[ci].PollutedBeforeDetection
+				out.LatencyDetected[k] = evals[ci].Detected
 			}
 		}
 	}
 	return out, nil
 }
 
-// attackDraw parameterizes drawEffectiveAttacks.
-type attackDraw struct {
-	what     string // names the sweep in errors ("detection sweep")
-	pairs    int    // effective attacks wanted
-	budget   int    // candidate draws allowed in total
-	prepend  int
-	violate  bool
-	seed     int64
-	workers  int
-	counters *obs.Counters
-}
-
-// drawEffectiveAttacks simulates random interception attacks — victim and
-// attacker uniform over all ASes — until d.pairs of them are effective,
-// and returns those in draw order. Candidates are drawn in chunks of
-// d.pairs from one rng stream, so the k-th candidate is identical
-// regardless of the chunking and the usable set matches a
-// draw-everything-upfront sweep, while stopping after ≈pairs simulations;
-// d.budget only bounds how far redraws may reach. An attack must actually
-// capture someone to count: one that changes no routes is a no-op —
-// unobservable and harmless — and would only dilute a detection
-// denominator. Unreachable attackers and no-op attacks are skipped and
-// counted; anything else is fatal. Fewer than pairs/2 effective attacks
-// within the budget is an error.
-func drawEffectiveAttacks(ctx context.Context, g *topology.Graph, d attackDraw) ([]*core.Impact, error) {
-	rng := rand.New(rand.NewSource(d.seed))
+// randomAttackStream draws budget interception candidates — victim and
+// attacker uniform over all ASes, never equal — from one rng, up front, so
+// the k-th candidate is the same however many of them a draw consumes
+// (DESIGN §5f).
+func randomAttackStream(g *topology.Graph, seed int64, budget, prepend int, violate bool) []core.Scenario {
+	rng := rand.New(rand.NewSource(seed))
 	asns := g.ASNs()
-	cache := NewBaselineCache(g, d.counters, 0, 0)
-	usable := make([]*core.Impact, 0, d.pairs)
-	for drawn := 0; len(usable) < d.pairs && drawn < d.budget; {
-		chunk := make([]core.Scenario, 0, d.pairs)
-		for len(chunk) < d.pairs && drawn < d.budget {
-			v := asns[rng.Intn(len(asns))]
-			m := asns[rng.Intn(len(asns))]
-			if v != m {
-				chunk = append(chunk, core.Scenario{Victim: v, Attacker: m, Prepend: d.prepend, ViolateValleyFree: d.violate})
-				drawn++
-			}
-		}
-		impacts, err := parallel.MapErr(ctx, len(chunk), d.workers, func(i int) (*core.Impact, error) {
-			sc := chunk[i]
-			base, err := cache.Get(sc.Victim, sc.Prepend)
-			if err != nil {
-				return nil, baselineError(sc.Victim, sc.Prepend, err)
-			}
-			im, err := core.SimulateWithBaseline(g, sc, base, d.counters)
-			if routing.Skippable(err) {
-				d.counters.AddSkippedUnreachable(1)
-				return nil, nil // skippable draw; redrawn from the stream
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pair %v/%v: %w", sc.Victim, sc.Attacker, err)
-			}
-			if len(im.NewlyPolluted()) == 0 {
-				d.counters.AddSkippedIneffective(1)
-				return nil, nil
-			}
-			return im, nil
-		})
-		if err != nil {
-			return nil, sweepError(d.what, err)
-		}
-		for _, im := range impacts {
-			if im != nil && len(usable) < d.pairs {
-				usable = append(usable, im)
-			}
+	stream := make([]core.Scenario, 0, budget)
+	for len(stream) < budget {
+		v := asns[rng.Intn(len(asns))]
+		m := asns[rng.Intn(len(asns))]
+		if v != m {
+			stream = append(stream, core.Scenario{Victim: v, Attacker: m, Prepend: prepend, ViolateValleyFree: violate})
 		}
 	}
-	if len(usable) < d.pairs/2 {
-		return nil, fmt.Errorf("experiment: %s: only %d usable attack pairs", d.what, len(usable))
-	}
-	return usable, nil
+	return stream
 }
 
 func pickMonitors(g *topology.Graph, d int, policy MonitorPolicy, seed int64) ([]bgp.ASN, error) {

@@ -157,7 +157,7 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 	err = r.drain(ctx, func() []core.Scenario {
 		chunk = nextChunk(cfg.N - len(out)) // empty: quota met, or retry budget or pair space exhausted
 		return chunk
-	}, func(i int, c core.Counts) {
+	}, nil, func(i int, c core.Counts) {
 		sc := chunk[i]
 		out = append(out, PairImpact{
 			Victim:     sc.Victim,
@@ -246,7 +246,7 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 			ViolateValleyFree: cfg.Violate,
 		}
 	}
-	counts, _, err := r.run(ctx, legs, false)
+	counts, _, err := r.run(ctx, legs, false, nil)
 	if err != nil {
 		return nil, err
 	}

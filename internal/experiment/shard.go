@@ -56,6 +56,15 @@ type legOptions struct {
 	allFatal bool
 }
 
+// legVisitor is how a driver reads more off a leg than its counts (monitor
+// paths, the pollution set) without retaining it: it sees leg i of the run
+// on the goroutine of the shard that simulated it, and says whether the leg
+// is usable (a rejected leg reads as not done, like a skipped one). The
+// Impact is borrowed from the shard's Scratch — valid until the visitor
+// returns, copy what you keep. Shards visit concurrently: shared state is
+// indexed by shard or by leg.
+type legVisitor func(shard, i int, im *core.Impact) bool
+
 // normalizeShards resolves the (Shards, MemBudget, Workers) configuration
 // triple to a shard count: an explicit Shards > 0 stands; MemBudget alone
 // implies one budgeted shard; otherwise one shard per effective worker —
@@ -104,6 +113,7 @@ type shardState struct {
 	cache  *BaselineCache
 	runner *core.DeltaBatchRunner
 
+	im    core.Impact // the current serial leg, lent to the visitor
 	warm  []BaselineKey
 	scs   []core.Scenario
 	bases []*routing.Result
@@ -126,7 +136,8 @@ type legRunner struct {
 // it; without one the configured batch width stands. Lane width never
 // changes sweep output — only grouping. Attack legs batch when the width
 // allows it, except on sibling-bearing topologies (the lane engines refuse
-// them); serial legs run on the engine core.SimulateCounts picks.
+// them), forged-claim legs and runs with a visitor (the lanes keep no
+// Impact to lend); serial legs run on the engine core.SimulateScratch picks.
 func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 	nShards, err := normalizeShards(o.shards, o.memBudget, o.workers)
 	if err != nil {
@@ -153,11 +164,12 @@ func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 
 // run simulates legs and returns their pollution counts in leg order;
 // done[i] is false for a leg skipped because its attacker never receives
-// the route. Each shard samples its memory high-watermarks into the
-// counters when it completes — a deterministic point, so the reported
-// gauges do not depend on scheduling — and then releases its cache,
-// unless keepWarm says another run over overlapping victims follows.
-func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool) (counts []core.Counts, done []bool, err error) {
+// the route, or rejected by the optional visitor. Each shard samples its
+// memory high-watermarks into the counters when it completes — a
+// deterministic point, so the reported gauges do not depend on scheduling —
+// and then releases its cache, unless keepWarm says another run over
+// overlapping victims follows.
+func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool, visit legVisitor) (counts []core.Counts, done []bool, err error) {
 	counts = make([]core.Counts, len(legs))
 	done = make([]bool, len(legs))
 	perShard := make([][]int, len(r.shards))
@@ -170,7 +182,7 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 	}
 	err = parallel.ForEachErr(ctx, len(r.shards), r.o.workers, func(si int) error {
 		st := r.shards[si]
-		serr := r.runShard(ctx, st, legs, perShard[si], counts, done)
+		serr := r.runShard(ctx, si, legs, perShard[si], counts, done, visit)
 		r.o.counters.RecordCacheBytes(st.cache.PeakBytes())
 		r.o.counters.RecordScratchBytes(st.runner.BS.MemoryBytes() + st.runner.S.MemoryBytes())
 		if !keepWarm {
@@ -189,11 +201,12 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 // asks next for the candidates the caller's quota still needs, simulates
 // them with the shard caches kept warm — later rounds redraw over the same
 // victims — and hands every usable leg's counts to take, in leg order; a
-// leg whose attacker never receives the route is skipped, for next to
-// replace from further down the stream. It stops when next submits nothing.
-func (r *legRunner) drain(ctx context.Context, next func() []core.Scenario, take func(i int, c core.Counts)) error {
+// leg whose attacker never receives the route, or that the optional visitor
+// rejects, is skipped, for next to replace from further down the stream. It
+// stops when next submits nothing.
+func (r *legRunner) drain(ctx context.Context, next func() []core.Scenario, visit legVisitor, take func(i int, c core.Counts)) error {
 	for legs := next(); len(legs) > 0; legs = next() {
-		counts, done, err := r.run(ctx, legs, true)
+		counts, done, err := r.run(ctx, legs, true, visit)
 		if err != nil {
 			return err
 		}
@@ -206,13 +219,63 @@ func (r *legRunner) drain(ctx context.Context, next func() []core.Scenario, take
 	return nil
 }
 
+// firstEffective is drain for the drivers that want the first `want`
+// effective attacks of a candidate stream (detection, compare, defense): an
+// attack that captures no one is unobservable and would only dilute a
+// detection denominator, so it is skipped and counted like an unreachable
+// attacker. eval sees each effective leg as its shard simulates it; what it
+// returns comes back in draw order, whatever the shard interleaving. The
+// stream's length is the retry budget; under want/2 effective attacks
+// within it is an error.
+func firstEffective[T any](ctx context.Context, r *legRunner, stream []core.Scenario, want int, eval func(shard int, im *core.Impact) T) ([]T, error) {
+	byPos := make([]T, len(stream)) // written by the shards, one slot per candidate
+	usable := make([]T, 0, want)
+	start, end := 0, 0 // the current round is stream[start:end]
+	err := r.drain(ctx, func() []core.Scenario {
+		start, end = end, min(end+want-len(usable), len(stream))
+		return stream[start:end]
+	}, func(shard, i int, im *core.Impact) bool {
+		if !im.Effective() {
+			r.o.counters.AddSkippedIneffective(1)
+			return false
+		}
+		byPos[start+i] = eval(shard, im)
+		return true
+	}, func(i int, _ core.Counts) {
+		usable = append(usable, byPos[start+i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(usable) < want/2 {
+		return nil, fmt.Errorf("experiment: %s: only %d usable attacks", r.o.what, len(usable))
+	}
+	return usable, nil
+}
+
+// EffectiveAttacks is firstEffective for drivers outside the package
+// (defense), on a runner of its own: stream's candidates are simulated in
+// order until want are effective, never further. eval sees each one's
+// borrowed Impact (valid until eval returns; copy what you keep) and may
+// run concurrently with itself.
+func EffectiveAttacks[T any](ctx context.Context, g *topology.Graph, stream []core.Scenario, want, workers int, counters *obs.Counters, eval func(im *core.Impact) T) ([]T, error) {
+	r, err := newLegRunner(g, legOptions{what: "attack draw", workers: workers, counters: counters})
+	if err != nil {
+		return nil, err
+	}
+	return firstEffective(ctx, r, stream, want, func(_ int, im *core.Impact) T { return eval(im) })
+}
+
 // runShard runs one shard's share of the legs. They are grouped by
 // (victim, λ) — the FIFO cache then evicts a baseline only after all its
 // legs ran, and lane groups share baselines maximally — and processed in
 // windows of kEff, which bounds the pinned working set: warm the window's
-// baselines, resolve them and pre-filter unreachable attackers, run the
-// legs (serially, or as the lanes of one batched delta call).
-func (r *legRunner) runShard(ctx context.Context, st *shardState, legs []core.Scenario, idx []int, counts []core.Counts, done []bool) error {
+// baselines, resolve them and pre-filter ASPP attackers the route never
+// reaches (a forged claim needs no route), run the legs (serially, or as
+// the lanes of one batched delta call).
+func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, idx []int, counts []core.Counts, done []bool, visit legVisitor) error {
+	st := r.shards[si]
+	lanes := r.batched && visit == nil
 	sort.SliceStable(idx, func(a, b int) bool {
 		la, lb := legs[idx[a]], legs[idx[b]]
 		if la.Victim != lb.Victim {
@@ -243,24 +306,23 @@ func (r *legRunner) runShard(ctx context.Context, st *shardState, legs []core.Sc
 				// repeat for every leg sharing this baseline.
 				return baselineError(sc.Victim, sc.Prepend, err)
 			}
-			if !base.Reachable(sc.Attacker) {
+			if sc.Type == core.AttackASPP && !base.Reachable(sc.Attacker) {
 				if r.o.allFatal {
 					return fmt.Errorf("%v: %w", sc, core.ErrAttackerSeesNoRoute)
 				}
 				r.o.counters.AddSkippedUnreachable(1)
 				continue
 			}
-			if r.batched {
+			if lanes && sc.Type == core.AttackASPP {
 				st.scs = append(st.scs, sc)
 				st.bases = append(st.bases, base)
 				st.idxs = append(st.idxs, i)
 				continue
 			}
-			c, err := core.SimulateCounts(r.g, sc, base, st.runner.S, r.o.counters)
-			if err != nil {
+			if st.im, err = core.SimulateScratch(r.g, sc, base, st.runner.S, r.o.counters); err != nil {
 				return fmt.Errorf("%v: %w", sc, err)
 			}
-			counts[i], done[i] = c, true
+			counts[i], done[i] = st.im.Counts, visit == nil || visit(si, i, &st.im)
 		}
 		// A window holds at most kEff legs, so the baselines one batched
 		// call pins never exceed one lane group.

@@ -151,7 +151,7 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 			}
 		}
 		return legs
-	}, func(i int, counts core.Counts) {
+	}, nil, func(i int, counts core.Counts) {
 		c, f := cellOf[i], counts.After()
 		c.Instances++
 		c.MeanPollution += f

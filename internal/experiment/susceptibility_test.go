@@ -51,7 +51,7 @@ func eagerMatrix(t *testing.T, g *topology.Graph, cfg SusceptibilityConfig) []Ti
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, done, err := r.run(context.Background(), legs, false)
+	counts, done, err := r.run(context.Background(), legs, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

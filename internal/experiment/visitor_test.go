@@ -1,0 +1,445 @@
+package experiment
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"aspp/internal/bgp"
+	"aspp/internal/core"
+	"aspp/internal/detect"
+	"aspp/internal/obs"
+	"aspp/internal/parallel"
+	"aspp/internal/routing"
+	"aspp/internal/topology"
+)
+
+// The retained-Impact oracles: detection and compare as they ran before the
+// leg visitor — draw chunk by chunk with a private loop, keep every usable
+// attack's whole core.Impact, evaluate afterwards. Test-side only; the
+// drivers must reproduce them field for field.
+
+type attackDraw struct {
+	what    string
+	pairs   int
+	budget  int
+	prepend int
+	violate bool
+	seed    int64
+}
+
+func drawEffectiveAttacks(ctx context.Context, g *topology.Graph, d attackDraw) ([]*core.Impact, error) {
+	rng := rand.New(rand.NewSource(d.seed))
+	asns := g.ASNs()
+	cache := NewBaselineCache(g, nil, 0, 0)
+	usable := make([]*core.Impact, 0, d.pairs)
+	for drawn := 0; len(usable) < d.pairs && drawn < d.budget; {
+		chunk := make([]core.Scenario, 0, d.pairs)
+		for len(chunk) < d.pairs && drawn < d.budget {
+			v := asns[rng.Intn(len(asns))]
+			m := asns[rng.Intn(len(asns))]
+			if v != m {
+				chunk = append(chunk, core.Scenario{Victim: v, Attacker: m, Prepend: d.prepend, ViolateValleyFree: d.violate})
+				drawn++
+			}
+		}
+		impacts := make([]*core.Impact, len(chunk))
+		err := parallel.ForEachErr(ctx, len(chunk), 2, func(i int) error {
+			sc := chunk[i]
+			base, err := cache.Get(sc.Victim, sc.Prepend)
+			if err != nil {
+				return baselineError(sc.Victim, sc.Prepend, err)
+			}
+			im, err := core.SimulateWithBaseline(g, sc, base, nil)
+			if errors.Is(err, routing.ErrUnreachableAttacker) {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("pair %v/%v: %w", sc.Victim, sc.Attacker, err)
+			}
+			if len(im.NewlyPolluted()) > 0 {
+				impacts[i] = im
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, sweepError(d.what, err)
+		}
+		for _, im := range impacts {
+			if im != nil && len(usable) < d.pairs {
+				usable = append(usable, im)
+			}
+		}
+	}
+	if len(usable) < d.pairs/2 {
+		return nil, fmt.Errorf("experiment: %s: only %d usable attack pairs", d.what, len(usable))
+	}
+	return usable, nil
+}
+
+func retainedDetection(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
+	usable, err := drawEffectiveAttacks(ctx, g, attackDraw{
+		what: "detection sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 20,
+		prepend: cfg.Prepend, violate: cfg.Violate, seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &DetectionOutcome{UsablePairs: len(usable)}
+	latencyCount := cfg.LatencyMonitors
+	if latencyCount <= 0 {
+		latencyCount = slices.Max(cfg.MonitorCounts)
+	}
+	counts := cfg.MonitorCounts
+	if !slices.Contains(counts, latencyCount) {
+		counts = append(slices.Clone(counts), latencyCount)
+	}
+	for ci, d := range counts {
+		monitors, err := pickMonitors(g, d, cfg.Policy, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		evals := make([]detect.EvalResult, len(usable))
+		for i, im := range usable {
+			evals[i] = detect.Evaluate(im, monitors, g)
+		}
+		if ci < len(cfg.MonitorCounts) {
+			pt := AccuracyPoint{Monitors: d}
+			for _, ev := range evals {
+				if ev.Detected {
+					pt.Detected++
+				}
+				if ev.DetectedHigh {
+					pt.High++
+				}
+				if ev.Attributed {
+					pt.Attributed++
+				}
+			}
+			n := float64(len(usable))
+			pt.Detected /= n
+			pt.High /= n
+			pt.Attributed /= n
+			out.Accuracy = append(out.Accuracy, pt)
+		}
+		if d == latencyCount {
+			out.PollutedBeforeDetection = make([]float64, len(evals))
+			out.LatencyDetected = make([]bool, len(evals))
+			for i, ev := range evals {
+				out.PollutedBeforeDetection[i] = ev.PollutedBeforeDetection
+				out.LatencyDetected[i] = ev.Detected
+			}
+		}
+	}
+	return out, nil
+}
+
+func retainedCompare(ctx context.Context, g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
+	monitors := g.TopByDegree(cfg.Monitors)
+	impacts, err := drawEffectiveAttacks(ctx, g, attackDraw{
+		what: "comparison sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 30,
+		prepend: cfg.Prepend, violate: true, seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	score := func(typ core.AttackType, ims []*core.Impact) AttackComparison {
+		cmp := AttackComparison{Type: typ, Instances: len(ims)}
+		for _, im := range ims {
+			cmp.MeanPollution += im.After()
+			routes := monitorRoutesFromImpact(im, monitors)
+			if _, moas := detect.DetectMOAS(routes); moas {
+				cmp.DetectedByMOAS++
+			}
+			if len(detect.DetectFakeLinks(g, routes)) > 0 {
+				cmp.DetectedByFakeLink++
+			}
+			if detect.Evaluate(im, monitors, g).Detected {
+				cmp.DetectedByASPP++
+			}
+		}
+		if n := float64(cmp.Instances); n > 0 {
+			cmp.MeanPollution /= n
+			cmp.DetectedByMOAS /= n
+			cmp.DetectedByFakeLink /= n
+			cmp.DetectedByASPP /= n
+		}
+		return cmp
+	}
+	out := []AttackComparison{score(core.AttackASPP, impacts)}
+	for _, typ := range []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception} {
+		forged := make([]*core.Impact, len(impacts))
+		for i, aspp := range impacts {
+			sc := core.Scenario{Victim: aspp.Scenario.Victim, Attacker: aspp.Scenario.Attacker, Prepend: cfg.Prepend, Type: typ}
+			if forged[i], err = core.SimulateWithBaseline(g, sc, aspp.Baseline(), nil); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, score(typ, forged))
+	}
+	return out, nil
+}
+
+// oracleGraphs is what the oracles run over: six generated seeds at n=400,
+// plus the graph whose attacker-900 draws are unreachable, so top-up rounds
+// run and a draw can end short of its quota.
+func oracleGraphs(t *testing.T) map[string]*topology.Graph {
+	gs := map[string]*topology.Graph{"unreachable-attacker": unreachableAttackerGraph(t)}
+	for seed := int64(1); seed <= 6; seed++ {
+		gs[fmt.Sprintf("n400/seed%d", seed)] = expGraph(t, 400, 100+seed)
+	}
+	return gs
+}
+
+func sameOutcome(t *testing.T, what string, got, want any, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err=%v, oracle err=%v", what, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+func TestDetectionVisitorMatchesRetained(t *testing.T) {
+	ctx := context.Background()
+	for name, g := range oracleGraphs(t) {
+		for _, policy := range []MonitorPolicy{MonitorsTopDegree, MonitorsRandom} {
+			cfg := DetectionConfig{
+				MonitorCounts: []int{2, 5, 20}, Pairs: 30, Prepend: 3, Violate: true,
+				Policy: policy, LatencyMonitors: 9, Seed: 7,
+			}
+			if g.NumASes() < 20 {
+				cfg.Pairs, cfg.LatencyMonitors = 16, 0 // latency set = the largest count
+			}
+			want, wantErr := retainedDetection(ctx, g, cfg)
+			for _, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				got, err := RunDetectionCtx(ctx, g, cfg)
+				sameOutcome(t, fmt.Sprintf("%s policy %d workers %d", name, policy, workers), got, want, err, wantErr)
+			}
+		}
+	}
+}
+
+func TestCompareVisitorMatchesRetained(t *testing.T) {
+	ctx := context.Background()
+	for name, g := range oracleGraphs(t) {
+		cfg := CompareConfig{Pairs: 20, Prepend: 3, Monitors: 25, Seed: 5}
+		if g.NumASes() < 20 {
+			cfg.Pairs, cfg.Monitors = 12, 4
+		}
+		want, wantErr := retainedCompare(ctx, g, cfg)
+		for _, workers := range []int{1, 4} {
+			cfg.Workers = workers
+			got, err := CompareAttackTypesCtx(ctx, g, cfg)
+			sameOutcome(t, fmt.Sprintf("%s workers %d", name, workers), got, want, err, wantErr)
+		}
+	}
+}
+
+// TestDrawEndsShort: when the stream runs out before the quota is met the
+// draw returns what it found — what eval kept of each effective candidate,
+// in draw order — and under half the quota is an error.
+func TestDrawEndsShort(t *testing.T) {
+	g := unreachableAttackerGraph(t)
+	stream := randomAttackStream(g, 11, 60, 3, true)
+	var effective []int
+	for pos, sc := range stream {
+		if im, err := core.Simulate(g, sc); err == nil && len(im.NewlyPolluted()) > 0 {
+			effective = append(effective, pos)
+		}
+	}
+	if len(effective) < 4 || len(effective) > 30 {
+		t.Fatalf("%d of 60 candidates effective; the test needs a sparse stream", len(effective))
+	}
+	for _, workers := range []int{1, 4} {
+		c := new(obs.Counters)
+		r, err := newLegRunner(g, legOptions{what: "short draw", workers: workers, counters: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []core.Scenario
+		for _, pos := range effective {
+			want = append(want, stream[pos])
+		}
+		quota := 2*len(effective) - 1 // more than the stream holds, less than twice
+		usable, err := firstEffective(context.Background(), r, stream, quota, func(_ int, im *core.Impact) core.Scenario { return im.Scenario })
+		if err != nil || !reflect.DeepEqual(usable, want) {
+			t.Errorf("workers %d: usable %v err=%v, want %v", workers, usable, err, want)
+		}
+		if s := c.Snapshot(); int(s.AttackPropagations()+s.SkippedUnreachable) != len(stream) || s.SkippedUnreachable == 0 {
+			t.Errorf("workers %d: counters %+v, want the whole %d-candidate stream consumed, some of it unreachable", workers, s, len(stream))
+		}
+		if _, err := firstEffective(context.Background(), r, stream, 2*len(effective)+2, func(int, *core.Impact) bool { return true }); err == nil {
+			t.Errorf("workers %d: %d usable of %d wanted accepted", workers, len(effective), 2*len(effective)+2)
+		}
+	}
+}
+
+// consumedByQuota walks stream serially and returns how many candidates a
+// draw must consume for want effective attacks (the whole stream when it
+// has fewer), and how many of those are effective.
+func consumedByQuota(t *testing.T, g *topology.Graph, stream []core.Scenario, want int) (consumed, effective int) {
+	t.Helper()
+	for _, sc := range stream {
+		if effective == want {
+			break
+		}
+		consumed++
+		im, err := core.Simulate(g, sc)
+		if errors.Is(err, routing.ErrUnreachableAttacker) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", sc, err)
+		}
+		if len(im.NewlyPolluted()) > 0 {
+			effective++
+		}
+	}
+	return consumed, effective
+}
+
+// TestDrawSimulatesWhatItConsumes: a draw stops at the candidate that meets
+// its quota — every consumed candidate is either simulated once or skipped
+// as unreachable, none past the quota is touched — on a connected graph
+// and on the one where top-up rounds replace unreachable draws.
+func TestDrawSimulatesWhatItConsumes(t *testing.T) {
+	ctx := context.Background()
+	for name, g := range map[string]*topology.Graph{"n400": expGraph(t, 400, 41), "unreachable-attacker": unreachableAttackerGraph(t)} {
+		const pairs = 12
+		consumed, effective := consumedByQuota(t, g, randomAttackStream(g, 3, pairs*20, 3, true), pairs)
+
+		c := new(obs.Counters)
+		out, err := RunDetectionCtx(ctx, g, DetectionConfig{
+			MonitorCounts: []int{4}, Pairs: pairs, Prepend: 3, Violate: true,
+			Policy: MonitorsTopDegree, Seed: 3, Workers: 4, Counters: c,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := c.Snapshot()
+		if out.UsablePairs != effective || int(s.AttackPropagations()+s.SkippedUnreachable) != consumed ||
+			int(s.AttackPropagations()-s.SkippedIneffective) != effective {
+			t.Errorf("%s: detection usable=%d, counters %+v; want %d usable from %d consumed candidates",
+				name, out.UsablePairs, s, effective, consumed)
+		}
+
+		// Compare consumes its own 30× stream the same way, then runs two
+		// forged legs per usable pair — full propagations, never skipped.
+		consumed, effective = consumedByQuota(t, g, randomAttackStream(g, 3, pairs*30, 3, true), pairs)
+		c = new(obs.Counters)
+		cmp, err := CompareAttackTypesCtx(ctx, g, CompareConfig{Pairs: pairs, Prepend: 3, Monitors: 4, Seed: 3, Workers: 4, Counters: c})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s = c.Snapshot()
+		if cmp[0].Instances != effective || int(s.DeltaPropagations+s.SkippedUnreachable) != consumed ||
+			int(s.FullPropagations) != 2*effective {
+			t.Errorf("%s: compare instances=%d, counters %+v; want %d from %d consumed candidates and %d forged legs",
+				name, cmp[0].Instances, s, effective, consumed, 2*effective)
+		}
+	}
+}
+
+// TestDetectionAndCompareCancelMidDraw: a cancel landing while a shard is
+// between legs surfaces ctx.Err(), and the draw does not run on.
+func TestDetectionAndCompareCancelMidDraw(t *testing.T) {
+	g := expGraph(t, 300, 32)
+	orig := baselineOnly
+	defer func() { baselineOnly = orig }()
+	for name, run := range map[string]func(context.Context) error{
+		"detection": func(ctx context.Context) error {
+			cfg := DefaultDetectionConfig()
+			cfg.Pairs, cfg.Workers = 40, 1
+			_, err := RunDetectionCtx(ctx, g, cfg)
+			return err
+		},
+		"compare": func(ctx context.Context) error {
+			cfg := DefaultCompareConfig()
+			cfg.Workers = 1
+			_, err := CompareAttackTypesCtx(ctx, g, cfg)
+			return err
+		},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		baselineOnly = func(gg *topology.Graph, sc core.Scenario) (*routing.Result, error) {
+			if calls++; calls == 3 {
+				cancel() // the third victim's baseline pulls the plug mid-draw
+			}
+			return orig(gg, sc)
+		}
+		if err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err=%v, want errors.Is(..., context.Canceled)", name, err)
+		}
+		if calls > 4 {
+			t.Errorf("%s: %d baselines computed after the cancel", name, calls-3)
+		}
+		cancel()
+	}
+}
+
+// TestRunnerForgedLegNeedsNoRoute: the reachability pre-filter is the ASPP
+// attacker's precondition only. On unreachableAttackerGraph AS 900 never
+// hears 200's prefix: its forged legs are simulated and counted, its ASPP
+// leg is skipped — or fatal where there is nothing to redraw.
+func TestRunnerForgedLegNeedsNoRoute(t *testing.T) {
+	g := unreachableAttackerGraph(t)
+	legs := []core.Scenario{
+		{Victim: 200, Attacker: 900, Prepend: 3, Type: core.AttackOriginHijack},
+		{Victim: 200, Attacker: 900, Prepend: 3, Type: core.AttackNextHopInterception},
+		{Victim: 200, Attacker: 900, Prepend: 3},
+	}
+	for _, batch := range []int{1, 8} {
+		c := new(obs.Counters)
+		r, err := newLegRunner(g, legOptions{what: "forged legs", batch: batch, workers: 2, counters: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited := make([]bgp.ASN, len(legs))
+		counts, done, err := r.run(context.Background(), legs, false, func(_, i int, im *core.Impact) bool {
+			visited[i] = im.Scenario.Attacker
+			return true
+		})
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		if !done[0] || !done[1] || done[2] || visited[0] != 900 || visited[1] != 900 || visited[2] != 0 {
+			t.Errorf("batch %d: done=%v visited=%v, want the forged legs simulated and the ASPP leg skipped", batch, done, visited)
+		}
+		for i := range legs[:2] {
+			want, err := core.Simulate(g, legs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counts[i] != want.Counts || counts[i].PollutedAfter == 0 {
+				t.Errorf("batch %d: %v: runner counts %+v, core.Simulate %+v", batch, legs[i], counts[i], want.Counts)
+			}
+		}
+		if s := c.Snapshot(); s.FullPropagations != 2 || s.DeltaPropagations+s.DeltaBatchPropagations != 0 || s.SkippedUnreachable != 1 {
+			t.Errorf("batch %d: counters %+v, want 2 full propagations and 1 unreachable skip", batch, s)
+		}
+
+		// Without a visitor the batched runner must still keep forged legs
+		// off the delta lanes.
+		if _, done, err = r.run(context.Background(), legs, false, nil); err != nil || !done[0] || !done[1] || done[2] {
+			t.Errorf("batch %d, no visitor: done=%v err=%v", batch, done, err)
+		}
+	}
+	fatal, err := newLegRunner(g, legOptions{what: "forged legs", workers: 1, allFatal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fatal.run(context.Background(), legs[:2], false, nil); err != nil {
+		t.Errorf("allFatal, forged legs only: %v", err)
+	}
+	if _, _, err := fatal.run(context.Background(), legs, false, nil); !errors.Is(err, core.ErrAttackerSeesNoRoute) {
+		t.Errorf("allFatal, ASPP leg on the dark prefix: err=%v, want ErrAttackerSeesNoRoute", err)
+	}
+}

@@ -35,23 +35,6 @@ func ForEachErr(ctx context.Context, n, workers int, fn func(i int) error) error
 		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// MapErr runs error-returning fn over [0, n) with bounded fan-out,
-// collecting results in index order. The returned slice always has n
-// entries; when err is non-nil only a prefix was computed and the rest
-// hold zero values (a failing index keeps its zero value too).
-func MapErr[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachErr(ctx, n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
-}
-
 // ForEachScratchErr is ForEachErr with per-worker reusable state: every
 // worker goroutine calls newState once and passes its state to each fn
 // call it executes, so a sweep worker reuses one routing.Scratch (or any
@@ -136,8 +119,10 @@ feed:
 	return ctx.Err()
 }
 
-// MapScratchErr is MapErr with per-worker reusable state (see
-// ForEachScratchErr). The failing index's slot keeps its zero value.
+// MapScratchErr runs error-returning fn over [0, n) as ForEachScratchErr
+// does, collecting results in index order. The returned slice always has n
+// entries; when err is non-nil only a prefix was computed and the rest hold
+// zero values (a failing index keeps its zero value too).
 func MapScratchErr[S, T any](ctx context.Context, n, workers int, newState func() S, fn func(st S, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachScratchErr(ctx, n, workers, newState, func(st S, i int) error {

@@ -82,13 +82,13 @@ func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
 	}
 }
 
-// TestMapCtxPartialTailIsZero pins MapErr's shape on cancellation: always
+// TestMapCtxPartialTailIsZero pins MapScratchErr's shape on cancellation: always
 // n entries, computed prefix, untouched zero-value tail.
 func TestMapCtxPartialTailIsZero(t *testing.T) {
 	const n = 300
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int32
-	out, err := MapErr(ctx, n, 4, func(i int) (int, error) {
+	out, err := mapErr(ctx, n, 4, func(i int) (int, error) {
 		if calls.Add(1) == 25 {
 			cancel()
 		}
@@ -120,7 +120,7 @@ func TestMapCtxPartialTailIsZero(t *testing.T) {
 	// Pre-cancelled context: nothing runs, full zero-value slice.
 	pre, precancel := context.WithCancel(context.Background())
 	precancel()
-	out, err = MapErr(pre, n, 4, func(i int) (int, error) { return i + 1, nil })
+	out, err = mapErr(pre, n, 4, func(i int) (int, error) { return i + 1, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled err=%v, want context.Canceled", err)
 	}

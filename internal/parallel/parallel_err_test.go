@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// mapErr is MapScratchErr without worker state — the shape the prefix,
+// cancellation and first-error suites below exercise.
+func mapErr[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	return MapScratchErr(ctx, n, workers, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (T, error) { return fn(i) })
+}
+
 // TestMapErrCompletes: with no errors and a live context, every index runs
 // exactly once across the worker-count edge cases and all results land in
 // index order.
@@ -16,7 +23,7 @@ func TestMapErrCompletes(t *testing.T) {
 	const n = 200
 	for _, workers := range []int{0, 1, 3, n, n * 2} {
 		counts := make([]int32, n)
-		out, err := MapErr(context.Background(), n, workers, func(i int) (int, error) {
+		out, err := mapErr(context.Background(), n, workers, func(i int) (int, error) {
 			atomic.AddInt32(&counts[i], 1)
 			return i + 1, nil
 		})
@@ -43,7 +50,7 @@ func TestMapErrWorkerErrorLeavesPrefix(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{0, 1, 4, n, n + 50} {
 		processed := make([]int32, n)
-		out, err := MapErr(context.Background(), n, workers, func(i int) (int, error) {
+		out, err := mapErr(context.Background(), n, workers, func(i int) (int, error) {
 			processed[i] = 1
 			if i >= 40 {
 				return 0, fmt.Errorf("index %d: %w", i, boom)
@@ -86,7 +93,7 @@ func TestMapErrCancelLeavesPrefix(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		processed := make([]int32, n)
 		var calls atomic.Int32
-		_, err := MapErr(ctx, n, workers, func(i int) (int, error) {
+		_, err := mapErr(ctx, n, workers, func(i int) (int, error) {
 			processed[i] = 1
 			if calls.Add(1) == 40 {
 				cancel()
@@ -111,7 +118,7 @@ func TestMapErrWorkerErrorBeatsCancel(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := MapErr(ctx, 100, 4, func(i int) (int, error) {
+	_, err := mapErr(ctx, 100, 4, func(i int) (int, error) {
 		if i == 10 {
 			cancel()
 			return 0, boom
@@ -185,7 +192,7 @@ func TestMapErrConcurrentCancelStress(t *testing.T) {
 			time.Sleep(time.Duration(round%7) * 10 * time.Microsecond)
 			cancel()
 		}()
-		_, err := MapErr(ctx, n, 6, func(i int) (int, error) {
+		_, err := mapErr(ctx, n, 6, func(i int) (int, error) {
 			if returned.Load() {
 				t.Errorf("round %d: call for index %d after return", round, i)
 			}

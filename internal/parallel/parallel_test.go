@@ -38,7 +38,7 @@ func TestForEachZeroN(t *testing.T) {
 }
 
 func TestMapOrdered(t *testing.T) {
-	got, err := MapErr(context.Background(), 10, 4, func(i int) (int, error) { return i * i, nil })
+	got, err := mapErr(context.Background(), 10, 4, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

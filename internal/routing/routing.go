@@ -220,16 +220,7 @@ func (atk Attacker) keep() int16 {
 var errNeedsStrip = errors.New("routing: this engine serves AttackASPP only; forged claims run PropagateAttackScratch")
 
 // ErrUnreachableAttacker is returned by PropagateAttackScratch when the attacker
-// has no route to the origin and therefore nothing to strip.
+// has no route to the origin and therefore nothing to strip — the skippable
+// class of the sweep error contract (DESIGN §6): a property of the drawn
+// scenario, which drivers redraw, not a failure of the machinery.
 var ErrUnreachableAttacker = errors.New("routing: attacker has no route to origin")
-
-// Skippable classifies an error for the sweep error contract (DESIGN §6):
-// it reports whether err is a per-draw property of the simulated scenario
-// itself — the attacker never learns the victim's route, so the instance
-// cannot exist — rather than a failure of the propagation machinery.
-// Sweep drivers redraw skippable instances and abort the whole sweep on
-// anything else. core.ErrAttackerSeesNoRoute wraps ErrUnreachableAttacker,
-// so both layers' sentinels match here.
-func Skippable(err error) bool {
-	return errors.Is(err, ErrUnreachableAttacker)
-}

@@ -488,7 +488,9 @@ func TestIngestTCP(t *testing.T) {
 
 	want := int64(len(updates))
 	deadline := time.Now().Add(10 * time.Second)
-	for p.processed.Load() < want {
+	// The connection handler lands its last partial batch of frame counts
+	// after EOF, which the shard workers can beat: wait for both.
+	for p.processed.Load() < want || counters.Snapshot().FramesIn < want {
 		if time.Now().After(deadline) {
 			t.Fatalf("processed %d of %d updates before timeout", p.processed.Load(), want)
 		}

@@ -12,7 +12,8 @@ import (
 // change to the generator's draw sequence, the ASN pool, or the
 // InternetGenConfig calibration shows up here first. Regenerate the
 // constants ONLY for a deliberate, documented topology change — every
-// committed 80k result (BENCH_pr9.json, EXPERIMENTS.md) is tied to them.
+// committed 80k result (bench/testdata/digests.json, EXPERIMENTS.md) is
+// tied to them.
 func TestInternet80kDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("80k generation under -short")

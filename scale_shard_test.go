@@ -100,8 +100,8 @@ func BenchmarkShardedPairSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkScale80kPairSweep is the committed 80k record (BENCH_pr9.json):
-// the scale-smoke sweep as a benchmark, gated like the scale tests.
+// BenchmarkScale80kPairSweep is the scale-smoke sweep as a benchmark, gated
+// like the scale tests (the measured 80k record is bench/'s sweep80k).
 func BenchmarkScale80kPairSweep(b *testing.B) {
 	scaleGate(b)
 	in := internet80k(b)
