@@ -1,20 +1,21 @@
 GO ?= go
 
-.PHONY: check build test race fuzz-smoke bench bench-smoke scale-smoke serve-smoke lint-panics lint-paths lint-fmt loc
+.PHONY: check tier1 build test race fuzz-smoke bench scale-smoke serve-smoke lint-panics lint-paths lint-fmt loc
 
-# Tier-1 matrix: everything CI gates on. The conservation differential
-# re-runs explicitly so a counter-attribution regression names itself in
-# the CI log instead of hiding inside the package sweep.
-check: lint-panics lint-paths lint-fmt
+# Everything CI gates on. CI runs the lints, tier1 and the two smokes as
+# jobs of their own; locally `make check` is all of them.
+check: lint-panics lint-paths lint-fmt tier1 scale-smoke serve-smoke
+
+# The conservation differential re-runs explicitly so a counter-attribution
+# regression names itself in the CI log instead of hiding inside the
+# package sweep.
+tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/parallel/ ./internal/routing/
 	$(GO) test -run=TestBatchedSweepPropagationConservation -count=1 ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
-	$(MAKE) bench-smoke
-	$(MAKE) scale-smoke
-	$(MAKE) serve-smoke
 
 # Sweep workers must return errors, never panic (DESIGN.md §6 "Error
 # contract"): non-test code in the gated packages may not call panic().
@@ -48,16 +49,16 @@ lint-fmt:
 		echo "$$bad"; exit 1; \
 	fi
 
-# Non-test Go lines of the packages ROADMAP item 1 wants smaller (target:
-# routing + core + experiment net -1,500) and of the layers above and
-# beside them that its cuts reach: total lines, and lines that are neither
-# blank nor comment-only. CI prints it so the trend is in the log.
+# Non-test Go lines of every internal/ and cmd/ package and of aspp.go,
+# then their sum: total lines, and lines that are neither blank nor
+# comment-only. ROADMAP item 1 reads its targets off this (routing + core +
+# experiment net -1,500); CI prints it so the trend is in the log.
 loc:
 	@count() { awk -v p="$$1" '{t++} !/^[[:space:]]*($$|\/\/)/{c++} END{printf "%-20s %5d lines %5d code\n", p, t, c}'; }; \
-	for p in internal/routing internal/core internal/experiment internal/topology internal/measure internal/parallel internal/defense internal/detect cmd/asppbench; do \
-		ls $$p/*.go | grep -v _test.go | xargs cat | count $$p; \
-	done; \
-	count aspp.go < aspp.go
+	src() { ls $$1/*.go | grep -v _test.go | xargs cat; }; \
+	for p in internal/* cmd/*; do src $$p | count $$p; done; \
+	count aspp.go < aspp.go; \
+	{ for p in internal/* cmd/*; do src $$p; done; cat aspp.go; } | count total
 
 build:
 	$(GO) build ./...
@@ -86,15 +87,10 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau' -count=1 ./internal/serve/
 
+# The repository's one benchmark (BENCHMARK.json): end-to-end workloads
+# plus the per-layer rows, written to bench/out/. See bench/README.md.
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# Every benchmark body runs exactly once, so benchmarks compile and execute
-# on every `make check` and can never bit-rot. Not a measurement. The ./...
-# sweep includes the PR 5 arena/detector benchmarks (BenchmarkPathsInto in
-# internal/routing, BenchmarkDetectorObserve in internal/detect).
-bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	bash bench/run.sh
 
 # Internet-scale smoke (DESIGN §5f): a reduced tier-1 pair sweep over the
 # canonical internet80k topology through the sharded path, under an

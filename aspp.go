@@ -273,7 +273,11 @@ func (in *Internet) SimulateAttack(sc Scenario) (*Impact, error) {
 // SimulateAttackObs is SimulateAttack recording propagation telemetry
 // into the optional counters (nil disables recording).
 func (in *Internet) SimulateAttackObs(sc Scenario, c *Counters) (*Impact, error) {
-	return core.SimulateWithBaseline(in.g, sc, nil, c)
+	im, err := core.SimulateScratch(in.g, sc, nil, nil, c)
+	if err != nil {
+		return nil, err
+	}
+	return &im, nil
 }
 
 // Propagate computes baseline routing for an announcement.

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -162,7 +163,7 @@ func parseMemBudget(v string) (int64, error) {
 		digits, mult = v[:len(v)-1], 1<<30
 	}
 	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("-mem-budget: want a positive byte count with optional K/M/G suffix, got %q", v)
 	}
 	return n * mult, nil

@@ -157,7 +157,7 @@ func TestRunShardFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Errorf("-shards -2: want a shard-count error, got %v", err)
 	}
-	for _, bad := range []string{"0", "-5", "x", "12Q", "M"} {
+	for _, bad := range []string{"0", "-5", "x", "12Q", "M", "9223372036854775807K"} { // the last overflows n * 1024
 		err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-mem-budget", bad}, &sb)
 		if err == nil || !strings.Contains(err.Error(), "-mem-budget") {
 			t.Errorf("-mem-budget %q: want a budget error, got %v", bad, err)

@@ -5,6 +5,7 @@ package aspp
 
 import (
 	"bytes"
+	"io"
 	"net/netip"
 	"testing"
 
@@ -157,21 +158,29 @@ func TestBinaryStreamPipelineRoundTrip(t *testing.T) {
 	}
 	stream = append(stream, changes...)
 
-	var buf bytes.Buffer
-	if err := bgp.WriteUpdatesBinary(&buf, stream); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, u := range stream {
+		if buf, err = bgp.AppendUpdateBinary(buf, u); err != nil {
+			t.Fatal(err)
+		}
 	}
-	decoded, err := bgp.ReadUpdatesBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != len(stream) {
-		t.Fatalf("decoded %d of %d updates", len(decoded), len(stream))
-	}
+	// Detect straight off the decoder, as asppserve does: Observe copies
+	// what it keeps, so the decoder's reused path buffer is safe to lend.
+	dec := bgp.NewStreamDecoder(bytes.NewReader(buf))
 	det := in.NewDetector(monitors)
-	alarms := 0
-	for _, u := range decoded {
+	decoded, alarms := 0, 0
+	for {
+		var u bgp.Update
+		if err := dec.Next(&u); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		decoded++
 		alarms += len(det.Observe(u))
+	}
+	if decoded != len(stream) {
+		t.Fatalf("decoded %d of %d updates", decoded, len(stream))
 	}
 	if im.PollutedAfter > 0 && alarms == 0 {
 		t.Error("no alarms after binary round trip of an effective attack")

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,139 +10,13 @@ import (
 	"strings"
 )
 
-// This file implements two interchangeable serializations for update streams
-// and table dumps:
-//
-//   - a text codec: one pipe-separated line per record, human-greppable and
-//     diff-friendly, mirroring the "show ip bgp"-style exports that BGP
-//     measurement work commonly post-processes; and
-//   - a compact binary codec (MRT-lite): length-prefixed records with
-//     fixed-width big-endian integers, for large simulated archives.
-//
-// Both codecs round-trip exactly and are covered by property tests.
-
-// Binary record layout (all integers big-endian):
-//
-//	magic   uint16  0xA5BB
-//	type    uint8   1=announce 2=withdraw
-//	time    uint64
-//	monitor uint32
-//	family  uint8   4 or 6
-//	plen    uint8   prefix bits
-//	addr    4 or 16 bytes
-//	pathlen uint16  number of ASNs (0 for withdraw)
-//	path    pathlen * uint32
-const binaryMagic = 0xA5BB
+// The text codec: one pipe-separated line per record, human-greppable and
+// diff-friendly, mirroring the "show ip bgp"-style exports that BGP
+// measurement work commonly post-processes. The binary codec is in
+// stream.go. Both round-trip exactly and are covered by property tests.
 
 // ErrBadRecord is wrapped by decode errors caused by malformed input.
 var ErrBadRecord = errors.New("bgp: bad record")
-
-// WriteUpdateBinary appends the binary encoding of u to w. Senders on a
-// hot path should prefer AppendUpdateBinary with a reused buffer.
-func WriteUpdateBinary(w io.Writer, u Update) error {
-	buf, err := AppendUpdateBinary(make([]byte, 0, 22+16+4*len(u.Path)), u)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadUpdateBinary decodes one binary record from r. It returns io.EOF at a
-// clean end of stream.
-func ReadUpdateBinary(r io.Reader) (Update, error) {
-	var head [2]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Update{}, io.EOF
-		}
-		return Update{}, fmt.Errorf("%w: header: %v", ErrBadRecord, err)
-	}
-	if binary.BigEndian.Uint16(head[:]) != binaryMagic {
-		return Update{}, fmt.Errorf("%w: bad magic %#x", ErrBadRecord, head)
-	}
-	var fixed [15]byte // type(1) time(8) monitor(4) family(1) plen(1)
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return Update{}, fmt.Errorf("%w: fixed fields: %v", ErrBadRecord, err)
-	}
-	u := Update{
-		Type:    UpdateType(fixed[0]),
-		Time:    binary.BigEndian.Uint64(fixed[1:9]),
-		Monitor: ASN(binary.BigEndian.Uint32(fixed[9:13])),
-	}
-	family, plen := fixed[13], int(fixed[14])
-	var addr netip.Addr
-	switch family {
-	case 4:
-		var raw [4]byte
-		if _, err := io.ReadFull(r, raw[:]); err != nil {
-			return Update{}, fmt.Errorf("%w: v4 addr: %v", ErrBadRecord, err)
-		}
-		addr = netip.AddrFrom4(raw)
-	case 6:
-		var raw [16]byte
-		if _, err := io.ReadFull(r, raw[:]); err != nil {
-			return Update{}, fmt.Errorf("%w: v6 addr: %v", ErrBadRecord, err)
-		}
-		addr = netip.AddrFrom16(raw)
-	default:
-		return Update{}, fmt.Errorf("%w: bad family %d", ErrBadRecord, family)
-	}
-	pfx, err := addr.Prefix(plen)
-	if err != nil {
-		return Update{}, fmt.Errorf("%w: prefix /%d: %v", ErrBadRecord, plen, err)
-	}
-	u.Prefix = pfx
-	var cnt [2]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return Update{}, fmt.Errorf("%w: path length: %v", ErrBadRecord, err)
-	}
-	n := int(binary.BigEndian.Uint16(cnt[:]))
-	if n > MaxBinaryPathLen {
-		return Update{}, fmt.Errorf("%w: path length %d > %d", ErrFrameTooLarge, n, MaxBinaryPathLen)
-	}
-	if n > 0 {
-		raw := make([]byte, 4*n)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return Update{}, fmt.Errorf("%w: path: %v", ErrBadRecord, err)
-		}
-		u.Path = make(Path, n)
-		for i := 0; i < n; i++ {
-			u.Path[i] = ASN(binary.BigEndian.Uint32(raw[4*i:]))
-		}
-	}
-	if err := u.Validate(); err != nil {
-		return Update{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	return u, nil
-}
-
-// WriteUpdatesBinary writes all updates to w in order.
-func WriteUpdatesBinary(w io.Writer, updates []Update) error {
-	bw := bufio.NewWriter(w)
-	for i, u := range updates {
-		if err := WriteUpdateBinary(bw, u); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadUpdatesBinary reads records until EOF.
-func ReadUpdatesBinary(r io.Reader) ([]Update, error) {
-	br := bufio.NewReader(r)
-	var out []Update
-	for {
-		u, err := ReadUpdateBinary(br)
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, fmt.Errorf("record %d: %w", len(out), err)
-		}
-		out = append(out, u)
-	}
-}
 
 // WriteUpdateText appends the one-line text encoding of u to w.
 func WriteUpdateText(w io.Writer, u Update) error {

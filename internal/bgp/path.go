@@ -54,15 +54,6 @@ func (p Path) Origin() (ASN, bool) {
 	return p[len(p)-1], true
 }
 
-// First returns the most recent sender (the first element) and false if the
-// path is empty.
-func (p Path) First() (ASN, bool) {
-	if len(p) == 0 {
-		return 0, false
-	}
-	return p[0], true
-}
-
 // Len returns the AS-path length as BGP's decision process counts it: the
 // total number of entries including prepended duplicates.
 func (p Path) Len() int { return len(p) }
@@ -118,58 +109,6 @@ func (p Path) HasLoop() bool {
 		seen[a] = struct{}{}
 	}
 	return false
-}
-
-// Run is one maximal run of a repeated ASN inside a path.
-type Run struct {
-	AS    ASN
-	Count int
-}
-
-// Runs decomposes the path into its maximal runs, in path order.
-func (p Path) Runs() []Run {
-	if len(p) == 0 {
-		return nil
-	}
-	runs := make([]Run, 0, p.UniqueLen())
-	cur := Run{AS: p[0], Count: 1}
-	for _, a := range p[1:] {
-		if a == cur.AS {
-			cur.Count++
-			continue
-		}
-		runs = append(runs, cur)
-		cur = Run{AS: a, Count: 1}
-	}
-	return append(runs, cur)
-}
-
-// HasPrepending reports whether any AS appears at least twice consecutively.
-func (p Path) HasPrepending() bool {
-	for i := 1; i < len(p); i++ {
-		if p[i] == p[i-1] {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxPrepend returns the largest run length in the path (0 for an empty
-// path, 1 for a path without prepending).
-func (p Path) MaxPrepend() int {
-	best := 0
-	run := 0
-	for i, a := range p {
-		if i > 0 && a == p[i-1] {
-			run++
-		} else {
-			run = 1
-		}
-		if run > best {
-			best = run
-		}
-	}
-	return best
 }
 
 // OriginPrepend returns the length of the trailing origin run: how many
@@ -256,27 +195,6 @@ func (p Path) CommonSuffixLen(q Path) int {
 		n++
 	}
 	return n
-}
-
-// TransitSegment returns the path with the first run (the sender's own
-// prepends) and the trailing origin run removed: the intermediate transit
-// ASes the detection algorithm compares across monitors. The returned slice
-// aliases p; callers must not mutate it.
-func (p Path) TransitSegment() Path {
-	if len(p) == 0 {
-		return nil
-	}
-	first := p[0]
-	i := 0
-	for i < len(p) && p[i] == first {
-		i++
-	}
-	origin := p[len(p)-1]
-	j := len(p)
-	for j > i && p[j-1] == origin {
-		j--
-	}
-	return p[i:j]
 }
 
 // String renders the path as space-separated AS numbers, e.g.

@@ -67,20 +67,11 @@ func TestPathBasics(t *testing.T) {
 	if o, ok := p.Origin(); !ok || o != 32934 {
 		t.Errorf("Origin = %v,%v, want 32934,true", o, ok)
 	}
-	if f, ok := p.First(); !ok || f != 7018 {
-		t.Errorf("First = %v,%v, want 7018,true", f, ok)
-	}
 	if !p.Contains(3356) || p.Contains(1239) {
 		t.Error("Contains gave wrong answers")
 	}
-	if !p.HasPrepending() {
-		t.Error("HasPrepending = false, want true")
-	}
 	if got := p.OriginPrepend(); got != 3 {
 		t.Errorf("OriginPrepend = %d, want 3", got)
-	}
-	if got := p.MaxPrepend(); got != 3 {
-		t.Errorf("MaxPrepend = %d, want 3", got)
 	}
 }
 
@@ -89,14 +80,11 @@ func TestPathEmpty(t *testing.T) {
 	if _, ok := p.Origin(); ok {
 		t.Error("Origin on empty path reported ok")
 	}
-	if _, ok := p.First(); ok {
-		t.Error("First on empty path reported ok")
-	}
-	if p.OriginPrepend() != 0 || p.MaxPrepend() != 0 || p.UniqueLen() != 0 {
+	if p.OriginPrepend() != 0 || p.UniqueLen() != 0 {
 		t.Error("empty path metrics nonzero")
 	}
-	if p.HasLoop() || p.HasPrepending() {
-		t.Error("empty path reported loop/prepending")
+	if p.HasLoop() {
+		t.Error("empty path reported a loop")
 	}
 	if got := p.Unique(); got != nil {
 		t.Errorf("Unique(empty) = %v, want nil", got)
@@ -131,20 +119,6 @@ func TestPathHasLoop(t *testing.T) {
 				t.Errorf("HasLoop(%q) = %v, want %v", tt.give, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestPathRuns(t *testing.T) {
-	p := mustPath(t, "7018 4134 4134 9318 32934 32934 32934")
-	runs := p.Runs()
-	want := []Run{{7018, 1}, {4134, 2}, {9318, 1}, {32934, 3}}
-	if len(runs) != len(want) {
-		t.Fatalf("Runs = %v, want %v", runs, want)
-	}
-	for i := range runs {
-		if runs[i] != want[i] {
-			t.Errorf("Runs[%d] = %v, want %v", i, runs[i], want[i])
-		}
 	}
 }
 
@@ -185,32 +159,6 @@ func TestPrepend(t *testing.T) {
 	}
 	if got := p.Prepend(7018, 0); !got.Equal(mustPath(t, "7018 32934")) {
 		t.Errorf("Prepend n=0 = %v, want single prepend", got)
-	}
-}
-
-func TestTransitSegment(t *testing.T) {
-	tests := []struct {
-		give string
-		want string
-	}{
-		{give: "7018 4134 9318 32934 32934", want: "4134 9318"},
-		{give: "7018 7018 4134 32934", want: "4134"},
-		{give: "7018 32934", want: ""},
-		{give: "32934 32934", want: ""},
-	}
-	for _, tt := range tests {
-		t.Run(tt.give, func(t *testing.T) {
-			got := mustPath(t, tt.give).TransitSegment()
-			if tt.want == "" {
-				if len(got) != 0 {
-					t.Errorf("TransitSegment = %v, want empty", got)
-				}
-				return
-			}
-			if want := mustPath(t, tt.want); !got.Equal(want) {
-				t.Errorf("TransitSegment = %v, want %v", got, want)
-			}
-		})
 	}
 }
 
@@ -287,23 +235,6 @@ func TestUniqueIdempotentQuick(t *testing.T) {
 		p := randomPath(rng)
 		u := p.Unique()
 		return u.Unique().Equal(u) && u.UniqueLen() == len(u)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunsReconstructQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	f := func() bool {
-		p := randomPath(rng)
-		var back Path
-		for _, r := range p.Runs() {
-			for i := 0; i < r.Count; i++ {
-				back = append(back, r.AS)
-			}
-		}
-		return back.Equal(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

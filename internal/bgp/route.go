@@ -13,16 +13,6 @@ type Route struct {
 	Path   Path
 }
 
-// Valid reports whether the route has a valid prefix and a non-empty path.
-func (r Route) Valid() bool {
-	return r.Prefix.IsValid() && len(r.Path) > 0
-}
-
-// Equal reports whether two routes have the same prefix and path.
-func (r Route) Equal(o Route) bool {
-	return r.Prefix == o.Prefix && r.Path.Equal(o.Path)
-}
-
 // String renders the route as "69.171.224.0/20 via 7018 3356 32934".
 func (r Route) String() string {
 	return r.Prefix.String() + " via " + r.Path.String()

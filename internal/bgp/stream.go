@@ -9,12 +9,11 @@ import (
 	"net/netip"
 )
 
-// Streaming side of the binary (MRT-lite) codec: a frame decoder with
-// reusable buffers for long-lived ingest connections (cmd/asppserve), and
-// an allocation-free append-style encoder for load generators
-// (cmd/asppload). The frame layout is the one documented in codec.go; the
-// streaming decoder adds two hardening guarantees the batch reader never
-// needed:
+// The binary (MRT-lite) codec: length-prefixed frames with fixed-width
+// big-endian integers, for update streams between processes. One encoder,
+// AppendUpdateBinary, allocation-free on a reused buffer (cmd/asppload),
+// and one decoder, StreamDecoder, with reusable buffers for long-lived
+// ingest connections (cmd/asppserve). The decoder reads untrusted input:
 //
 //   - a path-length cap: the pathlen length prefix is attacker-controlled
 //     on a network socket, so frames above MaxBinaryPathLen are rejected
@@ -25,6 +24,19 @@ import (
 //
 // Both sentinel errors wrap ErrBadRecord, so callers that only care about
 // "malformed input" keep working unchanged.
+
+// Frame layout (all integers big-endian):
+//
+//	magic   uint16  0xA5BB
+//	type    uint8   1=announce 2=withdraw
+//	time    uint64
+//	monitor uint32
+//	family  uint8   4 or 6
+//	plen    uint8   prefix bits
+//	addr    4 or 16 bytes
+//	pathlen uint16  number of ASNs (0 for withdraw)
+//	path    pathlen * uint32
+const binaryMagic = 0xA5BB
 
 // MaxBinaryPathLen caps the AS-path length the binary codec accepts, in
 // ASNs. Real AS paths run a few dozen hops even with heavy prepending

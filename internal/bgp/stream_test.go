@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func streamFixture(t testing.TB) []Update {
@@ -21,13 +23,22 @@ func streamFixture(t testing.TB) []Update {
 	}
 }
 
-func TestStreamRoundTrip(t *testing.T) {
-	updates := streamFixture(t)
+// decodeFrame decodes the first frame of raw on a fresh decoder.
+func decodeFrame(raw []byte) (Update, error) {
+	var u Update
+	err := NewStreamDecoder(bytes.NewReader(raw)).Next(&u)
+	return u, err
+}
+
+// assertStreamRoundTrip encodes updates back to back and decodes them
+// through one decoder, whose reused path buffer must not leak one frame
+// into the next; the stream must then end in a clean io.EOF.
+func assertStreamRoundTrip(t *testing.T, updates []Update) {
+	t.Helper()
 	var buf []byte
 	var err error
 	for _, u := range updates {
-		buf, err = AppendUpdateBinary(buf, u)
-		if err != nil {
+		if buf, err = AppendUpdateBinary(buf, u); err != nil {
 			t.Fatalf("AppendUpdateBinary(%s): %v", u, err)
 		}
 	}
@@ -44,27 +55,34 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesWriteUpdateBinary pins AppendUpdateBinary and the
-// io.Writer encoder to the same wire format, and the stream decoder to
-// the record decoder.
-func TestStreamMatchesWriteUpdateBinary(t *testing.T) {
-	for _, u := range streamFixture(t) {
-		appended, err := AppendUpdateBinary(nil, u)
+func TestStreamRoundTrip(t *testing.T) {
+	assertStreamRoundTrip(t, streamFixture(t))
+}
+
+// TestStreamWireLayout pins the frame layout byte for byte: with one
+// encoder and one decoder a round trip alone would not notice both sides
+// drifting together.
+func TestStreamWireLayout(t *testing.T) {
+	fix := streamFixture(t)
+	for i, want := range [][]byte{
+		{0xA5, 0xBB, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0x1B, 0x6A, 4, 20, 69, 171, 224, 0, 0, 5,
+			0, 0, 0x10, 0x26, 0, 0, 0x24, 0x66, 0, 0, 0x80, 0xA6, 0, 0, 0x80, 0xA6, 0, 0, 0x80, 0xA6},
+		{0xA5, 0xBB, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0x10, 0x26, 4, 8, 10, 0, 0, 0, 0, 0},
+		{0xA5, 0xBB, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0x0D, 0x1C, 6, 32,
+			0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0x0D, 0x1C, 0, 0, 0, 100},
+	} {
+		got, err := AppendUpdateBinary(nil, fix[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w bytes.Buffer
-		if err := WriteUpdateBinary(&w, u); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame of %s:\ngot  %x\nwant %x", fix[i], got, want)
 		}
-		if !bytes.Equal(appended, w.Bytes()) {
-			t.Fatalf("encoders diverge for %s:\nappend %x\nwrite  %x", u, appended, w.Bytes())
-		}
-		got, err := ReadUpdateBinary(bytes.NewReader(appended))
+		u, err := decodeFrame(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertUpdateEqual(t, "append→read", u, got)
+		assertUpdateEqual(t, "literal frame", fix[i], u)
 	}
 }
 
@@ -122,9 +140,6 @@ func TestStreamOversizedFrame(t *testing.T) {
 	if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("oversized frame: %v, want ErrFrameTooLarge wrapping ErrBadRecord", err)
 	}
-	if _, err := ReadUpdateBinary(bytes.NewReader(frame)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("ReadUpdateBinary oversized frame: %v, want ErrFrameTooLarge", err)
-	}
 	// The encoder refuses to build such a frame in the first place.
 	long := Update{Type: Announce, Time: 1, Monitor: 1, Prefix: mustPrefix("10.0.0.0/8"),
 		Path: make(Path, MaxBinaryPathLen+1)}
@@ -168,5 +183,71 @@ func TestStreamDecoderZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("warmed Next allocates %.1f objects per frame, want 0", avg)
+	}
+}
+
+func TestBinaryRoundTripQuick(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	f := func() bool {
+		u := randomUpdate(rng, uint64(rng.Intn(1<<30)))
+		frame, err := AppendUpdateBinary(nil, u)
+		if err != nil {
+			t.Logf("encode: %v", err)
+			return false
+		}
+		got, err := decodeFrame(frame)
+		if err != nil {
+			t.Logf("decode: %v", err)
+			return false
+		}
+		return got.Time == u.Time && got.Monitor == u.Monitor &&
+			got.Type == u.Type && got.Prefix == u.Prefix && got.Path.Equal(u.Path)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBinaryStreamRoundTrip: 50 random frames, both families, withdrawals
+// among them.
+func TestBinaryStreamRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	updates := make([]Update, 50)
+	for i := range updates {
+		updates[i] = randomUpdate(rng, uint64(i))
+	}
+	assertStreamRoundTrip(t, updates)
+}
+
+func TestBinaryRejectsGarbage(t *testing.T) {
+	if _, err := decodeFrame([]byte{0xde, 0xad, 0xbe, 0xef}); !errors.Is(err, ErrBadRecord) {
+		t.Errorf("decoding garbage: %v, want ErrBadRecord", err)
+	}
+	// Truncated record: valid magic then nothing.
+	if _, err := decodeFrame([]byte{0xa5, 0xbb}); !errors.Is(err, ErrTruncated) {
+		t.Errorf("decoding truncated record: %v, want ErrTruncated", err)
+	}
+}
+
+func TestBinaryDecoderRobustToCorruption(t *testing.T) {
+	// Flipping any byte of a valid record must produce a clean error or a
+	// (different) valid decode — never a panic or a hang.
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 300; trial++ {
+		u := randomUpdate(rng, uint64(trial))
+		raw, err := AppendUpdateBinary(nil, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := rng.Intn(len(raw))
+		raw[pos] ^= byte(1 + rng.Intn(255))
+		got, err := decodeFrame(raw)
+		if err == nil {
+			if verr := got.Validate(); verr != nil {
+				t.Fatalf("trial %d: corrupt record decoded to invalid update: %v", trial, verr)
+			}
+		} else if !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("trial %d: corrupt record fails with %v, want an ErrBadRecord wrap", trial, err)
+		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
 
 	"aspp/internal/bgp"
 	"aspp/internal/routing"
@@ -270,26 +269,4 @@ func PlanChurn(origins []OriginConfig, n int, seed int64) []ChurnEvent {
 		events[i] = ChurnEvent{Origin: oc.AS, Primary: oc.Primary}
 	}
 	return events
-}
-
-// StyleCounts tallies origins by policy style, for reporting.
-func StyleCounts(origins []OriginConfig) map[PolicyStyle]int {
-	out := make(map[PolicyStyle]int, 4)
-	for _, oc := range origins {
-		out[oc.Style]++
-	}
-	return out
-}
-
-// SortedPrefixes returns all prefixes across origins, sorted, for
-// deterministic iteration in reports.
-func SortedPrefixes(origins []OriginConfig) []netip.Prefix {
-	var out []netip.Prefix
-	for _, oc := range origins {
-		out = append(out, oc.Prefixes...)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		return out[a].Addr().Less(out[b].Addr())
-	})
-	return out
 }

@@ -1,13 +1,9 @@
 package collector
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
-	"io"
 	"net/netip"
 	"sort"
-	"strings"
 
 	"aspp/internal/bgp"
 	"aspp/internal/routing"
@@ -17,63 +13,6 @@ import (
 type TableEntry struct {
 	Monitor bgp.ASN
 	Route   bgp.Route
-}
-
-// WriteTable writes table entries as text, one per line:
-//
-//	T|<monitor>|<prefix>|<path>
-func WriteTable(w io.Writer, entries []TableEntry) error {
-	bw := bufio.NewWriter(w)
-	for i, e := range entries {
-		if !e.Route.Valid() || e.Monitor == 0 {
-			return fmt.Errorf("collector: invalid table entry %d", i)
-		}
-		if _, err := fmt.Fprintf(bw, "T|%s|%s|%s\n",
-			e.Monitor, e.Route.Prefix, e.Route.Path); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTable parses a table snapshot written by WriteTable, skipping blank
-// lines and '#' comments.
-func ReadTable(r io.Reader) ([]TableEntry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var out []TableEntry
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, "|")
-		if len(fields) != 4 || fields[0] != "T" {
-			return nil, fmt.Errorf("collector: line %d: want T|monitor|prefix|path", lineno)
-		}
-		mon, err := bgp.ParseASN(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("collector: line %d: %w", lineno, err)
-		}
-		pfx, err := netip.ParsePrefix(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("collector: line %d: %w", lineno, err)
-		}
-		path, err := bgp.ParsePath(fields[3])
-		if err != nil {
-			return nil, fmt.Errorf("collector: line %d: %w", lineno, err)
-		}
-		out = append(out, TableEntry{
-			Monitor: mon,
-			Route:   bgp.Route{Prefix: pfx, Path: path},
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("collector: read table: %w", err)
-	}
-	return out, nil
 }
 
 // Snapshot extracts monitor-table entries for one prefix from a routing

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"net/netip"
-	"strings"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -35,56 +34,19 @@ func streamFixture(t *testing.T) (*topology.Graph, *core.Impact, netip.Prefix) {
 	return g, im, netip.MustParsePrefix("10.9.0.0/16")
 }
 
-func TestSnapshotAndTableRoundTrip(t *testing.T) {
+func TestSnapshotSortedByMonitor(t *testing.T) {
 	g, im, pfx := streamFixture(t)
-	monitors := g.ASNs()
-	entries := Snapshot(im.Baseline(), pfx, monitors)
+	entries := Snapshot(im.Baseline(), pfx, g.ASNs())
 	if len(entries) == 0 {
 		t.Fatal("empty snapshot")
 	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].Monitor >= entries[i].Monitor {
+	for i, e := range entries {
+		if i > 0 && entries[i-1].Monitor >= e.Monitor {
 			t.Fatal("snapshot not sorted by monitor")
 		}
-	}
-	var sb strings.Builder
-	if err := WriteTable(&sb, entries); err != nil {
-		t.Fatalf("WriteTable: %v", err)
-	}
-	back, err := ReadTable(strings.NewReader("# comment\n\n" + sb.String()))
-	if err != nil {
-		t.Fatalf("ReadTable: %v", err)
-	}
-	if len(back) != len(entries) {
-		t.Fatalf("round trip %d entries, want %d", len(back), len(entries))
-	}
-	for i := range back {
-		if back[i].Monitor != entries[i].Monitor || !back[i].Route.Equal(entries[i].Route) {
-			t.Errorf("entry %d mismatch: %v vs %v", i, back[i], entries[i])
+		if e.Route.Prefix != pfx || !e.Route.Path.Equal(im.Baseline().PathOf(e.Monitor)) {
+			t.Errorf("entry %d = %v, want %v's baseline route to %v", i, e, e.Monitor, pfx)
 		}
-	}
-}
-
-func TestReadTableErrors(t *testing.T) {
-	bad := []string{
-		"X|AS1|10.0.0.0/8|1 2",
-		"T|AS1|10.0.0.0/8",
-		"T|bogus|10.0.0.0/8|1 2",
-		"T|AS1|bogus|1 2",
-		"T|AS1|10.0.0.0/8|x",
-	}
-	for _, in := range bad {
-		if _, err := ReadTable(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadTable(%q) succeeded", in)
-		}
-	}
-}
-
-func TestWriteTableRejectsInvalid(t *testing.T) {
-	var sb strings.Builder
-	err := WriteTable(&sb, []TableEntry{{Monitor: 0}})
-	if err == nil {
-		t.Error("invalid entry accepted")
 	}
 }
 

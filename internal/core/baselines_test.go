@@ -185,7 +185,7 @@ func TestSimulateForgedPinnedCounts(t *testing.T) {
 		}
 		sc := Scenario{Victim: p.victim, Attacker: p.attacker, Prepend: p.lambda, Type: p.typ}
 		var c obs.Counters
-		im, err := SimulateWithBaseline(g, sc, nil, &c)
+		im, err := SimulateScratch(g, sc, nil, nil, &c)
 		if err != nil {
 			t.Fatalf("%v %v: %v", sc, p.typ, err)
 		}

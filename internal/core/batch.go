@@ -30,7 +30,7 @@ func NewDeltaBatchRunner() *DeltaBatchRunner {
 // Simulate runs len(scs) interception attacks as lanes of one batched
 // delta propagation and writes each scenario's pollution counts into
 // out[i]. bases[i] is scenario i's memoized no-attack baseline (as
-// produced by the BaselineCache), used read-only; scenarios sharing a
+// produced by the baseline cache), used read-only; scenarios sharing a
 // (origin, λ) announcement should share the baseline pointer so their
 // lanes share copy-on-write reads. The attacker must be reachable in
 // its baseline — drivers pre-filter draws with Baseline.Reachable and

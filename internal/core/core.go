@@ -243,16 +243,21 @@ func BaselineOnly(g *topology.Graph, sc Scenario) (*routing.Result, error) {
 }
 
 // SimulateScratch runs sc's two legs on the engines the scenario and the
-// graph call for, computing the baseline when none is given (baseline and
-// the counters are as in SimulateWithBaseline; the attack leg counts as a
-// delta propagation when the delta engine ran it and as a full one
-// otherwise), and derives the pollution counts. It is the allocation-free
-// path: propagation state, the attacked result and the via set are borrowed
-// from s (one Scratch per goroutine — see the routing.Scratch ownership
-// contract), so the returned Impact is itself borrowed: valid until the
-// next call on s. Its Counts are plain values; anything else a caller keeps
-// it must copy out first. With a nil Scratch everything is freshly
-// allocated and the Impact owns its results.
+// graph call for and derives the pollution counts. baseline is an optional
+// precomputed no-attack result for the scenario's announcement (as produced
+// by BaselineOnly, or experiment's per-(origin, λ) cache): it is used
+// read-only and MUST match the announcement exactly (same origin, λ,
+// per-neighbor prepends and withholds) — callers own that invariant; nil
+// computes it. Propagation telemetry is recorded into the optional counters
+// (nil disables recording); the attack leg counts as a delta propagation
+// when the delta engine ran it and as a full one otherwise.
+//
+// It is the allocation-free path: propagation state, the attacked result
+// and the via set are borrowed from s (one Scratch per goroutine — see the
+// routing.Scratch ownership contract), so the returned Impact is itself
+// borrowed: valid until the next call on s. Its Counts are plain values;
+// anything else a caller keeps it must copy out first. With a nil Scratch
+// everything is freshly allocated and the Impact owns its results.
 func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Impact, error) {
 	if sc.Victim == sc.Attacker {
 		return Impact{}, errors.New("core: victim and attacker must differ")
@@ -304,19 +309,7 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 // metrics. Returns ErrAttackerSeesNoRoute when an ASPP attacker never
 // learns the victim's route.
 func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
-	return SimulateWithBaseline(g, sc, nil, nil)
-}
-
-// SimulateWithBaseline is Simulate with an optional precomputed no-attack
-// baseline for the scenario's announcement (as produced by BaselineOnly,
-// or experiment's per-(origin, λ) cache). The baseline is used read-only
-// and may be shared across concurrent simulations; it MUST match the
-// scenario's announcement exactly (same origin, λ, per-neighbor prepends
-// and withholds) — callers own that invariant. Pass nil to compute it.
-// Propagation telemetry is recorded into the optional counters (nil
-// disables recording).
-func SimulateWithBaseline(g *topology.Graph, sc Scenario, baseline *routing.Result, c *obs.Counters) (*Impact, error) {
-	im, err := SimulateScratch(g, sc, baseline, nil, c)
+	im, err := SimulateScratch(g, sc, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

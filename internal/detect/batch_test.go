@@ -1,8 +1,8 @@
 package detect
 
 // Tests for the batched observation path behind asppserve (PR 10): the
-// prefix shard map, Pool construction, and the differential gate that
-// pins sharded ObserveBatch to the serial per-update Observe over a
+// prefix shard map and the differential gate that pins sharded
+// ObserveBatch to the serial per-update Observe over a
 // realistic churn replay.
 
 import (
@@ -51,28 +51,6 @@ func TestPrefixShardProperties(t *testing.T) {
 	}
 	if !differ {
 		t.Error("prefix length never affects the shard — Bits not hashed?")
-	}
-}
-
-func TestPoolBasics(t *testing.T) {
-	mons := []bgp.ASN{100, 200}
-	p := NewPool(0, mons, nil) // n<1 clamps to 1
-	if p.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", p.NumShards())
-	}
-	p = NewPool(4, mons, nil)
-	if p.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", p.NumShards())
-	}
-	pfx := netip.MustParsePrefix("10.1.2.0/24")
-	si := p.ShardOf(pfx)
-	u := bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: bgp.Path{1, 2, 7}}
-	p.Shard(si).Observe(u)
-	if got := p.Shard(si).RouteOf(pfx, 100); !got.Equal(u.Path) {
-		t.Fatalf("shard %d RouteOf = %v, want %v", si, got, u.Path)
-	}
-	if p.MemoryBytes() <= 0 {
-		t.Fatalf("MemoryBytes = %d, want > 0", p.MemoryBytes())
 	}
 }
 
@@ -125,7 +103,7 @@ func sortAlarms(alarms []Alarm) {
 }
 
 // TestShardedBatchDifferential is the PR 10 verdict gate: replaying a
-// ≥5k-update churn stream through a prefix-sharded Pool via ObserveBatch
+// ≥5k-update churn stream through prefix-sharded detectors via ObserveBatch
 // (several flush chunk sizes) yields exactly the serial per-update
 // Observe alarm multiset. Sharding by prefix is verdict-preserving
 // because detection state never crosses prefixes; batching is
@@ -145,17 +123,16 @@ func TestShardedBatchDifferential(t *testing.T) {
 	sortAlarms(want)
 
 	for _, chunk := range []int{1, 7, 64, 256} {
-		pool := NewPool(5, monitors, g)
 		// Partition the stream by shard, preserving per-shard order (what
 		// the serve rings do), then flush each shard in chunk-sized runs.
-		parts := make([][]bgp.Update, pool.NumShards())
+		parts := make([][]bgp.Update, 5)
 		for _, u := range updates {
-			si := pool.ShardOf(u.Prefix)
+			si := PrefixShard(u.Prefix, len(parts))
 			parts[si] = append(parts[si], u)
 		}
 		var got []Alarm
-		for si, part := range parts {
-			d := pool.Shard(si)
+		for _, part := range parts {
+			d := NewDetector(monitors, g)
 			for i := 0; i < len(part); i += chunk {
 				j := i + chunk
 				if j > len(part) {

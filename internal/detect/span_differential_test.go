@@ -429,44 +429,3 @@ func TestDetectorObserveZeroAlloc(t *testing.T) {
 		t.Fatalf("unexpected alarms: %v", alarmSink)
 	}
 }
-
-// BenchmarkDetectorObserve streams a realistic mixed update load through
-// the detector (the collector-pipeline shape): many prefixes, repeated
-// re-announcements, occasional withdraws.
-func BenchmarkDetectorObserve(b *testing.B) {
-	g := diffTestGraph(b, 500, 17)
-	monitors := g.TopByDegree(40)
-	rng := rand.New(rand.NewSource(3))
-	var impacts []*core.Impact
-	asns := g.ASNs()
-	for len(impacts) < 20 {
-		v := asns[rng.Intn(len(asns))]
-		m := asns[rng.Intn(len(asns))]
-		if v == m {
-			continue
-		}
-		im, err := core.Simulate(g, core.Scenario{Victim: v, Attacker: m, Prepend: 3, ViolateValleyFree: true})
-		if errors.Is(err, routing.ErrUnreachableAttacker) {
-			continue
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		impacts = append(impacts, im)
-	}
-	updates := detectorUpdateStream(g, impacts, monitors, rng)
-	if len(updates) == 0 {
-		b.Fatal("empty update stream")
-	}
-
-	d := NewDetector(monitors, g)
-	for _, u := range updates { // warm tables and intern every segment
-		d.Observe(u)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := updates[i%len(updates)]
-		alarmSink = d.Observe(u)
-	}
-}

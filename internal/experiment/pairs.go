@@ -53,7 +53,7 @@ type PairConfig struct {
 	// sweep; nil disables recording.
 	Counters *obs.Counters
 	// Batch > 1 warms each lane window's baselines through the
-	// lane-batched engine (BaselineCache.WarmBatch) and runs the attack
+	// lane-batched engine (baselineCache.warm) and runs the attack
 	// legs Batch lanes at a time on the batched delta engine
 	// (core.DeltaBatchRunner) — draws grouped by their shared (victim, λ)
 	// baseline, output byte-identical to the serial legs. Sibling
@@ -61,7 +61,7 @@ type PairConfig struct {
 	// lazy/serial.
 	Batch int
 	// Shards partitions the candidate space by victim into that many
-	// shards, each owning a private BaselineCache, dispatched across the
+	// shards, each owning a private baselineCache, dispatched across the
 	// worker pool (DESIGN §5f). Output is byte-identical at every shard
 	// count. 0 selects one shard per worker.
 	Shards int

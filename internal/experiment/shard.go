@@ -19,7 +19,7 @@ import (
 // legs (one core.Scenario per result slot) and hands them to a legRunner,
 // which partitions them into shards so each (victim, λ) baseline lives in
 // exactly one shard, gives each shard a private byte-budgeted
-// BaselineCache plus persistent scratch state, and dispatches shards
+// baselineCache plus persistent scratch state, and dispatches shards
 // across the worker pool with parallel.ForEachErr. Results are written
 // index-addressed into leg-order storage, so the merged output — and
 // therefore the TSV — is byte-identical at every shard count (pinned by
@@ -110,11 +110,11 @@ func shardOf(v bgp.ASN, nShards int) int {
 // index to exactly one worker, and successive runs reusing the state are
 // ordered by the fan-out's completion barrier.
 type shardState struct {
-	cache  *BaselineCache
+	cache  *baselineCache
 	runner *core.DeltaBatchRunner
 
 	im    core.Impact // the current serial leg, lent to the visitor
-	warm  []BaselineKey
+	warm  []baselineKey
 	scs   []core.Scenario
 	bases []*routing.Result
 	idxs  []int
@@ -154,7 +154,7 @@ func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 	}
 	for i := range r.shards {
 		r.shards[i] = &shardState{
-			cache:  NewBaselineCache(g, o.counters, o.memBudget, kEff),
+			cache:  newBaselineCache(g, o.counters, o.memBudget, kEff),
 			runner: core.NewDeltaBatchRunner(),
 		}
 	}
@@ -183,10 +183,10 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 	err = parallel.ForEachErr(ctx, len(r.shards), r.o.workers, func(si int) error {
 		st := r.shards[si]
 		serr := r.runShard(ctx, si, legs, perShard[si], counts, done, visit)
-		r.o.counters.RecordCacheBytes(st.cache.PeakBytes())
+		r.o.counters.RecordCacheBytes(st.cache.peak)
 		r.o.counters.RecordScratchBytes(st.runner.BS.MemoryBytes() + st.runner.S.MemoryBytes())
 		if !keepWarm {
-			st.cache.Release()
+			st.cache.release()
 		}
 		return serr
 	})
@@ -291,16 +291,16 @@ func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, 
 		if r.o.batch > 1 {
 			st.warm = st.warm[:0]
 			for _, i := range window {
-				st.warm = append(st.warm, BaselineKey{Origin: legs[i].Victim, Lambda: legs[i].Prepend})
+				st.warm = append(st.warm, baselineKey{legs[i].Victim, legs[i].Prepend})
 			}
-			if err := st.cache.WarmBatch(st.warm, st.runner.BS); err != nil {
+			if err := st.cache.warm(st.warm, st.runner.BS); err != nil {
 				return err
 			}
 		}
 		st.scs, st.bases, st.idxs = st.scs[:0], st.bases[:0], st.idxs[:0]
 		for _, i := range window {
 			sc := legs[i]
-			base, err := st.cache.Get(sc.Victim, sc.Prepend)
+			base, err := st.cache.get(sc.Victim, sc.Prepend)
 			if err != nil {
 				// Fatal: the failure is per-victim and memoized — it would
 				// repeat for every leg sharing this baseline.

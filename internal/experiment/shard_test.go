@@ -280,7 +280,7 @@ func TestShardGaugesWithinBudget(t *testing.T) {
 
 // TestBaselineCacheBudgetEviction: unit coverage of the FIFO budget —
 // bytes stay within budget once past the keep floor, evicted entries
-// recompute as fresh misses, Release empties but keeps the peak.
+// recompute as fresh misses, release empties but keeps the peak.
 func TestBaselineCacheBudgetEviction(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
@@ -291,38 +291,38 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 	entry := one.MemoryBytes()
 	c := new(obs.Counters)
 	// Budget fits ~3 entries; keep floor of 2.
-	cache := NewBaselineCache(g, c, 3*entry+entry/2, 2)
+	cache := newBaselineCache(g, c, 3*entry+entry/2, 2)
 	for i := 0; i < 8; i++ {
-		if _, err := cache.Get(asns[i], 1); err != nil {
-			t.Fatalf("Get %d: %v", i, err)
+		if _, err := cache.get(asns[i], 1); err != nil {
+			t.Fatalf("get %d: %v", i, err)
 		}
 	}
-	if got := cache.Bytes(); got > 3*entry+entry/2 {
-		t.Fatalf("Bytes() = %d exceeds budget %d", got, 3*entry+entry/2)
+	if cache.bytes > 3*entry+entry/2 {
+		t.Fatalf("bytes = %d exceeds budget %d", cache.bytes, 3*entry+entry/2)
 	}
-	if cache.Len() >= 8 {
-		t.Fatalf("no eviction happened: Len=%d", cache.Len())
+	if len(cache.m) >= 8 {
+		t.Fatalf("no eviction happened: %d entries", len(cache.m))
 	}
-	if peak := cache.PeakBytes(); peak < cache.Bytes() || peak <= 0 {
-		t.Fatalf("PeakBytes=%d inconsistent with Bytes=%d", peak, cache.Bytes())
+	if cache.peak < cache.bytes || cache.peak <= 0 {
+		t.Fatalf("peak=%d inconsistent with bytes=%d", cache.peak, cache.bytes)
 	}
 	missesBefore := c.Snapshot().BaselineMisses
-	if _, err := cache.Get(asns[0], 1); err != nil { // evicted long ago
+	if _, err := cache.get(asns[0], 1); err != nil { // evicted long ago
 		t.Fatal(err)
 	}
 	if got := c.Snapshot().BaselineMisses; got != missesBefore+1 {
 		t.Fatalf("evicted key re-Get misses = %d, want %d", got, missesBefore+1)
 	}
-	peak := cache.PeakBytes()
-	cache.Release()
-	if cache.Len() != 0 || cache.Bytes() != 0 {
-		t.Fatalf("Release left Len=%d Bytes=%d", cache.Len(), cache.Bytes())
+	peak := cache.peak
+	cache.release()
+	if len(cache.m) != 0 || cache.bytes != 0 {
+		t.Fatalf("release left %d entries, %d bytes", len(cache.m), cache.bytes)
 	}
-	if cache.PeakBytes() != peak {
-		t.Fatalf("Release dropped peak: %d -> %d", peak, cache.PeakBytes())
+	if cache.peak != peak {
+		t.Fatalf("release dropped peak: %d -> %d", peak, cache.peak)
 	}
-	// Post-Release the cache is reusable.
-	if _, err := cache.Get(asns[1], 1); err != nil {
+	// Post-release the cache is reusable.
+	if _, err := cache.get(asns[1], 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -333,23 +333,23 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 func TestBaselineCacheKeepFloor(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
-	cache := NewBaselineCache(g, nil, 1, 4) // budget of one byte, keep 4
+	cache := newBaselineCache(g, nil, 1, 4) // budget of one byte, keep 4
 	for i := 0; i < 6; i++ {
-		if _, err := cache.Get(asns[i], 1); err != nil {
+		if _, err := cache.get(asns[i], 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := cache.Len(); got != 4 {
-		t.Fatalf("Len = %d, want keep floor 4", got)
+	if got := len(cache.m); got != 4 {
+		t.Fatalf("%d entries, want keep floor 4", got)
 	}
-	// The newest keys are the survivors: re-Get must not grow the map.
+	// The newest keys are the survivors: a re-get must not grow the map.
 	for i := 2; i < 6; i++ {
-		before := cache.Len()
-		if _, err := cache.Get(asns[i], 1); err != nil {
+		before := len(cache.m)
+		if _, err := cache.get(asns[i], 1); err != nil {
 			t.Fatal(err)
 		}
-		if cache.Len() != before {
-			t.Fatalf("Get(asns[%d]) recomputed a kept entry", i)
+		if len(cache.m) != before {
+			t.Fatalf("get(asns[%d]) recomputed a kept entry", i)
 		}
 	}
 }

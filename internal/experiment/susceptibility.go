@@ -42,7 +42,7 @@ type SusceptibilityConfig struct {
 	// attack legs serial. 0 or 1 keeps everything lazy/serial.
 	Batch int
 	// Shards partitions the jobs by victim into that many shards, each
-	// owning a private BaselineCache released as soon as its shard
+	// owning a private baselineCache released as soon as its shard
 	// completes (DESIGN §5f); output byte-identical at every shard
 	// count, 0 selects one shard per worker. MemBudget caps each shard's
 	// cache bytes and narrows the lane width to fit; MemBudget with

@@ -13,7 +13,6 @@ import (
 	"aspp/internal/core"
 	"aspp/internal/detect"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
@@ -32,10 +31,9 @@ type attackDraw struct {
 	seed    int64
 }
 
-func drawEffectiveAttacks(ctx context.Context, g *topology.Graph, d attackDraw) ([]*core.Impact, error) {
+func drawEffectiveAttacks(g *topology.Graph, d attackDraw) ([]*core.Impact, error) {
 	rng := rand.New(rand.NewSource(d.seed))
 	asns := g.ASNs()
-	cache := NewBaselineCache(g, nil, 0, 0)
 	usable := make([]*core.Impact, 0, d.pairs)
 	for drawn := 0; len(usable) < d.pairs && drawn < d.budget; {
 		chunk := make([]core.Scenario, 0, d.pairs)
@@ -47,30 +45,15 @@ func drawEffectiveAttacks(ctx context.Context, g *topology.Graph, d attackDraw) 
 				drawn++
 			}
 		}
-		impacts := make([]*core.Impact, len(chunk))
-		err := parallel.ForEachErr(ctx, len(chunk), 2, func(i int) error {
-			sc := chunk[i]
-			base, err := cache.Get(sc.Victim, sc.Prepend)
-			if err != nil {
-				return baselineError(sc.Victim, sc.Prepend, err)
-			}
-			im, err := core.SimulateWithBaseline(g, sc, base, nil)
+		for _, sc := range chunk {
+			im, err := core.Simulate(g, sc)
 			if errors.Is(err, routing.ErrUnreachableAttacker) {
-				return nil
+				continue
 			}
 			if err != nil {
-				return fmt.Errorf("pair %v/%v: %w", sc.Victim, sc.Attacker, err)
+				return nil, sweepError(d.what, fmt.Errorf("pair %v/%v: %w", sc.Victim, sc.Attacker, err))
 			}
-			if len(im.NewlyPolluted()) > 0 {
-				impacts[i] = im
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, sweepError(d.what, err)
-		}
-		for _, im := range impacts {
-			if im != nil && len(usable) < d.pairs {
+			if len(im.NewlyPolluted()) > 0 && len(usable) < d.pairs {
 				usable = append(usable, im)
 			}
 		}
@@ -81,8 +64,8 @@ func drawEffectiveAttacks(ctx context.Context, g *topology.Graph, d attackDraw) 
 	return usable, nil
 }
 
-func retainedDetection(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
-	usable, err := drawEffectiveAttacks(ctx, g, attackDraw{
+func retainedDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
+	usable, err := drawEffectiveAttacks(g, attackDraw{
 		what: "detection sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 20,
 		prepend: cfg.Prepend, violate: cfg.Violate, seed: cfg.Seed,
 	})
@@ -138,9 +121,9 @@ func retainedDetection(ctx context.Context, g *topology.Graph, cfg DetectionConf
 	return out, nil
 }
 
-func retainedCompare(ctx context.Context, g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
+func retainedCompare(g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
 	monitors := g.TopByDegree(cfg.Monitors)
-	impacts, err := drawEffectiveAttacks(ctx, g, attackDraw{
+	impacts, err := drawEffectiveAttacks(g, attackDraw{
 		what: "comparison sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 30,
 		prepend: cfg.Prepend, violate: true, seed: cfg.Seed,
 	})
@@ -175,9 +158,11 @@ func retainedCompare(ctx context.Context, g *topology.Graph, cfg CompareConfig) 
 		forged := make([]*core.Impact, len(impacts))
 		for i, aspp := range impacts {
 			sc := core.Scenario{Victim: aspp.Scenario.Victim, Attacker: aspp.Scenario.Attacker, Prepend: cfg.Prepend, Type: typ}
-			if forged[i], err = core.SimulateWithBaseline(g, sc, aspp.Baseline(), nil); err != nil {
+			im, err := core.SimulateScratch(g, sc, aspp.Baseline(), nil, nil)
+			if err != nil {
 				return nil, err
 			}
+			forged[i] = &im
 		}
 		out = append(out, score(typ, forged))
 	}
@@ -216,7 +201,7 @@ func TestDetectionVisitorMatchesRetained(t *testing.T) {
 			if g.NumASes() < 20 {
 				cfg.Pairs, cfg.LatencyMonitors = 16, 0 // latency set = the largest count
 			}
-			want, wantErr := retainedDetection(ctx, g, cfg)
+			want, wantErr := retainedDetection(g, cfg)
 			for _, workers := range []int{1, 4} {
 				cfg.Workers = workers
 				got, err := RunDetectionCtx(ctx, g, cfg)
@@ -233,7 +218,7 @@ func TestCompareVisitorMatchesRetained(t *testing.T) {
 		if g.NumASes() < 20 {
 			cfg.Pairs, cfg.Monitors = 12, 4
 		}
-		want, wantErr := retainedCompare(ctx, g, cfg)
+		want, wantErr := retainedCompare(g, cfg)
 		for _, workers := range []int{1, 4} {
 			cfg.Workers = workers
 			got, err := CompareAttackTypesCtx(ctx, g, cfg)

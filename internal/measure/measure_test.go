@@ -64,7 +64,7 @@ func TestRunSurveyShapes(t *testing.T) {
 	// Fig. 6 shape checks: λ=2 dominates prepended table routes, with a
 	// decreasing head.
 	d := res.TablePrependDist
-	if d.Total() == 0 {
+	if len(d.Values()) == 0 {
 		t.Fatal("empty table prepend distribution")
 	}
 	if d.Fraction(2) < d.Fraction(3) || d.Fraction(3) < d.Fraction(6) {

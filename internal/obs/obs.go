@@ -6,9 +6,7 @@
 // instead of only in a profiler.
 //
 // Ownership contract: one Counters per sweep. The drivers never share a
-// Counters across independent sweeps; callers that run several sweeps and
-// want one report merge the per-sweep counters with Merge, which is
-// deterministic (plain sums) regardless of sweep scheduling.
+// Counters across independent sweeps.
 package obs
 
 import (
@@ -203,7 +201,7 @@ func (c *Counters) RecordArenaBytes(n int64) {
 }
 
 // RecordCacheBytes raises the baseline-cache high-watermark gauge: the
-// peak byte footprint of the largest single shard's BaselineCache. The
+// peak byte footprint of the largest single shard's baseline cache. The
 // scale-smoke gate asserts this stays within the per-shard -mem-budget.
 func (c *Counters) RecordCacheBytes(n int64) {
 	if c != nil {
@@ -268,42 +266,6 @@ func (c *Counters) RecordQueuePeak(n int64) {
 	if c != nil {
 		c.queuePeak.recordMax(n)
 	}
-}
-
-// Merge adds o's counts into c (both sides nil-safe). Merging per-sweep
-// counters is deterministic: addition commutes, so any merge order yields
-// the same totals.
-func (c *Counters) Merge(o *Counters) {
-	if c == nil || o == nil {
-		return
-	}
-	s := o.Snapshot()
-	c.basePropagations.Add(s.BasePropagations)
-	c.fullPropagations.Add(s.FullPropagations)
-	c.deltaPropagations.Add(s.DeltaPropagations)
-	c.baselineHits.Add(s.BaselineHits)
-	c.baselineMisses.Add(s.BaselineMisses)
-	c.skippedUnreachable.Add(s.SkippedUnreachable)
-	c.skippedIneffective.Add(s.SkippedIneffective)
-	c.churnUpdates.Add(s.ChurnUpdates)
-	c.batchPropagations.Add(s.BatchPropagations)
-	c.batchCalls.Add(s.BatchCalls)
-	c.deltaBatchPropagations.Add(s.DeltaBatchPropagations)
-	c.deltaBatchCalls.Add(s.DeltaBatchCalls)
-	c.framesIn.Add(s.FramesIn)
-	c.framesBad.Add(s.FramesBad)
-	c.serveEnqueued.Add(s.ServeEnqueued)
-	c.serveDropped.Add(s.ServeDropped)
-	c.serveBatches.Add(s.ServeBatches)
-	c.alarmsRaised.Add(s.Alarms)
-
-	// Gauges are high-watermarks: merging takes the max, so the combined
-	// report still bounds the largest single recorder.
-	c.scratchBytes.recordMax(s.ScratchBytes)
-	c.arenaBytes.recordMax(s.ArenaBytes)
-	c.cacheBytes.recordMax(s.CacheBytes)
-	c.csrBytes.recordMax(s.CSRBytes)
-	c.queuePeak.recordMax(s.QueuePeak)
 }
 
 // Snapshot is a point-in-time copy of a Counters, safe to compare and

@@ -27,8 +27,6 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	c.RecordArenaBytes(1)
 	c.RecordCacheBytes(1)
 	c.RecordCSRBytes(1)
-	c.Merge(&Counters{})
-	(&Counters{}).Merge(c)
 	if got := c.Snapshot(); got != (Snapshot{}) {
 		t.Fatalf("nil Snapshot()=%+v, want zero", got)
 	}
@@ -37,19 +35,18 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndMerge(t *testing.T) {
-	var a, b Counters
+func TestSnapshot(t *testing.T) {
+	var a Counters
 	a.AddBasePropagations(2)
 	a.AddFullPropagations(3)
 	a.AddDeltaPropagations(5)
-	b.AddBaselineHits(7)
-	b.AddBaselineMisses(11)
-	b.AddSkippedUnreachable(13)
-	b.AddSkippedIneffective(17)
-	b.AddChurnUpdates(19)
-	b.AddBatchPropagations(23)
-	b.AddBatchCalls(29)
-	a.Merge(&b)
+	a.AddBaselineHits(7)
+	a.AddBaselineMisses(11)
+	a.AddSkippedUnreachable(13)
+	a.AddSkippedIneffective(17)
+	a.AddChurnUpdates(19)
+	a.AddBatchPropagations(23)
+	a.AddBatchCalls(29)
 	got := a.Snapshot()
 	want := Snapshot{
 		BasePropagations:   2,
@@ -69,15 +66,11 @@ func TestSnapshotAndMerge(t *testing.T) {
 	if got.AttackPropagations() != 8 {
 		t.Fatalf("AttackPropagations()=%d, want 8", got.AttackPropagations())
 	}
-	// b is unchanged by the merge.
-	if b.Snapshot().BaselineHits != 7 {
-		t.Fatalf("Merge mutated the source: %+v", b.Snapshot())
-	}
 }
 
 // TestByteGauges pins the high-watermark semantics of the memory gauges:
-// recording never lowers a gauge, and Merge takes the max (not the sum),
-// so the merged report still bounds the largest single shard.
+// recording never lowers a gauge, so shards recording into one Counters
+// leave the largest single shard's figure.
 func TestByteGauges(t *testing.T) {
 	var a Counters
 	a.RecordScratchBytes(100)
@@ -89,24 +82,6 @@ func TestByteGauges(t *testing.T) {
 	s := a.Snapshot()
 	if s.ScratchBytes != 100 || s.ArenaBytes != 7 || s.CacheBytes != 300 || s.CSRBytes != 0 {
 		t.Fatalf("Snapshot()=%+v, want scratch=100 arena=7 cache=300 csr=0", s)
-	}
-
-	var b Counters
-	b.RecordScratchBytes(40)
-	b.RecordCacheBytes(999)
-	b.RecordCSRBytes(12)
-	a.Merge(&b)
-	m := a.Snapshot()
-	if m.ScratchBytes != 100 || m.CacheBytes != 999 || m.CSRBytes != 12 {
-		t.Fatalf("merged Snapshot()=%+v, want max-merged scratch=100 cache=999 csr=12", m)
-	}
-	// The counter half of the same Merge still sums (watermark fields must
-	// not leak max semantics into the additive fields and vice versa).
-	a.AddBasePropagations(1)
-	b.AddBasePropagations(2)
-	a.Merge(&b)
-	if got := a.Snapshot().BasePropagations; got != 3 {
-		t.Fatalf("BasePropagations after merge = %d, want 3", got)
 	}
 }
 
@@ -210,11 +185,10 @@ func BenchmarkCountersParallelPacked(b *testing.B) {
 }
 
 // TestServeCountersSnapshot pins the PR 10 serving counters: each Add
-// lands in its own Snapshot field (distinct primes catch crossed wires),
-// Merge sums the counters and maxes the queue-peak gauge, and the
-// metrics endpoint's single-struct read sees all of them.
+// lands in its own Snapshot field (distinct primes catch crossed wires)
+// and the metrics endpoint's single-struct read sees all of them.
 func TestServeCountersSnapshot(t *testing.T) {
-	var a, b Counters
+	var a Counters
 	a.AddFramesIn(2)
 	a.AddFramesBad(3)
 	a.AddServeEnqueued(5)
@@ -234,13 +208,6 @@ func TestServeCountersSnapshot(t *testing.T) {
 	a.RecordQueuePeak(4)
 	if a.Snapshot().QueuePeak != 17 {
 		t.Fatalf("QueuePeak lowered to %d", a.Snapshot().QueuePeak)
-	}
-	b.AddFramesIn(100)
-	b.RecordQueuePeak(9)
-	b.Merge(&a)
-	bs := b.Snapshot()
-	if bs.FramesIn != 102 || bs.ServeBatches != 11 || bs.QueuePeak != 17 {
-		t.Fatalf("Merge result %+v", bs)
 	}
 	// Nil safety for the new methods.
 	var nilC *Counters

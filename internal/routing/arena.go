@@ -122,21 +122,15 @@ func (a *PathArena) PathWith(head bgp.ASN, s PathSpan) bgp.Path {
 	return p
 }
 
-// Put copies p's body into the arena and returns its span. p must be
-// non-empty. The body is stored verbatim; the interned segment collapses
-// consecutive duplicates, so Seg identifies the unique transit chain.
-func (a *PathArena) Put(p bgp.Path) PathSpan {
-	sp, _ := a.Replace(PathSpan{}, p)
-	return sp
-}
-
 // Replace stores p in place of a previous span when possible: an equal
 // body reuses the old slot untouched, a shorter-or-equal body overwrites
 // it, and a longer one appends at the arena's end, abandoning the old
 // slot. It returns the new span and how many body elements became dead
 // (unreferenced) in the arena — the caller's compaction accounting.
 // Spans other than old keep their offsets, so concurrent views of other
-// routes stay valid.
+// routes stay valid. p must be non-empty; old is the zero span for a first
+// store. The body is stored verbatim; the interned segment collapses
+// consecutive duplicates, so Seg identifies the unique transit chain.
 func (a *PathArena) Replace(old PathSpan, p bgp.Path) (PathSpan, int) {
 	prep := p.OriginPrepend()
 	body := p[:len(p)-prep]

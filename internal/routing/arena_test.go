@@ -98,7 +98,7 @@ func TestPathsIntoDecodesToPathOf(t *testing.T) {
 func TestPathWith(t *testing.T) {
 	a := NewPathArena()
 	p := bgp.Path{10, 20, 20, 30, 30, 30}
-	sp := a.Put(p)
+	sp, _ := a.Replace(PathSpan{}, p)
 	got := a.PathWith(99, sp)
 	want := p.Prepend(99, 1)
 	if !got.Equal(want) {
@@ -109,7 +109,8 @@ func TestPathWith(t *testing.T) {
 	}
 }
 
-// TestArenaPutRoundTrip exercises raw-path storage, including paths with
+// TestArenaPutRoundTrip exercises raw-path storage (Replace of the empty
+// span, as the detector stores a first route), including paths with
 // intermediate prepends, whose bodies must be preserved verbatim while
 // the interned segment collapses them.
 func TestArenaPutRoundTrip(t *testing.T) {
@@ -123,7 +124,7 @@ func TestArenaPutRoundTrip(t *testing.T) {
 	}
 	spans := make([]PathSpan, len(cases))
 	for i, p := range cases {
-		spans[i] = a.Put(p)
+		spans[i], _ = a.Replace(PathSpan{}, p)
 	}
 	for i, p := range cases {
 		if got := a.Path(spans[i]); !got.Equal(p) {
@@ -144,8 +145,8 @@ func TestArenaPutRoundTrip(t *testing.T) {
 // place, grow by append) and the dead-element accounting.
 func TestArenaReplace(t *testing.T) {
 	a := NewPathArena()
-	other := a.Put(bgp.Path{5, 6, 9})
-	old := a.Put(bgp.Path{1, 2, 3, 7})
+	other, _ := a.Replace(PathSpan{}, bgp.Path{5, 6, 9})
+	old, _ := a.Replace(PathSpan{}, bgp.Path{1, 2, 3, 7})
 
 	// Equal body, different prepend: slot reused, nothing freed.
 	sp, freed := a.Replace(old, bgp.Path{1, 2, 3, 7, 7})
@@ -181,7 +182,7 @@ func TestArenaCompact(t *testing.T) {
 	}
 	spans := make([]PathSpan, len(paths))
 	for i, p := range paths {
-		spans[i] = a.Put(p)
+		spans[i], _ = a.Replace(PathSpan{}, p)
 	}
 	// Kill spans 0 and 2; compact the survivors.
 	live := []*PathSpan{&spans[1], &spans[3]}
@@ -262,40 +263,3 @@ func TestPathsIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("post-pin decode mismatch: %v vs %v", got, want)
 	}
 }
-
-// BenchmarkPathsInto measures the one-pass span extraction against the
-// per-path materialization it replaces, same monitor set.
-func BenchmarkPathsInto(b *testing.B) {
-	g := arenaTestGraph(b, 1000, 13)
-	victim := g.Tier1s()[0]
-	res, err := Propagate(g, Announcement{Origin: victim, Prepend: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	monitors := allIndices(g)
-
-	b.Run("spans", func(b *testing.B) {
-		b.ReportAllocs()
-		a := NewPathArena()
-		spans := res.PathsInto(a, monitors, nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.Reset()
-			spans = res.PathsInto(a, monitors, spans[:0])
-		}
-		arenaSinkSpans = spans
-	})
-	b.Run("pathof", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, m := range monitors {
-				p := res.PathOfIdx(m)
-				if p != nil {
-					arenaSinkLen += len(p)
-				}
-			}
-		}
-	})
-}
-
-var arenaSinkLen int

@@ -32,7 +32,7 @@ import (
 // as in the serial engine: a candidate-table entry is authoritative only
 // under its lane's touch bit, anything else is reconstructed from the
 // lane's baseline Result. Lanes may share one baseline object (the
-// grouped-sweep case: one (origin, λ) BaselineCache entry, K attackers)
+// grouped-sweep case: one (origin, λ) baseline cache entry, K attackers)
 // or carry distinct ones (a λ sweep: one lane per λ). The customer/peer
 // candidate payloads live in the BatchScratch's stride-k lane tables,
 // shared with PropagateBatch — both engines read entries only under
@@ -70,7 +70,7 @@ type dlaneRec struct {
 // announcement, the attacker intercepting it, and the memoized no-attack
 // baseline the delta recomputation reads through. Baseline is required
 // (the batched engine never computes baselines — PropagateBatch or the
-// BaselineCache does) and must be the no-attack Result for Ann on the
+// baseline cache does) and must be the no-attack Result for Ann on the
 // same graph, stable for the duration of the call; a cached Result
 // shared read-only across lanes and goroutines is fine.
 type AttackLane struct {
@@ -404,14 +404,6 @@ func (st *batchDeltaState) selOf(u int32, l int) cand {
 	return st.provOf(u, l)
 }
 
-// acceptable applies lane l's receiver-side loop check at AS at.
-func (st *batchDeltaState) acceptable(at int32, l int, c cand) bool {
-	if c.len < 0 {
-		return false
-	}
-	return !c.via || (at != st.atkIdx[l] && st.rej[at]&(1<<uint(l)) == 0)
-}
-
 // originSeed is lane l's origin phase-0 offer toward neighbor nbr.
 func (st *batchDeltaState) originSeed(nbr int32, l int) cand {
 	ann := &st.lanes[l].Ann
@@ -421,20 +413,6 @@ func (st *batchDeltaState) originSeed(nbr int32, l int) cand {
 	}
 	lam := int32(ann.lambdaFor(asn))
 	return cand{len: lam, prep: int16(lam), parent: st.origins[l]}
-}
-
-// custExport is what u offers lane l in phases 1-2 (its customer-learned
-// route, or — for a violating attacker — its best route regardless of
-// class). Callers handle u == origin separately via originSeed.
-func (st *batchDeltaState) custExport(u int32, l int) cand {
-	c := st.custOf(u, l)
-	if st.violate&(1<<uint(l)) != 0 && u == st.atkIdx[l] {
-		c = st.selOf(u, l)
-	}
-	if c.len < 0 {
-		return c
-	}
-	return exportCand(u, c, st.atkIdx[l], st.keeps[l])
 }
 
 // recomputeCustMask rebuilds at's customer entry for every lane in m,
@@ -926,7 +904,7 @@ func PropagateAttackDeltaBatch(g *topology.Graph, lanes []AttackLane, s *BatchSc
 		}
 		b := lanes[i].Baseline
 		if b == nil {
-			return nil, fmt.Errorf("routing: delta batch lane %d: nil baseline (warm it via PropagateBatch or the BaselineCache first)", i)
+			return nil, fmt.Errorf("routing: delta batch lane %d: nil baseline (warm it via PropagateBatch or the baseline cache first)", i)
 		}
 		if b.g != g || b.Origin() != lanes[i].Ann.Origin {
 			return nil, fmt.Errorf("routing: delta batch lane %d: baseline is for a different graph or origin", i)

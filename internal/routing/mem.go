@@ -30,7 +30,7 @@ const mapEntryOverheadBytes = 48
 const baselineBytesPerAS = 11
 
 // BaselineResultBytes predicts the footprint of one cached baseline for
-// an n-AS graph — the unit the BaselineCache budget is spent in. It is a
+// an n-AS graph — the unit the baseline cache budget is spent in. It is a
 // floor: Clone's append-allocated columns may round up to the allocator's
 // size classes, which the capacity-based MemoryBytes on the actual Result
 // observes and this predictor ignores.
@@ -48,7 +48,7 @@ func (r *Result) backingBytes() int64 {
 
 // MemoryBytes is the resident footprint of a standalone Result: struct
 // header plus column backing. This is what one cached baseline costs the
-// BaselineCache's byte budget.
+// baseline cache's byte budget.
 func (r *Result) MemoryBytes() int64 {
 	if r == nil {
 		return 0

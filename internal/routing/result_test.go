@@ -3,7 +3,6 @@ package routing
 import (
 	"testing"
 
-	"aspp/internal/bgp"
 	"aspp/internal/topology"
 )
 
@@ -74,20 +73,6 @@ func TestResultPollutedCountWithoutVia(t *testing.T) {
 	}
 	if got := res.PollutedCount(); got != 0 {
 		t.Errorf("PollutedCount without Via = %d, want 0", got)
-	}
-}
-
-func TestAnnouncementHelpers(t *testing.T) {
-	ann := Announcement{
-		Origin:      100,
-		Prepend:     2,
-		PerNeighbor: map[bgp.ASN]int{30: 7, 40: 1},
-	}
-	if got := ann.MaxLambda(); got != 7 {
-		t.Errorf("MaxLambda = %d, want 7", got)
-	}
-	if got := (Announcement{Prepend: 3}).MaxLambda(); got != 3 {
-		t.Errorf("MaxLambda no-map = %d, want 3", got)
 	}
 }
 

@@ -103,17 +103,6 @@ func (a Announcement) lambdaFor(n bgp.ASN) int {
 	return a.Prepend
 }
 
-// MaxLambda returns the largest λ the origin uses toward any neighbor.
-func (a Announcement) MaxLambda() int {
-	m := a.Prepend
-	for _, v := range a.PerNeighbor {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Validate checks the announcement against a topology.
 func (a Announcement) Validate(g *topology.Graph) error {
 	if !g.Has(a.Origin) {

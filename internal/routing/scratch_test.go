@@ -244,7 +244,7 @@ func TestDeltaBaselineRepairReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := baseIn.Clone() // long-lived, as BaselineCache holds them
+	baseline := baseIn.Clone() // long-lived, as the baseline cache holds them
 
 	attackers := []Attacker{
 		{AS: g.Tier1s()[1]},

@@ -37,7 +37,7 @@ func (s Seed) Validate(g *topology.Graph) error {
 	if len(s.Path) == 0 {
 		return errors.New("routing: empty seed path")
 	}
-	if first, _ := s.Path.First(); first != s.AS {
+	if s.Path[0] != s.AS {
 		return fmt.Errorf("routing: seed path %v must start with the announcer %v", s.Path, s.AS)
 	}
 	return nil

@@ -11,8 +11,8 @@ import (
 // Handler exposes the pipeline over HTTP:
 //
 //	/metrics — plain-text "name value" lines: pipeline stats (throughput,
-//	           latency quantiles, queue depth/peak) plus the full
-//	           obs.Counters snapshot.
+//	           latency quantiles, queue depth/peak) plus the obs.Counters
+//	           a serving daemon can move (ingest frames, arena gauge).
 //	/alarms  — JSON feed of recent alarm events (?n= caps the count,
 //	           default 100, newest last).
 //	/healthz — liveness probe.
@@ -49,14 +49,9 @@ func (p *Pipeline) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if c := p.cfg.Counters; c != nil {
 		cs := c.Snapshot()
-		line("prop_base_total", cs.BasePropagations)
-		line("prop_full_total", cs.FullPropagations)
-		line("prop_delta_total", cs.DeltaPropagations)
-		line("churn_updates_total", cs.ChurnUpdates)
 		line("frames_in_total", cs.FramesIn)
 		line("frames_bad_total", cs.FramesBad)
 		line("arena_bytes", cs.ArenaBytes)
-		line("scratch_bytes", cs.ScratchBytes)
 	}
 }
 

@@ -65,9 +65,6 @@ func newRing(depth int) *ring {
 	return &ring{slots: make([]slot, size), mask: uint64(size - 1)}
 }
 
-// cap returns the ring's slot count.
-func (r *ring) capacity() int { return len(r.slots) }
-
 // memoryBytes is the slot array's static footprint (update header plus
 // enqueue stamp per slot). Slot-owned path bodies grow with traffic and
 // are not counted: they are producer/consumer-shared storage a foreign

@@ -134,7 +134,7 @@ func (l *alarmLog) last(n int) []AlarmEvent {
 // the (read-only) relationship graph and the telemetry sinks.
 type Pipeline struct {
 	cfg   Config
-	pool  *detect.Pool
+	dets  []*detect.Detector // one per shard, owned by that shard's worker
 	rings []*ring
 	hist  *latencyHist
 	feed  *alarmLog
@@ -199,19 +199,18 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:   cfg,
-		pool:  detect.NewPool(cfg.Shards, cfg.Monitors, cfg.Rels),
+		dets:  make([]*detect.Detector, cfg.Shards),
 		rings: make([]*ring, cfg.Shards),
 		hist:  &latencyHist{},
 		feed:  newAlarmLog(cfg.AlarmLog),
 		epoch: time.Now(),
 		conns: make(map[connCloser]struct{}),
 	}
+	p.shardMem = make([]atomic.Int64, cfg.Shards)
 	for i := range p.rings {
 		p.rings[i] = newRing(cfg.Depth)
-	}
-	p.shardMem = make([]atomic.Int64, cfg.Shards)
-	for i := range p.shardMem {
-		p.shardMem[i].Store(p.pool.Shard(i).MemoryBytes()) // baseline before workers exist
+		p.dets[i] = detect.NewDetector(cfg.Monitors, cfg.Rels)
+		p.shardMem[i].Store(p.dets[i].MemoryBytes()) // baseline before workers exist
 	}
 	return p, nil
 }
@@ -257,28 +256,6 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// Enqueue routes one update to its shard ring, stamping the enqueue time
-// itself. This is the multi-producer-safe path; it reports whether the
-// update was accepted. External callers must quiesce before Close — an
-// Enqueue racing Close may land an update no worker processes. The
-// pipeline's own producers (ingest connections, RunLoad) register with
-// the shutdown handshake instead. RunLoad uses the faster
-// single-producer path internally.
-func (p *Pipeline) Enqueue(u *bgp.Update) bool {
-	if p.closing.Load() {
-		return false
-	}
-	shard := detect.PrefixShard(u.Prefix, len(p.rings))
-	ok := p.rings[shard].push(u, p.now(), p.cfg.Policy == Block, p.closing.Load)
-	if ok {
-		p.enqueued.Add(1)
-		p.cfg.Counters.AddServeEnqueued(1)
-	} else if !p.closing.Load() {
-		p.cfg.Counters.AddServeDropped(1)
-	}
-	return ok
-}
-
 // DrainQueues blocks until every ring is empty (all accepted updates
 // processed). Producers must be quiescent for this to terminate.
 func (p *Pipeline) DrainQueues() {
@@ -312,7 +289,7 @@ const memPubBatches = 32
 func (p *Pipeline) worker(si int) {
 	defer p.workers.Done()
 	r := p.rings[si]
-	d := p.pool.Shard(si)
+	d := p.dets[si]
 	defer func() { p.shardMem[si].Store(d.MemoryBytes()) }()
 	batch := make([]bgp.Update, p.cfg.Batch)
 	enq := make([]int64, p.cfg.Batch)
@@ -418,8 +395,8 @@ func (p *Pipeline) Alarms(n int) []AlarmEvent { return p.feed.last(n) }
 
 // MemoryBytes is the live resident footprint of the detection state —
 // the quantity the soak gate asserts plateaus. It sums the
-// worker-published per-shard gauges, so unlike Pool.MemoryBytes it is
-// safe to call while the pipeline is ingesting.
+// worker-published per-shard gauges, so unlike Detector.MemoryBytes it
+// is safe to call while the pipeline is ingesting.
 func (p *Pipeline) MemoryBytes() int64 {
 	var b int64
 	for i := range p.shardMem {

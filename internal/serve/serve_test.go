@@ -61,8 +61,8 @@ func testUpdate(i int) bgp.Update {
 
 func TestRingPushDrainWrap(t *testing.T) {
 	r := newRing(5) // rounds to 8
-	if r.capacity() != 8 {
-		t.Fatalf("capacity = %d, want 8", r.capacity())
+	if len(r.slots) != 8 {
+		t.Fatalf("%d slots, want 8", len(r.slots))
 	}
 	batch := make([]bgp.Update, 8)
 	enq := make([]int64, 8)
@@ -406,10 +406,17 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, name := range []string{
 		"aspp_serve_shards 2", "aspp_serve_processed_total", "aspp_serve_dropped_total 0",
 		"aspp_serve_latency_p99_ns", "aspp_serve_queue_peak", "aspp_serve_memory_bytes",
-		"aspp_frames_in_total", "aspp_arena_bytes",
+		"aspp_frames_in_total", "aspp_frames_bad_total", "aspp_arena_bytes",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %q\n%s", name, body)
+		}
+	}
+	// Sweep telemetry nothing in a serving process records would read as a
+	// permanent zero.
+	for _, name := range []string{"aspp_prop_base_total", "aspp_prop_full_total", "aspp_prop_delta_total", "aspp_churn_updates_total", "aspp_scratch_bytes"} {
+		if strings.Contains(body, name) {
+			t.Errorf("/metrics prints %q, which no serving code path can move", name)
 		}
 	}
 

@@ -1,13 +1,11 @@
 // Package stats provides the small statistical utilities the experiment
-// drivers share: empirical CDFs, histograms, percentiles and ranked series.
+// drivers share: empirical CDFs, histograms and seed derivation.
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // CDF is an empirical cumulative distribution over float64 samples.
@@ -24,15 +22,6 @@ func NewCDF(samples []float64) (*CDF, error) {
 	copy(s, samples)
 	sort.Float64s(s)
 	return &CDF{sorted: s}, nil
-}
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by nearest-rank.
@@ -88,20 +77,11 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make(map[int]int)}
 }
 
-// Add records one observation of value v.
-func (h *Histogram) Add(v int) { h.AddN(v, 1) }
-
 // AddN records n observations of value v.
 func (h *Histogram) AddN(v, n int) {
 	h.counts[v] += n
 	h.total += n
 }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Count returns the observations of value v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
 
 // Fraction returns the fraction of observations equal to v.
 func (h *Histogram) Fraction(v int) float64 {
@@ -127,36 +107,4 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.counts[v] += n
 	}
 	h.total += other.total
-}
-
-// RankDescending returns the values sorted high-to-low, the presentation
-// the paper uses for its ranked hijack-instance figures.
-func RankDescending(values []float64) []float64 {
-	out := make([]float64, len(values))
-	copy(out, values)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
-
-// FormatTSV renders rows of float columns as tab-separated values with a
-// header line, the interchange format asppbench emits for every figure.
-func FormatTSV(header []string, rows [][]float64) string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(header, "\t"))
-	sb.WriteByte('\n')
-	for _, row := range rows {
-		for i, v := range row {
-			if i > 0 {
-				sb.WriteByte('\t')
-			}
-			// Keep integers clean, floats at reasonable precision.
-			if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-				fmt.Fprintf(&sb, "%d", int64(v))
-			} else {
-				fmt.Fprintf(&sb, "%.6g", v)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

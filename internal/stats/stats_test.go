@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,24 +11,8 @@ func TestCDFBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCDF: %v", err)
 	}
-	if c.N() != 4 {
-		t.Errorf("N = %d, want 4", c.N())
-	}
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{x: 0.5, want: 0},
-		{x: 1, want: 0.25},
-		{x: 2, want: 0.75},
-		{x: 2.5, want: 0.75},
-		{x: 3, want: 1},
-		{x: 99, want: 1},
-	}
-	for _, tt := range tests {
-		if got := c.At(tt.x); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
-		}
+	if got := len(c.Points()); got != 4 {
+		t.Errorf("%d points, want 4", got)
 	}
 	if got := c.Mean(); got != 2 {
 		t.Errorf("Mean = %v, want 2", got)
@@ -99,18 +82,13 @@ func TestCDFPointsMonotonicQuick(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram()
-	h.Add(2)
-	h.Add(2)
+	h.AddN(2, 2)
 	h.AddN(3, 3)
-	h.Add(10)
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-	if h.Count(2) != 2 || h.Count(3) != 3 || h.Count(10) != 1 || h.Count(5) != 0 {
-		t.Error("Count wrong")
-	}
-	if got := h.Fraction(3); got != 0.5 {
-		t.Errorf("Fraction(3) = %v, want 0.5", got)
+	h.AddN(10, 1)
+	for v, want := range map[int]float64{2: 2.0 / 6, 3: 0.5, 10: 1.0 / 6, 5: 0} {
+		if got := h.Fraction(v); got != want {
+			t.Errorf("Fraction(%d) = %v, want %v", v, got, want)
+		}
 	}
 	vals := h.Values()
 	if len(vals) != 3 || vals[0] != 2 || vals[1] != 3 || vals[2] != 10 {
@@ -118,37 +96,15 @@ func TestHistogram(t *testing.T) {
 	}
 
 	h2 := NewHistogram()
-	h2.Add(2)
+	h2.AddN(2, 1)
 	h.Merge(h2)
-	if h.Count(2) != 3 || h.Total() != 7 {
-		t.Error("Merge wrong")
+	if got := h.Fraction(2); got != 3.0/7 {
+		t.Errorf("Fraction(2) after Merge = %v, want 3/7", got)
 	}
 }
 
 func TestHistogramEmptyFraction(t *testing.T) {
 	if got := NewHistogram().Fraction(1); got != 0 {
 		t.Errorf("empty Fraction = %v, want 0", got)
-	}
-}
-
-func TestRankDescending(t *testing.T) {
-	in := []float64{0.1, 0.9, 0.4}
-	got := RankDescending(in)
-	if got[0] != 0.9 || got[1] != 0.4 || got[2] != 0.1 {
-		t.Errorf("RankDescending = %v", got)
-	}
-	if in[0] != 0.1 {
-		t.Error("RankDescending mutated input")
-	}
-}
-
-func TestFormatTSV(t *testing.T) {
-	out := FormatTSV([]string{"a", "b"}, [][]float64{{1, 2.5}, {3, 0.125}})
-	want := "a\tb\n1\t2.5\n3\t0.125\n"
-	if out != want {
-		t.Errorf("FormatTSV = %q, want %q", out, want)
-	}
-	if !strings.HasPrefix(out, "a\tb\n") {
-		t.Error("header missing")
 	}
 }

@@ -129,9 +129,6 @@ func (b *Builder) HasLink(a, c bgp.ASN) bool {
 	return ok
 }
 
-// NumASes returns the number of ASes registered so far.
-func (b *Builder) NumASes() int { return len(b.asns) }
-
 // Rebuild returns a Builder pre-loaded with an existing graph's ASes and
 // links, so callers can extend a (generated) topology with extra actors —
 // e.g. grafting a sibling pair onto an Internet for the Fig. 11 scenario.

@@ -217,68 +217,14 @@ func TestReadSerial2Errors(t *testing.T) {
 	}
 }
 
-func TestCustomerConeSize(t *testing.T) {
-	g := smallGraph(t)
-	tests := []struct {
-		asn  bgp.ASN
-		want int
-	}{
-		{asn: 10, want: 4}, // 30, 40, 100, 200
-		{asn: 20, want: 4}, // 40, 50, 200, 300
-		{asn: 30, want: 1},
-		{asn: 100, want: 0},
-		{asn: 999, want: 0}, // unknown
-	}
-	for _, tt := range tests {
-		if got := g.CustomerConeSize(tt.asn); got != tt.want {
-			t.Errorf("CustomerConeSize(%v) = %d, want %d", tt.asn, got, tt.want)
-		}
-	}
-}
-
-func TestConnectivity(t *testing.T) {
-	g := smallGraph(t)
-	r := g.Connectivity()
-	if r.Tier1 != 2 || r.Islands != 0 {
-		t.Errorf("Tier1/Islands = %d/%d, want 2/0", r.Tier1, r.Islands)
-	}
-	if r.CoreReachable != g.NumASes() {
-		t.Errorf("CoreReachable = %d, want all %d", r.CoreReachable, g.NumASes())
-	}
-	if r.MaxTier != 3 {
-		t.Errorf("MaxTier = %d, want 3", r.MaxTier)
-	}
-
-	// An isolated AS is an island, not a tier-1.
-	b := NewBuilder()
-	if err := b.AddP2C(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddAS(99); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := g2.Connectivity()
-	if r2.Islands != 1 {
-		t.Errorf("Islands = %d, want 1", r2.Islands)
-	}
-	if r2.CoreReachable != 2 {
-		t.Errorf("CoreReachable = %d, want 2", r2.CoreReachable)
-	}
-}
-
 func TestRebuildPreservesGraph(t *testing.T) {
 	g := smallGraph(t)
-	b := Rebuild(g)
-	if b.NumASes() != g.NumASes() {
-		t.Errorf("NumASes = %d, want %d", b.NumASes(), g.NumASes())
-	}
-	g2, err := b.Build()
+	g2, err := Rebuild(g).Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
+	}
+	if g2.NumASes() != g.NumASes() {
+		t.Errorf("NumASes = %d, want %d", g2.NumASes(), g.NumASes())
 	}
 	l1, l2 := g.Links(), g2.Links()
 	if len(l1) != len(l2) {
@@ -316,8 +262,8 @@ func TestGraphStringersAndPredicates(t *testing.T) {
 	if !g.Has(10) || g.Has(9999) {
 		t.Error("Has wrong")
 	}
-	if !g.IsTier1(10) || g.IsTier1(100) {
-		t.Error("IsTier1 wrong")
+	if g.Tier(10) != 1 || g.Tier(100) == 1 {
+		t.Error("Tier wrong")
 	}
 	if len(g.Siblings(10)) != 0 {
 		t.Error("Siblings on sibling-free graph")

@@ -310,9 +310,6 @@ func (g *Graph) Tier(asn bgp.ASN) int {
 // TierIdx returns the tier of AS index i.
 func (g *Graph) TierIdx(i int32) int { return int(g.tier[i]) }
 
-// IsTier1 reports whether the AS has no providers.
-func (g *Graph) IsTier1(asn bgp.ASN) bool { return g.Tier(asn) == 1 }
-
 // Tier1s returns all tier-1 ASes, sorted by ASN. The returned slice is
 // shared read-only storage, precomputed at build time: callers that need
 // to reorder it must copy first (appending is safe — the view is
@@ -355,80 +352,6 @@ func (g *Graph) TopByDegree(n int) []bgp.ASN {
 		out[i] = all[i].asn
 	}
 	return out
-}
-
-// ConnectivityReport summarizes how well the graph hangs together —
-// the sanity check to run on externally loaded relationship files, whose
-// partial views often contain ASes with no path to the core.
-type ConnectivityReport struct {
-	// Tier1 is the size of the provider-free core; Islands counts
-	// provider-free ASes with no peers at all (degenerate "tier-1s" that
-	// are really disconnected fragments).
-	Tier1, Islands int
-	// CoreReachable counts ASes with a provider path to a true tier-1.
-	CoreReachable int
-	// MaxTier is the deepest provider chain.
-	MaxTier int
-}
-
-// Connectivity computes the report.
-func (g *Graph) Connectivity() ConnectivityReport {
-	var r ConnectivityReport
-	// An AS reaches the core if it is tier-1-with-peers or any of its
-	// providers does; walk providers-first (descending index order, the
-	// reverse up-topological order).
-	reaches := make([]bool, len(g.asns))
-	for i := int32(len(g.asns)) - 1; i >= 0; i-- {
-		t := int(g.tier[i])
-		if t > r.MaxTier {
-			r.MaxTier = t
-		}
-		if t == 1 {
-			r.Tier1++
-			if len(g.idxSpan(i, spanPeer)) == 0 &&
-				len(g.idxSpan(i, spanCust)) == 0 &&
-				len(g.idxSpan(i, spanSib)) == 0 {
-				r.Islands++
-				continue
-			}
-			reaches[i] = true
-			r.CoreReachable++
-			continue
-		}
-		for _, p := range g.idxSpan(i, spanProv) {
-			if reaches[p] {
-				reaches[i] = true
-				r.CoreReachable++
-				break
-			}
-		}
-	}
-	return r
-}
-
-// CustomerConeSize returns the number of ASes in asn's customer cone
-// (direct and indirect customers, excluding asn itself) — the standard
-// measure of an AS's economic footprint, and the explanation for the
-// paper's Fig. 7 weak tail (victims with richly peered customer cones
-// resist interception).
-func (g *Graph) CustomerConeSize(asn bgp.ASN) int {
-	start, ok := g.index[asn]
-	if !ok {
-		return 0
-	}
-	seen := map[int32]bool{start: true}
-	stack := []int32{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range g.idxSpan(u, spanCust) {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return len(seen) - 1
 }
 
 // UpTopoOrder returns an order of AS indices in which every customer appears

@@ -7,14 +7,12 @@ package aspp
 // runs them; a plain `go test ./...` skips them to stay fast.
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"aspp/internal/experiment"
 	"aspp/internal/topology"
 )
 
@@ -72,51 +70,6 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkShardedPairSweep records the shard-scaling ratio at bench
-// scale: one shard on one worker vs NumCPU shards on NumCPU workers,
-// identical output by the invariance differential.
-func BenchmarkShardedPairSweep(b *testing.B) {
-	in := benchInternet(b)
-	workers := runtime.NumCPU()
-	cases := []struct {
-		name            string
-		shards, workers int
-	}{
-		{"shards=1/workers=1", 1, 1},
-		{"shards=max/workers=max", workers, workers},
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
-					Kind: PairsTier1, N: 40, Prepend: 3, Seed: 1,
-					Workers: bc.workers, Batch: 16,
-					Shards: bc.shards, MemBudget: 32 << 20,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScale80kPairSweep is the scale-smoke sweep as a benchmark, gated
-// like the scale tests (the measured 80k record is bench/'s sweep80k).
-func BenchmarkScale80kPairSweep(b *testing.B) {
-	scaleGate(b)
-	in := internet80k(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.SamplePairsCtx(context.Background(), PairConfig{
-			Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
-			Workers: runtime.NumCPU(), Batch: 16,
-			Shards: 4, MemBudget: 64 << 20,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestScale80kSusceptibilityWork is a count gate, not a time gate: the
 // default tier matrix on internet80k simulates exactly the 9 cells × 12
 // instances it prints — no oversampled leg, no baseline nobody reads — and
@@ -143,44 +96,5 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 	}
 	if s.CacheBytes <= 0 || s.CacheBytes >= 128<<20 {
 		t.Errorf("cache_bytes=%d, want a recorded peak under 128 MB", s.CacheBytes)
-	}
-}
-
-// BenchmarkLoad80k is asppbench -topo's start-up on the canonical graph:
-// ReadSerial2 over the written internet80k file.
-func BenchmarkLoad80k(b *testing.B) {
-	scaleGate(b)
-	var file bytes.Buffer
-	if err := internet80k(b).WriteTopology(&file); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadInternet(bytes.NewReader(file.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSiblingGraft80k is fig11's graph construction at scale:
-// Rebuild internet80k, graft the sibling, Build.
-func BenchmarkSiblingGraft80k(b *testing.B) {
-	scaleGate(b)
-	g := internet80k(b).Graph()
-	attacker, err := experiment.PickContentStub(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	victim, err := experiment.PickTier1ByDegree(g, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.BuildSiblingScenario(g, victim, attacker, 65530); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
