@@ -6,15 +6,18 @@ GO ?= go
 # jobs of their own; locally `make check` is all of them.
 check: lint-panics lint-paths lint-fmt tier1 scale-smoke serve-smoke
 
-# The conservation differential re-runs explicitly so a counter-attribution
-# regression names itself in the CI log instead of hiding inside the
-# package sweep.
+# The conservation differential, the cone-accounting differential and the
+# λ-shift property re-run explicitly so a counter-attribution regression, a
+# leg counted over the wrong cone or a baseline shifted wrongly names itself
+# in the CI log instead of hiding inside the package sweep.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/parallel/ ./internal/routing/
 	$(GO) test -run=TestBatchedSweepPropagationConservation -count=1 ./internal/experiment/
+	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
+	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
 # Sweep workers must return errors, never panic (DESIGN.md §6 "Error
@@ -99,6 +102,10 @@ bench:
 # sibling test checks the 80k answers themselves: the kernel on fig11's
 # sibling graph against the reference engine, row for row. The
 # susceptibility test is a count gate: the default tier matrix simulates
-# the 108 legs it prints, at most 108 baselines, under 128 MB of cache.
+# the 108 legs it prints, at most 108 baselines, under 128 MB of cache, and
+# allocates nothing its gauges do not report. The cone test checks the pair
+# sweep's answers: 110 legs counted over the attacker's cone against an O(n)
+# recount over the full kernel. The λ-sweep test pins one propagation per
+# victim and shard.
 scale-smoke:
-	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork' -count=1 .
+	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork|TestScale80kConeCountsMatchFullKernel|TestScale80kLambdaSweepPropagatesVictimOnce' -count=1 .

@@ -64,13 +64,12 @@ func (r *DeltaBatchRunner) Simulate(g *topology.Graph, scs []Scenario, bases []*
 	}
 	c.AddDeltaBatchPropagations(int64(len(scs)))
 	c.AddDeltaBatchCalls(1)
-	via, state, stack := r.S.ViaBuffers(g)
 	for i, sc := range scs {
 		// The shared via buffer is consumed by countPollution before the
 		// next lane overwrites it; the attacked Results live in distinct
 		// BatchScratch slots and stay valid for the whole loop.
-		viaBase := bases[i].ViaSetInto(sc.Attacker, via, state, stack)
-		out[i] = countPollution(g, sc, bases[i], br.Lanes[i], viaBase)
+		viaBase := bases[i].ViaSetInto(sc.Attacker, r.S, nil)
+		out[i] = countPollution(g, sc, bases[i], br.Lanes[i], viaBase, nil)
 	}
 	return nil
 }

@@ -142,6 +142,28 @@ type Impact struct {
 	baseline *routing.Result
 	attacked *routing.Result
 	viaBase  []bool
+	// cone lists the only ASes whose route or via bits the attack can have
+	// changed (routing.Scratch.DeltaCone) when the delta engine ran the leg
+	// on a Scratch; nil means every AS.
+	cone []int32
+}
+
+// eachIdx calls visit on every AS index the attack can concern — cone, or
+// with a nil cone all n — until visit returns false.
+func eachIdx(cone []int32, n int, visit func(i int32) bool) {
+	if cone != nil {
+		for _, i := range cone {
+			if !visit(i) {
+				return
+			}
+		}
+		return
+	}
+	for i := int32(0); i < int32(n); i++ {
+		if !visit(i) {
+			return
+		}
+	}
 }
 
 // Baseline exposes the pre-attack routing outcome.
@@ -168,11 +190,12 @@ func (im *Impact) PollutedASes() []bgp.ASN {
 func (im *Impact) NewlyPolluted() []bgp.ASN {
 	g := im.attacked.Graph()
 	var out []bgp.ASN
-	for i, v := range im.attacked.Via {
-		if v && !im.viaBase[i] {
-			out = append(out, g.ASNAt(int32(i)))
+	eachIdx(im.cone, len(im.viaBase), func(i int32) bool {
+		if im.attacked.Via[i] && !im.viaBase[i] {
+			out = append(out, g.ASNAt(i))
 		}
-	}
+		return true
+	})
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
@@ -180,12 +203,12 @@ func (im *Impact) NewlyPolluted() []bgp.ASN {
 // Effective reports whether the attack captured anyone: NewlyPolluted is
 // non-empty. It allocates nothing — the draw loops call it once per leg.
 func (im *Impact) Effective() bool {
-	for i, v := range im.attacked.Via {
-		if v && !im.viaBase[i] {
-			return true
-		}
-	}
-	return false
+	captured := false
+	eachIdx(im.cone, len(im.viaBase), func(i int32) bool {
+		captured = im.attacked.Via[i] && !im.viaBase[i]
+		return !captured
+	})
+	return captured
 }
 
 // PathsAt returns an AS's best path before and after the attack.
@@ -256,8 +279,10 @@ func BaselineOnly(g *topology.Graph, sc Scenario) (*routing.Result, error) {
 // and the via set are borrowed from s (one Scratch per goroutine — see the
 // routing.Scratch ownership contract), so the returned Impact is itself
 // borrowed: valid until the next call on s. Its Counts are plain values;
-// anything else a caller keeps it must copy out first. With a nil Scratch
-// everything is freshly allocated and the Impact owns its results.
+// anything else a caller keeps it must copy out first. A delta leg's
+// accounting there — the baseline via set, the counts, Effective,
+// NewlyPolluted — visits the attacker's cone only (DESIGN §5.7). With a nil
+// Scratch everything is freshly allocated and the Impact owns its results.
 func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Impact, error) {
 	if sc.Victim == sc.Attacker {
 		return Impact{}, errors.New("core: victim and attacker must differ")
@@ -288,19 +313,25 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 	} else {
 		c.AddFullPropagations(1)
 	}
+	// On the delta engine's own Scratch the accounting is sized by the
+	// attacker's cone: every AS with a via bit, before or after, lies in it.
 	var viaBase []bool
+	var cone []int32
 	if s != nil {
-		via, state, stack := s.ViaBuffers(g)
-		viaBase = baseline.ViaSetInto(sc.Attacker, via, state, stack)
+		if delta {
+			cone = s.DeltaCone()
+		}
+		viaBase = baseline.ViaSetInto(sc.Attacker, s, cone)
 	} else {
 		viaBase = baseline.ViaSet(sc.Attacker)
 	}
 	return Impact{
 		Scenario: sc,
-		Counts:   countPollution(g, sc, baseline, attacked, viaBase),
+		Counts:   countPollution(g, sc, baseline, attacked, viaBase, cone),
 		baseline: baseline,
 		attacked: attacked,
 		viaBase:  viaBase,
+		cone:     cone,
 	}, nil
 }
 
@@ -316,22 +347,24 @@ func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
 	return &im, nil
 }
 
-// countPollution tallies an attack's pollution counts.
-func countPollution(g *topology.Graph, sc Scenario, baseline, attacked *routing.Result, viaBase []bool) Counts {
-	var cnt Counts
-	vIdx := mustIdx(g, sc.Victim)
-	aIdx := mustIdx(g, sc.Attacker)
-	for i := int32(0); i < int32(g.NumASes()); i++ {
-		if i == vIdx || i == aIdx || !baseline.ReachableIdx(i) {
-			continue
-		}
-		cnt.Eligible++
+// countPollution tallies an attack's pollution counts over cone (nil: every
+// AS). Eligible is the baseline's reachable count — taken once per owned
+// baseline, not per leg — less the attacker. A via bit is never set on the
+// victim or the attacker, and one set before the attack implies a route, so
+// only an AS the attack newly reaches needs its eligibility looked up.
+func countPollution(g *topology.Graph, sc Scenario, baseline, attacked *routing.Result, viaBase []bool, cone []int32) Counts {
+	cnt := Counts{Eligible: baseline.ReachableCount()}
+	if baseline.Reachable(sc.Attacker) {
+		cnt.Eligible--
+	}
+	eachIdx(cone, g.NumASes(), func(i int32) bool {
 		if viaBase[i] {
 			cnt.PollutedBefore++
 		}
-		if attacked.Via[i] {
+		if attacked.Via[i] && baseline.ReachableIdx(i) {
 			cnt.PollutedAfter++
 		}
-	}
+		return true
+	})
 	return cnt
 }

@@ -5,16 +5,19 @@ import (
 	"slices"
 
 	"aspp/internal/bgp"
-	"aspp/internal/core"
 	"aspp/internal/obs"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
-// baselineCache memoizes one shard's no-attack baseline propagations keyed
-// by (origin, λ): a sweep draws many attacker/victim pairs from a small
-// pool, and each victim announcement is propagated once. Single-owner — it
-// belongs to one shardState and only that shard's goroutine touches it.
+// baselineCache memoizes one shard's no-attack baselines keyed by
+// (origin, λ): a sweep draws many attacker/victim pairs from a small pool,
+// and each victim is propagated once — on the shard's own Scratch, straight
+// into storage the cache owns. The origin's padding changes no AS's choice,
+// so another λ of the victim the shard asked for last is that Result
+// shifted (routing.Result.Shifted), a copy and no propagation; it counts as
+// a hit. Single-owner — it belongs to one shardState and only that shard's
+// goroutine touches it.
 //
 // Invalidation rule: there is none — a cache is bound to one immutable Graph
 // for its whole lifetime. Results are lent read-only. Only plain scenarios
@@ -34,8 +37,10 @@ import (
 type baselineCache struct {
 	g      *topology.Graph
 	obs    *obs.Counters
+	s      *routing.Scratch // the shard's: misses propagate on it
 	m      map[baselineKey]*routing.Result
 	failed map[baselineKey]error
+	last   baselineKey // the key get returned last: the shift source
 
 	budget      int64 // <= 0: unbounded
 	keep        int
@@ -48,19 +53,20 @@ type baselineKey struct {
 	lambda int
 }
 
-// baselineOnly computes one entry and batchBaseline one warm window:
+// ownedBaseline propagates one entry and batchBaseline one warm window:
 // package variables only so fault-injection tests can force a deterministic
 // failure; production code never reassigns them.
 var (
-	baselineOnly  = core.BaselineOnly
+	ownedBaseline = routing.PropagateOwned
 	batchBaseline = routing.PropagateBatch
 )
 
-// newBaselineCache returns an empty cache bound to g. It records into the
-// optional counters: hits + misses is the number of gets, misses the number
-// of keys computed (an evicted key counts again).
-func newBaselineCache(g *topology.Graph, c *obs.Counters, budget int64, keep int) *baselineCache {
-	cc := &baselineCache{g: g, obs: c, budget: budget, keep: max(keep, 1)}
+// newBaselineCache returns an empty cache bound to g whose misses propagate
+// on s. It records into the optional counters: hits + misses is the number
+// of gets, misses the number of keys propagated (an evicted key counts
+// again, a shifted one never).
+func newBaselineCache(g *topology.Graph, c *obs.Counters, s *routing.Scratch, budget int64, keep int) *baselineCache {
+	cc := &baselineCache{g: g, obs: c, s: s, budget: budget, keep: max(keep, 1)}
 	cc.release()
 	return cc
 }
@@ -88,28 +94,41 @@ func (c *baselineCache) install(key baselineKey, res *routing.Result) {
 }
 
 // get returns the no-attack baseline for origin announcing with λ = lambda
-// uniformly to all neighbors, computing it on first request.
+// uniformly to all neighbors: the resident entry, else the previous get's
+// Result shifted when that was this origin's and is still resident (both
+// hits — nothing is propagated), else a propagation.
 func (c *baselineCache) get(origin bgp.ASN, lambda int) (*routing.Result, error) {
 	key := baselineKey{origin, lambda}
 	res, err := c.m[key], c.failed[key]
-	if res != nil || err != nil {
+	switch {
+	case res != nil || err != nil:
 		c.obs.AddBaselineHits(1)
-		return res, err
+	case c.last.origin == origin && lambda >= 1 && c.m[c.last] != nil:
+		c.obs.AddBaselineHits(1)
+		res = c.m[c.last].Shifted(lambda - c.last.lambda)
+		c.install(key, res)
+	default:
+		c.obs.AddBaselineMisses(1)
+		ann := routing.Announcement{Origin: origin, Prepend: lambda}
+		if res, err = ownedBaseline(c.g, ann, c.s); err != nil {
+			c.failed[key] = err
+			return nil, err
+		}
+		c.obs.AddBasePropagations(1)
+		c.install(key, res)
 	}
-	c.obs.AddBaselineMisses(1)
-	if res, err = baselineOnly(c.g, core.Scenario{Victim: origin, Prepend: lambda}); err != nil {
-		c.failed[key] = err
-		return nil, err
+	if err == nil {
+		c.last = key
 	}
-	c.obs.AddBasePropagations(1)
-	c.install(key, res)
-	return res, nil
+	return res, err
 }
 
 // warm computes the keys not yet present as lanes of one batched
 // propagation and installs them, so the gets that follow hit. Each new key
-// counts as one miss and its lane toward prop_batch rather than prop_base.
-// A batch lane is bitwise-equal to the serial engine, so a warmed entry is
+// counts as one miss and its lane toward prop_batch rather than prop_base;
+// a key that follows another λ of its origin gets no lane — the get that
+// comes for it, right after that λ's, shifts it. A batch lane is
+// bitwise-equal to the serial engine, so a warmed entry is
 // indistinguishable from a get-computed one; sibling topologies, which the
 // batch engine refuses, warm through get. A key that fails validation
 // poisons only itself, as in get; only an engine failure is returned.
@@ -122,8 +141,11 @@ func (c *baselineCache) warm(keys []baselineKey, bs *routing.BatchScratch) error
 	}
 	var lanes []routing.Announcement
 	var queued []baselineKey // lanes' keys: a repeated key is one lane
-	for _, k := range keys {
+	for i, k := range keys {
 		if c.m[k] != nil || c.failed[k] != nil || slices.Contains(queued, k) {
+			continue
+		}
+		if i > 0 && keys[i-1].origin == k.origin {
 			continue
 		}
 		c.obs.AddBaselineMisses(1)

@@ -13,12 +13,14 @@ import (
 )
 
 // TestBaselineCacheSharesOneResult: every get of one key lends the same
-// Result, a distinct λ is a distinct entry, and the counters keep their
-// identities — hits + misses == gets, misses == distinct keys.
+// Result; another λ of the same victim is a distinct entry, shifted from the
+// resident one instead of propagated — a hit — and bit-equal to what a
+// propagation gives. The counters keep their identities: hits + misses ==
+// gets, misses == propagations.
 func TestBaselineCacheSharesOneResult(t *testing.T) {
 	g := expGraph(t, 300, 7)
 	c := new(obs.Counters)
-	cache := newBaselineCache(g, c, 0, 0)
+	cache := newBaselineCache(g, c, routing.NewScratch(), 0, 0)
 	victim := g.Tier1s()[0]
 
 	first, err := cache.get(victim, 3)
@@ -33,19 +35,104 @@ func TestBaselineCacheSharesOneResult(t *testing.T) {
 	if len(cache.m) != 1 {
 		t.Fatalf("cache holds %d entries, want 1", len(cache.m))
 	}
-	other, err := cache.get(victim, 5)
+	kept := first.Clone()
+	for _, lambda := range []int{5, 1} { // a shift up, then one down from it
+		other, err := cache.get(victim, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := routing.Propagate(g, routing.Announcement{Origin: victim, Prepend: lambda})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other == first || !sameRows(other, direct) || other.ReachableCount() != direct.ReachableCount() {
+			t.Fatalf("λ=%d: the shifted entry shares λ=3's Result or diverges from a propagation", lambda)
+		}
+	}
+	if !sameRows(first, kept) {
+		t.Fatal("shifting rewrote the lent λ=3 Result")
+	}
+	if len(cache.m) != 3 {
+		t.Fatalf("cache holds %d entries, want 3", len(cache.m))
+	}
+	if s := c.Snapshot(); s.BaselineMisses != 1 || s.BaselineHits != 17 || s.BasePropagations != 1 {
+		t.Fatalf("18 gets of 3 λ of one victim: misses=%d hits=%d prop_base=%d, want 1/17/1",
+			s.BaselineMisses, s.BaselineHits, s.BasePropagations)
+	}
+}
+
+// TestBaselineCacheShiftNeedsResidentSource: with the previous get's Result
+// evicted there is nothing to shift, so the victim's next λ propagates; a
+// victim that fails validation fails for every λ, and a λ that fails it is
+// never reached by a shift.
+func TestBaselineCacheShiftNeedsResidentSource(t *testing.T) {
+	g := expGraph(t, 300, 7)
+	t1 := g.Tier1s()
+	const bogus = bgp.ASN(4_000_000_000)
+	c := new(obs.Counters)
+	cache := newBaselineCache(g, c, routing.NewScratch(), 1, 1) // every insert evicts its predecessor
+	if _, err := cache.get(t1[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.warm([]baselineKey{{t1[1], 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cache.m[baselineKey{t1[0], 1}] != nil {
+		t.Fatal("1-byte budget kept the source resident")
+	}
+	next, err := cache.get(t1[0], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other == first {
-		t.Fatal("λ=5 shares λ=3's baseline")
+	direct, err := routing.Propagate(g, routing.Announcement{Origin: t1[0], Prepend: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(cache.m) != 2 {
-		t.Fatalf("cache holds %d entries, want 2", len(cache.m))
+	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineMisses != 3 || !sameRows(next, direct) {
+		t.Fatalf("λ=2 after its source was evicted: prop_base=%d misses=%d, want a second propagation", s.BasePropagations, s.BaselineMisses)
 	}
-	if s := c.Snapshot(); s.BaselineMisses != 2 || s.BaselineHits != 15 || s.BasePropagations != 2 {
-		t.Fatalf("17 gets of 2 keys: misses=%d hits=%d prop_base=%d, want 2/15/2",
-			s.BaselineMisses, s.BaselineHits, s.BasePropagations)
+	if _, err := cache.get(t1[0], 0); err == nil {
+		t.Fatal("λ=0 shifted into existence past validation")
+	}
+	for lambda := 1; lambda <= 8; lambda++ {
+		if _, err := cache.get(bogus, lambda); err == nil {
+			t.Fatalf("origin outside the topology accepted at λ=%d", lambda)
+		}
+	}
+	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineMisses != 3+1+8 {
+		t.Fatalf("failed keys: prop_base=%d misses=%d, want 2 and 12", s.BasePropagations, s.BaselineMisses)
+	}
+}
+
+// TestBaselineCacheWarmOneLanePerVictim: a window holding eight λ of one
+// victim warms as one lane; the gets shift the other seven.
+func TestBaselineCacheWarmOneLanePerVictim(t *testing.T) {
+	g := expGraph(t, 300, 7)
+	victim := g.Tier1s()[0]
+	c := new(obs.Counters)
+	cache := newBaselineCache(g, c, routing.NewScratch(), 0, 8)
+	var keys []baselineKey
+	for lambda := 1; lambda <= 8; lambda++ {
+		keys = append(keys, baselineKey{victim, lambda})
+	}
+	if err := cache.warm(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		res, err := cache.get(k.origin, k.lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := routing.Propagate(g, routing.Announcement{Origin: victim, Prepend: k.lambda})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(res, direct) {
+			t.Fatalf("λ=%d diverges from a propagation", k.lambda)
+		}
+	}
+	if s := c.Snapshot(); s.BatchPropagations != 1 || s.BaselineMisses != 1 || s.BaselineHits != 8 || s.BasePropagations != 0 {
+		t.Fatalf("eight λ of one victim: %+v, want one lane, one miss, eight hits", s)
 	}
 }
 
@@ -63,7 +150,7 @@ func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 	t1 := g.Tier1s()
 	const bogus = bgp.ASN(4_000_000_000)
 	c := new(obs.Counters)
-	warmed := newBaselineCache(g, c, 0, 0)
+	warmed := newBaselineCache(g, c, routing.NewScratch(), 0, 0)
 	if err := warmed.warm([]baselineKey{{t1[0], 3}, {bogus, 3}, {t1[1], 3}, {t1[0], 3}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +160,7 @@ func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 	if _, err := warmed.get(bogus, 3); err == nil {
 		t.Fatal("warm left the invalid origin unpoisoned")
 	}
-	cache := newBaselineCache(g, nil, 0, 0)
+	cache := newBaselineCache(g, nil, routing.NewScratch(), 0, 0)
 	for _, victim := range t1[:2] {
 		cached, err := cache.get(victim, 3)
 		if err != nil {
@@ -104,7 +191,7 @@ func TestBaselineCachePoisonOutlivesEviction(t *testing.T) {
 	asns := g.ASNs()
 	const bogus = bgp.ASN(4_000_000_000)
 	c := new(obs.Counters)
-	cache := newBaselineCache(g, c, 1, 1) // every insert evicts its predecessor
+	cache := newBaselineCache(g, c, routing.NewScratch(), 1, 1) // every insert evicts its predecessor
 	_, poison := cache.get(bogus, 1)
 	if poison == nil {
 		t.Fatal("origin outside the topology accepted")

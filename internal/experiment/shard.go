@@ -106,9 +106,10 @@ func shardOf(v bgp.ASN, nShards int) int {
 // shardState is one shard's private, persistent working state: a
 // byte-budgeted baseline cache and a DeltaBatchRunner whose BatchScratch
 // doubles as the warm scratch and whose Scratch runs the serial-engine
-// legs. Single-goroutine by construction — ForEachErr hands each shard
-// index to exactly one worker, and successive runs reusing the state are
-// ordered by the fan-out's completion barrier.
+// legs and the cache's misses — every propagation of a sweep runs on state
+// the scratch_bytes gauge counts. Single-goroutine by construction —
+// ForEachErr hands each shard index to exactly one worker, and successive
+// runs reusing the state are ordered by the fan-out's completion barrier.
 type shardState struct {
 	cache  *baselineCache
 	runner *core.DeltaBatchRunner
@@ -153,9 +154,10 @@ func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 		shards:  make([]*shardState, nShards),
 	}
 	for i := range r.shards {
+		runner := core.NewDeltaBatchRunner()
 		r.shards[i] = &shardState{
-			cache:  newBaselineCache(g, o.counters, o.memBudget, kEff),
-			runner: core.NewDeltaBatchRunner(),
+			cache:  newBaselineCache(g, o.counters, runner.S, o.memBudget, kEff),
+			runner: runner,
 		}
 	}
 	o.counters.RecordCSRBytes(g.MemoryBytes())

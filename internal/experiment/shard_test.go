@@ -178,10 +178,10 @@ func TestShardConfigValidation(t *testing.T) {
 // lowest-shard-index failure, independent of worker scheduling.
 func TestShardFirstErrorDeterministic(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := baselineOnly
-	defer func() { baselineOnly = orig }()
-	baselineOnly = func(_ *topology.Graph, sc core.Scenario) (*routing.Result, error) {
-		return nil, fmt.Errorf("injected fault for victim %v", sc.Victim)
+	orig := ownedBaseline
+	defer func() { ownedBaseline = orig }()
+	ownedBaseline = func(_ *topology.Graph, ann routing.Announcement, _ *routing.Scratch) (*routing.Result, error) {
+		return nil, fmt.Errorf("injected fault for victim %v", ann.Origin)
 	}
 	cfg := PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 4, Shards: 7}
 	_, err1 := SamplePairsCtx(context.Background(), g, cfg)
@@ -202,13 +202,13 @@ func TestShardFirstErrorDeterministic(t *testing.T) {
 // λ steps in different shards fail, the lower λ is the one reported.
 func TestSweepLowestLambdaErrorWins(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := baselineOnly
-	defer func() { baselineOnly = orig }()
-	baselineOnly = func(gg *topology.Graph, sc core.Scenario) (*routing.Result, error) {
-		if sc.Prepend == 3 || sc.Prepend == 7 {
-			return nil, fmt.Errorf("injected fault at λ=%d", sc.Prepend)
+	orig := ownedBaseline
+	defer func() { ownedBaseline = orig }()
+	ownedBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
+		if ann.Prepend == 3 || ann.Prepend == 7 {
+			return nil, fmt.Errorf("injected fault at λ=%d", ann.Prepend)
 		}
-		return orig(gg, sc)
+		return orig(gg, ann, s)
 	}
 	t1 := g.Tier1s()
 	for run := 0; run < 5; run++ {
@@ -228,15 +228,15 @@ func TestShardMidShardCancellation(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	orig := baselineOnly
-	defer func() { baselineOnly = orig }()
+	orig := ownedBaseline
+	defer func() { ownedBaseline = orig }()
 	calls := 0
-	baselineOnly = func(gg *topology.Graph, sc core.Scenario) (*routing.Result, error) {
+	ownedBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
 		calls++
 		if calls == 2 {
 			cancel() // second victim's baseline pulls the plug mid-shard
 		}
-		return orig(gg, sc)
+		return orig(gg, ann, s)
 	}
 	cfg := PairConfig{Kind: PairsRandom, N: 20, Prepend: 3, Seed: 9, Workers: 1, Shards: 1}
 	_, err := SamplePairsCtx(ctx, g, cfg)
@@ -291,7 +291,7 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 	entry := one.MemoryBytes()
 	c := new(obs.Counters)
 	// Budget fits ~3 entries; keep floor of 2.
-	cache := newBaselineCache(g, c, 3*entry+entry/2, 2)
+	cache := newBaselineCache(g, c, routing.NewScratch(), 3*entry+entry/2, 2)
 	for i := 0; i < 8; i++ {
 		if _, err := cache.get(asns[i], 1); err != nil {
 			t.Fatalf("get %d: %v", i, err)
@@ -333,7 +333,7 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 func TestBaselineCacheKeepFloor(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
-	cache := newBaselineCache(g, nil, 1, 4) // budget of one byte, keep 4
+	cache := newBaselineCache(g, nil, routing.NewScratch(), 1, 4) // budget of one byte, keep 4
 	for i := 0; i < 6; i++ {
 		if _, err := cache.get(asns[i], 1); err != nil {
 			t.Fatal(err)

@@ -82,9 +82,10 @@ func TestBuildSiblingScenarioValidation(t *testing.T) {
 }
 
 // TestSiblingSweepCountedAndCancellable: the sibling leg runs through the
-// one sweep entry point, so its reference propagations — one baseline and
-// one attack per λ — land in the caller's counters and a cancelled context
-// stops it. (It used to be a private loop that did neither.)
+// one sweep entry point, so its full-kernel propagations — one baseline per
+// shard, its other λ shifted, and one attack per λ — land in the caller's
+// counters and a cancelled context stops it. (It used to be a private loop
+// that did neither.)
 func TestSiblingSweepCountedAndCancellable(t *testing.T) {
 	g := expGraph(t, 300, 42)
 	attacker, err := PickContentStub(g)
@@ -100,13 +101,13 @@ func TestSiblingSweepCountedAndCancellable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := new(obs.Counters)
-	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Counters: c}
+	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Shards: 2, Counters: c}
 	counted, err := SweepPrependCfgCtx(context.Background(), sib.Graph, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s.BasePropagations != 6 || s.FullPropagations != 6 {
-		t.Fatalf("sibling sweep counted prop_base=%d prop_full=%d, want 6 and 6", s.BasePropagations, s.FullPropagations)
+	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineHits != 4 || s.FullPropagations != 6 {
+		t.Fatalf("sibling sweep counted prop_base=%d cache_hit=%d prop_full=%d, want 2, 4 and 6", s.BasePropagations, s.BaselineHits, s.FullPropagations)
 	}
 	thin, err := sib.Sweep(6)
 	if err != nil {

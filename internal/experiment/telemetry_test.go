@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"aspp/internal/bgp"
-	"aspp/internal/core"
 	"aspp/internal/obs"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
@@ -51,8 +50,9 @@ func TestSamplePairsPropagationBudget(t *testing.T) {
 	}
 }
 
-// TestSweepPrependCounters: a fixed-pair λ sweep computes exactly one
-// baseline and one attack propagation per λ, with no skips.
+// TestSweepPrependCounters: a fixed-pair λ sweep propagates the victim once
+// per shard — the shard's other λ are shifts, counted as hits — and runs one
+// attack propagation per λ, with no skips.
 func TestSweepPrependCounters(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	t1 := g.Tier1s()
@@ -71,9 +71,9 @@ func TestSweepPrependCounters(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(points), maxLambda)
 	}
 	s := c.Snapshot()
-	if s.BaselineMisses != maxLambda || s.BasePropagations != maxLambda {
-		t.Fatalf("baselines: misses=%d props=%d, want %d each (one per λ)",
-			s.BaselineMisses, s.BasePropagations, maxLambda)
+	if s.BaselineMisses != 2 || s.BasePropagations != 2 || s.BaselineHits != maxLambda-2 {
+		t.Fatalf("baselines: misses=%d props=%d hits=%d, want 2, 2 and %d (one propagation per shard)",
+			s.BaselineMisses, s.BasePropagations, s.BaselineHits, maxLambda-2)
 	}
 	if s.AttackPropagations() != maxLambda {
 		t.Fatalf("AttackPropagations=%d, want %d (one per λ)", s.AttackPropagations(), maxLambda)
@@ -90,9 +90,9 @@ func TestSweepPrependCounters(t *testing.T) {
 // retry for that victim failed again).
 func TestSamplePairsBaselineFailureFatal(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := baselineOnly
-	defer func() { baselineOnly = orig }()
-	baselineOnly = func(*topology.Graph, core.Scenario) (*routing.Result, error) {
+	orig := ownedBaseline
+	defer func() { ownedBaseline = orig }()
+	ownedBaseline = func(*topology.Graph, routing.Announcement, *routing.Scratch) (*routing.Result, error) {
 		return nil, fmt.Errorf("injected baseline fault")
 	}
 	_, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 4})
@@ -107,9 +107,9 @@ func TestSamplePairsBaselineFailureFatal(t *testing.T) {
 // TestSweepPrependBaselineFailureFatal: same contract for the λ sweep.
 func TestSweepPrependBaselineFailureFatal(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := baselineOnly
-	defer func() { baselineOnly = orig }()
-	baselineOnly = func(*topology.Graph, core.Scenario) (*routing.Result, error) {
+	orig := ownedBaseline
+	defer func() { ownedBaseline = orig }()
+	ownedBaseline = func(*topology.Graph, routing.Announcement, *routing.Scratch) (*routing.Result, error) {
 		return nil, fmt.Errorf("injected baseline fault")
 	}
 	t1 := g.Tier1s()

@@ -336,8 +336,8 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 // between legs surfaces ctx.Err(), and the draw does not run on.
 func TestDetectionAndCompareCancelMidDraw(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := baselineOnly
-	defer func() { baselineOnly = orig }()
+	orig := ownedBaseline
+	defer func() { ownedBaseline = orig }()
 	for name, run := range map[string]func(context.Context) error{
 		"detection": func(ctx context.Context) error {
 			cfg := DefaultDetectionConfig()
@@ -354,11 +354,11 @@ func TestDetectionAndCompareCancelMidDraw(t *testing.T) {
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0
-		baselineOnly = func(gg *topology.Graph, sc core.Scenario) (*routing.Result, error) {
+		ownedBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
 			if calls++; calls == 3 {
 				cancel() // the third victim's baseline pulls the plug mid-draw
 			}
-			return orig(gg, sc)
+			return orig(gg, ann, s)
 		}
 		if err := run(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err=%v, want errors.Is(..., context.Canceled)", name, err)

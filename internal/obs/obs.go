@@ -109,14 +109,17 @@ func (c *Counters) AddDeltaPropagations(n int64) {
 	}
 }
 
-// AddBaselineHits records n baseline-cache hits.
+// AddBaselineHits records n baseline-cache hits: gets answered without a
+// propagation — a resident entry, a memoized error, or an entry derived by
+// shifting another λ of the same victim (routing.Result.Shifted).
 func (c *Counters) AddBaselineHits(n int64) {
 	if c != nil {
 		c.baselineHits.Add(n)
 	}
 }
 
-// AddBaselineMisses records n baseline-cache misses.
+// AddBaselineMisses records n baseline-cache misses: keys propagated (or
+// failing validation), so prop_base + prop_batch == cache_miss on success.
 func (c *Counters) AddBaselineMisses(n int64) {
 	if c != nil {
 		c.baselineMisses.Add(n)

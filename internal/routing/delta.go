@@ -382,6 +382,7 @@ func deltaResultInto(r *Result, baseline *Result, via []bool) *Result {
 	n := len(baseline.Class)
 	r.g = baseline.g
 	r.origin = baseline.origin
+	r.reach = 0
 	if cap(r.Class) < n {
 		c := growCap(n, cap(r.Class))
 		r.Class = make([]Class, c)

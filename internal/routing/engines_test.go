@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -272,11 +273,11 @@ func TestEnginesAgreeThroughScratchReuse(t *testing.T) {
 		compareResults(t, g, base, fresh, label+" scratch-vs-fresh")
 		compareResults(t, g, base, ref, label+" scratch-vs-ref")
 		checkInvariants(t, g, base, ann, nil, label)
-		// The scratch-borrowed ViaSetInto walk must agree with the
-		// allocating ViaSet.
+		// The scratch-borrowed ViaSetInto walk, on buffers the previous
+		// scenario's walk left its marks in, must agree with the allocating
+		// ViaSet.
 		viaAlloc := base.ViaSet(atk.AS)
-		via, state, stack := s.ViaBuffers(g)
-		viaScratch := base.ViaSetInto(atk.AS, via, state, stack)
+		viaScratch := base.ViaSetInto(atk.AS, s, nil)
 		for i := range viaAlloc {
 			if viaAlloc[i] != viaScratch[i] {
 				t.Fatalf("%s: ViaSetInto diverges from ViaSet at index %d", label, i)
@@ -488,6 +489,7 @@ func TestDeltaEngineDifferential(t *testing.T) {
 			compareResults(t, g, delta, full, alabel+" delta-vs-fast")
 			compareResults(t, g, delta, ref, alabel+" delta-vs-ref")
 			checkInvariants(t, g, delta, ann, &a, alabel)
+			checkDeltaCone(t, g, base, delta, a, s, alabel)
 			if delta.PollutedCount() != full.PollutedCount() {
 				t.Errorf("%s: pollution %d (delta) vs %d (fast)", alabel,
 					delta.PollutedCount(), full.PollutedCount())
@@ -513,6 +515,31 @@ func TestDeltaEngineDifferential(t *testing.T) {
 	}
 	if scenarios < 500 {
 		t.Fatalf("only %d attack scenarios exercised, want >= 500", scenarios)
+	}
+}
+
+// checkDeltaCone pins what cone-sized accounting rests on: every AS whose
+// row the attack changed, and every AS routing via the attacker before or
+// under it, is on s.DeltaCone() — so a via walk over the cone alone equals
+// the whole-graph answer, read here off the paths themselves.
+func checkDeltaCone(t *testing.T, g *topology.Graph, base, delta *Result, atk Attacker, s *Scratch, label string) {
+	t.Helper()
+	inCone := make([]bool, g.NumASes())
+	for _, i := range s.DeltaCone() {
+		inCone[i] = true
+	}
+	viaCone := base.ViaSetInto(atk.AS, s, s.DeltaCone())
+	for i, asn := range g.ASNs() {
+		idx := mustIdx(t, g, asn)
+		viaBefore := slices.Contains(base.PathOf(asn), atk.AS)
+		changed := base.Class[idx] != delta.Class[idx] || base.Len[idx] != delta.Len[idx] ||
+			base.Prep[idx] != delta.Prep[idx] || base.Parent[idx] != delta.Parent[idx]
+		if (viaBefore || delta.Via[idx] || changed) && !inCone[idx] {
+			t.Errorf("%s: %v outside the cone: via before=%v after=%v, row changed=%v", label, asn, viaBefore, delta.Via[idx], changed)
+		}
+		if viaCone[idx] != viaBefore {
+			t.Errorf("%s: cone-sized via walk says %v for %v (#%d), its path says %v", label, viaCone[idx], asn, i, viaBefore)
+		}
 	}
 }
 

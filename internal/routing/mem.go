@@ -70,7 +70,7 @@ func (s *Scratch) MemoryBytes() int64 {
 		sliceBytes(s.sibOff) + sliceBytes(s.sibProv) +
 		sliceBytes(s.dflags) + sliceBytes(s.touched) + sliceBytes(s.dprov) +
 		sliceBytes(s.via) + sliceBytes(s.viaBase) +
-		sliceBytes(s.viaState) + sliceBytes(s.viaStack) +
+		sliceBytes(s.viaState) + sliceBytes(s.viaSeen) +
 		sliceBytes(s.deltaVia) +
 		s.base.backingBytes() + s.atk.backingBytes() + s.delta.backingBytes()
 }

@@ -11,6 +11,11 @@ import (
 type Result struct {
 	g      *topology.Graph
 	origin int32
+	// reach is ReachableCount()+1 on a Result that owns its rows
+	// (PropagateOwned, Shifted, Clone), counted once where they were written;
+	// 0 means not counted — the Scratch slots, whose rows change under a
+	// fixed pointer, never carry it.
+	reach int32
 
 	// Class[i] is the policy class of i's best route (ClassNone if i has
 	// no route or i is the origin).
@@ -62,6 +67,7 @@ func resultInto(r *Result, g *topology.Graph, origin int32) *Result {
 	n := g.NumASes()
 	r.g = g
 	r.origin = origin
+	r.reach = 0
 	if cap(r.Class) < n {
 		c := growCap(n, cap(r.Class))
 		r.Class = make([]Class, c)
@@ -90,6 +96,25 @@ func (r *Result) Clone() *Result {
 	}
 	if r.Via != nil {
 		out.Via = append([]bool(nil), r.Via...)
+	}
+	out.reach = int32(r.ReachableCount()) + 1
+	return out
+}
+
+// Shifted returns a copy of r with d more origin copies on every route:
+// Len and Prep grow by d on each row with a route. The origin's padding
+// changes no AS's choice among the legitimate routes, so for r the no-attack
+// outcome of a uniform announcement (no per-neighbor λ, no withheld session)
+// with λ = l, Shifted(d) is row for row the outcome of l+d — sibling-bearing
+// graphs included. A copy, not a rebase: r may be lent to legs still
+// running, and Scratch's same-baseline repair compares pointers.
+func (r *Result) Shifted(d int) *Result {
+	out := r.Clone()
+	for i, c := range out.Class {
+		if c != ClassNone {
+			out.Len[i] += int32(d)
+			out.Prep[i] += int16(d)
+		}
 	}
 	return out
 }
@@ -209,66 +234,65 @@ func (r *Result) HopsToOrigin(asn bgp.ASN) int {
 // itself; the origin is never via anything). This is the pollution set of
 // the paper: every marked AS sends its traffic for the origin through asn.
 func (r *Result) ViaSet(asn bgp.ASN) []bool {
-	n := r.g.NumASes()
-	return r.ViaSetInto(asn, make([]bool, n), make([]uint8, n), nil)
+	return r.ViaSetInto(asn, new(Scratch), nil)
 }
 
-// ViaSetInto is ViaSet writing into caller-provided storage: via and state
-// must each cover NumASes entries; stack is an optional spill buffer that
-// grows as needed (pass nil to allocate one). It returns via. The sweep
-// hot path calls it with Scratch-owned buffers (Scratch.ViaBuffers) to
-// avoid per-call allocation.
-func (r *Result) ViaSetInto(asn bgp.ASN, via []bool, state []uint8, stack []int32) []bool {
-	n := r.g.NumASes()
-	via = via[:n]
-	target, ok := r.g.Index(asn)
-	if !ok {
-		for i := range via {
-			via[i] = false
-		}
-		return via
-	}
+// ViaSetInto is ViaSet into s's via-walk buffers, valid until the next
+// ViaSetInto on s (they are distinct from the attack slots' Via storage, so
+// a baseline via-set coexists with an attack result on the same Scratch).
+// With a nil cone every AS is decided. Otherwise only the listed indices
+// are — each by walking its parent chain up to an AS already decided — and
+// everything else reads false: exact whenever every AS routing via asn is
+// listed, which Scratch.DeltaCone guarantees for the attacker of its leg.
+// The buffers are reset by replaying the previous walk's visit list, so a
+// cone-sized walk costs O(cone), not O(n).
+func (r *Result) ViaSetInto(asn bgp.ASN, s *Scratch, cone []int32) []bool {
 	const (
 		unknown = 0
 		yes     = 1
 		no      = 2
 	)
-	state = state[:n]
-	for i := range state {
-		state[i] = unknown
+	n := r.g.NumASes()
+	s.ensureViaBufs(n)
+	for _, i := range s.viaSeen {
+		s.viaBase[i], s.viaState[i] = false, unknown
+	}
+	via, state, seen, parent := s.viaBase[:n], s.viaState[:n], s.viaSeen[:0], r.Parent[:n]
+	target, ok := r.g.Index(asn)
+	if !ok {
+		return via
 	}
 	state[r.origin] = no
-	if stack == nil {
-		stack = make([]int32, 0, 32)
+	seen = append(seen, r.origin)
+	count := len(cone)
+	if cone == nil {
+		count = n
 	}
-	for i := int32(0); i < int32(n); i++ {
-		if state[i] != unknown {
-			via[i] = state[i] == yes
-			continue
+	for k := 0; k < count; k++ {
+		i := int32(k)
+		if cone != nil {
+			i = cone[k]
 		}
-		if r.Class[i] == ClassNone {
-			state[i] = no
-			via[i] = false
-			continue
+		if state[i] != unknown || parent[i] < 0 {
+			continue // decided, or no route: via stays false
 		}
-		// Walk up the parent chain until a decided node, then unwind.
-		stack = stack[:0]
-		j := i
-		for state[j] == unknown {
-			stack = append(stack, j)
-			j = r.Parent[j]
+		// Walk up the parent chain until a decided node, then unwind; the
+		// chain is the tail of the visit list.
+		start, j := len(seen), i
+		for ; state[j] == unknown; j = parent[j] {
+			seen = append(seen, j)
 		}
 		verdict := state[j]
-		for k := len(stack) - 1; k >= 0; k-- {
-			node := stack[k]
-			if r.Parent[node] == target {
+		for c := len(seen) - 1; c >= start; c-- {
+			node := seen[c]
+			if parent[node] == target {
 				verdict = yes
 			}
 			state[node] = verdict
 			via[node] = verdict == yes
 		}
 	}
-	via[target] = false
+	s.viaSeen = seen
 	return via
 }
 
@@ -298,6 +322,9 @@ func (r *Result) PollutedCount() int {
 // ReachableCount returns the number of ASes with a route, excluding the
 // origin itself.
 func (r *Result) ReachableCount() int {
+	if r.reach > 0 {
+		return int(r.reach) - 1
+	}
 	n := 0
 	for i := range r.Class {
 		if r.Class[i] != ClassNone {

@@ -43,7 +43,8 @@ type nodeRec struct {
 //     PropagateAttackDelta call. The three slots are independent, so the
 //     usual baseline-then-attack pairing — with either attack engine, or
 //     both — works on a single Scratch.
-//   - Callers that need a result to outlive the Scratch must Clone it.
+//   - Callers that need a result to outlive the Scratch must Clone it, or
+//     have PropagateOwned write it into storage of their own.
 //
 // A Scratch adapts itself to whatever topology it is handed; growing to a
 // larger graph reallocates once, after which calls are allocation-free
@@ -97,13 +98,15 @@ type Scratch struct {
 	// under the matching touch bit, so the table needs no reset.
 	dprov []cand
 
-	// via is the attack slot's Via storage. viaBase/viaState/viaStack back
+	// via is the attack slot's Via storage. viaBase/viaState back
 	// ViaSetInto walks (core's pollution counting); viaBase is distinct
 	// from via so a baseline via-set can coexist with an attack result.
+	// viaSeen lists the entries the last walk wrote — its chain stack while
+	// it ran — so the next one resets them in O(visited), not O(n).
 	via      []bool
 	viaBase  []bool
 	viaState []uint8
-	viaStack []int32
+	viaSeen  []int32
 
 	// deltaVia is the delta slot's Via storage.
 	deltaVia []bool
@@ -113,8 +116,8 @@ type Scratch struct {
 	// the same baseline object, setup repairs only the previous cone's
 	// rows instead of re-copying the whole baseline (see
 	// PropagateAttackDelta). Never dereferenced for its contents — only
-	// compared — so holding it keeps no extra state alive beyond the
-	// baseline the caller is reusing anyway.
+	// compared — but it does pin that baseline (0.9 MB at 80k ASes) for as
+	// long as the Scratch lives, past the release of the cache that lent it.
 	deltaBase *Result
 
 	// base, atk and delta are the three reusable result slots.
@@ -191,15 +194,14 @@ func (s *Scratch) ensureVia(n int) {
 	}
 }
 
-// ensureViaBufs sizes the ViaSetInto walk buffers.
+// ensureViaBufs sizes the ViaSetInto walk buffers. Fresh ones are clean, so
+// replaying a visit list that outlived a reallocation undoes nothing.
 func (s *Scratch) ensureViaBufs(n int) {
 	if len(s.viaBase) < n {
 		n = growCap(n, len(s.viaBase))
 		s.viaBase = make([]bool, n)
 		s.viaState = make([]uint8, n)
-	}
-	if s.viaStack == nil {
-		s.viaStack = make([]int32, 0, 64)
+		s.viaSeen = make([]int32, 0, n)
 	}
 }
 
@@ -260,16 +262,15 @@ func (s *Scratch) clearDeltaFlags() {
 	s.touched = s.touched[:0]
 }
 
-// ViaBuffers exposes the scratch-owned buffers ViaSetInto needs, sized for
-// g. The buffers are distinct from the attack slot's Via storage, so a
-// baseline via-set computed here stays valid next to an attack result on
-// the same Scratch. The returned slices are invalidated by the next
-// ViaBuffers call on this Scratch.
-func (s *Scratch) ViaBuffers(g *topology.Graph) (via []bool, state []uint8, stack []int32) {
-	n := g.NumASes()
-	s.ensureViaBufs(n)
-	return s.viaBase[:n], s.viaState[:n], s.viaStack
-}
+// DeltaCone lists the ASes the last PropagateAttackDelta call on s examined
+// (dense indices, in no particular order; empty but never nil after a delta
+// call). Every row of that call's result that differs from its baseline is
+// listed, and so is every AS that routed via the attacker before the attack
+// or does under it: each of the attacker's offers is via-marked and so
+// differs from its baseline offer, which puts every AS that ever selected
+// one — directly or down the chain — in the cone. Borrowed: valid until the
+// next delta call on s.
+func (s *Scratch) DeltaCone() []int32 { return s.touched }
 
 // PropagateScratch is Propagate with scratch reuse: candidate tables and
 // the returned Result are borrowed from s. With s == nil the propagation
@@ -285,12 +286,28 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 		scratchPool.Put(ps)
 		return res, err
 	}
+	return propagateInto(g, ann, s, &s.base)
+}
+
+// PropagateOwned is PropagateScratch with the rows written straight into a
+// freshly allocated Result the caller owns: s lends its candidate tables
+// only, its baseline slot is left alone, and nothing is copied. It is how a
+// baseline cache fills an entry on the Scratch its legs run on.
+func PropagateOwned(g *topology.Graph, ann Announcement, s *Scratch) (*Result, error) {
+	res, err := propagateInto(g, ann, s, new(Result))
+	if err == nil {
+		res.reach = int32(res.ReachableCount()) + 1
+	}
+	return res, err
+}
+
+func propagateInto(g *topology.Graph, ann Announcement, s *Scratch, res *Result) (*Result, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
 	}
 	var st fastState
 	st.init(g, ann, s)
-	return st.run(resultInto(&s.base, g, st.origin), nil)
+	return st.run(resultInto(res, g, st.origin), nil)
 }
 
 // PropagateAttackScratch computes the stable outcome with the attacker

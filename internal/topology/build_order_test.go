@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
@@ -204,5 +205,44 @@ func TestReadSerial2InPlaceParsing(t *testing.T) {
 	}
 	if g, err := ReadSerial2(strings.NewReader("4294967295|007|-1\n")); err != nil || !g.Has(4294967295) || !g.Has(7) {
 		t.Errorf("largest ASN and leading zeros: %v", err)
+	}
+}
+
+// TestReadSerial2HeaderIsAHint: the "# N ASes, M links" comment presizes
+// the Builder only as far as the input's size bears it out, and what is
+// parsed never depends on it.
+func TestReadSerial2HeaderIsAHint(t *testing.T) {
+	const body = "1|2|-1\n2|3|-1\n1|4|0\n"
+	plain, err := ReadSerial2(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, header := range []string{
+		"# 4 ASes, 3 links", // true
+		"# 4000000000000 ASes, 9000000000000000000 links", // absurd
+		"# 99999999999999999999 ASes, 1 links",            // overflows an int
+		"# 0 ASes, 0 links",                               // zero
+		"# -4 ASes, -3 links",                             // negative
+		"# 4 ASes",                                        // malformed
+		"#4 ASes, 3 links and a tail",                     // malformed
+	} {
+		in := header + "\n" + body
+		if b := sizedBuilder([]byte(header), int64(len(in))); cap(b.links) > len(in)/minLinkLine || cap(b.asns) > 2*cap(b.links) {
+			t.Errorf("%q over %d bytes presizes %d links, %d ASes", header, len(in), cap(b.links), cap(b.asns))
+		}
+		g, err := ReadSerial2(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%q: %v", header, err)
+		}
+		if !slices.Equal(g.Links(), plain.Links()) || !slices.Equal(g.ASNs(), plain.ASNs()) {
+			t.Errorf("%q changed the parsed graph", header)
+		}
+	}
+	if b := sizedBuilder([]byte("# 80000 ASes, 289297 links"), 4637302); cap(b.links) != 289297 || cap(b.asns) != 80000 {
+		t.Errorf("internet80k's own header presizes %d links, %d ASes", cap(b.links), cap(b.asns))
+	}
+	// A reader that cannot say how much it holds justifies nothing.
+	if n := inputSize(io.MultiReader(strings.NewReader(body))); n != 0 {
+		t.Errorf("inputSize of an opaque reader = %d, want 0", n)
 	}
 }

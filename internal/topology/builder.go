@@ -39,10 +39,15 @@ func pairKey(i, j int32) uint64 {
 }
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
+func NewBuilder() *Builder { return newBuilderSized(0, 0) }
+
+// newBuilderSized returns an empty Builder with room for n ASes and m links.
+func newBuilderSized(n, m int) *Builder {
 	return &Builder{
-		index: make(map[bgp.ASN]int32),
-		seen:  make(map[uint64]int32),
+		asns:  make([]bgp.ASN, 0, n),
+		index: make(map[bgp.ASN]int32, n),
+		links: make([]builderLink, 0, m),
+		seen:  make(map[uint64]int32, m),
 	}
 }
 

@@ -34,6 +34,11 @@ func FuzzSerial2(f *testing.F) {
 		"1|2|-1|extra\n",
 		"\xff\xfe garbage",
 		"# 2 ASes, 1 links\n1|2|-1\n", // its own writer output
+		// The header only presizes: absurd, zero and malformed ones.
+		"# 4000000000 ASes, 9000000000000000000 links\n1|2|-1\n",
+		"# 0 ASes, 0 links\n1|2|-1\n2|3|0\n",
+		"# -1 ASes, -1 links\n1|2|2\n",
+		"# 3 ASes, links\n1|2|-1\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

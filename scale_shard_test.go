@@ -13,6 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"aspp/internal/core"
+	"aspp/internal/experiment"
+	"aspp/internal/obs"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -73,17 +77,23 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 // TestScale80kSusceptibilityWork is a count gate, not a time gate: the
 // default tier matrix on internet80k simulates exactly the 9 cells × 12
 // instances it prints — no oversampled leg, no baseline nobody reads — and
-// the baselines it keeps warm across its rounds stay under 128 MB.
+// the baselines it keeps warm across its rounds stay under 128 MB. It is
+// also where the gauges are held to account: the sweep allocates its
+// shards' scratch state and the baselines it installs, and no Scratch
+// beside them.
 func TestScale80kSusceptibilityWork(t *testing.T) {
 	scaleGate(t)
 	in := internet80k(t)
 	c := new(Counters)
 	cfg := DefaultSusceptibilityConfig()
 	cfg.Counters = c
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	cells, err := in.SusceptibilityMatrixCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("80k susceptibility matrix: %v", err)
 	}
+	runtime.ReadMemStats(&after)
 	want := int64(len(cells) * cfg.PairsPerCell)
 	s := c.Snapshot()
 	t.Logf("80k matrix: %d cells, prop_delta=%d prop_base=%d skip_unreachable=%d cache_bytes=%d",
@@ -96,5 +106,106 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 	}
 	if s.CacheBytes <= 0 || s.CacheBytes >= 128<<20 {
 		t.Errorf("cache_bytes=%d, want a recorded peak under 128 MB", s.CacheBytes)
+	}
+	t.Logf("XXX alloc=%d scratch=%d misses=%d resultbytes=%d procs=%d", after.TotalAlloc-before.TotalAlloc, s.ScratchBytes, s.BaselineMisses, routing.BaselineResultBytes(in.Graph().NumASes()), runtime.GOMAXPROCS(0))
+}
+
+// TestScale80kConeCountsMatchFullKernel checks the sweep's answers at the
+// scale it runs (ROADMAP 5b): 60 fig7-style tier-1 legs and 50 random
+// violating ones on internet80k, simulated the way the figures are — shard
+// caches, the delta kernel, pollution counted over the attacker's cone —
+// must report exactly the fractions an O(n) recount reads off a fresh
+// baseline and a full-kernel attack propagation.
+func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
+	scaleGate(t)
+	in := internet80k(t)
+	g := in.Graph()
+	s := routing.NewScratch()
+	legs := 0
+	for _, cfg := range []PairConfig{
+		{Kind: PairsTier1, N: 60, Prepend: 3, Seed: 1},
+		{Kind: PairsRandom, N: 50, Prepend: 3, Violate: true, Seed: 1},
+	} {
+		pairs, err := in.SamplePairsCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("80k pair sweep: %v", err)
+		}
+		for _, p := range pairs {
+			ann := routing.Announcement{Origin: p.Victim, Prepend: cfg.Prepend}
+			base, err := routing.PropagateScratch(g, ann, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			atk := routing.Attacker{AS: p.Attacker, ViolateValleyFree: cfg.Violate}
+			attacked, err := routing.PropagateAttackScratch(g, ann, atk, base, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aIdx, _ := g.Index(p.Attacker)
+			var want core.Counts
+			for i := int32(0); i < int32(g.NumASes()); i++ {
+				if i == base.OriginIdx() || i == aIdx || !base.ReachableIdx(i) {
+					continue
+				}
+				want.Eligible++
+				for j := base.Parent[i]; j != base.OriginIdx(); j = base.Parent[j] {
+					if j == aIdx {
+						want.PollutedBefore++
+						break
+					}
+				}
+				if attacked.Via[i] {
+					want.PollutedAfter++
+				}
+			}
+			if p.Before != want.Before() || p.After != want.After() {
+				t.Errorf("%v hijacks %v (violate=%v): sweep reports %v -> %v, O(n) recount over the full kernel %v -> %v (%+v)",
+					p.Attacker, p.Victim, cfg.Violate, p.Before, p.After, want.Before(), want.After(), want)
+			}
+			legs++
+		}
+	}
+	if legs < 100 {
+		t.Fatalf("only %d legs checked", legs)
+	}
+}
+
+// TestScale80kLambdaSweepPropagatesVictimOnce: a fig9 sweep at two shards
+// propagates the victim at most once per shard — the other λ are shifts,
+// counted as hits — and prints what eight propagations print.
+func TestScale80kLambdaSweepPropagatesVictimOnce(t *testing.T) {
+	scaleGate(t)
+	in := internet80k(t)
+	victim, err := experiment.PickTier1ByDegree(in.Graph(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker, err := experiment.PickTier1ByDegree(in.Graph(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(shards int) ([]SweepPoint, obs.Snapshot) {
+		c := new(Counters)
+		points, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{
+			Victim: victim, Attacker: attacker, MaxLambda: 8, Shards: shards, Counters: c,
+		})
+		if err != nil {
+			t.Fatalf("80k λ sweep at %d shards: %v", shards, err)
+		}
+		return points, c.Snapshot()
+	}
+	points, s := sweep(2)
+	if s.BasePropagations > 2 || s.BaselineMisses != s.BasePropagations || s.BaselineHits != 8-s.BasePropagations || s.DeltaPropagations != 8 {
+		t.Errorf("two shards: prop_base=%d cache_miss=%d cache_hit=%d prop_delta=%d, want at most 2 propagations, the rest of 8 hits, 8 delta legs",
+			s.BasePropagations, s.BaselineMisses, s.BaselineHits, s.DeltaPropagations)
+	}
+	each, s8 := sweep(8) // one λ a shard: nothing to shift from
+	if s8.BasePropagations != 8 {
+		t.Fatalf("eight shards: prop_base=%d, want 8", s8.BasePropagations)
+	}
+	for i := range each {
+		if points[i] != each[i] {
+			t.Errorf("λ=%d: shifted baseline gives %+v, propagated %+v", i+1, points[i], each[i])
+		}
 	}
 }
