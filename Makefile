@@ -6,10 +6,12 @@ GO ?= go
 # jobs of their own; locally `make check` is all of them.
 check: lint-panics lint-paths lint-fmt tier1 scale-smoke serve-smoke
 
-# The conservation differential, the cone-accounting differential and the
-# λ-shift property re-run explicitly so a counter-attribution regression, a
-# leg counted over the wrong cone or a baseline shifted wrongly names itself
-# in the CI log instead of hiding inside the package sweep.
+# The conservation differential, the cone-accounting differential, the
+# λ-shift property and detect's differentials and zero-alloc pins re-run
+# explicitly so a counter-attribution regression, a leg counted over the
+# wrong cone, a baseline shifted wrongly, a second statement of the Fig. 4
+# rule or a returning allocation names itself in the CI log instead of
+# hiding inside the package sweep.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -18,6 +20,7 @@ tier1:
 	$(GO) test -run=TestBatchedSweepPropagationConservation -count=1 ./internal/experiment/
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
 	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
+	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
 # Sweep workers must return errors, never panic (DESIGN.md §6 "Error
@@ -33,13 +36,20 @@ lint-panics:
 
 # The detection/measurement pipeline is arena-backed (DESIGN.md §5c): hot
 # paths pass routing.PathSpan views, not materialized bgp.Path slices.
-# Flag fresh path allocations sneaking back into the gated non-test code.
+# Flag fresh path allocations sneaking back into the gated non-test code,
+# and a per-route view type coming back to detect: the Fig. 4 rule reads
+# PathArena.SegBody off the span row.
 lint-paths:
 	@bad=$$(grep -rn -e 'make(bgp\.Path' -e 'append(path' \
 		internal/detect internal/measure internal/relinfer \
 		--include='*.go' --exclude='*_test.go' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "path allocations in arena-backed hot paths (use routing.PathArena spans; see DESIGN.md 5c):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'spanRoute' internal/detect --include='*.go' --exclude='*_test.go' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "spanRoute is back in internal/detect (detectRow reads the row; see DESIGN.md 5c):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -54,7 +64,7 @@ lint-fmt:
 
 # Non-test Go lines of every internal/ and cmd/ package and of aspp.go,
 # then their sum: total lines, and lines that are neither blank nor
-# comment-only. ROADMAP item 1 reads its targets off this (routing + core +
+# comment-only. ROADMAP item 2 reads its targets off this (routing + core +
 # experiment net -1,500); CI prints it so the trend is in the log.
 loc:
 	@count() { awk -v p="$$1" '{t++} !/^[[:space:]]*($$|\/\/)/{c++} END{printf "%-20s %5d lines %5d code\n", p, t, c}'; }; \

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,27 +106,41 @@ func memoized[T any](slot **T, compute func() (*T, error)) (*T, error) {
 	return *slot, nil
 }
 
-type experimentFunc func(*benchContext) error
+type benchExperiment struct {
+	name string
+	run  func(*benchContext) error
+}
 
-var registry = map[string]experimentFunc{
-	"fig1":   runFig1,
-	"table1": runTable1,
-	"fig5":   runFig5,
-	"fig6":   runFig6,
-	"fig7":   runFig7,
-	"fig8":   runFig8,
-	"fig9":   runFig9,
-	"fig10":  runFig10,
-	"fig11":  runFig11,
-	"fig12":  runFig12,
-	"fig13":  runFig13,
-	"fig14":  runFig14,
-	// Extensions beyond the paper's figures (see EXPERIMENTS.md):
-	"compare":        runCompare,        // §II.B attack families vs detector classes
-	"defense":        runDefense,        // §VIII vantage-point self-defense
-	"inference":      runInference,      // §IV-A relationship-inference accuracy
-	"mitigation":     runMitigation,     // §VII [29] cautious-adoption deployment sweep
-	"susceptibility": runSusceptibility, // §VI-B tier matrix
+// registry is every experiment in run order: the paper's figures in paper
+// order, then the extensions beyond them (see EXPERIMENTS.md). `-exp all`,
+// the flag's help text and the unknown-name error all read this list.
+var registry = []benchExperiment{
+	{"fig1", runFig1},
+	{"table1", runTable1},
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"fig8", runFig8},
+	{"fig9", runFig9},
+	{"fig10", runFig10},
+	{"fig11", runFig11},
+	{"fig12", runFig12},
+	{"fig13", runFig13},
+	{"fig14", runFig14},
+	{"compare", runCompare},               // §II.B attack families vs detector classes
+	{"defense", runDefense},               // §VIII vantage-point self-defense
+	{"inference", runInference},           // §IV-A relationship-inference accuracy
+	{"mitigation", runMitigation},         // §VII [29] cautious-adoption deployment sweep
+	{"susceptibility", runSusceptibility}, // §VI-B tier matrix
+}
+
+// expNames is the registered experiment names, comma-separated in run order.
+func expNames() string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return strings.Join(names, ",")
 }
 
 // resolveBatch parses the -batch flag once the topology size is known:
@@ -172,7 +187,7 @@ func parseMemBudget(v string) (int64, error) {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("asppbench", flag.ContinueOnError)
 	var (
-		exps     = fs.String("exp", "all", "comma-separated experiments (fig1,table1,fig5..fig14) or 'all'")
+		exps     = fs.String("exp", "all", "comma-separated experiments ("+expNames()+") or 'all'")
 		n        = fs.Int("n", 4000, "number of ASes in the generated topology")
 		seed     = fs.Int64("seed", 1, "random seed")
 		pairs    = fs.Int("pairs", 200, "attacker/victim pairs for the detection experiments")
@@ -244,19 +259,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	var names []string
-	if *exps == "all" {
-		for name := range registry {
-			names = append(names, name)
-		}
-		sort.Slice(names, func(i, j int) bool { return expOrder(names[i]) < expOrder(names[j]) })
-	} else {
+	todo := registry
+	if *exps != "all" {
+		todo = nil
 		for _, name := range strings.Split(*exps, ",") {
 			name = strings.TrimSpace(name)
-			if _, ok := registry[name]; !ok {
-				return fmt.Errorf("unknown experiment %q", name)
+			i := slices.IndexFunc(registry, func(e benchExperiment) bool { return e.name == name })
+			if i < 0 {
+				return fmt.Errorf("unknown experiment %q (have %s)", name, expNames())
 			}
-			names = append(names, name)
+			todo = append(todo, registry[i])
 		}
 	}
 
@@ -266,11 +278,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	memo := new(runMemo)
-	for _, name := range names {
+	for _, e := range todo {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "### %s\n", name)
+		fmt.Fprintf(out, "### %s\n", e.name)
 		var tee bytes.Buffer
 		bc := &benchContext{
 			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
@@ -282,37 +294,24 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *counters {
 			bc.counters = new(aspp.Counters)
 		}
-		if err := registry[name](bc); err != nil {
+		if err := e.run(bc); err != nil {
 			if errors.Is(err, context.Canceled) {
 				return err
 			}
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		if bc.counters != nil {
 			fmt.Fprintf(out, "# counters: %s\n", bc.counters.Snapshot())
 		}
 		fmt.Fprintln(out)
 		if *outDir != "" {
-			path := filepath.Join(*outDir, name+".tsv")
+			path := filepath.Join(*outDir, e.name+".tsv")
 			if err := os.WriteFile(path, tee.Bytes(), 0o644); err != nil {
-				return fmt.Errorf("%s: write %s: %w", name, path, err)
+				return fmt.Errorf("%s: write %s: %w", e.name, path, err)
 			}
 		}
 	}
 	return nil
-}
-
-// expOrder sorts the paper figures in paper order, extensions after.
-func expOrder(name string) int {
-	order := []string{"fig1", "table1", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-		"compare", "defense", "inference", "mitigation", "susceptibility"}
-	for i, o := range order {
-		if o == name {
-			return i
-		}
-	}
-	return len(order)
 }
 
 func runCompare(bc *benchContext) error {

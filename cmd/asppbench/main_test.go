@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,22 +52,44 @@ func TestRunAll(t *testing.T) {
 		t.Fatalf("run(all): %v", err)
 	}
 	out := sb.String()
-	for _, name := range []string{"fig1", "table1", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14"} {
-		if !strings.Contains(out, "### "+name+"\n") {
-			t.Errorf("missing section %s", name)
+	// Every registered experiment has a section, in registry order.
+	at := 0
+	for _, e := range registry {
+		i := strings.Index(out[at:], "### "+e.name+"\n")
+		if i < 0 {
+			t.Fatalf("section %s missing or out of order", e.name)
 		}
-	}
-	// Paper order: fig1 before fig5 before fig13.
-	if strings.Index(out, "### fig1\n") > strings.Index(out, "### fig5") {
-		t.Error("experiments out of order")
+		at += i
 	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-exp", "fig99"}, &sb); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run(context.Background(), []string{"-exp", "fig9,fig99", "-n", "400"}, &sb)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	if !strings.Contains(err.Error(), `"fig99"`) {
+		t.Errorf("error does not name the unknown experiment: %v", err)
+	}
+	for _, e := range registry {
+		if !strings.Contains(err.Error(), e.name) {
+			t.Errorf("error does not offer %s: %v", e.name, err)
+		}
+	}
+}
+
+// TestHelpListsEveryExperiment: the -exp help is derived from the registry,
+// so an experiment cannot be registered and stay undocumented.
+func TestHelpListsEveryExperiment(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-h"}, &sb); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	for _, e := range registry {
+		if !strings.Contains(sb.String(), e.name) {
+			t.Errorf("-h does not list %s:\n%s", e.name, sb.String())
+		}
 	}
 }
 

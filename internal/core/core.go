@@ -146,6 +146,8 @@ type Impact struct {
 	// changed (routing.Scratch.DeltaCone) when the delta engine ran the leg
 	// on a Scratch; nil means every AS.
 	cone []int32
+	// atkIdx is the attacker's dense graph index.
+	atkIdx int32
 }
 
 // eachIdx calls visit on every AS index the attack can concern — cone, or
@@ -177,7 +179,7 @@ func (im *Impact) PollutedASes() []bgp.ASN {
 	g := im.attacked.Graph()
 	var out []bgp.ASN
 	for i, v := range im.attacked.Via {
-		if v && int32(i) != mustIdx(g, im.Scenario.Attacker) {
+		if v && int32(i) != im.atkIdx {
 			out = append(out, g.ASNAt(int32(i)))
 		}
 	}
@@ -245,9 +247,8 @@ func (im *Impact) HopsFromAttackerIdx(i int32) int {
 	if !im.attacked.Via[i] {
 		return -1
 	}
-	atkIdx := mustIdx(im.attacked.Graph(), im.Scenario.Attacker)
 	hops := 0
-	for j := i; j != atkIdx; j = im.attacked.Parent[j] {
+	for j := i; j != im.atkIdx; j = im.attacked.Parent[j] {
 		hops++
 	}
 	return hops
@@ -332,6 +333,7 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 		attacked: attacked,
 		viaBase:  viaBase,
 		cone:     cone,
+		atkIdx:   mustIdx(g, sc.Attacker),
 	}, nil
 }
 

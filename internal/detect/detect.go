@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"aspp/internal/bgp"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -98,23 +99,6 @@ func transit(p bgp.Path) bgp.Path {
 	return u[:len(u)-1]
 }
 
-// spanRoute is the algorithm's internal view of one vantage point's
-// route: the pieces DetectChange actually reads, decoupled from how the
-// path is stored. The arena-backed paths (EvalScratch, Detector) build
-// these views off PathSpans without materializing bgp.Path slices; the
-// legacy path-slice API builds them eagerly.
-type spanRoute struct {
-	monitor bgp.ASN
-	origin  bgp.ASN
-	transit []bgp.ASN // unique transit chain; may alias an arena
-	lambda  int       // origin-prepend count; 0 = no route
-	// seg is the arena intern id of the transit chain, or -1 when the
-	// route was not interned. Two routes in one detectRoutes call always
-	// come from the same arena, so equal non-negative ids mean equal
-	// transit chains — the integer fast path for the suffix compare.
-	seg int32
-}
-
 // hasPeerStep reports whether any adjacent pair along chain is a peer link
 // (used by the pseudocode's "no peer links in r_t^d" hint condition).
 func hasPeerStep(chain bgp.Path, origin bgp.ASN, rels RelQuerier) bool {
@@ -133,93 +117,62 @@ func hasPeerStep(chain bgp.Path, origin bgp.ASN, rels RelQuerier) bool {
 // prefix, cur the new one, and witnesses the current routes of the other
 // vantage points. rels may be nil, in which case the relationship-based
 // hint rules are skipped and only segment conflicts are reported.
+//
+// It is the path-slice shim the table tests and FuzzDetect drive: the paths
+// go into a throwaway arena as one row (the monitor first, then each
+// witness) and detectRow decides.
 func DetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute, rels RelQuerier) []Alarm {
-	if len(prev) == 0 || len(cur) == 0 {
-		return nil
+	a := routing.NewPathArena()
+	store := func(p bgp.Path) routing.PathSpan {
+		if len(p) == 0 {
+			return routing.PathSpan{Seg: -1}
+		}
+		sp, _ := a.Replace(routing.PathSpan{}, p)
+		return sp
 	}
-	// Replicate the core's early-outs before building any views: most calls
-	// (no origin change, λ not decreased) never look at a witness, so their
-	// transit chains must not be materialized.
-	prevOrigin, _ := prev.Origin()
-	curOrigin, _ := cur.Origin()
-	if prevOrigin != curOrigin {
-		return nil
-	}
-	lambdaT := cur.OriginPrepend()
-	prevLambda := prev.OriginPrepend()
-	if lambdaT >= prevLambda {
-		return nil
-	}
-	curView := spanRoute{
-		monitor: monitor,
-		origin:  curOrigin,
-		transit: transit(cur),
-		lambda:  lambdaT,
-		seg:     -1,
-	}
-	// Views only for witnesses that survive the core's cheap per-witness
-	// filters; transit (the one potentially allocating piece) is computed
-	// for survivors alone, matching the legacy code's laziness.
-	wv := make([]spanRoute, 0, len(witnesses))
+	mons := make([]bgp.ASN, 1, 1+len(witnesses))
+	row := make([]routing.PathSpan, 1, 1+len(witnesses))
+	mons[0], row[0] = monitor, store(cur)
 	for _, w := range witnesses {
-		if w.Monitor == monitor || len(w.Path) == 0 {
-			continue
-		}
-		o, _ := w.Path.Origin()
-		lambdaL := w.Path.OriginPrepend()
-		if o != curOrigin || lambdaT >= lambdaL {
-			continue
-		}
-		wv = append(wv, spanRoute{
-			monitor: w.Monitor,
-			origin:  o,
-			transit: transit(w.Path),
-			lambda:  lambdaL,
-			seg:     -1,
-		})
+		mons, row = append(mons, w.Monitor), append(row, store(w.Path))
 	}
-	return detectRoutes(monitor, prevLambda, prevOrigin, curView, wv, rels, nil)
+	return detectRow(a, mons, row, 0, store(prev), rels, nil)
 }
 
-// detectRoutes is the algorithm core shared by every entry point: the
-// legacy path-slice DetectChange, the arena-backed EvaluateScratch and
-// the streaming Detector. It appends any alarms to alarms and returns it.
-// All transit chains in one call must come from the same storage so seg
-// ids are comparable (see spanRoute.seg).
-func detectRoutes(monitor bgp.ASN, prevLambda int, prevOrigin bgp.ASN, cur spanRoute, witnesses []spanRoute, rels RelQuerier, alarms []Alarm) []Alarm {
-	if prevLambda == 0 || cur.lambda == 0 {
+// detectRow is the Fig. 4 rule, stated once for every entry point. row is
+// one prefix's table row: the current route of each vantage point in mons
+// (the empty span is "no route"), all spans of arena a. row[mi] is the route
+// monitor mons[mi] just installed in place of was, of which only Prep and
+// Origin are read. Transit chains are the interned segments, so two routes
+// with the same Seg share theirs without comparing. Alarms are appended to
+// alarms, in row order, and the extended slice is returned.
+func detectRow(a *routing.PathArena, mons []bgp.ASN, row []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, alarms []Alarm) []Alarm {
+	monitor, cur := mons[mi], row[mi]
+	// The trigger: the monitor had a route and has one, from the same origin
+	// (an ownership change is MOAS, a different attack class), and the
+	// padded number decreased.
+	if was.Prep == 0 || cur.Prep == 0 || was.Origin != cur.Origin || cur.Prep >= was.Prep {
 		return alarms
 	}
-	if prevOrigin != cur.origin {
-		return alarms // ownership change is a different attack class (MOAS)
-	}
-	lambdaT := cur.lambda
-	if lambdaT >= prevLambda {
-		return alarms // padded number did not decrease: not our trigger
-	}
+	lambdaT := int(cur.Prep)
 
-	curT := bgp.Path(cur.transit)
-	for _, w := range witnesses {
-		if w.monitor == monitor || w.lambda == 0 {
+	curT := bgp.Path(a.SegBody(cur.Seg))
+	for k, w := range row {
+		if mons[k] == monitor || w.Prep == 0 || w.Origin != cur.Origin {
 			continue
 		}
-		if w.origin != cur.origin {
-			continue
-		}
-		lambdaL := w.lambda
+		lambdaL := int(w.Prep)
 		if lambdaT >= lambdaL {
 			continue // witness shows no extra padding: consistent
 		}
-		witT := bgp.Path(w.transit)
+		witT := bgp.Path(a.SegBody(w.Seg))
 
 		// Direct symptom: the two routes share the chain adjacent to the
 		// origin, so the origin's neighbor received both — with different
 		// padding. Impossible under consistent per-neighbor policy.
 		// Identical interned segments short-circuit the suffix compare.
-		var m int
-		if cur.seg >= 0 && cur.seg == w.seg {
-			m = len(curT)
-		} else {
+		m := len(curT)
+		if cur.Seg != w.Seg {
 			m = curT.CommonSuffixLen(witT)
 		}
 		if m >= 1 {
@@ -231,7 +184,7 @@ func detectRoutes(monitor bgp.ASN, prevLambda int, prevOrigin bgp.ASN, cur spanR
 				Confidence:  High,
 				Suspect:     suspect,
 				Monitor:     monitor,
-				Witness:     w.monitor,
+				Witness:     mons[k],
 				RemovedPads: lambdaL - lambdaT,
 			})
 			continue
@@ -262,7 +215,7 @@ func detectRoutes(monitor bgp.ASN, prevLambda int, prevOrigin bgp.ASN, cur spanR
 		case topology.RelPeer:
 			// Peers hear customer routes; if the monitor's route climbed
 			// only customer-provider links, asIm1 could export it to asL.
-			hint = !hasPeerStep(curT, cur.origin, rels)
+			hint = !hasPeerStep(curT, cur.Origin, rels)
 		case topology.RelCustomer:
 			// asL is asIm1's customer and itself chose a provider route:
 			// providers export everything down, so asL should have heard
@@ -274,7 +227,7 @@ func detectRoutes(monitor bgp.ASN, prevLambda int, prevOrigin bgp.ASN, cur spanR
 				Confidence: Possible,
 				Suspect:    asI,
 				Monitor:    monitor,
-				Witness:    w.monitor,
+				Witness:    mons[k],
 			})
 		}
 	}

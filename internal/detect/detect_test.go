@@ -257,7 +257,7 @@ func TestEvaluateEndToEnd(t *testing.T) {
 		t.Fatalf("attack not detected: %+v", res)
 	}
 	if !res.Attributed {
-		t.Errorf("attacker not attributed; alarms: %v", res.Alarms)
+		t.Errorf("attacker not attributed: %+v", res)
 	}
 	// With only the shallow witness 40, the evidence localizes the strip
 	// to AS20-or-above: detected but not exactly attributed.

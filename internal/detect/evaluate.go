@@ -22,21 +22,20 @@ type EvalResult struct {
 	// paper's Fig. 14 metric, with propagation time modeled as AS-hop
 	// distance from the attacker along the bogus route.
 	PollutedBeforeDetection float64
-	// Alarms are all alarms raised across monitors.
-	Alarms []Alarm
 }
 
-// EvalScratch is per-goroutine reusable state for EvaluateScratch: the
-// path arena both routing results extract into, the span tables, the
-// witness views and the monitor-index resolution cache. One scratch per
-// goroutine and, where a sweep alternates monitor sets, per set (the
-// detection sweep keeps one per shard and monitor count); the zero cost of
-// reuse is what makes the detection sweeps allocation-light.
+// EvalScratch is per-goroutine reusable state for EvaluateScratch: the path
+// arena the under-attack routes are extracted into, their span row, the
+// alarm buffer each monitor's verdict is folded from and the monitor-index
+// resolution cache. Nothing else is kept: the rule reads transit chains off
+// the row, and the previous route's two scalars off the baseline result —
+// no witness views, no baseline table. One scratch per goroutine and, where a
+// sweep alternates monitor sets, per set (the detection sweep keeps one per
+// shard and monitor count); warmed, an evaluation allocates nothing.
 type EvalScratch struct {
-	arena     *routing.PathArena
-	baseSpans []routing.PathSpan
-	atkSpans  []routing.PathSpan
-	wits      []spanRoute
+	arena    *routing.PathArena
+	atkSpans []routing.PathSpan
+	alarms   []Alarm
 
 	// Monitor-index cache: monIdx is valid for exactly this (graph,
 	// monitors-slice) pair, compared by identity. The sweep drivers call
@@ -60,11 +59,11 @@ func Evaluate(im *core.Impact, monitors []bgp.ASN, rels RelQuerier) EvalResult {
 	return EvaluateScratch(im, monitors, rels, NewEvalScratch())
 }
 
-// EvaluateScratch is Evaluate on reusable scratch state: both routing
-// results are extracted into sc's arena as spans in one parent-chain walk
-// per monitor, and the algorithm runs on the span views — no per-path
-// slices. The verdicts and alarms are identical to Evaluate's. monitors
-// must not be mutated while the scratch caches its resolution.
+// EvaluateScratch is Evaluate on reusable scratch state: the under-attack
+// routes are extracted into sc's arena as one span row, in one parent-chain
+// walk per monitor, and detectRow runs on it once per monitor. The verdicts
+// are identical to Evaluate's. monitors must not be mutated while the
+// scratch caches its resolution.
 func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *EvalScratch) EvalResult {
 	baseline, attacked := im.Baseline(), im.Attacked()
 	g := attacked.Graph()
@@ -85,39 +84,23 @@ func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *E
 	}
 
 	sc.arena.Reset() // invalidates last round's spans
-	sc.baseSpans = baseline.PathsInto(sc.arena, sc.monIdx, sc.baseSpans[:0])
 	sc.atkSpans = attacked.PathsInto(sc.arena, sc.monIdx, sc.atkSpans[:0])
-
-	// The collaborative view R: every monitor's under-attack route, in
-	// monitor order (routeless monitors carry lambda 0 and are skipped
-	// inside the core, matching the legacy witness construction).
-	sc.wits = sc.wits[:0]
-	for k, m := range monitors {
-		sp := sc.atkSpans[k]
-		w := spanRoute{monitor: m, lambda: int(sp.Prep), seg: sp.Seg}
-		if sp.Prep > 0 {
-			w.origin = sp.Origin
-			w.transit = sc.arena.Body(sp)
-		}
-		sc.wits = append(sc.wits, w)
-	}
 
 	var res EvalResult
 	detectionHops := -1
-	for k, m := range monitors {
-		prev, cur := sc.baseSpans[k], sc.atkSpans[k]
-		curView := spanRoute{monitor: m, lambda: int(cur.Prep), seg: cur.Seg}
-		if cur.Prep > 0 {
-			curView.origin = cur.Origin
-			curView.transit = sc.arena.Body(cur)
+	for k := range monitors {
+		// The monitor's pre-attack route, as far as the rule reads it; an
+		// unknown or unreachable monitor and the origin itself had none.
+		var was routing.PathSpan
+		if i := sc.monIdx[k]; i >= 0 && i != baseline.OriginIdx() && baseline.Class[i] != routing.ClassNone {
+			was = routing.PathSpan{Prep: baseline.Prep[i], Origin: baseline.Origin()}
 		}
-		before := len(res.Alarms)
-		res.Alarms = detectRoutes(m, int(prev.Prep), prev.Origin, curView, sc.wits, rels, res.Alarms)
-		if len(res.Alarms) == before {
+		sc.alarms = detectRow(sc.arena, monitors, sc.atkSpans, k, was, rels, sc.alarms[:0])
+		if len(sc.alarms) == 0 {
 			continue
 		}
 		res.Detected = true
-		for _, a := range res.Alarms[before:] {
+		for _, a := range sc.alarms {
 			if a.Confidence == High {
 				res.DetectedHigh = true
 			}
@@ -125,8 +108,9 @@ func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *E
 				res.Attributed = true
 			}
 		}
-		// This monitor detects as soon as the bogus route reaches it.
-		if h := im.HopsFromAttacker(m); h >= 0 && (detectionHops < 0 || h < detectionHops) {
+		// This monitor detects as soon as the bogus route reaches it (it
+		// holds a route, so its index resolved).
+		if h := im.HopsFromAttackerIdx(sc.monIdx[k]); h >= 0 && (detectionHops < 0 || h < detectionHops) {
 			detectionHops = h
 		}
 	}
@@ -139,13 +123,13 @@ func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *E
 // spreading outward from the attacker hop by hop, the fraction of
 // ultimately-polluted ASes that are strictly closer to the attacker than
 // the first detecting monitor. It walks the attack result's Via slice
-// directly — no materialized pollution set.
+// directly — no materialized pollution set. The attacker needs no skipping:
+// it adopts no route through itself, so it carries no via bit (core's
+// pollution counts rest on the same).
 func pollutedBefore(im *core.Impact, detectionHops int) float64 {
-	g := im.Attacked().Graph()
-	atkIdx, _ := g.Index(im.Scenario.Attacker)
 	total, early := 0, 0
 	for i, v := range im.Attacked().Via {
-		if !v || int32(i) == atkIdx {
+		if !v {
 			continue
 		}
 		total++

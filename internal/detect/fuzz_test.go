@@ -53,9 +53,10 @@ func parseFuzzRoutes(data []byte) []MonitorRoute {
 // FuzzDetect feeds arbitrary monitor route sets to the prepend-consistency
 // detector: the first parsed route supplies (monitor, previous path), the
 // second the current path, the rest are witnesses. DetectChange must never
-// panic, must not mutate its inputs, and must be deterministic — the same
+// panic, must not mutate its inputs, must be deterministic — the same
 // inputs produce identical alarms on a second run, with and without
-// relationship hints.
+// relationship hints — and, a shim over the production rule, must raise
+// exactly the alarms of the frozen path-slice reference.
 //
 // Run with: go test -run=^$ -fuzz=FuzzDetect -fuzztime=10s ./internal/detect/
 func FuzzDetect(f *testing.F) {
@@ -66,8 +67,16 @@ func FuzzDetect(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("10 100 100 100\n10 100\n10 100 100 100")) // witness = monitor itself
 	f.Add([]byte("9 8 7 6 6\n9 8 6\n0 0 0\n4294967295 1 1"))
+	f.Add([]byte("10 20 30 100 100 100\n10 20 30 100\n11 20 30 100 100 100"))               // witness segment = monitor's
+	f.Add([]byte("10 100 100 100\n10 100\n11 100 100 100"))                                 // empty transit chains
+	f.Add([]byte("10 20 30 100 100 100\n10 20 30 100\n10 21 30 100 100 100"))               // witness = monitor, other route
+	f.Add([]byte("10 20 30 100 100 100\n10 20 40 100\n11 21 40 100 100\n11 21 40 100 100")) // duplicate witnesses
+	f.Add([]byte("100 100 100 100\n100 100\n100 100 100\n11 100 100 100"))                  // all-origin paths
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 1<<16 {
+			t.Skip("a span counts origin copies in an int16; no shorter input reaches 1<<15 of them")
+		}
 		routes := parseFuzzRoutes(data)
 		if len(routes) < 2 {
 			// Still must not panic on degenerate input.
@@ -91,6 +100,10 @@ func FuzzDetect(f *testing.F) {
 			if !reflect.DeepEqual(first, second) {
 				t.Fatalf("alarms not deterministic (rels=%v):\n first: %+v\nsecond: %+v",
 					rels != nil, first, second)
+			}
+			if want := legacyDetectChange(monitor, prev, cur, witnesses, rels); !reflect.DeepEqual(first, want) {
+				t.Fatalf("alarms differ from the reference (rels=%v):\n   row: %+v\nlegacy: %+v",
+					rels != nil, first, want)
 			}
 		}
 

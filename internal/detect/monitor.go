@@ -3,7 +3,6 @@ package detect
 import (
 	"net/netip"
 	"sort"
-	"unsafe"
 
 	"aspp/internal/bgp"
 	"aspp/internal/routing"
@@ -38,7 +37,6 @@ type Detector struct {
 	// live.
 	live int
 
-	wits     []spanRoute         // reusable witness views for Observe
 	liveRefs []*routing.PathSpan // compaction scratch
 
 	// lastPfx/lastSpans memoize the most recent routes-map lookup.
@@ -146,45 +144,14 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 		return dst
 	}
 
-	// Store the new route. Witness transit views read the interned
-	// segment table (stable across body appends), and prev's trigger
-	// fields are scalars already copied out — so storing before
-	// detection is safe, and matches the legacy order.
+	// Store the new route, then run the rule over the row. The rule reads
+	// transit chains off the interned segment table (stable across body
+	// appends) and prev's two scalars, already copied out — so storing
+	// before detection is safe, and matches the legacy order.
 	cur, _ := d.arena.Replace(prev, u.Path)
 	spans[mi] = cur
 	d.live += int(cur.Len) - int(prev.Len)
-
-	if prev.Prep == 0 {
-		return dst // first sight of this prefix from this monitor
-	}
-	// DetectChange's early-outs, hoisted so no witness views are built
-	// when the update cannot trigger: same verdicts, less work.
-	if cur.Origin != prev.Origin || int(cur.Prep) >= int(prev.Prep) {
-		return dst
-	}
-
-	d.wits = d.wits[:0]
-	for i := range spans {
-		sp := spans[i]
-		if int32(i) == mi || sp.Prep == 0 {
-			continue
-		}
-		d.wits = append(d.wits, spanRoute{
-			monitor: d.monASN[i],
-			origin:  sp.Origin,
-			transit: d.arena.SegBody(sp.Seg),
-			lambda:  int(sp.Prep),
-			seg:     sp.Seg,
-		})
-	}
-	curView := spanRoute{
-		monitor: u.Monitor,
-		origin:  cur.Origin,
-		transit: d.arena.SegBody(cur.Seg),
-		lambda:  int(cur.Prep),
-		seg:     cur.Seg,
-	}
-	return detectRoutes(u.Monitor, int(prev.Prep), prev.Origin, curView, d.wits, d.rels, dst)
+	return detectRow(d.arena, d.monASN, spans, int(mi), prev, d.rels, dst)
 }
 
 // maybeCompact rewrites the arena once abandoned bodies outweigh live
@@ -218,7 +185,6 @@ func (d *Detector) MemoryBytes() int64 {
 	b := d.arena.MemoryBytes()
 	b += int64(len(d.routes)) * (int64(len(d.monASN))*spanBytes + mapEntryOver)
 	b += int64(cap(d.monASN))*4 + int64(len(d.monIdx))*16
-	b += int64(cap(d.wits)) * int64(unsafe.Sizeof(spanRoute{}))
 	b += int64(cap(d.liveRefs)) * 8
 	return b
 }

@@ -116,7 +116,7 @@ func TestOwnerDetectsNeighborAttacker(t *testing.T) {
 	// shares a below-attacker segment -> no high-confidence conflict.
 	res := Evaluate(im, monitors, g)
 	if res.DetectedHigh {
-		t.Errorf("cross-monitor detection unexpectedly found a segment conflict: %v", res.Alarms)
+		t.Errorf("cross-monitor detection unexpectedly found a segment conflict: %+v", res)
 	}
 
 	// The owner, knowing it sent λ=4 to both neighbors, spots the strip

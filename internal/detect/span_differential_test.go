@@ -119,7 +119,6 @@ func legacyEvaluate(im *core.Impact, monitors []bgp.ASN, rels RelQuerier) EvalRe
 		if len(alarms) == 0 {
 			continue
 		}
-		res.Alarms = append(res.Alarms, alarms...)
 		res.Detected = true
 		for _, a := range alarms {
 			if a.Confidence == High {
@@ -256,32 +255,77 @@ func diffScenarios(t *testing.T, g *topology.Graph, perCombo int) []*core.Impact
 	return impacts
 }
 
-// TestEvaluateScratchDifferential runs ≥200 mixed attack scenarios and
-// asserts, for each: (a) the arena spans for the monitor set decode to
-// exactly the paths Result.PathOf materializes, and (b) the span-based
-// evaluation returns a verdict (alarms included, in order) identical to
-// the frozen legacy reference. One scratch is reused across all
-// scenarios, so span reuse across Resets is under test too.
-func TestEvaluateScratchDifferential(t *testing.T) {
-	g := diffTestGraph(t, 500, 11)
-	monitors := g.TopByDegree(50)
-	monIdx := make([]int32, len(monitors))
-	for i, m := range monitors {
-		idx, ok := g.Index(m)
-		if !ok {
-			idx = -1
-		}
-		monIdx[i] = idx
+// withIsland returns g plus a provider-customer pair linked to nothing
+// else: two ASes no AS of g has a route to, or from.
+func withIsland(t testing.TB, g *topology.Graph, provider, customer bgp.ASN) *topology.Graph {
+	t.Helper()
+	b := topology.Rebuild(g)
+	if err := b.AddP2C(provider, customer); err != nil {
+		t.Fatal(err)
 	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEvaluateScratchDifferential runs ≥200 mixed attack scenarios, forged
+// origins included (their captured spans carry Prep rewritten to 1), and
+// asserts for each: (a) the arena spans for the monitor set decode to exactly
+// the paths Result.PathOf materializes, (b) the span-based evaluation returns
+// the verdict of the frozen legacy reference, and (c) detectRow folded over
+// the scratch's row raises, monitor by monitor, exactly the alarms
+// legacyDetectChange raises on the materialized paths. The monitor set holds
+// the rows on which the baseline has no path to hand the rule — the victim,
+// the attacker, an ASN outside the graph and an AS the baseline cannot reach
+// — so the previous route EvaluateScratch builds from the baseline's
+// scalars is compared against the PathOf-built one where they could differ.
+// One scratch is reused across all scenarios, so span reuse across Resets is
+// under test too.
+func TestEvaluateScratchDifferential(t *testing.T) {
+	const islandTop, islandStub, absent = bgp.ASN(900001), bgp.ASN(900002), bgp.ASN(900003)
+	g := withIsland(t, diffTestGraph(t, 500, 11), islandTop, islandStub)
 	impacts := diffScenarios(t, g, 5)
 	if len(impacts) < 200 {
 		t.Fatalf("only %d usable scenarios, need >= 200 for the differential", len(impacts))
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, kind := range []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception} {
+		for k := 0; k < 12; k++ {
+			// Every third victim is the island's stub, which no attacker
+			// outside it had a route to: the forged claim is all they hear.
+			v := g.ASNs()[rng.Intn(g.NumASes())]
+			if k%3 == 0 {
+				v = islandStub
+			}
+			m := g.ASNs()[rng.Intn(g.NumASes())]
+			if v == m {
+				continue
+			}
+			im, err := core.Simulate(g, core.Scenario{Victim: v, Attacker: m, Type: kind, Prepend: 1 + k%4})
+			if err != nil {
+				t.Fatalf("simulate %v %v/%v: %v", kind, v, m, err)
+			}
+			impacts = append(impacts, im)
+		}
 	}
 
 	sc := NewEvalScratch()
 	arena := routing.NewPathArena()
 	var spans []routing.PathSpan
 	for si, im := range impacts {
+		// A fresh slice per scenario: the scratch caches its resolution of
+		// a monitor slice by identity.
+		monitors := append(g.TopByDegree(50), im.Scenario.Victim, im.Scenario.Attacker, absent, islandTop)
+		monIdx := make([]int32, len(monitors))
+		for i, m := range monitors {
+			idx, ok := g.Index(m)
+			if !ok {
+				idx = -1
+			}
+			monIdx[i] = idx
+		}
 		// (a) span decode fidelity on both results.
 		for _, res := range []*routing.Result{im.Baseline(), im.Attacked()} {
 			arena.Reset()
@@ -293,14 +337,61 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 				}
 			}
 		}
-		// (b) verdict equality, alarms and Fig. 14 metric included.
+		// (b) verdict equality, Fig. 14 metric included.
 		got := EvaluateScratch(im, monitors, g, sc)
 		want := legacyEvaluate(im, monitors, g)
-		if !reflect.DeepEqual(got, want) {
+		if got != want {
 			t.Fatalf("scenario %d (%v):\nspan   %+v\nlegacy %+v", si, im.Scenario, got, want)
+		}
+		// (c) alarm identity, in order, on the row EvaluateScratch left.
+		witnesses := make([]MonitorRoute, 0, len(monitors))
+		for _, m := range monitors {
+			if p := im.Attacked().PathOf(m); p != nil {
+				witnesses = append(witnesses, MonitorRoute{Monitor: m, Path: p})
+			}
+		}
+		for k, m := range monitors {
+			prev, cur := im.Baseline().PathOf(m), im.Attacked().PathOf(m)
+			var was routing.PathSpan
+			if len(prev) > 0 {
+				was = routing.PathSpan{Prep: int16(prev.OriginPrepend()), Origin: prev[len(prev)-1]}
+			}
+			gotA := detectRow(sc.arena, monitors, sc.atkSpans, k, was, g, nil)
+			wantA := legacyDetectChange(m, prev, cur, witnesses, g)
+			if !reflect.DeepEqual(gotA, wantA) {
+				t.Fatalf("scenario %d (%v) monitor %v:\nrow    %+v\nlegacy %+v", si, im.Scenario, m, gotA, wantA)
+			}
 		}
 	}
 	t.Logf("differential over %d scenarios", len(impacts))
+}
+
+// TestEvaluateScratchZeroAlloc pins the batch side where the streaming side
+// already is: a warmed pass over ≥100 impacts, alarms raised, folds every
+// verdict out of the scratch's own buffers and allocates nothing.
+func TestEvaluateScratchZeroAlloc(t *testing.T) {
+	g := diffTestGraph(t, 500, 11)
+	monitors := g.TopByDegree(40)
+	impacts := diffScenarios(t, g, 4)
+	if len(impacts) < 100 {
+		t.Fatalf("only %d impacts, need >= 100", len(impacts))
+	}
+	sc := NewEvalScratch()
+	detected := 0
+	pass := func() {
+		for _, im := range impacts {
+			if EvaluateScratch(im, monitors, g, sc).Detected {
+				detected++
+			}
+		}
+	}
+	pass() // grow the arena, the intern table and the alarm buffer
+	if detected == 0 {
+		t.Fatal("premise broken: no impact raises an alarm")
+	}
+	if avg := testing.AllocsPerRun(3, pass); avg != 0 {
+		t.Errorf("warmed pass over %d impacts allocates %.0f objects, want 0", len(impacts), avg)
+	}
 }
 
 // TestDetectChangeDifferential feeds the same route changes through the

@@ -143,7 +143,6 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		evals := make([]detect.EvalResult, len(counts)) // one per monitor set
 		for ci := range counts {
 			evals[ci] = detect.EvaluateScratch(im, monitors[ci], rels, scratch[shard*len(counts)+ci])
-			evals[ci].Alarms = nil // the verdicts are all the figures read
 		}
 		return evals
 	})

@@ -125,10 +125,10 @@ func (a *PathArena) MemoryBytes() int64 {
 // lane count K (1..MaxLanes) whose marginal working set fits — each lane
 // costs its rows in the shared lane tables (batchBytesPerLaneAS per AS)
 // plus the cached baseline a warm group pins for it
-// (BaselineResultBytes). This closes ROADMAP item 5's leftover: lane
-// width derives from the memory a shard may use rather than only the
-// fixed -batch K. Deterministic in (n, budget); a non-positive budget
-// falls back to the cache-residency policy of AdaptiveLaneWidth.
+// (BaselineResultBytes): lane width derives from the memory a shard may
+// use rather than only the fixed -batch K (the lane-batched attack path is
+// ROADMAP item 2a's to delete). Deterministic in (n, budget); a non-positive
+// budget falls back to the cache-residency policy of AdaptiveLaneWidth.
 func AdaptiveLaneWidthBudget(n int, budget int64) int {
 	if n <= 0 || budget <= 0 {
 		return AdaptiveLaneWidth(n)

@@ -49,7 +49,8 @@ type ring struct {
 	drops atomic.Int64 // rejected pushes under the drop policy
 	peak  atomic.Int64 // occupancy high-watermark
 
-	pmu sync.Mutex // serializes multi-connection producers
+	pmu  sync.Mutex    // serializes multi-connection producers
+	wake chan struct{} // holds a token after any push; an idle consumer blocks on it
 }
 
 // newRing builds a ring with at least the requested depth, rounded up to
@@ -62,7 +63,7 @@ func newRing(depth int) *ring {
 	for size < depth {
 		size *= 2
 	}
-	return &ring{slots: make([]slot, size), mask: uint64(size - 1)}
+	return &ring{slots: make([]slot, size), mask: uint64(size - 1), wake: make(chan struct{}, 1)}
 }
 
 // memoryBytes is the slot array's static footprint (update header plus
@@ -98,6 +99,7 @@ func (r *ring) pushLocal(u *bgp.Update, now int64, block bool, stop func() bool)
 	s.u.Path = append(s.u.Path[:0], u.Path...)
 	s.enq = now
 	r.tail.Store(tail + 1)
+	r.signal()
 	if occ := int64(tail + 1 - r.head.Load()); occ > r.peak.Load() {
 		r.peak.Store(occ) // producer-side only: no CAS needed
 	}
@@ -111,6 +113,15 @@ func (r *ring) push(u *bgp.Update, now int64, block bool, stop func() bool) bool
 	ok := r.pushLocal(u, now, block, stop)
 	r.pmu.Unlock()
 	return ok
+}
+
+// signal leaves the consumer a wake token unless one is already waiting
+// (the usual case under load: one lock-free read of a full channel).
+func (r *ring) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 }
 
 // drain copies up to len(batch) pending updates (and their enqueue

@@ -250,6 +250,9 @@ func (p *Pipeline) Close() {
 	p.connMu.Unlock()
 	p.producers.Wait()
 	p.stopWorkers.Store(true)
+	for _, r := range p.rings {
+		r.signal()
+	}
 	if p.started {
 		p.workers.Wait()
 		p.started = false
@@ -294,7 +297,6 @@ func (p *Pipeline) worker(si int) {
 	batch := make([]bgp.Update, p.cfg.Batch)
 	enq := make([]int64, p.cfg.Batch)
 	alarms := make([]detect.Alarm, 0, 16)
-	idle := 0
 	sincePub := 0
 	for {
 		n := r.drain(batch, enq)
@@ -306,15 +308,9 @@ func (p *Pipeline) worker(si int) {
 			if p.stopWorkers.Load() && r.depth() == 0 {
 				return
 			}
-			idle++
-			if idle > 2048 {
-				time.Sleep(100 * time.Microsecond) // daemon idle: stop burning the core
-			} else {
-				runtime.Gosched()
-			}
+			<-r.wake // a push after the drain above has left a token
 			continue
 		}
-		idle = 0
 		for i := 0; i < n; {
 			j := i + 1
 			for j < n && batch[j].Prefix == batch[i].Prefix {

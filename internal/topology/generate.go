@@ -106,7 +106,7 @@ func InternetGenConfig(n int) GenConfig {
 }
 
 // Internet80kASes is the canonical Internet-scale size: the ~80k-AS graph
-// the paper's full-Internet sweeps target (ROADMAP item 1).
+// the paper's full-Internet sweeps target (ROADMAP items 1, 4 and 8).
 const Internet80kASes = 80000
 
 // Validate checks the configuration for consistency.
