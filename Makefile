@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check tier1 build test race fuzz-smoke bench scale-smoke serve-smoke lint-panics lint-paths lint-fmt loc
+.PHONY: check tier1 build test race fuzz-smoke bench scale-smoke serve-smoke lint-panics lint-paths lint-sweeps lint-fmt loc
 
 # Everything CI gates on. CI runs the lints, tier1 and the two smokes as
 # jobs of their own; locally `make check` is all of them.
-check: lint-panics lint-paths lint-fmt tier1 scale-smoke serve-smoke
+check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 
 # The conservation differential, the cone-accounting differential, the
-# λ-shift property and detect's differentials and zero-alloc pins re-run
-# explicitly so a counter-attribution regression, a leg counted over the
-# wrong cone, a baseline shifted wrongly, a second statement of the Fig. 4
-# rule or a returning allocation names itself in the CI log instead of
+# λ-shift property, the detection sweep's column differentials and detect's
+# differentials and zero-alloc pins re-run explicitly so a counter-attribution
+# regression, a leg counted over the wrong cone, a baseline shifted wrongly, a
+# column that stopped matching its one-column run, a second statement of the
+# Fig. 4 rule or a returning allocation names itself in the CI log instead of
 # hiding inside the package sweep.
 tier1:
 	$(GO) vet ./...
@@ -18,6 +19,7 @@ tier1:
 	$(GO) test ./...
 	$(GO) test -race ./internal/parallel/ ./internal/routing/
 	$(GO) test -run=TestBatchedSweepPropagationConservation -count=1 ./internal/experiment/
+	$(GO) test -run='TestDetectionVisitorMatchesRetained|TestDetectionColumnsShareOneDraw' -count=1 ./internal/experiment/
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
 	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/
@@ -51,6 +53,16 @@ lint-paths:
 	if [ -n "$$bad" ]; then \
 		echo "spanRoute is back in internal/detect (detectRow reads the row; see DESIGN.md 5c):"; \
 		echo "$$bad"; exit 1; \
+	fi
+
+# Fig. 13 is one sweep (DESIGN.md 5f): its columns are comparable because
+# they read one attack draw, which holds only while cmd/asppbench asks for
+# detection in one place.
+lint-sweeps:
+	@n=$$(ls cmd/asppbench/*.go | grep -v _test.go | xargs grep -o 'RunDetectionCtx' | wc -l); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "cmd/asppbench mentions RunDetectionCtx $$n times (one memoized sweep; add a column to it):"; \
+		grep -n 'RunDetectionCtx' cmd/asppbench/*.go | grep -v _test.go; exit 1; \
 	fi
 
 # Every Go file is gofmt-clean (build outputs under bench/out and

@@ -28,6 +28,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"strconv"
 	"strings"
 
 	"aspp/internal/bgp"
@@ -79,6 +81,9 @@ type (
 	SweepPoint = experiment.SweepPoint
 	// DetectionConfig drives the detection experiments (Figs. 13-14).
 	DetectionConfig = experiment.DetectionConfig
+	// DetectionColumn is one monitor placement and relationship source the
+	// detection experiments evaluate on their shared attack draw.
+	DetectionColumn = experiment.DetectionColumn
 	// DetectionOutcome carries detection accuracy and latency series.
 	DetectionOutcome = experiment.DetectionOutcome
 	// PolicyConfig assigns prepending policies to origins (Figs. 5-6).
@@ -248,6 +253,42 @@ func LoadInternet(r io.Reader) (*Internet, error) {
 		return nil, fmt.Errorf("aspp: load topology: %w", err)
 	}
 	return &Internet{g: g}, nil
+}
+
+// OpenInternet is how the commands take their topology: the serial-2 file at
+// path, or — path empty — what NewInternet generates from opts.
+func OpenInternet(path string, opts ...Option) (*Internet, error) {
+	if path == "" {
+		return NewInternet(opts...)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadInternet(f)
+}
+
+// ParseMonitors resolves a -monitors flag: "topK" (the K >= 1 best-connected
+// ASes of g) or an explicit comma-separated ASN list. asppserve and asppload
+// must agree on it to speak of the same vantage points.
+func ParseMonitors(spec string, g *Graph) ([]ASN, error) {
+	if k, ok := strings.CutPrefix(spec, "top"); ok {
+		kn, err := strconv.Atoi(k)
+		if err != nil || kn < 1 {
+			return nil, fmt.Errorf("bad -monitors %q: want topK, K >= 1", spec)
+		}
+		return g.TopByDegree(kn), nil
+	}
+	var mons []ASN
+	for _, f := range strings.Split(spec, ",") {
+		asn, err := bgp.ParseASN(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad -monitors %q: %w", spec, err)
+		}
+		mons = append(mons, asn)
+	}
+	return mons, nil
 }
 
 // WriteTopology writes the topology in serial-2 format.

@@ -3,7 +3,10 @@ package aspp
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,6 +76,65 @@ func TestInternetSerial2RoundTrip(t *testing.T) {
 	}
 	if _, err := LoadInternet(strings.NewReader("garbage")); err == nil {
 		t.Error("LoadInternet accepted garbage")
+	}
+}
+
+// TestOpenInternet: the commands' one way to a topology reads the file it
+// is given and generates only when given none.
+func TestOpenInternet(t *testing.T) {
+	in := testInternet(t, 200, 4)
+	path := filepath.Join(t.TempDir(), "rels.txt")
+	var sb strings.Builder
+	if err := in.WriteTopology(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := OpenInternet(path, WithSize(999)) // the file wins over the generator options
+	if err != nil || loaded.Graph().NumASes() != 200 || loaded.Graph().NumLinks() != in.Graph().NumLinks() {
+		t.Errorf("OpenInternet(file): %v, err %v; want the 200-AS topology written", loaded, err)
+	}
+	generated, err := OpenInternet("", WithSize(200), WithSeed(4))
+	if err != nil || generated.Graph().NumLinks() != in.Graph().NumLinks() {
+		t.Errorf("OpenInternet(\"\"): err %v; want what NewInternet generates", err)
+	}
+	if _, err := OpenInternet(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("missing file accepted")
+	}
+}
+
+// TestParseMonitors: asppserve and asppload read -monitors through this one
+// parser.
+func TestParseMonitors(t *testing.T) {
+	g := testInternet(t, 300, 3).Graph()
+	top := g.TopByDegree(300)
+	for _, tc := range []struct {
+		spec    string
+		want    []ASN
+		wantErr string
+	}{
+		{spec: "top1", want: top[:1]},
+		{spec: "top40", want: top[:40]},
+		{spec: "top9999", want: top}, // every AS there is
+		{spec: "7018", want: []ASN{7018}},
+		{spec: "AS7018, 3356,65000", want: []ASN{7018, 3356, 65000}},
+		{spec: "top0", wantErr: "want topK, K >= 1"},
+		{spec: "top-4", wantErr: "want topK, K >= 1"},
+		{spec: "top", wantErr: "want topK, K >= 1"},
+		{spec: "topmost", wantErr: "want topK, K >= 1"},
+		{spec: "", wantErr: `bad -monitors ""`},
+		{spec: "7018,,3356", wantErr: "bad -monitors"},
+		{spec: "bogus,list", wantErr: "bad -monitors"},
+	} {
+		got, err := ParseMonitors(tc.spec, g)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ParseMonitors(%q) = %v, err %v; want an error containing %q", tc.spec, got, err, tc.wantErr)
+			}
+		} else if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseMonitors(%q) = %v, err %v; want %v", tc.spec, got, err, tc.want)
+		}
 	}
 }
 
@@ -157,8 +219,8 @@ func TestInternetRunDetection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunDetection: %v", err)
 	}
-	if len(out.Accuracy) != 2 || out.Accuracy[1].Detected < out.Accuracy[0].Detected-0.05 {
-		t.Errorf("accuracy series wrong: %+v", out.Accuracy)
+	if acc := out.Accuracy[0]; len(acc) != 2 || acc[1].Detected < acc[0].Detected-0.05 {
+		t.Errorf("accuracy series wrong: %+v", acc)
 	}
 }
 

@@ -83,8 +83,11 @@ type benchContext struct {
 // experiment's line shows none.
 type runMemo struct {
 	survey    *aspp.SurveyResult     // fig5, fig6
-	detection *aspp.DetectionOutcome // fig13's ground-truth run, fig14
+	detection *aspp.DetectionOutcome // fig13, fig14
 	inference *inference             // fig13, inference
+	// fig13 is set before the first experiment runs: the run prints Fig. 13,
+	// so its detection sweep carries that figure's ablation columns.
+	fig13 bool
 }
 
 // inference is InferRelationships(200, 30)'s two results.
@@ -240,17 +243,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}()
 	}
 
-	var internet *aspp.Internet
-	if *topo != "" {
-		f, ferr := os.Open(*topo)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		internet, err = aspp.LoadInternet(f)
-	} else {
-		internet, err = aspp.NewInternet(aspp.WithSize(*n), aspp.WithSeed(*seed))
-	}
+	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
 	if err != nil {
 		return err
 	}
@@ -277,7 +270,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	memo := new(runMemo)
+	memo := &runMemo{fig13: slices.ContainsFunc(todo, func(e benchExperiment) bool { return e.name == "fig13" })}
 	for _, e := range todo {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -687,6 +680,9 @@ func runFig12(bc *benchContext) error {
 	return runSweepFig(bc, victim, attacker, true, "small AS hijacks small AS")
 }
 
+// detection is the run's one detection sweep: the top-degree, ground-truth
+// column carries fig14's latency series and fig13's first three series; a run
+// that prints fig13 adds its two ablation columns to the same attack draw.
 func (bc *benchContext) detection() (*aspp.DetectionOutcome, error) {
 	return memoized(&bc.memo.detection, func() (*aspp.DetectionOutcome, error) {
 		cfg := aspp.DefaultDetectionConfig()
@@ -695,9 +691,20 @@ func (bc *benchContext) detection() (*aspp.DetectionOutcome, error) {
 		cfg.Counters = bc.counters
 		// Latency series (Fig. 14) at a coverage-matched monitor count: the
 		// paper's 150 monitors cover ~0.5-0.75% of the 2011 Internet.
-		cfg.LatencyMonitors = bc.internet.Graph().NumASes() * 3 / 400
-		if cfg.LatencyMonitors < 10 {
-			cfg.LatencyMonitors = 10
+		cfg.LatencyMonitors = max(10, bc.internet.Graph().NumASes()*3/400)
+		if bc.memo.fig13 {
+			// Fig. 13's ablations, after the column both figures read: random
+			// monitor placement, and the hint rules fed with *inferred*
+			// relationships, as a real deployment without ground truth must run.
+			inferred, err := bc.inference()
+			if err != nil {
+				return nil, err
+			}
+			cfg.Columns = []aspp.DetectionColumn{
+				{Placement: aspp.MonitorsTopDegree},
+				{Placement: aspp.MonitorsRandom},
+				{Placement: aspp.MonitorsTopDegree, Rels: inferred.rels},
+			}
 		}
 		return bc.internet.RunDetectionCtx(bc.ctx, cfg)
 	})
@@ -708,34 +715,12 @@ func runFig13(bc *benchContext) error {
 	if err != nil {
 		return err
 	}
-	// Ablation 1: random monitor placement.
-	cfg := aspp.DefaultDetectionConfig()
-	cfg.Pairs = bc.pairs
-	cfg.Seed = bc.seed
-	cfg.Policy = aspp.MonitorsRandom
-	rnd, err := bc.internet.RunDetectionCtx(bc.ctx, cfg)
-	if err != nil {
-		return err
-	}
-	// Ablation 2: the hint rules fed with *inferred* relationships, as a
-	// real deployment without ground truth must run.
-	inferred, err := bc.inference()
-	if err != nil {
-		return err
-	}
-	cfg = aspp.DefaultDetectionConfig()
-	cfg.Pairs = bc.pairs
-	cfg.Seed = bc.seed
-	cfg.Rels = inferred.rels
-	inf, err := bc.internet.RunDetectionCtx(bc.ctx, cfg)
-	if err != nil {
-		return err
-	}
+	top, rnd, inf := out.Accuracy[0], out.Accuracy[1], out.Accuracy[2]
 	fmt.Fprintln(bc.out, "monitors\tpct_detected\tpct_high_conf\tpct_attributed\tpct_detected_random_monitors\tpct_detected_inferred_rels")
-	for i, p := range out.Accuracy {
+	for i, p := range top {
 		fmt.Fprintf(bc.out, "%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
 			p.Monitors, 100*p.Detected, 100*p.High, 100*p.Attributed,
-			100*rnd.Accuracy[i].Detected, 100*inf.Accuracy[i].Detected)
+			100*rnd[i].Detected, 100*inf[i].Detected)
 	}
 	fmt.Fprintf(bc.out, "# %d effective attacks; paper: 92%% at 70 monitors, >99%% at 150\n", out.UsablePairs)
 	return nil

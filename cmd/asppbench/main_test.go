@@ -329,6 +329,39 @@ func TestRunSharesIdenticalWork(t *testing.T) {
 	}
 }
 
+// TestFig13IsOneSweep: the three columns of Fig. 13 read one attack draw, so
+// its -counters line is every leg simulated for it — at the default topology
+// 315 baselines and 331 attack legs, the 200 effective and the 131 that
+// captured no one — and Fig. 14 after it adds none. In the other order Fig. 14
+// runs the sweep, all columns of it, and both sections read the same.
+func TestFig13IsOneSweep(t *testing.T) {
+	var sb, swapped strings.Builder
+	if err := run(context.Background(), []string{"-exp", "fig13,fig14", "-n", "4000", "-seed", "1", "-counters"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got := sections(sb.String())
+	data, counters, _ := strings.Cut(got["fig13"], "# counters: ")
+	if !strings.Contains(data, "# 200 effective attacks") {
+		t.Errorf("fig13 did not evaluate 200 attacks:\n%s", data)
+	}
+	for _, want := range []string{"prop_base=315 ", "prop_delta=331 ", "skip_ineffective=131 "} {
+		if !strings.Contains(counters, want) {
+			t.Errorf("fig13 counters lack %q: %s", want, counters)
+		}
+	}
+	if _, counters, _ := strings.Cut(got["fig14"], "# counters: "); strings.TrimSpace(counters) != new(aspp.Counters).Snapshot().String() {
+		t.Errorf("fig14 after fig13 reports work: %s", counters)
+	}
+	if err := run(context.Background(), []string{"-exp", "fig14,fig13", "-n", "4000", "-seed", "1"}, &swapped); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range sections(swapped.String()) {
+		if data, _, _ := strings.Cut(got[name], "# counters: "); strings.TrimSpace(body) != strings.TrimSpace(data) {
+			t.Errorf("%s differs when fig14 runs the sweep:\n got: %s\nwant: %s", name, body, data)
+		}
+	}
+}
+
 // fig12Topo is a hand graph with three multihomed stubs: 100 (the lowest
 // ASN, so the content stub) and the small-vs-small pool {101, 102}.
 const fig12Topo = "1|2|0\n1|10|-1\n2|11|-1\n10|100|-1\n11|100|-1\n10|101|-1\n11|101|-1\n10|102|-1\n11|102|-1\n"

@@ -19,8 +19,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -68,7 +66,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	g := internet.Graph()
-	monitors, err := parseMonitors(*monSpec, g)
+	monitors, err := aspp.ParseMonitors(*monSpec, g)
 	if err != nil {
 		return err
 	}
@@ -144,27 +142,4 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "asppload: sent %d updates in %v = %.0f updates/sec\n",
 		sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
 	return nil
-}
-
-// parseMonitors resolves "topK" (degree-ranked) or an explicit
-// comma-separated ASN list against the generated graph.
-func parseMonitors(spec string, g *aspp.Graph) ([]bgp.ASN, error) {
-	if k, ok := strings.CutPrefix(spec, "top"); ok {
-		kn, err := strconv.Atoi(k)
-		if err == nil && kn > 0 {
-			return g.TopByDegree(kn), nil
-		}
-	}
-	var mons []bgp.ASN
-	for _, f := range strings.Split(spec, ",") {
-		asn, err := bgp.ParseASN(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad -monitors %q: %w", spec, err)
-		}
-		mons = append(mons, asn)
-	}
-	if len(mons) == 0 {
-		return nil, errors.New("empty monitor set")
-	}
-	return mons, nil
 }

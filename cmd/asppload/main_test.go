@@ -67,4 +67,8 @@ func TestLoadBadInputs(t *testing.T) {
 	if err := run(context.Background(), []string{"-connect", "127.0.0.1:1"}, &sb); err == nil {
 		t.Error("dial to a closed port succeeded")
 	}
+	// The same message the daemon gives, before any dial.
+	if err := run(context.Background(), []string{"-connect", "127.0.0.1:1", "-n", "300", "-monitors", "top-4"}, &sb); err == nil || !strings.Contains(err.Error(), "K >= 1") {
+		t.Errorf("-monitors top-4: err %v, want the topK message", err)
+	}
 }

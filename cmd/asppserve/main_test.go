@@ -33,6 +33,9 @@ func TestRunBadInputs(t *testing.T) {
 	if err := run(context.Background(), []string{"-selftest", "-monitors", "bogus,list"}, &sb); err == nil {
 		t.Error("bad monitors accepted")
 	}
+	if err := run(context.Background(), []string{"-selftest", "-n", "300", "-monitors", "top0"}, &sb); err == nil || !strings.Contains(err.Error(), "K >= 1") {
+		t.Errorf("-monitors top0: err %v, want the topK message", err)
+	}
 	if err := run(context.Background(), []string{"-selftest", "-batch", "512", "-depth", "16"}, &sb); err == nil {
 		t.Error("batch > depth accepted")
 	}

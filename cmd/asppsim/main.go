@@ -63,8 +63,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *nMon < 1 {
+		return fmt.Errorf("-monitors %d: monitor count must be >= 1", *nMon)
+	}
 
-	internet, err := loadOrGenerate(*topo, *n, *seed)
+	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
 	if err != nil {
 		return err
 	}
@@ -169,18 +172,6 @@ func writeUpdateStream(path string, g *topology.Graph, im *aspp.Impact, nMonitor
 		}
 	}
 	return w.Flush()
-}
-
-func loadOrGenerate(topo string, n int, seed int64) (*aspp.Internet, error) {
-	if topo == "" {
-		return aspp.NewInternet(aspp.WithSize(n), aspp.WithSeed(seed))
-	}
-	f, err := os.Open(topo)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return aspp.LoadInternet(f)
 }
 
 func resolveAS(spec string, auto func() (aspp.ASN, error)) (aspp.ASN, error) {

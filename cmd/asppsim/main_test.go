@@ -41,15 +41,25 @@ func TestRunExplicitPairAndViolate(t *testing.T) {
 }
 
 func TestRunBadInputs(t *testing.T) {
+	updates := filepath.Join(t.TempDir(), "updates.log")
+	for what, args := range map[string][]string{
+		"bad victim":                {"-victim", "bogus"},
+		"missing topo file":         {"-topo", "/nonexistent/file"},
+		"λ=0":                       {"-n", "400", "-lambda", "0"},
+		"-monitors 0":               {"-n", "300", "-updates-out", updates, "-monitors", "0"},
+		"-monitors -1":              {"-n", "300", "-updates-out", updates, "-monitors", "-1"},
+		"-monitors -1, no stream":   {"-n", "300", "-monitors", "-1"},
+		"-monitors below int range": {"-n", "300", "-monitors", "-99999999999999999999"},
+	} {
+		var sb strings.Builder
+		if err := run(context.Background(), args, &sb); err == nil {
+			t.Errorf("%s accepted", what)
+		}
+	}
+	// A count above the topology watches every AS.
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-victim", "bogus"}, &sb); err == nil {
-		t.Error("bad victim accepted")
-	}
-	if err := run(context.Background(), []string{"-topo", "/nonexistent/file"}, &sb); err == nil {
-		t.Error("missing topo file accepted")
-	}
-	if err := run(context.Background(), []string{"-n", "400", "-lambda", "0"}, &sb); err == nil {
-		t.Error("λ=0 accepted")
+	if err := run(context.Background(), []string{"-n", "300", "-updates-out", updates, "-monitors", "301"}, &sb); err != nil {
+		t.Errorf("-monitors 301 on 300 ASes: %v", err)
 	}
 }
 

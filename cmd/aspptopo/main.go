@@ -44,17 +44,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var internet *aspp.Internet
-	var err error
-	switch {
-	case *topoFile != "":
-		f, ferr := os.Open(*topoFile)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		internet, err = aspp.LoadInternet(f)
-	case *preset != "":
+	gen := aspp.WithSize(*n)
+	if *preset != "" && *topoFile == "" {
 		if *preset != "internet80k" {
 			return fmt.Errorf("-preset: unknown preset %q (want 'internet80k')", *preset)
 		}
@@ -62,10 +53,9 @@ func run(args []string, out io.Writer) error {
 		if flagSet(fs, "n") {
 			size = *n
 		}
-		internet, err = aspp.NewInternet(aspp.WithGenConfig(topology.InternetGenConfig(size)), aspp.WithSeed(*seed))
-	default:
-		internet, err = aspp.NewInternet(aspp.WithSize(*n), aspp.WithSeed(*seed))
+		gen = aspp.WithGenConfig(topology.InternetGenConfig(size))
 	}
+	internet, err := aspp.OpenInternet(*topoFile, gen, aspp.WithSeed(*seed))
 	if err != nil {
 		return err
 	}

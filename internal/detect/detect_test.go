@@ -252,7 +252,9 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	}
 	// Monitor 60's honest route goes via 20, giving a witness whose common
 	// segment with the bogus route extends right up to the attacker.
-	res := Evaluate(im, []bgp.ASN{70, 40, 60}, g)
+	// One scratch across three monitor lists: its index cache must follow.
+	sc := NewEvalScratch()
+	res := EvaluateScratch(im, []bgp.ASN{70, 40, 60}, g, sc)
 	if !res.Detected || !res.DetectedHigh {
 		t.Fatalf("attack not detected: %+v", res)
 	}
@@ -261,7 +263,7 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	}
 	// With only the shallow witness 40, the evidence localizes the strip
 	// to AS20-or-above: detected but not exactly attributed.
-	shallow := Evaluate(im, []bgp.ASN{70, 40}, g)
+	shallow := EvaluateScratch(im, []bgp.ASN{70, 40}, g, sc)
 	if !shallow.Detected {
 		t.Fatal("shallow monitor set failed to detect")
 	}
@@ -276,7 +278,7 @@ func TestEvaluateEndToEnd(t *testing.T) {
 
 	// Monitors that cannot see the conflict (only unpolluted 60) detect
 	// nothing; the metric degrades to 1.
-	blind := Evaluate(im, []bgp.ASN{60}, g)
+	blind := EvaluateScratch(im, []bgp.ASN{60}, g, sc)
 	if blind.Detected {
 		t.Errorf("blind monitor set detected the attack: %+v", blind)
 	}

@@ -24,26 +24,30 @@ type EvalResult struct {
 	PollutedBeforeDetection float64
 }
 
-// EvalScratch is per-goroutine reusable state for EvaluateScratch: the path
-// arena the under-attack routes are extracted into, their span row, the
-// alarm buffer each monitor's verdict is folded from and the monitor-index
-// resolution cache. Nothing else is kept: the rule reads transit chains off
-// the row, and the previous route's two scalars off the baseline result —
-// no witness views, no baseline table. One scratch per goroutine and, where a
-// sweep alternates monitor sets, per set (the detection sweep keeps one per
-// shard and monitor count); warmed, an evaluation allocates nothing.
+// EvalScratch is per-goroutine reusable state for evaluating attacks against
+// one monitor list: the path arena the under-attack routes are extracted
+// into, their span row, the alarm buffer each monitor's verdict is folded
+// from and the monitor-index resolution cache. Nothing else is kept: the
+// rule reads transit chains off the row, and the previous route's two
+// scalars off the baseline result — no witness views, no baseline table. One
+// scratch per goroutine and monitor list (the detection sweep keeps one per
+// shard and placement, and reads every monitor count as a window of the
+// list); warmed, an evaluation allocates nothing.
 type EvalScratch struct {
 	arena    *routing.PathArena
 	atkSpans []routing.PathSpan
 	alarms   []Alarm
+	im       *core.Impact // the attack Extract last read; Fold's verdicts are about it
 
 	// Monitor-index cache: monIdx is valid for exactly this (graph,
-	// monitors-slice) pair, compared by identity. The sweep drivers call
-	// EvaluateScratch with one monitor slice across many impacts, so the
-	// resolution runs once per scratch, not once per instance.
+	// monitors-slice) pair, compared by identity. The sweep drivers evaluate
+	// one monitor slice across many impacts, so the resolution runs once per
+	// scratch, not once per instance.
 	monIdx []int32
 	mons   []bgp.ASN
 	g      *topology.Graph
+
+	extracts, latencies int
 }
 
 // NewEvalScratch returns an empty scratch, ready for EvaluateScratch.
@@ -51,21 +55,24 @@ func NewEvalScratch() *EvalScratch {
 	return &EvalScratch{arena: routing.NewPathArena()}
 }
 
-// Evaluate runs the detection algorithm against one simulated attack: each
-// monitor's pre-attack route acts as its previous state, its under-attack
-// route as the new state, and all monitors' under-attack routes form the
-// collaborative view R.
-func Evaluate(im *core.Impact, monitors []bgp.ASN, rels RelQuerier) EvalResult {
-	return EvaluateScratch(im, monitors, rels, NewEvalScratch())
+// EvaluateScratch runs the detection algorithm against one simulated attack:
+// each monitor's pre-attack route acts as its previous state, its
+// under-attack route as the new state, and all monitors' under-attack routes
+// form the collaborative view R. It is the two halves below over the whole
+// list, plus the latency. monitors must not be mutated while the scratch
+// caches its resolution.
+func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *EvalScratch) EvalResult {
+	sc.Extract(im, monitors)
+	res, hops := sc.Fold(0, len(monitors), rels)
+	res.PollutedBeforeDetection = sc.PollutedBefore(hops)
+	return res
 }
 
-// EvaluateScratch is Evaluate on reusable scratch state: the under-attack
-// routes are extracted into sc's arena as one span row, in one parent-chain
-// walk per monitor, and detectRow runs on it once per monitor. The verdicts
-// are identical to Evaluate's. monitors must not be mutated while the
-// scratch caches its resolution.
-func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *EvalScratch) EvalResult {
-	baseline, attacked := im.Baseline(), im.Attacked()
+// Extract reads im's under-attack routes of monitors into sc's arena as one
+// span row, in one parent-chain walk per monitor. im stays borrowed until the
+// next Extract.
+func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
+	attacked := im.Attacked()
 	g := attacked.Graph()
 
 	// Resolve monitor ASNs to dense indices once per (graph, slice).
@@ -85,17 +92,27 @@ func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *E
 
 	sc.arena.Reset() // invalidates last round's spans
 	sc.atkSpans = attacked.PathsInto(sc.arena, sc.monIdx, sc.atkSpans[:0])
+	sc.im = im
+	sc.extracts++
+}
 
-	var res EvalResult
-	detectionHops := -1
-	for k := range monitors {
+// Fold runs detectRow once per monitor of the window [lo, hi) of the
+// extracted list, with that window as the whole vantage-point set — the
+// verdict EvaluateScratch gives on monitors[lo:hi] — and returns it without
+// the latency, plus the hop distance at which the first detecting monitor
+// received the bogus route (-1: undetected).
+func (sc *EvalScratch) Fold(lo, hi int, rels RelQuerier) (res EvalResult, hops int) {
+	im, baseline := sc.im, sc.im.Baseline()
+	mons, row, idx := sc.mons[lo:hi], sc.atkSpans[lo:hi], sc.monIdx[lo:hi]
+	hops = -1
+	for k, i := range idx {
 		// The monitor's pre-attack route, as far as the rule reads it; an
 		// unknown or unreachable monitor and the origin itself had none.
 		var was routing.PathSpan
-		if i := sc.monIdx[k]; i >= 0 && i != baseline.OriginIdx() && baseline.Class[i] != routing.ClassNone {
+		if i >= 0 && i != baseline.OriginIdx() && baseline.Class[i] != routing.ClassNone {
 			was = routing.PathSpan{Prep: baseline.Prep[i], Origin: baseline.Origin()}
 		}
-		sc.alarms = detectRow(sc.arena, monitors, sc.atkSpans, k, was, rels, sc.alarms[:0])
+		sc.alarms = detectRow(sc.arena, mons, row, k, was, rels, sc.alarms[:0])
 		if len(sc.alarms) == 0 {
 			continue
 		}
@@ -110,23 +127,24 @@ func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *E
 		}
 		// This monitor detects as soon as the bogus route reaches it (it
 		// holds a route, so its index resolved).
-		if h := im.HopsFromAttackerIdx(sc.monIdx[k]); h >= 0 && (detectionHops < 0 || h < detectionHops) {
-			detectionHops = h
+		if h := im.HopsFromAttackerIdx(i); h >= 0 && (hops < 0 || h < hops) {
+			hops = h
 		}
 	}
-
-	res.PollutedBeforeDetection = pollutedBefore(im, detectionHops)
-	return res
+	return res, hops
 }
 
-// pollutedBefore computes the Fig. 14 metric: with the bogus route
-// spreading outward from the attacker hop by hop, the fraction of
-// ultimately-polluted ASes that are strictly closer to the attacker than
-// the first detecting monitor. It walks the attack result's Via slice
-// directly — no materialized pollution set. The attacker needs no skipping:
-// it adopts no route through itself, so it carries no via bit (core's
-// pollution counts rest on the same).
-func pollutedBefore(im *core.Impact, detectionHops int) float64 {
+// PollutedBefore computes the Fig. 14 metric for the extracted attack: with
+// the bogus route spreading outward from the attacker hop by hop, the
+// fraction of ultimately-polluted ASes that are strictly closer to the
+// attacker than the first detecting monitor, detectionHops away (Fold's
+// second result). It walks the attack result's Via slice directly — no
+// materialized pollution set. The attacker needs no skipping: it adopts no
+// route through itself, so it carries no via bit (core's pollution counts
+// rest on the same).
+func (sc *EvalScratch) PollutedBefore(detectionHops int) float64 {
+	sc.latencies++
+	im := sc.im
 	total, early := 0, 0
 	for i, v := range im.Attacked().Via {
 		if !v {
@@ -147,3 +165,7 @@ func pollutedBefore(im *core.Impact, detectionHops int) float64 {
 	}
 	return float64(early) / float64(total)
 }
+
+// Calls reports how many extractions and latency walks sc has run; the
+// detection sweep's tests pin them per attack.
+func (sc *EvalScratch) Calls() (extracts, latencies int) { return sc.extracts, sc.latencies }

@@ -114,7 +114,7 @@ func TestOwnerDetectsNeighborAttacker(t *testing.T) {
 	// Third-party detection: every polluted route enters through the
 	// attacker itself (a direct neighbor of the victim), so no witness
 	// shares a below-attacker segment -> no high-confidence conflict.
-	res := Evaluate(im, monitors, g)
+	res := EvaluateScratch(im, monitors, g, NewEvalScratch())
 	if res.DetectedHigh {
 		t.Errorf("cross-monitor detection unexpectedly found a segment conflict: %+v", res)
 	}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -270,21 +271,13 @@ func withIsland(t testing.TB, g *topology.Graph, provider, customer bgp.ASN) *to
 	return out
 }
 
-// TestEvaluateScratchDifferential runs ≥200 mixed attack scenarios, forged
-// origins included (their captured spans carry Prep rewritten to 1), and
-// asserts for each: (a) the arena spans for the monitor set decode to exactly
-// the paths Result.PathOf materializes, (b) the span-based evaluation returns
-// the verdict of the frozen legacy reference, and (c) detectRow folded over
-// the scratch's row raises, monitor by monitor, exactly the alarms
-// legacyDetectChange raises on the materialized paths. The monitor set holds
-// the rows on which the baseline has no path to hand the rule — the victim,
-// the attacker, an ASN outside the graph and an AS the baseline cannot reach
-// — so the previous route EvaluateScratch builds from the baseline's
-// scalars is compared against the PathOf-built one where they could differ.
-// One scratch is reused across all scenarios, so span reuse across Resets is
-// under test too.
-func TestEvaluateScratchDifferential(t *testing.T) {
-	const islandTop, islandStub, absent = bgp.ASN(900001), bgp.ASN(900002), bgp.ASN(900003)
+// Two ASes of an island nothing else routes to, and an ASN outside the graph.
+const islandTop, islandStub, absent = bgp.ASN(900001), bgp.ASN(900002), bgp.ASN(900003)
+
+// hardImpacts is diffScenarios on a graph with an island plus two dozen
+// forged-kind legs, a third of them on the island's stub.
+func hardImpacts(t *testing.T) (*topology.Graph, []*core.Impact) {
+	t.Helper()
 	g := withIsland(t, diffTestGraph(t, 500, 11), islandTop, islandStub)
 	impacts := diffScenarios(t, g, 5)
 	if len(impacts) < 200 {
@@ -310,14 +303,37 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 			impacts = append(impacts, im)
 		}
 	}
+	return g, impacts
+}
 
+// hardMonitors holds the rows on which the baseline has no path to hand the
+// rule — the victim, the attacker, an ASN outside the graph, an AS the
+// baseline cannot reach — and a duplicate. A fresh slice per call: a scratch
+// caches its resolution of a monitor slice by identity.
+func hardMonitors(g *topology.Graph, im *core.Impact) []bgp.ASN {
+	top := g.TopByDegree(50)
+	return append(top, im.Scenario.Victim, im.Scenario.Attacker, absent, islandTop, top[7])
+}
+
+// TestEvaluateScratchDifferential runs ≥200 mixed attack scenarios, forged
+// origins included (their captured spans carry Prep rewritten to 1), and
+// asserts for each: (a) the arena spans for the monitor set decode to exactly
+// the paths Result.PathOf materializes, (b) the span-based evaluation returns
+// the verdict of the frozen legacy reference, and (c) detectRow folded over
+// the scratch's row raises, monitor by monitor, exactly the alarms
+// legacyDetectChange raises on the materialized paths. The monitor set is
+// hardMonitors, so the previous route EvaluateScratch builds from the
+// baseline's scalars is compared against the PathOf-built one where they
+// could differ.
+// One scratch is reused across all scenarios, so span reuse across Resets is
+// under test too.
+func TestEvaluateScratchDifferential(t *testing.T) {
+	g, impacts := hardImpacts(t)
 	sc := NewEvalScratch()
 	arena := routing.NewPathArena()
 	var spans []routing.PathSpan
 	for si, im := range impacts {
-		// A fresh slice per scenario: the scratch caches its resolution of
-		// a monitor slice by identity.
-		monitors := append(g.TopByDegree(50), im.Scenario.Victim, im.Scenario.Attacker, absent, islandTop)
+		monitors := hardMonitors(g, im)
 		monIdx := make([]int32, len(monitors))
 		for i, m := range monitors {
 			idx, ok := g.Index(m)
@@ -366,9 +382,45 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 	t.Logf("differential over %d scenarios", len(impacts))
 }
 
+// TestFoldWindowDifferential: a monitor count is a window of one list.
+// Folding a random window [lo, hi) of a row extracted once for the whole
+// list gives exactly what EvaluateScratch gives on monitors[lo:hi] alone,
+// and what the frozen reference gives — under the ground-truth graph and
+// with no relationships at all — on every hard row and forged leg.
+func TestFoldWindowDifferential(t *testing.T) {
+	g, impacts := hardImpacts(t)
+	rng := rand.New(rand.NewSource(44))
+	whole, part := NewEvalScratch(), NewEvalScratch()
+	for si, im := range impacts {
+		monitors := hardMonitors(g, im)
+		whole.Extract(im, monitors)
+		for w := 0; w < 6; w++ {
+			lo := rng.Intn(len(monitors))
+			hi := lo + rng.Intn(len(monitors)-lo+1)
+			if w == 0 {
+				lo, hi = 40, len(monitors) // every hard row at once
+			}
+			var rels RelQuerier
+			if w%2 == 0 {
+				rels = g
+			}
+			got, hops := whole.Fold(lo, hi, rels)
+			got.PollutedBeforeDetection = whole.PollutedBefore(hops)
+			sub := slices.Clone(monitors[lo:hi])
+			if alone := EvaluateScratch(im, sub, rels, part); got != alone {
+				t.Fatalf("scenario %d (%v) window [%d,%d):\nfold  %+v\nalone %+v", si, im.Scenario, lo, hi, got, alone)
+			}
+			if want := legacyEvaluate(im, sub, rels); got != want {
+				t.Fatalf("scenario %d (%v) window [%d,%d):\nfold   %+v\nlegacy %+v", si, im.Scenario, lo, hi, got, want)
+			}
+		}
+	}
+}
+
 // TestEvaluateScratchZeroAlloc pins the batch side where the streaming side
 // already is: a warmed pass over ≥100 impacts, alarms raised, folds every
-// verdict out of the scratch's own buffers and allocates nothing.
+// verdict out of the scratch's own buffers and allocates nothing — as one
+// whole-list evaluation, and as one extraction read through nine windows.
 func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	g := diffTestGraph(t, 500, 11)
 	monitors := g.TopByDegree(40)
@@ -378,19 +430,34 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	}
 	sc := NewEvalScratch()
 	detected := 0
-	pass := func() {
-		for _, im := range impacts {
-			if EvaluateScratch(im, monitors, g, sc).Detected {
-				detected++
+	passes := map[string]func(){
+		"EvaluateScratch": func() {
+			for _, im := range impacts {
+				if EvaluateScratch(im, monitors, g, sc).Detected {
+					detected++
+				}
 			}
+		},
+		"one Extract, nine Folds": func() {
+			for _, im := range impacts {
+				sc.Extract(im, monitors)
+				for lo := 0; lo < 9; lo++ {
+					if res, _ := sc.Fold(lo, len(monitors)-lo, g); res.Detected {
+						detected++
+					}
+				}
+			}
+		},
+	}
+	for name, pass := range passes {
+		detected = 0
+		pass() // grow the arena, the intern table and the alarm buffer
+		if detected == 0 {
+			t.Fatalf("%s: premise broken: no impact raises an alarm", name)
 		}
-	}
-	pass() // grow the arena, the intern table and the alarm buffer
-	if detected == 0 {
-		t.Fatal("premise broken: no impact raises an alarm")
-	}
-	if avg := testing.AllocsPerRun(3, pass); avg != 0 {
-		t.Errorf("warmed pass over %d impacts allocates %.0f objects, want 0", len(impacts), avg)
+		if avg := testing.AllocsPerRun(3, pass); avg != 0 {
+			t.Errorf("%s: warmed pass over %d impacts allocates %.0f objects, want 0", name, len(impacts), avg)
+		}
 	}
 }
 

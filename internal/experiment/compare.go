@@ -74,12 +74,15 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 	score := func(shard int, im *core.Impact) instance {
 		routes := monitorRoutesFromImpact(im, monitors)
 		_, moas := detect.DetectMOAS(routes)
+		// The verdict without the latency: no figure of this table reads it.
+		scratch[shard].Extract(im, monitors)
+		aspp, _ := scratch[shard].Fold(0, len(monitors), g)
 		return instance{
 			victim: im.Scenario.Victim, attacker: im.Scenario.Attacker,
 			pollution: im.After(),
 			moas:      moas,
 			fakeLink:  len(detect.DetectFakeLinks(g, routes)) > 0,
-			aspp:      detect.EvaluateScratch(im, monitors, g, scratch[shard]).Detected,
+			aspp:      aspp.Detected,
 		}
 	}
 	// Instances are summed in draw order, so the means do not depend on

@@ -26,9 +26,19 @@ const (
 	MonitorsRandom
 )
 
+// DetectionColumn is one way of watching the drawn attacks: where the
+// monitors sit and which relationships feed the hint rules.
+type DetectionColumn struct {
+	Placement MonitorPolicy
+	// Rels supplies AS relationships to the hint rules; nil uses the
+	// ground-truth graph.
+	Rels detect.RelQuerier
+}
+
 // DetectionConfig parameterizes the detection experiments.
 type DetectionConfig struct {
-	// MonitorCounts are the vantage-point set sizes to evaluate.
+	// MonitorCounts are the vantage-point set sizes to evaluate; each must
+	// be at least 1, and one above the topology's size watches every AS.
 	MonitorCounts []int
 	// Pairs is the number of random attacker/victim pairs (paper: 200).
 	Pairs int
@@ -41,11 +51,10 @@ type DetectionConfig struct {
 	// restriction; enabling this reproduces that behavior (and without it
 	// most random edge attackers are no-ops with nothing to detect).
 	Violate bool
-	// Policy selects the monitor-set construction.
-	Policy MonitorPolicy
-	// Rels supplies AS relationships to the hint rules; nil uses the
-	// ground-truth graph.
-	Rels detect.RelQuerier
+	// Columns are evaluated on the one attack draw, so their series are
+	// comparable by construction; empty means one top-degree, ground-truth
+	// column. The latency series is the first column's.
+	Columns []DetectionColumn
 	// LatencyMonitors is the monitor-set size used for the Fig. 14
 	// polluted-before-detection series (0 = the largest entry of
 	// MonitorCounts). The paper's 150 monitors cover ~0.5% of its ~30k-AS
@@ -65,13 +74,13 @@ func DefaultDetectionConfig() DetectionConfig {
 		Pairs:         200,
 		Prepend:       3,
 		Violate:       true,
-		Policy:        MonitorsTopDegree,
 		Seed:          1,
 	}
 }
 
 // AccuracyPoint is one monitor-count datum of Fig. 13.
 type AccuracyPoint struct {
+	// Monitors is the number of vantage points actually watched.
 	Monitors int
 	// Detected is the fraction of attacks raising any alarm; High counts
 	// only segment-conflict alarms; Attributed counts attacks where some
@@ -81,12 +90,13 @@ type AccuracyPoint struct {
 
 // DetectionOutcome carries both figures' data from one run.
 type DetectionOutcome struct {
-	Accuracy []AccuracyPoint
-	// PollutedBeforeDetection holds, for the latency monitor set, one
-	// fraction per attack instance (Fig. 14's CDF input); undetected
-	// attacks contribute 1.0. LatencyDetected marks which instances the
-	// latency monitor set detected at all, so callers can condition the
-	// CDF on detection.
+	// Accuracy holds one series per column, in column order.
+	Accuracy [][]AccuracyPoint
+	// PollutedBeforeDetection holds, for the first column's latency monitor
+	// set, one fraction per attack instance (Fig. 14's CDF input);
+	// undetected attacks contribute 1.0. LatencyDetected marks which
+	// instances the latency monitor set detected at all, so callers can
+	// condition the CDF on detection.
 	PollutedBeforeDetection []float64
 	LatencyDetected         []bool
 	// UsablePairs is the number of simulated attacks (attacker reachable
@@ -94,13 +104,50 @@ type DetectionOutcome struct {
 	UsablePairs int
 }
 
+// placement is one monitor list and, per monitor count, the window of it
+// that count watches: a top-degree count is a prefix of one ranking, the
+// random sets — one shuffle per count, seeded by the count — lie end to end.
+type placement struct {
+	policy  MonitorPolicy
+	list    []bgp.ASN
+	windows [][2]int
+}
+
+func newPlacement(g *topology.Graph, policy MonitorPolicy, counts []int, seed int64) (placement, error) {
+	p := placement{policy: policy}
+	switch policy {
+	case MonitorsTopDegree:
+		p.list = g.TopByDegree(slices.Max(counts))
+		for _, d := range counts {
+			p.windows = append(p.windows, [2]int{0, min(d, len(p.list))})
+		}
+	case MonitorsRandom:
+		for _, d := range counts {
+			asns := g.ASNs()
+			rng := rand.New(rand.NewSource(stats.DeriveSeedIndexed(seed, "detection.monitors.random", d)))
+			rng.Shuffle(len(asns), func(i, j int) { asns[i], asns[j] = asns[j], asns[i] })
+			lo := len(p.list)
+			p.list = append(p.list, asns[:min(d, len(asns))]...)
+			p.windows = append(p.windows, [2]int{lo, len(p.list)})
+		}
+	default:
+		return p, fmt.Errorf("experiment: unknown monitor policy %d", policy)
+	}
+	return p, nil
+}
+
+// newEvalScratch is a seam for tests, which count the scratches a sweep makes
+// and what it asks of them.
+var newEvalScratch = detect.NewEvalScratch
+
 // RunDetectionCtx draws random interception attacks until cfg.Pairs of them
-// are effective and evaluates the detection algorithm under every
-// monitor-set size (paper Figs. 13-14). Each attack is evaluated inside its
-// leg (legVisitor), while its routing results are live in the shard's
-// Scratch: every shard owns one detect.EvalScratch per monitor set, so each
-// set's indices resolve once, and only the EvalResults outlive the leg.
-// Returns (nil, ctx.Err()) when cancelled.
+// are effective and evaluates the detection algorithm in every column under
+// every monitor-set size (paper Figs. 13-14). Each attack is evaluated
+// inside its leg (legVisitor), while its routing results are live in the
+// shard's Scratch: every shard owns one detect.EvalScratch per placement,
+// the attacked routes of a placement's list are extracted once per attack,
+// each (column, count) folds the rule over its window of that row, and only
+// the EvalResults outlive the leg. Returns (nil, ctx.Err()) when cancelled.
 func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
 	if len(cfg.MonitorCounts) == 0 || cfg.Pairs <= 0 {
 		return nil, errors.New("experiment: empty detection config")
@@ -108,25 +155,39 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	if cfg.Prepend < 2 {
 		return nil, errors.New("experiment: detection needs λ >= 2 (something to strip)")
 	}
-	rels := cfg.Rels
-	if rels == nil {
-		rels = g
+	if d := slices.Min(cfg.MonitorCounts); d < 1 {
+		return nil, fmt.Errorf("experiment: detection needs monitor counts >= 1, got %d", d)
 	}
-	latencyCount := cfg.LatencyMonitors
-	if latencyCount <= 0 {
-		latencyCount = slices.Max(cfg.MonitorCounts)
+	// The latency set is one more window after the counts', which the first
+	// column alone folds.
+	nc := len(cfg.MonitorCounts)
+	counts := append(slices.Clone(cfg.MonitorCounts), cfg.LatencyMonitors)
+	if cfg.LatencyMonitors <= 0 {
+		counts[nc] = slices.Max(cfg.MonitorCounts)
 	}
-	// A latency count outside MonitorCounts gets its own evaluation, which
-	// contributes no accuracy point.
-	counts := cfg.MonitorCounts
-	if !slices.Contains(counts, latencyCount) {
-		counts = append(slices.Clone(counts), latencyCount)
+	// Columns of one placement share its list, and so its extraction.
+	type column struct {
+		place int
+		rels  detect.RelQuerier
 	}
-	monitors := make([][]bgp.ASN, len(counts))
-	for ci, d := range counts {
-		var err error
-		if monitors[ci], err = pickMonitors(g, d, cfg.Policy, cfg.Seed); err != nil {
-			return nil, err
+	asked := cfg.Columns
+	if len(asked) == 0 {
+		asked = []DetectionColumn{{Placement: MonitorsTopDegree}}
+	}
+	var places []placement
+	cols := make([]column, len(asked))
+	for c, col := range asked {
+		pi := slices.IndexFunc(places, func(p placement) bool { return p.policy == col.Placement })
+		if pi < 0 {
+			p, err := newPlacement(g, col.Placement, counts, cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
+			pi, places = len(places), append(places, p)
+		}
+		cols[c] = column{pi, col.Rels}
+		if col.Rels == nil {
+			cols[c].rels = g
 		}
 	}
 
@@ -134,28 +195,44 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	if err != nil {
 		return nil, err
 	}
-	scratch := make([]*detect.EvalScratch, len(r.shards)*len(counts)) // [shard][monitor set]
+	scratch := make([]*detect.EvalScratch, len(r.shards)*len(places)) // [shard][placement]
 	for i := range scratch {
-		scratch[i] = detect.NewEvalScratch()
+		scratch[i] = newEvalScratch()
 	}
 	stream := randomAttackStream(g, cfg.Seed, cfg.Pairs*20, cfg.Prepend, cfg.Violate)
 	usable, err := firstEffective(ctx, r, stream, cfg.Pairs, func(shard int, im *core.Impact) []detect.EvalResult {
-		evals := make([]detect.EvalResult, len(counts)) // one per monitor set
-		for ci := range counts {
-			evals[ci] = detect.EvaluateScratch(im, monitors[ci], rels, scratch[shard*len(counts)+ci])
+		sc := scratch[shard*len(places):][:len(places)]
+		for pi, p := range places {
+			sc[pi].Extract(im, p.list)
 		}
+		evals := make([]detect.EvalResult, len(cols)*nc+1) // [column][count], then the latency set's
+		for c, col := range cols {
+			for ci, w := range places[col.place].windows[:nc] {
+				evals[c*nc+ci], _ = sc[col.place].Fold(w[0], w[1], col.rels)
+			}
+		}
+		first, w := sc[cols[0].place], places[cols[0].place].windows[nc]
+		latency, hops := first.Fold(w[0], w[1], cols[0].rels)
+		latency.PollutedBeforeDetection = first.PollutedBefore(hops)
+		evals[len(cols)*nc] = latency
 		return evals
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	out := &DetectionOutcome{UsablePairs: len(usable)}
-	for ci, d := range counts {
-		if ci < len(cfg.MonitorCounts) {
-			pt := AccuracyPoint{Monitors: d}
+	out := &DetectionOutcome{
+		Accuracy:                make([][]AccuracyPoint, len(cols)),
+		PollutedBeforeDetection: make([]float64, len(usable)),
+		LatencyDetected:         make([]bool, len(usable)),
+		UsablePairs:             len(usable),
+	}
+	n := float64(len(usable))
+	for c := range cols {
+		for ci, w := range places[cols[c].place].windows[:nc] {
+			pt := AccuracyPoint{Monitors: w[1] - w[0]}
 			for _, evals := range usable {
-				ev := evals[ci]
+				ev := evals[c*nc+ci]
 				if ev.Detected {
 					pt.Detected++
 				}
@@ -166,20 +243,15 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 					pt.Attributed++
 				}
 			}
-			n := float64(len(usable))
 			pt.Detected /= n
 			pt.High /= n
 			pt.Attributed /= n
-			out.Accuracy = append(out.Accuracy, pt)
+			out.Accuracy[c] = append(out.Accuracy[c], pt)
 		}
-		if d == latencyCount {
-			out.PollutedBeforeDetection = make([]float64, len(usable))
-			out.LatencyDetected = make([]bool, len(usable))
-			for k, evals := range usable {
-				out.PollutedBeforeDetection[k] = evals[ci].PollutedBeforeDetection
-				out.LatencyDetected[k] = evals[ci].Detected
-			}
-		}
+	}
+	for k, evals := range usable {
+		out.PollutedBeforeDetection[k] = evals[len(cols)*nc].PollutedBeforeDetection
+		out.LatencyDetected[k] = evals[len(cols)*nc].Detected
 	}
 	return out, nil
 }
@@ -200,21 +272,4 @@ func randomAttackStream(g *topology.Graph, seed int64, budget, prepend int, viol
 		}
 	}
 	return stream
-}
-
-func pickMonitors(g *topology.Graph, d int, policy MonitorPolicy, seed int64) ([]bgp.ASN, error) {
-	switch policy {
-	case MonitorsTopDegree:
-		return g.TopByDegree(d), nil
-	case MonitorsRandom:
-		asns := g.ASNs()
-		rng := rand.New(rand.NewSource(stats.DeriveSeedIndexed(seed, "detection.monitors.random", d)))
-		rng.Shuffle(len(asns), func(i, j int) { asns[i], asns[j] = asns[j], asns[i] })
-		if d > len(asns) {
-			d = len(asns)
-		}
-		return asns[:d], nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown monitor policy %d", policy)
-	}
 }

@@ -214,7 +214,6 @@ func TestRunDetectionAccuracyGrowsWithMonitors(t *testing.T) {
 		Pairs:         60,
 		Prepend:       3,
 		Violate:       true,
-		Policy:        MonitorsTopDegree,
 		Seed:          1,
 	}
 	out, err := RunDetectionCtx(context.Background(), g, cfg)
@@ -224,7 +223,10 @@ func TestRunDetectionAccuracyGrowsWithMonitors(t *testing.T) {
 	if out.UsablePairs < 30 {
 		t.Fatalf("only %d usable pairs", out.UsablePairs)
 	}
-	acc := out.Accuracy
+	if len(out.Accuracy) != 1 {
+		t.Fatalf("default column list gave %d series, want 1", len(out.Accuracy))
+	}
+	acc := out.Accuracy[0]
 	if len(acc) != 4 {
 		t.Fatalf("got %d accuracy points", len(acc))
 	}
@@ -257,38 +259,53 @@ func TestRunDetectionRandomMonitorsWeaker(t *testing.T) {
 	// should not beat top-degree sets (degree-central monitors see more
 	// route diversity).
 	g := expGraph(t, 600, 37)
-	base := DetectionConfig{
+	out, err := RunDetectionCtx(context.Background(), g, DetectionConfig{
 		MonitorCounts: []int{40},
 		Pairs:         50,
 		Prepend:       3,
 		Violate:       true,
+		Columns:       []DetectionColumn{{Placement: MonitorsTopDegree}, {Placement: MonitorsRandom}},
 		Seed:          1,
-	}
-	top := base
-	top.Policy = MonitorsTopDegree
-	rnd := base
-	rnd.Policy = MonitorsRandom
-	outTop, err := RunDetectionCtx(context.Background(), g, top)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outRnd, err := RunDetectionCtx(context.Background(), g, rnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outRnd.Accuracy[0].Detected > outTop.Accuracy[0].Detected+0.05 {
-		t.Errorf("random monitors (%.2f) clearly beat top-degree (%.2f)",
-			outRnd.Accuracy[0].Detected, outTop.Accuracy[0].Detected)
+	top, rnd := out.Accuracy[0][0], out.Accuracy[1][0]
+	if rnd.Detected > top.Detected+0.05 {
+		t.Errorf("random monitors (%.2f) clearly beat top-degree (%.2f)", rnd.Detected, top.Detected)
 	}
 }
 
 func TestRunDetectionValidation(t *testing.T) {
 	g := expGraph(t, 300, 38)
-	if _, err := RunDetectionCtx(context.Background(), g, DetectionConfig{Pairs: 10, Prepend: 3}); err == nil {
-		t.Error("empty monitor counts accepted")
+	ok := DetectionConfig{MonitorCounts: []int{10}, Pairs: 10, Prepend: 3, Violate: true}
+	for name, mutate := range map[string]func(*DetectionConfig){
+		"empty monitor counts":         func(c *DetectionConfig) { c.MonitorCounts = nil },
+		"λ=1 (nothing to strip)":       func(c *DetectionConfig) { c.Prepend = 1 },
+		"a monitor count of 0":         func(c *DetectionConfig) { c.MonitorCounts = []int{10, 0} },
+		"a negative monitor count":     func(c *DetectionConfig) { c.MonitorCounts = []int{-1, 10} },
+		"an unknown monitor placement": func(c *DetectionConfig) { c.Columns = []DetectionColumn{{}} },
+	} {
+		cfg := ok
+		mutate(&cfg)
+		if _, err := RunDetectionCtx(context.Background(), g, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := RunDetectionCtx(context.Background(), g, DetectionConfig{MonitorCounts: []int{10}, Pairs: 10, Prepend: 1}); err == nil {
-		t.Error("λ=1 accepted (nothing to strip)")
+
+	// A count above the topology watches every AS, and says so — under either
+	// placement, and as the latency set.
+	cfg := ok
+	cfg.MonitorCounts, cfg.LatencyMonitors = []int{10, 5000}, 9000
+	cfg.Columns = []DetectionColumn{{Placement: MonitorsTopDegree}, {Placement: MonitorsRandom}}
+	out, err := RunDetectionCtx(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, series := range out.Accuracy {
+		if len(series) != 2 || series[0].Monitors != 10 || series[1].Monitors != g.NumASes() {
+			t.Errorf("column %d: series %+v, want counts 10 and %d", c, series, g.NumASes())
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"aspp/internal/detect"
 	"aspp/internal/obs"
 	"aspp/internal/routing"
+	"aspp/internal/stats"
 	"aspp/internal/topology"
 )
 
@@ -64,7 +65,23 @@ func drawEffectiveAttacks(g *topology.Graph, d attackDraw) ([]*core.Impact, erro
 	return usable, nil
 }
 
-func retainedDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
+// retainedMonitors is the monitor set of one count as the sweep picked it
+// when every count owned its list: a fresh ranking, or a shuffle seeded by
+// the count.
+func retainedMonitors(g *topology.Graph, d int, policy MonitorPolicy, seed int64) []bgp.ASN {
+	if policy == MonitorsTopDegree {
+		return g.TopByDegree(d)
+	}
+	asns := g.ASNs()
+	rng := rand.New(rand.NewSource(stats.DeriveSeedIndexed(seed, "detection.monitors.random", d)))
+	rng.Shuffle(len(asns), func(i, j int) { asns[i], asns[j] = asns[j], asns[i] })
+	return asns[:min(d, len(asns))]
+}
+
+// retainedDetection is a one-column detection run. Its one departure from the
+// pre-visitor driver: a point is labelled with the monitors actually watched,
+// which differs from the count asked for only above the topology's size.
+func retainedDetection(g *topology.Graph, cfg DetectionConfig, col DetectionColumn) (*DetectionOutcome, error) {
 	usable, err := drawEffectiveAttacks(g, attackDraw{
 		what: "detection sweep", pairs: cfg.Pairs, budget: cfg.Pairs * 20,
 		prepend: cfg.Prepend, violate: cfg.Violate, seed: cfg.Seed,
@@ -72,7 +89,11 @@ func retainedDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcom
 	if err != nil {
 		return nil, err
 	}
-	out := &DetectionOutcome{UsablePairs: len(usable)}
+	rels := col.Rels
+	if rels == nil {
+		rels = g
+	}
+	out := &DetectionOutcome{UsablePairs: len(usable), Accuracy: make([][]AccuracyPoint, 1)}
 	latencyCount := cfg.LatencyMonitors
 	if latencyCount <= 0 {
 		latencyCount = slices.Max(cfg.MonitorCounts)
@@ -82,16 +103,13 @@ func retainedDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcom
 		counts = append(slices.Clone(counts), latencyCount)
 	}
 	for ci, d := range counts {
-		monitors, err := pickMonitors(g, d, cfg.Policy, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+		monitors := retainedMonitors(g, d, col.Placement, cfg.Seed)
 		evals := make([]detect.EvalResult, len(usable))
 		for i, im := range usable {
-			evals[i] = detect.Evaluate(im, monitors, g)
+			evals[i] = detect.EvaluateScratch(im, monitors, rels, detect.NewEvalScratch())
 		}
 		if ci < len(cfg.MonitorCounts) {
-			pt := AccuracyPoint{Monitors: d}
+			pt := AccuracyPoint{Monitors: len(monitors)}
 			for _, ev := range evals {
 				if ev.Detected {
 					pt.Detected++
@@ -107,7 +125,7 @@ func retainedDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcom
 			pt.Detected /= n
 			pt.High /= n
 			pt.Attributed /= n
-			out.Accuracy = append(out.Accuracy, pt)
+			out.Accuracy[0] = append(out.Accuracy[0], pt)
 		}
 		if d == latencyCount {
 			out.PollutedBeforeDetection = make([]float64, len(evals))
@@ -141,7 +159,7 @@ func retainedCompare(g *topology.Graph, cfg CompareConfig) ([]AttackComparison, 
 			if len(detect.DetectFakeLinks(g, routes)) > 0 {
 				cmp.DetectedByFakeLink++
 			}
-			if detect.Evaluate(im, monitors, g).Detected {
+			if detect.EvaluateScratch(im, monitors, g, detect.NewEvalScratch()).Detected {
 				cmp.DetectedByASPP++
 			}
 		}
@@ -190,23 +208,128 @@ func sameOutcome(t *testing.T, what string, got, want any, gotErr, wantErr error
 	}
 }
 
+// upsideDown answers every relationship question the wrong way round: a
+// stand-in for inferred relationships that moves the hint rules' verdicts.
+type upsideDown struct{ g *topology.Graph }
+
+func (u upsideDown) RelOf(a, b bgp.ASN) topology.RelTo { return u.g.RelOf(b, a) }
+
+// TestDetectionVisitorMatchesRetained: a three-column run is three
+// one-column runs is the frozen oracle, point for point and attack for
+// attack — with either placement first (the first column carries the latency
+// series), the latency count inside and outside MonitorCounts, and one to
+// eight shards (a detection run has one shard per worker).
 func TestDetectionVisitorMatchesRetained(t *testing.T) {
 	ctx := context.Background()
+	same := func(what string, got, want *DetectionOutcome, series int) {
+		t.Helper()
+		if got.UsablePairs != want.UsablePairs || !slices.Equal(got.Accuracy[series], want.Accuracy[0]) {
+			t.Errorf("%s:\n got %d usable, %+v\nwant %d usable, %+v", what, got.UsablePairs, got.Accuracy[series], want.UsablePairs, want.Accuracy[0])
+		}
+		if series == 0 && (!slices.Equal(got.PollutedBeforeDetection, want.PollutedBeforeDetection) || !slices.Equal(got.LatencyDetected, want.LatencyDetected)) {
+			t.Errorf("%s: latency series\n got %v %v\nwant %v %v", what, got.PollutedBeforeDetection, got.LatencyDetected, want.PollutedBeforeDetection, want.LatencyDetected)
+		}
+	}
+	relsMatter := false
 	for name, g := range oracleGraphs(t) {
-		for _, policy := range []MonitorPolicy{MonitorsTopDegree, MonitorsRandom} {
-			cfg := DetectionConfig{
-				MonitorCounts: []int{2, 5, 20}, Pairs: 30, Prepend: 3, Violate: true,
-				Policy: policy, LatencyMonitors: 9, Seed: 7,
+		for _, first := range []MonitorPolicy{MonitorsTopDegree, MonitorsRandom} {
+			for _, latency := range []int{9, 5} { // outside MonitorCounts, inside
+				cfg := DetectionConfig{
+					MonitorCounts: []int{2, 5, 20}, Pairs: 30, Prepend: 3, Violate: true,
+					LatencyMonitors: latency, Seed: 7,
+				}
+				if g.NumASes() < 20 {
+					cfg.Pairs, cfg.LatencyMonitors = 16, 0 // latency set = the largest count
+				}
+				cols := []DetectionColumn{
+					{Placement: first},
+					{Placement: MonitorsTopDegree + MonitorsRandom - first},
+					{Placement: MonitorsTopDegree, Rels: upsideDown{g}},
+				}
+				oracle := make([]*DetectionOutcome, len(cols))
+				for c, col := range cols {
+					var err error
+					if oracle[c], err = retainedDetection(g, cfg, col); err != nil {
+						t.Fatalf("%s: oracle: %v", name, err)
+					}
+				}
+				if first == MonitorsTopDegree && !slices.Equal(oracle[0].Accuracy[0], oracle[2].Accuracy[0]) {
+					relsMatter = true
+				}
+				for _, workers := range []int{1, 2, 4, 8} {
+					what := fmt.Sprintf("%s first %d latency %d workers %d", name, first, latency, workers)
+					cfg.Workers, cfg.Columns = workers, cols
+					three, err := RunDetectionCtx(ctx, g, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					for c, col := range cols {
+						same(fmt.Sprintf("%s, column %d of three", what, c), three, oracle[c], c)
+						cfg.Columns = []DetectionColumn{col}
+						one, err := RunDetectionCtx(ctx, g, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						same(fmt.Sprintf("%s, column %d alone", what, c), one, oracle[c], 0)
+					}
+				}
 			}
-			if g.NumASes() < 20 {
-				cfg.Pairs, cfg.LatencyMonitors = 16, 0 // latency set = the largest count
-			}
-			want, wantErr := retainedDetection(g, cfg)
-			for _, workers := range []int{1, 4} {
-				cfg.Workers = workers
-				got, err := RunDetectionCtx(ctx, g, cfg)
-				sameOutcome(t, fmt.Sprintf("%s policy %d workers %d", name, policy, workers), got, want, err, wantErr)
-			}
+		}
+	}
+	if !relsMatter {
+		t.Error("premise broken: upside-down relationships move no accuracy point on any graph")
+	}
+}
+
+// TestDetectionColumnsShareOneDraw: columns are read off one attack draw.
+// An N-column run simulates exactly the legs a one-column run does — every
+// one of them either ineffective or usable — and per usable attack it
+// extracts once per placement and walks the pollution set once, on one
+// scratch per shard and placement.
+func TestDetectionColumnsShareOneDraw(t *testing.T) {
+	g := expGraph(t, 400, 41)
+	var made []*detect.EvalScratch
+	defer func(orig func() *detect.EvalScratch) { newEvalScratch = orig }(newEvalScratch)
+	newEvalScratch = func() *detect.EvalScratch {
+		made = append(made, detect.NewEvalScratch())
+		return made[len(made)-1]
+	}
+	var oneColumn obs.Snapshot
+	for _, tc := range []struct {
+		cols       []DetectionColumn
+		placements int
+	}{
+		{nil, 1},
+		{[]DetectionColumn{{Placement: MonitorsTopDegree}, {Placement: MonitorsRandom}, {Placement: MonitorsTopDegree, Rels: upsideDown{g}}}, 2},
+	} {
+		const shards = 4
+		made = nil
+		c := new(obs.Counters)
+		out, err := RunDetectionCtx(context.Background(), g, DetectionConfig{
+			MonitorCounts: []int{3, 10, 30}, Pairs: 25, Prepend: 3, Violate: true,
+			Columns: tc.cols, LatencyMonitors: 10, Seed: 5, Workers: shards, Counters: c,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := c.Snapshot()
+		if int(s.DeltaPropagations) != out.UsablePairs+int(s.SkippedIneffective) || s.SkippedIneffective == 0 {
+			t.Errorf("%d columns: %d usable + %d ineffective != %d attack legs", len(tc.cols), out.UsablePairs, s.SkippedIneffective, s.DeltaPropagations)
+		}
+		if tc.cols == nil {
+			oneColumn = s
+		} else if s.BasePropagations != oneColumn.BasePropagations || s.DeltaPropagations != oneColumn.DeltaPropagations ||
+			s.SkippedIneffective != oneColumn.SkippedIneffective || s.SkippedUnreachable != oneColumn.SkippedUnreachable {
+			t.Errorf("%d columns simulate what one does not:\n got %+v\nwant %+v", len(tc.cols), s, oneColumn)
+		}
+		extracts, latencies := 0, 0
+		for _, sc := range made {
+			e, l := sc.Calls()
+			extracts, latencies = extracts+e, latencies+l
+		}
+		if len(made) != shards*tc.placements || extracts != out.UsablePairs*tc.placements || latencies != out.UsablePairs {
+			t.Errorf("%d columns: %d scratches, %d extractions, %d latency walks for %d attacks; want %d, %d, %d",
+				len(tc.cols), len(made), extracts, latencies, out.UsablePairs, shards*tc.placements, out.UsablePairs*tc.placements, out.UsablePairs)
 		}
 	}
 }
@@ -303,7 +426,7 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 		c := new(obs.Counters)
 		out, err := RunDetectionCtx(ctx, g, DetectionConfig{
 			MonitorCounts: []int{4}, Pairs: pairs, Prepend: 3, Violate: true,
-			Policy: MonitorsTopDegree, Seed: 3, Workers: 4, Counters: c,
+			Seed: 3, Workers: 4, Counters: c,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

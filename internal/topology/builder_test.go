@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,16 +169,18 @@ func TestBuildEmpty(t *testing.T) {
 
 func TestTopByDegree(t *testing.T) {
 	g := smallGraph(t)
-	top := g.TopByDegree(3)
-	if len(top) != 3 {
-		t.Fatalf("TopByDegree(3) returned %d", len(top))
-	}
 	// 10, 20, 40 all have degree 3; ties break by lower ASN.
-	if top[0] != 10 || top[1] != 20 || top[2] != 40 {
-		t.Errorf("TopByDegree(3) = %v, want [10 20 40]", top)
+	all := g.TopByDegree(g.NumASes())
+	if len(all) != g.NumASes() || all[0] != 10 || all[1] != 20 || all[2] != 40 {
+		t.Fatalf("TopByDegree(%d) = %v, want all ASes led by [10 20 40]", g.NumASes(), all)
 	}
-	if got := g.TopByDegree(100); len(got) != g.NumASes() {
-		t.Errorf("TopByDegree(100) returned %d, want all %d", len(got), g.NumASes())
+	// Every count is a prefix of the one ranking, clamped to [0, NumASes].
+	for _, tc := range []struct{ n, want int }{
+		{3, 3}, {1, 1}, {0, 0}, {-1, 0}, {-1 << 40, 0}, {g.NumASes() + 1, g.NumASes()}, {100, g.NumASes()},
+	} {
+		if got := g.TopByDegree(tc.n); !slices.Equal(got, all[:tc.want]) {
+			t.Errorf("TopByDegree(%d) = %v, want %v", tc.n, got, all[:tc.want])
+		}
 	}
 }
 

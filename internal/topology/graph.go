@@ -327,8 +327,9 @@ func (g *Graph) IsStub(asn bgp.ASN) bool {
 	return g.off[4*i+spanCust] == g.off[4*i+spanCust+1]
 }
 
-// TopByDegree returns the n highest-degree ASes, ties broken by lower ASN.
-// This is the paper's monitor-selection policy for the detection evaluation.
+// TopByDegree returns the n highest-degree ASes, ties broken by lower ASN —
+// all of them for n above NumASes, none for n below 1. This is the paper's
+// monitor-selection policy for the detection evaluation.
 func (g *Graph) TopByDegree(n int) []bgp.ASN {
 	type dd struct {
 		asn bgp.ASN
@@ -344,9 +345,7 @@ func (g *Graph) TopByDegree(n int) []bgp.ASN {
 		}
 		return all[a].asn < all[b].asn
 	})
-	if n > len(all) {
-		n = len(all)
-	}
+	n = max(0, min(n, len(all)))
 	out := make([]bgp.ASN, n)
 	for i := 0; i < n; i++ {
 		out[i] = all[i].asn
