@@ -7,12 +7,13 @@ GO ?= go
 check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 
 # The conservation differential, the cone-accounting differential, the
-# λ-shift property, the detection sweep's column differentials and detect's
-# differentials and zero-alloc pins re-run explicitly so a counter-attribution
-# regression, a leg counted over the wrong cone, a baseline shifted wrongly, a
-# column that stopped matching its one-column run, a second statement of the
-# Fig. 4 rule or a returning allocation names itself in the CI log instead of
-# hiding inside the package sweep.
+# λ-shift property, the vantage differentials, the detection sweep's column
+# differentials and detect's differentials and zero-alloc pins re-run
+# explicitly so a counter-attribution regression, a leg counted over the wrong
+# cone, a baseline shifted wrongly, a monitor row read off a scan that skipped
+# it, a column that stopped matching its one-column run, a second statement of
+# the Fig. 4 rule or a returning allocation names itself in the CI log instead
+# of hiding inside the package sweep.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -22,6 +23,8 @@ tier1:
 	$(GO) test -run='TestDetectionVisitorMatchesRetained|TestDetectionColumnsShareOneDraw' -count=1 ./internal/experiment/
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
 	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
+	$(GO) test -run=TestVantage -count=1 ./internal/routing/
+	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
@@ -128,6 +131,10 @@ bench:
 # allocates nothing its gauges do not report. The cone test checks the pair
 # sweep's answers: 110 legs counted over the attacker's cone against an O(n)
 # recount over the full kernel. The λ-sweep test pins one propagation per
-# victim and shard.
+# victim and shard. The vantage test holds what the survey's monitors read
+# off a restricted propagation to a whole-graph one, and the digest test
+# holds fig5 and fig6 on internet80k to the bytes the whole-graph survey
+# printed.
 scale-smoke:
-	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork|TestScale80kConeCountsMatchFullKernel|TestScale80kLambdaSweepPropagatesVictimOnce' -count=1 .
+	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork|TestScale80kConeCountsMatchFullKernel|TestScale80kLambdaSweepPropagatesVictimOnce|TestScale80kVantageRowsMatchFullKernel' -count=1 .
+	ASPP_SCALE=1 $(GO) test -run=TestScale80kSurveyDigest -count=1 ./cmd/asppbench/

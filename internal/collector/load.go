@@ -2,7 +2,9 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"aspp/internal/bgp"
 	"aspp/internal/obs"
@@ -27,16 +29,17 @@ import (
 // transition firing on each pass, so sustained load exercises the full
 // detection path rather than a warmed no-op table.
 
-// churnScratch is one worker's propagation state: two Scratches so the
-// steady and failed results of an event are live simultaneously (a
-// Scratch's baseline slot is overwritten by its next PropagateScratch
-// call).
-type churnScratch struct {
-	steady, failed *routing.Scratch
+// churnState is one worker's propagation state. One Scratch serves both
+// results of an event: each is read out as monitor spans into the arena
+// before the next propagation overwrites the baseline slot.
+type churnState struct {
+	s     *routing.Scratch
+	arena *routing.PathArena
+	spans []routing.PathSpan
 }
 
-func newChurnScratch() *churnScratch {
-	return &churnScratch{steady: routing.NewScratch(), failed: routing.NewScratch()}
+func newChurnState() *churnState {
+	return &churnState{s: routing.NewScratch(), arena: routing.NewPathArena()}
 }
 
 // ChurnStream builds the update stream for a sequence of churn events:
@@ -44,8 +47,9 @@ func newChurnScratch() *churnScratch {
 // by the restore transition (back to steady), across every prefix the
 // origin announces. Events are simulated in parallel but the returned
 // stream is in event order with strictly increasing Time stamps, so
-// replays are deterministic. Counters (nil-safe) records the propagation
-// legs and emitted updates.
+// replays are deterministic. The prefixes of one event share their path
+// slices. Counters (nil-safe) records the propagation legs and emitted
+// updates.
 func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent, monitors []bgp.ASN, workers int, counters *obs.Counters) ([]bgp.Update, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -54,37 +58,45 @@ func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent,
 	for _, oc := range origins {
 		byAS[oc.AS] = oc
 	}
+	sorted := slices.Clone(monitors)
+	slices.Sort(sorted)
+	vantage := routing.NewVantage(g, sorted)
 	perEvent, err := parallel.MapScratchErr(context.Background(), len(events), workers,
-		newChurnScratch,
-		func(s *churnScratch, i int) ([]bgp.Update, error) {
+		newChurnState,
+		func(st *churnState, i int) ([]bgp.Update, error) {
 			ev := events[i]
 			oc, ok := byAS[ev.Origin]
 			if !ok {
 				return nil, fmt.Errorf("collector: churn event %d references unknown origin %v", i, ev.Origin)
 			}
-			steadyRes, err := routing.PropagateScratch(g, oc.Announcement, s.steady)
+			st.arena.Reset()
+			spans, err := vantage.PathsInto(oc.Announcement, st.s, st.arena, st.spans[:0])
 			if err != nil {
 				return nil, fmt.Errorf("collector: steady propagate %v: %w", oc.AS, err)
 			}
+			counters.AddRowsDown(st.s.RowsDown())
 			failedAnn := oc.Announcement
 			failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
-			failedRes, err := routing.PropagateScratch(g, failedAnn, s.failed)
+			spans, err = vantage.PathsInto(failedAnn, st.s, st.arena, spans)
 			if err != nil {
 				return nil, fmt.Errorf("collector: churn propagate %v: %w", oc.AS, err)
 			}
+			counters.AddRowsDown(st.s.RowsDown())
 			counters.AddBasePropagations(2)
-			var ups []bgp.Update
+			st.spans = spans
+			// The event's two transitions, once; each prefix repeats them.
+			steady, failed := spans[:len(sorted)], spans[len(sorted):]
+			cycle := transition(st.arena, sorted, steady, failed, nil)
+			cycle = transition(st.arena, sorted, failed, steady, cycle)
+			ups := make([]bgp.Update, 0, len(cycle)*len(oc.Prefixes))
 			for _, pfx := range oc.Prefixes {
-				fail, err := StreamTransition(steadyRes, failedRes, pfx, monitors, 0)
-				if err != nil {
-					return nil, err
+				if !pfx.IsValid() {
+					return nil, errors.New("collector: invalid prefix")
 				}
-				restore, err := StreamTransition(failedRes, steadyRes, pfx, monitors, 0)
-				if err != nil {
-					return nil, err
+				for _, u := range cycle {
+					u.Prefix = pfx
+					ups = append(ups, u)
 				}
-				ups = append(ups, fail...)
-				ups = append(ups, restore...)
 			}
 			return ups, nil
 		})

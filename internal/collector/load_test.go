@@ -1,11 +1,16 @@
 package collector
 
 import (
+	"math/rand"
+	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 
 	"aspp/internal/bgp"
+	"aspp/internal/core"
 	"aspp/internal/obs"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -89,12 +94,131 @@ func TestChurnStreamDeterministic(t *testing.T) {
 }
 
 func TestChurnStreamErrors(t *testing.T) {
-	fix, _ := churnFixture(t)
+	fix, events := churnFixture(t)
 	if got, err := ChurnStream(fix.g, fix.origins, nil, fix.monitors, 4, nil); err != nil || got != nil {
 		t.Fatalf("empty events: %v, %v", got, err)
+	}
+	noPrefix := append([]OriginConfig(nil), fix.origins...)
+	for i := range noPrefix {
+		noPrefix[i].Prefixes = []netip.Prefix{{}}
+	}
+	if _, err := ChurnStream(fix.g, noPrefix, events, fix.monitors, 4, nil); err == nil {
+		t.Fatal("invalid prefix accepted")
 	}
 	bad := []ChurnEvent{{Origin: 0xFFFFFF, Primary: 1}}
 	if _, err := ChurnStream(fix.g, fix.origins, bad, fix.monitors, 4, nil); err == nil {
 		t.Fatal("unknown origin accepted")
+	}
+}
+
+// fullTableTransition is StreamTransition as it stood before transitions
+// were read off monitor spans: every monitor's path materialized from a
+// whole-graph result, compared as slices. The oracle for both entry points.
+func fullTableTransition(before, after *routing.Result, prefix netip.Prefix, monitors []bgp.ASN, startTime uint64) []bgp.Update {
+	sorted := append([]bgp.ASN(nil), monitors...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	var out []bgp.Update
+	tm := startTime
+	for _, m := range sorted {
+		oldPath, newPath := before.PathOf(m), after.PathOf(m)
+		switch {
+		case newPath == nil && oldPath == nil:
+		case newPath == nil:
+			tm++
+			out = append(out, bgp.Update{Time: tm, Monitor: m, Type: bgp.Withdraw, Prefix: prefix})
+		case oldPath.Equal(newPath):
+		default:
+			tm++
+			out = append(out, bgp.Update{Time: tm, Monitor: m, Type: bgp.Announce, Prefix: prefix, Path: newPath})
+		}
+	}
+	return out
+}
+
+// TestChurnStreamMatchesFullTables: the corpus built from monitor spans of
+// restricted propagations is, update for update, the one built from two
+// whole-graph tables per event — with a monitor list holding an ASN outside
+// the graph, a duplicate, a churning origin and a low-degree stub, on
+// worker Scratches whose skipped rows are poisoned (routing.Vantage).
+func TestChurnStreamMatchesFullTables(t *testing.T) {
+	fix, _ := churnFixture(t)
+	events := PlanChurn(fix.origins, 120, 3)
+	monitors := append(fix.g.TopByDegree(12), 0xFFFFFF, events[0].Origin, events[7].Origin)
+	for _, a := range fix.g.ASNs() {
+		if fix.g.IsStub(a) {
+			monitors = append(monitors, a, a)
+			break
+		}
+	}
+	got, err := ChurnStream(fix.g, fix.origins, events, monitors, 3, nil)
+	if err != nil {
+		t.Fatalf("ChurnStream: %v", err)
+	}
+
+	byAS := make(map[bgp.ASN]OriginConfig)
+	for _, oc := range fix.origins {
+		byAS[oc.AS] = oc
+	}
+	var want []bgp.Update
+	for _, ev := range events {
+		oc := byAS[ev.Origin]
+		steady, err := routing.Propagate(fix.g, oc.Announcement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failedAnn := oc.Announcement
+		failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
+		failed, err := routing.Propagate(fix.g, failedAnn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pfx := range oc.Prefixes {
+			want = append(want, fullTableTransition(steady, failed, pfx, monitors, 0)...)
+			want = append(want, fullTableTransition(failed, steady, pfx, monitors, 0)...)
+		}
+	}
+	for i := range want {
+		want[i].Time = uint64(i + 1)
+	}
+	if len(want) < 1000 {
+		t.Fatalf("oracle corpus has only %d updates", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ChurnStream: %d updates, the full-table corpus has %d (or they differ in content)", len(got), len(want))
+	}
+}
+
+// TestStreamTransitionMatchesFullTables holds StreamTransition to the same
+// oracle on attack transitions of every kind: a captured monitor's path may
+// change its origin (a hijack) with its transit chain and length unchanged.
+func TestStreamTransitionMatchesFullTables(t *testing.T) {
+	g := surveyGraph(t, 300, 8)
+	asns := g.ASNs()
+	monitors := append(g.TopByDegree(25), 0xFFFFFF, asns[3], asns[3])
+	pfx := netip.MustParsePrefix("10.9.0.0/16")
+	rng := rand.New(rand.NewSource(4))
+	legs, updates := 0, 0
+	for legs < 90 {
+		sc := core.Scenario{Victim: asns[rng.Intn(len(asns))], Attacker: asns[rng.Intn(len(asns))], Prepend: 1 + rng.Intn(4), Type: core.AttackType(legs % 3)}
+		im, err := core.Simulate(g, sc)
+		if err != nil {
+			continue // same AS twice, or an attacker with no route
+		}
+		legs++
+		mons := append(monitors, sc.Victim, sc.Attacker)
+		for _, dir := range [][2]*routing.Result{{im.Baseline(), im.Attacked()}, {im.Attacked(), im.Baseline()}} {
+			got, err := StreamTransition(dir[0], dir[1], pfx, mons, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fullTableTransition(dir[0], dir[1], pfx, mons, 40)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: StreamTransition\n%v\nfull tables\n%v", sc, got, want)
+			}
+			updates += len(want)
+		}
+	}
+	if updates < 200 {
+		t.Fatalf("only %d updates over %d legs", updates, legs)
 	}
 }

@@ -3,6 +3,7 @@ package collector
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"aspp/internal/bgp"
@@ -40,29 +41,39 @@ func StreamTransition(before, after *routing.Result, prefix netip.Prefix, monito
 	if !prefix.IsValid() {
 		return nil, errors.New("collector: invalid prefix")
 	}
-	sorted := append([]bgp.ASN(nil), monitors...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	var out []bgp.Update
-	tm := startTime
-	for _, m := range sorted {
-		oldPath := before.PathOf(m)
-		newPath := after.PathOf(m)
-		switch {
-		case newPath == nil && oldPath == nil:
-			continue
-		case newPath == nil:
-			tm++
-			out = append(out, bgp.Update{
-				Time: tm, Monitor: m, Type: bgp.Withdraw, Prefix: prefix,
-			})
-		case oldPath.Equal(newPath):
-			continue
-		default:
-			tm++
-			out = append(out, bgp.Update{
-				Time: tm, Monitor: m, Type: bgp.Announce, Prefix: prefix, Path: newPath,
-			})
+	sorted := slices.Clone(monitors)
+	slices.Sort(sorted)
+	idx := make([]int32, len(sorted))
+	for i, m := range sorted {
+		j, ok := before.Graph().Index(m)
+		if !ok {
+			j = -1
 		}
+		idx[i] = j
+	}
+	a := routing.NewPathArena()
+	out := transition(a, sorted, before.PathsInto(a, idx, nil), after.PathsInto(a, idx, nil), nil)
+	for i := range out {
+		out[i].Prefix, out[i].Time = prefix, startTime+uint64(i)+1
 	}
 	return out, nil
+}
+
+// transition appends to out what each monitor emits when its route goes
+// from from[k] to to[k] (spans of the one arena a, so equal transit chains
+// share a Seg): an announcement of a changed route, a withdrawal of a lost
+// one. Prefix and Time are the caller's to stamp.
+func transition(a *routing.PathArena, monitors []bgp.ASN, from, to []routing.PathSpan, out []bgp.Update) []bgp.Update {
+	for k, m := range monitors {
+		old, cur := from[k], to[k]
+		switch {
+		case cur.Prep == 0 && old.Prep == 0:
+		case cur.Prep == 0:
+			out = append(out, bgp.Update{Monitor: m, Type: bgp.Withdraw})
+		case old.Prep == cur.Prep && old.Seg == cur.Seg && old.Origin == cur.Origin:
+		default:
+			out = append(out, bgp.Update{Monitor: m, Type: bgp.Announce, Path: a.Path(cur)})
+		}
+	}
+	return out
 }

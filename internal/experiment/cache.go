@@ -115,6 +115,7 @@ func (c *baselineCache) get(origin bgp.ASN, lambda int) (*routing.Result, error)
 			return nil, err
 		}
 		c.obs.AddBasePropagations(1)
+		c.obs.AddRowsDown(c.s.RowsDown())
 		c.install(key, res)
 	}
 	if err == nil {

@@ -1,7 +1,8 @@
 // Package measure characterizes AS-path-prepending usage as seen from
 // route monitors — the paper's Section VI-A measurement (Figs. 5 and 6) —
-// by computing full routing tables and failure-driven update streams over
-// a topology whose origins follow realistic prepending policies.
+// by computing the monitors' routing tables and failure-driven update
+// streams over a topology whose origins follow realistic prepending
+// policies.
 package measure
 
 import (
@@ -128,14 +129,12 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	if len(monitors) == 0 {
 		monitors = DefaultMonitors(g, 30, 10, cfg.Seed)
 	}
-	monIdx := make([]int32, len(monitors))
-	for i, m := range monitors {
-		idx, ok := g.Index(m)
-		if !ok {
+	for _, m := range monitors {
+		if !g.Has(m) {
 			return nil, fmt.Errorf("measure: monitor %v not in topology", m)
 		}
-		monIdx[i] = idx
 	}
+	vantage := routing.NewVantage(g, monitors)
 
 	res := &SurveyResult{
 		TablePrependDist:  stats.NewHistogram(),
@@ -144,48 +143,23 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	}
 
 	// Steady-state tables: one propagation per origin (all its prefixes
-	// share the announcement); weight per-prefix afterwards. The leg runs
-	// lane-batched — each worker owns a BatchScratch and carries a lane
-	// group of origins per shared frontier walk, the width sized to keep
-	// the lane state cache-resident on this topology. Lanes are
-	// bitwise-equal to the serial engine. The per-origin prepend
-	// observations land in one flat matrix: prepMat[i*nMon+mi] is the
-	// origin-prepend run monitor mi sees for origin i (-1 when the monitor
-	// has no route or is the origin itself). The prepend run a monitor
-	// receives is also the path's maximum run here — only origins prepend
-	// in this survey — so the table distribution reads the same cell. The
-	// churn leg below is serial: each event's withheld-session
-	// announcement is unique.
-	nMon := len(monIdx)
+	// share the announcement), read at the monitors only; weight per-prefix
+	// afterwards. The per-origin prepend observations land in one flat
+	// matrix: prepMat[i*nMon+mi] is the origin-prepend run monitor mi sees
+	// for origin i (0 when the monitor has no route or is the origin itself).
+	// The prepend run a monitor receives is also the path's maximum run here
+	// — only origins prepend in this survey — so the table distribution reads
+	// the same cell.
+	nMon := len(monitors)
 	prepMat := make([]int16, len(origins)*nMon)
-	anns := make([]routing.Announcement, len(origins))
-	for i, oc := range origins {
-		anns[i] = oc.Announcement
-	}
-	width := routing.AdaptiveLaneWidth(g.NumASes())
-	groups := (len(origins) + width - 1) / width
-	perr := parallel.ForEachScratchErr(context.Background(), groups, cfg.Workers,
-		routing.NewBatchScratch,
-		func(bs *routing.BatchScratch, gi int) error {
-			lo := gi * width
-			hi := min(lo+width, len(origins))
-			br, err := routing.PropagateBatch(g, anns[lo:hi], bs)
-			if err != nil {
-				// Origins are validated at assignment, so this indicates a
-				// propagation bug; fail the survey instead of panicking the
-				// worker pool.
-				return fmt.Errorf("measure: batch propagate origins [%d:%d): %w", lo, hi, err)
-			}
-			cfg.Counters.AddBatchPropagations(int64(hi - lo))
-			cfg.Counters.AddBatchCalls(1)
-			for l, rt := range br.Lanes {
-				row := prepMat[(lo+l)*nMon : (lo+l+1)*nMon]
-				for mi, idx := range monIdx {
-					row[mi] = -1
-					if rt.ReachableIdx(idx) && idx != rt.OriginIdx() {
-						row[mi] = rt.Prep[idx]
-					}
-				}
+	perr := parallel.ForEachScratchErr(context.Background(), len(origins), cfg.Workers,
+		newTableState,
+		func(ts *tableState, i int) error {
+			// Origins are validated at assignment, so an error indicates a
+			// propagation bug; fail the survey instead of panicking the
+			// worker pool.
+			if err := ts.preps(vantage, origins[i].Announcement, prepMat[i*nMon:(i+1)*nMon], cfg.Counters); err != nil {
+				return fmt.Errorf("measure: propagate origin %v: %w", origins[i].AS, err)
 			}
 			return nil
 		})
@@ -198,8 +172,8 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	prepended := make([]int, len(monitors))
 	for i, oc := range origins {
 		row := prepMat[i*nMon : (i+1)*nMon]
-		for mi := range monIdx {
-			if row[mi] < 0 {
+		for mi := range row {
+			if row[mi] == 0 {
 				continue
 			}
 			total[mi] += len(oc.Prefixes)
@@ -242,36 +216,31 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 		updates          int
 	}
 	perEvent, perr := parallel.MapScratchErr(context.Background(), len(events), cfg.Workers,
-		routing.NewScratch,
-		func(s *routing.Scratch, i int) (updStats, error) {
+		newTableState,
+		func(ts *tableState, i int) (updStats, error) {
 			ev := events[i]
 			oc := byAS[ev.Origin]
 			weight := len(oc.Prefixes)
 			us := updStats{
-				total:     make([]int, len(monIdx)),
-				prepended: make([]int, len(monIdx)),
+				total:     make([]int, nMon),
+				prepended: make([]int, nMon),
 				dist:      stats.NewHistogram(),
 			}
 			failedAnn := oc.Announcement
 			failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
-			failed, err := routing.PropagateScratch(g, failedAnn, s)
-			if err != nil {
+			failed := make([]int16, nMon)
+			if err := ts.preps(vantage, failedAnn, failed, cfg.Counters); err != nil {
 				return us, fmt.Errorf("measure: churn propagate %v: %w", oc.AS, err)
 			}
-			cfg.Counters.AddBasePropagations(1)
 			steady := prepMat[originPos[ev.Origin]*nMon : (originPos[ev.Origin]+1)*nMon]
-			for mi, idx := range monIdx {
-				before := steady[mi]
-				after := int16(-1)
-				if failed.ReachableIdx(idx) && idx != failed.OriginIdx() {
-					after = failed.Prep[idx]
-				}
+			for mi, before := range steady {
+				after := failed[mi]
 				if before == after {
 					continue // no visible change at this monitor
 				}
 				// Failure announcement (or withdraw) plus restore announcement.
 				for _, p := range []int16{after, before} {
-					if p < 0 {
+					if p == 0 {
 						continue // withdrawal: no path to classify
 					}
 					us.updates += weight
@@ -293,7 +262,7 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 		res.UpdatePrependDist.Merge(us.dist)
 		res.Updates += us.updates
 		cfg.Counters.AddChurnUpdates(int64(us.updates))
-		for mi := range monIdx {
+		for mi := range updTotal {
 			updTotal[mi] += us.total[mi]
 			updPrepended[mi] += us.prepended[mi]
 		}
@@ -312,6 +281,30 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	sortFracs(res.Tier1TableFracs)
 	sortFracs(res.UpdateFracs)
 	return res, nil
+}
+
+// tableState is one worker's propagation state for both legs of the survey.
+type tableState struct {
+	s     *routing.Scratch
+	spans []routing.PathSpan
+}
+
+func newTableState() *tableState { return &tableState{s: routing.NewScratch()} }
+
+// preps propagates ann and writes into row the origin-prepend run each of
+// v's monitors receives, 0 where a monitor has no route or is the origin.
+func (ts *tableState) preps(v *routing.Vantage, ann routing.Announcement, row []int16, c *obs.Counters) error {
+	spans, err := v.PathsInto(ann, ts.s, nil, ts.spans[:0]) // Prep only: no arena
+	if err != nil {
+		return err
+	}
+	ts.spans = spans
+	c.AddBasePropagations(1)
+	c.AddRowsDown(ts.s.RowsDown())
+	for mi, sp := range spans {
+		row[mi] = sp.Prep
+	}
+	return nil
 }
 
 func sortFracs(f []MonitorFrac) {

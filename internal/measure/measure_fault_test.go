@@ -7,7 +7,6 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
 	"aspp/internal/obs"
-	"aspp/internal/routing"
 )
 
 // TestRunSurveyTablePropagationErrorReturned injects an origin whose AS is
@@ -65,9 +64,9 @@ func TestRunSurveyChurnPropagationErrorReturned(t *testing.T) {
 }
 
 // TestRunSurveyCounters checks the telemetry plumbing: the table leg is
-// one batch lane per origin in full-width calls, the churn leg one serial
-// propagation per event, and the churn-update counter matches the
-// result's own total.
+// one propagation per origin and the churn leg one per event, none of them
+// a batch lane, each emitting its monitors' cone and not the graph, and the
+// churn-update counter matches the result's own total.
 func TestRunSurveyCounters(t *testing.T) {
 	g, origins := surveySetup(t, 300, 12)
 	cfg := DefaultSurveyConfig()
@@ -79,12 +78,12 @@ func TestRunSurveyCounters(t *testing.T) {
 	}
 	events := collector.PlanChurn(origins, cfg.ChurnEvents, cfg.Seed)
 	s := cfg.Counters.Snapshot()
-	width := routing.AdaptiveLaneWidth(g.NumASes())
-	if s.BatchPropagations != int64(len(origins)) || s.BatchCalls != int64((len(origins)+width-1)/width) {
-		t.Fatalf("prop_batch=%d batch_calls=%d, want %d lanes (one per origin) at width %d", s.BatchPropagations, s.BatchCalls, len(origins), width)
+	props := int64(len(origins) + len(events))
+	if s.BasePropagations != props || s.BatchPropagations != 0 || s.BatchCalls != 0 {
+		t.Fatalf("prop_base=%d prop_batch=%d batch_calls=%d, want %d (origins + churn events) and no lanes", s.BasePropagations, s.BatchPropagations, s.BatchCalls, props)
 	}
-	if s.BasePropagations != int64(len(events)) {
-		t.Fatalf("BasePropagations=%d, want %d (churn events)", s.BasePropagations, len(events))
+	if s.RowsDown < props || s.RowsDown >= props*int64(g.NumASes())/4 {
+		t.Fatalf("rows_down=%d over %d propagations on %d ASes, want a monitors' cone each, not the graph", s.RowsDown, props, g.NumASes())
 	}
 	if s.ChurnUpdates != int64(res.Updates) {
 		t.Fatalf("ChurnUpdates=%d, want %d (res.Updates)", s.ChurnUpdates, res.Updates)

@@ -1,11 +1,13 @@
 package measure
 
 import (
+	"reflect"
 	"testing"
 
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
 	"aspp/internal/routing"
+	"aspp/internal/stats"
 	"aspp/internal/topology"
 )
 
@@ -143,9 +145,9 @@ func TestRunSurveyTier1SeesMore(t *testing.T) {
 }
 
 // TestRunSurveyMemoizationEquivalence: the table leg propagates once per
-// origin, as one lane of a batched call, and weights the outcome by the
-// origin's prefix count. That must equal a tally that propagates every
-// prefix on its own through the serial engine.
+// origin, over its monitors' cone, and weights the outcome by the origin's
+// prefix count. That must equal a tally that propagates every prefix on its
+// own over the whole graph.
 func TestRunSurveyMemoizationEquivalence(t *testing.T) {
 	g, origins := surveySetup(t, 300, 13)
 	cfg := DefaultSurveyConfig()
@@ -213,5 +215,86 @@ func TestRunSurveyErrors(t *testing.T) {
 	cfg.Monitors = []bgp.ASN{99999999}
 	if _, err := RunSurvey(g, origins, cfg); err == nil {
 		t.Error("unknown monitor accepted")
+	}
+}
+
+// TestRunSurveyUpdatesMatchFullTables: the update leg reads each churn
+// event's two tables at the monitors only (routing.Vantage; the rows it
+// skips are poisoned). Its tallies must equal a tally over whole-graph
+// tables, with a churning origin and a twice-listed AS among the monitors.
+func TestRunSurveyUpdatesMatchFullTables(t *testing.T) {
+	g, origins := surveySetup(t, 500, 16)
+	cfg := DefaultSurveyConfig()
+	cfg.ChurnEvents = 80
+	events := collector.PlanChurn(origins, cfg.ChurnEvents, cfg.Seed)
+	if len(events) == 0 {
+		t.Fatal("no churn events")
+	}
+	cfg.Monitors = append(DefaultMonitors(g, 20, 10, 1), events[0].Origin)
+	cfg.Monitors = append(cfg.Monitors, cfg.Monitors[3])
+	res, err := RunSurvey(g, origins, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	byAS := map[bgp.ASN]collector.OriginConfig{}
+	for _, oc := range origins {
+		byAS[oc.AS] = oc
+	}
+	prep := func(rt *routing.Result, m bgp.ASN) int {
+		if m == rt.Origin() || !rt.Reachable(m) {
+			return -1
+		}
+		return rt.PathOf(m).OriginPrepend()
+	}
+	total := make([]int, len(cfg.Monitors))
+	prepended := make([]int, len(cfg.Monitors))
+	dist := stats.NewHistogram()
+	updates := 0
+	for _, ev := range events {
+		oc := byAS[ev.Origin]
+		steady, err := routing.Propagate(g, oc.Announcement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failedAnn := oc.Announcement
+		failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
+		failed, err := routing.Propagate(g, failedAnn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mi, m := range cfg.Monitors {
+			before, after := prep(steady, m), prep(failed, m)
+			if before == after {
+				continue
+			}
+			for _, p := range []int{after, before} {
+				if p < 0 {
+					continue
+				}
+				updates += len(oc.Prefixes)
+				total[mi] += len(oc.Prefixes)
+				if p >= 2 {
+					prepended[mi] += len(oc.Prefixes)
+					dist.AddN(p, len(oc.Prefixes))
+				}
+			}
+		}
+	}
+	var want []MonitorFrac
+	for mi, m := range cfg.Monitors {
+		if total[mi] > 0 {
+			want = append(want, MonitorFrac{Monitor: m, Tier: g.Tier(m), Frac: float64(prepended[mi]) / float64(total[mi])})
+		}
+	}
+	sortFracs(want)
+	if updates == 0 || res.Updates != updates {
+		t.Fatalf("Updates = %d, whole-graph tables give %d", res.Updates, updates)
+	}
+	if !reflect.DeepEqual(res.UpdateFracs, want) {
+		t.Fatalf("UpdateFracs = %v, whole-graph tables give %v", res.UpdateFracs, want)
+	}
+	if !reflect.DeepEqual(res.UpdatePrependDist, dist) {
+		t.Fatal("UpdatePrependDist differs from the whole-graph tally")
 	}
 }

@@ -58,6 +58,7 @@ type Counters struct {
 
 	deltaBatchPropagations lineCounter
 	deltaBatchCalls        lineCounter
+	rowsDown               lineCounter
 
 	// Serve-pipeline counters (DESIGN §5g): the streaming daemon's ingest
 	// and detection traffic. frames_in counts frames decoded off ingest
@@ -92,6 +93,14 @@ type Counters struct {
 func (c *Counters) AddBasePropagations(n int64) {
 	if c != nil {
 		c.basePropagations.Add(n)
+	}
+}
+
+// AddRowsDown records the n result rows a no-attacker propagation emitted
+// (routing.Scratch.RowsDown): the graph's size, or a Vantage's cone.
+func (c *Counters) AddRowsDown(n int64) {
+	if c != nil {
+		c.rowsDown.Add(n)
 	}
 }
 
@@ -287,6 +296,7 @@ type Snapshot struct {
 
 	DeltaBatchPropagations int64
 	DeltaBatchCalls        int64
+	RowsDown               int64
 
 	FramesIn      int64
 	FramesBad     int64
@@ -321,6 +331,7 @@ func (c *Counters) Snapshot() Snapshot {
 
 		DeltaBatchPropagations: c.deltaBatchPropagations.Load(),
 		DeltaBatchCalls:        c.deltaBatchCalls.Load(),
+		RowsDown:               c.rowsDown.Load(),
 
 		FramesIn:      c.framesIn.Load(),
 		FramesBad:     c.framesBad.Load(),
@@ -347,10 +358,10 @@ func (s Snapshot) AttackPropagations() int64 {
 // -counters output format).
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"prop_base=%d prop_full=%d prop_delta=%d prop_batch=%d batch_calls=%d prop_delta_batch=%d delta_batch_calls=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
+		"prop_base=%d prop_full=%d prop_delta=%d prop_batch=%d batch_calls=%d prop_delta_batch=%d delta_batch_calls=%d rows_down=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
 		s.BasePropagations, s.FullPropagations, s.DeltaPropagations,
 		s.BatchPropagations, s.BatchCalls,
-		s.DeltaBatchPropagations, s.DeltaBatchCalls,
+		s.DeltaBatchPropagations, s.DeltaBatchCalls, s.RowsDown,
 		s.BaselineHits, s.BaselineMisses,
 		s.SkippedUnreachable, s.SkippedIneffective, s.ChurnUpdates,
 		s.FramesIn, s.FramesBad, s.ServeEnqueued, s.ServeDropped,

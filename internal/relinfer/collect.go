@@ -19,16 +19,8 @@ func CollectPaths(g *topology.Graph, origins, monitors []bgp.ASN, workers int) (
 	if len(origins) == 0 || len(monitors) == 0 {
 		return nil, errors.New("relinfer: need origins and monitors")
 	}
-	// Monitor indices are shared read-only; unknown monitors resolve to
-	// -1 and yield the empty span (the legacy PathOf-returns-nil case).
-	monIdx := make([]int32, len(monitors))
-	for i, m := range monitors {
-		idx, ok := g.Index(m)
-		if !ok {
-			idx = -1
-		}
-		monIdx[i] = idx
-	}
+	// Shared read-only; a monitor outside the graph yields the empty span.
+	vantage := routing.NewVantage(g, monitors)
 	// Per-worker state: a propagation scratch plus a path arena reused
 	// across the worker's origins. Only the exported paths themselves are
 	// materialized (one allocation each, in collector-export shape).
@@ -41,12 +33,12 @@ func CollectPaths(g *topology.Graph, origins, monitors []bgp.ASN, workers int) (
 		return &collectState{s: routing.NewScratch(), arena: routing.NewPathArena()}
 	}
 	perOrigin, perr := parallel.MapScratchErr(context.Background(), len(origins), workers, newState, func(st *collectState, i int) ([]bgp.Path, error) {
-		res, err := routing.PropagateScratch(g, routing.Announcement{Origin: origins[i], Prepend: 1}, st.s)
+		st.arena.Reset()
+		spans, err := vantage.PathsInto(routing.Announcement{Origin: origins[i], Prepend: 1}, st.s, st.arena, st.spans[:0])
 		if err != nil {
 			return nil, fmt.Errorf("relinfer: propagate %v: %w", origins[i], err)
 		}
-		st.arena.Reset()
-		st.spans = res.PathsInto(st.arena, monIdx, st.spans[:0])
+		st.spans = spans
 		var out []bgp.Path
 		for k, m := range monitors {
 			if sp := st.spans[k]; sp.Prep > 0 {

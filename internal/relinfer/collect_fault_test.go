@@ -1,10 +1,12 @@
 package relinfer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"aspp/internal/bgp"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -58,5 +60,45 @@ func TestSampleOriginsSpreadsAcrossGraph(t *testing.T) {
 	}
 	if got[n-1] == asns[n-1] && got[0] == asns[0] && got[1] == asns[1] {
 		t.Fatal("sample looks like the first-n prefix; picks did not spread")
+	}
+}
+
+// TestCollectPathsMatchesFullTables: the paths harvested at the monitors
+// from restricted propagations (routing.Vantage; skipped rows poisoned) are
+// the ones whole-graph tables give, in the same order — with a monitor that
+// is also an origin, one listed twice, a stub and an ASN outside the graph.
+func TestCollectPathsMatchesFullTables(t *testing.T) {
+	cfg := topology.DefaultGenConfig(500)
+	cfg.Seed = 21
+	g, err := topology.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := SampleOrigins(g, 150)
+	monitors := append(g.TopByDegree(15), origins[4], bgp.ASN(1<<30), origins[4])
+	for _, a := range g.ASNs() {
+		if g.IsStub(a) {
+			monitors = append(monitors, a)
+			break
+		}
+	}
+	got, err := CollectPaths(g, origins, monitors, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []bgp.Path
+	for _, o := range origins {
+		res, err := routing.Propagate(g, routing.Announcement{Origin: o, Prepend: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range monitors {
+			if p := res.PathOf(m); p != nil {
+				want = append(want, p.Prepend(m, 1))
+			}
+		}
+	}
+	if len(want) < 2000 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("CollectPaths: %d paths, whole-graph tables give %d (or they differ in content)", len(got), len(want))
 	}
 }

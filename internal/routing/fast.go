@@ -90,6 +90,11 @@ type fastState struct {
 	// the entries of ASes with a sibling are ever written or read.
 	sibOff  []sibOffer
 	sibProv []expCand
+
+	// rows, when non-nil, is the bitset of ASes whose result rows the caller
+	// will read — a Vantage's provider closure — and phase 3 emits only those
+	// (see downRows). Nil is every row; run clears it on a sibling graph.
+	rows []uint64
 }
 
 // sibOffer is what an AS advertises to one sibling: its selected route as
@@ -132,6 +137,7 @@ func (st *fastState) init(g *topology.Graph, ann Announcement, s *Scratch) {
 	s.grow(n)
 	st.g = g
 	st.s = s
+	s.rowsDown = 0
 	st.origin = origin
 	st.ann = ann
 	st.atkIdx = -1
@@ -285,11 +291,13 @@ func (st *fastState) originSeed(nbr int32) (cand, bool) {
 }
 
 // run computes the stable outcome into res (which must already be sized
-// for the graph; rows need not be cleared — every row is written). When
-// via is non-nil it receives the per-AS via flags (the attack path's Via
-// storage). A sibling-free graph is one pass.
+// for the graph; rows need not be cleared — every row is written, or under
+// st.rows every row the vantage reads). When via is non-nil it receives the
+// per-AS via flags (the attack path's Via storage). A sibling-free graph is
+// one pass.
 func (st *fastState) run(res *Result, via []bool) (*Result, error) {
 	if st.g.HasSiblings() {
+		st.rows = nil // a sibling offer can carry a route into any row
 		return st.runSiblings(res, via)
 	}
 	st.pass(res, via)
@@ -471,6 +479,10 @@ func (st *fastState) pass(res *Result, via []bool) {
 	// scan: the offer is weighed against the row the scan just gave it,
 	// before any of its customers reads its export. That keeps sibling
 	// graphs out of the scan's inner loops altogether.
+	if st.rows != nil {
+		st.downRows(res)
+		return
+	}
 	hi := n - 1
 	if st.sibOff != nil {
 		sibs := g.SiblingASes()
@@ -483,6 +495,25 @@ func (st *fastState) pass(res *Result, via []bool) {
 		}
 	}
 	st.down(res, via, hi, 0)
+}
+
+// downRows is phase 3 over rows ∪ custSet only, as descending stretches of
+// down: every row a monitor's parent chain touches, bit-equal to the full
+// scan's (DESIGN §5b). down reads u's own tables and, when u holds neither a
+// customer nor a peer route, its providers' exports — emitted earlier in this
+// scan, rows being provider-closed. A chain climbs providers inside rows,
+// crosses at most one peer link onto a customer-route holder, and descends
+// customer-route holders to the origin: all in custSet.
+func (st *fastState) downRows(res *Result) {
+	for wi := len(st.rows) - 1; wi >= 0; wi-- {
+		for w := st.rows[wi] | st.custSet[wi]; w != 0; {
+			top := 63 - bits.LeadingZeros64(w)
+			run := bits.LeadingZeros64(^(w << uint(63-top))) // set bits from top down
+			bot := top - run + 1
+			w &^= ^uint64(0) >> uint(64-run) << uint(bot)
+			st.down(res, nil, int32(wi<<6|top), int32(wi<<6|bot))
+		}
+	}
 }
 
 // adoptSiblingProvider lets u's provider-class sibling offer compete with
@@ -520,6 +551,7 @@ func (st *fastState) adoptSiblingProvider(u int32, res *Result, via []bool) {
 // otherwise each origin edge computes its own seed.
 func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
 	g, o := st.g, st.origin
+	st.s.rowsDown += int64(hi - lo + 1)
 	exps := st.exps
 	uniform := len(st.ann.PerNeighbor) == 0 && len(st.ann.Withhold) == 0
 	if uniform {

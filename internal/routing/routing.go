@@ -20,14 +20,16 @@
 //     (mutual transit, policy class preserved) cut across the DAG; the
 //     kernel repeats its pass, seeded with the siblings' offers, until
 //     they settle. Forged kinds and every leg on a sibling-bearing
-//     topology run here.
+//     topology run here. A caller that reads a no-attacker table only at
+//     route monitors (the usage survey, the churn corpus, path collection)
+//     says so with a Vantage, and the last phase emits the monitors'
+//     provider cone instead of every row.
 //   - Delta (delta.go): the same ASPP attack as an incremental
 //     recomputation of the attacker's cone against a memoized baseline.
 //     ASPP legs run here whenever the topology is sibling-free.
 //   - Batch (batch.go, batch_delta.go): Fast and Delta carrying up to 64
 //     announcements (lanes) per frontier walk, sibling-free topologies
-//     only. The usage survey's table leg runs PropagateBatch; the -batch
-//     attack-leg sweeps run both.
+//     only. The -batch attack-leg sweeps run both; nothing else does.
 //   - Reference (reference.go): a message-level BGP simulation with
 //     per-neighbor Adj-RIB-In state, implicit withdrawals and full AS-path
 //     loop detection. It is the ground truth the others are

@@ -45,6 +45,9 @@ type nodeRec struct {
 //     both — works on a single Scratch.
 //   - Callers that need a result to outlive the Scratch must Clone it, or
 //     have PropagateOwned write it into storage of their own.
+//   - Vantage.PathsInto is a baseline-slot call too, but writes only the rows
+//     its monitors' paths run through. That partial Result never leaves the
+//     package: the call returns spans.
 //
 // A Scratch adapts itself to whatever topology it is handed; growing to a
 // larger graph reallocates once, after which calls are allocation-free
@@ -122,6 +125,8 @@ type Scratch struct {
 
 	// base, atk and delta are the three reusable result slots.
 	base, atk, delta Result
+
+	rowsDown int64 // see RowsDown
 }
 
 // NewScratch returns an empty Scratch; it sizes itself on first use.
@@ -272,6 +277,11 @@ func (s *Scratch) clearDeltaFlags() {
 // next delta call on s.
 func (s *Scratch) DeltaCone() []int32 { return s.touched }
 
+// RowsDown is how many result rows phase 3 emitted in the last full-kernel
+// propagation on s: the graph's size (per pass, on a sibling graph) for a
+// whole-graph call, the monitors' cone for Vantage.PathsInto.
+func (s *Scratch) RowsDown() int64 { return s.rowsDown }
+
 // PropagateScratch is Propagate with scratch reuse: candidate tables and
 // the returned Result are borrowed from s. With s == nil the propagation
 // runs on a pooled Scratch and the returned Result is a private copy. See
@@ -286,7 +296,7 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 		scratchPool.Put(ps)
 		return res, err
 	}
-	return propagateInto(g, ann, s, &s.base)
+	return propagateInto(g, ann, s, &s.base, nil)
 }
 
 // PropagateOwned is PropagateScratch with the rows written straight into a
@@ -294,19 +304,22 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 // only, its baseline slot is left alone, and nothing is copied. It is how a
 // baseline cache fills an entry on the Scratch its legs run on.
 func PropagateOwned(g *topology.Graph, ann Announcement, s *Scratch) (*Result, error) {
-	res, err := propagateInto(g, ann, s, new(Result))
+	res, err := propagateInto(g, ann, s, new(Result), nil)
 	if err == nil {
 		res.reach = int32(res.ReachableCount()) + 1
 	}
 	return res, err
 }
 
-func propagateInto(g *topology.Graph, ann Announcement, s *Scratch, res *Result) (*Result, error) {
+// propagateInto runs the no-attacker propagation into res: every row, or
+// with a non-nil rows bitset only the rows a Vantage reads (fastState.rows).
+func propagateInto(g *topology.Graph, ann Announcement, s *Scratch, res *Result, rows []uint64) (*Result, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
 	}
 	var st fastState
 	st.init(g, ann, s)
+	st.rows = rows
 	return st.run(resultInto(res, g, st.origin), nil)
 }
 
