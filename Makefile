@@ -6,20 +6,18 @@ GO ?= go
 # jobs of their own; locally `make check` is all of them.
 check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 
-# The conservation differential, the cone-accounting differential, the
-# λ-shift property, the vantage differentials, the detection sweep's column
-# differentials and detect's differentials and zero-alloc pins re-run
-# explicitly so a counter-attribution regression, a leg counted over the wrong
-# cone, a baseline shifted wrongly, a monitor row read off a scan that skipped
-# it, a column that stopped matching its one-column run, a second statement of
-# the Fig. 4 rule or a returning allocation names itself in the CI log instead
-# of hiding inside the package sweep.
+# The cone-accounting differential, the λ-shift property, the vantage
+# differentials, the detection sweep's column differentials and detect's
+# differentials and zero-alloc pins re-run explicitly so a leg counted over
+# the wrong cone, a baseline shifted wrongly, a monitor row read off a scan
+# that skipped it, a column that stopped matching its one-column run, a second
+# statement of the Fig. 4 rule or a returning allocation names itself in the
+# CI log instead of hiding inside the package sweep.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/parallel/ ./internal/routing/
-	$(GO) test -run=TestBatchedSweepPropagationConservation -count=1 ./internal/experiment/
 	$(GO) test -run='TestDetectionVisitorMatchesRetained|TestDetectionColumnsShareOneDraw' -count=1 ./internal/experiment/
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
 	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
@@ -60,12 +58,19 @@ lint-paths:
 
 # Fig. 13 is one sweep (DESIGN.md 5f): its columns are comparable because
 # they read one attack draw, which holds only while cmd/asppbench asks for
-# detection in one place.
+# detection in one place. Every leg runs on the scalar kernels (DESIGN.md
+# 5d): the lane API in internal/routing/batch.go is bench's alone.
 lint-sweeps:
 	@n=$$(ls cmd/asppbench/*.go | grep -v _test.go | xargs grep -o 'RunDetectionCtx' | wc -l); \
 	if [ "$$n" -gt 1 ]; then \
 		echo "cmd/asppbench mentions RunDetectionCtx $$n times (one memoized sweep; add a column to it):"; \
 		grep -n 'RunDetectionCtx' cmd/asppbench/*.go | grep -v _test.go; exit 1; \
+	fi
+	@bad=$$(grep -rnwE 'NewBatchScratch|BatchScratch|PropagateBatch|AttackLane|PropagateAttackDeltaBatch|DeltaBatchRunner' \
+		--include='*.go' --exclude='*_test.go' . | grep -v -e '^\./internal/routing/' -e '^\./bench/' -e '^\./\.bench_build/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "a lane engine name outside internal/routing (legs run on the scalar kernels; see DESIGN.md 5d):"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 # Every Go file is gofmt-clean (build outputs under bench/out and
@@ -102,8 +107,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamDecoder -fuzztime=10s ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzDetect -fuzztime=10s ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzSerial2 -fuzztime=10s ./internal/topology/
-	$(GO) test -run='^$$' -fuzz='^FuzzPropagateBatch$$' -fuzztime=10s ./internal/routing/
-	$(GO) test -run='^$$' -fuzz=FuzzPropagateAttackDeltaBatch -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzForgedAttack -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzSiblingPropagate -fuzztime=10s ./internal/routing/
 

@@ -200,9 +200,9 @@ func TestInternetUsageSurveyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UsageSurvey(custom monitors): %v", err)
 	}
-	if s := c.Snapshot(); s.BasePropagations != int64(res.Origins) || s.BatchPropagations != 0 {
-		t.Errorf("custom monitors: prop_base=%d prop_batch=%d, want one table propagation per origin (%d) and nothing else",
-			s.BasePropagations, s.BatchPropagations, res.Origins)
+	if s := c.Snapshot(); s.BasePropagations != int64(res.Origins) || s.AttackPropagations() != 0 {
+		t.Errorf("custom monitors: prop_base=%d attack legs=%d, want one table propagation per origin (%d) and nothing else",
+			s.BasePropagations, s.AttackPropagations(), res.Origins)
 	}
 	if !reflect.DeepEqual(custom.TableFracs, res.TableFracs) || !reflect.DeepEqual(custom.Tier1TableFracs, res.Tier1TableFracs) ||
 		!reflect.DeepEqual(custom.TablePrependDist, res.TablePrependDist) || custom.Prefixes != res.Prefixes {

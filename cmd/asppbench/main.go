@@ -34,7 +34,6 @@ import (
 	"aspp/internal/defense"
 	"aspp/internal/experiment"
 	"aspp/internal/relinfer"
-	"aspp/internal/routing"
 	"aspp/internal/stats"
 )
 
@@ -59,7 +58,6 @@ type benchContext struct {
 	internet *aspp.Internet
 	seed     int64
 	pairs    int
-	batch    int
 	// shards/memBudget tune the sweep runner (DESIGN §5f): the
 	// pair/sweep/susceptibility drivers partition their legs into shards
 	// (0: one per worker), each with a private baseline cache capped at
@@ -146,24 +144,6 @@ func expNames() string {
 	return strings.Join(names, ",")
 }
 
-// resolveBatch parses the -batch flag once the topology size is known:
-// "auto" sizes the lane width so the batched engines' per-lane state
-// stays cache-resident for this topology, otherwise the value must be an
-// integer lane width in 1..routing.MaxLanes (1 keeps the sweeps serial).
-func resolveBatch(v string, numASes int) (int, error) {
-	if v == "auto" {
-		return routing.AdaptiveLaneWidth(numASes), nil
-	}
-	k, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("-batch: want a lane width or 'auto', got %q", v)
-	}
-	if k < 1 || k > routing.MaxLanes {
-		return 0, fmt.Errorf("-batch %d: lane width must be in 1..%d (or 'auto')", k, routing.MaxLanes)
-	}
-	return k, nil
-}
-
 // parseMemBudget parses the -mem-budget flag: a byte count with an
 // optional binary K/M/G suffix ("512M", "2G", "65536"). Empty means no
 // budget.
@@ -196,7 +176,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pairs    = fs.Int("pairs", 200, "attacker/victim pairs for the detection experiments")
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
-		batch    = fs.String("batch", "1", "attack-leg sweeps only (fig7-fig12, susceptibility): lane width K (1..64) for batched baseline warming and attack legs, or 'auto' to size lanes to the topology; 1: serial")
 		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many shards, each with a private baseline cache; 0: one shard per worker")
 		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
 		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
@@ -247,10 +226,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	laneWidth, err := resolveBatch(*batch, internet.Graph().NumASes())
-	if err != nil {
-		return err
-	}
 
 	todo := registry
 	if *exps != "all" {
@@ -279,7 +254,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		var tee bytes.Buffer
 		bc := &benchContext{
 			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
-			batch:  laneWidth,
 			shards: *shards, memBudget: budgetBytes,
 			out:  io.MultiWriter(out, &tee),
 			memo: memo,
@@ -384,7 +358,6 @@ func runSusceptibility(bc *benchContext) error {
 	cfg := experiment.DefaultSusceptibilityConfig()
 	cfg.Seed = bc.seed
 	cfg.Counters = bc.counters
-	cfg.Batch = bc.batch
 	cfg.Shards = bc.shards
 	cfg.MemBudget = bc.memBudget
 	cells, err := experiment.SusceptibilityMatrixCtx(bc.ctx, bc.internet.Graph(), cfg)
@@ -527,8 +500,7 @@ func tailAbove(h *stats.Histogram, k int) float64 {
 func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool, label string) error {
 	pairsResult, err := bc.internet.SamplePairsCtx(bc.ctx, aspp.PairConfig{
 		Kind: kind, N: n, Prepend: 3, Violate: violate, Seed: bc.seed,
-		Counters: bc.counters, Batch: bc.batch,
-		Shards: bc.shards, MemBudget: bc.memBudget,
+		Counters: bc.counters, Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 	if err != nil {
 		return err
@@ -562,8 +534,7 @@ func runFig8(bc *benchContext) error {
 func (bc *benchContext) sweepOn(g *aspp.Graph, victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
 	return experiment.SweepPrependCfgCtx(bc.ctx, g, aspp.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
-		Counters: bc.counters, Batch: bc.batch,
-		Shards: bc.shards, MemBudget: bc.memBudget,
+		Counters: bc.counters, Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 }
 

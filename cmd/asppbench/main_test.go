@@ -153,25 +153,15 @@ func TestRunOutDir(t *testing.T) {
 	}
 }
 
+// TestRunBatchFlagValidation: neither the lane width nor the engine is a
+// caller's choice any more — both flags are unknown.
 func TestRunBatchFlagValidation(t *testing.T) {
-	for _, bad := range []string{"0", "-3", "65", "1000", "fast", ""} {
+	for _, flag := range [][]string{{"-batch", "8"}, {"-engine", "full"}} {
 		var sb strings.Builder
-		err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-batch", bad}, &sb)
-		if err == nil || !strings.Contains(err.Error(), "-batch") {
-			t.Errorf("-batch %q: want a lane-width error, got %v", bad, err)
+		err := run(context.Background(), append([]string{"-exp", "fig9", "-n", "400"}, flag...), &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
+			t.Errorf("%v: want an unknown-flag error, got %v", flag, err)
 		}
-	}
-	// The engine is no longer a caller's choice.
-	var sb strings.Builder
-	if err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-engine", "full"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "flag provided but not defined: -engine") {
-		t.Errorf("-engine full: want an unknown-flag error, got %v", err)
-	}
-	if k, err := resolveBatch("auto", 400); err != nil || k < 1 || k > 64 {
-		t.Errorf("resolveBatch(auto, 400) = %d, %v", k, err)
-	}
-	if k, err := resolveBatch("8", 400); err != nil || k != 8 {
-		t.Errorf("resolveBatch(8) = %d, %v", k, err)
 	}
 }
 
@@ -220,25 +210,13 @@ func TestRunShardByteIdentical(t *testing.T) {
 	want := runSweepExps(t)
 	for _, extra := range [][]string{
 		{"-shards", "1"}, {"-shards", "2"}, {"-shards", "7"},
-		{"-batch", "8", "-shards", "1", "-mem-budget", "64k"},
-		{"-batch", "8", "-shards", "7", "-mem-budget", "64k"},
-		{"-batch", "8", "-shards", "32", "-mem-budget", "64k"},
-		{"-batch", "8", "-mem-budget", "512M"},
+		{"-shards", "1", "-mem-budget", "64k"},
+		{"-shards", "7", "-mem-budget", "64k"},
+		{"-shards", "32", "-mem-budget", "64k"},
+		{"-mem-budget", "512M"},
 	} {
 		if got := runSweepExps(t, extra...); got != want {
 			t.Errorf("%v output differs from default flags:\n got: %s\nwant: %s", extra, got, want)
-		}
-	}
-}
-
-// TestRunBatchByteIdentical pins the acceptance contract at the CLI
-// boundary: the sweep TSVs must be byte-identical whether the attack
-// legs run serially or K lanes at a time.
-func TestRunBatchByteIdentical(t *testing.T) {
-	serial := runSweepExps(t, "-batch", "1")
-	for _, batch := range []string{"8", "64", "auto"} {
-		if got := runSweepExps(t, "-batch", batch); got != serial {
-			t.Errorf("-batch %s output differs from serial:\n got: %s\nwant: %s", batch, got, serial)
 		}
 	}
 }

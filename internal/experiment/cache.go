@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"slices"
-
 	"aspp/internal/bgp"
 	"aspp/internal/obs"
 	"aspp/internal/routing"
@@ -26,14 +23,14 @@ import (
 //
 // Byte accounting (DESIGN §5f): bytes tracks the installed Results, always,
 // so the cache_bytes gauge reads on every sweep. Under a budget an insert
-// that exceeds it evicts in insertion order down to it, but never the keep
-// newest entries (the warm window's lane width — evicting those would
-// thrash the window mid-use). Eviction only forgets: Results already lent
-// stay valid, and an evicted key is recomputed, as a fresh miss, when next
-// requested. Errors are memoized apart from the Results and never evicted:
-// a victim whose announcement fails fails identically on every retry. peak,
-// what the gauge reports, is sampled after eviction (above budget only when
-// the keep floor alone is) and kept across release.
+// that exceeds it evicts in insertion order down to it, but never the newest
+// entry (the one get is about to lend, and the next λ's shift source).
+// Eviction only forgets: Results already lent stay valid, and an evicted key
+// is recomputed, as a fresh miss, when next requested. Errors are memoized
+// apart from the Results and never evicted: a victim whose announcement
+// fails fails identically on every retry. peak, what the gauge reports, is
+// sampled after eviction (above budget only when that one entry is) and kept
+// across release.
 type baselineCache struct {
 	g      *topology.Graph
 	obs    *obs.Counters
@@ -43,7 +40,6 @@ type baselineCache struct {
 	last   baselineKey // the key get returned last: the shift source
 
 	budget      int64 // <= 0: unbounded
-	keep        int
 	bytes, peak int64
 	order       []baselineKey // budgeted mode: keys of m, oldest first
 }
@@ -53,20 +49,17 @@ type baselineKey struct {
 	lambda int
 }
 
-// ownedBaseline propagates one entry and batchBaseline one warm window:
-// package variables only so fault-injection tests can force a deterministic
-// failure; production code never reassigns them.
-var (
-	ownedBaseline = routing.PropagateOwned
-	batchBaseline = routing.PropagateBatch
-)
+// ownedBaseline propagates one entry: a package variable only so
+// fault-injection tests can force a deterministic failure; production code
+// never reassigns it.
+var ownedBaseline = routing.PropagateOwned
 
 // newBaselineCache returns an empty cache bound to g whose misses propagate
 // on s. It records into the optional counters: hits + misses is the number
 // of gets, misses the number of keys propagated (an evicted key counts
 // again, a shifted one never).
-func newBaselineCache(g *topology.Graph, c *obs.Counters, s *routing.Scratch, budget int64, keep int) *baselineCache {
-	cc := &baselineCache{g: g, obs: c, s: s, budget: budget, keep: max(keep, 1)}
+func newBaselineCache(g *topology.Graph, c *obs.Counters, s *routing.Scratch, budget int64) *baselineCache {
+	cc := &baselineCache{g: g, obs: c, s: s, budget: budget}
 	cc.release()
 	return cc
 }
@@ -84,7 +77,7 @@ func (c *baselineCache) install(key baselineKey, res *routing.Result) {
 	c.bytes += res.MemoryBytes()
 	if c.budget > 0 {
 		c.order = append(c.order, key)
-		for c.bytes > c.budget && len(c.order) > c.keep {
+		for c.bytes > c.budget && len(c.order) > 1 {
 			c.bytes -= c.m[c.order[0]].MemoryBytes()
 			delete(c.m, c.order[0])
 			c.order = c.order[1:]
@@ -122,52 +115,4 @@ func (c *baselineCache) get(origin bgp.ASN, lambda int) (*routing.Result, error)
 		c.last = key
 	}
 	return res, err
-}
-
-// warm computes the keys not yet present as lanes of one batched
-// propagation and installs them, so the gets that follow hit. Each new key
-// counts as one miss and its lane toward prop_batch rather than prop_base;
-// a key that follows another λ of its origin gets no lane — the get that
-// comes for it, right after that λ's, shifts it. A batch lane is
-// bitwise-equal to the serial engine, so a warmed entry is
-// indistinguishable from a get-computed one; sibling topologies, which the
-// batch engine refuses, warm through get. A key that fails validation
-// poisons only itself, as in get; only an engine failure is returned.
-func (c *baselineCache) warm(keys []baselineKey, bs *routing.BatchScratch) error {
-	if c.g.HasSiblings() {
-		for _, k := range keys {
-			c.get(k.origin, k.lambda) // errors memoized per key
-		}
-		return nil
-	}
-	var lanes []routing.Announcement
-	var queued []baselineKey // lanes' keys: a repeated key is one lane
-	for i, k := range keys {
-		if c.m[k] != nil || c.failed[k] != nil || slices.Contains(queued, k) {
-			continue
-		}
-		if i > 0 && keys[i-1].origin == k.origin {
-			continue
-		}
-		c.obs.AddBaselineMisses(1)
-		ann := routing.Announcement{Origin: k.origin, Prepend: k.lambda}
-		if err := ann.Validate(c.g); err != nil {
-			c.failed[k] = err
-			continue
-		}
-		lanes, queued = append(lanes, ann), append(queued, k)
-	}
-	if len(lanes) == 0 {
-		return nil
-	}
-	br, err := batchBaseline(c.g, lanes, bs)
-	if err != nil {
-		return fmt.Errorf("experiment: warm batch: %w", err)
-	}
-	for i, lane := range br.Lanes {
-		c.install(queued[i], lane.Clone())
-	}
-	c.obs.AddBatchPropagations(int64(len(lanes)))
-	c.obs.AddBatchCalls(1)
-	return nil
 }

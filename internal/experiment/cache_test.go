@@ -20,7 +20,7 @@ import (
 func TestBaselineCacheSharesOneResult(t *testing.T) {
 	g := expGraph(t, 300, 7)
 	c := new(obs.Counters)
-	cache := newBaselineCache(g, c, routing.NewScratch(), 0, 0)
+	cache := newBaselineCache(g, c, routing.NewScratch(), 0)
 	victim := g.Tier1s()[0]
 
 	first, err := cache.get(victim, 3)
@@ -70,13 +70,15 @@ func TestBaselineCacheShiftNeedsResidentSource(t *testing.T) {
 	t1 := g.Tier1s()
 	const bogus = bgp.ASN(4_000_000_000)
 	c := new(obs.Counters)
-	cache := newBaselineCache(g, c, routing.NewScratch(), 1, 1) // every insert evicts its predecessor
+	cache := newBaselineCache(g, c, routing.NewScratch(), 1) // every insert evicts its predecessor
 	if _, err := cache.get(t1[0], 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.warm([]baselineKey{{t1[1], 1}}, nil); err != nil {
+	other, err := routing.Propagate(g, routing.Announcement{Origin: t1[1], Prepend: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	cache.install(baselineKey{t1[1], 1}, other) // evicts the source, leaves it the last get
 	if cache.m[baselineKey{t1[0], 1}] != nil {
 		t.Fatal("1-byte budget kept the source resident")
 	}
@@ -88,7 +90,7 @@ func TestBaselineCacheShiftNeedsResidentSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineMisses != 3 || !sameRows(next, direct) {
+	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineMisses != 2 || !sameRows(next, direct) {
 		t.Fatalf("λ=2 after its source was evicted: prop_base=%d misses=%d, want a second propagation", s.BasePropagations, s.BaselineMisses)
 	}
 	if _, err := cache.get(t1[0], 0); err == nil {
@@ -99,40 +101,8 @@ func TestBaselineCacheShiftNeedsResidentSource(t *testing.T) {
 			t.Fatalf("origin outside the topology accepted at λ=%d", lambda)
 		}
 	}
-	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineMisses != 3+1+8 {
-		t.Fatalf("failed keys: prop_base=%d misses=%d, want 2 and 12", s.BasePropagations, s.BaselineMisses)
-	}
-}
-
-// TestBaselineCacheWarmOneLanePerVictim: a window holding eight λ of one
-// victim warms as one lane; the gets shift the other seven.
-func TestBaselineCacheWarmOneLanePerVictim(t *testing.T) {
-	g := expGraph(t, 300, 7)
-	victim := g.Tier1s()[0]
-	c := new(obs.Counters)
-	cache := newBaselineCache(g, c, routing.NewScratch(), 0, 8)
-	var keys []baselineKey
-	for lambda := 1; lambda <= 8; lambda++ {
-		keys = append(keys, baselineKey{victim, lambda})
-	}
-	if err := cache.warm(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		res, err := cache.get(k.origin, k.lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := routing.Propagate(g, routing.Announcement{Origin: victim, Prepend: k.lambda})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRows(res, direct) {
-			t.Fatalf("λ=%d diverges from a propagation", k.lambda)
-		}
-	}
-	if s := c.Snapshot(); s.BatchPropagations != 1 || s.BaselineMisses != 1 || s.BaselineHits != 8 || s.BasePropagations != 0 {
-		t.Fatalf("eight λ of one victim: %+v, want one lane, one miss, eight hits", s)
+	if s := c.Snapshot(); s.BasePropagations != 2 || s.BaselineMisses != 2+1+8 {
+		t.Fatalf("failed keys: prop_base=%d misses=%d, want 2 and 11", s.BasePropagations, s.BaselineMisses)
 	}
 }
 
@@ -143,43 +113,36 @@ func sameRows(a, b *routing.Result) bool {
 }
 
 // TestBaselineCacheMatchesDirectPropagation: an entry is the direct
-// propagation's table whether get computed it or warm did, a repeated key
-// warms as one lane, and a key that fails validation poisons only itself.
+// propagation's table whether get propagated it or shifted it from another
+// λ, and a key that fails validation poisons only itself.
 func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 	g := expGraph(t, 300, 7)
-	t1 := g.Tier1s()
 	const bogus = bgp.ASN(4_000_000_000)
 	c := new(obs.Counters)
-	warmed := newBaselineCache(g, c, routing.NewScratch(), 0, 0)
-	if err := warmed.warm([]baselineKey{{t1[0], 3}, {bogus, 3}, {t1[1], 3}, {t1[0], 3}}, nil); err != nil {
-		t.Fatal(err)
+	cache := newBaselineCache(g, c, routing.NewScratch(), 0)
+	if _, err := cache.get(bogus, 3); err == nil {
+		t.Fatal("origin outside the topology accepted")
 	}
-	if s := c.Snapshot(); s.BaselineMisses != 3 || s.BatchPropagations != 2 || s.BatchCalls != 1 || s.BasePropagations != 0 {
-		t.Fatalf("warm of 3 distinct keys, 1 invalid: %v", s)
-	}
-	if _, err := warmed.get(bogus, 3); err == nil {
-		t.Fatal("warm left the invalid origin unpoisoned")
-	}
-	cache := newBaselineCache(g, nil, routing.NewScratch(), 0, 0)
-	for _, victim := range t1[:2] {
-		cached, err := cache.get(victim, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lane, err := warmed.get(victim, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := core.BaselineOnly(g, core.Scenario{Victim: victim, Prepend: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRows(cached, direct) || !sameRows(lane, direct) {
-			t.Fatalf("victim %v: get-computed or warmed baseline diverges from direct propagation", victim)
+	for _, victim := range g.Tier1s()[:2] {
+		for _, lambda := range []int{3, 5} {
+			res, err := cache.get(victim, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := core.BaselineOnly(g, core.Scenario{Victim: victim, Prepend: lambda})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(res, direct) {
+				t.Fatalf("victim %v λ=%d: cached baseline diverges from direct propagation", victim, lambda)
+			}
 		}
 	}
-	if s := c.Snapshot(); s.BaselineMisses != 3 || s.BaselineHits != 3 {
-		t.Fatalf("gets after warm must hit: %v", s)
+	if _, err := cache.get(bogus, 3); err == nil {
+		t.Fatal("the invalid origin's poison was lost")
+	}
+	if s := c.Snapshot(); s.BaselineMisses != 3 || s.BaselineHits != 3 || s.BasePropagations != 2 {
+		t.Fatalf("two victims at two λ and one invalid key twice: %v, want 3 misses, 3 hits, 2 propagations", s)
 	}
 }
 
@@ -191,7 +154,7 @@ func TestBaselineCachePoisonOutlivesEviction(t *testing.T) {
 	asns := g.ASNs()
 	const bogus = bgp.ASN(4_000_000_000)
 	c := new(obs.Counters)
-	cache := newBaselineCache(g, c, routing.NewScratch(), 1, 1) // every insert evicts its predecessor
+	cache := newBaselineCache(g, c, routing.NewScratch(), 1) // every insert evicts its predecessor
 	_, poison := cache.get(bogus, 1)
 	if poison == nil {
 		t.Fatal("origin outside the topology accepted")

@@ -52,23 +52,17 @@ type PairConfig struct {
 	// engine, cache hits, skipped draws, memory gauges). One Counters per
 	// sweep; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 warms each lane window's baselines through the
-	// lane-batched engine (baselineCache.warm) and runs the attack
-	// legs Batch lanes at a time on the batched delta engine
-	// (core.DeltaBatchRunner) — draws grouped by their shared (victim, λ)
-	// baseline, output byte-identical to the serial legs. Sibling
-	// topologies keep the attack legs serial. 0 or 1 keeps everything
-	// lazy/serial.
+	// Deprecated: ignored. Every leg runs on the scalar kernels; the field
+	// stays for bench/layers.go, which sets it, until the [benchmark] issue.
 	Batch int
 	// Shards partitions the candidate space by victim into that many
 	// shards, each owning a private baselineCache, dispatched across the
 	// worker pool (DESIGN §5f). Output is byte-identical at every shard
 	// count. 0 selects one shard per worker.
 	Shards int
-	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction)
-	// and adaptively narrows the attack-leg lane width to fit
-	// (routing.AdaptiveLaneWidthBudget). MemBudget with Shards == 0
-	// implies one budgeted shard; 0 means unbounded.
+	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction).
+	// MemBudget with Shards == 0 implies one budgeted shard; 0 means
+	// unbounded.
 	MemBudget int64
 }
 
@@ -146,7 +140,7 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 	// Shard states (and their caches) persist across rounds, so repeated
 	// victims stay warm.
 	r, err := newLegRunner(g, legOptions{
-		what: "pair sweep", batch: cfg.Batch, shards: cfg.Shards,
+		what: "pair sweep", shards: cfg.Shards,
 		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
 	})
 	if err != nil {
@@ -201,17 +195,11 @@ type SweepConfig struct {
 	Workers          int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 computes the victim's baselines as lanes of batched
-	// propagations and runs the λ steps' attack legs Batch lanes at a
-	// time on the batched delta engine — each lane reading its own λ's
-	// baseline, output identical to the serial legs. Sibling topologies
-	// keep the attack legs serial. 0 or 1 keeps everything lazy/serial.
-	Batch int
 	// Shards splits λ = 1..MaxLambda into that many contiguous blocks,
 	// one shard cache per block (DESIGN §5f); output byte-identical at
 	// every shard count, 0 selects one shard per worker. MemBudget caps
-	// each shard's cache bytes and narrows the lane width to fit;
-	// MemBudget with Shards == 0 implies one budgeted shard.
+	// each shard's cache bytes; MemBudget with Shards == 0 implies one
+	// budgeted shard.
 	Shards    int
 	MemBudget int64
 }
@@ -229,8 +217,8 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 		return nil, errors.New("experiment: maxLambda must be >= 1")
 	}
 	r, err := newLegRunner(g, legOptions{
-		what:  fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
-		batch: cfg.Batch, shards: cfg.Shards,
+		what:      fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
+		shards:    cfg.Shards,
 		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
 		allFatal: true,
 	})

@@ -36,13 +36,12 @@ import (
 // Error contract (DESIGN §6): within a shard, legs run in deterministic
 // order and the first failure aborts the shard; across shards ForEachErr
 // returns the lowest-SHARD-INDEX error — deterministic under any
-// scheduling. Cancellation is checked between lane windows, so a shard
+// scheduling. Cancellation is checked before every leg, so a shard
 // abandons mid-work.
 
 // legOptions is everything a driver tells the runner besides the legs.
 type legOptions struct {
 	what      string // names the sweep in errors ("pair sweep")
-	batch     int
 	shards    int
 	memBudget int64
 	workers   int
@@ -104,61 +103,35 @@ func shardOf(v bgp.ASN, nShards int) int {
 }
 
 // shardState is one shard's private, persistent working state: a
-// byte-budgeted baseline cache and a DeltaBatchRunner whose BatchScratch
-// doubles as the warm scratch and whose Scratch runs the serial-engine
-// legs and the cache's misses — every propagation of a sweep runs on state
-// the scratch_bytes gauge counts. Single-goroutine by construction —
+// byte-budgeted baseline cache and the Scratch that runs the shard's legs
+// and the cache's misses — every propagation of a sweep runs on state the
+// scratch_bytes gauge counts. Single-goroutine by construction —
 // ForEachErr hands each shard index to exactly one worker, and successive
 // runs reusing the state are ordered by the fan-out's completion barrier.
 type shardState struct {
-	cache  *baselineCache
-	runner *core.DeltaBatchRunner
-
-	im    core.Impact // the current serial leg, lent to the visitor
-	warm  []baselineKey
-	scs   []core.Scenario
-	bases []*routing.Result
-	idxs  []int
-	outs  []core.Counts
+	cache *baselineCache
+	s     *routing.Scratch
+	im    core.Impact // the current leg, lent to the visitor
 }
 
 // legRunner is one sweep's shard states plus the options they run under.
 type legRunner struct {
-	g       *topology.Graph
-	o       legOptions
-	kEff    int  // attack-leg lane width / warm window size
-	batched bool // attack legs ride the batched delta engine
-	shards  []*shardState
+	g      *topology.Graph
+	o      legOptions
+	shards []*shardState
 }
 
-// newLegRunner builds the shard states for a sweep over g. The lane width
-// is min(batch, AdaptiveLaneWidthBudget): with a byte budget the lanes
-// narrow so the lane tables plus the warm window's pinned baselines fit
-// it; without one the configured batch width stands. Lane width never
-// changes sweep output — only grouping. Attack legs batch when the width
-// allows it, except on sibling-bearing topologies (the lane engines refuse
-// them), forged-claim legs and runs with a visitor (the lanes keep no
-// Impact to lend); serial legs run on the engine core.SimulateScratch picks.
+// newLegRunner builds the shard states for a sweep over g. Every leg runs
+// on the engine core.SimulateScratch picks.
 func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
 	nShards, err := normalizeShards(o.shards, o.memBudget, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	kEff := max(o.batch, 1)
-	if o.memBudget > 0 && kEff > 1 {
-		kEff = max(min(kEff, routing.AdaptiveLaneWidthBudget(g.NumASes(), o.memBudget)), 1)
-	}
-	r := &legRunner{
-		g: g, o: o, kEff: kEff,
-		batched: o.batch > 1 && !g.HasSiblings(),
-		shards:  make([]*shardState, nShards),
-	}
+	r := &legRunner{g: g, o: o, shards: make([]*shardState, nShards)}
 	for i := range r.shards {
-		runner := core.NewDeltaBatchRunner()
-		r.shards[i] = &shardState{
-			cache:  newBaselineCache(g, o.counters, runner.S, o.memBudget, kEff),
-			runner: runner,
-		}
+		s := routing.NewScratch()
+		r.shards[i] = &shardState{cache: newBaselineCache(g, o.counters, s, o.memBudget), s: s}
 	}
 	o.counters.RecordCSRBytes(g.MemoryBytes())
 	return r, nil
@@ -186,7 +159,7 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 		st := r.shards[si]
 		serr := r.runShard(ctx, si, legs, perShard[si], counts, done, visit)
 		r.o.counters.RecordCacheBytes(st.cache.peak)
-		r.o.counters.RecordScratchBytes(st.runner.BS.MemoryBytes() + st.runner.S.MemoryBytes())
+		r.o.counters.RecordScratchBytes(st.s.MemoryBytes())
 		if !keepWarm {
 			st.cache.release()
 		}
@@ -268,16 +241,13 @@ func EffectiveAttacks[T any](ctx context.Context, g *topology.Graph, stream []co
 	return firstEffective(ctx, r, stream, want, func(_ int, im *core.Impact) T { return eval(im) })
 }
 
-// runShard runs one shard's share of the legs. They are grouped by
-// (victim, λ) — the FIFO cache then evicts a baseline only after all its
-// legs ran, and lane groups share baselines maximally — and processed in
-// windows of kEff, which bounds the pinned working set: warm the window's
-// baselines, resolve them and pre-filter ASPP attackers the route never
-// reaches (a forged claim needs no route), run the legs (serially, or as
-// the lanes of one batched delta call).
+// runShard runs one shard's share of the legs, sorted by (victim, λ) — the
+// FIFO cache then evicts a baseline only after all its legs ran, and each
+// victim after its first λ is a shift — checking ctx before each: resolve
+// the leg's baseline, skip an ASPP attacker the route never reaches (a
+// forged claim needs no route), simulate.
 func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, idx []int, counts []core.Counts, done []bool, visit legVisitor) error {
 	st := r.shards[si]
-	lanes := r.batched && visit == nil
 	sort.SliceStable(idx, func(a, b int) bool {
 		la, lb := legs[idx[a]], legs[idx[b]]
 		if la.Victim != lb.Victim {
@@ -285,59 +255,28 @@ func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, 
 		}
 		return la.Prepend < lb.Prepend
 	})
-	for lo := 0; lo < len(idx); lo += r.kEff {
-		window := idx[lo:min(lo+r.kEff, len(idx))]
+	for _, i := range idx {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if r.o.batch > 1 {
-			st.warm = st.warm[:0]
-			for _, i := range window {
-				st.warm = append(st.warm, baselineKey{legs[i].Victim, legs[i].Prepend})
-			}
-			if err := st.cache.warm(st.warm, st.runner.BS); err != nil {
-				return err
-			}
+		sc := legs[i]
+		base, err := st.cache.get(sc.Victim, sc.Prepend)
+		if err != nil {
+			// Fatal: the failure is per-victim and memoized — it would
+			// repeat for every leg sharing this baseline.
+			return baselineError(sc.Victim, sc.Prepend, err)
 		}
-		st.scs, st.bases, st.idxs = st.scs[:0], st.bases[:0], st.idxs[:0]
-		for _, i := range window {
-			sc := legs[i]
-			base, err := st.cache.get(sc.Victim, sc.Prepend)
-			if err != nil {
-				// Fatal: the failure is per-victim and memoized — it would
-				// repeat for every leg sharing this baseline.
-				return baselineError(sc.Victim, sc.Prepend, err)
+		if sc.Type == core.AttackASPP && !base.Reachable(sc.Attacker) {
+			if r.o.allFatal {
+				return fmt.Errorf("%v: %w", sc, core.ErrAttackerSeesNoRoute)
 			}
-			if sc.Type == core.AttackASPP && !base.Reachable(sc.Attacker) {
-				if r.o.allFatal {
-					return fmt.Errorf("%v: %w", sc, core.ErrAttackerSeesNoRoute)
-				}
-				r.o.counters.AddSkippedUnreachable(1)
-				continue
-			}
-			if lanes && sc.Type == core.AttackASPP {
-				st.scs = append(st.scs, sc)
-				st.bases = append(st.bases, base)
-				st.idxs = append(st.idxs, i)
-				continue
-			}
-			if st.im, err = core.SimulateScratch(r.g, sc, base, st.runner.S, r.o.counters); err != nil {
-				return fmt.Errorf("%v: %w", sc, err)
-			}
-			counts[i], done[i] = st.im.Counts, visit == nil || visit(si, i, &st.im)
+			r.o.counters.AddSkippedUnreachable(1)
+			continue
 		}
-		// A window holds at most kEff legs, so the baselines one batched
-		// call pins never exceed one lane group.
-		if cap(st.outs) < len(st.scs) {
-			st.outs = make([]core.Counts, len(st.scs))
+		if st.im, err = core.SimulateScratch(r.g, sc, base, st.s, r.o.counters); err != nil {
+			return fmt.Errorf("%v: %w", sc, err)
 		}
-		outs := st.outs[:len(st.scs)]
-		if err := st.runner.Simulate(r.g, st.scs, st.bases, outs, r.o.counters); err != nil {
-			return err
-		}
-		for j, i := range st.idxs {
-			counts[i], done[i] = outs[j], true
-		}
+		counts[i], done[i] = st.im.Counts, visit == nil || visit(si, i, &st.im)
 	}
 	return nil
 }

@@ -53,29 +53,26 @@ func TestNormalizeShards(t *testing.T) {
 }
 
 // TestShardInvarianceSamplePairs is the tentpole differential: for every
-// shard count, at serial and batched lane widths, with and without a
-// tight eviction-heavy byte budget, the pair sweep must be DeepEqual to
-// the default (Shards: 0, one shard per worker) run — the TSV downstream
-// is then byte-identical by construction.
+// shard count, with and without a tight eviction-heavy byte budget, the
+// pair sweep must be DeepEqual to the default (Shards: 0, one shard per
+// worker) run — the TSV downstream is then byte-identical by construction.
 func TestShardInvarianceSamplePairs(t *testing.T) {
 	g := expGraph(t, 400, 31)
-	for _, batch := range []int{1, 8} {
-		base := PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3, Batch: batch}
-		want, err := SamplePairsCtx(context.Background(), g, base)
-		if err != nil {
-			t.Fatalf("default batch=%d: %v", batch, err)
-		}
-		for _, shards := range shardCounts {
-			for _, budget := range []int64{0, 8 << 10} { // unbounded and eviction-heavy
-				cfg := base
-				cfg.Shards, cfg.MemBudget = shards, budget
-				got, err := SamplePairsCtx(context.Background(), g, cfg)
-				if err != nil {
-					t.Fatalf("shards=%d budget=%d batch=%d: %v", shards, budget, batch, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d budget=%d batch=%d diverges from default", shards, budget, batch)
-				}
+	base := PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3}
+	want, err := SamplePairsCtx(context.Background(), g, base)
+	if err != nil {
+		t.Fatalf("default: %v", err)
+	}
+	for _, shards := range shardCounts {
+		for _, budget := range []int64{0, 8 << 10} { // unbounded and eviction-heavy
+			cfg := base
+			cfg.Shards, cfg.MemBudget = shards, budget
+			got, err := SamplePairsCtx(context.Background(), g, cfg)
+			if err != nil {
+				t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d budget=%d diverges from default", shards, budget)
 			}
 		}
 	}
@@ -89,22 +86,20 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 	if len(t1) < 2 {
 		t.Skip("need two tier-1 ASes")
 	}
-	for _, batch := range []int{1, 8} {
-		base := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12, Workers: 3, Batch: batch}
-		want, err := SweepPrependCfgCtx(context.Background(), g, base)
+	base := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12, Workers: 3}
+	want, err := SweepPrependCfgCtx(context.Background(), g, base)
+	if err != nil {
+		t.Fatalf("default: %v", err)
+	}
+	for _, shards := range shardCounts {
+		cfg := base
+		cfg.Shards, cfg.MemBudget = shards, 8<<10
+		got, err := SweepPrependCfgCtx(context.Background(), g, cfg)
 		if err != nil {
-			t.Fatalf("default batch=%d: %v", batch, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, shards := range shardCounts {
-			cfg := base
-			cfg.Shards, cfg.MemBudget = shards, 8<<10
-			got, err := SweepPrependCfgCtx(context.Background(), g, cfg)
-			if err != nil {
-				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d batch=%d diverges from default", shards, batch)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d diverges from default", shards)
 		}
 	}
 }
@@ -113,24 +108,82 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 // invariant across shard counts and budgets.
 func TestShardInvarianceSusceptibility(t *testing.T) {
 	g := expGraph(t, 400, 31)
-	for _, batch := range []int{1, 8} {
-		base := DefaultSusceptibilityConfig()
-		base.PairsPerCell, base.Workers, base.Batch = 6, 3, batch
-		want, err := SusceptibilityMatrixCtx(context.Background(), g, base)
+	base := DefaultSusceptibilityConfig()
+	base.PairsPerCell, base.Workers = 6, 3
+	want, err := SusceptibilityMatrixCtx(context.Background(), g, base)
+	if err != nil {
+		t.Fatalf("default: %v", err)
+	}
+	for _, shards := range shardCounts {
+		cfg := base
+		cfg.Shards, cfg.MemBudget = shards, 8<<10
+		got, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 		if err != nil {
-			t.Fatalf("default batch=%d: %v", batch, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, shards := range shardCounts {
-			cfg := base
-			cfg.Shards, cfg.MemBudget = shards, 8<<10
-			got, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
-			if err != nil {
-				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d batch=%d diverges from default", shards, batch)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d diverges from default", shards)
 		}
+	}
+}
+
+// TestSamplePairsBatchedLegsIdentical: PairConfig.Batch is deprecated and
+// ignored — bench still sets it — so a pair sweep with it equals one
+// without, at both pair kinds.
+func TestSamplePairsBatchedLegsIdentical(t *testing.T) {
+	g := expGraph(t, 260, 11)
+	for _, kind := range []PairKind{PairsTier1, PairsRandom} {
+		base := PairConfig{Kind: kind, N: 40, Prepend: 3, Seed: 7, Workers: 2}
+		want, err := SamplePairsCtx(context.Background(), g, base)
+		if err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		cfg := base
+		cfg.Batch = 8
+		if got, err := SamplePairsCtx(context.Background(), g, cfg); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("kind %d: Batch 8 changed the ranking (err %v)", kind, err)
+		}
+	}
+}
+
+// TestSusceptibilityBatchedLegsIdentical: SusceptibilityConfig.Batch is
+// deprecated and ignored too.
+func TestSusceptibilityBatchedLegsIdentical(t *testing.T) {
+	g := expGraph(t, 220, 19)
+	base := DefaultSusceptibilityConfig()
+	base.PairsPerCell = 6
+	want, err := SusceptibilityMatrixCtx(context.Background(), g, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := base
+	cfg.Batch = 8
+	if got, err := SusceptibilityMatrixCtx(context.Background(), g, cfg); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Batch 8 changed the matrix (err %v)", err)
+	}
+}
+
+// TestBatchedSweepPropagationConservation is the counter-attribution audit
+// under the deprecated Batch field: every baseline miss is one prop_base,
+// every simulated leg one prop_delta, nothing lands in prop_batch, and the
+// snapshot equals the run without Batch.
+func TestBatchedSweepPropagationConservation(t *testing.T) {
+	g := expGraph(t, 260, 11)
+	run := func(batch int) obs.Snapshot {
+		c := &obs.Counters{}
+		cfg := PairConfig{Kind: PairsRandom, N: 60, Prepend: 3, Seed: 21, Workers: 2, Counters: c, Batch: batch}
+		if _, err := SamplePairsCtx(context.Background(), g, cfg); err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		return c.Snapshot()
+	}
+	s := run(16)
+	if s.BasePropagations != s.BaselineMisses || s.DeltaPropagations != 60 || s.FullPropagations != 0 || s.BatchPropagations != 0 {
+		t.Errorf("prop_base=%d cache_miss=%d prop_delta=%d prop_full=%d prop_batch=%d, want prop_base == cache_miss, 60 delta legs and nothing else",
+			s.BasePropagations, s.BaselineMisses, s.DeltaPropagations, s.FullPropagations, s.BatchPropagations)
+	}
+	if serial := run(0); s != serial {
+		t.Errorf("Batch 16 moved the counters:\n batch: %v\nserial: %v", s, serial)
 	}
 }
 
@@ -138,7 +191,7 @@ func TestShardInvarianceSusceptibility(t *testing.T) {
 // budgeted shard and still matches the default run.
 func TestShardMemBudgetImpliesSharding(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	base := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 2, Batch: 4}
+	base := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 2}
 	want, err := SamplePairsCtx(context.Background(), g, base)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +310,7 @@ func TestShardGaugesWithinBudget(t *testing.T) {
 	const budget = 1 << 20
 	for _, cfg := range []PairConfig{
 		{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7},
-		{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3, Batch: 8, Shards: 2, MemBudget: budget},
+		{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3, Shards: 2, MemBudget: budget},
 	} {
 		c := new(obs.Counters)
 		cfg.Counters = c
@@ -290,8 +343,8 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 	}
 	entry := one.MemoryBytes()
 	c := new(obs.Counters)
-	// Budget fits ~3 entries; keep floor of 2.
-	cache := newBaselineCache(g, c, routing.NewScratch(), 3*entry+entry/2, 2)
+	// Budget fits ~3 entries.
+	cache := newBaselineCache(g, c, routing.NewScratch(), 3*entry+entry/2)
 	for i := 0; i < 8; i++ {
 		if _, err := cache.get(asns[i], 1); err != nil {
 			t.Fatalf("get %d: %v", i, err)
@@ -327,52 +380,19 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestBaselineCacheKeepFloor: the keep newest entries survive even when
-// they alone exceed the budget — evicting the warm group mid-use would
-// thrash.
+// TestBaselineCacheKeepFloor: the newest entry survives even when it alone
+// exceeds the budget — it is the Result get is about to lend.
 func TestBaselineCacheKeepFloor(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
-	cache := newBaselineCache(g, nil, routing.NewScratch(), 1, 4) // budget of one byte, keep 4
+	cache := newBaselineCache(g, nil, routing.NewScratch(), 1) // budget of one byte
 	for i := 0; i < 6; i++ {
-		if _, err := cache.get(asns[i], 1); err != nil {
+		res, err := cache.get(asns[i], 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := len(cache.m); got != 4 {
-		t.Fatalf("%d entries, want keep floor 4", got)
-	}
-	// The newest keys are the survivors: a re-get must not grow the map.
-	for i := 2; i < 6; i++ {
-		before := len(cache.m)
-		if _, err := cache.get(asns[i], 1); err != nil {
-			t.Fatal(err)
+		if len(cache.m) != 1 || cache.m[baselineKey{asns[i], 1}] != res {
+			t.Fatalf("get %d: %d entries, want just the one it lent", i, len(cache.m))
 		}
-		if len(cache.m) != before {
-			t.Fatalf("get(asns[%d]) recomputed a kept entry", i)
-		}
-	}
-}
-
-// TestAdaptiveShardLaneWidth: a tight budget narrows the shard's lane
-// width below the configured batch, without changing results (covered by
-// the invariance tests); here just pin the sizing rule end to end.
-func TestAdaptiveShardLaneWidth(t *testing.T) {
-	g := expGraph(t, 400, 31)
-	n := g.NumASes()
-	tight := routing.BaselineResultBytes(n) * 3
-	narrow, err := newLegRunner(g, legOptions{shards: 2, memBudget: tight, batch: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := narrow.kEff; got >= 64 || got < 1 {
-		t.Fatalf("kEff = %d, want narrowed into [1, 64)", got)
-	}
-	wide, err := newLegRunner(g, legOptions{shards: 2, memBudget: 1 << 30, batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wide.kEff; got != 8 {
-		t.Fatalf("kEff = %d, want configured batch 8 under a loose budget", got)
 	}
 }

@@ -35,18 +35,14 @@ type SusceptibilityConfig struct {
 	Workers int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 warms the victims' baselines through the lane-batched
-	// engine and runs the attack legs Batch lanes at a time on the
-	// batched delta engine — jobs grouped by shared (victim, λ) baseline,
-	// output identical to the serial legs. Sibling topologies keep the
-	// attack legs serial. 0 or 1 keeps everything lazy/serial.
+	// Deprecated: ignored. Every leg runs on the scalar kernels; the field
+	// stays for bench/layers.go, which sets it, until the [benchmark] issue.
 	Batch int
 	// Shards partitions the jobs by victim into that many shards, each
 	// owning a private baselineCache released as soon as its shard
 	// completes (DESIGN §5f); output byte-identical at every shard
 	// count, 0 selects one shard per worker. MemBudget caps each shard's
-	// cache bytes and narrows the lane width to fit; MemBudget with
-	// Shards == 0 implies one budgeted shard.
+	// cache bytes; MemBudget with Shards == 0 implies one budgeted shard.
 	Shards    int
 	MemBudget int64
 }
@@ -132,7 +128,7 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 		}
 	}
 	r, err := newLegRunner(g, legOptions{
-		what: "susceptibility sweep", batch: cfg.Batch, shards: cfg.Shards,
+		what: "susceptibility sweep", shards: cfg.Shards,
 		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
 	})
 	if err != nil {

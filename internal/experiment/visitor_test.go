@@ -504,41 +504,33 @@ func TestRunnerForgedLegNeedsNoRoute(t *testing.T) {
 		{Victim: 200, Attacker: 900, Prepend: 3, Type: core.AttackNextHopInterception},
 		{Victim: 200, Attacker: 900, Prepend: 3},
 	}
-	for _, batch := range []int{1, 8} {
-		c := new(obs.Counters)
-		r, err := newLegRunner(g, legOptions{what: "forged legs", batch: batch, workers: 2, counters: c})
+	c := new(obs.Counters)
+	r, err := newLegRunner(g, legOptions{what: "forged legs", workers: 2, counters: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited := make([]bgp.ASN, len(legs))
+	counts, done, err := r.run(context.Background(), legs, false, func(_, i int, im *core.Impact) bool {
+		visited[i] = im.Scenario.Attacker
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !done[0] || !done[1] || done[2] || visited[0] != 900 || visited[1] != 900 || visited[2] != 0 {
+		t.Errorf("done=%v visited=%v, want the forged legs simulated and the ASPP leg skipped", done, visited)
+	}
+	for i := range legs[:2] {
+		want, err := core.Simulate(g, legs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		visited := make([]bgp.ASN, len(legs))
-		counts, done, err := r.run(context.Background(), legs, false, func(_, i int, im *core.Impact) bool {
-			visited[i] = im.Scenario.Attacker
-			return true
-		})
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
+		if counts[i] != want.Counts || counts[i].PollutedAfter == 0 {
+			t.Errorf("%v: runner counts %+v, core.Simulate %+v", legs[i], counts[i], want.Counts)
 		}
-		if !done[0] || !done[1] || done[2] || visited[0] != 900 || visited[1] != 900 || visited[2] != 0 {
-			t.Errorf("batch %d: done=%v visited=%v, want the forged legs simulated and the ASPP leg skipped", batch, done, visited)
-		}
-		for i := range legs[:2] {
-			want, err := core.Simulate(g, legs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if counts[i] != want.Counts || counts[i].PollutedAfter == 0 {
-				t.Errorf("batch %d: %v: runner counts %+v, core.Simulate %+v", batch, legs[i], counts[i], want.Counts)
-			}
-		}
-		if s := c.Snapshot(); s.FullPropagations != 2 || s.DeltaPropagations+s.DeltaBatchPropagations != 0 || s.SkippedUnreachable != 1 {
-			t.Errorf("batch %d: counters %+v, want 2 full propagations and 1 unreachable skip", batch, s)
-		}
-
-		// Without a visitor the batched runner must still keep forged legs
-		// off the delta lanes.
-		if _, done, err = r.run(context.Background(), legs, false, nil); err != nil || !done[0] || !done[1] || done[2] {
-			t.Errorf("batch %d, no visitor: done=%v err=%v", batch, done, err)
-		}
+	}
+	if s := c.Snapshot(); s.FullPropagations != 2 || s.DeltaPropagations != 0 || s.SkippedUnreachable != 1 {
+		t.Errorf("counters %+v, want 2 full propagations and 1 unreachable skip", s)
 	}
 	fatal, err := newLegRunner(g, legOptions{what: "forged legs", workers: 1, allFatal: true})
 	if err != nil {

@@ -64,8 +64,8 @@ func TestRunSurveyChurnPropagationErrorReturned(t *testing.T) {
 }
 
 // TestRunSurveyCounters checks the telemetry plumbing: the table leg is
-// one propagation per origin and the churn leg one per event, none of them
-// a batch lane, each emitting its monitors' cone and not the graph, and the
+// one propagation per origin and the churn leg one per event, nothing
+// else, each emitting its monitors' cone and not the graph, and the
 // churn-update counter matches the result's own total.
 func TestRunSurveyCounters(t *testing.T) {
 	g, origins := surveySetup(t, 300, 12)
@@ -79,8 +79,8 @@ func TestRunSurveyCounters(t *testing.T) {
 	events := collector.PlanChurn(origins, cfg.ChurnEvents, cfg.Seed)
 	s := cfg.Counters.Snapshot()
 	props := int64(len(origins) + len(events))
-	if s.BasePropagations != props || s.BatchPropagations != 0 || s.BatchCalls != 0 {
-		t.Fatalf("prop_base=%d prop_batch=%d batch_calls=%d, want %d (origins + churn events) and no lanes", s.BasePropagations, s.BatchPropagations, s.BatchCalls, props)
+	if s.BasePropagations != props || s.AttackPropagations() != 0 {
+		t.Fatalf("prop_base=%d attack legs=%d, want %d (origins + churn events) and nothing else", s.BasePropagations, s.AttackPropagations(), props)
 	}
 	if s.RowsDown < props || s.RowsDown >= props*int64(g.NumASes())/4 {
 		t.Fatalf("rows_down=%d over %d propagations on %d ASes, want a monitors' cone each, not the graph", s.RowsDown, props, g.NumASes())

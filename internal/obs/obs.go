@@ -53,12 +53,7 @@ type Counters struct {
 	skippedUnreachable lineCounter
 	skippedIneffective lineCounter
 	churnUpdates       lineCounter
-	batchPropagations  lineCounter
-	batchCalls         lineCounter
-
-	deltaBatchPropagations lineCounter
-	deltaBatchCalls        lineCounter
-	rowsDown               lineCounter
+	rowsDown           lineCounter
 
 	// Serve-pipeline counters (DESIGN §5g): the streaming daemon's ingest
 	// and detection traffic. frames_in counts frames decoded off ingest
@@ -128,7 +123,7 @@ func (c *Counters) AddBaselineHits(n int64) {
 }
 
 // AddBaselineMisses records n baseline-cache misses: keys propagated (or
-// failing validation), so prop_base + prop_batch == cache_miss on success.
+// failing validation), so prop_base == cache_miss on success.
 func (c *Counters) AddBaselineMisses(n int64) {
 	if c != nil {
 		c.baselineMisses.Add(n)
@@ -158,47 +153,9 @@ func (c *Counters) AddChurnUpdates(n int64) {
 	}
 }
 
-// AddBatchPropagations records n baseline propagations computed as lanes
-// of a batched PropagateBatch call (these lanes are NOT also counted as
-// prop_base: a baseline leg runs batched or serially, never both).
-func (c *Counters) AddBatchPropagations(n int64) {
-	if c != nil {
-		c.batchPropagations.Add(n)
-	}
-}
-
-// AddBatchCalls records n PropagateBatch invocations; together with
-// prop_batch it gives the realized mean lane width of a sweep.
-func (c *Counters) AddBatchCalls(n int64) {
-	if c != nil {
-		c.batchCalls.Add(n)
-	}
-}
-
-// AddDeltaBatchPropagations records n attack propagations computed as
-// lanes of a batched PropagateAttackDeltaBatch call. Attribution is
-// exclusive: an attack leg runs serially (prop_delta / prop_full) or as
-// a batch lane (prop_delta_batch), never both — the conservation
-// differential in internal/experiment pins serial and batched sweeps of
-// the same config to identical propagation totals.
-func (c *Counters) AddDeltaBatchPropagations(n int64) {
-	if c != nil {
-		c.deltaBatchPropagations.Add(n)
-	}
-}
-
-// AddDeltaBatchCalls records n PropagateAttackDeltaBatch invocations;
-// together with prop_delta_batch it gives the realized mean attack-leg
-// lane width of a sweep.
-func (c *Counters) AddDeltaBatchCalls(n int64) {
-	if c != nil {
-		c.deltaBatchCalls.Add(n)
-	}
-}
-
 // RecordScratchBytes raises the scratch-memory high-watermark gauge: the
-// per-worker propagation state (Scratch + BatchScratch/runner) footprint
-// of the largest single worker or shard.
+// per-worker propagation state (Scratch) footprint of the largest single
+// worker or shard.
 func (c *Counters) RecordScratchBytes(n int64) {
 	if c != nil {
 		c.scratchBytes.recordMax(n)
@@ -291,12 +248,10 @@ type Snapshot struct {
 	SkippedUnreachable int64
 	SkippedIneffective int64
 	ChurnUpdates       int64
-	BatchPropagations  int64
-	BatchCalls         int64
-
-	DeltaBatchPropagations int64
-	DeltaBatchCalls        int64
-	RowsDown               int64
+	RowsDown           int64
+	// Deprecated: always 0 — no baseline runs as a lane any more. It stays
+	// for bench/layers.go, which reads it, until the [benchmark] issue.
+	BatchPropagations int64
 
 	FramesIn      int64
 	FramesBad     int64
@@ -326,12 +281,7 @@ func (c *Counters) Snapshot() Snapshot {
 		SkippedUnreachable: c.skippedUnreachable.Load(),
 		SkippedIneffective: c.skippedIneffective.Load(),
 		ChurnUpdates:       c.churnUpdates.Load(),
-		BatchPropagations:  c.batchPropagations.Load(),
-		BatchCalls:         c.batchCalls.Load(),
-
-		DeltaBatchPropagations: c.deltaBatchPropagations.Load(),
-		DeltaBatchCalls:        c.deltaBatchCalls.Load(),
-		RowsDown:               c.rowsDown.Load(),
+		RowsDown:           c.rowsDown.Load(),
 
 		FramesIn:      c.framesIn.Load(),
 		FramesBad:     c.framesBad.Load(),
@@ -351,17 +301,15 @@ func (c *Counters) Snapshot() Snapshot {
 // AttackPropagations is the total attack-leg propagation count across
 // engines — the number the candidate-budget pinning tests bound.
 func (s Snapshot) AttackPropagations() int64 {
-	return s.FullPropagations + s.DeltaPropagations + s.DeltaBatchPropagations
+	return s.FullPropagations + s.DeltaPropagations
 }
 
 // String formats the snapshot as one stable key=value line (the
 // -counters output format).
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"prop_base=%d prop_full=%d prop_delta=%d prop_batch=%d batch_calls=%d prop_delta_batch=%d delta_batch_calls=%d rows_down=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
-		s.BasePropagations, s.FullPropagations, s.DeltaPropagations,
-		s.BatchPropagations, s.BatchCalls,
-		s.DeltaBatchPropagations, s.DeltaBatchCalls, s.RowsDown,
+		"prop_base=%d prop_full=%d prop_delta=%d rows_down=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
+		s.BasePropagations, s.FullPropagations, s.DeltaPropagations, s.RowsDown,
 		s.BaselineHits, s.BaselineMisses,
 		s.SkippedUnreachable, s.SkippedIneffective, s.ChurnUpdates,
 		s.FramesIn, s.FramesBad, s.ServeEnqueued, s.ServeDropped,

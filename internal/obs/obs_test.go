@@ -21,8 +21,7 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	c.AddSkippedUnreachable(1)
 	c.AddSkippedIneffective(1)
 	c.AddChurnUpdates(1)
-	c.AddBatchPropagations(1)
-	c.AddBatchCalls(1)
+	c.AddRowsDown(1)
 	c.RecordScratchBytes(1)
 	c.RecordArenaBytes(1)
 	c.RecordCacheBytes(1)
@@ -30,8 +29,8 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	if got := c.Snapshot(); got != (Snapshot{}) {
 		t.Fatalf("nil Snapshot()=%+v, want zero", got)
 	}
-	if c.String() == "" {
-		t.Fatal("nil String() must still format")
+	if s := c.String(); s == "" || strings.Contains(s, "_batch=") || strings.Contains(s, "batch_calls=") {
+		t.Fatalf("nil String() = %q, want a line with no lane counters", s)
 	}
 }
 
@@ -45,8 +44,7 @@ func TestSnapshot(t *testing.T) {
 	a.AddSkippedUnreachable(13)
 	a.AddSkippedIneffective(17)
 	a.AddChurnUpdates(19)
-	a.AddBatchPropagations(23)
-	a.AddBatchCalls(29)
+	a.AddRowsDown(23)
 	got := a.Snapshot()
 	want := Snapshot{
 		BasePropagations:   2,
@@ -57,8 +55,7 @@ func TestSnapshot(t *testing.T) {
 		SkippedUnreachable: 13,
 		SkippedIneffective: 17,
 		ChurnUpdates:       19,
-		BatchPropagations:  23,
-		BatchCalls:         29,
+		RowsDown:           23,
 	}
 	if got != want {
 		t.Fatalf("Snapshot()=%+v, want %+v", got, want)
@@ -229,9 +226,10 @@ func TestServeCountersSnapshot(t *testing.T) {
 
 // TestSnapshotFieldCount guards Snapshot completeness: a new counter or
 // gauge added to Counters must surface in Snapshot too. Counters carries
-// exactly one padded line or gauge per Snapshot field.
+// exactly one padded line or gauge per Snapshot field but the deprecated
+// BatchPropagations, which no counter feeds.
 func TestSnapshotFieldCount(t *testing.T) {
-	snapFields := reflect.TypeOf(Snapshot{}).NumField()
+	snapFields := reflect.TypeOf(Snapshot{}).NumField() - 1
 	var counterSlots int
 	ct := reflect.TypeOf(Counters{})
 	for i := 0; i < ct.NumField(); i++ {

@@ -111,10 +111,10 @@ func Propagate(g *topology.Graph, ann Announcement) (*Result, error) {
 	return PropagateScratch(g, ann, nil)
 }
 
-// ErrSiblingsNeedFullKernel reports that an incremental or lane-batched
-// engine was handed a sibling-bearing topology. Sibling links are mutual
-// transit: they cut across the provider DAG those engines walk once, so
-// only the full kernel (PropagateScratch, PropagateAttackScratch), which
+// ErrSiblingsNeedFullKernel reports that the incremental engine was handed
+// a sibling-bearing topology. Sibling links are mutual transit: they cut
+// across the provider DAG that engine walks once, so only the full kernel
+// (PropagateScratch, PropagateAttackScratch), which
 // repeats its pass until the sibling offers settle, routes them.
 var ErrSiblingsNeedFullKernel = errors.New("routing: sibling links need the full kernel (PropagateScratch, PropagateAttackScratch)")
 

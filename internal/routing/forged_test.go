@@ -232,7 +232,7 @@ func TestForgedZeroAlloc(t *testing.T) {
 }
 
 // TestForgedEngineContracts: only the full kernel serves a forged claim.
-// The delta engine, the batched delta lanes and the reference engine
+// The delta engine, the bench-only lane loop over it and the reference engine
 // refuse it, and — unlike the stripping attacker — a forger needs no
 // route to the origin.
 func TestForgedEngineContracts(t *testing.T) {

@@ -11,24 +11,19 @@ func TestMemoryBytesNilAndZero(t *testing.T) {
 	var (
 		nilR *Result
 		nilS *Scratch
-		nilB *BatchScratch
 		nilA *PathArena
 	)
-	if nilR.MemoryBytes() != 0 || nilS.MemoryBytes() != 0 ||
-		nilB.MemoryBytes() != 0 || nilA.MemoryBytes() != 0 {
+	if nilR.MemoryBytes() != 0 || nilS.MemoryBytes() != 0 || nilA.MemoryBytes() != 0 {
 		t.Fatal("nil receivers must report 0 bytes")
 	}
 	if got, want := NewScratch().MemoryBytes(), int64(unsafe.Sizeof(Scratch{})); got != want {
 		t.Fatalf("zero Scratch = %d bytes, want struct size %d", got, want)
 	}
-	if got, want := NewBatchScratch().MemoryBytes(), int64(unsafe.Sizeof(BatchScratch{})); got != want {
-		t.Fatalf("zero BatchScratch = %d bytes, want struct size %d", got, want)
-	}
 }
 
 // TestResultMemoryBytes pins the cached-baseline accounting: a cloned
-// baseline's footprint is at least the BaselineResultBytes floor (exact
-// columns, no Via) and within the allocator's size-class rounding of it.
+// baseline's footprint is at least its exact columns (11 bytes per AS, no
+// Via) and within the allocator's size-class rounding of them.
 func TestResultMemoryBytes(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumASes()
@@ -37,7 +32,7 @@ func TestResultMemoryBytes(t *testing.T) {
 		t.Fatal("baseline clone unexpectedly carries a Via column")
 	}
 	got := base.MemoryBytes()
-	floor := BaselineResultBytes(n)
+	floor := int64(unsafe.Sizeof(Result{})) + int64(n)*11
 	if got < floor {
 		t.Fatalf("clone MemoryBytes=%d below floor %d", got, floor)
 	}
@@ -75,31 +70,6 @@ func TestScratchMemoryBytesGrowth(t *testing.T) {
 	}
 }
 
-// TestBatchScratchMemoryBytesGrowth: the lane tables dominate and scale
-// with the stride, so widening lanes must grow the reported footprint.
-func TestBatchScratchMemoryBytesGrowth(t *testing.T) {
-	g := testGraph(t)
-	bs := NewBatchScratch()
-	anns := func(k int) []Announcement {
-		out := make([]Announcement, k)
-		for i := range out {
-			out[i] = Announcement{Origin: 100, Prepend: 1}
-		}
-		return out
-	}
-	if _, err := PropagateBatch(g, anns(2), bs); err != nil {
-		t.Fatalf("PropagateBatch k=2: %v", err)
-	}
-	narrow := bs.MemoryBytes()
-	if _, err := PropagateBatch(g, anns(16), bs); err != nil {
-		t.Fatalf("PropagateBatch k=16: %v", err)
-	}
-	wide := bs.MemoryBytes()
-	if wide <= narrow {
-		t.Fatalf("footprint did not grow with lane width: k=2 %d, k=16 %d", narrow, wide)
-	}
-}
-
 func TestPathArenaMemoryBytes(t *testing.T) {
 	g := testGraph(t)
 	res := mustPropagate(t, g, Announcement{Origin: 100, Prepend: 2})
@@ -113,37 +83,5 @@ func TestPathArenaMemoryBytes(t *testing.T) {
 	filled := a.MemoryBytes()
 	if filled <= empty {
 		t.Fatalf("arena footprint did not grow: %d -> %d", empty, filled)
-	}
-}
-
-// TestAdaptiveLaneWidthBudget pins the budgeted sizing policy: clamped to
-// [1, MaxLanes], monotone in the budget, and falling back to the
-// cache-residency policy when no budget is set.
-func TestAdaptiveLaneWidthBudget(t *testing.T) {
-	const n = 80000
-	if got := AdaptiveLaneWidthBudget(n, 0); got != AdaptiveLaneWidth(n) {
-		t.Fatalf("no budget: got %d, want AdaptiveLaneWidth fallback %d", got, AdaptiveLaneWidth(n))
-	}
-	if got := AdaptiveLaneWidthBudget(n, 1); got != 1 {
-		t.Fatalf("tiny budget: got %d, want 1", got)
-	}
-	if got := AdaptiveLaneWidthBudget(n, 1<<40); got != MaxLanes {
-		t.Fatalf("huge budget: got %d, want MaxLanes=%d", got, MaxLanes)
-	}
-	prev := 0
-	for _, budget := range []int64{1 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30} {
-		k := AdaptiveLaneWidthBudget(n, budget)
-		if k < prev {
-			t.Fatalf("lane width not monotone in budget: %d then %d at %d", prev, k, budget)
-		}
-		if k < 1 || k > MaxLanes {
-			t.Fatalf("lane width %d out of [1, %d]", k, MaxLanes)
-		}
-		prev = k
-	}
-	// A budget that affords exactly K lanes plus their baselines yields K.
-	per := int64(n)*batchBytesPerLaneAS + BaselineResultBytes(n)
-	if got := AdaptiveLaneWidthBudget(n, 7*per); got != 7 {
-		t.Fatalf("budget for 7 lanes: got %d, want 7", got)
 	}
 }

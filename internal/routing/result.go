@@ -86,19 +86,28 @@ func resultInto(r *Result, g *topology.Graph, origin int32) *Result {
 // Clone returns a deep copy of r, detaching it from any Scratch that owns
 // its storage (see PropagateScratch's ownership contract).
 func (r *Result) Clone() *Result {
-	out := &Result{
-		g:      r.g,
-		origin: r.origin,
-		Class:  append([]Class(nil), r.Class...),
-		Len:    append([]int32(nil), r.Len...),
-		Prep:   append([]int16(nil), r.Prep...),
-		Parent: append([]int32(nil), r.Parent...),
-	}
-	if r.Via != nil {
-		out.Via = append([]bool(nil), r.Via...)
-	}
+	out := new(Result)
+	r.copyInto(out)
 	out.reach = int32(r.ReachableCount()) + 1
 	return out
+}
+
+// copyInto makes dst a copy of r on dst's own storage, which it grows only
+// when too small.
+func (r *Result) copyInto(dst *Result) {
+	via := dst.Via
+	*dst = Result{
+		g:      r.g,
+		origin: r.origin,
+		reach:  r.reach,
+		Class:  append(dst.Class[:0], r.Class...),
+		Len:    append(dst.Len[:0], r.Len...),
+		Prep:   append(dst.Prep[:0], r.Prep...),
+		Parent: append(dst.Parent[:0], r.Parent...),
+	}
+	if r.Via != nil {
+		dst.Via = append(via[:0], r.Via...)
+	}
 }
 
 // Shifted returns a copy of r with d more origin copies on every route:

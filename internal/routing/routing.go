@@ -4,7 +4,7 @@
 // provider-learned, breaks ties by shortest AS-path (counting prepends),
 // and exports peer/provider-learned routes only to its customers.
 //
-// Four engines compute the same stable outcome. Which one runs a leg is
+// Three engines compute the same stable outcome. Which one runs a leg is
 // decided by the callers in core and measure from the scenario and the
 // graph, never by a user-set option:
 //
@@ -27,9 +27,6 @@
 //   - Delta (delta.go): the same ASPP attack as an incremental
 //     recomputation of the attacker's cone against a memoized baseline.
 //     ASPP legs run here whenever the topology is sibling-free.
-//   - Batch (batch.go, batch_delta.go): Fast and Delta carrying up to 64
-//     announcements (lanes) per frontier walk, sibling-free topologies
-//     only. The -batch attack-leg sweeps run both; nothing else does.
 //   - Reference (reference.go): a message-level BGP simulation with
 //     per-neighbor Adj-RIB-In state, implicit withdrawals and full AS-path
 //     loop detection. It is the ground truth the others are

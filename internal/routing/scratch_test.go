@@ -332,3 +332,59 @@ func TestScratchPoolPath(t *testing.T) {
 		t.Fatal("pooled attack result lost its Via slice in the clone")
 	}
 }
+
+// TestScratchGrowthGeometric pins the growth policy: capacity grows to
+// max(need, 2×cap), so a monotone ladder of sizes reallocates O(log) times,
+// and a request within the doubled capacity reallocates nothing.
+func TestScratchGrowthGeometric(t *testing.T) {
+	s := NewScratch()
+	s.grow(1000)
+	if s.n != 1000 {
+		t.Fatalf("first grow(1000): capacity %d, want exactly 1000", s.n)
+	}
+	s.grow(1500)
+	if s.n != 2000 {
+		t.Fatalf("grow(1500) after 1000: capacity %d, want doubled 2000", s.n)
+	}
+	p := &s.recs[0]
+	s.grow(2000) // within the doubled capacity: must not reallocate
+	if &s.recs[0] != p {
+		t.Fatal("grow(2000) within capacity 2000 reallocated the record table")
+	}
+	s.grow(5000) // above double: grows to the need
+	if s.n != 5000 {
+		t.Fatalf("grow(5000) after 2000: capacity %d, want 5000", s.n)
+	}
+}
+
+// TestScratchNoReallocAcrossTopologySequence is the end-to-end growth
+// regression: after warming on the largest graph, propagations across an
+// n=1000 → 4000 → 2000 → 4000 topology sequence must never reallocate the
+// Scratch or its result slots.
+func TestScratchNoReallocAcrossTopologySequence(t *testing.T) {
+	var sequence []*topology.Graph
+	for i, n := range []int{1000, 4000, 2000} {
+		cfg := topology.DefaultGenConfig(n)
+		cfg.Seed = int64(3 + 2*i)
+		g, err := topology.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sequence = append(sequence, g)
+	}
+	sequence = append(sequence, sequence[1])
+
+	s := NewScratch()
+	for _, g := range sequence { // warm: growth steps may allocate
+		if _, err := PropagateScratch(g, Announcement{Origin: g.Tier1s()[0], Prepend: 2}, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(3, func() {
+		for _, g := range sequence {
+			allocSinkResult, allocSinkErr = PropagateScratch(g, Announcement{Origin: g.Tier1s()[0], Prepend: 2}, s)
+		}
+	}); avg != 0 || allocSinkErr != nil {
+		t.Errorf("warmed Scratch allocates %.1f objects across the size sequence (err %v), want 0", avg, allocSinkErr)
+	}
+}

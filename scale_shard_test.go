@@ -49,8 +49,8 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 	start := time.Now()
 	pairs, err := in.SamplePairsCtx(context.Background(), PairConfig{
 		Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
-		Workers: runtime.NumCPU(), Batch: 16,
-		Shards: 4, MemBudget: budget, Counters: c,
+		Workers: runtime.NumCPU(),
+		Shards:  4, MemBudget: budget, Counters: c,
 	})
 	if err != nil {
 		t.Fatalf("80k pair sweep: %v", err)
@@ -77,23 +77,17 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 // TestScale80kSusceptibilityWork is a count gate, not a time gate: the
 // default tier matrix on internet80k simulates exactly the 9 cells × 12
 // instances it prints — no oversampled leg, no baseline nobody reads — and
-// the baselines it keeps warm across its rounds stay under 128 MB. It is
-// also where the gauges are held to account: the sweep allocates its
-// shards' scratch state and the baselines it installs, and no Scratch
-// beside them.
+// the baselines it keeps warm across its rounds stay under 128 MB.
 func TestScale80kSusceptibilityWork(t *testing.T) {
 	scaleGate(t)
 	in := internet80k(t)
 	c := new(Counters)
 	cfg := DefaultSusceptibilityConfig()
 	cfg.Counters = c
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	cells, err := in.SusceptibilityMatrixCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("80k susceptibility matrix: %v", err)
 	}
-	runtime.ReadMemStats(&after)
 	want := int64(len(cells) * cfg.PairsPerCell)
 	s := c.Snapshot()
 	t.Logf("80k matrix: %d cells, prop_delta=%d prop_base=%d skip_unreachable=%d cache_bytes=%d",
@@ -107,7 +101,6 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 	if s.CacheBytes <= 0 || s.CacheBytes >= 128<<20 {
 		t.Errorf("cache_bytes=%d, want a recorded peak under 128 MB", s.CacheBytes)
 	}
-	t.Logf("XXX alloc=%d scratch=%d misses=%d resultbytes=%d procs=%d", after.TotalAlloc-before.TotalAlloc, s.ScratchBytes, s.BaselineMisses, routing.BaselineResultBytes(in.Graph().NumASes()), runtime.GOMAXPROCS(0))
 }
 
 // TestScale80kConeCountsMatchFullKernel checks the sweep's answers at the
