@@ -11,8 +11,9 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # differentials and zero-alloc pins re-run explicitly so a leg counted over
 # the wrong cone, a baseline shifted wrongly, a monitor row read off a scan
 # that skipped it, a column that stopped matching its one-column run, a second
-# statement of the Fig. 4 rule or a returning allocation names itself in the
-# CI log instead of hiding inside the package sweep.
+# statement of the Fig. 4 rule, a prefix pass that disagrees with Fold at some
+# count (TestPrefixPassDifferential) or a returning allocation names itself in
+# the CI log instead of hiding inside the package sweep.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -310,7 +310,8 @@ func TestRunSharesIdenticalWork(t *testing.T) {
 // TestFig13IsOneSweep: the three columns of Fig. 13 read one attack draw, so
 // its -counters line is every leg simulated for it — at the default topology
 // 315 baselines and 331 attack legs, the 200 effective and the 131 that
-// captured no one — and Fig. 14 after it adds none. In the other order Fig. 14
+// captured no one, and 6,329,652 detection pairs (20.7M when every count
+// folded its window from scratch) — and Fig. 14 after it adds none. In the other order Fig. 14
 // runs the sweep, all columns of it, and both sections read the same.
 func TestFig13IsOneSweep(t *testing.T) {
 	var sb, swapped strings.Builder
@@ -322,7 +323,7 @@ func TestFig13IsOneSweep(t *testing.T) {
 	if !strings.Contains(data, "# 200 effective attacks") {
 		t.Errorf("fig13 did not evaluate 200 attacks:\n%s", data)
 	}
-	for _, want := range []string{"prop_base=315 ", "prop_delta=331 ", "skip_ineffective=131 "} {
+	for _, want := range []string{"prop_base=315 ", "prop_delta=331 ", "skip_ineffective=131 ", "detect_pairs=6329652 "} {
 		if !strings.Contains(counters, want) {
 			t.Errorf("fig13 counters lack %q: %s", want, counters)
 		}

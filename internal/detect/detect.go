@@ -139,6 +139,14 @@ func DetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute,
 	return detectRow(a, mons, row, 0, store(prev), rels, nil)
 }
 
+// triggers is the rule's trigger: the monitor had a route and has one, from
+// the same origin (an ownership change is MOAS, a different attack class),
+// and the padded number decreased. A monitor that does not trigger raises no
+// alarm against any witness.
+func triggers(was, cur routing.PathSpan) bool {
+	return was.Prep != 0 && cur.Prep != 0 && was.Origin == cur.Origin && cur.Prep < was.Prep
+}
+
 // detectRow is the Fig. 4 rule, stated once for every entry point. row is
 // one prefix's table row: the current route of each vantage point in mons
 // (the empty span is "no route"), all spans of arena a. row[mi] is the route
@@ -148,10 +156,7 @@ func DetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute,
 // alarms, in row order, and the extended slice is returned.
 func detectRow(a *routing.PathArena, mons []bgp.ASN, row []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, alarms []Alarm) []Alarm {
 	monitor, cur := mons[mi], row[mi]
-	// The trigger: the monitor had a route and has one, from the same origin
-	// (an ownership change is MOAS, a different attack class), and the
-	// padded number decreased.
-	if was.Prep == 0 || cur.Prep == 0 || was.Origin != cur.Origin || cur.Prep >= was.Prep {
+	if !triggers(was, cur) {
 		return alarms
 	}
 	lambdaT := int(cur.Prep)

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"slices"
+
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/routing"
@@ -47,7 +49,13 @@ type EvalScratch struct {
 	mons   []bgp.ASN
 	g      *topology.Graph
 
-	extracts, latencies int
+	// FoldPrefixes' buffers: the distinct ends, ascending; per cut, the least
+	// hops of a trigger that first alarms there; a trigger's row for one cut.
+	cuts, hopsAt []int
+	mbuf         []bgp.ASN
+	rbuf         []routing.PathSpan
+
+	extracts, latencies, pairs int
 }
 
 // NewEvalScratch returns an empty scratch, ready for EvaluateScratch.
@@ -94,24 +102,29 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 	sc.atkSpans = attacked.PathsInto(sc.arena, sc.monIdx, sc.atkSpans[:0])
 	sc.im = im
 	sc.extracts++
+	sc.pairs = 0
 }
 
 // Fold runs detectRow once per monitor of the window [lo, hi) of the
 // extracted list, with that window as the whole vantage-point set — the
 // verdict EvaluateScratch gives on monitors[lo:hi] — and returns it without
 // the latency, plus the hop distance at which the first detecting monitor
-// received the bogus route (-1: undetected).
+// received the bogus route (-1: undetected). Once no flag can still turn on,
+// a trigger that cannot lower the hops is skipped: it would change nothing.
 func (sc *EvalScratch) Fold(lo, hi int, rels RelQuerier) (res EvalResult, hops int) {
-	im, baseline := sc.im, sc.im.Baseline()
 	mons, row, idx := sc.mons[lo:hi], sc.atkSpans[lo:hi], sc.monIdx[lo:hi]
 	hops = -1
 	for k, i := range idx {
-		// The monitor's pre-attack route, as far as the rule reads it; an
-		// unknown or unreachable monitor and the origin itself had none.
-		var was routing.PathSpan
-		if i >= 0 && i != baseline.OriginIdx() && baseline.Class[i] != routing.ClassNone {
-			was = routing.PathSpan{Prep: baseline.Prep[i], Origin: baseline.Origin()}
+		was := sc.wasAt(i)
+		if !triggers(was, row[k]) {
+			continue
 		}
+		// A trigger's route held, so its index resolved.
+		h := sc.im.HopsFromAttackerIdx(i)
+		if res.Detected && res.DetectedHigh && (res.Attributed || !sc.mayAccuse(lo+k)) && (h < 0 || hops >= 0 && h >= hops) {
+			continue
+		}
+		sc.pairs += len(idx) - 1
 		sc.alarms = detectRow(sc.arena, mons, row, k, was, rels, sc.alarms[:0])
 		if len(sc.alarms) == 0 {
 			continue
@@ -121,17 +134,104 @@ func (sc *EvalScratch) Fold(lo, hi int, rels RelQuerier) (res EvalResult, hops i
 			if a.Confidence == High {
 				res.DetectedHigh = true
 			}
-			if a.Suspect == im.Scenario.Attacker {
+			if a.Suspect == sc.im.Scenario.Attacker {
 				res.Attributed = true
 			}
 		}
-		// This monitor detects as soon as the bogus route reaches it (it
-		// holds a route, so its index resolved).
-		if h := im.HopsFromAttackerIdx(i); h >= 0 && (hops < 0 || h < hops) {
-			hops = h
-		}
+		// This monitor detects as soon as the bogus route reaches it.
+		hops = minHops(hops, h)
 	}
 	return res, hops
+}
+
+// FoldPrefixes gives, for every end d of ends, what Fold(0, d, rels) gives:
+// the verdict into res[j] and the hops into hops[j], in one scan of the
+// extracted list's (trigger, witness) pairs. Every rule reads one pair — the
+// trigger's two routes, the witness's route and rels; a duplicate ASN is
+// dropped pair by pair — so a prefix raises an alarm exactly when it holds
+// an alarming pair, and detectRow may decide a trigger's pairs on any row
+// that holds the trigger. A pair counts from the shortest end that holds
+// both its monitors, its cut; each flag first holds at the least cut of the
+// pairs that raise it, and trigger t counts toward the hops from e(t), its
+// own least alarming cut. So trigger t is folded over the row up to its own
+// cut, then over the witnesses each later cut adds, and stops at the cut
+// where neither e(t) nor a flag can still improve; a trigger whose route
+// holds no attacker names no suspect that is one. ends must not be empty.
+func (sc *EvalScratch) FoldPrefixes(ends []int, rels RelQuerier, res []EvalResult, hops []int) {
+	sc.cuts = append(sc.cuts[:0], ends...)
+	slices.Sort(sc.cuts)
+	sc.cuts = slices.Compact(sc.cuts)
+	cuts, never := sc.cuts, len(sc.cuts)
+	det, high, attr := never, never, never
+	sc.hopsAt = sc.hopsAt[:0] // per cut: the least hops of a trigger whose e(t) it is
+	for range cuts {
+		sc.hopsAt = append(sc.hopsAt, -1)
+	}
+	for t := range cuts[never-1] {
+		was := sc.wasAt(sc.monIdx[t])
+		if !triggers(was, sc.atkSpans[t]) {
+			continue
+		}
+		own, _ := slices.BinarySearch(cuts, t+1) // the least cut holding t
+		accuse, first := sc.mayAccuse(t), never
+		for c := own; c < never && (first > c || high > c || attr > c && accuse); c++ {
+			mons, row, mi := sc.mons[:cuts[c]], sc.atkSpans[:cuts[c]], t
+			if c > own {
+				sc.mbuf = append(append(sc.mbuf[:0], sc.mons[t]), sc.mons[cuts[c-1]:cuts[c]]...)
+				sc.rbuf = append(append(sc.rbuf[:0], sc.atkSpans[t]), sc.atkSpans[cuts[c-1]:cuts[c]]...)
+				mons, row, mi = sc.mbuf, sc.rbuf, 0
+			}
+			sc.pairs += len(row) - 1
+			sc.alarms = detectRow(sc.arena, mons, row, mi, was, rels, sc.alarms[:0])
+			for _, a := range sc.alarms {
+				first = min(first, c)
+				if a.Confidence == High {
+					high = min(high, c)
+				}
+				if a.Suspect == sc.im.Scenario.Attacker {
+					attr = min(attr, c)
+				}
+			}
+		}
+		if first < never {
+			sc.hopsAt[first] = minHops(sc.hopsAt[first], sc.im.HopsFromAttackerIdx(sc.monIdx[t]))
+		}
+		det = min(det, first)
+	}
+	for c := 1; c < never; c++ {
+		sc.hopsAt[c] = minHops(sc.hopsAt[c], sc.hopsAt[c-1])
+	}
+	for j, d := range ends {
+		c, _ := slices.BinarySearch(cuts, d)
+		res[j], hops[j] = EvalResult{Detected: det <= c, DetectedHigh: high <= c, Attributed: attr <= c}, sc.hopsAt[c]
+	}
+}
+
+// minHops is the lesser of two hop distances, -1 standing for none.
+func minHops(a, b int) int {
+	if a < 0 || b >= 0 && b < a {
+		return b
+	}
+	return a
+}
+
+// wasAt is the pre-attack route of the monitor at graph index i, as far as
+// the rule reads it; an unknown or unreachable monitor and the origin itself
+// had none.
+func (sc *EvalScratch) wasAt(i int32) routing.PathSpan {
+	baseline := sc.im.Baseline()
+	if i < 0 || i == baseline.OriginIdx() || baseline.Class[i] == routing.ClassNone {
+		return routing.PathSpan{}
+	}
+	return routing.PathSpan{Prep: baseline.Prep[i], Origin: baseline.Origin()}
+}
+
+// mayAccuse reports whether an alarm of the monitor in slot k of the list can
+// name the attacker: every suspect is the monitor or an AS of its transit
+// chain.
+func (sc *EvalScratch) mayAccuse(k int) bool {
+	atk := sc.im.Scenario.Attacker
+	return sc.mons[k] == atk || slices.Contains(sc.arena.SegBody(sc.atkSpans[k].Seg), atk)
 }
 
 // PollutedBefore computes the Fig. 14 metric for the extracted attack: with
@@ -169,3 +269,7 @@ func (sc *EvalScratch) PollutedBefore(detectionHops int) float64 {
 // Calls reports how many extractions and latency walks sc has run; the
 // detection sweep's tests pin them per attack.
 func (sc *EvalScratch) Calls() (extracts, latencies int) { return sc.extracts, sc.latencies }
+
+// Pairs reports how many (trigger, witness) pairs detectRow has compared
+// since the last Extract: the detection sweep's detect_pairs counter.
+func (sc *EvalScratch) Pairs() int { return sc.pairs }

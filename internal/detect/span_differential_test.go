@@ -386,25 +386,44 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 // Folding a random window [lo, hi) of a row extracted once for the whole
 // list gives exactly what EvaluateScratch gives on monitors[lo:hi] alone,
 // and what the frozen reference gives — under the ground-truth graph and
-// with no relationships at all — on every hard row and forged leg.
+// with no relationships at all — on every hard row and forged leg. Two more
+// windows per leg are the whole list, where all three flags often hold before
+// the last trigger: Fold's trigger skip must change nothing there, and the
+// test fails unless it skipped some trigger.
 func TestFoldWindowDifferential(t *testing.T) {
 	g, impacts := hardImpacts(t)
 	rng := rand.New(rand.NewSource(44))
 	whole, part := NewEvalScratch(), NewEvalScratch()
+	skipped := 0
 	for si, im := range impacts {
 		monitors := hardMonitors(g, im)
 		whole.Extract(im, monitors)
-		for w := 0; w < 6; w++ {
+		for w := 0; w < 8; w++ {
 			lo := rng.Intn(len(monitors))
 			hi := lo + rng.Intn(len(monitors)-lo+1)
-			if w == 0 {
+			switch w {
+			case 0:
 				lo, hi = 40, len(monitors) // every hard row at once
+			case 6, 7:
+				lo, hi = 0, len(monitors)
 			}
 			var rels RelQuerier
 			if w%2 == 0 {
 				rels = g
 			}
+			before := whole.Pairs()
 			got, hops := whole.Fold(lo, hi, rels)
+			if w >= 6 && got.Detected && got.DetectedHigh && got.Attributed {
+				trig := 0
+				for k := lo; k < hi; k++ {
+					if triggers(whole.wasAt(whole.monIdx[k]), whole.atkSpans[k]) {
+						trig++
+					}
+				}
+				if whole.Pairs()-before < trig*(hi-lo-1) {
+					skipped++
+				}
+			}
 			got.PollutedBeforeDetection = whole.PollutedBefore(hops)
 			sub := slices.Clone(monitors[lo:hi])
 			if alone := EvaluateScratch(im, sub, rels, part); got != alone {
@@ -415,12 +434,54 @@ func TestFoldWindowDifferential(t *testing.T) {
 			}
 		}
 	}
+	if skipped == 0 {
+		t.Fatal("premise broken: no whole-list fold skipped a trigger")
+	}
+	t.Logf("%d whole-list folds skipped a trigger", skipped)
+}
+
+// TestPrefixPassDifferential: one prefix pass over every end d of the hard
+// list gives, end by end, the verdict and the hops Fold(0, d) gives, and so
+// the same Fig. 14 latency — under the ground-truth graph and with no
+// relationships, on every hard row (the victim, the attacker, an absent ASN,
+// an unreachable AS, a duplicate) and forged leg. The pass runs once with a
+// cut at every end, and once over a few coarse ends, unsorted and one of
+// them twice, as the detection sweep passes its counts and latency set.
+func TestPrefixPassDifferential(t *testing.T) {
+	g, impacts := hardImpacts(t)
+	sc := NewEvalScratch()
+	var every []int
+	for d := 1; d <= len(hardMonitors(g, impacts[0])); d++ {
+		every = append(every, d)
+	}
+	coarse := []int{10, 30, 3, 50, 55, 30, 41}
+	res, hops := make([]EvalResult, len(every)), make([]int, len(every))
+	for si, im := range impacts {
+		monitors := hardMonitors(g, im)
+		sc.Extract(im, monitors)
+		for _, ends := range [][]int{every, coarse} {
+			for _, rels := range []RelQuerier{g, nil} {
+				sc.FoldPrefixes(ends, rels, res, hops)
+				for j, d := range ends {
+					want, wantHops := sc.Fold(0, d, rels)
+					if res[j] != want || hops[j] != wantHops {
+						t.Fatalf("scenario %d (%v) rels %v ends %v prefix %d:\npass %+v hops %d\nfold %+v hops %d",
+							si, im.Scenario, rels != nil, ends, d, res[j], hops[j], want, wantHops)
+					}
+					if got, want := sc.PollutedBefore(hops[j]), sc.PollutedBefore(wantHops); got != want {
+						t.Fatalf("scenario %d prefix %d: latency %v, Fold's %v", si, d, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestEvaluateScratchZeroAlloc pins the batch side where the streaming side
 // already is: a warmed pass over ≥100 impacts, alarms raised, folds every
 // verdict out of the scratch's own buffers and allocates nothing — as one
-// whole-list evaluation, and as one extraction read through nine windows.
+// whole-list evaluation, as one extraction read through nine windows, and as
+// one extraction read through one prefix pass over nine ends.
 func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	g := diffTestGraph(t, 500, 11)
 	monitors := g.TopByDegree(40)
@@ -430,6 +491,8 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	}
 	sc := NewEvalScratch()
 	detected := 0
+	ends := []int{4, 8, 12, 16, 20, 25, 30, 35, 40}
+	res, hops := make([]EvalResult, len(ends)), make([]int, len(ends))
 	passes := map[string]func(){
 		"EvaluateScratch": func() {
 			for _, im := range impacts {
@@ -445,6 +508,15 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 					if res, _ := sc.Fold(lo, len(monitors)-lo, g); res.Detected {
 						detected++
 					}
+				}
+			}
+		},
+		"one Extract, one prefix pass over nine ends": func() {
+			for _, im := range impacts {
+				sc.Extract(im, monitors)
+				sc.FoldPrefixes(ends, g, res, hops)
+				if res[len(ends)-1].Detected {
+					detected++
 				}
 			}
 		},

@@ -77,6 +77,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		// The verdict without the latency: no figure of this table reads it.
 		scratch[shard].Extract(im, monitors)
 		aspp, _ := scratch[shard].Fold(0, len(monitors), g)
+		cfg.Counters.AddDetectPairs(int64(scratch[shard].Pairs()))
 		return instance{
 			victim: im.Scenario.Victim, attacker: im.Scenario.Attacker,
 			pollution: im.After(),

@@ -111,6 +111,9 @@ type placement struct {
 	policy  MonitorPolicy
 	list    []bgp.ASN
 	windows [][2]int
+	// ends holds the windows' ends when every window is a prefix of list;
+	// its verdicts are then read off one prefix pass.
+	ends []int
 }
 
 func newPlacement(g *topology.Graph, policy MonitorPolicy, counts []int, seed int64) (placement, error) {
@@ -119,7 +122,8 @@ func newPlacement(g *topology.Graph, policy MonitorPolicy, counts []int, seed in
 	case MonitorsTopDegree:
 		p.list = g.TopByDegree(slices.Max(counts))
 		for _, d := range counts {
-			p.windows = append(p.windows, [2]int{0, min(d, len(p.list))})
+			end := min(d, len(p.list))
+			p.ends, p.windows = append(p.ends, end), append(p.windows, [2]int{0, end})
 		}
 	case MonitorsRandom:
 		for _, d := range counts {
@@ -146,8 +150,9 @@ var newEvalScratch = detect.NewEvalScratch
 // inside its leg (legVisitor), while its routing results are live in the
 // shard's Scratch: every shard owns one detect.EvalScratch per placement,
 // the attacked routes of a placement's list are extracted once per attack,
-// each (column, count) folds the rule over its window of that row, and only
-// the EvalResults outlive the leg. Returns (nil, ctx.Err()) when cancelled.
+// a top-degree column reads all its counts off one prefix pass over that row,
+// a random column folds the rule over each count's window of it, and only the
+// EvalResults outlive the leg. Returns (nil, ctx.Err()) when cancelled.
 func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
 	if len(cfg.MonitorCounts) == 0 || cfg.Pairs <= 0 {
 		return nil, errors.New("experiment: empty detection config")
@@ -205,16 +210,31 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		for pi, p := range places {
 			sc[pi].Extract(im, p.list)
 		}
-		evals := make([]detect.EvalResult, len(cols)*nc+1) // [column][count], then the latency set's
+		// [column][count, then the latency set's, which only the first
+		// column reads]
+		evals, hops := make([]detect.EvalResult, len(cols)*(nc+1)), make([]int, nc+1)
 		for c, col := range cols {
-			for ci, w := range places[col.place].windows[:nc] {
-				evals[c*nc+ci], _ = sc[col.place].Fold(w[0], w[1], col.rels)
+			s, p, k := sc[col.place], places[col.place], nc
+			if c == 0 {
+				k++
+			}
+			res := evals[c*(nc+1):][:k]
+			if p.ends != nil {
+				s.FoldPrefixes(p.ends[:k], col.rels, res, hops[:k])
+			} else {
+				for ci, w := range p.windows[:k] {
+					res[ci], hops[ci] = s.Fold(w[0], w[1], col.rels)
+				}
+			}
+			if c == 0 {
+				res[nc].PollutedBeforeDetection = s.PollutedBefore(hops[nc])
 			}
 		}
-		first, w := sc[cols[0].place], places[cols[0].place].windows[nc]
-		latency, hops := first.Fold(w[0], w[1], cols[0].rels)
-		latency.PollutedBeforeDetection = first.PollutedBefore(hops)
-		evals[len(cols)*nc] = latency
+		pairs := 0
+		for _, s := range sc {
+			pairs += s.Pairs()
+		}
+		cfg.Counters.AddDetectPairs(int64(pairs))
 		return evals
 	})
 	if err != nil {
@@ -232,7 +252,7 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		for ci, w := range places[cols[c].place].windows[:nc] {
 			pt := AccuracyPoint{Monitors: w[1] - w[0]}
 			for _, evals := range usable {
-				ev := evals[c*nc+ci]
+				ev := evals[c*(nc+1)+ci]
 				if ev.Detected {
 					pt.Detected++
 				}
@@ -250,8 +270,8 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		}
 	}
 	for k, evals := range usable {
-		out.PollutedBeforeDetection[k] = evals[len(cols)*nc].PollutedBeforeDetection
-		out.LatencyDetected[k] = evals[len(cols)*nc].Detected
+		out.PollutedBeforeDetection[k] = evals[nc].PollutedBeforeDetection
+		out.LatencyDetected[k] = evals[nc].Detected
 	}
 	return out, nil
 }

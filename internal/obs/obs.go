@@ -54,6 +54,7 @@ type Counters struct {
 	skippedIneffective lineCounter
 	churnUpdates       lineCounter
 	rowsDown           lineCounter
+	detectPairs        lineCounter
 
 	// Serve-pipeline counters (DESIGN §5g): the streaming daemon's ingest
 	// and detection traffic. frames_in counts frames decoded off ingest
@@ -96,6 +97,14 @@ func (c *Counters) AddBasePropagations(n int64) {
 func (c *Counters) AddRowsDown(n int64) {
 	if c != nil {
 		c.rowsDown.Add(n)
+	}
+}
+
+// AddDetectPairs records n (trigger, witness) pairs the detection rule
+// compared; the detection sweeps add one attack's pairs at a time.
+func (c *Counters) AddDetectPairs(n int64) {
+	if c != nil {
+		c.detectPairs.Add(n)
 	}
 }
 
@@ -249,6 +258,7 @@ type Snapshot struct {
 	SkippedIneffective int64
 	ChurnUpdates       int64
 	RowsDown           int64
+	DetectPairs        int64
 	// Deprecated: always 0 — no baseline runs as a lane any more. It stays
 	// for bench/layers.go, which reads it, until the [benchmark] issue.
 	BatchPropagations int64
@@ -282,6 +292,7 @@ func (c *Counters) Snapshot() Snapshot {
 		SkippedIneffective: c.skippedIneffective.Load(),
 		ChurnUpdates:       c.churnUpdates.Load(),
 		RowsDown:           c.rowsDown.Load(),
+		DetectPairs:        c.detectPairs.Load(),
 
 		FramesIn:      c.framesIn.Load(),
 		FramesBad:     c.framesBad.Load(),
@@ -308,10 +319,10 @@ func (s Snapshot) AttackPropagations() int64 {
 // -counters output format).
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"prop_base=%d prop_full=%d prop_delta=%d rows_down=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
+		"prop_base=%d prop_full=%d prop_delta=%d rows_down=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d detect_pairs=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
 		s.BasePropagations, s.FullPropagations, s.DeltaPropagations, s.RowsDown,
 		s.BaselineHits, s.BaselineMisses,
-		s.SkippedUnreachable, s.SkippedIneffective, s.ChurnUpdates,
+		s.SkippedUnreachable, s.SkippedIneffective, s.ChurnUpdates, s.DetectPairs,
 		s.FramesIn, s.FramesBad, s.ServeEnqueued, s.ServeDropped,
 		s.ServeBatches, s.Alarms,
 		s.ScratchBytes, s.ArenaBytes, s.CacheBytes, s.CSRBytes, s.QueuePeak)

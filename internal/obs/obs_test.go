@@ -22,6 +22,7 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	c.AddSkippedIneffective(1)
 	c.AddChurnUpdates(1)
 	c.AddRowsDown(1)
+	c.AddDetectPairs(1)
 	c.RecordScratchBytes(1)
 	c.RecordArenaBytes(1)
 	c.RecordCacheBytes(1)
@@ -45,6 +46,7 @@ func TestSnapshot(t *testing.T) {
 	a.AddSkippedIneffective(17)
 	a.AddChurnUpdates(19)
 	a.AddRowsDown(23)
+	a.AddDetectPairs(29)
 	got := a.Snapshot()
 	want := Snapshot{
 		BasePropagations:   2,
@@ -56,6 +58,7 @@ func TestSnapshot(t *testing.T) {
 		SkippedIneffective: 17,
 		ChurnUpdates:       19,
 		RowsDown:           23,
+		DetectPairs:        29,
 	}
 	if got != want {
 		t.Fatalf("Snapshot()=%+v, want %+v", got, want)
