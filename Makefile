@@ -100,8 +100,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The asppbench run is the one place several experiments read the shared
+# graph at once (DESIGN.md §6, "Run scheduler").
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/defense/ ./internal/detect/ ./internal/measure/ ./internal/serve/
+	$(GO) test -race -run 'TestRunAll|TestRunConcurrent' ./cmd/asppbench/
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/

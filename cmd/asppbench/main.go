@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -33,6 +34,7 @@ import (
 	"aspp"
 	"aspp/internal/defense"
 	"aspp/internal/experiment"
+	"aspp/internal/parallel"
 	"aspp/internal/relinfer"
 	"aspp/internal/stats"
 )
@@ -64,10 +66,12 @@ type benchContext struct {
 	// memBudget bytes. Output is byte-identical at every setting.
 	shards    int
 	memBudget int64
-	out       io.Writer
+	// out is the experiment's own buffer: run prints it in run order and
+	// writes it to -out's <name>.tsv.
+	out io.Writer
 	// counters is non-nil when -counters is set: one fresh Counters per
-	// experiment, reported after the experiment's data (outside the TSV
-	// tee, so counter lines never land in -out files or goldens).
+	// experiment, reported after the experiment's data (outside out, so
+	// counter lines never land in -out files or goldens).
 	counters *aspp.Counters
 	// memo is the run's, not the experiment's: every benchContext of one
 	// run points at the same one.
@@ -78,7 +82,8 @@ type benchContext struct {
 // same topology, same seed, same configuration. The first experiment to
 // ask does the work and the rest reuse the result, so with -counters the
 // work is reported under the experiment that ran it and a reusing
-// experiment's line shows none.
+// experiment's line shows none. It needs no lock: the experiments sharing a
+// slot declare one registry group, and a group runs in one goroutine.
 type runMemo struct {
 	survey    *aspp.SurveyResult     // fig5, fig6
 	detection *aspp.DetectionOutcome // fig13, fig14
@@ -110,29 +115,33 @@ func memoized[T any](slot **T, compute func() (*T, error)) (*T, error) {
 type benchExperiment struct {
 	name string
 	run  func(*benchContext) error
+	// group names the runMemo slots the experiment shares with others.
+	// Experiments of one group run one after another in one task; every
+	// other experiment is a task of its own.
+	group string
 }
 
 // registry is every experiment in run order: the paper's figures in paper
 // order, then the extensions beyond them (see EXPERIMENTS.md). `-exp all`,
 // the flag's help text and the unknown-name error all read this list.
 var registry = []benchExperiment{
-	{"fig1", runFig1},
-	{"table1", runTable1},
-	{"fig5", runFig5},
-	{"fig6", runFig6},
-	{"fig7", runFig7},
-	{"fig8", runFig8},
-	{"fig9", runFig9},
-	{"fig10", runFig10},
-	{"fig11", runFig11},
-	{"fig12", runFig12},
-	{"fig13", runFig13},
-	{"fig14", runFig14},
-	{"compare", runCompare},               // §II.B attack families vs detector classes
-	{"defense", runDefense},               // §VIII vantage-point self-defense
-	{"inference", runInference},           // §IV-A relationship-inference accuracy
-	{"mitigation", runMitigation},         // §VII [29] cautious-adoption deployment sweep
-	{"susceptibility", runSusceptibility}, // §VI-B tier matrix
+	{"fig1", runFig1, ""},
+	{"table1", runTable1, ""},
+	{"fig5", runFig5, "survey"},
+	{"fig6", runFig6, "survey"},
+	{"fig7", runFig7, ""},
+	{"fig8", runFig8, ""},
+	{"fig9", runFig9, ""},
+	{"fig10", runFig10, ""},
+	{"fig11", runFig11, ""},
+	{"fig12", runFig12, ""},
+	{"fig13", runFig13, "detection"},
+	{"fig14", runFig14, "detection"},
+	{"compare", runCompare, ""},               // §II.B attack families vs detector classes
+	{"defense", runDefense, ""},               // §VIII vantage-point self-defense
+	{"inference", runInference, "detection"},  // §IV-A relationship-inference accuracy
+	{"mitigation", runMitigation, ""},         // §VII [29] cautious-adoption deployment sweep
+	{"susceptibility", runSusceptibility, ""}, // §VI-B tier matrix
 }
 
 // expNames is the registered experiment names, comma-separated in run order.
@@ -246,34 +255,97 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	memo := &runMemo{fig13: slices.ContainsFunc(todo, func(e benchExperiment) bool { return e.name == "fig13" })}
-	for _, e := range todo {
-		if err := ctx.Err(); err != nil {
-			return err
+
+	// The experiments run side by side, at most GOMAXPROCS at a time, and
+	// print in run order (DESIGN §6, "Run scheduler"). A task is a group,
+	// dispatched in the run order of its first member.
+	var groups [][]int
+	task := map[string]int{}
+	for i, e := range todo {
+		key := cmp.Or(e.group, e.name)
+		g, ok := task[key]
+		if !ok {
+			g, task[key] = len(groups), len(groups)
+			groups = append(groups, nil)
 		}
-		fmt.Fprintf(out, "### %s\n", e.name)
-		var tee bytes.Buffer
-		bc := &benchContext{
-			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
-			shards: *shards, memBudget: budgetBytes,
-			out:  io.MultiWriter(out, &tee),
-			memo: memo,
-		}
-		if *counters {
-			bc.counters = new(aspp.Counters)
-		}
-		if err := e.run(bc); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return err
+		groups[g] = append(groups[g], i)
+	}
+	type result struct {
+		out      bytes.Buffer
+		counters *aspp.Counters
+		ran      bool
+		err      error
+		done     chan struct{}
+	}
+	res := make([]result, len(todo))
+	for i := range res {
+		res[i].done = make(chan struct{})
+	}
+	// The lowest failing experiment cancels runCtx once everything before it
+	// has printed, so no failure disturbs an experiment the run still prints.
+	runCtx, cancel := context.WithCancel(ctx)
+	finished := make(chan struct{})
+	defer func() { cancel(); <-finished }()
+	go func() {
+		defer close(finished)
+		err := parallel.ForEachErr(runCtx, len(groups), 0, func(g int) error {
+			var err error // a failed member ends its group: nothing after it prints
+			for _, i := range groups[g] {
+				r := &res[i]
+				if err == nil {
+					err = runCtx.Err()
+				}
+				if err == nil {
+					bc := &benchContext{
+						ctx: runCtx, internet: internet, seed: *seed, pairs: *pairs,
+						shards: *shards, memBudget: budgetBytes,
+						out: &r.out, memo: memo,
+					}
+					if *counters {
+						r.counters = new(aspp.Counters)
+						bc.counters = r.counters
+					}
+					r.ran, err = true, todo[i].run(bc)
+				}
+				r.err = err
+				close(r.done)
 			}
-			return fmt.Errorf("%s: %w", e.name, err)
+			// Collect the finished task's heap now. Left to the pacer, the
+			// heap goal set while it was live lets the task beside it grow
+			// into that space: without this, the fig7-fig12 + susceptibility
+			// run on internet80k peaked at 117-128 MB RSS instead of 100.
+			runtime.GC()
+			return nil
+		})
+		for i := range res { // the groups a cancelled run never dispatched
+			select {
+			case <-res[i].done:
+			default:
+				res[i].err = err
+				close(res[i].done)
+			}
 		}
-		if bc.counters != nil {
-			fmt.Fprintf(out, "# counters: %s\n", bc.counters.Snapshot())
+	}()
+
+	for i, e := range todo {
+		r := &res[i]
+		if <-r.done; !r.ran {
+			return r.err // cancelled before it started
+		}
+		fmt.Fprintf(out, "### %s\n%s", e.name, r.out.Bytes())
+		if r.err != nil {
+			if errors.Is(r.err, context.Canceled) {
+				return r.err
+			}
+			return fmt.Errorf("%s: %w", e.name, r.err)
+		}
+		if r.counters != nil {
+			fmt.Fprintf(out, "# counters: %s\n", r.counters.Snapshot())
 		}
 		fmt.Fprintln(out)
 		if *outDir != "" {
 			path := filepath.Join(*outDir, e.name+".tsv")
-			if err := os.WriteFile(path, tee.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(path, r.out.Bytes(), 0o644); err != nil {
 				return fmt.Errorf("%s: write %s: %w", e.name, path, err)
 			}
 		}
@@ -313,6 +385,7 @@ func runDefense(bc *benchContext) error {
 	}
 	cfg := aspp.DefaultDefenseConfig(victim)
 	cfg.Seed = bc.seed
+	cfg.Counters = bc.counters
 	outcomes, err := bc.internet.CompareDefenses(cfg)
 	if err != nil {
 		return err

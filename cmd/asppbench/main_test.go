@@ -1,12 +1,15 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -262,6 +265,23 @@ func TestRunCountersOnDefaultFlags(t *testing.T) {
 	}
 }
 
+// TestRunDefenseCounters: defense's attack draws report their legs (its
+// counter line used to read all zeros).
+func TestRunDefenseCounters(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-exp", "defense", "-n", "400", "-counters"}, &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	_, line, _ := strings.Cut(sb.String(), "# counters: ")
+	var delta int
+	if _, rest, _ := strings.Cut(line, " prop_delta="); rest != "" {
+		fmt.Sscanf(rest, "%d", &delta)
+	}
+	if delta <= 0 {
+		t.Errorf("defense reports no attack legs: %s", line)
+	}
+}
+
 // sections splits asppbench output into its "### name" sections.
 func sections(out string) map[string]string {
 	m := make(map[string]string)
@@ -371,13 +391,148 @@ func TestFig12RedrawsUntilDistinct(t *testing.T) {
 	}
 }
 
+// oneStubTopo is fig12Topo without AS102: fig12 fails on it, and so does
+// fig7, which finds only 2 usable tier-1 pairs of the 80 it wants.
+var oneStubTopo = strings.Replace(fig12Topo, "10|102|-1\n11|102|-1\n", "", 1)
+
 // TestFig12NeedsTwoStubs: one multihomed stub besides the content stub is
 // a named error, not an endless redraw.
 func TestFig12NeedsTwoStubs(t *testing.T) {
-	path := writeTopo(t, strings.Replace(fig12Topo, "10|102|-1\n11|102|-1\n", "", 1))
+	path := writeTopo(t, oneStubTopo)
 	var sb strings.Builder
 	err := run(context.Background(), []string{"-exp", "fig12", "-topo", path}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "needs two multihomed stubs") {
 		t.Fatalf("got %v, want the two-stubs error", err)
 	}
+}
+
+// runOut runs asppbench and returns its stdout and the files it wrote to
+// -out, by name.
+func runOut(t *testing.T, args ...string) (string, map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
+	var sb strings.Builder
+	if err := run(context.Background(), append(args, "-out", dir), &sb); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return sb.String(), readDir(t, dir)
+}
+
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestRunConcurrentMatchesSerial: experiments run side by side print what
+// they print one at a time. Without -counters, -exp all is byte-identical at
+// GOMAXPROCS 1 and 4, -out files included, and equals the single-experiment
+// runs concatenated. With -counters the default shard counts and the
+// per-worker gauges follow GOMAXPROCS (and a group's later members report
+// nothing), so there each section is held to a run of its group alone at the
+// same GOMAXPROCS: one task, nothing beside it.
+func TestRunConcurrentMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, seed := range []string{"1", "7"} {
+		base := []string{"-n", "400", "-pairs", "15", "-seed", seed}
+		all := append([]string{"-exp", "all"}, base...)
+		runtime.GOMAXPROCS(1)
+		serial, serialFiles := runOut(t, all...)
+		runtime.GOMAXPROCS(4)
+		concurrent, concurrentFiles := runOut(t, all...)
+		if concurrent != serial {
+			t.Errorf("seed %s: -exp all differs between GOMAXPROCS 1 and 4:\n got: %s\nwant: %s", seed, concurrent, serial)
+		}
+		if !reflect.DeepEqual(concurrentFiles, serialFiles) || len(serialFiles) != len(registry) {
+			t.Errorf("seed %s: -out files differ between GOMAXPROCS 1 and 4, or miss an experiment", seed)
+		}
+		var singles strings.Builder
+		for _, e := range registry {
+			out, _ := runOut(t, append([]string{"-exp", e.name}, base...)...)
+			singles.WriteString(out)
+		}
+		if concurrent != singles.String() {
+			t.Errorf("seed %s: -exp all is not the single-experiment runs concatenated:\n got: %s\nwant: %s", seed, concurrent, singles.String())
+		}
+
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, _ := runOut(t, append(all, "-counters")...)
+			groups := map[string][]string{}
+			var order []string
+			for _, e := range registry {
+				key := cmp.Or(e.group, e.name)
+				if groups[key] == nil {
+					order = append(order, key)
+				}
+				groups[key] = append(groups[key], e.name)
+			}
+			gotSections := sections(got)
+			for _, key := range order {
+				alone, _ := runOut(t, append([]string{"-exp", strings.Join(groups[key], ",")}, append(base, "-counters")...)...)
+				for name, want := range sections(alone) {
+					if gotSections[name] != want {
+						t.Errorf("seed %s GOMAXPROCS %d: %s differs from its group run alone:\n got: %s\nwant: %s", seed, procs, name, gotSections[name], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunConcurrentErrorContract: a failing experiment ends the run as it
+// did when experiments ran one at a time. The lowest failing one in run
+// order is reported, even though fig7 after it fails too; the output is
+// every section before it, then its header and what it wrote; nothing after
+// it is printed or written to -out; and no goroutine outlives run. A ctx
+// cancelled mid-run returns context.Canceled.
+func TestRunConcurrentErrorContract(t *testing.T) {
+	path := writeTopo(t, oneStubTopo)
+	fig9, _ := runOut(t, "-exp", "fig9", "-topo", path)
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	var sb strings.Builder
+	err := run(context.Background(), []string{"-exp", "fig9,fig12,fig10,fig7", "-topo", path, "-out", dir}, &sb)
+	if err == nil || !strings.HasPrefix(err.Error(), "fig12: ") {
+		t.Errorf("error %v, want fig12's", err)
+	}
+	if want := fig9 + "### fig12\n"; sb.String() != want {
+		t.Errorf("stdout:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	if files := readDir(t, dir); len(files) != 1 || files["fig9.tsv"] == "" {
+		t.Errorf("-out holds %d files, want fig9.tsv alone", len(files))
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after run, %d before", n, before)
+	}
+
+	// fig13 takes a few hundred ms at n=4000; the writer cancels the run
+	// when fig1's section arrives.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err = run(ctx, []string{"-exp", "fig1,fig13"}, cancelOnWrite(cancel))
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled mid-run: %v, want context.Canceled", err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after the cancelled run, %d before", n, before)
+	}
+}
+
+type cancelOnWrite context.CancelFunc
+
+func (c cancelOnWrite) Write(p []byte) (int, error) {
+	c()
+	return len(p), nil
 }

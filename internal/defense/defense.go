@@ -77,6 +77,9 @@ type Config struct {
 	Violate bool
 	Seed    int64
 	Workers int
+	// Counters, when non-nil, receives the attack draws' telemetry
+	// (propagations, skipped draws, memory gauges).
+	Counters *obs.Counters
 }
 
 // DefaultConfig returns a calibrated self-defense setup for one victim.
@@ -117,7 +120,8 @@ func (p pollution) has(i int32) bool { return p.via[i>>6]>>(uint(i)&63)&1 != 0 }
 // order, and no candidate past the n-th is simulated), and returns each
 // one's pollution set. A no-op attack is undetectable by construction and
 // an attacker that never hears the route cannot attack; both are redrawn.
-func drawPollution(g *topology.Graph, cfg Config, n int, label string, counters *obs.Counters) ([]pollution, error) {
+// The legs are recorded into cfg.Counters.
+func drawPollution(g *topology.Graph, cfg Config, n int, label string) ([]pollution, error) {
 	rng := rand.New(rand.NewSource(stats.DeriveSeed(cfg.Seed, label)))
 	asns := g.ASNs()
 	stream := make([]core.Scenario, 0, n*20)
@@ -131,7 +135,7 @@ func drawPollution(g *topology.Graph, cfg Config, n int, label string, counters 
 			})
 		}
 	}
-	attacks, err := experiment.EffectiveAttacks(context.Background(), g, stream, n, cfg.Workers, counters,
+	attacks, err := experiment.EffectiveAttacks(context.Background(), g, stream, n, cfg.Workers, cfg.Counters,
 		func(im *core.Impact) pollution {
 			via := im.Attacked().Via
 			p := pollution{via: make([]uint64, (len(via)+63)/64)}
@@ -189,7 +193,7 @@ func SelectMonitors(g *topology.Graph, cfg Config, strategy Strategy) ([]bgp.ASN
 	case StrategyVictimCone:
 		return victimCone(g, cfg.Victim, cfg.Budget)
 	case StrategyGreedy:
-		training, err := drawPollution(g, cfg, cfg.TrainingAttacks, "defense.greedy.training", nil)
+		training, err := drawPollution(g, cfg, cfg.TrainingAttacks, "defense.greedy.training")
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +296,7 @@ func Compare(g *topology.Graph, cfg Config) ([]Outcome, error) {
 	if cfg.Prepend < 2 {
 		return nil, errors.New("defense: prepend must be >= 2")
 	}
-	eval, err := drawPollution(g, cfg, cfg.EvalAttacks, "defense.compare.eval", nil)
+	eval, err := drawPollution(g, cfg, cfg.EvalAttacks, "defense.compare.eval")
 	if err != nil {
 		return nil, err
 	}

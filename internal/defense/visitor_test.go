@@ -220,7 +220,8 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 		label string
 	}{{cfg.EvalAttacks, "defense.compare.eval"}, {cfg.TrainingAttacks, "defense.greedy.training"}} {
 		c := new(obs.Counters)
-		attacks, err := drawPollution(g, cfg, d.n, d.label, c)
+		cfg.Counters = c
+		attacks, err := drawPollution(g, cfg, d.n, d.label)
 		if err != nil {
 			t.Fatal(err)
 		}
