@@ -107,46 +107,54 @@ func sortAlarms(alarms []Alarm) {
 // (several flush chunk sizes) yields exactly the serial per-update
 // Observe alarm multiset. Sharding by prefix is verdict-preserving
 // because detection state never crosses prefixes; batching is
-// verdict-preserving because only compaction is deferred.
+// verdict-preserving because only the route-table sweep is deferred. An
+// insert-heavy growth stream (2,048 fresh prefixes of one template, every
+// 64th attacked) goes through the same comparison: there every update adds
+// a row, and the rows share a handful of routes.
 func TestShardedBatchDifferential(t *testing.T) {
-	updates, monitors, g := churnCorpus(t, 1500, 23, 40, 300, 5000)
-	t.Logf("churn corpus: %d updates", len(updates))
-
-	serial := NewDetector(monitors, g)
-	var want []Alarm
-	for _, u := range updates {
-		want = append(want, serial.Observe(u)...)
-	}
-	if len(want) == 0 {
-		t.Fatal("serial replay raised no alarms — corpus does not exercise detection")
-	}
-	sortAlarms(want)
-
-	for _, chunk := range []int{1, 7, 64, 256} {
-		// Partition the stream by shard, preserving per-shard order (what
-		// the serve rings do), then flush each shard in chunk-sized runs.
-		parts := make([][]bgp.Update, 5)
+	churn, monitors, g := churnCorpus(t, 1500, 23, 40, 300, 5000)
+	inserts, attack := growthTemplate(t, churn, monitors, g)
+	for _, stream := range []struct {
+		name    string
+		updates []bgp.Update
+	}{{"churn", churn}, {"growth", growthUpdates(nil, inserts, attack, 0, 2048)}} {
+		updates := stream.updates
+		serial := NewDetector(monitors, g)
+		var want []Alarm
 		for _, u := range updates {
-			si := PrefixShard(u.Prefix, len(parts))
-			parts[si] = append(parts[si], u)
+			want = append(want, serial.Observe(u)...)
 		}
-		var got []Alarm
-		for _, part := range parts {
-			d := NewDetector(monitors, g)
-			for i := 0; i < len(part); i += chunk {
-				j := i + chunk
-				if j > len(part) {
-					j = len(part)
+		if len(want) == 0 {
+			t.Fatalf("%s: serial replay raised no alarms — corpus does not exercise detection", stream.name)
+		}
+		sortAlarms(want)
+
+		for _, chunk := range []int{1, 7, 64, 256} {
+			// Partition the stream by shard, preserving per-shard order (what
+			// the serve rings do), then flush each shard in chunk-sized runs.
+			parts := make([][]bgp.Update, 5)
+			for _, u := range updates {
+				si := PrefixShard(u.Prefix, len(parts))
+				parts[si] = append(parts[si], u)
+			}
+			var got []Alarm
+			for _, part := range parts {
+				d := NewDetector(monitors, g)
+				for i := 0; i < len(part); i += chunk {
+					j := i + chunk
+					if j > len(part) {
+						j = len(part)
+					}
+					got = d.ObserveBatch(part[i:j], got)
 				}
-				got = d.ObserveBatch(part[i:j], got)
+			}
+			sortAlarms(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, chunk %d: sharded ObserveBatch alarms diverge from serial Observe\nsharded %d alarms, serial %d", stream.name, chunk, len(got), len(want))
 			}
 		}
-		sortAlarms(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk %d: sharded ObserveBatch alarms diverge from serial Observe\nsharded %d alarms, serial %d", chunk, len(got), len(want))
-		}
+		t.Logf("%s: %d updates, differential held: %d alarms across all chunkings", stream.name, len(updates), len(want))
 	}
-	t.Logf("differential held: %d alarms across all chunkings", len(want))
 }
 
 // TestObserveBatchZeroAlloc pins the warmed batched path at zero

@@ -127,16 +127,16 @@ func DetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute,
 		if len(p) == 0 {
 			return routing.PathSpan{Seg: -1}
 		}
-		sp, _ := a.Replace(routing.PathSpan{}, p)
-		return sp
+		return a.Store(p)
 	}
 	mons := make([]bgp.ASN, 1, 1+len(witnesses))
-	row := make([]routing.PathSpan, 1, 1+len(witnesses))
-	mons[0], row[0] = monitor, store(cur)
-	for _, w := range witnesses {
-		mons, row = append(mons, w.Monitor), append(row, store(w.Path))
+	spans := make([]routing.PathSpan, 1, 1+len(witnesses))
+	row := make([]int32, 1+len(witnesses))
+	mons[0], spans[0] = monitor, store(cur)
+	for k, w := range witnesses {
+		mons, spans, row[k+1] = append(mons, w.Monitor), append(spans, store(w.Path)), int32(k+1)
 	}
-	return detectRow(a, mons, row, 0, store(prev), rels, nil)
+	return detectRow(a, mons, row, spans, 0, store(prev), rels, nil)
 }
 
 // triggers is the rule's trigger: the monitor had a route and has one, from
@@ -148,21 +148,23 @@ func triggers(was, cur routing.PathSpan) bool {
 }
 
 // detectRow is the Fig. 4 rule, stated once for every entry point. row is
-// one prefix's table row: the current route of each vantage point in mons
-// (the empty span is "no route"), all spans of arena a. row[mi] is the route
-// monitor mons[mi] just installed in place of was, of which only Prep and
-// Origin are read. Transit chains are the interned segments, so two routes
-// with the same Seg share theirs without comparing. Alarms are appended to
-// alarms, in row order, and the extended slice is returned.
-func detectRow(a *routing.PathArena, mons []bgp.ASN, row []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, alarms []Alarm) []Alarm {
-	monitor, cur := mons[mi], row[mi]
+// one prefix's table row: per vantage point in mons, the id of its current
+// route, which is spans[row[k]] (the empty span is "no route"), all spans
+// of arena a. spans[row[mi]] is the route monitor mons[mi] just installed
+// in place of was, of which only Prep and Origin are read. Transit chains
+// are the interned segments, so two routes with the same Seg share theirs
+// without comparing. Alarms are appended to alarms, in row order, and the
+// extended slice is returned.
+func detectRow(a *routing.PathArena, mons []bgp.ASN, row []int32, spans []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, alarms []Alarm) []Alarm {
+	monitor, cur := mons[mi], spans[row[mi]]
 	if !triggers(was, cur) {
 		return alarms
 	}
 	lambdaT := int(cur.Prep)
 
 	curT := bgp.Path(a.SegBody(cur.Seg))
-	for k, w := range row {
+	for k, id := range row {
+		w := spans[id]
 		if mons[k] == monitor || w.Prep == 0 || w.Origin != cur.Origin {
 			continue
 		}

@@ -28,16 +28,18 @@ type EvalResult struct {
 
 // EvalScratch is per-goroutine reusable state for evaluating attacks against
 // one monitor list: the path arena the under-attack routes are extracted
-// into, their span row, the alarm buffer each monitor's verdict is folded
-// from and the monitor-index resolution cache. Nothing else is kept: the
-// rule reads transit chains off the row, and the previous route's two
-// scalars off the baseline result — no witness views, no baseline table. One
+// into, their spans with the id row 0..m−1 detectRow reads them through, the
+// alarm buffer each monitor's verdict is folded from and the monitor-index
+// resolution cache. Nothing else is kept: the rule reads transit chains off
+// the row, and the previous route's two scalars off the baseline result — no
+// witness views, no baseline table. One
 // scratch per goroutine and monitor list (the detection sweep keeps one per
 // shard and placement, and reads every monitor count as a window of the
 // list); warmed, an evaluation allocates nothing.
 type EvalScratch struct {
 	arena    *routing.PathArena
 	atkSpans []routing.PathSpan
+	ids      []int32 // ids[i] == i: atkSpans[lo:hi] is a window's route table, ids[:hi-lo] its row
 	alarms   []Alarm
 	im       *core.Impact // the attack Extract last read; Fold's verdicts are about it
 
@@ -53,7 +55,7 @@ type EvalScratch struct {
 	// hops of a trigger that first alarms there; a trigger's row for one cut.
 	cuts, hopsAt []int
 	mbuf         []bgp.ASN
-	rbuf         []routing.PathSpan
+	rbuf         []int32
 
 	extracts, latencies, pairs int
 }
@@ -100,6 +102,9 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 
 	sc.arena.Reset() // invalidates last round's spans
 	sc.atkSpans = attacked.PathsInto(sc.arena, sc.monIdx, sc.atkSpans[:0])
+	for i := len(sc.ids); i < len(monitors); i++ {
+		sc.ids = append(sc.ids, int32(i))
+	}
 	sc.im = im
 	sc.extracts++
 	sc.pairs = 0
@@ -112,11 +117,11 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 // received the bogus route (-1: undetected). Once no flag can still turn on,
 // a trigger that cannot lower the hops is skipped: it would change nothing.
 func (sc *EvalScratch) Fold(lo, hi int, rels RelQuerier) (res EvalResult, hops int) {
-	mons, row, idx := sc.mons[lo:hi], sc.atkSpans[lo:hi], sc.monIdx[lo:hi]
+	mons, spans, idx := sc.mons[lo:hi], sc.atkSpans[lo:hi], sc.monIdx[lo:hi]
 	hops = -1
 	for k, i := range idx {
 		was := sc.wasAt(i)
-		if !triggers(was, row[k]) {
+		if !triggers(was, spans[k]) {
 			continue
 		}
 		// A trigger's route held, so its index resolved.
@@ -125,7 +130,7 @@ func (sc *EvalScratch) Fold(lo, hi int, rels RelQuerier) (res EvalResult, hops i
 			continue
 		}
 		sc.pairs += len(idx) - 1
-		sc.alarms = detectRow(sc.arena, mons, row, k, was, rels, sc.alarms[:0])
+		sc.alarms = detectRow(sc.arena, mons, sc.ids[:hi-lo], spans, k, was, rels, sc.alarms[:0])
 		if len(sc.alarms) == 0 {
 			continue
 		}
@@ -175,14 +180,14 @@ func (sc *EvalScratch) FoldPrefixes(ends []int, rels RelQuerier, res []EvalResul
 		own, _ := slices.BinarySearch(cuts, t+1) // the least cut holding t
 		accuse, first := sc.mayAccuse(t), never
 		for c := own; c < never && (first > c || high > c || attr > c && accuse); c++ {
-			mons, row, mi := sc.mons[:cuts[c]], sc.atkSpans[:cuts[c]], t
+			mons, row, mi := sc.mons[:cuts[c]], sc.ids[:cuts[c]], t
 			if c > own {
 				sc.mbuf = append(append(sc.mbuf[:0], sc.mons[t]), sc.mons[cuts[c-1]:cuts[c]]...)
-				sc.rbuf = append(append(sc.rbuf[:0], sc.atkSpans[t]), sc.atkSpans[cuts[c-1]:cuts[c]]...)
+				sc.rbuf = append(append(sc.rbuf[:0], int32(t)), sc.ids[cuts[c-1]:cuts[c]]...)
 				mons, row, mi = sc.mbuf, sc.rbuf, 0
 			}
 			sc.pairs += len(row) - 1
-			sc.alarms = detectRow(sc.arena, mons, row, mi, was, rels, sc.alarms[:0])
+			sc.alarms = detectRow(sc.arena, mons, row, sc.atkSpans, mi, was, rels, sc.alarms[:0])
 			for _, a := range sc.alarms {
 				first = min(first, c)
 				if a.Confidence == High {

@@ -2,7 +2,9 @@ package detect
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"aspp/internal/bgp"
 	"aspp/internal/routing"
@@ -13,40 +15,73 @@ import (
 // RouteViews/RIPE-style feeds with a PHAS-like monitor) and raises alarms
 // as inconsistencies appear.
 //
-// Route state is arena-backed: per prefix, one PathSpan per monitor
-// (dense monitor index) into a detector-owned routing.PathArena, instead
-// of a map of cloned bgp.Path slices per update. Replacing a route reuses
-// its slot when the new body fits; abandoned bodies are tracked and the
-// arena compacted once they outweigh the live ones, so the detector's
-// footprint stays proportional to its current table.
+// Routes are interned: each distinct (body, Prep, Origin) is stored once in
+// a detector-owned routing.PathArena and named by a route id, and a prefix
+// is one row of ids, one per monitor (dense monitor index). Most prefixes
+// of one origin reach a monitor over the same path, so a full table costs a
+// row of 4-byte ids per prefix, not a path per (prefix, monitor).
 type Detector struct {
 	rels RelQuerier
 	// monASN is the sorted vantage-point set; monIdx maps an ASN to its
-	// dense position in monASN (and in every per-prefix span row).
+	// dense position in monASN (and in every row).
 	monASN []bgp.ASN
 	monIdx map[bgp.ASN]int32
 
 	arena *routing.PathArena
-	// routes[prefix] is one span per monitor (dense index); the empty
-	// span (Prep == 0) means "no route announced".
-	routes map[netip.Prefix][]routing.PathSpan
+	// The route table, indexed by route id: the route's span, how many row
+	// entries hold it, and the next id with the same key. Id 0 is the empty
+	// span, "no route". byKey heads each key's chain. A route whose count
+	// drops to 0 stays findable, so a flapping route is revived without
+	// allocating; maybeCompact sweeps such routes and frees their ids.
+	spans            []routing.PathSpan
+	refs, next, free []int32
+	byKey            map[routeKey]int32
 
-	// live counts arena body elements referenced by current spans; the
-	// rest of the arena (arena.Size() - live) is dead weight left behind
-	// by Replace and withdrawals. Compaction triggers when dead outgrows
-	// live.
+	// rows holds every prefix's row of route ids, stride len(monASN);
+	// rowOf maps a prefix to its row number.
+	rows  []int32
+	rowOf map[pfxKey]int32
+
+	// live weighs the referenced routes in 4-byte words, a route weighing
+	// its body plus routeWords; the rest of what the table and arena hold
+	// is dead weight, which the sweep reclaims once it outweighs live and
+	// the rows together.
 	live int
 
 	liveRefs []*routing.PathSpan // compaction scratch
 
-	// lastPfx/lastSpans memoize the most recent routes-map lookup.
-	// Update streams arrive in same-prefix runs (a transition emits every
-	// changed monitor's update for one prefix back to back), so the batch
-	// path resolves most updates without hashing the prefix again. The
-	// cached slice header stays valid forever: a prefix's span row is
-	// allocated once and never reassigned.
-	lastPfx   netip.Prefix
-	lastSpans []routing.PathSpan
+	// lastPfx/lastOff memoize the most recent rows lookup; lastPfx starts
+	// as the zero Prefix, which no valid update carries. Update streams
+	// arrive in same-prefix runs (a transition emits every changed
+	// monitor's update for one prefix back to back), so the batch path
+	// resolves most updates without hashing the prefix again.
+	lastPfx netip.Prefix
+	lastOff int
+}
+
+// routeWords is what a route costs beside its body, in 4-byte words: its
+// span, count and chain link (7) and its key's map slot (≈9).
+const routeWords = 16
+
+// routeKey finds a route: routes with equal keys are told apart by their
+// bodies, which differ only in intermediate prepends.
+type routeKey struct {
+	seg, n int32
+	origin bgp.ASN
+	prep   int16
+}
+
+// pfxKey is a prefix as a pointer-free map key (netip.Prefix holds a
+// pointer the GC must scan). is4 keeps 10.0.0.0/8 apart from
+// ::ffff:10.0.0.0/8.
+type pfxKey struct {
+	addr [16]byte
+	bits uint8
+	is4  bool
+}
+
+func keyOf(p netip.Prefix) pfxKey {
+	return pfxKey{p.Addr().As16(), uint8(p.Bits()), p.Addr().Is4()}
 }
 
 // NewDetector builds a streaming detector for the given vantage points.
@@ -69,7 +104,11 @@ func NewDetector(monitors []bgp.ASN, rels RelQuerier) *Detector {
 		monASN: asns,
 		monIdx: idx,
 		arena:  routing.NewPathArena(),
-		routes: make(map[netip.Prefix][]routing.PathSpan),
+		spans:  []routing.PathSpan{{Seg: -1}},
+		refs:   []int32{0},
+		next:   []int32{0},
+		byKey:  make(map[routeKey]int32),
+		rowOf:  make(map[pfxKey]int32),
 	}
 }
 
@@ -80,8 +119,7 @@ func (d *Detector) Monitors() []bgp.ASN {
 
 // Observe processes one update and returns any alarms it triggers.
 // Updates from non-monitor ASes are ignored. Warmed steady state — every
-// prefix and transit segment seen before, no alarms — runs
-// allocation-free.
+// prefix and route seen before, no alarms — runs allocation-free.
 func (d *Detector) Observe(u bgp.Update) []Alarm {
 	alarms := d.observeOne(&u, nil)
 	d.maybeCompact()
@@ -94,17 +132,17 @@ func (d *Detector) Observe(u bgp.Update) []Alarm {
 // this); the batch form amortizes the two per-update overheads that
 // dominate warmed Observe:
 //
-//   - the routes-map lookup, skipped for same-prefix runs via the
-//     lastPfx memo (transition streams announce one prefix's changes
-//     from every monitor back to back);
-//   - the arena compaction check and the compaction itself, run once
-//     after the batch instead of after every update. Deferring it is
-//     verdict-invariant: Compact moves span bodies but never touches the
-//     interned segment table detection compares against, and the extra
-//     dead arena weight is bounded by one batch's path bytes.
+//   - the rows lookup, skipped for same-prefix runs via the lastPfx memo
+//     (transition streams announce one prefix's changes from every
+//     monitor back to back);
+//   - the route-table sweep check and the sweep itself, run once after
+//     the batch instead of after every update. Deferring it is
+//     verdict-invariant: a sweep frees only routes no row holds, and
+//     Compact moves bodies but never touches the interned segment table
+//     detection compares against.
 //
-// A warmed batch over known prefixes and segments appends into dst's
-// spare capacity and is otherwise allocation-free.
+// A warmed batch over known prefixes and routes appends into dst's spare
+// capacity and is otherwise allocation-free.
 func (d *Detector) ObserveBatch(updates []bgp.Update, dst []Alarm) []Alarm {
 	for i := range updates {
 		dst = d.observeOne(&updates[i], dst)
@@ -114,7 +152,7 @@ func (d *Detector) ObserveBatch(updates []bgp.Update, dst []Alarm) []Alarm {
 }
 
 // observeOne is the shared per-update core: it stores the route and
-// appends any alarms to dst, leaving compaction to the caller.
+// appends any alarms to dst, leaving the sweep to the caller.
 func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	if err := u.Validate(); err != nil {
 		return dst
@@ -123,70 +161,140 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	if !ok {
 		return dst
 	}
-	var spans []routing.PathSpan
-	if d.lastSpans != nil && u.Prefix == d.lastPfx {
-		spans = d.lastSpans
-	} else {
-		spans = d.routes[u.Prefix]
-		if spans == nil {
-			spans = make([]routing.PathSpan, len(d.monASN))
-			for i := range spans {
-				spans[i].Seg = -1
-			}
-			d.routes[u.Prefix] = spans
+	m := len(d.monASN)
+	if u.Prefix != d.lastPfx {
+		k := keyOf(u.Prefix)
+		r, ok := d.rowOf[k]
+		if !ok {
+			r = int32(len(d.rows) / m)
+			d.rows = append(d.rows, make([]int32, m)...)
+			d.rowOf[k] = r
 		}
-		d.lastPfx, d.lastSpans = u.Prefix, spans
+		d.lastPfx, d.lastOff = u.Prefix, int(r)*m
 	}
-	prev := spans[mi]
-	if u.Type == bgp.Withdraw {
-		d.live -= int(prev.Len) // empty spans have Len 0
-		spans[mi] = routing.PathSpan{Seg: -1}
+	row := d.rows[d.lastOff : d.lastOff+m]
+	prev, id := row[mi], int32(0)
+	if u.Type == bgp.Announce {
+		id = d.route(u.Path)
+	}
+	d.addRef(id, 1)
+	d.addRef(prev, -1)
+	row[mi] = id
+	if id == 0 {
 		return dst
 	}
-
-	// Store the new route, then run the rule over the row. The rule reads
-	// transit chains off the interned segment table (stable across body
-	// appends) and prev's two scalars, already copied out — so storing
-	// before detection is safe, and matches the legacy order.
-	cur, _ := d.arena.Replace(prev, u.Path)
-	spans[mi] = cur
-	d.live += int(cur.Len) - int(prev.Len)
-	return detectRow(d.arena, d.monASN, spans, int(mi), prev, d.rels, dst)
+	// The replaced route stays in the table until the next sweep, so its
+	// span is still the one the rule reads Prep and Origin off.
+	return detectRow(d.arena, d.monASN, row, d.spans, int(mi), d.spans[prev], d.rels, dst)
 }
 
-// maybeCompact rewrites the arena once abandoned bodies outweigh live
-// ones, updating every span's offset in place.
+// route returns the id of p's route. The route is looked up before
+// anything is written, and its body stored only on first sight.
+func (d *Detector) route(p bgp.Path) int32 {
+	sp := d.arena.Span(p)
+	k := routeKey{seg: sp.Seg, n: sp.Len, origin: sp.Origin, prep: sp.Prep}
+	head := d.byKey[k]
+	for id := head; id != 0; id = d.next[id] {
+		if slices.Equal(d.arena.Body(d.spans[id]), p[:sp.Len]) {
+			return id
+		}
+	}
+	sp = d.arena.Store(p)
+	id := int32(len(d.spans))
+	if n := len(d.free); n > 0 {
+		id, d.free = d.free[n-1], d.free[:n-1]
+		d.spans[id], d.refs[id], d.next[id] = sp, 0, head
+	} else {
+		d.spans, d.refs, d.next = append(d.spans, sp), append(d.refs, 0), append(d.next, head)
+	}
+	d.byKey[k] = id
+	return id
+}
+
+// addRef moves route id's count by delta, keeping live current. Id 0, no
+// route, is not counted.
+func (d *Detector) addRef(id, delta int32) {
+	if id == 0 {
+		return
+	}
+	w := int(d.spans[id].Len) + routeWords
+	if d.refs[id] == 0 {
+		d.live += w
+	}
+	d.refs[id] += delta
+	if d.refs[id] == 0 {
+		d.live -= w
+	}
+}
+
+// maybeCompact sweeps the route table once the unreferenced routes
+// outweigh everything live, the referenced routes and the rows: every
+// route no row holds is unlinked from its key's chain and its id freed,
+// then the arena is compacted over the routes left. Rows hold ids, so no
+// row is touched. Counting the rows lets routes a churning table drops
+// and restores stay findable across many cycles instead of being swept
+// and stored again each time, while dead routes stay within the live
+// footprint.
 func (d *Detector) maybeCompact() {
-	dead := d.arena.Size() - d.live
-	if dead <= d.live || dead == 0 {
+	held := d.arena.Size() + routeWords*(len(d.spans)-1-len(d.free)) // every unswept route's weight
+	if held-d.live <= d.live+len(d.rows) {
 		return
 	}
 	d.liveRefs = d.liveRefs[:0]
-	for _, spans := range d.routes {
-		for i := range spans {
-			if spans[i].Prep > 0 {
-				d.liveRefs = append(d.liveRefs, &spans[i])
+	for k, id := range d.byKey {
+		var head, last int32
+		for ; id != 0; id = d.next[id] {
+			if d.refs[id] == 0 {
+				d.free = append(d.free, id)
+				continue
 			}
+			if last == 0 {
+				head = id
+			} else {
+				d.next[last] = id
+			}
+			last = id
+			d.liveRefs = append(d.liveRefs, &d.spans[id])
 		}
+		if head == 0 {
+			delete(d.byKey, k)
+			continue
+		}
+		d.next[last] = 0
+		d.byKey[k] = head
 	}
 	d.arena.Compact(d.liveRefs)
 }
 
-// MemoryBytes is the detector's resident footprint: the path arena plus
-// the per-prefix span rows (one routing.PathSpan per monitor) and the map
-// bookkeeping holding them. The serve pipeline's soak gate samples this
-// to assert the streaming table plateaus instead of leaking.
+// MemoryBytes is the detector's resident footprint: the path arena, the
+// row slab and route table at capacity, and the three maps. The serve
+// pipeline's soak gate samples this to assert the streaming table
+// plateaus instead of leaking, and /metrics reports it.
 func (d *Detector) MemoryBytes() int64 {
 	if d == nil {
 		return 0
 	}
-	const spanBytes = 16    // sizeof(routing.PathSpan)
-	const mapEntryOver = 48 // estimated per-entry map overhead (key + headers)
-	b := d.arena.MemoryBytes()
-	b += int64(len(d.routes)) * (int64(len(d.monASN))*spanBytes + mapEntryOver)
-	b += int64(cap(d.monASN))*4 + int64(len(d.monIdx))*16
-	b += int64(cap(d.liveRefs)) * 8
-	return b
+	return int64(unsafe.Sizeof(*d)) + d.arena.MemoryBytes() +
+		sliceBytes(d.rows) + sliceBytes(d.spans) + sliceBytes(d.refs) +
+		sliceBytes(d.next) + sliceBytes(d.free) + sliceBytes(d.liveRefs) +
+		sliceBytes(d.monASN) + mapBytes(d.rowOf) + mapBytes(d.byKey) + mapBytes(d.monIdx)
+}
+
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
+}
+
+// mapBytes estimates a map's tables, which Go does not expose: a slot
+// holds a key, a value and a control byte, and a growing table runs
+// between 7/16 and 7/8 full, so each entry is charged its slot over the
+// middle of that cycle.
+func mapBytes[K comparable, V any](m map[K]V) int64 {
+	var slot struct {
+		k K
+		v V
+	}
+	return int64(len(m)) * (int64(unsafe.Sizeof(slot)) + 1) * 12 / 7
 }
 
 // RouteOf returns the detector's current view of monitor's route for a
@@ -196,9 +304,9 @@ func (d *Detector) RouteOf(prefix netip.Prefix, monitor bgp.ASN) bgp.Path {
 	if !ok {
 		return nil
 	}
-	spans := d.routes[prefix]
-	if spans == nil {
+	r, ok := d.rowOf[keyOf(prefix)]
+	if !ok {
 		return nil
 	}
-	return d.arena.Path(spans[mi])
+	return d.arena.Path(d.spans[d.rows[int(r)*len(d.monASN)+int(mi)]])
 }

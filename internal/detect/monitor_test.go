@@ -1,0 +1,243 @@
+package detect
+
+// Tests for the streaming detector's storage: interned routes, rows of
+// route ids keyed by pointer-free prefix keys, the lazy route-table sweep
+// and the footprint MemoryBytes reports.
+
+import (
+	"net/netip"
+	"runtime"
+	"sort"
+	"testing"
+
+	"aspp/internal/bgp"
+)
+
+// growthTemplate picks, from a churn corpus, the routes four monitors held
+// for a prefix just before an update alarmed against them, the way
+// asppserve's growth workload does: inserts are those four announcements
+// (the alarming monitor and every witness among them), attack is the
+// alarming update. Stamped on fresh prefixes, they make an insert-only
+// stream that raises the same alarms on every attacked prefix.
+func growthTemplate(t testing.TB, updates []bgp.Update, monitors []bgp.ASN, rels RelQuerier) (inserts []bgp.Update, attack bgp.Update) {
+	t.Helper()
+	ref := NewDetector(monitors, rels)
+	for _, u := range updates {
+		var held []bgp.Update
+		for _, m := range ref.monASN {
+			if p := ref.RouteOf(u.Prefix, m); p != nil {
+				held = append(held, bgp.Update{Monitor: m, Type: bgp.Announce, Path: p})
+			}
+		}
+		alarms := ref.Observe(u)
+		need := map[bgp.ASN]bool{u.Monitor: true}
+		for _, a := range alarms {
+			need[a.Witness] = true
+		}
+		if len(alarms) == 0 || len(held) < 4 || len(need) > 4 {
+			continue
+		}
+		sort.SliceStable(held, func(i, j int) bool { return need[held[i].Monitor] && !need[held[j].Monitor] })
+		return held[:4], u
+	}
+	t.Fatal("no alarm in the corpus fits a four-route template")
+	return nil, bgp.Update{}
+}
+
+// growthUpdates appends the growth stream's updates for prefixes [from,
+// to): the template's inserts on each fresh /32, then the attack on every
+// 64th.
+func growthUpdates(dst, inserts []bgp.Update, attack bgp.Update, from, to int) []bgp.Update {
+	for q := from; q < to; q++ {
+		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(q >> 16), byte(q >> 8), byte(q)}), 32)
+		for _, u := range inserts {
+			u.Prefix = pfx
+			dst = append(dst, u)
+		}
+		if q%64 == 63 {
+			attack.Prefix = pfx
+			dst = append(dst, attack)
+		}
+	}
+	return dst
+}
+
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestDetectorMemoryBytesTracksHeap holds MemoryBytes, which /metrics'
+// serve_memory_bytes and bench's state_mb read, to the heap the detector
+// really holds (±20 %), and caps what a growing table costs: 200k prefixes
+// of the growth template (four inserts each, ten monitors) may grow the
+// heap by at most 128 B a prefix. A row of route ids plus its map slot
+// measures ≈80 B here; a span per monitor and a path body per (prefix,
+// monitor) measured ≈325 B, and MemoryBytes reported 0.74× of it.
+func TestDetectorMemoryBytesTracksHeap(t *testing.T) {
+	const prefixes, ceiling = 200_000, 128
+	updates, monitors, g := churnCorpus(t, 1500, 23, 10, 300, 1000)
+	inserts, attack := growthTemplate(t, updates, monitors, g)
+	batch := make([]bgp.Update, 0, 5*256)
+	alarms := make([]Alarm, 0, 64)
+	raised := 0
+
+	before := heapAfterGC()
+	d := NewDetector(monitors, g)
+	for q := 0; q < prefixes; q += 256 {
+		batch = growthUpdates(batch[:0], inserts, attack, q, min(q+256, prefixes))
+		alarms = d.ObserveBatch(batch, alarms[:0])
+		raised += len(alarms)
+	}
+	grown := heapAfterGC() - before
+	reported := d.MemoryBytes()
+	runtime.KeepAlive(d)
+
+	perPrefix := float64(grown) / prefixes
+	t.Logf("%d prefixes, %d alarms: heap grew %d B (%.1f B/prefix), MemoryBytes %d (%.2f× heap)",
+		prefixes, raised, grown, perPrefix, reported, float64(reported)/float64(grown))
+	if raised == 0 {
+		t.Fatal("premise broken: the growth stream raised no alarm")
+	}
+	if perPrefix > ceiling {
+		t.Errorf("heap grew %.1f B per growth prefix, ceiling %d B: rows are no longer one 4-byte route id per monitor", perPrefix, ceiling)
+	}
+	if r := float64(reported) / float64(grown); r < 0.8 || r > 1.2 {
+		t.Errorf("MemoryBytes = %d B, %.2f× the %d B the heap grew by: want within ±20 %%", reported, r, grown)
+	}
+}
+
+// TestDetectorRouteTableReclaims cycles one key through 10k distinct paths,
+// then withdraws it. All of them share one transit segment and runs of
+// equal keys, so the same-key chains are walked too. The sweep reuses
+// freed ids, so the route table stays a few slots long, MemoryBytes stops
+// rising once the first sweeps have sized it, and after the withdrawal
+// nothing is live and nothing is held.
+func TestDetectorRouteTableReclaims(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.0.0.0/24")
+	d := NewDetector([]bgp.ASN{100, 200}, nil)
+	var firstHalf, secondHalf int64
+	for i := 0; i < 10_000; i++ {
+		// i ↦ (x, y) is one-to-one; the body is 1 x+1 times, then 2 y+1 times.
+		x, y := i%100, (i/100+i)%100
+		p := make(bgp.Path, 0, x+y+3)
+		for k := 0; k <= x+y+1; k++ {
+			p = append(p, bgp.ASN(1+min(k/(x+1), 1)))
+		}
+		p = append(p, 7)
+		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: p})
+		if got := d.RouteOf(pfx, 100); !got.Equal(p) {
+			t.Fatalf("path %d: RouteOf %v, want %v", i, got, p)
+		}
+		if mem := d.MemoryBytes(); i < 5_000 {
+			firstHalf = max(firstHalf, mem)
+		} else {
+			secondHalf = max(secondHalf, mem)
+		}
+	}
+	if len(d.spans) > 8 {
+		t.Errorf("one key's 10k paths grew the route table to %d slots: freed ids are not reused", len(d.spans))
+	}
+	if secondHalf > firstHalf {
+		t.Errorf("MemoryBytes still rising: at most %d B over the first 5k paths, %d B over the next", firstHalf, secondHalf)
+	}
+	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
+	if d.live != 0 || d.arena.Size() != 0 || len(d.byKey) != 0 || len(d.free) != len(d.spans)-1 {
+		t.Errorf("after the withdrawal: live %d, arena %d elements, %d keys, %d of %d ids free",
+			d.live, d.arena.Size(), len(d.byKey), len(d.free), len(d.spans)-1)
+	}
+	if got := d.RouteOf(pfx, 100); got != nil {
+		t.Errorf("withdrawn key still routes %v", got)
+	}
+}
+
+// TestDetectorRouteTableChains: routes that share a key (segment, origin,
+// body length, prepends) differ only in their bodies and hang on one chain.
+// Sweeping the chain's tail keeps its head findable, and the freed ids,
+// taken by routes of other keys with the tail's body, never join the chain:
+// re-announcing the tail's route stores it anew.
+func TestDetectorRouteTableChains(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.0.0.0/24")
+	d := NewDetector([]bgp.ASN{100, 200, 300, 400}, nil)
+	announce := func(m bgp.ASN, p bgp.Path) {
+		d.Observe(bgp.Update{Monitor: m, Type: bgp.Announce, Prefix: pfx, Path: p})
+	}
+	tail, head, long := bgp.Path{1, 1, 2, 7}, bgp.Path{1, 2, 2, 7}, make(bgp.Path, 0, 101)
+	for k := 0; k < 100; k++ {
+		long = append(long, bgp.ASN(100+k))
+	}
+	long = append(long, 7)
+	announce(100, tail)
+	announce(200, head)
+	if d.route(tail) == d.route(head) || d.next[d.route(head)] != d.route(tail) {
+		t.Fatalf("premise broken: %v and %v are not one chain", head, tail)
+	}
+	announce(300, long)
+	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
+	d.Observe(bgp.Update{Monitor: 300, Type: bgp.Withdraw, Prefix: pfx}) // outweighs the rest: sweep
+	if len(d.free) != 2 {
+		t.Fatalf("premise broken: the sweep freed %d ids, want the tail's and the long route's", len(d.free))
+	}
+	// The tail's body with other prepend counts takes both freed ids.
+	other2, other3 := bgp.Path{1, 1, 2, 7, 7}, bgp.Path{1, 1, 2, 7, 7, 7}
+	announce(300, other2)
+	announce(400, other3)
+	announce(100, tail)
+	for m, want := range map[bgp.ASN]bgp.Path{100: tail, 200: head, 300: other2, 400: other3} {
+		if got := d.RouteOf(pfx, m); !got.Equal(want) {
+			t.Errorf("RouteOf(%v) = %v, want %v", m, got, want)
+		}
+	}
+}
+
+// TestDetectorRouteTablePrefixKeys: a v4 prefix and its IPv4-mapped v6
+// twin share As16, and /8 and /9 share an address; each is a row of its
+// own, and RouteOf reads each its own route.
+func TestDetectorRouteTablePrefixKeys(t *testing.T) {
+	v4 := netip.MustParsePrefix("10.0.0.0/8")
+	pfxs := []netip.Prefix{v4, netip.PrefixFrom(netip.AddrFrom16(v4.Addr().As16()), 8), netip.MustParsePrefix("10.0.0.0/9")}
+	d := NewDetector([]bgp.ASN{100, 200}, nil)
+	for i, pfx := range pfxs {
+		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: bgp.Path{bgp.ASN(10 + i), 7}})
+	}
+	if len(d.rowOf) != len(pfxs) {
+		t.Fatalf("%d prefixes share %d rows", len(pfxs), len(d.rowOf))
+	}
+	for i, pfx := range pfxs {
+		if got, want := d.RouteOf(pfx, 100), (bgp.Path{bgp.ASN(10 + i), 7}); !got.Equal(want) {
+			t.Errorf("RouteOf(%v) = %v, want %v", pfx, got, want)
+		}
+		if got := d.RouteOf(pfx, 200); got != nil {
+			t.Errorf("RouteOf(%v, 200) = %v, want none", pfx, got)
+		}
+	}
+}
+
+// TestDetectorRouteTableReviveZeroAlloc pins the lazy sweep: a route whose
+// count dropped to 0 stays in the table, and re-announcing it revives it
+// without allocating.
+func TestDetectorRouteTableReviveZeroAlloc(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.0.0.0/24")
+	d := NewDetector([]bgp.ASN{100, 200}, nil)
+	pathA, pathB := bgp.Path{1, 2, 7, 7}, bgp.Path{1, 3, 7}
+	upA := bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: pathA}
+	upB := bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: pathB}
+	d.Observe(bgp.Update{Monitor: 200, Type: bgp.Announce, Prefix: pfx, Path: bgp.Path{5, 6, 8}})
+	d.Observe(upA)
+	d.Observe(upB)
+	idA, slots := d.route(pathA), len(d.spans)
+	if d.refs[idA] != 0 {
+		t.Fatalf("premise broken: route %v holds %d references", pathA, d.refs[idA])
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		alarmSink = d.Observe(upA) // revives A, drops B to 0
+		alarmSink = d.Observe(upB) // revives B, drops A to 0
+	}); avg != 0 {
+		t.Errorf("reviving a zero-reference route allocates %.1f objects per run, want 0", avg)
+	}
+	if d.route(pathA) != idA || d.refs[idA] != 0 || len(d.spans) != slots {
+		t.Errorf("route %v moved or the table grew: id %d → %d, %d → %d slots", pathA, idA, d.route(pathA), slots, len(d.spans))
+	}
+}

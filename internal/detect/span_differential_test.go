@@ -372,7 +372,7 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 			if len(prev) > 0 {
 				was = routing.PathSpan{Prep: int16(prev.OriginPrepend()), Origin: prev[len(prev)-1]}
 			}
-			gotA := detectRow(sc.arena, monitors, sc.atkSpans, k, was, g, nil)
+			gotA := detectRow(sc.arena, monitors, sc.ids[:len(monitors)], sc.atkSpans, k, was, g, nil)
 			wantA := legacyDetectChange(m, prev, cur, witnesses, g)
 			if !reflect.DeepEqual(gotA, wantA) {
 				t.Fatalf("scenario %d (%v) monitor %v:\nrow    %+v\nlegacy %+v", si, im.Scenario, m, gotA, wantA)
@@ -591,7 +591,12 @@ func detectorUpdateStream(g *topology.Graph, impacts []*core.Impact, monitors []
 
 // TestDetectorDifferential replays identical update streams through the
 // arena-backed Detector and the frozen legacy detector, asserting every
-// Observe returns identical alarms and every RouteOf agrees afterwards.
+// Observe returns identical alarms and the two hold the same state: every
+// RouteOf of every (prefix, monitor) seen so far agrees every 1,000
+// updates and at the end. After the stream, every prefix but one in eight
+// is withdrawn and every other prefix replayed, so the route table is swept
+// while the kept prefixes hold routes, and its freed ids are reused, under
+// the same checks.
 func TestDetectorDifferential(t *testing.T) {
 	g := diffTestGraph(t, 500, 17)
 	monitors := g.TopByDegree(40)
@@ -601,9 +606,30 @@ func TestDetectorDifferential(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	updates := detectorUpdateStream(g, impacts, monitors, rng)
+	var again []bgp.Update
+	for _, u := range updates {
+		if pi := u.Prefix.Addr().As4()[2]; pi%8 != 0 {
+			updates = append(updates, bgp.Update{Monitor: u.Monitor, Type: bgp.Withdraw, Prefix: u.Prefix})
+			if pi%2 == 1 {
+				again = append(again, u)
+			}
+		}
+	}
+	updates = append(updates, again...)
 
 	d := NewDetector(monitors, g)
 	ld := newLegacyDetector(monitors, g)
+	var seen []netip.Prefix
+	freed := 0 // the most route ids ever free at once
+	sameState := func(ui int) {
+		for _, prefix := range seen {
+			for _, m := range monitors {
+				if got, want := d.RouteOf(prefix, m), ld.routeOf(prefix, m); !got.Equal(want) {
+					t.Fatalf("after update %d: RouteOf(%v, %v): new %v, legacy %v", ui, prefix, m, got, want)
+				}
+			}
+		}
+	}
 	for ui, u := range updates {
 		got := d.Observe(u)
 		want := ld.observe(u)
@@ -611,20 +637,19 @@ func TestDetectorDifferential(t *testing.T) {
 			t.Fatalf("update %d (%v %v %v):\nnew    %+v\nlegacy %+v",
 				ui, u.Monitor, u.Type, u.Prefix, got, want)
 		}
-	}
-	// Final route tables agree for every (prefix, monitor).
-	seen := make(map[netip.Prefix]bool)
-	for _, u := range updates {
-		seen[u.Prefix] = true
-	}
-	for prefix := range seen {
-		for _, m := range monitors {
-			if got, want := d.RouteOf(prefix, m), ld.routeOf(prefix, m); !got.Equal(want) {
-				t.Fatalf("RouteOf(%v, %v): new %v, legacy %v", prefix, m, got, want)
-			}
+		if !slices.Contains(seen, u.Prefix) {
+			seen = append(seen, u.Prefix)
+		}
+		freed = max(freed, len(d.free))
+		if ui%1000 == 999 {
+			sameState(ui)
 		}
 	}
-	t.Logf("replayed %d updates over %d prefixes", len(updates), len(seen))
+	sameState(len(updates) - 1)
+	if freed == 0 {
+		t.Fatal("premise broken: the replay never swept the route table")
+	}
+	t.Logf("replayed %d updates over %d prefixes; up to %d route ids free at once", len(updates), len(seen), freed)
 }
 
 var alarmSink []Alarm

@@ -122,36 +122,24 @@ func (a *PathArena) PathWith(head bgp.ASN, s PathSpan) bgp.Path {
 	return p
 }
 
-// Replace stores p in place of a previous span when possible: an equal
-// body reuses the old slot untouched, a shorter-or-equal body overwrites
-// it, and a longer one appends at the arena's end, abandoning the old
-// slot. It returns the new span and how many body elements became dead
-// (unreferenced) in the arena — the caller's compaction accounting.
-// Spans other than old keep their offsets, so concurrent views of other
-// routes stay valid. p must be non-empty; old is the zero span for a first
-// store. The body is stored verbatim; the interned segment collapses
-// consecutive duplicates, so Seg identifies the unique transit chain.
-func (a *PathArena) Replace(old PathSpan, p bgp.Path) (PathSpan, int) {
+// Span describes non-empty p without storing its body: Len, Prep, Origin
+// and Seg, the interned transit chain with consecutive duplicates
+// collapsed. Off is left 0. Holders that keep one copy per distinct route
+// (detect.Detector) look the route up by these fields before storing it.
+func (a *PathArena) Span(p bgp.Path) PathSpan {
 	prep := p.OriginPrepend()
 	body := p[:len(p)-prep]
-	n := int32(len(body))
-	sp := PathSpan{Len: n, Prep: int16(prep), Origin: p[len(p)-1]}
-	freed := 0
-	switch {
-	case old.Prep > 0 && n == old.Len && equalASN(a.buf[old.Off:old.Off+old.Len], body):
-		sp.Off = old.Off // same body: prepend-count-only change
-	case old.Prep > 0 && n <= old.Len:
-		copy(a.buf[old.Off:], body)
-		sp.Off = old.Off
-		freed = int(old.Len - n)
-	default:
-		sp.Off = int32(len(a.buf))
-		a.buf = append(a.buf, body...)
-		freed = int(old.Len)
-	}
 	a.tmp = collapseRuns(a.tmp[:0], body)
-	sp.Seg = a.Intern(a.tmp)
-	return sp, freed
+	return PathSpan{Len: int32(len(body)), Prep: int16(prep), Origin: p[len(p)-1], Seg: a.Intern(a.tmp)}
+}
+
+// Store appends non-empty p's body verbatim at the arena's end and returns
+// its span. Nothing stored earlier moves.
+func (a *PathArena) Store(p bgp.Path) PathSpan {
+	sp := a.Span(p)
+	sp.Off = int32(len(a.buf))
+	a.buf = append(a.buf, p[:sp.Len]...)
+	return sp
 }
 
 // Intern returns the stable segment id for body, adding it to the table
@@ -179,8 +167,8 @@ func (a *PathArena) Intern(body []bgp.ASN) int32 {
 
 // Compact rewrites the arena so only the given live spans remain,
 // updating each span's offset in place. Every other outstanding span is
-// invalidated. Used by long-lived holders (detect.Detector) once dead
-// bodies left behind by Replace outweigh live ones.
+// invalidated. Used by long-lived holders (detect.Detector) once bodies
+// no span refers to outweigh live ones.
 func (a *PathArena) Compact(live []*PathSpan) {
 	// Sorting by offset makes the moves strictly leftward, so the copy
 	// never overwrites a body it has yet to move.

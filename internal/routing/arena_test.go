@@ -98,7 +98,7 @@ func TestPathsIntoDecodesToPathOf(t *testing.T) {
 func TestPathWith(t *testing.T) {
 	a := NewPathArena()
 	p := bgp.Path{10, 20, 20, 30, 30, 30}
-	sp, _ := a.Replace(PathSpan{}, p)
+	sp := a.Store(p)
 	got := a.PathWith(99, sp)
 	want := p.Prepend(99, 1)
 	if !got.Equal(want) {
@@ -109,8 +109,8 @@ func TestPathWith(t *testing.T) {
 	}
 }
 
-// TestArenaPutRoundTrip exercises raw-path storage (Replace of the empty
-// span, as the detector stores a first route), including paths with
+// TestArenaPutRoundTrip exercises raw-path storage (Store, as the detector
+// stores a route on first sight), including paths with
 // intermediate prepends, whose bodies must be preserved verbatim while
 // the interned segment collapses them.
 func TestArenaPutRoundTrip(t *testing.T) {
@@ -124,7 +124,7 @@ func TestArenaPutRoundTrip(t *testing.T) {
 	}
 	spans := make([]PathSpan, len(cases))
 	for i, p := range cases {
-		spans[i], _ = a.Replace(PathSpan{}, p)
+		spans[i] = a.Store(p)
 	}
 	for i, p := range cases {
 		if got := a.Path(spans[i]); !got.Equal(p) {
@@ -141,35 +141,38 @@ func TestArenaPutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArenaReplace covers the three Replace paths (equal body, shrink in
-// place, grow by append) and the dead-element accounting.
-func TestArenaReplace(t *testing.T) {
+// TestArenaStore covers the store-once contract: Span describes a path
+// without storing anything, Store appends the body at the arena's end with
+// the same description, a prepend-count-only change is a new body of its
+// own, and no store moves a body stored earlier.
+func TestArenaStore(t *testing.T) {
 	a := NewPathArena()
-	other, _ := a.Replace(PathSpan{}, bgp.Path{5, 6, 9})
-	old, _ := a.Replace(PathSpan{}, bgp.Path{1, 2, 3, 7})
-
-	// Equal body, different prepend: slot reused, nothing freed.
-	sp, freed := a.Replace(old, bgp.Path{1, 2, 3, 7, 7})
-	if freed != 0 || sp.Off != old.Off || sp.Prep != 2 {
-		t.Fatalf("equal-body replace: span %+v freed %d", sp, freed)
+	other := a.Store(bgp.Path{5, 6, 9})
+	p := bgp.Path{1, 2, 2, 3, 7, 7}
+	size := a.Size()
+	desc := a.Span(p)
+	if a.Size() != size || desc.Len != 4 || desc.Prep != 2 || desc.Origin != 7 {
+		t.Fatalf("Span %+v, arena %d -> %d elements", desc, size, a.Size())
 	}
-	// Shrink: overwrites in place, frees the tail.
-	sp2, freed := a.Replace(sp, bgp.Path{9, 7})
-	if freed != 2 || sp2.Off != old.Off || sp2.Len != 1 {
-		t.Fatalf("shrink replace: span %+v freed %d", sp2, freed)
+	sp := a.Store(p)
+	if sp.Off != int32(size) || a.Size() != size+4 {
+		t.Fatalf("Store %+v did not append at %d (arena now %d)", sp, size, a.Size())
 	}
-	// Grow: appends, abandoning the old slot entirely.
-	grown := bgp.Path{1, 2, 3, 4, 5, 7}
-	sp3, freed := a.Replace(sp2, grown)
-	if freed != int(sp2.Len) || sp3.Off == sp2.Off {
-		t.Fatalf("grow replace: span %+v freed %d", sp3, freed)
+	if desc.Off = sp.Off; desc != sp {
+		t.Fatalf("Span %+v and Store %+v describe p differently", desc, sp)
 	}
-	if got := a.Path(sp3); !got.Equal(grown) {
-		t.Fatalf("grow replace decodes to %v", got)
+	// Equal body, different prepend: the same segment, a body of its own.
+	sp2 := a.Store(bgp.Path{1, 2, 2, 3, 7})
+	if sp2.Off == sp.Off || sp2.Seg != sp.Seg || sp2.Prep != 1 {
+		t.Fatalf("prepend-only store: %+v after %+v", sp2, sp)
 	}
-	// The untouched span survives every replacement.
-	if got := a.Path(other); !got.Equal(bgp.Path{5, 6, 9}) {
-		t.Fatalf("unrelated span corrupted: %v", got)
+	for _, c := range []struct {
+		sp   PathSpan
+		want bgp.Path
+	}{{other, bgp.Path{5, 6, 9}}, {sp, p}, {sp2, bgp.Path{1, 2, 2, 3, 7}}} {
+		if got := a.Path(c.sp); !got.Equal(c.want) {
+			t.Fatalf("span %+v decodes to %v, want %v", c.sp, got, c.want)
+		}
 	}
 }
 
@@ -182,7 +185,7 @@ func TestArenaCompact(t *testing.T) {
 	}
 	spans := make([]PathSpan, len(paths))
 	for i, p := range paths {
-		spans[i], _ = a.Replace(PathSpan{}, p)
+		spans[i] = a.Store(p)
 	}
 	// Kill spans 0 and 2; compact the survivors.
 	live := []*PathSpan{&spans[1], &spans[3]}

@@ -8,13 +8,13 @@ import (
 
 // TestServeSoakMemoryPlateau is the PR 9/10 retention gate on the
 // serving path: replaying the churn corpus for many rounds, the
-// detection state (MemoryBytes: arenas + span tables + witness scratch)
-// and the queue-occupancy watermark must plateau after warmup. The
-// detector's table is keyed by (prefix, monitor) and every round
-// revisits the same key set, so steady state means arena compaction is
-// keeping pace with path churn; monotonic growth here is a leak. Budget
-// is wall-clock bounded (~600ms default; ASPP_SOAK=5s etc. extends) and
-// the test runs under -race in CI.
+// detection state (MemoryBytes: arenas + route tables + id rows) and the
+// queue-occupancy watermark must plateau after warmup. The detector's
+// table is keyed by (prefix, monitor) and every round revisits the same
+// key set, so steady state means the route-table sweep plus arena
+// compaction is keeping pace with path churn; monotonic growth here is a
+// leak. Budget is wall-clock bounded (~600ms default; ASPP_SOAK=5s etc.
+// extends) and the test runs under -race in CI.
 func TestServeSoakMemoryPlateau(t *testing.T) {
 	budget := 600 * time.Millisecond
 	if s := os.Getenv("ASPP_SOAK"); s != "" {
