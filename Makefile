@@ -101,10 +101,12 @@ test:
 	$(GO) test ./...
 
 # The asppbench run is the one place several experiments read the shared
-# graph at once (DESIGN.md §6, "Run scheduler").
+# graph at once (DESIGN.md §6, "Run scheduler"); asppserve -replay reads the
+# alarm feed while the shard workers publish to it (DESIGN.md §5g).
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/defense/ ./internal/detect/ ./internal/measure/ ./internal/serve/
 	$(GO) test -race -run 'TestRunAll|TestRunConcurrent' ./cmd/asppbench/
+	$(GO) test -race -run 'TestRunReplay' ./cmd/asppserve/
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/

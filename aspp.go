@@ -26,6 +26,7 @@ package aspp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -289,6 +290,22 @@ func ParseMonitors(spec string, g *Graph) ([]ASN, error) {
 		mons = append(mons, asn)
 	}
 	return mons, nil
+}
+
+// ChurnCorpus is the update stream asppserve -selftest and asppload replay:
+// events failure/restore cycles of g's default origins, planned from
+// seed+1, as the monitors see them. Both build it here so that, given the
+// same flags, they speak of the same prefixes. c may be nil.
+func ChurnCorpus(g *Graph, monitors []ASN, events int, seed int64, c *Counters) ([]Update, error) {
+	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
+	if err != nil {
+		return nil, err
+	}
+	evs := collector.PlanChurn(origins, events, seed+1)
+	if len(evs) == 0 {
+		return nil, errors.New("no churn events planned (topology too small?)")
+	}
+	return collector.ChurnStream(g, origins, evs, monitors, 0, c)
 }
 
 // WriteTopology writes the topology in serial-2 format.

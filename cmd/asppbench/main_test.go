@@ -109,12 +109,12 @@ func TestRunCommaList(t *testing.T) {
 func TestRunExtensionExperiments(t *testing.T) {
 	tests := []struct {
 		exp  string
-		want string
+		want []string
 	}{
-		{exp: "compare", want: "aspp-interception"},
-		{exp: "defense", want: "greedy"},
-		{exp: "inference", want: "classified_links"},
-		{exp: "mitigation", want: "deploy_frac"},
+		{exp: "compare", want: []string{"aspp-interception"}},
+		{exp: "defense", want: []string{"top-degree", "random", "victim-cone", "greedy"}},
+		{exp: "inference", want: []string{"classified_links"}},
+		{exp: "mitigation", want: []string{"deploy_frac"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.exp, func(t *testing.T) {
@@ -122,8 +122,10 @@ func TestRunExtensionExperiments(t *testing.T) {
 			if err := run(context.Background(), []string{"-exp", tt.exp, "-n", "400"}, &sb); err != nil {
 				t.Fatalf("run(%s): %v", tt.exp, err)
 			}
-			if !strings.Contains(sb.String(), tt.want) {
-				t.Errorf("output missing %q:\n%s", tt.want, sb.String())
+			for _, want := range tt.want {
+				if !strings.Contains(sb.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, sb.String())
+				}
 			}
 		})
 	}
@@ -279,6 +281,42 @@ func TestRunDefenseCounters(t *testing.T) {
 	}
 	if delta <= 0 {
 		t.Errorf("defense reports no attack legs: %s", line)
+	}
+}
+
+// TestRunDefenseStrategies: defense prints one row per placement strategy,
+// each with a detection percentage in [0, 100].
+func TestRunDefenseStrategies(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-exp", "defense", "-n", "500"}, &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	body := sections(sb.String())["defense"]
+	if !strings.HasPrefix(body, "strategy\tpct_detected\n") {
+		t.Fatalf("defense header missing:\n%s", body)
+	}
+	rows := make(map[string]float64)
+	for _, line := range strings.Split(body, "\n")[1:] {
+		name, pct, ok := strings.Cut(line, "\t")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscanf(pct, "%g", &v); err != nil || v < 0 || v > 100 {
+			t.Errorf("row %q: bad percentage", line)
+		}
+		if _, dup := rows[name]; dup {
+			t.Errorf("strategy %q printed twice", name)
+		}
+		rows[name] = v
+	}
+	for _, want := range []string{"top-degree", "random", "victim-cone", "greedy"} {
+		if _, ok := rows[want]; !ok {
+			t.Errorf("defense output missing strategy %q:\n%s", want, body)
+		}
+	}
+	if len(rows) != 4 {
+		t.Errorf("got %d strategy rows, want 4:\n%s", len(rows), body)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"aspp"
 	"aspp/internal/bgp"
-	"aspp/internal/collector"
 )
 
 func main() {
@@ -70,15 +69,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
-	if err != nil {
-		return err
-	}
-	evs := collector.PlanChurn(origins, *events, *seed+1)
-	if len(evs) == 0 {
-		return errors.New("no churn events planned (topology too small?)")
-	}
-	corpus, err := collector.ChurnStream(g, origins, evs, monitors, 0, nil)
+	corpus, err := aspp.ChurnCorpus(g, monitors, *events, *seed, nil)
 	if err != nil {
 		return err
 	}

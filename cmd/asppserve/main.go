@@ -7,14 +7,17 @@
 //
 //	asppserve -listen :4790 -http :8080 -monitors top40
 //	asppserve -selftest -updates 500000
+//	asppserve -replay feed.log -n 4000 -monitors top100
 //
 // The daemon derives its monitor set and relationship data from a
-// generated topology (the same synthetic Internet the rest of the tool
-// chain uses), so a paired cmd/asppload run against the same -n/-seed
-// speaks the same monitor and prefix universe.
+// topology: a serial-2 file (-topo) or, by default, a generated one (the
+// same synthetic Internet the rest of the tool chain uses), so a paired
+// cmd/asppload run against the same -n/-seed speaks the same monitor and
+// prefix universe.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -25,15 +28,20 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
 	"aspp"
 	"aspp/internal/bgp"
-	"aspp/internal/collector"
+	"aspp/internal/detect"
 	"aspp/internal/obs"
 	"aspp/internal/serve"
 )
+
+// alarmFeed is the capacity of the pipeline's recent-alarm feed, which
+// -replay reads each chunk's alarms back from.
+const alarmFeed = 1024
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -53,6 +61,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		n        = fs.Int("n", 2000, "topology size backing the monitor set and relationships")
 		seed     = fs.Int64("seed", 1, "topology seed")
+		topo     = fs.String("topo", "", "serial-2 relationship file (overrides -n)")
 		monSpec  = fs.String("monitors", "top40", "monitor set: topK (by degree) or comma-separated ASNs")
 		shards   = fs.Int("shards", 0, "detector shards (0 = GOMAXPROCS)")
 		depth    = fs.Int("depth", 4096, "per-shard ring depth in updates")
@@ -62,6 +71,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		unixSock = fs.String("unix", "", "unix socket ingest path")
 		httpAddr = fs.String("http", "", "HTTP address for /metrics, /alarms, /healthz")
 		selftest = fs.Bool("selftest", false, "replay the churn simulator through the pipeline and report throughput")
+		replay   = fs.String("replay", "", "push a recorded text update stream ('-' for stdin) through the pipeline once, print its alarms and incidents, and exit")
 		updates  = fs.Int64("updates", 200_000, "updates to replay in -selftest")
 		events   = fs.Int("events", 60, "churn events behind the -selftest corpus")
 		counters = fs.Bool("counters", false, "print telemetry counters on exit")
@@ -75,7 +85,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	internet, err := aspp.NewInternet(aspp.WithSize(*n), aspp.WithSeed(*seed))
+	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
 	if err != nil {
 		return err
 	}
@@ -87,7 +97,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	obsCounters := &obs.Counters{}
 	p, err := serve.NewPipeline(serve.Config{
 		Shards: *shards, Depth: *depth, Batch: *batch, Policy: pol,
-		Monitors: monitors, Rels: g, Counters: obsCounters,
+		Monitors: monitors, Rels: g, Counters: obsCounters, AlarmLog: alarmFeed,
 	})
 	if err != nil {
 		return err
@@ -102,10 +112,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	if *selftest {
-		return runSelftest(p, internet, monitors, *updates, *events, *seed, obsCounters, out)
+		return runSelftest(p, g, monitors, *updates, *events, *seed, obsCounters, out)
+	}
+	if *replay != "" {
+		return runReplay(p, *replay, len(monitors), out)
 	}
 	if *listen == "" && *unixSock == "" {
-		return errors.New("need -listen, -unix or -selftest (see -h)")
+		return errors.New("need -listen, -unix, -selftest or -replay (see -h)")
 	}
 
 	fmt.Fprintf(out, "asppserve: %d shards × depth %d, batch %d, policy %s, %d monitors (GOMAXPROCS %d)\n",
@@ -171,17 +184,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // runSelftest replays the churn simulator's update corpus through the
 // pipeline at full speed and reports sustained throughput and latency —
 // the same load path make serve-smoke and the benchmarks use.
-func runSelftest(p *serve.Pipeline, internet *aspp.Internet, monitors []bgp.ASN, total int64, events int, seed int64, counters *obs.Counters, out io.Writer) error {
-	g := internet.Graph()
-	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
-	if err != nil {
-		return err
-	}
-	evs := collector.PlanChurn(origins, events, seed+1)
-	if len(evs) == 0 {
-		return errors.New("no churn events planned (topology too small?)")
-	}
-	corpus, err := collector.ChurnStream(g, origins, evs, monitors, 0, counters)
+func runSelftest(p *serve.Pipeline, g *aspp.Graph, monitors []bgp.ASN, total int64, events int, seed int64, counters *obs.Counters, out io.Writer) error {
+	corpus, err := aspp.ChurnCorpus(g, monitors, events, seed, counters)
 	if err != nil {
 		return err
 	}
@@ -197,6 +201,62 @@ func runSelftest(p *serve.Pipeline, internet *aspp.Internet, monitors []bgp.ASN,
 		time.Duration(rep.P50Ns), time.Duration(rep.P99Ns), rep.Alarms, rep.Dropped)
 	if rep.Dropped > 0 {
 		return fmt.Errorf("selftest dropped %d updates", rep.Dropped)
+	}
+	return nil
+}
+
+// runReplay pushes a recorded text stream through the pipeline, each
+// update once, and prints what the shards raised. Every chunk drains
+// before the next is pushed and is small enough that its alarms fit the
+// feed: an update raises at most one alarm per witness, m−1 of them for m
+// monitors. Within a chunk alarms print in (prefix, Seq) order, and a
+// prefix lives on one shard, so the output is the same at any -shards.
+func runReplay(p *serve.Pipeline, path string, nMon int, out io.Writer) error {
+	r := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
+	}
+	ups, err := bgp.ReadUpdatesText(r)
+	if err != nil {
+		return fmt.Errorf("replay %s: %w", path, err)
+	}
+	chunk := len(ups)
+	if nMon > 1 {
+		chunk = max(1, alarmFeed/(nMon-1))
+	}
+	tr := serve.NewIncidentTracker()
+	var alarms, high, dropped int64
+	for lo := 0; lo < len(ups); lo += chunk {
+		part := ups[lo:min(lo+chunk, len(ups))]
+		rep, err := p.RunLoad(part, int64(len(part)))
+		if err != nil {
+			return err
+		}
+		dropped += rep.Dropped
+		evs := p.Alarms(int(rep.Alarms))
+		slices.SortFunc(evs, func(a, b serve.AlarmEvent) int {
+			return cmp.Or(serve.ComparePrefixes(a.Prefix, b.Prefix), cmp.Compare(a.Seq, b.Seq))
+		})
+		for _, ev := range evs {
+			fmt.Fprintf(out, "%v %v\n", ev.Prefix, ev.Alarm)
+			tr.Track(ev)
+			if ev.Alarm.Confidence == detect.High {
+				high++
+			}
+		}
+		alarms += int64(len(evs))
+	}
+	fmt.Fprintf(out, "%d updates, %d alarms (%d high), %d dropped\n", len(ups), alarms, high, dropped)
+	for _, inc := range tr.Open() {
+		fmt.Fprintln(out, inc)
+	}
+	if dropped > 0 {
+		return fmt.Errorf("replay dropped %d updates", dropped)
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		keep     = fs.Int("keep", 1, "origin copies the attacker leaves")
 		violate  = fs.Bool("violate", false, "attacker ignores valley-free export rules")
 		show     = fs.Int("show", 5, "example captured ASes to print")
-		updOut   = fs.String("updates-out", "", "write the monitors' update stream (steady state + attack) to this file, consumable by asppdetect -updates")
+		updOut   = fs.String("updates-out", "", "write the monitors' update stream (steady state + attack) to this file; replay it with asppserve -replay and the same -n/-seed (or -topo) and -monitors topK")
 		nMon     = fs.Int("monitors", 100, "top-degree monitor count for -updates-out")
 		counters = fs.Bool("counters", false, "report propagation telemetry for the simulation")
 	)

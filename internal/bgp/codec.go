@@ -56,7 +56,9 @@ func ParseUpdateText(line string) (Update, error) {
 	if err != nil {
 		return Update{}, fmt.Errorf("%w: prefix: %v", ErrBadRecord, err)
 	}
-	u.Prefix = pfx
+	// Host bits go, as in StreamDecoder: one update keys the same detector
+	// row and shard whichever codec carried it.
+	u.Prefix = pfx.Masked()
 	if u.Type == Announce {
 		if len(fields) != 5 {
 			return Update{}, fmt.Errorf("%w: announce wants 5 fields", ErrBadRecord)

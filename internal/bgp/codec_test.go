@@ -140,6 +140,34 @@ func TestParseUpdateTextErrors(t *testing.T) {
 	}
 }
 
+// TestParseUpdateTextMasksHostBits: the text codec keys an update by the
+// prefix the binary codec decodes, so a stream shards and stores alike
+// whichever codec carried it.
+func TestParseUpdateTextMasksHostBits(t *testing.T) {
+	for line, want := range map[string]string{
+		"A|1|AS5|10.0.0.1/8|5 1":     "10.0.0.0/8",
+		"W|2|AS5|192.168.77.9/20":    "192.168.64.0/20",
+		"A|3|AS5|2001:db8::1/32|5 1": "2001:db8::/32",
+	} {
+		u, err := ParseUpdateText(line)
+		if err != nil {
+			t.Fatalf("ParseUpdateText(%q): %v", line, err)
+		}
+		if u.Prefix.String() != want {
+			t.Errorf("ParseUpdateText(%q).Prefix = %v, want %s", line, u.Prefix, want)
+		}
+		frame, err := AppendUpdateBinary(nil, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := decodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertUpdateEqual(t, "text→binary", u, dec)
+	}
+}
+
 func TestRouteString(t *testing.T) {
 	r := Route{
 		Prefix: netip.MustParsePrefix("69.171.224.0/20"),

@@ -24,6 +24,7 @@ func FuzzPathCodec(f *testing.F) {
 	f.Add([]byte("A|0|AS1|::/0|1"))
 	f.Add([]byte("7018 3356 32934 32934"))
 	f.Add([]byte("A|x|AS1|10.0.0.0/8|1"))
+	f.Add([]byte("A|1|AS5|10.0.0.1/8|5 1")) // host bits set
 	f.Add([]byte{})
 	// A valid binary announce record, built by the same encoder under test.
 	bin, err := AppendUpdateBinary(nil, Update{
@@ -60,6 +61,16 @@ func FuzzPathCodec(f *testing.F) {
 				t.Fatalf("re-parse of accepted text update failed: %v\nline: %q", err, u.String())
 			}
 			assertUpdateEqual(t, "text", u, u2)
+			// ... and the binary codec carries it unchanged.
+			if frame, err := AppendUpdateBinary(nil, u); err == nil {
+				u3, err := decodeFrame(frame)
+				if err != nil {
+					t.Fatalf("binary decode of accepted text update failed: %v\nline: %q", err, u.String())
+				}
+				assertUpdateEqual(t, "text→binary", u, u3)
+			} else if !errors.Is(err, ErrFrameTooLarge) {
+				t.Fatalf("binary encode of accepted text update failed: %v\nline: %q", err, u.String())
+			}
 		}
 
 		// Bare path parser: accepted paths re-render and re-parse identically,

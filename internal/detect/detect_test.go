@@ -6,8 +6,36 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
+
+// DetectChange runs the paper's detection algorithm for one route change
+// observed at a monitor: prev is the monitor's previous best path for the
+// prefix, cur the new one, and witnesses the current routes of the other
+// vantage points. rels may be nil, in which case the relationship-based
+// hint rules are skipped and only segment conflicts are reported.
+//
+// It is the path-slice shim the table tests and FuzzDetect drive: the paths
+// go into a throwaway arena as one row (the monitor first, then each
+// witness) and detectRow decides.
+func DetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute, rels RelQuerier) []Alarm {
+	a := routing.NewPathArena()
+	store := func(p bgp.Path) routing.PathSpan {
+		if len(p) == 0 {
+			return routing.PathSpan{Seg: -1}
+		}
+		return a.Store(p)
+	}
+	mons := make([]bgp.ASN, 1, 1+len(witnesses))
+	spans := make([]routing.PathSpan, 1, 1+len(witnesses))
+	row := make([]int32, 1+len(witnesses))
+	mons[0], spans[0] = monitor, store(cur)
+	for k, w := range witnesses {
+		mons, spans, row[k+1] = append(mons, w.Monitor), append(spans, store(w.Path)), int32(k+1)
+	}
+	return detectRow(a, mons, row, spans, 0, store(prev), rels, nil)
+}
 
 func mustPath(t *testing.T, s string) bgp.Path {
 	t.Helper()

@@ -4,7 +4,7 @@ import "net/netip"
 
 // PrefixShard maps a prefix to one of n shards, the unit the serve
 // pipeline scales across cores. Detection is a per-prefix computation —
-// every witness DetectChange consults holds a route for the SAME prefix —
+// every witness the Fig. 4 rule consults holds a route for the SAME prefix —
 // so a Detector per shard leaves each shard's verdicts identical to an
 // unsharded detector's (the sharded-vs-serial differential pins this).
 // The hash is FNV-1a over the canonical 16-byte address plus the prefix
