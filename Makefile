@@ -115,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSerial2 -fuzztime=10s ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzForgedAttack -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzSiblingPropagate -fuzztime=10s ./internal/routing/
+	$(GO) test -run='^$$' -fuzz=FuzzCautious -fuzztime=10s ./internal/routing/
 
 # Serving-path smoke (DESIGN §5g): a short self-test replay through the
 # sharded pipeline at the default ring depth must lose nothing under the
@@ -147,7 +148,7 @@ bench:
 # victim and shard. The vantage test holds what the survey's monitors read
 # off a restricted propagation to a whole-graph one, and the digest test
 # holds fig5 and fig6 on internet80k to the bytes the whole-graph survey
-# printed.
+# printed, and mitigation to the bytes the reference engine printed.
 scale-smoke:
 	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork|TestScale80kConeCountsMatchFullKernel|TestScale80kLambdaSweepPropagatesVictimOnce|TestScale80kVantageRowsMatchFullKernel' -count=1 .
 	ASPP_SCALE=1 $(GO) test -run=TestScale80kSurveyDigest -count=1 ./cmd/asppbench/

@@ -67,6 +67,27 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
+// TestGoldenArchive holds `asppbench -exp all -n 4000 -seed 1`, the run
+// EXPERIMENTS.md quotes, to its archive in docs/ byte for byte, so the
+// archive cannot go stale again; -update rewrites it.
+func TestGoldenArchive(t *testing.T) {
+	got := goldenRun(t, "-exp", "all", "-n", "4000", "-seed", "1")
+	path := filepath.Join("..", "..", "docs", "results-n4000-seed1.txt")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-exp all -n 4000 -seed 1 differs from %s (re-pin with -update if intended, then update EXPERIMENTS.md)", path)
+	}
+}
+
 // There is no -engine flag to hold to these files any more: core picks
 // the engine (ASPP legs run delta, forged claims the full kernel, sibling
 // graphs the reference engine). The property TestGoldenEngineAgreement

@@ -11,16 +11,16 @@ import (
 	"aspp/internal/topology"
 )
 
-// survey80kSHA256 is the sha256 of `asppbench -exp fig5,fig6 -topo
-// <internet80k serial-2>` at cec9da6, where the survey propagated every
-// origin over the whole graph (68 s); EXPERIMENTS.md, "Tables at vantage
-// points".
-const survey80kSHA256 = "9a29bcd27d92c2d9d7d8d7f767f82c7c5cda31c6dd68da7a0a5dc0c5e67f6f30"
-
-// TestScale80kSurveyDigest runs the usage survey on internet80k — 70k
-// origins, each propagated over its monitors' provider cone — and holds the
-// output to the bytes the whole-graph survey printed. Gated behind
-// ASPP_SCALE=1 (make scale-smoke).
+// TestScale80kSurveyDigest runs experiments on internet80k and holds each
+// output to the bytes an older, slower code path printed:
+//   - fig5,fig6, the usage survey — 70k origins, each propagated over its
+//     monitors' provider cone — to the whole-graph survey at cec9da6 (68 s;
+//     EXPERIMENTS.md, "Tables at vantage points");
+//   - mitigation, cautious adoption on the full kernel, to the message-level
+//     reference engine's quarantine mode at fd7ec03 (4.1 s; EXPERIMENTS.md,
+//     "Cautious adoption on the full kernel").
+//
+// Gated behind ASPP_SCALE=1 (make scale-smoke).
 func TestScale80kSurveyDigest(t *testing.T) {
 	if os.Getenv("ASPP_SCALE") == "" {
 		t.Skip("80k scale run gated behind ASPP_SCALE=1 (make scale-smoke)")
@@ -44,8 +44,15 @@ func TestScale80kSurveyDigest(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := goldenRun(t, "-exp", "fig5,fig6", "-topo", path)
-	if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != survey80kSHA256 {
-		t.Errorf("fig5,fig6 on internet80k: sha256 %s, the whole-graph survey printed %s", got, survey80kSHA256)
+	for _, tc := range []struct{ exp, sha256 string }{
+		{"fig5,fig6", "9a29bcd27d92c2d9d7d8d7f767f82c7c5cda31c6dd68da7a0a5dc0c5e67f6f30"},
+		{"mitigation", "3622bb6f498457c7f4655341e2eefd0b5c456ebe8b29b15bc572eb4eb1a4a171"},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			out := goldenRun(t, "-exp", tc.exp, "-topo", path)
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != tc.sha256 {
+				t.Errorf("-exp %s on internet80k: sha256 %s, want %s", tc.exp, got, tc.sha256)
+			}
+		})
 	}
 }

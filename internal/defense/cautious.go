@@ -55,15 +55,11 @@ func (p DeployPolicy) String() string {
 // adoption spreads across the Internet, for deployment fractions fracs.
 // Deployers' historical prepend counts come from the honest baseline.
 // Returns core.ErrAttackerSeesNoRoute when the attacker never hears the
-// victim's route. The sweep runs on the message-level reference engine:
-// quarantine ranks above the policy class, which the three-phase kernels
-// cannot express.
+// victim's route. Every fraction runs on the full kernel
+// (routing.PropagateCautious), on one Scratch.
 func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64, policy DeployPolicy, seed int64) ([]CautiousOutcome, error) {
 	if len(fracs) == 0 {
 		return nil, errors.New("defense: no deployment fractions")
-	}
-	if g.HasSiblings() {
-		return nil, errors.New("defense: cautious sweep does not support sibling graphs")
 	}
 	ann, atk := sc.Announcement(), sc.AttackerConfig()
 	baseline, err := routing.Propagate(g, ann)
@@ -96,19 +92,23 @@ func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64,
 	sorted := append([]float64(nil), fracs...)
 	sort.Float64s(sorted)
 	out := make([]CautiousOutcome, 0, len(sorted))
+	// Each fraction deploys a prefix of order, so the thresholds grow in
+	// place: a deployer's is the origin-prepend count of its honest route.
+	quar := make([]int16, g.NumASes())
+	s := routing.NewScratch()
+	deployed, deployers := 0, 0
 	for _, f := range sorted {
 		if f < 0 || f > 1 {
 			return nil, fmt.Errorf("defense: deployment fraction %v out of range", f)
 		}
-		n := int(f * float64(len(order)))
-		minPrep := make(map[bgp.ASN]int, n)
-		for _, asn := range order[:n] {
-			idx, _ := g.Index(asn)
+		for n := int(f * float64(len(order))); deployed < n; deployed++ {
+			idx, _ := g.Index(order[deployed])
 			if baseline.ReachableIdx(idx) && idx != baseline.OriginIdx() {
-				minPrep[asn] = int(baseline.Prep[idx])
+				quar[idx] = baseline.Prep[idx]
+				deployers++
 			}
 		}
-		res, err := routing.PropagateReferenceCautious(g, ann, &atk, minPrep)
+		res, err := routing.PropagateCautious(g, ann, atk, baseline, quar, s)
 		if err != nil {
 			return nil, fmt.Errorf("defense: deployment %.2f: %w", f, err)
 		}
@@ -123,7 +123,7 @@ func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64,
 		}
 		out = append(out, CautiousOutcome{
 			DeployFrac: f,
-			Deployers:  len(minPrep),
+			Deployers:  deployers,
 			Pollution:  float64(polluted) / float64(eligible),
 		})
 	}

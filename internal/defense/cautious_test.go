@@ -7,6 +7,7 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/routing"
+	"aspp/internal/topology"
 )
 
 func TestCautiousAdoptionSweepMonotone(t *testing.T) {
@@ -48,6 +49,48 @@ func TestCautiousAdoptionSweepMonotone(t *testing.T) {
 			t.Errorf("%v: deployment gained nothing: %.3f vs %.3f",
 				policy, out[0].Pollution, out[4].Pollution)
 		}
+	}
+}
+
+// TestCautiousSweepOnSiblingGraph: Fig. 11's shape — a stub attacker that
+// buys transit for the tier-1 victim's sibling — runs through the sweep like
+// any graph. Zero deployment is the plain attack, and full deployment
+// quarantines the stripped route the sibling link carries upward.
+func TestCautiousSweepOnSiblingGraph(t *testing.T) {
+	g := defGraph(t, 600, 71)
+	victim := g.Tier1s()[0]
+	var attacker bgp.ASN
+	for _, asn := range g.ASNs() {
+		if g.IsStub(asn) && len(g.Providers(asn)) > 0 {
+			attacker = asn
+			break
+		}
+	}
+	b := topology.Rebuild(g)
+	if err := b.AddS2S(victim, 65000); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddP2C(attacker, 65000); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.Scenario{Victim: victim, Attacker: attacker, Prepend: 4}
+	plain, err := core.Simulate(g, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := CautiousAdoptionSweep(g, sc, []float64{0, 1}, DeployTopDegree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Pollution != plain.After() {
+		t.Errorf("zero deployment polluted %.4f, the plain attack %.4f", out[0].Pollution, plain.After())
+	}
+	if plain.After() <= plain.Before() || out[1].Pollution > plain.Before()+0.02 {
+		t.Errorf("full deployment polluted %.4f; plain attack %.4f, natural transit %.4f", out[1].Pollution, plain.After(), plain.Before())
 	}
 }
 

@@ -1,0 +1,318 @@
+package routing
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"aspp/internal/bgp"
+	"aspp/internal/topology"
+)
+
+// This file holds cautious adoption (PropagateCautious) to a stability
+// checker rather than to a second engine: a deployer ranks a normal route
+// above every quarantined one, so a scenario may have two stable states,
+// and the kernel must land on one of them.
+
+// checkStable asserts that res is a stable state: every AS other than the
+// origin holds the best of its neighbors' current exports, rebuilt as
+// explicit paths from res's parent chains. An export follows the
+// valley-free rule (a peer or provider route goes to customers only, except
+// from a violating attacker), a sibling export keeps its class (an
+// announcer's sibling hears a customer route), the attacker strips its
+// origin prepends down to KeepPrepend, and a path naming the receiver is
+// loop-rejected. Offers rank as cautious adoption ranks them: a normal route
+// beats a quarantined one (fewer origin copies than thr[i]; thr nil means
+// nobody deploys), then class, then length, then the lowest next-hop ASN.
+// The attacker is checked too: every route through it names it, so it
+// holds the best of the others — its pre-attack route, unless cautious
+// deployers changed what it hears. atk nil is a no-attacker propagation.
+func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement, atk *Attacker, thr []int16) {
+	tb.Helper()
+	n := int32(g.NumASes())
+	origin := res.OriginIdx()
+	atkIdx, keep, violate := int32(-1), 0, false
+	if atk != nil {
+		atkIdx, _ = g.Index(atk.AS)
+		keep, violate = int(atk.keep()), atk.ViolateValleyFree
+	}
+	paths := make([]bgp.Path, n)
+	for i := int32(0); i < n; i++ {
+		if i == origin || res.Class[i] == ClassNone {
+			continue
+		}
+		var p bgp.Path
+		for j, hops := res.Parent[i], int32(0); j != origin; j, hops = res.Parent[j], hops+1 {
+			if j < 0 || hops == n {
+				tb.Errorf("AS %v: parent chain does not reach the origin", g.ASNAt(i))
+				return
+			}
+			p = append(p, g.ASNAt(j))
+		}
+		paths[i] = append(p, bgp.Path(nil).Prepend(ann.Origin, int(res.Prep[i]))...)
+	}
+	// export is what j announces to i, or nil; up is a session to j's peer
+	// or provider.
+	export := func(j, i int32, up bool) bgp.Path {
+		switch {
+		case j == origin:
+			if ann.Withhold[g.ASNAt(i)] {
+				return nil
+			}
+			return bgp.Path(nil).Prepend(ann.Origin, ann.lambdaFor(g.ASNAt(i)))
+		case res.Class[j] == ClassNone, up && res.Class[j] != ClassCustomer && !(j == atkIdx && violate):
+			return nil
+		case j == atkIdx:
+			return paths[j].StripOriginPrepend(keep).Prepend(g.ASNAt(j), 1)
+		}
+		return paths[j].Prepend(g.ASNAt(j), 1)
+	}
+	for i := int32(0); i < n; i++ {
+		if i == origin {
+			continue
+		}
+		asn := g.ASNAt(i)
+		var best bgp.Path
+		var bestCls Class
+		bestFrom, bestQuar := int32(-1), false
+		offer := func(j int32, cls Class, up bool) {
+			p := export(j, i, up)
+			if p == nil || p.Contains(asn) {
+				return
+			}
+			quar := thr != nil && p.OriginPrepend() < int(thr[i])
+			switch {
+			case bestFrom >= 0 && quar != bestQuar:
+				if quar {
+					return
+				}
+			case bestFrom >= 0 && cls != bestCls:
+				if cls > bestCls {
+					return
+				}
+			case bestFrom >= 0 && len(p) != len(best):
+				if len(p) > len(best) {
+					return
+				}
+			case bestFrom >= 0 && g.ASNAt(j) > g.ASNAt(bestFrom):
+				return
+			}
+			best, bestCls, bestFrom, bestQuar = p, cls, j, quar
+		}
+		for _, j := range g.ProvidersIdx(i) {
+			offer(j, ClassProvider, false)
+		}
+		for _, j := range g.PeersIdx(i) {
+			offer(j, ClassPeer, true)
+		}
+		for _, j := range g.CustomersIdx(i) {
+			offer(j, ClassCustomer, true)
+		}
+		for _, j := range g.SiblingsIdx(i) {
+			cls := res.Class[j]
+			if j == origin {
+				cls = ClassCustomer
+			}
+			offer(j, cls, false)
+		}
+		if bestFrom < 0 {
+			if res.Class[i] != ClassNone {
+				tb.Errorf("AS %v holds %v %v, but no neighbor offers a route", asn, res.Class[i], paths[i])
+			}
+			continue
+		}
+		if res.Class[i] != bestCls || res.Parent[i] != bestFrom || res.Len[i] != int32(len(best)) ||
+			res.Prep[i] != int16(best.OriginPrepend()) || !paths[i].Equal(best) {
+			tb.Errorf("AS %v holds %v %v (Len %d, Prep %d), its best offer is %v %v from %v",
+				asn, res.Class[i], paths[i], res.Len[i], res.Prep[i], bestCls, best, g.ASNAt(bestFrom))
+			continue
+		}
+		if atk != nil && res.Via != nil && res.Via[i] != best.Contains(atk.AS) {
+			tb.Errorf("AS %v: Via %v on path %v", asn, res.Via[i], best)
+		}
+	}
+}
+
+// cautiousThresholds deploys cautious adoption at the given ASes, each with
+// the origin-prepend count of its honest route as its threshold (0 for an AS
+// without one), the way defense.CautiousAdoptionSweep sets them.
+func cautiousThresholds(g *topology.Graph, base *Result, deployers []bgp.ASN) []int16 {
+	thr := make([]int16, g.NumASes())
+	for _, asn := range deployers {
+		i, _ := g.Index(asn)
+		thr[i] = base.Prep[i]
+	}
+	return thr
+}
+
+// cautiousScenario draws a generated graph of 40–199 ASes (40 + size%160),
+// with grafted sibling links half of the time, and a scenario on it.
+func cautiousScenario(tb testing.TB, rng *rand.Rand, size int) (*topology.Graph, Announcement, Attacker) {
+	tb.Helper()
+	cfg := topology.DefaultGenConfig(40 + size%160)
+	cfg.Tier1 = 3 + rng.Intn(4)
+	cfg.Seed = rng.Int63()
+	g, err := topology.Generate(cfg)
+	if err != nil {
+		tb.Fatalf("Generate: %v", err)
+	}
+	if rng.Intn(2) == 0 {
+		return siblingScenarioOn(tb, g, rng)
+	}
+	ann, atk := scenarioOn(g, nil, rng)
+	return g, ann, atk
+}
+
+// checkCautiousScenario runs the cautious kernel on one scenario at four
+// deployment fractions of a random and of a top-degree rollout, following
+// and violating valley-free export, and holds every leg to checkStable. It
+// returns the number of legs: none when the attacker never hears the route.
+func checkCautiousScenario(tb testing.TB, g *topology.Graph, ann Announcement, atk Attacker, rng *rand.Rand, s *Scratch, label string) int {
+	tb.Helper()
+	base, err := PropagateScratch(g, ann, s)
+	if err != nil {
+		tb.Fatalf("%s: baseline: %v", label, err)
+	}
+	if !base.Reachable(atk.AS) {
+		return 0
+	}
+	random := g.ASNs()
+	rng.Shuffle(len(random), func(i, j int) { random[i], random[j] = random[j], random[i] })
+	legs := 0
+	for r, order := range [][]bgp.ASN{random, g.TopByDegree(g.NumASes())} {
+		for _, frac := range []float64{0.05, 0.25, 0.5, 1} {
+			thr := cautiousThresholds(g, base, order[:int(frac*float64(len(order)))])
+			for _, violate := range []bool{false, true} {
+				atk.ViolateValleyFree = violate
+				leg := fmt.Sprintf("%s rollout %d frac %.2f violate=%v", label, r, frac, violate)
+				res, err := PropagateCautious(g, ann, atk, base, thr, s)
+				if err != nil {
+					tb.Fatalf("%s: %v", leg, err)
+				}
+				checkStable(tb, g, res, ann, &atk, thr)
+				if tb.Failed() {
+					tb.Fatalf("%s: not a stable state", leg)
+				}
+				legs++
+			}
+		}
+	}
+	return legs
+}
+
+// TestCautiousStable: ≥5,000 cautious legs on generated graphs, half of
+// them with grafted sibling links, with per-neighbor λ, withheld sessions,
+// KeepPrepend 1..2 and both export modes, all on one reused Scratch; every
+// result must be a stable state of the cautious ranking.
+func TestCautiousStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	s := NewScratch()
+	legs := 0
+	const trials = 360
+	for trial := 0; trial < trials; trial++ {
+		g, ann, atk := cautiousScenario(t, rng, rng.Intn(160))
+		label := fmt.Sprintf("trial %d (n=%d V=%v M=%v λ=%d keep=%d)", trial, g.NumASes(), ann.Origin, atk.AS, ann.Prepend, atk.KeepPrepend)
+		legs += checkCautiousScenario(t, g, ann, atk, rng, s, label)
+	}
+	if legs < 5000 {
+		t.Fatalf("%d cautious legs in %d scenarios; want >= 5000", legs, trials)
+	}
+	t.Logf("%d scenarios, %d cautious legs, all stable", trials, legs)
+}
+
+// TestCautiousRanksNormalAboveClass: a deployer takes a provider route over
+// a quarantined customer route, and a quarantined route when it is the only
+// one; PropagateCautious leaves the caller's thresholds alone.
+//
+//	   P(4)
+//	  /    \
+//	X(3)    |     X: customer route via M, provider route via P
+//	  |     |
+//	M(2)    |     M strips V's three copies down to one
+//	   \   /
+//	   V(1)
+func TestCautiousRanksNormalAboveClass(t *testing.T) {
+	ann := Announcement{Origin: 1, Prepend: 3}
+	atk := Attacker{AS: 2}
+	s := NewScratch()
+	for _, tc := range []struct {
+		name string
+		p2c  [][2]bgp.ASN
+		want string // X's path
+	}{
+		{"provider route wins", [][2]bgp.ASN{{2, 1}, {3, 2}, {4, 3}, {4, 1}}, "4 1 1 1"},
+		{"quarantined route as last resort", [][2]bgp.ASN{{2, 1}, {3, 2}}, "2 1"},
+	} {
+		g := buildLinks(t, tc.p2c, nil)
+		base, err := PropagateScratch(g, ann, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		thr := cautiousThresholds(g, base, []bgp.ASN{3})
+		res, err := PropagateCautious(g, ann, atk, base, thr, s)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := res.PathOf(3).String(); got != tc.want {
+			t.Errorf("%s: X's path = %q, want %q", tc.name, got, tc.want)
+		}
+		if x := mustIdx(t, g, 3); thr[x] != 3 {
+			t.Errorf("%s: X's threshold became %d, want 3", tc.name, thr[x])
+		}
+		checkStable(t, g, res, ann, &atk, thr)
+	}
+	g := buildLinks(t, [][2]bgp.ASN{{2, 1}}, nil)
+	if _, err := PropagateCautious(g, ann, atk, nil, make([]int16, 1), s); err == nil {
+		t.Error("a threshold table of the wrong length was accepted")
+	}
+}
+
+// FuzzCautious: a fuzzed graph (sibling links half of the time), λ,
+// KeepPrepend, export mode, deployment fraction and rollout. With no
+// deployer the result must equal PropagateAttackScratch bit for bit; with
+// the drawn deployment it must be a stable state, or the kernel must say it
+// found none. The checked-in corpus (testdata/fuzz/FuzzCautious) holds a
+// sibling loop that counted to infinity and a lifted deployer that came to
+// hear a normal route. Wired into `make fuzz-smoke`.
+func FuzzCautious(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(3), uint8(0), false, uint8(64), true)
+	f.Add(int64(29), uint8(140), uint8(8), uint8(1), true, uint8(255), false)
+	f.Add(int64(-5), uint8(0), uint8(1), uint8(2), true, uint8(12), true)
+	f.Fuzz(func(t *testing.T, seed int64, size, lambda, keep uint8, violate bool, frac uint8, topDegree bool) {
+		rng := rand.New(rand.NewSource(seed))
+		g, ann, atk := cautiousScenario(t, rng, int(size))
+		ann.Prepend = 1 + int(lambda)%8
+		atk.KeepPrepend = 1 + int(keep)%3
+		atk.ViolateValleyFree = violate
+		s := NewScratch()
+		base, err := PropagateScratch(g, ann, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := PropagateAttackScratch(g, ann, atk, base, NewScratch())
+		zero, zerr := PropagateCautious(g, ann, atk, base, make([]int16, g.NumASes()), s)
+		if !errors.Is(zerr, err) {
+			t.Fatalf("no deployer: err = %v, PropagateAttackScratch says %v", zerr, err)
+		}
+		if err != nil {
+			return
+		}
+		if !rowsEqual(zero, want) {
+			compareResults(t, g, zero, want, "no deployer")
+		}
+		order := g.TopByDegree(g.NumASes())
+		if !topDegree {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		thr := cautiousThresholds(g, base, order[:int(frac)*len(order)/255])
+		res, err := PropagateCautious(g, ann, atk, base, thr, s)
+		if errors.Is(err, errCautiousUnsettled) || errors.Is(err, ErrSiblingsUnsettled) {
+			t.Skip(err) // a scenario may have no stable state at all
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStable(t, g, res, ann, &atk, thr)
+	})
+}

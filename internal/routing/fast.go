@@ -95,6 +95,11 @@ type fastState struct {
 	// will read — a Vantage's provider closure — and phase 3 emits only those
 	// (see downRows). Nil is every row; run clears it on a sibling graph.
 	rows []uint64
+
+	// quar, when non-nil, is each AS's quarantine threshold under cautious
+	// adoption: the AS refuses any offer carrying fewer origin copies (see
+	// PropagateCautious). Nil on every other call.
+	quar []int16
 }
 
 // sibOffer is what an AS advertises to one sibling: its selected route as
@@ -178,9 +183,10 @@ func (st *fastState) better(a, b cand) bool {
 // admissible applies the receiver-side checks of an offer to AS at: an
 // announcer (the origin, a forging attacker) never adopts a route for its
 // own prefix, and a via-marked route already contains every AS on the
-// attacker's own path (AS-path loop).
+// attacker's own path (AS-path loop); a cautious deployer refuses an offer
+// below its quarantine threshold.
 func (st *fastState) admissible(at int32, c cand) bool {
-	if at == st.origin || at == st.forger {
+	if at == st.origin || at == st.forger || (st.quar != nil && c.prep < st.quar[at]) {
 		return false
 	}
 	return !c.via || (at != st.atkIdx && !st.reject[at])
@@ -330,9 +336,12 @@ func (st *fastState) runSiblings(res *Result, via []bool) (*Result, error) {
 
 // siblingOffer is what u advertises to its sibling s given the selections
 // in res (nil: nobody has selected yet). An announcer's sibling hears the
-// prefix as a customer route and re-exports it everywhere. A route learned
-// from s itself names s in its path, so s would loop-reject it: nothing is
-// on offer.
+// prefix as a customer route and re-exports it everywhere. A route whose
+// parent chain runs through s names s in its path, so s would loop-reject
+// it: nothing is on offer. The walk is bounded, since between passes a chain
+// may still close on itself through an offer a pass has since withdrawn;
+// without it, such a loop would count to infinity once the route it grew
+// from is gone, which cautious adoption's filter can bring about.
 func (st *fastState) siblingOffer(u, s int32, res *Result, via []bool) sibOffer {
 	switch {
 	case u == st.origin:
@@ -343,8 +352,13 @@ func (st *fastState) siblingOffer(u, s int32, res *Result, via []bool) sibOffer 
 		return sibOffer{c: c, cls: ClassCustomer}
 	case u == st.forger:
 		return sibOffer{c: st.export(u, st.claim), cls: ClassCustomer}
-	case res == nil || res.Class[u] == ClassNone || res.Parent[u] == s:
+	case res == nil || res.Class[u] == ClassNone:
 		return sibOffer{}
+	}
+	for j, hops := res.Parent[u], 0; j != st.origin; j, hops = res.Parent[j], hops+1 {
+		if j == s || j < 0 || hops == len(res.Parent) {
+			return sibOffer{}
+		}
 	}
 	c := cand{len: res.Len[u], prep: res.Prep[u], parent: res.Parent[u], via: via != nil && via[u]}
 	return sibOffer{c: st.export(u, c), cls: res.Class[u]}
@@ -595,13 +609,17 @@ func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
 			// No customer or peer route: sweep the providers' final exports.
 			// The key compare subsumes betterCand AND the emptiness check
 			// (noExport loses to every real offer), so a valid offer costs
-			// one compare plus the loop-rejection probe.
+			// one compare plus the loop-rejection and quarantine probes.
 			best := expCand{key: noExport}
 			rej := u == st.atkIdx || st.reject[u]
+			var q int16
+			if st.quar != nil {
+				q = st.quar[u]
+			}
 			if uniform {
 				for _, p := range g.ProvidersIdx(u) {
 					e := exps[p]
-					if e.key < best.key && !(e.via && rej) {
+					if e.key < best.key && !(e.via && rej) && e.prep >= q {
 						best = e
 					}
 				}
@@ -617,7 +635,7 @@ func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
 					} else {
 						e = exps[p]
 					}
-					if e.key < best.key && !(e.via && rej) {
+					if e.key < best.key && !(e.via && rej) && e.prep >= q {
 						best = e
 					}
 				}

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"errors"
-	"fmt"
 
 	"aspp/internal/bgp"
 	"aspp/internal/topology"
@@ -18,16 +17,13 @@ import (
 // Under the Gao-Rexford preference conditions (customer > peer > provider,
 // acyclic provider hierarchy) this process converges to a unique stable
 // state regardless of message ordering, which makes it the ground truth
-// the Fast engine is property-tested against.
+// the Fast engine is property-tested against. No program leg runs it: it is
+// the tests' oracle, and bench times it against the kernel.
 
 // refRoute is an Adj-RIB-In entry.
 type refRoute struct {
 	path  bgp.Path
 	class Class
-	// suspect marks a route a cautious (PGBGP-style) deployer has
-	// quarantined: usable only when nothing else exists, depreferred
-	// below every normal route.
-	suspect bool
 }
 
 type refNode struct {
@@ -51,12 +47,6 @@ type refEngine struct {
 	// tested against (seeds_test.go). Nil in every non-test propagation.
 	noAdopt map[int32]bool
 
-	// minPrep, when non-nil, holds per-AS historical origin-prepend
-	// counts for cautious (PGBGP-style) deployers: a deployer marks any
-	// route carrying fewer origin copies as suspect and quarantines it
-	// below all normal candidates. Zero entries mean "not a deployer".
-	minPrep []int16
-
 	nodes []refNode
 	queue []int32 // ASes whose selection changed and must re-export
 	inQ   []bool
@@ -67,16 +57,7 @@ type refEngine struct {
 // does not need a baseline: the attacker's behavior emerges from message
 // processing. An unreachable attacker degrades to a no-op (matching BGP).
 func PropagateReference(g *topology.Graph, ann Announcement, atk *Attacker) (*Result, error) {
-	return PropagateReferenceCautious(g, ann, atk, nil)
-}
-
-// PropagateReferenceCautious additionally models partial deployment of
-// PGBGP-style cautious adoption: minPrep maps each deploying AS to the
-// origin-prepend count it historically observed for the prefix; any route
-// carrying fewer copies is quarantined — used only when no normal route
-// exists. Pass nil to disable.
-func PropagateReferenceCautious(g *topology.Graph, ann Announcement, atk *Attacker, minPrep map[bgp.ASN]int) (*Result, error) {
-	e, err := newRefEngine(g, ann, atk, minPrep)
+	e, err := newRefEngine(g, ann, atk)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +70,7 @@ func PropagateReferenceCautious(g *topology.Graph, ann Announcement, atk *Attack
 
 // newRefEngine validates the inputs and returns an engine in which nobody
 // has announced anything yet.
-func newRefEngine(g *topology.Graph, ann Announcement, atk *Attacker, minPrep map[bgp.ASN]int) (*refEngine, error) {
+func newRefEngine(g *topology.Graph, ann Announcement, atk *Attacker) (*refEngine, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
 	}
@@ -113,19 +94,6 @@ func newRefEngine(g *topology.Graph, ann Announcement, atk *Attacker, minPrep ma
 		e.atkIdx, _ = g.Index(atk.AS)
 		e.keep = int(atk.keep())
 		e.violate = atk.ViolateValleyFree
-	}
-	if len(minPrep) > 0 {
-		e.minPrep = make([]int16, g.NumASes())
-		for asn, v := range minPrep {
-			idx, ok := g.Index(asn)
-			if !ok {
-				return nil, fmt.Errorf("routing: cautious deployer %v not in topology", asn)
-			}
-			if v < 0 || v > 1<<14 {
-				return nil, fmt.Errorf("routing: bad historical prepend %d for %v", v, asn)
-			}
-			e.minPrep[idx] = int16(v)
-		}
 	}
 	for i := range e.nodes {
 		e.nodes[i].ribIn = make(map[int32]refRoute)
@@ -200,10 +168,6 @@ func (e *refEngine) receive(i, nbr int32, r refRoute) {
 		// old advertisement is implicitly withdrawn.
 		delete(e.nodes[i].ribIn, nbr)
 	} else {
-		if e.minPrep != nil && e.minPrep[i] > 0 &&
-			int16(r.path.OriginPrepend()) < e.minPrep[i] {
-			r.suspect = true
-		}
 		e.nodes[i].ribIn[nbr] = r
 	}
 	e.decide(i)
@@ -213,9 +177,6 @@ func (e *refEngine) receive(i, nbr int32, r refRoute) {
 func (e *refEngine) prefer(a refRoute, na int32, b refRoute, nb int32) bool {
 	if b.path == nil {
 		return true
-	}
-	if a.suspect != b.suspect {
-		return !a.suspect // quarantined routes lose to any normal route
 	}
 	if a.class != b.class {
 		return a.class < b.class
@@ -236,8 +197,7 @@ func (e *refEngine) decide(i int32) {
 			best, from = r, nbr
 		}
 	}
-	if from == n.from && best.path.Equal(n.best.path) &&
-		best.class == n.best.class && best.suspect == n.best.suspect {
+	if from == n.from && best.path.Equal(n.best.path) && best.class == n.best.class {
 		return
 	}
 	n.best, n.from = best, from

@@ -20,25 +20,26 @@
 //     (mutual transit, policy class preserved) cut across the DAG; the
 //     kernel repeats its pass, seeded with the siblings' offers, until
 //     they settle. Forged kinds and every leg on a sibling-bearing
-//     topology run here. A caller that reads a no-attacker table only at
-//     route monitors (the usage survey, the churn corpus, path collection)
-//     says so with a Vantage, and the last phase emits the monitors'
-//     provider cone instead of every row.
+//     topology run here, and so does cautious adoption (PropagateCautious:
+//     deployers refuse under-prepended offers as an import filter). A
+//     caller that reads a no-attacker table only at route monitors (the
+//     usage survey, the churn corpus, path collection) says so with a
+//     Vantage, and the last phase emits the monitors' provider cone
+//     instead of every row.
 //   - Delta (delta.go): the same ASPP attack as an incremental
 //     recomputation of the attacker's cone against a memoized baseline.
 //     ASPP legs run here whenever the topology is sibling-free.
 //   - Reference (reference.go): a message-level BGP simulation with
 //     per-neighbor Adj-RIB-In state, implicit withdrawals and full AS-path
-//     loop detection. It is the ground truth the others are
-//     property-tested against, and the only engine that runs the
-//     cautious-adoption defence (its quarantine ranks above the policy
-//     class, which breaks the three-phase order).
+//     loop detection: the test oracle the others are property-tested
+//     against, and bench's timing baseline. No program leg runs it.
 //
 // All engines use the identical total preference order
 // (class, path length, lowest next-hop ASN), so results are deterministic
 // and directly comparable. The stable outcome is unique except where a
-// stripping attacker meets sibling links; PropagateAttackScratch documents
-// which one the kernels return there.
+// stripping attacker meets sibling links, or cautious adoption ranks a
+// normal route above the class; PropagateAttackScratch and
+// PropagateCautious document which one the kernel returns there.
 package routing
 
 import (

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"aspp/internal/topology"
@@ -122,6 +124,10 @@ type Scratch struct {
 	// compared — but it does pin that baseline (0.9 MB at 80k ASes) for as
 	// long as the Scratch lives, past the release of the cache that lent it.
 	deltaBase *Result
+
+	// quar is PropagateCautious's copy of the caller's quarantine
+	// thresholds, which its runs lift and restore in place.
+	quar []int16
 
 	// base, atk and delta are the three reusable result slots.
 	base, atk, delta Result
@@ -351,6 +357,34 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 		scratchPool.Put(ps)
 		return res, err
 	}
+	return propagateAttack(g, ann, atk, baseline, nil, s)
+}
+
+// PropagateCautious is PropagateAttackScratch under a partial deployment of
+// PGBGP-style cautious adoption, the mitigation the paper's §VII cites. quar,
+// by dense index, holds each AS's quarantine threshold: the origin copies it
+// historically saw on the prefix's routes, 0 for an AS that does not deploy.
+// A deployer ranks every route carrying fewer copies below every normal
+// route, whatever the class, and adopts one only when it holds no normal
+// route. A provider route can then beat a customer route, so the uniqueness
+// Gao-Rexford gives is lost: a scenario may have two stable states, and this
+// returns one, or none, and then an error. It runs the kernel as an import
+// filter — deployers refuse quarantined offers — then lifts the threshold of
+// every deployer left without a route and runs again. A lift can change
+// routes elsewhere, so a lifted deployer that holds a quarantined route but
+// now hears a normal one gets its threshold back, and the runs go on until
+// no threshold moves. quar itself is not modified. The returned Result is
+// borrowed from s's attack slot.
+func PropagateCautious(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, quar []int16, s *Scratch) (*Result, error) {
+	if len(quar) != g.NumASes() {
+		return nil, fmt.Errorf("routing: %d quarantine thresholds for %d ASes", len(quar), g.NumASes())
+	}
+	return propagateAttack(g, ann, atk, baseline, quar, s)
+}
+
+// propagateAttack runs an attack into s's attack slot, under the quarantine
+// thresholds quar when they are non-nil (see PropagateCautious).
+func propagateAttack(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, quar []int16, s *Scratch) (*Result, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
 	}
@@ -377,10 +411,10 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 	st.atkIdx = atkIdx
 	st.keep = atk.keep()
 
-	s.clearRejects()
 	if forged {
 		// The forged path names only the attacker and the origin, and
 		// neither adopts a route: nobody loop-rejects.
+		s.clearRejects()
 		st.forger = atkIdx
 		st.claim = cand{parent: st.origin}
 		if atk.Kind == AttackNextHopInterception {
@@ -388,19 +422,89 @@ func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, b
 		}
 		st.upward, st.seedUp = st.claim, true
 	} else {
-		// Loop rejection: every route that traverses the attacker carries
-		// the attacker's full (baseline) path as its suffix, so exactly the
-		// ASes on that path must reject it, as real BGP loop detection would.
-		for j := baseline.Parent[atkIdx]; j != st.origin; j = baseline.Parent[j] {
-			s.setReject(j)
-		}
-		if atk.ViolateValleyFree {
-			st.upward, st.seedUp = cand{len: baseline.Len[atkIdx], prep: baseline.Prep[atkIdx], parent: baseline.Parent[atkIdx]}, true
-		}
+		st.aim(cand{len: baseline.Len[atkIdx], prep: baseline.Prep[atkIdx], parent: baseline.Parent[atkIdx]}, baseline.Parent, atk.ViolateValleyFree)
 	}
 
 	s.ensureVia(g.NumASes())
 	res := resultInto(&s.atk, g, st.origin)
 	res.Via = s.via[:g.NumASes()]
-	return st.run(res, res.Via)
+	if quar != nil {
+		st.quar = append(s.quar[:0], quar...)
+		s.quar = st.quar
+	}
+	// Each run lifts the threshold of every deployer it left without a route
+	// and restores it at every lifted deployer that now hears a normal offer
+	// while holding a quarantined route. A deployer's fallback can also hand
+	// the attacker a route other than its pre-attack one: the attack is then
+	// re-aimed at the route it holds. Without thresholds there is one run.
+	for runs, settled := 0, false; !settled; runs++ {
+		if runs == maxCautiousRuns {
+			return nil, errCautiousUnsettled
+		}
+		if _, err := st.run(res, res.Via); err != nil {
+			return nil, err
+		}
+		settled = true
+		for i, q := range st.quar {
+			u := int32(i)
+			if q > 0 && res.Class[u] == ClassNone {
+				st.quar[u], settled = 0, false
+			} else if q == 0 && res.Prep[u] < quar[u] && res.Class[u] != ClassNone && st.hearsNormal(res, u, quar[u]) {
+				st.quar[u], settled = quar[u], false
+			}
+		}
+		if cur := (cand{len: res.Len[atkIdx], prep: res.Prep[atkIdx], parent: res.Parent[atkIdx]}); quar != nil && !forged && cur != st.upward {
+			st.aim(cur, res.Parent, atk.ViolateValleyFree)
+			settled = false
+		}
+	}
+	return res, nil
+}
+
+// aim points the stripping attack at c, the attacker's own route, whose
+// parent chain is in parent. Every route through the attacker carries c's
+// path as its suffix, so exactly the ASes on it reject such a route, as real
+// BGP loop detection would, and a violating attacker exports c upward. An
+// attacker without a route strips nothing.
+func (st *fastState) aim(c cand, parent []int32, violate bool) {
+	st.s.clearRejects()
+	for j := c.parent; j >= 0 && j != st.origin; j = parent[j] {
+		st.s.setReject(j)
+	}
+	st.upward, st.seedUp = c, violate && c.parent >= 0
+}
+
+// maxCautiousRuns bounds PropagateCautious's runs: with lifts and restores
+// alike, a deployer's threshold can keep flipping where no stable state
+// exists, as in BGP itself.
+const maxCautiousRuns = 64
+
+var errCautiousUnsettled = errors.New("routing: cautious adoption did not settle")
+
+// hearsNormal reports whether some neighbor exports to u, in res, a route
+// carrying at least min origin copies that u would accept: the kernel's
+// export rules, read back off res. A peer or customer (k >= 2) exports only
+// a customer route, or the violating attacker its own. No such route runs
+// through u, whose own carries fewer copies (the count never grows along a
+// path), so the only loop to reject is admissible's.
+func (st *fastState) hearsNormal(res *Result, u int32, min int16) bool {
+	for k, nbrs := range [][]int32{st.g.ProvidersIdx(u), st.g.SiblingsIdx(u), st.g.PeersIdx(u), st.g.CustomersIdx(u)} {
+		for _, j := range nbrs {
+			c := cand{len: res.Len[j], prep: res.Prep[j], parent: res.Parent[j], via: res.Via[j]}
+			switch {
+			case j == st.origin:
+				c, _ = st.originSeed(u) // a withheld session carries no copies
+			case j == st.forger:
+				c = st.export(j, st.claim)
+			case res.Class[j] == ClassNone, k >= 2 && res.Class[j] != ClassCustomer && !(j == st.atkIdx && st.seedUp):
+				continue
+			default:
+				c = st.export(j, c)
+			}
+			if c.prep >= min && st.admissible(u, c) {
+				return true
+			}
+		}
+	}
+	return false
 }

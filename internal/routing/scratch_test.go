@@ -57,6 +57,21 @@ func TestPropagateScratchZeroAlloc(t *testing.T) {
 		t.Fatal(allocSinkErr)
 	}
 
+	// Cautious adoption with every AS deploying: each call copies the
+	// thresholds into the Scratch and runs until none of them moves.
+	quar := append([]int16(nil), base.Prep...)
+	if _, err := PropagateCautious(g, ann, atk, base, quar, s); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		allocSinkResult, allocSinkErr = PropagateCautious(g, ann, atk, base, quar, s)
+	}); avg != 0 {
+		t.Errorf("warmed PropagateCautious allocates %.1f objects per run, want 0", avg)
+	}
+	if allocSinkErr != nil {
+		t.Fatal(allocSinkErr)
+	}
+
 	if _, err := PropagateAttackDelta(g, ann, atk, base, s); err != nil {
 		t.Fatal(err)
 	}

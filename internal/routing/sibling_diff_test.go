@@ -97,9 +97,18 @@ func siblingScenario(t testing.TB, rng *rand.Rand) (*topology.Graph, Announcemen
 func siblingScenarioOn(t testing.TB, plain *topology.Graph, rng *rand.Rand) (*topology.Graph, Announcement, Attacker) {
 	t.Helper()
 	g, orgs := graftSiblings(t, plain, rng)
+	ann, atk := scenarioOn(g, orgs, rng)
+	return g, ann, atk
+}
+
+// scenarioOn draws a scenario on g: λ ∈ 1..8, KeepPrepend 1..2, sometimes
+// per-neighbor λ or a withheld session on the origin's providers and
+// siblings, and — half of the time each, when orgs is not empty — an origin
+// or an attacker drawn from orgs.
+func scenarioOn(g *topology.Graph, orgs []bgp.ASN, rng *rand.Rand) (Announcement, Attacker) {
 	asns := g.ASNs()
 	pick := func() bgp.ASN {
-		if rng.Intn(2) == 0 {
+		if len(orgs) > 0 && rng.Intn(2) == 0 {
 			return orgs[rng.Intn(len(orgs))]
 		}
 		return asns[rng.Intn(len(asns))]
@@ -122,7 +131,7 @@ func siblingScenarioOn(t testing.TB, plain *topology.Graph, rng *rand.Rand) (*to
 	if rng.Intn(4) == 0 && len(nbrs) > 1 {
 		ann.Withhold = map[bgp.ASN]bool{nbrs[rng.Intn(len(nbrs))]: true}
 	}
-	return g, ann, Attacker{AS: attacker, KeepPrepend: 1 + rng.Intn(2)}
+	return ann, Attacker{AS: attacker, KeepPrepend: 1 + rng.Intn(2)}
 }
 
 // referenceOnConverged is PropagateReference with the attack launched on
@@ -136,7 +145,7 @@ func siblingScenarioOn(t testing.TB, plain *topology.Graph, rng *rand.Rand) (*to
 // even for a valley-free attacker. Such a scenario has two stable states
 // and the cold start may find the other one, or none.
 func referenceOnConverged(g *topology.Graph, ann Announcement, atk Attacker) (*Result, error) {
-	e, err := newRefEngine(g, ann, &atk, nil)
+	e, err := newRefEngine(g, ann, &atk)
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +168,9 @@ type siblingLegs struct{ ran, coldAgreed int }
 
 // checkSiblingScenario runs baseline, follow and violate on s and compares
 // every row: the baseline with PropagateReference, the attacks with
-// referenceOnConverged. An attacker without a route has no attack leg: the
-// kernel says so, the reference engine degrades to a no-op.
+// referenceOnConverged, and holds every attack leg to checkStable. An
+// attacker without a route has no attack leg: the kernel says so, the
+// reference engine degrades to a no-op.
 func checkSiblingScenario(t testing.TB, g *topology.Graph, ann Announcement, atk Attacker, s *Scratch, label string, legs *siblingLegs) {
 	t.Helper()
 	base, err := PropagateScratch(g, ann, s)
@@ -196,6 +206,7 @@ func checkSiblingScenario(t testing.TB, g *topology.Graph, ann Announcement, atk
 			t.Fatalf("%s: reference on converged state: %v", leg, err)
 		}
 		compareResults(t, g, got, ref, leg)
+		checkStable(t, g, got, ann, &atk, nil)
 		legs.ran++
 		if cold, err := PropagateReference(g, ann, &atk); err == nil && rowsEqual(cold, ref) {
 			legs.coldAgreed++
@@ -343,7 +354,8 @@ func TestSiblingChains(t *testing.T) {
 
 // FuzzSiblingPropagate: a fuzzed graph with grafted sibling links, a
 // fuzzed victim, attacker and λ, follow and violate. The kernel must not
-// panic and must equal the reference engine on every row. The checked-in
+// panic, must equal the reference engine on every row and must pass
+// checkStable on every attack leg. The checked-in
 // corpus (testdata/fuzz/FuzzSiblingPropagate) holds scenarios whose
 // cold-start reference lands elsewhere or oscillates. Wired into
 // `make fuzz-smoke`.
