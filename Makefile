@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzForgedAttack -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzSiblingPropagate -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzCautious -fuzztime=10s ./internal/routing/
+	$(GO) test -run='^$$' -fuzz=FuzzDeltaAttack -fuzztime=10s ./internal/routing/
 
 # Serving-path smoke (DESIGN §5g): a short self-test replay through the
 # sharded pipeline at the default ring depth must lose nothing under the
@@ -144,7 +145,8 @@ bench:
 # the 108 legs it prints, at most 108 baselines, under 128 MB of cache, and
 # allocates nothing its gauges do not report. The cone test checks the pair
 # sweep's answers: 110 legs counted over the attacker's cone against an O(n)
-# recount over the full kernel. The λ-sweep test pins one propagation per
+# recount over the full kernel, and those legs plus 16 tier-1-on-tier-1 ones
+# on the delta engine against the full kernel, row for row. The λ-sweep test pins one propagation per
 # victim and shard. The vantage test holds what the survey's monitors read
 # off a restricted propagation to a whole-graph one, and the digest test
 # holds fig5 and fig6 on internet80k to the bytes the whole-graph survey

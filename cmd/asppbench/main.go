@@ -187,7 +187,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
 		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many shards, each with a private baseline cache; 0: one shard per worker")
 		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
-		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
+		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)

@@ -227,7 +227,8 @@ func TestRunShardByteIdentical(t *testing.T) {
 }
 
 // TestRunCountersOnDefaultFlags: -counters reports the memory gauges on a
-// default-flag run (they used to read 0 unless -shards was set), and
+// default-flag run (they used to read 0 unless -shards was set) and the
+// rows fig7's delta legs examined, and
 // fig11's counters include the sibling leg's 8 baselines + 8 full-kernel
 // attack legs on top of the two plain sweeps' 16 + 16. A baseline is a
 // propagation or — another λ of a victim its shard already holds — a shift
@@ -247,7 +248,7 @@ func TestRunCountersOnDefaultFlags(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d counter lines, want 2:\n%s", len(lines), sb.String())
 	}
-	for _, gauge := range []string{"scratch_bytes", "cache_bytes", "csr_bytes"} {
+	for _, gauge := range []string{"scratch_bytes", "cache_bytes", "csr_bytes", "cone_rows"} {
 		if strings.Contains(lines[0], " "+gauge+"=0 ") {
 			t.Errorf("fig7: %s reads 0 on default flags: %s", gauge, lines[0])
 		}

@@ -311,6 +311,9 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 	}
 	if delta {
 		c.AddDeltaPropagations(1)
+		if s != nil {
+			c.AddConeRows(int64(len(s.DeltaCone())))
+		}
 	} else {
 		c.AddFullPropagations(1)
 	}

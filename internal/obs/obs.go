@@ -54,6 +54,7 @@ type Counters struct {
 	skippedIneffective lineCounter
 	churnUpdates       lineCounter
 	rowsDown           lineCounter
+	coneRows           lineCounter
 	detectPairs        lineCounter
 
 	// Serve-pipeline counters (DESIGN §5g): the streaming daemon's ingest
@@ -97,6 +98,14 @@ func (c *Counters) AddBasePropagations(n int64) {
 func (c *Counters) AddRowsDown(n int64) {
 	if c != nil {
 		c.rowsDown.Add(n)
+	}
+}
+
+// AddConeRows records the n ASes one delta attack leg examined
+// (routing.Scratch.DeltaCone): what the delta engine's cost follows.
+func (c *Counters) AddConeRows(n int64) {
+	if c != nil {
+		c.coneRows.Add(n)
 	}
 }
 
@@ -258,6 +267,7 @@ type Snapshot struct {
 	SkippedIneffective int64
 	ChurnUpdates       int64
 	RowsDown           int64
+	ConeRows           int64
 	DetectPairs        int64
 	// Deprecated: always 0 — no baseline runs as a lane any more. It stays
 	// for bench/layers.go, which reads it, until the [benchmark] issue.
@@ -292,6 +302,7 @@ func (c *Counters) Snapshot() Snapshot {
 		SkippedIneffective: c.skippedIneffective.Load(),
 		ChurnUpdates:       c.churnUpdates.Load(),
 		RowsDown:           c.rowsDown.Load(),
+		ConeRows:           c.coneRows.Load(),
 		DetectPairs:        c.detectPairs.Load(),
 
 		FramesIn:      c.framesIn.Load(),
@@ -319,8 +330,8 @@ func (s Snapshot) AttackPropagations() int64 {
 // -counters output format).
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"prop_base=%d prop_full=%d prop_delta=%d rows_down=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d detect_pairs=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
-		s.BasePropagations, s.FullPropagations, s.DeltaPropagations, s.RowsDown,
+		"prop_base=%d prop_full=%d prop_delta=%d rows_down=%d cone_rows=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d detect_pairs=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
+		s.BasePropagations, s.FullPropagations, s.DeltaPropagations, s.RowsDown, s.ConeRows,
 		s.BaselineHits, s.BaselineMisses,
 		s.SkippedUnreachable, s.SkippedIneffective, s.ChurnUpdates, s.DetectPairs,
 		s.FramesIn, s.FramesBad, s.ServeEnqueued, s.ServeDropped,

@@ -22,6 +22,7 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	c.AddSkippedIneffective(1)
 	c.AddChurnUpdates(1)
 	c.AddRowsDown(1)
+	c.AddConeRows(1)
 	c.AddDetectPairs(1)
 	c.RecordScratchBytes(1)
 	c.RecordArenaBytes(1)
@@ -47,6 +48,7 @@ func TestSnapshot(t *testing.T) {
 	a.AddChurnUpdates(19)
 	a.AddRowsDown(23)
 	a.AddDetectPairs(29)
+	a.AddConeRows(31)
 	got := a.Snapshot()
 	want := Snapshot{
 		BasePropagations:   2,
@@ -58,6 +60,7 @@ func TestSnapshot(t *testing.T) {
 		SkippedIneffective: 17,
 		ChurnUpdates:       19,
 		RowsDown:           23,
+		ConeRows:           31,
 		DetectPairs:        29,
 	}
 	if got != want {
@@ -65,6 +68,9 @@ func TestSnapshot(t *testing.T) {
 	}
 	if got.AttackPropagations() != 8 {
 		t.Fatalf("AttackPropagations()=%d, want 8", got.AttackPropagations())
+	}
+	if line := got.String(); !strings.Contains(line, " rows_down=23 cone_rows=31 cache_hit=7 ") {
+		t.Fatalf("String() does not print cone_rows after rows_down: %s", line)
 	}
 }
 

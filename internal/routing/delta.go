@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"math/bits"
 
 	"aspp/internal/topology"
 )
@@ -19,7 +20,7 @@ import (
 // Delta engine seeds that cone at the attacker's neighbors and walks only
 // it, reading everything outside the cone straight from the baseline
 // (copy-on-write: the result starts as a byte copy of the baseline and
-// only cone members are rewritten).
+// only rows that change are rewritten).
 //
 // Per-class baseline candidate tables are recoverable from a Result
 // without storing them: the customer-table entry is the baseline route
@@ -32,26 +33,34 @@ import (
 // could fall through to it. The differential suite in engines_test.go pins
 // this cone invariant against both other engines.
 //
-// The engine shares the Scratch's fused nodeRec table with the Fast
-// engine for customer and peer entries, and keeps recomputed provider
-// entries in the Scratch's dprov side table (nodeRec has no provider
-// slot; see its doc): entries in both are only read under a touch bit,
-// so they need no reset at all. The dirty/touched bits themselves stay in a packed
-// byte array (the phase scans and neighbor probes hammer it, and packed
-// it stays L1-resident) that is reset in O(cone) by replaying the
-// Scratch's touched list — so setup writes nothing proportional to n.
+// Each phase runs off a worklist bitset on the Scratch (Scratch.dirty), so
+// a leg costs O(cone + n/64), not O(n). Every phase consumes the bits it
+// scans, which leaves the worklists zero between calls. Recomputed customer
+// and peer entries live in the Scratch's nodeRec table, which the Fast
+// engine shares; they are read only under a touch bit in the packed dflags
+// array, so the table needs no reset. The flags are reset in O(cone) by
+// replaying the Scratch's touched list, which lists every AS any worklist
+// ever held. Provider entries are never stored: phase 3 reaches an AS after
+// all its (higher-indexed) providers, pulls their offers off the delta
+// slot's rows and writes the AS's final row there when it changed, so the
+// next call repairs only those rows.
 
-// Per-AS dirty/touched bits for one delta propagation. A dirty bit queues
-// the AS's table entry for recomputation in the matching phase; a touched
-// bit records that the entry in the record table is authoritative
-// (untouched entries are read from the baseline instead).
+// Per-AS bits for one delta propagation. A touch bit records that the
+// entry in the record table is authoritative (untouched entries are read
+// from the baseline instead); deltaListed records that the AS is on the
+// touched list, and deltaWritten that phase 3 rewrote its row.
 const (
-	deltaDirtyCust uint8 = 1 << iota
-	deltaDirtyPeer
-	deltaDirtyProv
-	deltaTouchCust
+	deltaTouchCust uint8 = 1 << iota
 	deltaTouchPeer
-	deltaTouchProv
+	deltaListed
+	deltaWritten
+)
+
+// The three delta worklists, one per phase, index Scratch.dirty.
+const (
+	dirtyCust = iota // phase 1: customer entries to recompute
+	dirtyPeer        // phase 2: peer entries to recompute
+	dirtyProv        // phase 3: selections to recompute
 )
 
 // deltaState carries one incremental propagation over a Scratch's record
@@ -61,14 +70,15 @@ type deltaState struct {
 	origin int32
 	ann    Announcement
 	base   *Result
+	res    *Result // the delta slot: baseline rows outside the cone
 
 	atkIdx  int32
 	keep    int16
 	violate bool
 
 	recs   []nodeRec
-	dprov  []cand // recomputed provider entries (no slot in nodeRec)
 	flags  []uint8
+	dirty  [3][]uint64
 	reject []bool
 	s      *Scratch // owner of flags' touched list
 }
@@ -82,10 +92,10 @@ func (st *deltaState) orFlags(u int32, bits uint8) {
 	st.flags[u] |= bits
 }
 
-// baseCust reconstructs u's baseline customer-table entry from the result:
-// present exactly when the baseline selection is customer-learned.
-func (st *deltaState) baseCust(u int32) cand {
-	if st.base.Class[u] != ClassCustomer {
+// baseEntry reconstructs u's baseline table entry of class cls from the
+// result: present exactly when the baseline selection has that class.
+func (st *deltaState) baseEntry(u int32, cls Class) cand {
+	if st.base.Class[u] != cls {
 		return cand{len: -1}
 	}
 	return cand{len: st.base.Len[u], parent: st.base.Parent[u], prep: st.base.Prep[u]}
@@ -105,7 +115,7 @@ func (st *deltaState) custOf(u int32) cand {
 	if st.flags[u]&deltaTouchCust != 0 {
 		return st.recs[u].cust
 	}
-	return st.baseCust(u)
+	return st.baseEntry(u, ClassCustomer)
 }
 
 // peerOf is custOf for the peer table. The baseline peer entry is only
@@ -116,32 +126,7 @@ func (st *deltaState) peerOf(u int32) cand {
 	if st.flags[u]&deltaTouchPeer != 0 {
 		return st.recs[u].peer
 	}
-	if st.base.Class[u] != ClassPeer {
-		return cand{len: -1}
-	}
-	return cand{len: st.base.Len[u], parent: st.base.Parent[u], prep: st.base.Prep[u]}
-}
-
-// provOf is custOf for the provider table.
-func (st *deltaState) provOf(u int32) cand {
-	if st.flags[u]&deltaTouchProv != 0 {
-		return st.dprov[u]
-	}
-	if st.base.Class[u] != ClassProvider {
-		return cand{len: -1}
-	}
-	return cand{len: st.base.Len[u], parent: st.base.Parent[u], prep: st.base.Prep[u]}
-}
-
-// selOf returns u's current best route: customer > peer > provider.
-func (st *deltaState) selOf(u int32) cand {
-	if c := st.custOf(u); c.len >= 0 {
-		return c
-	}
-	if c := st.peerOf(u); c.len >= 0 {
-		return c
-	}
-	return st.provOf(u)
+	return st.baseEntry(u, ClassPeer)
 }
 
 // candEq reports whether two table entries are interchangeable, including
@@ -173,12 +158,15 @@ func (st *deltaState) originSeed(nbr int32) cand {
 }
 
 // custExport is what u offers in phases 1-2 (its customer-learned route,
-// or — for a violating attacker — its best route regardless of class).
-// Callers handle u == origin separately via originSeed.
+// or — for a violating attacker — its best route regardless of class, whose
+// provider entry is still the baseline's this early). Callers handle
+// u == origin separately via originSeed.
 func (st *deltaState) custExport(u int32) cand {
 	c := st.custOf(u)
-	if st.violate && u == st.atkIdx {
-		c = st.selOf(u)
+	if st.violate && u == st.atkIdx && c.len < 0 {
+		if c = st.peerOf(u); c.len < 0 {
+			c = st.baseEntry(u, ClassProvider)
+		}
 	}
 	if c.len < 0 {
 		return c
@@ -221,33 +209,56 @@ func (st *deltaState) recomputePeer(at int32) cand {
 	return best
 }
 
-// recomputeProv rebuilds at's provider-table entry from every provider's
-// phase-3 offer (its overall best route, exported downward).
-func (st *deltaState) recomputeProv(at int32) cand {
-	best := cand{len: -1}
-	for _, p := range st.g.ProvidersIdx(at) {
-		var e cand
-		if p == st.origin {
-			e = st.originSeed(at)
-		} else if sel := st.selOf(p); sel.len >= 0 {
-			e = exportCand(p, sel, st.atkIdx, st.keep)
-		} else {
+// provEntry computes u's provider-table entry from every provider's
+// phase-3 offer: its row in the delta slot (a baseline copy outside the
+// cone, final inside it, the scan having passed every provider), exported
+// downward. Offers are ranked by the kernel's packed (length, ASN) key, so
+// a provider costs its row's length and ASN; only the winner's row is read
+// whole.
+func (st *deltaState) provEntry(u int32) cand {
+	g, res := st.g, st.res
+	rej := u == st.atkIdx || st.reject[u]
+	best, bestKey, seed := int32(-1), noExport, cand{len: -1}
+	for _, p := range g.ProvidersIdx(u) {
+		ln := res.Len[p] + 1
+		switch {
+		case p == st.origin:
+			if seed = st.originSeed(u); seed.len < 0 {
+				continue
+			}
+			ln = seed.len
+		case ln <= 0, rej && (p == st.atkIdx || res.Via[p]):
 			continue
+		case p == st.atkIdx:
+			ln = st.rowExport(p).len
 		}
-		if st.acceptable(at, e) && betterCand(st.g, e, best) {
-			best = e
+		if k := expKey(ln, g.ASNAt(p)); k < bestKey {
+			best, bestKey = p, k
 		}
 	}
-	return best
+	switch best {
+	case -1:
+		return cand{len: -1}
+	case st.origin:
+		return seed
+	}
+	return st.rowExport(best)
 }
 
-// mark sets a dirty bit; the origin never adopts a route so it stays out
-// of the cone.
-func (st *deltaState) mark(at int32, bit uint8) {
+// rowExport is what p offers its customers given its row in the delta slot.
+func (st *deltaState) rowExport(p int32) cand {
+	res := st.res
+	return exportCand(p, cand{len: res.Len[p], parent: res.Parent[p], prep: res.Prep[p], via: res.Via[p]}, st.atkIdx, st.keep)
+}
+
+// mark queues at on worklist list; the origin never adopts a route so it
+// stays out of the cone.
+func (st *deltaState) mark(at int32, list int) {
 	if at == st.origin {
 		return
 	}
-	st.orFlags(at, bit)
+	st.orFlags(at, deltaListed)
+	st.dirty[list][at>>6] |= 1 << uint(at&63)
 }
 
 // seed marks the attacker's neighbors dirty. Every offer the attacker
@@ -258,122 +269,109 @@ func (st *deltaState) seed() {
 	a := st.atkIdx
 	if st.custOf(a).len >= 0 || st.violate {
 		for _, p := range st.g.ProvidersIdx(a) {
-			st.mark(p, deltaDirtyCust)
+			st.mark(p, dirtyCust)
 		}
 		for _, w := range st.g.PeersIdx(a) {
-			st.mark(w, deltaDirtyPeer)
+			st.mark(w, dirtyPeer)
 		}
 	}
 	for _, c := range st.g.CustomersIdx(a) {
-		st.mark(c, deltaDirtyProv)
+		st.mark(c, dirtyProv)
 	}
 }
 
-// run walks the three phases over the dirty cone. Dense AS indices are
-// up-topological (a topology.Graph build invariant), so the DAG phases are
-// ascending/descending index scans; off-cone indices cost one flag check.
+// run walks the three phases over the worklists. Dense AS indices are
+// up-topological (a topology.Graph build invariant), so phase 1 pushes
+// only to higher indices and phase 3 only to lower ones: each scans its
+// worklist in that direction and re-polls the current word after every
+// bit, which catches pushes into it. Each scan clears the bits it takes.
 func (st *deltaState) run() {
 	g := st.g
-	n := int32(len(st.recs))
 
 	// Phase 1 (up): recompute dirty customer entries in topological order,
 	// so a dirty customer's entry is final before its providers read it.
-	for u := int32(0); u < n; u++ {
-		if st.flags[u]&deltaDirtyCust == 0 {
-			continue
-		}
-		old := st.baseCust(u)
-		nw := st.recomputeCust(u)
-		st.recs[u].cust = nw
-		st.orFlags(u, deltaTouchCust)
-		if candEq(nw, old) {
-			continue
-		}
-		// u's phase-1/2 offers changed; its selection may change too, and
-		// an emptied customer entry can expose a hidden peer entry.
-		for _, p := range g.ProvidersIdx(u) {
-			st.mark(p, deltaDirtyCust)
-		}
-		for _, w := range g.PeersIdx(u) {
-			st.mark(w, deltaDirtyPeer)
-		}
-		st.mark(u, deltaDirtyProv)
-		if nw.len < 0 {
-			st.mark(u, deltaDirtyPeer)
-		}
-	}
-
-	// Phase 2 (across): recompute dirty peer entries. Order is irrelevant;
-	// peer entries depend only on customer entries, which are final.
-	for i := int32(0); i < n; i++ {
-		if st.flags[i]&deltaDirtyPeer == 0 {
-			continue
-		}
-		var old cand
-		if st.base.Class[i] == ClassPeer {
-			old = st.baseSel(i)
-		} else {
-			old.len = -1
-		}
-		nw := st.recomputePeer(i)
-		st.recs[i].peer = nw
-		st.orFlags(i, deltaTouchPeer)
-		if !candEq(nw, old) {
-			st.mark(i, deltaDirtyProv)
+	cust := st.dirty[dirtyCust]
+	for wi := range cust {
+		for cust[wi] != 0 {
+			b := bits.TrailingZeros64(cust[wi])
+			cust[wi] &^= 1 << uint(b)
+			u := int32(wi<<6 | b)
+			old := st.baseEntry(u, ClassCustomer)
+			nw := st.recomputeCust(u)
+			st.recs[u].cust = nw
+			st.orFlags(u, deltaTouchCust)
+			if candEq(nw, old) {
+				continue
+			}
+			// u's phase-1/2 offers changed; its selection may change too, and
+			// an emptied customer entry can expose a hidden peer entry.
+			for _, p := range g.ProvidersIdx(u) {
+				st.mark(p, dirtyCust)
+			}
+			for _, w := range g.PeersIdx(u) {
+				st.mark(w, dirtyPeer)
+			}
+			st.mark(u, dirtyProv)
+			if nw.len < 0 {
+				st.mark(u, dirtyPeer)
+			}
 		}
 	}
 
-	// Phase 3 (down): recompute dirty provider entries in reverse
-	// topological order and push selection changes to customers. Every AS
-	// whose customer or peer entry changed was marked dirty here, so this
+	// Phase 2 (across): recompute dirty peer entries. Peer entries depend
+	// only on customer entries, which are final, so the order is free.
+	peer := st.dirty[dirtyPeer]
+	for wi := range peer {
+		for peer[wi] != 0 {
+			b := bits.TrailingZeros64(peer[wi])
+			peer[wi] &^= 1 << uint(b)
+			u := int32(wi<<6 | b)
+			nw := st.recomputePeer(u)
+			st.recs[u].peer = nw
+			st.orFlags(u, deltaTouchPeer)
+			if !candEq(nw, st.baseEntry(u, ClassPeer)) {
+				st.mark(u, dirtyProv)
+			}
+		}
+	}
+
+	// Phase 3 (down): settle dirty selections in reverse topological order.
+	// Every AS whose customer or peer entry changed was queued here, so this
 	// pass sees every possible selection change.
-	for u := n - 1; u >= 0; u-- {
-		if st.flags[u]&deltaDirtyProv == 0 {
-			continue
-		}
-		st.dprov[u] = st.recomputeProv(u)
-		st.orFlags(u, deltaTouchProv)
-		if candEq(st.selOf(u), st.baseSel(u)) {
-			continue
-		}
-		for _, c := range g.CustomersIdx(u) {
-			st.mark(c, deltaDirtyProv)
+	prov := st.dirty[dirtyProv]
+	for wi := len(prov) - 1; wi >= 0; wi-- {
+		for prov[wi] != 0 {
+			b := 63 - bits.LeadingZeros64(prov[wi])
+			prov[wi] &^= 1 << uint(b)
+			st.settle(int32(wi<<6 | b))
 		}
 	}
 }
 
-// finish writes the cone's outcomes over a baseline copy in res. Only ASes
-// that reached phase 3 can have a changed selection; everything else keeps
-// its copied baseline row and Via false. Walking the touched list instead
-// of all n records keeps this O(cone).
-func (st *deltaState) finish(res *Result) *Result {
-	for _, i := range st.s.touched {
-		if st.flags[i]&deltaTouchProv == 0 {
-			continue
-		}
-		sel := st.selOf(i)
-		if sel.len < 0 {
-			res.Class[i] = ClassNone
-			res.Len[i] = -1
-			res.Prep[i] = 0
-			res.Parent[i] = -1
-			res.Via[i] = false
-			continue
-		}
-		switch {
-		case st.custOf(i).len >= 0:
-			res.Class[i] = ClassCustomer
-		case st.peerOf(i).len >= 0:
-			res.Class[i] = ClassPeer
-		default:
-			res.Class[i] = ClassProvider
-		}
-		res.Len[i] = sel.len
-		res.Prep[i] = sel.prep
-		res.Parent[i] = sel.parent
-		res.Via[i] = sel.via
+// settle is phase 3 at u: its selection (customer > peer > provider) is
+// final, so a row that differs from the baseline is written into the delta
+// slot, and the change is pushed to u's customers.
+func (st *deltaState) settle(u int32) {
+	sel, cls := st.custOf(u), ClassCustomer
+	if sel.len < 0 {
+		sel, cls = st.peerOf(u), ClassPeer
 	}
-	return res
+	if sel.len < 0 {
+		sel, cls = st.provEntry(u), ClassProvider
+	}
+	if candEq(sel, st.baseSel(u)) {
+		return
+	}
+	res := st.res
+	st.flags[u] |= deltaWritten
+	if sel.len < 0 {
+		res.Class[u], res.Len[u], res.Prep[u], res.Parent[u], res.Via[u] = ClassNone, -1, 0, -1, false
+	} else {
+		res.Class[u], res.Len[u], res.Prep[u], res.Parent[u], res.Via[u] = cls, sel.len, sel.prep, sel.parent, sel.via
+	}
+	for _, c := range st.g.CustomersIdx(u) {
+		st.mark(c, dirtyProv)
+	}
 }
 
 // deltaResultInto resets r to a copy of the baseline on reused storage and
@@ -468,23 +466,28 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 	n := g.NumASes()
 	st.recs, _ = s.beginPropagation(n)
 	s.ensureDelta(n)
-	st.dprov = s.dprov[:n]
 	st.flags = s.dflags[:n]
+	for k := range st.dirty {
+		st.dirty[k] = s.dirty[k][:(n+63)>>6]
+	}
 	st.reject = s.reject[:n]
 	st.s = s
 
 	// Result setup. When the caller presents the same baseline object as
 	// the previous delta call on this Scratch — the cached-baseline sweep
-	// pattern — the delta slot already equals that baseline everywhere
-	// outside the previous call's cone, so repairing the previous cone's
-	// rows (replaying the still-intact touched list) brings it back to a
-	// pristine baseline copy in O(prev cone). Anything else falls back to
-	// the full O(n) copy. The Scratch's own baseline slot never qualifies:
+	// pattern — the delta slot differs from that baseline only in the rows
+	// the previous call wrote, so repairing those (replaying the
+	// still-intact touched list and flags) brings it back to a pristine
+	// baseline copy in O(prev cone). Anything else falls back to the full
+	// O(n) copy. The Scratch's own baseline slot never qualifies:
 	// its pointer stays fixed while its contents change with every
 	// recomputation, so object identity would not imply equal contents.
 	res := &s.delta
 	if s.deltaBase == baseline && baseline != &s.base && res.g == g {
 		for _, i := range s.touched {
+			if s.dflags[i]&deltaWritten == 0 {
+				continue
+			}
 			res.Class[i] = baseline.Class[i]
 			res.Len[i] = baseline.Len[i]
 			res.Prep[i] = baseline.Prep[i]
@@ -502,7 +505,8 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 		s.setReject(j)
 	}
 
+	st.res = res
 	st.seed()
 	st.run()
-	return st.finish(res), nil
+	return res, nil
 }

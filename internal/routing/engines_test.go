@@ -543,6 +543,67 @@ func checkDeltaCone(t *testing.T, g *topology.Graph, base, delta *Result, atk At
 	}
 }
 
+// FuzzDeltaAttack drives the delta engine with fuzzed graphs of 64-400
+// ASes, so its worklists span several words, and fuzzed victims,
+// attackers, λ, keep and violate. Each input runs its attack and three
+// more attackers drawn from the seed on one Scratch against one cloned
+// baseline, so every call after the first repairs the rows the previous
+// one wrote. Each result must equal the full kernel's row for row and pass
+// checkDeltaCone, and all three worklists must be zero on return. Wired
+// into `make fuzz-smoke`.
+func FuzzDeltaAttack(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), uint16(1), uint8(2), uint8(0), false)
+	f.Add(int64(42), uint16(100), uint16(7), uint16(300), uint8(4), uint8(1), true)
+	f.Add(int64(7), uint16(336), uint16(2), uint16(5), uint8(7), uint8(2), false)
+	f.Add(int64(99), uint16(200), uint16(150), uint16(3), uint8(0), uint8(1), true)
+	f.Add(int64(-3), uint16(65535), uint16(65535), uint16(65535), uint8(255), uint8(255), true)
+	f.Fuzz(func(t *testing.T, seed int64, nSel, victimSel, atkSel uint16, lambdaSel, keepSel uint8, violate bool) {
+		cfg := topology.DefaultGenConfig(64 + int(nSel)%337)
+		cfg.Seed = seed
+		g, err := topology.Generate(cfg)
+		if err != nil {
+			t.Skip()
+		}
+		asns := g.ASNs()
+		ann := Announcement{Origin: asns[int(victimSel)%len(asns)], Prepend: 1 + int(lambdaSel)%8}
+		s := NewScratch()
+		base, err := PropagateScratch(g, ann, s)
+		if err != nil {
+			t.Fatalf("PropagateScratch: %v", err)
+		}
+		base = base.Clone()
+		rng := rand.New(rand.NewSource(seed))
+		attacker := asns[int(atkSel)%len(asns)]
+		for leg := 0; leg < 4; leg, attacker = leg+1, asns[rng.Intn(len(asns))] {
+			if attacker == ann.Origin {
+				continue
+			}
+			atk := Attacker{AS: attacker, KeepPrepend: 1 + int(keepSel)%3, ViolateValleyFree: violate != (leg%2 == 1)}
+			label := fmt.Sprintf("leg %d (V=%v M=%v λ=%d keep=%d violate=%v)", leg, ann.Origin, atk.AS, ann.Prepend, atk.KeepPrepend, atk.ViolateValleyFree)
+			full, ferr := PropagateAttackScratch(g, ann, atk, base, s)
+			delta, derr := PropagateAttackDelta(g, ann, atk, base, s)
+			if errors.Is(ferr, ErrUnreachableAttacker) && errors.Is(derr, ErrUnreachableAttacker) {
+				continue
+			}
+			if ferr != nil || derr != nil {
+				t.Fatalf("%s: full kernel err = %v, delta err = %v", label, ferr, derr)
+			}
+			compareResults(t, g, delta, full, label)
+			checkDeltaCone(t, g, base, delta, atk, s, label)
+			for k, list := range s.dirty {
+				for wi, w := range list {
+					if w != 0 {
+						t.Fatalf("%s: worklist %d word %d = %#x on return, want 0", label, k, wi, w)
+					}
+				}
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+	})
+}
+
 // TestDeltaEngineSiblingContract covers the sibling-link slice of the
 // differential suite: on sibling-bearing graphs the incremental engine
 // must refuse with ErrSiblingsNeedFullKernel while the Reference engine

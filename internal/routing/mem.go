@@ -42,9 +42,9 @@ func (r *Result) MemoryBytes() int64 {
 }
 
 // MemoryBytes is the resident footprint of the Scratch: every candidate,
-// rejection, delta and via table at capacity, plus the three result
-// slots. The struct size covers the embedded slot headers, so the slots
-// contribute backing only.
+// rejection, delta (touch flags, touched list, worklists) and via table at
+// capacity, plus the three result slots. The struct size covers the
+// embedded slot headers, so the slots contribute backing only.
 func (s *Scratch) MemoryBytes() int64 {
 	if s == nil {
 		return 0
@@ -53,7 +53,8 @@ func (s *Scratch) MemoryBytes() int64 {
 		sliceBytes(s.recs) + sliceBytes(s.reject) + sliceBytes(s.rejectList) +
 		sliceBytes(s.custSet) + sliceBytes(s.peerSet) + sliceBytes(s.exps) +
 		sliceBytes(s.sibOff) + sliceBytes(s.sibProv) +
-		sliceBytes(s.dflags) + sliceBytes(s.touched) + sliceBytes(s.dprov) +
+		sliceBytes(s.dflags) + sliceBytes(s.touched) +
+		sliceBytes(s.dirty[0]) + sliceBytes(s.dirty[1]) + sliceBytes(s.dirty[2]) +
 		sliceBytes(s.via) + sliceBytes(s.viaBase) +
 		sliceBytes(s.viaState) + sliceBytes(s.viaSeen) +
 		sliceBytes(s.deltaVia) +

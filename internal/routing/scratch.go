@@ -10,9 +10,8 @@ import (
 
 // nodeRec is one AS's fused candidate state: the customer and peer
 // entries plus the epoch stamp that implements O(1) reset. The provider
-// entry never lives in the record — the Fast engine's pull-based down
-// phase computes it in registers, and the Delta engine keeps its
-// recomputed provider entries in a side table (Scratch.dprov) — so the
+// entry never lives in the record — both engines' pull-based down phases
+// compute it in registers from the providers' final exports — so the
 // record is exactly 32 bytes and two records share every cache line.
 //
 // The candidate entries are live only while gen equals the owning
@@ -92,16 +91,16 @@ type Scratch struct {
 	sibOff  []sibOffer
 	sibProv []expCand
 
-	// dflags holds the Delta engine's per-AS dirty/touched bits, packed
-	// for the same reason; touched lists every AS whose flags are nonzero,
-	// so reset is O(cone), not O(n).
+	// dflags holds the Delta engine's per-AS touch, listed and written bits,
+	// packed for the same reason; touched lists every AS whose flags are
+	// nonzero, so reset is O(cone), not O(n).
 	dflags  []uint8
 	touched []int32
 
-	// dprov holds the Delta engine's recomputed provider entries — the one
-	// per-class table that has no slot in nodeRec. Entries are only read
-	// under the matching touch bit, so the table needs no reset.
-	dprov []cand
+	// dirty holds the Delta engine's three phase worklists (dirtyCust,
+	// dirtyPeer, dirtyProv), one bit per AS. Each phase clears the bits it
+	// scans, so they are all zero between calls and need no reset.
+	dirty [3][]uint64
 
 	// via is the attack slot's Via storage. viaBase/viaState back
 	// ViaSetInto walks (core's pollution counting); viaBase is distinct
@@ -216,16 +215,18 @@ func (s *Scratch) ensureViaBufs(n int) {
 	}
 }
 
-// ensureDelta sizes the Delta engine's flag table and Via storage. When it
-// reallocates, the fresh dflags are all-zero, so the (discarded) touched
-// list has nothing left to undo.
+// ensureDelta sizes the Delta engine's flag table, worklists and Via
+// storage. When it reallocates, the fresh dflags are all-zero, so the
+// (discarded) touched list has nothing left to undo.
 func (s *Scratch) ensureDelta(n int) {
 	if len(s.dflags) < n {
 		n = growCap(n, len(s.dflags))
 		s.dflags = make([]uint8, n)
 		s.touched = make([]int32, 0, n)
 		s.deltaVia = make([]bool, n)
-		s.dprov = make([]cand, n)
+		for k := range s.dirty {
+			s.dirty[k] = make([]uint64, (n+63)>>6)
+		}
 	}
 }
 
@@ -264,8 +265,8 @@ func (s *Scratch) setReject(i int32) {
 	}
 }
 
-// clearDeltaFlags undoes the previous delta propagation's dirty/touched
-// bits by replaying the touched list — O(cone), not O(n).
+// clearDeltaFlags undoes the previous delta propagation's flags by
+// replaying the touched list — O(cone), not O(n).
 func (s *Scratch) clearDeltaFlags() {
 	for _, i := range s.touched {
 		s.dflags[i] = 0

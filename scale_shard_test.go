@@ -108,13 +108,39 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 // violating ones on internet80k, simulated the way the figures are — shard
 // caches, the delta kernel, pollution counted over the attacker's cone —
 // must report exactly the fractions an O(n) recount reads off a fresh
-// baseline and a full-kernel attack propagation.
+// baseline and a full-kernel attack propagation. Each of those legs, and
+// 16 more tier-1-hijacks-tier-1 legs at λ ∈ {1,3,5,8} run against one
+// owned baseline per λ (so the delta slot is repaired between them), is
+// also propagated on the delta engine and compared with the full kernel
+// row for row; at least one cone must reach 40,000 rows.
 func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
 	scaleGate(t)
 	in := internet80k(t)
 	g := in.Graph()
 	s := routing.NewScratch()
-	legs := 0
+	legs, maxCone := 0, 0
+	// deltaMatches runs atk on the delta engine and holds every row to the
+	// full kernel's attacked.
+	deltaMatches := func(ann routing.Announcement, atk routing.Attacker, base, attacked *routing.Result) {
+		t.Helper()
+		delta, err := routing.PropagateAttackDelta(g, ann, atk, base, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxCone = max(maxCone, len(s.DeltaCone()))
+		bad := 0
+		for i := range attacked.Class {
+			if delta.Class[i] != attacked.Class[i] || delta.Len[i] != attacked.Len[i] || delta.Prep[i] != attacked.Prep[i] ||
+				delta.Parent[i] != attacked.Parent[i] || delta.Via[i] != attacked.Via[i] {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%v hijacks %v (λ=%d violate=%v): %d of %d delta rows differ from the full kernel's",
+				atk.AS, ann.Origin, ann.Prepend, atk.ViolateValleyFree, bad, len(attacked.Class))
+		}
+		legs++
+	}
 	for _, cfg := range []PairConfig{
 		{Kind: PairsTier1, N: 60, Prepend: 3, Seed: 1},
 		{Kind: PairsRandom, N: 50, Prepend: 3, Violate: true, Seed: 1},
@@ -155,11 +181,38 @@ func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
 				t.Errorf("%v hijacks %v (violate=%v): sweep reports %v -> %v, O(n) recount over the full kernel %v -> %v (%+v)",
 					p.Attacker, p.Victim, cfg.Violate, p.Before, p.After, want.Before(), want.After(), want)
 			}
-			legs++
+			deltaMatches(ann, atk, base, attacked)
 		}
 	}
-	if legs < 100 {
-		t.Fatalf("only %d legs checked", legs)
+	victim, err := experiment.PickTier1ByDegree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lambda := range []int{1, 3, 5, 8} {
+		ann := routing.Announcement{Origin: victim, Prepend: lambda}
+		base, err := routing.PropagateOwned(g, ann, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank := 1; rank <= 4; rank++ {
+			attacker, err := experiment.PickTier1ByDegree(g, rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			atk := routing.Attacker{AS: attacker}
+			attacked, err := routing.PropagateAttackScratch(g, ann, atk, base, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltaMatches(ann, atk, base, attacked)
+		}
+	}
+	t.Logf("%d legs checked row for row, largest cone %d rows", legs, maxCone)
+	if legs < 126 {
+		t.Fatalf("only %d legs checked, want 126", legs)
+	}
+	if maxCone < 40000 {
+		t.Errorf("largest cone %d rows, want a leg of at least 40,000", maxCone)
 	}
 }
 
@@ -200,5 +253,71 @@ func TestScale80kLambdaSweepPropagatesVictimOnce(t *testing.T) {
 		if points[i] != each[i] {
 			t.Errorf("λ=%d: shifted baseline gives %+v, propagated %+v", i+1, points[i], each[i])
 		}
+	}
+}
+
+// deltaSink keeps BenchmarkDelta80k's results live.
+var deltaSink *routing.Result
+
+// BenchmarkDelta80k times one attack leg on internet80k against a warm
+// baseline, by cone size, each on the delta engine and on the full kernel:
+// a stub attacker, whose cone is empty (it holds no customer route to
+// strip and has no customers), so the delta leg is the engine's fixed
+// cost, and a tier-1 hijacking another tier-1 at λ=3, a cone of 32,530
+// rows. The baseline is one object reused across iterations, so the delta
+// legs take the repair path the sweeps take when a baseline serves several
+// legs. Gated behind ASPP_SCALE like the other 80k runs:
+//
+//	ASPP_SCALE=1 go test -run='^$' -bench=Delta80k -benchtime=200x .
+func BenchmarkDelta80k(b *testing.B) {
+	scaleGate(b)
+	g := internet80k(b).Graph()
+	victim, err := experiment.PickTier1ByDegree(g, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	big, err := experiment.PickTier1ByDegree(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stub, err := experiment.PickStub(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ann := routing.Announcement{Origin: victim, Prepend: 3}
+	s := routing.NewScratch()
+	base, err := routing.PropagateOwned(g, ann, s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		atk  routing.Attacker
+	}{
+		{"small", routing.Attacker{AS: stub}},
+		{"large", routing.Attacker{AS: big}},
+	} {
+		if _, err := routing.PropagateAttackDelta(g, ann, leg.atk, base, s); err != nil {
+			b.Fatalf("%s: %v", leg.name, err)
+		}
+		cone := float64(len(s.DeltaCone()))
+		b.Run(leg.name+"/delta", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if deltaSink, err = routing.PropagateAttackDelta(g, ann, leg.atk, base, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(cone, "cone_rows")
+		})
+		b.Run(leg.name+"/full", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if deltaSink, err = routing.PropagateAttackScratch(g, ann, leg.atk, base, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(cone, "cone_rows")
+		})
 	}
 }
