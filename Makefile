@@ -150,7 +150,12 @@ bench:
 # victim and shard. The vantage test holds what the survey's monitors read
 # off a restricted propagation to a whole-graph one, and the digest test
 # holds fig5 and fig6 on internet80k to the bytes the whole-graph survey
-# printed, and mitigation to the bytes the reference engine printed.
+# printed, and mitigation to the bytes the reference engine printed. The
+# kernel-stability test holds 16 baselines and 20 full-kernel legs on
+# internet80k to the stability checker, with leaf origins, leaf attackers,
+# leaf forgers and leaf cautious deployers: the rows phase 3's leaf loop
+# settles, which no other 80k check picks out.
 scale-smoke:
 	ASPP_SCALE=1 $(GO) test -run='TestScale80kPairSweepWithinBudget|TestScale80kSiblingKernelMatchesReference|TestScale80kSusceptibilityWork|TestScale80kConeCountsMatchFullKernel|TestScale80kLambdaSweepPropagatesVictimOnce|TestScale80kVantageRowsMatchFullKernel' -count=1 .
 	ASPP_SCALE=1 $(GO) test -run=TestScale80kSurveyDigest -count=1 ./cmd/asppbench/
+	ASPP_SCALE=1 $(GO) test -run=TestScale80kKernelStable -count=1 ./internal/routing/

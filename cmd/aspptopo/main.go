@@ -84,6 +84,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "multihomed:      %.0f%% of non-tier-1 ASes (mean %.2f providers)\n",
 			100*s.MultiHomedFrac, s.MeanProvidersPerNonT1)
 		fmt.Fprintf(out, "peered stubs:    %.0f%%\n", 100*s.PeeredStubFrac)
+		fmt.Fprintf(out, "leaves:          %d (%.1f%%), %d single-homed\n",
+			s.Leaves, 100*float64(s.Leaves)/float64(s.ASes), s.SingleHomedLeaves)
 	}
 
 	if *infer {

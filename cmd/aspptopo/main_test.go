@@ -14,7 +14,7 @@ func TestRunStatsAndExport(t *testing.T) {
 	if err := run([]string{"-n", "400", "-seed", "3", "-out", out}, &sb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(sb.String(), "ASes:") || !strings.Contains(sb.String(), "tier-1") {
+	if !strings.Contains(sb.String(), "ASes:") || !strings.Contains(sb.String(), "tier-1") || !strings.Contains(sb.String(), "single-homed") {
 		t.Errorf("stats missing:\n%s", sb.String())
 	}
 	data, err := os.ReadFile(out)

@@ -27,15 +27,37 @@ import (
 // nobody deploys), then class, then length, then the lowest next-hop ASN.
 // The attacker is checked too: every route through it names it, so it
 // holds the best of the others — its pre-attack route, unless cautious
-// deployers changed what it hears. atk nil is a no-attacker propagation.
+// deployers changed what it hears. A forger (a forged Kind) is a second
+// announcer instead: its row holds its claim, which it exports to every
+// neighbor, and its sibling hears it as a customer route. atk nil is a
+// no-attacker propagation.
 func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement, atk *Attacker, thr []int16) {
 	tb.Helper()
 	n := int32(g.NumASes())
 	origin := res.OriginIdx()
-	atkIdx, keep, violate := int32(-1), 0, false
+	atkIdx, keep, violate, forger := int32(-1), 0, false, int32(-1)
 	if atk != nil {
 		atkIdx, _ = g.Index(atk.AS)
 		keep, violate = int(atk.keep()), atk.ViolateValleyFree
+		if atk.Kind != AttackASPP {
+			forger = atkIdx
+		}
+	}
+	// copies is k origin copies, the tail of a path; origin prepends are the
+	// path's trailing copies, none on an origin hijack's.
+	copies := func(k int) bgp.Path {
+		p := make(bgp.Path, k)
+		for j := range p {
+			p[j] = ann.Origin
+		}
+		return p
+	}
+	prepOf := func(p bgp.Path) int {
+		k := len(p)
+		for k > 0 && p[k-1] == ann.Origin {
+			k--
+		}
+		return len(p) - k
 	}
 	paths := make([]bgp.Path, n)
 	for i := int32(0); i < n; i++ {
@@ -50,7 +72,13 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 			}
 			p = append(p, g.ASNAt(j))
 		}
-		paths[i] = append(p, bgp.Path(nil).Prepend(ann.Origin, int(res.Prep[i]))...)
+		paths[i] = append(p, copies(int(res.Prep[i]))...)
+	}
+	if forger >= 0 {
+		if res.Parent[forger] != origin || res.Len[forger] != int32(res.Prep[forger]) {
+			tb.Errorf("forger %v: row %d/%d/%d is no claim", atk.AS, res.Parent[forger], res.Len[forger], res.Prep[forger])
+		}
+		paths[forger] = copies(int(res.Prep[forger]))
 	}
 	// export is what j announces to i, or nil; up is a session to j's peer
 	// or provider.
@@ -60,7 +88,9 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 			if ann.Withhold[g.ASNAt(i)] {
 				return nil
 			}
-			return bgp.Path(nil).Prepend(ann.Origin, ann.lambdaFor(g.ASNAt(i)))
+			return copies(ann.lambdaFor(g.ASNAt(i)))
+		case j == forger:
+			return paths[j].Prepend(g.ASNAt(j), 1)
 		case res.Class[j] == ClassNone, up && res.Class[j] != ClassCustomer && !(j == atkIdx && violate):
 			return nil
 		case j == atkIdx:
@@ -69,7 +99,7 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 		return paths[j].Prepend(g.ASNAt(j), 1)
 	}
 	for i := int32(0); i < n; i++ {
-		if i == origin {
+		if i == origin || i == forger {
 			continue
 		}
 		asn := g.ASNAt(i)
@@ -81,7 +111,7 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 			if p == nil || p.Contains(asn) {
 				return
 			}
-			quar := thr != nil && p.OriginPrepend() < int(thr[i])
+			quar := thr != nil && prepOf(p) < int(thr[i])
 			switch {
 			case bestFrom >= 0 && quar != bestQuar:
 				if quar {
@@ -111,7 +141,7 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 		}
 		for _, j := range g.SiblingsIdx(i) {
 			cls := res.Class[j]
-			if j == origin {
+			if j == origin || j == forger {
 				cls = ClassCustomer
 			}
 			offer(j, cls, false)
@@ -123,7 +153,7 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 			continue
 		}
 		if res.Class[i] != bestCls || res.Parent[i] != bestFrom || res.Len[i] != int32(len(best)) ||
-			res.Prep[i] != int16(best.OriginPrepend()) || !paths[i].Equal(best) {
+			res.Prep[i] != int16(prepOf(best)) || !paths[i].Equal(best) {
 			tb.Errorf("AS %v holds %v %v (Len %d, Prep %d), its best offer is %v %v from %v",
 				asn, res.Class[i], paths[i], res.Len[i], res.Prep[i], bestCls, best, g.ASNAt(bestFrom))
 			continue

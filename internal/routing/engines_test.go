@@ -704,3 +704,108 @@ func TestEnginesAgreeOnHandGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafEdgeCases holds phase 3's leaf loop (the rows [0, NumLeaves()))
+// to the oracles wherever a leaf plays a part of its own: the origin, the
+// attacker or the forger is a leaf; the origin's per-neighbour λ and a
+// withheld session point at leaf customers; leaves deploy cautious
+// adoption. Plain and strip legs must match the reference engine row for
+// row, Via included; forged claims match the multi-announcer oracle;
+// cautious legs, which may have two stable states, pass checkStable, as
+// every other leg must too. Each run emits every row once: RowsDown is n
+// per run.
+func TestLeafEdgeCases(t *testing.T) {
+	def := topology.DefaultGenConfig(1500)
+	def.Seed = 7
+	for _, cfg := range []topology.GenConfig{def, topology.InternetGenConfig(2000)} {
+		g, err := topology.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, nl := int32(g.NumASes()), g.NumLeaves()
+		// Two multi-homed leaves, from either end of the leaf range, and a
+		// transit AS with two leaf customers.
+		var leafO, leafA, hub, c1, c2 int32 = -1, -1, -1, -1, -1
+		for i := int32(0); i < nl; i++ {
+			if len(g.ProvidersIdx(i)) > 1 {
+				leafA = i
+				if leafO < 0 {
+					leafO = i
+				}
+			}
+		}
+		for u := nl; u < n && hub < 0; u++ {
+			if cs := g.CustomersIdx(u); len(cs) > 1 && cs[1] < nl {
+				hub, c1, c2 = u, cs[0], cs[1]
+			}
+		}
+		if leafO < 0 || leafO == leafA || hub < 0 {
+			t.Fatalf("n=%d: no two multi-homed leaves or no transit AS with two leaf customers", n)
+		}
+		asn := g.ASNAt
+		leafOrigin := Announcement{Origin: asn(leafO), Prepend: 4}
+		skewed := Announcement{Origin: asn(hub), Prepend: 3,
+			PerNeighbor: map[bgp.ASN]int{asn(c1): 6}, Withhold: map[bgp.ASN]bool{asn(c2): true}}
+		hubOrigin := Announcement{Origin: asn(hub), Prepend: 3}
+		strip := func(violate bool) *Attacker { return &Attacker{AS: asn(leafA), ViolateValleyFree: violate} }
+		forge := func(kind AttackKind) *Attacker { return &Attacker{AS: asn(leafA), Kind: kind} }
+		cases := []struct {
+			name   string
+			ann    Announcement
+			atk    *Attacker
+			deploy bool // every leaf deploys cautious adoption
+		}{
+			{"leaf origin", leafOrigin, nil, false},
+			{"λ and a withheld session toward leaf customers", skewed, nil, false},
+			{"leaf attacker, following", hubOrigin, strip(false), false},
+			{"leaf attacker, violating", hubOrigin, strip(true), false},
+			{"leaf origin, leaf attacker", leafOrigin, strip(true), false},
+			{"leaf attacker, λ and a withheld session toward leaf customers", skewed, strip(true), false},
+			{"leaf forger, origin hijack", hubOrigin, forge(AttackOriginHijack), false},
+			{"leaf origin, leaf forger, next-hop", leafOrigin, forge(AttackNextHopInterception), false},
+			{"leaf cautious deployers", hubOrigin, strip(true), true},
+			{"leaf origin, leaf cautious deployers", leafOrigin, strip(true), true},
+		}
+		s := NewScratch()
+		for _, tc := range cases {
+			label := fmt.Sprintf("n=%d %s (V=%v M=%v)", n, tc.name, tc.ann.Origin, asn(leafA))
+			var res *Result
+			var thr []int16
+			switch {
+			case tc.atk == nil:
+				res, err = PropagateScratch(g, tc.ann, s)
+			case tc.deploy:
+				base := mustPropagate(t, g, tc.ann)
+				deployers := make([]bgp.ASN, nl)
+				for i := range deployers {
+					deployers[i] = asn(int32(i))
+				}
+				thr = cautiousThresholds(g, base, deployers)
+				res, err = PropagateCautious(g, tc.ann, *tc.atk, base, thr, s)
+			default:
+				res, err = PropagateAttackScratch(g, tc.ann, *tc.atk, nil, s)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if rows := s.RowsDown(); rows == 0 || rows%int64(n) != 0 || !tc.deploy && rows != int64(n) {
+				t.Errorf("%s: RowsDown %d on %d ASes", label, rows, n)
+			}
+			checkStable(t, g, res, tc.ann, tc.atk, thr)
+			switch {
+			case tc.deploy:
+			case tc.atk != nil && tc.atk.Kind != AttackASPP:
+				checkForged(t, g, res, forgedOracle(t, g, tc.ann, *tc.atk), *tc.atk, label)
+			default:
+				ref, err := PropagateReference(g, tc.ann, tc.atk)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				compareResults(t, g, res, ref, label)
+			}
+			if t.Failed() {
+				t.Fatalf("%s: stopping at the first failing case", label)
+			}
+		}
+	}
+}

@@ -31,6 +31,11 @@ type expCand struct {
 // noExport is the empty expCand key.
 const noExport = ^uint64(0)
 
+// route is the selected route an adopted export becomes.
+func (e expCand) route() cand {
+	return cand{len: int32(e.key >> 32), parent: e.parent, prep: e.prep, via: e.via}
+}
+
 // expKey packs a received length and the exporter's ASN into a
 // comparison key ordered exactly as betterCand orders candidates:
 // shorter first, then lowest exporter ASN.
@@ -54,6 +59,8 @@ type fastState struct {
 	reject []bool // packed loop-rejection marks, owned by the Scratch
 
 	exps []expCand // per-AS final phase-3 exports (see Scratch.exps)
+
+	uniform bool // no per-neighbor λ, no withheld session (see init)
 
 	// custSet is a bitset over AS indices with a nonempty customer-table
 	// entry — the phase-1/2 worklist. Customer routes reach only the
@@ -151,6 +158,15 @@ func (st *fastState) init(g *topology.Graph, ann Announcement, s *Scratch) {
 	st.exps = s.exps[:n]
 	st.custSet = s.custSet[:(n+63)>>6]
 	st.peerSet = s.peerSet[:(n+63)>>6]
+	// A uniform announcement (no per-neighbor λ, no withheld session — the
+	// overwhelmingly common case) pre-stores the origin's downward seed in
+	// exps[origin], so phase 3 reads the origin like any other provider;
+	// otherwise each origin edge computes its own seed (see seedToward).
+	st.uniform = len(ann.PerNeighbor) == 0 && len(ann.Withhold) == 0
+	if st.uniform {
+		lam := int32(ann.Prepend)
+		st.exps[origin] = expCand{key: expKey(lam, ann.Origin), parent: origin, prep: int16(lam)}
+	}
 }
 
 // begin opens a fresh epoch on the record table and empties the class
@@ -424,7 +440,9 @@ func (st *fastState) seedSiblings() {
 // a shared table — no record writes, and ASes whose customer or peer
 // route wins structurally skip the provider sweep entirely. Result
 // emission is fused into the same scan, since u's selection is final
-// exactly when the scan needs it to fill exps[u].
+// exactly when the scan needs it to fill exps[u]. The scan runs down to the
+// lowest transit AS; the leaves below it, whose exports nobody reads, are
+// settled last by a loop of their own (see leaves).
 func (st *fastState) pass(res *Result, via []bool) {
 	st.begin()
 	g, o := st.g, st.origin
@@ -492,7 +510,8 @@ func (st *fastState) pass(res *Result, via []bool) {
 	// An AS holding a provider-class sibling offer ends a stretch of the
 	// scan: the offer is weighed against the row the scan just gave it,
 	// before any of its customers reads its export. That keeps sibling
-	// graphs out of the scan's inner loops altogether.
+	// graphs out of the scan's inner loops altogether. The leaves, below
+	// every other AS, close the scan in a loop of their own.
 	if st.rows != nil {
 		st.downRows(res)
 		return
@@ -508,7 +527,9 @@ func (st *fastState) pass(res *Result, via []bool) {
 			}
 		}
 	}
-	st.down(res, via, hi, 0)
+	nl := g.NumLeaves()
+	st.down(res, via, hi, nl)
+	st.leaves(res, via, nl)
 }
 
 // downRows is phase 3 over rows ∪ custSet only, as descending stretches of
@@ -546,32 +567,14 @@ func (st *fastState) adoptSiblingProvider(u int32, res *Result, via []bool) {
 	if e.key >= cur {
 		return
 	}
-	sel := cand{len: int32(e.key >> 32), parent: e.parent, prep: e.prep, via: e.via}
-	st.exps[u] = st.exportKey(u, sel)
-	res.Class[u] = ClassProvider
-	res.Len[u] = sel.len
-	res.Prep[u] = sel.prep
-	res.Parent[u] = sel.parent
-	if via != nil {
-		via[u] = sel.via
-	}
+	st.exps[u] = st.exportKey(u, e.route())
+	emit(res, via, u, ClassProvider, e.route())
 }
 
 // down runs the phase-3 scan over the AS indices hi down to lo.
-//
-// Uniform announcements (no per-neighbor λ, no withheld sessions — the
-// overwhelmingly common case) pre-store the origin's downward seed in
-// exps[o], so the sweep reads the origin like any other provider;
-// otherwise each origin edge computes its own seed.
 func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
-	g, o := st.g, st.origin
+	o := st.origin
 	st.s.rowsDown += int64(hi - lo + 1)
-	exps := st.exps
-	uniform := len(st.ann.PerNeighbor) == 0 && len(st.ann.Withhold) == 0
-	if uniform {
-		lam := int32(st.ann.Prepend)
-		exps[o] = expCand{key: expKey(lam, g.ASNAt(o)), parent: o, prep: int16(lam)}
-	}
 	for u := hi; u >= lo; u-- {
 		if u == o {
 			res.Class[u] = ClassNone
@@ -587,7 +590,7 @@ func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
 			// No selection: the row records the forged tail (Parent is the
 			// origin, so a capturing AS's parent chain ends [... M] plus
 			// Prep origin copies) and the claim goes down like any export.
-			exps[u] = st.exportKey(u, st.claim)
+			st.exps[u] = st.exportKey(u, st.claim)
 			res.Class[u] = ClassNone
 			res.Len[u] = st.claim.len
 			res.Prep[u] = st.claim.prep
@@ -604,65 +607,88 @@ func (st *fastState) down(res *Result, via []bool, hi, lo int32) {
 			cls, sel = ClassCustomer, st.recs[u].cust
 		} else if st.peerSet[u>>6]&bit != 0 {
 			cls, sel = ClassPeer, st.recs[u].peer
+		} else if best := st.sweep(u); best.key != noExport {
+			cls, sel = ClassProvider, best.route()
 		}
 		if cls == ClassNone {
-			// No customer or peer route: sweep the providers' final exports.
-			// The key compare subsumes betterCand AND the emptiness check
-			// (noExport loses to every real offer), so a valid offer costs
-			// one compare plus the loop-rejection and quarantine probes.
-			best := expCand{key: noExport}
-			rej := u == st.atkIdx || st.reject[u]
-			var q int16
-			if st.quar != nil {
-				q = st.quar[u]
-			}
-			if uniform {
-				for _, p := range g.ProvidersIdx(u) {
-					e := exps[p]
-					if e.key < best.key && !(e.via && rej) && e.prep >= q {
-						best = e
-					}
-				}
-			} else {
-				for _, p := range g.ProvidersIdx(u) {
-					var e expCand
-					if p == o {
-						c, ok := st.originSeed(u)
-						if !ok {
-							continue
-						}
-						e = expCand{key: expKey(c.len, g.ASNAt(o)), parent: o, prep: c.prep}
-					} else {
-						e = exps[p]
-					}
-					if e.key < best.key && !(e.via && rej) && e.prep >= q {
-						best = e
-					}
-				}
-			}
-			if best.key != noExport {
-				cls = ClassProvider
-				sel = cand{len: int32(best.key >> 32), parent: best.parent, prep: best.prep, via: best.via}
-			}
+			st.exps[u].key = noExport
+		} else {
+			st.exps[u] = st.exportKey(u, sel)
 		}
-		if cls == ClassNone {
-			exps[u].key = noExport
-			res.Class[u] = ClassNone
-			res.Len[u] = -1
-			res.Prep[u] = 0
-			res.Parent[u] = -1
-			if via != nil {
-				via[u] = false
-			}
+		emit(res, via, u, cls, sel)
+	}
+}
+
+// leaves is phase 3 over the leaf rows [0, nl) (topology.Graph.NumLeaves).
+// A leaf holds no customer or peer route — nobody offers it one — and no
+// AS reads its export, so its row is its providers' sweep alone: no class
+// probe, no exps write. Leaves of one provider are numbered side by side,
+// so a run of them reads that provider's export from cache. An announcer
+// that is a leaf takes its row from down.
+func (st *fastState) leaves(res *Result, via []bool, nl int32) {
+	st.s.rowsDown += int64(nl)
+	for u := int32(0); u < nl; u++ {
+		if u == st.origin || u == st.forger {
+			st.s.rowsDown-- // down counts the row it writes
+			st.down(res, via, u, u)
 			continue
 		}
-		exps[u] = st.exportKey(u, sel)
-		res.Class[u] = cls
-		res.Len[u] = sel.len
-		res.Prep[u] = sel.prep
-		res.Parent[u] = sel.parent
-		if via != nil {
-			via[u] = sel.via
+		cls, best := ClassNone, st.sweep(u)
+		if best.key != noExport {
+			cls = ClassProvider
 		}
+		emit(res, via, u, cls, best.route())
+	}
+}
+
+// sweep returns the best of the final exports u's providers offer it, key
+// noExport when none is admissible. The key compare subsumes betterCand AND
+// the emptiness check (noExport loses to every real offer), so a valid
+// offer costs one compare plus the loop-rejection and quarantine probes.
+func (st *fastState) sweep(u int32) expCand {
+	if !st.uniform {
+		st.seedToward(u)
+	}
+	best := expCand{key: noExport}
+	rej := u == st.atkIdx || st.reject[u]
+	var q int16
+	if st.quar != nil {
+		q = st.quar[u]
+	}
+	for _, p := range st.g.ProvidersIdx(u) {
+		if e := st.exps[p]; e.key < best.key && !(e.via && rej) && e.prep >= q {
+			best = e
+		}
+	}
+	return best
+}
+
+// seedToward stores the origin's seed toward u in exps[origin] when the
+// origin is u's provider: the per-neighbor λ, or noExport on a withheld
+// session. Only a non-uniform announcement needs it (see init).
+func (st *fastState) seedToward(u int32) {
+	for _, p := range st.g.ProvidersIdx(u) {
+		if p == st.origin {
+			e := expCand{key: noExport}
+			if c, ok := st.originSeed(u); ok {
+				e = expCand{key: expKey(c.len, st.ann.Origin), parent: p, prep: c.prep}
+			}
+			st.exps[p] = e
+		}
+	}
+}
+
+// emit writes u's result row: sel under class cls, or no route when cls is
+// ClassNone.
+func emit(res *Result, via []bool, u int32, cls Class, sel cand) {
+	if cls == ClassNone {
+		sel = cand{len: -1, parent: -1}
+	}
+	res.Class[u] = cls
+	res.Len[u] = sel.len
+	res.Prep[u] = sel.prep
+	res.Parent[u] = sel.parent
+	if via != nil {
+		via[u] = sel.via
 	}
 }

@@ -184,13 +184,17 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, errors.New("topology: no ASes")
 	}
 	// The customer->provider DAG in registration numbering, as one CSR of
-	// provider lists plus customer counts — all the numbering reads.
+	// provider lists plus customer counts, and which ASes have a peer or
+	// sibling — all the numbering reads.
 	provOff := make([]int32, n+1)
 	nCust := make([]int32, n)
+	lateral := make([]bool, n)
 	for _, l := range b.links {
 		if l.rel == ProviderToCustomer {
 			provOff[l.b+1]++
 			nCust[l.a]++
+		} else {
+			lateral[l.a], lateral[l.b] = true, true
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -204,7 +208,7 @@ func (b *Builder) Build() (*Graph, error) {
 			fill[l.b]++
 		}
 	}
-	order, err := upTopoNumbering(b.asns, provOff, provAdj, nCust)
+	order, nLeaves, err := upTopoNumbering(b.asns, provOff, provAdj, nCust, lateral)
 	if err != nil {
 		return nil, err
 	}
@@ -214,9 +218,10 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	g := &Graph{
-		asns:  make([]bgp.ASN, n),
-		enum:  slices.Clone(b.asns),
-		index: make(map[bgp.ASN]int32, n),
+		asns:    make([]bgp.ASN, n),
+		enum:    slices.Clone(b.asns),
+		index:   make(map[bgp.ASN]int32, n),
+		nLeaves: nLeaves,
 	}
 	for newI, old := range order {
 		g.asns[newI] = b.asns[old]
@@ -294,18 +299,37 @@ func (b *Builder) Build() (*Graph, error) {
 }
 
 // upTopoNumbering computes the canonical up-topological order of the
-// customer->provider DAG: Kahn's algorithm always emitting the ready AS
-// with the lowest ASN (a min-heap frontier). The result depends only on
-// the AS set and link structure — never on registration order — so
-// rebuilding a graph reproduces its dense numbering (Rebuild relies on
-// this). Fails if the provider hierarchy has a cycle.
+// customer->provider DAG and how many leaves open it. Leaves — ASes with
+// providers and no other link — come first, sorted by (provider count,
+// lowest provider index, highest provider index, ASN), so leaves of one
+// provider sit side by side. Kahn's algorithm, always emitting the ready AS
+// with the lowest ASN (a min-heap frontier), numbers the rest once the
+// leaves' edges are out of their providers' in-degree. Every provider has
+// a customer, so it is no leaf and lands above all of its leaves. The
+// result depends only on the AS set and link structure — never on
+// registration order — so rebuilding a graph reproduces its dense
+// numbering (Rebuild relies on this). Fails if the provider hierarchy has
+// a cycle.
 //
 // The DAG arrives in registration numbering: AS u's providers are
-// provAdj[provOff[u]:provOff[u+1]], and indeg[u] counts its customers
-// (the count is consumed).
-func upTopoNumbering(asns []bgp.ASN, provOff, provAdj, indeg []int32) ([]int32, error) {
+// provAdj[provOff[u]:provOff[u+1]], indeg[u] counts its customers (the
+// count is consumed), and lateral[u] is set when u has a peer or sibling.
+func upTopoNumbering(asns []bgp.ASN, provOff, provAdj, indeg []int32, lateral []bool) ([]int32, int32, error) {
 	n := len(asns)
-	heap := make([]int32, 0, n)
+	var leaves []int32
+	for u := int32(0); u < int32(n); u++ {
+		if indeg[u] == 0 && !lateral[u] && provOff[u] < provOff[u+1] {
+			leaves = append(leaves, u)
+		}
+	}
+	for _, u := range leaves {
+		indeg[u] = -1 // never ready: the leaves are numbered apart
+		for _, p := range provAdj[provOff[u]:provOff[u+1]] {
+			indeg[p]--
+		}
+	}
+	nLeaves := len(leaves)
+	heap := make([]int32, 0, n-nLeaves)
 	push := func(u int32) {
 		heap = append(heap, u)
 		for c := len(heap) - 1; c > 0; {
@@ -338,14 +362,16 @@ func upTopoNumbering(asns []bgp.ASN, provOff, provAdj, indeg []int32) ([]int32, 
 		}
 		return u
 	}
+	pos := make([]int32, n) // registration index -> dense index, transit ASes only
 	for i := int32(0); i < int32(n); i++ {
 		if indeg[i] == 0 {
 			push(i)
 		}
 	}
-	order := make([]int32, 0, n)
+	order := make([]int32, nLeaves, n)
 	for len(heap) > 0 {
 		u := pop()
+		pos[u] = int32(len(order))
 		order = append(order, u)
 		for _, p := range provAdj[provOff[u]:provOff[u+1]] {
 			if indeg[p]--; indeg[p] == 0 {
@@ -354,9 +380,53 @@ func upTopoNumbering(asns []bgp.ASN, provOff, provAdj, indeg []int32) ([]int32, 
 		}
 	}
 	if len(order) != n {
-		return nil, errors.New("topology: provider-customer cycle detected")
+		return nil, 0, errors.New("topology: provider-customer cycle detected")
 	}
-	return order, nil
+
+	orderLeaves(order[:nLeaves], leaves, asns, provOff, provAdj, pos)
+	return order, int32(nLeaves), nil
+}
+
+// orderLeaves writes leaves (registration indices) into out sorted by
+// (provider count, lowest provider index, highest provider index, ASN),
+// with each provider's dense index read off pos. It needs no comparison
+// sort: the leaves are put in ASN order, then in three stable counting
+// sorts by the other keys, last key first.
+func orderLeaves(out, leaves []int32, asns []bgp.ASN, provOff, provAdj, pos []int32) {
+	n := len(asns)
+	byASN := make([]uint64, len(leaves))
+	for k, u := range leaves {
+		byASN[k] = uint64(asns[u])<<32 | uint64(u)
+	}
+	slices.Sort(byASN)
+	lo, hi := make([]int32, n), make([]int32, n) // by registration index
+	for k, v := range byASN {
+		u := int32(uint32(v))
+		leaves[k], lo[u] = u, int32(n)
+		for _, p := range provAdj[provOff[u]:provOff[u+1]] {
+			lo[u], hi[u] = min(lo[u], pos[p]), max(hi[u], pos[p])
+		}
+	}
+	count, next := make([]int32, n+1), make([]int32, len(leaves))
+	for _, key := range []func(u int32) int32{
+		func(u int32) int32 { return hi[u] },
+		func(u int32) int32 { return lo[u] },
+		func(u int32) int32 { return provOff[u+1] - provOff[u] },
+	} {
+		clear(count)
+		for _, u := range leaves {
+			count[key(u)+1]++
+		}
+		for k := 1; k <= n; k++ {
+			count[k] += count[k-1]
+		}
+		for _, u := range leaves {
+			next[count[key(u)]] = u
+			count[key(u)]++
+		}
+		leaves, next = next, leaves
+	}
+	copy(out, leaves)
 }
 
 // computeTiers assigns tier 1 to provider-free ASes and 1+min(provider

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -191,6 +192,87 @@ func TestRebuildReproducesIndices(t *testing.T) {
 	for i := int32(0); i < int32(g.NumASes()); i++ {
 		if g.ASNAt(i) != g2.ASNAt(i) {
 			t.Fatalf("index %d: %v before rebuild, %v after", i, g.ASNAt(i), g2.ASNAt(i))
+		}
+	}
+}
+
+// TestLeavesNumberedFirst pins the leaf range the routing kernel's tail loop
+// reads: [0, NumLeaves()) is exactly the set of ASes with providers and no
+// other link, sorted by (provider count, lowest provider index, highest
+// provider index, ASN); the numbering stays up-topological; and Rebuild and
+// a serial-2 round trip reproduce it — on the default generator, the
+// Internet preset at small n, and a graph with sibling links grafted on.
+func TestLeavesNumberedFirst(t *testing.T) {
+	internet, err := Generate(InternetGenConfig(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := csrTestGraph(t)
+	b := Rebuild(plain)
+	for i := int32(0); i < 40; i += 2 { // a sibling link between two leaves: neither stays one
+		if err := b.AddS2S(plain.ASNAt(i), plain.ASNAt(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grafted, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grafted.NumLeaves() != plain.NumLeaves()-40 {
+		t.Fatalf("%d leaves after grafting siblings onto 40, want %d", grafted.NumLeaves(), plain.NumLeaves()-40)
+	}
+
+	for name, g := range map[string]*Graph{"default": plain, "internet": internet, "sibling-grafted": grafted} {
+		n, nl := int32(g.NumASes()), g.NumLeaves()
+		if nl == 0 || nl == n {
+			t.Fatalf("%s: %d leaves of %d ASes", name, nl, n)
+		}
+		type key struct{ np, lo, hi, asn int64 }
+		var prev key
+		for i := int32(0); i < n; i++ {
+			provs := g.ProvidersIdx(i)
+			leaf := len(provs) > 0 && len(g.CustomersIdx(i))+len(g.PeersIdx(i))+len(g.SiblingsIdx(i)) == 0
+			if leaf != (i < nl) {
+				t.Fatalf("%s: AS %v at index %d: leaf=%v, NumLeaves %d", name, g.ASNAt(i), i, leaf, nl)
+			}
+			for _, p := range provs {
+				if p <= i {
+					t.Fatalf("%s: provider index %d <= customer index %d", name, p, i)
+				}
+			}
+			if !leaf {
+				continue
+			}
+			// Spans are sorted by index: the ends are the lowest and highest.
+			k := key{int64(len(provs)), int64(provs[0]), int64(provs[len(provs)-1]), int64(g.ASNAt(i))}
+			if i > 0 && !(prev.np < k.np || prev.np == k.np && (prev.lo < k.lo || prev.lo == k.lo &&
+				(prev.hi < k.hi || prev.hi == k.hi && prev.asn < k.asn))) {
+				t.Fatalf("%s: leaf %d key %+v after %+v", name, i, k, prev)
+			}
+			prev = k
+		}
+
+		rebuilt, err := Rebuild(g).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := WriteSerial2(&sb, g); err != nil {
+			t.Fatal(err)
+		}
+		reread, err := ReadSerial2(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, g2 := range map[string]*Graph{"Rebuild": rebuilt, "serial-2 round trip": reread} {
+			if g2.NumLeaves() != nl || g2.NumASes() != g.NumASes() {
+				t.Fatalf("%s %s: %d leaves of %d ASes, want %d of %d", name, what, g2.NumLeaves(), g2.NumASes(), nl, n)
+			}
+			for i := int32(0); i < n; i++ {
+				if g.ASNAt(i) != g2.ASNAt(i) {
+					t.Fatalf("%s %s: index %d holds %v, was %v", name, what, i, g2.ASNAt(i), g.ASNAt(i))
+				}
+			}
 		}
 	}
 }

@@ -353,6 +353,9 @@ type GenStats struct {
 	MultiHomedFrac        float64
 	DegreeP90, DegreeP99  int
 	PeeredStubFrac        float64
+	// Leaves have providers and no other link (Graph.NumLeaves); the
+	// single-homed ones have exactly one provider.
+	Leaves, SingleHomedLeaves int
 }
 
 // Stats computes GenStats for g.
@@ -393,6 +396,12 @@ func Stats(g *Graph) GenStats {
 			stubs++
 			if len(g.PeersIdx(i)) > 0 {
 				peeredStubs++
+			}
+		}
+		if i < g.NumLeaves() {
+			s.Leaves++
+			if len(g.ProvidersIdx(i)) == 1 {
+				s.SingleHomedLeaves++
 			}
 		}
 		s.P2CLinks += len(g.CustomersIdx(i))

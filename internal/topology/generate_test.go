@@ -135,4 +135,8 @@ func TestStatsOnSmallGraph(t *testing.T) {
 	if s.Tier1 != 2 || s.Stubs != 3 || s.Transit != 3 {
 		t.Errorf("tier split = %d/%d/%d, want 2/3/3", s.Tier1, s.Transit, s.Stubs)
 	}
+	// 100 and 200 peer with each other; 300 is the one stub with only a provider.
+	if s.Leaves != 1 || s.SingleHomedLeaves != 1 {
+		t.Errorf("leaves = %d (%d single-homed), want 1 (1)", s.Leaves, s.SingleHomedLeaves)
+	}
 }

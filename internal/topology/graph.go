@@ -14,10 +14,17 @@
 // customer->provider DAG at build time (every customer's index is smaller
 // than all of its providers'), so UpTopoOrder is the identity permutation
 // and the routing engines' DAG phases are plain ascending/descending index
-// scans over sequential memory. The numbering is canonical: it depends only
-// on the AS set and link structure (Kahn's algorithm always emitting the
-// lowest-ASN ready AS), never on registration order, so Rebuild reproduces
-// a graph's indices exactly. ASNs() deliberately preserves registration
+// scans over sequential memory. Leaves — ASes with providers and no
+// customer, peer or sibling, about four in five on an Internet-like graph —
+// hold the lowest indices, [0, NumLeaves()): no other AS reads a leaf's
+// route, so the routing kernel settles them in a loop of their own after
+// every transit AS, and they are sorted by (provider count, lowest provider
+// index, highest provider index, ASN) so that loop reads one provider's
+// export for a run of its single-homed leaves. The other ASes follow in
+// Kahn's order, always emitting the lowest-ASN ready AS. The numbering is
+// canonical: it depends only on the AS set and link structure, never on
+// registration order, so Rebuild reproduces a graph's indices exactly.
+// ASNs() deliberately preserves registration
 // order instead — every seeded sampling stream in the experiment drivers
 // draws from it, and those streams must not shift when the internal
 // numbering does.
@@ -130,6 +137,7 @@ type Graph struct {
 	asnAdj []bgp.ASN
 	off    []int32 // len 4n+1
 
+	nLeaves   int32   // leaves hold the indices [0, nLeaves)
 	nSiblings int     // total sibling adjacencies (2 per link)
 	sibASes   []int32 // indices of the ASes with a sibling, ascending
 
@@ -140,6 +148,11 @@ type Graph struct {
 
 // NumASes returns the number of ASes in the graph.
 func (g *Graph) NumASes() int { return len(g.asns) }
+
+// NumLeaves returns the number of leaves: ASes with at least one provider
+// and no customer, peer or sibling. They hold the dense indices
+// [0, NumLeaves()), below every other AS (see the package doc).
+func (g *Graph) NumLeaves() int32 { return g.nLeaves }
 
 // idxSpan returns the class-c neighbor span of AS i, capacity-clipped so a
 // caller's append can never write into the adjacent span.
