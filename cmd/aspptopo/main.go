@@ -16,6 +16,8 @@ import (
 	"os"
 
 	"aspp"
+	"aspp/internal/measure"
+	"aspp/internal/relinfer"
 	"aspp/internal/topology"
 )
 
@@ -66,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *showStat {
-		ps, err := topology.MeasurePaths(g, 30)
+		ps, err := measure.MeasurePaths(g, relinfer.SampleOrigins(g, 30))
 		if err != nil {
 			// Path stats are part of the requested report; a propagation
 			// failure is a real defect, not a line to drop silently.

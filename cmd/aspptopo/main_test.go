@@ -96,3 +96,20 @@ func TestRunErrors(t *testing.T) {
 		t.Error("tiny n accepted")
 	}
 }
+
+// TestRunStatsSiblingTopology: path statistics come off the routing kernel,
+// which routes sibling links, so a sibling-bearing file gets its paths line.
+func TestRunStatsSiblingTopology(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "siblings.txt")
+	rels := "1|2|-1\n1|3|-1\n2|4|-1\n3|5|-1\n4|5|2\n5|6|-1\n"
+	if err := os.WriteFile(file, []byte(rels), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-topo", file}, &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(sb.String(), "paths:           mean 1.7 hops, max 3, reachable 100.0%") {
+		t.Errorf("paths line missing or wrong:\n%s", sb.String())
+	}
+}

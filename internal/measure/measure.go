@@ -2,7 +2,9 @@
 // route monitors — the paper's Section VI-A measurement (Figs. 5 and 6) —
 // by computing the monitors' routing tables and failure-driven update
 // streams over a topology whose origins follow realistic prepending
-// policies.
+// policies. MeasurePaths gives the AS-path length distribution the paper
+// picks λ from ("half of the average AS path length"), read off the same
+// routing kernel.
 package measure
 
 import (

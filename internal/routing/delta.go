@@ -147,14 +147,13 @@ func (st *deltaState) acceptable(at int32, c cand) bool {
 	return !c.via || (at != st.atkIdx && !st.reject[at])
 }
 
-// originSeed is the origin's phase-0 offer toward neighbor nbr.
+// originSeed is the origin's phase-0 offer toward neighbor nbr (see
+// Announcement.seed), len -1 on a withheld session.
 func (st *deltaState) originSeed(nbr int32) cand {
-	asn := st.g.ASNAt(nbr)
-	if st.ann.Withhold[asn] {
-		return cand{len: -1}
+	if c, ok := st.ann.seed(st.g, st.origin, nbr); ok {
+		return c
 	}
-	lam := int32(st.ann.lambdaFor(asn))
-	return cand{len: lam, prep: int16(lam), parent: st.origin}
+	return cand{len: -1}
 }
 
 // custExport is what u offers in phases 1-2 (its customer-learned route,
@@ -359,16 +358,14 @@ func (st *deltaState) settle(u int32) {
 	if sel.len < 0 {
 		sel, cls = st.provEntry(u), ClassProvider
 	}
+	if sel.len < 0 {
+		cls = ClassNone
+	}
 	if candEq(sel, st.baseSel(u)) {
 		return
 	}
-	res := st.res
 	st.flags[u] |= deltaWritten
-	if sel.len < 0 {
-		res.Class[u], res.Len[u], res.Prep[u], res.Parent[u], res.Via[u] = ClassNone, -1, 0, -1, false
-	} else {
-		res.Class[u], res.Len[u], res.Prep[u], res.Parent[u], res.Via[u] = cls, sel.len, sel.prep, sel.parent, sel.via
-	}
+	emit(st.res, st.res.Via, u, cls, sel)
 	for _, c := range st.g.CustomersIdx(u) {
 		st.mark(c, dirtyProv)
 	}
@@ -377,29 +374,13 @@ func (st *deltaState) settle(u int32) {
 // deltaResultInto resets r to a copy of the baseline on reused storage and
 // attaches via (cleared) as its Via slice.
 func deltaResultInto(r *Result, baseline *Result, via []bool) *Result {
-	n := len(baseline.Class)
-	r.g = baseline.g
-	r.origin = baseline.origin
-	r.reach = 0
-	if cap(r.Class) < n {
-		c := growCap(n, cap(r.Class))
-		r.Class = make([]Class, c)
-		r.Len = make([]int32, c)
-		r.Prep = make([]int16, c)
-		r.Parent = make([]int32, c)
-	}
-	r.Class = r.Class[:n]
-	r.Len = r.Len[:n]
-	r.Prep = r.Prep[:n]
-	r.Parent = r.Parent[:n]
+	resultInto(r, baseline.g, baseline.origin)
 	copy(r.Class, baseline.Class)
 	copy(r.Len, baseline.Len)
 	copy(r.Prep, baseline.Prep)
 	copy(r.Parent, baseline.Parent)
-	r.Via = via[:n]
-	for i := range r.Via {
-		r.Via[i] = false
-	}
+	r.Via = via[:len(r.Class)]
+	clear(r.Via)
 	return r
 }
 

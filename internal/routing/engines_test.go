@@ -545,18 +545,23 @@ func checkDeltaCone(t *testing.T, g *topology.Graph, base, delta *Result, atk At
 
 // FuzzDeltaAttack drives the delta engine with fuzzed graphs of 64-400
 // ASes, so its worklists span several words, and fuzzed victims,
-// attackers, λ, keep and violate. Each input runs its attack and three
-// more attackers drawn from the seed on one Scratch against one cloned
-// baseline, so every call after the first repairs the rows the previous
-// one wrote. Each result must equal the full kernel's row for row and pass
-// checkDeltaCone, and all three worklists must be zero on return. Wired
-// into `make fuzz-smoke`.
+// attackers, λ, keep and violate. When lambdaSel's top bit is set, the
+// origin also sends a per-neighbor λ on some of its links and withholds
+// others, in every relationship class, so the engine is held to the
+// kernel through the seed rule they share (Announcement.seed). Each input
+// runs its attack and three more attackers drawn from the seed on one
+// Scratch against one cloned baseline, so every call after the first
+// repairs the rows the previous one wrote. Each result must equal the
+// full kernel's row for row and pass checkDeltaCone, and all three
+// worklists must be zero on return. Wired into `make fuzz-smoke`.
 func FuzzDeltaAttack(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(0), uint16(1), uint8(2), uint8(0), false)
 	f.Add(int64(42), uint16(100), uint16(7), uint16(300), uint8(4), uint8(1), true)
 	f.Add(int64(7), uint16(336), uint16(2), uint16(5), uint8(7), uint8(2), false)
 	f.Add(int64(99), uint16(200), uint16(150), uint16(3), uint8(0), uint8(1), true)
 	f.Add(int64(-3), uint16(65535), uint16(65535), uint16(65535), uint8(255), uint8(255), true)
+	f.Add(int64(5), uint16(80), uint16(12), uint16(40), uint8(0x83), uint8(0), true)
+	f.Add(int64(11), uint16(250), uint16(3), uint16(77), uint8(0x85), uint8(1), false)
 	f.Fuzz(func(t *testing.T, seed int64, nSel, victimSel, atkSel uint16, lambdaSel, keepSel uint8, violate bool) {
 		cfg := topology.DefaultGenConfig(64 + int(nSel)%337)
 		cfg.Seed = seed
@@ -566,6 +571,20 @@ func FuzzDeltaAttack(f *testing.F) {
 		}
 		asns := g.ASNs()
 		ann := Announcement{Origin: asns[int(victimSel)%len(asns)], Prepend: 1 + int(lambdaSel)%8}
+		if lambdaSel&0x80 != 0 {
+			pick := rand.New(rand.NewSource(^seed))
+			ann.PerNeighbor, ann.Withhold = map[bgp.ASN]int{}, map[bgp.ASN]bool{}
+			for _, nbrs := range [][]bgp.ASN{g.Providers(ann.Origin), g.Peers(ann.Origin), g.Customers(ann.Origin)} {
+				for _, nbr := range nbrs {
+					switch pick.Intn(4) {
+					case 0:
+						ann.Withhold[nbr] = true
+					case 1:
+						ann.PerNeighbor[nbr] = 1 + pick.Intn(8)
+					}
+				}
+			}
+		}
 		s := NewScratch()
 		base, err := PropagateScratch(g, ann, s)
 		if err != nil {
@@ -579,7 +598,8 @@ func FuzzDeltaAttack(f *testing.F) {
 				continue
 			}
 			atk := Attacker{AS: attacker, KeepPrepend: 1 + int(keepSel)%3, ViolateValleyFree: violate != (leg%2 == 1)}
-			label := fmt.Sprintf("leg %d (V=%v M=%v λ=%d keep=%d violate=%v)", leg, ann.Origin, atk.AS, ann.Prepend, atk.KeepPrepend, atk.ViolateValleyFree)
+			label := fmt.Sprintf("leg %d (V=%v M=%v λ=%d per-neighbor=%v withheld=%v keep=%d violate=%v)",
+				leg, ann.Origin, atk.AS, ann.Prepend, ann.PerNeighbor, ann.Withhold, atk.KeepPrepend, atk.ViolateValleyFree)
 			full, ferr := PropagateAttackScratch(g, ann, atk, base, s)
 			delta, derr := PropagateAttackDelta(g, ann, atk, base, s)
 			if errors.Is(ferr, ErrUnreachableAttacker) && errors.Is(derr, ErrUnreachableAttacker) {

@@ -271,7 +271,10 @@ func (st *fastState) export(u int32, c cand) cand {
 }
 
 // exportKey is export with the phase-3 comparison key precomputed from
-// the exporter's ASN, in expCand form.
+// the exporter's ASN, in expCand form. It restates exportCand by hand
+// rather than calling export: phase 3 calls it once per transit row, and
+// building the key off export's cand measured 3–10 % slower per 80k
+// baseline (EXPERIMENTS.md, "Path statistics off the kernel").
 func (st *fastState) exportKey(u int32, c cand) expCand {
 	ln := c.len + 1
 	prep := c.prep
@@ -301,15 +304,10 @@ func (st *fastState) seedUpward(c cand) {
 	}
 }
 
-// originSeed is the origin's announcement to neighbor nbr: λ copies of
-// its ASN, per neighbor, or nothing on a withheld (failed) session.
+// originSeed is the origin's announcement to neighbor nbr (see
+// Announcement.seed).
 func (st *fastState) originSeed(nbr int32) (cand, bool) {
-	asn := st.g.ASNAt(nbr)
-	if st.ann.Withhold[asn] {
-		return cand{}, false
-	}
-	lam := int32(st.ann.lambdaFor(asn))
-	return cand{len: lam, prep: int16(lam), parent: st.origin}, true
+	return st.ann.seed(st.g, st.origin, nbr)
 }
 
 // run computes the stable outcome into res (which must already be sized

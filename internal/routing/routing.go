@@ -103,6 +103,19 @@ func (a Announcement) lambdaFor(n bgp.ASN) int {
 	return a.Prepend
 }
 
+// seed is the origin's announcement to neighbor nbr (origin and nbr are
+// dense indices): λ copies of its ASN, per neighbor, or nothing on a
+// withheld (failed) session. The full kernel and the delta engine both
+// seed through it; the reference engine, the oracle, states it itself.
+func (a Announcement) seed(g *topology.Graph, origin, nbr int32) (cand, bool) {
+	asn := g.ASNAt(nbr)
+	if a.Withhold[asn] {
+		return cand{}, false
+	}
+	lam := int32(a.lambdaFor(asn))
+	return cand{len: lam, prep: int16(lam), parent: origin}, true
+}
+
 // Validate checks the announcement against a topology.
 func (a Announcement) Validate(g *topology.Graph) error {
 	if !g.Has(a.Origin) {

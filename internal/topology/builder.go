@@ -283,11 +283,6 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 
-	// Dense indices are up-topological by construction.
-	g.upTopo = make([]int32, n)
-	for i := range g.upTopo {
-		g.upTopo[i] = int32(i)
-	}
 	g.computeTiers()
 	for i, t := range g.tier {
 		if t == 1 {

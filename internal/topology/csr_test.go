@@ -9,7 +9,7 @@ import (
 )
 
 // This file pins the CSR layout invariants the routing engines lean on:
-// identity up-topological numbering, sorted spans, and capacity-clipped
+// up-topological numbering, sorted spans, and capacity-clipped
 // read-only views. They are internal properties (the public API is
 // ASN-keyed and unchanged), but the Fast engine's sequential phase scans
 // are only correct because of them, so they get their own tests.
@@ -25,38 +25,25 @@ func csrTestGraph(t *testing.T) *Graph {
 	return g
 }
 
-// TestUpTopoOrderIsIdentity: dense indices are assigned in up-topological
-// order at build time, so UpTopoOrder must be the identity permutation —
-// the property that turns the engines' DAG phases into plain index scans.
-func TestUpTopoOrderIsIdentity(t *testing.T) {
-	for _, g := range []*Graph{smallGraph(t), csrTestGraph(t)} {
-		order := g.UpTopoOrder()
-		if len(order) != g.NumASes() {
-			t.Fatalf("UpTopoOrder covers %d ASes, want %d", len(order), g.NumASes())
-		}
-		for k, i := range order {
-			if int32(k) != i {
-				t.Fatalf("UpTopoOrder[%d] = %d, want identity", k, i)
-			}
-		}
-	}
-}
-
-// TestProviderIndexAboveCustomer: for every provider edge, the provider's
-// dense index is strictly greater than the customer's. Phase 3's pull loop
-// (descending scan reading exps[p] of each provider p) depends on this.
+// TestProviderIndexAboveCustomer: dense indices are assigned in
+// up-topological order at build time, so for every provider edge the
+// provider's dense index is strictly greater than the customer's — the
+// property that turns the engines' DAG phases into plain index scans.
+// Phase 3's pull loop (descending scan reading exps[p] of each provider p)
+// depends on it.
 func TestProviderIndexAboveCustomer(t *testing.T) {
-	g := csrTestGraph(t)
-	for i := int32(0); i < int32(g.NumASes()); i++ {
-		for _, p := range g.ProvidersIdx(i) {
-			if p <= i {
-				t.Fatalf("provider index %d <= customer index %d (%v -> %v)",
-					p, i, g.ASNAt(p), g.ASNAt(i))
+	for _, g := range []*Graph{smallGraph(t), csrTestGraph(t)} {
+		for i := int32(0); i < int32(g.NumASes()); i++ {
+			for _, p := range g.ProvidersIdx(i) {
+				if p <= i {
+					t.Fatalf("provider index %d <= customer index %d (%v -> %v)",
+						p, i, g.ASNAt(p), g.ASNAt(i))
+				}
 			}
-		}
-		for _, c := range g.CustomersIdx(i) {
-			if c >= i {
-				t.Fatalf("customer index %d >= provider index %d", c, i)
+			for _, c := range g.CustomersIdx(i) {
+				if c >= i {
+					t.Fatalf("customer index %d >= provider index %d", c, i)
+				}
 			}
 		}
 	}

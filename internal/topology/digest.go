@@ -72,7 +72,7 @@ func (g *Graph) MemoryBytes() int64 {
 		int64(cap(g.asns))*asnSize + int64(cap(g.enum))*asnSize +
 		int64(cap(g.adj))*int32Size + int64(cap(g.asnAdj))*asnSize +
 		int64(cap(g.off))*int32Size +
-		int64(cap(g.tier)) + int64(cap(g.upTopo))*int32Size +
+		int64(cap(g.tier)) +
 		int64(cap(g.sibASes))*int32Size +
 		int64(cap(g.tier1))*asnSize +
 		int64(len(g.index))*graphMapEntryBytes

@@ -1,6 +1,8 @@
 // Package topology models the AS-level Internet: autonomous systems joined
 // by provider-customer and peer-peer business relationships, with tier
-// classification and the traversal orders the routing engines need.
+// classification and the index order the routing engines scan. It computes
+// no routes: path statistics are read off the routing kernel
+// (measure.MeasurePaths).
 //
 // Graphs are immutable once built (see Builder), which makes them safe to
 // share across the concurrent experiment drivers without locking.
@@ -12,22 +14,20 @@
 // contiguously in that class order — and a span-offset table slices it per
 // (AS, class). Dense indices are assigned in up-topological order of the
 // customer->provider DAG at build time (every customer's index is smaller
-// than all of its providers'), so UpTopoOrder is the identity permutation
-// and the routing engines' DAG phases are plain ascending/descending index
-// scans over sequential memory. Leaves — ASes with providers and no
-// customer, peer or sibling, about four in five on an Internet-like graph —
-// hold the lowest indices, [0, NumLeaves()): no other AS reads a leaf's
-// route, so the routing kernel settles them in a loop of their own after
-// every transit AS, and they are sorted by (provider count, lowest provider
-// index, highest provider index, ASN) so that loop reads one provider's
-// export for a run of its single-homed leaves. The other ASes follow in
-// Kahn's order, always emitting the lowest-ASN ready AS. The numbering is
-// canonical: it depends only on the AS set and link structure, never on
-// registration order, so Rebuild reproduces a graph's indices exactly.
-// ASNs() deliberately preserves registration
-// order instead — every seeded sampling stream in the experiment drivers
-// draws from it, and those streams must not shift when the internal
-// numbering does.
+// than all of its providers'), so the routing engines' DAG phases are plain
+// ascending/descending index scans over sequential memory. Leaves — ASes
+// with providers and no customer, peer or sibling, about four in five on an
+// Internet-like graph — hold the lowest indices, [0, NumLeaves()): no other
+// AS reads a leaf's route, so the routing kernel settles them in a loop of
+// their own after every transit AS, and they are sorted by (provider count,
+// lowest provider index, highest provider index, ASN) so that loop reads one
+// provider's export for a run of its single-homed leaves. The other ASes
+// follow in Kahn's order, always emitting the lowest-ASN ready AS. The
+// numbering is canonical: it depends only on the AS set and link structure,
+// never on registration order, so Rebuild reproduces a graph's indices
+// exactly. ASNs() deliberately preserves registration order instead — every
+// seeded sampling stream in the experiment drivers draws from it, and those
+// streams must not shift when the internal numbering does.
 //
 // The Builder holds every accepted link once, in insertion order, with the
 // endpoints resolved to registration indices when the link is added (a map
@@ -141,9 +141,8 @@ type Graph struct {
 	nSiblings int     // total sibling adjacencies (2 per link)
 	sibASes   []int32 // indices of the ASes with a sibling, ascending
 
-	tier   []uint8   // 1 = top of hierarchy, increasing downward
-	upTopo []int32   // identity permutation (indices ARE up-topological)
-	tier1  []bgp.ASN // provider-free core, sorted by ASN
+	tier  []uint8   // 1 = top of hierarchy, increasing downward
+	tier1 []bgp.ASN // provider-free core, sorted by ASN
 }
 
 // NumASes returns the number of ASes in the graph.
@@ -365,13 +364,6 @@ func (g *Graph) TopByDegree(n int) []bgp.ASN {
 	}
 	return out
 }
-
-// UpTopoOrder returns an order of AS indices in which every customer appears
-// before all of its providers (a topological order of the customer->provider
-// DAG). Dense indices are themselves assigned in up-topological order, so
-// this is the identity permutation — engines may equivalently run plain
-// ascending index scans. The returned slice is internal storage: read-only.
-func (g *Graph) UpTopoOrder() []int32 { return g.upTopo }
 
 // Links enumerates every link once, providers first, sorted for determinism.
 func (g *Graph) Links() []Link {
