@@ -13,7 +13,10 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # that skipped it, a column that stopped matching its one-column run, a second
 # statement of the Fig. 4 rule, a prefix pass that disagrees with Fold at some
 # count (TestPrefixPassDifferential) or a returning allocation names itself in
-# the CI log instead of hiding inside the package sweep.
+# the CI log instead of hiding inside the package sweep. The topology I/O
+# differentials re-run the same way: a build that depends on link order, a
+# repeat or conflict judged wrongly, a loader that names the wrong line, or
+# internet80k's digest or serial-2 bytes moving.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -25,6 +28,7 @@ tier1:
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/
+	$(GO) test -run='TestBuildIndependentOfLinkInsertionOrder|TestBuilderAddContracts|TestReadSerial2InPlaceParsing|TestInternet80kDigest' -count=1 ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
 # Sweep workers must return errors, never panic (DESIGN.md §6 "Error

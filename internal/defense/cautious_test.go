@@ -2,6 +2,7 @@ package defense
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -199,7 +200,7 @@ func TestCautiousSweepHonorsWithholdAndUnreachableAttacker(t *testing.T) {
 	// Withhold from every neighbor: nobody, the attacker included, hears
 	// the route.
 	dark := sc
-	dark.WithholdFrom = append(append(g.Providers(sc.Victim), g.Peers(sc.Victim)...), g.Customers(sc.Victim)...)
+	dark.WithholdFrom = append(append(g.Providers(sc.Victim), g.Peers(sc.Victim)...), neighborASNs(g, sc.Victim, g.CustomersIdx)...)
 	if _, err := CautiousAdoptionSweep(g, dark, []float64{0, 1}, DeployRandom, 1); !errors.Is(err, core.ErrAttackerSeesNoRoute) {
 		t.Errorf("attacker that hears nothing: err = %v, want ErrAttackerSeesNoRoute", err)
 	}
@@ -207,4 +208,19 @@ func TestCautiousSweepHonorsWithholdAndUnreachableAttacker(t *testing.T) {
 	if _, err := CautiousAdoptionSweep(g, dark, []float64{0}, DeployRandom, 1); err == nil || errors.Is(err, core.ErrAttackerSeesNoRoute) {
 		t.Errorf("unknown attacker: err = %v, want a validation error", err)
 	}
+}
+
+// neighborASNs returns the ASNs in one of asn's index spans (g.CustomersIdx,
+// g.SiblingsIdx, ...), sorted by ASN as g.Providers returns them.
+func neighborASNs(g *topology.Graph, asn bgp.ASN, span func(int32) []int32) []bgp.ASN {
+	i, ok := g.Index(asn)
+	if !ok {
+		return nil
+	}
+	var out []bgp.ASN
+	for _, j := range span(i) {
+		out = append(out, g.ASNAt(j))
+	}
+	slices.Sort(out)
+	return out
 }

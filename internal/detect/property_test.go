@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -36,7 +37,7 @@ func TestNoHighConfidenceFalsePositivesOnLegitimateTE(t *testing.T) {
 		asns := g.ASNs()
 		origin := asns[rng.Intn(len(asns))]
 		neighbors := append(append(append([]bgp.ASN(nil),
-			g.Providers(origin)...), g.Peers(origin)...), g.Customers(origin)...)
+			g.Providers(origin)...), g.Peers(origin)...), neighborASNs(g, origin, g.CustomersIdx)...)
 		if len(neighbors) == 0 {
 			continue
 		}
@@ -204,4 +205,19 @@ func TestDetectChangeAlwaysFindsEffectiveStrip(t *testing.T) {
 		t.Skipf("only %d effective attacks", effective)
 	}
 	t.Log(fmt.Sprintf("detected %d of %d effective attacks with full visibility", detected, effective))
+}
+
+// neighborASNs returns the ASNs in one of asn's index spans (g.CustomersIdx,
+// g.SiblingsIdx, ...), sorted by ASN as g.Providers returns them.
+func neighborASNs(g *topology.Graph, asn bgp.ASN, span func(int32) []int32) []bgp.ASN {
+	i, ok := g.Index(asn)
+	if !ok {
+		return nil
+	}
+	var out []bgp.ASN
+	for _, j := range span(i) {
+		out = append(out, g.ASNAt(j))
+	}
+	slices.Sort(out)
+	return out
 }

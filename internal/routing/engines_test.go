@@ -16,6 +16,21 @@ import (
 // levels and export modes, both must produce the identical stable outcome,
 // and every produced path must satisfy the protocol invariants.
 
+// neighborASNs returns the ASNs in one of asn's index spans (g.CustomersIdx,
+// g.SiblingsIdx, ...), sorted by ASN as g.Providers returns them.
+func neighborASNs(g *topology.Graph, asn bgp.ASN, span func(int32) []int32) []bgp.ASN {
+	i, ok := g.Index(asn)
+	if !ok {
+		return nil
+	}
+	var out []bgp.ASN
+	for _, j := range span(i) {
+		out = append(out, g.ASNAt(j))
+	}
+	slices.Sort(out)
+	return out
+}
+
 func randomScenario(t *testing.T, rng *rand.Rand) (*topology.Graph, Announcement, Attacker) {
 	t.Helper()
 	cfg := topology.DefaultGenConfig(60 + rng.Intn(140))
@@ -574,7 +589,7 @@ func FuzzDeltaAttack(f *testing.F) {
 		if lambdaSel&0x80 != 0 {
 			pick := rand.New(rand.NewSource(^seed))
 			ann.PerNeighbor, ann.Withhold = map[bgp.ASN]int{}, map[bgp.ASN]bool{}
-			for _, nbrs := range [][]bgp.ASN{g.Providers(ann.Origin), g.Peers(ann.Origin), g.Customers(ann.Origin)} {
+			for _, nbrs := range [][]bgp.ASN{g.Providers(ann.Origin), g.Peers(ann.Origin), neighborASNs(g, ann.Origin, g.CustomersIdx)} {
 				for _, nbr := range nbrs {
 					switch pick.Intn(4) {
 					case 0:

@@ -119,7 +119,7 @@ func scenarioOn(g *topology.Graph, orgs []bgp.ASN, rng *rand.Rand) (Announcement
 		attacker = pick()
 	}
 	ann := Announcement{Origin: victim, Prepend: 1 + rng.Intn(8)}
-	nbrs := append(append([]bgp.ASN(nil), g.Providers(victim)...), g.Siblings(victim)...)
+	nbrs := append(append([]bgp.ASN(nil), g.Providers(victim)...), neighborASNs(g, victim, g.SiblingsIdx)...)
 	if rng.Intn(3) == 0 {
 		ann.PerNeighbor = make(map[bgp.ASN]int)
 		for _, nbr := range nbrs {

@@ -51,7 +51,7 @@ func TestSiblingTopology(t *testing.T) {
 	if got := g.RelOf(30, 90); got != topology.RelSibling {
 		t.Errorf("RelOf(30,90) = %v, want sibling", got)
 	}
-	if got := g.Siblings(30); len(got) != 1 || got[0] != 90 {
+	if got := neighborASNs(g, 30, g.SiblingsIdx); len(got) != 1 || got[0] != 90 {
 		t.Errorf("Siblings(30) = %v, want [90]", got)
 	}
 }

@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -60,12 +64,11 @@ func addLink(t *testing.T, b *Builder, l Link, flip bool) {
 	}
 }
 
-func TestBuildIndependentOfLinkInsertionOrder(t *testing.T) {
-	plain := genTestGraph(t, 2000, 17)
-	// The same graph with sibling links grafted on: between random
-	// non-adjacent pairs, and from an AS to one of its providers' providers
-	// (fig11's provider cycle through an organization).
-	rng := rand.New(rand.NewSource(5))
+// graftSiblings returns plain with 12 sibling links grafted on: between
+// random non-adjacent pairs, and from an AS to one of its providers'
+// providers (fig11's provider cycle through an organization).
+func graftSiblings(t *testing.T, plain *Graph, rng *rand.Rand) *Graph {
+	t.Helper()
 	b := Rebuild(plain)
 	asns := plain.ASNs()
 	for grafted := 0; grafted < 12; {
@@ -83,13 +86,20 @@ func TestBuildIndependentOfLinkInsertionOrder(t *testing.T) {
 		}
 		grafted++
 	}
-	withSiblings, err := b.Build()
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !withSiblings.HasSiblings() {
+	if !g.HasSiblings() {
 		t.Fatal("no sibling link grafted")
 	}
+	return g
+}
+
+func TestBuildIndependentOfLinkInsertionOrder(t *testing.T) {
+	plain := genTestGraph(t, 2000, 17)
+	rng := rand.New(rand.NewSource(5))
+	withSiblings := graftSiblings(t, plain, rng)
 
 	for name, want := range map[string]*Graph{"generated": plain, "sibling-grafted": withSiblings} {
 		links := want.Links()
@@ -118,30 +128,91 @@ func TestBuildIndependentOfLinkInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestBuilderAddContracts: the Add-time answers the insertion-ordered list
-// must keep giving — repeats are no-ops (either way round for symmetric
-// links), and a second relationship on a pair, or the opposite p2c
-// direction, fails at the Add that brings it.
+// sortedSprintfSerial2 is WriteSerial2 as it was written before Links()
+// walked the ASes in ASN order: every link collected off the dense-index
+// spans, one sort of the whole list, one Sprintf per line.
+func sortedSprintfSerial2(g *Graph) []byte {
+	var links []Link
+	for i := int32(0); i < int32(g.NumASes()); i++ {
+		a := g.ASNAt(i)
+		for _, c := range g.CustomersIdx(i) {
+			links = append(links, Link{A: a, B: g.ASNAt(c), Rel: ProviderToCustomer})
+		}
+		for _, p := range g.PeersIdx(i) {
+			if a < g.ASNAt(p) {
+				links = append(links, Link{A: a, B: g.ASNAt(p), Rel: PeerToPeer})
+			}
+		}
+		for _, s := range g.SiblingsIdx(i) {
+			if a < g.ASNAt(s) {
+				links = append(links, Link{A: a, B: g.ASNAt(s), Rel: SiblingToSibling})
+			}
+		}
+	}
+	slices.SortFunc(links, func(x, y Link) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B), cmp.Compare(x.Rel, y.Rel))
+	})
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# %d ASes, %d links\n", g.NumASes(), g.NumLinks())
+	for _, l := range links {
+		code := "-1"
+		switch l.Rel {
+		case PeerToPeer:
+			code = "0"
+		case SiblingToSibling:
+			code = "2"
+		}
+		fmt.Fprintf(&buf, "%d|%d|%s\n", l.A, l.B, code)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteSerial2MatchesSortedSprintf: the writer streams Links() in the
+// order the spans give it, formatting with strconv; its bytes must be the
+// sort-then-Sprintf writer's, on a generated graph and a sibling-grafted
+// copy.
+func TestWriteSerial2MatchesSortedSprintf(t *testing.T) {
+	plain, err := Generate(DefaultGenConfig(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"generated":       plain,
+		"sibling-grafted": graftSiblings(t, plain, rand.New(rand.NewSource(9))),
+	} {
+		var got bytes.Buffer
+		if err := WriteSerial2(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if want := sortedSprintfSerial2(g); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteSerial2 wrote %d bytes unlike the sorted Sprintf writer's %d", name, got.Len(), len(want))
+		}
+	}
+}
+
+// TestBuilderAddContracts: an Add refuses only what its own call shows (a
+// self link, ASN 0). Repeats are no-ops, either way round for symmetric
+// links; a second relationship on a pair, or the opposite p2c direction,
+// fails Build, which names the earliest such link by insertion index.
 func TestBuilderAddContracts(t *testing.T) {
-	b := NewBuilder()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(b.AddP2C(1, 2))
-	must(b.AddP2C(1, 2))
-	must(b.AddP2P(2, 3))
-	must(b.AddP2P(3, 2))
-	must(b.AddS2S(4, 1))
-	must(b.AddS2S(1, 4))
+	base := func() *Builder { // six Adds, three links
+		b := NewBuilder()
+		must(b.AddP2C(1, 2))
+		must(b.AddP2C(1, 2))
+		must(b.AddP2P(2, 3))
+		must(b.AddP2P(3, 2))
+		must(b.AddS2S(4, 1))
+		must(b.AddS2S(1, 4))
+		return b
+	}
+	b := base()
 	for what, err := range map[string]error{
-		"reversed p2c":    b.AddP2C(2, 1),
-		"p2p over p2c":    b.AddP2P(1, 2),
-		"p2c over p2p":    b.AddP2C(3, 2),
-		"s2s over p2p":    b.AddS2S(2, 3),
-		"p2c over s2s":    b.AddP2C(4, 1),
 		"self link":       b.AddP2P(5, 5),
 		"reserved ASN":    b.AddP2C(0, 1),
 		"reserved ASN as": b.AddAS(0),
@@ -159,6 +230,40 @@ func TestBuilderAddContracts(t *testing.T) {
 	}
 	if g.NumLinks() != 3 || g.NumASes() != 4 {
 		t.Errorf("%d links over %d ASes, want 3 over 4 (repeats and refused links add nothing)", g.NumLinks(), g.NumASes())
+	}
+
+	for _, tc := range []struct {
+		what string
+		add  func(b *Builder) error
+		want string
+	}{
+		{"reversed p2c", func(b *Builder) error { return b.AddP2C(2, 1) }, "AS2-AS1"},
+		{"p2p over p2c", func(b *Builder) error { return b.AddP2P(1, 2) }, "AS1-AS2"},
+		{"p2c over p2p", func(b *Builder) error { return b.AddP2C(3, 2) }, "AS3-AS2"},
+		{"s2s over p2p", func(b *Builder) error { return b.AddS2S(2, 3) }, "AS2-AS3"},
+		{"p2c over s2s", func(b *Builder) error { return b.AddP2C(4, 1) }, "AS4-AS1"},
+	} {
+		b := base()
+		if err := tc.add(b); err != nil {
+			t.Errorf("%s: Add failed (%v), want Build to", tc.what, err)
+		}
+		must(b.AddP2C(1, 2)) // a later repeat of a good link changes nothing
+		_, err := b.Build()
+		var conflict *conflictError
+		if !errors.As(err, &conflict) || conflict.link != 6 ||
+			err.Error() != "topology: conflicting relationship for "+tc.want {
+			t.Errorf("%s: Build = %v, want a conflict at link 6 for %s", tc.what, err, tc.want)
+		}
+	}
+
+	// Two conflicts: the one added first is named, though its pair's lower
+	// endpoint registered later.
+	b = base()
+	must(b.AddP2C(3, 2))
+	must(b.AddP2C(2, 1))
+	var conflict *conflictError
+	if _, err := b.Build(); !errors.As(err, &conflict) || conflict.link != 6 || !strings.Contains(err.Error(), "AS3-AS2") {
+		t.Errorf("two conflicts: Build = %v, want the first added (link 6, AS3-AS2)", err)
 	}
 }
 

@@ -9,28 +9,31 @@ import (
 )
 
 // Builder accumulates ASes and links and assembles an immutable Graph.
-// It rejects self-links, duplicate links, conflicting relationships, and —
-// at Build time — provider-customer cycles, which would break both the real
-// Internet's economics and the routing engines' DAG phases.
+// An Add rejects what its own call shows: a self link or ASN 0. Build
+// rejects the rest: a link that contradicts an earlier one on its pair (a
+// second relationship, or the opposite p2c direction) and provider-customer
+// cycles, which would break both the real Internet's economics and the
+// routing engines' DAG phases. Repeating a link, either way round for a
+// symmetric one, is a no-op.
 type Builder struct {
 	asns  []bgp.ASN
 	index map[bgp.ASN]int32
-	// links holds every accepted link once, in insertion order, endpoints
-	// resolved to registration indices at Add time — all Build reads. seen
-	// maps an endpoint pair to its entry in links and answers the Add-time
-	// questions: duplicate, conflict, HasLink.
+	// links holds every Add in insertion order, repeats and conflicts
+	// included, endpoints resolved to registration indices; Build sorts
+	// them out in one pass (distinctLinks). pairs is HasLink's set of
+	// linked index pairs, nil until its first call.
 	links []builderLink
-	seen  map[uint64]int32
+	pairs map[uint64]struct{}
 }
 
-// builderLink is one accepted link between registration indices a and b;
-// for ProviderToCustomer, a is the provider.
+// builderLink is one added link between registration indices a and b, in
+// the order the Add named them; for ProviderToCustomer, a is the provider.
 type builderLink struct {
 	a, b int32
 	rel  Relationship
 }
 
-// pairKey is the seen key of the unordered index pair {i, j}.
+// pairKey is the pairs key of the unordered index pair {i, j}.
 func pairKey(i, j int32) uint64 {
 	if i > j {
 		i, j = j, i
@@ -47,7 +50,6 @@ func newBuilderSized(n, m int) *Builder {
 		asns:  make([]bgp.ASN, 0, n),
 		index: make(map[bgp.ASN]int32, n),
 		links: make([]builderLink, 0, m),
-		seen:  make(map[uint64]int32, m),
 	}
 }
 
@@ -87,9 +89,8 @@ func (b *Builder) AddS2S(x, y bgp.ASN) error {
 	return b.add(x, y, SiblingToSibling)
 }
 
-// add records the link x-y (x the provider of a p2c link). Repeating a
-// link is a no-op; a different relationship — or the opposite p2c
-// direction — on the same pair is an error.
+// add records the link x-y (x the provider of a p2c link). Whether it
+// repeats or contradicts an earlier link is Build's question.
 func (b *Builder) add(x, y bgp.ASN, rel Relationship) error {
 	if x == y {
 		return fmt.Errorf("topology: self link %v", x)
@@ -102,25 +103,21 @@ func (b *Builder) add(x, y bgp.ASN, rel Relationship) error {
 	if err != nil {
 		return err
 	}
-	if j, ok := b.seen[pairKey(ix, iy)]; ok {
-		have := b.links[j]
-		if have.rel == rel && (rel != ProviderToCustomer || have.a == ix) {
-			return nil
-		}
-		return fmt.Errorf("topology: conflicting relationship for %v-%v", x, y)
-	}
 	b.record(ix, iy, rel)
 	return nil
 }
 
-// record appends a link between two registration indices that seen does
-// not hold yet.
+// record appends a link between two registration indices, keeping
+// HasLink's set current once it exists.
 func (b *Builder) record(ia, ib int32, rel Relationship) {
-	b.seen[pairKey(ia, ib)] = int32(len(b.links))
+	if b.pairs != nil {
+		b.pairs[pairKey(ia, ib)] = struct{}{}
+	}
 	b.links = append(b.links, builderLink{a: ia, b: ib, rel: rel})
 }
 
 // HasLink reports whether any relationship already exists between a and c.
+// Its first call builds the set of linked pairs.
 func (b *Builder) HasLink(a, c bgp.ASN) bool {
 	ia, ok := b.index[a]
 	if !ok {
@@ -130,8 +127,85 @@ func (b *Builder) HasLink(a, c bgp.ASN) bool {
 	if !ok {
 		return false
 	}
-	_, ok = b.seen[pairKey(ia, ic)]
+	if b.pairs == nil {
+		b.pairs = make(map[uint64]struct{}, len(b.links))
+		for _, l := range b.links {
+			b.pairs[pairKey(l.a, l.b)] = struct{}{}
+		}
+	}
+	_, ok = b.pairs[pairKey(ia, ic)]
 	return ok
+}
+
+// conflictError is Build's report of the earliest link that contradicts an
+// earlier one on its pair; link is its insertion index, which ReadSerial2
+// turns back into a line number.
+type conflictError struct {
+	link int
+	x, y bgp.ASN
+}
+
+func (e *conflictError) Error() string {
+	return fmt.Sprintf("topology: conflicting relationship for %v-%v", e.x, e.y)
+}
+
+// distinctLinks returns the link list with each pair kept at its first
+// occurrence — the list itself when nothing repeats — or a *conflictError
+// for the earliest link that contradicts an earlier one. The links are
+// bucketed by their lower endpoint in insertion order, and a stamp per
+// upper endpoint finds the first link to it from the current bucket:
+// O(n + m) over flat arrays.
+func (b *Builder) distinctLinks() ([]builderLink, error) {
+	n, links := len(b.asns), b.links
+	off := make([]int32, n+1)
+	for _, l := range links {
+		off[min(l.a, l.b)+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	bucket := make([]int32, len(links))
+	fill := slices.Clone(off[:n])
+	for k, l := range links {
+		lo := min(l.a, l.b)
+		bucket[fill[lo]] = int32(k)
+		fill[lo]++
+	}
+	type stamp struct{ bucket, first int32 } // bucket is lower endpoint + 1
+	seen := make([]stamp, n)
+	var repeat []bool // by insertion index, allocated at the first repeat
+	conflict := len(links)
+	for lo := int32(0); lo < int32(n); lo++ {
+		for _, k := range bucket[off[lo]:off[lo+1]] {
+			l := links[k]
+			s := &seen[max(l.a, l.b)]
+			if s.bucket != lo+1 {
+				*s = stamp{lo + 1, k}
+				continue
+			}
+			if f := links[s.first]; f.rel != l.rel || l.rel == ProviderToCustomer && f.a != l.a {
+				conflict = min(conflict, int(k))
+			}
+			if repeat == nil {
+				repeat = make([]bool, len(links))
+			}
+			repeat[k] = true
+		}
+	}
+	if conflict < len(links) {
+		l := links[conflict]
+		return nil, &conflictError{link: conflict, x: b.asns[l.a], y: b.asns[l.b]}
+	}
+	if repeat == nil {
+		return links, nil
+	}
+	kept := make([]builderLink, 0, len(links))
+	for k, l := range links {
+		if !repeat[k] {
+			kept = append(kept, l)
+		}
+	}
+	return kept, nil
 }
 
 // Rebuild returns a Builder pre-loaded with an existing graph's ASes and
@@ -147,14 +221,13 @@ func Rebuild(g *Graph) *Builder {
 		asns:  slices.Clone(g.enum),
 		index: make(map[bgp.ASN]int32, n),
 		links: make([]builderLink, 0, nLinks),
-		seen:  make(map[uint64]int32, nLinks),
 	}
 	reg := make([]int32, n) // dense index -> registration index
 	for ri, a := range g.enum {
 		b.index[a] = int32(ri)
 		reg[g.index[a]] = int32(ri)
 	}
-	// A valid graph holds every link once per endpoint: no Add-time checks.
+	// A valid graph holds every link once per endpoint: no Add checks.
 	for i := int32(0); i < int32(n); i++ {
 		for _, c := range g.idxSpan(i, spanCust) {
 			b.record(reg[i], reg[c], ProviderToCustomer)
@@ -173,15 +246,20 @@ func Rebuild(g *Graph) *Builder {
 	return b
 }
 
-// Build validates and freezes the topology: it assigns canonical
-// up-topological dense indices and lays adjacency out in CSR form (see the
-// package doc's memory layout notes). The link list is read in insertion
-// order and never sorted: the numbering depends only on the AS set and the
-// links, and every span is sorted once it holds dense indices.
+// Build validates and freezes the topology: it drops repeated links, fails
+// on the earliest conflicting one, assigns canonical up-topological dense
+// indices and lays adjacency out in CSR form (see the package doc's memory
+// layout notes). The link list is never sorted: the numbering depends only
+// on the AS set and the links, and every span is sorted once it holds dense
+// indices.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.asns)
 	if n == 0 {
 		return nil, errors.New("topology: no ASes")
+	}
+	links, err := b.distinctLinks()
+	if err != nil {
+		return nil, err
 	}
 	// The customer->provider DAG in registration numbering, as one CSR of
 	// provider lists plus customer counts, and which ASes have a peer or
@@ -189,7 +267,7 @@ func (b *Builder) Build() (*Graph, error) {
 	provOff := make([]int32, n+1)
 	nCust := make([]int32, n)
 	lateral := make([]bool, n)
-	for _, l := range b.links {
+	for _, l := range links {
 		if l.rel == ProviderToCustomer {
 			provOff[l.b+1]++
 			nCust[l.a]++
@@ -202,7 +280,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	provAdj := make([]int32, provOff[n])
 	fill := slices.Clone(provOff[:n])
-	for _, l := range b.links {
+	for _, l := range links {
 		if l.rel == ProviderToCustomer {
 			provAdj[fill[l.b]] = l.a
 			fill[l.b]++
@@ -241,7 +319,7 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 	g.off = make([]int32, 4*n+1)
-	for _, l := range b.links {
+	for _, l := range links {
 		sa, sb := spans(l)
 		g.off[sa+1]++
 		g.off[sb+1]++
@@ -255,7 +333,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g.adj = make([]int32, g.off[4*n])
 	g.asnAdj = make([]bgp.ASN, g.off[4*n])
 	fill = slices.Clone(g.off[:4*n])
-	for _, l := range b.links {
+	for _, l := range links {
 		sa, sb := spans(l)
 		g.adj[fill[sa]] = perm[l.b]
 		fill[sa]++
@@ -389,15 +467,10 @@ func upTopoNumbering(asns []bgp.ASN, provOff, provAdj, indeg []int32, lateral []
 // sorts by the other keys, last key first.
 func orderLeaves(out, leaves []int32, asns []bgp.ASN, provOff, provAdj, pos []int32) {
 	n := len(asns)
-	byASN := make([]uint64, len(leaves))
-	for k, u := range leaves {
-		byASN[k] = uint64(asns[u])<<32 | uint64(u)
-	}
-	slices.Sort(byASN)
+	sortByASN(leaves, asns)
 	lo, hi := make([]int32, n), make([]int32, n) // by registration index
-	for k, v := range byASN {
-		u := int32(uint32(v))
-		leaves[k], lo[u] = u, int32(n)
+	for _, u := range leaves {
+		lo[u] = int32(n)
 		for _, p := range provAdj[provOff[u]:provOff[u+1]] {
 			lo[u], hi[u] = min(lo[u], pos[p]), max(hi[u], pos[p])
 		}
@@ -422,6 +495,19 @@ func orderLeaves(out, leaves []int32, asns []bgp.ASN, provOff, provAdj, pos []in
 		leaves, next = next, leaves
 	}
 	copy(out, leaves)
+}
+
+// sortByASN sorts the indices idx by asns[idx], in place, as one sort of
+// (ASN, index) words.
+func sortByASN(idx []int32, asns []bgp.ASN) {
+	keys := make([]uint64, len(idx))
+	for k, u := range idx {
+		keys[k] = uint64(asns[u])<<32 | uint64(u)
+	}
+	slices.Sort(keys)
+	for k, v := range keys {
+		idx[k] = int32(uint32(v))
+	}
 }
 
 // computeTiers assigns tier 1 to provider-free ASes and 1+min(provider

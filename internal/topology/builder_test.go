@@ -144,11 +144,24 @@ func TestBuilderRejectsBadInput(t *testing.T) {
 	if err := b.AddP2C(1, 2); err != nil {
 		t.Errorf("duplicate identical p2c rejected: %v", err)
 	}
-	if err := b.AddP2C(2, 1); err == nil {
-		t.Error("reversed p2c accepted despite conflict")
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("Build after a repeat: %v", err)
 	}
-	if err := b.AddP2P(1, 2); err == nil {
-		t.Error("p2p over existing p2c accepted")
+	// A conflict is Build's to find: the Add that brings it succeeds.
+	for what, add := range map[string]func(*Builder) error{
+		"reversed p2c":          func(b *Builder) error { return b.AddP2C(2, 1) },
+		"p2p over existing p2c": func(b *Builder) error { return b.AddP2P(1, 2) },
+	} {
+		b := NewBuilder()
+		if err := b.AddP2C(1, 2); err != nil {
+			t.Fatalf("AddP2C: %v", err)
+		}
+		if err := add(b); err != nil {
+			t.Errorf("%s: Add failed (%v), want Build to", what, err)
+		}
+		if _, err := b.Build(); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 

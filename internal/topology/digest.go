@@ -1,7 +1,7 @@
 package topology
 
 import (
-	"sort"
+	"slices"
 	"unsafe"
 
 	"aspp/internal/bgp"
@@ -26,17 +26,17 @@ func fnvU32(h uint64, v uint32) uint64 {
 
 // Digest returns a deterministic 64-bit FNV-1a hash of the graph's
 // structure: the AS count, the sorted ASN set, and every link in Links()
-// order (providers first, sorted by A, B, Rel). It depends on logical
-// content only — registration order and internal index numbering do not
-// enter — so a graph keeps its digest across a serial-2 write/read round
-// trip (pinned by TestDigestSerial2RoundTrip). Scale runs pin the
+// order (sorted by A, then B; a p2c link's A is its provider). It depends
+// on logical content only — registration order and internal index
+// numbering do not enter — so a graph keeps its digest across a serial-2
+// write/read round trip (pinned by TestDigestSerial2RoundTrip). Scale runs pin the
 // canonical internet80k digest instead of committing the ~300k-link
 // graph (aspptopo -digest; TestInternet80kDigest).
 func Digest(g *Graph) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvU32(h, uint32(g.NumASes()))
 	sorted := g.ASNs()
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	slices.Sort(sorted)
 	for _, a := range sorted {
 		h = fnvU32(h, uint32(a))
 	}

@@ -29,21 +29,25 @@
 // seeded sampling stream in the experiment drivers draws from it, and those
 // streams must not shift when the internal numbering does.
 //
-// The Builder holds every accepted link once, in insertion order, with the
-// endpoints resolved to registration indices when the link is added (a map
-// from the index pair to the link's place in the list answers duplicate,
-// conflict and HasLink at Add time). Build lays the CSR out from that list
-// by degree counting — count each span, prefix-sum the offsets, write every
-// link at its two endpoints' cursors — and needs no sort of the links:
-// the numbering is canonical in the link set, and every span is sorted
-// after renumbering, so the order links arrived in cannot show.
+// The Builder keeps every Add in a list, in insertion order, with the
+// endpoints resolved to registration indices; it keeps no map of pairs
+// (HasLink builds its set on first use). Build checks the list once:
+// bucketed by lower endpoint, with a stamp per upper endpoint, a repeat is
+// dropped and the earliest link that contradicts an earlier one fails the
+// build, in O(n + m). It lays the CSR out from what is left by degree
+// counting — count each span, prefix-sum the offsets, write every link at
+// its two endpoints' cursors — and needs no sort of the links: the
+// numbering is canonical in the link set, and every span is sorted after
+// renumbering, so the order links arrived in cannot show. Links() and
+// WriteSerial2 read the ASN-sorted spans back out in order, so no whole
+// link list is ever sorted either way.
 package topology
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"aspp/internal/bgp"
 )
@@ -237,16 +241,6 @@ func (g *Graph) Providers(asn bgp.ASN) []bgp.ASN {
 	return g.asnSpan(i, spanProv)
 }
 
-// Customers returns the customers of asn, sorted by ASN (shared read-only
-// storage; see Providers).
-func (g *Graph) Customers(asn bgp.ASN) []bgp.ASN {
-	i, ok := g.index[asn]
-	if !ok {
-		return nil
-	}
-	return g.asnSpan(i, spanCust)
-}
-
 // Peers returns the peers of asn, sorted by ASN (shared read-only storage;
 // see Providers).
 func (g *Graph) Peers(asn bgp.ASN) []bgp.ASN {
@@ -255,16 +249,6 @@ func (g *Graph) Peers(asn bgp.ASN) []bgp.ASN {
 		return nil
 	}
 	return g.asnSpan(i, spanPeer)
-}
-
-// Siblings returns the siblings of asn, sorted by ASN (shared read-only
-// storage; see Providers).
-func (g *Graph) Siblings(asn bgp.ASN) []bgp.ASN {
-	i, ok := g.index[asn]
-	if !ok {
-		return nil
-	}
-	return g.asnSpan(i, spanSib)
 }
 
 // Degree returns the total number of neighbors of asn.
@@ -365,33 +349,37 @@ func (g *Graph) TopByDegree(n int) []bgp.ASN {
 	return out
 }
 
-// Links enumerates every link once, providers first, sorted for determinism.
+// Links enumerates every link once, sorted by A, then B. A p2c link names
+// its provider as A; a peer or sibling link names the lower ASN as A. The
+// ASes are walked in ASN order, each merging its customers with its peers
+// and siblings above its own ASN off the ASN-sorted spans; a pair has one
+// relationship, so no two of them share a B.
 func (g *Graph) Links() []Link {
-	var out []Link
-	for i := int32(0); i < int32(len(g.asns)); i++ {
-		for _, c := range g.idxSpan(i, spanCust) {
-			out = append(out, Link{A: g.asns[i], B: g.asns[c], Rel: ProviderToCustomer})
-		}
-		for _, p := range g.idxSpan(i, spanPeer) {
-			if g.asns[i] < g.asns[p] {
-				out = append(out, Link{A: g.asns[i], B: g.asns[p], Rel: PeerToPeer})
+	order := make([]int32, len(g.asns))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sortByASN(order, g.asns)
+	out := make([]Link, 0, g.NumLinks())
+	for _, i := range order {
+		a := g.asns[i]
+		cust, peer, sib := g.asnSpan(i, spanCust), g.asnSpan(i, spanPeer), g.asnSpan(i, spanSib)
+		k, _ := slices.BinarySearch(peer, a)
+		peer = peer[k:]
+		k, _ = slices.BinarySearch(sib, a)
+		sib = sib[k:]
+		for len(cust)+len(peer)+len(sib) > 0 {
+			next, rel := &cust, ProviderToCustomer
+			if len(peer) > 0 && (len(*next) == 0 || peer[0] < (*next)[0]) {
+				next, rel = &peer, PeerToPeer
 			}
-		}
-		for _, s := range g.idxSpan(i, spanSib) {
-			if g.asns[i] < g.asns[s] {
-				out = append(out, Link{A: g.asns[i], B: g.asns[s], Rel: SiblingToSibling})
+			if len(sib) > 0 && (len(*next) == 0 || sib[0] < (*next)[0]) {
+				next, rel = &sib, SiblingToSibling
 			}
+			out = append(out, Link{A: a, B: (*next)[0], Rel: rel})
+			*next = (*next)[1:]
 		}
 	}
-	slices.SortFunc(out, func(a, b Link) int {
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.B, b.B); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Rel, b.Rel)
-	})
 	return out
 }
 
@@ -403,13 +391,19 @@ type Link struct {
 
 // String renders the link in serial-2 style ("A|B|-1" / "A|B|0"), with
 // the legacy CAIDA serial-1 code "2" for siblings.
-func (l Link) String() string {
-	code := "-1"
+func (l Link) String() string { return string(l.appendSerial2(nil)) }
+
+// appendSerial2 appends the link's serial-2 line, without the newline.
+func (l Link) appendSerial2(buf []byte) []byte {
+	buf = strconv.AppendUint(buf, uint64(l.A), 10)
+	buf = append(buf, '|')
+	buf = strconv.AppendUint(buf, uint64(l.B), 10)
 	switch l.Rel {
 	case PeerToPeer:
-		code = "0"
+		return append(buf, "|0"...)
 	case SiblingToSibling:
-		code = "2"
+		return append(buf, "|2"...)
+	default:
+		return append(buf, "|-1"...)
 	}
-	return fmt.Sprintf("%d|%d|%s", l.A, l.B, code)
 }

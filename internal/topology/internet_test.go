@@ -2,12 +2,15 @@ package topology
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
 // TestInternet80kDigest is the scale fixture: the canonical internet80k
-// graph (n=80000, Seed=1) is pinned by structure digest and by an
-// FNV-1a hash of the registration-order ASN stream, so Internet-scale
+// graph (n=80000, Seed=1) is pinned by structure digest, by an FNV-1a
+// hash of the registration-order ASN stream and by the sha256 of its
+// serial-2 file (the bytes sweeps read with -topo), so Internet-scale
 // runs are reproducible without committing the ~290k-link graph. Any
 // change to the generator's draw sequence, the ASN pool, or the
 // InternetGenConfig calibration shows up here first. Regenerate the
@@ -21,6 +24,7 @@ func TestInternet80kDigest(t *testing.T) {
 	const (
 		wantDigest  = uint64(0x661d6d375e6cd96b)
 		wantEnumFNV = uint64(0x8127eda9c25b7bb9)
+		wantSerial2 = "9264fce5b6cda0eca15baee1572f1b6615e058f991e9ac499dea38bdbee0150c"
 	)
 	g, err := Generate(InternetGenConfig(Internet80kASes))
 	if err != nil {
@@ -38,6 +42,13 @@ func TestInternet80kDigest(t *testing.T) {
 	}
 	if h != wantEnumFNV {
 		t.Fatalf("internet80k enum-order FNV = %#x, want %#x", h, wantEnumFNV)
+	}
+	sum := sha256.New()
+	if err := WriteSerial2(sum, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != wantSerial2 {
+		t.Fatalf("internet80k serial-2 sha256 = %s, want %s", got, wantSerial2)
 	}
 }
 
