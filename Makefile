@@ -28,7 +28,7 @@ tier1:
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/
-	$(GO) test -run='TestBuildIndependentOfLinkInsertionOrder|TestBuilderAddContracts|TestReadSerial2InPlaceParsing|TestInternet80kDigest' -count=1 ./internal/topology/
+	$(GO) test -run='TestBuildIndependentOfLinkInsertionOrder|TestBuilderAddContracts|TestReadSerial2InPlaceParsing|TestInternet80kDigest|TestGenerateMatchesParent' -count=1 ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
 # Sweep workers must return errors, never panic (DESIGN.md §6 "Error

@@ -20,10 +20,8 @@ type Builder struct {
 	index map[bgp.ASN]int32
 	// links holds every Add in insertion order, repeats and conflicts
 	// included, endpoints resolved to registration indices; Build sorts
-	// them out in one pass (distinctLinks). pairs is HasLink's set of
-	// linked index pairs, nil until its first call.
+	// them out in one pass (distinctLinks).
 	links []builderLink
-	pairs map[uint64]struct{}
 }
 
 // builderLink is one added link between registration indices a and b, in
@@ -31,14 +29,6 @@ type Builder struct {
 type builderLink struct {
 	a, b int32
 	rel  Relationship
-}
-
-// pairKey is the pairs key of the unordered index pair {i, j}.
-func pairKey(i, j int32) uint64 {
-	if i > j {
-		i, j = j, i
-	}
-	return uint64(i)<<32 | uint64(j)
 }
 
 // NewBuilder returns an empty Builder.
@@ -107,17 +97,23 @@ func (b *Builder) add(x, y bgp.ASN, rel Relationship) error {
 	return nil
 }
 
-// record appends a link between two registration indices, keeping
-// HasLink's set current once it exists.
-func (b *Builder) record(ia, ib int32, rel Relationship) {
-	if b.pairs != nil {
-		b.pairs[pairKey(ia, ib)] = struct{}{}
+// link is add for two registered ASes named by registration index.
+func (b *Builder) link(ia, ib int32, rel Relationship) error {
+	if ia == ib {
+		return fmt.Errorf("topology: self link %v", b.asns[ia])
 	}
+	b.record(ia, ib, rel)
+	return nil
+}
+
+// record appends a link between two registration indices.
+func (b *Builder) record(ia, ib int32, rel Relationship) {
 	b.links = append(b.links, builderLink{a: ia, b: ib, rel: rel})
 }
 
 // HasLink reports whether any relationship already exists between a and c.
-// Its first call builds the set of linked pairs.
+// It scans the link list, O(m) a call: it is for grafting a few links onto
+// a graph, and the generator keeps a pair set of its own.
 func (b *Builder) HasLink(a, c bgp.ASN) bool {
 	ia, ok := b.index[a]
 	if !ok {
@@ -127,14 +123,12 @@ func (b *Builder) HasLink(a, c bgp.ASN) bool {
 	if !ok {
 		return false
 	}
-	if b.pairs == nil {
-		b.pairs = make(map[uint64]struct{}, len(b.links))
-		for _, l := range b.links {
-			b.pairs[pairKey(l.a, l.b)] = struct{}{}
+	for _, l := range b.links {
+		if l.a == ia && l.b == ic || l.a == ic && l.b == ia {
+			return true
 		}
 	}
-	_, ok = b.pairs[pairKey(ia, ic)]
-	return ok
+	return false
 }
 
 // conflictError is Build's report of the earliest link that contradicts an
@@ -497,16 +491,25 @@ func orderLeaves(out, leaves []int32, asns []bgp.ASN, provOff, provAdj, pos []in
 	copy(out, leaves)
 }
 
-// sortByASN sorts the indices idx by asns[idx], in place, as one sort of
-// (ASN, index) words.
+// sortByASN sorts the indices idx by asns[idx], in place: an LSD radix
+// sort in two stable counting passes, low 16 bits first. The ASNs are
+// distinct, so the ASN alone is the key.
 func sortByASN(idx []int32, asns []bgp.ASN) {
-	keys := make([]uint64, len(idx))
-	for k, u := range idx {
-		keys[k] = uint64(asns[u])<<32 | uint64(u)
-	}
-	slices.Sort(keys)
-	for k, v := range keys {
-		idx[k] = int32(uint32(v))
+	tmp, count := make([]int32, len(idx)), make([]int32, 1<<16+1)
+	for shift := 0; shift < 32; shift += 16 {
+		clear(count)
+		for _, u := range idx {
+			count[int(uint16(asns[u]>>shift))+1]++
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, u := range idx {
+			d := uint16(asns[u] >> shift)
+			tmp[count[d]] = u
+			count[d]++
+		}
+		idx, tmp = tmp, idx // after the second pass, idx is the caller's slice
 	}
 }
 

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"slices"
 	"unsafe"
 
 	"aspp/internal/bgp"
@@ -35,16 +34,15 @@ func fnvU32(h uint64, v uint32) uint64 {
 func Digest(g *Graph) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvU32(h, uint32(g.NumASes()))
-	sorted := g.ASNs()
-	slices.Sort(sorted)
-	for _, a := range sorted {
-		h = fnvU32(h, uint32(a))
+	order := g.asnOrder()
+	for _, i := range order {
+		h = fnvU32(h, uint32(g.asns[i]))
 	}
-	for _, l := range g.Links() {
+	g.walkLinks(order, func(l Link) {
 		h = fnvU32(h, uint32(l.A))
 		h = fnvU32(h, uint32(l.B))
 		h = fnvByte(h, byte(l.Rel))
-	}
+	})
 	return h
 }
 

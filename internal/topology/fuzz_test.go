@@ -18,7 +18,7 @@ import (
 //   - It agrees with serial2Model, the loading rule stated over maps: the
 //     same inputs accepted, with the same Links() and ASNs(), and the same
 //     line named on a rejection.
-//   - HasLink answers the same before and after its pair set exists.
+//   - HasLink answers the same mid-way through adding the links as after.
 //   - Accepted input survives a write/read round trip: WriteSerial2 of the
 //     parsed graph must re-parse, yielding the identical AS set and link
 //     list (the write path is the loader's inverse on its accepted set).
@@ -189,16 +189,15 @@ func checkSerial2Model(t *testing.T, data []byte, g *Graph, err error) {
 }
 
 // checkHasLinkIndex adds g's links to a Builder in two halves, asking
-// HasLink between them so the second half lands in an existing pair set
-// (record's upkeep), and compares it over the first ASes' pairs with a
-// Builder whose set is built from the whole list, and with g.
+// HasLink between them, and compares it over the first ASes' pairs with a
+// Builder first asked once every link is in, and with g.
 func checkHasLinkIndex(t *testing.T, g *Graph) {
 	t.Helper()
 	links := g.Links()
 	split, whole := NewBuilder(), NewBuilder()
 	for k, l := range links {
 		if k == len(links)/2 && k > 0 {
-			split.HasLink(links[0].A, links[0].B) // both registered: the set gets built
+			split.HasLink(links[0].A, links[0].B) // asked mid-way, with both ASes registered
 		}
 		addLink(t, split, l, false)
 		addLink(t, whole, l, true)

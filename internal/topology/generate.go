@@ -3,7 +3,10 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"aspp/internal/bgp"
@@ -116,6 +119,8 @@ func (c GenConfig) Validate() error {
 	}
 	if space := c.asnSpace(); space < 2*c.N {
 		return fmt.Errorf("topology: ASNSpace=%d too small for N=%d (need >= 2N for rejection-sampling headroom)", space, c.N)
+	} else if uint64(space) > math.MaxUint32 {
+		return fmt.Errorf("topology: ASNSpace=%d exceeds the 32-bit ASN range", space)
 	}
 	if c.Tier1 < 2 || c.Tier1 >= c.N/2 {
 		return fmt.Errorf("topology: Tier1=%d out of range", c.Tier1)
@@ -133,6 +138,10 @@ func (c GenConfig) Validate() error {
 // Generate builds a random AS topology from cfg. The result is guaranteed
 // to be connected through the provider hierarchy (every AS has a provider
 // path to the tier-1 clique) and free of provider cycles.
+//
+// AS i is the i-th ASN drawn, and its registration index: every draw below
+// picks an index, and links go into the Builder by index, so no ASN is
+// looked up after the first loop.
 func Generate(cfg GenConfig) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -143,12 +152,11 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// configured pool (legacy 16-bit range unless ASNSpace widens it).
 	space := cfg.asnSpace()
 	asns := make([]bgp.ASN, cfg.N)
-	used := make(map[bgp.ASN]struct{}, cfg.N)
+	used := newKeySet(cfg.N)
 	for i := range asns {
 		for {
 			a := bgp.ASN(1 + rng.Intn(space))
-			if _, dup := used[a]; !dup {
-				used[a] = struct{}{}
+			if used.add(uint64(a)) {
 				asns[i] = a
 				break
 			}
@@ -161,22 +169,21 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	if nT1+nT2+nT3 >= cfg.N {
 		return nil, errors.New("topology: transit tiers exhaust AS budget")
 	}
-	t1 := asns[:nT1]
-	t2 := asns[nT1 : nT1+nT2]
-	t3 := asns[nT1+nT2 : nT1+nT2+nT3]
-	stubs := asns[nT1+nT2+nT3:]
+	// Each tier is a run of indices: tier 1 [0, t2), tier 2 [t2, t3),
+	// tier 3 [t3, stubs), stubs [stubs, N). The content ASes (see below)
+	// open the stub run: [stubs, content).
+	t2, t3, stubs, n := int32(nT1), int32(nT1+nT2), int32(nT1+nT2+nT3), int32(cfg.N)
+	nContent := int32(float64(n-stubs) * cfg.ContentFrac / (1 - cfg.LargeTransitFrac - cfg.SmallTransitFrac))
+	content := stubs + min(nContent, n-stubs)
 
-	b := NewBuilder()
-	for _, a := range asns {
-		if err := b.AddAS(a); err != nil {
-			return nil, err
-		}
-	}
+	// The Builder is only linked by index, so it needs no ASN index.
+	// internet80k has 3.6 links per AS.
+	b := &Builder{asns: asns, links: make([]builderLink, 0, 4*cfg.N)}
 
 	// Tier-1 clique: full peer mesh.
-	for i := 0; i < len(t1); i++ {
-		for j := i + 1; j < len(t1); j++ {
-			if err := b.AddP2P(t1[i], t1[j]); err != nil {
+	for i := int32(0); i < t2; i++ {
+		for j := i + 1; j < t2; j++ {
+			if err := b.link(i, j, PeerToPeer); err != nil {
 				return nil, err
 			}
 		}
@@ -188,28 +195,30 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// Excluded hits (self, duplicates) are re-drawn, with a bounded
 	// number of retries before falling back to a linear scan.
 	type ballBag struct {
-		balls []bgp.ASN
+		balls []int32
 	}
-	newBag := func(pool []bgp.ASN) *ballBag {
-		b := &ballBag{balls: make([]bgp.ASN, len(pool), len(pool)*3)}
-		copy(b.balls, pool)
+	newBag := func(lo, hi int32) *ballBag {
+		b := &ballBag{balls: make([]int32, 0, 3*(hi-lo))}
+		for a := lo; a < hi; a++ {
+			b.balls = append(b.balls, a)
+		}
 		return b
 	}
-	custCount := make(map[bgp.ASN]int, cfg.N)
-	pick := func(bag *ballBag, exclude map[bgp.ASN]bool) (bgp.ASN, bool) {
+	custCount := make([]int32, cfg.N)
+	pick := func(bag *ballBag, exclude []int32) (int32, bool) {
 		if len(bag.balls) == 0 {
 			return 0, false
 		}
 		for try := 0; try < 24; try++ {
 			a := bag.balls[rng.Intn(len(bag.balls))]
-			if !exclude[a] {
+			if !slices.Contains(exclude, a) {
 				return a, true
 			}
 		}
 		// Dense exclusion (tiny pools): fall back to an exact scan.
 		total := 0
 		for _, a := range bag.balls {
-			if !exclude[a] {
+			if !slices.Contains(exclude, a) {
 				total++
 			}
 		}
@@ -218,7 +227,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 		}
 		r := rng.Intn(total)
 		for _, a := range bag.balls {
-			if exclude[a] {
+			if slices.Contains(exclude, a) {
 				continue
 			}
 			if r == 0 {
@@ -230,42 +239,44 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	}
 
 	// numProviders draws 1 + Geometric-ish count with the configured mean.
+	const maxProviders = 5
 	numProviders := func() int {
 		n := 1
 		p := 1 - 1/cfg.MeanProviders // probability of another provider
-		for n < 5 && rng.Float64() < p {
+		for n < maxProviders && rng.Float64() < p {
 			n++
 		}
 		return n
 	}
 
-	attach := func(child bgp.ASN, bag *ballBag) error {
-		excl := map[bgp.ASN]bool{child: true}
+	attach := func(child int32, bag *ballBag) error {
+		var buf [1 + maxProviders]int32
+		excl := append(buf[:0], child)
 		for k := numProviders(); k > 0; k-- {
 			p, ok := pick(bag, excl)
 			if !ok {
 				break
 			}
-			if err := b.AddP2C(p, child); err != nil {
+			if err := b.link(p, child, ProviderToCustomer); err != nil {
 				return err
 			}
 			custCount[p]++
 			bag.balls = append(bag.balls, p)
-			excl[p] = true
+			excl = append(excl, p)
 		}
 		return nil
 	}
 
 	// Tier-2 homes under tier-1.
-	t1Bag := newBag(t1)
-	for _, a := range t2 {
+	t1Bag := newBag(0, t2)
+	for a := t2; a < t3; a++ {
 		if err := attach(a, t1Bag); err != nil {
 			return nil, err
 		}
 	}
 	// Tier-3 homes under tier-2 (occasionally directly under tier-1).
-	t2Bag := newBag(t2)
-	for _, a := range t3 {
+	t2Bag := newBag(t2, t3)
+	for a := t3; a < stubs; a++ {
 		bag := t2Bag
 		if rng.Float64() < 0.08 {
 			bag = t1Bag
@@ -275,28 +286,41 @@ func Generate(cfg GenConfig) (*Graph, error) {
 		}
 	}
 	// Stubs home under tier-2/tier-3 transit.
-	transit := make([]bgp.ASN, 0, len(t2)+len(t3))
-	transit = append(transit, t2...)
-	transit = append(transit, t3...)
-	transitBag := newBag(transit)
+	transitBag := newBag(t2, stubs)
 	// Carry tier-3 attachment weights into the combined transit bag.
-	for _, a := range transit {
-		for k := 0; k < custCount[a]; k++ {
+	for a := t2; a < stubs; a++ {
+		for k := int32(0); k < custCount[a]; k++ {
 			transitBag.balls = append(transitBag.balls, a)
 		}
 	}
-	for _, a := range stubs {
+	for a := stubs; a < n; a++ {
 		if err := attach(a, transitBag); err != nil {
 			return nil, err
 		}
 	}
 
-	// Peering: helper adds ~mean peers per AS from pool.
-	addPeers := func(members, pool []bgp.ASN, mean float64) error {
-		if mean <= 0 || len(pool) < 2 {
+	// Peering: helper adds ~mean peers per AS of [lo, hi) from the pool
+	// [plo, phi), skipping pairs already linked. Every peering is between
+	// two indices under content, so only links there can be asked about:
+	// most stubs' provider links stay out of the set. It is sized for
+	// their provider links and the expected peering sessions (each AS
+	// initiates mean/2), an estimate kept within [0, 4N]: the means are
+	// not validated.
+	peerings := (float64(t3-t2)*cfg.PeerDegreeT2 + float64(stubs-t3)*cfg.PeerDegreeT3 + float64(content-stubs)*cfg.PeerDegreeContent) / 2
+	if !(peerings > 0) {
+		peerings = 0
+	}
+	linked := newKeySet(2*int(content-t2) + int(min(peerings, float64(4*n))))
+	for _, l := range b.links {
+		if max(l.a, l.b) < content {
+			linked.add(pairKey(l.a, l.b))
+		}
+	}
+	addPeers := func(lo, hi, plo, phi int32, mean float64) error {
+		if mean <= 0 || phi-plo < 2 {
 			return nil
 		}
-		for _, a := range members {
+		for a := lo; a < hi; a++ {
 			// Each AS initiates Poisson-ish mean/2 sessions (the peer also
 			// initiates, so expected degree ≈ mean).
 			k := 0
@@ -304,40 +328,87 @@ func Generate(cfg GenConfig) (*Graph, error) {
 				k++
 			}
 			for ; k > 0; k-- {
-				p := pool[rng.Intn(len(pool))]
-				if p == a || b.HasLink(a, p) {
+				p := plo + int32(rng.Intn(int(phi-plo)))
+				if p == a || !linked.add(pairKey(a, p)) {
 					continue
 				}
-				if err := b.AddP2P(a, p); err != nil {
+				if err := b.link(a, p, PeerToPeer); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	if err := addPeers(t2, t2, cfg.PeerDegreeT2); err != nil {
+	if err := addPeers(t2, t3, t2, t3, cfg.PeerDegreeT2); err != nil {
 		return nil, err
 	}
-	if err := addPeers(t3, t3, cfg.PeerDegreeT3); err != nil {
+	if err := addPeers(t3, stubs, t3, stubs, cfg.PeerDegreeT3); err != nil {
 		return nil, err
 	}
 
 	// Content-heavy edge ASes: stubs that peer widely with transit and
 	// with each other (CDN-at-IXP pattern).
-	nContent := int(float64(len(stubs)) * cfg.ContentFrac / (1 - cfg.LargeTransitFrac - cfg.SmallTransitFrac))
-	if nContent > len(stubs) {
-		nContent = len(stubs)
-	}
-	content := stubs[:nContent]
-	peerPool := make([]bgp.ASN, 0, len(t2)+len(t3)+len(content))
-	peerPool = append(peerPool, t2...)
-	peerPool = append(peerPool, t3...)
-	peerPool = append(peerPool, content...)
-	if err := addPeers(content, peerPool, cfg.PeerDegreeContent); err != nil {
+	if err := addPeers(stubs, content, t2, content, cfg.PeerDegreeContent); err != nil {
 		return nil, err
 	}
 
 	return b.Build()
+}
+
+// pairKey is the key of the unordered index pair {i, j}; it is never 0,
+// as i != j.
+func pairKey(i, j int32) uint64 {
+	if i > j {
+		i, j = j, i
+	}
+	return uint64(i)<<32 | uint64(j)
+}
+
+// keySet is a set of nonzero uint64 keys in one flat open-addressing
+// table (Fibonacci hashing, linear probing, at most half full): the
+// generator's drawn ASNs and linked index pairs, without a Go map's
+// per-insert cost.
+type keySet struct {
+	slots []uint64 // 0 marks a free slot
+	n     int
+	shift uint
+}
+
+// newKeySet returns a set with room for n keys before it grows.
+func newKeySet(n int) *keySet {
+	s := &keySet{}
+	s.alloc(2 * n)
+	return s
+}
+
+// alloc replaces the table with an empty one of at least size slots.
+func (s *keySet) alloc(size int) {
+	b := bits.Len(uint(max(size, 16) - 1))
+	s.slots, s.n, s.shift = make([]uint64, 1<<b), 0, uint(64-b)
+}
+
+// add inserts k and reports whether it was absent.
+func (s *keySet) add(k uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.alloc(2 * len(old))
+		for _, o := range old {
+			if o != 0 {
+				s.add(o)
+			}
+		}
+	}
+	mask := len(s.slots) - 1
+	for i := int((k * 0x9E3779B97F4A7C15) >> s.shift); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // GenStats summarizes structural properties of a graph, used by tests and

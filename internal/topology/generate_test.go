@@ -140,3 +140,28 @@ func TestStatsOnSmallGraph(t *testing.T) {
 		t.Errorf("leaves = %d (%d single-homed), want 1 (1)", s.Leaves, s.SingleHomedLeaves)
 	}
 }
+
+var benchGraph *Graph
+
+func benchmarkGenerate(b *testing.B, cfg GenConfig) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchGraph = g
+	}
+}
+
+// BenchmarkGenerate80k times the canonical internet80k generation, the
+// largest part of an 80k sweep's set-up.
+func BenchmarkGenerate80k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("80k generation under -short")
+	}
+	benchmarkGenerate(b, InternetGenConfig(Internet80kASes))
+}
+
+// BenchmarkGenerate4k times the n=4000 generation every figs4k run starts from.
+func BenchmarkGenerate4k(b *testing.B) { benchmarkGenerate(b, DefaultGenConfig(4000)) }

@@ -31,16 +31,17 @@
 //
 // The Builder keeps every Add in a list, in insertion order, with the
 // endpoints resolved to registration indices; it keeps no map of pairs
-// (HasLink builds its set on first use). Build checks the list once:
+// (HasLink scans the list). Build checks the list once:
 // bucketed by lower endpoint, with a stamp per upper endpoint, a repeat is
 // dropped and the earliest link that contradicts an earlier one fails the
 // build, in O(n + m). It lays the CSR out from what is left by degree
 // counting — count each span, prefix-sum the offsets, write every link at
 // its two endpoints' cursors — and needs no sort of the links: the
 // numbering is canonical in the link set, and every span is sorted after
-// renumbering, so the order links arrived in cannot show. Links() and
-// WriteSerial2 read the ASN-sorted spans back out in order, so no whole
-// link list is ever sorted either way.
+// renumbering, so the order links arrived in cannot show. Links(), Digest
+// and WriteSerial2 read the ASN-sorted spans back out in one walk over the
+// ASes in ASN order (a radix sort of n words), so no whole link list is
+// ever sorted either way.
 package topology
 
 import (
@@ -350,17 +351,28 @@ func (g *Graph) TopByDegree(n int) []bgp.ASN {
 }
 
 // Links enumerates every link once, sorted by A, then B. A p2c link names
-// its provider as A; a peer or sibling link names the lower ASN as A. The
-// ASes are walked in ASN order, each merging its customers with its peers
-// and siblings above its own ASN off the ASN-sorted spans; a pair has one
-// relationship, so no two of them share a B.
+// its provider as A; a peer or sibling link names the lower ASN as A.
 func (g *Graph) Links() []Link {
+	out := make([]Link, 0, g.NumLinks())
+	g.walkLinks(g.asnOrder(), func(l Link) { out = append(out, l) })
+	return out
+}
+
+// asnOrder returns the dense indices sorted by ASN.
+func (g *Graph) asnOrder() []int32 {
 	order := make([]int32, len(g.asns))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	sortByASN(order, g.asns)
-	out := make([]Link, 0, g.NumLinks())
+	return order
+}
+
+// walkLinks calls f with every link in Links() order. It walks the ASes in
+// order (asnOrder's), each merging its customers with its peers and
+// siblings above its own ASN off the ASN-sorted spans; a pair has one
+// relationship, so no two of them share a B.
+func (g *Graph) walkLinks(order []int32, f func(Link)) {
 	for _, i := range order {
 		a := g.asns[i]
 		cust, peer, sib := g.asnSpan(i, spanCust), g.asnSpan(i, spanPeer), g.asnSpan(i, spanSib)
@@ -376,11 +388,10 @@ func (g *Graph) Links() []Link {
 			if len(sib) > 0 && (len(*next) == 0 || sib[0] < (*next)[0]) {
 				next, rel = &sib, SiblingToSibling
 			}
-			out = append(out, Link{A: a, B: (*next)[0], Rel: rel})
+			f(Link{A: a, B: (*next)[0], Rel: rel})
 			*next = (*next)[1:]
 		}
 	}
-	return out
 }
 
 // Link is one AS adjacency; for ProviderToCustomer, A is the provider.

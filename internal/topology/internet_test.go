@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -139,6 +141,19 @@ func TestASNSpaceValidation(t *testing.T) {
 	}
 	if err := InternetGenConfig(Internet80kASes).Validate(); err != nil {
 		t.Fatalf("InternetGenConfig(80k) must validate: %v", err)
+	}
+	// The pool may reach the top of the 32-bit ASN range, not pass it: a
+	// draw past it would wrap to ASN 0 or onto another draw. (An int
+	// narrower than 64 bits cannot hold such a pool.)
+	if strconv.IntSize == 64 {
+		top := uint64(math.MaxUint32)
+		wide := InternetGenConfig(Internet80kASes)
+		if wide.ASNSpace = int(top); wide.Validate() != nil {
+			t.Fatalf("ASNSpace=%d (the whole 32-bit range) must validate", wide.ASNSpace)
+		}
+		if wide.ASNSpace = int(top + 1); wide.Validate() == nil {
+			t.Fatalf("ASNSpace=%d (past the 32-bit range) must fail validation", wide.ASNSpace)
+		}
 	}
 }
 

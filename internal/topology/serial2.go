@@ -142,10 +142,10 @@ func WriteSerial2(w io.Writer, g *Graph) error {
 	if _, err := fmt.Fprintf(bw, "# %d ASes, %d links\n", g.NumASes(), g.NumLinks()); err != nil {
 		return err
 	}
-	for _, l := range g.Links() {
-		if _, err := bw.Write(append(l.appendSerial2(bw.AvailableBuffer()), '\n')); err != nil {
-			return err
-		}
-	}
+	g.walkLinks(g.asnOrder(), func(l Link) {
+		// A failed write sticks to bw: later writes are dropped and Flush
+		// returns the error.
+		_, _ = bw.Write(append(l.appendSerial2(bw.AvailableBuffer()), '\n'))
+	})
 	return bw.Flush()
 }
