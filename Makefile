@@ -16,7 +16,8 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # the CI log instead of hiding inside the package sweep. The topology I/O
 # differentials re-run the same way: a build that depends on link order, a
 # repeat or conflict judged wrongly, a loader that names the wrong line, or
-# internet80k's digest or serial-2 bytes moving.
+# internet80k's digest or serial-2 bytes moving. TestExportsHaveCallers re-runs
+# so that an exported name only tests use names itself too.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -24,6 +25,7 @@ tier1:
 	$(GO) test -race ./internal/parallel/ ./internal/routing/
 	$(GO) test -run='TestDetectionVisitorMatchesRetained|TestDetectionColumnsShareOneDraw' -count=1 ./internal/experiment/
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
+	$(GO) test -run=TestExportsHaveCallers -count=1 .
 	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/

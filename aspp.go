@@ -179,10 +179,9 @@ type Option interface {
 }
 
 type options struct {
-	size  int
-	seed  int64
-	gen   *topology.GenConfig
-	graph *topology.Graph
+	size int
+	seed *int64 // nil: no WithSeed
+	gen  *topology.GenConfig
 }
 
 type optionFunc func(*options)
@@ -194,38 +193,35 @@ func WithSize(n int) Option {
 	return optionFunc(func(o *options) { o.size = n })
 }
 
-// WithSeed sets the generator seed (default 1).
+// WithSeed sets the generator seed. It wins over a WithGenConfig
+// configuration's own Seed; without it that Seed applies, and the default
+// is 1.
 func WithSeed(seed int64) Option {
-	return optionFunc(func(o *options) { o.seed = seed })
+	return optionFunc(func(o *options) { o.seed = &seed })
 }
 
 // WithGenConfig supplies a full generator configuration, overriding
-// WithSize (WithSeed still applies unless the config sets its own).
+// WithSize. Its Seed applies unless WithSeed is given; 0 means 1.
 func WithGenConfig(cfg GenConfig) Option {
 	return optionFunc(func(o *options) { c := cfg; o.gen = &c })
 }
 
-// WithTopology uses an existing graph instead of generating one.
-func WithTopology(g *Graph) Option {
-	return optionFunc(func(o *options) { o.graph = g })
-}
-
-// NewInternet builds an Internet from the options: a supplied topology, a
-// supplied generator configuration, or a default generated topology.
+// NewInternet generates an Internet from the options: a supplied generator
+// configuration, or a default one of WithSize's size.
 func NewInternet(opts ...Option) (*Internet, error) {
-	o := options{size: 4000, seed: 1}
+	o := options{size: 4000}
 	for _, opt := range opts {
 		opt.apply(&o)
-	}
-	if o.graph != nil {
-		return &Internet{g: o.graph}, nil
 	}
 	cfg := topology.DefaultGenConfig(o.size)
 	if o.gen != nil {
 		cfg = *o.gen
 	}
-	if o.seed != 1 || cfg.Seed == 0 {
-		cfg.Seed = o.seed
+	switch {
+	case o.seed != nil:
+		cfg.Seed = *o.seed
+	case cfg.Seed == 0:
+		cfg.Seed = 1
 	}
 	g, err := topology.Generate(cfg)
 	if err != nil {

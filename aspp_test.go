@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"aspp/internal/measure"
+	"aspp/internal/topology"
 )
 
 func testInternet(t testing.TB, n int, seed int64) *Internet {
@@ -40,7 +41,7 @@ func TestNewInternetOptions(t *testing.T) {
 		t.Error("same seed produced different graphs")
 	}
 
-	// WithGenConfig and WithTopology round trips.
+	// WithGenConfig round trip.
 	cfg := GenConfig{
 		N: 100, Tier1: 4, LargeTransitFrac: 0.1, SmallTransitFrac: 0.2,
 		MeanProviders: 1.5, Seed: 9,
@@ -52,12 +53,42 @@ func TestNewInternetOptions(t *testing.T) {
 	if in3.Graph().NumASes() != 100 {
 		t.Errorf("WithGenConfig size = %d", in3.Graph().NumASes())
 	}
-	in4, err := NewInternet(WithTopology(in3.Graph()))
-	if err != nil {
-		t.Fatalf("WithTopology: %v", err)
+}
+
+// TestNewInternetSeedPrecedence: an explicit WithSeed wins over
+// WithGenConfig's Seed, whatever its value; without one the config's Seed
+// applies, and 0 means 1.
+func TestNewInternetSeedPrecedence(t *testing.T) {
+	cfg := topology.DefaultGenConfig(150)
+	digest := func(seed int64) uint64 {
+		c := cfg
+		c.Seed = seed
+		g, err := topology.Generate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topology.Digest(g)
 	}
-	if in4.Graph() != in3.Graph() {
-		t.Error("WithTopology copied the graph")
+	for _, tc := range []struct {
+		name     string
+		cfgSeed  int64
+		opts     []Option
+		wantSeed int64
+	}{
+		{"WithSeed(1) over Seed 9", 9, []Option{WithSeed(1)}, 1},
+		{"WithSeed(5) over Seed 9", 9, []Option{WithSeed(5)}, 5},
+		{"Seed 9 alone", 9, nil, 9},
+		{"Seed 0 alone", 0, nil, 1},
+	} {
+		c := cfg
+		c.Seed = tc.cfgSeed
+		in, err := NewInternet(append([]Option{WithGenConfig(c)}, tc.opts...)...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := topology.Digest(in.Graph()), digest(tc.wantSeed); got != want {
+			t.Errorf("%s: digest %#x, want Generate at seed %d's %#x", tc.name, got, tc.wantSeed, want)
+		}
 	}
 }
 
@@ -230,7 +261,7 @@ func TestInternetInferRelationships(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InferRelationships: %v", err)
 	}
-	if inf.Len() == 0 {
+	if len(inf.Links()) == 0 {
 		t.Fatal("no links inferred")
 	}
 	if acc.Overall() < 0.6 {

@@ -89,7 +89,6 @@ func FuzzPathCodec(f *testing.F) {
 			if u := p.Unique(); u.UniqueLen() != len(u) {
 				t.Fatalf("Unique() left prepending in %v", u)
 			}
-			_ = p.HasLoop()
 		}
 	})
 }

@@ -54,10 +54,6 @@ func (p Path) Origin() (ASN, bool) {
 	return p[len(p)-1], true
 }
 
-// Len returns the AS-path length as BGP's decision process counts it: the
-// total number of entries including prepended duplicates.
-func (p Path) Len() int { return len(p) }
-
 // UniqueLen returns the number of distinct hops, counting each run of
 // consecutive duplicates once. This is the "real" topological length.
 func (p Path) UniqueLen() int {
@@ -90,23 +86,6 @@ func (p Path) Contains(asn ASN) bool {
 		if a == asn {
 			return true
 		}
-	}
-	return false
-}
-
-// HasLoop reports whether any AS appears in two or more separate runs.
-// A looped path must be rejected by a BGP speaker whose ASN is repeated;
-// in the simulator it indicates a propagation bug.
-func (p Path) HasLoop() bool {
-	seen := make(map[ASN]struct{}, p.UniqueLen())
-	for i, a := range p {
-		if i > 0 && a == p[i-1] {
-			continue // same run: legitimate prepending
-		}
-		if _, dup := seen[a]; dup {
-			return true
-		}
-		seen[a] = struct{}{}
 	}
 	return false
 }

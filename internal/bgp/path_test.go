@@ -58,8 +58,8 @@ func TestASNString(t *testing.T) {
 
 func TestPathBasics(t *testing.T) {
 	p := mustPath(t, "7018 3356 32934 32934 32934")
-	if got := p.Len(); got != 5 {
-		t.Errorf("Len = %d, want 5", got)
+	if got := len(p); got != 5 {
+		t.Errorf("len = %d, want 5", got)
 	}
 	if got := p.UniqueLen(); got != 3 {
 		t.Errorf("UniqueLen = %d, want 3", got)
@@ -83,9 +83,6 @@ func TestPathEmpty(t *testing.T) {
 	if p.OriginPrepend() != 0 || p.UniqueLen() != 0 {
 		t.Error("empty path metrics nonzero")
 	}
-	if p.HasLoop() {
-		t.Error("empty path reported a loop")
-	}
 	if got := p.Unique(); got != nil {
 		t.Errorf("Unique(empty) = %v, want nil", got)
 	}
@@ -99,26 +96,6 @@ func TestPathUnique(t *testing.T) {
 	want := mustPath(t, "4134 9318 32934")
 	if got := p.Unique(); !got.Equal(want) {
 		t.Errorf("Unique = %v, want %v", got, want)
-	}
-}
-
-func TestPathHasLoop(t *testing.T) {
-	tests := []struct {
-		give string
-		want bool
-	}{
-		{give: "1 2 3", want: false},
-		{give: "1 2 2 2 3", want: false},
-		{give: "1 2 3 2", want: true},
-		{give: "1 2 2 3 2 2", want: true},
-		{give: "5 5 5", want: false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.give, func(t *testing.T) {
-			if got := mustPath(t, tt.give).HasLoop(); got != tt.want {
-				t.Errorf("HasLoop(%q) = %v, want %v", tt.give, got, tt.want)
-			}
-		})
 	}
 }
 

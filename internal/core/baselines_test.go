@@ -100,8 +100,8 @@ func TestSimulateForgedNeedsNoRoute(t *testing.T) {
 		t.Fatalf("origin hijack on a dark prefix: %v", err)
 	}
 	// Nobody had a route, so nobody is eligible — but everyone is captured.
-	if im.Eligible != 0 || im.Attacked().PollutedCount() != g.NumASes()-2 {
-		t.Errorf("eligible %d, captured %d", im.Eligible, im.Attacked().PollutedCount())
+	if im.Eligible != 0 || viaCount(im.Attacked()) != g.NumASes()-2 {
+		t.Errorf("eligible %d, captured %d", im.Eligible, viaCount(im.Attacked()))
 	}
 
 	rb := topology.Rebuild(g)

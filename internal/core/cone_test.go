@@ -66,7 +66,8 @@ func checkAgainstRecount(t *testing.T, g *topology.Graph, im *Impact, baseline *
 // shard runs them: one Scratch throughout, owned baselines propagated on
 // that same Scratch or shifted from one another, consecutive legs on the
 // same baseline (the delta slot's repair path) and on alternating ones,
-// forged full-kernel legs and nil-Scratch legs in between.
+// forged full-kernel legs and nil-Scratch legs in between. A nil-Scratch
+// leg runs on a fresh private Scratch and is cone-counted like the rest.
 func TestConeAccountingDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1902))
 	s, oracle := routing.NewScratch(), routing.NewScratch()
@@ -127,8 +128,8 @@ func TestConeAccountingDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if wantCone := sc.Type == AttackASPP && scratch != nil; (im.cone != nil) != wantCone {
-				t.Fatalf("%s: cone nil=%v, want a cone exactly on the delta engine's own Scratch", label, im.cone == nil)
+			if wantCone := sc.Type == AttackASPP; (im.cone != nil) != wantCone {
+				t.Fatalf("%s: cone nil=%v, want a cone exactly on the delta engine's legs", label, im.cone == nil)
 			}
 			checkAgainstRecount(t, g, &im, b.base, oracle, label)
 			legs++

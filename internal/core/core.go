@@ -143,8 +143,8 @@ type Impact struct {
 	attacked *routing.Result
 	viaBase  []bool
 	// cone lists the only ASes whose route or via bits the attack can have
-	// changed (routing.Scratch.DeltaCone) when the delta engine ran the leg
-	// on a Scratch; nil means every AS.
+	// changed (routing.Scratch.DeltaCone) when the delta engine ran the leg;
+	// nil means every AS.
 	cone []int32
 	// atkIdx is the attacker's dense graph index.
 	atkIdx int32
@@ -173,19 +173,6 @@ func (im *Impact) Baseline() *routing.Result { return im.baseline }
 
 // Attacked exposes the under-attack routing outcome.
 func (im *Impact) Attacked() *routing.Result { return im.attacked }
-
-// PollutedASes lists the ASes that adopt the bogus route, sorted by ASN.
-func (im *Impact) PollutedASes() []bgp.ASN {
-	g := im.attacked.Graph()
-	var out []bgp.ASN
-	for i, v := range im.attacked.Via {
-		if v && int32(i) != im.atkIdx {
-			out = append(out, g.ASNAt(int32(i)))
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
 
 // NewlyPolluted lists ASes that traverse the attacker under attack but did
 // not before — the ASes the attack actually captured.
@@ -218,31 +205,10 @@ func (im *Impact) PathsAt(asn bgp.ASN) (before, after bgp.Path) {
 	return im.baseline.PathOf(asn), im.attacked.PathOf(asn)
 }
 
-// IsPolluted reports whether asn adopted the bogus route.
-func (im *Impact) IsPolluted(asn bgp.ASN) bool {
-	g := im.attacked.Graph()
-	i, ok := g.Index(asn)
-	if !ok {
-		return false
-	}
-	return im.attacked.Via[i]
-}
-
-// HopsFromAttacker returns the number of AS hops between a polluted AS and
-// the attacker along its polluted path (1 = direct neighbor), or -1 if the
-// AS is not polluted. The detection-latency experiment uses this as the
-// bogus route's propagation time to that AS.
-func (im *Impact) HopsFromAttacker(asn bgp.ASN) int {
-	i, ok := im.attacked.Graph().Index(asn)
-	if !ok {
-		return -1
-	}
-	return im.HopsFromAttackerIdx(i)
-}
-
-// HopsFromAttackerIdx is HopsFromAttacker by dense graph index — the
-// detection-latency hot path iterates the Via slice directly and skips
-// the ASN round trip.
+// HopsFromAttackerIdx returns the number of AS hops between the AS at dense
+// index i and the attacker along its polluted path (1 = direct neighbor),
+// or -1 if the AS is not polluted. The detection-latency experiment uses
+// this as the bogus route's propagation time to that AS.
 func (im *Impact) HopsFromAttackerIdx(i int32) int {
 	if !im.attacked.Via[i] {
 		return -1
@@ -259,34 +225,30 @@ func mustIdx(g *topology.Graph, asn bgp.ASN) int32 {
 	return i
 }
 
-// BaselineOnly propagates the scenario's announcement with no attacker
-// active (used by mitigation analysis to measure reachability costs of a
-// response that cuts the attacker off).
-func BaselineOnly(g *topology.Graph, sc Scenario) (*routing.Result, error) {
-	return routing.Propagate(g, sc.Announcement())
-}
-
 // SimulateScratch runs sc's two legs on the engines the scenario and the
 // graph call for and derives the pollution counts. baseline is an optional
 // precomputed no-attack result for the scenario's announcement (as produced
-// by BaselineOnly, or experiment's per-(origin, λ) cache): it is used
+// by routing.Propagate, or experiment's per-(origin, λ) cache): it is used
 // read-only and MUST match the announcement exactly (same origin, λ,
 // per-neighbor prepends and withholds) — callers own that invariant; nil
 // computes it. Propagation telemetry is recorded into the optional counters
 // (nil disables recording); the attack leg counts as a delta propagation
 // when the delta engine ran it and as a full one otherwise.
 //
-// It is the allocation-free path: propagation state, the attacked result
-// and the via set are borrowed from s (one Scratch per goroutine — see the
-// routing.Scratch ownership contract), so the returned Impact is itself
-// borrowed: valid until the next call on s. Its Counts are plain values;
-// anything else a caller keeps it must copy out first. A delta leg's
-// accounting there — the baseline via set, the counts, Effective,
-// NewlyPolluted — visits the attacker's cone only (DESIGN §5.7). With a nil
-// Scratch everything is freshly allocated and the Impact owns its results.
+// Propagation state, the attacked result and the via set are borrowed from
+// s (one Scratch per goroutine — see the routing.Scratch ownership
+// contract), so the returned Impact is itself borrowed: valid until the
+// next call on s. Its Counts are plain values; anything else a caller keeps
+// it must copy out first. With a nil s the call runs on a fresh private
+// Scratch and the Impact owns its results. A delta leg's accounting — the
+// baseline via set, the counts, Effective, NewlyPolluted — visits the
+// attacker's cone only (DESIGN §5.7).
 func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s *routing.Scratch, c *obs.Counters) (Impact, error) {
 	if sc.Victim == sc.Attacker {
 		return Impact{}, errors.New("core: victim and attacker must differ")
+	}
+	if s == nil {
+		s = routing.NewScratch()
 	}
 	ann, atk := sc.Announcement(), sc.AttackerConfig()
 	var err error
@@ -309,26 +271,17 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 	if err != nil {
 		return Impact{}, fmt.Errorf("core: attack: %w", err)
 	}
+	// A delta leg's accounting is sized by the attacker's cone: every AS
+	// with a via bit, before or after, lies in it.
+	var cone []int32
 	if delta {
+		cone = s.DeltaCone()
 		c.AddDeltaPropagations(1)
-		if s != nil {
-			c.AddConeRows(int64(len(s.DeltaCone())))
-		}
+		c.AddConeRows(int64(len(cone)))
 	} else {
 		c.AddFullPropagations(1)
 	}
-	// On the delta engine's own Scratch the accounting is sized by the
-	// attacker's cone: every AS with a via bit, before or after, lies in it.
-	var viaBase []bool
-	var cone []int32
-	if s != nil {
-		if delta {
-			cone = s.DeltaCone()
-		}
-		viaBase = baseline.ViaSetInto(sc.Attacker, s, cone)
-	} else {
-		viaBase = baseline.ViaSet(sc.Attacker)
-	}
+	viaBase := baseline.ViaSetInto(sc.Attacker, s, cone)
 	return Impact{
 		Scenario: sc,
 		Counts:   countPollution(g, sc, baseline, attacked, viaBase, cone),

@@ -285,19 +285,21 @@ func b2(t *testing.T, base *topology.Graph) error {
 	return nil
 }
 
+// TestBaselineOnly: a scenario's announcement propagated with no attacker
+// reaches everyone, and the scenario's withholds apply to it.
 func TestBaselineOnly(t *testing.T) {
 	g := coreGraph(t)
-	res, err := BaselineOnly(g, Scenario{Victim: 100, Attacker: 50, Prepend: 3})
+	res, err := routing.Propagate(g, Scenario{Victim: 100, Attacker: 50, Prepend: 3}.Announcement())
 	if err != nil {
-		t.Fatalf("BaselineOnly: %v", err)
+		t.Fatalf("baseline: %v", err)
 	}
 	if res.ReachableCount() != g.NumASes()-1 {
 		t.Errorf("ReachableCount = %d", res.ReachableCount())
 	}
 	// Scenario withholding applies to the baseline too.
-	res2, err := BaselineOnly(g, Scenario{
+	res2, err := routing.Propagate(g, Scenario{
 		Victim: 100, Attacker: 50, Prepend: 3, WithholdFrom: []bgp.ASN{30},
-	})
+	}.Announcement())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,18 +103,26 @@ func TestRelabelInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, l := range g.Links() {
-		var err error
-		switch l.Rel {
-		case topology.ProviderToCustomer:
-			err = b.AddP2C(relabel(l.A), relabel(l.B))
-		case topology.PeerToPeer:
-			err = b.AddP2P(relabel(l.A), relabel(l.B))
-		case topology.SiblingToSibling:
-			err = b.AddS2S(relabel(l.A), relabel(l.B))
+	for i := int32(0); i < int32(g.NumASes()); i++ {
+		a := relabel(g.ASNAt(i))
+		for _, j := range g.CustomersIdx(i) {
+			if err := b.AddP2C(a, relabel(g.ASNAt(j))); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
-			t.Fatal(err)
+		for _, j := range g.PeersIdx(i) {
+			if j > i {
+				if err := b.AddP2P(a, relabel(g.ASNAt(j))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, j := range g.SiblingsIdx(i) {
+			if j > i {
+				if err := b.AddS2S(a, relabel(g.ASNAt(j))); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	rg, err := b.Build()

@@ -106,7 +106,7 @@ type Outcome struct {
 
 // pollution is one usable attack's pollution set, a bitset over dense AS
 // indices copied out of the leg's borrowed Impact: bit i is set when AS i
-// routes via the attacker under the attack (what Impact.IsPolluted reports).
+// routes via the attacker under the attack (Attacked().Via[i]).
 type pollution struct {
 	attacker int32
 	via      []uint64

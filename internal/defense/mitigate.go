@@ -6,6 +6,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -85,12 +86,11 @@ func Mitigate(g *topology.Graph, sc core.Scenario, m Mitigation) (*MitigationOut
 		outcome.AfterResponse = after.After()
 		outcome.ReachableAfter = after.Attacked().ReachableCount()
 	case errors.Is(err, core.ErrAttackerSeesNoRoute):
-		// The response cut the attacker off entirely.
-		base, berr := core.BaselineOnly(g, response)
+		// The response cut the attacker off entirely: nothing is polluted.
+		base, berr := routing.Propagate(g, response.Announcement())
 		if berr != nil {
 			return nil, fmt.Errorf("defense: response baseline: %w", berr)
 		}
-		outcome.AfterResponse = 0
 		outcome.ReachableAfter = base.ReachableCount()
 	default:
 		return nil, fmt.Errorf("defense: response: %w", err)

@@ -18,8 +18,27 @@ import (
 
 // The retained-Impact oracle: Compare as it ran before the leg visitor —
 // simulate the whole 20× candidate budget, keep every usable attack's
-// core.Impact, select and evaluate through Impact.IsPolluted /
-// PollutedASes. Test-side only; Compare must reproduce it field for field.
+// core.Impact, select and evaluate through isPolluted / pollutedASes.
+// Test-side only; Compare must reproduce it field for field.
+
+// isPolluted reports whether asn adopted im's bogus route.
+func isPolluted(im *core.Impact, asn bgp.ASN) bool {
+	i, ok := im.Attacked().Graph().Index(asn)
+	return ok && im.Attacked().Via[i]
+}
+
+// pollutedASes lists the ASes that adopt im's bogus route, sorted by ASN.
+func pollutedASes(im *core.Impact) []bgp.ASN {
+	g := im.Attacked().Graph()
+	var out []bgp.ASN
+	for i, v := range im.Attacked().Via {
+		if asn := g.ASNAt(int32(i)); v && asn != im.Scenario.Attacker {
+			out = append(out, asn)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
 
 // retainedDraw simulates all n×20 candidates and keeps the first n usable;
 // upTo > 0 stops at the upTo-th usable one instead and reports how many
@@ -53,7 +72,7 @@ func retainedDraw(t *testing.T, g *topology.Graph, cfg Config, n int, label stri
 func retainedGreedy(g *topology.Graph, training []*core.Impact, budget int) []bgp.ASN {
 	counts := make(map[bgp.ASN]int)
 	for _, im := range training {
-		for _, asn := range im.PollutedASes() {
+		for _, asn := range pollutedASes(im) {
 			counts[asn]++
 		}
 	}
@@ -71,7 +90,7 @@ func retainedGreedy(g *topology.Graph, training []*core.Impact, budget int) []bg
 		for _, c := range candidates {
 			gain := 0
 			for i, im := range training {
-				if !covered[i] && im.IsPolluted(c) {
+				if !covered[i] && isPolluted(im, c) {
 					gain++
 				}
 			}
@@ -84,7 +103,7 @@ func retainedGreedy(g *topology.Graph, training []*core.Impact, budget int) []bg
 		}
 		chosen = append(chosen, best)
 		for i, im := range training {
-			if im.IsPolluted(best) {
+			if isPolluted(im, best) {
 				covered[i] = true
 			}
 		}
@@ -128,7 +147,7 @@ func retainedCompare(t *testing.T, g *topology.Graph, cfg Config) []Outcome {
 		hit := 0
 		for _, im := range eval {
 			for _, m := range monitors {
-				if im.IsPolluted(m) {
+				if isPolluted(im, m) {
 					hit++
 					break
 				}

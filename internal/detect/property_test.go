@@ -163,7 +163,7 @@ func TestDetectChangeAlwaysFindsEffectiveStrip(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if res.PollutedCount() == 0 {
+		if !slices.Contains(res.Via, true) {
 			continue
 		}
 		effective++

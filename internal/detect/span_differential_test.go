@@ -129,7 +129,7 @@ func legacyEvaluate(im *core.Impact, monitors []bgp.ASN, rels RelQuerier) EvalRe
 				res.Attributed = true
 			}
 		}
-		if h := im.HopsFromAttacker(m); h >= 0 && (detectionHops < 0 || h < detectionHops) {
+		if h := hopsFromAttacker(im, m); h >= 0 && (detectionHops < 0 || h < detectionHops) {
 			detectionHops = h
 		}
 	}
@@ -138,8 +138,24 @@ func legacyEvaluate(im *core.Impact, monitors []bgp.ASN, rels RelQuerier) EvalRe
 	return res
 }
 
+// hopsFromAttacker is Impact.HopsFromAttackerIdx by ASN; -1 for an unknown
+// AS.
+func hopsFromAttacker(im *core.Impact, asn bgp.ASN) int {
+	i, ok := im.Attacked().Graph().Index(asn)
+	if !ok {
+		return -1
+	}
+	return im.HopsFromAttackerIdx(i)
+}
+
 func legacyPollutedBefore(im *core.Impact, detectionHops int) float64 {
-	polluted := im.PollutedASes()
+	var polluted []bgp.ASN
+	g := im.Attacked().Graph()
+	for i, v := range im.Attacked().Via {
+		if asn := g.ASNAt(int32(i)); v && asn != im.Scenario.Attacker {
+			polluted = append(polluted, asn)
+		}
+	}
 	if len(polluted) == 0 {
 		return 0
 	}
@@ -148,7 +164,7 @@ func legacyPollutedBefore(im *core.Impact, detectionHops int) float64 {
 	}
 	early := 0
 	for _, asn := range polluted {
-		if h := im.HopsFromAttacker(asn); h >= 0 && h < detectionHops {
+		if h := hopsFromAttacker(im, asn); h >= 0 && h < detectionHops {
 			early++
 		}
 	}

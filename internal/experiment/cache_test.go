@@ -129,7 +129,7 @@ func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := core.BaselineOnly(g, core.Scenario{Victim: victim, Prepend: lambda})
+			direct, err := routing.Propagate(g, routing.Announcement{Origin: victim, Prepend: lambda})
 			if err != nil {
 				t.Fatal(err)
 			}

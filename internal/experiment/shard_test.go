@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"aspp/internal/core"
 	"aspp/internal/obs"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
@@ -337,7 +336,7 @@ func TestShardGaugesWithinBudget(t *testing.T) {
 func TestBaselineCacheBudgetEviction(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
-	one, err := core.BaselineOnly(g, core.Scenario{Victim: asns[0], Prepend: 1})
+	one, err := routing.Propagate(g, routing.Announcement{Origin: asns[0], Prepend: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,6 @@ func (in *Inferred) setSibling(a, b bgp.ASN) {
 	in.rel[k] = dirSibling
 }
 
-// Len returns the number of classified links.
-func (in *Inferred) Len() int { return len(in.rel) }
-
 // RelOf reports how b relates to a under the inferred relationships
 // (topology.RelNone for unknown links; siblings map to RelPeer, the
 // closest export semantics).

@@ -395,7 +395,7 @@ func deltaResultInto(r *Result, baseline *Result, via []bool) *Result {
 // Once warmed, the call is allocation-free; setup replays the previous
 // call's touched and rejection lists (O(previous cone)) instead of
 // clearing whole tables, so its cost scales with the cone, not the graph.
-// With s == nil a private Scratch is allocated.
+// With s == nil it runs on a fresh private Scratch.
 func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, s *Scratch) (*Result, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
@@ -410,13 +410,7 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 		return nil, ErrSiblingsNeedFullKernel
 	}
 	if s == nil {
-		ps := scratchPool.Get().(*Scratch)
-		res, err := PropagateAttackDelta(g, ann, atk, baseline, ps)
-		if err == nil {
-			res = res.Clone()
-		}
-		scratchPool.Put(ps)
-		return res, err
+		s = NewScratch()
 	}
 	if baseline == nil {
 		var err error

@@ -101,6 +101,50 @@ func compareResults(t testing.TB, g *topology.Graph, fast, ref *Result, label st
 	}
 }
 
+// hasLoop reports whether any AS appears in two or more separate runs of
+// p. A looped path must be rejected by a BGP speaker whose ASN is repeated;
+// in the simulator it indicates a propagation bug.
+func hasLoop(p bgp.Path) bool {
+	seen := make(map[bgp.ASN]struct{}, p.UniqueLen())
+	for i, a := range p {
+		if i > 0 && a == p[i-1] {
+			continue // same run: legitimate prepending
+		}
+		if _, dup := seen[a]; dup {
+			return true
+		}
+		seen[a] = struct{}{}
+	}
+	return false
+}
+
+func TestPathHasLoop(t *testing.T) {
+	if hasLoop(nil) {
+		t.Error("empty path reported a loop")
+	}
+	tests := []struct {
+		give string
+		want bool
+	}{
+		{give: "1 2 3", want: false},
+		{give: "1 2 2 2 3", want: false},
+		{give: "1 2 3 2", want: true},
+		{give: "1 2 2 3 2 2", want: true},
+		{give: "5 5 5", want: false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.give, func(t *testing.T) {
+			p, err := bgp.ParsePath(tt.give)
+			if err != nil {
+				t.Fatalf("ParsePath(%q): %v", tt.give, err)
+			}
+			if got := hasLoop(p); got != tt.want {
+				t.Errorf("hasLoop(%q) = %v, want %v", tt.give, got, tt.want)
+			}
+		})
+	}
+}
+
 // checkInvariants asserts protocol invariants on every path in res.
 func checkInvariants(t *testing.T, g *topology.Graph, res *Result, ann Announcement, atk *Attacker, label string) {
 	t.Helper()
@@ -113,7 +157,7 @@ func checkInvariants(t *testing.T, g *topology.Graph, res *Result, ann Announcem
 		if int32(len(path)) != res.Len[i] {
 			t.Errorf("%s: %v: len(PathOf)=%d, Len=%d", label, asn, len(path), res.Len[i])
 		}
-		if path.HasLoop() {
+		if hasLoop(path) {
 			t.Errorf("%s: %v: path %v has a loop", label, asn, path)
 		}
 		if got := path.OriginPrepend(); got != int(res.Prep[i]) {
@@ -567,8 +611,8 @@ func checkDeltaCone(t *testing.T, g *topology.Graph, base, delta *Result, atk At
 // runs its attack and three more attackers drawn from the seed on one
 // Scratch against one cloned baseline, so every call after the first
 // repairs the rows the previous one wrote. Each result must equal the
-// full kernel's row for row and pass checkDeltaCone, and all three
-// worklists must be zero on return. Wired into `make fuzz-smoke`.
+// full kernel's row for row and pass checkDeltaCone and checkStable, and
+// all three worklists must be zero on return. Wired into `make fuzz-smoke`.
 func FuzzDeltaAttack(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(0), uint16(1), uint8(2), uint8(0), false)
 	f.Add(int64(42), uint16(100), uint16(7), uint16(300), uint8(4), uint8(1), true)
@@ -625,6 +669,7 @@ func FuzzDeltaAttack(f *testing.F) {
 			}
 			compareResults(t, g, delta, full, label)
 			checkDeltaCone(t, g, base, delta, atk, s, label)
+			checkStable(t, g, delta, ann, &atk, nil)
 			for k, list := range s.dirty {
 				for wi, w := range list {
 					if w != 0 {
@@ -676,7 +721,7 @@ func TestDeltaEngineSiblingContract(t *testing.T) {
 		compareResults(t, g, refBase, refBase2, label+" baseline determinism")
 		compareResults(t, g, refAtk, refAtk2, label+" attack determinism")
 		for _, asn := range g.ASNs() {
-			if p := refAtk.PathOf(asn); p.HasLoop() {
+			if p := refAtk.PathOf(asn); hasLoop(p) {
 				t.Errorf("%s: %v has loop %v", label, asn, p)
 			}
 		}

@@ -273,8 +273,9 @@ func TestForgedEngineContracts(t *testing.T) {
 }
 
 // FuzzForgedAttack drives the forged kinds with fuzzed topologies,
-// victims, attackers and λ: the kernel must never panic and must match
-// the oracle at every AS. Wired into `make fuzz-smoke`.
+// victims, attackers and λ: the kernel must never panic, must match the
+// oracle at every AS, and must pass checkStable. Wired into `make
+// fuzz-smoke`.
 func FuzzForgedAttack(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(1), uint8(2), uint8(3))
@@ -297,6 +298,7 @@ func FuzzForgedAttack(f *testing.F) {
 			t.Fatalf("PropagateAttackScratch: %v", err)
 		}
 		checkForged(t, g, res, forgedOracle(t, g, ann, atk), atk, atk.Kind.String())
+		checkStable(t, g, res, ann, &atk, nil)
 	})
 }
 

@@ -35,7 +35,7 @@ type Result struct {
 	// runs through it and reconstructs the forged path.
 	Parent []int32
 	// Via[i] reports whether i's route traverses the attacker. Computed
-	// during attack propagation; for plain propagation use ViaSet.
+	// during attack propagation; for plain propagation use ViaSetInto.
 	Via []bool
 }
 
@@ -221,38 +221,18 @@ func (r *Result) PathsInto(a *PathArena, monitors []int32, spans []PathSpan) []P
 	return spans
 }
 
-// HopsToOrigin returns the number of distinct-AS hops from asn to the
-// origin (its path's unique length), or -1 if unreachable.
-func (r *Result) HopsToOrigin(asn bgp.ASN) int {
-	i, ok := r.g.Index(asn)
-	if !ok || r.Class[i] == ClassNone {
-		if ok && i == r.origin {
-			return 0
-		}
-		return -1
-	}
-	hops := 1 // origin run counts once
-	for j := r.Parent[i]; j != r.origin; j = r.Parent[j] {
-		hops++
-	}
-	return hops
-}
-
-// ViaSet computes, for every AS, whether its best path traverses through,
-// meaning strictly includes, the given AS (the AS itself is not "via"
-// itself; the origin is never via anything). This is the pollution set of
-// the paper: every marked AS sends its traffic for the origin through asn.
-func (r *Result) ViaSet(asn bgp.ASN) []bool {
-	return r.ViaSetInto(asn, new(Scratch), nil)
-}
-
-// ViaSetInto is ViaSet into s's via-walk buffers, valid until the next
-// ViaSetInto on s (they are distinct from the attack slots' Via storage, so
-// a baseline via-set coexists with an attack result on the same Scratch).
-// With a nil cone every AS is decided. Otherwise only the listed indices
-// are — each by walking its parent chain up to an AS already decided — and
-// everything else reads false: exact whenever every AS routing via asn is
-// listed, which Scratch.DeltaCone guarantees for the attacker of its leg.
+// ViaSetInto computes, for every AS, whether its best path traverses
+// through, meaning strictly includes, the given AS (the AS itself is not
+// "via" itself; the origin is never via anything). This is the pollution
+// set of the paper: every marked AS sends its traffic for the origin
+// through asn. The set is written into s's via-walk buffers, valid until
+// the next ViaSetInto on s (they are distinct from the attack slots' Via
+// storage, so a baseline via-set coexists with an attack result on the
+// same Scratch). With a nil cone every AS is decided. Otherwise only the
+// listed indices are — each by walking its parent chain up to an AS
+// already decided — and everything else reads false: exact whenever every
+// AS routing via asn is listed, which Scratch.DeltaCone guarantees for the
+// attacker of its leg.
 // The buffers are reset by replaying the previous walk's visit list, so a
 // cone-sized walk costs O(cone), not O(n).
 func (r *Result) ViaSetInto(asn bgp.ASN, s *Scratch, cone []int32) []bool {
@@ -303,29 +283,6 @@ func (r *Result) ViaSetInto(asn bgp.ASN, s *Scratch, cone []int32) []bool {
 	}
 	s.viaSeen = seen
 	return via
-}
-
-// CountVia returns how many ASes route via asn (see ViaSet).
-func (r *Result) CountVia(asn bgp.ASN) int {
-	n := 0
-	for _, v := range r.ViaSet(asn) {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-// PollutedCount returns the number of ASes whose best route traverses the
-// attacker, using the Via slice filled in by attack propagation.
-func (r *Result) PollutedCount() int {
-	n := 0
-	for _, v := range r.Via {
-		if v {
-			n++
-		}
-	}
-	return n
 }
 
 // ReachableCount returns the number of ASes with a route, excluding the

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"strings"
 	"testing"
 
 	"aspp/internal/topology"
@@ -91,17 +92,11 @@ func TestGraphLinksIncludeSiblings(t *testing.T) {
 	if got := g.NumLinks(); got != 2 {
 		t.Errorf("NumLinks = %d, want 2", got)
 	}
-	links := g.Links()
-	foundSib := false
-	for _, l := range links {
-		if l.Rel == topology.SiblingToSibling {
-			foundSib = true
-			if l.String() != "2|3|2" {
-				t.Errorf("sibling link serializes as %q", l.String())
-			}
-		}
+	var buf strings.Builder
+	if err := topology.WriteSerial2(&buf, g); err != nil {
+		t.Fatal(err)
 	}
-	if !foundSib {
-		t.Error("sibling link missing from Links()")
+	if !strings.Contains(buf.String(), "\n2|3|2\n") {
+		t.Errorf("sibling link missing from the serial-2 links:\n%s", buf.String())
 	}
 }

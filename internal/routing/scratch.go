@@ -3,7 +3,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"aspp/internal/topology"
 )
@@ -46,6 +45,11 @@ type nodeRec struct {
 //     both — works on a single Scratch.
 //   - Callers that need a result to outlive the Scratch must Clone it, or
 //     have PropagateOwned write it into storage of their own.
+//   - s == nil means a fresh private Scratch: a one-shot call allocates its
+//     tables, and the Result it returns belongs to the caller, since no
+//     other call shares that Scratch. Held, it keeps those tables alive;
+//     Propagate runs PropagateOwned on a fresh Scratch, so its Result
+//     does not.
 //   - Vantage.PathsInto is a baseline-slot call too, but writes only the rows
 //     its monitors' paths run through. That partial Result never leaves the
 //     package: the call returns spans.
@@ -136,13 +140,6 @@ type Scratch struct {
 
 // NewScratch returns an empty Scratch; it sizes itself on first use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// scratchPool recycles the private Scratches behind the convenience
-// entry points (s == nil): a propagation borrows one, runs, clones the
-// compact result out, and returns the Scratch — so one-shot callers pay
-// a ~n-row copy instead of allocating multi-hundred-KB candidate tables
-// per call.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // growCap is the shared geometric growth policy: a table asked to cover
 // need entries grows to max(need, 2×cur). Exact-fit growth made a sweep
@@ -290,18 +287,11 @@ func (s *Scratch) DeltaCone() []int32 { return s.touched }
 func (s *Scratch) RowsDown() int64 { return s.rowsDown }
 
 // PropagateScratch is Propagate with scratch reuse: candidate tables and
-// the returned Result are borrowed from s. With s == nil the propagation
-// runs on a pooled Scratch and the returned Result is a private copy. See
-// the Scratch ownership contract.
+// the returned Result are borrowed from s. With s == nil it runs on a
+// fresh private Scratch. See the Scratch ownership contract.
 func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result, error) {
 	if s == nil {
-		ps := scratchPool.Get().(*Scratch)
-		res, err := PropagateScratch(g, ann, ps)
-		if err == nil {
-			res = res.Clone()
-		}
-		scratchPool.Put(ps)
-		return res, err
+		s = NewScratch()
 	}
 	return propagateInto(g, ann, s, &s.base, nil)
 }
@@ -346,17 +336,10 @@ func propagateInto(g *topology.Graph, ann Announcement, s *Scratch, res *Result,
 // referenceOnConverged in sibling_diff_test.go). A forged claim does not
 // depend on the attacker's own route, so the forged kinds neither read nor
 // compute a baseline. The returned Result is borrowed from the Scratch's
-// attack slot. With s == nil the propagation runs on a pooled Scratch and
-// the returned Result is a private copy.
+// attack slot. With s == nil it runs on a fresh private Scratch.
 func PropagateAttackScratch(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, s *Scratch) (*Result, error) {
 	if s == nil {
-		ps := scratchPool.Get().(*Scratch)
-		res, err := PropagateAttackScratch(g, ann, atk, baseline, ps)
-		if err == nil {
-			res = res.Clone()
-		}
-		scratchPool.Put(ps)
-		return res, err
+		s = NewScratch()
 	}
 	return propagateAttack(g, ann, atk, baseline, nil, s)
 }

@@ -308,10 +308,10 @@ func TestDeltaBaselineRepairReuse(t *testing.T) {
 	}
 }
 
-// TestScratchPoolPath covers the s == nil convenience route: results must
-// be private detached copies, correct, and safe to hold after the pooled
-// Scratch goes back for reuse by other calls.
-func TestScratchPoolPath(t *testing.T) {
+// TestNilScratchIsPrivate covers the s == nil one-shot route: each call
+// runs on a fresh private Scratch, so its result matches the same call on
+// an explicit Scratch and stays valid across further nil calls.
+func TestNilScratchIsPrivate(t *testing.T) {
 	cfg := topology.DefaultGenConfig(200)
 	cfg.Seed = 61
 	g, err := topology.Generate(cfg)
@@ -325,27 +325,40 @@ func TestScratchPoolPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second pooled call very likely reuses the same pooled Scratch; the
-	// first result must be unaffected because it was cloned out.
 	snapshot := first.Clone()
 	other := Announcement{Origin: g.Tier1s()[1], Prepend: 5}
 	if _, err := PropagateScratch(g, other, nil); err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, g, first, snapshot, "pooled result detached")
+	compareResults(t, g, first, snapshot, "nil-Scratch baseline held across a nil call")
+	want, err := PropagateScratch(g, ann, NewScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, g, first, want, "nil-Scratch baseline")
 
 	atkRes, err := PropagateAttackScratch(g, ann, atk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PropagateAttackScratch(g, ann, atk, nil, nil)
+	if atkRes.Via == nil {
+		t.Fatal("nil-Scratch attack result has no Via slice")
+	}
+	atkSnap := atkRes.Clone()
+	deltaRes, err := PropagateAttackDelta(g, ann, atk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, g, atkRes, want, "pooled attack")
-	if atkRes.Via == nil {
-		t.Fatal("pooled attack result lost its Via slice in the clone")
+	if _, err := PropagateAttackScratch(g, other, Attacker{AS: g.Tier1s()[0]}, nil, nil); err != nil {
+		t.Fatal(err)
 	}
+	compareResults(t, g, atkRes, atkSnap, "nil-Scratch attack held across a nil call")
+	wantAtk, err := PropagateAttackScratch(g, ann, atk, nil, NewScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, g, atkRes, wantAtk, "nil-Scratch attack")
+	compareResults(t, g, deltaRes, wantAtk, "nil-Scratch delta")
 }
 
 // TestScratchGrowthGeometric pins the growth policy: capacity grows to

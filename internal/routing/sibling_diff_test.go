@@ -26,13 +26,15 @@ func graftSiblings(t testing.TB, g *topology.Graph, rng *rand.Rand) (*topology.G
 	asns := g.ASNs()
 	pick := func() bgp.ASN { return asns[rng.Intn(len(asns))] }
 	var orgs []bgp.ASN
+	grafted := map[[2]bgp.ASN]bool{}
 	link := func(x, y bgp.ASN) bool {
-		if x == y || b.HasLink(x, y) {
+		if x == y || g.RelOf(x, y) != topology.RelNone || grafted[[2]bgp.ASN{x, y}] {
 			return false
 		}
 		if err := b.AddS2S(x, y); err != nil {
 			t.Fatalf("AddS2S(%v,%v): %v", x, y, err)
 		}
+		grafted[[2]bgp.ASN{x, y}], grafted[[2]bgp.ASN{y, x}] = true, true
 		orgs = append(orgs, x, y)
 		return true
 	}

@@ -169,7 +169,7 @@ func TestReferenceSiblingLoopSafety(t *testing.T) {
 			t.Fatalf("λ=%d: %v", lambda, err)
 		}
 		for _, asn := range g.ASNs() {
-			if p := res.PathOf(asn); p.HasLoop() {
+			if p := res.PathOf(asn); hasLoop(p) {
 				t.Errorf("λ=%d: %v has loop %v", lambda, asn, p)
 			}
 		}

@@ -111,26 +111,6 @@ func (b *Builder) record(ia, ib int32, rel Relationship) {
 	b.links = append(b.links, builderLink{a: ia, b: ib, rel: rel})
 }
 
-// HasLink reports whether any relationship already exists between a and c.
-// It scans the link list, O(m) a call: it is for grafting a few links onto
-// a graph, and the generator keeps a pair set of its own.
-func (b *Builder) HasLink(a, c bgp.ASN) bool {
-	ia, ok := b.index[a]
-	if !ok {
-		return false
-	}
-	ic, ok := b.index[c]
-	if !ok {
-		return false
-	}
-	for _, l := range b.links {
-		if l.a == ia && l.b == ic || l.a == ic && l.b == ia {
-			return true
-		}
-	}
-	return false
-}
-
 // conflictError is Build's report of the earliest link that contradicts an
 // earlier one on its pair; link is its insertion index, which ReadSerial2
 // turns back into a line number.

@@ -24,9 +24,9 @@ func fnvU32(h uint64, v uint32) uint64 {
 }
 
 // Digest returns a deterministic 64-bit FNV-1a hash of the graph's
-// structure: the AS count, the sorted ASN set, and every link in Links()
-// order (sorted by A, then B; a p2c link's A is its provider). It depends
-// on logical content only — registration order and internal index
+// structure: the AS count, the sorted ASN set, and every link in
+// walkLinks order (sorted by A, then B; a p2c link's A is its provider).
+// It depends on logical content only — registration order and internal index
 // numbering do not enter — so a graph keeps its digest across a serial-2
 // write/read round trip (pinned by TestDigestSerial2RoundTrip). Scale runs pin the
 // canonical internet80k digest instead of committing the ~300k-link

@@ -38,8 +38,8 @@
 // counting — count each span, prefix-sum the offsets, write every link at
 // its two endpoints' cursors — and needs no sort of the links: the
 // numbering is canonical in the link set, and every span is sorted after
-// renumbering, so the order links arrived in cannot show. Links(), Digest
-// and WriteSerial2 read the ASN-sorted spans back out in one walk over the
+// renumbering, so the order links arrived in cannot show. Digest and
+// WriteSerial2 read the ASN-sorted spans back out in one walk over the
 // ASes in ASN order (a radix sort of n words), so no whole link list is
 // ever sorted either way.
 package topology
@@ -350,14 +350,6 @@ func (g *Graph) TopByDegree(n int) []bgp.ASN {
 	return out
 }
 
-// Links enumerates every link once, sorted by A, then B. A p2c link names
-// its provider as A; a peer or sibling link names the lower ASN as A.
-func (g *Graph) Links() []Link {
-	out := make([]Link, 0, g.NumLinks())
-	g.walkLinks(g.asnOrder(), func(l Link) { out = append(out, l) })
-	return out
-}
-
 // asnOrder returns the dense indices sorted by ASN.
 func (g *Graph) asnOrder() []int32 {
 	order := make([]int32, len(g.asns))
@@ -368,10 +360,11 @@ func (g *Graph) asnOrder() []int32 {
 	return order
 }
 
-// walkLinks calls f with every link in Links() order. It walks the ASes in
-// order (asnOrder's), each merging its customers with its peers and
-// siblings above its own ASN off the ASN-sorted spans; a pair has one
-// relationship, so no two of them share a B.
+// walkLinks calls f with every link once, sorted by A, then B: a p2c link
+// names its provider as A, a peer or sibling link the lower ASN. It walks
+// the ASes in order (asnOrder's), each merging its customers with its
+// peers and siblings above its own ASN off the ASN-sorted spans; a pair has
+// one relationship, so no two of them share a B.
 func (g *Graph) walkLinks(order []int32, f func(Link)) {
 	for _, i := range order {
 		a := g.asns[i]

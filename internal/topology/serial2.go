@@ -135,8 +135,8 @@ func ReadSerial2(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// WriteSerial2 writes g in serial-2 format, one line per link in Links()
-// order, each formatted straight into the writer's buffer.
+// WriteSerial2 writes g in serial-2 format, one line per link sorted by A,
+// then B (walkLinks), each formatted straight into the writer's buffer.
 func WriteSerial2(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# %d ASes, %d links\n", g.NumASes(), g.NumLinks()); err != nil {
