@@ -1,0 +1,202 @@
+package detect
+
+// Tests for the streaming detector's prefix index: the key slab beside the
+// rows and the seeded open-addressing table that finds a prefix's row
+// (DESIGN §5c).
+
+import (
+	"math/rand"
+	"net/netip"
+	"testing"
+
+	"aspp/internal/bgp"
+)
+
+// TestPrefixIndexDifferential drives a detector and a map keyed by
+// netip.Prefix with one random stream through at least four doublings of
+// the index. The stream mixes IPv4 prefixes, their IPv4-mapped IPv6 twins
+// (the same As16, told apart only by the flag), plain IPv6 prefixes, every
+// length from /0 to /128, unmasked addresses, repeats and same-prefix runs,
+// and updates from a non-monitor, which take no row. After every doubling
+// and at the end both sides agree on the row count and on RouteOf for
+// every (prefix, monitor), and prefixes never sent have no route.
+func TestPrefixIndexDifferential(t *testing.T) {
+	monitors := []bgp.ASN{100, 200, 300}
+	rng := rand.New(rand.NewSource(41))
+	d := NewDetector(monitors, nil)
+	model := map[netip.Prefix]map[bgp.ASN]bgp.Path{}
+	var seen []netip.Prefix
+
+	randAddr := func(v4 bool) netip.Addr {
+		var a [16]byte
+		rng.Read(a[:])
+		if v4 {
+			return netip.AddrFrom4([4]byte(a[:4]))
+		}
+		return netip.AddrFrom16(a)
+	}
+	draw := func() netip.Prefix {
+		switch k := rng.Intn(10); {
+		case k < 4 && len(seen) > 0: // a repeat
+			return seen[rng.Intn(len(seen))]
+		case k < 6: // IPv4, masked or not
+			p := netip.PrefixFrom(randAddr(true), rng.Intn(33))
+			if rng.Intn(2) == 0 {
+				p = p.Masked()
+			}
+			return p
+		case k < 8 && len(seen) > 0: // the IPv4-mapped twin of a prefix seen, same bits or +96
+			p := seen[rng.Intn(len(seen))]
+			return netip.PrefixFrom(netip.AddrFrom16(p.Addr().As16()), min(p.Bits()+96*rng.Intn(2), 128))
+		default: // plain IPv6
+			return netip.PrefixFrom(randAddr(false), rng.Intn(129))
+		}
+	}
+	agree := func(when string) {
+		t.Helper()
+		if len(d.keys) != len(model) || len(d.rows) != len(model)*len(monitors) {
+			t.Fatalf("%s: %d keys and %d rows, model has %d prefixes", when, len(d.keys), len(d.rows)/len(monitors), len(model))
+		}
+		for _, p := range seen {
+			for _, m := range monitors {
+				if got, want := d.RouteOf(p, m), model[p][m]; !got.Equal(want) {
+					t.Fatalf("%s: RouteOf(%v, %v) = %v, model %v", when, p, m, got, want)
+				}
+			}
+			if got := d.RouteOf(p, 999); got != nil {
+				t.Fatalf("%s: RouteOf(%v) for a non-monitor = %v", when, p, got)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			if p := draw(); model[p] == nil && d.RouteOf(p, monitors[0]) != nil {
+				t.Fatalf("%s: unsent prefix %v has a route", when, p)
+			}
+		}
+	}
+
+	doublings := 0
+	for i := 0; i < 30_000; i++ {
+		p := draw()
+		for run := 1 + rng.Intn(3); run > 0; run-- {
+			u := bgp.Update{Monitor: monitors[rng.Intn(len(monitors))], Type: bgp.Withdraw, Prefix: p}
+			if rng.Intn(20) == 0 {
+				u.Monitor = 999
+			}
+			if rng.Intn(3) > 0 {
+				u.Type, u.Path = bgp.Announce, bgp.Path{bgp.ASN(1 + rng.Intn(5)), bgp.ASN(10 + rng.Intn(3)), 7}
+			}
+			size := len(d.index)
+			d.Observe(u)
+			if u.Monitor == 999 {
+				continue
+			}
+			if model[p] == nil {
+				model[p] = map[bgp.ASN]bgp.Path{}
+				seen = append(seen, p)
+			}
+			if u.Type == bgp.Announce {
+				model[p][u.Monitor] = u.Path
+			} else {
+				delete(model[p], u.Monitor)
+			}
+			if len(d.index) != size {
+				doublings++
+				agree("after a doubling")
+			}
+		}
+	}
+	agree("at the end")
+	if doublings < 4 {
+		t.Fatalf("premise broken: the index doubled %d times, want at least 4", doublings)
+	}
+	t.Logf("%d prefixes, %d doublings, %d index slots", len(model), doublings, len(d.index))
+}
+
+// probeStats walks d's index: a key's probe count is the slots its lookup
+// inspects, one plus its distance from its home slot.
+func probeStats(d *Detector) (mean float64, longest int) {
+	mask, total := len(d.index)-1, 0
+	for i, r := range d.index {
+		if r != 0 {
+			n := (i-int(d.hash(&d.keys[r-1]))&mask)&mask + 1
+			total, longest = total+n, max(longest, n)
+		}
+	}
+	return float64(total) / float64(len(d.keys)), longest
+}
+
+// TestDetectorPrefixIndexProbes fills fresh detectors, so fresh seeds, with
+// dense and hostile-shaped prefix runs up to the largest load the index
+// reaches, ¾ of 65,536 slots, and bounds the probes a lookup pays. The
+// shapes: the growth workload's consecutive /32s, the churn corpus's
+// consecutive /24s, one IPv6 block's consecutive /56s, and /24s each
+// followed by its IPv4-mapped twin. A random hash at load ¾ averages 2.5
+// probes (½(1 + 1/(1−α)), Knuth) and its longest probe run over 1,000 such
+// tables was 299. A mix that drops an address word shows here as one run of
+// all 49,152 keys; one that drops the flag byte or the fold, as means of
+// 3.4 to 4.6 probes.
+func TestDetectorPrefixIndexProbes(t *testing.T) {
+	const keys, maxMean, maxLongest = 3 << 14, 2.75, 512
+	shapes := []struct {
+		name string
+		nth  func(q int) netip.Prefix
+	}{
+		{"growth /32s", func(q int) netip.Prefix {
+			return netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(q >> 16), byte(q >> 8), byte(q)}), 32)
+		}},
+		{"collector /24s", func(q int) netip.Prefix {
+			return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(1 + q>>16), byte(q >> 8), byte(q), 0}), 24)
+		}},
+		{"IPv6 /56s", func(q int) netip.Prefix {
+			return netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(q >> 16), byte(q >> 8), byte(q)}), 56)
+		}},
+		{"IPv4/mapped twins", func(q int) netip.Prefix {
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(q >> 9), byte(q >> 1), 0}), 24)
+			if q%2 == 1 {
+				p = netip.PrefixFrom(netip.AddrFrom16(p.Addr().As16()), 24)
+			}
+			return p
+		}},
+	}
+	for _, s := range shapes {
+		for seed := 0; seed < 3; seed++ {
+			d := NewDetector([]bgp.ASN{100}, nil)
+			for q := 0; q < keys; q++ {
+				d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: s.nth(q)})
+			}
+			if len(d.keys) != keys || 4*len(d.keys) != 3*len(d.index) {
+				t.Fatalf("%s: premise broken: %d keys in %d slots, want %d at load ¾", s.name, len(d.keys), len(d.index), keys)
+			}
+			mean, longest := probeStats(d)
+			t.Logf("%s, detector %d: mean %.2f probes, longest %d", s.name, seed, mean, longest)
+			if mean > maxMean || longest > maxLongest {
+				t.Errorf("%s, detector %d: mean %.2f probes (ceiling %.2f), longest %d (ceiling %d)",
+					s.name, seed, mean, maxMean, longest, maxLongest)
+			}
+		}
+	}
+}
+
+// TestDetectorPrefixIndexCost pins what the index costs a prefix at every
+// size from 1k to 300k prefixes, independent of the Go version's map
+// layout: the key slab at capacity plus the probe table, at most 36 B. The
+// 18-byte key grows by a quarter at a time (≤ 22.5 B) and the table holds
+// 4/3 to 8/3 slots of 4 B per key (≤ 10.7 B).
+func TestDetectorPrefixIndexCost(t *testing.T) {
+	const ceiling = 36
+	d := NewDetector([]bgp.ASN{100}, nil)
+	worst, at := 0.0, 0
+	for q := 0; q < 300_000; q++ {
+		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(q >> 16), byte(q >> 8), byte(q)}), 32)
+		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
+		if n := len(d.keys); n >= 1000 {
+			if c := float64(sliceBytes(d.keys)+sliceBytes(d.index)) / float64(n); c > worst {
+				worst, at = c, n
+			}
+		}
+	}
+	t.Logf("the index costs at most %.1f B per prefix, at %d prefixes", worst, at)
+	if worst > ceiling {
+		t.Errorf("the index costs %.1f B per prefix at %d prefixes, ceiling %d B", worst, at, ceiling)
+	}
+}

@@ -1,6 +1,9 @@
 package detect
 
 import (
+	"encoding/binary"
+	"hash/maphash"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"sort"
@@ -37,10 +40,13 @@ type Detector struct {
 	refs, next, free []int32
 	byKey            map[routeKey]int32
 
-	// rows holds every prefix's row of route ids, stride len(monASN);
-	// rowOf maps a prefix to its row number.
+	// rows holds every prefix's row of route ids, stride len(monASN), keys
+	// its prefix, and index, probed linearly from a key's seeded hash, its
+	// row+1 (0 is empty); index doubles, rebuilt from keys, once ¾ full.
 	rows  []int32
-	rowOf map[pfxKey]int32
+	keys  []pfxKey
+	index []int32
+	seed  uint64
 
 	// live weighs the referenced routes in 4-byte words, a route weighing
 	// its body plus routeWords; the rest of what the table and arena hold
@@ -71,17 +77,63 @@ type routeKey struct {
 	prep   int16
 }
 
-// pfxKey is a prefix as a pointer-free map key (netip.Prefix holds a
-// pointer the GC must scan). is4 keeps 10.0.0.0/8 apart from
-// ::ffff:10.0.0.0/8.
+// pfxKey is a prefix as a pointer-free 18-byte key (netip.Prefix holds a
+// pointer the GC must scan). is4, 1 for an IPv4 prefix, keeps 10.0.0.0/8
+// apart from ::ffff:10.0.0.0/8.
 type pfxKey struct {
-	addr [16]byte
-	bits uint8
-	is4  bool
+	addr      [16]byte
+	bits, is4 uint8
 }
 
 func keyOf(p netip.Prefix) pfxKey {
-	return pfxKey{p.Addr().As16(), uint8(p.Bits()), p.Addr().Is4()}
+	a := p.Addr() // BitLen is 32 for IPv4, 128 for IPv6 and 0 for neither
+	return pfxKey{a.As16(), uint8(p.Bits()), uint8(a.BitLen()>>5) & 1}
+}
+
+// hash mixes k's address words under the detector's random seed (a feed
+// of network prefixes must not pick the collisions), then its bits and
+// flag bytes, by 64×64→128-bit multiplies folded to 64 bits.
+func (d *Detector) hash(k *pfxKey) uint64 {
+	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(k.addr[:8])^d.seed,
+		binary.LittleEndian.Uint64(k.addr[8:])^d.seed^0xa0761d6478bd642f)
+	hi, lo = bits.Mul64(hi^lo^uint64(k.bits)^uint64(k.is4)<<8, 0xe7037ed1a0b428db)
+	return hi ^ lo
+}
+
+// find returns k's row, or -1 and the empty slot k would take.
+func (d *Detector) find(k *pfxKey) (row int32, slot int) {
+	mask := len(d.index) - 1
+	for i := int(d.hash(k)) & mask; ; i = (i + 1) & mask {
+		if r := d.index[i]; r == 0 || d.keys[r-1] == *k {
+			return r - 1, i
+		}
+	}
+}
+
+// rowOf returns k's row, appending an empty one if k is new.
+func (d *Detector) rowOf(k pfxKey) int32 {
+	r, slot := d.find(&k)
+	if r >= 0 {
+		return r
+	}
+	if len(d.keys) == cap(d.keys) { // a quarter more, where append would double
+		d.keys = append(make([]pfxKey, 0, len(d.keys)*5/4+8), d.keys...)
+	}
+	d.keys = append(d.keys, k)
+	d.rows = append(d.rows, make([]int32, len(d.monASN))...)
+	d.index[slot] = int32(len(d.keys)) // the new row, plus one
+	if 4*len(d.keys) > 3*len(d.index) {
+		d.index = make([]int32, 2*len(d.index))
+		mask := len(d.index) - 1
+		for r := range d.keys { // distinct keys: take the first empty slot, compare none
+			i := int(d.hash(&d.keys[r])) & mask
+			for d.index[i] != 0 {
+				i = (i + 1) & mask
+			}
+			d.index[i] = int32(r + 1)
+		}
+	}
+	return int32(len(d.keys) - 1)
 }
 
 // NewDetector builds a streaming detector for the given vantage points.
@@ -108,7 +160,8 @@ func NewDetector(monitors []bgp.ASN, rels RelQuerier) *Detector {
 		refs:   []int32{0},
 		next:   []int32{0},
 		byKey:  make(map[routeKey]int32),
-		rowOf:  make(map[pfxKey]int32),
+		index:  make([]int32, 8),
+		seed:   new(maphash.Hash).Sum64(),
 	}
 }
 
@@ -163,14 +216,7 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	}
 	m := len(d.monASN)
 	if u.Prefix != d.lastPfx {
-		k := keyOf(u.Prefix)
-		r, ok := d.rowOf[k]
-		if !ok {
-			r = int32(len(d.rows) / m)
-			d.rows = append(d.rows, make([]int32, m)...)
-			d.rowOf[k] = r
-		}
-		d.lastPfx, d.lastOff = u.Prefix, int(r)*m
+		d.lastPfx, d.lastOff = u.Prefix, int(d.rowOf(keyOf(u.Prefix)))*m
 	}
 	row := d.rows[d.lastOff : d.lastOff+m]
 	prev, id := row[mi], int32(0)
@@ -267,17 +313,17 @@ func (d *Detector) maybeCompact() {
 }
 
 // MemoryBytes is the detector's resident footprint: the path arena, the
-// row slab and route table at capacity, and the three maps. The serve
-// pipeline's soak gate samples this to assert the streaming table
-// plateaus instead of leaking, and /metrics reports it.
+// row, key and index slabs and the route table at capacity, and the two
+// maps. The serve pipeline's soak gate samples this to assert the
+// streaming table plateaus instead of leaking, and /metrics reports it.
 func (d *Detector) MemoryBytes() int64 {
 	if d == nil {
 		return 0
 	}
 	return int64(unsafe.Sizeof(*d)) + d.arena.MemoryBytes() +
-		sliceBytes(d.rows) + sliceBytes(d.spans) + sliceBytes(d.refs) +
-		sliceBytes(d.next) + sliceBytes(d.free) + sliceBytes(d.liveRefs) +
-		sliceBytes(d.monASN) + mapBytes(d.rowOf) + mapBytes(d.byKey) + mapBytes(d.monIdx)
+		sliceBytes(d.rows) + sliceBytes(d.keys) + sliceBytes(d.index) + sliceBytes(d.spans) +
+		sliceBytes(d.refs) + sliceBytes(d.next) + sliceBytes(d.free) + sliceBytes(d.liveRefs) +
+		sliceBytes(d.monASN) + mapBytes(d.byKey) + mapBytes(d.monIdx)
 }
 
 func sliceBytes[T any](s []T) int64 {
@@ -301,12 +347,9 @@ func mapBytes[K comparable, V any](m map[K]V) int64 {
 // prefix (nil if unknown), materialized off the arena.
 func (d *Detector) RouteOf(prefix netip.Prefix, monitor bgp.ASN) bgp.Path {
 	mi, ok := d.monIdx[monitor]
-	if !ok {
-		return nil
+	k := keyOf(prefix)
+	if r, _ := d.find(&k); ok && r >= 0 {
+		return d.arena.Path(d.spans[d.rows[int(r)*len(d.monASN)+int(mi)]])
 	}
-	r, ok := d.rowOf[keyOf(prefix)]
-	if !ok {
-		return nil
-	}
-	return d.arena.Path(d.spans[d.rows[int(r)*len(d.monASN)+int(mi)]])
+	return nil
 }

@@ -73,9 +73,9 @@ func heapAfterGC() int64 {
 // serve_memory_bytes and bench's state_mb read, to the heap the detector
 // really holds (±20 %), and caps what a growing table costs: 200k prefixes
 // of the growth template (four inserts each, ten monitors) may grow the
-// heap by at most 128 B a prefix. A row of route ids plus its map slot
-// measures ≈80 B here; a span per monitor and a path body per (prefix,
-// monitor) measured ≈325 B, and MemoryBytes reported 0.74× of it.
+// heap by at most 128 B a prefix. A row of route ids plus its key and
+// index slots measures ≈76 B here; a span per monitor and a path body per
+// (prefix, monitor) measured ≈325 B, and MemoryBytes reported 0.74× of it.
 func TestDetectorMemoryBytesTracksHeap(t *testing.T) {
 	const prefixes, ceiling = 200_000, 128
 	updates, monitors, g := churnCorpus(t, 1500, 23, 10, 300, 1000)
@@ -202,8 +202,8 @@ func TestDetectorRouteTablePrefixKeys(t *testing.T) {
 	for i, pfx := range pfxs {
 		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: bgp.Path{bgp.ASN(10 + i), 7}})
 	}
-	if len(d.rowOf) != len(pfxs) {
-		t.Fatalf("%d prefixes share %d rows", len(pfxs), len(d.rowOf))
+	if len(d.keys) != len(pfxs) || len(d.rows) != len(pfxs)*len(d.monASN) {
+		t.Fatalf("%d prefixes share %d keys and %d rows", len(pfxs), len(d.keys), len(d.rows)/len(d.monASN))
 	}
 	for i, pfx := range pfxs {
 		if got, want := d.RouteOf(pfx, 100), (bgp.Path{bgp.ASN(10 + i), 7}); !got.Equal(want) {
