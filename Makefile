@@ -144,18 +144,18 @@ bench:
 	bash bench/run.sh
 
 # Internet-scale smoke (DESIGN §5f): a reduced tier-1 pair sweep over the
-# canonical internet80k topology through the sharded path, under an
-# explicit per-shard cache budget. The test fails if the recorded memory
-# gauges exceed the budget, so a working-set regression gates CI. The
+# canonical internet80k topology through the sharded path, where a shard
+# holds one baseline. The test fails if the recorded cache gauge exceeds one
+# internet80k baseline's bytes, so a working-set regression gates CI. The
 # sibling test checks the 80k answers themselves: the kernel on fig11's
 # sibling graph against the reference engine, row for row. The
 # susceptibility test is a count gate: the default tier matrix simulates
-# the 108 legs it prints, at most 108 baselines, under 128 MB of cache, and
+# the 108 legs it prints, at most 108 baselines, one baseline a shard, and
 # allocates nothing its gauges do not report. The cone test checks the pair
 # sweep's answers: 110 legs counted over the attacker's cone against an O(n)
 # recount over the full kernel, and those legs plus 16 tier-1-on-tier-1 ones
 # on the delta engine against the full kernel, row for row. The λ-sweep test pins one propagation per
-# victim and shard. The vantage test holds what the survey's monitors read
+# victim and shard, at two and eight workers. The vantage test holds what the survey's monitors read
 # off a restricted propagation to a whole-graph one, and the digest test
 # holds fig5 and fig6 on internet80k to the bytes the whole-graph survey
 # printed, and mitigation to the bytes the reference engine printed. The

@@ -28,22 +28,28 @@ func goldenRun(t *testing.T, args ...string) []byte {
 // fig13 (detection accuracy) experiments at a fixed topology and seed. Any
 // engine or model change that shifts a single pollution count, rank or
 // percentage shows up as a byte diff here; intentional changes are
-// re-pinned with -update. The sharded fig9 cases hold the shard-invariance
-// differentials to the committed file, not just to each other.
+// re-pinned with -update. The fig9 cases at GOMAXPROCS 1 and 7 (one and
+// seven shards) hold the shard-invariance differentials to the committed
+// file, not just to each other.
 func TestGoldenFigures(t *testing.T) {
 	fig9 := []string{"-exp", "fig9", "-n", "400", "-seed", "1"}
 	cases := []struct {
 		name, golden string
 		args         []string
+		procs        int // GOMAXPROCS, and so the shard count; 0: as the test runs
 	}{
 		{name: "fig9", golden: "fig9", args: fig9},
-		{name: "fig9-shards1", golden: "fig9", args: append([]string{"-shards", "1"}, fig9...)},
-		// Named for the -batch 8 it ran with until the lane engines went.
-		{name: "fig9-shards7-batch8-budget", golden: "fig9", args: append([]string{"-shards", "7", "-mem-budget", "64k"}, fig9...)},
+		{name: "fig9-shards1", golden: "fig9", args: fig9, procs: 1},
+		// Named for the -batch 8, -shards 7 and -mem-budget it ran with
+		// until the lane engines and then those flags went.
+		{name: "fig9-shards7-batch8-budget", golden: "fig9", args: fig9, procs: 7},
 		{name: "fig13", golden: "fig13", args: []string{"-exp", "fig13", "-n", "400", "-seed", "1", "-pairs", "20"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				withGOMAXPROCS(t, tc.procs)
+			}
 			got := goldenRun(t, tc.args...)
 			path := filepath.Join("testdata", "golden", tc.golden+".golden")
 			if *update {

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -27,7 +26,6 @@ import (
 	"runtime/pprof"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -60,12 +58,6 @@ type benchContext struct {
 	internet *aspp.Internet
 	seed     int64
 	pairs    int
-	// shards/memBudget tune the sweep runner (DESIGN §5f): the
-	// pair/sweep/susceptibility drivers partition their legs into shards
-	// (0: one per worker), each with a private baseline cache capped at
-	// memBudget bytes. Output is byte-identical at every setting.
-	shards    int
-	memBudget int64
 	// out is the experiment's own buffer: run prints it in run order and
 	// writes it to -out's <name>.tsv.
 	out io.Writer
@@ -153,29 +145,6 @@ func expNames() string {
 	return strings.Join(names, ",")
 }
 
-// parseMemBudget parses the -mem-budget flag: a byte count with an
-// optional binary K/M/G suffix ("512M", "2G", "65536"). Empty means no
-// budget.
-func parseMemBudget(v string) (int64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	digits, mult := v, int64(1)
-	switch v[len(v)-1] {
-	case 'k', 'K':
-		digits, mult = v[:len(v)-1], 1<<10
-	case 'm', 'M':
-		digits, mult = v[:len(v)-1], 1<<20
-	case 'g', 'G':
-		digits, mult = v[:len(v)-1], 1<<30
-	}
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil || n <= 0 || n > math.MaxInt64/mult {
-		return 0, fmt.Errorf("-mem-budget: want a positive byte count with optional K/M/G suffix, got %q", v)
-	}
-	return n * mult, nil
-}
-
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("asppbench", flag.ContinueOnError)
 	var (
@@ -185,21 +154,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pairs    = fs.Int("pairs", 200, "attacker/victim pairs for the detection experiments")
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
-		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many shards, each with a private baseline cache; 0: one shard per worker")
-		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
-		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
+		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; cache_bytes is the largest baseline a shard held (a shard holds one, that of the victim it is on); work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: shard count must be >= 0", *shards)
-	}
-	budgetBytes, err := parseMemBudget(*memBud)
-	if err != nil {
 		return err
 	}
 
@@ -298,7 +258,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				if err == nil {
 					bc := &benchContext{
 						ctx: runCtx, internet: internet, seed: *seed, pairs: *pairs,
-						shards: *shards, memBudget: budgetBytes,
 						out: &r.out, memo: memo,
 					}
 					if *counters {
@@ -431,8 +390,6 @@ func runSusceptibility(bc *benchContext) error {
 	cfg := experiment.DefaultSusceptibilityConfig()
 	cfg.Seed = bc.seed
 	cfg.Counters = bc.counters
-	cfg.Shards = bc.shards
-	cfg.MemBudget = bc.memBudget
 	cells, err := experiment.SusceptibilityMatrixCtx(bc.ctx, bc.internet.Graph(), cfg)
 	if err != nil {
 		return err
@@ -573,7 +530,7 @@ func tailAbove(h *stats.Histogram, k int) float64 {
 func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool, label string) error {
 	pairsResult, err := bc.internet.SamplePairsCtx(bc.ctx, aspp.PairConfig{
 		Kind: kind, N: n, Prepend: 3, Violate: violate, Seed: bc.seed,
-		Counters: bc.counters, Shards: bc.shards, MemBudget: bc.memBudget,
+		Counters: bc.counters,
 	})
 	if err != nil {
 		return err
@@ -607,7 +564,7 @@ func runFig8(bc *benchContext) error {
 func (bc *benchContext) sweepOn(g *aspp.Graph, victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
 	return experiment.SweepPrependCfgCtx(bc.ctx, g, aspp.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
-		Counters: bc.counters, Shards: bc.shards, MemBudget: bc.memBudget,
+		Counters: bc.counters,
 	})
 }
 

@@ -142,14 +142,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // writeUpdateStream emits the monitors' view of the attack as a replayable
 // update stream: first the steady-state announcements, then the changes
 // the attack causes.
-func writeUpdateStream(path string, g *topology.Graph, im *aspp.Impact, nMonitors int) error {
+func writeUpdateStream(path string, g *topology.Graph, im *aspp.Impact, nMonitors int) (err error) {
 	monitors := g.TopByDegree(nMonitors)
 	prefix := netip.MustParsePrefix("10.0.0.0/16")
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	// The stream is written only once Close succeeds.
+	defer func() { err = errors.Join(err, f.Close()) }()
 
 	var tm uint64
 	var stream []bgp.Update

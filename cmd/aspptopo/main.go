@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -108,8 +109,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := internet.WriteTopology(f); err != nil {
+		// The file is written only once Close succeeds.
+		if err := errors.Join(internet.WriteTopology(f), f.Close()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n", *outFile)

@@ -52,10 +52,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		return nil, errors.New("experiment: bad comparison config")
 	}
 	monitors := g.TopByDegree(cfg.Monitors)
-	r, err := newLegRunner(g, legOptions{what: "comparison sweep", workers: cfg.Workers, counters: cfg.Counters})
-	if err != nil {
-		return nil, err
-	}
+	r := newLegRunner(g, legOptions{what: "comparison sweep", workers: cfg.Workers, counters: cfg.Counters})
 
 	// Every family is scored the same way: captured share, then the three
 	// detector classes over the monitors' under-attack routes. The
@@ -122,9 +119,9 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 	out := []AttackComparison{summarize(core.AttackASPP, aspp)}
 
 	// The two forged-announcement families on the same pairs, as one more
-	// run on the shard caches the draw left warm. A forged claim needs no
-	// route, so nothing is skipped: any failure here is a propagation bug
-	// and aborts the comparison.
+	// run on the same shards. A forged claim needs no route, so nothing is
+	// skipped: any failure here is a propagation bug and aborts the
+	// comparison.
 	families := []core.AttackType{core.AttackOriginHijack, core.AttackNextHopInterception}
 	legs := make([]core.Scenario, 0, len(families)*n)
 	for _, typ := range families {
@@ -133,7 +130,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		}
 	}
 	forged := make([]instance, len(legs))
-	if _, _, err := r.run(ctx, legs, false, func(shard, i int, im *core.Impact) bool {
+	if _, _, err := r.run(ctx, legs, func(shard, i int, im *core.Impact) bool {
 		forged[i] = score(shard, im)
 		return true
 	}); err != nil {

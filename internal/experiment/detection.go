@@ -196,10 +196,7 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		}
 	}
 
-	r, err := newLegRunner(g, legOptions{what: "detection sweep", workers: cfg.Workers, counters: cfg.Counters})
-	if err != nil {
-		return nil, err
-	}
+	r := newLegRunner(g, legOptions{what: "detection sweep", workers: cfg.Workers, counters: cfg.Counters})
 	scratch := make([]*detect.EvalScratch, len(r.shards)*len(places)) // [shard][placement]
 	for i := range scratch {
 		scratch[i] = newEvalScratch()

@@ -12,8 +12,7 @@ import (
 // baseline propagation failed. Unlike an unreachable attacker — a property
 // of one drawn pair, redrawn and counted as skipped — a baseline failure
 // is a property of the victim and repeats identically for every pair
-// sharing that victim (baselineCache memoizes the error), so redrawing
-// can only shrink the sample silently. Drivers abort the sweep instead.
+// sharing that victim, so redrawing can only shrink the sample silently. Drivers abort the sweep instead.
 // Match with errors.Is.
 var ErrBaselineFailed = errors.New("experiment: baseline propagation failed")
 

@@ -52,25 +52,20 @@ type PairConfig struct {
 	// engine, cache hits, skipped draws, memory gauges). One Counters per
 	// sweep; nil disables recording.
 	Counters *obs.Counters
-	// Deprecated: ignored. Every leg runs on the scalar kernels; the field
-	// stays for bench/layers.go, which sets it, until the [benchmark] issue.
-	Batch int
-	// Shards partitions the candidate space by victim into that many
-	// shards, each owning a private baselineCache, dispatched across the
-	// worker pool (DESIGN §5f). Output is byte-identical at every shard
-	// count. 0 selects one shard per worker.
-	Shards int
-	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction).
-	// MemBudget with Shards == 0 implies one budgeted shard; 0 means
-	// unbounded.
+	// Deprecated: ignored. Every leg runs on the scalar kernels, one shard
+	// per worker, each holding one baseline (DESIGN §5f); the fields stay
+	// only while bench/layers.go sets them (ROADMAP item 2c).
+	Batch     int
+	Shards    int
 	MemBudget int64
 }
 
 // SamplePairsCtx simulates cfg.N interception instances with independently
 // drawn pairs and returns them ranked by pollution (the paper's Figs. 7-8
-// presentation). Baselines are memoized per (victim, λ) and the attack
-// legs run on per-shard scratch state (see legRunner). On cancellation it
-// returns (nil, ctx.Err()): no partial ranking is produced.
+// presentation). Each shard propagates a victim's baseline once for its
+// run of legs, and the attack legs run on per-shard scratch state (see
+// legRunner). On cancellation it returns (nil, ctx.Err()): no partial
+// ranking is produced.
 //
 // Candidates come from one deterministic draw stream and each round
 // simulates only as many as the quota still needs (legRunner.drain) — with
@@ -137,18 +132,12 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		return chunk
 	}
 
-	// Shard states (and their caches) persist across rounds, so repeated
-	// victims stay warm.
-	r, err := newLegRunner(g, legOptions{
-		what: "pair sweep", shards: cfg.Shards,
-		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
-	})
-	if err != nil {
-		return nil, err
-	}
+	// Shard states persist across rounds: a shard's first victim of a
+	// round is a hit if it ended the last round on it.
+	r := newLegRunner(g, legOptions{what: "pair sweep", workers: cfg.Workers, counters: cfg.Counters})
 	out := make([]PairImpact, 0, cfg.N)
 	var chunk []core.Scenario
-	err = r.drain(ctx, func() []core.Scenario {
+	err := r.drain(ctx, func() []core.Scenario {
 		chunk = nextChunk(cfg.N - len(out)) // empty: quota met, or retry budget or pair space exhausted
 		return chunk
 	}, nil, func(i int, c core.Counts) {
@@ -195,19 +184,13 @@ type SweepConfig struct {
 	Workers          int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Shards splits λ = 1..MaxLambda into that many contiguous blocks,
-	// one shard cache per block (DESIGN §5f); output byte-identical at
-	// every shard count, 0 selects one shard per worker. MemBudget caps
-	// each shard's cache bytes; MemBudget with Shards == 0 implies one
-	// budgeted shard.
-	Shards    int
-	MemBudget int64
 }
 
 // SweepPrependCfgCtx simulates one victim/attacker pair for
-// λ = 1..MaxLambda (paper Figs. 9-12). Each λ step's no-attack baseline is
-// memoized per (victim, λ) and the attack leg is recomputed against it —
-// incrementally under the delta engine, which only re-walks the
+// λ = 1..MaxLambda (paper Figs. 9-12). The steps split into contiguous λ
+// blocks, one shard per worker (DESIGN §5f); each shard propagates the
+// victim once and shifts that baseline to its other λ, and every attack leg
+// is recomputed against its step's baseline — incrementally under the delta engine, which only re-walks the
 // attacker's cone. For a single fixed pair there is nothing to redraw, so
 // the error contract is all-fatal: any step failing (even an unreachable
 // attacker) aborts the sweep with the lowest-λ error. Returns
@@ -216,15 +199,11 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 	if cfg.MaxLambda < 1 {
 		return nil, errors.New("experiment: maxLambda must be >= 1")
 	}
-	r, err := newLegRunner(g, legOptions{
-		what:      fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
-		shards:    cfg.Shards,
-		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
+	r := newLegRunner(g, legOptions{
+		what:    fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
+		workers: cfg.Workers, counters: cfg.Counters,
 		allFatal: true,
 	})
-	if err != nil {
-		return nil, err
-	}
 	legs := make([]core.Scenario, cfg.MaxLambda)
 	for i := range legs {
 		legs[i] = core.Scenario{
@@ -234,7 +213,7 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 			ViolateValleyFree: cfg.Violate,
 		}
 	}
-	counts, _, err := r.run(ctx, legs, false, nil)
+	counts, _, err := r.run(ctx, legs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -17,21 +17,19 @@ import (
 // The leg runner (DESIGN §5f): the one sweep path. Every attack-leg driver
 // — pair sweeps, λ sweeps, the tier matrix, the sibling sweep — generates
 // legs (one core.Scenario per result slot) and hands them to a legRunner,
-// which partitions them into shards so each (victim, λ) baseline lives in
-// exactly one shard, gives each shard a private byte-budgeted
-// baselineCache plus persistent scratch state, and dispatches shards
-// across the worker pool with parallel.ForEachErr. Results are written
-// index-addressed into leg-order storage, so the merged output — and
-// therefore the TSV — is byte-identical at every shard count (pinned by
-// the shard-count invariance differential).
+// which partitions them into shards, one per worker, so each victim lives
+// in exactly one shard, gives each shard persistent scratch state, and
+// dispatches shards across the worker pool with parallel.ForEachErr.
+// Results are written index-addressed into leg-order storage, so the merged
+// output — and therefore the TSV — is byte-identical at every shard count
+// (pinned by the shard-count invariance differential).
 //
-// At Internet scale (n ≈ 80k) the sweep working set, not propagation
-// speed, is the binding constraint: one ~0.9 MB Result per distinct
-// (victim, λ). One sweep's resident set ≈ CSR graph (shared read-only) +
-// shards × (cache + scratch); MemBudget caps the cache term. The
-// cache_bytes gauge records the largest single shard's cache peak,
-// scratch_bytes the largest shard's scratch state. The scale-smoke gate
-// asserts cache_bytes <= MemBudget.
+// A shard runs its legs sorted by (victim, λ), so it only ever needs the
+// baseline of the victim it is on: one Result (≈0.9 MB at n ≈ 80k) is all
+// the baseline memory a shard holds. One sweep's resident set ≈ CSR graph
+// (shared read-only) + shards × (one baseline + scratch). The cache_bytes
+// gauge records the largest baseline a shard held, scratch_bytes the
+// largest shard's scratch state.
 //
 // Error contract (DESIGN §6): within a shard, legs run in deterministic
 // order and the first failure aborts the shard; across shards ForEachErr
@@ -41,11 +39,9 @@ import (
 
 // legOptions is everything a driver tells the runner besides the legs.
 type legOptions struct {
-	what      string // names the sweep in errors ("pair sweep")
-	shards    int
-	memBudget int64
-	workers   int
-	counters  *obs.Counters
+	what     string // names the sweep in errors ("pair sweep")
+	workers  int    // also the shard count; <= 0: GOMAXPROCS
+	counters *obs.Counters
 	// allFatal marks a fixed-pair sweep with nothing to redraw: an
 	// unreachable attacker fails the sweep instead of skipping the leg,
 	// and legs are partitioned into contiguous index blocks (shard 0 the
@@ -64,28 +60,6 @@ type legOptions struct {
 // indexed by shard or by leg.
 type legVisitor func(shard, i int, im *core.Impact) bool
 
-// normalizeShards resolves the (Shards, MemBudget, Workers) configuration
-// triple to a shard count: an explicit Shards > 0 stands; MemBudget alone
-// implies one budgeted shard; otherwise one shard per effective worker —
-// one shard would serialize the sweep, more only split the caches further.
-func normalizeShards(shards int, memBudget int64, workers int) (int, error) {
-	if shards < 0 {
-		return 0, fmt.Errorf("experiment: shards must be >= 0, got %d", shards)
-	}
-	if memBudget < 0 {
-		return 0, fmt.Errorf("experiment: mem budget must be >= 0, got %d", memBudget)
-	}
-	switch {
-	case shards > 0:
-		return shards, nil
-	case memBudget > 0:
-		return 1, nil
-	case workers > 0:
-		return workers, nil
-	}
-	return runtime.GOMAXPROCS(0), nil
-}
-
 // shardOf assigns a victim to a shard by FNV-1a hash — stable across
 // runs, independent of draw order, and spreading the hot tier-1 victims
 // instead of clustering them the way a range split would.
@@ -102,16 +76,23 @@ func shardOf(v bgp.ASN, nShards int) int {
 	return int(h % uint64(nShards))
 }
 
-// shardState is one shard's private, persistent working state: a
-// byte-budgeted baseline cache and the Scratch that runs the shard's legs
-// and the cache's misses — every propagation of a sweep runs on state the
-// scratch_bytes gauge counts. Single-goroutine by construction —
-// ForEachErr hands each shard index to exactly one worker, and successive
-// runs reusing the state are ordered by the fan-out's completion barrier.
+// shardState is one shard's private, persistent working state: the
+// baseline of the victim the shard is on and the Scratch that runs the
+// shard's legs and its baseline propagations — every propagation of a sweep
+// runs on state the scratch_bytes gauge counts. Single-goroutine by
+// construction — ForEachErr hands each shard index to exactly one worker,
+// and successive runs reusing the state are ordered by the fan-out's
+// completion barrier.
 type shardState struct {
-	cache *baselineCache
-	s     *routing.Scratch
-	im    core.Impact // the current leg, lent to the visitor
+	s *routing.Scratch
+	// base is the baseline for origin announcing λ = lambda uniformly to
+	// all neighbours, nil before the first leg or after a failed one. It is
+	// lent read-only and kept until the shard meets another victim, also
+	// across drain rounds.
+	base   *routing.Result
+	origin bgp.ASN
+	lambda int
+	im     core.Impact // the current leg, lent to the visitor
 }
 
 // legRunner is one sweep's shard states plus the options they run under.
@@ -121,30 +102,63 @@ type legRunner struct {
 	shards []*shardState
 }
 
-// newLegRunner builds the shard states for a sweep over g. Every leg runs
-// on the engine core.SimulateScratch picks.
-func newLegRunner(g *topology.Graph, o legOptions) (*legRunner, error) {
-	nShards, err := normalizeShards(o.shards, o.memBudget, o.workers)
-	if err != nil {
-		return nil, err
+// newLegRunner builds the shard states for a sweep over g, one per worker
+// (one shard would serialize the sweep, more only re-propagate victims).
+// Every leg runs on the engine core.SimulateScratch picks.
+func newLegRunner(g *topology.Graph, o legOptions) *legRunner {
+	n := o.workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	r := &legRunner{g: g, o: o, shards: make([]*shardState, nShards)}
+	r := &legRunner{g: g, o: o, shards: make([]*shardState, n)}
 	for i := range r.shards {
-		s := routing.NewScratch()
-		r.shards[i] = &shardState{cache: newBaselineCache(g, o.counters, s, o.memBudget), s: s}
+		r.shards[i] = &shardState{s: routing.NewScratch()}
 	}
 	o.counters.RecordCSRBytes(g.MemoryBytes())
-	return r, nil
+	return r
+}
+
+// ownedBaseline propagates one baseline: a package variable only so
+// fault-injection tests can force a deterministic failure; production code
+// never reassigns it.
+var ownedBaseline = routing.PropagateOwned
+
+// baseline returns st's no-attack baseline for origin at λ = lambda. The
+// same key is the held Result (a hit). Another λ of the same origin is that
+// Result shifted (routing.Result.Shifted): the origin's padding changes no
+// AS's choice, so it is a copy and no propagation, and also a hit. Another
+// origin is a propagation on the shard's Scratch (a miss), which replaces
+// the held baseline. hits + misses is the number of calls, misses the
+// number of propagations attempted.
+func (r *legRunner) baseline(st *shardState, origin bgp.ASN, lambda int) (*routing.Result, error) {
+	c := r.o.counters
+	switch {
+	case st.base != nil && st.origin == origin && st.lambda == lambda:
+		c.AddBaselineHits(1)
+	case st.base != nil && st.origin == origin && lambda >= 1:
+		c.AddBaselineHits(1)
+		st.base = st.base.Shifted(lambda - st.lambda)
+	default:
+		c.AddBaselineMisses(1)
+		st.base = nil
+		res, err := ownedBaseline(r.g, routing.Announcement{Origin: origin, Prepend: lambda}, st.s)
+		if err != nil {
+			return nil, err
+		}
+		c.AddBasePropagations(1)
+		c.AddRowsDown(st.s.RowsDown())
+		st.base = res
+	}
+	st.origin, st.lambda = origin, lambda
+	return st.base, nil
 }
 
 // run simulates legs and returns their pollution counts in leg order;
 // done[i] is false for a leg skipped because its attacker never receives
 // the route, or rejected by the optional visitor. Each shard samples its
-// memory high-watermarks into the counters when it completes — a
-// deterministic point, so the reported gauges do not depend on scheduling —
-// and then releases its cache, unless keepWarm says another run over
-// overlapping victims follows.
-func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool, visit legVisitor) (counts []core.Counts, done []bool, err error) {
+// memory into the counters when it completes — a deterministic point, so
+// the reported gauges do not depend on scheduling.
+func (r *legRunner) run(ctx context.Context, legs []core.Scenario, visit legVisitor) (counts []core.Counts, done []bool, err error) {
 	counts = make([]core.Counts, len(legs))
 	done = make([]bool, len(legs))
 	perShard := make([][]int, len(r.shards))
@@ -158,11 +172,8 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 	err = parallel.ForEachErr(ctx, len(r.shards), r.o.workers, func(si int) error {
 		st := r.shards[si]
 		serr := r.runShard(ctx, si, legs, perShard[si], counts, done, visit)
-		r.o.counters.RecordCacheBytes(st.cache.peak)
+		r.o.counters.RecordCacheBytes(st.base.MemoryBytes())
 		r.o.counters.RecordScratchBytes(st.s.MemoryBytes())
-		if !keepWarm {
-			st.cache.release()
-		}
 		return serr
 	})
 	if err != nil {
@@ -174,14 +185,14 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, keepWarm bool
 // drain is the package's one oversample-and-stop loop (DESIGN §5f: draw the
 // stream up front, simulate only until the quota is met). Each round it
 // asks next for the candidates the caller's quota still needs, simulates
-// them with the shard caches kept warm — later rounds redraw over the same
-// victims — and hands every usable leg's counts to take, in leg order; a
-// leg whose attacker never receives the route, or that the optional visitor
-// rejects, is skipped, for next to replace from further down the stream. It
-// stops when next submits nothing.
+// them — each shard still holding the baseline it ended the last round on —
+// and hands every usable leg's counts to take, in leg order; a leg whose
+// attacker never receives the route, or that the optional visitor rejects,
+// is skipped, for next to replace from further down the stream. It stops
+// when next submits nothing.
 func (r *legRunner) drain(ctx context.Context, next func() []core.Scenario, visit legVisitor, take func(i int, c core.Counts)) error {
 	for legs := next(); len(legs) > 0; legs = next() {
-		counts, done, err := r.run(ctx, legs, true, visit)
+		counts, done, err := r.run(ctx, legs, visit)
 		if err != nil {
 			return err
 		}
@@ -234,18 +245,15 @@ func firstEffective[T any](ctx context.Context, r *legRunner, stream []core.Scen
 // borrowed Impact (valid until eval returns; copy what you keep) and may
 // run concurrently with itself.
 func EffectiveAttacks[T any](ctx context.Context, g *topology.Graph, stream []core.Scenario, want, workers int, counters *obs.Counters, eval func(im *core.Impact) T) ([]T, error) {
-	r, err := newLegRunner(g, legOptions{what: "attack draw", workers: workers, counters: counters})
-	if err != nil {
-		return nil, err
-	}
+	r := newLegRunner(g, legOptions{what: "attack draw", workers: workers, counters: counters})
 	return firstEffective(ctx, r, stream, want, func(_ int, im *core.Impact) T { return eval(im) })
 }
 
-// runShard runs one shard's share of the legs, sorted by (victim, λ) — the
-// FIFO cache then evicts a baseline only after all its legs ran, and each
-// victim after its first λ is a shift — checking ctx before each: resolve
-// the leg's baseline, skip an ASPP attacker the route never reaches (a
-// forged claim needs no route), simulate.
+// runShard runs one shard's share of the legs, sorted by (victim, λ) — so
+// a run propagates each victim at most once and its other λ are shifts —
+// checking ctx before each: resolve the leg's baseline, skip an ASPP
+// attacker the route never reaches (a forged claim needs no route),
+// simulate.
 func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, idx []int, counts []core.Counts, done []bool, visit legVisitor) error {
 	st := r.shards[si]
 	sort.SliceStable(idx, func(a, b int) bool {
@@ -260,10 +268,10 @@ func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, 
 			return err
 		}
 		sc := legs[i]
-		base, err := st.cache.get(sc.Victim, sc.Prepend)
+		base, err := r.baseline(st, sc.Victim, sc.Prepend)
 		if err != nil {
-			// Fatal: the failure is per-victim and memoized — it would
-			// repeat for every leg sharing this baseline.
+			// Fatal: the failure is per-victim — it would repeat for every
+			// leg sharing this baseline.
 			return baselineError(sc.Victim, sc.Prepend, err)
 		}
 		if sc.Type == core.AttackASPP && !base.Reachable(sc.Attacker) {

@@ -101,7 +101,7 @@ func TestSiblingSweepCountedAndCancellable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := new(obs.Counters)
-	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Shards: 2, Counters: c}
+	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Workers: 2, Counters: c}
 	counted, err := SweepPrependCfgCtx(context.Background(), sib.Graph, cfg)
 	if err != nil {
 		t.Fatal(err)

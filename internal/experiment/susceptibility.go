@@ -35,14 +35,10 @@ type SusceptibilityConfig struct {
 	Workers int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Deprecated: ignored. Every leg runs on the scalar kernels; the field
-	// stays for bench/layers.go, which sets it, until the [benchmark] issue.
-	Batch int
-	// Shards partitions the jobs by victim into that many shards, each
-	// owning a private baselineCache released as soon as its shard
-	// completes (DESIGN §5f); output byte-identical at every shard
-	// count, 0 selects one shard per worker. MemBudget caps each shard's
-	// cache bytes; MemBudget with Shards == 0 implies one budgeted shard.
+	// Deprecated: ignored. Every leg runs on the scalar kernels, one shard
+	// per worker, each holding one baseline (DESIGN §5f); the fields stay
+	// only while bench/layers.go sets them (ROADMAP item 2c).
+	Batch     int
 	Shards    int
 	MemBudget int64
 }
@@ -127,15 +123,9 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 			cells = append(cells, c)
 		}
 	}
-	r, err := newLegRunner(g, legOptions{
-		what: "susceptibility sweep", shards: cfg.Shards,
-		memBudget: cfg.MemBudget, workers: cfg.Workers, counters: cfg.Counters,
-	})
-	if err != nil {
-		return nil, err
-	}
+	r := newLegRunner(g, legOptions{what: "susceptibility sweep", workers: cfg.Workers, counters: cfg.Counters})
 	var cellOf []*cell // the cell of each leg of the current round
-	err = r.drain(ctx, func() []core.Scenario {
+	err := r.drain(ctx, func() []core.Scenario {
 		var legs []core.Scenario
 		cellOf = cellOf[:0]
 		for _, c := range cells {

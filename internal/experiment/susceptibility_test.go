@@ -47,11 +47,8 @@ func eagerMatrix(t *testing.T, g *topology.Graph, cfg SusceptibilityConfig) []Ti
 			}
 		}
 	}
-	r, err := newLegRunner(g, legOptions{what: "eager matrix", workers: cfg.Workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, done, err := r.run(context.Background(), legs, false, nil)
+	r := newLegRunner(g, legOptions{what: "eager matrix", workers: cfg.Workers})
+	counts, done, err := r.run(context.Background(), legs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,10 +367,7 @@ func TestDrawEndsShort(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		c := new(obs.Counters)
-		r, err := newLegRunner(g, legOptions{what: "short draw", workers: workers, counters: c})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := newLegRunner(g, legOptions{what: "short draw", workers: workers, counters: c})
 		var want []core.Scenario
 		for _, pos := range effective {
 			want = append(want, stream[pos])
@@ -505,12 +502,9 @@ func TestRunnerForgedLegNeedsNoRoute(t *testing.T) {
 		{Victim: 200, Attacker: 900, Prepend: 3},
 	}
 	c := new(obs.Counters)
-	r, err := newLegRunner(g, legOptions{what: "forged legs", workers: 2, counters: c})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newLegRunner(g, legOptions{what: "forged legs", workers: 2, counters: c})
 	visited := make([]bgp.ASN, len(legs))
-	counts, done, err := r.run(context.Background(), legs, false, func(_, i int, im *core.Impact) bool {
+	counts, done, err := r.run(context.Background(), legs, func(_, i int, im *core.Impact) bool {
 		visited[i] = im.Scenario.Attacker
 		return true
 	})
@@ -532,14 +526,11 @@ func TestRunnerForgedLegNeedsNoRoute(t *testing.T) {
 	if s := c.Snapshot(); s.FullPropagations != 2 || s.DeltaPropagations != 0 || s.SkippedUnreachable != 1 {
 		t.Errorf("counters %+v, want 2 full propagations and 1 unreachable skip", s)
 	}
-	fatal, err := newLegRunner(g, legOptions{what: "forged legs", workers: 1, allFatal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := fatal.run(context.Background(), legs[:2], false, nil); err != nil {
+	fatal := newLegRunner(g, legOptions{what: "forged legs", workers: 1, allFatal: true})
+	if _, _, err := fatal.run(context.Background(), legs[:2], nil); err != nil {
 		t.Errorf("allFatal, forged legs only: %v", err)
 	}
-	if _, _, err := fatal.run(context.Background(), legs, false, nil); !errors.Is(err, core.ErrAttackerSeesNoRoute) {
+	if _, _, err := fatal.run(context.Background(), legs, nil); !errors.Is(err, core.ErrAttackerSeesNoRoute) {
 		t.Errorf("allFatal, ASPP leg on the dark prefix: err=%v, want ErrAttackerSeesNoRoute", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs provides lightweight sweep telemetry: cheap atomic counters
 // that the experiment drivers thread through their propagation fan-outs.
 // Operational pathologies — an overdrawn candidate budget simulating 20×
-// the requested instances, a thrashing baseline cache, draws silently
+// the requested instances, a victim propagated again and again, draws silently
 // skipped — become visible in driver output (asppbench/asppsim -counters)
 // instead of only in a profiler.
 //
@@ -187,9 +187,9 @@ func (c *Counters) RecordArenaBytes(n int64) {
 	}
 }
 
-// RecordCacheBytes raises the baseline-cache high-watermark gauge: the
-// peak byte footprint of the largest single shard's baseline cache. The
-// scale-smoke gate asserts this stays within the per-shard -mem-budget.
+// RecordCacheBytes raises the baseline high-watermark gauge: the largest
+// baseline Result a sweep shard held. A shard holds one, that of the victim
+// it is on, so the scale-smoke gates bound this by one baseline's bytes.
 func (c *Counters) RecordCacheBytes(n int64) {
 	if c != nil {
 		c.cacheBytes.recordMax(n)

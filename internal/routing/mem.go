@@ -3,9 +3,8 @@ package routing
 import "unsafe"
 
 // Memory-footprint accounting (DESIGN §5f). The sharded sweep layer
-// budgets each shard's working set — baseline cache and propagation
-// scratch — in bytes, and the obs byte gauges report the realized
-// high-watermarks. These methods compute the resident footprint of the
+// reports each shard's working set — its one baseline and its propagation
+// scratch — in bytes, as the obs byte gauges' high-watermarks. These methods compute the resident footprint of the
 // routing-side structures from slice CAPACITIES (grown-but-unused tail
 // bytes are still resident) plus the fixed struct size; only the map
 // inside PathArena is estimated (Go exposes no exact bucket accounting),
@@ -32,8 +31,8 @@ func (r *Result) backingBytes() int64 {
 }
 
 // MemoryBytes is the resident footprint of a standalone Result: struct
-// header plus column backing. This is what one cached baseline costs the
-// baseline cache's byte budget.
+// header plus column backing. This is what the baseline a sweep shard
+// holds costs, and what its cache_bytes gauge reports.
 func (r *Result) MemoryBytes() int64 {
 	if r == nil {
 		return 0

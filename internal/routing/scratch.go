@@ -124,8 +124,9 @@ type Scratch struct {
 	// the same baseline object, setup repairs only the previous cone's
 	// rows instead of re-copying the whole baseline (see
 	// PropagateAttackDelta). Never dereferenced for its contents — only
-	// compared — but it does pin that baseline (0.9 MB at 80k ASes) for as
-	// long as the Scratch lives, past the release of the cache that lent it.
+	// compared — but it does pin that baseline (0.9 MB at 80k ASes) until a
+	// delta call on another one, past the moment the shard that lent it
+	// moved on to another baseline.
 	deltaBase *Result
 
 	// quar is PropagateCautious's copy of the caller's quarantine
@@ -299,7 +300,7 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 // PropagateOwned is PropagateScratch with the rows written straight into a
 // freshly allocated Result the caller owns: s lends its candidate tables
 // only, its baseline slot is left alone, and nothing is copied. It is how a
-// baseline cache fills an entry on the Scratch its legs run on.
+// sweep shard propagates its baseline on the Scratch its legs run on.
 func PropagateOwned(g *topology.Graph, ann Announcement, s *Scratch) (*Result, error) {
 	res, err := propagateInto(g, ann, s, new(Result), nil)
 	if err == nil {

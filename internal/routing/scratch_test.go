@@ -260,7 +260,7 @@ func TestDeltaBaselineRepairReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := baseIn.Clone() // long-lived, as the baseline cache holds them
+	baseline := baseIn.Clone() // long-lived, as a sweep shard holds its baseline
 
 	attackers := []Attacker{
 		{AS: g.Tier1s()[1]},

@@ -15,8 +15,8 @@ import (
 // with every routed row's Len moved by λ-1 and its Prep set to λ — Class,
 // Parent, and the origin's and the unreachable rows as they were. 240
 // generated graphs, every third one with grafted sibling links; λ = 1..8
-// each, shifted up from λ=1 and back down from λ=8. This is what lets the
-// baseline cache propagate a victim once (experiment.baselineCache).
+// each, shifted up from λ=1 and back down from λ=8. This is what lets a
+// sweep shard propagate a victim once (experiment's legRunner.baseline).
 func TestLambdaShiftProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1912))
 	s := NewScratch()

@@ -108,7 +108,7 @@ func (l *alarmLog) publish(prefix netip.Prefix, alarms []detect.Alarm, latNs int
 	l.mu.Unlock()
 }
 
-// last returns up to n most recent events, oldest first.
+// last returns up to n most recent events, oldest first; none for n <= 0.
 func (l *alarmLog) last(n int) []AlarmEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -119,6 +119,7 @@ func (l *alarmLog) last(n int) []AlarmEvent {
 	if int64(n) > have {
 		n = int(have)
 	}
+	n = max(n, 0)
 	out := make([]AlarmEvent, 0, n)
 	for i := l.next - int64(n); i < l.next; i++ {
 		out = append(out, l.buf[i%int64(len(l.buf))])
@@ -386,7 +387,8 @@ func (p *Pipeline) Stats() Stats {
 	return s
 }
 
-// Alarms returns up to n most recent alarm events, oldest first.
+// Alarms returns up to n most recent alarm events, oldest first; none for
+// n <= 0.
 func (p *Pipeline) Alarms(n int) []AlarmEvent { return p.feed.last(n) }
 
 // MemoryBytes is the live resident footprint of the detection state —

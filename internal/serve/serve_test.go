@@ -626,4 +626,9 @@ func TestAlarmLogOverwrite(t *testing.T) {
 	if n := len(l.last(2)); n != 2 {
 		t.Fatalf("last(2) = %d events", n)
 	}
+	for _, n := range []int{0, -1, -1 << 40} { // a negative count used to panic in make
+		if got := l.last(n); len(got) != 0 {
+			t.Fatalf("last(%d) = %d events, want none", n, len(got))
+		}
+	}
 }
