@@ -6,14 +6,16 @@ GO ?= go
 # jobs of their own; locally `make check` is all of them.
 check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 
-# The cone-accounting differential, the λ-shift property, the vantage
-# differentials, the detection sweep's column differentials and detect's
-# differentials and zero-alloc pins re-run explicitly so a leg counted over
-# the wrong cone, a baseline shifted wrongly, a monitor row read off a scan
-# that skipped it, a column that stopped matching its one-column run, a second
-# statement of the Fig. 4 rule, a prefix pass that disagrees with Fold at some
-# count (TestPrefixPassDifferential) or a returning allocation names itself in
-# the CI log instead of hiding inside the package sweep. The topology I/O
+# The cone-accounting differential, the λ-shift property, the delta-mirror
+# test, the vantage differentials, the detection sweep's column differentials
+# and detect's differentials and zero-alloc pins re-run explicitly so a leg
+# counted over the wrong cone, a baseline shifted wrongly, a delta leg
+# repaired against rows its baseline slot no longer holds, a monitor row read
+# off a scan that skipped it, a column that stopped matching its one-column
+# run, a second statement of the Fig. 4 rule, a prefix pass that disagrees
+# with Fold at some count (TestPrefixPassDifferential) or a returning
+# allocation names itself in the CI log instead of hiding inside the package
+# sweep. The topology I/O
 # differentials re-run the same way: a build that depends on link order, a
 # repeat or conflict judged wrongly, a loader that names the wrong line, or
 # internet80k's digest or serial-2 bytes moving. TestExportsHaveCallers re-runs
@@ -26,7 +28,7 @@ tier1:
 	$(GO) test -run='TestDetectionVisitorMatchesRetained|TestDetectionColumnsShareOneDraw' -count=1 ./internal/experiment/
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
 	$(GO) test -run=TestExportsHaveCallers -count=1 .
-	$(GO) test -run=TestLambdaShiftProperty -count=1 ./internal/routing/
+	$(GO) test -run='TestLambdaShiftProperty|TestDeltaMirrorFollowsSlotVersion' -count=1 ./internal/routing/
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/

@@ -291,7 +291,9 @@ func ParseMonitors(spec string, g *Graph) ([]ASN, error) {
 // ChurnCorpus is the update stream asppserve -selftest and asppload replay:
 // events failure/restore cycles of g's default origins, planned from
 // seed+1, as the monitors see them. Both build it here so that, given the
-// same flags, they speak of the same prefixes. c may be nil.
+// same flags, they speak of the same prefixes. A stream with no update in it
+// — no monitor hears any event — is an error, since neither can replay it.
+// c may be nil.
 func ChurnCorpus(g *Graph, monitors []ASN, events int, seed int64, c *Counters) ([]Update, error) {
 	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
 	if err != nil {
@@ -301,7 +303,11 @@ func ChurnCorpus(g *Graph, monitors []ASN, events int, seed int64, c *Counters) 
 	if len(evs) == 0 {
 		return nil, errors.New("no churn events planned (topology too small?)")
 	}
-	return collector.ChurnStream(g, origins, evs, monitors, 0, c)
+	ups, err := collector.ChurnStream(g, origins, evs, monitors, 0, c)
+	if err == nil && len(ups) == 0 {
+		err = fmt.Errorf("empty update corpus: none of the %d monitors sees a churn event (monitors outside the topology?)", len(monitors))
+	}
+	return ups, err
 }
 
 // WriteTopology writes the topology in serial-2 format.

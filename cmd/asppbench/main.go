@@ -145,7 +145,7 @@ func expNames() string {
 	return strings.Join(names, ",")
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("asppbench", flag.ContinueOnError)
 	var (
 		exps     = fs.String("exp", "all", "comma-separated experiments ("+expNames()+") or 'all'")
@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pairs    = fs.Int("pairs", 200, "attacker/victim pairs for the detection experiments")
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
-		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; cache_bytes is the largest baseline a shard held (a shard holds one, that of the victim it is on); work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
+		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; cache_bytes is the largest baseline a shard held (a shard holds one, that of the victim it is on, in its scratch's baseline slot, so scratch_bytes already counts it); work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -164,30 +164,30 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// Profiling covers the whole run — topology build included, since that
-	// is part of what the CSR layout work optimizes.
+	// is part of what the CSR layout work optimizes. Both files are created
+	// before the run, and every create, start, write and close error is the
+	// run's error.
 	if *cpuProf != "" {
 		f, perr := os.Create(*cpuProf)
 		if perr != nil {
 			return perr
 		}
-		defer f.Close()
 		if perr := pprof.StartCPUProfile(f); perr != nil {
-			return perr
+			return errors.Join(perr, f.Close())
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
 	}
 	if *memProf != "" {
+		f, perr := os.Create(*memProf)
+		if perr != nil {
+			return perr
+		}
 		defer func() {
-			f, perr := os.Create(*memProf)
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, "asppbench: memprofile:", perr)
-				return
-			}
-			defer f.Close()
 			runtime.GC() // settle live heap so the profile shows retained memory
-			if perr := pprof.WriteHeapProfile(f); perr != nil {
-				fmt.Fprintln(os.Stderr, "asppbench: memprofile:", perr)
-			}
+			err = errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
 		}()
 	}
 

@@ -16,6 +16,26 @@ import (
 	"aspp"
 )
 
+// TestRunProfileErrors: a profile that cannot be written fails the run, CPU
+// and heap profile alike, and a writable one is written.
+func TestRunProfileErrors(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "p.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var sb strings.Builder
+		if err := run(context.Background(), []string{"-exp", "fig1", "-n", "300", flag, missing}, &sb); err == nil {
+			t.Errorf("%s in a missing directory: the run succeeded", flag)
+		}
+		path := filepath.Join(dir, flag[1:]+".prof")
+		if err := run(context.Background(), []string{"-exp", "fig1", "-n", "300", flag, path}, &sb); err != nil {
+			t.Fatalf("%s %s: %v", flag, path, err)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: profile not written (%v)", flag, err)
+		}
+	}
+}
+
 func TestRunSingleExperiments(t *testing.T) {
 	// Each experiment must run on a small topology and emit its header.
 	tests := []struct {

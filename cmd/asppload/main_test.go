@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -53,6 +55,38 @@ func TestLoadAgainstSink(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "updates/sec") {
 		t.Errorf("no throughput report:\n%s", sb.String())
+	}
+}
+
+// TestLoadEmptyCorpus: monitors that hear no churn event give an empty
+// corpus, which is an error before anything is dialled — not a replay loop
+// that divides by the corpus length.
+func TestLoadEmptyCorpus(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "ingest.sock")
+	l, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var dialled atomic.Bool
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			dialled.Store(true)
+			io.Copy(io.Discard, conn)
+			conn.Close()
+		}
+	}()
+	var sb strings.Builder
+	err = run(context.Background(), []string{"-unix", sock, "-n", "300", "-monitors", "4000000000"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "empty update corpus") {
+		t.Fatalf("a monitor outside the topology: err %v, want the empty-corpus error\n%s", err, sb.String())
+	}
+	if dialled.Load() {
+		t.Error("dialled the daemon before failing on the corpus")
 	}
 }
 

@@ -63,8 +63,8 @@ func checkAgainstRecount(t *testing.T, g *topology.Graph, im *Impact, baseline *
 // pollution, Effective and NewlyPolluted over the attacker's cone alone;
 // every answer must equal the O(n) recount. Over 1,000 legs on generated
 // graphs — follow and violate, λ 1..8, KeepPrepend 1..2 — run the way a
-// shard runs them: one Scratch throughout, owned baselines propagated on
-// that same Scratch or shifted from one another, consecutive legs on the
+// shard runs them: one Scratch throughout, standalone baselines, one of them
+// shifted in place from another λ, consecutive legs on the
 // same baseline (the delta slot's repair path) and on alternating ones,
 // forged full-kernel legs and nil-Scratch legs in between. A nil-Scratch
 // leg runs on a fresh private Scratch and is cone-counted like the rest.
@@ -85,11 +85,16 @@ func TestConeAccountingDifferential(t *testing.T) {
 		// and another victim's.
 		v1, v2 := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
 		l1, l2, l3 := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(8)
-		b1, err := routing.PropagateOwned(g, routing.Announcement{Origin: v1, Prepend: l1}, s)
+		b1, err := routing.Propagate(g, routing.Announcement{Origin: v1, Prepend: l1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b3, err := routing.PropagateOwned(g, routing.Announcement{Origin: v2, Prepend: l3}, s)
+		b2, err := routing.Propagate(g, routing.Announcement{Origin: v1, Prepend: l1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2.Shift(l2 - l1)
+		b3, err := routing.Propagate(g, routing.Announcement{Origin: v2, Prepend: l3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +103,7 @@ func TestConeAccountingDifferential(t *testing.T) {
 			victim bgp.ASN
 			lambda int
 		}
-		bases := []cached{{b1, v1, l1}, {b1.Shifted(l2 - l1), v1, l2}, {b3, v2, l3}}
+		bases := []cached{{b1, v1, l1}, {b2, v1, l2}, {b3, v2, l3}}
 		cur := 0
 		var prev *routing.Result
 		for leg := 0; leg < 14; leg++ {
@@ -174,7 +179,7 @@ func TestConeAccountingAttackReachesUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := routing.NewScratch()
-	base, err := routing.PropagateOwned(g, routing.Announcement{Origin: 200, Prepend: 3}, s)
+	base, err := routing.Propagate(g, routing.Announcement{Origin: 200, Prepend: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

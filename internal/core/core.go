@@ -306,8 +306,8 @@ func Simulate(g *topology.Graph, sc Scenario) (*Impact, error) {
 }
 
 // countPollution tallies an attack's pollution counts over cone (nil: every
-// AS). Eligible is the baseline's reachable count — taken once per owned
-// baseline, not per leg — less the attacker. A via bit is never set on the
+// AS). Eligible is the baseline's reachable count — taken once per
+// whole-graph propagation, not per leg — less the attacker. A via bit is never set on the
 // victim or the attacker, and one set before the attack implies a route, so
 // only an AS the attack newly reaches needs its eligibility looked up.
 func countPollution(g *topology.Graph, sc Scenario, baseline, attacked *routing.Result, viaBase []bool, cone []int32) Counts {

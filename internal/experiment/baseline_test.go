@@ -21,11 +21,11 @@ func oneShard(t *testing.T, g *topology.Graph, c *obs.Counters) (*legRunner, *sh
 	return r, r.shards[0]
 }
 
-// TestBaselineCacheSharesOneResult: every call with the shard's key lends
-// the same Result; another λ of the same victim is that Result shifted
-// instead of propagated — a hit — bit-equal to what a propagation gives,
-// and the lent Result is left as it was. The counters keep their
-// identities: hits + misses == calls, misses == propagations.
+// TestBaselineCacheSharesOneResult: every call on the shard's victim lends
+// the same Result, its Scratch's baseline slot; another λ of the victim is
+// that Result shifted in place instead of propagated — a hit — bit-equal to
+// what a propagation gives. The counters keep their identities: hits +
+// misses == calls, misses == propagations.
 func TestBaselineCacheSharesOneResult(t *testing.T) {
 	g := expGraph(t, 300, 7)
 	c := new(obs.Counters)
@@ -41,7 +41,6 @@ func TestBaselineCacheSharesOneResult(t *testing.T) {
 			t.Fatalf("call %d = %p, %v; want the first Result %p", i, res, err, first)
 		}
 	}
-	kept := first.Clone()
 	for _, lambda := range []int{5, 1} { // a shift up, then one down from it
 		other, err := r.baseline(st, victim, lambda)
 		if err != nil {
@@ -51,15 +50,12 @@ func TestBaselineCacheSharesOneResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if other == first || !sameRows(other, direct) || other.ReachableCount() != direct.ReachableCount() {
-			t.Fatalf("λ=%d: the shifted baseline shares λ=3's Result or diverges from a propagation", lambda)
+		if other != first || !sameRows(other, direct) || other.ReachableCount() != direct.ReachableCount() {
+			t.Fatalf("λ=%d: the shifted baseline is not λ=3's Result rewritten in place, or diverges from a propagation", lambda)
 		}
 		if st.base != other {
 			t.Fatalf("λ=%d: the shard does not hold the baseline it lent", lambda)
 		}
-	}
-	if !sameRows(first, kept) {
-		t.Fatal("shifting rewrote the lent λ=3 Result")
 	}
 	if s := c.Snapshot(); s.BaselineMisses != 1 || s.BaselineHits != 17 || s.BasePropagations != 1 {
 		t.Fatalf("18 calls at 3 λ of one victim: misses=%d hits=%d prop_base=%d, want 1/17/1",
@@ -99,7 +95,7 @@ func TestBaselineCacheShiftNeedsResidentSource(t *testing.T) {
 	if _, err := r.baseline(st, t1[0], 0); err == nil {
 		t.Fatal("λ=0 shifted into existence past validation")
 	}
-	if st.base != nil {
+	if st.origin != 0 {
 		t.Fatal("a failed call left the shard holding a baseline")
 	}
 	for lambda := 1; lambda <= 8; lambda++ {
@@ -109,6 +105,64 @@ func TestBaselineCacheShiftNeedsResidentSource(t *testing.T) {
 	}
 	if s := c.Snapshot(); s.BasePropagations != 3 || s.BaselineMisses != 3+1+8 {
 		t.Fatalf("failed keys: prop_base=%d misses=%d, want 3 and 12", s.BasePropagations, s.BaselineMisses)
+	}
+}
+
+// TestBaselineHeldWithoutAllocating: once its Scratch is warm, a shard
+// moves between victims and λ without allocating — a new victim is
+// propagated into the baseline slot and a new λ shifts it there.
+func TestBaselineHeldWithoutAllocating(t *testing.T) {
+	g := expGraph(t, 300, 7)
+	r, st := oneShard(t, g, new(obs.Counters))
+	t1 := g.Tier1s()
+	keys := []struct {
+		victim bgp.ASN
+		lambda int
+	}{{t1[0], 1}, {t1[0], 4}, {t1[0], 2}, {t1[1], 3}, {t1[1], 8}, {t1[2], 1}}
+	walk := func() {
+		for _, k := range keys {
+			if _, err := r.baseline(st, k.victim, k.lambda); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	walk()
+	if avg := testing.AllocsPerRun(20, walk); avg != 0 {
+		t.Fatalf("a warm shard allocates %.1f objects per %d baselines, want 0", avg, len(keys))
+	}
+}
+
+// TestShiftedBaselineCostsOnePropagation: a shard's baseline costs the same
+// bytes whether it was propagated or shifted from another λ — exactly one
+// fresh propagation's MemoryBytes — and so does the cache_bytes gauge of a
+// λ sweep, whose shards shift their baseline at every step.
+func TestShiftedBaselineCostsOnePropagation(t *testing.T) {
+	g := expGraph(t, 300, 7)
+	t1 := g.Tier1s()
+	one, err := routing.Propagate(g, routing.Announcement{Origin: t1[0], Prepend: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, st := oneShard(t, g, nil)
+	for _, lambda := range []int{2, 6, 3} {
+		if _, err := r.baseline(st, t1[0], lambda); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.base.MemoryBytes(); got != one.MemoryBytes() {
+			t.Fatalf("λ=%d: the held baseline costs %d B, one propagation %d B", lambda, got, one.MemoryBytes())
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		c := new(obs.Counters)
+		if _, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{
+			Victim: t1[0], Attacker: t1[1], MaxLambda: 8, Workers: workers, Counters: c,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Snapshot(); s.CacheBytes != one.MemoryBytes() || s.BaselineHits == 0 {
+			t.Fatalf("workers=%d: λ sweep cache_bytes=%d after %d shifts, want one propagation's %d",
+				workers, s.CacheBytes, s.BaselineHits, one.MemoryBytes())
+		}
 	}
 }
 

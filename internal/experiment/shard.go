@@ -25,11 +25,13 @@ import (
 // (pinned by the shard-count invariance differential).
 //
 // A shard runs its legs sorted by (victim, λ), so it only ever needs the
-// baseline of the victim it is on: one Result (≈0.9 MB at n ≈ 80k) is all
-// the baseline memory a shard holds. One sweep's resident set ≈ CSR graph
-// (shared read-only) + shards × (one baseline + scratch). The cache_bytes
-// gauge records the largest baseline a shard held, scratch_bytes the
-// largest shard's scratch state.
+// baseline of the victim it is on, and that baseline lives in its Scratch's
+// baseline slot: propagated there on a new victim, shifted there in place
+// on a new λ. One Result (≈0.9 MB at n ≈ 80k) is all the baseline memory a
+// shard holds, and after warm-up a shard allocates none. One sweep's
+// resident set ≈ CSR graph (shared read-only) + shards × scratch. The
+// scratch_bytes gauge records the largest shard's Scratch, cache_bytes the
+// largest baseline slot inside it.
 //
 // Error contract (DESIGN §6): within a shard, legs run in deterministic
 // order and the first failure aborts the shard; across shards ForEachErr
@@ -77,8 +79,8 @@ func shardOf(v bgp.ASN, nShards int) int {
 }
 
 // shardState is one shard's private, persistent working state: the
-// baseline of the victim the shard is on and the Scratch that runs the
-// shard's legs and its baseline propagations — every propagation of a sweep
+// Scratch that runs the shard's legs and holds, in its baseline slot, the
+// baseline of the victim the shard is on — every propagation of a sweep
 // runs on state the scratch_bytes gauge counts. Single-goroutine by
 // construction — ForEachErr hands each shard index to exactly one worker,
 // and successive runs reusing the state are ordered by the fan-out's
@@ -86,8 +88,9 @@ func shardOf(v bgp.ASN, nShards int) int {
 type shardState struct {
 	s *routing.Scratch
 	// base is the baseline for origin announcing λ = lambda uniformly to
-	// all neighbours, nil before the first leg or after a failed one. It is
-	// lent read-only and kept until the shard meets another victim, also
+	// all neighbours; origin 0 (no AS) means the shard holds none, before
+	// the first leg or after a failed propagation. It is lent read-only to
+	// the shard's legs and kept until the shard meets another victim, also
 	// across drain rounds.
 	base   *routing.Result
 	origin bgp.ASN
@@ -118,30 +121,27 @@ func newLegRunner(g *topology.Graph, o legOptions) *legRunner {
 	return r
 }
 
-// ownedBaseline propagates one baseline: a package variable only so
-// fault-injection tests can force a deterministic failure; production code
-// never reassigns it.
-var ownedBaseline = routing.PropagateOwned
+// propagateBaseline propagates one baseline into the Scratch's baseline
+// slot: a package variable only so fault-injection tests can force a
+// deterministic failure; production code never reassigns it.
+var propagateBaseline = routing.PropagateScratch
 
-// baseline returns st's no-attack baseline for origin at λ = lambda. The
-// same key is the held Result (a hit). Another λ of the same origin is that
-// Result shifted (routing.Result.Shifted): the origin's padding changes no
-// AS's choice, so it is a copy and no propagation, and also a hit. Another
-// origin is a propagation on the shard's Scratch (a miss), which replaces
-// the held baseline. hits + misses is the number of calls, misses the
-// number of propagations attempted.
+// baseline returns st's no-attack baseline for origin at λ = lambda. Another
+// λ of the origin the shard holds is that baseline shifted in place
+// (routing.Result.Shift) — the origin's padding changes no AS's choice, so
+// it needs no propagation — and the same λ is the baseline as it is: both
+// are hits. Another origin is a propagation into the shard Scratch's
+// baseline slot (a miss), which replaces the held baseline. hits + misses is
+// the number of calls, misses the number of propagations attempted.
 func (r *legRunner) baseline(st *shardState, origin bgp.ASN, lambda int) (*routing.Result, error) {
 	c := r.o.counters
-	switch {
-	case st.base != nil && st.origin == origin && st.lambda == lambda:
+	if origin != 0 && st.origin == origin && lambda >= 1 {
 		c.AddBaselineHits(1)
-	case st.base != nil && st.origin == origin && lambda >= 1:
-		c.AddBaselineHits(1)
-		st.base = st.base.Shifted(lambda - st.lambda)
-	default:
+		st.base.Shift(lambda - st.lambda)
+	} else {
 		c.AddBaselineMisses(1)
-		st.base = nil
-		res, err := ownedBaseline(r.g, routing.Announcement{Origin: origin, Prepend: lambda}, st.s)
+		st.origin = 0
+		res, err := propagateBaseline(r.g, routing.Announcement{Origin: origin, Prepend: lambda}, st.s)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +172,9 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, visit legVisi
 	err = parallel.ForEachErr(ctx, len(r.shards), r.o.workers, func(si int) error {
 		st := r.shards[si]
 		serr := r.runShard(ctx, si, legs, perShard[si], counts, done, visit)
-		r.o.counters.RecordCacheBytes(st.base.MemoryBytes())
+		if st.origin != 0 {
+			r.o.counters.RecordCacheBytes(st.base.MemoryBytes())
+		}
 		r.o.counters.RecordScratchBytes(st.s.MemoryBytes())
 		return serr
 	})

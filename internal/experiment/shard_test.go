@@ -179,9 +179,9 @@ func TestBatchedSweepPropagationConservation(t *testing.T) {
 // lowest-shard-index failure, independent of worker scheduling.
 func TestShardFirstErrorDeterministic(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := ownedBaseline
-	defer func() { ownedBaseline = orig }()
-	ownedBaseline = func(_ *topology.Graph, ann routing.Announcement, _ *routing.Scratch) (*routing.Result, error) {
+	orig := propagateBaseline
+	defer func() { propagateBaseline = orig }()
+	propagateBaseline = func(_ *topology.Graph, ann routing.Announcement, _ *routing.Scratch) (*routing.Result, error) {
 		return nil, fmt.Errorf("injected fault for victim %v", ann.Origin)
 	}
 	cfg := PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 7}
@@ -203,9 +203,9 @@ func TestShardFirstErrorDeterministic(t *testing.T) {
 // λ steps in different shards fail, the lower λ is the one reported.
 func TestSweepLowestLambdaErrorWins(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := ownedBaseline
-	defer func() { ownedBaseline = orig }()
-	ownedBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
+	orig := propagateBaseline
+	defer func() { propagateBaseline = orig }()
+	propagateBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
 		if ann.Prepend == 3 || ann.Prepend == 7 {
 			return nil, fmt.Errorf("injected fault at λ=%d", ann.Prepend)
 		}
@@ -229,10 +229,10 @@ func TestShardMidShardCancellation(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	orig := ownedBaseline
-	defer func() { ownedBaseline = orig }()
+	orig := propagateBaseline
+	defer func() { propagateBaseline = orig }()
 	calls := 0
-	ownedBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
+	propagateBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
 		calls++
 		if calls == 2 {
 			cancel() // second victim's baseline pulls the plug mid-shard

@@ -90,9 +90,9 @@ func TestSweepPrependCounters(t *testing.T) {
 // retry for that victim failed again).
 func TestSamplePairsBaselineFailureFatal(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := ownedBaseline
-	defer func() { ownedBaseline = orig }()
-	ownedBaseline = func(*topology.Graph, routing.Announcement, *routing.Scratch) (*routing.Result, error) {
+	orig := propagateBaseline
+	defer func() { propagateBaseline = orig }()
+	propagateBaseline = func(*topology.Graph, routing.Announcement, *routing.Scratch) (*routing.Result, error) {
 		return nil, fmt.Errorf("injected baseline fault")
 	}
 	_, err := SamplePairsCtx(context.Background(), g, PairConfig{Kind: PairsRandom, N: 10, Prepend: 3, Seed: 9, Workers: 4})
@@ -107,9 +107,9 @@ func TestSamplePairsBaselineFailureFatal(t *testing.T) {
 // TestSweepPrependBaselineFailureFatal: same contract for the λ sweep.
 func TestSweepPrependBaselineFailureFatal(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := ownedBaseline
-	defer func() { ownedBaseline = orig }()
-	ownedBaseline = func(*topology.Graph, routing.Announcement, *routing.Scratch) (*routing.Result, error) {
+	orig := propagateBaseline
+	defer func() { propagateBaseline = orig }()
+	propagateBaseline = func(*topology.Graph, routing.Announcement, *routing.Scratch) (*routing.Result, error) {
 		return nil, fmt.Errorf("injected baseline fault")
 	}
 	t1 := g.Tier1s()

@@ -456,8 +456,8 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 // between legs surfaces ctx.Err(), and the draw does not run on.
 func TestDetectionAndCompareCancelMidDraw(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	orig := ownedBaseline
-	defer func() { ownedBaseline = orig }()
+	orig := propagateBaseline
+	defer func() { propagateBaseline = orig }()
 	for name, run := range map[string]func(context.Context) error{
 		"detection": func(ctx context.Context) error {
 			cfg := DefaultDetectionConfig()
@@ -474,7 +474,7 @@ func TestDetectionAndCompareCancelMidDraw(t *testing.T) {
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0
-		ownedBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
+		propagateBaseline = func(gg *topology.Graph, ann routing.Announcement, s *routing.Scratch) (*routing.Result, error) {
 			if calls++; calls == 3 {
 				cancel() // the third victim's baseline pulls the plug mid-draw
 			}

@@ -132,8 +132,8 @@ func (c *Counters) AddDeltaPropagations(n int64) {
 }
 
 // AddBaselineHits records n baseline-cache hits: gets answered without a
-// propagation — a resident entry, a memoized error, or an entry derived by
-// shifting another λ of the same victim (routing.Result.Shifted).
+// propagation — the baseline a sweep shard holds, as it is or shifted in
+// place to another λ of the same victim (routing.Result.Shift).
 func (c *Counters) AddBaselineHits(n int64) {
 	if c != nil {
 		c.baselineHits.Add(n)
@@ -188,8 +188,9 @@ func (c *Counters) RecordArenaBytes(n int64) {
 }
 
 // RecordCacheBytes raises the baseline high-watermark gauge: the largest
-// baseline Result a sweep shard held. A shard holds one, that of the victim
-// it is on, so the scale-smoke gates bound this by one baseline's bytes.
+// baseline a sweep shard held. A shard holds one, that of the victim it is
+// on, in its Scratch's baseline slot, so this is part of the scratch gauge,
+// not added to it; the scale-smoke gates bound it by one baseline's bytes.
 func (c *Counters) RecordCacheBytes(n int64) {
 	if c != nil {
 		c.cacheBytes.recordMax(n)

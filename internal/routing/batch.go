@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"aspp/internal/topology"
 )
@@ -37,7 +38,7 @@ type BatchScratch struct {
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
 // BatchResult is one call's outcome: Lanes[i] is lane i's Result, borrowed
-// from the BatchScratch until its next call (Clone one to keep it).
+// from the BatchScratch until its next call.
 type BatchResult struct {
 	Lanes []*Result
 }
@@ -89,7 +90,7 @@ func PropagateAttackDeltaBatch(g *topology.Graph, lanes []AttackLane, bs *BatchS
 	for i := range lanes {
 		for j := range bs.slots {
 			if lanes[i].Baseline == &bs.slots[j] {
-				return nil, fmt.Errorf("routing: delta batch lane %d: baseline borrowed from the same BatchScratch (Clone it first)", i)
+				return nil, fmt.Errorf("routing: delta batch lane %d: baseline borrowed from the same BatchScratch (use Propagate's)", i)
 			}
 		}
 	}
@@ -99,7 +100,8 @@ func PropagateAttackDeltaBatch(g *topology.Graph, lanes []AttackLane, bs *BatchS
 		if err != nil {
 			return nil, fmt.Errorf("routing: delta batch lane %d: %w", i, err)
 		}
-		delta.copyInto(res)
+		via := slices.Grow(res.Via[:0], len(delta.Via))
+		copy(copyRows(res, delta, via).Via, delta.Via)
 	}
 	return &bs.out, nil
 }

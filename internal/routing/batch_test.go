@@ -268,7 +268,8 @@ func TestPropagateAttackDeltaBatchSplitInvariance(t *testing.T) {
 
 // TestPropagateAttackDeltaBatchValidation: a lane fails as its scalar call
 // does, lane-indexed — a forged claim with errNeedsStrip — and a baseline
-// borrowed from bs's own slots is refused, its Clone accepted.
+// borrowed from bs's own slots is refused, Propagate's of the same
+// announcement accepted.
 func TestPropagateAttackDeltaBatchValidation(t *testing.T) {
 	g := arenaTestGraph(t, 120, 5)
 	ann := Announcement{Origin: g.ASNs()[0], Prepend: 2}
@@ -300,8 +301,8 @@ func TestPropagateAttackDeltaBatchValidation(t *testing.T) {
 	if _, err := PropagateAttackDeltaBatch(g, []AttackLane{borrowed}, bs); err == nil || !strings.Contains(err.Error(), "borrowed") {
 		t.Errorf("scratch-borrowed baseline: err = %v", err)
 	}
-	borrowed.Baseline = br.Lanes[0].Clone()
-	checkAttackBatch(t, g, bs, []AttackLane{borrowed}, "cloned baseline")
+	borrowed.Baseline = base
+	checkAttackBatch(t, g, bs, []AttackLane{borrowed}, "standalone baseline")
 }
 
 // TestPropagateAttackDeltaBatchZeroAlloc: warmed, a batch allocates nothing.

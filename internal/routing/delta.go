@@ -371,14 +371,14 @@ func (st *deltaState) settle(u int32) {
 	}
 }
 
-// deltaResultInto resets r to a copy of the baseline on reused storage and
-// attaches via (cleared) as its Via slice.
-func deltaResultInto(r *Result, baseline *Result, via []bool) *Result {
-	resultInto(r, baseline.g, baseline.origin)
-	copy(r.Class, baseline.Class)
-	copy(r.Len, baseline.Len)
-	copy(r.Prep, baseline.Prep)
-	copy(r.Parent, baseline.Parent)
+// copyRows resets r to a copy of src's rows on reused storage and attaches
+// via (cleared) as its Via slice.
+func copyRows(r, src *Result, via []bool) *Result {
+	resultInto(r, src.g, src.origin)
+	copy(r.Class, src.Class)
+	copy(r.Len, src.Len)
+	copy(r.Prep, src.Prep)
+	copy(r.Parent, src.Parent)
 	r.Via = via[:len(r.Class)]
 	clear(r.Via)
 	return r
@@ -448,17 +448,15 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 	st.reject = s.reject[:n]
 	st.s = s
 
-	// Result setup. When the caller presents the same baseline object as
-	// the previous delta call on this Scratch — the cached-baseline sweep
-	// pattern — the delta slot differs from that baseline only in the rows
-	// the previous call wrote, so repairing those (replaying the
-	// still-intact touched list and flags) brings it back to a pristine
-	// baseline copy in O(prev cone). Anything else falls back to the full
-	// O(n) copy. The Scratch's own baseline slot never qualifies:
-	// its pointer stays fixed while its contents change with every
-	// recomputation, so object identity would not imply equal contents.
+	// Result setup. When the caller presents the same baseline rows as the
+	// previous delta call on this Scratch — the same Result at the same
+	// version, as a sweep shard's legs on one baseline do — the delta slot
+	// differs from them only in the rows the previous call wrote, so
+	// repairing those (replaying the still-intact touched list and flags)
+	// brings it back to a pristine baseline copy in O(prev cone). Anything
+	// else falls back to the full O(n) copy.
 	res := &s.delta
-	if s.deltaBase == baseline && baseline != &s.base && res.g == g {
+	if s.deltaBase == baseline && s.deltaVer == baseline.ver && res.g == g {
 		for _, i := range s.touched {
 			if s.dflags[i]&deltaWritten == 0 {
 				continue
@@ -470,8 +468,8 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 			res.Via[i] = false
 		}
 	} else {
-		res = deltaResultInto(res, baseline, s.deltaVia)
-		s.deltaBase = baseline
+		res = copyRows(res, baseline, s.deltaVia)
+		s.deltaBase, s.deltaVer = baseline, baseline.ver
 	}
 	s.clearDeltaFlags()
 

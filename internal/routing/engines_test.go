@@ -401,10 +401,10 @@ func TestEnginesAgreeThroughScratchReuse(t *testing.T) {
 	}
 }
 
-// TestScratchResultsDetachWithClone pins the ownership contract: a slot's
-// Result is overwritten by the next call on the same slot, and Clone
-// detaches a snapshot that survives.
-func TestScratchResultsDetachWithClone(t *testing.T) {
+// TestScratchResultsDetachWithPropagate pins the ownership contract: a
+// slot's Result is overwritten by the next call on the same slot, and
+// Propagate's Result, on storage of its own, survives it.
+func TestScratchResultsDetachWithPropagate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, ann, _ := randomScenario(t, rng)
 	s := NewScratch()
@@ -413,8 +413,11 @@ func TestScratchResultsDetachWithClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := first.Clone()
-	compareResults(t, g, first, snapshot, "clone")
+	snapshot, err := Propagate(g, ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, g, first, snapshot, "standalone")
 
 	// A different announcement through the same slot overwrites `first`.
 	other := Announcement{Origin: ann.Origin, Prepend: ann.Prepend + 3}
@@ -430,12 +433,12 @@ func TestScratchResultsDetachWithClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareResults(t, g, second, fresh, "reused slot")
-	// The clone still holds the first outcome.
+	// The standalone Result still holds the first outcome.
 	freshFirst, err := Propagate(g, ann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, g, snapshot, freshFirst, "detached clone")
+	compareResults(t, g, snapshot, freshFirst, "detached standalone")
 }
 
 // randomDeltaScenario draws a scenario for the three-engine differential
@@ -609,7 +612,7 @@ func checkDeltaCone(t *testing.T, g *topology.Graph, base, delta *Result, atk At
 // others, in every relationship class, so the engine is held to the
 // kernel through the seed rule they share (Announcement.seed). Each input
 // runs its attack and three more attackers drawn from the seed on one
-// Scratch against one cloned baseline, so every call after the first
+// Scratch against its baseline slot, so every call after the first
 // repairs the rows the previous one wrote. Each result must equal the
 // full kernel's row for row and pass checkDeltaCone and checkStable, and
 // all three worklists must be zero on return. Wired into `make fuzz-smoke`.
@@ -649,7 +652,6 @@ func FuzzDeltaAttack(f *testing.F) {
 		if err != nil {
 			t.Fatalf("PropagateScratch: %v", err)
 		}
-		base = base.Clone()
 		rng := rand.New(rand.NewSource(seed))
 		attacker := asns[int(atkSel)%len(asns)]
 		for leg := 0; leg < 4; leg, attacker = leg+1, asns[rng.Intn(len(asns))] {

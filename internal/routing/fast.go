@@ -120,7 +120,7 @@ type sibOffer struct {
 // Propagate computes the stable routing outcome for ann with no attacker.
 // Sweeps should prefer PropagateScratch, which reuses per-call state.
 func Propagate(g *topology.Graph, ann Announcement) (*Result, error) {
-	return PropagateOwned(g, ann, NewScratch())
+	return propagateInto(g, ann, NewScratch(), new(Result), nil)
 }
 
 // ErrSiblingsNeedFullKernel reports that the incremental engine was handed

@@ -3,8 +3,9 @@ package routing
 import "unsafe"
 
 // Memory-footprint accounting (DESIGN §5f). The sharded sweep layer
-// reports each shard's working set — its one baseline and its propagation
-// scratch — in bytes, as the obs byte gauges' high-watermarks. These methods compute the resident footprint of the
+// reports each shard's working set — its propagation scratch and, inside
+// it, the one baseline it holds — in bytes, as the obs byte gauges'
+// high-watermarks. These methods compute the resident footprint of the
 // routing-side structures from slice CAPACITIES (grown-but-unused tail
 // bytes are still resident) plus the fixed struct size; only the map
 // inside PathArena is estimated (Go exposes no exact bucket accounting),
@@ -30,9 +31,10 @@ func (r *Result) backingBytes() int64 {
 		sliceBytes(r.Parent) + sliceBytes(r.Via)
 }
 
-// MemoryBytes is the resident footprint of a standalone Result: struct
-// header plus column backing. This is what the baseline a sweep shard
-// holds costs, and what its cache_bytes gauge reports.
+// MemoryBytes is the resident footprint of a Result: struct header plus
+// column backing. For a sweep shard's baseline, its Scratch's baseline
+// slot, this is what the cache_bytes gauge reports (a part of the Scratch's
+// own MemoryBytes, not an addition to it).
 func (r *Result) MemoryBytes() int64 {
 	if r == nil {
 		return 0

@@ -21,30 +21,29 @@ func TestMemoryBytesNilAndZero(t *testing.T) {
 	}
 }
 
-// TestResultMemoryBytes pins the cached-baseline accounting: a cloned
-// baseline's footprint is at least its exact columns (11 bytes per AS, no
-// Via) and within the allocator's size-class rounding of them.
+// TestResultMemoryBytes pins the baseline accounting: a propagated
+// baseline's footprint is its struct header plus exactly its columns, 11
+// bytes per AS and no Via — in a standalone Result and in a Scratch's
+// baseline slot alike, shifted or not.
 func TestResultMemoryBytes(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumASes()
-	base := mustPropagate(t, g, Announcement{Origin: 100, Prepend: 1}).Clone()
+	ann := Announcement{Origin: 100, Prepend: 1}
+	base := mustPropagate(t, g, ann)
 	if base.Via != nil {
-		t.Fatal("baseline clone unexpectedly carries a Via column")
+		t.Fatal("baseline unexpectedly carries a Via column")
 	}
-	got := base.MemoryBytes()
-	floor := int64(unsafe.Sizeof(Result{})) + int64(n)*11
-	if got < floor {
-		t.Fatalf("clone MemoryBytes=%d below floor %d", got, floor)
+	want := int64(unsafe.Sizeof(Result{})) + int64(n)*11
+	if got := base.MemoryBytes(); got != want {
+		t.Fatalf("Propagate's MemoryBytes=%d, want header plus columns %d", got, want)
 	}
-	if got > 2*floor {
-		t.Fatalf("clone MemoryBytes=%d more than 2x floor %d — accounting broken", got, floor)
+	slot, err := PropagateScratch(g, ann, NewScratch())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The accounting is capacity-exact for the actual columns.
-	want := int64(unsafe.Sizeof(Result{})) +
-		int64(cap(base.Class))*1 + int64(cap(base.Len))*4 +
-		int64(cap(base.Prep))*2 + int64(cap(base.Parent))*4
-	if got != want {
-		t.Fatalf("clone MemoryBytes=%d, want capacity sum %d", got, want)
+	slot.Shift(4)
+	if got := slot.MemoryBytes(); got != want {
+		t.Fatalf("shifted baseline slot's MemoryBytes=%d, want %d", got, want)
 	}
 }
 

@@ -11,11 +11,14 @@ import (
 type Result struct {
 	g      *topology.Graph
 	origin int32
-	// reach is ReachableCount()+1 on a Result that owns its rows
-	// (PropagateOwned, Shifted, Clone), counted once where they were written;
-	// 0 means not counted — the Scratch slots, whose rows change under a
-	// fixed pointer, never carry it.
+	// reach is ReachableCount()+1, counted once by a whole-graph
+	// propagation and kept by Shift; 0 means not counted (a Vantage's
+	// partial rows, the attack slots).
 	reach int32
+	// ver changes whenever the rows are rewritten (resultInto, Shift), so a
+	// pointer and a version name one set of rows: the delta slot's mirror
+	// of a baseline is keyed on both (see PropagateAttackDelta).
+	ver uint32
 
 	// Class[i] is the policy class of i's best route (ClassNone if i has
 	// no route or i is the origin).
@@ -59,15 +62,16 @@ func newResult(g *topology.Graph, origin int32) *Result {
 
 // resultInto resizes r for a fresh outcome on g, reusing its slices when
 // they are large enough (the Scratch result slots rely on this to keep
-// repeated propagations allocation-free). Rows are NOT cleared — the Fast
-// engine's finishInto writes every row, defaults included, so a separate
-// clearing pass here would touch the whole result twice. Via is reset to
-// nil; attack propagation reattaches its own storage.
+// repeated propagations allocation-free), and gives it a new version. Rows
+// are NOT cleared — the Fast engine's finishInto writes every row, defaults
+// included, so a separate clearing pass here would touch the whole result
+// twice. Via is reset to nil; attack propagation reattaches its own storage.
 func resultInto(r *Result, g *topology.Graph, origin int32) *Result {
 	n := g.NumASes()
 	r.g = g
 	r.origin = origin
 	r.reach = 0
+	r.ver++
 	if cap(r.Class) < n {
 		c := growCap(n, cap(r.Class))
 		r.Class = make([]Class, c)
@@ -83,49 +87,23 @@ func resultInto(r *Result, g *topology.Graph, origin int32) *Result {
 	return r
 }
 
-// Clone returns a deep copy of r, detaching it from any Scratch that owns
-// its storage (see PropagateScratch's ownership contract).
-func (r *Result) Clone() *Result {
-	out := new(Result)
-	r.copyInto(out)
-	out.reach = int32(r.ReachableCount()) + 1
-	return out
-}
-
-// copyInto makes dst a copy of r on dst's own storage, which it grows only
-// when too small.
-func (r *Result) copyInto(dst *Result) {
-	via := dst.Via
-	*dst = Result{
-		g:      r.g,
-		origin: r.origin,
-		reach:  r.reach,
-		Class:  append(dst.Class[:0], r.Class...),
-		Len:    append(dst.Len[:0], r.Len...),
-		Prep:   append(dst.Prep[:0], r.Prep...),
-		Parent: append(dst.Parent[:0], r.Parent...),
+// Shift adds d origin copies to every route in place: Len and Prep move by
+// d on each row with a route. The origin's padding changes no AS's choice
+// among the legitimate routes, so for r the no-attack outcome of a uniform
+// announcement (no per-neighbor λ, no withheld session) with λ = l, the
+// shifted r is row for row the outcome of l+d — sibling-bearing graphs
+// included. The reachable count is kept; the version moves unless d is 0.
+func (r *Result) Shift(d int) {
+	if d == 0 {
+		return
 	}
-	if r.Via != nil {
-		dst.Via = append(via[:0], r.Via...)
-	}
-}
-
-// Shifted returns a copy of r with d more origin copies on every route:
-// Len and Prep grow by d on each row with a route. The origin's padding
-// changes no AS's choice among the legitimate routes, so for r the no-attack
-// outcome of a uniform announcement (no per-neighbor λ, no withheld session)
-// with λ = l, Shifted(d) is row for row the outcome of l+d — sibling-bearing
-// graphs included. A copy, not a rebase: r may be lent to legs still
-// running, and Scratch's same-baseline repair compares pointers.
-func (r *Result) Shifted(d int) *Result {
-	out := r.Clone()
-	for i, c := range out.Class {
+	r.ver++
+	for i, c := range r.Class {
 		if c != ClassNone {
-			out.Len[i] += int32(d)
-			out.Prep[i] += int16(d)
+			r.Len[i] += int32(d)
+			r.Prep[i] += int16(d)
 		}
 	}
-	return out
 }
 
 // Graph returns the topology the result was computed on.

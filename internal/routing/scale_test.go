@@ -98,7 +98,7 @@ func TestScale80kKernelStable(t *testing.T) {
 			// leaf attacker.
 			atk := Attacker{AS: leafAtk(int32(k) + 16), ViolateValleyFree: true}
 			label := fmt.Sprintf("cautious V=%v M=%v", ann.Origin, atk.AS)
-			base, err := PropagateOwned(g, ann, s)
+			base, err := Propagate(g, ann)
 			if err != nil {
 				t.Fatal(err)
 			}

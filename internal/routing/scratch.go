@@ -43,13 +43,15 @@ type nodeRec struct {
 //     PropagateAttackDelta call. The three slots are independent, so the
 //     usual baseline-then-attack pairing — with either attack engine, or
 //     both — works on a single Scratch.
-//   - Callers that need a result to outlive the Scratch must Clone it, or
-//     have PropagateOwned write it into storage of their own.
+//   - A slot's Result may be rewritten in place by its holder — a sweep
+//     shard keeps its baseline in the baseline slot and moves it to another
+//     λ with Result.Shift. Every rewrite gives the Result a new version,
+//     which is how the delta slot tells a baseline it still mirrors from
+//     new rows under the same pointer.
 //   - s == nil means a fresh private Scratch: a one-shot call allocates its
 //     tables, and the Result it returns belongs to the caller, since no
 //     other call shares that Scratch. Held, it keeps those tables alive;
-//     Propagate runs PropagateOwned on a fresh Scratch, so its Result
-//     does not.
+//     a Result from Propagate, written into storage of its own, does not.
 //   - Vantage.PathsInto is a baseline-slot call too, but writes only the rows
 //     its monitors' paths run through. That partial Result never leaves the
 //     package: the call returns spans.
@@ -119,15 +121,13 @@ type Scratch struct {
 	// deltaVia is the delta slot's Via storage.
 	deltaVia []bool
 
-	// deltaBase remembers which baseline the delta slot currently mirrors
+	// deltaBase and deltaVer name the baseline rows the delta slot mirrors
 	// outside the previous call's cone. When the next delta call presents
-	// the same baseline object, setup repairs only the previous cone's
-	// rows instead of re-copying the whole baseline (see
-	// PropagateAttackDelta). Never dereferenced for its contents — only
-	// compared — but it does pin that baseline (0.9 MB at 80k ASes) until a
-	// delta call on another one, past the moment the shard that lent it
-	// moved on to another baseline.
+	// the same Result at the same version, setup repairs only the previous
+	// cone's rows instead of re-copying the whole baseline (see
+	// PropagateAttackDelta). Only compared, never read.
 	deltaBase *Result
+	deltaVer  uint32
 
 	// quar is PropagateCautious's copy of the caller's quarantine
 	// thresholds, which its runs lift and restore in place.
@@ -297,20 +297,9 @@ func PropagateScratch(g *topology.Graph, ann Announcement, s *Scratch) (*Result,
 	return propagateInto(g, ann, s, &s.base, nil)
 }
 
-// PropagateOwned is PropagateScratch with the rows written straight into a
-// freshly allocated Result the caller owns: s lends its candidate tables
-// only, its baseline slot is left alone, and nothing is copied. It is how a
-// sweep shard propagates its baseline on the Scratch its legs run on.
-func PropagateOwned(g *topology.Graph, ann Announcement, s *Scratch) (*Result, error) {
-	res, err := propagateInto(g, ann, s, new(Result), nil)
-	if err == nil {
-		res.reach = int32(res.ReachableCount()) + 1
-	}
-	return res, err
-}
-
-// propagateInto runs the no-attacker propagation into res: every row, or
-// with a non-nil rows bitset only the rows a Vantage reads (fastState.rows).
+// propagateInto runs the no-attacker propagation into res: every row, and
+// then it counts the reachable ASes once, or with a non-nil rows bitset only
+// the rows a Vantage reads (fastState.rows).
 func propagateInto(g *topology.Graph, ann Announcement, s *Scratch, res *Result, rows []uint64) (*Result, error) {
 	if err := ann.Validate(g); err != nil {
 		return nil, err
@@ -318,7 +307,13 @@ func propagateInto(g *topology.Graph, ann Announcement, s *Scratch, res *Result,
 	var st fastState
 	st.init(g, ann, s)
 	st.rows = rows
-	return st.run(resultInto(res, g, st.origin), nil)
+	if _, err := st.run(resultInto(res, g, st.origin), nil); err != nil {
+		return nil, err
+	}
+	if rows == nil {
+		res.reach = int32(res.ReachableCount()) + 1
+	}
+	return res, nil
 }
 
 // PropagateAttackScratch computes the stable outcome with the attacker

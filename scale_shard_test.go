@@ -121,7 +121,7 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 // must report exactly the fractions an O(n) recount reads off a fresh
 // baseline and a full-kernel attack propagation. Each of those legs, and
 // 16 more tier-1-hijacks-tier-1 legs at λ ∈ {1,3,5,8} run against one
-// owned baseline per λ (so the delta slot is repaired between them), is
+// standalone baseline per λ (so the delta slot is repaired between them), is
 // also propagated on the delta engine and compared with the full kernel
 // row for row; at least one cone must reach 40,000 rows.
 func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
@@ -201,7 +201,7 @@ func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
 	}
 	for _, lambda := range []int{1, 3, 5, 8} {
 		ann := routing.Announcement{Origin: victim, Prepend: lambda}
-		base, err := routing.PropagateOwned(g, ann, s)
+		base, err := routing.Propagate(g, ann)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func BenchmarkDelta80k(b *testing.B) {
 	}
 	ann := routing.Announcement{Origin: victim, Prepend: 3}
 	s := routing.NewScratch()
-	base, err := routing.PropagateOwned(g, ann, s)
+	base, err := routing.Propagate(g, ann)
 	if err != nil {
 		b.Fatal(err)
 	}
