@@ -131,14 +131,15 @@ fuzz-smoke:
 # block policy, raise alarms, and (without -race) sustain a conservative
 # throughput floor. The soak variant re-runs the replay until the memory
 # gauges prove a plateau. The detector's storage tests run by name: 200k
-# growth prefixes may grow the heap by at most 128 B each, MemoryBytes
-# (what /metrics reports) must stay within 20 % of that heap, the prefix
-# index's key slab and probe table may cost at most 36 B a prefix at any
-# size from 1k to 300k, and one key cycled through 10k routes must leave the
-# route table bounded (DESIGN §5c).
+# growth prefixes may grow the heap by at most 48 B each, MemoryBytes
+# (what /metrics reports) must stay within 20 % of that heap, 100k growth
+# prefixes at 1,000 monitors by at most 64 B each (prefixes share rows), the
+# prefix index's key slab and probe table may cost at most 36 B a prefix at
+# any size from 1k to 300k, and one key cycled through 10k routes must leave
+# the route table bounded (DESIGN §5c).
 serve-smoke:
 	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau' -count=1 ./internal/serve/
-	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorPrefixIndexCost|TestDetectorRouteTable' -count=1 -v ./internal/detect/
+	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestDetectorRouteTable' -count=1 -v ./internal/detect/
 
 # The repository's one benchmark (BENCHMARK.json): end-to-end workloads
 # plus the per-layer rows, written to bench/out/. See bench/README.md.

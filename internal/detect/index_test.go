@@ -7,6 +7,7 @@ package detect
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -15,9 +16,11 @@ import (
 // TestPrefixIndexDifferential drives a detector and a map keyed by
 // netip.Prefix with one random stream through at least four doublings of
 // the index. The stream mixes IPv4 prefixes, their IPv4-mapped IPv6 twins
-// (the same As16, told apart only by the flag), plain IPv6 prefixes, every
-// length from /0 to /128, unmasked addresses, repeats and same-prefix runs,
-// and updates from a non-monitor, which take no row. After every doubling
+// (at bits+96 the same As16; at the same bits a short IPv6 prefix once
+// masked), plain IPv6 prefixes, every
+// length from /0 to /128, unmasked addresses (which name their masked
+// prefix, as the model's keys do), repeats and same-prefix runs, and
+// updates from a non-monitor, which take no row. After every doubling
 // and at the end both sides agree on the row count and on RouteOf for
 // every (prefix, monitor), and prefixes never sent have no route.
 func TestPrefixIndexDifferential(t *testing.T) {
@@ -54,12 +57,12 @@ func TestPrefixIndexDifferential(t *testing.T) {
 	}
 	agree := func(when string) {
 		t.Helper()
-		if len(d.keys) != len(model) || len(d.rows) != len(model)*len(monitors) {
-			t.Fatalf("%s: %d keys and %d rows, model has %d prefixes", when, len(d.keys), len(d.rows)/len(monitors), len(model))
+		if len(d.keys) != len(model) || len(d.rowIDs) != len(model) {
+			t.Fatalf("%s: %d keys and %d row ids, model has %d prefixes", when, len(d.keys), len(d.rowIDs), len(model))
 		}
 		for _, p := range seen {
 			for _, m := range monitors {
-				if got, want := d.RouteOf(p, m), model[p][m]; !got.Equal(want) {
+				if got, want := d.RouteOf(p, m), model[p.Masked()][m]; !got.Equal(want) {
 					t.Fatalf("%s: RouteOf(%v, %v) = %v, model %v", when, p, m, got, want)
 				}
 			}
@@ -68,7 +71,7 @@ func TestPrefixIndexDifferential(t *testing.T) {
 			}
 		}
 		for i := 0; i < 100; i++ {
-			if p := draw(); model[p] == nil && d.RouteOf(p, monitors[0]) != nil {
+			if p := draw(); model[p.Masked()] == nil && d.RouteOf(p, monitors[0]) != nil {
 				t.Fatalf("%s: unsent prefix %v has a route", when, p)
 			}
 		}
@@ -90,14 +93,16 @@ func TestPrefixIndexDifferential(t *testing.T) {
 			if u.Monitor == 999 {
 				continue
 			}
-			if model[p] == nil {
-				model[p] = map[bgp.ASN]bgp.Path{}
+			if model[p.Masked()] == nil {
+				model[p.Masked()] = map[bgp.ASN]bgp.Path{}
+			}
+			if !slices.Contains(seen, p) {
 				seen = append(seen, p)
 			}
 			if u.Type == bgp.Announce {
-				model[p][u.Monitor] = u.Path
+				model[p.Masked()][u.Monitor] = u.Path
 			} else {
-				delete(model[p], u.Monitor)
+				delete(model[p.Masked()], u.Monitor)
 			}
 			if len(d.index) != size {
 				doublings++
@@ -130,11 +135,12 @@ func probeStats(d *Detector) (mean float64, longest int) {
 // reaches, ¾ of 65,536 slots, and bounds the probes a lookup pays. The
 // shapes: the growth workload's consecutive /32s, the churn corpus's
 // consecutive /24s, one IPv6 block's consecutive /56s, and /24s each
-// followed by its IPv4-mapped twin. A random hash at load ¾ averages 2.5
-// probes (½(1 + 1/(1−α)), Knuth) and its longest probe run over 1,000 such
-// tables was 299. A mix that drops an address word shows here as one run of
-// all 49,152 keys; one that drops the flag byte or the fold, as means of
-// 3.4 to 4.6 probes.
+// followed by its IPv4-mapped twin, the /120 of the same As16 (a mapped /24
+// would mask to ::/24). A random hash at load ¾ averages 2.5 probes
+// (½(1 + 1/(1−α)), Knuth) and its longest probe run over 1,000 such tables
+// was 299. A mix that drops an address word shows here as one run of all
+// 49,152 keys; one that drops the bits and flag bytes, as means of 4.4 to
+// 4.7 probes on the twins.
 func TestDetectorPrefixIndexProbes(t *testing.T) {
 	const keys, maxMean, maxLongest = 3 << 14, 2.75, 512
 	shapes := []struct {
@@ -153,7 +159,7 @@ func TestDetectorPrefixIndexProbes(t *testing.T) {
 		{"IPv4/mapped twins", func(q int) netip.Prefix {
 			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(q >> 9), byte(q >> 1), 0}), 24)
 			if q%2 == 1 {
-				p = netip.PrefixFrom(netip.AddrFrom16(p.Addr().As16()), 24)
+				p = netip.PrefixFrom(netip.AddrFrom16(p.Addr().As16()), 24+96)
 			}
 			return p
 		}},

@@ -7,6 +7,7 @@ package detect
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -73,11 +74,12 @@ func heapAfterGC() int64 {
 // serve_memory_bytes and bench's state_mb read, to the heap the detector
 // really holds (±20 %), and caps what a growing table costs: 200k prefixes
 // of the growth template (four inserts each, ten monitors) may grow the
-// heap by at most 128 B a prefix. A row of route ids plus its key and
-// index slots measures ≈76 B here; a span per monitor and a path body per
-// (prefix, monitor) measured ≈325 B, and MemoryBytes reported 0.74× of it.
+// heap by at most 48 B a prefix. A shared row's id plus its key and index
+// slots measures ≈36 B here; a row of route ids per prefix measured ≈76 B,
+// and a span per monitor and a path body per (prefix, monitor) ≈325 B, of
+// which MemoryBytes reported 0.74×.
 func TestDetectorMemoryBytesTracksHeap(t *testing.T) {
-	const prefixes, ceiling = 200_000, 128
+	const prefixes, ceiling = 200_000, 48
 	updates, monitors, g := churnCorpus(t, 1500, 23, 10, 300, 1000)
 	inserts, attack := growthTemplate(t, updates, monitors, g)
 	batch := make([]bgp.Update, 0, 5*256)
@@ -102,7 +104,7 @@ func TestDetectorMemoryBytesTracksHeap(t *testing.T) {
 		t.Fatal("premise broken: the growth stream raised no alarm")
 	}
 	if perPrefix > ceiling {
-		t.Errorf("heap grew %.1f B per growth prefix, ceiling %d B: rows are no longer one 4-byte route id per monitor", perPrefix, ceiling)
+		t.Errorf("heap grew %.1f B per growth prefix, ceiling %d B: prefixes of one template no longer share a row", perPrefix, ceiling)
 	}
 	if r := float64(reported) / float64(grown); r < 0.8 || r > 1.2 {
 		t.Errorf("MemoryBytes = %d B, %.2f× the %d B the heap grew by: want within ±20 %%", reported, r, grown)
@@ -193,17 +195,18 @@ func TestDetectorRouteTableChains(t *testing.T) {
 }
 
 // TestDetectorRouteTablePrefixKeys: a v4 prefix and its IPv4-mapped v6
-// twin share As16, and /8 and /9 share an address; each is a row of its
-// own, and RouteOf reads each its own route.
+// twin (/8 and /104) share As16, and /8 and /9 share an address; each is
+// a key and, holding a route of its own, a row of its own beside the empty
+// row, and RouteOf reads each its own route.
 func TestDetectorRouteTablePrefixKeys(t *testing.T) {
 	v4 := netip.MustParsePrefix("10.0.0.0/8")
-	pfxs := []netip.Prefix{v4, netip.PrefixFrom(netip.AddrFrom16(v4.Addr().As16()), 8), netip.MustParsePrefix("10.0.0.0/9")}
+	pfxs := []netip.Prefix{v4, netip.PrefixFrom(netip.AddrFrom16(v4.Addr().As16()), 8+96), netip.MustParsePrefix("10.0.0.0/9")}
 	d := NewDetector([]bgp.ASN{100, 200}, nil)
 	for i, pfx := range pfxs {
 		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: bgp.Path{bgp.ASN(10 + i), 7}})
 	}
-	if len(d.keys) != len(pfxs) || len(d.rows) != len(pfxs)*len(d.monASN) {
-		t.Fatalf("%d prefixes share %d keys and %d rows", len(pfxs), len(d.keys), len(d.rows)/len(d.monASN))
+	if prefixes, rows, _ := d.Sizes(); prefixes != len(pfxs) || rows != 1+len(pfxs) {
+		t.Fatalf("%d prefixes share %d keys and %d rows", len(pfxs), prefixes, rows)
 	}
 	for i, pfx := range pfxs {
 		if got, want := d.RouteOf(pfx, 100), (bgp.Path{bgp.ASN(10 + i), 7}); !got.Equal(want) {
@@ -239,5 +242,33 @@ func TestDetectorRouteTableReviveZeroAlloc(t *testing.T) {
 	}
 	if d.route(pathA) != idA || d.refs[idA] != 0 || len(d.spans) != slots {
 		t.Errorf("route %v moved or the table grew: id %d → %d, %d → %d slots", pathA, idA, d.route(pathA), slots, len(d.spans))
+	}
+}
+
+// TestDetectorMasksPrefixes: an update for 10.0.0.1/8 is one for
+// 10.0.0.0/8. It lands on the masked prefix's row, so a monitor that drops
+// two of the origin's three copies there raises the removed-prepend alarm
+// against the witness that still holds them, and both forms go to one
+// shard.
+func TestDetectorMasksPrefixes(t *testing.T) {
+	masked, unmasked := netip.MustParsePrefix("10.0.0.0/8"), netip.MustParsePrefix("10.0.0.1/8")
+	d := NewDetector([]bgp.ASN{100, 200}, nil)
+	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: masked, Path: bgp.Path{1, 2, 7, 7, 7}})
+	d.Observe(bgp.Update{Monitor: 200, Type: bgp.Announce, Prefix: masked, Path: bgp.Path{3, 2, 7, 7, 7}})
+	got := d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: unmasked, Path: bgp.Path{1, 2, 7}})
+	want := []Alarm{{Confidence: High, Suspect: 1, Monitor: 100, Witness: 200, RemovedPads: 2}}
+	if !slices.Equal(got, want) {
+		t.Errorf("announcing on %v after %v: alarms %+v, want %+v", unmasked, masked, got, want)
+	}
+	if prefixes, _, _ := d.Sizes(); prefixes != 1 {
+		t.Errorf("%v and %v hold %d prefixes, want 1", masked, unmasked, prefixes)
+	}
+	if got := d.RouteOf(masked, 100); !got.Equal(bgp.Path{1, 2, 7}) {
+		t.Errorf("RouteOf(%v, 100) = %v, want the route announced on %v", masked, got, unmasked)
+	}
+	for n := 2; n <= 64; n++ {
+		if a, b := PrefixShard(masked, n), PrefixShard(unmasked, n); a != b {
+			t.Fatalf("PrefixShard over %d shards: %v → %d, %v → %d", n, masked, a, unmasked, b)
+		}
 	}
 }

@@ -7,10 +7,12 @@ import "net/netip"
 // every witness the Fig. 4 rule consults holds a route for the SAME prefix —
 // so a Detector per shard leaves each shard's verdicts identical to an
 // unsharded detector's (the sharded-vs-serial differential pins this).
-// The hash is FNV-1a over the canonical 16-byte address plus the prefix
-// length — stable across runs and processes (load generators and servers
-// agree), family-agnostic, and spreading dense prefix blocks that a range
-// split would cluster (the collector's synthetic /24s are consecutive).
+// The hash is FNV-1a over the masked prefix's canonical 16-byte address
+// plus the prefix length — stable across runs and processes (load
+// generators and servers agree), family-agnostic, the same for 10.0.0.1/8
+// as for 10.0.0.0/8 (the detector's key), and spreading dense prefix blocks
+// that a range split would cluster (the collector's synthetic /24s are
+// consecutive).
 func PrefixShard(pfx netip.Prefix, n int) int {
 	if n <= 1 {
 		return 0
@@ -20,7 +22,7 @@ func PrefixShard(pfx netip.Prefix, n int) int {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	a := pfx.Addr().As16()
+	a := pfx.Masked().Addr().As16()
 	for _, b := range a {
 		h = (h ^ uint64(b)) * prime64
 	}

@@ -11,7 +11,8 @@ import (
 // Handler exposes the pipeline over HTTP:
 //
 //	/metrics — plain-text "name value" lines: pipeline stats (throughput,
-//	           latency quantiles, queue depth/peak) plus the obs.Counters
+//	           latency quantiles, queue depth/peak, the detectors' prefix,
+//	           row and route counts) plus the obs.Counters
 //	           a serving daemon can move (ingest frames, arena gauge).
 //	/alarms  — JSON feed of recent alarm events (?n= caps the count,
 //	           default 100, newest last).
@@ -43,6 +44,9 @@ func (p *Pipeline) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	line("serve_latency_p50_ns", s.P50Ns)
 	line("serve_latency_p99_ns", s.P99Ns)
 	line("serve_memory_bytes", s.MemoryBytes)
+	line("detect_prefixes", s.Prefixes)
+	line("detect_rows", s.Rows)
+	line("detect_routes", s.Routes)
 	line("serve_uptime_seconds", int64(s.Uptime/time.Second))
 	if sec := s.Uptime.Seconds(); sec > 0 {
 		fmt.Fprintf(w, "aspp_serve_rate_updates_per_sec %.1f\n", float64(s.Processed)/sec)

@@ -141,14 +141,14 @@ type Pipeline struct {
 	feed  *alarmLog
 	epoch time.Time
 
-	// shardMem holds each shard detector's MemoryBytes as published by
-	// its worker (every memPubBatches batches, on idle transitions, and
+	// gauges holds each shard detector's footprint and sizes as published
+	// by its worker (every memPubBatches batches, on idle transitions, and
 	// at worker exit). Stats and MemoryBytes read these instead of the
-	// detectors themselves: detector internals (the routes map, the
-	// arena's intern index) are worker-owned and unsynchronized, so a
+	// detectors themselves: detector internals (the route and row tables,
+	// the arena's intern index) are worker-owned and unsynchronized, so a
 	// foreign reader — the HTTP /metrics handler — must never touch them
 	// while workers run.
-	shardMem []atomic.Int64
+	gauges []shardGauges
 
 	closing     atomic.Bool // producers refuse new work, blocked pushes bail
 	stopWorkers atomic.Bool // set once producers quiesced; workers may drain and exit
@@ -163,6 +163,18 @@ type Pipeline struct {
 
 	connMu sync.Mutex
 	conns  map[connCloser]struct{}
+}
+
+// shardGauges is what one shard's worker publishes of its detector:
+// Detector.MemoryBytes and Detector.Sizes.
+type shardGauges struct{ mem, prefixes, rows, routes atomic.Int64 }
+
+func (g *shardGauges) publish(d *detect.Detector) {
+	prefixes, rows, routes := d.Sizes()
+	g.mem.Store(d.MemoryBytes())
+	g.prefixes.Store(int64(prefixes))
+	g.rows.Store(int64(rows))
+	g.routes.Store(int64(routes))
 }
 
 // connCloser is the slice of net.Conn the pipeline needs for shutdown.
@@ -207,11 +219,11 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		epoch: time.Now(),
 		conns: make(map[connCloser]struct{}),
 	}
-	p.shardMem = make([]atomic.Int64, cfg.Shards)
+	p.gauges = make([]shardGauges, cfg.Shards)
 	for i := range p.rings {
 		p.rings[i] = newRing(cfg.Depth)
 		p.dets[i] = detect.NewDetector(cfg.Monitors, cfg.Rels)
-		p.shardMem[i].Store(p.dets[i].MemoryBytes()) // baseline before workers exist
+		p.gauges[i].publish(p.dets[i]) // baseline before workers exist
 	}
 	return p, nil
 }
@@ -279,7 +291,7 @@ func (p *Pipeline) DrainQueues() {
 }
 
 // memPubBatches is how many batches a worker processes between refreshes
-// of its published memory gauge: Detector.MemoryBytes walks the arena's
+// of its published gauges: Detector.MemoryBytes walks the arena's
 // intern index, too costly per batch at line rate. Idle transitions and
 // worker exit also refresh, so a quiescent pipeline always reads current.
 const memPubBatches = 32
@@ -293,8 +305,8 @@ const memPubBatches = 32
 func (p *Pipeline) worker(si int) {
 	defer p.workers.Done()
 	r := p.rings[si]
-	d := p.dets[si]
-	defer func() { p.shardMem[si].Store(d.MemoryBytes()) }()
+	d, g := p.dets[si], &p.gauges[si]
+	defer g.publish(d)
 	batch := make([]bgp.Update, p.cfg.Batch)
 	enq := make([]int64, p.cfg.Batch)
 	alarms := make([]detect.Alarm, 0, 16)
@@ -303,7 +315,7 @@ func (p *Pipeline) worker(si int) {
 		n := r.drain(batch, enq)
 		if n == 0 {
 			if sincePub > 0 {
-				p.shardMem[si].Store(d.MemoryBytes()) // going idle: publish what the burst built
+				g.publish(d) // going idle: publish what the burst built
 				sincePub = 0
 			}
 			if p.stopWorkers.Load() && r.depth() == 0 {
@@ -334,18 +346,20 @@ func (p *Pipeline) worker(si int) {
 		p.batches.Add(1)
 		p.cfg.Counters.AddServeBatches(1)
 		if sincePub++; sincePub >= memPubBatches {
-			p.shardMem[si].Store(d.MemoryBytes())
+			g.publish(d)
 			sincePub = 0
 		}
 	}
 }
 
 // Stats is a point-in-time view of the pipeline, also pushed into the
-// obs gauges so -counters output and /metrics agree.
+// obs gauges so -counters output and /metrics agree. Prefixes, Rows and
+// Routes sum the shard detectors' Sizes.
 type Stats struct {
 	Shards, Depth                                    int
 	Enqueued, Processed, Dropped, Alarms, Batches    int64
 	QueuePeak, QueueDepth, P50Ns, P99Ns, MemoryBytes int64
+	Prefixes, Rows, Routes                           int64
 	Uptime                                           time.Duration
 }
 
@@ -375,12 +389,14 @@ func (p *Pipeline) Stats() Stats {
 	// Detector footprints come from the worker-published gauges, never
 	// the detectors themselves: Stats runs on foreign goroutines (the
 	// /metrics handler) while workers mutate detector state.
-	for i := range p.shardMem {
-		b := p.shardMem[i].Load()
+	for i := range p.gauges {
+		g := &p.gauges[i]
+		b := g.mem.Load()
 		s.MemoryBytes += b
-		if b > arenaPeak {
-			arenaPeak = b
-		}
+		arenaPeak = max(arenaPeak, b)
+		s.Prefixes += g.prefixes.Load()
+		s.Rows += g.rows.Load()
+		s.Routes += g.routes.Load()
 	}
 	p.cfg.Counters.RecordQueuePeak(s.QueuePeak)
 	p.cfg.Counters.RecordArenaBytes(arenaPeak)
@@ -397,8 +413,8 @@ func (p *Pipeline) Alarms(n int) []AlarmEvent { return p.feed.last(n) }
 // is safe to call while the pipeline is ingesting.
 func (p *Pipeline) MemoryBytes() int64 {
 	var b int64
-	for i := range p.shardMem {
-		b += p.shardMem[i].Load()
+	for i := range p.gauges {
+		b += p.gauges[i].mem.Load()
 	}
 	return b
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -383,6 +384,65 @@ func TestPipelineDropPolicy(t *testing.T) {
 	// the clock is broken, not the pipeline.
 	if rep.Dropped == 0 {
 		t.Log("warning: no drops at depth 16 — unexpectedly fast consumer")
+	}
+}
+
+// TestMetricsDetectorSizes: /metrics reports the shard detectors' prefix,
+// row and route counts, summed from the gauges each worker publishes. Once
+// the pipeline is closed, every worker has published its last batch, so the
+// prefix and row counts equal those of one serial detector per shard fed
+// the same updates, and the table holds some routes.
+func TestMetricsDetectorSizes(t *testing.T) {
+	const shards = 3
+	updates, monitors, g := loadCorpus(t, 400, 13, 20, 30)
+	p, err := NewPipeline(Config{Shards: shards, Monitors: monitors, Rels: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	if _, err := p.RunLoad(updates, int64(len(updates))); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	var serial [shards]*detect.Detector
+	var prefixes, rows int
+	for i := range serial {
+		serial[i] = detect.NewDetector(monitors, g)
+	}
+	for _, u := range updates {
+		serial[detect.PrefixShard(u.Prefix, shards)].Observe(u)
+	}
+	for _, d := range serial {
+		pf, r, _ := d.Sizes()
+		prefixes, rows = prefixes+pf, rows+r
+	}
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	body := httpGet(t, srv.URL+"/metrics")
+	metric := func(name string) int64 {
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("/metrics %s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s\n%s", name, body)
+		return 0
+	}
+	if got := metric("aspp_detect_prefixes"); got != int64(prefixes) {
+		t.Errorf("aspp_detect_prefixes %d, serial detectors hold %d", got, prefixes)
+	}
+	if got := metric("aspp_detect_rows"); got != int64(rows) {
+		t.Errorf("aspp_detect_rows %d, serial detectors hold %d", got, rows)
+	}
+	if got := metric("aspp_detect_routes"); got <= 0 {
+		t.Errorf("aspp_detect_routes %d after a churn replay", got)
+	}
+	if prefixes == 0 || rows <= shards {
+		t.Fatalf("premise broken: %d prefixes on %d rows", prefixes, rows)
 	}
 }
 
