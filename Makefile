@@ -13,8 +13,10 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # repaired against rows its baseline slot no longer holds, a monitor row read
 # off a scan that skipped it, a column that stopped matching its one-column
 # run, a second statement of the Fig. 4 rule, a prefix pass that disagrees
-# with Fold at some count (TestPrefixPassDifferential) or a returning
-# allocation names itself in the CI log instead of hiding inside the package
+# with Fold at some count (TestPrefixPassDifferential), a returning
+# allocation or a probe index that loses an id across a delete or a doubling
+# (TestIndexDifferential, behind every interned id in detect and the path
+# arena) names itself in the CI log instead of hiding inside the package
 # sweep. The topology I/O
 # differentials re-run the same way: a build that depends on link order, a
 # repeat or conflict judged wrongly, a loader that names the wrong line, or
@@ -31,7 +33,7 @@ tier1:
 	$(GO) test -run='TestLambdaShiftProperty|TestDeltaMirrorFollowsSlotVersion' -count=1 ./internal/routing/
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
-	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/
+	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/ ./internal/probe/
 	$(GO) test -run='TestBuildIndependentOfLinkInsertionOrder|TestBuilderAddContracts|TestReadSerial2InPlaceParsing|TestInternet80kDigest|TestGenerateMatchesParent' -count=1 ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
@@ -134,9 +136,11 @@ fuzz-smoke:
 # growth prefixes may grow the heap by at most 48 B each, MemoryBytes
 # (what /metrics reports) must stay within 20 % of that heap, 100k growth
 # prefixes at 1,000 monitors by at most 64 B each (prefixes share rows), the
-# prefix index's key slab and probe table may cost at most 36 B a prefix at
-# any size from 1k to 300k, and one key cycled through 10k routes must leave
-# the route table bounded (DESIGN §5c).
+# prefix index's key slab and probe table may cost at most 33 B a prefix at
+# any size from 1k to 300k, one key cycled through 10k routes must leave the
+# route table bounded, one key through 200k transit chains the segment table
+# too, and the churn corpus replayed ten times must neither sweep nor store a
+# route again (DESIGN §5c).
 serve-smoke:
 	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau' -count=1 ./internal/serve/
 	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestDetectorRouteTable' -count=1 -v ./internal/detect/

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"aspp/internal/bgp"
+	"aspp/internal/probe"
 )
 
 // TestPrefixIndexDifferential drives a detector and a map keyed by
@@ -88,7 +89,7 @@ func TestPrefixIndexDifferential(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				u.Type, u.Path = bgp.Announce, bgp.Path{bgp.ASN(1 + rng.Intn(5)), bgp.ASN(10 + rng.Intn(3)), 7}
 			}
-			size := len(d.index)
+			size := d.index.MemoryBytes()
 			d.Observe(u)
 			if u.Monitor == 999 {
 				continue
@@ -104,7 +105,7 @@ func TestPrefixIndexDifferential(t *testing.T) {
 			} else {
 				delete(model[p.Masked()], u.Monitor)
 			}
-			if len(d.index) != size {
+			if d.index.MemoryBytes() != size {
 				doublings++
 				agree("after a doubling")
 			}
@@ -114,20 +115,33 @@ func TestPrefixIndexDifferential(t *testing.T) {
 	if doublings < 4 {
 		t.Fatalf("premise broken: the index doubled %d times, want at least 4", doublings)
 	}
-	t.Logf("%d prefixes, %d doublings, %d index slots", len(model), doublings, len(d.index))
+	t.Logf("%d prefixes, %d doublings, %d index slots", len(model), doublings, d.index.MemoryBytes()/4)
 }
 
-// probeStats walks d's index: a key's probe count is the slots its lookup
-// inspects, one plus its distance from its home slot.
-func probeStats(d *Detector) (mean float64, longest int) {
-	mask, total := len(d.index)-1, 0
-	for i, r := range d.index {
-		if r != 0 {
-			n := (i-int(d.hash(&d.keys[r-1]))&mask)&mask + 1
-			total, longest = total+n, max(longest, n)
+// probeStats looks ids from..to-1 up in x under hash: an id's probe count
+// is the ids its lookup inspects, one plus its distance from its home slot.
+func probeStats(x *probe.Index, from, to int32, hash func(int32) uint64) (mean float64, longest int) {
+	total := 0
+	for id := from; id < to; id++ {
+		k := 0
+		if x.Find(hash(id), func(c int32) bool { k++; return c == id }) != id {
+			panic("an id is not in the index")
+		}
+		total, longest = total+k, max(longest, k)
+	}
+	return float64(total) / float64(to-from), longest
+}
+
+// heldIDs lists the ids x holds, slot by slot: probing from a slot's own
+// position, Find offers the id there, if any, first.
+func heldIDs(x *probe.Index) []int32 {
+	var ids []int32
+	for h := uint64(0); h < uint64(x.MemoryBytes()/4); h++ {
+		if id := x.Find(h, func(int32) bool { return true }); id >= 0 {
+			ids = append(ids, id)
 		}
 	}
-	return float64(total) / float64(len(d.keys)), longest
+	return ids
 }
 
 // TestDetectorPrefixIndexProbes fills fresh detectors, so fresh seeds, with
@@ -139,8 +153,8 @@ func probeStats(d *Detector) (mean float64, longest int) {
 // would mask to ::/24). A random hash at load ¾ averages 2.5 probes
 // (½(1 + 1/(1−α)), Knuth) and its longest probe run over 1,000 such tables
 // was 299. A mix that drops an address word shows here as one run of all
-// 49,152 keys; one that drops the bits and flag bytes, as means of 4.4 to
-// 4.7 probes on the twins.
+// 49,152 keys; one that drops the bits byte, as means of 4.4 to 4.7 probes
+// on the twins.
 func TestDetectorPrefixIndexProbes(t *testing.T) {
 	const keys, maxMean, maxLongest = 3 << 14, 2.75, 512
 	shapes := []struct {
@@ -170,10 +184,10 @@ func TestDetectorPrefixIndexProbes(t *testing.T) {
 			for q := 0; q < keys; q++ {
 				d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: s.nth(q)})
 			}
-			if len(d.keys) != keys || 4*len(d.keys) != 3*len(d.index) {
-				t.Fatalf("%s: premise broken: %d keys in %d slots, want %d at load ¾", s.name, len(d.keys), len(d.index), keys)
+			if slots := int(d.index.MemoryBytes() / 4); len(d.keys) != keys || 4*len(d.keys) != 3*slots {
+				t.Fatalf("%s: premise broken: %d keys in %d slots, want %d at load ¾", s.name, len(d.keys), slots, keys)
 			}
-			mean, longest := probeStats(d)
+			mean, longest := probeStats(&d.index, 0, int32(len(d.keys)), d.keyHash)
 			t.Logf("%s, detector %d: mean %.2f probes, longest %d", s.name, seed, mean, longest)
 			if mean > maxMean || longest > maxLongest {
 				t.Errorf("%s, detector %d: mean %.2f probes (ceiling %.2f), longest %d (ceiling %d)",
@@ -185,18 +199,18 @@ func TestDetectorPrefixIndexProbes(t *testing.T) {
 
 // TestDetectorPrefixIndexCost pins what the index costs a prefix at every
 // size from 1k to 300k prefixes, independent of the Go version's map
-// layout: the key slab at capacity plus the probe table, at most 36 B. The
-// 18-byte key grows by a quarter at a time (≤ 22.5 B) and the table holds
+// layout: the key slab at capacity plus the probe table, at most 33 B. The
+// 17-byte key grows by a quarter at a time (≤ 21.3 B) and the table holds
 // 4/3 to 8/3 slots of 4 B per key (≤ 10.7 B).
 func TestDetectorPrefixIndexCost(t *testing.T) {
-	const ceiling = 36
+	const ceiling = 33
 	d := NewDetector([]bgp.ASN{100}, nil)
 	worst, at := 0.0, 0
 	for q := 0; q < 300_000; q++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(q >> 16), byte(q >> 8), byte(q)}), 32)
 		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
 		if n := len(d.keys); n >= 1000 {
-			if c := float64(sliceBytes(d.keys)+sliceBytes(d.index)) / float64(n); c > worst {
+			if c := float64(sliceBytes(d.keys)+d.index.MemoryBytes()) / float64(n); c > worst {
 				worst, at = c, n
 			}
 		}

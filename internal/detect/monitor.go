@@ -6,10 +6,10 @@ import (
 	"math/bits"
 	"net/netip"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"aspp/internal/bgp"
+	"aspp/internal/probe"
 	"aspp/internal/routing"
 )
 
@@ -27,41 +27,40 @@ import (
 // row of 4·m bytes.
 type Detector struct {
 	rels RelQuerier
-	// monASN is the sorted vantage-point set; monIdx maps an ASN to its
-	// dense position in monASN (and in every row).
+	// monASN is the sorted vantage-point set; a monitor's position in it
+	// is its slot in every row.
 	monASN []bgp.ASN
-	monIdx map[bgp.ASN]int32
 
 	arena *routing.PathArena
-	// The route table, indexed by route id: the route's span, how many row
-	// slots hold it, and the next id with the same key. Id 0 is the empty
-	// span, "no route". byKey heads each key's chain. A route whose count
-	// drops to 0 stays findable, so a flapping route is revived without
-	// allocating; maybeCompact sweeps such routes and frees their ids.
-	spans            []routing.PathSpan
-	refs, next, free []int32
-	byKey            map[routeKey]int32
+	// The route table, indexed by route id: the route's span and how many
+	// row slots hold it. Id 0 is the empty span, "no route", and a freed
+	// id holds it too. routeIdx finds an id by routeHash. A route whose
+	// count drops to 0 stays findable, so a flapping route is revived
+	// without allocating; maybeCompact sweeps such routes and frees their
+	// ids.
+	spans      []routing.PathSpan
+	refs, free []int32
+	routeIdx   probe.Index
 
 	// The row table, indexed by row id: each distinct row (stride
-	// len(monASN)), how many prefixes hold it, its hash and the next row in
-	// its rowHeads bucket (-1 ends a chain); rowHeads has a power of two
-	// buckets, one or more per row. Row 0, the empty row, holds a reference
-	// of its own; any other row goes on rowFree once no prefix holds it.
-	rows, rowRefs, rowNext, rowHeads, rowFree []int32
-	rowHash                                   []uint64
+	// len(monASN)), how many prefixes hold it and its hash, under which
+	// rowIdx finds it. Row 0, the empty row, holds a reference of its own;
+	// any other row goes on rowFree once no prefix holds it.
+	rows, rowRefs, rowFree []int32
+	rowHash                []uint64
+	rowIdx                 probe.Index
 
 	// keys holds every prefix's key and rowIDs its row, by prefix slot;
-	// index, probed linearly from a key's seeded hash, holds its slot+1 (0
-	// is empty) and doubles, rebuilt from keys, once ¾ full.
+	// index finds a key's slot by its hash.
 	keys   []pfxKey
 	rowIDs []int32
-	index  []int32
+	index  probe.Index
 	seed   uint64
 
 	// live weighs the referenced routes in 4-byte words, a route weighing
-	// its body plus routeWords; the rest of what the table and arena hold
-	// is dead weight, which the sweep reclaims once it outweighs live, the
-	// row slab and the prefix slots together.
+	// its body plus routeWords; the rest of what the table and arena hold,
+	// segments included (DESIGN §5c), is dead weight, which the sweep
+	// reclaims once it outweighs live, the row slab and the prefix slots.
 	live int
 
 	liveRefs []*routing.PathSpan // compaction scratch
@@ -75,57 +74,42 @@ type Detector struct {
 	lastOff int
 }
 
-// routeWords is what a route costs beside its body, in 4-byte words: its
-// span, count and chain link (7) and its key's map slot (≈9).
+// routeWords is what a route costs beside its body and segment, in 4-byte
+// words: its span, count and index slots (≤ 9) and its segment's span and
+// index slots (≤ 5), rounded up.
 const routeWords = 16
 
-// routeKey finds a route: routes with equal keys are told apart by their
-// bodies, which differ only in intermediate prepends.
-type routeKey struct {
-	seg, n int32
-	origin bgp.ASN
-	prep   int16
-}
-
-// pfxKey is a masked prefix as a pointer-free 18-byte key (netip.Prefix
-// holds a pointer the GC must scan), so 10.0.0.1/8 is 10.0.0.0/8. is4 is 1
-// for an IPv4 prefix; 10.0.0.0/8 and its mapped twin ::ffff:10.0.0.0/104
-// share As16 but not their bits.
+// pfxKey is a masked prefix as a pointer-free 17-byte key (netip.Prefix
+// holds a pointer the GC must scan), so 10.0.0.1/8 is 10.0.0.0/8.
+// 10.0.0.0/8 and its mapped twin ::ffff:10.0.0.0/104 share As16 but not
+// their bits, and a masked IPv6 prefix of at most 32 bits, the only one
+// with an IPv4 prefix's bits, has no ::ffff: word.
 type pfxKey struct {
-	addr      [16]byte
-	bits, is4 uint8
+	addr [16]byte
+	bits uint8
 }
 
 func keyOf(p netip.Prefix) pfxKey {
-	a := p.Masked().Addr() // BitLen is 32 for IPv4, 128 for IPv6 and 0 for neither
-	return pfxKey{a.As16(), uint8(p.Bits()), uint8(a.BitLen()>>5) & 1}
+	return pfxKey{p.Masked().Addr().As16(), uint8(p.Bits())}
 }
 
 // hash mixes k's address words under the detector's random seed (a feed
-// of network prefixes must not pick the collisions), then its bits and
-// flag bytes, by 64×64→128-bit multiplies folded to 64 bits.
+// of network prefixes must not pick the collisions), then its bits, by
+// 64×64→128-bit multiplies folded to 64 bits.
 func (d *Detector) hash(k *pfxKey) uint64 {
 	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(k.addr[:8])^d.seed,
 		binary.LittleEndian.Uint64(k.addr[8:])^d.seed^0xa0761d6478bd642f)
-	hi, lo = bits.Mul64(hi^lo^uint64(k.bits)^uint64(k.is4)<<8, 0xe7037ed1a0b428db)
+	hi, lo = bits.Mul64(hi^lo^uint64(k.bits), 0xe7037ed1a0b428db)
 	return hi ^ lo
 }
 
-// find returns k's prefix slot, or -1 and the empty index slot k would take.
-func (d *Detector) find(k *pfxKey) (slot int32, at int) {
-	mask := len(d.index) - 1
-	for i := int(d.hash(k)) & mask; ; i = (i + 1) & mask {
-		if r := d.index[i]; r == 0 || d.keys[r-1] == *k {
-			return r - 1, i
-		}
-	}
-}
+func (d *Detector) keyHash(r int32) uint64 { return d.hash(&d.keys[r]) }
 
 // slotOf returns k's prefix slot, appending one that holds the empty row
 // if k is new.
 func (d *Detector) slotOf(k pfxKey) int32 {
-	r, at := d.find(&k)
-	if r >= 0 {
+	h := d.hash(&k)
+	if r := d.index.Find(h, func(r int32) bool { return d.keys[r] == k }); r >= 0 {
 		return r
 	}
 	if len(d.keys) == cap(d.keys) { // a quarter more, where append would double
@@ -135,19 +119,9 @@ func (d *Detector) slotOf(k pfxKey) int32 {
 	}
 	d.keys, d.rowIDs = append(d.keys, k), append(d.rowIDs, 0)
 	d.rowRefs[0]++
-	d.index[at] = int32(len(d.keys)) // the new slot, plus one
-	if 4*len(d.keys) > 3*len(d.index) {
-		d.index = make([]int32, 2*len(d.index))
-		mask := len(d.index) - 1
-		for r := range d.keys { // distinct keys: take the first empty slot, compare none
-			i := int(d.hash(&d.keys[r])) & mask
-			for d.index[i] != 0 {
-				i = (i + 1) & mask
-			}
-			d.index[i] = int32(r + 1)
-		}
-	}
-	return int32(len(d.keys) - 1)
+	r := int32(len(d.keys) - 1)
+	d.index.Put(h, r, d.keyHash)
+	return r
 }
 
 // mix is route id's share of a row's hash at monitor position k, 0 for no
@@ -158,6 +132,8 @@ func (d *Detector) mix(k int, id int32) uint64 {
 	return hi ^ lo
 }
 
+func (d *Detector) rowHashOf(r int32) uint64 { return d.rowHash[r] }
+
 // setSlot returns the row that is row r with slot mi set to id, for one
 // prefix leaving r: an equal live row if there is one, else r rewritten in
 // place if no other prefix holds it, else a new row.
@@ -165,23 +141,23 @@ func (d *Detector) setSlot(r int32, mi int, id int32) int32 {
 	m := len(d.monASN)
 	old, prev := d.rows[int(r)*m:int(r)*m+m], d.rows[int(r)*m+mi]
 	h := d.rowHash[r] - d.mix(mi, prev) + d.mix(mi, id)
-	for c := d.rowHeads[h&uint64(len(d.rowHeads)-1)]; c >= 0; c = d.rowNext[c] {
-		if cr := d.rows[int(c)*m : int(c)*m+m]; d.rowHash[c] == h && cr[mi] == id &&
-			slices.Equal(cr[:mi], old[:mi]) && slices.Equal(cr[mi+1:], old[mi+1:]) {
-			d.rowRefs[c]++
-			if d.rowRefs[r]--; d.rowRefs[r] == 0 { // r's last prefix left: free it
-				d.unlink(r)
-				for _, x := range old {
-					d.addRef(x, -1)
-				}
-				d.rowFree = append(d.rowFree, r)
+	if c := d.rowIdx.Find(h, func(c int32) bool {
+		cr := d.rows[int(c)*m : int(c)*m+m]
+		return d.rowHash[c] == h && cr[mi] == id && slices.Equal(cr[:mi], old[:mi]) && slices.Equal(cr[mi+1:], old[mi+1:])
+	}); c >= 0 {
+		d.rowRefs[c]++
+		if d.rowRefs[r]--; d.rowRefs[r] == 0 { // r's last prefix left: free it
+			d.rowIdx.Delete(d.rowHash[r], r, d.rowHashOf)
+			for _, x := range old {
+				d.addRef(x, -1)
 			}
-			return c
+			d.rowFree = append(d.rowFree, r)
 		}
+		return c
 	}
 	n := r
 	if d.rowRefs[r] == 1 {
-		d.unlink(r)
+		d.rowIdx.Delete(d.rowHash[r], r, d.rowHashOf)
 	} else { // copy r to a free row, or a new one
 		d.rowRefs[r]--
 		if k := len(d.rowFree); k > 0 {
@@ -190,78 +166,39 @@ func (d *Detector) setSlot(r int32, mi int, id int32) int32 {
 		} else {
 			n = int32(len(d.rowRefs))
 			d.rows = append(d.rows, old...) // old still reads the slab it was cut from
-			d.rowRefs, d.rowNext, d.rowHash = append(d.rowRefs, 0), append(d.rowNext, 0), append(d.rowHash, 0)
-			if len(d.rowRefs) > len(d.rowHeads) { // double the buckets and relink the live rows
-				d.rowHeads = make([]int32, 2*len(d.rowHeads))
-				for b := range d.rowHeads {
-					d.rowHeads[b] = -1
-				}
-				for x, c := range d.rowRefs {
-					if c > 0 {
-						d.link(int32(x), d.rowHash[x])
-					}
-				}
-			}
+			d.rowRefs, d.rowHash = append(d.rowRefs, 0), append(d.rowHash, 0)
 		}
 		d.rowRefs[n] = 1
 		for _, x := range old {
 			d.addRef(x, 1)
 		}
 	}
-	d.rows[int(n)*m+mi] = id
+	d.rows[int(n)*m+mi], d.rowHash[n] = id, h
 	d.addRef(id, 1)
 	d.addRef(prev, -1)
-	d.link(n, h)
+	d.rowIdx.Put(h, n, d.rowHashOf)
 	return n
-}
-
-// link files row r, of hash h, at the head of its bucket.
-func (d *Detector) link(r int32, h uint64) {
-	b := &d.rowHeads[h&uint64(len(d.rowHeads)-1)]
-	d.rowHash[r], d.rowNext[r], *b = h, *b, r
-}
-
-// unlink takes row r off its bucket's chain.
-func (d *Detector) unlink(r int32) {
-	p := &d.rowHeads[d.rowHash[r]&uint64(len(d.rowHeads)-1)]
-	for *p != r {
-		p = &d.rowNext[*p]
-	}
-	*p = d.rowNext[r]
 }
 
 // NewDetector builds a streaming detector for the given vantage points.
 // rels may be nil to disable the relationship-hint rules.
 func NewDetector(monitors []bgp.ASN, rels RelQuerier) *Detector {
-	idx := make(map[bgp.ASN]int32, len(monitors))
-	asns := make([]bgp.ASN, 0, len(monitors))
-	for _, asn := range monitors {
-		if _, dup := idx[asn]; !dup {
-			idx[asn] = 0 // placeholder; assigned after sorting
-			asns = append(asns, asn)
-		}
+	asns := slices.Clone(monitors)
+	slices.Sort(asns)
+	asns = slices.Compact(asns)
+	d := &Detector{
+		rels:    rels,
+		monASN:  asns,
+		arena:   routing.NewPathArena(),
+		spans:   []routing.PathSpan{{Seg: -1}},
+		refs:    []int32{0},
+		rows:    make([]int32, len(asns)),
+		rowRefs: []int32{1},
+		rowHash: []uint64{0},
+		seed:    new(maphash.Hash).Sum64(),
 	}
-	sort.Slice(asns, func(a, b int) bool { return asns[a] < asns[b] })
-	for i, asn := range asns {
-		idx[asn] = int32(i)
-	}
-	return &Detector{
-		rels:     rels,
-		monASN:   asns,
-		monIdx:   idx,
-		arena:    routing.NewPathArena(),
-		spans:    []routing.PathSpan{{Seg: -1}},
-		refs:     []int32{0},
-		next:     []int32{0},
-		byKey:    make(map[routeKey]int32),
-		rows:     make([]int32, len(asns)),
-		rowRefs:  []int32{1},
-		rowNext:  []int32{-1},
-		rowHeads: []int32{0, -1}, // the empty row hashes to 0
-		rowHash:  []uint64{0},
-		index:    make([]int32, 8),
-		seed:     new(maphash.Hash).Sum64(),
-	}
+	d.rowIdx.Put(0, 0, d.rowHashOf) // the empty row hashes to 0
+	return d
 }
 
 // Monitors returns the configured vantage points, sorted.
@@ -290,8 +227,8 @@ func (d *Detector) Observe(u bgp.Update) []Alarm {
 //   - the route-table sweep check and the sweep itself, run once after
 //     the batch instead of after every update. Deferring it is
 //     verdict-invariant: a sweep frees only routes no row holds, and
-//     Compact moves bodies but never touches the interned segment table
-//     detection compares against.
+//     Compact renumbers the segments of every route left at once, so
+//     equal Seg ids still mean equal chains.
 //
 // A warmed batch over known prefixes and routes appends into dst's spare
 // capacity and is otherwise allocation-free.
@@ -309,7 +246,7 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	if err := u.Validate(); err != nil {
 		return dst
 	}
-	mi, ok := d.monIdx[u.Monitor]
+	mi, ok := slices.BinarySearch(d.monASN, u.Monitor)
 	if !ok {
 		return dst
 	}
@@ -318,12 +255,12 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 		d.lastPfx, d.lastOff = u.Prefix, int(d.slotOf(keyOf(u.Prefix)))
 	}
 	r := d.rowIDs[d.lastOff]
-	prev, id := d.rows[int(r)*m+int(mi)], int32(0)
+	prev, id := d.rows[int(r)*m+mi], int32(0)
 	if u.Type == bgp.Announce {
 		id = d.route(u.Path)
 	}
 	if id != prev {
-		r = d.setSlot(r, int(mi), id)
+		r = d.setSlot(r, mi, id)
 		d.rowIDs[d.lastOff] = r
 	}
 	if id == 0 {
@@ -331,30 +268,43 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	}
 	// The replaced route stays in the table until the next sweep, so its
 	// span is still the one the rule reads Prep and Origin off.
-	return detectRow(d.arena, d.monASN, d.rows[int(r)*m:int(r)*m+m], d.spans, int(mi), d.spans[prev], d.rels, dst)
+	return detectRow(d.arena, d.monASN, d.rows[int(r)*m:int(r)*m+m], d.spans, mi, d.spans[prev], d.rels, dst)
 }
 
 // route returns the id of p's route. The route is looked up before
-// anything is written, and its body stored only on first sight.
+// anything is written, and stored only on first sight.
 func (d *Detector) route(p bgp.Path) int32 {
-	sp := d.arena.Span(p)
-	k := routeKey{seg: sp.Seg, n: sp.Len, origin: sp.Origin, prep: sp.Prep}
-	head := d.byKey[k]
-	for id := head; id != 0; id = d.next[id] {
-		if slices.Equal(d.arena.Body(d.spans[id]), p[:sp.Len]) {
-			return id
-		}
+	prep := p.OriginPrepend()
+	body, origin := p[:len(p)-prep], p[len(p)-1]
+	h := routeHash(d.seed, body, prep, origin)
+	if id := d.routeIdx.Find(h, func(id int32) bool {
+		s := d.spans[id]
+		return int(s.Prep) == prep && s.Origin == origin && slices.Equal(d.arena.Body(s), body)
+	}); id >= 0 {
+		return id
 	}
-	sp = d.arena.Store(p)
+	sp := d.arena.Store(p)
 	id := int32(len(d.spans))
 	if n := len(d.free); n > 0 {
 		id, d.free = d.free[n-1], d.free[:n-1]
-		d.spans[id], d.refs[id], d.next[id] = sp, 0, head
+		d.spans[id], d.refs[id] = sp, 0
 	} else {
-		d.spans, d.refs, d.next = append(d.spans, sp), append(d.refs, 0), append(d.next, head)
+		d.spans, d.refs = append(d.spans, sp), append(d.refs, 0)
 	}
-	d.byKey[k] = id
+	d.routeIdx.Put(h, id, d.routeHashOf)
 	return id
+}
+
+// routeHash hashes a route's body under seed, then its origin copies and
+// origin by one more multiply, so the origin cannot cancel a body word.
+func routeHash(seed uint64, body []bgp.ASN, prep int, origin bgp.ASN) uint64 {
+	hi, lo := bits.Mul64(probe.Words(seed, body)^uint64(prep)<<32^uint64(origin), 0xe7037ed1a0b428db)
+	return hi ^ lo
+}
+
+func (d *Detector) routeHashOf(id int32) uint64 {
+	s := d.spans[id]
+	return routeHash(d.seed, d.arena.Body(s), int(s.Prep), s.Origin)
 }
 
 // addRef moves route id's count by delta, keeping live current. Id 0, no
@@ -373,59 +323,48 @@ func (d *Detector) addRef(id, delta int32) {
 	}
 }
 
-// maybeCompact sweeps the route table once the unreferenced routes
-// outweigh everything live, the referenced routes, the row slab and the
-// prefix slots: every route no row holds is unlinked from its key's chain
-// and its id freed, then the arena is compacted over the routes left. Rows
-// hold ids, so no row is touched. Counting the rows and prefixes lets
-// routes a churning table drops and restores stay findable across many
-// cycles instead of being swept and stored again each time, while dead
-// routes stay within the live footprint.
+// maybeCompact sweeps the route table once the unreferenced routes and the
+// segments outweigh everything live, the referenced routes, the row slab
+// and the prefix slots: walking ids in order, it frees every route no row
+// holds and puts the others back in a cleared route index, then compacts
+// the arena over the routes left, which also drops the freed routes'
+// segments. Rows hold ids, so no row is touched. Counting the rows and
+// prefixes lets routes a churning table drops and restores stay findable
+// across many cycles instead of being swept and stored again each time,
+// while dead routes stay within the live footprint.
 func (d *Detector) maybeCompact() {
 	held := d.arena.Size() + routeWords*(len(d.spans)-1-len(d.free)) // every unswept route's weight
 	if held-d.live <= d.live+len(d.rows)+len(d.rowIDs) {
 		return
 	}
 	d.liveRefs = d.liveRefs[:0]
-	for k, id := range d.byKey {
-		var head, last int32
-		for ; id != 0; id = d.next[id] {
-			if d.refs[id] == 0 {
-				d.free = append(d.free, id)
-				continue
-			}
-			if last == 0 {
-				head = id
-			} else {
-				d.next[last] = id
-			}
-			last = id
+	d.routeIdx.Clear()
+	for id := int32(1); id < int32(len(d.spans)); id++ {
+		switch {
+		case d.spans[id].Seg < 0: // free already: the empty span
+		case d.refs[id] == 0:
+			d.spans[id] = d.spans[0]
+			d.free = append(d.free, id)
+		default:
+			d.routeIdx.Put(d.routeHashOf(id), id, d.routeHashOf)
 			d.liveRefs = append(d.liveRefs, &d.spans[id])
 		}
-		if head == 0 {
-			delete(d.byKey, k)
-			continue
-		}
-		d.next[last] = 0
-		d.byKey[k] = head
 	}
 	d.arena.Compact(d.liveRefs)
 }
 
-// MemoryBytes is the detector's resident footprint: the path arena, the
-// row table, the key, row-id and index slabs and the route table at
-// capacity, and the two maps. The serve pipeline's soak gate samples this
-// to assert the streaming table plateaus instead of leaking, and /metrics
-// reports it.
+// MemoryBytes is the detector's resident footprint, every slab and index
+// at capacity plus the path arena. The serve pipeline's soak gate samples
+// this to assert the streaming table plateaus instead of leaking, and
+// /metrics reports it.
 func (d *Detector) MemoryBytes() int64 {
 	if d == nil {
 		return 0
 	}
 	return int64(unsafe.Sizeof(*d)) + d.arena.MemoryBytes() + sliceBytes(d.rows) + sliceBytes(d.rowRefs) +
-		sliceBytes(d.rowNext) + sliceBytes(d.rowHeads) + sliceBytes(d.rowFree) + sliceBytes(d.rowHash) +
-		sliceBytes(d.keys) + sliceBytes(d.rowIDs) + sliceBytes(d.index) + sliceBytes(d.spans) +
-		sliceBytes(d.refs) + sliceBytes(d.next) + sliceBytes(d.free) + sliceBytes(d.liveRefs) +
-		sliceBytes(d.monASN) + mapBytes(d.byKey) + mapBytes(d.monIdx)
+		sliceBytes(d.rowFree) + sliceBytes(d.rowHash) + d.rowIdx.MemoryBytes() + sliceBytes(d.keys) +
+		sliceBytes(d.rowIDs) + d.index.MemoryBytes() + sliceBytes(d.spans) + sliceBytes(d.refs) +
+		sliceBytes(d.free) + d.routeIdx.MemoryBytes() + sliceBytes(d.liveRefs) + sliceBytes(d.monASN)
 }
 
 func sliceBytes[T any](s []T) int64 {
@@ -433,25 +372,13 @@ func sliceBytes[T any](s []T) int64 {
 	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }
 
-// mapBytes estimates a map's tables, which Go does not expose: a slot
-// holds a key, a value and a control byte, and a growing table runs
-// between 7/16 and 7/8 full, so each entry is charged its slot over the
-// middle of that cycle.
-func mapBytes[K comparable, V any](m map[K]V) int64 {
-	var slot struct {
-		k K
-		v V
-	}
-	return int64(len(m)) * (int64(unsafe.Sizeof(slot)) + 1) * 12 / 7
-}
-
 // RouteOf returns the detector's current view of monitor's route for a
 // prefix (nil if unknown), materialized off the arena.
 func (d *Detector) RouteOf(prefix netip.Prefix, monitor bgp.ASN) bgp.Path {
-	mi, ok := d.monIdx[monitor]
+	mi, ok := slices.BinarySearch(d.monASN, monitor)
 	k := keyOf(prefix)
-	if r, _ := d.find(&k); ok && r >= 0 {
-		return d.arena.Path(d.spans[d.rows[int(d.rowIDs[r])*len(d.monASN)+int(mi)]])
+	if r := d.index.Find(d.hash(&k), func(r int32) bool { return d.keys[r] == k }); ok && r >= 0 {
+		return d.arena.Path(d.spans[d.rows[int(d.rowIDs[r])*len(d.monASN)+mi]])
 	}
 	return nil
 }

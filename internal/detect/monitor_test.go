@@ -75,7 +75,7 @@ func heapAfterGC() int64 {
 // really holds (±20 %), and caps what a growing table costs: 200k prefixes
 // of the growth template (four inserts each, ten monitors) may grow the
 // heap by at most 48 B a prefix. A shared row's id plus its key and index
-// slots measures ≈36 B here; a row of route ids per prefix measured ≈76 B,
+// slots measures ≈35 B here; a row of route ids per prefix measured ≈76 B,
 // and a span per monitor and a path body per (prefix, monitor) ≈325 B, of
 // which MemoryBytes reported 0.74×.
 func TestDetectorMemoryBytesTracksHeap(t *testing.T) {
@@ -146,20 +146,21 @@ func TestDetectorRouteTableReclaims(t *testing.T) {
 		t.Errorf("MemoryBytes still rising: at most %d B over the first 5k paths, %d B over the next", firstHalf, secondHalf)
 	}
 	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
-	if d.live != 0 || d.arena.Size() != 0 || len(d.byKey) != 0 || len(d.free) != len(d.spans)-1 {
-		t.Errorf("after the withdrawal: live %d, arena %d elements, %d keys, %d of %d ids free",
-			d.live, d.arena.Size(), len(d.byKey), len(d.free), len(d.spans)-1)
+	if held := heldIDs(&d.routeIdx); d.live != 0 || d.arena.Size() != 0 || len(held) != 0 || len(d.free) != len(d.spans)-1 {
+		t.Errorf("after the withdrawal: live %d, arena %d elements, %d ids in the route index, %d of %d ids free",
+			d.live, d.arena.Size(), len(held), len(d.free), len(d.spans)-1)
 	}
 	if got := d.RouteOf(pfx, 100); got != nil {
 		t.Errorf("withdrawn key still routes %v", got)
 	}
 }
 
-// TestDetectorRouteTableChains: routes that share a key (segment, origin,
-// body length, prepends) differ only in their bodies and hang on one chain.
-// Sweeping the chain's tail keeps its head findable, and the freed ids,
-// taken by routes of other keys with the tail's body, never join the chain:
-// re-announcing the tail's route stores it anew.
+// TestDetectorRouteTableChains: routes that share a segment, origin, body
+// length and prepend count differ only in their bodies' intermediate
+// prepends, and stay distinct through a sweep. The sweep frees one of
+// them, and routes with its body and other prepend counts take its id and
+// another freed one; re-announcing the freed route stores it anew, and
+// every RouteOf stays right.
 func TestDetectorRouteTableChains(t *testing.T) {
 	pfx := netip.MustParsePrefix("10.0.0.0/24")
 	d := NewDetector([]bgp.ASN{100, 200, 300, 400}, nil)
@@ -173,8 +174,9 @@ func TestDetectorRouteTableChains(t *testing.T) {
 	long = append(long, 7)
 	announce(100, tail)
 	announce(200, head)
-	if d.route(tail) == d.route(head) || d.next[d.route(head)] != d.route(tail) {
-		t.Fatalf("premise broken: %v and %v are not one chain", head, tail)
+	ts, hs := d.spans[d.route(tail)], d.spans[d.route(head)]
+	if d.route(tail) == d.route(head) || ts.Seg != hs.Seg || ts.Len != hs.Len || ts.Prep != hs.Prep || ts.Origin != hs.Origin {
+		t.Fatalf("premise broken: %v and %v are not two routes of one key: %+v, %+v", tail, head, ts, hs)
 	}
 	announce(300, long)
 	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
@@ -182,15 +184,103 @@ func TestDetectorRouteTableChains(t *testing.T) {
 	if len(d.free) != 2 {
 		t.Fatalf("premise broken: the sweep freed %d ids, want the tail's and the long route's", len(d.free))
 	}
+	freed, slots := slices.Clone(d.free), len(d.spans)
 	// The tail's body with other prepend counts takes both freed ids.
 	other2, other3 := bgp.Path{1, 1, 2, 7, 7}, bgp.Path{1, 1, 2, 7, 7, 7}
 	announce(300, other2)
 	announce(400, other3)
 	announce(100, tail)
+	if id2, id3 := d.route(other2), d.route(other3); !slices.Contains(freed, id2) || !slices.Contains(freed, id3) || id2 == id3 {
+		t.Errorf("the tail's body with 2 and 3 origin copies took ids %d and %d, want the freed %v", id2, id3, freed)
+	}
+	if id := d.route(tail); id != int32(slots) || len(d.spans) != slots+1 || id == d.route(head) {
+		t.Errorf("the re-announced tail holds id %d of %d, want a new id %d", id, len(d.spans), slots)
+	}
 	for m, want := range map[bgp.ASN]bgp.Path{100: tail, 200: head, 300: other2, 400: other3} {
 		if got := d.RouteOf(pfx, m); !got.Equal(want) {
 			t.Errorf("RouteOf(%v) = %v, want %v", m, got, want)
 		}
+	}
+}
+
+// TestDetectorRouteTableReclaimsSegments announces 200k paths on one key,
+// each with a transit chain of its own, as a feed of poisoned paths does.
+// The sweep drops the segments of the routes it frees, so MemoryBytes stops
+// rising once the first sweeps have sized the table: no higher over the
+// last 150k paths than over the first 50k.
+func TestDetectorRouteTableReclaimsSegments(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.0.0.0/24")
+	d := NewDetector([]bgp.ASN{100}, nil)
+	var first, rest int64
+	for i := 0; i < 200_000; i++ {
+		p := bgp.Path{bgp.ASN(1_000_000 + i), bgp.ASN(2_000_000 + i), 7}
+		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: p})
+		if i%1000 != 999 {
+			continue
+		}
+		if mem := d.MemoryBytes(); i < 50_000 {
+			first = max(first, mem)
+		} else {
+			rest = max(rest, mem)
+		}
+	}
+	_, _, routes := d.Sizes()
+	t.Logf("MemoryBytes at most %d B over the first 50k paths, %d B over the next 150k; %d routes, %d arena elements",
+		first, rest, routes, d.arena.Size())
+	if rest > first {
+		t.Errorf("MemoryBytes still rising with distinct transit chains: at most %d B over the first 50k paths, %d B over the next 150k", first, rest)
+	}
+}
+
+// TestDetectorRouteTableProbes stores 10k routes [x, x^c], one per prefix,
+// in fresh detectors, so fresh seeds, and bounds the probes a route lookup
+// pays. Were the origin XORed into the seed that hashes the body, x and
+// x^c would cancel and every route would share one hash: one probe run of
+// all 10k routes, whatever the seed. The ceilings are
+// TestDetectorPrefixIndexProbes' ones, at a lower load.
+func TestDetectorRouteTableProbes(t *testing.T) {
+	const routes, c, maxMean, maxLongest = 10_000, 0x5bd1e995, 2.75, 512
+	for seed := 0; seed < 3; seed++ {
+		d := NewDetector([]bgp.ASN{100}, nil)
+		for x := 1; x <= routes; x++ {
+			pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, 0, byte(x >> 8), byte(x)}), 32)
+			d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: bgp.Path{bgp.ASN(x), bgp.ASN(x ^ c)}})
+		}
+		if _, _, n := d.Sizes(); n != routes || len(d.spans) != routes+1 {
+			t.Fatalf("premise broken: %d routes in %d ids, want %d", n, len(d.spans)-1, routes)
+		}
+		mean, longest := probeStats(&d.routeIdx, 1, routes+1, d.routeHashOf)
+		t.Logf("detector %d: mean %.2f probes, longest %d", seed, mean, longest)
+		if mean > maxMean || longest > maxLongest {
+			t.Errorf("detector %d: mean %.2f probes (ceiling %.2f), longest %d (ceiling %d)", seed, mean, maxMean, longest, maxLongest)
+		}
+	}
+}
+
+// TestDetectorRouteTableSweepKeepsLongRuns: a path ending in 65,536 origin
+// copies stores Prep 0 (PathSpan.Prep is an int16), yet it is a live
+// route. Sweeps that free the routes around it must keep its body and its
+// segment: the sweep tells a freed id by the empty span's Seg, not by Prep.
+func TestDetectorRouteTableSweepKeepsLongRuns(t *testing.T) {
+	held, churn := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
+	d := NewDetector([]bgp.ASN{100}, nil)
+	long := make(bgp.Path, 2+1<<16)
+	for i := range long {
+		long[i] = 7
+	}
+	long[0], long[1] = 5, 6
+	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: held, Path: long})
+	if d.spans[1].Prep != 0 || d.refs[1] != 1 {
+		t.Fatalf("premise broken: route 1 is %+v with %d references", d.spans[1], d.refs[1])
+	}
+	for i := 0; i < 10_000; i++ {
+		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: churn, Path: bgp.Path{bgp.ASN(1_000 + i), 8}})
+	}
+	if len(d.free) == 0 {
+		t.Fatal("premise broken: no sweep ran")
+	}
+	if s := d.spans[1]; !slices.Equal(d.arena.Body(s), long[:2]) || !slices.Equal(d.arena.SegBody(s.Seg), long[:2]) {
+		t.Errorf("after the sweeps route 1 reads body %v, segment %v, want %v", d.arena.Body(s), d.arena.SegBody(s.Seg), long[:2])
 	}
 }
 
@@ -270,5 +360,39 @@ func TestDetectorMasksPrefixes(t *testing.T) {
 		if a, b := PrefixShard(masked, n), PrefixShard(unmasked, n); a != b {
 			t.Fatalf("PrefixShard over %d shards: %v → %d, %v → %d", n, masked, a, unmasked, b)
 		}
+	}
+}
+
+// TestDetectorRouteTableSteadyChurn replays the churn corpus ten times after
+// one warm cycle, in the serve worker's 256-update batches. Every route a
+// cycle drops comes back in the next, and weighed against the live routes,
+// rows and prefixes the dead ones never call a sweep: the arena neither
+// shrinks (a sweep) nor grows (a route stored again) after the warm cycle.
+func TestDetectorRouteTableSteadyChurn(t *testing.T) {
+	updates, monitors, g := churnCorpus(t, 1500, 23, 40, 300, 5000)
+	d := NewDetector(monitors, g)
+	replay := func() (sweeps, stores int) {
+		for i := 0; i < len(updates); i += 256 {
+			before := d.arena.Size()
+			d.ObserveBatch(updates[i:min(i+256, len(updates))], nil)
+			if after := d.arena.Size(); after < before {
+				sweeps++
+			} else if after > before {
+				stores++
+			}
+		}
+		return sweeps, stores
+	}
+	replay()
+	sweeps, stores := 0, 0
+	for cycle := 0; cycle < 10; cycle++ {
+		s, m := replay()
+		sweeps, stores = sweeps+s, stores+m
+	}
+	_, rows, routes := d.Sizes()
+	t.Logf("%d updates a cycle, %d rows, %d routes: %d batches swept and %d stored routes over ten warm cycles",
+		len(updates), rows, routes, sweeps, stores)
+	if sweeps != 0 || stores != 0 {
+		t.Errorf("steady churn swept in %d batches and stored routes again in %d, want neither", sweeps, stores)
 	}
 }

@@ -76,11 +76,11 @@ func (p *plainRows) routeOf(pfx netip.Prefix, monitor bgp.ASN) bgp.Path {
 }
 
 // checkRowTable holds d's row table to its invariants: no two live rows are
-// equal, each live row's hash is the sum of its shares and its bucket's
-// chain reaches it, each row's count is the prefixes that hold it (the
-// empty row's plus its own), so the counts sum to the prefixes plus one,
-// the free list holds exactly the other rows, and each route's count is
-// the live row slots that hold it.
+// equal, each live row's hash is the sum of its shares and the row index
+// finds it under that hash, the index holds no other id, each row's count
+// is the prefixes that hold it (the empty row's plus its own), so the
+// counts sum to the prefixes plus one, the free list holds exactly the
+// other rows, and each route's count is the live row slots that hold it.
 func checkRowTable(t *testing.T, d *Detector, when string) {
 	t.Helper()
 	m := len(d.monASN)
@@ -111,13 +111,13 @@ func checkRowTable(t *testing.T, d *Detector, when string) {
 			h += d.mix(k, id)
 			slots[id]++
 		}
-		found := false
-		for x := d.rowHeads[h&uint64(len(d.rowHeads)-1)]; x >= 0 && !found; x = d.rowNext[x] {
-			found = int(x) == r
-		}
+		found := d.rowIdx.Find(h, func(c int32) bool { return c == int32(r) }) == int32(r)
 		if h != d.rowHash[r] || !found {
-			t.Fatalf("%s: row %d hashes to %#x, stored %#x, found in its bucket: %v", when, r, h, d.rowHash[r], found)
+			t.Fatalf("%s: row %d hashes to %#x, stored %#x, found in the row index: %v", when, r, h, d.rowHash[r], found)
 		}
+	}
+	if n := len(heldIDs(&d.rowIdx)); n != len(seen) {
+		t.Fatalf("%s: the row index holds %d ids, %d rows are live", when, n, len(seen))
 	}
 	if sum != len(d.keys)+1 {
 		t.Fatalf("%s: row counts sum to %d, want %d prefixes plus the empty row's own", when, sum, len(d.keys))

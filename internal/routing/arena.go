@@ -1,9 +1,12 @@
 package routing
 
 import (
+	"hash/maphash"
+	"slices"
 	"sort"
 
 	"aspp/internal/bgp"
+	"aspp/internal/probe"
 )
 
 // PathArena is a reusable flat backing store for reconstructed AS paths.
@@ -22,25 +25,26 @@ import (
 //     Callers that reuse an arena across rounds (EvalScratch, the survey
 //     workers) must re-extract spans after each Reset.
 //   - The intern table (segBuf/segs/segIdx) survives Reset: segment ids
-//     are stable for the arena's lifetime, which is what lets a warmed
-//     extract-reset-extract loop run allocation-free — steady state finds
-//     every segment already interned.
+//     are stable until Compact, which keeps only the live spans' segments
+//     and renumbers them. That is what lets a warmed extract-reset-extract
+//     loop run allocation-free — steady state finds every segment already
+//     interned.
 //   - An arena is single-goroutine state, like routing.Scratch: share
 //     nothing, or hand one arena to each worker.
 //
-// The zero value is ready to use after NewPathArena (the intern index map
-// needs allocating).
+// Make one with NewPathArena, which seeds the segment hash.
 type PathArena struct {
 	buf []bgp.ASN // span bodies; truncated by Reset
 
-	// Intern table for prepend-stripped transit segments. segs[id] spans
-	// segBuf; segIdx maps a content hash to candidate ids (collisions are
-	// resolved by comparing content).
+	// Intern table for prepend-stripped transit segments: segs[id] spans
+	// segBuf, and segIdx finds an id by its chain's hash under seed.
 	segBuf []bgp.ASN
 	segs   []segSpan
-	segIdx map[uint64][]int32
+	segIdx probe.Index
+	seed   uint64
 
-	tmp []bgp.ASN // scratch for collapsing duplicate runs before interning
+	tmp   []bgp.ASN // scratch for collapsing duplicate runs before interning
+	renum []int32   // Compact's new id per old segment id
 }
 
 type segSpan struct{ off, n int32 }
@@ -64,19 +68,21 @@ type PathSpan struct {
 	Seg int32
 }
 
-// NewPathArena returns an empty arena.
+// NewPathArena returns an empty arena. Its segment hash has a random seed:
+// the detector interns chains a feed chooses, and a fixed hash would let
+// the feed pick its collisions.
 func NewPathArena() *PathArena {
-	return &PathArena{segIdx: make(map[uint64][]int32)}
+	return &PathArena{seed: new(maphash.Hash).Sum64()}
 }
 
 // Reset drops every span body, invalidating all outstanding PathSpans.
 // The intern table is retained (see the aliasing rules above).
 func (a *PathArena) Reset() { a.buf = a.buf[:0] }
 
-// Size returns the number of body elements currently stored, dead slots
-// included — long-lived holders compare it against their live total to
-// decide when to Compact.
-func (a *PathArena) Size() int { return len(a.buf) }
+// Size returns the elements the arena holds, span bodies and interned
+// segments, dead ones included — long-lived holders weigh it against their
+// live total to decide when to Compact.
+func (a *PathArena) Size() int { return len(a.buf) + len(a.segBuf) }
 
 // Body returns the raw body of a span: the received path with the
 // trailing origin run stripped. The slice aliases the arena — valid only
@@ -122,76 +128,69 @@ func (a *PathArena) PathWith(head bgp.ASN, s PathSpan) bgp.Path {
 	return p
 }
 
-// Span describes non-empty p without storing its body: Len, Prep, Origin
-// and Seg, the interned transit chain with consecutive duplicates
-// collapsed. Off is left 0. Holders that keep one copy per distinct route
-// (detect.Detector) look the route up by these fields before storing it.
-func (a *PathArena) Span(p bgp.Path) PathSpan {
+// Store appends non-empty p's body verbatim at the arena's end and returns
+// its span: Len, Prep, Origin and Seg, the interned transit chain with
+// consecutive duplicates collapsed. Nothing stored earlier moves.
+func (a *PathArena) Store(p bgp.Path) PathSpan {
 	prep := p.OriginPrepend()
 	body := p[:len(p)-prep]
 	a.tmp = collapseRuns(a.tmp[:0], body)
-	return PathSpan{Len: int32(len(body)), Prep: int16(prep), Origin: p[len(p)-1], Seg: a.Intern(a.tmp)}
-}
-
-// Store appends non-empty p's body verbatim at the arena's end and returns
-// its span. Nothing stored earlier moves.
-func (a *PathArena) Store(p bgp.Path) PathSpan {
-	sp := a.Span(p)
-	sp.Off = int32(len(a.buf))
-	a.buf = append(a.buf, p[:sp.Len]...)
+	sp := PathSpan{Off: int32(len(a.buf)), Len: int32(len(body)), Prep: int16(prep), Origin: p[len(p)-1], Seg: a.Intern(a.tmp)}
+	a.buf = append(a.buf, body...)
 	return sp
 }
 
-// Intern returns the stable segment id for body, adding it to the table
-// on first sight. Ids are comparable only within one arena. The body is
-// copied, so callers may pass views into buf or scratch storage.
+// Intern returns the segment id for body, adding it to the table on first
+// sight. Ids are comparable only within one arena and stable until
+// Compact. The body is copied, so callers may pass views into buf or
+// scratch storage.
 func (a *PathArena) Intern(body []bgp.ASN) int32 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, asn := range body {
-		h ^= uint64(asn)
-		h *= 1099511628211
+	h := probe.Words(a.seed, body)
+	if id := a.segIdx.Find(h, func(id int32) bool { return slices.Equal(a.SegBody(id), body) }); id >= 0 {
+		return id
 	}
-	for _, id := range a.segIdx[h] {
-		s := a.segs[id]
-		if int(s.n) == len(body) && equalASN(a.segBuf[s.off:s.off+s.n], body) {
-			return id
-		}
-	}
-	off := int32(len(a.segBuf))
-	a.segBuf = append(a.segBuf, body...)
 	id := int32(len(a.segs))
-	a.segs = append(a.segs, segSpan{off: off, n: int32(len(body))})
-	a.segIdx[h] = append(a.segIdx[h], id)
+	a.segs = append(a.segs, segSpan{off: int32(len(a.segBuf)), n: int32(len(body))})
+	a.segBuf = append(a.segBuf, body...)
+	a.segIdx.Put(h, id, a.segHash)
 	return id
 }
 
-// Compact rewrites the arena so only the given live spans remain,
-// updating each span's offset in place. Every other outstanding span is
-// invalidated. Used by long-lived holders (detect.Detector) once bodies
-// no span refers to outweigh live ones.
+func (a *PathArena) segHash(id int32) uint64 { return probe.Words(a.seed, a.SegBody(id)) }
+
+// Compact rewrites the arena so only the given live spans remain: their
+// bodies and segments move left, and each span's Off and Seg are updated
+// in place. Every other outstanding span and segment id is invalidated.
+// Used by long-lived holders (detect.Detector) once bodies and segments no
+// span refers to outweigh live ones.
 func (a *PathArena) Compact(live []*PathSpan) {
 	// Sorting by offset makes the moves strictly leftward, so the copy
-	// never overwrites a body it has yet to move.
+	// never overwrites a body it has yet to move; segments lie in id order.
 	sort.Slice(live, func(i, j int) bool { return live[i].Off < live[j].Off })
+	a.renum = append(a.renum[:0], make([]int32, len(a.segs))...)
 	w := int32(0)
 	for _, s := range live {
 		copy(a.buf[w:], a.buf[s.Off:s.Off+s.Len])
 		s.Off = w
 		w += s.Len
+		a.renum[s.Seg] = 1 // kept; the loop below turns each mark into the new id
 	}
 	a.buf = a.buf[:w]
-}
-
-func equalASN(a, b []bgp.ASN) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	a.segIdx.Clear()
+	n, off := int32(0), 0
+	for id, s := range a.segs {
+		if a.renum[id] == 0 {
+			continue
 		}
+		a.segBuf = append(a.segBuf[:off], a.segBuf[s.off:s.off+s.n]...)
+		a.segs[n], a.renum[id] = segSpan{off: int32(off), n: s.n}, n
+		a.segIdx.Put(probe.Words(a.seed, a.segBuf[off:]), n, a.segHash)
+		n, off = n+1, len(a.segBuf)
 	}
-	return true
+	a.segs, a.segBuf = a.segs[:n], a.segBuf[:off]
+	for _, s := range live {
+		s.Seg = a.renum[s.Seg]
+	}
 }
 
 // collapseRuns appends body to dst with consecutive duplicates collapsed

@@ -141,30 +141,26 @@ func TestArenaPutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArenaStore covers the store-once contract: Span describes a path
-// without storing anything, Store appends the body at the arena's end with
-// the same description, a prepend-count-only change is a new body of its
-// own, and no store moves a body stored earlier.
+// TestArenaStore covers the store-once contract: Store appends the body at
+// the arena's end and interns its transit chain, a prepend-count-only
+// change is a body of its own on the same segment, and no store moves a
+// body stored earlier.
 func TestArenaStore(t *testing.T) {
 	a := NewPathArena()
 	other := a.Store(bgp.Path{5, 6, 9})
 	p := bgp.Path{1, 2, 2, 3, 7, 7}
-	size := a.Size()
-	desc := a.Span(p)
-	if a.Size() != size || desc.Len != 4 || desc.Prep != 2 || desc.Origin != 7 {
-		t.Fatalf("Span %+v, arena %d -> %d elements", desc, size, a.Size())
-	}
+	bodies, size := len(a.buf), a.Size()
 	sp := a.Store(p)
-	if sp.Off != int32(size) || a.Size() != size+4 {
-		t.Fatalf("Store %+v did not append at %d (arena now %d)", sp, size, a.Size())
+	if sp.Off != int32(bodies) || sp.Len != 4 || sp.Prep != 2 || sp.Origin != 7 || a.Size() != size+4+3 {
+		t.Fatalf("Store %+v did not append body and segment at %d (arena %d -> %d elements)", sp, bodies, size, a.Size())
 	}
-	if desc.Off = sp.Off; desc != sp {
-		t.Fatalf("Span %+v and Store %+v describe p differently", desc, sp)
+	if got := bgp.Path(a.SegBody(sp.Seg)); !got.Equal(bgp.Path{1, 2, 3}) {
+		t.Fatalf("Store interned %v, want the collapsed chain 1 2 3", got)
 	}
 	// Equal body, different prepend: the same segment, a body of its own.
 	sp2 := a.Store(bgp.Path{1, 2, 2, 3, 7})
-	if sp2.Off == sp.Off || sp2.Seg != sp.Seg || sp2.Prep != 1 {
-		t.Fatalf("prepend-only store: %+v after %+v", sp2, sp)
+	if sp2.Off == sp.Off || sp2.Seg != sp.Seg || sp2.Prep != 1 || a.Size() != size+4+3+4 {
+		t.Fatalf("prepend-only store: %+v after %+v, arena %d elements", sp2, sp, a.Size())
 	}
 	for _, c := range []struct {
 		sp   PathSpan
@@ -176,33 +172,45 @@ func TestArenaStore(t *testing.T) {
 	}
 }
 
-// TestArenaCompact verifies compaction preserves live spans and reclaims
-// dead space.
+// TestArenaCompact verifies compaction preserves live spans, renumbers
+// their segments and reclaims dead bodies and segments: a chain only dead
+// spans used is interned afresh after it.
 func TestArenaCompact(t *testing.T) {
 	a := NewPathArena()
 	paths := []bgp.Path{
-		{1, 2, 9}, {3, 4, 5, 9}, {6, 9}, {7, 8, 9, 9},
+		{1, 2, 9}, {3, 4, 5, 9}, {6, 9}, {7, 8, 9, 9}, {3, 4, 4, 5, 9},
 	}
 	spans := make([]PathSpan, len(paths))
 	for i, p := range paths {
 		spans[i] = a.Store(p)
 	}
-	// Kill spans 0 and 2; compact the survivors.
-	live := []*PathSpan{&spans[1], &spans[3]}
+	// Kill spans 0 and 2; compact the survivors, two of which share a chain.
+	live := []*PathSpan{&spans[4], &spans[1], &spans[3]}
 	before := a.Size()
 	a.Compact(live)
 	if a.Size() >= before {
 		t.Fatalf("compact did not shrink: %d -> %d", before, a.Size())
 	}
-	if got := a.Path(spans[1]); !got.Equal(paths[1]) {
-		t.Fatalf("span 1 after compact: %v", got)
+	for _, i := range []int{1, 3, 4} {
+		if got := a.Path(spans[i]); !got.Equal(paths[i]) {
+			t.Fatalf("span %d after compact: %v", i, got)
+		}
 	}
-	if got := a.Path(spans[3]); !got.Equal(paths[3]) {
-		t.Fatalf("span 3 after compact: %v", got)
+	if spans[1].Seg != 0 || spans[4].Seg != 0 || spans[3].Seg != 1 || len(a.segs) != 2 {
+		t.Fatalf("segments after compact: %d, %d, %d of %d; want 0, 1, 0 of 2", spans[1].Seg, spans[3].Seg, spans[4].Seg, len(a.segs))
 	}
-	wantSize := int(spans[1].Len + spans[3].Len)
+	if got := bgp.Path(a.SegBody(spans[3].Seg)); !got.Equal(bgp.Path{7, 8}) {
+		t.Fatalf("span 3's segment after compact: %v", got)
+	}
+	wantSize := int(spans[1].Len+spans[3].Len+spans[4].Len) + 3 + 2
 	if a.Size() != wantSize {
 		t.Fatalf("compacted size %d, want %d", a.Size(), wantSize)
+	}
+	if id := a.Intern([]bgp.ASN{7, 8}); id != spans[3].Seg {
+		t.Fatalf("live chain 7 8 interned as %d after compact, its span holds %d", id, spans[3].Seg)
+	}
+	if id := a.Intern([]bgp.ASN{1, 2}); id != 2 {
+		t.Fatalf("dead chain 1 2 interned as %d after compact, want the next id, 2", id)
 	}
 }
 
@@ -224,8 +232,8 @@ func TestResetInvalidationSemantics(t *testing.T) {
 		segsBefore[i] = sp.Seg
 	}
 	a.Reset()
-	if a.Size() != 0 {
-		t.Fatalf("Reset left %d body elements", a.Size())
+	if a.Size() != len(a.segBuf) {
+		t.Fatalf("Reset left %d body elements", a.Size()-len(a.segBuf))
 	}
 	second := res.PathsInto(a, idx, first[:0])
 	for i, sp := range second {

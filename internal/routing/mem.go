@@ -7,9 +7,7 @@ import "unsafe"
 // it, the one baseline it holds — in bytes, as the obs byte gauges'
 // high-watermarks. These methods compute the resident footprint of the
 // routing-side structures from slice CAPACITIES (grown-but-unused tail
-// bytes are still resident) plus the fixed struct size; only the map
-// inside PathArena is estimated (Go exposes no exact bucket accounting),
-// with the approximation documented at mapEntryOverheadBytes.
+// bytes are still resident) plus the fixed struct size.
 
 // sliceBytes is the backing-array footprint of a slice: capacity times
 // element size.
@@ -17,11 +15,6 @@ func sliceBytes[T any](s []T) int64 {
 	var zero T
 	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }
-
-// mapEntryOverheadBytes approximates the per-entry overhead of a Go map
-// beyond the value's own backing storage: the 8-byte key, the slice
-// header stored as the value and amortized bucket/tophash bookkeeping.
-const mapEntryOverheadBytes = 48
 
 // backingBytes is r's column storage alone, excluding the struct header —
 // owners that already count the header (an embedded slot, a []Result
@@ -63,17 +56,11 @@ func (s *Scratch) MemoryBytes() int64 {
 }
 
 // MemoryBytes is the resident footprint of the arena: span bodies, the
-// intern table's segment store and its index (estimated per entry — see
-// mapEntryOverheadBytes).
+// intern table's segment store and its index, and the scratch slices.
 func (a *PathArena) MemoryBytes() int64 {
 	if a == nil {
 		return 0
 	}
-	b := int64(unsafe.Sizeof(*a)) +
-		sliceBytes(a.buf) + sliceBytes(a.segBuf) +
-		sliceBytes(a.segs) + sliceBytes(a.tmp)
-	for _, ids := range a.segIdx {
-		b += sliceBytes(ids) + mapEntryOverheadBytes
-	}
-	return b
+	return int64(unsafe.Sizeof(*a)) + sliceBytes(a.buf) + sliceBytes(a.segBuf) + sliceBytes(a.segs) +
+		a.segIdx.MemoryBytes() + sliceBytes(a.tmp) + sliceBytes(a.renum)
 }

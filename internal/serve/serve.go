@@ -142,12 +142,10 @@ type Pipeline struct {
 	epoch time.Time
 
 	// gauges holds each shard detector's footprint and sizes as published
-	// by its worker (every memPubBatches batches, on idle transitions, and
-	// at worker exit). Stats and MemoryBytes read these instead of the
-	// detectors themselves: detector internals (the route and row tables,
-	// the arena's intern index) are worker-owned and unsynchronized, so a
-	// foreign reader — the HTTP /metrics handler — must never touch them
-	// while workers run.
+	// by its worker after every batch. Stats and MemoryBytes read these
+	// instead of the detectors themselves: detector internals are
+	// worker-owned and unsynchronized, so a foreign reader — the HTTP
+	// /metrics handler — must never touch them while workers run.
 	gauges []shardGauges
 
 	closing     atomic.Bool // producers refuse new work, blocked pushes bail
@@ -290,38 +288,36 @@ func (p *Pipeline) DrainQueues() {
 	}
 }
 
-// memPubBatches is how many batches a worker processes between refreshes
-// of its published gauges: Detector.MemoryBytes walks the arena's
-// intern index, too costly per batch at line rate. Idle transitions and
-// worker exit also refresh, so a quiescent pipeline always reads current.
-const memPubBatches = 32
+// lingerNs is how long a worker that found its ring empty polls it before
+// parking on the ring's wake channel: a burst reaches the ring an update at
+// a time, and waking a parked worker costs more than the gap.
+const lingerNs = 10_000
 
 // worker drains shard si's ring: batches are split into same-prefix runs
 // (the natural shape of transition streams) so alarms can be attributed
 // to their prefix, each run flows through ObserveBatch, and
 // enqueue-to-completion latency is recorded per update with one clock
-// read per run. Slots are released (advance) only after the whole batch
-// is processed, since the drained updates alias slot path storage.
+// read per run. The gauges and counters are published, and only then are
+// the slots released (advance), since the drained updates alias slot path
+// storage and a ring read empty must mean current gauges.
 func (p *Pipeline) worker(si int) {
 	defer p.workers.Done()
 	r := p.rings[si]
 	d, g := p.dets[si], &p.gauges[si]
-	defer g.publish(d)
 	batch := make([]bgp.Update, p.cfg.Batch)
 	enq := make([]int64, p.cfg.Batch)
 	alarms := make([]detect.Alarm, 0, 16)
-	sincePub := 0
 	for {
 		n := r.drain(batch, enq)
 		if n == 0 {
-			if sincePub > 0 {
-				g.publish(d) // going idle: publish what the burst built
-				sincePub = 0
-			}
 			if p.stopWorkers.Load() && r.depth() == 0 {
 				return
 			}
-			<-r.wake // a push after the drain above has left a token
+			for t := p.now(); r.depth() == 0 && p.now()-t < lingerNs; {
+			}
+			if r.depth() == 0 {
+				<-r.wake // a push after the check above has left a token
+			}
 			continue
 		}
 		for i := 0; i < n; {
@@ -341,14 +337,11 @@ func (p *Pipeline) worker(si int) {
 			}
 			i = j
 		}
-		r.advance(n)
+		g.publish(d)
 		p.processed.Add(int64(n))
 		p.batches.Add(1)
 		p.cfg.Counters.AddServeBatches(1)
-		if sincePub++; sincePub >= memPubBatches {
-			g.publish(d)
-			sincePub = 0
-		}
+		r.advance(n)
 	}
 }
 

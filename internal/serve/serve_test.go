@@ -446,6 +446,49 @@ func TestMetricsDetectorSizes(t *testing.T) {
 	}
 }
 
+// TestStatsCurrentAfterRunLoad: a worker publishes its gauges after every
+// batch, before it releases the batch's slots, so once RunLoad has seen the
+// rings drain, Stats reads every update's effect without waiting for Close.
+// Its prefix and row counts are those of one serial detector per shard fed
+// the same updates. Its route count is the shard detectors' own, read after
+// Close: routes awaiting the sweep count too, so the count depends on where
+// batches end, and a serial detector sweeps at other points.
+func TestStatsCurrentAfterRunLoad(t *testing.T) {
+	const shards = 3
+	updates, monitors, g := loadCorpus(t, 400, 13, 20, 8)
+	p, err := NewPipeline(Config{Shards: shards, Monitors: monitors, Rels: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Close()
+	if _, err := p.RunLoad(updates, int64(len(updates))); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Stats()
+	p.Close()
+	var prefixes, rows, routes int
+	for si, d := range p.dets {
+		serial := detect.NewDetector(monitors, g)
+		for _, u := range updates {
+			if detect.PrefixShard(u.Prefix, shards) == si {
+				serial.Observe(u)
+			}
+		}
+		pf, r, _ := serial.Sizes()
+		_, _, rt := d.Sizes()
+		prefixes, rows, routes = prefixes+pf, rows+r, routes+rt
+	}
+	if got.Prefixes != int64(prefixes) || got.Rows != int64(rows) || got.Routes != int64(routes) {
+		t.Errorf("Stats right after RunLoad: %d prefixes, %d rows, %d routes; the detectors hold %d, %d, %d",
+			got.Prefixes, got.Rows, got.Routes, prefixes, rows, routes)
+	}
+	if prefixes == 0 || rows <= shards || routes == 0 {
+		t.Fatalf("premise broken: %d prefixes on %d rows, %d routes", prefixes, rows, routes)
+	}
+	t.Logf("%d updates: %d prefixes on %d rows, %d routes", len(updates), prefixes, rows, routes)
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	updates, monitors, g := loadCorpus(t, 400, 13, 20, 30)
 	counters := &obs.Counters{}
