@@ -12,12 +12,17 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # counted over the wrong cone, a baseline shifted wrongly, a delta leg
 # repaired against rows its baseline slot no longer holds, a monitor row read
 # off a scan that skipped it, a column that stopped matching its one-column
-# run, a second statement of the Fig. 4 rule, a prefix pass that disagrees
-# with Fold at some count (TestPrefixPassDifferential), a returning
-# allocation or a probe index that loses an id across a delete or a doubling
-# (TestIndexDifferential, behind every interned id in detect and the path
-# arena) names itself in the CI log instead of hiding inside the package
-# sweep. The topology I/O
+# run, a second statement of the Fig. 4 rule, a Fold that disagrees with
+# the frozen reference at some window (TestPrefixPassDifferential) or skips
+# a trigger on the flags at the last cut instead of its own
+# (TestFoldOwnCutDifferential), a returning allocation or a probe index that
+# loses an id across a delete or a doubling (TestIndexDifferential, behind
+# every interned id in detect and the path arena) names itself in the CI log
+# instead of hiding inside the package sweep. So do the fold's exact work
+# pins in cmd/asppbench: Fig. 13's detection pairs (TestFig13IsOneSweep) and
+# compare's and the random column's (TestDetectionFoldPins), which move when
+# Fold's trigger skip drops a trigger it must fold or folds one it may
+# skip. The topology I/O
 # differentials re-run the same way: a build that depends on link order, a
 # repeat or conflict judged wrongly, a loader that names the wrong line, or
 # internet80k's digest or serial-2 bytes moving. TestExportsHaveCallers re-runs
@@ -34,6 +39,7 @@ tier1:
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/ ./internal/probe/
+	$(GO) test -run='TestFig13IsOneSweep|TestDetectionFoldPins' -count=1 ./cmd/asppbench/
 	$(GO) test -run='TestBuildIndependentOfLinkInsertionOrder|TestBuilderAddContracts|TestReadSerial2InPlaceParsing|TestInternet80kDigest|TestGenerateMatchesParent' -count=1 ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 
@@ -137,13 +143,15 @@ fuzz-smoke:
 # (what /metrics reports) must stay within 20 % of that heap, 100k growth
 # prefixes at 1,000 monitors by at most 64 B each (prefixes share rows), the
 # prefix index's key slab and probe table may cost at most 33 B a prefix at
-# any size from 1k to 300k, one key cycled through 10k routes must leave the
-# route table bounded, one key through 200k transit chains the segment table
-# too, and the churn corpus replayed ten times must neither sweep nor store a
-# route again (DESIGN §5c).
+# any size from 1k to 300k, IPv6 keys with address words (a, b) and
+# (b^c, a^c) must hash apart, one key cycled through 10k routes must leave
+# the route table bounded, one key through 200k transit chains the segment
+# table too, a route of 65,536 origin copies must be stored once and read
+# back whole, and the churn corpus replayed ten times must neither sweep nor
+# store a route again (DESIGN §5c).
 serve-smoke:
 	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau' -count=1 ./internal/serve/
-	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestDetectorRouteTable' -count=1 -v ./internal/detect/
+	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestDetectorPrefixKeyTwinsHashApart|TestDetectorRouteTable' -count=1 -v ./internal/detect/
 
 # The repository's one benchmark (BENCHMARK.json): end-to-end workloads
 # plus the per-layer rows, written to bench/out/. See bench/README.md.

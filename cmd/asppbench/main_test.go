@@ -380,9 +380,11 @@ func TestRunSharesIdenticalWork(t *testing.T) {
 // its -counters line is every leg simulated for it — at the default topology
 // 324 baselines (a shard re-propagates a victim a later draw round brings
 // back after another) and 331 attack legs, the 200 effective and the 131 that
-// captured no one, and 6,329,652 detection pairs (20.7M when every count
-// folded its window from scratch) — and Fig. 14 after it adds none. In the other order Fig. 14
-// runs the sweep, all columns of it, and both sections read the same.
+// captured no one, and 5,147,562 detection pairs (20.7M when every count
+// folded its window from scratch, 6,329,652 when a top-degree column's pass
+// folded every trigger it met) — and Fig. 14 after it adds none. In the
+// other order Fig. 14 runs the sweep, all columns of it, and both sections
+// read the same.
 func TestFig13IsOneSweep(t *testing.T) {
 	var sb, swapped strings.Builder
 	if err := run(context.Background(), []string{"-exp", "fig13,fig14", "-n", "4000", "-seed", "1", "-counters"}, &sb); err != nil {
@@ -393,7 +395,7 @@ func TestFig13IsOneSweep(t *testing.T) {
 	if !strings.Contains(data, "# 200 effective attacks") {
 		t.Errorf("fig13 did not evaluate 200 attacks:\n%s", data)
 	}
-	for _, want := range []string{"prop_base=324 ", "prop_delta=331 ", "skip_ineffective=131 ", "detect_pairs=6329652 "} {
+	for _, want := range []string{"prop_base=324 ", "prop_delta=331 ", "skip_ineffective=131 ", "detect_pairs=5147562 "} {
 		if !strings.Contains(counters, want) {
 			t.Errorf("fig13 counters lack %q: %s", want, counters)
 		}
@@ -408,6 +410,42 @@ func TestFig13IsOneSweep(t *testing.T) {
 		if data, _, _ := strings.Cut(got[name], "# counters: "); strings.TrimSpace(body) != strings.TrimSpace(data) {
 			t.Errorf("%s differs when fig14 runs the sweep:\n got: %s\nwant: %s", name, body, data)
 		}
+	}
+}
+
+// TestDetectionFoldPins pins, at the default topology and seed, the pairs
+// detectRow compares where every Fold has one end: compare's one whole-list
+// window per attack (294,525) and Fig. 13's random column, one window per
+// count (1,879,310: the two-column sweep's count less the top-degree
+// column's). A trigger skip that misses a trigger that can change
+// nothing, or drops one that can, moves them; Fig. 13's total, where the
+// top-degree columns fold all their counts at once, is TestFig13IsOneSweep's.
+func TestDetectionFoldPins(t *testing.T) {
+	ctx := context.Background()
+	var sb strings.Builder
+	if err := run(ctx, []string{"-exp", "compare", "-n", "4000", "-seed", "1", "-counters"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "detect_pairs=294525 ") {
+		t.Errorf("compare counters lack detect_pairs=294525:\n%s", sb.String())
+	}
+	in, err := aspp.OpenInternet("", aspp.WithSize(4000), aspp.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := func(cols ...aspp.DetectionColumn) int64 {
+		c := new(aspp.Counters)
+		cfg := aspp.DefaultDetectionConfig()
+		cfg.LatencyMonitors = 30 // asppbench's coverage-matched count at n = 4000
+		cfg.Columns, cfg.Counters = cols, c
+		if _, err := in.RunDetectionCtx(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return c.Snapshot().DetectPairs
+	}
+	top := aspp.DetectionColumn{Placement: aspp.MonitorsTopDegree}
+	if got := pairs(top, aspp.DetectionColumn{Placement: aspp.MonitorsRandom}) - pairs(top); got != 1879310 {
+		t.Errorf("random column compares %d pairs, want 1879310", got)
 	}
 }
 

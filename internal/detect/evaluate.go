@@ -39,7 +39,7 @@ type EvalResult struct {
 type EvalScratch struct {
 	arena    *routing.PathArena
 	atkSpans []routing.PathSpan
-	ids      []int32 // ids[i] == i: atkSpans[lo:hi] is a window's route table, ids[:hi-lo] its row
+	ids      []int32 // ids[i] == i: ids[lo:d] is the window [lo, d)'s row into atkSpans
 	alarms   []Alarm
 	im       *core.Impact // the attack Extract last read; Fold's verdicts are about it
 
@@ -51,8 +51,8 @@ type EvalScratch struct {
 	mons   []bgp.ASN
 	g      *topology.Graph
 
-	// FoldPrefixes' buffers: the distinct ends, ascending; per cut, the least
-	// hops of a trigger that first alarms there; a trigger's row for one cut.
+	// Fold's buffers: the distinct ends, ascending; per cut, the least hops
+	// of a trigger that first alarms there; a trigger's row for one cut.
 	cuts, hopsAt []int
 	mbuf         []bgp.ASN
 	rbuf         []int32
@@ -68,14 +68,16 @@ func NewEvalScratch() *EvalScratch {
 // EvaluateScratch runs the detection algorithm against one simulated attack:
 // each monitor's pre-attack route acts as its previous state, its
 // under-attack route as the new state, and all monitors' under-attack routes
-// form the collaborative view R. It is the two halves below over the whole
+// form the collaborative view R. It is Extract and a Fold over the whole
 // list, plus the latency. monitors must not be mutated while the scratch
 // caches its resolution.
 func EvaluateScratch(im *core.Impact, monitors []bgp.ASN, rels RelQuerier, sc *EvalScratch) EvalResult {
+	var res [1]EvalResult
+	var hops [1]int
 	sc.Extract(im, monitors)
-	res, hops := sc.Fold(0, len(monitors), rels)
-	res.PollutedBeforeDetection = sc.PollutedBefore(hops)
-	return res
+	sc.Fold(0, []int{len(monitors)}, rels, res[:], hops[:])
+	res[0].PollutedBeforeDetection = sc.PollutedBefore(hops[0])
+	return res[0]
 }
 
 // Extract reads im's under-attack routes of monitors into sc's arena as one
@@ -110,59 +112,26 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 	sc.pairs = 0
 }
 
-// Fold runs detectRow once per monitor of the window [lo, hi) of the
-// extracted list, with that window as the whole vantage-point set — the
-// verdict EvaluateScratch gives on monitors[lo:hi] — and returns it without
-// the latency, plus the hop distance at which the first detecting monitor
-// received the bogus route (-1: undetected). Once no flag can still turn on,
-// a trigger that cannot lower the hops is skipped: it would change nothing.
-func (sc *EvalScratch) Fold(lo, hi int, rels RelQuerier) (res EvalResult, hops int) {
-	mons, spans, idx := sc.mons[lo:hi], sc.atkSpans[lo:hi], sc.monIdx[lo:hi]
-	hops = -1
-	for k, i := range idx {
-		was := sc.wasAt(i)
-		if !triggers(was, spans[k]) {
-			continue
-		}
-		// A trigger's route held, so its index resolved.
-		h := sc.im.HopsFromAttackerIdx(i)
-		if res.Detected && res.DetectedHigh && (res.Attributed || !sc.mayAccuse(lo+k)) && (h < 0 || hops >= 0 && h >= hops) {
-			continue
-		}
-		sc.pairs += len(idx) - 1
-		sc.alarms = detectRow(sc.arena, mons, sc.ids[:hi-lo], spans, k, was, rels, sc.alarms[:0])
-		if len(sc.alarms) == 0 {
-			continue
-		}
-		res.Detected = true
-		for _, a := range sc.alarms {
-			if a.Confidence == High {
-				res.DetectedHigh = true
-			}
-			if a.Suspect == sc.im.Scenario.Attacker {
-				res.Attributed = true
-			}
-		}
-		// This monitor detects as soon as the bogus route reaches it.
-		hops = minHops(hops, h)
-	}
-	return res, hops
-}
-
-// FoldPrefixes gives, for every end d of ends, what Fold(0, d, rels) gives:
-// the verdict into res[j] and the hops into hops[j], in one scan of the
-// extracted list's (trigger, witness) pairs. Every rule reads one pair — the
-// trigger's two routes, the witness's route and rels; a duplicate ASN is
-// dropped pair by pair — so a prefix raises an alarm exactly when it holds
-// an alarming pair, and detectRow may decide a trigger's pairs on any row
-// that holds the trigger. A pair counts from the shortest end that holds
-// both its monitors, its cut; each flag first holds at the least cut of the
-// pairs that raise it, and trigger t counts toward the hops from e(t), its
-// own least alarming cut. So trigger t is folded over the row up to its own
-// cut, then over the witnesses each later cut adds, and stops at the cut
-// where neither e(t) nor a flag can still improve; a trigger whose route
-// holds no attacker names no suspect that is one. ends must not be empty.
-func (sc *EvalScratch) FoldPrefixes(ends []int, rels RelQuerier, res []EvalResult, hops []int) {
+// Fold gives, for every end d of ends, the verdict of the window
+// monitors[lo:d] of the extracted list taken as the whole vantage-point set,
+// without the latency, into res[j], and into hops[j] the hop distance at
+// which that window's first detecting monitor received the bogus route (-1:
+// undetected) — in one scan of the longest window's (trigger, witness) pairs.
+// Every rule reads one pair — the trigger's two routes, the witness's route
+// and rels; a duplicate ASN is dropped pair by pair — so a window raises an
+// alarm exactly when it holds an alarming pair, and detectRow may decide a
+// trigger's pairs on any row that holds the trigger. A pair counts from the
+// shortest window that holds both its monitors, its cut; each flag first
+// holds at the least cut of the pairs that raise it, and trigger t counts
+// toward the hops from e(t), its own least alarming cut. So trigger t is
+// folded over the row up to its own cut, then over the witnesses each later
+// cut adds, and stops at the cut where neither e(t) nor a flag can still
+// improve. A trigger that can change nothing is skipped: every flag it could
+// raise already holds at its own cut (one whose route holds no attacker names
+// no suspect that is one), and its hops are no lower than the least hops of
+// the cuts up to its own. ends must not be empty, and no end may lie below
+// lo.
+func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResult, hops []int) {
 	sc.cuts = append(sc.cuts[:0], ends...)
 	slices.Sort(sc.cuts)
 	sc.cuts = slices.Compact(sc.cuts)
@@ -172,15 +141,24 @@ func (sc *EvalScratch) FoldPrefixes(ends []int, rels RelQuerier, res []EvalResul
 	for range cuts {
 		sc.hopsAt = append(sc.hopsAt, -1)
 	}
-	for t := range cuts[never-1] {
-		was := sc.wasAt(sc.monIdx[t])
+	for t := lo; t < cuts[never-1]; t++ {
+		i := sc.monIdx[t]
+		was := sc.wasAt(i)
 		if !triggers(was, sc.atkSpans[t]) {
 			continue
 		}
 		own, _ := slices.BinarySearch(cuts, t+1) // the least cut holding t
-		accuse, first := sc.mayAccuse(t), never
+		// A trigger's route held, so its index resolved.
+		accuse, h, least := sc.mayAccuse(t), sc.im.HopsFromAttackerIdx(i), -1
+		for _, x := range sc.hopsAt[:own+1] {
+			least = minHops(least, x)
+		}
+		if det <= own && high <= own && (attr <= own || !accuse) && (h < 0 || least >= 0 && h >= least) {
+			continue
+		}
+		first := never
 		for c := own; c < never && (first > c || high > c || attr > c && accuse); c++ {
-			mons, row, mi := sc.mons[:cuts[c]], sc.ids[:cuts[c]], t
+			mons, row, mi := sc.mons[lo:cuts[c]], sc.ids[lo:cuts[c]], t-lo
 			if c > own {
 				sc.mbuf = append(append(sc.mbuf[:0], sc.mons[t]), sc.mons[cuts[c-1]:cuts[c]]...)
 				sc.rbuf = append(append(sc.rbuf[:0], int32(t)), sc.ids[cuts[c-1]:cuts[c]]...)
@@ -199,7 +177,7 @@ func (sc *EvalScratch) FoldPrefixes(ends []int, rels RelQuerier, res []EvalResul
 			}
 		}
 		if first < never {
-			sc.hopsAt[first] = minHops(sc.hopsAt[first], sc.im.HopsFromAttackerIdx(sc.monIdx[t]))
+			sc.hopsAt[first] = minHops(sc.hopsAt[first], h)
 		}
 		det = min(det, first)
 	}
@@ -228,7 +206,7 @@ func (sc *EvalScratch) wasAt(i int32) routing.PathSpan {
 	if i < 0 || i == baseline.OriginIdx() || baseline.Class[i] == routing.ClassNone {
 		return routing.PathSpan{}
 	}
-	return routing.PathSpan{Prep: baseline.Prep[i], Origin: baseline.Origin()}
+	return routing.PathSpan{Prep: int32(baseline.Prep[i]), Origin: baseline.Origin()}
 }
 
 // mayAccuse reports whether an alarm of the monitor in slot k of the list can

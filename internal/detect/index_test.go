@@ -5,6 +5,7 @@ package detect
 // (DESIGN §5c).
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -192,6 +193,32 @@ func TestDetectorPrefixIndexProbes(t *testing.T) {
 			if mean > maxMean || longest > maxLongest {
 				t.Errorf("%s, detector %d: mean %.2f probes (ceiling %.2f), longest %d (ceiling %d)",
 					s.name, seed, mean, maxMean, longest, maxLongest)
+			}
+		}
+	}
+}
+
+// TestDetectorPrefixKeyTwinsHashApart: the /128s with address words (a, b)
+// and (b^c, a^c) hash apart on fresh detectors. A hash that multiplies
+// a^seed by b^seed^c gives both the same product under every seed, so a feed
+// could pick colliding pairs whatever the seed.
+func TestDetectorPrefixKeyTwinsHashApart(t *testing.T) {
+	const c = 0xa0761d6478bd642f
+	key := func(w0, w1 uint64) pfxKey {
+		var k pfxKey
+		binary.LittleEndian.PutUint64(k.addr[:8], w0)
+		binary.LittleEndian.PutUint64(k.addr[8:], w1)
+		k.bits = 128
+		return k
+	}
+	rng := rand.New(rand.NewSource(47))
+	for seed := 0; seed < 3; seed++ {
+		d := NewDetector([]bgp.ASN{100}, nil)
+		for range 100 {
+			a, b := rng.Uint64(), rng.Uint64()
+			k, twin := key(a, b), key(b^c, a^c)
+			if d.hash(&k) == d.hash(&twin) {
+				t.Fatalf("detector %d: %x and its twin %x hash alike", seed, k.addr, twin.addr)
 			}
 		}
 	}

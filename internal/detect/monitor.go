@@ -95,10 +95,12 @@ func keyOf(p netip.Prefix) pfxKey {
 
 // hash mixes k's address words under the detector's random seed (a feed
 // of network prefixes must not pick the collisions), then its bits, by
-// 64×64→128-bit multiplies folded to 64 bits.
+// 64×64→128-bit multiplies folded to 64 bits. Word 0 is mixed alone before
+// word 1 joins it: one product of the two words would commute, so the keys
+// with words (a, b) and (b^c, a^c) would collide under every seed.
 func (d *Detector) hash(k *pfxKey) uint64 {
-	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(k.addr[:8])^d.seed,
-		binary.LittleEndian.Uint64(k.addr[8:])^d.seed^0xa0761d6478bd642f)
+	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(k.addr[:8])^d.seed, 0xa0761d6478bd642f)
+	hi, lo = bits.Mul64(hi^lo, binary.LittleEndian.Uint64(k.addr[8:])^d.seed^0x9e3779b97f4a7c15)
 	hi, lo = bits.Mul64(hi^lo^uint64(k.bits), 0xe7037ed1a0b428db)
 	return hi ^ lo
 }

@@ -257,20 +257,43 @@ func TestDetectorRouteTableProbes(t *testing.T) {
 	}
 }
 
-// TestDetectorRouteTableSweepKeepsLongRuns: a path ending in 65,536 origin
-// copies stores Prep 0 (PathSpan.Prep is an int16), yet it is a live
-// route. Sweeps that free the routes around it must keep its body and its
-// segment: the sweep tells a freed id by the empty span's Seg, not by Prep.
-func TestDetectorRouteTableSweepKeepsLongRuns(t *testing.T) {
-	held, churn := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
-	d := NewDetector([]bgp.ASN{100}, nil)
+// longPrepend is a path whose origin run, 65,536 copies, overflows 16 bits.
+func longPrepend() bgp.Path {
 	long := make(bgp.Path, 2+1<<16)
 	for i := range long {
 		long[i] = 7
 	}
 	long[0], long[1] = 5, 6
+	return long
+}
+
+// TestDetectorRouteTableLongPrepend: a route ending in 65,536 origin copies
+// is stored once, with its whole run. The public Observe takes paths of any
+// length; a 16-bit run count would store 0, no route, so RouteOf would read
+// nil and every announcement of the path would store it again.
+func TestDetectorRouteTableLongPrepend(t *testing.T) {
+	pfx, long := netip.MustParsePrefix("10.0.0.0/24"), longPrepend()
+	d := NewDetector([]bgp.ASN{100}, nil)
+	for range 2 {
+		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: pfx, Path: long})
+	}
+	if _, _, routes := d.Sizes(); routes != 1 {
+		t.Errorf("announcing the path twice stores %d routes, want 1", routes)
+	}
+	if got := d.RouteOf(pfx, 100); !got.Equal(long) {
+		t.Errorf("RouteOf reads %d ASNs, want the %d-ASN path", len(got), len(long))
+	}
+}
+
+// TestDetectorRouteTableSweepKeepsLongRuns: sweeps that free the routes
+// around a live route of 65,536 origin copies keep its body and its
+// segment. The sweep tells a freed id by the empty span's Seg, not by Prep.
+func TestDetectorRouteTableSweepKeepsLongRuns(t *testing.T) {
+	held, churn := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
+	d := NewDetector([]bgp.ASN{100}, nil)
+	long := longPrepend()
 	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: held, Path: long})
-	if d.spans[1].Prep != 0 || d.refs[1] != 1 {
+	if d.spans[1].Prep != 1<<16 || d.refs[1] != 1 {
 		t.Fatalf("premise broken: route 1 is %+v with %d references", d.spans[1], d.refs[1])
 	}
 	for i := 0; i < 10_000; i++ {
@@ -279,8 +302,8 @@ func TestDetectorRouteTableSweepKeepsLongRuns(t *testing.T) {
 	if len(d.free) == 0 {
 		t.Fatal("premise broken: no sweep ran")
 	}
-	if s := d.spans[1]; !slices.Equal(d.arena.Body(s), long[:2]) || !slices.Equal(d.arena.SegBody(s.Seg), long[:2]) {
-		t.Errorf("after the sweeps route 1 reads body %v, segment %v, want %v", d.arena.Body(s), d.arena.SegBody(s.Seg), long[:2])
+	if s := d.spans[1]; !slices.Equal(d.arena.Body(s), long[:2]) || !slices.Equal(d.arena.SegBody(s.Seg), long[:2]) || s.Prep != 1<<16 {
+		t.Errorf("after the sweeps route 1 reads body %v, segment %v, %d copies, want %v and %d", d.arena.Body(s), d.arena.SegBody(s.Seg), s.Prep, long[:2], 1<<16)
 	}
 }
 

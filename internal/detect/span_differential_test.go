@@ -386,7 +386,7 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 			prev, cur := im.Baseline().PathOf(m), im.Attacked().PathOf(m)
 			var was routing.PathSpan
 			if len(prev) > 0 {
-				was = routing.PathSpan{Prep: int16(prev.OriginPrepend()), Origin: prev[len(prev)-1]}
+				was = routing.PathSpan{Prep: int32(prev.OriginPrepend()), Origin: prev[len(prev)-1]}
 			}
 			gotA := detectRow(sc.arena, monitors, sc.ids[:len(monitors)], sc.atkSpans, k, was, g, nil)
 			wantA := legacyDetectChange(m, prev, cur, witnesses, g)
@@ -427,26 +427,21 @@ func TestFoldWindowDifferential(t *testing.T) {
 			if w%2 == 0 {
 				rels = g
 			}
+			var got [1]EvalResult
+			var hops [1]int
 			before := whole.Pairs()
-			got, hops := whole.Fold(lo, hi, rels)
-			if w >= 6 && got.Detected && got.DetectedHigh && got.Attributed {
-				trig := 0
-				for k := lo; k < hi; k++ {
-					if triggers(whole.wasAt(whole.monIdx[k]), whole.atkSpans[k]) {
-						trig++
-					}
-				}
-				if whole.Pairs()-before < trig*(hi-lo-1) {
-					skipped++
-				}
+			whole.Fold(lo, []int{hi}, rels, got[:], hops[:])
+			if w >= 6 && got[0].Detected && got[0].DetectedHigh && got[0].Attributed &&
+				whole.Pairs()-before < triggerPairs(whole, lo, []int{hi}) {
+				skipped++
 			}
-			got.PollutedBeforeDetection = whole.PollutedBefore(hops)
+			got[0].PollutedBeforeDetection = whole.PollutedBefore(hops[0])
 			sub := slices.Clone(monitors[lo:hi])
-			if alone := EvaluateScratch(im, sub, rels, part); got != alone {
-				t.Fatalf("scenario %d (%v) window [%d,%d):\nfold  %+v\nalone %+v", si, im.Scenario, lo, hi, got, alone)
+			if alone := EvaluateScratch(im, sub, rels, part); got[0] != alone {
+				t.Fatalf("scenario %d (%v) window [%d,%d):\nfold  %+v\nalone %+v", si, im.Scenario, lo, hi, got[0], alone)
 			}
-			if want := legacyEvaluate(im, sub, rels); got != want {
-				t.Fatalf("scenario %d (%v) window [%d,%d):\nfold   %+v\nlegacy %+v", si, im.Scenario, lo, hi, got, want)
+			if want := legacyEvaluate(im, sub, rels); got[0] != want {
+				t.Fatalf("scenario %d (%v) window [%d,%d):\nfold   %+v\nlegacy %+v", si, im.Scenario, lo, hi, got[0], want)
 			}
 		}
 	}
@@ -456,48 +451,84 @@ func TestFoldWindowDifferential(t *testing.T) {
 	t.Logf("%d whole-list folds skipped a trigger", skipped)
 }
 
-// TestPrefixPassDifferential: one prefix pass over every end d of the hard
-// list gives, end by end, the verdict and the hops Fold(0, d) gives, and so
-// the same Fig. 14 latency — under the ground-truth graph and with no
-// relationships, on every hard row (the victim, the attacker, an absent ASN,
-// an unreachable AS, a duplicate) and forged leg. The pass runs once with a
-// cut at every end, and once over a few coarse ends, unsorted and one of
-// them twice, as the detection sweep passes its counts and latency set.
+// triggerPairs is how many pairs Fold(lo, ends) compares when it skips no
+// trigger and folds each only over the window up to its own cut: the least
+// it compares unless it skips one.
+func triggerPairs(sc *EvalScratch, lo int, ends []int) int {
+	n, last := 0, slices.Max(ends)
+	for t := lo; t < last; t++ {
+		if triggers(sc.wasAt(sc.monIdx[t]), sc.atkSpans[t]) {
+			own := last
+			for _, d := range ends {
+				if d > t {
+					own = min(own, d)
+				}
+			}
+			n += own - lo - 1
+		}
+	}
+	return n
+}
+
+// TestPrefixPassDifferential: one Fold over many ends of the hard list
+// gives, end by end, the verdict and the Fig. 14 latency the frozen
+// reference gives on monitors[lo:d] — under the ground-truth graph and with
+// no relationships, on every hard row (the victim, the attacker, an absent
+// ASN, an unreachable AS, a duplicate) and forged leg, from lo = 0 and from
+// a random lo. The pass runs once with a cut at every end, and once over a
+// few coarse ends, unsorted and one of them twice, as the detection sweep
+// passes its counts and latency set. The test fails unless some pass skipped
+// a trigger.
 func TestPrefixPassDifferential(t *testing.T) {
 	g, impacts := hardImpacts(t)
+	rng := rand.New(rand.NewSource(45))
 	sc := NewEvalScratch()
-	var every []int
-	for d := 1; d <= len(hardMonitors(g, impacts[0])); d++ {
-		every = append(every, d)
-	}
+	m := len(hardMonitors(g, impacts[0]))
 	coarse := []int{10, 30, 3, 50, 55, 30, 41}
-	res, hops := make([]EvalResult, len(every)), make([]int, len(every))
+	res, hops := make([]EvalResult, m), make([]int, m)
+	skipped := 0
 	for si, im := range impacts {
 		monitors := hardMonitors(g, im)
 		sc.Extract(im, monitors)
-		for _, ends := range [][]int{every, coarse} {
-			for _, rels := range []RelQuerier{g, nil} {
-				sc.FoldPrefixes(ends, rels, res, hops)
-				for j, d := range ends {
-					want, wantHops := sc.Fold(0, d, rels)
-					if res[j] != want || hops[j] != wantHops {
-						t.Fatalf("scenario %d (%v) rels %v ends %v prefix %d:\npass %+v hops %d\nfold %+v hops %d",
-							si, im.Scenario, rels != nil, ends, d, res[j], hops[j], want, wantHops)
+		for _, lo := range []int{0, rng.Intn(m)} {
+			var every, shifted []int
+			for d := lo + 1; d <= m; d++ {
+				every = append(every, d)
+			}
+			for _, d := range coarse {
+				shifted = append(shifted, lo+(d*(m-lo)+m-1)/m)
+			}
+			for _, ends := range [][]int{every, shifted} {
+				for _, rels := range []RelQuerier{g, nil} {
+					before := sc.Pairs()
+					sc.Fold(lo, ends, rels, res, hops)
+					if sc.Pairs()-before < triggerPairs(sc, lo, ends) {
+						skipped++
 					}
-					if got, want := sc.PollutedBefore(hops[j]), sc.PollutedBefore(wantHops); got != want {
-						t.Fatalf("scenario %d prefix %d: latency %v, Fold's %v", si, d, got, want)
+					for j, d := range ends {
+						got := res[j]
+						got.PollutedBeforeDetection = sc.PollutedBefore(hops[j])
+						if want := legacyEvaluate(im, monitors[lo:d], rels); got != want {
+							t.Fatalf("scenario %d (%v) rels %v lo %d ends %v window [%d,%d):\npass   %+v\nlegacy %+v",
+								si, im.Scenario, rels != nil, lo, ends, lo, d, got, want)
+						}
 					}
 				}
 			}
 		}
 	}
+	if skipped == 0 {
+		t.Fatal("premise broken: no pass skipped a trigger")
+	}
+	t.Logf("%d passes skipped a trigger", skipped)
 }
 
 // TestEvaluateScratchZeroAlloc pins the batch side where the streaming side
 // already is: a warmed pass over ≥100 impacts, alarms raised, folds every
 // verdict out of the scratch's own buffers and allocates nothing — as one
-// whole-list evaluation, as one extraction read through nine windows, and as
-// one extraction read through one prefix pass over nine ends.
+// whole-list evaluation, as one extraction read through nine one-end windows,
+// as one extraction read through one Fold over nine ends, and in compare's
+// shape, one extraction and one Fold into stack arrays.
 func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	g := diffTestGraph(t, 500, 11)
 	monitors := g.TopByDegree(40)
@@ -517,21 +548,33 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 				}
 			}
 		},
-		"one Extract, nine Folds": func() {
+		"one Extract, nine one-end Folds": func() {
 			for _, im := range impacts {
 				sc.Extract(im, monitors)
 				for lo := 0; lo < 9; lo++ {
-					if res, _ := sc.Fold(lo, len(monitors)-lo, g); res.Detected {
+					sc.Fold(lo, ends[8-lo:][:1], g, res[:1], hops[:1])
+					if res[0].Detected {
 						detected++
 					}
 				}
 			}
 		},
-		"one Extract, one prefix pass over nine ends": func() {
+		"one Extract, one Fold over nine ends": func() {
 			for _, im := range impacts {
 				sc.Extract(im, monitors)
-				sc.FoldPrefixes(ends, g, res, hops)
+				sc.Fold(0, ends, g, res, hops)
 				if res[len(ends)-1].Detected {
+					detected++
+				}
+			}
+		},
+		"compare's shape": func() {
+			for _, im := range impacts {
+				var res [1]EvalResult
+				var hops [1]int
+				sc.Extract(im, monitors)
+				sc.Fold(0, []int{len(monitors)}, g, res[:], hops[:])
+				if res[0].Detected {
 					detected++
 				}
 			}
@@ -699,4 +742,93 @@ func TestDetectorObserveZeroAlloc(t *testing.T) {
 	if len(alarmSink) != 0 {
 		t.Fatalf("unexpected alarms: %v", alarmSink)
 	}
+}
+
+// TestFoldOwnCutDifferential: Fold skips a trigger on the flags that hold at
+// its own cut, not at the last one. On the generated attacks above a flag is
+// a property of the witness alone: every trigger there routes via the
+// attacker, so all of them share its chain and its kept pads. Per-neighbour λ
+// breaks that: a monitor whose route avoids the attacker can trigger by
+// moving to a neighbour's route with fewer pads. The test draws such attacks
+// until one holds a trigger x whose route holds no attacker, a non-trigger w
+// that x alarms with, and a trigger t that alarms with neither w nor x but at
+// high confidence with some l. On the list [t, w, x, l], with a cut at each
+// end, only x detects at end 3, though every flag that x could raise holds
+// at end 4 by the time x comes up; each end must match the frozen reference.
+func TestFoldOwnCutDifferential(t *testing.T) {
+	sc, list := NewEvalScratch(), NewEvalScratch()
+	res, hops := make([]EvalResult, 4), make([]int, 4)
+	for seed := int64(1); seed <= 5; seed++ {
+		g := diffTestGraph(t, 300, seed)
+		asns := g.ASNs()
+		rng := rand.New(rand.NewSource(46))
+		for k := 0; k < 2000; k++ {
+			v, m := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
+			if v == m {
+				continue
+			}
+			per := map[bgp.ASN]int{}
+			for _, span := range []func(int32) []int32{g.ProvidersIdx, g.PeersIdx, g.CustomersIdx} {
+				for _, n := range neighborASNs(g, v, span) {
+					per[n] = 1 + rng.Intn(8)
+				}
+			}
+			im, err := core.Simulate(g, core.Scenario{Victim: v, Attacker: m, Prepend: 3, PerNeighborPrepend: per, ViolateValleyFree: k%2 == 0})
+			if errors.Is(err, routing.ErrUnreachableAttacker) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q := ownCutQuad(sc, im, asns, g); q != nil {
+				list.Extract(im, q)
+				list.Fold(0, []int{1, 2, 3, 4}, g, res, hops)
+				for j := range res {
+					got := res[j]
+					got.PollutedBeforeDetection = list.PollutedBefore(hops[j])
+					if want := legacyEvaluate(im, q[:j+1], g); got != want {
+						t.Fatalf("%v list %v end %d:\nfold   %+v\nlegacy %+v", im.Scenario, q, j+1, got, want)
+					}
+				}
+				if res[1].Detected || !res[2].Detected || !res[3].DetectedHigh {
+					t.Fatalf("%v list %v: premise broken: ends 2 to 4 give %+v", im.Scenario, q, res[1:])
+				}
+				t.Logf("%v list %v", im.Scenario, q)
+				return
+			}
+		}
+	}
+	t.Fatal("premise broken: no per-neighbour-λ attack holds the list")
+}
+
+// ownCutQuad finds, in im watched by every AS of asns, the list [t, w, x, l]
+// TestFoldOwnCutDifferential folds, or nil.
+func ownCutQuad(sc *EvalScratch, im *core.Impact, asns []bgp.ASN, rels RelQuerier) []bgp.ASN {
+	sc.Extract(im, asns)
+	trig := func(a int) bool { return triggers(sc.wasAt(sc.monIdx[a]), sc.atkSpans[a]) }
+	alarms := func(a, b int) []Alarm {
+		return detectRow(sc.arena, []bgp.ASN{asns[a], asns[b]}, []int32{int32(a), int32(b)}, sc.atkSpans, 0, sc.wasAt(sc.monIdx[a]), rels, nil)
+	}
+	high := func(a Alarm) bool { return a.Confidence == High }
+	for x := range asns {
+		if !trig(x) || im.HopsFromAttackerIdx(sc.monIdx[x]) >= 0 || sc.mayAccuse(x) {
+			continue
+		}
+		for w := range asns {
+			if trig(w) || len(alarms(x, w)) == 0 {
+				continue
+			}
+			for tr := range asns {
+				if tr == x || !trig(tr) || len(alarms(tr, w)) > 0 || len(alarms(tr, x)) > 0 {
+					continue
+				}
+				for l := range asns {
+					if l != x && l != w && l != tr && slices.ContainsFunc(alarms(tr, l), high) {
+						return []bgp.ASN{asns[tr], asns[w], asns[x], asns[l]}
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -72,15 +72,17 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		routes := monitorRoutesFromImpact(im, monitors)
 		_, moas := detect.DetectMOAS(routes)
 		// The verdict without the latency: no figure of this table reads it.
+		var aspp [1]detect.EvalResult
+		var hops [1]int
 		scratch[shard].Extract(im, monitors)
-		aspp, _ := scratch[shard].Fold(0, len(monitors), g)
+		scratch[shard].Fold(0, []int{len(monitors)}, g, aspp[:], hops[:])
 		cfg.Counters.AddDetectPairs(int64(scratch[shard].Pairs()))
 		return instance{
 			victim: im.Scenario.Victim, attacker: im.Scenario.Attacker,
 			pollution: im.After(),
 			moas:      moas,
 			fakeLink:  len(detect.DetectFakeLinks(g, routes)) > 0,
-			aspp:      aspp.Detected,
+			aspp:      aspp[0].Detected,
 		}
 	}
 	// Instances are summed in draw order, so the means do not depend on

@@ -104,16 +104,14 @@ type DetectionOutcome struct {
 	UsablePairs int
 }
 
-// placement is one monitor list and, per monitor count, the window of it
-// that count watches: a top-degree count is a prefix of one ranking, the
-// random sets — one shuffle per count, seeded by the count — lie end to end.
+// placement is one monitor list and, per monitor count, the window
+// list[starts[ci]:ends[ci]] that count watches: a top-degree count is a
+// prefix of one ranking, the random sets — one shuffle per count, seeded by
+// the count — lie end to end.
 type placement struct {
-	policy  MonitorPolicy
-	list    []bgp.ASN
-	windows [][2]int
-	// ends holds the windows' ends when every window is a prefix of list;
-	// its verdicts are then read off one prefix pass.
-	ends []int
+	policy       MonitorPolicy
+	list         []bgp.ASN
+	starts, ends []int
 }
 
 func newPlacement(g *topology.Graph, policy MonitorPolicy, counts []int, seed int64) (placement, error) {
@@ -122,17 +120,16 @@ func newPlacement(g *topology.Graph, policy MonitorPolicy, counts []int, seed in
 	case MonitorsTopDegree:
 		p.list = g.TopByDegree(slices.Max(counts))
 		for _, d := range counts {
-			end := min(d, len(p.list))
-			p.ends, p.windows = append(p.ends, end), append(p.windows, [2]int{0, end})
+			p.starts, p.ends = append(p.starts, 0), append(p.ends, min(d, len(p.list)))
 		}
 	case MonitorsRandom:
 		for _, d := range counts {
 			asns := g.ASNs()
 			rng := rand.New(rand.NewSource(stats.DeriveSeedIndexed(seed, "detection.monitors.random", d)))
 			rng.Shuffle(len(asns), func(i, j int) { asns[i], asns[j] = asns[j], asns[i] })
-			lo := len(p.list)
+			p.starts = append(p.starts, len(p.list))
 			p.list = append(p.list, asns[:min(d, len(asns))]...)
-			p.windows = append(p.windows, [2]int{lo, len(p.list)})
+			p.ends = append(p.ends, len(p.list))
 		}
 	default:
 		return p, fmt.Errorf("experiment: unknown monitor policy %d", policy)
@@ -150,9 +147,10 @@ var newEvalScratch = detect.NewEvalScratch
 // inside its leg (legVisitor), while its routing results are live in the
 // shard's Scratch: every shard owns one detect.EvalScratch per placement,
 // the attacked routes of a placement's list are extracted once per attack,
-// a top-degree column reads all its counts off one prefix pass over that row,
-// a random column folds the rule over each count's window of it, and only the
-// EvalResults outlive the leg. Returns (nil, ctx.Err()) when cancelled.
+// every run of counts whose windows share a start reads its verdicts off one
+// Fold over that row (a top-degree column is one run, a random column one per
+// count), and only the EvalResults outlive the leg. Returns (nil, ctx.Err())
+// when cancelled.
 func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
 	if len(cfg.MonitorCounts) == 0 || cfg.Pairs <= 0 {
 		return nil, errors.New("experiment: empty detection config")
@@ -216,12 +214,13 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 				k++
 			}
 			res := evals[c*(nc+1):][:k]
-			if p.ends != nil {
-				s.FoldPrefixes(p.ends[:k], col.rels, res, hops[:k])
-			} else {
-				for ci, w := range p.windows[:k] {
-					res[ci], hops[ci] = s.Fold(w[0], w[1], col.rels)
+			for i := 0; i < k; {
+				j := i + 1
+				for j < k && p.starts[j] == p.starts[i] {
+					j++
 				}
+				s.Fold(p.starts[i], p.ends[i:j], col.rels, res[i:j], hops[i:j])
+				i = j
 			}
 			if c == 0 {
 				res[nc].PollutedBeforeDetection = s.PollutedBefore(hops[nc])
@@ -246,8 +245,9 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	}
 	n := float64(len(usable))
 	for c := range cols {
-		for ci, w := range places[cols[c].place].windows[:nc] {
-			pt := AccuracyPoint{Monitors: w[1] - w[0]}
+		p := places[cols[c].place]
+		for ci := range nc {
+			pt := AccuracyPoint{Monitors: p.ends[ci] - p.starts[ci]}
 			for _, evals := range usable {
 				ev := evals[c*(nc+1)+ci]
 				if ev.Detected {

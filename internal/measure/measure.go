@@ -304,7 +304,7 @@ func (ts *tableState) preps(v *routing.Vantage, ann routing.Announcement, row []
 	c.AddBasePropagations(1)
 	c.AddRowsDown(ts.s.RowsDown())
 	for mi, sp := range spans {
-		row[mi] = sp.Prep
+		row[mi] = int16(sp.Prep) // a propagated run: Result.Prep is an int16
 	}
 	return nil
 }

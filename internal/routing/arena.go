@@ -58,7 +58,7 @@ type PathSpan struct {
 	Off, Len int32
 	// Prep is the number of origin copies the path ends with (0 = no
 	// route, the empty-span sentinel).
-	Prep int16
+	Prep int32
 	// Origin is the originating AS.
 	Origin bgp.ASN
 	// Seg is the intern id of the path's unique transit chain
@@ -106,7 +106,7 @@ func (a *PathArena) Path(s PathSpan) bgp.Path {
 	}
 	p := make(bgp.Path, 0, int(s.Len)+int(s.Prep))
 	p = append(p, a.buf[s.Off:s.Off+s.Len]...)
-	for k := int16(0); k < s.Prep; k++ {
+	for k := int32(0); k < s.Prep; k++ {
 		p = append(p, s.Origin)
 	}
 	return p
@@ -122,7 +122,7 @@ func (a *PathArena) PathWith(head bgp.ASN, s PathSpan) bgp.Path {
 	p := make(bgp.Path, 0, 1+int(s.Len)+int(s.Prep))
 	p = append(p, head)
 	p = append(p, a.buf[s.Off:s.Off+s.Len]...)
-	for k := int16(0); k < s.Prep; k++ {
+	for k := int32(0); k < s.Prep; k++ {
 		p = append(p, s.Origin)
 	}
 	return p
@@ -135,7 +135,7 @@ func (a *PathArena) Store(p bgp.Path) PathSpan {
 	prep := p.OriginPrepend()
 	body := p[:len(p)-prep]
 	a.tmp = collapseRuns(a.tmp[:0], body)
-	sp := PathSpan{Off: int32(len(a.buf)), Len: int32(len(body)), Prep: int16(prep), Origin: p[len(p)-1], Seg: a.Intern(a.tmp)}
+	sp := PathSpan{Off: int32(len(a.buf)), Len: int32(len(body)), Prep: int32(prep), Origin: p[len(p)-1], Seg: a.Intern(a.tmp)}
 	a.buf = append(a.buf, body...)
 	return sp
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"aspp/internal/bgp"
 	"aspp/internal/topology"
@@ -138,6 +139,23 @@ func TestArenaPutRoundTrip(t *testing.T) {
 	}
 	if spans[1].Seg != spans[2].Seg {
 		t.Fatalf("same transit chain, different segs: %d vs %d", spans[1].Seg, spans[2].Seg)
+	}
+}
+
+// TestPathSpanHoldsLongRuns: a span counts its origin run in 32 bits, so a
+// path ending in 65,536 copies round-trips, and the span stays 20 bytes.
+func TestPathSpanHoldsLongRuns(t *testing.T) {
+	if size := unsafe.Sizeof(PathSpan{}); size != 20 {
+		t.Errorf("PathSpan is %d bytes, want 20", size)
+	}
+	long := make(bgp.Path, 1+1<<16)
+	for i := range long {
+		long[i] = 7
+	}
+	long[0] = 1
+	a := NewPathArena()
+	if got := a.Path(a.Store(long)); !got.Equal(long) {
+		t.Errorf("round trip reads %d ASNs, want %d", len(got), len(long))
 	}
 }
 

@@ -191,7 +191,7 @@ func (r *Result) PathsInto(a *PathArena, monitors []int32, spans []PathSpan) []P
 		spans = append(spans, PathSpan{
 			Off:    off,
 			Len:    int32(len(body)),
-			Prep:   prep,
+			Prep:   int32(prep),
 			Origin: pathOrigin,
 			Seg:    a.Intern(body),
 		})

@@ -64,7 +64,7 @@ func (v *Vantage) PathsInto(ann Announcement, s *Scratch, a *PathArena, spans []
 	for _, i := range v.mons {
 		sp := PathSpan{Seg: -1}
 		if i >= 0 && i != res.origin && res.Class[i] != ClassNone {
-			sp.Prep, sp.Origin = res.Prep[i], ann.Origin
+			sp.Prep, sp.Origin = int32(res.Prep[i]), ann.Origin
 		}
 		spans = append(spans, sp)
 	}

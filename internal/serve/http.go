@@ -51,12 +51,10 @@ func (p *Pipeline) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if sec := s.Uptime.Seconds(); sec > 0 {
 		fmt.Fprintf(w, "aspp_serve_rate_updates_per_sec %.1f\n", float64(s.Processed)/sec)
 	}
-	if c := p.cfg.Counters; c != nil {
-		cs := c.Snapshot()
-		line("frames_in_total", cs.FramesIn)
-		line("frames_bad_total", cs.FramesBad)
-		line("arena_bytes", cs.ArenaBytes)
-	}
+	cs := p.cfg.Counters.Snapshot()
+	line("frames_in_total", cs.FramesIn)
+	line("frames_bad_total", cs.FramesBad)
+	line("arena_bytes", cs.ArenaBytes)
 }
 
 // alarmJSON is the wire form of an AlarmEvent.

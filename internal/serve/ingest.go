@@ -61,7 +61,6 @@ func (p *Pipeline) handleConn(c net.Conn) {
 	flush := func() {
 		p.cfg.Counters.AddFramesIn(frames)
 		p.cfg.Counters.AddServeEnqueued(accepted)
-		p.enqueued.Add(accepted)
 		frames, accepted = 0, 0
 	}
 	defer flush()

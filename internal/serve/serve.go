@@ -68,7 +68,9 @@ type Config struct {
 	// Rels supplies AS relationships to the detection hint rules; nil
 	// restricts detection to high-confidence segment conflicts.
 	Rels detect.RelQuerier
-	// Counters optionally collects pipeline telemetry; nil disables.
+	// Counters collects the pipeline's telemetry, which Stats, RunLoad's
+	// report and /metrics read back, so one Counters serves one pipeline;
+	// nil gives the pipeline a private one.
 	Counters *obs.Counters
 	// AlarmLog is the capacity of the recent-alarm feed (default 1024).
 	AlarmLog int
@@ -154,10 +156,7 @@ type Pipeline struct {
 	workers     sync.WaitGroup
 	producers   sync.WaitGroup // live producer goroutines (handleConn, RunLoad)
 
-	enqueued  atomic.Int64
 	processed atomic.Int64
-	batches   atomic.Int64
-	alarms    atomic.Int64
 
 	connMu sync.Mutex
 	conns  map[connCloser]struct{}
@@ -207,6 +206,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.AlarmLog == 0 {
 		cfg.AlarmLog = 1024
+	}
+	if cfg.Counters == nil {
+		cfg.Counters = new(obs.Counters)
 	}
 	p := &Pipeline{
 		cfg:   cfg,
@@ -331,7 +333,6 @@ func (p *Pipeline) worker(si int) {
 				p.hist.record(done - enq[k])
 			}
 			if len(alarms) > 0 {
-				p.alarms.Add(int64(len(alarms)))
 				p.cfg.Counters.AddAlarms(int64(len(alarms)))
 				p.feed.publish(batch[i].Prefix, alarms, done-enq[j-1])
 			}
@@ -339,7 +340,6 @@ func (p *Pipeline) worker(si int) {
 		}
 		g.publish(d)
 		p.processed.Add(int64(n))
-		p.batches.Add(1)
 		p.cfg.Counters.AddServeBatches(1)
 		r.advance(n)
 	}
@@ -359,13 +359,14 @@ type Stats struct {
 // Stats snapshots the pipeline counters, latency quantiles and memory
 // footprint, recording the high-watermark gauges as a side effect.
 func (p *Pipeline) Stats() Stats {
+	cs := p.cfg.Counters.Snapshot()
 	s := Stats{
 		Shards:    len(p.rings),
 		Depth:     p.cfg.Depth,
-		Enqueued:  p.enqueued.Load(),
+		Enqueued:  cs.ServeEnqueued,
 		Processed: p.processed.Load(),
-		Alarms:    p.alarms.Load(),
-		Batches:   p.batches.Load(),
+		Alarms:    cs.Alarms,
+		Batches:   cs.ServeBatches,
 		P50Ns:     p.hist.quantile(0.50),
 		P99Ns:     p.hist.quantile(0.99),
 		Uptime:    time.Since(p.epoch),
@@ -468,7 +469,7 @@ func (p *Pipeline) RunLoad(corpus []bgp.Update, total int64) (LoadReport, error)
 
 	block := p.cfg.Policy == Block
 	startProcessed := p.processed.Load()
-	startAlarms := p.alarms.Load()
+	startAlarms := p.cfg.Counters.Snapshot().Alarms
 	var startDropped int64
 	for _, r := range p.rings {
 		startDropped += r.drops.Load()
@@ -519,7 +520,6 @@ func (p *Pipeline) RunLoad(corpus []bgp.Update, total int64) (LoadReport, error)
 			}
 			accepted.Add(acc)
 			offered.Add(off)
-			p.enqueued.Add(acc)
 			p.cfg.Counters.AddServeEnqueued(acc)
 			p.cfg.Counters.AddServeDropped(off - acc)
 		}(si, parts[si], quotas[si])
@@ -532,7 +532,7 @@ func (p *Pipeline) RunLoad(corpus []bgp.Update, total int64) (LoadReport, error)
 		Offered:   offered.Load(),
 		Accepted:  accepted.Load(),
 		Processed: p.processed.Load() - startProcessed,
-		Alarms:    p.alarms.Load() - startAlarms,
+		Alarms:    p.cfg.Counters.Snapshot().Alarms - startAlarms,
 		Elapsed:   elapsed,
 		P50Ns:     p.hist.quantile(0.50),
 		P99Ns:     p.hist.quantile(0.99),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -489,6 +490,46 @@ func TestStatsCurrentAfterRunLoad(t *testing.T) {
 	t.Logf("%d updates: %d prefixes on %d rows, %d routes", len(updates), prefixes, rows, routes)
 }
 
+// TestStatsReadOneCounterSet: Stats, RunLoad's report and /metrics read the
+// enqueue, batch and alarm counts off the pipeline's one obs.Counters — the
+// caller's, or a private one when Config.Counters is nil.
+func TestStatsReadOneCounterSet(t *testing.T) {
+	updates, monitors, g := loadCorpus(t, 400, 13, 20, 30)
+	for _, counters := range []*obs.Counters{nil, new(obs.Counters)} {
+		p, err := NewPipeline(Config{Shards: 2, Monitors: monitors, Rels: g, Counters: counters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		rep, err := p.RunLoad(updates, int64(len(updates)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := p.Stats()
+		if s.Enqueued != int64(len(updates)) || s.Batches == 0 || s.Alarms == 0 || rep.Alarms != s.Alarms {
+			t.Errorf("caller's counters %v: Stats reads %d enqueued, %d batches, %d alarms, the report %d alarms; want %d enqueued",
+				counters != nil, s.Enqueued, s.Batches, s.Alarms, rep.Alarms, len(updates))
+		}
+		if cs := counters.Snapshot(); counters != nil && (cs.ServeEnqueued != s.Enqueued || cs.ServeBatches != s.Batches || cs.Alarms != s.Alarms) {
+			t.Errorf("the caller's counters read %+v, Stats %+v", cs, s)
+		}
+		srv := httptest.NewServer(p.Handler())
+		body := httpGet(t, srv.URL+"/metrics")
+		srv.Close()
+		for _, line := range []string{
+			fmt.Sprintf("aspp_serve_enqueued_total %d\n", s.Enqueued),
+			fmt.Sprintf("aspp_serve_batches_total %d\n", s.Batches),
+			fmt.Sprintf("aspp_serve_alarms_total %d\n", s.Alarms),
+			"aspp_frames_in_total 0\n",
+		} {
+			if !strings.Contains(body, line) {
+				t.Errorf("caller's counters %v: /metrics lacks %q:\n%s", counters != nil, line, body)
+			}
+		}
+		p.Close()
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	updates, monitors, g := loadCorpus(t, 400, 13, 20, 30)
 	counters := &obs.Counters{}
@@ -700,11 +741,12 @@ func TestCloseMidIngestProcessesAccepted(t *testing.T) {
 	p.Close() // mid-stream: producers still pushing
 	<-sendDone
 
-	if got, want := p.processed.Load(), p.enqueued.Load(); got != want {
-		t.Fatalf("processed %d != enqueued %d after Close — accepted updates stranded", got, want)
+	s := p.Stats()
+	if s.Processed != s.Enqueued {
+		t.Fatalf("processed %d != enqueued %d after Close — accepted updates stranded", s.Processed, s.Enqueued)
 	}
-	if d := p.Stats().QueueDepth; d != 0 {
-		t.Fatalf("queue depth %d after Close, want 0", d)
+	if s.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after Close, want 0", s.QueueDepth)
 	}
 	l.Close()
 	srvWG.Wait()
