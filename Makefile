@@ -138,7 +138,9 @@ fuzz-smoke:
 # sharded pipeline at the default ring depth must lose nothing under the
 # block policy, raise alarms, and (without -race) sustain a conservative
 # throughput floor. The soak variant re-runs the replay until the memory
-# gauges prove a plateau. The detector's storage tests run by name: 200k
+# gauges prove a plateau. RunLoad at 1, 2 and 3 shards must raise exactly
+# one serial detector's alarms over the same cyclic replay, one that stops
+# part way through the corpus. The detector's storage tests run by name: 200k
 # growth prefixes may grow the heap by at most 48 B each, MemoryBytes
 # (what /metrics reports) must stay within 20 % of that heap, 100k growth
 # prefixes at 1,000 monitors by at most 64 B each (prefixes share rows), the
@@ -150,7 +152,7 @@ fuzz-smoke:
 # back whole, and the churn corpus replayed ten times must neither sweep nor
 # store a route again (DESIGN §5c).
 serve-smoke:
-	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau' -count=1 ./internal/serve/
+	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau|TestRunLoadMatchesSerialDetector' -count=1 ./internal/serve/
 	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestDetectorPrefixKeyTwinsHashApart|TestDetectorRouteTable' -count=1 -v ./internal/detect/
 
 # The repository's one benchmark (BENCHMARK.json): end-to-end workloads

@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		topo     = fs.String("topo", "", "serial-2 relationship file (overrides -n)")
 		monSpec  = fs.String("monitors", "top40", "monitor set: topK (by degree) or comma-separated ASNs")
 		shards   = fs.Int("shards", 0, "detector shards (0 = GOMAXPROCS)")
-		depth    = fs.Int("depth", 4096, "per-shard ring depth in updates")
+		depth    = fs.Int("depth", 4096, "per-shard ring depth in updates (rounded up to a power of two)")
 		batch    = fs.Int("batch", 256, "max updates drained per worker pass")
 		policy   = fs.String("policy", "block", "full-ring policy: block (lossless) or drop (shed)")
 		listen   = fs.String("listen", "", "TCP ingest address (e.g. :4790)")
@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "asppserve: %d shards × depth %d, batch %d, policy %s, %d monitors (GOMAXPROCS %d)\n",
-		p.Shards(), *depth, *batch, pol, len(monitors), runtime.GOMAXPROCS(0))
+		p.Shards(), p.Stats().Depth, *batch, pol, len(monitors), runtime.GOMAXPROCS(0))
 	errc := make(chan error, 3)
 	var listeners []net.Listener
 	addListener := func(network, addr string) error {

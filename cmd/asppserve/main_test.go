@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"os"
@@ -53,6 +54,21 @@ func TestRunBadInputs(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-selftest", "-topo", "/nonexistent"}, &sb); err == nil {
 		t.Error("missing -topo file accepted")
+	}
+}
+
+// TestRunBannerReportsRingCapacity: the daemon's banner prints the ring's
+// power-of-two capacity, not the -depth asked for.
+func TestRunBannerReportsRingCapacity(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the daemon prints its banner, then sees the cancelled context and returns
+	var sb strings.Builder
+	err := run(ctx, []string{"-listen", "127.0.0.1:0", "-n", "300", "-shards", "1", "-depth", "5000"}, &sb)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run: %v, want context.Canceled\n%s", err, sb.String())
+	}
+	if out := sb.String(); !strings.Contains(out, "1 shards × depth 8192,") {
+		t.Fatalf("banner does not report the 8192-slot ring:\n%s", out)
 	}
 }
 

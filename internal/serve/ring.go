@@ -31,11 +31,10 @@ type slot struct {
 // producer writes tail and reads head, the consumer the reverse, and
 // padding keeps those from ping-ponging one line.
 //
-// The SPSC contract: exactly one goroutine calls push (the shard's
-// producer) and exactly one calls drain/advance (the shard's worker).
-// The network ingest path can have several connections feeding one shard,
-// so it serializes pushes with pmu; single-connection and self-test
-// producers take the uncontended lock-free path via pushLocal.
+// The SPSC contract: exactly one goroutine calls drain/advance (the
+// shard's worker). Producers (ingest connections and RunLoad) may be
+// several, so push serializes them with pmu and the ring sees one producer
+// at a time.
 type ring struct {
 	slots []slot
 	mask  uint64
@@ -46,20 +45,16 @@ type ring struct {
 	tail atomic.Uint64 // producer: next slot to write
 	_    [56]byte
 
-	drops atomic.Int64 // rejected pushes under the drop policy
-	peak  atomic.Int64 // occupancy high-watermark
+	peak atomic.Int64 // occupancy high-watermark
 
-	pmu  sync.Mutex    // serializes multi-connection producers
+	pmu  sync.Mutex    // serializes producers
 	wake chan struct{} // holds a token after any push; an idle consumer blocks on it
 }
 
 // newRing builds a ring with at least the requested depth, rounded up to
 // a power of two for cursor masking.
 func newRing(depth int) *ring {
-	if depth < 2 {
-		depth = 2
-	}
-	size := 1
+	size := 2
 	for size < depth {
 		size *= 2
 	}
@@ -77,19 +72,16 @@ func (r *ring) memoryBytes() int64 {
 // depth returns the current occupancy (approximate under concurrency).
 func (r *ring) depth() int64 { return int64(r.tail.Load() - r.head.Load()) }
 
-// pushLocal appends one update under the SPSC contract (single producer).
-// block selects the backpressure policy: true spins (yielding) until a
-// slot frees or stop reports the pipeline is closing; false drops the
-// update, counts it, and returns false. The update's path bytes are
-// copied into the slot.
-func (r *ring) pushLocal(u *bgp.Update, now int64, block bool, stop func() bool) bool {
+// push appends one update under pmu. block selects the backpressure
+// policy: true spins (yielding) until a slot frees or stop reports the
+// pipeline is closing; false refuses the update and returns false, and the
+// caller counts the drop. The update's path bytes are copied into the slot.
+func (r *ring) push(u *bgp.Update, now int64, block bool, stop func() bool) bool {
+	r.pmu.Lock()
+	defer r.pmu.Unlock()
 	tail := r.tail.Load()
 	for tail-r.head.Load() >= uint64(len(r.slots)) {
-		if !block {
-			r.drops.Add(1)
-			return false
-		}
-		if stop != nil && stop() {
+		if !block || (stop != nil && stop()) {
 			return false
 		}
 		runtime.Gosched()
@@ -101,18 +93,9 @@ func (r *ring) pushLocal(u *bgp.Update, now int64, block bool, stop func() bool)
 	r.tail.Store(tail + 1)
 	r.signal()
 	if occ := int64(tail + 1 - r.head.Load()); occ > r.peak.Load() {
-		r.peak.Store(occ) // producer-side only: no CAS needed
+		r.peak.Store(occ) // under pmu: no CAS needed
 	}
 	return true
-}
-
-// push is pushLocal behind the producer mutex, for the network ingest
-// path where several connections may feed one shard.
-func (r *ring) push(u *bgp.Update, now int64, block bool, stop func() bool) bool {
-	r.pmu.Lock()
-	ok := r.pushLocal(u, now, block, stop)
-	r.pmu.Unlock()
-	return ok
 }
 
 // signal leaves the consumer a wake token unless one is already waiting

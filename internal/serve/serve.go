@@ -154,7 +154,7 @@ type Pipeline struct {
 	stopWorkers atomic.Bool // set once producers quiesced; workers may drain and exit
 	started     bool
 	workers     sync.WaitGroup
-	producers   sync.WaitGroup // live producer goroutines (handleConn, RunLoad)
+	producers   sync.WaitGroup // live producers (handleConn, RunLoad)
 
 	processed atomic.Int64
 
@@ -225,6 +225,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		p.dets[i] = detect.NewDetector(cfg.Monitors, cfg.Rels)
 		p.gauges[i].publish(p.dets[i]) // baseline before workers exist
 	}
+	p.cfg.Depth = len(p.rings[0].slots) // the power-of-two capacity, as Stats reports it
 	return p, nil
 }
 
@@ -346,8 +347,8 @@ func (p *Pipeline) worker(si int) {
 }
 
 // Stats is a point-in-time view of the pipeline, also pushed into the
-// obs gauges so -counters output and /metrics agree. Prefixes, Rows and
-// Routes sum the shard detectors' Sizes.
+// obs gauges so -counters output and /metrics agree. Depth is one ring's
+// capacity; Prefixes, Rows and Routes sum the shard detectors' Sizes.
 type Stats struct {
 	Shards, Depth                                    int
 	Enqueued, Processed, Dropped, Alarms, Batches    int64
@@ -365,6 +366,7 @@ func (p *Pipeline) Stats() Stats {
 		Depth:     p.cfg.Depth,
 		Enqueued:  cs.ServeEnqueued,
 		Processed: p.processed.Load(),
+		Dropped:   cs.ServeDropped,
 		Alarms:    cs.Alarms,
 		Batches:   cs.ServeBatches,
 		P50Ns:     p.hist.quantile(0.50),
@@ -373,7 +375,6 @@ func (p *Pipeline) Stats() Stats {
 	}
 	var arenaPeak int64
 	for _, r := range p.rings {
-		s.Dropped += r.drops.Load()
 		s.QueueDepth += r.depth()
 		if pk := r.peak.Load(); pk > s.QueuePeak {
 			s.QueuePeak = pk
@@ -413,15 +414,17 @@ func (p *Pipeline) MemoryBytes() int64 {
 	return b
 }
 
-// LoadReport summarizes one RunLoad execution. All counts are per-run
-// deltas, so Offered == Accepted + Dropped holds for every run, not
-// just the pipeline's first.
+// LoadReport summarizes one RunLoad execution. Offered, Accepted and
+// Dropped count this run's pushes, so Offered == Accepted + Dropped holds
+// for every run. Processed and Alarms are deltas of the pipeline's
+// counters over the run and include any concurrent producer's work.
 type LoadReport struct {
-	// Offered is the number of updates pushed at the rings; Accepted
+	// Offered is the number of updates pushed at the rings (a push the
+	// closing pipeline refused ends the run and is not offered); Accepted
 	// excludes drop-policy rejections; Dropped counts them; Processed
 	// went through detection.
 	Offered, Accepted, Dropped, Processed int64
-	// Alarms is the number of alarms the run's updates raised.
+	// Alarms is the number of alarms raised while the run lasted.
 	Alarms int64
 	// Elapsed covers first push to final drain; UpdatesPerSec is
 	// Processed over Elapsed.
@@ -432,14 +435,11 @@ type LoadReport struct {
 	P50Ns, P99Ns int64
 }
 
-// RunLoad replays corpus cyclically through the pipeline until total
-// updates have been offered, using one producer goroutine per shard
-// (the lock-free SPSC path): the corpus is partitioned by prefix shard
-// up front and each producer owns exactly one ring. Returns after every
-// accepted update has been processed. Not safe to run concurrently with
-// itself or with socket ingest (both would break the single-producer
-// contract); the daemon uses sockets, the self-test and benchmarks use
-// RunLoad.
+// RunLoad replays corpus cyclically through the pipeline, offering
+// corpus[k % len(corpus)] for k < total from the calling goroutine. It is
+// one producer, registered like an ingest connection, and pushes each
+// update onto its prefix's shard ring through the same push. Returns after
+// every ring has drained, so every accepted update has been processed.
 func (p *Pipeline) RunLoad(corpus []bgp.Update, total int64) (LoadReport, error) {
 	if !p.started {
 		return LoadReport{}, errors.New("serve: pipeline not started")
@@ -447,101 +447,47 @@ func (p *Pipeline) RunLoad(corpus []bgp.Update, total int64) (LoadReport, error)
 	if len(corpus) == 0 || total <= 0 {
 		return LoadReport{}, errors.New("serve: empty load corpus")
 	}
-	parts := make([][]bgp.Update, len(p.rings))
-	for _, u := range corpus {
-		si := detect.PrefixShard(u.Prefix, len(p.rings))
-		parts[si] = append(parts[si], u)
-	}
-	// Per-shard quotas proportional to corpus share; remainder to the
-	// first non-empty shard so the offered total is exact.
-	quotas := make([]int64, len(parts))
-	var assigned int64
-	for i, part := range parts {
-		quotas[i] = total * int64(len(part)) / int64(len(corpus))
-		assigned += quotas[i]
-	}
-	for i, part := range parts {
-		if len(part) > 0 {
-			quotas[i] += total - assigned
-			break
-		}
-	}
-
-	block := p.cfg.Policy == Block
-	startProcessed := p.processed.Load()
-	startAlarms := p.cfg.Counters.Snapshot().Alarms
-	var startDropped int64
-	for _, r := range p.rings {
-		startDropped += r.drops.Load()
-	}
-
-	// Register the producer goroutines before spawning them, under the
-	// same lock/flag handshake ServeIngest uses: Close sets closing and
-	// then waits for registered producers before letting workers exit,
-	// so an update accepted here is always processed.
-	nprod := 0
-	for si := range parts {
-		if quotas[si] > 0 && len(parts[si]) > 0 {
-			nprod++
-		}
-	}
+	// Register under connMu, as ServeIngest does: Close sets closing and
+	// then waits for registered producers before letting workers exit, so
+	// an update accepted here is always processed.
 	p.connMu.Lock()
 	if p.closing.Load() {
 		p.connMu.Unlock()
 		return LoadReport{}, errors.New("serve: pipeline closing")
 	}
-	p.producers.Add(nprod)
+	p.producers.Add(1)
 	p.connMu.Unlock()
 
+	block := p.cfg.Policy == Block
+	startProcessed := p.processed.Load()
+	startAlarms := p.cfg.Counters.Snapshot().Alarms
 	start := time.Now()
-	var wg sync.WaitGroup
-	var accepted, offered atomic.Int64
-	for si := range parts {
-		if quotas[si] <= 0 || len(parts[si]) == 0 {
-			continue
+	var rep LoadReport
+	now := p.now()
+	for k := int64(0); k < total; k++ {
+		if k&31 == 0 {
+			now = p.now() // refresh the enqueue stamp every 32 pushes
 		}
-		wg.Add(1)
-		go func(si int, part []bgp.Update, quota int64) {
-			defer p.producers.Done()
-			defer wg.Done()
-			r := p.rings[si]
-			now := p.now()
-			var acc, off int64
-			for k := int64(0); k < quota; k++ {
-				if k&31 == 0 {
-					now = p.now() // refresh the enqueue stamp every 32 pushes
-				}
-				off++
-				if r.pushLocal(&part[k%int64(len(part))], now, block, p.closing.Load) {
-					acc++
-				} else if p.closing.Load() {
-					break
-				}
-			}
-			accepted.Add(acc)
-			offered.Add(off)
-			p.cfg.Counters.AddServeEnqueued(acc)
-			p.cfg.Counters.AddServeDropped(off - acc)
-		}(si, parts[si], quotas[si])
+		u := &corpus[k%int64(len(corpus))]
+		if p.rings[detect.PrefixShard(u.Prefix, len(p.rings))].push(u, now, block, p.closing.Load) {
+			rep.Accepted++
+		} else if p.closing.Load() {
+			break
+		} else {
+			rep.Dropped++
+		}
 	}
-	wg.Wait()
+	rep.Offered = rep.Accepted + rep.Dropped
+	p.cfg.Counters.AddServeEnqueued(rep.Accepted)
+	p.cfg.Counters.AddServeDropped(rep.Dropped)
+	p.producers.Done()
 	p.DrainQueues()
-	elapsed := time.Since(start)
 
-	rep := LoadReport{
-		Offered:   offered.Load(),
-		Accepted:  accepted.Load(),
-		Processed: p.processed.Load() - startProcessed,
-		Alarms:    p.cfg.Counters.Snapshot().Alarms - startAlarms,
-		Elapsed:   elapsed,
-		P50Ns:     p.hist.quantile(0.50),
-		P99Ns:     p.hist.quantile(0.99),
-	}
-	rep.Dropped -= startDropped
-	for _, r := range p.rings {
-		rep.Dropped += r.drops.Load()
-	}
-	if sec := elapsed.Seconds(); sec > 0 {
+	rep.Elapsed = time.Since(start)
+	rep.Processed = p.processed.Load() - startProcessed
+	rep.Alarms = p.cfg.Counters.Snapshot().Alarms - startAlarms
+	rep.P50Ns, rep.P99Ns = p.hist.quantile(0.50), p.hist.quantile(0.99)
+	if sec := rep.Elapsed.Seconds(); sec > 0 {
 		rep.UpdatesPerSec = float64(rep.Processed) / sec
 	}
 	return rep, nil

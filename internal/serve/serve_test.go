@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -72,7 +73,7 @@ func TestRingPushDrainWrap(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		for i := 0; i < 8; i++ {
 			u := testUpdate(cycle*8 + i)
-			if !r.pushLocal(&u, int64(i), true, nil) {
+			if !r.push(&u, int64(i), true, nil) {
 				t.Fatalf("cycle %d push %d refused", cycle, i)
 			}
 		}
@@ -102,28 +103,28 @@ func TestRingPushDrainWrap(t *testing.T) {
 func TestRingDropPolicy(t *testing.T) {
 	r := newRing(2)
 	u := testUpdate(0)
-	if !r.pushLocal(&u, 0, false, nil) || !r.pushLocal(&u, 0, false, nil) {
+	if !r.push(&u, 0, false, nil) || !r.push(&u, 0, false, nil) {
 		t.Fatal("pushes into empty ring refused")
 	}
 	for i := 0; i < 3; i++ {
-		if r.pushLocal(&u, 0, false, nil) {
+		if r.push(&u, 0, false, nil) {
 			t.Fatal("push into full ring accepted under drop policy")
 		}
 	}
-	if r.drops.Load() != 3 {
-		t.Fatalf("drops = %d, want 3", r.drops.Load())
+	if r.depth() != 2 {
+		t.Fatalf("depth = %d after refused pushes, want 2", r.depth())
 	}
 }
 
 func TestRingBlockPolicyUnblocks(t *testing.T) {
 	r := newRing(2)
 	u := testUpdate(0)
-	r.pushLocal(&u, 0, true, nil)
-	r.pushLocal(&u, 0, true, nil)
+	r.push(&u, 0, true, nil)
+	r.push(&u, 0, true, nil)
 	done := make(chan bool, 1)
 	go func() {
 		v := testUpdate(9)
-		done <- r.pushLocal(&v, 7, true, nil)
+		done <- r.push(&v, 7, true, nil)
 	}()
 	time.Sleep(5 * time.Millisecond) // producer should be spinning now
 	select {
@@ -138,19 +139,19 @@ func TestRingBlockPolicyUnblocks(t *testing.T) {
 	if ok := <-done; !ok {
 		t.Fatal("push failed after slot freed")
 	}
-	if r.drops.Load() != 0 {
-		t.Fatalf("drops = %d under block policy, want 0", r.drops.Load())
+	if r.depth() != 2 {
+		t.Fatalf("depth = %d after the blocked push landed, want 2", r.depth())
 	}
 }
 
 func TestRingBlockPolicyStops(t *testing.T) {
 	r := newRing(2)
 	u := testUpdate(0)
-	r.pushLocal(&u, 0, true, nil)
-	r.pushLocal(&u, 0, true, nil)
+	r.push(&u, 0, true, nil)
+	r.push(&u, 0, true, nil)
 	var stopped atomic.Bool
 	done := make(chan bool, 1)
-	go func() { v := testUpdate(1); done <- r.pushLocal(&v, 0, true, stopped.Load) }()
+	go func() { v := testUpdate(1); done <- r.push(&v, 0, true, stopped.Load) }()
 	time.Sleep(2 * time.Millisecond)
 	stopped.Store(true)
 	select {
@@ -334,17 +335,21 @@ func TestStatsConcurrentWithLoad(t *testing.T) {
 // TestRunLoadDropAccountingAcrossRuns pins per-run conservation: on a
 // pipeline that already shed load, a second RunLoad must report its own
 // drops, not the lifetime counter, so Offered == Accepted + Dropped
-// holds for every run.
+// holds for every run. Every drop is counted once, in the pipeline's
+// Counters: Stats and /metrics read that count back, and it is the sum of
+// the runs' drops.
 func TestRunLoadDropAccountingAcrossRuns(t *testing.T) {
 	updates, monitors, g := loadCorpus(t, 400, 7, 20, 30)
+	counters := new(obs.Counters)
 	p, err := NewPipeline(Config{
-		Shards: 1, Depth: 16, Batch: 8, Policy: Drop, Monitors: monitors, Rels: g,
+		Shards: 1, Depth: 16, Batch: 8, Policy: Drop, Monitors: monitors, Rels: g, Counters: counters,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	defer p.Close()
+	var dropped int64
 	for run := 0; run < 3; run++ {
 		rep, err := p.RunLoad(updates, 30_000)
 		if err != nil {
@@ -357,6 +362,85 @@ func TestRunLoadDropAccountingAcrossRuns(t *testing.T) {
 		if rep.Processed != rep.Accepted {
 			t.Fatalf("run %d: processed %d != accepted %d", run, rep.Processed, rep.Accepted)
 		}
+		dropped += rep.Dropped
+	}
+	s, cs := p.Stats(), counters.Snapshot()
+	if s.Dropped != dropped || cs.ServeDropped != dropped {
+		t.Fatalf("Stats reads %d dropped, the counters %d; the runs dropped %d", s.Dropped, cs.ServeDropped, dropped)
+	}
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	if line := fmt.Sprintf("aspp_serve_dropped_total %d\n", dropped); !strings.Contains(httpGet(t, srv.URL+"/metrics"), line) {
+		t.Fatalf("/metrics lacks %q", line)
+	}
+}
+
+// TestRunLoadMatchesSerialDetector: RunLoad offers corpus[k % len(corpus)]
+// for k < total, so at any shard count the pipeline raises exactly the
+// alarms of one serial Detector fed that sequence, each attributed to its
+// update's prefix. total is not a multiple of the corpus length, so the
+// last pass stops part way through the corpus.
+func TestRunLoadMatchesSerialDetector(t *testing.T) {
+	type prefixAlarm struct {
+		prefix netip.Prefix
+		alarm  detect.Alarm
+	}
+	updates, monitors, g := loadCorpus(t, 400, 13, 20, 30)
+	total := int64(2*len(updates) + len(updates)/3)
+	serial := detect.NewDetector(monitors, g)
+	want := make(map[prefixAlarm]int)
+	var nWant int
+	for k := int64(0); k < total; k++ {
+		u := updates[k%int64(len(updates))]
+		for _, a := range serial.Observe(u) {
+			want[prefixAlarm{u.Prefix, a}]++
+			nWant++
+		}
+	}
+	if nWant == 0 {
+		t.Fatal("premise broken: the serial replay raised no alarms")
+	}
+	for _, shards := range []int{1, 2, 3} {
+		p, err := NewPipeline(Config{Shards: shards, Monitors: monitors, Rels: g, AlarmLog: nWant + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		rep, err := p.RunLoad(updates, total)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Offered != total || rep.Processed != total {
+			t.Fatalf("%d shards: offered %d, processed %d, want %d", shards, rep.Offered, rep.Processed, total)
+		}
+		got := make(map[prefixAlarm]int)
+		evs := p.Alarms(nWant + 1)
+		for _, ev := range evs {
+			got[prefixAlarm{ev.Prefix, ev.Alarm}]++
+		}
+		if len(evs) != nWant || rep.Alarms != int64(nWant) || !maps.Equal(got, want) {
+			t.Fatalf("%d shards: %d alarms in the feed, %d reported; the serial detector raised %d, multisets equal %v",
+				shards, len(evs), rep.Alarms, nWant, maps.Equal(got, want))
+		}
+	}
+	t.Logf("%d of %d updates: %d alarms at 1, 2 and 3 shards", total, len(updates), nWant)
+}
+
+// TestStatsDepthIsRingCapacity: Stats and /metrics report the ring's
+// power-of-two capacity, which QueuePeak can reach, not the depth asked for.
+func TestStatsDepthIsRingCapacity(t *testing.T) {
+	p, err := NewPipeline(Config{Monitors: []bgp.ASN{1}, Depth: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Stats().Depth; d != 8192 || len(p.rings[0].slots) != 8192 {
+		t.Fatalf("Stats reads depth %d for a ring of %d slots, want 8192", d, len(p.rings[0].slots))
+	}
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	if body := httpGet(t, srv.URL+"/metrics"); !strings.Contains(body, "aspp_serve_ring_depth 8192\n") {
+		t.Fatalf("/metrics does not report the 8192-slot ring:\n%s", body)
 	}
 }
 
