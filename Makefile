@@ -18,8 +18,12 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # (TestFoldOwnCutDifferential), a returning allocation or a probe index that
 # loses an id across a delete or a doubling (TestIndexDifferential, behind
 # every interned id in detect and the path arena) names itself in the CI log
-# instead of hiding inside the package sweep. So do the fold's exact work
-# pins in cmd/asppbench: Fig. 13's detection pairs (TestFig13IsOneSweep) and
+# instead of hiding inside the package sweep. So do the path arena's
+# one-round lifetime tests: a Reset that keeps last round's segments
+# (TestPathArenaResetDropsSegments, TestResetInvalidationSemantics, beside
+# the warmed loop's TestPathsIntoZeroAlloc) or an evaluation scratch that
+# grows with every attack it reads (TestEvalScratchArenaBounded). So do the
+# fold's exact work pins in cmd/asppbench: Fig. 13's detection pairs (TestFig13IsOneSweep) and
 # compare's and the random column's (TestDetectionFoldPins), which move when
 # Fold's trigger skip drops a trigger it must fold or folds one it may
 # skip. The topology I/O
@@ -39,6 +43,8 @@ tier1:
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/ ./internal/probe/
+	$(GO) test -run 'TestPathArenaResetDropsSegments|TestResetInvalidationSemantics|TestPathsIntoZeroAlloc' -count=1 ./internal/routing/
+	$(GO) test -run TestEvalScratchArenaBounded -count=1 ./internal/detect/
 	$(GO) test -run='TestFig13IsOneSweep|TestDetectionFoldPins' -count=1 ./cmd/asppbench/
 	$(GO) test -run='TestBuildIndependentOfLinkInsertionOrder|TestBuilderAddContracts|TestReadSerial2InPlaceParsing|TestInternet80kDigest|TestGenerateMatchesParent' -count=1 ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/

@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		pairs    = fs.Int("pairs", 200, "attacker/victim pairs for the detection experiments")
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
-		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; cache_bytes is the largest baseline a shard held (a shard holds one, that of the victim it is on, in its scratch's baseline slot, so scratch_bytes already counts it); work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
+		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges); cone_rows sums the ASes each delta attack leg examined, which its cost follows; cache_hit includes baselines derived by shifting another λ of the same victim, so cache_miss counts propagations; cache_bytes is the largest baseline a shard held (a shard holds one, that of the victim it is on, in its scratch's baseline slot, so scratch_bytes already counts it); arena_bytes is the largest detection scratch (path arena, span row and buffers) a shard of fig13/fig14 or compare held, which Extract resets each attack, so it stays at one attack's size; work two experiments share (fig5/fig6, fig13/fig14, fig13/inference) shows under the one that ran it")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)

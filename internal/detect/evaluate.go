@@ -2,6 +2,7 @@ package detect
 
 import (
 	"slices"
+	"unsafe"
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
@@ -256,3 +257,13 @@ func (sc *EvalScratch) Calls() (extracts, latencies int) { return sc.extracts, s
 // Pairs reports how many (trigger, witness) pairs detectRow has compared
 // since the last Extract: the detection sweep's detect_pairs counter.
 func (sc *EvalScratch) Pairs() int { return sc.pairs }
+
+// MemoryBytes is the scratch's resident footprint: its path arena, span row
+// and buffers at capacity. Extract resets the arena, so this stays at the
+// largest single attack's size however many attacks the scratch evaluates;
+// the detection sweep and compare report it as the arena_bytes gauge.
+func (sc *EvalScratch) MemoryBytes() int64 {
+	return int64(unsafe.Sizeof(*sc)) + sc.arena.MemoryBytes() + sliceBytes(sc.atkSpans) + sliceBytes(sc.ids) +
+		sliceBytes(sc.alarms) + sliceBytes(sc.monIdx) + sliceBytes(sc.cuts) + sliceBytes(sc.hopsAt) +
+		sliceBytes(sc.mbuf) + sliceBytes(sc.rbuf)
+}

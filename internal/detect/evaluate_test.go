@@ -1,0 +1,56 @@
+package detect
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"aspp/internal/bgp"
+	"aspp/internal/core"
+	"aspp/internal/routing"
+)
+
+// TestEvalScratchArenaBounded: Extract resets the arena, so a scratch holds
+// one attack's chains, never the history of every attack it evaluated. A
+// first round reads a tier-1's attack on a stub at every AS, whose routes
+// and alarms size every buffer beyond what a 100-monitor attack needs; after
+// it, 500 distinct attacks at the top 100 monitors leave MemoryBytes exactly
+// where the first round left it.
+func TestEvalScratchArenaBounded(t *testing.T) {
+	g := diffTestGraph(t, 600, 3)
+	asns := g.ASNs()
+	simulate := func(v, m bgp.ASN) (*core.Impact, error) {
+		return core.Simulate(g, core.Scenario{Victim: v, Attacker: m, Prepend: 3})
+	}
+	sc := NewEvalScratch()
+	first, err := simulate(asns[len(asns)-1], g.Tier1s()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !EvaluateScratch(first, asns, g, sc).Detected {
+		t.Fatal("premise broken: the first round raises no alarm, so it does not size the alarm buffer")
+	}
+	flat := sc.MemoryBytes()
+
+	monitors := g.TopByDegree(100)
+	rng := rand.New(rand.NewSource(7))
+	seen := map[[2]bgp.ASN]bool{}
+	for len(seen) < 500 {
+		v, m := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
+		if v == m || seen[[2]bgp.ASN{v, m}] {
+			continue
+		}
+		im, err := simulate(v, m)
+		if errors.Is(err, routing.ErrUnreachableAttacker) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[[2]bgp.ASN{v, m}] = true
+		EvaluateScratch(im, monitors, g, sc)
+		if got := sc.MemoryBytes(); got != flat {
+			t.Fatalf("attack %d (%v attacked by %v): scratch holds %d B, %d B after the first round", len(seen), v, m, got, flat)
+		}
+	}
+}

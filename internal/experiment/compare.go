@@ -138,6 +138,9 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 	}); err != nil {
 		return nil, err
 	}
+	for _, s := range scratch {
+		cfg.Counters.RecordArenaBytes(s.MemoryBytes())
+	}
 	for f, typ := range families {
 		out = append(out, summarize(typ, forged[f*n:(f+1)*n]))
 	}

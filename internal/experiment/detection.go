@@ -236,6 +236,9 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	if err != nil {
 		return nil, err
 	}
+	for _, s := range scratch {
+		cfg.Counters.RecordArenaBytes(s.MemoryBytes())
+	}
 
 	out := &DetectionOutcome{
 		Accuracy:                make([][]AccuracyPoint, len(cols)),

@@ -21,14 +21,14 @@ import (
 //   - buf holds span bodies: the received path with its trailing origin
 //     run stripped. Bodies are stored verbatim (intermediate prepends, if
 //     any, are preserved), so materialization is exact.
-//   - Reset truncates buf and invalidates every outstanding PathSpan.
-//     Callers that reuse an arena across rounds (EvalScratch, the survey
-//     workers) must re-extract spans after each Reset.
-//   - The intern table (segBuf/segs/segIdx) survives Reset: segment ids
-//     are stable until Compact, which keeps only the live spans' segments
-//     and renumbers them. That is what lets a warmed extract-reset-extract
-//     loop run allocation-free — steady state finds every segment already
-//     interned.
+//   - Reset starts a round: it empties buf and the intern table
+//     (segBuf/segs/segIdx), keeping capacity, and invalidates every span
+//     and segment id. Per-round users (detect.EvalScratch, relinfer's
+//     collection, collector.ChurnStream) compare Seg only within a round,
+//     and the arena stays as large as its largest round.
+//   - The long-lived detect.Detector never resets: its segment ids are
+//     stable until Compact, which keeps only the live spans' segments and
+//     renumbers them.
 //   - An arena is single-goroutine state, like routing.Scratch: share
 //     nothing, or hand one arena to each worker.
 //
@@ -63,8 +63,8 @@ type PathSpan struct {
 	Origin bgp.ASN
 	// Seg is the intern id of the path's unique transit chain
 	// (consecutive duplicates collapsed), or -1 when uninterned. Two
-	// spans from the SAME arena share a transit chain iff their Seg ids
-	// are equal.
+	// spans from the SAME arena and round share a transit chain iff their
+	// Seg ids are equal.
 	Seg int32
 }
 
@@ -75,9 +75,12 @@ func NewPathArena() *PathArena {
 	return &PathArena{seed: new(maphash.Hash).Sum64()}
 }
 
-// Reset drops every span body, invalidating all outstanding PathSpans.
-// The intern table is retained (see the aliasing rules above).
-func (a *PathArena) Reset() { a.buf = a.buf[:0] }
+// Reset drops every span body and interned segment, invalidating all
+// outstanding PathSpans and segment ids; capacities are kept.
+func (a *PathArena) Reset() {
+	a.buf, a.segBuf, a.segs = a.buf[:0], a.segBuf[:0], a.segs[:0]
+	a.segIdx.Clear()
+}
 
 // Size returns the elements the arena holds, span bodies and interned
 // segments, dead ones included — long-lived holders weigh it against their
@@ -92,7 +95,7 @@ func (a *PathArena) Body(s PathSpan) []bgp.ASN {
 }
 
 // SegBody returns the interned unique transit chain for a segment id.
-// The slice aliases the intern table, which is stable across Reset.
+// The slice aliases the intern table — valid until the next Reset/Compact.
 func (a *PathArena) SegBody(id int32) []bgp.ASN {
 	s := a.segs[id]
 	return a.segBuf[s.off : s.off+s.n]
@@ -141,9 +144,9 @@ func (a *PathArena) Store(p bgp.Path) PathSpan {
 }
 
 // Intern returns the segment id for body, adding it to the table on first
-// sight. Ids are comparable only within one arena and stable until
-// Compact. The body is copied, so callers may pass views into buf or
-// scratch storage.
+// sight. Ids are comparable only within one arena and name a chain only
+// until the next Reset or Compact. The body is copied, so callers may pass
+// views into buf or scratch storage.
 func (a *PathArena) Intern(body []bgp.ASN) int32 {
 	h := probe.Words(a.seed, body)
 	if id := a.segIdx.Find(h, func(id int32) bool { return slices.Equal(a.SegBody(id), body) }); id >= 0 {

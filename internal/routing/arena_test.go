@@ -232,35 +232,104 @@ func TestArenaCompact(t *testing.T) {
 	}
 }
 
-// TestResetInvalidationSemantics pins the aliasing rule: Reset drops span
-// bodies but keeps the intern table, so seg ids (and SegBody) survive
-// while re-extraction reuses storage.
+// TestResetInvalidationSemantics pins the aliasing rule: Reset empties the
+// bodies and the intern table, so ids restart in first-sight order — an
+// identical re-extraction reproduces them — and a span from before the Reset
+// names nothing: after a different extraction its Seg may name another chain.
 func TestResetInvalidationSemantics(t *testing.T) {
 	g := arenaTestGraph(t, 200, 7)
-	victim := g.Tier1s()[0]
-	res, err := Propagate(g, Announcement{Origin: victim, Prepend: 2})
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*Result, 2)
+	for i, victim := range g.Tier1s()[:2] {
+		r, err := Propagate(g, Announcement{Origin: victim, Prepend: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = r
 	}
 	idx := allIndices(g)
 	a := NewPathArena()
-	first := res.PathsInto(a, idx, nil)
-	segsBefore := make([]int32, len(first))
+	first := results[0].PathsInto(a, idx, nil)
+	chains := make([]string, len(first))
 	for i, sp := range first {
-		segsBefore[i] = sp.Seg
+		if sp.Seg >= 0 {
+			chains[i] = fmt.Sprint(a.SegBody(sp.Seg))
+		}
 	}
 	a.Reset()
-	if a.Size() != len(a.segBuf) {
-		t.Fatalf("Reset left %d body elements", a.Size()-len(a.segBuf))
+	if a.Size() != 0 || len(a.segs) != 0 {
+		t.Fatalf("Reset left %d elements and %d segments", a.Size(), len(a.segs))
 	}
-	second := res.PathsInto(a, idx, first[:0])
+	second := results[0].PathsInto(a, idx, nil)
 	for i, sp := range second {
-		if sp.Seg != segsBefore[i] {
-			t.Fatalf("AS %d: seg id changed across Reset: %d -> %d", i, segsBefore[i], sp.Seg)
+		if sp != first[i] {
+			t.Fatalf("AS %d: identical re-extraction gave span %+v, first round %+v", i, sp, first[i])
 		}
-		if got, want := a.Path(sp), res.PathOfIdx(int32(i)); !got.Equal(want) {
+		if got, want := a.Path(sp), results[0].PathOfIdx(int32(i)); !got.Equal(want) {
 			t.Fatalf("AS %d after Reset: %v, want %v", i, got, want)
 		}
+	}
+	a.Reset()
+	results[1].PathsInto(a, idx, nil)
+	renamed := 0
+	for i, sp := range first {
+		if sp.Seg >= 0 && (int(sp.Seg) >= len(a.segs) || fmt.Sprint(a.SegBody(sp.Seg)) != chains[i]) {
+			renamed++
+		}
+	}
+	if renamed == 0 {
+		t.Fatal("every first-round segment id still names its chain after a Reset and another victim's extraction")
+	}
+}
+
+// TestPathArenaResetDropsSegments: an arena reused round after round is as
+// large as its largest round, not the sum of them. Each of 1,000 rounds
+// extracts a different victim's routes at every AS; after each, every store
+// of the reused arena (bodies, segment chains, segment spans, index) is at or
+// below that store's largest footprint in any one round on its own, so
+// MemoryBytes is at most their sum. A capacity depends on the first append
+// that sized it, so a round's own footprint is taken on a fresh arena that
+// extracted round 0 first, as the reused one did.
+func TestPathArenaResetDropsSegments(t *testing.T) {
+	g := arenaTestGraph(t, 1200, 5)
+	idx := allIndices(g)
+	victims := g.ASNs()[:1000]
+	first, err := Propagate(g, Announcement{Origin: victims[0], Prepend: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := func(a *PathArena) [4]int64 {
+		return [4]int64{sliceBytes(a.buf), sliceBytes(a.segBuf), sliceBytes(a.segs), a.segIdx.MemoryBytes()}
+	}
+	s, a := NewScratch(), NewPathArena()
+	var spans []PathSpan
+	var largest [4]int64
+	for round, victim := range victims {
+		r, err := PropagateScratch(g, Announcement{Origin: victim, Prepend: 1}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := NewPathArena()
+		first.PathsInto(own, idx, nil)
+		own.Reset()
+		r.PathsInto(own, idx, nil)
+		for i, b := range stores(own) {
+			largest[i] = max(largest[i], b)
+		}
+
+		a.Reset()
+		if a.Size() != 0 {
+			t.Fatalf("round %d: Reset left %d elements", round, a.Size())
+		}
+		spans = r.PathsInto(a, idx, spans[:0])
+		for i, b := range stores(a) {
+			if b > largest[i] {
+				t.Fatalf("round %d: reused arena's store %d holds %d B, its largest single round %d B", round, i, b, largest[i])
+			}
+		}
+	}
+	bound := int64(unsafe.Sizeof(*a)) + largest[0] + largest[1] + largest[2] + largest[3]
+	if got := a.MemoryBytes(); got > bound {
+		t.Fatalf("reused arena holds %d B after %d rounds, its stores' largest rounds sum to %d B", got, len(victims), bound)
 	}
 }
 
