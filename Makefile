@@ -134,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamDecoder -fuzztime=10s ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzDetect -fuzztime=10s ./internal/detect/
+	$(GO) test -run='^$$' -fuzz=FuzzPrefixKeys -fuzztime=10s ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzSerial2 -fuzztime=10s ./internal/topology/
 	$(GO) test -run='^$$' -fuzz=FuzzForgedAttack -fuzztime=10s ./internal/routing/
 	$(GO) test -run='^$$' -fuzz=FuzzSiblingPropagate -fuzztime=10s ./internal/routing/
@@ -147,11 +148,13 @@ fuzz-smoke:
 # gauges prove a plateau. RunLoad at 1, 2 and 3 shards must raise exactly
 # one serial detector's alarms over the same cyclic replay, one that stops
 # part way through the corpus. The detector's storage tests run by name: 200k
-# growth prefixes may grow the heap by at most 48 B each, MemoryBytes
+# growth prefixes may grow the heap by at most 32 B each, MemoryBytes
 # (what /metrics reports) must stay within 20 % of that heap, 100k growth
-# prefixes at 1,000 monitors by at most 64 B each (prefixes share rows), the
-# prefix index's key slab and probe table may cost at most 33 B a prefix at
-# any size from 1k to 300k, IPv6 keys with address words (a, b) and
+# prefixes at 1,000 monitors by at most 32 B each (prefixes share rows), the
+# prefix index's key slabs and probe table may cost at most 22 B a prefix at
+# any size from 1k to 300k, every class of prefix key (IPv4 words, IPv6
+# and ::ffff: twins in the overflow slab) must agree slot for slot with a
+# map through two index doublings, IPv6 keys with address words (a, b) and
 # (b^c, a^c) must hash apart, one key cycled through 10k routes must leave
 # the route table bounded, one key through 200k transit chains the segment
 # table too, a route of 65,536 origin copies must be stored once and read
@@ -159,7 +162,7 @@ fuzz-smoke:
 # store a route again (DESIGN §5c).
 serve-smoke:
 	$(GO) test -run='TestServeSmoke|TestServeSoakMemoryPlateau|TestRunLoadMatchesSerialDetector' -count=1 ./internal/serve/
-	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestDetectorPrefixKeyTwinsHashApart|TestDetectorRouteTable' -count=1 -v ./internal/detect/
+	$(GO) test -run='TestDetectorMemoryBytesTracksHeap|TestDetectorThousandMonitorsCost|TestDetectorPrefixIndexCost|TestPrefixKeyClasses|TestDetectorPrefixKeyTwinsHashApart|TestDetectorRouteTable' -count=1 -v ./internal/detect/
 
 # The repository's one benchmark (BENCHMARK.json): end-to-end workloads
 # plus the per-layer rows, written to bench/out/. See bench/README.md.

@@ -1,8 +1,8 @@
 package detect
 
-// Tests for the streaming detector's prefix index: the key slab beside the
-// rows and the seeded open-addressing table that finds a prefix's row
-// (DESIGN §5c).
+// Tests for the streaming detector's prefix index: the key words beside the
+// rows, the overflow slab of IPv6 keys and the seeded open-addressing
+// table that finds a prefix's row (DESIGN §5c).
 
 import (
 	"encoding/binary"
@@ -226,18 +226,19 @@ func TestDetectorPrefixKeyTwinsHashApart(t *testing.T) {
 
 // TestDetectorPrefixIndexCost pins what the index costs a prefix at every
 // size from 1k to 300k prefixes, independent of the Go version's map
-// layout: the key slab at capacity plus the probe table, at most 33 B. The
-// 17-byte key grows by a quarter at a time (≤ 21.3 B) and the table holds
-// 4/3 to 8/3 slots of 4 B per key (≤ 10.7 B).
+// layout: the key slabs at capacity plus the probe table, at most 22 B. The
+// 8-byte key word grows by a quarter at a time (≤ 10 B) and the table holds
+// 4/3 to 8/3 slots of 4 B per key (≤ 10.7 B). A 17-byte key cost up to
+// 31.8 B here.
 func TestDetectorPrefixIndexCost(t *testing.T) {
-	const ceiling = 33
+	const ceiling = 22
 	d := NewDetector([]bgp.ASN{100}, nil)
 	worst, at := 0.0, 0
 	for q := 0; q < 300_000; q++ {
 		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(q >> 16), byte(q >> 8), byte(q)}), 32)
 		d.Observe(bgp.Update{Monitor: 100, Type: bgp.Withdraw, Prefix: pfx})
 		if n := len(d.keys); n >= 1000 {
-			if c := float64(sliceBytes(d.keys)+d.index.MemoryBytes()) / float64(n); c > worst {
+			if c := float64(sliceBytes(d.keys)+sliceBytes(d.over)+d.index.MemoryBytes()) / float64(n); c > worst {
 				worst, at = c, n
 			}
 		}
@@ -246,4 +247,136 @@ func TestDetectorPrefixIndexCost(t *testing.T) {
 	if worst > ceiling {
 		t.Errorf("the index costs %.1f B per prefix at %d prefixes, ceiling %d B", worst, at, ceiling)
 	}
+}
+
+// keyModel is the map model the key tests hold a detector to: each masked
+// prefix's slot, in first-sight order, and the route monitor 100 last
+// announced for it.
+type keyModel struct {
+	slot  map[netip.Prefix]int32
+	route map[netip.Prefix]bgp.Path
+	over  int
+	sent  []netip.Prefix
+}
+
+// observe announces p from monitor 100 to d and to the model. An invalid
+// prefix is dropped by both.
+func (m *keyModel) observe(d *Detector, p netip.Prefix) {
+	path := bgp.Path{bgp.ASN(10 + len(m.sent)%7), 7}
+	d.Observe(bgp.Update{Monitor: 100, Type: bgp.Announce, Prefix: p, Path: path})
+	if !p.IsValid() {
+		return
+	}
+	k := p.Masked()
+	if _, ok := m.slot[k]; !ok {
+		m.slot[k] = int32(len(m.slot))
+		if !k.Addr().Is4() {
+			m.over++
+		}
+	}
+	m.route[k] = path
+	m.sent = append(m.sent, p)
+}
+
+// check holds d to the model slot for slot: each masked prefix finds its
+// slot, whose word names an overflow key exactly for IPv6 (and then the
+// prefix's 17-byte key) and hashes as the lookup did; every
+// prefix sent, masked or not, reads back its route; and each one's
+// neighbours one bit longer or shorter and its IPv4/::ffff: twin are found
+// only if the model holds them.
+func (m *keyModel) check(t testing.TB, d *Detector, when string) {
+	t.Helper()
+	if len(d.keys) != len(m.slot) || len(d.over) != m.over {
+		t.Fatalf("%s: %d key words and %d overflow keys, model %d and %d", when, len(d.keys), len(d.over), len(m.slot), m.over)
+	}
+	for k, slot := range m.slot {
+		w, _, h, r := d.lookup(k)
+		if r != slot {
+			t.Fatalf("%s: %v found at slot %d, model %d", when, k, r, slot)
+		}
+		i, over := overIdx(d.keys[r])
+		if over != !k.Addr().Is4() || !over && d.keys[r] != w {
+			t.Fatalf("%s: %v holds word %#x", when, k, d.keys[r])
+		} else if over && d.over[i] != (pfxKey{k.Addr().As16(), uint8(k.Bits())}) {
+			t.Fatalf("%s: %v names overflow key %v", when, k, d.over[i])
+		}
+		if d.keyHash(r) != h {
+			t.Fatalf("%s: %v hashes to %#x in the index and %#x on lookup", when, k, d.keyHash(r), h)
+		}
+	}
+	for _, p := range m.sent {
+		if got, want := d.RouteOf(p, 100), m.route[p.Masked()]; !got.Equal(want) {
+			t.Fatalf("%s: RouteOf(%v) = %v, model %v", when, p, got, want)
+		}
+		a := p.Addr()
+		twin := netip.PrefixFrom(netip.AddrFrom16(a.As16()), p.Bits()+96)
+		if !a.Is4() {
+			twin = netip.PrefixFrom(a.Unmap(), p.Bits()-96)
+		}
+		for _, q := range []netip.Prefix{netip.PrefixFrom(a, p.Bits()+1), netip.PrefixFrom(a, p.Bits()-1), twin} {
+			_, held := m.slot[q.Masked()]
+			if _, _, _, r := d.lookup(q); (r >= 0) != (held && q.IsValid()) {
+				t.Fatalf("%s: %v, beside %v, found at slot %d; model holds it: %v", when, q, p, r, held)
+			}
+		}
+	}
+}
+
+// TestPrefixKeyClasses feeds one detector every class of prefix key in
+// rounds: IPv4 /0–/32 with host bits set (key words), each one's ::ffff:
+// twin (/96–/128) and IPv6 /0–/128 with host bits set (overflow keys).
+// After every doubling of the prefix index and at the end, the detector
+// agrees slot for slot with a map keyed by the masked prefix
+// (keyModel.check).
+func TestPrefixKeyClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	d := NewDetector([]bgp.ASN{100}, nil)
+	m := &keyModel{slot: map[netip.Prefix]int32{}, route: map[netip.Prefix]bgp.Path{}}
+	doublings := 0
+	for round := 0; round < 40; round++ {
+		var a [16]byte
+		rng.Read(a[:])
+		var ps []netip.Prefix
+		for bits := 0; bits <= 32; bits++ {
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte(a[:4])), bits)
+			ps = append(ps, p, netip.PrefixFrom(netip.AddrFrom16(p.Addr().As16()), bits+96))
+		}
+		for bits := 0; bits <= 128; bits++ {
+			ps = append(ps, netip.PrefixFrom(netip.AddrFrom16(a), bits))
+		}
+		for _, p := range ps {
+			size := d.index.MemoryBytes()
+			m.observe(d, p)
+			if d.index.MemoryBytes() != size {
+				doublings++
+				m.check(t, d, "after a doubling")
+			}
+		}
+	}
+	m.check(t, d, "at the end")
+	if doublings < 2 || m.over == 0 || m.over == len(m.slot) {
+		t.Fatalf("premise broken: %d doublings, %d of %d keys overflow", doublings, m.over, len(m.slot))
+	}
+	t.Logf("%d prefixes, %d overflow keys, %d doublings", len(m.slot), m.over, doublings)
+}
+
+// FuzzPrefixKeys decodes its input as 18-byte records: a family byte (odd
+// for IPv6), a 16-byte address (IPv4 takes the first four bytes) and a
+// bits byte, which may be past the family's width, making the prefix
+// invalid. Every prefix is announced to one detector and to keyModel,
+// which must agree slot for slot at the end. The checked-in corpus holds
+// /0, /127–/129 and IPv4 prefixes beside their ::ffff: twins.
+func FuzzPrefixKeys(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDetector([]bgp.ASN{100}, nil)
+		m := &keyModel{slot: map[netip.Prefix]int32{}, route: map[netip.Prefix]bgp.Path{}}
+		for ; len(data) >= 18; data = data[18:] {
+			a := netip.AddrFrom16([16]byte(data[1:17]))
+			if data[0]%2 == 0 {
+				a = netip.AddrFrom4([4]byte(data[1:5]))
+			}
+			m.observe(d, netip.PrefixFrom(a, int(data[17])))
+		}
+		m.check(t, d, "at the end")
+	})
 }

@@ -50,9 +50,11 @@ type Detector struct {
 	rowHash                []uint64
 	rowIdx                 probe.Index
 
-	// keys holds every prefix's key and rowIDs its row, by prefix slot;
+	// keys holds every prefix's key word (keyOf) and rowIDs its row, by
+	// prefix slot; over holds the IPv6 prefixes' 17-byte keys.
 	// index finds a key's slot by its hash.
-	keys   []pfxKey
+	keys   []uint64
+	over   []pfxKey
 	rowIDs []int32
 	index  probe.Index
 	seed   uint64
@@ -79,25 +81,44 @@ type Detector struct {
 // index slots (≤ 5), rounded up.
 const routeWords = 16
 
-// pfxKey is a masked prefix as a pointer-free 17-byte key (netip.Prefix
-// holds a pointer the GC must scan), so 10.0.0.1/8 is 10.0.0.0/8.
-// 10.0.0.0/8 and its mapped twin ::ffff:10.0.0.0/104 share As16 but not
-// their bits, and a masked IPv6 prefix of at most 32 bits, the only one
-// with an IPv4 prefix's bits, has no ::ffff: word.
+// pfxKey is a masked IPv6 prefix as a pointer-free 17-byte key
+// (netip.Prefix holds a pointer the GC must scan). 10.0.0.0/8's mapped
+// twin ::ffff:10.0.0.0/104 is one.
 type pfxKey struct {
 	addr [16]byte
 	bits uint8
 }
 
-func keyOf(p netip.Prefix) pfxKey {
-	return pfxKey{p.Masked().Addr().As16(), uint8(p.Bits())}
+// keyOf returns the masked prefix p's key, so 10.0.0.1/8 is 10.0.0.0/8: an
+// IPv4 prefix's key word has bit 63 set, the length in bits 32–37 and the
+// address below; an IPv6 prefix returns word 0 and its 17-byte key, and its
+// slot's word holds the key's index in over.
+func keyOf(p netip.Prefix) (uint64, pfxKey) {
+	p = p.Masked()
+	if a := p.Addr(); a.Is4() {
+		a4 := a.As4()
+		return 1<<63 | uint64(p.Bits())<<32 | uint64(binary.BigEndian.Uint32(a4[:])), pfxKey{}
+	}
+	return 0, pfxKey{p.Addr().As16(), uint8(p.Bits())}
 }
 
-// hash mixes k's address words under the detector's random seed (a feed
-// of network prefixes must not pick the collisions), then its bits, by
-// 64×64→128-bit multiplies folded to 64 bits. Word 0 is mixed alone before
-// word 1 joins it: one product of the two words would commute, so the keys
-// with words (a, b) and (b^c, a^c) would collide under every seed.
+// overIdx returns the over index a key word names and whether it names one:
+// a word with bit 63 clear.
+func overIdx(w uint64) (int, bool) { return int(w), w>>63 == 0 }
+
+// wordHash mixes a key word under the detector's random seed (a feed of
+// network prefixes must not pick the collisions) by two 64×64→128-bit
+// multiplies folded to 64 bits.
+func (d *Detector) wordHash(w uint64) uint64 {
+	hi, lo := bits.Mul64(w^d.seed, 0xa0761d6478bd642f)
+	hi, lo = bits.Mul64(hi^lo, 0xe7037ed1a0b428db)
+	return hi ^ lo
+}
+
+// hash mixes an IPv6 key's address words under the seed, then its
+// bits. Word 0 is mixed alone before word 1 joins it: one product of the
+// two words would commute, so the keys with words (a, b) and (b^c, a^c)
+// would collide under every seed.
 func (d *Detector) hash(k *pfxKey) uint64 {
 	hi, lo := bits.Mul64(binary.LittleEndian.Uint64(k.addr[:8])^d.seed, 0xa0761d6478bd642f)
 	hi, lo = bits.Mul64(hi^lo, binary.LittleEndian.Uint64(k.addr[8:])^d.seed^0x9e3779b97f4a7c15)
@@ -105,23 +126,46 @@ func (d *Detector) hash(k *pfxKey) uint64 {
 	return hi ^ lo
 }
 
-func (d *Detector) keyHash(r int32) uint64 { return d.hash(&d.keys[r]) }
+func (d *Detector) keyHash(r int32) uint64 {
+	if i, ok := overIdx(d.keys[r]); ok {
+		return d.hash(&d.over[i])
+	}
+	return d.wordHash(d.keys[r])
+}
 
-// slotOf returns k's prefix slot, appending one that holds the empty row
-// if k is new.
-func (d *Detector) slotOf(k pfxKey) int32 {
-	h := d.hash(&k)
-	if r := d.index.Find(h, func(r int32) bool { return d.keys[r] == k }); r >= 0 {
+// lookup returns p's key (keyOf), its hash and p's prefix slot, -1 if p is
+// new. IPv4 words compare whole; an IPv6 key compares with the over entry
+// a word names.
+func (d *Detector) lookup(p netip.Prefix) (w uint64, k pfxKey, h uint64, r int32) {
+	if w, k = keyOf(p); w != 0 {
+		h = d.wordHash(w)
+		return w, k, h, d.index.Find(h, func(r int32) bool { return d.keys[r] == w })
+	}
+	h = d.hash(&k)
+	return w, k, h, d.index.Find(h, func(r int32) bool {
+		i, ok := overIdx(d.keys[r])
+		return ok && d.over[i] == k
+	})
+}
+
+// slotOf returns p's prefix slot, appending one that holds the empty row
+// if p is new.
+func (d *Detector) slotOf(p netip.Prefix) int32 {
+	w, k, h, r := d.lookup(p)
+	if r >= 0 {
 		return r
+	}
+	if w == 0 {
+		w, d.over = uint64(len(d.over)), append(d.over, k)
 	}
 	if len(d.keys) == cap(d.keys) { // a quarter more, where append would double
 		n := len(d.keys)*5/4 + 8
-		d.keys = append(make([]pfxKey, 0, n), d.keys...)
+		d.keys = append(make([]uint64, 0, n), d.keys...)
 		d.rowIDs = append(make([]int32, 0, n), d.rowIDs...)
 	}
-	d.keys, d.rowIDs = append(d.keys, k), append(d.rowIDs, 0)
+	d.keys, d.rowIDs = append(d.keys, w), append(d.rowIDs, 0)
 	d.rowRefs[0]++
-	r := int32(len(d.keys) - 1)
+	r = int32(len(d.keys) - 1)
 	d.index.Put(h, r, d.keyHash)
 	return r
 }
@@ -254,7 +298,7 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	}
 	m := len(d.monASN)
 	if u.Prefix != d.lastPfx {
-		d.lastPfx, d.lastOff = u.Prefix, int(d.slotOf(keyOf(u.Prefix)))
+		d.lastPfx, d.lastOff = u.Prefix, int(d.slotOf(u.Prefix))
 	}
 	r := d.rowIDs[d.lastOff]
 	prev, id := d.rows[int(r)*m+mi], int32(0)
@@ -364,7 +408,7 @@ func (d *Detector) MemoryBytes() int64 {
 		return 0
 	}
 	return int64(unsafe.Sizeof(*d)) + d.arena.MemoryBytes() + sliceBytes(d.rows) + sliceBytes(d.rowRefs) +
-		sliceBytes(d.rowFree) + sliceBytes(d.rowHash) + d.rowIdx.MemoryBytes() + sliceBytes(d.keys) +
+		sliceBytes(d.rowFree) + sliceBytes(d.rowHash) + d.rowIdx.MemoryBytes() + sliceBytes(d.keys) + sliceBytes(d.over) +
 		sliceBytes(d.rowIDs) + d.index.MemoryBytes() + sliceBytes(d.spans) + sliceBytes(d.refs) +
 		sliceBytes(d.free) + d.routeIdx.MemoryBytes() + sliceBytes(d.liveRefs) + sliceBytes(d.monASN)
 }
@@ -378,8 +422,7 @@ func sliceBytes[T any](s []T) int64 {
 // prefix (nil if unknown), materialized off the arena.
 func (d *Detector) RouteOf(prefix netip.Prefix, monitor bgp.ASN) bgp.Path {
 	mi, ok := slices.BinarySearch(d.monASN, monitor)
-	k := keyOf(prefix)
-	if r := d.index.Find(d.hash(&k), func(r int32) bool { return d.keys[r] == k }); ok && r >= 0 {
+	if _, _, _, r := d.lookup(prefix); ok && r >= 0 {
 		return d.arena.Path(d.spans[d.rows[int(d.rowIDs[r])*len(d.monASN)+mi]])
 	}
 	return nil

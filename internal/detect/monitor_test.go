@@ -74,12 +74,12 @@ func heapAfterGC() int64 {
 // serve_memory_bytes and bench's state_mb read, to the heap the detector
 // really holds (±20 %), and caps what a growing table costs: 200k prefixes
 // of the growth template (four inserts each, ten monitors) may grow the
-// heap by at most 48 B a prefix. A shared row's id plus its key and index
-// slots measures ≈35 B here; a row of route ids per prefix measured ≈76 B,
-// and a span per monitor and a path body per (prefix, monitor) ≈325 B, of
-// which MemoryBytes reported 0.74×.
+// heap by at most 32 B a prefix. A shared row's id plus its key word and
+// index slots measures ≈24 B here, and ≈34 B with a 17-byte key; a row of
+// route ids per prefix measured ≈76 B, and a span per monitor and a path
+// body per (prefix, monitor) ≈325 B, of which MemoryBytes reported 0.74×.
 func TestDetectorMemoryBytesTracksHeap(t *testing.T) {
-	const prefixes, ceiling = 200_000, 48
+	const prefixes, ceiling = 200_000, 32
 	updates, monitors, g := churnCorpus(t, 1500, 23, 10, 300, 1000)
 	inserts, attack := growthTemplate(t, updates, monitors, g)
 	batch := make([]bgp.Update, 0, 5*256)

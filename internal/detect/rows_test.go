@@ -290,10 +290,12 @@ func TestDetectorSharedRowFlapZeroAlloc(t *testing.T) {
 
 // TestDetectorThousandMonitorsCost runs the growth template on 100k fresh
 // prefixes at 1,000 monitors, Sermpezis et al.'s largest monitor count: the
-// heap may grow by at most 64 B a prefix. A row of 4-byte route ids per
-// prefix costs ≈4 KB here; a shared row costs each prefix its row id.
+// heap may grow by at most 32 B a prefix. A row of 4-byte route ids per
+// prefix costs ≈4 KB here; a shared row costs each prefix its row id, and
+// the prefix its key word and index slots, ≈24 B in all (≈35 B with a
+// 17-byte key).
 func TestDetectorThousandMonitorsCost(t *testing.T) {
-	const prefixes, ceiling = 100_000, 64
+	const prefixes, ceiling = 100_000, 32
 	updates, monitors, g := churnCorpus(t, 1500, 23, 10, 300, 1000)
 	inserts, attack := growthTemplate(t, updates, monitors, g)
 	wide := g.TopByDegree(1000)

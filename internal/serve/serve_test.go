@@ -770,6 +770,100 @@ func TestIngestTCP(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIngestPeerResetMidFrame is the first of ROADMAP 5b's faults: a peer
+// that sends complete frames, then half a frame, then closes. Its complete
+// frames are processed and exactly one bad frame is counted, while a
+// second connection, open throughout, has its whole stream processed and
+// Stats, /metrics and /healthz keep answering.
+func TestIngestPeerResetMidFrame(t *testing.T) {
+	updates, monitors, g := loadCorpus(t, 400, 37, 20, 30)
+	counters := &obs.Counters{}
+	p, err := NewPipeline(Config{Shards: 2, Monitors: monitors, Rels: g, Counters: counters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); p.ServeIngest(l) }()
+
+	encode := func(us []bgp.Update) []byte {
+		var buf []byte
+		for _, u := range us {
+			if buf, err = bgp.AppendUpdateBinary(buf, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf
+	}
+	k := len(updates) / 2
+	whole, next := encode(updates), encode(updates[k:k+1])
+	cut := append(encode(updates[:k]), next[:len(next)/2]...)
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, counters.Snapshot())
+			}
+		}
+	}
+
+	steady, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer steady.Close()
+	if _, err := steady.Write(whole[:len(whole)/3]); err != nil { // may end mid-frame: the rest follows
+		t.Fatal(err)
+	}
+	reset, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reset.Write(cut); err != nil {
+		t.Fatal(err)
+	}
+	reset.Close()
+	waitFor("the cut frame", func() bool { return counters.Snapshot().FramesBad > 0 })
+
+	// The steady connection is still open, mid-stream: the daemon answers.
+	if s := p.Stats(); s.Dropped != 0 {
+		t.Fatalf("Stats after the reset: %d dropped", s.Dropped)
+	}
+	if got := httpGet(t, srv.URL+"/healthz"); !strings.Contains(got, "ok") {
+		t.Fatalf("/healthz after the reset = %q", got)
+	}
+	if got := httpGet(t, srv.URL+"/metrics"); !strings.Contains(got, "aspp_frames_bad_total 1\n") {
+		t.Fatalf("/metrics after the reset lacks one bad frame:\n%s", got)
+	}
+	if _, err := steady.Write(whole[len(whole)/3:]); err != nil {
+		t.Fatal(err)
+	}
+	steady.Close()
+
+	want := int64(k + len(updates))
+	waitFor("both streams", func() bool { return p.processed.Load() >= want && counters.Snapshot().FramesIn >= want })
+	s, cs := p.Stats(), counters.Snapshot()
+	if s.Processed != want || s.Enqueued != want || cs.FramesIn != want || cs.FramesBad != 1 || s.Dropped != 0 {
+		t.Fatalf("processed %d, enqueued %d, frames in %d, bad %d, dropped %d; want %d complete frames (%d before the cut, %d steady) and 1 bad",
+			s.Processed, s.Enqueued, cs.FramesIn, cs.FramesBad, s.Dropped, want, k, len(updates))
+	}
+	if got := httpGet(t, srv.URL+"/healthz"); !strings.Contains(got, "ok") {
+		t.Fatalf("/healthz after both streams = %q", got)
+	}
+	l.Close()
+	p.Close()
+	wg.Wait()
+}
+
 // TestCloseMidIngestProcessesAccepted pins the shutdown ordering: Close
 // quiesces producers (waits for every ingest goroutine) before workers
 // may exit, so even when Close lands mid-stream no accepted update is
