@@ -30,7 +30,11 @@ check: lint-panics lint-paths lint-sweeps lint-fmt tier1 scale-smoke serve-smoke
 # differentials re-run the same way: a build that depends on link order, a
 # repeat or conflict judged wrongly, a loader that names the wrong line, or
 # internet80k's digest or serial-2 bytes moving. TestExportsHaveCallers re-runs
-# so that an exported name only tests use names itself too.
+# so that an exported name only tests use names itself too. So do the engine
+# differentials that draw per-neighbour λ and withheld (λ 0) sessions through
+# the full kernel, the delta engine and the reference oracle
+# (TestEnginesAgree*, TestDeltaEngineDifferential), and TestLambdaBounds: a
+# λ or KeepPrepend that would wrap a route's int16 Prep is an error.
 tier1:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -40,6 +44,7 @@ tier1:
 	$(GO) test -run=TestConeAccounting -count=1 ./internal/core/
 	$(GO) test -run=TestExportsHaveCallers -count=1 .
 	$(GO) test -run='TestLambdaShiftProperty|TestDeltaMirrorFollowsSlotVersion' -count=1 ./internal/routing/
+	$(GO) test -run='TestEnginesAgree|TestDeltaEngineDifferential|TestLambdaBounds' -count=1 ./internal/routing/
 	$(GO) test -run=TestVantage -count=1 ./internal/routing/
 	$(GO) test -run='Match(es)?FullTables' -count=1 ./internal/measure/ ./internal/collector/ ./internal/relinfer/
 	$(GO) test -run 'Differential|ZeroAlloc' -count=1 ./internal/detect/ ./internal/probe/

@@ -145,15 +145,10 @@ func attackStream(t *testing.T, in *aspp.Internet, monitors []bgp.ASN, prefix ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := t0
-	for _, e := range collector.Snapshot(im.Baseline(), prefix, monitors) {
-		tm++
-		snap = append(snap, bgp.Update{
-			Time: tm, Monitor: e.Monitor, Type: bgp.Announce, Prefix: e.Route.Prefix, Path: e.Route.Path,
-		})
+	if snap, err = collector.StreamTransition(nil, im.Baseline(), prefix, monitors, t0); err != nil {
+		t.Fatal(err)
 	}
-	trans, err = collector.StreamTransition(im.Baseline(), im.Attacked(), prefix, monitors, tm)
-	if err != nil {
+	if trans, err = collector.StreamTransition(im.Baseline(), im.Attacked(), prefix, monitors, t0+uint64(len(snap))); err != nil {
 		t.Fatal(err)
 	}
 	return snap, trans

@@ -152,16 +152,11 @@ func writeUpdateStream(path string, g *topology.Graph, im *aspp.Impact, nMonitor
 	// The stream is written only once Close succeeds.
 	defer func() { err = errors.Join(err, f.Close()) }()
 
-	var tm uint64
-	var stream []bgp.Update
-	for _, e := range collector.Snapshot(im.Baseline(), prefix, monitors) {
-		tm++
-		stream = append(stream, bgp.Update{
-			Time: tm, Monitor: e.Monitor, Type: bgp.Announce,
-			Prefix: e.Route.Prefix, Path: e.Route.Path,
-		})
+	stream, err := collector.StreamTransition(nil, im.Baseline(), prefix, monitors, 0)
+	if err != nil {
+		return err
 	}
-	changes, err := collector.StreamTransition(im.Baseline(), im.Attacked(), prefix, monitors, tm)
+	changes, err := collector.StreamTransition(im.Baseline(), im.Attacked(), prefix, monitors, uint64(len(stream)))
 	if err != nil {
 		return err
 	}

@@ -49,9 +49,7 @@ func TestLegitimateChurnRaisesNoHighAlarms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		failedAnn := oc.Announcement
-		failedAnn.Withhold = map[ASN]bool{ev.Primary: true}
-		failed, err := routing.Propagate(g, failedAnn)
+		failed, err := routing.Propagate(g, ev.Failover(oc.Announcement))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,16 +141,11 @@ func TestBinaryStreamPipelineRoundTrip(t *testing.T) {
 	monitors := in.TopByDegree(50)
 	prefix := netip.MustParsePrefix("10.1.0.0/16")
 
-	var stream []bgp.Update
-	var tm uint64
-	for _, e := range collector.Snapshot(im.Baseline(), prefix, monitors) {
-		tm++
-		stream = append(stream, bgp.Update{
-			Time: tm, Monitor: e.Monitor, Type: bgp.Announce,
-			Prefix: e.Route.Prefix, Path: e.Route.Path,
-		})
+	stream, err := collector.StreamTransition(nil, im.Baseline(), prefix, monitors, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	changes, err := collector.StreamTransition(im.Baseline(), im.Attacked(), prefix, monitors, tm)
+	changes, err := collector.StreamTransition(im.Baseline(), im.Attacked(), prefix, monitors, uint64(len(stream)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ package collector
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 
@@ -248,6 +249,16 @@ func nthPrefix(i int) netip.Prefix {
 type ChurnEvent struct {
 	Origin  bgp.ASN
 	Primary bgp.ASN
+}
+
+// Failover is ann, the origin's steady announcement, with the primary
+// session failed: λ 0 toward Primary. ann's table is not modified.
+func (ev ChurnEvent) Failover(ann routing.Announcement) routing.Announcement {
+	pn := make(map[bgp.ASN]int, len(ann.PerNeighbor)+1)
+	maps.Copy(pn, ann.PerNeighbor)
+	pn[ev.Primary] = 0
+	ann.PerNeighbor = pn
+	return ann
 }
 
 // PlanChurn samples n failure events over the origins that have a primary

@@ -1,9 +1,12 @@
 package collector
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
+	"aspp/internal/bgp"
+	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
@@ -183,5 +186,32 @@ func TestPlanChurn(t *testing.T) {
 	}
 	if got := PlanChurn(nil, 10, 1); got != nil {
 		t.Error("churn over no origins should be empty")
+	}
+}
+
+// TestChurnEventFailover: the failover announcement is the steady one with
+// λ 0 toward the primary, whatever per-neighbor table the origin had, and
+// the origin's own table is left as it was (every event of that origin
+// reads it).
+func TestChurnEventFailover(t *testing.T) {
+	ev := ChurnEvent{Origin: 100, Primary: 30}
+	for _, steady := range []routing.Announcement{
+		{Origin: 100, Prepend: 5},
+		{Origin: 100, Prepend: 5, PerNeighbor: map[bgp.ASN]int{30: 1, 40: 2}},
+	} {
+		before := maps.Clone(steady.PerNeighbor)
+		got := ev.Failover(steady)
+		want := map[bgp.ASN]int{30: 0}
+		for n, lam := range before {
+			if n != 30 {
+				want[n] = lam
+			}
+		}
+		if got.Origin != 100 || got.Prepend != 5 || !maps.Equal(got.PerNeighbor, want) {
+			t.Errorf("Failover(%+v) = %+v, want per-neighbor %v", steady, got, want)
+		}
+		if !maps.Equal(steady.PerNeighbor, before) {
+			t.Errorf("Failover rewrote the steady table: %v, was %v", steady.PerNeighbor, before)
+		}
 	}
 }

@@ -75,9 +75,7 @@ func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent,
 				return nil, fmt.Errorf("collector: steady propagate %v: %w", oc.AS, err)
 			}
 			counters.AddRowsDown(st.s.RowsDown())
-			failedAnn := oc.Announcement
-			failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
-			spans, err = vantage.PathsInto(failedAnn, st.s, st.arena, spans)
+			spans, err = vantage.PathsInto(ev.Failover(oc.Announcement), st.s, st.arena, spans)
 			if err != nil {
 				return nil, fmt.Errorf("collector: churn propagate %v: %w", oc.AS, err)
 			}

@@ -167,7 +167,12 @@ func TestChurnStreamMatchesFullTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		failedAnn := oc.Announcement
-		failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
+		failedAnn.PerNeighbor = map[bgp.ASN]int{ev.Primary: 0}
+		for n, lam := range oc.Announcement.PerNeighbor {
+			if n != ev.Primary {
+				failedAnn.PerNeighbor[n] = lam
+			}
+		}
 		failed, err := routing.Propagate(fix.g, failedAnn)
 		if err != nil {
 			t.Fatal(err)

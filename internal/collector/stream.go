@@ -4,39 +4,17 @@ import (
 	"errors"
 	"net/netip"
 	"slices"
-	"sort"
 
 	"aspp/internal/bgp"
 	"aspp/internal/routing"
 )
 
-// TableEntry is one row of a vantage point's routing-table snapshot.
-type TableEntry struct {
-	Monitor bgp.ASN
-	Route   bgp.Route
-}
-
-// Snapshot extracts monitor-table entries for one prefix from a routing
-// result, sorted by monitor.
-func Snapshot(res *routing.Result, prefix netip.Prefix, monitors []bgp.ASN) []TableEntry {
-	out := make([]TableEntry, 0, len(monitors))
-	for _, m := range monitors {
-		if p := res.PathOf(m); p != nil {
-			out = append(out, TableEntry{
-				Monitor: m,
-				Route:   bgp.Route{Prefix: prefix, Path: p},
-			})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Monitor < out[b].Monitor })
-	return out
-}
-
 // StreamTransition builds the update stream the monitors would emit when
 // routing shifts from the "before" to the "after" result for one prefix:
 // an announcement for every changed best route, a withdrawal for every
-// lost one. Times start at startTime and increase per update; updates are
-// ordered by monitor for determinism.
+// lost one. A nil before is no route anywhere, so the stream announces
+// after's table: a steady state. Times start at startTime and increase per
+// update; updates are ordered by monitor for determinism.
 func StreamTransition(before, after *routing.Result, prefix netip.Prefix, monitors []bgp.ASN, startTime uint64) ([]bgp.Update, error) {
 	if !prefix.IsValid() {
 		return nil, errors.New("collector: invalid prefix")
@@ -45,14 +23,18 @@ func StreamTransition(before, after *routing.Result, prefix netip.Prefix, monito
 	slices.Sort(sorted)
 	idx := make([]int32, len(sorted))
 	for i, m := range sorted {
-		j, ok := before.Graph().Index(m)
+		j, ok := after.Graph().Index(m)
 		if !ok {
 			j = -1
 		}
 		idx[i] = j
 	}
 	a := routing.NewPathArena()
-	out := transition(a, sorted, before.PathsInto(a, idx, nil), after.PathsInto(a, idx, nil), nil)
+	from := make([]routing.PathSpan, len(idx))
+	if before != nil {
+		from = before.PathsInto(a, idx, from[:0])
+	}
+	out := transition(a, sorted, from, after.PathsInto(a, idx, nil), nil)
 	for i := range out {
 		out[i].Prefix, out[i].Time = prefix, startTime+uint64(i)+1
 	}

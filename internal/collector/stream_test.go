@@ -2,6 +2,7 @@ package collector
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -34,18 +35,32 @@ func streamFixture(t *testing.T) (*topology.Graph, *core.Impact, netip.Prefix) {
 	return g, im, netip.MustParsePrefix("10.9.0.0/16")
 }
 
-func TestSnapshotSortedByMonitor(t *testing.T) {
+// TestStreamTransitionFromNil: a transition from no route announces the
+// steady-state table — every monitor with a route, its baseline route to
+// the prefix, sorted by monitor whatever order the monitors came in.
+func TestStreamTransitionFromNil(t *testing.T) {
 	g, im, pfx := streamFixture(t)
-	entries := Snapshot(im.Baseline(), pfx, g.ASNs())
-	if len(entries) == 0 {
-		t.Fatal("empty snapshot")
+	monitors := slices.Clone(g.ASNs())
+	slices.Reverse(monitors)
+	updates, err := StreamTransition(nil, im.Baseline(), pfx, monitors, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range entries {
-		if i > 0 && entries[i-1].Monitor >= e.Monitor {
-			t.Fatal("snapshot not sorted by monitor")
+	routed := 0
+	for _, m := range monitors {
+		if im.Baseline().PathOf(m) != nil {
+			routed++
 		}
-		if e.Route.Prefix != pfx || !e.Route.Path.Equal(im.Baseline().PathOf(e.Monitor)) {
-			t.Errorf("entry %d = %v, want %v's baseline route to %v", i, e, e.Monitor, pfx)
+	}
+	if len(updates) == 0 || len(updates) != routed {
+		t.Fatalf("got %d updates, want one per routed monitor (%d)", len(updates), routed)
+	}
+	for i, u := range updates {
+		if i > 0 && updates[i-1].Monitor >= u.Monitor {
+			t.Fatal("steady state not sorted by monitor")
+		}
+		if u.Type != bgp.Announce || u.Time != 7+uint64(i)+1 || u.Prefix != pfx || !u.Path.Equal(im.Baseline().PathOf(u.Monitor)) {
+			t.Errorf("update %d = %+v, want %v's baseline route to %v at time %d", i, u, u.Monitor, pfx, 7+i+1)
 		}
 	}
 }
@@ -81,7 +96,7 @@ func TestStreamTransitionWithdraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann.Withhold = map[bgp.ASN]bool{30: true}
+	ann.PerNeighbor = map[bgp.ASN]int{30: 0}
 	after, err := routing.Propagate(g, ann)
 	if err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ func TestSimulateForgedValidation(t *testing.T) {
 // topologies too — every family runs there, on both entry points.
 func TestSimulateForgedNeedsNoRoute(t *testing.T) {
 	g := coreGraph(t)
-	dark := Scenario{Victim: 100, Attacker: 200, Prepend: 3, WithholdFrom: []bgp.ASN{30}}
+	dark := Scenario{Victim: 100, Attacker: 200, Prepend: 3, PerNeighborPrepend: map[bgp.ASN]int{30: 0}}
 	if _, err := Simulate(g, dark); !errors.Is(err, ErrAttackerSeesNoRoute) {
 		t.Errorf("ASPP on a dark prefix: err = %v, want ErrAttackerSeesNoRoute", err)
 	}

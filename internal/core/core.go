@@ -56,11 +56,10 @@ type Scenario struct {
 	Type AttackType
 	// Prepend λ is the victim's origin-prepend count (>= 1).
 	Prepend int
-	// PerNeighborPrepend optionally varies λ per victim neighbor.
+	// PerNeighborPrepend optionally varies λ per victim neighbor; λ 0
+	// withholds the announcement from that neighbor (selective
+	// announcement or failed session).
 	PerNeighborPrepend map[bgp.ASN]int
-	// WithholdFrom lists victim neighbors that do not receive the
-	// announcement at all (selective announcement or failed session).
-	WithholdFrom []bgp.ASN
 	// KeepPrepend is how many origin copies the attacker leaves (default 1).
 	KeepPrepend int
 	// ViolateValleyFree makes the attacker export the bogus route to all
@@ -75,18 +74,7 @@ func (s Scenario) String() string {
 
 // Announcement converts the scenario into the routing-layer announcement.
 func (s Scenario) Announcement() routing.Announcement {
-	ann := routing.Announcement{
-		Origin:      s.Victim,
-		Prepend:     s.Prepend,
-		PerNeighbor: s.PerNeighborPrepend,
-	}
-	if len(s.WithholdFrom) > 0 {
-		ann.Withhold = make(map[bgp.ASN]bool, len(s.WithholdFrom))
-		for _, n := range s.WithholdFrom {
-			ann.Withhold[n] = true
-		}
-	}
-	return ann
+	return routing.Announcement{Origin: s.Victim, Prepend: s.Prepend, PerNeighbor: s.PerNeighborPrepend}
 }
 
 // AttackerConfig converts the scenario into the routing-layer attacker.

@@ -298,7 +298,7 @@ func TestBaselineOnly(t *testing.T) {
 	}
 	// Scenario withholding applies to the baseline too.
 	res2, err := routing.Propagate(g, Scenario{
-		Victim: 100, Attacker: 50, Prepend: 3, WithholdFrom: []bgp.ASN{30},
+		Victim: 100, Attacker: 50, Prepend: 3, PerNeighborPrepend: map[bgp.ASN]int{30: 0},
 	}.Announcement())
 	if err != nil {
 		t.Fatal(err)

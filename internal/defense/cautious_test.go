@@ -175,7 +175,7 @@ func TestCautiousSweepHonorsWithholdAndUnreachableAttacker(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		cand.WithholdFrom = []bgp.ASN{g.Providers(asn)[0]}
+		cand.PerNeighborPrepend = map[bgp.ASN]int{g.Providers(asn)[0]: 0}
 		held, err := core.Simulate(g, cand)
 		if err == nil && held.PollutedAfter != open.PollutedAfter {
 			sc = cand
@@ -200,7 +200,10 @@ func TestCautiousSweepHonorsWithholdAndUnreachableAttacker(t *testing.T) {
 	// Withhold from every neighbor: nobody, the attacker included, hears
 	// the route.
 	dark := sc
-	dark.WithholdFrom = append(append(g.Providers(sc.Victim), g.Peers(sc.Victim)...), neighborASNs(g, sc.Victim, g.CustomersIdx)...)
+	dark.PerNeighborPrepend = map[bgp.ASN]int{}
+	for _, n := range append(append(g.Providers(sc.Victim), g.Peers(sc.Victim)...), neighborASNs(g, sc.Victim, g.CustomersIdx)...) {
+		dark.PerNeighborPrepend[n] = 0
+	}
 	if _, err := CautiousAdoptionSweep(g, dark, []float64{0, 1}, DeployRandom, 1); !errors.Is(err, core.ErrAttackerSeesNoRoute) {
 		t.Errorf("attacker that hears nothing: err = %v, want ErrAttackerSeesNoRoute", err)
 	}

@@ -143,6 +143,54 @@ func TestMitigateUnprepend(t *testing.T) {
 	}
 }
 
+// TestMitigateUnprependKeepsWithheldSession: unprepending drops every
+// padded per-neighbor λ but not a withheld (λ 0) session. The victim
+// multihomes to 30, 40 and 60, withholds from 30 and pads 60; attacker 40
+// strips. The response must be the plain λ-1 attack with 30 still at 0,
+// which differs from the one that re-announces to 30.
+func TestMitigateUnprependKeepsWithheldSession(t *testing.T) {
+	b := topology.NewBuilder()
+	for _, e := range [][2]bgp.ASN{
+		{10, 30}, {10, 40}, {20, 30}, {20, 40}, {20, 60},
+		{30, 100}, {40, 100}, {60, 100}, {10, 70}, {20, 80},
+	} {
+		if err := b.AddP2C(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddP2P(10, 20); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.Scenario{Victim: 100, Attacker: 40, Prepend: 4, PerNeighborPrepend: map[bgp.ASN]int{30: 0, 60: 6}}
+	out, err := Mitigate(g, sc, MitigateUnprepend)
+	if err != nil {
+		t.Fatalf("Mitigate: %v", err)
+	}
+	if sc.PerNeighborPrepend[60] != 6 {
+		t.Errorf("Mitigate rewrote the scenario's table: %v", sc.PerNeighborPrepend)
+	}
+	simulate := func(pn map[bgp.ASN]int) *core.Impact {
+		t.Helper()
+		im, err := core.Simulate(g, core.Scenario{Victim: 100, Attacker: 40, Prepend: 1, PerNeighborPrepend: pn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return im
+	}
+	want, open := simulate(map[bgp.ASN]int{30: 0}), simulate(nil)
+	if out.AfterResponse != want.After() || out.ReachableAfter != want.Attacked().ReachableCount() {
+		t.Errorf("response polluted %.3f with %d reachable, want %.3f with %d (λ 1, 30 withheld)",
+			out.AfterResponse, out.ReachableAfter, want.After(), want.Attacked().ReachableCount())
+	}
+	if want.After() == open.After() {
+		t.Fatalf("premise broken: withholding from 30 does not change the λ-1 attack (%.3f)", open.After())
+	}
+}
+
 func TestMitigateWithhold(t *testing.T) {
 	// Hand-built scenario: the victim multihomes to 30 (primary) and 40;
 	// attacker 40 strips. Withholding from 40 cuts the attack entirely.

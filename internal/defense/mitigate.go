@@ -3,6 +3,7 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
@@ -68,14 +69,20 @@ func Mitigate(g *topology.Graph, sc core.Scenario, m Mitigation) (*MitigationOut
 	response := sc
 	switch m {
 	case MitigateUnprepend:
+		// λ 1 everywhere the victim announces; a withheld (λ 0) session
+		// stays withheld.
 		response.Prepend = 1
-		response.PerNeighborPrepend = nil
+		response.PerNeighborPrepend = maps.Clone(sc.PerNeighborPrepend)
+		maps.DeleteFunc(response.PerNeighborPrepend, func(_ bgp.ASN, lam int) bool { return lam != 0 })
 	case MitigateWithhold:
 		entry := entryNeighbor(during)
 		if entry == 0 {
 			return nil, errors.New("defense: cannot locate the bogus route's entry neighbor")
 		}
-		response.WithholdFrom = append(append([]bgp.ASN(nil), sc.WithholdFrom...), entry)
+		pn := make(map[bgp.ASN]int, len(sc.PerNeighborPrepend)+1)
+		maps.Copy(pn, sc.PerNeighborPrepend)
+		pn[entry] = 0
+		response.PerNeighborPrepend = pn
 	default:
 		return nil, fmt.Errorf("defense: unknown mitigation %d", m)
 	}

@@ -249,8 +249,7 @@ func (cs *CaseStudy) PrefixStudy() ([]PrefixOutcome, error) {
 			KeepPrepend: 3,
 		}
 		if !fp.viaBackup {
-			sc.PerNeighborPrepend = nil
-			sc.WithholdFrom = []bgp.ASN{ASKoreanISP}
+			sc.PerNeighborPrepend = map[bgp.ASN]int{ASKoreanISP: 0}
 		}
 		im, err := core.Simulate(cs.Graph, sc)
 		if err != nil {

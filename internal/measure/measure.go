@@ -228,10 +228,8 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 				prepended: make([]int, nMon),
 				dist:      stats.NewHistogram(),
 			}
-			failedAnn := oc.Announcement
-			failedAnn.Withhold = map[bgp.ASN]bool{ev.Primary: true}
 			failed := make([]int16, nMon)
-			if err := ts.preps(vantage, failedAnn, failed, cfg.Counters); err != nil {
+			if err := ts.preps(vantage, ev.Failover(oc.Announcement), failed, cfg.Counters); err != nil {
 				return us, fmt.Errorf("measure: churn propagate %v: %w", oc.AS, err)
 			}
 			steady := prepMat[originPos[ev.Origin]*nMon : (originPos[ev.Origin]+1)*nMon]

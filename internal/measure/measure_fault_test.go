@@ -19,7 +19,6 @@ func TestRunSurveyTablePropagationErrorReturned(t *testing.T) {
 	bad.AS = bgp.ASN(1 << 30)
 	bad.Announcement.Origin = bad.AS
 	bad.Announcement.PerNeighbor = nil
-	bad.Announcement.Withhold = nil
 	origins = append(origins, bad)
 	cfg := DefaultSurveyConfig()
 	cfg.ChurnEvents = 10
@@ -38,7 +37,7 @@ func TestRunSurveyTablePropagationErrorReturned(t *testing.T) {
 // TestRunSurveyChurnPropagationErrorReturned breaks only the churn stage:
 // every backup origin's recorded primary upstream is replaced by a
 // non-neighbor, so the steady-state tables compute fine but the failover
-// announcement (Withhold of a non-neighbor) fails validation inside the
+// announcement (λ 0 toward a non-neighbor) fails validation inside the
 // churn fan-out.
 func TestRunSurveyChurnPropagationErrorReturned(t *testing.T) {
 	g, origins := surveySetup(t, 300, 12)

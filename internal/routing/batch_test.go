@@ -28,7 +28,7 @@ func randomBatchAnn(rng *rand.Rand, g *topology.Graph) Announcement {
 		ann.PerNeighbor = map[bgp.ASN]int{provs[rng.Intn(len(provs))]: 1 + rng.Intn(8)}
 	}
 	if rng.Intn(4) == 0 && len(provs) > 1 {
-		ann.Withhold = map[bgp.ASN]bool{provs[rng.Intn(len(provs))]: true}
+		withhold(&ann, provs[rng.Intn(len(provs))])
 	}
 	return ann
 }

@@ -85,10 +85,10 @@ func checkStable(tb testing.TB, g *topology.Graph, res *Result, ann Announcement
 	export := func(j, i int32, up bool) bgp.Path {
 		switch {
 		case j == origin:
-			if ann.Withhold[g.ASNAt(i)] {
-				return nil
+			if lam := ann.lambdaFor(g.ASNAt(i)); lam > 0 {
+				return copies(lam)
 			}
-			return copies(ann.lambdaFor(g.ASNAt(i)))
+			return nil
 		case j == forger:
 			return paths[j].Prepend(g.ASNAt(j), 1)
 		case res.Class[j] == ClassNone, up && res.Class[j] != ClassCustomer && !(j == atkIdx && violate):

@@ -148,7 +148,7 @@ func (st *deltaState) acceptable(at int32, c cand) bool {
 }
 
 // originSeed is the origin's phase-0 offer toward neighbor nbr (see
-// Announcement.seed), len -1 on a withheld session.
+// Announcement.seed), len -1 at λ 0.
 func (st *deltaState) originSeed(nbr int32) cand {
 	if c, ok := st.ann.seed(st.g, st.origin, nbr); ok {
 		return c

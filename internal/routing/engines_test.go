@@ -61,7 +61,7 @@ func randomScenario(t *testing.T, rng *rand.Rand) (*topology.Graph, Announcement
 		// the churn model's primary-link failure.
 		providers := g.Providers(victim)
 		if len(providers) > 1 {
-			ann.Withhold = map[bgp.ASN]bool{providers[rng.Intn(len(providers))]: true}
+			withhold(&ann, providers[rng.Intn(len(providers))])
 		}
 	}
 	atk := Attacker{
@@ -70,6 +70,15 @@ func randomScenario(t *testing.T, rng *rand.Rand) (*topology.Graph, Announcement
 		ViolateValleyFree: rng.Intn(2) == 0,
 	}
 	return g, ann, atk
+}
+
+// withhold sets λ 0 toward nbr in ann's own table: the origin announces
+// nothing there.
+func withhold(ann *Announcement, nbr bgp.ASN) {
+	if ann.PerNeighbor == nil {
+		ann.PerNeighbor = map[bgp.ASN]int{}
+	}
+	ann.PerNeighbor[nbr] = 0
 }
 
 func compareResults(t testing.TB, g *topology.Graph, fast, ref *Result, label string) {
@@ -492,7 +501,7 @@ func randomDeltaScenario(t *testing.T, rng *rand.Rand) (*topology.Graph, Announc
 	if rng.Intn(4) == 0 {
 		providers := g.Providers(victim)
 		if len(providers) > 1 {
-			ann.Withhold = map[bgp.ASN]bool{providers[rng.Intn(len(providers))]: true}
+			withhold(&ann, providers[rng.Intn(len(providers))])
 		}
 	}
 	atk := Attacker{AS: attacker, KeepPrepend: 1 + rng.Intn(2)}
@@ -635,12 +644,12 @@ func FuzzDeltaAttack(f *testing.F) {
 		ann := Announcement{Origin: asns[int(victimSel)%len(asns)], Prepend: 1 + int(lambdaSel)%8}
 		if lambdaSel&0x80 != 0 {
 			pick := rand.New(rand.NewSource(^seed))
-			ann.PerNeighbor, ann.Withhold = map[bgp.ASN]int{}, map[bgp.ASN]bool{}
+			ann.PerNeighbor = map[bgp.ASN]int{}
 			for _, nbrs := range [][]bgp.ASN{g.Providers(ann.Origin), g.Peers(ann.Origin), neighborASNs(g, ann.Origin, g.CustomersIdx)} {
 				for _, nbr := range nbrs {
 					switch pick.Intn(4) {
 					case 0:
-						ann.Withhold[nbr] = true
+						ann.PerNeighbor[nbr] = 0
 					case 1:
 						ann.PerNeighbor[nbr] = 1 + pick.Intn(8)
 					}
@@ -659,8 +668,8 @@ func FuzzDeltaAttack(f *testing.F) {
 				continue
 			}
 			atk := Attacker{AS: attacker, KeepPrepend: 1 + int(keepSel)%3, ViolateValleyFree: violate != (leg%2 == 1)}
-			label := fmt.Sprintf("leg %d (V=%v M=%v λ=%d per-neighbor=%v withheld=%v keep=%d violate=%v)",
-				leg, ann.Origin, atk.AS, ann.Prepend, ann.PerNeighbor, ann.Withhold, atk.KeepPrepend, atk.ViolateValleyFree)
+			label := fmt.Sprintf("leg %d (V=%v M=%v λ=%d per-neighbor=%v keep=%d violate=%v)",
+				leg, ann.Origin, atk.AS, ann.Prepend, ann.PerNeighbor, atk.KeepPrepend, atk.ViolateValleyFree)
 			full, ferr := PropagateAttackScratch(g, ann, atk, base, s)
 			delta, derr := PropagateAttackDelta(g, ann, atk, base, s)
 			if errors.Is(ferr, ErrUnreachableAttacker) && errors.Is(derr, ErrUnreachableAttacker) {
@@ -827,7 +836,7 @@ func TestLeafEdgeCases(t *testing.T) {
 		asn := g.ASNAt
 		leafOrigin := Announcement{Origin: asn(leafO), Prepend: 4}
 		skewed := Announcement{Origin: asn(hub), Prepend: 3,
-			PerNeighbor: map[bgp.ASN]int{asn(c1): 6}, Withhold: map[bgp.ASN]bool{asn(c2): true}}
+			PerNeighbor: map[bgp.ASN]int{asn(c1): 6, asn(c2): 0}}
 		hubOrigin := Announcement{Origin: asn(hub), Prepend: 3}
 		strip := func(violate bool) *Attacker { return &Attacker{AS: asn(leafA), ViolateValleyFree: violate} }
 		forge := func(kind AttackKind) *Attacker { return &Attacker{AS: asn(leafA), Kind: kind} }

@@ -60,7 +60,7 @@ type fastState struct {
 
 	exps []expCand // per-AS final phase-3 exports (see Scratch.exps)
 
-	uniform bool // no per-neighbor λ, no withheld session (see init)
+	uniform bool // no per-neighbor entry (see init)
 
 	// custSet is a bitset over AS indices with a nonempty customer-table
 	// entry — the phase-1/2 worklist. Customer routes reach only the
@@ -158,11 +158,11 @@ func (st *fastState) init(g *topology.Graph, ann Announcement, s *Scratch) {
 	st.exps = s.exps[:n]
 	st.custSet = s.custSet[:(n+63)>>6]
 	st.peerSet = s.peerSet[:(n+63)>>6]
-	// A uniform announcement (no per-neighbor λ, no withheld session — the
-	// overwhelmingly common case) pre-stores the origin's downward seed in
-	// exps[origin], so phase 3 reads the origin like any other provider;
-	// otherwise each origin edge computes its own seed (see seedToward).
-	st.uniform = len(ann.PerNeighbor) == 0 && len(ann.Withhold) == 0
+	// A uniform announcement (no per-neighbor entry — the overwhelmingly
+	// common case) pre-stores the origin's downward seed in exps[origin],
+	// so phase 3 reads the origin like any other provider; otherwise each
+	// origin edge computes its own seed (see seedToward).
+	st.uniform = len(ann.PerNeighbor) == 0
 	if st.uniform {
 		lam := int32(ann.Prepend)
 		st.exps[origin] = expCand{key: expKey(lam, ann.Origin), parent: origin, prep: int16(lam)}
@@ -447,7 +447,7 @@ func (st *fastState) pass(res *Result, via []bool) {
 	n := int32(len(st.recs))
 
 	// Phase 0: the origin announces to every neighbor with per-neighbor λ,
-	// skipping withheld (failed) sessions; the attacker's pre-seeded export
+	// skipping λ 0 (withheld) sessions; the attacker's pre-seeded export
 	// and the siblings' offers join it.
 	for _, p := range g.ProvidersIdx(o) {
 		if c, ok := st.originSeed(p); ok {
@@ -662,8 +662,8 @@ func (st *fastState) sweep(u int32) expCand {
 }
 
 // seedToward stores the origin's seed toward u in exps[origin] when the
-// origin is u's provider: the per-neighbor λ, or noExport on a withheld
-// session. Only a non-uniform announcement needs it (see init).
+// origin is u's provider: the per-neighbor λ, or noExport at λ 0. Only a
+// non-uniform announcement needs it (see init).
 func (st *fastState) seedToward(u int32) {
 	for _, p := range st.g.ProvidersIdx(u) {
 		if p == st.origin {

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -174,12 +175,63 @@ func TestPropagateInputValidation(t *testing.T) {
 	cases := []Announcement{
 		{Origin: 12345, Prepend: 1},                                     // unknown origin
 		{Origin: 100, Prepend: 0},                                       // bad λ
-		{Origin: 100, Prepend: 1, PerNeighbor: map[bgp.ASN]int{30: 0}},  // bad per-neighbor λ
+		{Origin: 100, Prepend: 1, PerNeighbor: map[bgp.ASN]int{30: -1}}, // bad per-neighbor λ
 		{Origin: 100, Prepend: 1, PerNeighbor: map[bgp.ASN]int{999: 2}}, // non-neighbor
 	}
 	for i, ann := range cases {
 		if _, err := Propagate(g, ann); err == nil {
 			t.Errorf("case %d: Propagate accepted invalid announcement", i)
+		}
+	}
+}
+
+// TestLambdaBounds: a route's Prep is an int16, so Validate rejects a λ,
+// a per-neighbor λ or a KeepPrepend above math.MaxInt16 instead of letting
+// it wrap (λ 65,537 would read as 1, KeepPrepend 65,536 as an origin
+// hijack's 0); math.MaxInt16 itself propagates exactly. Chain 1←2←3, 3
+// the origin.
+func TestLambdaBounds(t *testing.T) {
+	b := topology.NewBuilder()
+	for _, e := range [][2]bgp.ASN{{1, 2}, {2, 3}} {
+		if err := b.AddP2C(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const top = math.MaxInt16
+	for _, ann := range []Announcement{
+		{Origin: 3, Prepend: top + 1},
+		{Origin: 3, Prepend: 1<<16 + 1},
+		{Origin: 3, Prepend: 1, PerNeighbor: map[bgp.ASN]int{2: top + 1}},
+	} {
+		if _, err := Propagate(g, ann); err == nil {
+			t.Errorf("%+v accepted", ann)
+		}
+	}
+	ann := Announcement{Origin: 3, Prepend: 2, PerNeighbor: map[bgp.ASN]int{2: top}}
+	for _, keep := range []int{top + 1, 1 << 16} {
+		if _, err := PropagateAttackScratch(g, ann, Attacker{AS: 2, KeepPrepend: keep}, nil, nil); err == nil {
+			t.Errorf("KeepPrepend %d accepted", keep)
+		}
+	}
+	for _, atk := range []*Attacker{nil, {AS: 2, KeepPrepend: top}} {
+		var res *Result
+		if atk == nil {
+			res, err = Propagate(g, ann)
+		} else {
+			res, err = PropagateAttackScratch(g, ann, *atk, nil, nil)
+		}
+		if err != nil {
+			t.Fatalf("attacker %v: %v", atk, err)
+		}
+		for asn, hops := range map[bgp.ASN]int{2: 0, 1: 1} {
+			i, _ := g.Index(asn)
+			if p := res.PathOf(asn); res.Prep[i] != top || len(p) != hops+top || p[len(p)-1] != 3 {
+				t.Errorf("attacker %v: AS%v has Prep %d and a %d-ASN path, want %d and %d", atk, asn, res.Prep[i], len(p), top, hops+top)
+			}
 		}
 	}
 }

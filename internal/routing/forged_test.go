@@ -255,7 +255,7 @@ func TestForgedEngineContracts(t *testing.T) {
 		// The victim withholds from its only neighbor: nobody, the attacker
 		// included, has a route — the stripping attack cannot exist, the
 		// forged one captures everyone the claim reaches.
-		dark := Announcement{Origin: 100, Prepend: 3, Withhold: map[bgp.ASN]bool{30: true}}
+		dark := Announcement{Origin: 100, Prepend: 3, PerNeighbor: map[bgp.ASN]int{30: 0}}
 		if _, err := PropagateAttackScratch(g, dark, Attacker{AS: 200}, nil, nil); err != ErrUnreachableAttacker {
 			t.Errorf("strip attack on a dark prefix: err = %v, want ErrUnreachableAttacker", err)
 		}

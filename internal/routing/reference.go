@@ -103,15 +103,15 @@ func newRefEngine(g *topology.Graph, ann Announcement, atk *Attacker) (*refEngin
 }
 
 // announce sends the origin's announcement to all its neighbors (except
-// withheld sessions).
+// those at λ 0).
 func (e *refEngine) announce() {
 	g, ann, origin := e.g, e.ann, e.origin
 	originASN := g.ASNAt(origin)
 	announce := func(nbr int32, class Class) {
-		if ann.Withhold[g.ASNAt(nbr)] {
+		lam := ann.lambdaFor(g.ASNAt(nbr))
+		if lam == 0 {
 			return
 		}
-		lam := ann.lambdaFor(g.ASNAt(nbr))
 		path := make(bgp.Path, lam)
 		for i := range path {
 			path[i] = originASN

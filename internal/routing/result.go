@@ -90,9 +90,8 @@ func resultInto(r *Result, g *topology.Graph, origin int32) *Result {
 // Shift adds d origin copies to every route in place: Len and Prep move by
 // d on each row with a route. The origin's padding changes no AS's choice
 // among the legitimate routes, so for r the no-attack outcome of a uniform
-// announcement (no per-neighbor λ, no withheld session) with λ = l, the
-// shifted r is row for row the outcome of l+d — sibling-bearing graphs
-// included. The reachable count is kept; the version moves unless d is 0.
+// announcement (no per-neighbor entry) with λ = l, the shifted r is row
+// for row the outcome of l+d — sibling-bearing graphs included. The reachable count is kept; the version moves unless d is 0.
 func (r *Result) Shift(d int) {
 	if d == 0 {
 		return

@@ -45,6 +45,7 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"aspp/internal/bgp"
 	"aspp/internal/topology"
@@ -83,19 +84,19 @@ type Announcement struct {
 	// Origin is the AS originating the prefix.
 	Origin bgp.ASN
 	// Prepend λ is how many copies of its own ASN the origin sends to
-	// every neighbor (1 = no artificial prepending). Minimum 1.
+	// every neighbor (1 = no artificial prepending). Minimum 1, at most
+	// math.MaxInt16 (a route's Prep is an int16).
 	Prepend int
 	// PerNeighbor optionally overrides λ for specific neighbors, modeling
 	// the traffic-engineering practice of padding backup upstreams more
-	// than primaries. Values must be >= 1.
+	// than primaries. λ 0 announces nothing to that neighbor at all — a
+	// failed session or a selective announcement; the churn simulation
+	// uses it to fail an origin's primary upstream link. Values lie in
+	// [0, math.MaxInt16].
 	PerNeighbor map[bgp.ASN]int
-	// Withhold lists neighbors the origin does not announce to at all —
-	// a failed session or a selective announcement. The churn simulation
-	// uses it to fail an origin's primary upstream link.
-	Withhold map[bgp.ASN]bool
 }
 
-// lambdaFor returns λ toward a given neighbor.
+// lambdaFor returns λ toward a given neighbor, 0 if it hears nothing.
 func (a Announcement) lambdaFor(n bgp.ASN) int {
 	if v, ok := a.PerNeighbor[n]; ok {
 		return v
@@ -104,16 +105,12 @@ func (a Announcement) lambdaFor(n bgp.ASN) int {
 }
 
 // seed is the origin's announcement to neighbor nbr (origin and nbr are
-// dense indices): λ copies of its ASN, per neighbor, or nothing on a
-// withheld (failed) session. The full kernel and the delta engine both
-// seed through it; the reference engine, the oracle, states it itself.
+// dense indices): λ copies of its ASN, per neighbor, or nothing at λ 0.
+// The full kernel and the delta engine both seed through it; the
+// reference engine, the oracle, states it itself.
 func (a Announcement) seed(g *topology.Graph, origin, nbr int32) (cand, bool) {
-	asn := g.ASNAt(nbr)
-	if a.Withhold[asn] {
-		return cand{}, false
-	}
-	lam := int32(a.lambdaFor(asn))
-	return cand{len: lam, prep: int16(lam), parent: origin}, true
+	lam := int32(a.lambdaFor(g.ASNAt(nbr)))
+	return cand{len: lam, prep: int16(lam), parent: origin}, lam > 0
 }
 
 // Validate checks the announcement against a topology.
@@ -121,20 +118,15 @@ func (a Announcement) Validate(g *topology.Graph) error {
 	if !g.Has(a.Origin) {
 		return fmt.Errorf("routing: origin %v not in topology", a.Origin)
 	}
-	if a.Prepend < 1 {
-		return fmt.Errorf("routing: prepend %d < 1", a.Prepend)
+	if a.Prepend < 1 || a.Prepend > math.MaxInt16 {
+		return fmt.Errorf("routing: prepend %d outside [1, %d]", a.Prepend, math.MaxInt16)
 	}
 	for n, v := range a.PerNeighbor {
-		if v < 1 {
-			return fmt.Errorf("routing: per-neighbor prepend %d < 1 for %v", v, n)
-		}
 		if g.RelOf(a.Origin, n) == topology.RelNone {
 			return fmt.Errorf("routing: per-neighbor prepend for non-neighbor %v", n)
 		}
-	}
-	for n, w := range a.Withhold {
-		if w && g.RelOf(a.Origin, n) == topology.RelNone {
-			return fmt.Errorf("routing: withhold for non-neighbor %v", n)
+		if v < 0 || v > math.MaxInt16 {
+			return fmt.Errorf("routing: per-neighbor prepend %d outside [0, %d] for %v", v, math.MaxInt16, n)
 		}
 	}
 	return nil
@@ -184,8 +176,9 @@ type Attacker struct {
 	AS bgp.ASN
 	// Kind is the claim the attacker makes (zero value: AttackASPP).
 	Kind AttackKind
-	// KeepPrepend is how many origin copies survive stripping (>= 1).
-	// The paper's attacker keeps exactly one.
+	// KeepPrepend is how many origin copies survive stripping (>= 1, at
+	// most math.MaxInt16; 0 means 1). The paper's attacker keeps exactly
+	// one.
 	KeepPrepend int
 	// ViolateValleyFree, when true, makes the attacker export its best
 	// route to all neighbors regardless of the route's class — the
@@ -204,8 +197,8 @@ func (atk Attacker) Validate(g *topology.Graph, ann Announcement) error {
 	if atk.Kind > AttackNextHopInterception {
 		return fmt.Errorf("routing: unknown attack kind %d", atk.Kind)
 	}
-	if atk.KeepPrepend < 0 {
-		return errors.New("routing: negative KeepPrepend")
+	if atk.KeepPrepend < 0 || atk.KeepPrepend > math.MaxInt16 {
+		return fmt.Errorf("routing: KeepPrepend %d outside [0, %d]", atk.KeepPrepend, math.MaxInt16)
 	}
 	return nil
 }

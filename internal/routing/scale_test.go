@@ -38,11 +38,11 @@ func TestScale80kKernelStable(t *testing.T) {
 	for u := nl; u < n; u++ {
 		if cs := g.CustomersIdx(u); len(cs) > 1 && cs[1] < nl {
 			anns[len(anns)-1] = Announcement{Origin: asn(u), Prepend: 3,
-				PerNeighbor: map[bgp.ASN]int{asn(cs[0]): 6}, Withhold: map[bgp.ASN]bool{asn(cs[1]): true}}
+				PerNeighbor: map[bgp.ASN]int{asn(cs[0]): 6, asn(cs[1]): 0}}
 			break
 		}
 	}
-	if anns[len(anns)-1].Withhold == nil {
+	if anns[len(anns)-1].PerNeighbor == nil {
 		t.Fatal("no transit AS with two leaf customers")
 	}
 

@@ -473,7 +473,7 @@ func (st *fastState) hearsNormal(res *Result, u int32, min int16) bool {
 			c := cand{len: res.Len[j], prep: res.Prep[j], parent: res.Parent[j], via: res.Via[j]}
 			switch {
 			case j == st.origin:
-				c, _ = st.originSeed(u) // a withheld session carries no copies
+				c, _ = st.originSeed(u) // λ 0 carries no copies
 			case j == st.forger:
 				c = st.export(j, st.claim)
 			case res.Class[j] == ClassNone, k >= 2 && res.Class[j] != ClassCustomer && !(j == st.atkIdx && st.seedUp):

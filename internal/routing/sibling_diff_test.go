@@ -131,7 +131,7 @@ func scenarioOn(g *topology.Graph, orgs []bgp.ASN, rng *rand.Rand) (Announcement
 		}
 	}
 	if rng.Intn(4) == 0 && len(nbrs) > 1 {
-		ann.Withhold = map[bgp.ASN]bool{nbrs[rng.Intn(len(nbrs))]: true}
+		withhold(&ann, nbrs[rng.Intn(len(nbrs))])
 	}
 	return ann, Attacker{AS: attacker, KeepPrepend: 1 + rng.Intn(2)}
 }

@@ -101,11 +101,12 @@ func TestVantageDifferential(t *testing.T) {
 		g = withIsland(t, g)
 		mons, kinds := vantageMonitors(g, ann.Origin, rng)
 		seen |= kinds
-		if len(ann.PerNeighbor) > 0 {
-			shapes |= 1
-		}
-		if len(ann.Withhold) > 0 {
-			shapes |= 2
+		for _, lam := range ann.PerNeighbor {
+			if lam == 0 {
+				shapes |= 2 // a withheld session
+			} else {
+				shapes |= 1
+			}
 		}
 		label := fmt.Sprintf("trial %d (n=%d ann=%+v monitors=%v)", trial, g.NumASes(), ann, mons)
 

@@ -37,7 +37,7 @@ func TestScale80kVantageRowsMatchFullKernel(t *testing.T) {
 	for k := 0; k < 50; k++ {
 		oc := origins[k*len(origins)/50]
 		anns := []routing.Announcement{oc.Announcement, oc.Announcement}
-		anns[1].Withhold = map[ASN]bool{g.Providers(oc.AS)[0]: true}
+		anns[1] = collector.ChurnEvent{Origin: oc.AS, Primary: g.Providers(oc.AS)[0]}.Failover(oc.Announcement)
 		for _, ann := range anns {
 			arena.Reset()
 			got, err := v.PathsInto(ann, s, arena, nil)
@@ -52,8 +52,8 @@ func TestScale80kVantageRowsMatchFullKernel(t *testing.T) {
 			want := full.PathsInto(arena, idx, nil)
 			for mi, w := range want {
 				if sp := got[mi]; sp.Prep != w.Prep || sp.Origin != w.Origin || sp.Seg != w.Seg || !slices.Equal(arena.Body(sp), arena.Body(w)) {
-					t.Errorf("origin %v (withheld %v), monitor %v: restricted %v, whole-graph %v",
-						oc.AS, ann.Withhold, monitors[mi], arena.Path(sp), arena.Path(w))
+					t.Errorf("origin %v (per-neighbor λ %v), monitor %v: restricted %v, whole-graph %v",
+						oc.AS, ann.PerNeighbor, monitors[mi], arena.Path(sp), arena.Path(w))
 				}
 				if w.Prep > 0 {
 					routed++
