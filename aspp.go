@@ -54,8 +54,6 @@ type (
 	ASN = bgp.ASN
 	// Path is a BGP AS-PATH with literal prepending.
 	Path = bgp.Path
-	// Route binds a prefix to a path.
-	Route = bgp.Route
 	// Update is one monitor-observed routing change.
 	Update = bgp.Update
 	// Graph is an immutable AS-level topology.

@@ -183,7 +183,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // runSelftest replays the churn simulator's update corpus through the
 // pipeline at full speed and reports sustained throughput and latency —
-// the same load path make serve-smoke and the benchmarks use.
+// the same load path TestServeSmoke and the benchmarks use.
 func runSelftest(p *serve.Pipeline, g *aspp.Graph, monitors []bgp.ASN, total int64, events int, seed int64, counters *obs.Counters, out io.Writer) error {
 	corpus, err := aspp.ChurnCorpus(g, monitors, events, seed, counters)
 	if err != nil {

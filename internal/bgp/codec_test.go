@@ -168,16 +168,6 @@ func TestParseUpdateTextMasksHostBits(t *testing.T) {
 	}
 }
 
-func TestRouteString(t *testing.T) {
-	r := Route{
-		Prefix: netip.MustParsePrefix("69.171.224.0/20"),
-		Path:   Path{7018, 3356, 32934},
-	}
-	if got, want := r.String(), "69.171.224.0/20 via 7018 3356 32934"; got != want {
-		t.Errorf("Route.String() = %q, want %q", got, want)
-	}
-}
-
 func TestTextParserRobustToCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {

@@ -7,17 +7,6 @@ import (
 	"strings"
 )
 
-// Route binds a destination prefix to the AS path over which it was learned.
-type Route struct {
-	Prefix netip.Prefix
-	Path   Path
-}
-
-// String renders the route as "69.171.224.0/20 via 7018 3356 32934".
-func (r Route) String() string {
-	return r.Prefix.String() + " via " + r.Path.String()
-}
-
 // UpdateType distinguishes BGP announcement from withdrawal messages.
 type UpdateType uint8
 

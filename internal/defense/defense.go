@@ -2,14 +2,16 @@
 // vantage-point selection for a prefix owner's self-defense, and reactive
 // mitigation once an ASPP interception is detected.
 //
-// Self-defense uses the owner-policy check (detect.DetectOwnPolicy): the
-// owner knows its own per-neighbor prepend counts, so an attack is
-// detectable from a monitor set exactly when at least one monitor's best
-// route carries fewer origin copies than the policy prescribes — i.e.
-// when some monitor is polluted. Choosing monitors is therefore a
-// max-coverage problem over the pollution sets of anticipated attacks,
-// which the greedy strategy approximates with the classic (1−1/e)
-// guarantee.
+// Self-defense scores a monitor set by the owner-policy check
+// (detect.DetectOwnPolicy): the owner knows its own per-neighbor prepend
+// counts, so an attack is detectable from a monitor set exactly when at
+// least one monitor's best route carries fewer origin copies than the
+// policy prescribes. What runs is the attacked rows' via bits: with one
+// λ ≥ 2 announced to every neighbor, that check alarms on a monitor exactly
+// when the monitor is polluted, which TestPollutionIsOwnerPolicyAlarm
+// holds. Choosing monitors is therefore a max-coverage problem over the
+// pollution sets of anticipated attacks, which the greedy strategy
+// approximates with the classic (1−1/e) guarantee.
 package defense
 
 import (

@@ -5,6 +5,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
+	"aspp/internal/detect"
 	"aspp/internal/topology"
 )
 
@@ -116,6 +117,55 @@ func TestCompareValidation(t *testing.T) {
 	cfg.Prepend = 1
 	if _, err := Compare(g, cfg); err == nil {
 		t.Error("λ=1 accepted")
+	}
+}
+
+// TestPollutionIsOwnerPolicyAlarm holds the pollution sets that Compare and
+// the greedy strategy score to the §V-B owner check they stand for: over
+// every effective attack drawn, an AS's via bit is set exactly when
+// detect.DetectOwnPolicy alarms on that AS's under-attack path, the owner
+// announcing cfg.Prepend copies to every neighbor.
+func TestPollutionIsOwnerPolicyAlarm(t *testing.T) {
+	g := defGraph(t, 600, 55)
+	victim := pickVictim(t, g)
+	for _, violate := range []bool{true, false} {
+		for _, lambda := range []int{2, 5} {
+			cfg := DefaultConfig(victim)
+			cfg.Prepend, cfg.Violate = lambda, violate
+			attacks, err := drawPollution(g, cfg, 20, "defense.compare.eval")
+			if err != nil {
+				t.Fatal(err)
+			}
+			policy := func(bgp.ASN) int { return lambda }
+			polluted := 0
+			for _, a := range attacks {
+				im, err := core.Simulate(g, core.Scenario{
+					Victim:            victim,
+					Attacker:          g.ASNAt(a.attacker),
+					Prepend:           lambda,
+					ViolateValleyFree: violate,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := int32(0); i < int32(g.NumASes()); i++ {
+					asn := g.ASNAt(i)
+					route := []detect.MonitorRoute{{Monitor: asn, Path: im.Attacked().PathOfIdx(i)}}
+					alarm := len(detect.DetectOwnPolicy(victim, policy, route)) > 0
+					if a.has(i) != alarm {
+						t.Fatalf("λ=%d violate=%v attacker %v: %v via bit %v, owner check alarms %v on %v",
+							lambda, violate, im.Scenario.Attacker, asn, a.has(i), alarm, route[0].Path)
+					}
+					if alarm {
+						polluted++
+					}
+				}
+			}
+			if len(attacks) == 0 || polluted == 0 {
+				t.Errorf("λ=%d violate=%v: %d attacks, %d polluted rows; the check compared nothing",
+					lambda, violate, len(attacks), polluted)
+			}
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func TestNewPipelineValidation(t *testing.T) {
 	}
 }
 
-// TestServeSmoke is the make serve-smoke gate: a short self-test load at
+// TestServeSmoke is the serving path's smoke gate: a short self-test load at
 // the default ring depth under the block policy must lose nothing, alarm
 // at least once, and (race detector off) sustain a minimum throughput.
 func TestServeSmoke(t *testing.T) {
@@ -861,6 +861,137 @@ func TestIngestPeerResetMidFrame(t *testing.T) {
 	}
 	l.Close()
 	p.Close()
+	wg.Wait()
+}
+
+// TestIngestMalformedFlood is ROADMAP 5b's flood of malformed frames: 32
+// connections each send one bad frame at the same moment while a clean
+// connection streams the corpus. Every poisoned connection is closed and
+// counted once, the clean stream is processed in full, /healthz answers
+// throughout, and after Close no connection or producer is registered.
+func TestIngestMalformedFlood(t *testing.T) {
+	const poisoned = 32
+	updates, monitors, g := loadCorpus(t, 400, 41, 20, 30)
+	counters := &obs.Counters{}
+	p, err := NewPipeline(Config{Shards: 2, Monitors: monitors, Rels: g, Counters: counters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); p.ServeIngest(l) }()
+
+	var whole []byte
+	for _, u := range updates {
+		if whole, err = bgp.AppendUpdateBinary(whole, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	clean := dial()
+	bad := make([]net.Conn, poisoned)
+	for i := range bad {
+		bad[i] = dial()
+	}
+
+	start := make(chan struct{})
+	sent := make(chan error, 1)
+	go func() { // in chunks, so the clean stream interleaves with the flood
+		<-start
+		for off := 0; off < len(whole); off += 4096 {
+			if _, err := clean.Write(whole[off:min(off+4096, len(whole))]); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- clean.Close()
+	}()
+	// closed receives nil once the server has closed a poisoned connection.
+	closed := make(chan error, poisoned)
+	for _, c := range bad {
+		go func(c net.Conn) {
+			defer c.Close()
+			<-start
+			c.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := c.Write([]byte("this is not a frame, not even close........")); err != nil {
+				closed <- err
+				return
+			}
+			_, err := c.Read(make([]byte, 1))
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				closed <- fmt.Errorf("server left a poisoned connection open: %v", err)
+				return
+			}
+			closed <- nil
+		}(c)
+	}
+	close(start)
+
+	want := int64(len(updates))
+	open, checks := poisoned, 0
+	for deadline := time.Now().Add(10 * time.Second); open > 0 || p.processed.Load() < want || counters.Snapshot().FramesIn < want; checks++ {
+		if got := httpGet(t, srv.URL+"/healthz"); !strings.Contains(got, "ok") {
+			t.Fatalf("/healthz during the flood = %q", got)
+		}
+		for drained := false; !drained; {
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+				open--
+			default:
+				drained = true
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out: %d poisoned connections open, %d of %d updates processed: %+v",
+				open, p.processed.Load(), want, counters.Snapshot())
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	s, cs := p.Stats(), counters.Snapshot()
+	if s.Processed != want || cs.FramesIn != want || cs.FramesBad != poisoned || s.Dropped != 0 {
+		t.Fatalf("processed %d, frames in %d, bad %d, dropped %d; want %d clean frames and %d bad",
+			s.Processed, cs.FramesIn, cs.FramesBad, s.Dropped, want, poisoned)
+	}
+	if got := httpGet(t, srv.URL+"/metrics"); !strings.Contains(got, fmt.Sprintf("aspp_frames_bad_total %d\n", poisoned)) {
+		t.Fatalf("/metrics after the flood lacks %d bad frames:\n%s", poisoned, got)
+	}
+	t.Logf("%d /healthz answers during the flood", checks)
+
+	shut := make(chan struct{})
+	go func() { p.Close(); close(shut) }()
+	select {
+	case <-shut:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still waits for a producer")
+	}
+	p.connMu.Lock()
+	left := len(p.conns)
+	p.connMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d connections still registered after Close", left)
+	}
+	l.Close()
 	wg.Wait()
 }
 
