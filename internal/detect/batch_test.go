@@ -208,3 +208,30 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkObserveChurn times the streaming rule on serve-churn's corpus:
+// DefaultGenConfig(2000), its top 40 monitors by degree, PlanChurn(origins,
+// 60, 2) and ChurnStream. One Detector is warmed with two cycles; each
+// iteration is one more cycle, one ObserveBatch per same-prefix run.
+func BenchmarkObserveChurn(b *testing.B) {
+	updates, monitors, g := churnCorpus(b, 2000, 1, 40, 60, 1)
+	var runs [][]bgp.Update
+	for i, j := 0, 0; i < len(updates); i = j {
+		for j = i + 1; j < len(updates) && updates[j].Prefix == updates[i].Prefix; j++ {
+		}
+		runs = append(runs, updates[i:j])
+	}
+	d, alarms := NewDetector(monitors, g), make([]Alarm, 0, 1024)
+	cycle := func() {
+		for _, r := range runs {
+			alarms = d.ObserveBatch(r, alarms[:0])
+		}
+	}
+	cycle()
+	cycle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(updates)), "ns/update")
+}

@@ -120,22 +120,53 @@ func triggers(was, cur routing.PathSpan) bool {
 	return was.Prep != 0 && cur.Prep != 0 && was.Origin == cur.Origin && cur.Prep < was.Prep
 }
 
+// sink takes detectRow's alarms. Unless fold is set it appends each to out,
+// as the streaming Detector returns them. The batch fold sets fold and reads
+// three verdict flags instead: any alarm, any High, and any whose suspect is
+// attacker. A flag may be set beforehand when the fold needs no more of it;
+// the row ends once all three hold.
+type sink struct {
+	out             []Alarm
+	fold            bool
+	attacker        bgp.ASN
+	any, high, attr bool
+}
+
+// put takes one alarm and reports whether the row may end.
+func (s *sink) put(a Alarm) bool {
+	if !s.fold {
+		s.out = append(s.out, a)
+		return false
+	}
+	s.any, s.high = true, s.high || a.Confidence == High
+	s.attr = s.attr || a.Suspect == s.attacker
+	return s.high && s.attr
+}
+
+// wantHint reports whether a Possible alarm naming suspect could still
+// change what s holds; the hint rules, which ask rels, run only then.
+func (s *sink) wantHint(suspect bgp.ASN) bool {
+	return !s.fold || !s.any || !s.attr && suspect == s.attacker
+}
+
 // detectRow is the Fig. 4 rule, stated once for every entry point. row is
 // one prefix's table row: per vantage point in mons, the id of its current
 // route, which is spans[row[k]] (the empty span is "no route"), all spans
 // of arena a. spans[row[mi]] is the route monitor mons[mi] just installed
 // in place of was, of which only Prep and Origin are read. Transit chains
 // are the interned segments, so two routes with the same Seg share theirs
-// without comparing. Alarms are appended to alarms, in row order, and the
-// extended slice is returned.
-func detectRow(a *routing.PathArena, mons []bgp.ASN, row []int32, spans []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, alarms []Alarm) []Alarm {
+// without comparing. Alarms go to s, in row order. Whether the trigger's
+// chain climbs a peer link depends on the trigger alone, so it is asked at
+// most once per call.
+func detectRow(a *routing.PathArena, mons []bgp.ASN, row []int32, spans []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, s *sink) {
 	monitor, cur := mons[mi], spans[row[mi]]
 	if !triggers(was, cur) {
-		return alarms
+		return
 	}
 	lambdaT := int(cur.Prep)
 
 	curT := bgp.Path(a.SegBody(cur.Seg))
+	peerKnown, peerStep := false, false
 	for k, id := range row {
 		w := spans[id]
 		if mons[k] == monitor || w.Prep == 0 || w.Origin != cur.Origin {
@@ -160,20 +191,22 @@ func detectRow(a *routing.PathArena, mons []bgp.ASN, row []int32, spans []routin
 			if m < len(curT) {
 				suspect = curT[len(curT)-1-m]
 			}
-			alarms = append(alarms, Alarm{
+			if s.put(Alarm{
 				Confidence:  High,
 				Suspect:     suspect,
 				Monitor:     monitor,
 				Witness:     mons[k],
 				RemovedPads: lambdaL - lambdaT,
-			})
+			}) {
+				return
+			}
 			continue
 		}
 
 		// No direct symptom: search for hints (lower confidence). The
 		// witness's next hop selected a longer padded route even though
 		// local policy says it should have learned the shorter one.
-		if rels == nil || len(curT) < 2 || len(witT) < 1 {
+		if rels == nil || len(curT) < 2 || len(witT) < 1 || !s.wantHint(curT[0]) {
 			continue
 		}
 		if len(witT)+lambdaL <= len(curT)+lambdaT {
@@ -195,21 +228,23 @@ func detectRow(a *routing.PathArena, mons []bgp.ASN, row []int32, spans []routin
 		case topology.RelPeer:
 			// Peers hear customer routes; if the monitor's route climbed
 			// only customer-provider links, asIm1 could export it to asL.
-			hint = !hasPeerStep(curT, cur.Origin, rels)
+			if !peerKnown {
+				peerKnown, peerStep = true, hasPeerStep(curT, cur.Origin, rels)
+			}
+			hint = !peerStep
 		case topology.RelCustomer:
 			// asL is asIm1's customer and itself chose a provider route:
 			// providers export everything down, so asL should have heard
 			// the shorter route from asIm1.
 			hint = asLm1 != 0 && rels.RelOf(asL, asLm1) == topology.RelProvider
 		}
-		if hint {
-			alarms = append(alarms, Alarm{
-				Confidence: Possible,
-				Suspect:    asI,
-				Monitor:    monitor,
-				Witness:    mons[k],
-			})
+		if hint && s.put(Alarm{
+			Confidence: Possible,
+			Suspect:    asI,
+			Monitor:    monitor,
+			Witness:    mons[k],
+		}) {
+			return
 		}
 	}
-	return alarms
 }

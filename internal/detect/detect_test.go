@@ -34,7 +34,15 @@ func DetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute,
 	for k, w := range witnesses {
 		mons, spans, row[k+1] = append(mons, w.Monitor), append(spans, store(w.Path)), int32(k+1)
 	}
-	return detectRow(a, mons, row, spans, 0, store(prev), rels, nil)
+	return rowAlarms(a, mons, row, spans, 0, store(prev), rels, nil)
+}
+
+// rowAlarms is detectRow through the streaming Detector's sink: every alarm
+// appended to dst, in row order.
+func rowAlarms(a *routing.PathArena, mons []bgp.ASN, row []int32, spans []routing.PathSpan, mi int, was routing.PathSpan, rels RelQuerier, dst []Alarm) []Alarm {
+	s := sink{out: dst}
+	detectRow(a, mons, row, spans, mi, was, rels, &s)
+	return s.out
 }
 
 func mustPath(t *testing.T, s string) bgp.Path {
@@ -312,6 +320,51 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	}
 	if blind.PollutedBeforeDetection != 1 {
 		t.Errorf("undetected PollutedBeforeDetection = %v, want 1", blind.PollutedBeforeDetection)
+	}
+}
+
+// TestFoldHintAfterHigh: once a cut holds an alarm, Fold skips a witness's
+// hint rules only when the hint could not name the attacker. Attacker 50
+// strips V's pads toward its customer 70, whose route becomes [50 12 11 100].
+// Witness 40 hangs off 11 with the full pads: a High alarm, which places the
+// strip above 11 and so names 12. Witness 60's route [21 31 100 100 100]
+// shares no segment, but 21 is a provider of 12, the AS below 70's next hop:
+// a hint, which names the next hop 50, the attacker. So the list
+// [70, 40, 60] is attributed only through the hint that comes after the
+// High alarm, in one cut of the whole list and in the last of three.
+func TestFoldHintAfterHigh(t *testing.T) {
+	b := topology.NewBuilder()
+	for _, e := range [][2]bgp.ASN{
+		{11, 100}, {31, 100}, {12, 11}, {50, 12}, {21, 12}, {21, 31}, {50, 70}, {11, 40}, {21, 60},
+	} {
+		if err := b.AddP2C(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := core.Simulate(g, core.Scenario{Victim: 100, Attacker: 50, Prepend: 3})
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	monitors := []bgp.ASN{70, 40, 60}
+	sc := NewEvalScratch()
+	if got, want := EvaluateScratch(im, monitors, g, sc), legacyEvaluate(im, monitors, g); got != want || !got.Attributed {
+		t.Fatalf("whole list: fold %+v, legacy %+v", got, want)
+	}
+	res, hops := make([]EvalResult, 3), make([]int, 3)
+	sc.Fold(0, []int{1, 2, 3}, g, res, hops)
+	for j := range res {
+		got := res[j]
+		got.PollutedBeforeDetection = sc.PollutedBefore(hops[j])
+		if want := legacyEvaluate(im, monitors[:j+1], g); got != want {
+			t.Fatalf("end %d: fold %+v, legacy %+v", j+1, got, want)
+		}
+	}
+	if !res[1].DetectedHigh || res[1].Attributed || !res[2].Attributed {
+		t.Fatalf("premise broken: ends 2 and 3 give %+v", res[1:])
 	}
 }
 

@@ -29,19 +29,18 @@ type EvalResult struct {
 
 // EvalScratch is per-goroutine reusable state for evaluating attacks against
 // one monitor list: the path arena the under-attack routes are extracted
-// into, their spans with the id row 0..m−1 detectRow reads them through, the
-// alarm buffer each monitor's verdict is folded from and the monitor-index
-// resolution cache. Nothing else is kept: the rule reads transit chains off
-// the row, and the previous route's two scalars off the baseline result — no
-// witness views, no baseline table. One
+// into, their spans with the id row 0..m−1 detectRow reads them through, and
+// the monitor-index resolution cache. Nothing else is kept: the rule reads
+// transit chains off the row, and the previous route's two scalars off the
+// baseline result — no witness views, no baseline table — and hands Fold
+// three verdict flags per row, not alarms. One
 // scratch per goroutine and monitor list (the detection sweep keeps one per
 // shard and placement, and reads every monitor count as a window of the
 // list); warmed, an evaluation allocates nothing.
 type EvalScratch struct {
 	arena    *routing.PathArena
 	atkSpans []routing.PathSpan
-	ids      []int32 // ids[i] == i: ids[lo:d] is the window [lo, d)'s row into atkSpans
-	alarms   []Alarm
+	ids      []int32      // ids[i] == i: ids[lo:d] is the window [lo, d)'s row into atkSpans
 	im       *core.Impact // the attack Extract last read; Fold's verdicts are about it
 
 	// Monitor-index cache: monIdx is valid for exactly this (graph,
@@ -127,11 +126,12 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 // toward the hops from e(t), its own least alarming cut. So trigger t is
 // folded over the row up to its own cut, then over the witnesses each later
 // cut adds, and stops at the cut where neither e(t) nor a flag can still
-// improve. A trigger that can change nothing is skipped: every flag it could
-// raise already holds at its own cut (one whose route holds no attacker names
-// no suspect that is one), and its hops are no lower than the least hops of
-// the cuts up to its own. ends must not be empty, and no end may lie below
-// lo.
+// improve; within a cut, detectRow hands it the three flags through a sink,
+// not alarms, and ends the row once none can still change. A trigger that
+// can change nothing is skipped: every flag it could raise already holds at
+// its own cut (one whose route holds no attacker names no suspect that is
+// one), and its hops are no lower than the least hops of the cuts up to its
+// own. ends must not be empty, and no end may lie below lo.
 func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResult, hops []int) {
 	sc.cuts = append(sc.cuts[:0], ends...)
 	slices.Sort(sc.cuts)
@@ -166,15 +166,19 @@ func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResul
 				mons, row, mi = sc.mbuf, sc.rbuf, 0
 			}
 			sc.pairs += len(row) - 1
-			sc.alarms = detectRow(sc.arena, mons, row, sc.atkSpans, mi, was, rels, sc.alarms[:0])
-			for _, a := range sc.alarms {
+			// A flag already held at c, or one the trigger cannot raise,
+			// starts set, so the row ends once it can change nothing.
+			s := sink{fold: true, attacker: sc.im.Scenario.Attacker,
+				any: first < c, high: high <= c, attr: attr <= c || !accuse}
+			detectRow(sc.arena, mons, row, sc.atkSpans, mi, was, rels, &s)
+			if s.any {
 				first = min(first, c)
-				if a.Confidence == High {
-					high = min(high, c)
-				}
-				if a.Suspect == sc.im.Scenario.Attacker {
-					attr = min(attr, c)
-				}
+			}
+			if s.high {
+				high = min(high, c)
+			}
+			if s.attr && accuse {
+				attr = min(attr, c)
 			}
 		}
 		if first < never {
@@ -254,16 +258,17 @@ func (sc *EvalScratch) PollutedBefore(detectionHops int) float64 {
 // detection sweep's tests pin them per attack.
 func (sc *EvalScratch) Calls() (extracts, latencies int) { return sc.extracts, sc.latencies }
 
-// Pairs reports how many (trigger, witness) pairs detectRow has compared
-// since the last Extract: the detection sweep's detect_pairs counter.
+// Pairs reports how many (trigger, witness) pairs Fold has handed detectRow
+// since the last Extract, a row that ends early counted whole: the detection
+// sweep's detect_pairs counter.
 func (sc *EvalScratch) Pairs() int { return sc.pairs }
 
-// MemoryBytes is the scratch's resident footprint: its path arena, span row
-// and buffers at capacity. Extract resets the arena, so this stays at the
-// largest single attack's size however many attacks the scratch evaluates;
-// the detection sweep and compare report it as the arena_bytes gauge.
+// MemoryBytes is the scratch's resident footprint: its path arena, span row,
+// monitor-index cache and Fold's cut and row buffers at capacity. Extract
+// resets the arena, so this stays at the largest single attack's size
+// however many attacks the scratch evaluates; the detection sweep and
+// compare report it as the arena_bytes gauge.
 func (sc *EvalScratch) MemoryBytes() int64 {
 	return int64(unsafe.Sizeof(*sc)) + sc.arena.MemoryBytes() + sliceBytes(sc.atkSpans) + sliceBytes(sc.ids) +
-		sliceBytes(sc.alarms) + sliceBytes(sc.monIdx) + sliceBytes(sc.cuts) + sliceBytes(sc.hopsAt) +
-		sliceBytes(sc.mbuf) + sliceBytes(sc.rbuf)
+		sliceBytes(sc.monIdx) + sliceBytes(sc.cuts) + sliceBytes(sc.hopsAt) + sliceBytes(sc.mbuf) + sliceBytes(sc.rbuf)
 }

@@ -13,7 +13,7 @@ import (
 // TestEvalScratchArenaBounded: Extract resets the arena, so a scratch holds
 // one attack's chains, never the history of every attack it evaluated. A
 // first round reads a tier-1's attack on a stub at every AS, whose routes
-// and alarms size every buffer beyond what a 100-monitor attack needs; after
+// and triggers size every buffer beyond what a 100-monitor attack needs; after
 // it, 500 distinct attacks at the top 100 monitors leave MemoryBytes exactly
 // where the first round left it.
 func TestEvalScratchArenaBounded(t *testing.T) {
@@ -28,7 +28,7 @@ func TestEvalScratchArenaBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !EvaluateScratch(first, asns, g, sc).Detected {
-		t.Fatal("premise broken: the first round raises no alarm, so it does not size the alarm buffer")
+		t.Fatal("premise broken: the first round raises no alarm")
 	}
 	flat := sc.MemoryBytes()
 

@@ -314,7 +314,9 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	}
 	// The replaced route stays in the table until the next sweep, so its
 	// span is still the one the rule reads Prep and Origin off.
-	return detectRow(d.arena, d.monASN, d.rows[int(r)*m:int(r)*m+m], d.spans, mi, d.spans[prev], d.rels, dst)
+	s := sink{out: dst}
+	detectRow(d.arena, d.monASN, d.rows[int(r)*m:int(r)*m+m], d.spans, mi, d.spans[prev], d.rels, &s)
+	return s.out
 }
 
 // route returns the id of p's route. The route is looked up before

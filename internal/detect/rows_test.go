@@ -64,7 +64,7 @@ func (p *plainRows) observe(u bgp.Update, dst []Alarm) []Alarm {
 	if id == 0 {
 		return dst
 	}
-	return detectRow(p.arena, p.mons, row, p.spans, mi, p.spans[prev], p.rels, dst)
+	return rowAlarms(p.arena, p.mons, row, p.spans, mi, p.spans[prev], p.rels, dst)
 }
 
 func (p *plainRows) routeOf(pfx netip.Prefix, monitor bgp.ASN) bgp.Path {

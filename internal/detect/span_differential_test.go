@@ -388,7 +388,7 @@ func TestEvaluateScratchDifferential(t *testing.T) {
 			if len(prev) > 0 {
 				was = routing.PathSpan{Prep: int32(prev.OriginPrepend()), Origin: prev[len(prev)-1]}
 			}
-			gotA := detectRow(sc.arena, monitors, sc.ids[:len(monitors)], sc.atkSpans, k, was, g, nil)
+			gotA := rowAlarms(sc.arena, monitors, sc.ids[:len(monitors)], sc.atkSpans, k, was, g, nil)
 			wantA := legacyDetectChange(m, prev, cur, witnesses, g)
 			if !reflect.DeepEqual(gotA, wantA) {
 				t.Fatalf("scenario %d (%v) monitor %v:\nrow    %+v\nlegacy %+v", si, im.Scenario, m, gotA, wantA)
@@ -582,7 +582,7 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	}
 	for name, pass := range passes {
 		detected = 0
-		pass() // grow the arena, the intern table and the alarm buffer
+		pass() // grow the arena, the intern table and Fold's buffers
 		if detected == 0 {
 			t.Fatalf("%s: premise broken: no impact raises an alarm", name)
 		}
@@ -807,7 +807,7 @@ func ownCutQuad(sc *EvalScratch, im *core.Impact, asns []bgp.ASN, rels RelQuerie
 	sc.Extract(im, asns)
 	trig := func(a int) bool { return triggers(sc.wasAt(sc.monIdx[a]), sc.atkSpans[a]) }
 	alarms := func(a, b int) []Alarm {
-		return detectRow(sc.arena, []bgp.ASN{asns[a], asns[b]}, []int32{int32(a), int32(b)}, sc.atkSpans, 0, sc.wasAt(sc.monIdx[a]), rels, nil)
+		return rowAlarms(sc.arena, []bgp.ASN{asns[a], asns[b]}, []int32{int32(a), int32(b)}, sc.atkSpans, 0, sc.wasAt(sc.monIdx[a]), rels, nil)
 	}
 	high := func(a Alarm) bool { return a.Confidence == High }
 	for x := range asns {

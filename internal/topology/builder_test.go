@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -67,6 +68,10 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
+// TestRelOf holds RelOf to hand-picked pairs of smallGraph, then to the link
+// list of a generated 2,000-AS graph with sibling links grafted on: every
+// link read from both ends, sampled non-adjacent pairs, unknown ASNs on
+// either side and a == b.
 func TestRelOf(t *testing.T) {
 	g := smallGraph(t)
 	tests := []struct {
@@ -84,6 +89,59 @@ func TestRelOf(t *testing.T) {
 	for _, tt := range tests {
 		if got := g.RelOf(tt.a, tt.b); got != tt.want {
 			t.Errorf("RelOf(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.want)
+		}
+	}
+
+	b := Rebuild(genTestGraph(t, 2000, 3))
+	asns := b.asns
+	rng := rand.New(rand.NewSource(9))
+	for grafted := 0; grafted < 8; {
+		x, y := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
+		if x != y && !b.HasLink(x, y) {
+			if err := b.AddS2S(x, y); err != nil {
+				t.Fatal(err)
+			}
+			grafted++
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]bgp.ASN]RelTo{}
+	for _, l := range g.Links() {
+		fwd, back := RelCustomer, RelProvider // l.A is l.B's provider
+		switch l.Rel {
+		case PeerToPeer:
+			fwd, back = RelPeer, RelPeer
+		case SiblingToSibling:
+			fwd, back = RelSibling, RelSibling
+		}
+		want[[2]bgp.ASN{l.A, l.B}], want[[2]bgp.ASN{l.B, l.A}] = fwd, back
+	}
+	seen := map[RelTo]int{}
+	for pair, rel := range want {
+		seen[rel]++
+		if got := g.RelOf(pair[0], pair[1]); got != rel {
+			t.Fatalf("RelOf(%v,%v) = %v, want %v", pair[0], pair[1], got, rel)
+		}
+	}
+	if seen[RelSibling] != 16 || seen[RelPeer] == 0 || seen[RelProvider] == 0 {
+		t.Fatalf("premise broken: relationships read %v", seen)
+	}
+	const unknown = bgp.ASN(4_000_000_000)
+	if g.Has(unknown) {
+		t.Fatalf("premise broken: %v is in the graph", unknown)
+	}
+	for k := 0; k < 20000; k++ {
+		x, y := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
+		if _, adjacent := want[[2]bgp.ASN{x, y}]; !adjacent {
+			if got := g.RelOf(x, y); got != RelNone {
+				t.Fatalf("RelOf(%v,%v) = %v for a non-adjacent pair", x, y, got)
+			}
+		}
+		if g.RelOf(x, unknown) != RelNone || g.RelOf(unknown, x) != RelNone || g.RelOf(x, x) != RelNone {
+			t.Fatalf("RelOf with %v, an unknown ASN or itself is not none", x)
 		}
 	}
 }

@@ -262,33 +262,16 @@ func (g *Graph) Degree(asn bgp.ASN) int {
 }
 
 // RelOf reports how b relates to a: RelProvider means b is a's provider.
+// It resolves a alone and binary-searches b in a's ASN-sorted spans, in
+// class order; the span classes and the RelTo values share that order.
 func (g *Graph) RelOf(a, b bgp.ASN) RelTo {
 	ia, ok := g.index[a]
 	if !ok {
 		return RelNone
 	}
-	ib, ok := g.index[b]
-	if !ok {
-		return RelNone
-	}
-	for _, j := range g.idxSpan(ia, spanProv) {
-		if j == ib {
-			return RelProvider
-		}
-	}
-	for _, j := range g.idxSpan(ia, spanCust) {
-		if j == ib {
-			return RelCustomer
-		}
-	}
-	for _, j := range g.idxSpan(ia, spanPeer) {
-		if j == ib {
-			return RelPeer
-		}
-	}
-	for _, j := range g.idxSpan(ia, spanSib) {
-		if j == ib {
-			return RelSibling
+	for c := spanProv; c < spanClasses; c++ {
+		if _, found := slices.BinarySearch(g.asnSpan(ia, c), b); found {
+			return RelProvider + RelTo(c)
 		}
 	}
 	return RelNone
