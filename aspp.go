@@ -104,12 +104,6 @@ type (
 	DefenseOutcome = defense.Outcome
 	// MitigationOutcome quantifies a victim's reactive response.
 	MitigationOutcome = defense.MitigationOutcome
-	// SiblingScenario is the Fig. 11 sibling-enabled interception setup.
-	SiblingScenario = experiment.SiblingScenario
-	// SusceptibilityConfig drives the §VI-B tier-matrix experiment.
-	SusceptibilityConfig = experiment.SusceptibilityConfig
-	// TierCell is one (victim tier, attacker tier) aggregate.
-	TierCell = experiment.TierCell
 	// Counters collects optional per-sweep telemetry (propagations per
 	// engine, baseline-cache hits/misses, skipped draws, churn updates).
 	// The zero value is ready to use; nil disables recording. Use one
@@ -127,10 +121,6 @@ var (
 	ParseASN = bgp.ParseASN
 	// ParsePath parses "7018 3356 32934 32934".
 	ParsePath = bgp.ParsePath
-	// DefaultPolicyConfig is the calibrated prepending-policy mix.
-	DefaultPolicyConfig = collector.DefaultPolicyConfig
-	// DefaultSurveyConfig is the standard usage-survey setup.
-	DefaultSurveyConfig = measure.DefaultSurveyConfig
 	// DefaultDetectionConfig mirrors the paper's Figs. 13-14 setup.
 	DefaultDetectionConfig = experiment.DefaultDetectionConfig
 	// FacebookCaseStudy builds and simulates the §III anomaly.
@@ -319,9 +309,6 @@ func (in *Internet) Graph() *Graph { return in.g }
 // Tier1s returns the provider-free core ASes.
 func (in *Internet) Tier1s() []ASN { return in.g.Tier1s() }
 
-// TopByDegree returns the n best-connected ASes.
-func (in *Internet) TopByDegree(n int) []ASN { return in.g.TopByDegree(n) }
-
 // SimulateAttack runs one attack — ASPP interception, or the hijack
 // family sc.Type names (see core.Simulate).
 func (in *Internet) SimulateAttack(sc Scenario) (*Impact, error) {
@@ -338,22 +325,11 @@ func (in *Internet) SimulateAttackObs(sc Scenario, c *Counters) (*Impact, error)
 	return &im, nil
 }
 
-// Propagate computes baseline routing for an announcement.
-func (in *Internet) Propagate(ann Announcement) (*RoutingResult, error) {
-	return routing.Propagate(in.g, ann)
-}
-
 // SamplePairsCtx runs the ranked pair experiments (paper Figs. 7-8). Once
 // ctx is cancelled no further instance is simulated, in-flight work
 // drains, and ctx.Err() is returned.
 func (in *Internet) SamplePairsCtx(ctx context.Context, cfg PairConfig) ([]PairImpact, error) {
 	return experiment.SamplePairsCtx(ctx, in.g, cfg)
-}
-
-// SweepPrependCfgCtx runs a λ sweep for one pair (paper Figs. 9-12), with
-// cooperative cancellation.
-func (in *Internet) SweepPrependCfgCtx(ctx context.Context, cfg SweepConfig) ([]SweepPoint, error) {
-	return experiment.SweepPrependCfgCtx(ctx, in.g, cfg)
 }
 
 // RunDetectionCtx evaluates the detection algorithm (paper Figs. 13-14),
@@ -369,14 +345,16 @@ func (in *Internet) NewDetector(monitors []ASN) *Detector {
 }
 
 // UsageSurvey characterizes ASPP usage from monitor tables and update
-// streams (paper Figs. 5-6). Zero-value configs select the defaults.
+// streams (paper Figs. 5-6). A zero policy selects the calibrated
+// prepending mix. A survey with neither ChurnEvents nor Monitors selects
+// the standard survey, keeping only its Seed (0 means 1) and Counters;
+// the propagation fan-out is GOMAXPROCS.
 func (in *Internet) UsageSurvey(policy PolicyConfig, survey SurveyConfig) (*SurveyResult, error) {
 	if policy.MaxLambda == 0 && policy.PrependFrac == 0 {
 		policy = collector.DefaultPolicyConfig()
 	}
 	if survey.ChurnEvents == 0 && len(survey.Monitors) == 0 {
 		def := measure.DefaultSurveyConfig()
-		def.Workers = survey.Workers
 		def.Seed = survey.Seed
 		def.Counters = survey.Counters
 		if def.Seed == 0 {
@@ -416,16 +394,6 @@ func (in *Internet) InferRelationships(originSample, nTopMonitors int) (*relinfe
 	return cons, relinfer.Score(cons, in.g), nil
 }
 
-// SusceptibilityMatrixCtx answers §VI-B's "what type of ASes are likely
-// to be hijacked" as a (victim tier × attacker tier) pollution matrix,
-// with cooperative cancellation.
-func (in *Internet) SusceptibilityMatrixCtx(ctx context.Context, cfg SusceptibilityConfig) ([]TierCell, error) {
-	return experiment.SusceptibilityMatrixCtx(ctx, in.g, cfg)
-}
-
-// DefaultSusceptibilityConfig is the calibrated §VI-B setup.
-var DefaultSusceptibilityConfig = experiment.DefaultSusceptibilityConfig
-
 // CompareDefenses evaluates the monitor-placement strategies for one
 // victim (the paper's §VIII future-work agenda).
 func (in *Internet) CompareDefenses(cfg DefenseConfig) ([]DefenseOutcome, error) {
@@ -439,33 +407,6 @@ var DefaultDefenseConfig = defense.DefaultConfig
 func (in *Internet) Mitigate(sc Scenario, m defense.Mitigation) (*MitigationOutcome, error) {
 	return defense.Mitigate(in.g, sc, m)
 }
-
-// CautiousAdoptionSweep measures an attack's pollution as PGBGP-style
-// cautious adoption (quarantining routes whose prepend count drops below
-// the historical value) spreads across the given deployment fractions.
-func (in *Internet) CautiousAdoptionSweep(sc Scenario, fracs []float64, policy defense.DeployPolicy, seed int64) ([]defense.CautiousOutcome, error) {
-	return defense.CautiousAdoptionSweep(in.g, sc, fracs, policy, seed)
-}
-
-// Cautious-adoption rollout policies.
-const (
-	DeployRandom    = defense.DeployRandom
-	DeployTopDegree = defense.DeployTopDegree
-)
-
-// BuildSiblingScenario grafts a sibling of victim (as a customer of
-// attacker) onto the topology, enabling the paper's Fig. 11 valley-free
-// interception. The full kernel routes the returned scenario.
-func (in *Internet) BuildSiblingScenario(victim, attacker, siblingASN ASN) (*SiblingScenario, error) {
-	return experiment.BuildSiblingScenario(in.g, victim, attacker, siblingASN)
-}
-
-// DetectOwnPolicy re-exports the owner-side check: the prefix owner
-// compares observed routes against its own per-neighbor prepend policy.
-var DetectOwnPolicy = detect.DetectOwnPolicy
-
-// MonitorRoute is one vantage point's current route for a prefix.
-type MonitorRoute = detect.MonitorRoute
 
 // ErrAttackerSeesNoRoute re-exports the core sentinel: the attacker never
 // receives the victim's route, so there is nothing to strip. Match it

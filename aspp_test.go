@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"aspp/internal/experiment"
 	"aspp/internal/measure"
 	"aspp/internal/topology"
 )
@@ -31,7 +32,7 @@ func TestNewInternetOptions(t *testing.T) {
 	if len(in.Tier1s()) == 0 {
 		t.Error("no tier-1 ASes")
 	}
-	if got := in.TopByDegree(5); len(got) != 5 {
+	if got := in.Graph().TopByDegree(5); len(got) != 5 {
 		t.Errorf("TopByDegree(5) returned %d", len(got))
 	}
 
@@ -180,7 +181,7 @@ func TestInternetSimulateAttack(t *testing.T) {
 		t.Errorf("attack reduced pollution: %.3f -> %.3f", im.Before(), im.After())
 	}
 	// The sweep API agrees with single simulations.
-	sweep, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 3})
+	sweep, err := experiment.SweepPrependCfgCtx(context.Background(), in.Graph(), SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 3})
 	if err != nil {
 		t.Fatalf("SweepPrepend: %v", err)
 	}
@@ -330,7 +331,7 @@ func TestInternetSiblingScenario(t *testing.T) {
 			break
 		}
 	}
-	sc, err := in.BuildSiblingScenario(t1[0], stub, 65530)
+	sc, err := experiment.BuildSiblingScenario(g, t1[0], stub, 65530)
 	if err != nil {
 		t.Fatalf("BuildSiblingScenario: %v", err)
 	}
@@ -340,21 +341,5 @@ func TestInternetSiblingScenario(t *testing.T) {
 	}
 	if len(points) != 4 {
 		t.Fatalf("got %d points", len(points))
-	}
-}
-
-func TestFacadeDetectOwnPolicy(t *testing.T) {
-	p, err := ParsePath("5 6 1 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	alarms := DetectOwnPolicy(100, func(n ASN) int {
-		if n == 1 {
-			return 3
-		}
-		return 0
-	}, []MonitorRoute{{Monitor: 9, Path: p}})
-	if len(alarms) != 1 {
-		t.Fatalf("alarms = %v, want 1", alarms)
 	}
 }

@@ -280,7 +280,7 @@ func TestRunReplaySimStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitors := in.TopByDegree(100)
+	monitors := in.Graph().TopByDegree(100)
 	snap, trans := attackStream(t, in, monitors, netip.MustParsePrefix("10.0.0.0/16"), 0)
 	dir := t.TempDir()
 	for _, tc := range []struct {

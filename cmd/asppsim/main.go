@@ -66,12 +66,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *nMon < 1 {
 		return fmt.Errorf("-monitors %d: monitor count must be >= 1", *nMon)
 	}
+	if *show < 0 {
+		return fmt.Errorf("-show %d: example count must be >= 0", *show)
+	}
 
 	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
 	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
 		return err
 	}
 	g := internet.Graph()
@@ -118,13 +118,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	newly := im.NewlyPolluted()
 	fmt.Fprintf(out, "captured: %d ASes switched onto the bogus route\n", len(newly))
 
-	for i, asn := range newly {
-		if i == *show {
-			fmt.Fprintf(out, "  ... and %d more\n", len(newly)-*show)
-			break
-		}
+	for _, asn := range newly[:min(*show, len(newly))] {
 		before, after := im.PathsAt(asn)
 		fmt.Fprintf(out, "  %v:\n    before: %v\n    after:  %v\n", asn, before, after)
+	}
+	if len(newly) > *show {
+		fmt.Fprintf(out, "  ... and %d more\n", len(newly)-*show)
 	}
 
 	if *updOut != "" {

@@ -50,6 +50,7 @@ func TestRunBadInputs(t *testing.T) {
 		"-monitors -1":              {"-n", "300", "-updates-out", updates, "-monitors", "-1"},
 		"-monitors -1, no stream":   {"-n", "300", "-monitors", "-1"},
 		"-monitors below int range": {"-n", "300", "-monitors", "-99999999999999999999"},
+		"-show -1":                  {"-n", "300", "-show", "-1"},
 	} {
 		var sb strings.Builder
 		if err := run(context.Background(), args, &sb); err == nil {

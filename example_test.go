@@ -65,22 +65,3 @@ func ExamplePath_StripOriginPrepend() {
 	// Output:
 	// 3356 32934
 }
-
-// ExampleDetectOwnPolicy shows the prefix owner's self-check: the owner
-// knows it padded neighbor AS1 three times, so a route with one copy is
-// proof of stripping.
-func ExampleDetectOwnPolicy() {
-	observed, err := aspp.ParsePath("5 6 1 100")
-	if err != nil {
-		log.Fatal(err)
-	}
-	alarms := aspp.DetectOwnPolicy(100, func(neighbor aspp.ASN) int {
-		if neighbor == 1 {
-			return 3
-		}
-		return 0
-	}, []aspp.MonitorRoute{{Monitor: 9, Path: observed}})
-	fmt.Println(alarms[0])
-	// Output:
-	// ALARM[high] AS6 removed 2 prepended ASN(s) (monitor AS9, witness AS100)
-}

@@ -138,7 +138,7 @@ func TestBinaryStreamPipelineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitors := in.TopByDegree(50)
+	monitors := in.Graph().TopByDegree(50)
 	prefix := netip.MustParsePrefix("10.1.0.0/16")
 
 	stream, err := collector.StreamTransition(nil, im.Baseline(), prefix, monitors, 0)

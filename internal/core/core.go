@@ -215,13 +215,13 @@ func mustIdx(g *topology.Graph, asn bgp.ASN) int32 {
 
 // SimulateScratch runs sc's two legs on the engines the scenario and the
 // graph call for and derives the pollution counts. baseline is an optional
-// precomputed no-attack result for the scenario's announcement (as produced
-// by routing.Propagate, or experiment's per-(origin, λ) cache): it is used
-// read-only and MUST match the announcement exactly (same origin, λ,
-// per-neighbor prepends and withholds) — callers own that invariant; nil
-// computes it. Propagation telemetry is recorded into the optional counters
-// (nil disables recording); the attack leg counts as a delta propagation
-// when the delta engine ran it and as a full one otherwise.
+// precomputed no-attack result for the announcement — routing.Propagate's,
+// or s's own base slot, where experiment's leg runner keeps its victim
+// propagated or shifted to the leg's λ — used read-only; it MUST match the
+// announcement's origin, λ and per-neighbor λ table (a withheld session is
+// λ 0), which callers own; nil propagates it into s. Telemetry goes to the
+// optional counters (nil: none); the attack leg counts as a delta
+// propagation when the delta engine ran it, as a full one otherwise.
 //
 // Propagation state, the attacked result and the via set are borrowed from
 // s (one Scratch per goroutine — see the routing.Scratch ownership

@@ -2,14 +2,13 @@
 // vantage-point selection for a prefix owner's self-defense, and reactive
 // mitigation once an ASPP interception is detected.
 //
-// Self-defense scores a monitor set by the owner-policy check
-// (detect.DetectOwnPolicy): the owner knows its own per-neighbor prepend
-// counts, so an attack is detectable from a monitor set exactly when at
-// least one monitor's best route carries fewer origin copies than the
-// policy prescribes. What runs is the attacked rows' via bits: with one
-// λ ≥ 2 announced to every neighbor, that check alarms on a monitor exactly
-// when the monitor is polluted, which TestPollutionIsOwnerPolicyAlarm
-// holds. Choosing monitors is therefore a max-coverage problem over the
+// Self-defense scores a monitor set by the §V-B owner-policy check: the
+// owner knows its own per-neighbor prepend counts, so an attack is
+// detectable from a monitor set exactly when at least one monitor's best
+// route carries fewer origin copies than the policy prescribes. What runs
+// is the attacked rows' via bits: with one λ ≥ 2 announced to every
+// neighbor, that check alarms on a monitor exactly when the monitor is
+// polluted, which TestPollutionIsOwnerPolicyAlarm holds. Choosing monitors is therefore a max-coverage problem over the
 // pollution sets of anticipated attacks, which the greedy strategy
 // approximates with the classic (1−1/e) guarantee.
 package defense
@@ -78,7 +77,6 @@ type Config struct {
 	// (see experiment.DetectionConfig.Violate).
 	Violate bool
 	Seed    int64
-	Workers int
 	// Counters, when non-nil, receives the attack draws' telemetry
 	// (propagations, skipped draws, memory gauges).
 	Counters *obs.Counters
@@ -137,7 +135,7 @@ func drawPollution(g *topology.Graph, cfg Config, n int, label string) ([]pollut
 			})
 		}
 	}
-	attacks, err := experiment.EffectiveAttacks(context.Background(), g, stream, n, cfg.Workers, cfg.Counters,
+	attacks, err := experiment.EffectiveAttacks(context.Background(), g, stream, n, cfg.Counters,
 		func(im *core.Impact) pollution {
 			via := im.Attacked().Via
 			p := pollution{via: make([]uint64, (len(via)+63)/64)}

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"runtime"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -123,8 +124,8 @@ func TestCompareValidation(t *testing.T) {
 // TestPollutionIsOwnerPolicyAlarm holds the pollution sets that Compare and
 // the greedy strategy score to the §V-B owner check they stand for: over
 // every effective attack drawn, an AS's via bit is set exactly when
-// detect.DetectOwnPolicy alarms on that AS's under-attack path, the owner
-// announcing cfg.Prepend copies to every neighbor.
+// detectOwnPolicy (owner_test.go) alarms on that AS's under-attack path,
+// the owner announcing cfg.Prepend copies to every neighbor.
 func TestPollutionIsOwnerPolicyAlarm(t *testing.T) {
 	g := defGraph(t, 600, 55)
 	victim := pickVictim(t, g)
@@ -151,7 +152,7 @@ func TestPollutionIsOwnerPolicyAlarm(t *testing.T) {
 				for i := int32(0); i < int32(g.NumASes()); i++ {
 					asn := g.ASNAt(i)
 					route := []detect.MonitorRoute{{Monitor: asn, Path: im.Attacked().PathOfIdx(i)}}
-					alarm := len(detect.DetectOwnPolicy(victim, policy, route)) > 0
+					alarm := len(detectOwnPolicy(victim, policy, route)) > 0
 					if a.has(i) != alarm {
 						t.Fatalf("λ=%d violate=%v attacker %v: %v via bit %v, owner check alarms %v on %v",
 							lambda, violate, im.Scenario.Attacker, asn, a.has(i), alarm, route[0].Path)
@@ -350,4 +351,12 @@ func TestMitigateAttackError(t *testing.T) {
 	if _, err := Mitigate(g, core.Scenario{Victim: t1[0], Attacker: t1[0], Prepend: 3}, MitigateUnprepend); err == nil {
 		t.Error("victim == attacker accepted")
 	}
+}
+
+// withGOMAXPROCS sets GOMAXPROCS, and with it the shard and worker count of
+// every sweep, for the rest of the test.
+func withGOMAXPROCS(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

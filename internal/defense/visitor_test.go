@@ -207,7 +207,7 @@ func TestCompareVisitorMatchesRetained(t *testing.T) {
 	for _, j := range jobs {
 		want := retainedCompare(t, j.g, j.cfg)
 		for _, workers := range []int{1, 4} {
-			j.cfg.Workers = workers
+			withGOMAXPROCS(t, workers)
 			got, err := Compare(j.g, j.cfg)
 			if (err != nil) != (want == nil) {
 				t.Fatalf("%s workers %d: err=%v, oracle outcome %v", j.name, workers, err, want)

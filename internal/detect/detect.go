@@ -88,17 +88,6 @@ type MonitorRoute struct {
 	Path    bgp.Path
 }
 
-// transit returns the unique transit chain of a path: every distinct AS in
-// order, excluding the origin run. Element 0 is the monitor's next hop;
-// the last element is the origin's direct neighbor.
-func transit(p bgp.Path) bgp.Path {
-	u := p.Unique()
-	if len(u) == 0 {
-		return nil
-	}
-	return u[:len(u)-1]
-}
-
 // hasPeerStep reports whether any adjacent pair along chain is a peer link
 // (used by the pseudocode's "no peer links in r_t^d" hint condition).
 func hasPeerStep(chain bgp.Path, origin bgp.ASN, rels RelQuerier) bool {

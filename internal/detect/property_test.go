@@ -89,52 +89,6 @@ func TestNoHighConfidenceFalsePositivesOnLegitimateTE(t *testing.T) {
 	t.Logf("hint-level (Possible) false positives across %d trials: %d", trials, hintFP)
 }
 
-// TestOwnerPolicyNoFalsePositives: the owner-side check must stay silent
-// on any honest routing state whose policy the owner reports truthfully.
-func TestOwnerPolicyNoFalsePositives(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	for trial := 0; trial < 25; trial++ {
-		cfg := topology.DefaultGenConfig(80 + rng.Intn(120))
-		cfg.Seed = rng.Int63()
-		g, err := topology.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asns := g.ASNs()
-		origin := asns[rng.Intn(len(asns))]
-		ann := routing.Announcement{Origin: origin, Prepend: 1 + rng.Intn(5)}
-		ann.PerNeighbor = make(map[bgp.ASN]int)
-		for _, n := range g.Providers(origin) {
-			if rng.Intn(2) == 0 {
-				ann.PerNeighbor[n] = 1 + rng.Intn(6)
-			}
-		}
-		res, err := routing.Propagate(g, ann)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var routes []MonitorRoute
-		for _, m := range g.TopByDegree(50) {
-			if p := res.PathOf(m); p != nil {
-				routes = append(routes, MonitorRoute{Monitor: m, Path: p})
-			}
-		}
-		lambdaFor := func(n bgp.ASN) int {
-			if g.RelOf(origin, n) == topology.RelNone {
-				return 0
-			}
-			if v, ok := ann.PerNeighbor[n]; ok {
-				return v
-			}
-			return ann.Prepend
-		}
-		if alarms := DetectOwnPolicy(origin, lambdaFor, routes); len(alarms) != 0 {
-			t.Fatalf("trial %d (origin %v): owner-policy false positives: %v",
-				trial, origin, alarms)
-		}
-	}
-}
-
 // TestDetectChangeAlwaysFindsEffectiveStrip: completeness on the hand
 // graph family — whenever an attack changes some monitor's route, a
 // sufficiently placed monitor pair detects it at high confidence.

@@ -22,6 +22,17 @@ import (
 	"aspp/internal/topology"
 )
 
+// transit returns the unique transit chain of a path: every distinct AS in
+// order, excluding the origin run. Element 0 is the monitor's next hop;
+// the last element is the origin's direct neighbor.
+func transit(p bgp.Path) bgp.Path {
+	u := p.Unique()
+	if len(u) == 0 {
+		return nil
+	}
+	return u[:len(u)-1]
+}
+
 // legacyDetectChange is the original path-slice implementation of the
 // paper's Fig. 4 algorithm, kept verbatim as the differential reference.
 func legacyDetectChange(monitor bgp.ASN, prev, cur bgp.Path, witnesses []MonitorRoute, rels RelQuerier) []Alarm {

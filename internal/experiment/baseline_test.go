@@ -154,8 +154,9 @@ func TestShiftedBaselineCostsOnePropagation(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		c := new(obs.Counters)
+		withGOMAXPROCS(t, workers)
 		if _, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{
-			Victim: t1[0], Attacker: t1[1], MaxLambda: 8, Workers: workers, Counters: c,
+			Victim: t1[0], Attacker: t1[1], MaxLambda: 8, Counters: c,
 		}); err != nil {
 			t.Fatal(err)
 		}

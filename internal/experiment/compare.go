@@ -31,7 +31,6 @@ type CompareConfig struct {
 	Prepend  int
 	Monitors int // top-degree monitor count for the detectors
 	Seed     int64
-	Workers  int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
 }
@@ -52,7 +51,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		return nil, errors.New("experiment: bad comparison config")
 	}
 	monitors := g.TopByDegree(cfg.Monitors)
-	r := newLegRunner(g, legOptions{what: "comparison sweep", workers: cfg.Workers, counters: cfg.Counters})
+	r := newLegRunner(g, legOptions{what: "comparison sweep", counters: cfg.Counters})
 
 	// Every family is scored the same way: captured share, then the three
 	// detector classes over the monitors' under-attack routes. The

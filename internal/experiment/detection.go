@@ -62,7 +62,6 @@ type DetectionConfig struct {
 	// reproduces the figure's shape.
 	LatencyMonitors int
 	Seed            int64
-	Workers         int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
 }
@@ -194,7 +193,7 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		}
 	}
 
-	r := newLegRunner(g, legOptions{what: "detection sweep", workers: cfg.Workers, counters: cfg.Counters})
+	r := newLegRunner(g, legOptions{what: "detection sweep", counters: cfg.Counters})
 	scratch := make([]*detect.EvalScratch, len(r.shards)*len(places)) // [shard][placement]
 	for i := range scratch {
 		scratch[i] = newEvalScratch()

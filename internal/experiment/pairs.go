@@ -47,6 +47,9 @@ type PairConfig struct {
 	Prepend int // victim's λ
 	Violate bool
 	Seed    int64
+	// Workers is the shard count (<= 0: GOMAXPROCS, as for every other
+	// driver). It stays only while bench/layers.go's parallel.pairs_scaling
+	// row sets it (ROADMAP item 2c).
 	Workers int
 	// Counters optionally collects sweep telemetry (propagations per
 	// engine, cache hits, skipped draws, memory gauges). One Counters per
@@ -181,7 +184,6 @@ type SweepConfig struct {
 	Victim, Attacker bgp.ASN
 	MaxLambda        int
 	Violate          bool
-	Workers          int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
 }
@@ -200,8 +202,8 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 		return nil, errors.New("experiment: maxLambda must be >= 1")
 	}
 	r := newLegRunner(g, legOptions{
-		what:    fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
-		workers: cfg.Workers, counters: cfg.Counters,
+		what:     fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
+		counters: cfg.Counters,
 		allFatal: true,
 	})
 	legs := make([]core.Scenario, cfg.MaxLambda)

@@ -42,7 +42,7 @@ import (
 // legOptions is everything a driver tells the runner besides the legs.
 type legOptions struct {
 	what     string // names the sweep in errors ("pair sweep")
-	workers  int    // also the shard count; <= 0: GOMAXPROCS
+	workers  int    // also the shard count; <= 0: GOMAXPROCS (only PairConfig sets it)
 	counters *obs.Counters
 	// allFatal marks a fixed-pair sweep with nothing to redraw: an
 	// unreachable attacker fails the sweep instead of skipping the leg,
@@ -246,8 +246,8 @@ func firstEffective[T any](ctx context.Context, r *legRunner, stream []core.Scen
 // order until want are effective, never further. eval sees each one's
 // borrowed Impact (valid until eval returns; copy what you keep) and may
 // run concurrently with itself.
-func EffectiveAttacks[T any](ctx context.Context, g *topology.Graph, stream []core.Scenario, want, workers int, counters *obs.Counters, eval func(im *core.Impact) T) ([]T, error) {
-	r := newLegRunner(g, legOptions{what: "attack draw", workers: workers, counters: counters})
+func EffectiveAttacks[T any](ctx context.Context, g *topology.Graph, stream []core.Scenario, want int, counters *obs.Counters, eval func(im *core.Impact) T) ([]T, error) {
+	r := newLegRunner(g, legOptions{what: "attack draw", counters: counters})
 	return firstEffective(ctx, r, stream, want, func(_ int, im *core.Impact) T { return eval(im) })
 }
 

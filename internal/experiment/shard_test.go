@@ -15,10 +15,18 @@ import (
 )
 
 // shardCounts is the shard-count grid of the invariance differential, set
-// through Workers (one shard per worker): trivial (1), even split (2),
-// prime (7), and more shards than most sweeps have victims (32) — empty
-// shards must be harmless.
+// through PairConfig.Workers or GOMAXPROCS (one shard per worker): trivial
+// (1), even split (2), prime (7), and more shards than most sweeps have
+// victims (32) — empty shards must be harmless.
 var shardCounts = []int{1, 2, 7, 32}
+
+// withGOMAXPROCS sets GOMAXPROCS, and with it the shard count of every
+// sweep but the pair sweep's explicit one, for the rest of the test.
+func withGOMAXPROCS(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // TestNormalizeShards pins the shard-count rule end to end, on the shard
 // states newLegRunner actually builds: one shard per worker, and Workers
@@ -68,14 +76,14 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 	if len(t1) < 2 {
 		t.Skip("need two tier-1 ASes")
 	}
-	base := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12, Workers: 3}
-	want, err := SweepPrependCfgCtx(context.Background(), g, base)
+	cfg := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12}
+	withGOMAXPROCS(t, 3)
+	want, err := SweepPrependCfgCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("default: %v", err)
 	}
 	for _, shards := range shardCounts {
-		cfg := base
-		cfg.Workers = shards
+		withGOMAXPROCS(t, shards)
 		got, err := SweepPrependCfgCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -90,15 +98,15 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 // invariant across shard counts.
 func TestShardInvarianceSusceptibility(t *testing.T) {
 	g := expGraph(t, 400, 31)
-	base := DefaultSusceptibilityConfig()
-	base.PairsPerCell, base.Workers = 6, 3
-	want, err := SusceptibilityMatrixCtx(context.Background(), g, base)
+	cfg := DefaultSusceptibilityConfig()
+	cfg.PairsPerCell = 6
+	withGOMAXPROCS(t, 3)
+	want, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("default: %v", err)
 	}
 	for _, shards := range shardCounts {
-		cfg := base
-		cfg.Workers = shards
+		withGOMAXPROCS(t, shards)
 		got, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -212,9 +220,10 @@ func TestSweepLowestLambdaErrorWins(t *testing.T) {
 		return orig(gg, ann, s)
 	}
 	t1 := g.Tier1s()
+	withGOMAXPROCS(t, 4)
 	for run := 0; run < 5; run++ {
 		_, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{
-			Victim: t1[0], Attacker: t1[1], MaxLambda: 8, Workers: 4,
+			Victim: t1[0], Attacker: t1[1], MaxLambda: 8,
 		})
 		if !errors.Is(err, ErrBaselineFailed) || !strings.Contains(err.Error(), "injected fault at λ=3") {
 			t.Fatalf("run %d: err=%v, want the λ=3 baseline failure", run, err)
@@ -269,7 +278,8 @@ func TestShardGaugesWithinBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultDetectionConfig()
-		cfg.Pairs, cfg.Workers, cfg.Counters = 40, workers, detection
+		cfg.Pairs, cfg.Counters = 40, detection
+		withGOMAXPROCS(t, workers)
 		if _, err := RunDetectionCtx(context.Background(), g, cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,8 @@ func TestSiblingSweepCountedAndCancellable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := new(obs.Counters)
-	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Workers: 2, Counters: c}
+	withGOMAXPROCS(t, 2)
+	cfg := SweepConfig{Victim: sib.Victim, Attacker: sib.Attacker, MaxLambda: 6, Counters: c}
 	counted, err := SweepPrependCfgCtx(context.Background(), sib.Graph, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,7 @@ type SusceptibilityConfig struct {
 	// MaxTier groups every tier >= MaxTier into one "edge" bucket.
 	MaxTier int
 	Prepend int
-	Violate bool
 	Seed    int64
-	Workers int
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
 	// Deprecated: ignored. Every leg runs on the scalar kernels, one shard
@@ -43,11 +41,11 @@ type SusceptibilityConfig struct {
 	MemBudget int64
 }
 
-// DefaultSusceptibilityConfig returns the calibrated setup. The matrix
+// DefaultSusceptibilityConfig returns the calibrated setup. Every matrix
 // runs the rule-following attacker: the paper's §VI-B resilience claims
 // ("victims closer to the core of the Internet would have more
-// resilience") hold in the valley-free regime, while a violating attacker
-// levels the field (the tier-1 peer mesh re-exports the bogus route to
+// resilience") hold in the valley-free regime, whereas a violating attacker
+// would level the field (the tier-1 peer mesh re-exports the bogus route to
 // everyone regardless of the victim's position).
 func DefaultSusceptibilityConfig() SusceptibilityConfig {
 	return SusceptibilityConfig{
@@ -112,18 +110,13 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 				v := vPool[rng.Intn(len(vPool))]
 				m := aPool[rng.Intn(len(aPool))]
 				if v != m {
-					c.cands = append(c.cands, core.Scenario{
-						Victim:            v,
-						Attacker:          m,
-						Prepend:           cfg.Prepend,
-						ViolateValleyFree: cfg.Violate,
-					})
+					c.cands = append(c.cands, core.Scenario{Victim: v, Attacker: m, Prepend: cfg.Prepend})
 				}
 			}
 			cells = append(cells, c)
 		}
 	}
-	r := newLegRunner(g, legOptions{what: "susceptibility sweep", workers: cfg.Workers, counters: cfg.Counters})
+	r := newLegRunner(g, legOptions{what: "susceptibility sweep", counters: cfg.Counters})
 	var cellOf []*cell // the cell of each leg of the current round
 	err := r.drain(ctx, func() []core.Scenario {
 		var legs []core.Scenario

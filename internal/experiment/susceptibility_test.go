@@ -41,13 +41,13 @@ func eagerMatrix(t *testing.T, g *topology.Graph, cfg SusceptibilityConfig) []Ti
 				v := vPool[rng.Intn(len(vPool))]
 				m := aPool[rng.Intn(len(aPool))]
 				if v != m {
-					legs = append(legs, core.Scenario{Victim: v, Attacker: m, Prepend: cfg.Prepend, ViolateValleyFree: cfg.Violate})
+					legs = append(legs, core.Scenario{Victim: v, Attacker: m, Prepend: cfg.Prepend})
 					cellOf = append(cellOf, [2]int{vt, at})
 				}
 			}
 		}
 	}
-	r := newLegRunner(g, legOptions{what: "eager matrix", workers: cfg.Workers})
+	r := newLegRunner(g, legOptions{what: "eager matrix"})
 	counts, done, err := r.run(context.Background(), legs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,6 @@ func TestSusceptibilityQuotaMatchesEager(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := DefaultSusceptibilityConfig()
 		cfg.Seed = seed
-		cfg.Violate = seed%2 == 0
 		got, err := SusceptibilityMatrixCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

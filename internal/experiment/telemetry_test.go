@@ -61,8 +61,9 @@ func TestSweepPrependCounters(t *testing.T) {
 	}
 	c := new(obs.Counters)
 	const maxLambda = 5
+	withGOMAXPROCS(t, 2)
 	points, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{
-		Victim: t1[0], Attacker: t1[1], MaxLambda: maxLambda, Workers: 2, Counters: c,
+		Victim: t1[0], Attacker: t1[1], MaxLambda: maxLambda, Counters: c,
 	})
 	if err != nil {
 		t.Fatalf("SweepPrependCfgCtx: %v", err)
@@ -116,7 +117,8 @@ func TestSweepPrependBaselineFailureFatal(t *testing.T) {
 	if len(t1) < 2 {
 		t.Skip("need two tier-1 ASes")
 	}
-	_, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 4, Workers: 2})
+	withGOMAXPROCS(t, 2)
+	_, err := SweepPrependCfgCtx(context.Background(), g, SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 4})
 	if !errors.Is(err, ErrBaselineFailed) {
 		t.Fatalf("err=%v, want errors.Is(..., ErrBaselineFailed)", err)
 	}

@@ -258,7 +258,8 @@ func TestDetectionVisitorMatchesRetained(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4, 8} {
 					what := fmt.Sprintf("%s first %d latency %d workers %d", name, first, latency, workers)
-					cfg.Workers, cfg.Columns = workers, cols
+					withGOMAXPROCS(t, workers)
+					cfg.Columns = cols
 					three, err := RunDetectionCtx(ctx, g, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
@@ -305,9 +306,10 @@ func TestDetectionColumnsShareOneDraw(t *testing.T) {
 		const shards = 4
 		made = nil
 		c := new(obs.Counters)
+		withGOMAXPROCS(t, shards)
 		out, err := RunDetectionCtx(context.Background(), g, DetectionConfig{
 			MonitorCounts: []int{3, 10, 30}, Pairs: 25, Prepend: 3, Violate: true,
-			Columns: tc.cols, LatencyMonitors: 10, Seed: 5, Workers: shards, Counters: c,
+			Columns: tc.cols, LatencyMonitors: 10, Seed: 5, Counters: c,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -343,7 +345,7 @@ func TestCompareVisitorMatchesRetained(t *testing.T) {
 		}
 		want, wantErr := retainedCompare(g, cfg)
 		for _, workers := range []int{1, 4} {
-			cfg.Workers = workers
+			withGOMAXPROCS(t, workers)
 			got, err := CompareAttackTypesCtx(ctx, g, cfg)
 			sameOutcome(t, fmt.Sprintf("%s workers %d", name, workers), got, want, err, wantErr)
 		}
@@ -416,6 +418,7 @@ func consumedByQuota(t *testing.T, g *topology.Graph, stream []core.Scenario, wa
 // and on the one where top-up rounds replace unreachable draws.
 func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 	ctx := context.Background()
+	withGOMAXPROCS(t, 4)
 	for name, g := range map[string]*topology.Graph{"n400": expGraph(t, 400, 41), "unreachable-attacker": unreachableAttackerGraph(t)} {
 		const pairs = 12
 		consumed, effective := consumedByQuota(t, g, randomAttackStream(g, 3, pairs*20, 3, true), pairs)
@@ -423,7 +426,7 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 		c := new(obs.Counters)
 		out, err := RunDetectionCtx(ctx, g, DetectionConfig{
 			MonitorCounts: []int{4}, Pairs: pairs, Prepend: 3, Violate: true,
-			Seed: 3, Workers: 4, Counters: c,
+			Seed: 3, Counters: c,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -439,7 +442,7 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 		// forged legs per usable pair — full propagations, never skipped.
 		consumed, effective = consumedByQuota(t, g, randomAttackStream(g, 3, pairs*30, 3, true), pairs)
 		c = new(obs.Counters)
-		cmp, err := CompareAttackTypesCtx(ctx, g, CompareConfig{Pairs: pairs, Prepend: 3, Monitors: 4, Seed: 3, Workers: 4, Counters: c})
+		cmp, err := CompareAttackTypesCtx(ctx, g, CompareConfig{Pairs: pairs, Prepend: 3, Monitors: 4, Seed: 3, Counters: c})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -456,19 +459,18 @@ func TestDrawSimulatesWhatItConsumes(t *testing.T) {
 // between legs surfaces ctx.Err(), and the draw does not run on.
 func TestDetectionAndCompareCancelMidDraw(t *testing.T) {
 	g := expGraph(t, 300, 32)
+	withGOMAXPROCS(t, 1) // one shard: the fault hook counts unsynchronized
 	orig := propagateBaseline
 	defer func() { propagateBaseline = orig }()
 	for name, run := range map[string]func(context.Context) error{
 		"detection": func(ctx context.Context) error {
 			cfg := DefaultDetectionConfig()
-			cfg.Pairs, cfg.Workers = 40, 1
+			cfg.Pairs = 40
 			_, err := RunDetectionCtx(ctx, g, cfg)
 			return err
 		},
 		"compare": func(ctx context.Context) error {
-			cfg := DefaultCompareConfig()
-			cfg.Workers = 1
-			_, err := CompareAttackTypesCtx(ctx, g, cfg)
+			_, err := CompareAttackTypesCtx(ctx, g, DefaultCompareConfig())
 			return err
 		},
 	} {

@@ -31,8 +31,6 @@ type SurveyConfig struct {
 	// ChurnEvents is the number of primary-link failure/restore cycles
 	// generating the update stream.
 	ChurnEvents int
-	// Workers bounds the propagation fan-out (<=0: GOMAXPROCS).
-	Workers int
 	// Seed drives churn sampling.
 	Seed int64
 	// Counters optionally collects survey telemetry (propagations, churn
@@ -154,7 +152,7 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	// the same cell.
 	nMon := len(monitors)
 	prepMat := make([]int16, len(origins)*nMon)
-	perr := parallel.ForEachScratchErr(context.Background(), len(origins), cfg.Workers,
+	perr := parallel.ForEachScratchErr(context.Background(), len(origins), 0,
 		newTableState,
 		func(ts *tableState, i int) error {
 			// Origins are validated at assignment, so an error indicates a
@@ -217,7 +215,7 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 		dist             *stats.Histogram
 		updates          int
 	}
-	perEvent, perr := parallel.MapScratchErr(context.Background(), len(events), cfg.Workers,
+	perEvent, perr := parallel.MapScratchErr(context.Background(), len(events), 0,
 		newTableState,
 		func(ts *tableState, i int) (updStats, error) {
 			ev := events[i]

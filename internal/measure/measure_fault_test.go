@@ -23,7 +23,7 @@ func TestRunSurveyTablePropagationErrorReturned(t *testing.T) {
 	cfg := DefaultSurveyConfig()
 	cfg.ChurnEvents = 10
 	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
+		withGOMAXPROCS(t, workers)
 		_, err := RunSurvey(g, origins, cfg)
 		if err == nil {
 			t.Fatalf("workers=%d: invalid origin accepted", workers)

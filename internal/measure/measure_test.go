@@ -2,6 +2,7 @@ package measure
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -186,12 +187,12 @@ func TestRunSurveyWorkerEquivalence(t *testing.T) {
 	g, origins := surveySetup(t, 300, 14)
 	cfg := DefaultSurveyConfig()
 	cfg.ChurnEvents = 40
-	cfg.Workers = 1
+	withGOMAXPROCS(t, 1)
 	serial, err := RunSurvey(g, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	withGOMAXPROCS(t, 8)
 	par, err := RunSurvey(g, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -302,4 +303,12 @@ func TestRunSurveyUpdatesMatchFullTables(t *testing.T) {
 	if !reflect.DeepEqual(res.UpdatePrependDist, dist) {
 		t.Fatal("UpdatePrependDist differs from the whole-graph tally")
 	}
+}
+
+// withGOMAXPROCS sets GOMAXPROCS, and with it the survey's propagation
+// fan-out, for the rest of the test.
+func withGOMAXPROCS(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

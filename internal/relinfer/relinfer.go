@@ -111,14 +111,15 @@ func (in *Inferred) Links() []topology.Link {
 	return out
 }
 
+// peerDegreeRatio R: a top-adjacent pair is peered if their degrees are
+// within a factor R (Gao's phase 3 heuristic). Gao's paper uses R≈60
+// against real routing-table degrees, whose spectrum spans four orders of
+// magnitude; generated topologies compress the spectrum, so R is
+// calibrated to 4.
+const peerDegreeRatio = 4
+
 // GaoConfig tunes the inference.
 type GaoConfig struct {
-	// PeerDegreeRatio R: a top-adjacent pair is peered if their degrees
-	// are within a factor R (Gao's phase 3 heuristic). Gao's paper uses
-	// R≈60 against real routing-table degrees, whose spectrum spans four
-	// orders of magnitude; generated topologies compress the spectrum, so
-	// 0 selects a calibrated default of 4.
-	PeerDegreeRatio float64
 	// Seeds fixes known provider->customer pairs before voting (used by
 	// the consensus procedure). Keys are (provider, customer).
 	Seeds [][2]bgp.ASN
@@ -138,11 +139,6 @@ func Gao(paths []bgp.Path, cfg GaoConfig) (*Inferred, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("relinfer: no paths")
 	}
-	ratio := cfg.PeerDegreeRatio
-	if ratio <= 0 {
-		ratio = 4
-	}
-
 	// Degrees from the path set itself (transit degree).
 	degree := make(map[bgp.ASN]int)
 	adj := make(map[[2]bgp.ASN]struct{})
@@ -238,7 +234,7 @@ func Gao(paths []bgp.Path, cfg GaoConfig) (*Inferred, error) {
 			lo, hi = hi, lo
 		}
 		peerish := v.topAdj == v.low+v.high &&
-			lo > 1 && float64(hi)/float64(lo) <= ratio
+			lo > 1 && float64(hi)/float64(lo) <= peerDegreeRatio
 		switch {
 		case v.low > 0 && v.high > 0:
 			// Conflicting transit directions. Strongly unbalanced votes

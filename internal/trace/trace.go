@@ -135,12 +135,13 @@ type Config struct {
 	Source bgp.ASN
 	// Regions places each AS; missing ASes default to the source region.
 	Regions RegionMap
-	// RoutersPerAS is the number of router hops within each transit AS
-	// (1..3 typical; default 2 with per-AS jitter).
-	RoutersPerAS int
 	// Seed drives address and jitter generation.
 	Seed int64
 }
+
+// routersPerAS is the number of router hops within each transit AS (real
+// paths show 1..3); the destination AS adds one more, its server.
+const routersPerAS = 2
 
 // Run simulates a traceroute from cfg.Source along the AS path (as found
 // in the source's RIB: next hop first, origin last). The first hop is the
@@ -148,10 +149,6 @@ type Config struct {
 // traceroute output under stable routing.
 func Run(path bgp.Path, cfg Config) []Hop {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	perAS := cfg.RoutersPerAS
-	if perAS <= 0 {
-		perAS = 2
-	}
 	srcRegion := cfg.Regions[cfg.Source]
 	if srcRegion == 0 {
 		srcRegion = RegionUSWest
@@ -175,9 +172,9 @@ func Run(path bgp.Path, cfg Config) []Hop {
 		cur := region(asn)
 		oneWay += delayBetween(prev, cur)
 		prev = cur
-		n := perAS
+		n := routersPerAS
 		if i == len(seq)-1 {
-			n = perAS + 1 // destination network: edge + server hops
+			n = routersPerAS + 1 // destination network: edge + server hops
 		}
 		for r := 0; r < n; r++ {
 			if r > 0 {

@@ -73,12 +73,13 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunCollapsesPrepends(t *testing.T) {
-	cfg := Config{Source: 7132, Regions: facebookRegions(), Seed: 3, RoutersPerAS: 1}
+	cfg := Config{Source: 7132, Regions: facebookRegions(), Seed: 3}
 	// Five prepends of the origin must not create five ASes worth of hops.
 	hops := Run(bgp.Path{7018, 32934, 32934, 32934, 32934, 32934}, cfg)
-	// gateway + 1 router in 7018 + 2 routers in destination = 4.
-	if len(hops) != 4 {
-		t.Errorf("got %d hops, want 4 (prepends collapsed)", len(hops))
+	// gateway + routersPerAS (2) in 7018 + 3 in the destination = 6;
+	// uncollapsed, the four extra copies would add 8 more.
+	if len(hops) != 6 {
+		t.Errorf("got %d hops, want 6 (prepends collapsed)", len(hops))
 	}
 }
 

@@ -35,6 +35,14 @@ func internet80k(tb testing.TB) *Internet {
 	return in
 }
 
+// withGOMAXPROCS sets GOMAXPROCS, and with it the shard count of every
+// sweep that has no Workers of its own, for the rest of the test.
+func withGOMAXPROCS(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // oneBaselineBytes is the footprint of one internet80k baseline: what a
 // sweep shard holds, and so the bound on the cache_bytes gauge.
 func oneBaselineBytes(t *testing.T, in *Internet) int64 {
@@ -93,9 +101,9 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 	in := internet80k(t)
 	budget := oneBaselineBytes(t, in)
 	c := new(Counters)
-	cfg := DefaultSusceptibilityConfig()
+	cfg := experiment.DefaultSusceptibilityConfig()
 	cfg.Counters = c
-	cells, err := in.SusceptibilityMatrixCtx(context.Background(), cfg)
+	cells, err := experiment.SusceptibilityMatrixCtx(context.Background(), in.Graph(), cfg)
 	if err != nil {
 		t.Fatalf("80k susceptibility matrix: %v", err)
 	}
@@ -243,8 +251,9 @@ func TestScale80kLambdaSweepPropagatesVictimOnce(t *testing.T) {
 	}
 	sweep := func(shards int) ([]SweepPoint, obs.Snapshot) {
 		c := new(Counters)
-		points, err := in.SweepPrependCfgCtx(context.Background(), SweepConfig{
-			Victim: victim, Attacker: attacker, MaxLambda: 8, Workers: shards, Counters: c,
+		withGOMAXPROCS(t, shards)
+		points, err := experiment.SweepPrependCfgCtx(context.Background(), in.Graph(), SweepConfig{
+			Victim: victim, Attacker: attacker, MaxLambda: 8, Counters: c,
 		})
 		if err != nil {
 			t.Fatalf("80k λ sweep at %d shards: %v", shards, err)
