@@ -187,6 +187,41 @@ func TestObserveBatchZeroAlloc(t *testing.T) {
 	if len(alarms) != 0 {
 		t.Fatalf("unexpected alarms: %v", alarms)
 	}
+
+	// With the hint rules on: a churn cycle, one ObserveBatch per
+	// same-prefix run, whose Possible alarms show the rules asked rels.
+	// Each cycle empties the relationship memo first, so misses as well as
+	// hits fall inside the measured runs. The corpus is
+	// TestDetectorRouteTableSteadyChurn's, whose warm cycles never sweep.
+	updates, monitors, g := churnCorpus(t, 1500, 23, 40, 300, 5000)
+	var runs [][]bgp.Update
+	for i, j := 0, 0; i < len(updates); i = j {
+		for j = i + 1; j < len(updates) && updates[j].Prefix == updates[i].Prefix; j++ {
+		}
+		runs = append(runs, updates[i:j])
+	}
+	d, alarms = NewDetector(monitors, g), make([]Alarm, 0, 4096)
+	memo, possible := d.rels.(*relMemo), 0
+	cycle := func() {
+		clear(memo.slots[:])
+		possible = 0
+		for _, r := range runs {
+			alarms = d.ObserveBatch(r, alarms[:0])
+			for _, a := range alarms {
+				if a.Confidence == Possible {
+					possible++
+				}
+			}
+		}
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Errorf("warmed churn cycle with rels allocates %.1f objects per run, want 0", avg)
+	}
+	if possible == 0 {
+		t.Fatal("the churn cycle raised no Possible alarm: the hint rules were not exercised")
+	}
 }
 
 // TestObserveBatchMatchesObserve pins the trivial contract: a batch of

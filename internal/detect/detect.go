@@ -77,9 +77,39 @@ func (a Alarm) String() string {
 
 // RelQuerier answers AS-relationship questions; *topology.Graph implements
 // it with ground truth, and relinfer's inferred graphs implement it with
-// measured relationships (the realistic deployment).
+// measured relationships (the realistic deployment). RelOf must give the
+// same answer for the same pair for as long as the querier lives: a
+// Detector memoizes the answers.
 type RelQuerier interface {
 	RelOf(a, b bgp.ASN) topology.RelTo
+}
+
+// relBits sizes a Detector's relationship memo: 2^relBits slots. A churn
+// feed asks about a few hundred distinct pairs (697 on serve-churn's
+// corpus), almost every question a repeat.
+const relBits = 12
+
+// relMemo is a direct-mapped memo in front of a RelQuerier. Pair (a, b)
+// hashes to h by one multiply, a bijection of the 64-bit pair key; h's top
+// relBits bits pick the slot, which stores h's other bits above the answer
+// plus one. So a slot names its pair exactly, and an empty slot (0) answers
+// for none, (0, 0) included. A miss asks q and overwrites the slot. The
+// hash needs no seed: a feed that picks colliding pairs costs a question
+// to q each, as without the memo, plus a slot write.
+type relMemo struct {
+	q     RelQuerier
+	slots [1 << relBits]uint64
+}
+
+func (m *relMemo) RelOf(a, b bgp.ASN) topology.RelTo {
+	h := (uint64(a)<<32 | uint64(b)) * 0x9e3779b97f4a7c15
+	slot, tag := &m.slots[h>>(64-relBits)], h<<relBits
+	if e := *slot; e&^(1<<relBits-1) == tag && e != 0 {
+		return topology.RelTo(e) - 1
+	}
+	r := m.q.RelOf(a, b)
+	*slot = tag | uint64(r+1)
+	return r
 }
 
 // MonitorRoute is one vantage point's current route for the watched prefix.

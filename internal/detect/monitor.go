@@ -227,11 +227,16 @@ func (d *Detector) setSlot(r int32, mi int, id int32) int32 {
 }
 
 // NewDetector builds a streaming detector for the given vantage points.
-// rels may be nil to disable the relationship-hint rules.
+// rels may be nil to disable the relationship-hint rules; otherwise each
+// detector memoizes its own answers (relMemo), so rels is asked about a
+// pair again only once another pair has taken its slot.
 func NewDetector(monitors []bgp.ASN, rels RelQuerier) *Detector {
 	asns := slices.Clone(monitors)
 	slices.Sort(asns)
 	asns = slices.Compact(asns)
+	if rels != nil {
+		rels = &relMemo{q: rels}
+	}
 	d := &Detector{
 		rels:    rels,
 		monASN:  asns,
@@ -402,14 +407,18 @@ func (d *Detector) maybeCompact() {
 }
 
 // MemoryBytes is the detector's resident footprint, every slab and index
-// at capacity plus the path arena. The serve pipeline's soak gate samples
-// this to assert the streaming table plateaus instead of leaking, and
-// /metrics reports it.
+// at capacity plus the path arena and the relationship memo. The serve
+// pipeline's soak gate samples this to assert the streaming table plateaus
+// instead of leaking, and /metrics reports it.
 func (d *Detector) MemoryBytes() int64 {
 	if d == nil {
 		return 0
 	}
-	return int64(unsafe.Sizeof(*d)) + d.arena.MemoryBytes() + sliceBytes(d.rows) + sliceBytes(d.rowRefs) +
+	var memo int64
+	if m, ok := d.rels.(*relMemo); ok {
+		memo = int64(unsafe.Sizeof(*m))
+	}
+	return int64(unsafe.Sizeof(*d)) + memo + d.arena.MemoryBytes() + sliceBytes(d.rows) + sliceBytes(d.rowRefs) +
 		sliceBytes(d.rowFree) + sliceBytes(d.rowHash) + d.rowIdx.MemoryBytes() + sliceBytes(d.keys) + sliceBytes(d.over) +
 		sliceBytes(d.rowIDs) + d.index.MemoryBytes() + sliceBytes(d.spans) + sliceBytes(d.refs) +
 		sliceBytes(d.free) + d.routeIdx.MemoryBytes() + sliceBytes(d.liveRefs) + sliceBytes(d.monASN)

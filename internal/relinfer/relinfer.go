@@ -18,7 +18,10 @@ import (
 
 // Inferred holds inferred relationships. It implements detect.RelQuerier's
 // shape (RelOf), so the detection algorithm can run on inferred data the
-// way a real deployment must.
+// way a real deployment must. An Inferred is not modified once the
+// inference that built it returns: set, setPeer and setSibling are called
+// only inside this package before then, so RelOf answers a pair the same
+// way for the graph's whole life, as detect's memo relies on.
 type Inferred struct {
 	// rel maps the canonical (low ASN, high ASN) pair to the relationship
 	// with Link.A == low when ProviderToCustomer.
