@@ -69,16 +69,15 @@ lint-fmt:
 		echo "$$bad"; exit 1; \
 	fi
 
-# Non-test Go lines of every internal/ and cmd/ package and of aspp.go,
-# then their sum: total lines, and lines that are neither blank nor
-# comment-only. ROADMAP items 2 and 13 read their internal/routing line
-# targets off this; CI prints it so the trend is in the log.
+# Non-test Go lines of every internal/ and cmd/ package, then their sum:
+# total lines, and lines that are neither blank nor comment-only. ROADMAP
+# items 2 and 13 read their internal/routing line targets off this; CI
+# prints it so the trend is in the log.
 loc:
 	@count() { awk -v p="$$1" '{t++} !/^[[:space:]]*($$|\/\/)/{c++} END{printf "%-20s %5d lines %5d code\n", p, t, c}'; }; \
 	src() { ls $$1/*.go | grep -v _test.go | xargs cat; }; \
 	for p in internal/* cmd/*; do src $$p | count $$p; done; \
-	count aspp.go < aspp.go; \
-	{ for p in internal/* cmd/*; do src $$p; done; cat aspp.go; } | count total
+	{ for p in internal/* cmd/*; do src $$p; done; } | count total
 
 # The concurrent sweep machinery and the serving pipeline under the race
 # detector, with asppbench's run scheduler (experiments side by side over

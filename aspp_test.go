@@ -3,185 +3,46 @@ package aspp
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
+	"aspp/internal/bgp"
+	"aspp/internal/collector"
+	"aspp/internal/core"
+	"aspp/internal/defense"
 	"aspp/internal/experiment"
 	"aspp/internal/measure"
+	"aspp/internal/obs"
+	"aspp/internal/relinfer"
 	"aspp/internal/topology"
+	"aspp/internal/trace"
 )
 
-func testInternet(t testing.TB, n int, seed int64) *Internet {
+// testGraph is the default generator's n-AS graph at seed.
+func testGraph(t testing.TB, n int, seed int64) *topology.Graph {
 	t.Helper()
-	in, err := NewInternet(WithSize(n), WithSeed(seed))
+	cfg := topology.DefaultGenConfig(n)
+	cfg.Seed = seed
+	g, err := topology.Generate(cfg)
 	if err != nil {
-		t.Fatalf("NewInternet: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
-	return in
-}
-
-func TestNewInternetOptions(t *testing.T) {
-	in := testInternet(t, 300, 3)
-	if got := in.Graph().NumASes(); got != 300 {
-		t.Errorf("NumASes = %d, want 300", got)
-	}
-	if len(in.Tier1s()) == 0 {
-		t.Error("no tier-1 ASes")
-	}
-	if got := in.Graph().TopByDegree(5); len(got) != 5 {
-		t.Errorf("TopByDegree(5) returned %d", len(got))
-	}
-
-	// Same seed, same topology; different seed, different.
-	in2 := testInternet(t, 300, 3)
-	if in.Graph().NumLinks() != in2.Graph().NumLinks() {
-		t.Error("same seed produced different graphs")
-	}
-
-	// WithGenConfig round trip.
-	cfg := GenConfig{
-		N: 100, Tier1: 4, LargeTransitFrac: 0.1, SmallTransitFrac: 0.2,
-		MeanProviders: 1.5, Seed: 9,
-	}
-	in3, err := NewInternet(WithGenConfig(cfg))
-	if err != nil {
-		t.Fatalf("WithGenConfig: %v", err)
-	}
-	if in3.Graph().NumASes() != 100 {
-		t.Errorf("WithGenConfig size = %d", in3.Graph().NumASes())
-	}
-}
-
-// TestNewInternetSeedPrecedence: an explicit WithSeed wins over
-// WithGenConfig's Seed, whatever its value; without one the config's Seed
-// applies, and 0 means 1.
-func TestNewInternetSeedPrecedence(t *testing.T) {
-	cfg := topology.DefaultGenConfig(150)
-	digest := func(seed int64) uint64 {
-		c := cfg
-		c.Seed = seed
-		g, err := topology.Generate(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return topology.Digest(g)
-	}
-	for _, tc := range []struct {
-		name     string
-		cfgSeed  int64
-		opts     []Option
-		wantSeed int64
-	}{
-		{"WithSeed(1) over Seed 9", 9, []Option{WithSeed(1)}, 1},
-		{"WithSeed(5) over Seed 9", 9, []Option{WithSeed(5)}, 5},
-		{"Seed 9 alone", 9, nil, 9},
-		{"Seed 0 alone", 0, nil, 1},
-	} {
-		c := cfg
-		c.Seed = tc.cfgSeed
-		in, err := NewInternet(append([]Option{WithGenConfig(c)}, tc.opts...)...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got, want := topology.Digest(in.Graph()), digest(tc.wantSeed); got != want {
-			t.Errorf("%s: digest %#x, want Generate at seed %d's %#x", tc.name, got, tc.wantSeed, want)
-		}
-	}
-}
-
-func TestInternetSerial2RoundTrip(t *testing.T) {
-	in := testInternet(t, 200, 4)
-	var sb strings.Builder
-	if err := in.WriteTopology(&sb); err != nil {
-		t.Fatalf("WriteTopology: %v", err)
-	}
-	in2, err := LoadInternet(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("LoadInternet: %v", err)
-	}
-	if in2.Graph().NumLinks() != in.Graph().NumLinks() {
-		t.Error("round trip changed the topology")
-	}
-	if _, err := LoadInternet(strings.NewReader("garbage")); err == nil {
-		t.Error("LoadInternet accepted garbage")
-	}
-}
-
-// TestOpenInternet: the commands' one way to a topology reads the file it
-// is given and generates only when given none.
-func TestOpenInternet(t *testing.T) {
-	in := testInternet(t, 200, 4)
-	path := filepath.Join(t.TempDir(), "rels.txt")
-	var sb strings.Builder
-	if err := in.WriteTopology(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := OpenInternet(path, WithSize(999)) // the file wins over the generator options
-	if err != nil || loaded.Graph().NumASes() != 200 || loaded.Graph().NumLinks() != in.Graph().NumLinks() {
-		t.Errorf("OpenInternet(file): %v, err %v; want the 200-AS topology written", loaded, err)
-	}
-	generated, err := OpenInternet("", WithSize(200), WithSeed(4))
-	if err != nil || generated.Graph().NumLinks() != in.Graph().NumLinks() {
-		t.Errorf("OpenInternet(\"\"): err %v; want what NewInternet generates", err)
-	}
-	if _, err := OpenInternet(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-// TestParseMonitors: asppserve and asppload read -monitors through this one
-// parser.
-func TestParseMonitors(t *testing.T) {
-	g := testInternet(t, 300, 3).Graph()
-	top := g.TopByDegree(300)
-	for _, tc := range []struct {
-		spec    string
-		want    []ASN
-		wantErr string
-	}{
-		{spec: "top1", want: top[:1]},
-		{spec: "top40", want: top[:40]},
-		{spec: "top9999", want: top}, // every AS there is
-		{spec: "7018", want: []ASN{7018}},
-		{spec: "AS7018, 3356,65000", want: []ASN{7018, 3356, 65000}},
-		{spec: "top0", wantErr: "want topK, K >= 1"},
-		{spec: "top-4", wantErr: "want topK, K >= 1"},
-		{spec: "top", wantErr: "want topK, K >= 1"},
-		{spec: "topmost", wantErr: "want topK, K >= 1"},
-		{spec: "", wantErr: `bad -monitors ""`},
-		{spec: "7018,,3356", wantErr: "bad -monitors"},
-		{spec: "bogus,list", wantErr: "bad -monitors"},
-	} {
-		got, err := ParseMonitors(tc.spec, g)
-		if tc.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("ParseMonitors(%q) = %v, err %v; want an error containing %q", tc.spec, got, err, tc.wantErr)
-			}
-		} else if err != nil || !slices.Equal(got, tc.want) {
-			t.Errorf("ParseMonitors(%q) = %v, err %v; want %v", tc.spec, got, err, tc.want)
-		}
-	}
+	return g
 }
 
 func TestInternetSimulateAttack(t *testing.T) {
-	in := testInternet(t, 400, 5)
-	t1 := in.Tier1s()
-	im, err := in.SimulateAttack(Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3})
+	g := testGraph(t, 400, 5)
+	t1 := g.Tier1s()
+	im, err := core.Simulate(g, core.Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3})
 	if err != nil {
-		t.Fatalf("SimulateAttack: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 	if im.After() < im.Before() {
 		t.Errorf("attack reduced pollution: %.3f -> %.3f", im.Before(), im.After())
 	}
 	// The sweep API agrees with single simulations.
-	sweep, err := experiment.SweepPrependCfgCtx(context.Background(), in.Graph(), SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 3})
+	sweep, err := experiment.SweepPrependCfgCtx(context.Background(), g, experiment.SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 3})
 	if err != nil {
 		t.Fatalf("SweepPrepend: %v", err)
 	}
@@ -192,23 +53,27 @@ func TestInternetSimulateAttack(t *testing.T) {
 
 func TestInternetAttackerUnreachable(t *testing.T) {
 	// Two disjoint islands: the attacker never hears the route.
-	var sb strings.Builder
-	sb.WriteString("10|100|-1\n20|200|-1\n")
-	in, err := LoadInternet(strings.NewReader(sb.String()))
+	g, err := topology.ReadSerial2(strings.NewReader("10|100|-1\n20|200|-1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = in.SimulateAttack(Scenario{Victim: 100, Attacker: 200, Prepend: 3})
-	if !errors.Is(err, ErrAttackerSeesNoRoute) {
+	_, err = core.Simulate(g, core.Scenario{Victim: 100, Attacker: 200, Prepend: 3})
+	if !errors.Is(err, core.ErrAttackerSeesNoRoute) {
 		t.Errorf("err = %v, want ErrAttackerSeesNoRoute", err)
 	}
 }
 
+// TestInternetUsageSurveyDefaults: the standard survey over the calibrated
+// prepending mix, as asppbench's fig5/fig6 run it.
 func TestInternetUsageSurveyDefaults(t *testing.T) {
-	in := testInternet(t, 400, 6)
-	res, err := in.UsageSurvey(PolicyConfig{}, SurveyConfig{})
+	g := testGraph(t, 400, 6)
+	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
 	if err != nil {
-		t.Fatalf("UsageSurvey: %v", err)
+		t.Fatal(err)
+	}
+	res, err := measure.RunSurvey(g, origins, measure.DefaultSurveyConfig())
+	if err != nil {
+		t.Fatalf("RunSurvey: %v", err)
 	}
 	if len(res.TableFracs) == 0 || res.Prefixes == 0 {
 		t.Error("empty survey result")
@@ -221,16 +86,15 @@ func TestInternetUsageSurveyDefaults(t *testing.T) {
 		t.Error("no prepending observed at all")
 	}
 
-	// A config with only Monitors set skips the defaults branch. Its table
-	// leg must still propagate once per origin — it used to fall back to
-	// once per prefix — and, given the default monitor set, reproduce the
-	// default run's tables.
-	c := new(Counters)
-	custom, err := in.UsageSurvey(PolicyConfig{}, SurveyConfig{
-		Monitors: measure.DefaultMonitors(in.Graph(), 30, 10, 1), Counters: c,
+	// A config with only Monitors set: its table leg must still propagate
+	// once per origin — it used to fall back to once per prefix — and,
+	// given the default monitor set, reproduce the default run's tables.
+	c := new(obs.Counters)
+	custom, err := measure.RunSurvey(g, origins, measure.SurveyConfig{
+		Monitors: measure.DefaultMonitors(g, 30, 10, 1), Counters: c,
 	})
 	if err != nil {
-		t.Fatalf("UsageSurvey(custom monitors): %v", err)
+		t.Fatalf("RunSurvey(custom monitors): %v", err)
 	}
 	if s := c.Snapshot(); s.BasePropagations != int64(res.Origins) || s.AttackPropagations() != 0 {
 		t.Errorf("custom monitors: prop_base=%d attack legs=%d, want one table propagation per origin (%d) and nothing else",
@@ -243,11 +107,11 @@ func TestInternetUsageSurveyDefaults(t *testing.T) {
 }
 
 func TestInternetRunDetection(t *testing.T) {
-	in := testInternet(t, 400, 7)
-	cfg := DefaultDetectionConfig()
+	g := testGraph(t, 400, 7)
+	cfg := experiment.DefaultDetectionConfig()
 	cfg.MonitorCounts = []int{20, 200}
 	cfg.Pairs = 25
-	out, err := in.RunDetectionCtx(context.Background(), cfg)
+	out, err := experiment.RunDetectionCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("RunDetection: %v", err)
 	}
@@ -257,8 +121,7 @@ func TestInternetRunDetection(t *testing.T) {
 }
 
 func TestInternetInferRelationships(t *testing.T) {
-	in := testInternet(t, 300, 8)
-	inf, acc, err := in.InferRelationships(80, 20)
+	inf, acc, err := relinfer.InferRelationships(testGraph(t, 300, 8), 80, 20)
 	if err != nil {
 		t.Fatalf("InferRelationships: %v", err)
 	}
@@ -271,12 +134,12 @@ func TestInternetInferRelationships(t *testing.T) {
 }
 
 func TestFacebookCaseStudyFacade(t *testing.T) {
-	cs, err := FacebookCaseStudy(100, 2)
+	cs, err := experiment.FacebookCaseStudy(100, 2)
 	if err != nil {
 		t.Fatalf("FacebookCaseStudy: %v", err)
 	}
 	normal, hijacked := cs.Traceroutes(1)
-	out := RenderTraceroute(hijacked)
+	out := trace.Render(hijacked)
 	if !strings.Contains(out, "AS4134") {
 		t.Errorf("traceroute missing the China detour:\n%s", out)
 	}
@@ -286,22 +149,21 @@ func TestFacebookCaseStudyFacade(t *testing.T) {
 }
 
 func TestInternetCompareDefenses(t *testing.T) {
-	in := testInternet(t, 500, 9)
-	g := in.Graph()
-	var victim ASN
+	g := testGraph(t, 500, 9)
+	var victim bgp.ASN
 	for _, asn := range g.ASNs() {
 		if g.IsStub(asn) && len(g.Providers(asn)) >= 2 {
 			victim = asn
 			break
 		}
 	}
-	cfg := DefaultDefenseConfig(victim)
+	cfg := defense.DefaultConfig(victim)
 	cfg.Budget = 5
 	cfg.TrainingAttacks = 15
 	cfg.EvalAttacks = 20
-	outcomes, err := in.CompareDefenses(cfg)
+	outcomes, err := defense.Compare(g, cfg)
 	if err != nil {
-		t.Fatalf("CompareDefenses: %v", err)
+		t.Fatalf("Compare: %v", err)
 	}
 	if len(outcomes) != 4 {
 		t.Fatalf("got %d strategies", len(outcomes))
@@ -309,9 +171,9 @@ func TestInternetCompareDefenses(t *testing.T) {
 }
 
 func TestInternetMitigate(t *testing.T) {
-	in := testInternet(t, 500, 9)
-	t1 := in.Tier1s()
-	out, err := in.Mitigate(Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 4}, MitigateUnprepend)
+	g := testGraph(t, 500, 9)
+	t1 := g.Tier1s()
+	out, err := defense.Mitigate(g, core.Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 4}, defense.MitigateUnprepend)
 	if err != nil {
 		t.Fatalf("Mitigate: %v", err)
 	}
@@ -321,10 +183,9 @@ func TestInternetMitigate(t *testing.T) {
 }
 
 func TestInternetSiblingScenario(t *testing.T) {
-	in := testInternet(t, 400, 10)
-	g := in.Graph()
-	t1 := in.Tier1s()
-	var stub ASN
+	g := testGraph(t, 400, 10)
+	t1 := g.Tier1s()
+	var stub bgp.ASN
 	for _, asn := range g.ASNs() {
 		if g.IsStub(asn) && len(g.Providers(asn)) >= 2 {
 			stub = asn

@@ -29,12 +29,18 @@ import (
 	"strings"
 	"syscall"
 
-	"aspp"
+	"aspp/internal/bgp"
+	"aspp/internal/collector"
+	"aspp/internal/core"
 	"aspp/internal/defense"
 	"aspp/internal/experiment"
+	"aspp/internal/measure"
+	"aspp/internal/obs"
 	"aspp/internal/parallel"
 	"aspp/internal/relinfer"
 	"aspp/internal/stats"
+	"aspp/internal/topology"
+	"aspp/internal/trace"
 )
 
 func main() {
@@ -54,17 +60,17 @@ func main() {
 }
 
 type benchContext struct {
-	ctx      context.Context
-	internet *aspp.Internet
-	seed     int64
-	pairs    int
+	ctx   context.Context
+	g     *topology.Graph
+	seed  int64
+	pairs int
 	// out is the experiment's own buffer: run prints it in run order and
 	// writes it to -out's <name>.tsv.
 	out io.Writer
 	// counters is non-nil when -counters is set: one fresh Counters per
 	// experiment, reported after the experiment's data (outside out, so
 	// counter lines never land in -out files or goldens).
-	counters *aspp.Counters
+	counters *obs.Counters
 	// memo is the run's, not the experiment's: every benchContext of one
 	// run points at the same one.
 	memo *runMemo
@@ -77,9 +83,9 @@ type benchContext struct {
 // experiment's line shows none. It needs no lock: the experiments sharing a
 // slot declare one registry group, and a group runs in one goroutine.
 type runMemo struct {
-	survey    *aspp.SurveyResult     // fig5, fig6
-	detection *aspp.DetectionOutcome // fig13, fig14
-	inference *inference             // fig13, inference
+	survey    *measure.SurveyResult        // fig5, fig6
+	detection *experiment.DetectionOutcome // fig13, fig14
+	inference *inference                   // fig13, inference
 	// fig13 is set before the first experiment runs: the run prints Fig. 13,
 	// so its detection sweep carries that figure's ablation columns.
 	fig13 bool
@@ -191,7 +197,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		}()
 	}
 
-	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
+	cfg := topology.DefaultGenConfig(*n)
+	cfg.Seed = *seed
+	graph, err := topology.Open(*topo, cfg)
 	if err != nil {
 		return err
 	}
@@ -232,7 +240,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 	type result struct {
 		out      bytes.Buffer
-		counters *aspp.Counters
+		counters *obs.Counters
 		ran      bool
 		err      error
 		done     chan struct{}
@@ -257,11 +265,11 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 				}
 				if err == nil {
 					bc := &benchContext{
-						ctx: runCtx, internet: internet, seed: *seed, pairs: *pairs,
+						ctx: runCtx, g: graph, seed: *seed, pairs: *pairs,
 						out: &r.out, memo: memo,
 					}
 					if *counters {
-						r.counters = new(aspp.Counters)
+						r.counters = new(obs.Counters)
 						bc.counters = r.counters
 					}
 					r.ran, err = true, todo[i].run(bc)
@@ -316,7 +324,7 @@ func runCompare(bc *benchContext) error {
 	cfg := experiment.DefaultCompareConfig()
 	cfg.Seed = bc.seed
 	cfg.Counters = bc.counters
-	out, err := experiment.CompareAttackTypesCtx(bc.ctx, bc.internet.Graph(), cfg)
+	out, err := experiment.CompareAttackTypesCtx(bc.ctx, bc.g, cfg)
 	if err != nil {
 		return err
 	}
@@ -331,8 +339,8 @@ func runCompare(bc *benchContext) error {
 }
 
 func runDefense(bc *benchContext) error {
-	g := bc.internet.Graph()
-	var victim aspp.ASN
+	g := bc.g
+	var victim bgp.ASN
 	for _, asn := range g.ASNs() {
 		if g.IsStub(asn) && len(g.Providers(asn)) >= 2 {
 			victim = asn
@@ -342,10 +350,10 @@ func runDefense(bc *benchContext) error {
 	if victim == 0 {
 		return fmt.Errorf("no multihomed stub to defend")
 	}
-	cfg := aspp.DefaultDefenseConfig(victim)
+	cfg := defense.DefaultConfig(victim)
 	cfg.Seed = bc.seed
 	cfg.Counters = bc.counters
-	outcomes, err := bc.internet.CompareDefenses(cfg)
+	outcomes, err := defense.Compare(bc.g, cfg)
 	if err != nil {
 		return err
 	}
@@ -358,7 +366,7 @@ func runDefense(bc *benchContext) error {
 }
 
 func runMitigation(bc *benchContext) error {
-	g := bc.internet.Graph()
+	g := bc.g
 	victim, err := experiment.PickTier1ByDegree(g, 0)
 	if err != nil {
 		return err
@@ -367,7 +375,7 @@ func runMitigation(bc *benchContext) error {
 	if err != nil {
 		return err
 	}
-	sc := aspp.Scenario{Victim: victim, Attacker: attacker, Prepend: 4}
+	sc := core.Scenario{Victim: victim, Attacker: attacker, Prepend: 4}
 	fracs := []float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 1}
 	rnd, err := defense.CautiousAdoptionSweep(g, sc, fracs, defense.DeployRandom, bc.seed)
 	if err != nil {
@@ -390,7 +398,7 @@ func runSusceptibility(bc *benchContext) error {
 	cfg := experiment.DefaultSusceptibilityConfig()
 	cfg.Seed = bc.seed
 	cfg.Counters = bc.counters
-	cells, err := experiment.SusceptibilityMatrixCtx(bc.ctx, bc.internet.Graph(), cfg)
+	cells, err := experiment.SusceptibilityMatrixCtx(bc.ctx, bc.g, cfg)
 	if err != nil {
 		return err
 	}
@@ -407,7 +415,7 @@ func runSusceptibility(bc *benchContext) error {
 
 func (bc *benchContext) inference() (*inference, error) {
 	return memoized(&bc.memo.inference, func() (*inference, error) {
-		rels, acc, err := bc.internet.InferRelationships(200, 30)
+		rels, acc, err := relinfer.InferRelationships(bc.g, 200, 30)
 		return &inference{rels: rels, acc: acc}, err
 	})
 }
@@ -428,7 +436,7 @@ func runInference(bc *benchContext) error {
 }
 
 func runFig1(bc *benchContext) error {
-	cs, err := aspp.FacebookCaseStudy(300, bc.seed)
+	cs, err := experiment.FacebookCaseStudy(300, bc.seed)
 	if err != nil {
 		return err
 	}
@@ -443,21 +451,28 @@ func runFig1(bc *benchContext) error {
 }
 
 func runTable1(bc *benchContext) error {
-	cs, err := aspp.FacebookCaseStudy(300, bc.seed)
+	cs, err := experiment.FacebookCaseStudy(300, bc.seed)
 	if err != nil {
 		return err
 	}
 	normal, hijacked := cs.Traceroutes(bc.seed)
 	fmt.Fprintln(bc.out, "traceroute to 69.171.224.39 (Facebook) — normal route:")
-	fmt.Fprint(bc.out, aspp.RenderTraceroute(normal))
+	fmt.Fprint(bc.out, trace.Render(normal))
 	fmt.Fprintln(bc.out, "\ntraceroute during the anomaly (via AS4134 / AS9318):")
-	fmt.Fprint(bc.out, aspp.RenderTraceroute(hijacked))
+	fmt.Fprint(bc.out, trace.Render(hijacked))
 	return nil
 }
 
-func (bc *benchContext) survey() (*aspp.SurveyResult, error) {
-	return memoized(&bc.memo.survey, func() (*aspp.SurveyResult, error) {
-		return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters})
+func (bc *benchContext) survey() (*measure.SurveyResult, error) {
+	return memoized(&bc.memo.survey, func() (*measure.SurveyResult, error) {
+		origins, err := collector.AssignOrigins(bc.g, collector.DefaultPolicyConfig())
+		if err != nil {
+			return nil, err
+		}
+		cfg := measure.DefaultSurveyConfig()
+		cfg.Seed = cmp.Or(bc.seed, 1) // -seed 0 surveys at seed 1
+		cfg.Counters = bc.counters
+		return measure.RunSurvey(bc.g, origins, cfg)
 	})
 }
 
@@ -468,7 +483,7 @@ func runFig5(bc *benchContext) error {
 	}
 	series := []struct {
 		name string
-		cdf  func() (*aspp.CDF, error)
+		cdf  func() (*stats.CDF, error)
 	}{
 		{name: "all_table", cdf: res.TableCDF},
 		{name: "tier1_table", cdf: res.Tier1CDF},
@@ -528,7 +543,7 @@ func tailAbove(h *stats.Histogram, k int) float64 {
 }
 
 func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool, label string) error {
-	pairsResult, err := bc.internet.SamplePairsCtx(bc.ctx, aspp.PairConfig{
+	pairsResult, err := experiment.SamplePairsCtx(bc.ctx, bc.g, experiment.PairConfig{
 		Kind: kind, N: n, Prepend: 3, Violate: violate, Seed: bc.seed,
 		Counters: bc.counters,
 	})
@@ -548,7 +563,7 @@ func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool,
 }
 
 func runFig7(bc *benchContext) error {
-	return runPairFig(bc, aspp.PairsTier1, 80, false, "tier-1 vs tier-1")
+	return runPairFig(bc, experiment.PairsTier1, 80, false, "tier-1 vs tier-1")
 }
 
 func runFig8(bc *benchContext) error {
@@ -556,20 +571,20 @@ func runFig8(bc *benchContext) error {
 	// pollution, which requires the bogus route to propagate upward; its
 	// Fig. 2 simulator does not apply the attacker's own export
 	// restriction, so the random-pair figure runs the violating attacker.
-	return runPairFig(bc, aspp.PairsRandom, 27, true, "random pairs (propagating attacker)")
+	return runPairFig(bc, experiment.PairsRandom, 27, true, "random pairs (propagating attacker)")
 }
 
 // sweepOn runs the λ = 1..8 sweep on g — the generated topology, or
 // fig11's sibling-extended copy of it.
-func (bc *benchContext) sweepOn(g *aspp.Graph, victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
-	return experiment.SweepPrependCfgCtx(bc.ctx, g, aspp.SweepConfig{
+func (bc *benchContext) sweepOn(g *topology.Graph, victim, attacker bgp.ASN, violate bool) ([]experiment.SweepPoint, error) {
+	return experiment.SweepPrependCfgCtx(bc.ctx, g, experiment.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
 		Counters: bc.counters,
 	})
 }
 
-func runSweepFig(bc *benchContext, victim, attacker aspp.ASN, both bool, label string) error {
-	g := bc.internet.Graph()
+func runSweepFig(bc *benchContext, victim, attacker bgp.ASN, both bool, label string) error {
+	g := bc.g
 	follow, err := bc.sweepOn(g, victim, attacker, false)
 	if err != nil {
 		return err
@@ -595,7 +610,7 @@ func runSweepFig(bc *benchContext, victim, attacker aspp.ASN, both bool, label s
 }
 
 func runFig9(bc *benchContext) error {
-	g := bc.internet.Graph()
+	g := bc.g
 	victim, err := experiment.PickTier1ByDegree(g, 0)
 	if err != nil {
 		return err
@@ -608,7 +623,7 @@ func runFig9(bc *benchContext) error {
 }
 
 func runFig10(bc *benchContext) error {
-	g := bc.internet.Graph()
+	g := bc.g
 	attacker, err := experiment.PickTier1ByDegree(g, 0)
 	if err != nil {
 		return err
@@ -621,7 +636,7 @@ func runFig10(bc *benchContext) error {
 }
 
 func runFig11(bc *benchContext) error {
-	g := bc.internet.Graph()
+	g := bc.g
 	attacker, err := experiment.PickContentStub(g)
 	if err != nil {
 		return err
@@ -660,7 +675,7 @@ func runFig11(bc *benchContext) error {
 }
 
 func runFig12(bc *benchContext) error {
-	g := bc.internet.Graph()
+	g := bc.g
 	stubs, err := experiment.MultihomedStubs(g)
 	if err != nil {
 		return err
@@ -669,7 +684,7 @@ func runFig12(bc *benchContext) error {
 		return fmt.Errorf("small-vs-small needs two multihomed stubs besides the content stub, the topology has %d", len(stubs))
 	}
 	// experiment.PickStub's draw, over the pool computed once.
-	pick := func(seed int64) aspp.ASN {
+	pick := func(seed int64) bgp.ASN {
 		return stubs[rand.New(rand.NewSource(seed)).Intn(len(stubs))]
 	}
 	attacker := pick(bc.seed)
@@ -684,15 +699,15 @@ func runFig12(bc *benchContext) error {
 // detection is the run's one detection sweep: the top-degree, ground-truth
 // column carries fig14's latency series and fig13's first three series; a run
 // that prints fig13 adds its two ablation columns to the same attack draw.
-func (bc *benchContext) detection() (*aspp.DetectionOutcome, error) {
-	return memoized(&bc.memo.detection, func() (*aspp.DetectionOutcome, error) {
-		cfg := aspp.DefaultDetectionConfig()
+func (bc *benchContext) detection() (*experiment.DetectionOutcome, error) {
+	return memoized(&bc.memo.detection, func() (*experiment.DetectionOutcome, error) {
+		cfg := experiment.DefaultDetectionConfig()
 		cfg.Pairs = bc.pairs
 		cfg.Seed = bc.seed
 		cfg.Counters = bc.counters
 		// Latency series (Fig. 14) at a coverage-matched monitor count: the
 		// paper's 150 monitors cover ~0.5-0.75% of the 2011 Internet.
-		cfg.LatencyMonitors = max(10, bc.internet.Graph().NumASes()*3/400)
+		cfg.LatencyMonitors = max(10, bc.g.NumASes()*3/400)
 		if bc.memo.fig13 {
 			// Fig. 13's ablations, after the column both figures read: random
 			// monitor placement, and the hint rules fed with *inferred*
@@ -701,13 +716,13 @@ func (bc *benchContext) detection() (*aspp.DetectionOutcome, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg.Columns = []aspp.DetectionColumn{
-				{Placement: aspp.MonitorsTopDegree},
-				{Placement: aspp.MonitorsRandom},
-				{Placement: aspp.MonitorsTopDegree, Rels: inferred.rels},
+			cfg.Columns = []experiment.DetectionColumn{
+				{Placement: experiment.MonitorsTopDegree},
+				{Placement: experiment.MonitorsRandom},
+				{Placement: experiment.MonitorsTopDegree, Rels: inferred.rels},
 			}
 		}
-		return bc.internet.RunDetectionCtx(bc.ctx, cfg)
+		return experiment.RunDetectionCtx(bc.ctx, bc.g, cfg)
 	})
 }
 

@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
-	"aspp"
+	"aspp/internal/experiment"
+	"aspp/internal/obs"
+	"aspp/internal/topology"
 )
 
 // TestRunProfileErrors: a profile that cannot be written fails the run, CPU
@@ -353,7 +355,7 @@ func TestRunSharesIdenticalWork(t *testing.T) {
 		t.Fatalf("run(%s): %v", exps, err)
 	}
 	got := sections(together.String())
-	noWork := new(aspp.Counters).Snapshot().String()
+	noWork := new(obs.Counters).Snapshot().String()
 	for _, exp := range strings.Split(exps, ",") {
 		var alone strings.Builder
 		if err := run(context.Background(), append([]string{"-exp", exp}, base...), &alone); err != nil {
@@ -400,7 +402,7 @@ func TestFig13IsOneSweep(t *testing.T) {
 			t.Errorf("fig13 counters lack %q: %s", want, counters)
 		}
 	}
-	if _, counters, _ := strings.Cut(got["fig14"], "# counters: "); strings.TrimSpace(counters) != new(aspp.Counters).Snapshot().String() {
+	if _, counters, _ := strings.Cut(got["fig14"], "# counters: "); strings.TrimSpace(counters) != new(obs.Counters).Snapshot().String() {
 		t.Errorf("fig14 after fig13 reports work: %s", counters)
 	}
 	if err := run(context.Background(), []string{"-exp", "fig14,fig13", "-n", "4000", "-seed", "1"}, &swapped); err != nil {
@@ -429,22 +431,22 @@ func TestDetectionFoldPins(t *testing.T) {
 	if !strings.Contains(sb.String(), "detect_pairs=294525 ") {
 		t.Errorf("compare counters lack detect_pairs=294525:\n%s", sb.String())
 	}
-	in, err := aspp.OpenInternet("", aspp.WithSize(4000), aspp.WithSeed(1))
+	g, err := topology.Generate(topology.DefaultGenConfig(4000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := func(cols ...aspp.DetectionColumn) int64 {
-		c := new(aspp.Counters)
-		cfg := aspp.DefaultDetectionConfig()
+	pairs := func(cols ...experiment.DetectionColumn) int64 {
+		c := new(obs.Counters)
+		cfg := experiment.DefaultDetectionConfig()
 		cfg.LatencyMonitors = 30 // asppbench's coverage-matched count at n = 4000
 		cfg.Columns, cfg.Counters = cols, c
-		if _, err := in.RunDetectionCtx(ctx, cfg); err != nil {
+		if _, err := experiment.RunDetectionCtx(ctx, g, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return c.Snapshot().DetectPairs
 	}
-	top := aspp.DetectionColumn{Placement: aspp.MonitorsTopDegree}
-	if got := pairs(top, aspp.DetectionColumn{Placement: aspp.MonitorsRandom}) - pairs(top); got != 1879310 {
+	top := experiment.DetectionColumn{Placement: experiment.MonitorsTopDegree}
+	if got := pairs(top, experiment.DetectionColumn{Placement: experiment.MonitorsRandom}) - pairs(top); got != 1879310 {
 		t.Errorf("random column compares %d pairs, want 1879310", got)
 	}
 }

@@ -22,8 +22,9 @@ import (
 	"syscall"
 	"time"
 
-	"aspp"
 	"aspp/internal/bgp"
+	"aspp/internal/collector"
+	"aspp/internal/topology"
 )
 
 func main() {
@@ -60,16 +61,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return errors.New("need exactly one of -connect or -unix")
 	}
 
-	internet, err := aspp.NewInternet(aspp.WithSize(*n), aspp.WithSeed(*seed))
+	cfg := topology.DefaultGenConfig(*n)
+	cfg.Seed = *seed
+	g, err := topology.Generate(cfg)
 	if err != nil {
 		return err
 	}
-	g := internet.Graph()
-	monitors, err := aspp.ParseMonitors(*monSpec, g)
+	monitors, err := collector.ParseMonitors(*monSpec, g)
 	if err != nil {
 		return err
 	}
-	corpus, err := aspp.ChurnCorpus(g, monitors, *events, *seed, nil)
+	corpus, err := collector.ChurnCorpus(g, monitors, *events, *seed, nil)
 	if err != nil {
 		return err
 	}

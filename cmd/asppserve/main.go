@@ -32,11 +32,12 @@ import (
 	"syscall"
 	"time"
 
-	"aspp"
 	"aspp/internal/bgp"
+	"aspp/internal/collector"
 	"aspp/internal/detect"
 	"aspp/internal/obs"
 	"aspp/internal/serve"
+	"aspp/internal/topology"
 )
 
 // alarmFeed is the capacity of the pipeline's recent-alarm feed, which
@@ -85,12 +86,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
+	cfg := topology.DefaultGenConfig(*n)
+	cfg.Seed = *seed
+	g, err := topology.Open(*topo, cfg)
 	if err != nil {
 		return err
 	}
-	g := internet.Graph()
-	monitors, err := aspp.ParseMonitors(*monSpec, g)
+	monitors, err := collector.ParseMonitors(*monSpec, g)
 	if err != nil {
 		return err
 	}
@@ -184,8 +186,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // runSelftest replays the churn simulator's update corpus through the
 // pipeline at full speed and reports sustained throughput and latency —
 // the same load path TestServeSmoke and the benchmarks use.
-func runSelftest(p *serve.Pipeline, g *aspp.Graph, monitors []bgp.ASN, total int64, events int, seed int64, counters *obs.Counters, out io.Writer) error {
-	corpus, err := aspp.ChurnCorpus(g, monitors, events, seed, counters)
+func runSelftest(p *serve.Pipeline, g *topology.Graph, monitors []bgp.ASN, total int64, events int, seed int64, counters *obs.Counters, out io.Writer) error {
+	corpus, err := collector.ChurnCorpus(g, monitors, events, seed, counters)
 	if err != nil {
 		return err
 	}

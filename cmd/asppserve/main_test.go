@@ -12,11 +12,12 @@ import (
 	"strings"
 	"testing"
 
-	"aspp"
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
+	"aspp/internal/core"
 	"aspp/internal/detect"
 	"aspp/internal/experiment"
+	"aspp/internal/topology"
 )
 
 func TestRunSelftest(t *testing.T) {
@@ -130,9 +131,8 @@ func writeStream(t *testing.T, path string, ups []bgp.Update) {
 // (the second tier-1 strips the first's λ=3 prepends), on prefix: the
 // monitors' steady-state table, then the transition the attack causes.
 // Times start after t0.
-func attackStream(t *testing.T, in *aspp.Internet, monitors []bgp.ASN, prefix netip.Prefix, t0 uint64) (snap, trans []bgp.Update) {
+func attackStream(t *testing.T, g *topology.Graph, monitors []bgp.ASN, prefix netip.Prefix, t0 uint64) (snap, trans []bgp.Update) {
 	t.Helper()
-	g := in.Graph()
 	victim, err := experiment.PickTier1ByDegree(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func attackStream(t *testing.T, in *aspp.Internet, monitors []bgp.ASN, prefix ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := in.SimulateAttack(aspp.Scenario{Victim: victim, Attacker: attacker, Prepend: 3, KeepPrepend: 1})
+	im, err := core.Simulate(g, core.Scenario{Victim: victim, Attacker: attacker, Prepend: 3, KeepPrepend: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,20 +171,19 @@ func replay(t *testing.T, path string, args ...string) string {
 // neither with -shards nor when the same graph comes from a -topo file.
 func TestRunReplay(t *testing.T) {
 	dir := t.TempDir()
-	in, err := aspp.NewInternet(aspp.WithSize(2000), aspp.WithSeed(1))
+	g, err := topology.Generate(topology.DefaultGenConfig(2000)) // the daemon's -n 2000 -seed 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := in.Graph()
-	monitors, err := aspp.ParseMonitors("top40", g)
+	monitors, err := collector.ParseMonitors("top40", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn, err := aspp.ChurnCorpus(g, monitors, 60, 1, nil)
+	churn, err := collector.ChurnCorpus(g, monitors, 60, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, trans := attackStream(t, in, monitors, netip.MustParsePrefix("10.0.0.0/16"), uint64(len(churn)))
+	snap, trans := attackStream(t, g, monitors, netip.MustParsePrefix("10.0.0.0/16"), uint64(len(churn)))
 	ups := slices.Concat(snap, churn, trans)
 	feed := filepath.Join(dir, "feed.log")
 	writeStream(t, feed, ups)
@@ -193,7 +192,7 @@ func TestRunReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.WriteTopology(f); err != nil {
+	if err := topology.WriteSerial2(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -276,12 +275,12 @@ A|3|AS2|69.171.224.0/20|2 6 1 100
 // honest steady state raises no High alarm, and the attack's transition
 // does.
 func TestRunReplaySimStream(t *testing.T) {
-	in, err := aspp.NewInternet(aspp.WithSize(1000), aspp.WithSeed(1))
+	g, err := topology.Generate(topology.DefaultGenConfig(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitors := in.Graph().TopByDegree(100)
-	snap, trans := attackStream(t, in, monitors, netip.MustParsePrefix("10.0.0.0/16"), 0)
+	monitors := g.TopByDegree(100)
+	snap, trans := attackStream(t, g, monitors, netip.MustParsePrefix("10.0.0.0/16"), 0)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name string

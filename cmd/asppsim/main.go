@@ -20,10 +20,11 @@ import (
 	"os/signal"
 	"syscall"
 
-	"aspp"
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
+	"aspp/internal/core"
 	"aspp/internal/experiment"
+	"aspp/internal/obs"
 	"aspp/internal/topology"
 )
 
@@ -70,19 +71,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-show %d: example count must be >= 0", *show)
 	}
 
-	internet, err := aspp.OpenInternet(*topo, aspp.WithSize(*n), aspp.WithSeed(*seed))
+	cfg := topology.DefaultGenConfig(*n)
+	cfg.Seed = *seed
+	g, err := topology.Open(*topo, cfg)
 	if err != nil {
 		return err
 	}
-	g := internet.Graph()
 
-	v, err := resolveAS(*victim, func() (aspp.ASN, error) {
+	v, err := resolveAS(*victim, func() (bgp.ASN, error) {
 		return experiment.PickTier1ByDegree(g, 0)
 	})
 	if err != nil {
 		return fmt.Errorf("victim: %w", err)
 	}
-	m, err := resolveAS(*attacker, func() (aspp.ASN, error) {
+	m, err := resolveAS(*attacker, func() (bgp.ASN, error) {
 		return experiment.PickTier1ByDegree(g, 1)
 	})
 	if err != nil {
@@ -92,17 +94,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var obs *aspp.Counters
+	var c *obs.Counters
 	if *counters {
-		obs = new(aspp.Counters)
+		c = new(obs.Counters)
 	}
-	im, err := internet.SimulateAttackObs(aspp.Scenario{
+	im, err := core.SimulateScratch(g, core.Scenario{
 		Victim:            v,
 		Attacker:          m,
 		Prepend:           *lambda,
 		KeepPrepend:       *keep,
 		ViolateValleyFree: *violate,
-	}, obs)
+	}, nil, nil, c)
 	if err != nil {
 		return err
 	}
@@ -127,13 +129,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	if *updOut != "" {
-		if err := writeUpdateStream(*updOut, g, im, *nMon); err != nil {
+		if err := writeUpdateStream(*updOut, g, &im, *nMon); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "update stream written to %s\n", *updOut)
 	}
-	if obs != nil {
-		fmt.Fprintf(out, "counters: %s\n", obs.Snapshot())
+	if c != nil {
+		fmt.Fprintf(out, "counters: %s\n", c.Snapshot())
 	}
 	return nil
 }
@@ -141,7 +143,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // writeUpdateStream emits the monitors' view of the attack as a replayable
 // update stream: first the steady-state announcements, then the changes
 // the attack causes.
-func writeUpdateStream(path string, g *topology.Graph, im *aspp.Impact, nMonitors int) (err error) {
+func writeUpdateStream(path string, g *topology.Graph, im *core.Impact, nMonitors int) (err error) {
 	monitors := g.TopByDegree(nMonitors)
 	prefix := netip.MustParsePrefix("10.0.0.0/16")
 	f, err := os.Create(path)
@@ -169,9 +171,9 @@ func writeUpdateStream(path string, g *topology.Graph, im *aspp.Impact, nMonitor
 	return w.Flush()
 }
 
-func resolveAS(spec string, auto func() (aspp.ASN, error)) (aspp.ASN, error) {
+func resolveAS(spec string, auto func() (bgp.ASN, error)) (bgp.ASN, error) {
 	if spec == "auto" {
 		return auto()
 	}
-	return aspp.ParseASN(spec)
+	return bgp.ParseASN(spec)
 }

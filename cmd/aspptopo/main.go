@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 
-	"aspp"
 	"aspp/internal/measure"
 	"aspp/internal/relinfer"
 	"aspp/internal/topology"
@@ -47,7 +46,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	gen := aspp.WithSize(*n)
+	cfg := topology.DefaultGenConfig(*n)
 	if *preset != "" && *topoFile == "" {
 		if *preset != "internet80k" {
 			return fmt.Errorf("-preset: unknown preset %q (want 'internet80k')", *preset)
@@ -56,13 +55,13 @@ func run(args []string, out io.Writer) error {
 		if flagSet(fs, "n") {
 			size = *n
 		}
-		gen = aspp.WithGenConfig(topology.InternetGenConfig(size))
+		cfg = topology.InternetGenConfig(size)
 	}
-	internet, err := aspp.OpenInternet(*topoFile, gen, aspp.WithSeed(*seed))
+	cfg.Seed = *seed
+	g, err := topology.Open(*topoFile, cfg)
 	if err != nil {
 		return err
 	}
-	g := internet.Graph()
 
 	if *digest {
 		fmt.Fprintf(out, "digest:          %#016x\n", topology.Digest(g))
@@ -92,7 +91,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *infer {
-		_, acc, err := internet.InferRelationships(*origins, 30)
+		_, acc, err := relinfer.InferRelationships(g, *origins, 30)
 		if err != nil {
 			return err
 		}
@@ -110,7 +109,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		// The file is written only once Close succeeds.
-		if err := errors.Join(internet.WriteTopology(f), f.Close()); err != nil {
+		if err := errors.Join(topology.WriteSerial2(f, g), f.Close()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n", *outFile)

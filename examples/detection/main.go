@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"strings"
 
-	"aspp"
+	"aspp/internal/bgp"
+	"aspp/internal/detect"
+	"aspp/internal/topology"
 )
 
 func main() {
@@ -27,20 +30,20 @@ func main() {
 2|6|-1
 4|3|-1
 `
-	internet, err := aspp.LoadInternetFromString(rels)
+	g, err := topology.ReadSerial2(strings.NewReader(rels))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	detector := internet.NewDetector([]aspp.ASN{2, 4, 5})
+	detector := detect.NewDetector([]bgp.ASN{2, 4, 5}, g)
 	prefix := netip.MustParsePrefix("10.10.0.0/16")
-	observe := func(tm uint64, monitor aspp.ASN, path string) {
-		p, err := aspp.ParsePath(path)
+	observe := func(tm uint64, monitor bgp.ASN, path string) {
+		p, err := bgp.ParsePath(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		alarms := detector.Observe(aspp.Update{
-			Time: tm, Monitor: monitor, Type: aspp.Announce, Prefix: prefix, Path: p,
+		alarms := detector.Observe(bgp.Update{
+			Time: tm, Monitor: monitor, Type: bgp.Announce, Prefix: prefix, Path: p,
 		})
 		fmt.Printf("t=%d monitor %v sees [%v]\n", tm, monitor, p)
 		for _, a := range alarms {

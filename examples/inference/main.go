@@ -9,17 +9,18 @@ import (
 	"fmt"
 	"log"
 
-	"aspp"
 	"aspp/internal/measure"
 	"aspp/internal/relinfer"
+	"aspp/internal/topology"
 )
 
 func main() {
-	internet, err := aspp.NewInternet(aspp.WithSize(1500), aspp.WithSeed(11))
+	cfg := topology.DefaultGenConfig(1500)
+	cfg.Seed = 11
+	g, err := topology.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := internet.Graph()
 
 	// Harvest monitor-exported paths: 30 top-degree + 15 random vantage
 	// points observing routes toward 200 sampled origins.

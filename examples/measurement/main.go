@@ -12,15 +12,25 @@ import (
 	"fmt"
 	"log"
 
-	"aspp"
+	"aspp/internal/collector"
+	"aspp/internal/measure"
+	"aspp/internal/topology"
 )
 
 func main() {
-	internet, err := aspp.NewInternet(aspp.WithSize(3000), aspp.WithSeed(5))
+	cfg := topology.DefaultGenConfig(3000)
+	cfg.Seed = 5
+	g, err := topology.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: 5})
+	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	survey := measure.DefaultSurveyConfig()
+	survey.Seed = 5
+	res, err := measure.RunSurvey(g, origins, survey)
 	if err != nil {
 		log.Fatal(err)
 	}

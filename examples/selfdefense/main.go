@@ -14,18 +14,22 @@ import (
 	"fmt"
 	"log"
 
-	"aspp"
+	"aspp/internal/bgp"
+	"aspp/internal/core"
+	"aspp/internal/defense"
+	"aspp/internal/topology"
 )
 
 func main() {
-	internet, err := aspp.NewInternet(aspp.WithSize(1500), aspp.WithSeed(21))
+	gen := topology.DefaultGenConfig(1500)
+	gen.Seed = 21
+	g, err := topology.Generate(gen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := internet.Graph()
 
 	// The defender: a multihomed edge network.
-	var victim aspp.ASN
+	var victim bgp.ASN
 	for _, asn := range g.ASNs() {
 		if g.IsStub(asn) && len(g.Providers(asn)) >= 2 {
 			victim = asn
@@ -35,9 +39,9 @@ func main() {
 	fmt.Printf("defending %v (tier %d, %d providers) with a budget of 10 monitors\n\n",
 		victim, g.Tier(victim), len(g.Providers(victim)))
 
-	cfg := aspp.DefaultDefenseConfig(victim)
+	cfg := defense.DefaultConfig(victim)
 	cfg.Budget = 10
-	outcomes, err := internet.CompareDefenses(cfg)
+	outcomes, err := defense.Compare(g, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,21 +52,17 @@ func main() {
 
 	// Once detected: compare the two reactive responses against one
 	// concrete attacker.
-	t1 := internet.Tier1s()
-	sc := aspp.Scenario{Victim: victim, Attacker: t1[0], Prepend: 4}
+	t1 := g.Tier1s()
+	sc := core.Scenario{Victim: victim, Attacker: t1[0], Prepend: 4}
 	fmt.Printf("\nreacting to an interception by %v (λ=4):\n", t1[0])
 	for _, m := range []struct {
 		name string
-		mit  func() (*aspp.MitigationOutcome, error)
+		mit  defense.Mitigation
 	}{
-		{name: "unprepend", mit: func() (*aspp.MitigationOutcome, error) {
-			return internet.Mitigate(sc, aspp.MitigateUnprepend)
-		}},
-		{name: "withhold", mit: func() (*aspp.MitigationOutcome, error) {
-			return internet.Mitigate(sc, aspp.MitigateWithhold)
-		}},
+		{"unprepend", defense.MitigateUnprepend},
+		{"withhold", defense.MitigateWithhold},
 	} {
-		out, err := m.mit()
+		out, err := defense.Mitigate(g, sc, m.mit)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,20 +21,6 @@ import (
 // sets, each kept on purpose. Keys are "package.Name",
 // "package.Receiver.Method" or "package.Config.Field".
 var exportsWithoutCallers = map[string]string{
-	// The public facade names the types and values that its kept calls
-	// return or take, so callers can declare and compare them.
-	"aspp.CountersSnapshot":       "public facade type",
-	"aspp.Alarm":                  "public facade type",
-	"aspp.Path":                   "public facade type",
-	"aspp.CaseStudy":              "public facade type",
-	"aspp.RoutingResult":          "public facade type",
-	"aspp.Announcement":           "public facade type",
-	"aspp.Withdraw":               "public facade type",
-	"aspp.ErrAttackerSeesNoRoute": "public facade type",
-	"aspp.StrategyTopDegree":      "public facade type",
-	"aspp.StrategyRandom":         "public facade type",
-	"aspp.StrategyVictimCone":     "public facade type",
-	"aspp.StrategyGreedy":         "public facade type",
 	// Routing and core tests build isolated ASes with it; the loaders and
 	// the generator only ever add links.
 	"topology.Builder.AddAS": "tests build isolated ASes",
@@ -51,7 +37,7 @@ var exportsWithoutCallers = map[string]string{
 // count) and holds two rules, unless the allow-list above names the key:
 //
 //   - every exported func, method, type, var and const declared in internal/
-//     or in aspp.go is used: some identifier resolves to that very object. A
+//     is used: some identifier resolves to that very object. A
 //     use of an interface method uses every method that implements it, and a
 //     String or Error method (fmt.Stringer, error) counts as used;
 //   - every exported field of an exported *Config struct in internal/ is set
@@ -67,7 +53,7 @@ func TestExportsHaveCallers(t *testing.T) {
 	// decls and fields map each checked object to its allow-list key.
 	decls, fields := map[types.Object]string{}, map[types.Object]string{}
 	for _, p := range m.pkgs {
-		if p.Path() != m.path && !strings.HasPrefix(p.Path(), m.path+"/internal/") {
+		if !strings.HasPrefix(p.Path(), m.path+"/internal/") {
 			continue
 		}
 		scope := p.Scope()
@@ -89,7 +75,7 @@ func TestExportsHaveCallers(t *testing.T) {
 				}
 			}
 			st, ok := named.Underlying().(*types.Struct)
-			if !ok || !strings.HasSuffix(name, "Config") || p.Path() == m.path {
+			if !ok || !strings.HasSuffix(name, "Config") {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {

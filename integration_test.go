@@ -11,6 +11,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/collector"
+	"aspp/internal/core"
 	"aspp/internal/detect"
 	"aspp/internal/routing"
 )
@@ -21,14 +22,13 @@ import (
 // move them back (a prepend-count *decrease*), yet none of it is an
 // attack and the high-confidence rule must stay silent throughout.
 func TestLegitimateChurnRaisesNoHighAlarms(t *testing.T) {
-	in := testInternet(t, 800, 91)
-	g := in.Graph()
-	origins, err := collectorAssign(t, in)
+	g := testGraph(t, 800, 91)
+	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	monitors := g.TopByDegree(60)
-	det := in.NewDetector(monitors)
+	det := detect.NewDetector(monitors, g)
 
 	events := collector.PlanChurn(origins, 12, 5)
 	if len(events) == 0 {
@@ -90,11 +90,10 @@ func TestLegitimateChurnRaisesNoHighAlarms(t *testing.T) {
 // with a real attack: the detector must stay silent through the noise and
 // still fire on the strip.
 func TestAttackStreamDetectedAfterChurnNoise(t *testing.T) {
-	in := testInternet(t, 800, 92)
-	g := in.Graph()
-	t1 := in.Tier1s()
+	g := testGraph(t, 800, 92)
+	t1 := g.Tier1s()
 	victim, attacker := t1[0], t1[1]
-	im, err := in.SimulateAttack(Scenario{Victim: victim, Attacker: attacker, Prepend: 4})
+	im, err := core.Simulate(g, core.Scenario{Victim: victim, Attacker: attacker, Prepend: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestAttackStreamDetectedAfterChurnNoise(t *testing.T) {
 		t.Skip("attack ineffective in this instance")
 	}
 	monitors := g.TopByDegree(80)
-	det := in.NewDetector(monitors)
+	det := detect.NewDetector(monitors, g)
 	prefix := netip.MustParsePrefix("69.171.224.0/20")
 
 	var tm uint64
@@ -132,13 +131,13 @@ func TestAttackStreamDetectedAfterChurnNoise(t *testing.T) {
 // TestBinaryStreamPipelineRoundTrip serializes an attack's update stream
 // to the compact binary format and re-detects from the decoded copy.
 func TestBinaryStreamPipelineRoundTrip(t *testing.T) {
-	in := testInternet(t, 600, 93)
-	t1 := in.Tier1s()
-	im, err := in.SimulateAttack(Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3})
+	g := testGraph(t, 600, 93)
+	t1 := g.Tier1s()
+	im, err := core.Simulate(g, core.Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitors := in.Graph().TopByDegree(50)
+	monitors := g.TopByDegree(50)
 	prefix := netip.MustParsePrefix("10.1.0.0/16")
 
 	stream, err := collector.StreamTransition(nil, im.Baseline(), prefix, monitors, 0)
@@ -160,7 +159,7 @@ func TestBinaryStreamPipelineRoundTrip(t *testing.T) {
 	// Detect straight off the decoder, as asppserve does: Observe copies
 	// what it keeps, so the decoder's reused path buffer is safe to lend.
 	dec := bgp.NewStreamDecoder(bytes.NewReader(buf))
-	det := in.NewDetector(monitors)
+	det := detect.NewDetector(monitors, g)
 	decoded, alarms := 0, 0
 	for {
 		var u bgp.Update
@@ -178,9 +177,4 @@ func TestBinaryStreamPipelineRoundTrip(t *testing.T) {
 	if im.PollutedAfter > 0 && alarms == 0 {
 		t.Error("no alarms after binary round trip of an effective attack")
 	}
-}
-
-func collectorAssign(t *testing.T, in *Internet) ([]collector.OriginConfig, error) {
-	t.Helper()
-	return collector.AssignOrigins(in.Graph(), collector.DefaultPolicyConfig())
 }

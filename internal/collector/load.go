@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"aspp/internal/bgp"
 	"aspp/internal/obs"
@@ -110,4 +112,42 @@ func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent,
 	}
 	counters.AddChurnUpdates(int64(len(out)))
 	return out, nil
+}
+
+// ChurnCorpus is the stream asppserve -selftest and asppload both replay:
+// events failure/restore cycles of g's default origins. counters may be nil.
+func ChurnCorpus(g *topology.Graph, monitors []bgp.ASN, events int, seed int64, counters *obs.Counters) ([]bgp.Update, error) {
+	origins, err := AssignOrigins(g, DefaultPolicyConfig())
+	if err != nil {
+		return nil, err
+	}
+	evs := PlanChurn(origins, events, seed+1)
+	if len(evs) == 0 {
+		return nil, errors.New("no churn events planned (topology too small?)")
+	}
+	ups, err := ChurnStream(g, origins, evs, monitors, 0, counters)
+	if err == nil && len(ups) == 0 {
+		err = fmt.Errorf("empty update corpus: none of the %d monitors sees a churn event (monitors outside the topology?)", len(monitors))
+	}
+	return ups, err
+}
+
+// ParseMonitors resolves a -monitors flag for asppserve and asppload alike:
+// "topK" (g's K >= 1 best-connected ASes) or a comma-separated ASN list.
+func ParseMonitors(spec string, g *topology.Graph) ([]bgp.ASN, error) {
+	if k, ok := strings.CutPrefix(spec, "top"); ok {
+		if kn, err := strconv.Atoi(k); err == nil && kn >= 1 {
+			return g.TopByDegree(kn), nil
+		}
+		return nil, fmt.Errorf("bad -monitors %q: want topK, K >= 1", spec)
+	}
+	var mons []bgp.ASN
+	for _, f := range strings.Split(spec, ",") {
+		asn, err := bgp.ParseASN(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad -monitors %q: %w", spec, err)
+		}
+		mons = append(mons, asn)
+	}
+	return mons, nil
 }

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -225,5 +227,39 @@ func TestStreamTransitionMatchesFullTables(t *testing.T) {
 	}
 	if updates < 200 {
 		t.Fatalf("only %d updates over %d legs", updates, legs)
+	}
+}
+
+// TestParseMonitors: asppserve and asppload read -monitors through this one
+// parser.
+func TestParseMonitors(t *testing.T) {
+	g := surveyGraph(t, 300, 3)
+	top := g.TopByDegree(300)
+	for _, tc := range []struct {
+		spec    string
+		want    []bgp.ASN
+		wantErr string
+	}{
+		{spec: "top1", want: top[:1]},
+		{spec: "top40", want: top[:40]},
+		{spec: "top9999", want: top}, // every AS there is
+		{spec: "7018", want: []bgp.ASN{7018}},
+		{spec: "AS7018, 3356,65000", want: []bgp.ASN{7018, 3356, 65000}},
+		{spec: "top0", wantErr: "want topK, K >= 1"},
+		{spec: "top-4", wantErr: "want topK, K >= 1"},
+		{spec: "top", wantErr: "want topK, K >= 1"},
+		{spec: "topmost", wantErr: "want topK, K >= 1"},
+		{spec: "", wantErr: `bad -monitors ""`},
+		{spec: "7018,,3356", wantErr: "bad -monitors"},
+		{spec: "bogus,list", wantErr: "bad -monitors"},
+	} {
+		got, err := ParseMonitors(tc.spec, g)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ParseMonitors(%q) = %v, err %v; want an error containing %q", tc.spec, got, err, tc.wantErr)
+			}
+		} else if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseMonitors(%q) = %v, err %v; want %v", tc.spec, got, err, tc.want)
+		}
 	}
 }

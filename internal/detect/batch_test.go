@@ -222,6 +222,30 @@ func TestObserveBatchZeroAlloc(t *testing.T) {
 	if possible == 0 {
 		t.Fatal("the churn cycle raised no Possible alarm: the hint rules were not exercised")
 	}
+
+	// A table that sweeps: without rels this small corpus's dead routes
+	// outweigh its live ones about once a cycle, so maybeCompact runs and
+	// the arena's Compact must sort its live spans in place.
+	updates, monitors, _ = churnCorpus(t, 400, 31, 20, 40, 200)
+	d, alarms = NewDetector(monitors, nil), make([]Alarm, 0, len(updates))
+	sweeps := 0
+	cycle = func() {
+		for i := range updates {
+			before := d.arena.Size()
+			alarms = d.ObserveBatch(updates[i:i+1], alarms[:0])
+			if d.arena.Size() < before {
+				sweeps++
+			}
+		}
+	}
+	cycle()
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Errorf("warmed sweeping cycle allocates %.1f objects per run, want 0", avg)
+	}
+	if sweeps == 0 {
+		t.Fatal("no cycle swept the route table: Compact was not exercised")
+	}
 }
 
 // TestObserveBatchMatchesObserve pins the trivial contract: a batch of

@@ -1,4 +1,4 @@
-package measure
+package measure_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/experiment"
+	"aspp/internal/measure"
 	"aspp/internal/relinfer"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
@@ -40,9 +41,9 @@ func buildGraph(t *testing.T, p2c, p2p, s2s [][2]bgp.ASN) *topology.Graph {
 
 // referenceStats is PathStats built from the reference engine's paths: each
 // reachable AS's hop count is its path's length with the origin counted once.
-func referenceStats(t *testing.T, g *topology.Graph, origins []bgp.ASN) PathStats {
+func referenceStats(t *testing.T, g *topology.Graph, origins []bgp.ASN) measure.PathStats {
 	t.Helper()
-	ps := PathStats{Dist: map[int]float64{}}
+	ps := measure.PathStats{Dist: map[int]float64{}}
 	counts := map[int]int{}
 	reachable, hopSum := 0, 0
 	for _, o := range origins {
@@ -83,12 +84,12 @@ func referenceStats(t *testing.T, g *topology.Graph, origins []bgp.ASN) PathStat
 func TestMeasurePathsPrefersCustomerRoute(t *testing.T) {
 	const P, O, A, B, C = 1, 2, 3, 4, 5
 	g := buildGraph(t, [][2]bgp.ASN{{P, O}, {P, A}, {A, B}, {B, C}, {C, O}}, nil, nil)
-	ps, err := MeasurePaths(g, []bgp.ASN{O})
+	ps, err := measure.MeasurePaths(g, []bgp.ASN{O})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// P 1 hop, C 1, B 2, A 3.
-	want := PathStats{Samples: 4, MeanHops: 7.0 / 4, MaxHops: 3, ReachableFrac: 1,
+	want := measure.PathStats{Samples: 4, MeanHops: 7.0 / 4, MaxHops: 3, ReachableFrac: 1,
 		Dist: map[int]float64{1: 0.5, 2: 0.25, 3: 0.25}}
 	if !reflect.DeepEqual(ps, want) {
 		t.Fatalf("MeasurePaths = %+v, want %+v", ps, want)
@@ -102,28 +103,28 @@ func TestMeasurePathsSmallGraph(t *testing.T) {
 	g := buildGraph(t,
 		[][2]bgp.ASN{{10, 30}, {10, 40}, {20, 40}, {20, 50}, {30, 100}, {40, 200}, {50, 300}},
 		[][2]bgp.ASN{{10, 20}, {100, 200}}, nil)
-	ps, err := MeasurePaths(g, []bgp.ASN{100})
+	ps, err := measure.MeasurePaths(g, []bgp.ASN{100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 30:1 200:1 10:2 20:3 40:3 50:4 300:5.
-	want := PathStats{Samples: 7, MeanHops: 19.0 / 7, MaxHops: 5, ReachableFrac: 1,
+	want := measure.PathStats{Samples: 7, MeanHops: 19.0 / 7, MaxHops: 5, ReachableFrac: 1,
 		Dist: map[int]float64{1: 2.0 / 7, 2: 1.0 / 7, 3: 2.0 / 7, 4: 1.0 / 7, 5: 1.0 / 7}}
 	if !reflect.DeepEqual(ps, want) {
 		t.Fatalf("MeasurePaths = %+v, want %+v", ps, want)
 	}
 
-	all, err := MeasurePaths(g, g.ASNs())
+	all, err := measure.MeasurePaths(g, g.ASNs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if all.Samples != 8*7 || all.ReachableFrac != 1 {
 		t.Errorf("Samples = %d, ReachableFrac = %v, want 56 and 1 (connected graph)", all.Samples, all.ReachableFrac)
 	}
-	if _, err := MeasurePaths(g, nil); err == nil {
+	if _, err := measure.MeasurePaths(g, nil); err == nil {
 		t.Error("no origins measured without an error")
 	}
-	if _, err := MeasurePaths(g, []bgp.ASN{999}); err == nil {
+	if _, err := measure.MeasurePaths(g, []bgp.ASN{999}); err == nil {
 		t.Error("an origin outside the graph measured without an error")
 	}
 }
@@ -135,7 +136,7 @@ func TestMeasurePathsInternetLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := MeasurePaths(g, relinfer.SampleOrigins(g, 30))
+	ps, err := measure.MeasurePaths(g, relinfer.SampleOrigins(g, 30))
 	if err != nil {
 		t.Fatalf("MeasurePaths: %v", err)
 	}
@@ -229,7 +230,7 @@ func TestMeasurePathsAgreesWithReference(t *testing.T) {
 				}
 			}
 		}
-		ps, err := MeasurePaths(g, origins)
+		ps, err := measure.MeasurePaths(g, origins)
 		if err != nil {
 			t.Fatalf("%s: MeasurePaths: %v", name, err)
 		}
@@ -243,12 +244,12 @@ func TestMeasurePathsAgreesWithReference(t *testing.T) {
 // ASes reachable only across it have paths, and they are measured.
 func TestMeasurePathsMeasuresSiblings(t *testing.T) {
 	g := buildGraph(t, [][2]bgp.ASN{{1, 2}}, nil, [][2]bgp.ASN{{2, 3}})
-	ps, err := MeasurePaths(g, g.ASNs())
+	ps, err := measure.MeasurePaths(g, g.ASNs())
 	if err != nil {
 		t.Fatalf("sibling graph: %v", err)
 	}
 	// 1-2 and 2-3 are one hop each way, 1-3 two.
-	want := PathStats{Samples: 6, MeanHops: 8.0 / 6, MaxHops: 2, ReachableFrac: 1,
+	want := measure.PathStats{Samples: 6, MeanHops: 8.0 / 6, MaxHops: 2, ReachableFrac: 1,
 		Dist: map[int]float64{1: 4.0 / 6, 2: 2.0 / 6}}
 	if !reflect.DeepEqual(ps, want) {
 		t.Fatalf("MeasurePaths = %+v, want %+v", ps, want)

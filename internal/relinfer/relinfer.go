@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"aspp/internal/bgp"
+	"aspp/internal/measure"
 	"aspp/internal/topology"
 )
 
@@ -269,6 +270,31 @@ func Gao(paths []bgp.Path, cfg GaoConfig) (*Inferred, error) {
 // "Gao's algorithm with only Tier-1 peering links as the initial input").
 func Tier1Seeded(paths []bgp.Path, tier1 []bgp.ASN) (*Inferred, error) {
 	return Gao(paths, GaoConfig{Tier1: tier1})
+}
+
+// InferRelationships rebuilds g's relationships from simulated monitor
+// paths (the paper's §IV-A preprocessing): Gao's algorithm, the tier-1
+// seeded variant, and their consensus. It returns the consensus inference
+// and its accuracy against g, the generator's ground truth.
+func InferRelationships(g *topology.Graph, originSample, nTopMonitors int) (*Inferred, Accuracy, error) {
+	monitors := measure.DefaultMonitors(g, nTopMonitors, nTopMonitors/2, 1)
+	paths, err := CollectPaths(g, SampleOrigins(g, originSample), monitors, 0)
+	if err != nil {
+		return nil, Accuracy{}, err
+	}
+	plain, err := Gao(paths, GaoConfig{})
+	if err != nil {
+		return nil, Accuracy{}, err
+	}
+	seeded, err := Tier1Seeded(paths, g.Tier1s())
+	if err != nil {
+		return nil, Accuracy{}, err
+	}
+	cons, err := Consensus(paths, plain, seeded)
+	if err != nil {
+		return nil, Accuracy{}, err
+	}
+	return cons, Score(cons, g), nil
 }
 
 // Consensus implements the paper's combination procedure: take the

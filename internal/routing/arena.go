@@ -1,9 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"hash/maphash"
 	"slices"
-	"sort"
 
 	"aspp/internal/bgp"
 	"aspp/internal/probe"
@@ -169,8 +169,9 @@ func (a *PathArena) segHash(id int32) uint64 { return probe.Words(a.seed, a.SegB
 func (a *PathArena) Compact(live []*PathSpan) {
 	// Sorting by offset makes the moves strictly leftward, so the copy
 	// never overwrites a body it has yet to move; segments lie in id order.
-	sort.Slice(live, func(i, j int) bool { return live[i].Off < live[j].Off })
-	a.renum = append(a.renum[:0], make([]int32, len(a.segs))...)
+	slices.SortFunc(live, func(x, y *PathSpan) int { return cmp.Compare(x.Off, y.Off) })
+	a.renum = slices.Grow(a.renum[:0], len(a.segs))[:len(a.segs)]
+	clear(a.renum)
 	w := int32(0)
 	for _, s := range live {
 		copy(a.buf[w:], a.buf[s.Off:s.Off+s.Len])

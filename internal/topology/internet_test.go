@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 )
@@ -179,5 +181,35 @@ func TestGraphMemoryBytes(t *testing.T) {
 	// adj (4 B) + asnAdj (4 B) per adjacency entry is the floor.
 	if min := int64(len(big.adj)) * 8; bb < min {
 		t.Fatalf("big graph %d bytes below adjacency floor %d", bb, min)
+	}
+}
+
+// TestOpenInternet: the commands' one way to a topology reads the file it
+// is given and generates only when given none.
+func TestOpenInternet(t *testing.T) {
+	cfg := DefaultGenConfig(200)
+	cfg.Seed = 4
+	g, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "rels.txt")
+	var buf bytes.Buffer
+	if err := WriteSerial2(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(path, DefaultGenConfig(999)) // the file wins over the generator config
+	if err != nil || loaded.NumASes() != 200 || loaded.NumLinks() != g.NumLinks() {
+		t.Errorf("Open(file): %v, err %v; want the 200-AS topology written", loaded, err)
+	}
+	generated, err := Open("", cfg)
+	if err != nil || Digest(generated) != Digest(g) {
+		t.Errorf("Open(\"\"): err %v; want what Generate draws", err)
+	}
+	if _, err := Open(filepath.Join(t.TempDir(), "missing"), cfg); err == nil {
+		t.Error("missing file accepted")
 	}
 }

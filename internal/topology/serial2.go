@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"os"
 
 	"aspp/internal/bgp"
 )
@@ -133,6 +134,20 @@ func ReadSerial2(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("topology: line %d: %w", lines[conflict.link], err)
 	}
 	return g, err
+}
+
+// Open is how the commands take their topology: the serial-2 file at path,
+// or — path empty — what Generate draws from cfg.
+func Open(path string, cfg GenConfig) (*Graph, error) {
+	if path == "" {
+		return Generate(cfg)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadSerial2(f)
 }
 
 // WriteSerial2 writes g in serial-2 format, one line per link sorted by A,

@@ -26,13 +26,13 @@ func scaleGate(tb testing.TB) {
 	}
 }
 
-func internet80k(tb testing.TB) *Internet {
+func internet80k(tb testing.TB) *topology.Graph {
 	tb.Helper()
-	in, err := NewInternet(WithGenConfig(topology.InternetGenConfig(topology.Internet80kASes)))
+	g, err := topology.Generate(topology.InternetGenConfig(topology.Internet80kASes))
 	if err != nil {
 		tb.Fatalf("internet80k: %v", err)
 	}
-	return in
+	return g
 }
 
 // withGOMAXPROCS sets GOMAXPROCS, and with it the shard count of every
@@ -45,9 +45,8 @@ func withGOMAXPROCS(t *testing.T, procs int) {
 
 // oneBaselineBytes is the footprint of one internet80k baseline: what a
 // sweep shard holds, and so the bound on the cache_bytes gauge.
-func oneBaselineBytes(t *testing.T, in *Internet) int64 {
+func oneBaselineBytes(t *testing.T, g *topology.Graph) int64 {
 	t.Helper()
-	g := in.Graph()
 	res, err := routing.Propagate(g, routing.Announcement{Origin: g.Tier1s()[0], Prepend: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +61,12 @@ func oneBaselineBytes(t *testing.T, in *Internet) int64 {
 // shard count, not by the victim count.
 func TestScale80kPairSweepWithinBudget(t *testing.T) {
 	scaleGate(t)
-	in := internet80k(t)
-	budget := oneBaselineBytes(t, in)
-	c := new(Counters)
+	g := internet80k(t)
+	budget := oneBaselineBytes(t, g)
+	c := new(obs.Counters)
 	start := time.Now()
-	pairs, err := in.SamplePairsCtx(context.Background(), PairConfig{
-		Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
+	pairs, err := experiment.SamplePairsCtx(context.Background(), g, experiment.PairConfig{
+		Kind: experiment.PairsTier1, N: 24, Prepend: 3, Seed: 1,
 		Workers: runtime.NumCPU(), Counters: c,
 	})
 	if err != nil {
@@ -98,12 +97,12 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 // each shard holds at most one baseline, across its rounds too.
 func TestScale80kSusceptibilityWork(t *testing.T) {
 	scaleGate(t)
-	in := internet80k(t)
-	budget := oneBaselineBytes(t, in)
-	c := new(Counters)
+	g := internet80k(t)
+	budget := oneBaselineBytes(t, g)
+	c := new(obs.Counters)
 	cfg := experiment.DefaultSusceptibilityConfig()
 	cfg.Counters = c
-	cells, err := experiment.SusceptibilityMatrixCtx(context.Background(), in.Graph(), cfg)
+	cells, err := experiment.SusceptibilityMatrixCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("80k susceptibility matrix: %v", err)
 	}
@@ -134,8 +133,7 @@ func TestScale80kSusceptibilityWork(t *testing.T) {
 // row for row; at least one cone must reach 40,000 rows.
 func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
 	scaleGate(t)
-	in := internet80k(t)
-	g := in.Graph()
+	g := internet80k(t)
 	s := routing.NewScratch()
 	legs, maxCone := 0, 0
 	// deltaMatches runs atk on the delta engine and holds every row to the
@@ -160,11 +158,11 @@ func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
 		}
 		legs++
 	}
-	for _, cfg := range []PairConfig{
-		{Kind: PairsTier1, N: 60, Prepend: 3, Seed: 1},
-		{Kind: PairsRandom, N: 50, Prepend: 3, Violate: true, Seed: 1},
+	for _, cfg := range []experiment.PairConfig{
+		{Kind: experiment.PairsTier1, N: 60, Prepend: 3, Seed: 1},
+		{Kind: experiment.PairsRandom, N: 50, Prepend: 3, Violate: true, Seed: 1},
 	} {
-		pairs, err := in.SamplePairsCtx(context.Background(), cfg)
+		pairs, err := experiment.SamplePairsCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("80k pair sweep: %v", err)
 		}
@@ -240,19 +238,19 @@ func TestScale80kConeCountsMatchFullKernel(t *testing.T) {
 // are shifts, counted as hits — and prints what eight propagations print.
 func TestScale80kLambdaSweepPropagatesVictimOnce(t *testing.T) {
 	scaleGate(t)
-	in := internet80k(t)
-	victim, err := experiment.PickTier1ByDegree(in.Graph(), 0)
+	g := internet80k(t)
+	victim, err := experiment.PickTier1ByDegree(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	attacker, err := experiment.PickTier1ByDegree(in.Graph(), 1)
+	attacker, err := experiment.PickTier1ByDegree(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := func(shards int) ([]SweepPoint, obs.Snapshot) {
-		c := new(Counters)
+	sweep := func(shards int) ([]experiment.SweepPoint, obs.Snapshot) {
+		c := new(obs.Counters)
 		withGOMAXPROCS(t, shards)
-		points, err := experiment.SweepPrependCfgCtx(context.Background(), in.Graph(), SweepConfig{
+		points, err := experiment.SweepPrependCfgCtx(context.Background(), g, experiment.SweepConfig{
 			Victim: victim, Attacker: attacker, MaxLambda: 8, Counters: c,
 		})
 		if err != nil {
@@ -291,7 +289,7 @@ var deltaSink *routing.Result
 //	ASPP_SCALE=1 go test -run='^$' -bench=Delta80k -benchtime=200x .
 func BenchmarkDelta80k(b *testing.B) {
 	scaleGate(b)
-	g := internet80k(b).Graph()
+	g := internet80k(b)
 	victim, err := experiment.PickTier1ByDegree(g, 0)
 	if err != nil {
 		b.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // λ = 1 and λ = 5.
 func TestScale80kSiblingKernelMatchesReference(t *testing.T) {
 	scaleGate(t)
-	g := internet80k(t).Graph()
+	g := internet80k(t)
 	attacker, err := experiment.PickContentStub(g)
 	if err != nil {
 		t.Fatal(err)

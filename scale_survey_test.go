@@ -21,7 +21,7 @@ import (
 // path, hop for hop, and its prepend run.
 func TestScale80kVantageRowsMatchFullKernel(t *testing.T) {
 	scaleGate(t)
-	g := internet80k(t).Graph()
+	g := internet80k(t)
 	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"aspp/internal/core"
+	"aspp/internal/experiment"
 )
 
 func TestLargeScaleAttackSimulation(t *testing.T) {
@@ -14,17 +17,14 @@ func TestLargeScaleAttackSimulation(t *testing.T) {
 		t.Skip("large-scale test skipped in -short mode")
 	}
 	start := time.Now()
-	in, err := NewInternet(WithSize(30000), WithSeed(3))
-	if err != nil {
-		t.Fatalf("NewInternet(30000): %v", err)
-	}
+	g := testGraph(t, 30000, 3)
 	genDur := time.Since(start)
 
-	t1 := in.Tier1s()
+	t1 := g.Tier1s()
 	start = time.Now()
-	im, err := in.SimulateAttack(Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3})
+	im, err := core.Simulate(g, core.Scenario{Victim: t1[0], Attacker: t1[1], Prepend: 3})
 	if err != nil {
-		t.Fatalf("SimulateAttack: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 	simDur := time.Since(start)
 
@@ -49,15 +49,12 @@ func TestLargeScaleDetectionSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-scale test skipped in -short mode")
 	}
-	in, err := NewInternet(WithSize(12000), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultDetectionConfig()
+	g := testGraph(t, 12000, 4)
+	cfg := experiment.DefaultDetectionConfig()
 	cfg.MonitorCounts = []int{70, 150}
 	cfg.Pairs = 40
 	start := time.Now()
-	out, err := in.RunDetectionCtx(context.Background(), cfg)
+	out, err := experiment.RunDetectionCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("RunDetection: %v", err)
 	}
