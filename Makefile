@@ -79,12 +79,13 @@ loc:
 	for p in internal/* cmd/*; do src $$p | count $$p; done; \
 	{ for p in internal/* cmd/*; do src $$p; done; } | count total
 
-# The concurrent sweep machinery and the serving pipeline under the race
-# detector, with asppbench's run scheduler (experiments side by side over
-# one shared graph, DESIGN.md §6) and asppserve -replay (the alarm feed read
-# while shard workers publish to it, DESIGN.md §5g).
+# The concurrent sweep machinery, the atomic counters its workers share
+# (internal/obs) and the serving pipeline under the race detector, with
+# asppbench's run scheduler (experiments side by side over one shared
+# graph, DESIGN.md §6) and asppserve -replay (the alarm feed read while
+# shard workers publish to it, DESIGN.md §5g).
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/defense/ ./internal/detect/ ./internal/measure/ ./internal/serve/
+	$(GO) test -race ./internal/obs/ ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/defense/ ./internal/detect/ ./internal/measure/ ./internal/serve/
 	$(GO) test -race -run 'TestRunAll|TestRunConcurrent' ./cmd/asppbench/
 	$(GO) test -race -run 'TestRunReplay' ./cmd/asppserve/
 

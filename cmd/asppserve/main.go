@@ -40,8 +40,9 @@ import (
 	"aspp/internal/topology"
 )
 
-// alarmFeed is the capacity of the pipeline's recent-alarm feed, which
-// -replay reads each chunk's alarms back from.
+// alarmFeed is the least capacity of the pipeline's recent-alarm feed,
+// which -replay reads each chunk's alarms back from. The feed holds at
+// least one update's alarms, one per witness: m−1 for m monitors.
 const alarmFeed = 1024
 
 func main() {
@@ -97,9 +98,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	obsCounters := &obs.Counters{}
+	feed := max(alarmFeed, len(monitors)-1)
 	p, err := serve.NewPipeline(serve.Config{
 		Shards: *shards, Depth: *depth, Batch: *batch, Policy: pol,
-		Monitors: monitors, Rels: g, Counters: obsCounters, AlarmLog: alarmFeed,
+		Monitors: monitors, Rels: g, Counters: obsCounters, AlarmLog: feed,
 	})
 	if err != nil {
 		return err
@@ -117,7 +119,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runSelftest(p, g, monitors, *updates, *events, *seed, obsCounters, out)
 	}
 	if *replay != "" {
-		return runReplay(p, *replay, len(monitors), out)
+		return runReplay(p, *replay, len(monitors), feed, out)
 	}
 	if *listen == "" && *unixSock == "" {
 		return errors.New("need -listen, -unix, -selftest or -replay (see -h)")
@@ -210,10 +212,11 @@ func runSelftest(p *serve.Pipeline, g *topology.Graph, monitors []bgp.ASN, total
 // runReplay pushes a recorded text stream through the pipeline, each
 // update once, and prints what the shards raised. Every chunk drains
 // before the next is pushed and is small enough that its alarms fit the
-// feed: an update raises at most one alarm per witness, m−1 of them for m
-// monitors. Within a chunk alarms print in (prefix, Seq) order, and a
+// feed of capacity feed: an update raises at most one alarm per witness,
+// m−1 of them for m monitors. A chunk whose alarms the feed did not keep
+// is an error. Within a chunk alarms print in (prefix, Seq) order, and a
 // prefix lives on one shard, so the output is the same at any -shards.
-func runReplay(p *serve.Pipeline, path string, nMon int, out io.Writer) error {
+func runReplay(p *serve.Pipeline, path string, nMon, feed int, out io.Writer) error {
 	r := io.Reader(os.Stdin)
 	if path != "-" {
 		f, err := os.Open(path)
@@ -229,7 +232,7 @@ func runReplay(p *serve.Pipeline, path string, nMon int, out io.Writer) error {
 	}
 	chunk := len(ups)
 	if nMon > 1 {
-		chunk = max(1, alarmFeed/(nMon-1))
+		chunk = max(1, feed/(nMon-1))
 	}
 	tr := serve.NewIncidentTracker()
 	var alarms, high, dropped int64
@@ -241,6 +244,9 @@ func runReplay(p *serve.Pipeline, path string, nMon int, out io.Writer) error {
 		}
 		dropped += rep.Dropped
 		evs := p.Alarms(int(rep.Alarms))
+		if int64(len(evs)) < rep.Alarms {
+			return fmt.Errorf("replay: updates %d-%d raised %d alarms, the feed kept %d", lo+1, lo+len(part), rep.Alarms, len(evs))
+		}
 		slices.SortFunc(evs, func(a, b serve.AlarmEvent) int {
 			return cmp.Or(serve.ComparePrefixes(a.Prefix, b.Prefix), cmp.Compare(a.Seq, b.Seq))
 		})

@@ -246,6 +246,39 @@ func TestRunReplay(t *testing.T) {
 	}
 }
 
+// TestRunReplayWideUpdate: one update raises more alarms than the feed's
+// least capacity. Each of 1,100 monitors holds a route with three copies
+// of AS65000 behind AS64999, then monitor AS70001's route loses two of
+// them: 1,099 witnesses, 1,099 alarms, every one printed at any -shards.
+func TestRunReplayWideUpdate(t *testing.T) {
+	var stream strings.Builder
+	mons := make([]string, 0, 1100)
+	for m := 70001; m <= 71100; m++ {
+		fmt.Fprintf(&stream, "A|%d|AS%d|10.0.0.0/24|%d 64999 65000 65000 65000\n", m-70000, m, m)
+		mons = append(mons, fmt.Sprint(m))
+	}
+	stream.WriteString("A|1101|AS70001|10.0.0.0/24|70001 64999 65000\n")
+	path := filepath.Join(t.TempDir(), "wide.log")
+	if err := os.WriteFile(path, []byte(stream.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []string{"1", "4"} {
+		out := replay(t, path, "-n", "300", "-shards", shards, "-monitors", strings.Join(mons, ","))
+		var got int
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "10.0.0.0/24 ALARM[") {
+				got++
+			}
+		}
+		if got != 1099 {
+			t.Errorf("-shards %s: %d alarm lines, want 1099", shards, got)
+		}
+		if !strings.Contains(out, "\n1101 updates, 1099 alarms (") {
+			t.Errorf("-shards %s: summary does not count 1099 alarms:\n%s", shards, out[strings.LastIndex(out, "ALARM["):])
+		}
+	}
+}
+
 // TestRunReplayStream: a hand-written stream in which monitor AS2's route
 // loses two of the origin's three copies behind AS6 while AS5 still sees
 // all three over the same segment.

@@ -50,8 +50,8 @@ func newChurnState() *churnState {
 // origin announces. Events are simulated in parallel but the returned
 // stream is in event order with strictly increasing Time stamps, so
 // replays are deterministic. The prefixes of one event share their path
-// slices. Counters (nil-safe) records the propagation legs and emitted
-// updates.
+// slices. Counters (nil-safe) records the propagation legs, the emitted
+// updates and the graph's and the largest Scratch's bytes.
 func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent, monitors []bgp.ASN, workers int, counters *obs.Counters) ([]bgp.Update, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -63,6 +63,7 @@ func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent,
 	sorted := slices.Clone(monitors)
 	slices.Sort(sorted)
 	vantage := routing.NewVantage(g, sorted)
+	counters.Max(obs.CSRBytes, g.MemoryBytes())
 	perEvent, err := parallel.MapScratchErr(context.Background(), len(events), workers,
 		newChurnState,
 		func(st *churnState, i int) ([]bgp.Update, error) {
@@ -76,13 +77,14 @@ func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent,
 			if err != nil {
 				return nil, fmt.Errorf("collector: steady propagate %v: %w", oc.AS, err)
 			}
-			counters.AddRowsDown(st.s.RowsDown())
+			counters.Add(obs.RowsDown, st.s.RowsDown())
 			spans, err = vantage.PathsInto(ev.Failover(oc.Announcement), st.s, st.arena, spans)
 			if err != nil {
 				return nil, fmt.Errorf("collector: churn propagate %v: %w", oc.AS, err)
 			}
-			counters.AddRowsDown(st.s.RowsDown())
-			counters.AddBasePropagations(2)
+			counters.Add(obs.RowsDown, st.s.RowsDown())
+			counters.Add(obs.BasePropagations, 2)
+			counters.Max(obs.ScratchBytes, st.s.MemoryBytes())
 			st.spans = spans
 			// The event's two transitions, once; each prefix repeats them.
 			steady, failed := spans[:len(sorted)], spans[len(sorted):]
@@ -110,7 +112,7 @@ func ChurnStream(g *topology.Graph, origins []OriginConfig, events []ChurnEvent,
 	for i := range out {
 		out[i].Time = uint64(i + 1)
 	}
-	counters.AddChurnUpdates(int64(len(out)))
+	counters.Add(obs.ChurnUpdates, int64(len(out)))
 	return out, nil
 }
 

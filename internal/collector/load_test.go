@@ -95,6 +95,28 @@ func TestChurnStreamDeterministic(t *testing.T) {
 	}
 }
 
+// TestChurnStreamRecordsMemory: the corpus build records the graph's bytes
+// and its largest Scratch's, and the Scratch figure does not move with the
+// worker count.
+func TestChurnStreamRecordsMemory(t *testing.T) {
+	fix, events := churnFixture(t)
+	var scratch [2]int64
+	for i, workers := range []int{1, 8} {
+		c := new(obs.Counters)
+		if _, err := ChurnStream(fix.g, fix.origins, events, fix.monitors, workers, c); err != nil {
+			t.Fatal(err)
+		}
+		s := c.Snapshot()
+		if s.CSRBytes != fix.g.MemoryBytes() || s.ScratchBytes <= 0 {
+			t.Fatalf("%d workers: csr_bytes=%d scratch_bytes=%d, want %d and > 0", workers, s.CSRBytes, s.ScratchBytes, fix.g.MemoryBytes())
+		}
+		scratch[i] = s.ScratchBytes
+	}
+	if scratch[0] != scratch[1] {
+		t.Fatalf("scratch_bytes=%d at 1 worker, %d at 8", scratch[0], scratch[1])
+	}
+}
+
 func TestChurnStreamErrors(t *testing.T) {
 	fix, events := churnFixture(t)
 	if got, err := ChurnStream(fix.g, fix.origins, nil, fix.monitors, 4, nil); err != nil || got != nil {

@@ -244,7 +244,7 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 		if baseline, err = routing.PropagateScratch(g, ann, s); err != nil {
 			return Impact{}, fmt.Errorf("core: baseline: %w", err)
 		}
-		c.AddBasePropagations(1)
+		c.Add(obs.BasePropagations, 1)
 	}
 	var attacked *routing.Result
 	delta := sc.Type == AttackASPP && !g.HasSiblings()
@@ -264,10 +264,10 @@ func SimulateScratch(g *topology.Graph, sc Scenario, baseline *routing.Result, s
 	var cone []int32
 	if delta {
 		cone = s.DeltaCone()
-		c.AddDeltaPropagations(1)
-		c.AddConeRows(int64(len(cone)))
+		c.Add(obs.DeltaPropagations, 1)
+		c.Add(obs.ConeRows, int64(len(cone)))
 	} else {
-		c.AddFullPropagations(1)
+		c.Add(obs.FullPropagations, 1)
 	}
 	viaBase := baseline.ViaSetInto(sc.Attacker, s, cone)
 	return Impact{

@@ -75,7 +75,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		var hops [1]int
 		scratch[shard].Extract(im, monitors)
 		scratch[shard].Fold(0, []int{len(monitors)}, g, aspp[:], hops[:])
-		cfg.Counters.AddDetectPairs(int64(scratch[shard].Pairs()))
+		cfg.Counters.Add(obs.DetectPairs, int64(scratch[shard].Pairs()))
 		return instance{
 			victim: im.Scenario.Victim, attacker: im.Scenario.Attacker,
 			pollution: im.After(),
@@ -138,7 +138,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 		return nil, err
 	}
 	for _, s := range scratch {
-		cfg.Counters.RecordArenaBytes(s.MemoryBytes())
+		cfg.Counters.Max(obs.ArenaBytes, s.MemoryBytes())
 	}
 	for f, typ := range families {
 		out = append(out, summarize(typ, forged[f*n:(f+1)*n]))

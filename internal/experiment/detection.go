@@ -229,14 +229,14 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 		for _, s := range sc {
 			pairs += s.Pairs()
 		}
-		cfg.Counters.AddDetectPairs(int64(pairs))
+		cfg.Counters.Add(obs.DetectPairs, int64(pairs))
 		return evals
 	})
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range scratch {
-		cfg.Counters.RecordArenaBytes(s.MemoryBytes())
+		cfg.Counters.Max(obs.ArenaBytes, s.MemoryBytes())
 	}
 
 	out := &DetectionOutcome{

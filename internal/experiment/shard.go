@@ -117,7 +117,7 @@ func newLegRunner(g *topology.Graph, o legOptions) *legRunner {
 	for i := range r.shards {
 		r.shards[i] = &shardState{s: routing.NewScratch()}
 	}
-	o.counters.RecordCSRBytes(g.MemoryBytes())
+	o.counters.Max(obs.CSRBytes, g.MemoryBytes())
 	return r
 }
 
@@ -136,17 +136,17 @@ var propagateBaseline = routing.PropagateScratch
 func (r *legRunner) baseline(st *shardState, origin bgp.ASN, lambda int) (*routing.Result, error) {
 	c := r.o.counters
 	if origin != 0 && st.origin == origin && lambda >= 1 {
-		c.AddBaselineHits(1)
+		c.Add(obs.BaselineHits, 1)
 		st.base.Shift(lambda - st.lambda)
 	} else {
-		c.AddBaselineMisses(1)
+		c.Add(obs.BaselineMisses, 1)
 		st.origin = 0
 		res, err := propagateBaseline(r.g, routing.Announcement{Origin: origin, Prepend: lambda}, st.s)
 		if err != nil {
 			return nil, err
 		}
-		c.AddBasePropagations(1)
-		c.AddRowsDown(st.s.RowsDown())
+		c.Add(obs.BasePropagations, 1)
+		c.Add(obs.RowsDown, st.s.RowsDown())
 		st.base = res
 	}
 	st.origin, st.lambda = origin, lambda
@@ -173,9 +173,9 @@ func (r *legRunner) run(ctx context.Context, legs []core.Scenario, visit legVisi
 		st := r.shards[si]
 		serr := r.runShard(ctx, si, legs, perShard[si], counts, done, visit)
 		if st.origin != 0 {
-			r.o.counters.RecordCacheBytes(st.base.MemoryBytes())
+			r.o.counters.Max(obs.CacheBytes, st.base.MemoryBytes())
 		}
-		r.o.counters.RecordScratchBytes(st.s.MemoryBytes())
+		r.o.counters.Max(obs.ScratchBytes, st.s.MemoryBytes())
 		return serr
 	})
 	if err != nil {
@@ -224,7 +224,7 @@ func firstEffective[T any](ctx context.Context, r *legRunner, stream []core.Scen
 		return stream[start:end]
 	}, func(shard, i int, im *core.Impact) bool {
 		if !im.Effective() {
-			r.o.counters.AddSkippedIneffective(1)
+			r.o.counters.Add(obs.SkippedIneffective, 1)
 			return false
 		}
 		byPos[start+i] = eval(shard, im)
@@ -280,7 +280,7 @@ func (r *legRunner) runShard(ctx context.Context, si int, legs []core.Scenario, 
 			if r.o.allFatal {
 				return fmt.Errorf("%v: %w", sc, core.ErrAttackerSeesNoRoute)
 			}
-			r.o.counters.AddSkippedUnreachable(1)
+			r.o.counters.Add(obs.SkippedUnreachable, 1)
 			continue
 		}
 		if st.im, err = core.SimulateScratch(r.g, sc, base, st.s, r.o.counters); err != nil {

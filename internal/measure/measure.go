@@ -34,7 +34,8 @@ type SurveyConfig struct {
 	// Seed drives churn sampling.
 	Seed int64
 	// Counters optionally collects survey telemetry (propagations, churn
-	// updates emitted); nil disables recording.
+	// updates emitted, the graph's and the largest Scratch's bytes); nil
+	// disables recording.
 	Counters *obs.Counters
 }
 
@@ -135,6 +136,7 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 		}
 	}
 	vantage := routing.NewVantage(g, monitors)
+	cfg.Counters.Max(obs.CSRBytes, g.MemoryBytes())
 
 	res := &SurveyResult{
 		TablePrependDist:  stats.NewHistogram(),
@@ -259,7 +261,7 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	for _, us := range perEvent {
 		res.UpdatePrependDist.Merge(us.dist)
 		res.Updates += us.updates
-		cfg.Counters.AddChurnUpdates(int64(us.updates))
+		cfg.Counters.Add(obs.ChurnUpdates, int64(us.updates))
 		for mi := range updTotal {
 			updTotal[mi] += us.total[mi]
 			updPrepended[mi] += us.prepended[mi]
@@ -297,8 +299,9 @@ func (ts *tableState) preps(v *routing.Vantage, ann routing.Announcement, row []
 		return err
 	}
 	ts.spans = spans
-	c.AddBasePropagations(1)
-	c.AddRowsDown(ts.s.RowsDown())
+	c.Add(obs.BasePropagations, 1)
+	c.Add(obs.RowsDown, ts.s.RowsDown())
+	c.Max(obs.ScratchBytes, ts.s.MemoryBytes())
 	for mi, sp := range spans {
 		row[mi] = int16(sp.Prep) // a propagated run: Result.Prep is an int16
 	}

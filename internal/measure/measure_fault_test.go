@@ -87,4 +87,8 @@ func TestRunSurveyCounters(t *testing.T) {
 	if s.ChurnUpdates != int64(res.Updates) {
 		t.Fatalf("ChurnUpdates=%d, want %d (res.Updates)", s.ChurnUpdates, res.Updates)
 	}
+	// Both legs record the footprint every other sweep records (DESIGN §5f).
+	if s.CSRBytes != g.MemoryBytes() || s.ScratchBytes <= 0 {
+		t.Fatalf("csr_bytes=%d scratch_bytes=%d, want %d and > 0", s.CSRBytes, s.ScratchBytes, g.MemoryBytes())
+	}
 }

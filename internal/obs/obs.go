@@ -5,19 +5,139 @@
 // skipped — become visible in driver output (asppbench/asppsim -counters)
 // instead of only in a profiler.
 //
+// Each value is named by a constant of one of two kinds: a Count is a sum
+// (Counters.Add), a Gauge a high-watermark (Counters.Max). One table row per
+// value gives its -counters key and its Snapshot field.
+//
 // Ownership contract: one Counters per sweep. The drivers never share a
 // Counters across independent sweeps.
 package obs
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
+// Count names a summed counter: Add adds to it.
+type Count uint8
+
+// Gauge names a high-watermark gauge: Max raises it and never lowers it.
+type Gauge uint8
+
+// The counters, in -counters order.
+const (
+	// BasePropagations counts no-attack (baseline) propagations.
+	BasePropagations Count = iota
+	// FullPropagations counts full-kernel attack propagations.
+	FullPropagations
+	// DeltaPropagations counts incremental delta attack propagations.
+	DeltaPropagations
+	// RowsDown counts the result rows a no-attacker propagation emitted
+	// (routing.Scratch.RowsDown): the graph's size, or a Vantage's cone.
+	RowsDown
+	// ConeRows counts the ASes each delta attack leg examined
+	// (routing.Scratch.DeltaCone): what the delta engine's cost follows.
+	ConeRows
+	// BaselineHits counts baseline-cache hits: gets answered without a
+	// propagation — the baseline a sweep shard holds, as it is or shifted in
+	// place to another λ of the same victim (routing.Result.Shift).
+	BaselineHits
+	// BaselineMisses counts baseline-cache misses: keys propagated (or
+	// failing validation), so prop_base == cache_miss on success.
+	BaselineMisses
+	// SkippedUnreachable counts draws skipped because the attacker never
+	// receives the victim's route (the skippable sentinel class).
+	SkippedUnreachable
+	// SkippedIneffective counts draws skipped because the attack captured
+	// nobody (a no-op instance with nothing to detect).
+	SkippedIneffective
+	// ChurnUpdates counts monitor update announcements emitted.
+	ChurnUpdates
+	// DetectPairs counts the (trigger, witness) pairs the detection rule
+	// compared; the detection sweeps add one attack's pairs at a time.
+	DetectPairs
+
+	// The serve pipeline's ingest and detection traffic (DESIGN §5g).
+
+	// FramesIn counts binary frames decoded off ingest sockets.
+	FramesIn
+	// FramesBad counts malformed, truncated or oversized ingest frames
+	// (each ends its connection).
+	FramesBad
+	// ServeEnqueued counts updates accepted into a shard ring.
+	ServeEnqueued
+	// ServeDropped counts updates a full ring rejected under the drop
+	// backpressure policy.
+	ServeDropped
+	// ServeBatches counts ObserveBatch queue drains.
+	ServeBatches
+	// Alarms counts detection alarms the streaming pipeline raised.
+	Alarms
+	numCounts
+)
+
+// The gauges, in -counters order after the counters, and numbered after
+// them: a Count or a Gauge is its slot in Counters and its row in table.
+// A gauge is max-merged, not summed, so the value bounds the peak working
+// set of one shard or worker rather than accumulating over the sweep
+// (memory gauges: DESIGN §5f).
+const (
+	// ScratchBytes is the per-worker propagation state (Scratch) footprint
+	// of the largest single worker or shard.
+	ScratchBytes = Gauge(numCounts) + iota
+	// ArenaBytes is the largest path-arena footprint.
+	ArenaBytes
+	// CacheBytes is the largest baseline a sweep shard held. A shard holds
+	// one, that of the victim it is on, in its Scratch's baseline slot, so
+	// this is part of the scratch gauge, not added to it; the scale-smoke
+	// gates bound it by one baseline's bytes.
+	CacheBytes
+	// CSRBytes is the topology (CSR graph) footprint. The graph is shared
+	// read-only across workers, so a sweep records it once.
+	CSRBytes
+	// QueuePeak is the deepest any single serve ingest ring ever got: the
+	// backlog high-watermark the soak gate asserts stays within the
+	// configured depth.
+	QueuePeak
+	numSlots = int(numCounts) + iota
+)
+
+// table gives each slot its -counters key and its Snapshot field. Row i
+// is slot i, so the rows follow the constants above. A row does not name
+// its constant: the constant's only uses are its recorders', and a value
+// no program records fails TestExportsHaveCallers.
+var table = [numSlots]struct {
+	key   string
+	field func(*Snapshot) *int64
+}{
+	{"prop_base", func(s *Snapshot) *int64 { return &s.BasePropagations }},
+	{"prop_full", func(s *Snapshot) *int64 { return &s.FullPropagations }},
+	{"prop_delta", func(s *Snapshot) *int64 { return &s.DeltaPropagations }},
+	{"rows_down", func(s *Snapshot) *int64 { return &s.RowsDown }},
+	{"cone_rows", func(s *Snapshot) *int64 { return &s.ConeRows }},
+	{"cache_hit", func(s *Snapshot) *int64 { return &s.BaselineHits }},
+	{"cache_miss", func(s *Snapshot) *int64 { return &s.BaselineMisses }},
+	{"skip_unreachable", func(s *Snapshot) *int64 { return &s.SkippedUnreachable }},
+	{"skip_ineffective", func(s *Snapshot) *int64 { return &s.SkippedIneffective }},
+	{"churn_updates", func(s *Snapshot) *int64 { return &s.ChurnUpdates }},
+	{"detect_pairs", func(s *Snapshot) *int64 { return &s.DetectPairs }},
+	{"frames_in", func(s *Snapshot) *int64 { return &s.FramesIn }},
+	{"frames_bad", func(s *Snapshot) *int64 { return &s.FramesBad }},
+	{"serve_enq", func(s *Snapshot) *int64 { return &s.ServeEnqueued }},
+	{"serve_drop", func(s *Snapshot) *int64 { return &s.ServeDropped }},
+	{"serve_batches", func(s *Snapshot) *int64 { return &s.ServeBatches }},
+	{"alarms", func(s *Snapshot) *int64 { return &s.Alarms }},
+	{"scratch_bytes", func(s *Snapshot) *int64 { return &s.ScratchBytes }},
+	{"arena_bytes", func(s *Snapshot) *int64 { return &s.ArenaBytes }},
+	{"cache_bytes", func(s *Snapshot) *int64 { return &s.CacheBytes }},
+	{"csr_bytes", func(s *Snapshot) *int64 { return &s.CSRBytes }},
+	{"queue_peak", func(s *Snapshot) *int64 { return &s.QueuePeak }},
+}
+
 // lineCounter is an atomic counter padded out to its own cache line.
 // Sweep workers hammer different counters concurrently (one worker mostly
-// bumps deltaPropagations while another bumps baselineHits); packed
-// atomic.Int64 fields would put eight logically-independent counters on a
+// bumps DeltaPropagations while another bumps BaselineHits); packed
+// atomic.Int64 values would put eight logically-independent counters on a
 // single 64-byte line and turn every increment into cross-core line
 // ping-pong (false sharing). The padding buys independence at 64 bytes per
 // counter — negligible for one Counters per sweep.
@@ -28,231 +148,32 @@ type lineCounter struct {
 	_ [56]byte // pad to 64 bytes: one counter per cache line
 }
 
-// recordMax raises the counter to n if n is larger — the high-watermark
-// update the byte gauges use. Concurrent recorders converge on the
-// maximum regardless of interleaving.
-func (c *lineCounter) recordMax(n int64) {
-	for {
-		cur := c.Load()
-		if n <= cur || c.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Counters aggregates one sweep's telemetry. The zero value is ready to
 // use. Every method is safe for concurrent use and nil-safe, so drivers
 // thread an optional *Counters unconditionally — a nil receiver makes all
 // recording free no-ops.
 type Counters struct {
-	basePropagations   lineCounter
-	fullPropagations   lineCounter
-	deltaPropagations  lineCounter
-	baselineHits       lineCounter
-	baselineMisses     lineCounter
-	skippedUnreachable lineCounter
-	skippedIneffective lineCounter
-	churnUpdates       lineCounter
-	rowsDown           lineCounter
-	coneRows           lineCounter
-	detectPairs        lineCounter
-
-	// Serve-pipeline counters (DESIGN §5g): the streaming daemon's ingest
-	// and detection traffic. frames_in counts frames decoded off ingest
-	// sockets; frames_bad counts malformed/oversized/truncated frames
-	// (each ends its connection); serve_enq/serve_drop split the enqueue
-	// verdicts under the drop backpressure policy; serve_batches counts
-	// ObserveBatch drains; alarms counts detection alarms raised.
-	framesIn      lineCounter
-	framesBad     lineCounter
-	serveEnqueued lineCounter
-	serveDropped  lineCounter
-	serveBatches  lineCounter
-	alarmsRaised  lineCounter
-
-	// Byte gauges: high-watermark memory footprints (DESIGN §5f). Unlike
-	// the counters above these are max-merged, not summed — each records
-	// the largest footprint any single recorder observed, so the reported
-	// value bounds the peak working set of one shard/worker rather than
-	// accumulating over the sweep.
-	scratchBytes lineCounter
-	arenaBytes   lineCounter
-	cacheBytes   lineCounter
-	csrBytes     lineCounter
-
-	// queuePeak is the deepest any single serve ingest ring ever got
-	// (max-merged like the byte gauges): the backlog high-watermark the
-	// soak gate asserts stays within the configured depth.
-	queuePeak lineCounter
+	v [numSlots]lineCounter
 }
 
-// AddBasePropagations records n no-attack (baseline) propagations.
-func (c *Counters) AddBasePropagations(n int64) {
+// Add adds n to counter k.
+func (c *Counters) Add(k Count, n int64) {
 	if c != nil {
-		c.basePropagations.Add(n)
+		c.v[k].Add(n)
 	}
 }
 
-// AddRowsDown records the n result rows a no-attacker propagation emitted
-// (routing.Scratch.RowsDown): the graph's size, or a Vantage's cone.
-func (c *Counters) AddRowsDown(n int64) {
-	if c != nil {
-		c.rowsDown.Add(n)
+// Max raises gauge k to n if n is larger. Concurrent recorders converge on
+// the maximum regardless of interleaving.
+func (c *Counters) Max(k Gauge, n int64) {
+	if c == nil {
+		return
 	}
-}
-
-// AddConeRows records the n ASes one delta attack leg examined
-// (routing.Scratch.DeltaCone): what the delta engine's cost follows.
-func (c *Counters) AddConeRows(n int64) {
-	if c != nil {
-		c.coneRows.Add(n)
-	}
-}
-
-// AddDetectPairs records n (trigger, witness) pairs the detection rule
-// compared; the detection sweeps add one attack's pairs at a time.
-func (c *Counters) AddDetectPairs(n int64) {
-	if c != nil {
-		c.detectPairs.Add(n)
-	}
-}
-
-// AddFullPropagations records n full-kernel attack propagations.
-func (c *Counters) AddFullPropagations(n int64) {
-	if c != nil {
-		c.fullPropagations.Add(n)
-	}
-}
-
-// AddDeltaPropagations records n incremental delta attack propagations.
-func (c *Counters) AddDeltaPropagations(n int64) {
-	if c != nil {
-		c.deltaPropagations.Add(n)
-	}
-}
-
-// AddBaselineHits records n baseline-cache hits: gets answered without a
-// propagation — the baseline a sweep shard holds, as it is or shifted in
-// place to another λ of the same victim (routing.Result.Shift).
-func (c *Counters) AddBaselineHits(n int64) {
-	if c != nil {
-		c.baselineHits.Add(n)
-	}
-}
-
-// AddBaselineMisses records n baseline-cache misses: keys propagated (or
-// failing validation), so prop_base == cache_miss on success.
-func (c *Counters) AddBaselineMisses(n int64) {
-	if c != nil {
-		c.baselineMisses.Add(n)
-	}
-}
-
-// AddSkippedUnreachable records n draws skipped because the attacker never
-// receives the victim's route (the skippable sentinel class).
-func (c *Counters) AddSkippedUnreachable(n int64) {
-	if c != nil {
-		c.skippedUnreachable.Add(n)
-	}
-}
-
-// AddSkippedIneffective records n draws skipped because the attack
-// captured nobody (a no-op instance with nothing to detect).
-func (c *Counters) AddSkippedIneffective(n int64) {
-	if c != nil {
-		c.skippedIneffective.Add(n)
-	}
-}
-
-// AddChurnUpdates records n monitor update announcements emitted.
-func (c *Counters) AddChurnUpdates(n int64) {
-	if c != nil {
-		c.churnUpdates.Add(n)
-	}
-}
-
-// RecordScratchBytes raises the scratch-memory high-watermark gauge: the
-// per-worker propagation state (Scratch) footprint of the largest single
-// worker or shard.
-func (c *Counters) RecordScratchBytes(n int64) {
-	if c != nil {
-		c.scratchBytes.recordMax(n)
-	}
-}
-
-// RecordArenaBytes raises the path-arena high-watermark gauge.
-func (c *Counters) RecordArenaBytes(n int64) {
-	if c != nil {
-		c.arenaBytes.recordMax(n)
-	}
-}
-
-// RecordCacheBytes raises the baseline high-watermark gauge: the largest
-// baseline a sweep shard held. A shard holds one, that of the victim it is
-// on, in its Scratch's baseline slot, so this is part of the scratch gauge,
-// not added to it; the scale-smoke gates bound it by one baseline's bytes.
-func (c *Counters) RecordCacheBytes(n int64) {
-	if c != nil {
-		c.cacheBytes.recordMax(n)
-	}
-}
-
-// RecordCSRBytes raises the topology (CSR graph) footprint gauge. The
-// graph is shared read-only across shards, so this is recorded once per
-// sweep rather than per worker.
-func (c *Counters) RecordCSRBytes(n int64) {
-	if c != nil {
-		c.csrBytes.recordMax(n)
-	}
-}
-
-// AddFramesIn records n binary frames decoded from ingest streams.
-func (c *Counters) AddFramesIn(n int64) {
-	if c != nil {
-		c.framesIn.Add(n)
-	}
-}
-
-// AddFramesBad records n malformed, truncated or oversized ingest frames.
-func (c *Counters) AddFramesBad(n int64) {
-	if c != nil {
-		c.framesBad.Add(n)
-	}
-}
-
-// AddServeEnqueued records n updates accepted into a shard ring.
-func (c *Counters) AddServeEnqueued(n int64) {
-	if c != nil {
-		c.serveEnqueued.Add(n)
-	}
-}
-
-// AddServeDropped records n updates rejected by a full ring under the
-// drop backpressure policy.
-func (c *Counters) AddServeDropped(n int64) {
-	if c != nil {
-		c.serveDropped.Add(n)
-	}
-}
-
-// AddServeBatches records n ObserveBatch queue drains.
-func (c *Counters) AddServeBatches(n int64) {
-	if c != nil {
-		c.serveBatches.Add(n)
-	}
-}
-
-// AddAlarms records n detection alarms raised by the streaming pipeline.
-func (c *Counters) AddAlarms(n int64) {
-	if c != nil {
-		c.alarmsRaised.Add(n)
-	}
-}
-
-// RecordQueuePeak raises the ingest-ring depth high-watermark gauge.
-func (c *Counters) RecordQueuePeak(n int64) {
-	if c != nil {
-		c.queuePeak.recordMax(n)
+	v := &c.v[k]
+	for cur := v.Load(); n > cur; cur = v.Load() {
+		if v.CompareAndSwap(cur, n) {
+			return
+		}
 	}
 }
 
@@ -289,36 +210,13 @@ type Snapshot struct {
 }
 
 // Snapshot reads all counters. A nil receiver yields the zero Snapshot.
-func (c *Counters) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
+func (c *Counters) Snapshot() (s Snapshot) {
+	if c != nil {
+		for i := range table {
+			*table[i].field(&s) = c.v[i].Load()
+		}
 	}
-	return Snapshot{
-		BasePropagations:   c.basePropagations.Load(),
-		FullPropagations:   c.fullPropagations.Load(),
-		DeltaPropagations:  c.deltaPropagations.Load(),
-		BaselineHits:       c.baselineHits.Load(),
-		BaselineMisses:     c.baselineMisses.Load(),
-		SkippedUnreachable: c.skippedUnreachable.Load(),
-		SkippedIneffective: c.skippedIneffective.Load(),
-		ChurnUpdates:       c.churnUpdates.Load(),
-		RowsDown:           c.rowsDown.Load(),
-		ConeRows:           c.coneRows.Load(),
-		DetectPairs:        c.detectPairs.Load(),
-
-		FramesIn:      c.framesIn.Load(),
-		FramesBad:     c.framesBad.Load(),
-		ServeEnqueued: c.serveEnqueued.Load(),
-		ServeDropped:  c.serveDropped.Load(),
-		ServeBatches:  c.serveBatches.Load(),
-		Alarms:        c.alarmsRaised.Load(),
-
-		ScratchBytes: c.scratchBytes.Load(),
-		ArenaBytes:   c.arenaBytes.Load(),
-		CacheBytes:   c.cacheBytes.Load(),
-		CSRBytes:     c.csrBytes.Load(),
-		QueuePeak:    c.queuePeak.Load(),
-	}
+	return s
 }
 
 // AttackPropagations is the total attack-leg propagation count across
@@ -328,16 +226,18 @@ func (s Snapshot) AttackPropagations() int64 {
 }
 
 // String formats the snapshot as one stable key=value line (the
-// -counters output format).
+// -counters output format), in table order.
 func (s Snapshot) String() string {
-	return fmt.Sprintf(
-		"prop_base=%d prop_full=%d prop_delta=%d rows_down=%d cone_rows=%d cache_hit=%d cache_miss=%d skip_unreachable=%d skip_ineffective=%d churn_updates=%d detect_pairs=%d frames_in=%d frames_bad=%d serve_enq=%d serve_drop=%d serve_batches=%d alarms=%d scratch_bytes=%d arena_bytes=%d cache_bytes=%d csr_bytes=%d queue_peak=%d",
-		s.BasePropagations, s.FullPropagations, s.DeltaPropagations, s.RowsDown, s.ConeRows,
-		s.BaselineHits, s.BaselineMisses,
-		s.SkippedUnreachable, s.SkippedIneffective, s.ChurnUpdates, s.DetectPairs,
-		s.FramesIn, s.FramesBad, s.ServeEnqueued, s.ServeDropped,
-		s.ServeBatches, s.Alarms,
-		s.ScratchBytes, s.ArenaBytes, s.CacheBytes, s.CSRBytes, s.QueuePeak)
+	b := make([]byte, 0, 512)
+	for i := range table {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, table[i].key...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, *table[i].field(&s), 10)
+	}
+	return string(b)
 }
 
 // String formats the current counts; nil-safe.

@@ -13,21 +13,12 @@ import (
 // *Counters so drivers can thread an optional counter unconditionally.
 func TestNilCountersAreNoOps(t *testing.T) {
 	var c *Counters
-	c.AddBasePropagations(1)
-	c.AddFullPropagations(1)
-	c.AddDeltaPropagations(1)
-	c.AddBaselineHits(1)
-	c.AddBaselineMisses(1)
-	c.AddSkippedUnreachable(1)
-	c.AddSkippedIneffective(1)
-	c.AddChurnUpdates(1)
-	c.AddRowsDown(1)
-	c.AddConeRows(1)
-	c.AddDetectPairs(1)
-	c.RecordScratchBytes(1)
-	c.RecordArenaBytes(1)
-	c.RecordCacheBytes(1)
-	c.RecordCSRBytes(1)
+	for k := range numCounts {
+		c.Add(k, 1)
+	}
+	for g := ScratchBytes; int(g) < numSlots; g++ {
+		c.Max(g, 1)
+	}
 	if got := c.Snapshot(); got != (Snapshot{}) {
 		t.Fatalf("nil Snapshot()=%+v, want zero", got)
 	}
@@ -36,32 +27,57 @@ func TestNilCountersAreNoOps(t *testing.T) {
 	}
 }
 
+// fillDistinct records a distinct prime into every value through its
+// named constant, the i-th value in -counters order getting primes[i],
+// and returns the Counters. Recording by name, not by slot, is what lets
+// TestSnapshot catch a constant that falls out of step with its table row.
+func fillDistinct() *Counters {
+	c := new(Counters)
+	c.Add(BasePropagations, 2)
+	c.Add(FullPropagations, 3)
+	c.Add(DeltaPropagations, 5)
+	c.Add(RowsDown, 7)
+	c.Add(ConeRows, 11)
+	c.Add(BaselineHits, 13)
+	c.Add(BaselineMisses, 17)
+	c.Add(SkippedUnreachable, 19)
+	c.Add(SkippedIneffective, 23)
+	c.Add(ChurnUpdates, 29)
+	c.Add(DetectPairs, 31)
+	c.Add(FramesIn, 37)
+	c.Add(FramesBad, 41)
+	c.Add(ServeEnqueued, 43)
+	c.Add(ServeDropped, 47)
+	c.Add(ServeBatches, 53)
+	c.Add(Alarms, 59)
+	c.Max(ScratchBytes, 61)
+	c.Max(ArenaBytes, 67)
+	c.Max(CacheBytes, 71)
+	c.Max(CSRBytes, 73)
+	c.Max(QueuePeak, 79)
+	return c
+}
+
+var primes = [numSlots]int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79}
+
+// TestSnapshot: each value recorded through its named constant lands in
+// the Snapshot field of that name (distinct primes catch crossed wires
+// between the constants and the table rows), and the deprecated
+// BatchPropagations stays 0.
 func TestSnapshot(t *testing.T) {
-	var a Counters
-	a.AddBasePropagations(2)
-	a.AddFullPropagations(3)
-	a.AddDeltaPropagations(5)
-	a.AddBaselineHits(7)
-	a.AddBaselineMisses(11)
-	a.AddSkippedUnreachable(13)
-	a.AddSkippedIneffective(17)
-	a.AddChurnUpdates(19)
-	a.AddRowsDown(23)
-	a.AddDetectPairs(29)
-	a.AddConeRows(31)
-	got := a.Snapshot()
+	c := fillDistinct()
+	for i := range c.v {
+		if c.v[i].Load() == 0 {
+			t.Fatalf("fillDistinct leaves %s unrecorded: name every value there", table[i].key)
+		}
+	}
+	got := c.Snapshot()
 	want := Snapshot{
-		BasePropagations:   2,
-		FullPropagations:   3,
-		DeltaPropagations:  5,
-		BaselineHits:       7,
-		BaselineMisses:     11,
-		SkippedUnreachable: 13,
-		SkippedIneffective: 17,
-		ChurnUpdates:       19,
-		RowsDown:           23,
-		ConeRows:           31,
-		DetectPairs:        29,
+		BasePropagations: 2, FullPropagations: 3, DeltaPropagations: 5,
+		RowsDown: 7, ConeRows: 11, BaselineHits: 13, BaselineMisses: 17,
+		SkippedUnreachable: 19, SkippedIneffective: 23, ChurnUpdates: 29, DetectPairs: 31,
+		FramesIn: 37, FramesBad: 41, ServeEnqueued: 43, ServeDropped: 47, ServeBatches: 53, Alarms: 59,
+		ScratchBytes: 61, ArenaBytes: 67, CacheBytes: 71, CSRBytes: 73, QueuePeak: 79,
 	}
 	if got != want {
 		t.Fatalf("Snapshot()=%+v, want %+v", got, want)
@@ -69,8 +85,18 @@ func TestSnapshot(t *testing.T) {
 	if got.AttackPropagations() != 8 {
 		t.Fatalf("AttackPropagations()=%d, want 8", got.AttackPropagations())
 	}
-	if line := got.String(); !strings.Contains(line, " rows_down=23 cone_rows=31 cache_hit=7 ") {
-		t.Fatalf("String() does not print cone_rows after rows_down: %s", line)
+}
+
+// TestStringPinned pins the -counters line byte for byte: its keys, their
+// order and each key's value. cmd/asppbench's tests and readers of saved
+// runs parse this line.
+func TestStringPinned(t *testing.T) {
+	const want = "prop_base=2 prop_full=3 prop_delta=5 rows_down=7 cone_rows=11 cache_hit=13 cache_miss=17 " +
+		"skip_unreachable=19 skip_ineffective=23 churn_updates=29 detect_pairs=31 " +
+		"frames_in=37 frames_bad=41 serve_enq=43 serve_drop=47 serve_batches=53 alarms=59 " +
+		"scratch_bytes=61 arena_bytes=67 cache_bytes=71 csr_bytes=73 queue_peak=79"
+	if got := fillDistinct().String(); got != want {
+		t.Fatalf("String()\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -79,12 +105,12 @@ func TestSnapshot(t *testing.T) {
 // leave the largest single shard's figure.
 func TestByteGauges(t *testing.T) {
 	var a Counters
-	a.RecordScratchBytes(100)
-	a.RecordScratchBytes(50) // lower sample must not regress the watermark
-	a.RecordArenaBytes(7)
-	a.RecordCacheBytes(200)
-	a.RecordCacheBytes(300)
-	a.RecordCSRBytes(-1) // non-positive samples are ignored
+	a.Max(ScratchBytes, 100)
+	a.Max(ScratchBytes, 50) // lower sample must not regress the watermark
+	a.Max(ArenaBytes, 7)
+	a.Max(CacheBytes, 200)
+	a.Max(CacheBytes, 300)
+	a.Max(CSRBytes, -1) // non-positive samples are ignored
 	s := a.Snapshot()
 	if s.ScratchBytes != 100 || s.ArenaBytes != 7 || s.CacheBytes != 300 || s.CSRBytes != 0 {
 		t.Fatalf("Snapshot()=%+v, want scratch=100 arena=7 cache=300 csr=0", s)
@@ -102,7 +128,7 @@ func TestByteGaugesConcurrent(t *testing.T) {
 		go func(v int64) {
 			defer wg.Done()
 			for i := int64(1); i <= 100; i++ {
-				c.RecordCacheBytes(v * i)
+				c.Max(CacheBytes, v*i)
 			}
 		}(int64(g))
 	}
@@ -123,8 +149,8 @@ func TestConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.AddDeltaPropagations(1)
-				c.AddBaselineHits(2)
+				c.Add(DeltaPropagations, 1)
+				c.Add(BaselineHits, 2)
 			}
 		}()
 	}
@@ -142,8 +168,8 @@ func TestCounterPadding(t *testing.T) {
 		t.Fatalf("sizeof(lineCounter)=%d, want 64", size)
 	}
 	var c Counters
-	a := uintptr(unsafe.Pointer(&c.basePropagations))
-	b := uintptr(unsafe.Pointer(&c.fullPropagations))
+	a := uintptr(unsafe.Pointer(&c.v[BasePropagations]))
+	b := uintptr(unsafe.Pointer(&c.v[FullPropagations]))
 	if b-a < 64 {
 		t.Fatalf("adjacent counters %d bytes apart, want >= 64", b-a)
 	}
@@ -162,11 +188,7 @@ type packedCounters struct {
 // contention.
 func BenchmarkCountersParallelPadded(b *testing.B) {
 	var c Counters
-	lanes := [...]*lineCounter{
-		&c.basePropagations, &c.fullPropagations, &c.deltaPropagations,
-		&c.baselineHits, &c.baselineMisses, &c.skippedUnreachable,
-		&c.skippedIneffective, &c.churnUpdates,
-	}
+	lanes := [...]*lineCounter{&c.v[0], &c.v[1], &c.v[2], &c.v[3], &c.v[4], &c.v[5], &c.v[6], &c.v[7]}
 	var next atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		lane := lanes[int(next.Add(1)-1)%len(lanes)]
@@ -190,64 +212,57 @@ func BenchmarkCountersParallelPacked(b *testing.B) {
 	})
 }
 
-// TestServeCountersSnapshot pins the PR 10 serving counters: each Add
-// lands in its own Snapshot field (distinct primes catch crossed wires)
-// and the metrics endpoint's single-struct read sees all of them.
+// TestServeCountersSnapshot: a second round of the same records doubles
+// every Count and leaves every Gauge where it was, so a sum is never
+// max-merged nor a gauge summed (the serve counters and the queue peak
+// included, which the metrics endpoint reads in one Snapshot).
 func TestServeCountersSnapshot(t *testing.T) {
-	var a Counters
-	a.AddFramesIn(2)
-	a.AddFramesBad(3)
-	a.AddServeEnqueued(5)
-	a.AddServeDropped(7)
-	a.AddServeBatches(11)
-	a.AddAlarms(13)
-	a.RecordQueuePeak(17)
-	got := a.Snapshot()
-	want := Snapshot{
-		FramesIn: 2, FramesBad: 3, ServeEnqueued: 5,
-		ServeDropped: 7, ServeBatches: 11, Alarms: 13, QueuePeak: 17,
+	a := fillDistinct()
+	for k := range numCounts {
+		a.Add(k, primes[k])
 	}
-	if got != want {
-		t.Fatalf("Snapshot()=%+v, want %+v", got, want)
+	for g := ScratchBytes; int(g) < numSlots; g++ {
+		a.Max(g, primes[g])
+		a.Max(g, 1) // a lower record is ignored
 	}
-	// Peak is a high-watermark: lower records are ignored.
-	a.RecordQueuePeak(4)
-	if a.Snapshot().QueuePeak != 17 {
-		t.Fatalf("QueuePeak lowered to %d", a.Snapshot().QueuePeak)
-	}
-	// Nil safety for the new methods.
-	var nilC *Counters
-	nilC.AddFramesIn(1)
-	nilC.AddFramesBad(1)
-	nilC.AddServeEnqueued(1)
-	nilC.AddServeDropped(1)
-	nilC.AddServeBatches(1)
-	nilC.AddAlarms(1)
-	nilC.RecordQueuePeak(1)
-	// String carries every serve counter name.
-	s := a.String()
-	for _, name := range []string{"frames_in=2", "frames_bad=3", "serve_enq=5", "serve_drop=7", "serve_batches=11", "alarms=13", "queue_peak=17"} {
-		if !strings.Contains(s, name) {
-			t.Fatalf("String() missing %q: %s", name, s)
+	got, want := a.Snapshot(), fillDistinct().Snapshot()
+	for i := range table {
+		w := *table[i].field(&want)
+		if i < int(numCounts) {
+			w *= 2
+		}
+		if g := *table[i].field(&got); g != w {
+			t.Errorf("%s=%d after two rounds, want %d", table[i].key, g, w)
 		}
 	}
 }
 
-// TestSnapshotFieldCount guards Snapshot completeness: a new counter or
-// gauge added to Counters must surface in Snapshot too. Counters carries
-// exactly one padded line or gauge per Snapshot field but the deprecated
-// BatchPropagations, which no counter feeds.
+// TestSnapshotFieldCount guards the table's completeness: every slot has a
+// distinct non-empty key and a distinct Snapshot field, and Snapshot has
+// exactly those fields plus the deprecated BatchPropagations, which no
+// slot feeds.
 func TestSnapshotFieldCount(t *testing.T) {
-	snapFields := reflect.TypeOf(Snapshot{}).NumField() - 1
-	var counterSlots int
-	ct := reflect.TypeOf(Counters{})
-	for i := 0; i < ct.NumField(); i++ {
-		switch ct.Field(i).Type.Name() {
-		case "lineCounter", "lineGauge":
-			counterSlots++
-		}
+	var s Snapshot
+	st := reflect.TypeOf(s)
+	byOffset := map[uintptr]string{}
+	for i := 0; i < st.NumField(); i++ {
+		byOffset[st.Field(i).Offset] = st.Field(i).Name
 	}
-	if counterSlots != snapFields {
-		t.Fatalf("Counters has %d counter/gauge slots but Snapshot has %d fields — keep them in lockstep", counterSlots, snapFields)
+	keys, fields := map[string]bool{}, map[string]bool{"BatchPropagations": true}
+	for i := range table {
+		key := table[i].key
+		if key == "" || strings.ContainsAny(key, " =") || keys[key] {
+			t.Errorf("slot %d: key %q is empty, not one word or taken", i, key)
+		}
+		keys[key] = true
+		off := uintptr(unsafe.Pointer(table[i].field(&s))) - uintptr(unsafe.Pointer(&s))
+		name, ok := byOffset[off]
+		if !ok || fields[name] {
+			t.Errorf("slot %d (%s): Snapshot field %q at offset %d is no field or taken", i, key, name, off)
+		}
+		fields[name] = true
+	}
+	if len(fields) != st.NumField() {
+		t.Fatalf("the table feeds %d Snapshot fields plus BatchPropagations, Snapshot has %d — keep them in lockstep", len(fields)-1, st.NumField())
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/detect"
+	"aspp/internal/obs"
 )
 
 // ServeIngest accepts update-stream connections on l until the listener
@@ -59,15 +60,15 @@ func (p *Pipeline) handleConn(c net.Conn) {
 	var u bgp.Update
 	var frames, accepted int64
 	flush := func() {
-		p.cfg.Counters.AddFramesIn(frames)
-		p.cfg.Counters.AddServeEnqueued(accepted)
+		p.cfg.Counters.Add(obs.FramesIn, frames)
+		p.cfg.Counters.Add(obs.ServeEnqueued, accepted)
 		frames, accepted = 0, 0
 	}
 	defer flush()
 	for {
 		if err := dec.Next(&u); err != nil {
 			if !errors.Is(err, io.EOF) {
-				p.cfg.Counters.AddFramesBad(1)
+				p.cfg.Counters.Add(obs.FramesBad, 1)
 			}
 			return
 		}
@@ -78,7 +79,7 @@ func (p *Pipeline) handleConn(c net.Conn) {
 		} else if p.closing.Load() {
 			return
 		} else {
-			p.cfg.Counters.AddServeDropped(1)
+			p.cfg.Counters.Add(obs.ServeDropped, 1)
 		}
 		if frames >= 512 {
 			flush()

@@ -334,14 +334,14 @@ func (p *Pipeline) worker(si int) {
 				p.hist.record(done - enq[k])
 			}
 			if len(alarms) > 0 {
-				p.cfg.Counters.AddAlarms(int64(len(alarms)))
+				p.cfg.Counters.Add(obs.Alarms, int64(len(alarms)))
 				p.feed.publish(batch[i].Prefix, alarms, done-enq[j-1])
 			}
 			i = j
 		}
 		g.publish(d)
 		p.processed.Add(int64(n))
-		p.cfg.Counters.AddServeBatches(1)
+		p.cfg.Counters.Add(obs.ServeBatches, 1)
 		r.advance(n)
 	}
 }
@@ -393,8 +393,8 @@ func (p *Pipeline) Stats() Stats {
 		s.Rows += g.rows.Load()
 		s.Routes += g.routes.Load()
 	}
-	p.cfg.Counters.RecordQueuePeak(s.QueuePeak)
-	p.cfg.Counters.RecordArenaBytes(arenaPeak)
+	p.cfg.Counters.Max(obs.QueuePeak, s.QueuePeak)
+	p.cfg.Counters.Max(obs.ArenaBytes, arenaPeak)
 	return s
 }
 
@@ -478,8 +478,8 @@ func (p *Pipeline) RunLoad(corpus []bgp.Update, total int64) (LoadReport, error)
 		}
 	}
 	rep.Offered = rep.Accepted + rep.Dropped
-	p.cfg.Counters.AddServeEnqueued(rep.Accepted)
-	p.cfg.Counters.AddServeDropped(rep.Dropped)
+	p.cfg.Counters.Add(obs.ServeEnqueued, rep.Accepted)
+	p.cfg.Counters.Add(obs.ServeDropped, rep.Dropped)
 	p.producers.Done()
 	p.DrainQueues()
 
