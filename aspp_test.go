@@ -121,7 +121,7 @@ func TestInternetRunDetection(t *testing.T) {
 }
 
 func TestInternetInferRelationships(t *testing.T) {
-	inf, acc, err := relinfer.InferRelationships(testGraph(t, 300, 8), 80, 20)
+	inf, acc, err := relinfer.InferRelationships(testGraph(t, 300, 8), 80, 20, nil)
 	if err != nil {
 		t.Fatalf("InferRelationships: %v", err)
 	}

@@ -377,11 +377,11 @@ func runMitigation(bc *benchContext) error {
 	}
 	sc := core.Scenario{Victim: victim, Attacker: attacker, Prepend: 4}
 	fracs := []float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 1}
-	rnd, err := defense.CautiousAdoptionSweep(g, sc, fracs, defense.DeployRandom, bc.seed)
+	rnd, err := defense.CautiousAdoptionSweep(g, sc, fracs, defense.DeployRandom, bc.seed, bc.counters)
 	if err != nil {
 		return err
 	}
-	top, err := defense.CautiousAdoptionSweep(g, sc, fracs, defense.DeployTopDegree, bc.seed)
+	top, err := defense.CautiousAdoptionSweep(g, sc, fracs, defense.DeployTopDegree, bc.seed, bc.counters)
 	if err != nil {
 		return err
 	}
@@ -415,7 +415,7 @@ func runSusceptibility(bc *benchContext) error {
 
 func (bc *benchContext) inference() (*inference, error) {
 	return memoized(&bc.memo.inference, func() (*inference, error) {
-		rels, acc, err := relinfer.InferRelationships(bc.g, 200, 30)
+		rels, acc, err := relinfer.InferRelationships(bc.g, 200, 30, bc.counters)
 		return &inference{rels: rels, acc: acc}, err
 	})
 }

@@ -346,7 +346,8 @@ func sections(out string) map[string]string {
 // TestRunSharesIdenticalWork: fig5/fig6 share one survey, fig13/fig14 one
 // detection run and fig13/inference one relationship inference. A section
 // reads the same whether its experiment ran the work or reused it, and
-// with -counters the reusing experiment reports none.
+// with -counters the reusing experiment reports none, though alone it
+// reports some.
 func TestRunSharesIdenticalWork(t *testing.T) {
 	const exps = "fig5,fig6,fig13,fig14,inference"
 	base := []string{"-n", "400", "-pairs", "15", "-counters"}
@@ -366,7 +367,7 @@ func TestRunSharesIdenticalWork(t *testing.T) {
 		if data != wantData {
 			t.Errorf("%s differs between -exp %s and -exp %s:\n got: %s\nwant: %s", exp, exps, exp, data, wantData)
 		}
-		if exp == "fig6" || exp == "fig14" { // all they compute was computed before them
+		if exp == "fig6" || exp == "fig14" || exp == "inference" { // all they compute was computed before them
 			if strings.TrimSpace(wantCounters) == noWork {
 				t.Errorf("%s alone reports no work", exp)
 			}
@@ -380,11 +381,14 @@ func TestRunSharesIdenticalWork(t *testing.T) {
 
 // TestFig13IsOneSweep: the three columns of Fig. 13 read one attack draw, so
 // its -counters line is every leg simulated for it — at the default topology
-// 324 baselines (a shard re-propagates a victim a later draw round brings
-// back after another) and 331 attack legs, the 200 effective and the 131 that
-// captured no one, and 5,147,562 detection pairs (20.7M when every count
+// 524 baselines (the relationship inference's 200 origins, and 324 for the
+// draw: a shard re-propagates a victim a later draw round brings back after
+// another) and 331 attack legs, the 200 effective and the 131 that
+// captured no one, and 3,759,940 detection pairs (20.7M when every count
 // folded its window from scratch, 6,329,652 when a top-degree column's pass
-// folded every trigger it met) — and Fig. 14 after it adds none. In the
+// folded every trigger it met, 5,147,562 while every accusing trigger's rows
+// ran on until an alarm named the attacker instead of asking the candidate
+// witnesses) — and Fig. 14 after it adds none. In the
 // other order Fig. 14 runs the sweep, all columns of it, and both sections
 // read the same.
 func TestFig13IsOneSweep(t *testing.T) {
@@ -397,7 +401,7 @@ func TestFig13IsOneSweep(t *testing.T) {
 	if !strings.Contains(data, "# 200 effective attacks") {
 		t.Errorf("fig13 did not evaluate 200 attacks:\n%s", data)
 	}
-	for _, want := range []string{"prop_base=324 ", "prop_delta=331 ", "skip_ineffective=131 ", "detect_pairs=5147562 "} {
+	for _, want := range []string{"prop_base=524 ", "prop_delta=331 ", "skip_ineffective=131 ", "detect_pairs=3759940 "} {
 		if !strings.Contains(counters, want) {
 			t.Errorf("fig13 counters lack %q: %s", want, counters)
 		}
@@ -415,13 +419,33 @@ func TestFig13IsOneSweep(t *testing.T) {
 	}
 }
 
+// TestCountersCoverMitigationAndInference: the cautious-adoption sweeps and
+// the relationship inference record their propagations, so neither
+// -counters line reads all zero — two sweeps of one baseline and seven
+// deployment fractions each, and one propagation per sampled origin.
+func TestCountersCoverMitigationAndInference(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-exp", "mitigation,inference", "-n", "600", "-counters"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got := sections(sb.String())
+	for exp, want := range map[string]string{"mitigation": "prop_base=2 prop_full=14 ", "inference": "prop_base=200 prop_full=0 "} {
+		if _, counters, _ := strings.Cut(got[exp], "# counters: "); !strings.HasPrefix(counters, want) {
+			t.Errorf("%s counters: %s, want them to start %q", exp, counters, want)
+		}
+	}
+}
+
 // TestDetectionFoldPins pins, at the default topology and seed, the pairs
 // detectRow compares where every Fold has one end: compare's one whole-list
 // window per attack (294,525) and Fig. 13's random column, one window per
-// count (1,879,310: the two-column sweep's count less the top-degree
-// column's). A trigger skip that misses a trigger that can change
-// nothing, or drops one that can, moves them; Fig. 13's total, where the
-// top-degree columns fold all their counts at once, is TestFig13IsOneSweep's.
+// count (1,880,120: the two-column sweep's count less the top-degree
+// column's). A row that ends early counts whole, so with one end only the
+// candidate witnesses Attributed is asked of add pairs: none in compare, 810
+// in the random column (1,879,310 before). A trigger skip that misses a
+// trigger that can change nothing, or drops one that can, moves them; Fig.
+// 13's total, where the top-degree columns fold all their counts at once, is
+// TestFig13IsOneSweep's.
 func TestDetectionFoldPins(t *testing.T) {
 	ctx := context.Background()
 	var sb strings.Builder
@@ -446,8 +470,8 @@ func TestDetectionFoldPins(t *testing.T) {
 		return c.Snapshot().DetectPairs
 	}
 	top := experiment.DetectionColumn{Placement: experiment.MonitorsTopDegree}
-	if got := pairs(top, experiment.DetectionColumn{Placement: experiment.MonitorsRandom}) - pairs(top); got != 1879310 {
-		t.Errorf("random column compares %d pairs, want 1879310", got)
+	if got := pairs(top, experiment.DetectionColumn{Placement: experiment.MonitorsRandom}) - pairs(top); got != 1880120 {
+		t.Errorf("random column compares %d pairs, want 1880120", got)
 	}
 }
 

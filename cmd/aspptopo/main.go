@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *infer {
-		_, acc, err := relinfer.InferRelationships(g, *origins, 30)
+		_, acc, err := relinfer.InferRelationships(g, *origins, 30, nil)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
+	"aspp/internal/obs"
 	"aspp/internal/routing"
 	"aspp/internal/stats"
 	"aspp/internal/topology"
@@ -56,16 +57,24 @@ func (p DeployPolicy) String() string {
 // Deployers' historical prepend counts come from the honest baseline.
 // Returns core.ErrAttackerSeesNoRoute when the attacker never hears the
 // victim's route. Every fraction runs on the full kernel
-// (routing.PropagateCautious), on one Scratch.
-func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64, policy DeployPolicy, seed int64) ([]CautiousOutcome, error) {
+// (routing.PropagateCautious), on one Scratch. A non-nil counters[0]
+// receives the sweep's propagations: the baseline, then one full-kernel
+// attack per fraction. It is optional so that callers keeping no counters
+// call the sweep as before.
+func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64, policy DeployPolicy, seed int64, counters ...*obs.Counters) ([]CautiousOutcome, error) {
 	if len(fracs) == 0 {
 		return nil, errors.New("defense: no deployment fractions")
 	}
 	ann, atk := sc.Announcement(), sc.AttackerConfig()
+	var c *obs.Counters
+	if len(counters) > 0 {
+		c = counters[0]
+	}
 	baseline, err := routing.Propagate(g, ann)
 	if err != nil {
 		return nil, fmt.Errorf("defense: baseline: %w", err)
 	}
+	c.Add(obs.BasePropagations, 1)
 	if err := atk.Validate(g, ann); err != nil {
 		return nil, fmt.Errorf("defense: %w", err)
 	}
@@ -112,6 +121,8 @@ func CautiousAdoptionSweep(g *topology.Graph, sc core.Scenario, fracs []float64,
 		if err != nil {
 			return nil, fmt.Errorf("defense: deployment %.2f: %w", f, err)
 		}
+		c.Add(obs.FullPropagations, 1)
+		c.Max(obs.ScratchBytes, s.MemoryBytes())
 		polluted := 0
 		for i := int32(0); i < int32(g.NumASes()); i++ {
 			if i == vIdx || i == aIdx || !baseline.ReachableIdx(i) {

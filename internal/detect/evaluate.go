@@ -57,6 +57,17 @@ type EvalScratch struct {
 	mbuf         []bgp.ASN
 	rbuf         []int32
 
+	// Attribution candidates for the key (candPos, candB, candWhole) — see
+	// attribute — ascending slots, sized with the list; candPos < 0: none
+	// built since Extract. pairMons/pairRow hold the two-slot row
+	// [trigger, candidate] that confirms one.
+	cand      []int32
+	candPos   int
+	candB     bgp.ASN
+	candWhole bool
+	pairMons  [2]bgp.ASN
+	pairRow   [2]int32
+
 	extracts, latencies, pairs int
 }
 
@@ -107,6 +118,7 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 	for i := len(sc.ids); i < len(monitors); i++ {
 		sc.ids = append(sc.ids, int32(i))
 	}
+	sc.cand, sc.candPos = slices.Grow(sc.cand[:0], len(monitors)), -1
 	sc.im = im
 	sc.extracts++
 	sc.pairs = 0
@@ -131,7 +143,11 @@ func (sc *EvalScratch) Extract(im *core.Impact, monitors []bgp.ASN) {
 // can change nothing is skipped: every flag it could raise already holds at
 // its own cut (one whose route holds no attacker names no suspect that is
 // one), and its hops are no lower than the least hops of the cuts up to its
-// own. ends must not be empty, and no end may lie below lo.
+// own. A trigger's rows scan for Attributed only while a hint of it could
+// name the attacker; otherwise only a High alarm with one suffix length can,
+// so attribute asks that of the few witnesses that can have it, and the rows
+// end, as every other trigger's, once any and High hold. ends must not be
+// empty, and no end may lie below lo.
 func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResult, hops []int) {
 	sc.cuts = append(sc.cuts[:0], ends...)
 	slices.Sort(sc.cuts)
@@ -149,8 +165,12 @@ func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResul
 			continue
 		}
 		own, _ := slices.BinarySearch(cuts, t+1) // the least cut holding t
-		// A trigger's route held, so its index resolved.
-		accuse, h, least := sc.mayAccuse(t), sc.im.HopsFromAttackerIdx(i), -1
+		// A trigger's route held, so its index resolved. Only a hint names
+		// the chain's top AS, and only one naming the attacker makes its
+		// rows scan for Attributed; else attribute asks the candidates.
+		pos, curT := sc.attackerAt(t), sc.arena.SegBody(sc.atkSpans[t].Seg)
+		scan := rels != nil && len(curT) > 0 && curT[0] == sc.im.Scenario.Attacker
+		accuse, h, least := scan || pos > 0, sc.im.HopsFromAttackerIdx(i), -1
 		for _, x := range sc.hopsAt[:own+1] {
 			least = minHops(least, x)
 		}
@@ -158,7 +178,7 @@ func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResul
 			continue
 		}
 		first := never
-		for c := own; c < never && (first > c || high > c || attr > c && accuse); c++ {
+		for c := own; c < never && (first > c || high > c || attr > c && scan); c++ {
 			mons, row, mi := sc.mons[lo:cuts[c]], sc.ids[lo:cuts[c]], t-lo
 			if c > own {
 				sc.mbuf = append(append(sc.mbuf[:0], sc.mons[t]), sc.mons[cuts[c-1]:cuts[c]]...)
@@ -169,7 +189,7 @@ func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResul
 			// A flag already held at c, or one the trigger cannot raise,
 			// starts set, so the row ends once it can change nothing.
 			s := sink{fold: true, attacker: sc.im.Scenario.Attacker,
-				any: first < c, high: high <= c, attr: attr <= c || !accuse}
+				any: first < c, high: high <= c, attr: attr <= c || !scan}
 			detectRow(sc.arena, mons, row, sc.atkSpans, mi, was, rels, &s)
 			if s.any {
 				first = min(first, c)
@@ -177,9 +197,12 @@ func (sc *EvalScratch) Fold(lo int, ends []int, rels RelQuerier, res []EvalResul
 			if s.high {
 				high = min(high, c)
 			}
-			if s.attr && accuse {
+			if s.attr && scan {
 				attr = min(attr, c)
 			}
+		}
+		if pos > 0 && !scan && attr > own {
+			attr = sc.attribute(t, pos, lo, own, attr, was, rels)
 		}
 		if first < never {
 			sc.hopsAt[first] = minHops(sc.hopsAt[first], h)
@@ -214,12 +237,61 @@ func (sc *EvalScratch) wasAt(i int32) routing.PathSpan {
 	return routing.PathSpan{Prep: int32(baseline.Prep[i]), Origin: baseline.Origin()}
 }
 
-// mayAccuse reports whether an alarm of the monitor in slot k of the list can
-// name the attacker: every suspect is the monitor or an AS of its transit
-// chain.
-func (sc *EvalScratch) mayAccuse(k int) bool {
-	atk := sc.im.Scenario.Attacker
-	return sc.mons[k] == atk || slices.Contains(sc.arena.SegBody(sc.atkSpans[k].Seg), atk)
+// attackerAt is where the attacker sits in the transit chain of the monitor
+// in slot k, counted from the chain's end: len(chain) when the monitor is the
+// attacker, -1 when no alarm of it can name the attacker (every suspect is
+// the monitor or an AS of its chain). PathsInto walks parent chains, which
+// hold each AS once and never the monitor, so the position is unique.
+func (sc *EvalScratch) attackerAt(k int) int {
+	atk, body := sc.im.Scenario.Attacker, sc.arena.SegBody(sc.atkSpans[k].Seg)
+	if sc.mons[k] == atk {
+		return len(body)
+	}
+	if j := slices.Index(body, atk); j >= 0 {
+		return len(body) - 1 - j
+	}
+	return -1
+}
+
+// attribute is the least cut, from own on and below attr, at which trigger t
+// raises an alarm naming the attacker, or attr if none does. The attacker
+// sits at pos ≥ 1 from the end of t's chain curT, and no hint can name it (Fold
+// scans for those), so only a High alarm can: one whose common suffix length
+// is pos. That needs the witness's chain to hold b = curT[len(curT)-pos] at
+// position pos from its end and, unless t is the attacker (the suffix cannot
+// outgrow curT), no attacker right above b. Those slots are the candidates,
+// built once per key; each is confirmed on the two-slot row [t, k], walked
+// from lo, since a witness ahead of t counts from t's own cut.
+func (sc *EvalScratch) attribute(t, pos, lo, own, attr int, was routing.PathSpan, rels RelQuerier) int {
+	atk, curT := sc.im.Scenario.Attacker, sc.arena.SegBody(sc.atkSpans[t].Seg)
+	b, whole := curT[len(curT)-pos], pos == len(curT)
+	if sc.candPos != pos || sc.candB != b || sc.candWhole != whole {
+		sc.cand, sc.candPos, sc.candB, sc.candWhole = sc.cand[:0], pos, b, whole
+		for k, sp := range sc.atkSpans {
+			if sp.Prep == 0 {
+				continue
+			}
+			w := sc.arena.SegBody(sp.Seg)
+			if n := len(w); n >= pos && w[n-pos] == b && (whole || n == pos || w[n-pos-1] != atk) {
+				sc.cand = append(sc.cand, int32(k))
+			}
+		}
+	}
+	i, _ := slices.BinarySearch(sc.cand, int32(lo))
+	sc.pairMons[0], sc.pairRow[0] = sc.mons[t], int32(t)
+	for _, k := range sc.cand[i:] {
+		c, _ := slices.BinarySearch(sc.cuts, int(k)+1)
+		if c = max(c, own); c >= attr {
+			break
+		}
+		sc.pairMons[1], sc.pairRow[1] = sc.mons[k], k
+		sc.pairs++
+		s := sink{fold: true, attacker: atk, any: true, high: true}
+		if detectRow(sc.arena, sc.pairMons[:], sc.pairRow[:], sc.atkSpans, 0, was, rels, &s); s.attr {
+			return c
+		}
+	}
+	return attr
 }
 
 // PollutedBefore computes the Fig. 14 metric for the extracted attack: with
@@ -259,16 +331,18 @@ func (sc *EvalScratch) PollutedBefore(detectionHops int) float64 {
 func (sc *EvalScratch) Calls() (extracts, latencies int) { return sc.extracts, sc.latencies }
 
 // Pairs reports how many (trigger, witness) pairs Fold has handed detectRow
-// since the last Extract, a row that ends early counted whole: the detection
+// since the last Extract, a row that ends early counted whole and each
+// candidate attribute confirms on its two-slot row as one: the detection
 // sweep's detect_pairs counter.
 func (sc *EvalScratch) Pairs() int { return sc.pairs }
 
 // MemoryBytes is the scratch's resident footprint: its path arena, span row,
-// monitor-index cache and Fold's cut and row buffers at capacity. Extract
-// resets the arena, so this stays at the largest single attack's size
+// monitor-index cache and Fold's cut, row and candidate buffers at capacity.
+// Extract resets the arena, so this stays at the largest single attack's size
 // however many attacks the scratch evaluates; the detection sweep and
 // compare report it as the arena_bytes gauge.
 func (sc *EvalScratch) MemoryBytes() int64 {
 	return int64(unsafe.Sizeof(*sc)) + sc.arena.MemoryBytes() + sliceBytes(sc.atkSpans) + sliceBytes(sc.ids) +
-		sliceBytes(sc.monIdx) + sliceBytes(sc.cuts) + sliceBytes(sc.hopsAt) + sliceBytes(sc.mbuf) + sliceBytes(sc.rbuf)
+		sliceBytes(sc.monIdx) + sliceBytes(sc.cuts) + sliceBytes(sc.hopsAt) + sliceBytes(sc.mbuf) + sliceBytes(sc.rbuf) +
+		sliceBytes(sc.cand)
 }

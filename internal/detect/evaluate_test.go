@@ -54,3 +54,44 @@ func TestEvalScratchArenaBounded(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFold times the batch fold in Fig. 13's shape: 100 effective
+// attacks (λ = 3, valley-free violated) on a generated 4,000-AS graph,
+// each extracted once, outside the timer, for the 300 best-connected
+// monitors; one op is one attack's Fold over the nine default monitor
+// counts plus the latency count, under the ground-truth relationships. It
+// reports pairs/op, Pairs' count, beside ns/op, so `go test -run '^$'
+// -bench Fold ./internal/detect/` A/Bs the layer outside the sweep.
+func BenchmarkFold(b *testing.B) {
+	g := diffTestGraph(b, 4000, 1)
+	asns, monitors := g.ASNs(), g.TopByDegree(300)
+	rng := rand.New(rand.NewSource(1))
+	var scs []*EvalScratch
+	for len(scs) < 100 {
+		v, m := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
+		if v == m {
+			continue
+		}
+		im, err := core.Simulate(g, core.Scenario{Victim: v, Attacker: m, Prepend: 3, ViolateValleyFree: true})
+		if errors.Is(err, routing.ErrUnreachableAttacker) || err == nil && !im.Effective() {
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := NewEvalScratch()
+		sc.Extract(im, monitors)
+		scs = append(scs, sc)
+	}
+	ends := []int{10, 30, 50, 70, 100, 150, 200, 250, 300, 30}
+	res, hops := make([]EvalResult, len(ends)), make([]int, len(ends))
+	pairs := 0
+	b.ResetTimer()
+	for i := range b.N {
+		sc := scs[i%len(scs)]
+		before := sc.Pairs()
+		sc.Fold(0, ends, g, res, hops)
+		pairs += sc.Pairs() - before
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}

@@ -822,7 +822,7 @@ func ownCutQuad(sc *EvalScratch, im *core.Impact, asns []bgp.ASN, rels RelQuerie
 	}
 	high := func(a Alarm) bool { return a.Confidence == High }
 	for x := range asns {
-		if !trig(x) || im.HopsFromAttackerIdx(sc.monIdx[x]) >= 0 || sc.mayAccuse(x) {
+		if !trig(x) || im.HopsFromAttackerIdx(sc.monIdx[x]) >= 0 || sc.attackerAt(x) >= 0 {
 			continue
 		}
 		for w := range asns {

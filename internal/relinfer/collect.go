@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"aspp/internal/bgp"
+	"aspp/internal/obs"
 	"aspp/internal/parallel"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
@@ -16,6 +17,11 @@ import (
 // pipeline extracts from RouteViews/RIPE table dumps. Each path includes
 // the monitor's own ASN at the front, matching collector exports.
 func CollectPaths(g *topology.Graph, origins, monitors []bgp.ASN, workers int) ([]bgp.Path, error) {
+	return collectPaths(g, origins, monitors, workers, nil)
+}
+
+// collectPaths is CollectPaths recording each origin's propagation into c.
+func collectPaths(g *topology.Graph, origins, monitors []bgp.ASN, workers int, c *obs.Counters) ([]bgp.Path, error) {
 	if len(origins) == 0 || len(monitors) == 0 {
 		return nil, errors.New("relinfer: need origins and monitors")
 	}
@@ -39,6 +45,9 @@ func CollectPaths(g *topology.Graph, origins, monitors []bgp.ASN, workers int) (
 			return nil, fmt.Errorf("relinfer: propagate %v: %w", origins[i], err)
 		}
 		st.spans = spans
+		c.Add(obs.BasePropagations, 1)
+		c.Add(obs.RowsDown, st.s.RowsDown())
+		c.Max(obs.ScratchBytes, st.s.MemoryBytes())
 		var out []bgp.Path
 		for k, m := range monitors {
 			if sp := st.spans[k]; sp.Prep > 0 {

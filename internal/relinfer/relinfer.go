@@ -14,6 +14,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/measure"
+	"aspp/internal/obs"
 	"aspp/internal/topology"
 )
 
@@ -275,10 +276,11 @@ func Tier1Seeded(paths []bgp.Path, tier1 []bgp.ASN) (*Inferred, error) {
 // InferRelationships rebuilds g's relationships from simulated monitor
 // paths (the paper's §IV-A preprocessing): Gao's algorithm, the tier-1
 // seeded variant, and their consensus. It returns the consensus inference
-// and its accuracy against g, the generator's ground truth.
-func InferRelationships(g *topology.Graph, originSample, nTopMonitors int) (*Inferred, Accuracy, error) {
+// and its accuracy against g, the generator's ground truth. c, when non-nil,
+// receives the path collection's propagations, one per sampled origin.
+func InferRelationships(g *topology.Graph, originSample, nTopMonitors int, c *obs.Counters) (*Inferred, Accuracy, error) {
 	monitors := measure.DefaultMonitors(g, nTopMonitors, nTopMonitors/2, 1)
-	paths, err := CollectPaths(g, SampleOrigins(g, originSample), monitors, 0)
+	paths, err := collectPaths(g, SampleOrigins(g, originSample), monitors, 0, c)
 	if err != nil {
 		return nil, Accuracy{}, err
 	}
